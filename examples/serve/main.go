@@ -374,10 +374,9 @@ func main() {
 			Stale    bool   `json:"stale"`
 			Degraded string `json:"degraded"`
 			Oracle   struct {
-				Cached    bool    `json:"cached"`
-				BuildMs   float64 `json:"buildMs"`
-				Sources   int     `json:"sources"`
-				Landmarks int     `json:"landmarks"`
+				Cached  bool    `json:"cached"`
+				BuildMs float64 `json:"buildMs"`
+				Sources int     `json:"sources"`
 			} `json:"oracle"`
 			Results []struct {
 				Src       string  `json:"src"`
@@ -407,8 +406,8 @@ func main() {
 					noteDegraded(resp.Header.Get("X-Trace-Id"))
 				}
 				oracleOnce.Do(func() {
-					fmt.Printf("oracle: cached=%v buildMs=%.1f sources=%d landmarks=%d\n",
-						body.Oracle.Cached, body.Oracle.BuildMs, body.Oracle.Sources, body.Oracle.Landmarks)
+					fmt.Printf("oracle: cached=%v buildMs=%.1f sources=%d\n",
+						body.Oracle.Cached, body.Oracle.BuildMs, body.Oracle.Sources)
 				})
 				recordLatency(time.Since(start))
 				for _, r := range body.Results {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -145,6 +146,15 @@ func TestUniqueSources(t *testing.T) {
 	u := UniqueSources(pairs)
 	if len(u) != 3 {
 		t.Errorf("unique sources = %v", u)
+	}
+}
+
+func TestGroupPairs(t *testing.T) {
+	pairs := []Pair{{Src: 3, Dst: 0}, {Src: 1, Dst: 2}, {Src: 3, Dst: 1}, {Src: 2, Dst: 0}}
+	got := groupPairs(pairs)
+	want := []pairGroup{{src: 1, pairs: []int{1}}, {src: 2, pairs: []int{3}}, {src: 3, pairs: []int{0, 2}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("groupPairs = %v, want %v", got, want)
 	}
 }
 

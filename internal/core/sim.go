@@ -31,6 +31,11 @@ type Sim struct {
 	Cities []ground.City
 	Pairs  []Pair
 
+	// pairGroups indexes Pairs by source city, sources ascending: one
+	// shortest-path tree per group answers all of its pairs. Built once in
+	// NewSim (Pairs never changes afterwards).
+	pairGroups []pairGroup
+
 	// Motif is the ISL topology strategy the constellation was built with;
 	// nil means the default +Grid. Epoch-aware motifs are re-placed for
 	// every snapshot build (Const.ISLs holds the most recently built
@@ -197,6 +202,7 @@ func NewSim(choice ConstellationChoice, scale Scale, opts ...SimOption) (*Sim, e
 		Fleet:      fleet,
 		Cities:     cities,
 		Pairs:      pairs,
+		pairGroups: groupPairs(pairs),
 		baseOpts:   baseOpts,
 		builders:   map[Mode]*graph.Builder{},
 	}
@@ -329,32 +335,24 @@ func (s *Sim) pairRTTs(ctx context.Context, n *graph.Network, noGroundTransit bo
 	// registry histogram from graph.Search; this attributes the whole
 	// fan-out's wall time to the run.
 	defer telemetry.RecordSpan(ctx, telemetry.StageSearch).End()
-	bySrc := map[int][]int{}
-	for pi, p := range s.Pairs {
-		bySrc[p.Src] = append(bySrc[p.Src], pi)
-	}
-	sources := make([]int, 0, len(bySrc))
-	for src := range bySrc {
-		sources = append(sources, src)
-	}
 	out := make([]float64, len(s.Pairs))
 	g := safe.NewGroup(ctx, runtime.GOMAXPROCS(0))
-	for _, src := range sources {
-		src := src
+	for _, grp := range s.pairGroups {
+		grp := grp
 		g.Go(func() error {
 			if pairRTTsTestHook != nil {
-				pairRTTsTestHook(src)
+				pairRTTsTestHook(grp.src)
 			}
 			// Pooled scratch state: the whole search runs allocation-free
 			// and distances are read back without materializing slices.
 			st := graph.AcquireSearch()
 			defer st.Release()
-			spec := graph.SearchSpec{Src: n.CityNode(src), Target: graph.NoTarget}
+			spec := graph.SearchSpec{Src: n.CityNode(grp.src), Target: graph.NoTarget}
 			if noGroundTransit {
 				spec.Expand = func(v int32) bool { return !n.IsGroundSide(v) }
 			}
 			n.Search(st, spec)
-			for _, pi := range bySrc[src] {
+			for _, pi := range grp.pairs {
 				out[pi] = 2 * st.Dist(n.CityNode(s.Pairs[pi].Dst))
 			}
 			return nil

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"leosim/internal/geo"
 	"leosim/internal/ground"
@@ -60,4 +61,24 @@ func UniqueSources(pairs []Pair) []int {
 		}
 	}
 	return out
+}
+
+// pairGroup is the indices into Sim.Pairs that share the source city src.
+type pairGroup struct {
+	src   int
+	pairs []int
+}
+
+// groupPairs groups pair indices by source city, sources ascending.
+func groupPairs(pairs []Pair) []pairGroup {
+	bySrc := map[int][]int{}
+	for pi, p := range pairs {
+		bySrc[p.Src] = append(bySrc[p.Src], pi)
+	}
+	groups := make([]pairGroup, 0, len(bySrc))
+	for src, pis := range bySrc {
+		groups = append(groups, pairGroup{src: src, pairs: pis})
+	}
+	sort.Slice(groups, func(i, j int) bool { return groups[i].src < groups[j].src })
+	return groups
 }

@@ -436,10 +436,7 @@ func (a *Advancer) Advance(t1 time.Time) *Delta {
 			a.materializeAndFreeze()
 		}
 	} else {
-		for i := range n.Links {
-			l := &n.Links[i]
-			l.OneWayMs = n.Pos[l.A].Distance(n.Pos[l.B]) * geo.MsPerKm
-		}
+		a.reweight()
 	}
 	d.Reweighted = len(n.Links)
 
@@ -818,6 +815,27 @@ func (a *Advancer) materializeLinks() {
 	a.baseLinks = links
 }
 
+// reweight recomputes every link's propagation delay for the moved positions,
+// in place, and refreshes the CSR's arc weights in the same pass: replaying
+// the freeze's fill cursor in link-index order lands each link on exactly the
+// two arc slots the freeze gave it. The link set — and so the CSR's shape —
+// is unchanged; this is the one writer of Link.OneWayMs on a frozen network.
+func (a *Advancer) reweight() {
+	n := a.net
+	pos, ms := n.Pos, n.adjMs
+	next := n.csrNext[:len(n.Kind)]
+	copy(next, n.adjStart)
+	for i := range n.Links {
+		l := &n.Links[i]
+		w := pos[l.A].Distance(pos[l.B]) * geo.MsPerKm
+		l.OneWayMs = w
+		ms[next[l.A]] = w
+		next[l.A]++
+		ms[next[l.B]] = w
+		next[l.B]++
+	}
+}
+
 // materializeAndFreeze rebuilds the canonical link list and the network's
 // CSR in one pass. The advancer's maintained degree counts give the CSR
 // prefix sums up front, so each link's two edge slots are written the
@@ -841,74 +859,43 @@ func (a *Advancer) materializeAndFreeze() {
 	for i := 0; i < nn; i++ {
 		start[i+1] += start[i]
 	}
-	edges := n.adjEdges
-	if cap(edges) < int(start[nn]) {
-		edges = make([]EdgeRef, start[nn])
-	} else {
-		edges = edges[:start[nn]]
-	}
-	next := n.csrNext
-	if cap(next) < nn {
-		next = make([]int32, nn)
-		n.csrNext = next
-	} else {
-		next = next[:nn]
-	}
-	copy(next, start[:nn])
+	edges, ms, next := n.csrArcs(start, int(start[nn]))
 
 	pos := n.Pos
-	gslCap := b.Opts.GSLCapGbps
 	links := a.baseLinks[:0]
+	// link appends one link and writes its two arcs into the next free slot
+	// of each endpoint.
+	link := func(from, to int32, kind LinkKind, capGbps float64) {
+		li := int32(len(links))
+		w := pos[from].Distance(pos[to]) * geo.MsPerKm
+		links = append(links, Link{A: from, B: to, Kind: kind, CapGbps: capGbps, OneWayMs: w})
+		k := next[from]
+		edges[k], ms[k] = EdgeRef{To: to, Link: li}, w
+		next[from]++
+		k = next[to]
+		edges[k], ms[k] = EdgeRef{To: from, Link: li}, w
+		next[to]++
+	}
 	for ti := range a.terms {
 		tm := &a.terms[ti]
-		tn := tm.node
-		pt := pos[tn]
 		for _, sat := range tm.linked {
-			li := int32(len(links))
-			links = append(links, Link{
-				A: tn, B: sat, Kind: LinkGSL, CapGbps: gslCap,
-				OneWayMs: pt.Distance(pos[sat]) * geo.MsPerKm,
-			})
-			edges[next[tn]] = EdgeRef{To: sat, Link: li}
-			next[tn]++
-			edges[next[sat]] = EdgeRef{To: tn, Link: li}
-			next[sat]++
+			link(tm.node, sat, LinkGSL, b.Opts.GSLCapGbps)
 		}
 	}
 	airBase := n.NumSat + a.nTerms
 	for ai := range a.airCands {
-		node := int32(airBase + ai)
-		pa := pos[node]
 		for _, si := range a.airCands[ai] {
-			li := int32(len(links))
-			links = append(links, Link{
-				A: node, B: si, Kind: LinkGSL, CapGbps: gslCap,
-				OneWayMs: pa.Distance(pos[si]) * geo.MsPerKm,
-			})
-			edges[next[node]] = EdgeRef{To: si, Link: li}
-			next[node]++
-			edges[next[si]] = EdgeRef{To: node, Link: li}
-			next[si]++
+			link(int32(airBase+ai), si, LinkGSL, b.Opts.GSLCapGbps)
 		}
 	}
 	if b.Opts.ISL {
-		islCap := b.Opts.ISLCapGbps
 		for _, l := range b.Const.ISLs {
-			ia, ib := int32(l.A), int32(l.B)
-			li := int32(len(links))
-			links = append(links, Link{
-				A: ia, B: ib, Kind: LinkISL, CapGbps: islCap,
-				OneWayMs: pos[ia].Distance(pos[ib]) * geo.MsPerKm,
-			})
-			edges[next[ia]] = EdgeRef{To: ib, Link: li}
-			next[ia]++
-			edges[next[ib]] = EdgeRef{To: ia, Link: li}
-			next[ib]++
+			link(int32(l.A), int32(l.B), LinkISL, b.Opts.ISLCapGbps)
 		}
 	}
 	a.baseLinks = links
 	n.Links = links
-	n.adjStart, n.adjEdges = start, edges
+	n.adjStart, n.adjEdges, n.adjMs = start, edges, ms
 	n.csrValid.Store(true)
 }
 

@@ -83,6 +83,88 @@ func requireNetworksIdentical(t *testing.T, label string, got, want *Network) {
 			t.Fatalf("%s: CSR adjEdges[%d] differs", label, i)
 		}
 	}
+	requireArcWeightsFresh(t, label, got)
+}
+
+// requireArcWeightsFresh asserts the CSR's arc weights are exact copies of
+// their links' delays — the invariant every post-freeze writer of OneWayMs
+// must restore.
+func requireArcWeightsFresh(t *testing.T, label string, n *Network) {
+	t.Helper()
+	n.ensureCSR()
+	if len(n.adjMs) != len(n.adjEdges) {
+		t.Fatalf("%s: %d arc weights for %d arcs", label, len(n.adjMs), len(n.adjEdges))
+	}
+	for k, e := range n.adjEdges {
+		if n.adjMs[k] != n.Links[e.Link].OneWayMs {
+			t.Fatalf("%s: arc %d carries %v ms, its link %d says %v",
+				label, k, n.adjMs[k], e.Link, n.Links[e.Link].OneWayMs)
+		}
+	}
+}
+
+// requireTreesIdentical asserts full shortest-path trees from a few sources
+// agree bit for bit between got and want: what a stale arc weight would
+// silently break.
+func requireTreesIdentical(t *testing.T, label string, got, want *Network) {
+	t.Helper()
+	for _, src := range []int32{got.CityNode(0), got.CityNode(got.NumCity - 1), got.SatNode(17)} {
+		gd, gp := got.Dijkstra(src, nil)
+		wd, wp := want.Dijkstra(src, nil)
+		for v := range wd {
+			if gd[v] != wd[v] || gp[v] != wp[v] {
+				t.Fatalf("%s: tree from %d at node %d: got (%v, %d), fresh build (%v, %d)",
+					label, src, v, gd[v], gp[v], wd[v], wp[v])
+			}
+		}
+	}
+}
+
+// TestArcWeightsFollowAdvance is the stale-weight guard for the three places
+// arc weights are written outside a plain freeze: a step that only reweights
+// (no GSL appears or vanishes, so the CSR is kept and refreshed in place), a
+// masked step (re-materialized and re-frozen), and Clone.
+func TestArcWeightsFollowAdvance(t *testing.T) {
+	b := advSetup(t, true, false, nil)
+	start := geo.Epoch.Add(2 * time.Hour)
+	a := b.NewAdvancer(start)
+	reweightOnly := 0
+	for i := 1; i <= 40; i++ {
+		tt := start.Add(time.Duration(i) * 100 * time.Millisecond)
+		d := a.Advance(tt)
+		if d.FullRebuild {
+			t.Fatalf("step %d fell back: %s", i, d.Reason)
+		}
+		if len(d.Added)+len(d.Removed) > 0 {
+			continue
+		}
+		reweightOnly++
+		label := fmt.Sprintf("reweight-only t=+%dms", i*100)
+		fresh := b.At(tt)
+		requireNetworksIdentical(t, label, a.Net(), fresh)
+		requireTreesIdentical(t, label, a.Net(), fresh)
+		clone := a.Net().Clone()
+		requireArcWeightsFresh(t, label+" clone", clone)
+		requireTreesIdentical(t, label+" clone", clone, fresh)
+	}
+	if reweightOnly == 0 {
+		t.Fatal("no step kept its link set; the in-place reweight path went untested")
+	}
+
+	mb := advSetup(t, true, false, func(n *Network) {
+		n.RewriteLinks(func(l Link) (Link, bool) { return l, l.A%29 != 0 && l.B%29 != 0 })
+	})
+	ma := mb.NewAdvancer(start)
+	for i := 1; i <= 5; i++ {
+		tt := start.Add(time.Duration(i) * time.Second)
+		if d := ma.Advance(tt); d.FullRebuild {
+			t.Fatalf("masked step %d fell back: %s", i, d.Reason)
+		}
+		label := fmt.Sprintf("masked t=+%ds", i)
+		fresh := mb.At(tt)
+		requireNetworksIdentical(t, label, ma.Net(), fresh)
+		requireTreesIdentical(t, label, ma.Net(), fresh)
+	}
 }
 
 // TestAdvanceDifferentialDay advances a hybrid network through a full

@@ -142,6 +142,128 @@ func compareAll(t *testing.T, n *Network, dist, wantDist []float64, prev, wantPr
 	}
 }
 
+// checkSearch runs one kernel search with every restriction at once — link
+// bans, node bans, an Expand filter, a Cost hook, an early-exit target — and
+// holds the outcome to naiveDijkstra exactly: distance and predecessor of
+// every node (tentative labels of an early-exit search included, since both
+// sides settle in the same order), and under a Cost hook the delay track,
+// which must be the arc weights summed in path order from the source.
+func checkSearch(t *testing.T, n *Network, src, target int32, bannedLinks, bannedNodes map[int32]bool,
+	expand func(int32) bool, cost func(int32) float64, tag string) {
+	t.Helper()
+	st := AcquireSearch()
+	defer st.Release()
+	for li := range bannedLinks {
+		st.BanLink(li)
+	}
+	for v := range bannedNodes {
+		st.BanNode(v)
+	}
+	if !n.Search(st, SearchSpec{Src: src, Target: target, Expand: expand, Cost: cost}) {
+		t.Fatalf("%s: search did not complete", tag)
+	}
+	dist, prev := st.materialize(n.N())
+	wantDist, wantPrev := naiveDijkstra(n, src, target, bannedLinks, bannedNodes, expand, cost)
+	compareAll(t, n, dist, wantDist, prev, wantPrev, tag)
+	if cost == nil {
+		return
+	}
+	for dst := int32(0); dst < int32(n.N()); dst++ {
+		p, ok := st.Path(dst)
+		if !ok {
+			continue
+		}
+		var delay float64
+		for _, li := range p.Links {
+			delay += n.Links[li].OneWayMs
+		}
+		if p.OneWayMs != delay {
+			t.Fatalf("%s: cost-hook path to %d reports %v ms, links sum to %v", tag, dst, p.OneWayMs, delay)
+		}
+	}
+}
+
+// TestDifferentialCombined drives the indexed heap's decrease-key path under
+// every restriction the kernel supports, in all combinations: dense random
+// graphs with tied quantized weights relabel frontier nodes constantly.
+func TestDifferentialCombined(t *testing.T) {
+	for seed := int64(500); seed < 564; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := randomNet(r, 25+r.Intn(40), 120)
+		src := int32(r.Intn(n.N()))
+		target := NoTarget
+		var bannedLinks, bannedNodes map[int32]bool
+		var expand func(int32) bool
+		var cost func(int32) float64
+		if seed&1 != 0 {
+			bannedLinks = randomBans(r, n, 0.2)
+		}
+		if seed&2 != 0 {
+			bannedNodes = map[int32]bool{}
+			for v := int32(0); v < int32(n.N()); v++ {
+				if v != src && r.Intn(6) == 0 {
+					bannedNodes[v] = true
+				}
+			}
+		}
+		if seed&4 != 0 {
+			expand = func(v int32) bool { return !n.IsGroundSide(v) }
+		}
+		if seed&8 != 0 {
+			scale := make([]float64, len(n.Links))
+			for li := range scale {
+				scale[li] = float64(r.Intn(5)) // 0: a free link; 4: excluded
+			}
+			cost = func(li int32) float64 {
+				if scale[li] == 4 {
+					return math.Inf(1)
+				}
+				return n.Links[li].OneWayMs * scale[li]
+			}
+		}
+		if seed&16 != 0 {
+			target = int32(r.Intn(n.N()))
+		}
+		checkSearch(t, n, src, target, bannedLinks, bannedNodes, expand, cost, "combined")
+	}
+}
+
+// TestDecreaseKeyChain relabels every node but the source's neighbour on
+// purpose: the source reaches all nodes directly at a high price, then a
+// cheap chain undercuts each label in turn while the node is still queued.
+func TestDecreaseKeyChain(t *testing.T) {
+	n := &Network{}
+	const nodes = 200
+	for i := 0; i < nodes; i++ {
+		n.AddNode(NodeSatellite, geo.Vec3{}, "")
+	}
+	add := func(a, b int32, w float64) {
+		n.Links = append(n.Links, Link{A: a, B: b, Kind: LinkISL, CapGbps: 1, OneWayMs: w})
+	}
+	for v := int32(1); v < nodes; v++ {
+		add(0, v, 1000-float64(v)) // farther along the chain looks cheaper at first
+	}
+	for v := int32(1); v+1 < nodes; v++ {
+		add(v, v+1, 0.5)
+	}
+	n.csrValid.Store(false)
+	checkSearch(t, n, 0, NoTarget, nil, nil, nil, nil, "chain")
+	checkSearch(t, n, 0, nodes/2, map[int32]bool{3: true}, map[int32]bool{40: true}, nil, nil, "chain restricted")
+}
+
+// TestSearchAllocs pins the kernel's allocation-free profile: a full-tree
+// search on a pooled, already-grown state allocates nothing.
+func TestSearchAllocs(t *testing.T) {
+	n := randomNet(rand.New(rand.NewSource(9)), 300, 900)
+	st := AcquireSearch()
+	defer st.Release()
+	spec := SearchSpec{Src: 0, Target: NoTarget}
+	n.Search(st, spec) // grow the scratch arrays and the heap once
+	if allocs := testing.AllocsPerRun(50, func() { n.Search(st, spec) }); allocs != 0 {
+		t.Fatalf("pooled full-tree search allocates %v times per run, want 0", allocs)
+	}
+}
+
 func TestDifferentialDijkstra(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		r := rand.New(rand.NewSource(seed))

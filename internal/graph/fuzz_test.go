@@ -48,10 +48,11 @@ func fuzzNet(data []byte) *Network {
 // predecessor links (pinning the (dist, node) tie-break), and an extracted
 // path consistent with the distance label.
 func FuzzSearch(f *testing.F) {
-	f.Add([]byte{10, 0xAA, 0, 1, 3, 1, 2, 7, 2, 3, 1, 0, 3, 9}, uint8(0), uint8(3), uint8(0))
-	f.Add([]byte{40, 0x0F, 5, 6, 2, 6, 7, 2, 7, 5, 2, 1, 2, 30}, uint8(5), uint8(7), uint8(3))
-	f.Add([]byte{2, 1, 0, 1, 15}, uint8(1), uint8(0), uint8(255))
-	f.Fuzz(func(t *testing.T, data []byte, srcB, dstB, banB uint8) {
+	f.Add([]byte{10, 0xAA, 0, 1, 3, 1, 2, 7, 2, 3, 1, 0, 3, 9}, uint8(0), uint8(3), uint8(0), uint8(0))
+	f.Add([]byte{40, 0x0F, 5, 6, 2, 6, 7, 2, 7, 5, 2, 1, 2, 30}, uint8(5), uint8(7), uint8(3), uint8(0x1F))
+	f.Add([]byte{2, 1, 0, 1, 15}, uint8(1), uint8(0), uint8(255), uint8(0x0A))
+	f.Add([]byte{9, 0x49, 0, 1, 31, 0, 2, 30, 0, 3, 29, 0, 4, 28, 1, 2, 0, 2, 3, 0, 3, 4, 0}, uint8(0), uint8(4), uint8(7), uint8(0x15))
+	f.Fuzz(func(t *testing.T, data []byte, srcB, dstB, banB, optB uint8) {
 		n := fuzzNet(data)
 		if n == nil || len(n.Links) == 0 {
 			t.Skip()
@@ -84,6 +85,36 @@ func FuzzSearch(f *testing.F) {
 					v, gotD[v], gotP[v], refD[v], refP[v])
 			}
 		}
+
+		// Everything at once, selected by optB's bits: node bans, the
+		// transit filter, a cost hook with free and excluded links, and an
+		// early-exit target, on top of the link bans above.
+		var bannedNodes map[int32]bool
+		var cost func(int32) float64
+		target := NoTarget
+		if optB&1 != 0 {
+			bannedNodes = map[int32]bool{}
+			for v := int32(0); v < int32(n.N()); v++ {
+				if v != src && (int(v)+int(optB>>4))%5 == 0 {
+					bannedNodes[v] = true
+				}
+			}
+		}
+		if optB&2 == 0 {
+			expand = nil
+		}
+		if optB&4 != 0 {
+			cost = func(li int32) float64 {
+				if m := (int(li) + int(optB>>4)) % 7; m < 5 {
+					return n.Links[li].OneWayMs * float64(m)
+				}
+				return math.Inf(1)
+			}
+		}
+		if optB&8 != 0 {
+			target = dst
+		}
+		checkSearch(t, n, src, target, banned, bannedNodes, expand, cost, "combined")
 
 		// Extracted path must be continuous and priced exactly at dist[dst].
 		if p, ok := n.ShortestPath(src, dst); ok {

@@ -109,9 +109,15 @@ type Network struct {
 	// CSR adjacency, frozen from Links on first use after any mutation:
 	// node v's edges are adjEdges[adjStart[v]:adjStart[v+1]], laid out
 	// contiguously so the Dijkstra relax loop walks flat memory instead of
-	// chasing per-node slices. adjStart has N()+1 entries.
+	// chasing per-node slices. adjStart has N()+1 entries. adjMs[k] is a copy
+	// of Links[adjEdges[k].Link].OneWayMs, so relaxing an arc reads its
+	// weight from the stream it is already walking instead of a random Link.
+	// Whoever writes a Link's OneWayMs after a freeze must refresh adjMs or
+	// invalidate the CSR (AddLink and RewriteLinks invalidate; the Advancer's
+	// in-place reweight refreshes).
 	adjStart []int32
 	adjEdges []EdgeRef
+	adjMs    []float64
 	csrValid atomic.Bool
 	csrMu    sync.Mutex
 	// csrNext is the counting-sort cursor scratch reused across freezes, so
@@ -231,38 +237,47 @@ func (n *Network) csrStart(nn int) []int32 {
 	return start[:nn+1]
 }
 
+// csrArcs returns the edge and arc-weight buffers resized (not cleared) to
+// arcs entries, and the fill cursor initialized to each node's first slot in
+// start (already prefix-summed).
+func (n *Network) csrArcs(start []int32, arcs int) (edges []EdgeRef, ms []float64, next []int32) {
+	edges, ms = n.adjEdges, n.adjMs
+	if cap(edges) < arcs || cap(ms) < arcs {
+		edges = make([]EdgeRef, arcs)
+		ms = make([]float64, arcs)
+	}
+	nn := len(start) - 1
+	next = n.csrNext
+	if cap(next) < nn {
+		next = make([]int32, nn)
+		n.csrNext = next
+	}
+	next = next[:nn]
+	copy(next, start[:nn])
+	return edges[:arcs], ms[:arcs], next
+}
+
 // freezeCSRLocked finishes a CSR freeze from start, whose slot i+1 holds node
-// i's degree: prefix-sums it, fills the edge array in link-index order, and
-// publishes the result. Callers hold csrMu.
+// i's degree: prefix-sums it, fills the edge and arc-weight arrays in
+// link-index order, and publishes the result. Callers hold csrMu.
 func (n *Network) freezeCSRLocked(start []int32) {
 	nn := len(n.Kind)
 	for i := 0; i < nn; i++ {
 		start[i+1] += start[i]
 	}
-	edges := n.adjEdges
-	if cap(edges) < 2*len(n.Links) {
-		edges = make([]EdgeRef, 2*len(n.Links))
-	} else {
-		edges = edges[:2*len(n.Links)]
-	}
-	next := n.csrNext
-	if cap(next) < nn {
-		next = make([]int32, nn)
-		n.csrNext = next
-	} else {
-		next = next[:nn]
-	}
-	copy(next, start[:nn])
+	edges, ms, next := n.csrArcs(start, 2*len(n.Links))
 	// Iterating Links in index order reproduces the append order the old
 	// per-node slices had, so relaxation order — and with it every
 	// tie-broken predecessor — is unchanged.
 	for li, l := range n.Links {
-		edges[next[l.A]] = EdgeRef{To: l.B, Link: int32(li)}
+		k := next[l.A]
+		edges[k], ms[k] = EdgeRef{To: l.B, Link: int32(li)}, l.OneWayMs
 		next[l.A]++
-		edges[next[l.B]] = EdgeRef{To: l.A, Link: int32(li)}
+		k = next[l.B]
+		edges[k], ms[k] = EdgeRef{To: l.A, Link: int32(li)}, l.OneWayMs
 		next[l.B]++
 	}
-	n.adjStart, n.adjEdges = start, edges
+	n.adjStart, n.adjEdges, n.adjMs = start, edges, ms
 	n.csrValid.Store(true)
 }
 
@@ -284,6 +299,7 @@ func (n *Network) Clone() *Network {
 		NumAircraft: n.NumAircraft,
 		adjStart:    append([]int32(nil), n.adjStart...),
 		adjEdges:    append([]EdgeRef(nil), n.adjEdges...),
+		adjMs:       append([]float64(nil), n.adjMs...),
 		epoch:       n.epoch,
 	}
 	c.csrValid.Store(true)

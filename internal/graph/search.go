@@ -8,11 +8,11 @@ import (
 )
 
 // SearchState is the reusable scratch memory of one shortest-path search:
-// distance/predecessor arrays, the heap's backing storage, and epoch-stamped
-// link/node ban masks. Acquire one with AcquireSearch, run any number of
-// searches on a single network through Network.Search, and Release it when
-// done; the allocation-free inner loop is what lets experiment sweeps run
-// millions of searches without touching the garbage collector.
+// per-node labels, the frontier heap with its per-node position index, and
+// epoch-stamped link/node ban masks. Acquire one with AcquireSearch, run any
+// number of searches on a single network through Network.Search, and Release
+// it when done; the allocation-free inner loop is what lets experiment sweeps
+// run millions of searches without touching the garbage collector.
 //
 // A SearchState is not safe for concurrent use; acquire one per worker. It
 // must be used with one network at a time — AcquireSearch clears ban masks,
@@ -22,24 +22,43 @@ type SearchState struct {
 	src     int32
 	hasCost bool
 
-	// dist/delay/prevLink are valid for node v iff stamp[v] == searchStamp;
-	// stamping replaces the O(n) "fill with +Inf" re-initialization.
-	dist     []float64
+	// node[v], delay[v] and prevLink[v] are valid iff node[v].stamp ==
+	// searchStamp; stamping replaces the O(n) "fill with +Inf"
+	// re-initialization.
+	node     []nodeState
 	delay    []float64
 	prevLink []int32
-	stamp    []uint32
 
+	// heap is the frontier: exactly one entry per reached, not yet popped
+	// node. node[v].pos is v's index in heap while it is queued and
+	// posPopped from the moment it is popped, so heap[node[v].pos].node == v
+	// for every queued v — the invariant decrease-key relies on.
 	heap []heapEntry
 
 	// linkBan/nodeBan mark a link or node banned iff the entry equals
 	// banStamp. Bans persist across searches (KDisjointPaths accumulates
 	// them) until ClearBans bumps the stamp — no map, no clearing loop.
-	linkBan []uint32
-	nodeBan []uint32
+	// anyLinkBan is set by BanLink and reset by ClearBans; while it is
+	// false the relax loop skips the per-arc mask load altogether.
+	linkBan    []uint32
+	nodeBan    []uint32
+	anyLinkBan bool
 
 	searchStamp uint32
 	banStamp    uint32
 }
+
+// nodeState packs what relaxing an arc into node v reads — is v reached this
+// epoch, at what distance, and where in the heap — into one 16-byte record,
+// so the test touches one cache line instead of three arrays.
+type nodeState struct {
+	dist  float64
+	stamp uint32
+	pos   int32
+}
+
+// posPopped marks a node that has left the frontier for good.
+const posPopped int32 = -1
 
 var searchPool = sync.Pool{New: func() interface{} { return &SearchState{} }}
 
@@ -61,11 +80,10 @@ func (st *SearchState) Release() {
 // links. Freshly grown regions hold zero stamps, which never match the
 // current stamps (always ≥ 1), so grown entries start unreached/unbanned.
 func (st *SearchState) grow(nodes, links int) {
-	if len(st.dist) < nodes {
-		st.dist = append(st.dist, make([]float64, nodes-len(st.dist))...)
+	if len(st.node) < nodes {
+		st.node = append(st.node, make([]nodeState, nodes-len(st.node))...)
 		st.delay = append(st.delay, make([]float64, nodes-len(st.delay))...)
 		st.prevLink = append(st.prevLink, make([]int32, nodes-len(st.prevLink))...)
-		st.stamp = append(st.stamp, make([]uint32, nodes-len(st.stamp))...)
 		st.nodeBan = append(st.nodeBan, make([]uint32, nodes-len(st.nodeBan))...)
 	}
 	if len(st.linkBan) < links {
@@ -81,8 +99,8 @@ func (st *SearchState) begin(n *Network, spec SearchSpec) {
 	st.grow(n.N(), len(n.Links))
 	st.searchStamp++
 	if st.searchStamp == 0 { // wrapped: stale stamps could collide
-		for i := range st.stamp {
-			st.stamp[i] = 0
+		for i := range st.node {
+			st.node[i].stamp = 0
 		}
 		st.searchStamp = 1
 	}
@@ -91,6 +109,7 @@ func (st *SearchState) begin(n *Network, spec SearchSpec) {
 
 // ClearBans forgets every banned link and node.
 func (st *SearchState) ClearBans() {
+	st.anyLinkBan = false
 	st.banStamp++
 	if st.banStamp == 0 { // wrapped: stale stamps could collide
 		for i := range st.linkBan {
@@ -109,6 +128,7 @@ func (st *SearchState) BanLink(li int32) {
 		st.linkBan = append(st.linkBan, make([]uint32, int(li)+1-len(st.linkBan))...)
 	}
 	st.linkBan[li] = st.banStamp
+	st.anyLinkBan = true
 }
 
 // BanNode excludes node v from forwarding in subsequent searches: like a
@@ -128,19 +148,19 @@ func (st *SearchState) NodeBanned(v int32) bool {
 // Dist returns the settled distance of node v from the last search's source
 // (+Inf if unreached). Under a Cost hook this is total cost, not delay.
 func (st *SearchState) Dist(v int32) float64 {
-	if st.stamp[v] != st.searchStamp {
+	if st.node[v].stamp != st.searchStamp {
 		return math.Inf(1)
 	}
-	return st.dist[v]
+	return st.node[v].dist
 }
 
 // Reached reports whether the last search reached node v.
-func (st *SearchState) Reached(v int32) bool { return st.stamp[v] == st.searchStamp }
+func (st *SearchState) Reached(v int32) bool { return st.node[v].stamp == st.searchStamp }
 
 // PrevLink returns the predecessor link of node v in the last search (-1 at
 // the source or if unreached).
 func (st *SearchState) PrevLink(v int32) int32 {
-	if st.stamp[v] != st.searchStamp {
+	if st.node[v].stamp != st.searchStamp {
 		return -1
 	}
 	return st.prevLink[v]
@@ -148,15 +168,15 @@ func (st *SearchState) PrevLink(v int32) int32 {
 
 // Path reconstructs the found route from the last search's source to dst.
 func (st *SearchState) Path(dst int32) (Path, bool) {
-	if st.stamp[dst] != st.searchStamp {
+	if st.node[dst].stamp != st.searchStamp {
 		return Path{}, false
 	}
-	total := st.dist[dst]
+	total := st.node[dst].dist
 	if st.hasCost {
 		total = st.delay[dst]
 	}
 	return st.net.walkPath(st.src, dst, func(v int32) int32 {
-		if st.stamp[v] != st.searchStamp {
+		if st.node[v].stamp != st.searchStamp {
 			return -1
 		}
 		return st.prevLink[v]
@@ -170,8 +190,8 @@ func (st *SearchState) materialize(nn int) (dist []float64, prevLink []int32) {
 	prevLink = make([]int32, nn)
 	inf := math.Inf(1)
 	for i := 0; i < nn; i++ {
-		if st.stamp[i] == st.searchStamp {
-			dist[i] = st.dist[i]
+		if st.node[i].stamp == st.searchStamp {
+			dist[i] = st.node[i].dist
 			prevLink[i] = st.prevLink[i]
 		} else {
 			dist[i] = inf
@@ -186,8 +206,8 @@ func (st *SearchState) materializeDist(nn int) []float64 {
 	dist := make([]float64, nn)
 	inf := math.Inf(1)
 	for i := 0; i < nn; i++ {
-		if st.stamp[i] == st.searchStamp {
-			dist[i] = st.dist[i]
+		if st.node[i].stamp == st.searchStamp {
+			dist[i] = st.node[i].dist
 		} else {
 			dist[i] = inf
 		}
@@ -195,8 +215,9 @@ func (st *SearchState) materializeDist(nn int) []float64 {
 	return dist
 }
 
-// heapEntry is one pending node in the priority queue. Entries are plain
-// values in a flat slice — no interface boxing, no per-push allocation.
+// heapEntry is one frontier node in the priority queue. Entries are plain
+// values in a flat slice — no interface boxing, no per-push allocation — and
+// carry their key, so sift comparisons never leave the heap's own memory.
 type heapEntry struct {
 	node int32
 	dist float64
@@ -209,31 +230,34 @@ func heapLess(a, b heapEntry) bool {
 	return a.dist < b.dist || (a.dist == b.dist && a.node < b.node)
 }
 
-// hpush pushes onto the 4-ary implicit heap. Quaternary beats binary here:
-// sift-downs dominate Dijkstra's pop-heavy workload and a 4-ary heap halves
-// their depth at the cost of a few extra comparisons per level, all within
-// one cache line of heapEntry values.
-func (st *SearchState) hpush(e heapEntry) {
-	h := append(st.heap, e)
-	i := len(h) - 1
+// The frontier is a 4-ary implicit heap indexed by node (pos), so an
+// improving relaxation moves the node's one entry up (decrease-key) instead
+// of pushing a duplicate to be popped and discarded later. Quaternary beats
+// binary here: sift-downs dominate Dijkstra's pop-heavy workload and a 4-ary
+// heap halves their depth at the cost of a few extra comparisons per level,
+// all within one cache line of heapEntry values. Both sifts move a hole
+// rather than swapping, writing each displaced entry (and its pos) once.
+
+// siftUp places e at or above index i of h, shifting larger ancestors down.
+// It serves both push (i is the fresh last slot) and decrease-key (i is the
+// node's current slot).
+func siftUp(h []heapEntry, node []nodeState, i int, e heapEntry) {
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !heapLess(h[i], h[p]) {
+		if !heapLess(e, h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
+		node[h[i].node].pos = int32(i)
 		i = p
 	}
-	st.heap = h
+	h[i] = e
+	node[e.node].pos = int32(i)
 }
 
-// hpop removes and returns the minimum entry.
-func (st *SearchState) hpop() heapEntry {
-	h := st.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
+// siftDown places e at or below the root of h, pulling smaller children up.
+func siftDown(h []heapEntry, node []nodeState, e heapEntry) {
+	n := len(h)
 	i := 0
 	for {
 		c := i<<2 + 1
@@ -250,14 +274,15 @@ func (st *SearchState) hpop() heapEntry {
 				best = j
 			}
 		}
-		if !heapLess(h[best], h[i]) {
+		if !heapLess(h[best], e) {
 			break
 		}
-		h[i], h[best] = h[best], h[i]
+		h[i] = h[best]
+		node[h[i].node].pos = int32(i)
 		i = best
 	}
-	st.heap = h
-	return top
+	h[i] = e
+	node[e.node].pos = int32(i)
 }
 
 // SearchSpec parameterizes one run of the unified Dijkstra kernel.
@@ -274,7 +299,8 @@ type SearchSpec struct {
 	// ISL path" model forbids ground terminals as intermediate hops.
 	Expand func(int32) bool
 	// Cost, when non-nil, replaces the link weight (default: propagation
-	// delay). Returning +Inf excludes the link. The kernel then tracks
+	// delay). It must be non-negative — a popped node is final and is never
+	// re-queued; returning +Inf excludes the link. The kernel then tracks
 	// propagation delay separately so extracted paths still report true
 	// OneWayMs; Dist returns accumulated cost.
 	Cost func(int32) float64
@@ -311,22 +337,33 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 	defer sp.End()
 	n.ensureCSR()
 	st.begin(n, spec)
-	st.dist[spec.Src] = 0
-	st.prevLink[spec.Src] = -1
+	// Loop locals: the scratch arrays and CSR stay in registers instead of
+	// being re-loaded through st and n on every arc.
+	node, cur := st.node, st.searchStamp
+	prevLink := st.prevLink
+	adjStart, adjEdges, adjMs := n.adjStart, n.adjEdges, n.adjMs
+	linkBans := st.anyLinkBan
+
+	node[spec.Src] = nodeState{stamp: cur}
+	prevLink[spec.Src] = -1
 	if st.hasCost {
 		st.delay[spec.Src] = 0
 	}
-	st.stamp[spec.Src] = st.searchStamp
-	st.hpush(heapEntry{node: spec.Src})
+	h := append(st.heap, heapEntry{node: spec.Src})
 	pops := 0
-	for len(st.heap) > 0 {
+	for len(h) > 0 {
 		if spec.Stop != nil && pops%stopPollInterval == 0 && spec.Stop() {
+			st.heap = h
 			return false
 		}
 		pops++
-		it := st.hpop()
-		if it.dist > st.dist[it.node] {
-			continue // stale entry
+		it := h[0]
+		node[it.node].pos = posPopped
+		last := len(h) - 1
+		tail := h[last]
+		h = h[:last]
+		if last > 0 {
+			siftDown(h, node, tail)
 		}
 		if it.node == spec.Target {
 			break // settled: dist/prevLink for the target are final
@@ -339,33 +376,43 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 				continue
 			}
 		}
-		lo, hi := n.adjStart[it.node], n.adjStart[it.node+1]
-		for _, e := range n.adjEdges[lo:hi] {
-			if st.linkBan[e.Link] == st.banStamp {
+		lo, hi := adjStart[it.node], adjStart[it.node+1]
+		edges, ms := adjEdges[lo:hi], adjMs[lo:hi]
+		for k, e := range edges {
+			if linkBans && st.linkBan[e.Link] == st.banStamp {
 				continue
 			}
-			var w float64
-			if spec.Cost == nil {
-				w = n.Links[e.Link].OneWayMs
-			} else {
+			w := ms[k]
+			if spec.Cost != nil {
 				w = spec.Cost(e.Link)
 				if math.IsInf(w, 1) {
 					continue
 				}
 			}
 			nd := it.dist + w
-			if st.stamp[e.To] == st.searchStamp && nd >= st.dist[e.To] {
-				continue
+			to := &node[e.To]
+			at := len(h) // a node new to the frontier enters at the bottom
+			if to.stamp == cur {
+				// With non-negative weights nd >= dist holds for every
+				// popped node, so the posPopped test only ever fires for
+				// a Cost hook that breaks its contract.
+				if nd >= to.dist || to.pos == posPopped {
+					continue
+				}
+				at = int(to.pos)
+			} else {
+				to.stamp = cur
+				h = append(h, heapEntry{})
 			}
-			st.dist[e.To] = nd
-			st.prevLink[e.To] = e.Link
-			st.stamp[e.To] = st.searchStamp
+			to.dist = nd
+			prevLink[e.To] = e.Link
 			if st.hasCost {
-				st.delay[e.To] = st.delay[it.node] + n.Links[e.Link].OneWayMs
+				st.delay[e.To] = st.delay[it.node] + ms[k]
 			}
-			st.hpush(heapEntry{node: e.To, dist: nd})
+			siftUp(h, node, at, heapEntry{node: e.To, dist: nd})
 		}
 	}
+	st.heap = h // keep the grown backing array
 	return true
 }
 

@@ -47,6 +47,51 @@ func TestIsLandKnownPoints(t *testing.T) {
 	}
 }
 
+// pointInPolygon is the even-odd ray-casting rule on the lon/lat plane, one
+// point at a time — the reference the scanline raster is held to.
+func pointInPolygon(lon, lat float64, poly polygon) bool {
+	in := false
+	n := len(poly)
+	for i, j := 0, n-1; i < n; j, i = i, i+1 {
+		xi, yi := poly[i][0], poly[i][1]
+		xj, yj := poly[j][0], poly[j][1]
+		if (yi > lat) != (yj > lat) &&
+			lon < (xj-xi)*(lat-yi)/(yj-yi)+xi {
+			in = !in
+		}
+	}
+	return in
+}
+
+// isLandExact evaluates the polygons directly (no raster).
+func isLandExact(lat, lon float64) bool {
+	for _, poly := range continents {
+		if pointInPolygon(lon, lat, poly) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestMaskMatchesPolygons holds every cell of the scanline raster to the
+// per-point rule at the cell centre, and the area-weighted land fraction to
+// the value the per-cell rasterization produced, to the last bit.
+func TestMaskMatchesPolygons(t *testing.T) {
+	IsLand(0, 0) // build the raster
+	for r := 0; r < maskRows; r++ {
+		lat := -90 + (float64(r)+0.5)*maskRes
+		for c := 0; c < maskCols; c++ {
+			lon := -180 + (float64(c)+0.5)*maskRes
+			if got, want := mask[r*maskCols+c], isLandExact(lat, lon); got != want {
+				t.Fatalf("cell (%d,%d) centre (%v,%v): raster says land=%v, polygons say %v", r, c, lat, lon, got, want)
+			}
+		}
+	}
+	if f := LandFraction(); math.Float64bits(f) != 0x3fd15c7f396e9665 {
+		t.Fatalf("LandFraction = %v (%#x), want 0.27127056702224756 (0x3fd15c7f396e9665)", f, math.Float64bits(f))
+	}
+}
+
 func TestLandFraction(t *testing.T) {
 	// Earth's land fraction is ≈0.29; the coarse mask must be in a sane
 	// neighborhood or every downstream experiment distorts.

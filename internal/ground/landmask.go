@@ -6,6 +6,7 @@ package ground
 
 import (
 	"math"
+	"sort"
 	"sync"
 
 	"leosim/internal/geo"
@@ -23,8 +24,8 @@ type polygon [][2]float64
 // continents are deliberately coarse outlines. Inland seas (Black Sea,
 // Caspian) are treated as land, which only affects relay placement there and
 // not any ocean-crossing logic.
-var continents = map[string]polygon{
-	"north-america": {
+var continents = []polygon{
+	{ // north-america
 		{-168, 65}, {-166, 60}, {-158, 58}, {-152, 60}, {-140, 60},
 		{-130, 55}, {-125, 48}, {-124, 40}, {-117, 33}, {-110, 24},
 		{-105, 20}, {-95, 15}, {-91, 13.5}, {-87, 13}, {-85, 10},
@@ -36,7 +37,7 @@ var continents = map[string]polygon{
 		{-85, 66}, {-95, 68}, {-110, 68}, {-125, 70}, {-140, 70},
 		{-155, 71}, {-162, 68},
 	},
-	"south-america": {
+	{ // south-america
 		{-77, 7}, {-75.6, 10.5}, {-72, 12}, {-64, 11}, {-60, 9},
 		{-52, 5}, {-50, 0}, {-44, -3}, {-38, -3.3}, {-35, -5.5},
 		{-37, -12},
@@ -45,7 +46,7 @@ var continents = map[string]polygon{
 		{-73, -38}, {-71, -30}, {-70, -20}, {-76, -14}, {-81, -6},
 		{-80, 0}, {-77, 4},
 	},
-	"africa": {
+	{ // africa
 		{-17, 15}, {-16, 20}, {-13, 26}, {-10, 31}, {-9, 34},
 		{-5, 36}, {0, 36}, {10, 37}, {20, 32}, {30, 31.3}, {32.4, 31.3}, {34, 28},
 		{37, 22}, {43, 12}, {48, 8}, {51, 11}, {46, 2},
@@ -53,7 +54,7 @@ var continents = map[string]polygon{
 		{20, -35}, {18, -32}, {15, -27}, {12, -18}, {9, -7},
 		{9, 0}, {6, 4}, {-5, 5}, {-8, 5}, {-13, 8},
 	},
-	"eurasia": {
+	{ // eurasia
 		{-9, 37}, {-9, 43}, {-2, 44}, {-5, 48}, {-2, 50},
 		{3, 51}, {8, 54}, {7, 58}, {5, 62}, {10, 64},
 		{14, 68}, {20, 70}, {30, 71}, {40, 68},
@@ -75,100 +76,73 @@ var continents = map[string]polygon{
 		{26, 40}, {22, 37}, {20, 40}, {19, 42}, {13, 46},
 		{8, 44}, {4, 43}, {0, 40}, {-2, 37}, {-5, 36},
 	},
-	"italy": {
+	{ // italy
 		{7.5, 44.5}, {13.5, 46}, {14, 42}, {16, 41.5}, {18, 40},
 		{17, 39.5}, {16, 38}, {15.5, 40}, {12, 41.5}, {10, 43},
 	},
-	"australia": {
+	{ // australia
 		{114, -22}, {114, -34}, {118, -35}, {124, -33}, {130, -32},
 		{136, -35}, {140, -38}, {147, -39}, {150, -37}, {153, -30},
 		{153, -25}, {149, -20}, {146, -18}, {142, -11}, {138, -16},
 		{136, -12}, {131, -12}, {126, -14}, {122, -17},
 	},
-	"greenland": {
+	{ // greenland
 		{-45, 60}, {-40, 64}, {-22, 70}, {-20, 76}, {-30, 82},
 		{-55, 82}, {-60, 76}, {-55, 70}, {-52, 65},
 	},
-	"britain-ireland": {
+	{ // britain-ireland
 		{-10, 51}, {-5, 50}, {1, 51}, {0, 53}, {-2, 56},
 		{-4, 59}, {-8, 58}, {-10, 54},
 	},
-	"japan": {
+	{ // japan
 		{130, 31}, {134, 34}, {140, 35}, {142, 41}, {145, 44},
 		{141, 45}, {139, 41}, {135, 35}, {130, 33},
 	},
-	"sumatra": {
+	{ // sumatra
 		{95, 5}, {100, 2}, {104, -3}, {106, -6}, {102, -5}, {97, 2},
 	},
-	"java": {
+	{ // java
 		{105, -6}, {114, -7}, {114, -8}, {105, -8},
 	},
-	"borneo": {
+	{ // borneo
 		{109, 1}, {114, 5}, {117, 6}, {119, 1}, {116, -3}, {110, -2},
 	},
-	"sulawesi": {
+	{ // sulawesi
 		{119, 1}, {121, 1}, {123, -1}, {122, -4}, {120, -5}, {119, -3},
 	},
-	"new-guinea": {
+	{ // new-guinea
 		{131, -1}, {138, -2}, {145, -5}, {150, -9}, {147, -10},
 		{140, -8}, {133, -4},
 	},
-	"madagascar": {
+	{ // madagascar
 		{44, -16}, {50, -16}, {47, -25}, {44, -22},
 	},
-	"new-zealand": {
+	{ // new-zealand
 		{173, -35}, {176, -38}, {178, -38}, {175, -41}, {170, -44},
 		{167, -46}, {170, -46}, {172, -41},
 	},
-	"philippines": {
+	{ // philippines
 		{120, 18}, {122, 18}, {124, 12}, {126, 7}, {122, 6}, {120, 14},
 	},
-	"sri-lanka": {
+	{ // sri-lanka
 		{80, 9}, {82, 8}, {81, 6}, {80, 7},
 	},
-	"cuba-hispaniola": {
+	{ // cuba-hispaniola
 		{-85, 22}, {-80, 23}, {-74, 20}, {-69, 19}, {-71, 18},
 		{-77, 20}, {-84, 21},
 	},
-	"iceland": {
+	{ // iceland
 		{-24, 65}, {-18, 66}, {-14, 65}, {-16, 64}, {-22, 63},
 	},
-	"tasmania": {
+	{ // tasmania
 		{145, -41}, {148, -41}, {148, -43}, {146, -43},
 	},
-	"sicily": {
+	{ // sicily
 		{12.5, 38.2}, {15.6, 38.3}, {15.1, 36.7}, {12.4, 37.6},
 	},
-	"taiwan-hainan": {
+	{ // taiwan-hainan
 		{120, 25}, {122, 25}, {121, 22}, {120, 23},
 	},
-}
-
-// pointInPolygon implements the even-odd ray-casting rule on the lon/lat
-// plane. The coarse polygons never cross the antimeridian, so plain planar
-// math suffices.
-func pointInPolygon(lon, lat float64, poly polygon) bool {
-	in := false
-	n := len(poly)
-	for i, j := 0, n-1; i < n; j, i = i, i+1 {
-		xi, yi := poly[i][0], poly[i][1]
-		xj, yj := poly[j][0], poly[j][1]
-		if (yi > lat) != (yj > lat) &&
-			lon < (xj-xi)*(lat-yi)/(yj-yi)+xi {
-			in = !in
-		}
-	}
-	return in
-}
-
-// isLandExact evaluates the polygons directly (no raster).
-func isLandExact(lat, lon float64) bool {
-	for _, poly := range continents {
-		if pointInPolygon(lon, lat, poly) {
-			return true
-		}
-	}
-	return false
 }
 
 // Raster resolution: 0.25° cells.
@@ -183,13 +157,48 @@ var (
 	mask     []bool // row-major, row = lat index from -90, col = lon from -180
 )
 
+// buildMask rasterizes the polygons one raster row at a time: the even-odd
+// ray-casting rule on the lon/lat plane (the coarse polygons never cross the
+// antimeridian, so plain planar math suffices), evaluated per row instead of
+// per cell. A cell centre is inside a polygon when an odd number of the
+// polygon's edge crossings of that latitude lie strictly east of it, so with
+// the crossings sorted one eastward walk over the columns decides every cell
+// of the row.
 func buildMask() {
 	mask = make([]bool, maskCols*maskRows)
+	var xs []float64
 	for r := 0; r < maskRows; r++ {
 		lat := -90 + (float64(r)+0.5)*maskRes
-		for c := 0; c < maskCols; c++ {
-			lon := -180 + (float64(c)+0.5)*maskRes
-			mask[r*maskCols+c] = isLandExact(lat, lon)
+		row := mask[r*maskCols : (r+1)*maskCols]
+		for _, poly := range continents {
+			xs = xs[:0]
+			n := len(poly)
+			for i, j := 0, n-1; i < n; j, i = i, i+1 {
+				xi, yi := poly[i][0], poly[i][1]
+				xj, yj := poly[j][0], poly[j][1]
+				if (yi > lat) != (yj > lat) {
+					xs = append(xs, (xj-xi)*(lat-yi)/(yj-yi)+xi)
+				}
+			}
+			if len(xs) == 0 {
+				continue
+			}
+			sort.Float64s(xs)
+			// Start a cell west of the first crossing: everything before it
+			// has all (an even number of) crossings to its east.
+			c := int((xs[0]+180)/maskRes) - 1
+			if c < 0 {
+				c = 0
+			}
+			for k := 0; c < maskCols && k < len(xs); c++ {
+				lon := -180 + (float64(c)+0.5)*maskRes
+				for k < len(xs) && !(lon < xs[k]) {
+					k++
+				}
+				if (len(xs)-k)%2 == 1 {
+					row[c] = true
+				}
+			}
 		}
 	}
 }

@@ -4,22 +4,16 @@
 // calls for: `leosim serve` pays ~2 ms of Dijkstra per (pair, snapshot)
 // cache miss, which caps it far below planetary-scale query volumes.
 //
-// Two cooperating structures, both exact:
-//
-//   - Hub labels: one full shortest-path tree per city terminal (the query
-//     endpoints of the serving API), computed by the very same Dijkstra
-//     kernel (graph.Network.Search) the uncached path answers run through.
-//     Sharing the kernel is what makes the oracle *provably* exact rather
-//     than approximately so: distances are bit-identical and the stored
-//     predecessor trees reconstruct the identical tie-broken path, byte for
-//     byte (the differential battery in oracle_test.go pins this across
-//     motifs, fault masks and presets).
-//   - ALT landmarks: a handful of city sites chosen by farthest-point
-//     selection whose trees double as triangle-inequality lower bounds
-//     |d(l,u) − d(l,v)| ≤ d(u,v). The bounds are admissible and consistent,
-//     so they drive an exact goal-directed A* (PathBetween) for pairs the
-//     labels don't cover — arbitrary node pairs, not just cities — and give
-//     the property tests an invariant to hold the label arrays against.
+// The oracle is a set of hub labels: one full shortest-path tree per city
+// terminal (the query endpoints of the serving API), computed by the very
+// same Dijkstra kernel (graph.Network.Search) the uncached path answers run
+// through. Sharing the kernel is what makes the oracle *provably* exact rather
+// than approximately so: distances are bit-identical and the stored
+// predecessor trees reconstruct the identical tie-broken path, byte for byte
+// (the differential battery in oracle_test.go pins this across motifs, fault
+// masks and presets). Of each tree it keeps only what a served route reads:
+// the predecessor row (to reconstruct paths) and the distances to the other
+// cities — a cities × cities table, not a cities × nodes one.
 //
 // An Oracle is immutable after Build and safe for unbounded concurrent
 // readers; it is pinned to the exact *graph.Network instance (and mutation
@@ -40,16 +34,8 @@ import (
 	"leosim/internal/telemetry"
 )
 
-// DefaultLandmarks is the ALT landmark count when Options leaves it zero.
-// Eight is the classic sweet spot: bounds tighten quickly with the first few
-// well-spread landmarks and flatten long before memory cost does.
-const DefaultLandmarks = 8
-
 // Options tunes Build.
 type Options struct {
-	// Landmarks is the number of ALT landmarks selected from the city
-	// sites (default DefaultLandmarks, capped at the city count).
-	Landmarks int
 	// Parallelism bounds the build fan-out (default GOMAXPROCS).
 	Parallelism int
 }
@@ -58,13 +44,11 @@ type Options struct {
 type Stats struct {
 	// Sources is the number of hub-label trees (one per city).
 	Sources int
-	// Landmarks is the number of ALT landmarks selected.
-	Landmarks int
 	// Nodes is the node count of the underlying snapshot graph.
 	Nodes int
 	// BuildDuration is the wall time Build spent.
 	BuildDuration time.Duration
-	// Bytes approximates resident label memory (dist + prev arrays).
+	// Bytes is the resident label memory (the dist and prev arrays).
 	Bytes int64
 }
 
@@ -75,22 +59,19 @@ type Oracle struct {
 	nn    int // node count
 	ncity int
 
-	// dist/prev are the per-city trees, row-major: row i (the tree rooted
-	// at city i's node) occupies [i*nn, (i+1)*nn). dist holds +Inf at
-	// unreached nodes; prev holds -1 at the root and unreached nodes.
-	dist []float64
+	// prev holds the per-city predecessor trees, row-major: row i (the tree
+	// rooted at city i's node) occupies [i*nn, (i+1)*nn), -1 at the root and
+	// at unreached nodes. dist[i*ncity+j] is the delay from city i to city
+	// j in i's tree, +Inf when unreached.
 	prev []int32
-
-	// landmarks indexes the chosen landmark cities (rows into dist).
-	landmarks []int
+	dist []float64
 
 	buildTime time.Duration
 }
 
 // Build constructs the oracle for n: one shortest-path tree per city, run in
-// parallel through the shared Dijkstra kernel, plus ALT landmark selection.
-// The context cancels the fan-out between sources; a cancelled build returns
-// ctx.Err() and no oracle.
+// parallel through the shared Dijkstra kernel. The context cancels the
+// fan-out between sources; a cancelled build returns ctx.Err() and no oracle.
 func Build(ctx context.Context, n *graph.Network, opts Options) (*Oracle, error) {
 	sp := telemetry.StartStageSpan(telemetry.StageOracleBuild)
 	defer sp.End()
@@ -109,8 +90,8 @@ func Build(ctx context.Context, n *graph.Network, opts Options) (*Oracle, error)
 		epoch: n.Epoch(),
 		nn:    nn,
 		ncity: ncity,
-		dist:  make([]float64, ncity*nn),
 		prev:  make([]int32, ncity*nn),
+		dist:  make([]float64, ncity*ncity),
 	}
 	// Freeze the CSR once before the fan-out (Degree forces it) so workers
 	// never contend on the freeze lock.
@@ -127,17 +108,13 @@ func Build(ctx context.Context, n *graph.Network, opts Options) (*Oracle, error)
 			st := graph.AcquireSearch()
 			defer st.Release()
 			n.Search(st, graph.SearchSpec{Src: n.CityNode(city), Target: graph.NoTarget})
-			dist := o.dist[city*nn : (city+1)*nn]
 			prev := o.prev[city*nn : (city+1)*nn]
-			inf := math.Inf(1)
-			for v := int32(0); v < int32(nn); v++ {
-				if st.Reached(v) {
-					dist[v] = st.Dist(v)
-					prev[v] = st.PrevLink(v)
-				} else {
-					dist[v] = inf
-					prev[v] = -1
-				}
+			for v := range prev {
+				prev[v] = st.PrevLink(int32(v))
+			}
+			dist := o.dist[city*ncity : (city+1)*ncity]
+			for dst := range dist {
+				dist[dst] = st.Dist(n.CityNode(dst))
 			}
 			return nil
 		})
@@ -145,58 +122,8 @@ func Build(ctx context.Context, n *graph.Network, opts Options) (*Oracle, error)
 	if err := g.Wait(); err != nil {
 		return nil, err
 	}
-	o.landmarks = selectLandmarks(o, opts.Landmarks)
 	o.buildTime = time.Since(start)
 	return o, nil
-}
-
-// selectLandmarks picks k landmark cities by farthest-point (maxmin)
-// selection over the already-computed label rows: start from city 0 (the
-// most populous — a natural ground hub), then repeatedly add the city
-// maximizing its minimum distance to the chosen set. Disconnected cities
-// (infinite distance to every chosen landmark) are skipped — a landmark that
-// cannot see the main component bounds nothing.
-func selectLandmarks(o *Oracle, k int) []int {
-	if k <= 0 {
-		k = DefaultLandmarks
-	}
-	if k > o.ncity {
-		k = o.ncity
-	}
-	chosen := make([]int, 0, k)
-	chosen = append(chosen, 0)
-	minDist := make([]float64, o.ncity)
-	for c := range minDist {
-		minDist[c] = o.cityDist(0, c)
-	}
-	for len(chosen) < k {
-		best, bestD := -1, -1.0
-		for c := 0; c < o.ncity; c++ {
-			d := minDist[c]
-			if math.IsInf(d, 1) || d <= 0 {
-				continue // unreachable from the chosen set, or already chosen
-			}
-			if d > bestD {
-				best, bestD = c, d
-			}
-		}
-		if best < 0 {
-			break // every remaining city is co-located or disconnected
-		}
-		chosen = append(chosen, best)
-		for c := 0; c < o.ncity; c++ {
-			if d := o.cityDist(best, c); d < minDist[c] {
-				minDist[c] = d
-			}
-		}
-	}
-	return chosen
-}
-
-// cityDist reads the labelled distance from city src's tree to city dst's
-// node.
-func (o *Oracle) cityDist(src, dst int) float64 {
-	return o.dist[src*o.nn+int(o.net.CityNode(dst))]
 }
 
 // Valid reports whether the oracle still describes n: the same network
@@ -212,7 +139,6 @@ func (o *Oracle) Valid(n *graph.Network) bool {
 func (o *Oracle) Stats() Stats {
 	return Stats{
 		Sources:       o.ncity,
-		Landmarks:     len(o.landmarks),
 		Nodes:         o.nn,
 		BuildDuration: o.buildTime,
 		Bytes:         int64(len(o.dist))*8 + int64(len(o.prev))*4,
@@ -222,14 +148,11 @@ func (o *Oracle) Stats() Stats {
 // Sources returns the number of labelled sources (cities).
 func (o *Oracle) Sources() int { return o.ncity }
 
-// Landmarks returns the landmark cities' indices (for tests and metrics).
-func (o *Oracle) Landmarks() []int { return append([]int(nil), o.landmarks...) }
-
 // DistMs returns the exact one-way shortest-path delay between two cities
 // in milliseconds, +Inf when the pair is disconnected at this snapshot. It
 // is a single array read.
 func (o *Oracle) DistMs(srcCity, dstCity int) float64 {
-	return o.cityDist(srcCity, dstCity)
+	return o.dist[srcCity*o.ncity+dstCity]
 }
 
 // Query returns the exact shortest path between two cities, reconstructed
@@ -240,151 +163,11 @@ func (o *Oracle) DistMs(srcCity, dstCity int) float64 {
 func (o *Oracle) Query(srcCity, dstCity int) (graph.Path, bool) {
 	sp := telemetry.StartStageSpan(telemetry.StageOracleQuery)
 	defer sp.End()
-	src := o.net.CityNode(srcCity)
-	dst := o.net.CityNode(dstCity)
-	total := o.dist[srcCity*o.nn+int(dst)]
+	total := o.DistMs(srcCity, dstCity)
 	if math.IsInf(total, 1) {
 		return graph.Path{}, false
 	}
 	row := o.prev[srcCity*o.nn : (srcCity+1)*o.nn]
-	return o.net.WalkPath(src, dst, func(v int32) int32 { return row[v] }, total)
-}
-
-// Bound returns an admissible lower bound on the one-way delay between any
-// two nodes via the ALT triangle inequality over the landmark trees:
-// |d(l,u) − d(l,v)| ≤ d(u,v) for every landmark l. A +Inf bound proves the
-// pair disconnected (one endpoint is in a landmark's component, the other is
-// not — in an undirected graph that separates them). The bound never
-// exceeds the true distance (property-tested).
-func (o *Oracle) Bound(u, v int32) float64 {
-	if u == v {
-		return 0
-	}
-	bound := 0.0
-	for _, lc := range o.landmarks {
-		row := o.dist[lc*o.nn : (lc+1)*o.nn]
-		du, dv := row[u], row[v]
-		uInf, vInf := math.IsInf(du, 1), math.IsInf(dv, 1)
-		if uInf != vInf {
-			return math.Inf(1) // provably separated components
-		}
-		if uInf {
-			continue // landmark sees neither endpoint: no information
-		}
-		if b := math.Abs(du - dv); b > bound {
-			bound = b
-		}
-	}
-	return bound
-}
-
-// PathBetween returns an exact shortest path between two arbitrary nodes,
-// found by ALT-guided A* over the frozen CSR graph with Bound as the
-// heuristic. The landmark bounds are consistent, so the first settle of dst
-// is optimal: the returned delay equals the Dijkstra kernel's exactly (the
-// differential tests check it). The path itself is a shortest path, though
-// equal-cost ties may break differently from plain Dijkstra — callers who
-// need the kernel's byte-identical tie-breaks should use Query, which covers
-// every serving endpoint pair. ok is false when the pair is disconnected.
-//
-// This is the non-precomputed escape hatch — satellite-to-satellite
-// diagnostics, relay probes — not the batched serving hot path, so it
-// allocates its own scratch per call.
-func (o *Oracle) PathBetween(src, dst int32) (graph.Path, bool) {
-	if math.IsInf(o.Bound(src, dst), 1) {
-		return graph.Path{}, false // separated components: skip the search
-	}
-	n := o.net
-	nn := o.nn
-	dist := make([]float64, nn)
-	prev := make([]int32, nn)
-	settled := make([]bool, nn)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	dist[src] = 0
-	h := &astarHeap{}
-	h.push(astarEntry{node: src, f: o.Bound(src, dst)})
-	for h.len() > 0 {
-		it := h.pop()
-		if settled[it.node] {
-			continue
-		}
-		settled[it.node] = true
-		if it.node == dst {
-			break
-		}
-		for _, e := range n.Edges(it.node) {
-			w := n.Links[e.Link].OneWayMs
-			nd := dist[it.node] + w
-			if nd >= dist[e.To] {
-				continue
-			}
-			dist[e.To] = nd
-			prev[e.To] = e.Link
-			hb := o.Bound(e.To, dst)
-			if math.IsInf(hb, 1) {
-				continue // provably cannot reach dst
-			}
-			h.push(astarEntry{node: e.To, f: nd + hb})
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return graph.Path{}, false
-	}
-	return n.WalkPath(src, dst, func(v int32) int32 { return prev[v] }, dist[dst])
-}
-
-// astarEntry is one pending node in the A* frontier, keyed by f = g + h.
-type astarEntry struct {
-	node int32
-	f    float64
-}
-
-// astarHeap is a minimal binary min-heap of astarEntry values; ties break on
-// node index for determinism, mirroring the kernel's convention.
-type astarHeap struct{ s []astarEntry }
-
-func (h *astarHeap) len() int { return len(h.s) }
-
-func astarLess(a, b astarEntry) bool {
-	return a.f < b.f || (a.f == b.f && a.node < b.node)
-}
-
-func (h *astarHeap) push(e astarEntry) {
-	h.s = append(h.s, e)
-	i := len(h.s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !astarLess(h.s[i], h.s[p]) {
-			break
-		}
-		h.s[i], h.s[p] = h.s[p], h.s[i]
-		i = p
-	}
-}
-
-func (h *astarHeap) pop() astarEntry {
-	top := h.s[0]
-	last := len(h.s) - 1
-	h.s[0] = h.s[last]
-	h.s = h.s[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(h.s) && astarLess(h.s[l], h.s[best]) {
-			best = l
-		}
-		if r < len(h.s) && astarLess(h.s[r], h.s[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		h.s[i], h.s[best] = h.s[best], h.s[i]
-		i = best
-	}
-	return top
+	return o.net.WalkPath(o.net.CityNode(srcCity), o.net.CityNode(dstCity),
+		func(v int32) int32 { return row[v] }, total)
 }

@@ -75,9 +75,9 @@ func buildNet(t testing.TB, s *core.Sim, mode core.Mode, mask string) *graph.Net
 	return n
 }
 
-func buildOracle(t testing.TB, n *graph.Network, landmarks int) *Oracle {
+func buildOracle(t testing.TB, n *graph.Network) *Oracle {
 	t.Helper()
-	o, err := Build(context.Background(), n, Options{Landmarks: landmarks})
+	o, err := Build(context.Background(), n, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func samePath(t *testing.T, label string, want, got graph.Path) {
 // random city pairs, oracle answers vs the live kernel, distances exact and
 // paths byte-identical.
 func diffBattery(t *testing.T, n *graph.Network, pairs int, seed int64) {
-	o := buildOracle(t, n, 4)
+	o := buildOracle(t, n)
 	rng := rand.New(rand.NewSource(seed))
 	for k := 0; k < pairs; k++ {
 		src := rng.Intn(n.NumCity)
@@ -181,45 +181,13 @@ func TestOracleMatchesKernel(t *testing.T) {
 	}
 }
 
-// TestLandmarkBoundAdmissible property-tests the ALT triangle inequality:
-// Bound(u,v) never exceeds the true shortest-path delay, and a +Inf bound
-// only appears for genuinely disconnected pairs.
-func TestLandmarkBoundAdmissible(t *testing.T) {
-	sim := motifSim(t, topo.PlusGrid, core.TinyScale(), "tiny")
-	n := buildNet(t, sim, core.BP, "sat:0.2:3")
-	o := buildOracle(t, n, 6)
-	rng := rand.New(rand.NewSource(11))
-	// Float rounding in the label sums can push |d(l,u)-d(l,v)| a few ulps
-	// past the true distance; admissibility holds to this tolerance.
-	const relTol = 1e-9
-	for k := 0; k < 200; k++ {
-		u := int32(rng.Intn(n.N()))
-		v := int32(rng.Intn(n.N()))
-		bound := o.Bound(u, v)
-		st := graph.AcquireSearch()
-		n.Search(st, graph.SearchSpec{Src: u, Target: graph.NoTarget})
-		if !st.Reached(v) {
-			st.Release()
-			continue // unreachable: any bound (including +Inf) is admissible
-		}
-		d := st.Dist(v)
-		st.Release()
-		if math.IsInf(bound, 1) {
-			t.Fatalf("Bound(%d,%d) = +Inf but kernel reaches v at %v ms", u, v, d)
-		}
-		if bound > d*(1+relTol)+relTol {
-			t.Fatalf("Bound(%d,%d) = %v exceeds true distance %v", u, v, bound, d)
-		}
-	}
-}
-
 // TestLabelSymmetry property-tests the undirected graph invariant: the
 // delay labelled src→dst equals dst→src (to float-accumulation-order
 // tolerance — the two trees sum the same path in opposite directions).
 func TestLabelSymmetry(t *testing.T) {
 	sim := motifSim(t, topo.PlusGrid, core.TinyScale(), "tiny")
 	n := buildNet(t, sim, core.Hybrid, "")
-	o := buildOracle(t, n, 4)
+	o := buildOracle(t, n)
 	for src := 0; src < n.NumCity; src++ {
 		for dst := src + 1; dst < n.NumCity; dst++ {
 			a, b := o.DistMs(src, dst), o.DistMs(dst, src)
@@ -240,8 +208,8 @@ func TestLabelSymmetry(t *testing.T) {
 // only lengthen (or disconnect) city-pair distances, never shorten them.
 func TestMaskMonotonic(t *testing.T) {
 	sim := motifSim(t, topo.PlusGrid, core.TinyScale(), "tiny")
-	clean := buildOracle(t, buildNet(t, sim, core.BP, ""), 4)
-	masked := buildOracle(t, buildNet(t, sim, core.BP, "sat:0.3:5"), 4)
+	clean := buildOracle(t, buildNet(t, sim, core.BP, ""))
+	masked := buildOracle(t, buildNet(t, sim, core.BP, "sat:0.3:5"))
 	for src := 0; src < clean.Sources(); src++ {
 		for dst := 0; dst < clean.Sources(); dst++ {
 			if src == dst {
@@ -255,56 +223,13 @@ func TestMaskMonotonic(t *testing.T) {
 	}
 }
 
-// TestPathBetweenMatchesKernel checks the ALT-guided A* escape hatch on
-// arbitrary node pairs: distance-exact against the kernel (tie-broken paths
-// may differ; the delay may not).
-func TestPathBetweenMatchesKernel(t *testing.T) {
-	sim := motifSim(t, topo.Nearest, core.TinyScale(), "tiny")
-	n := buildNet(t, sim, core.BP, "sat:0.1:1")
-	o := buildOracle(t, n, 6)
-	rng := rand.New(rand.NewSource(23))
-	for k := 0; k < 60; k++ {
-		u := int32(rng.Intn(n.N()))
-		v := int32(rng.Intn(n.N()))
-		if u == v {
-			continue
-		}
-		st := graph.AcquireSearch()
-		n.Search(st, graph.SearchSpec{Src: u, Target: graph.NoTarget})
-		reached := st.Reached(v)
-		var want float64
-		if reached {
-			want = st.Dist(v)
-		}
-		st.Release()
-		p, ok := o.PathBetween(u, v)
-		if ok != reached {
-			t.Fatalf("pair %d→%d: A* reachable=%v, kernel says %v", u, v, ok, reached)
-		}
-		if !reached {
-			continue
-		}
-		if diff := math.Abs(p.OneWayMs - want); diff > 1e-9*(1+want) {
-			t.Fatalf("pair %d→%d: A* delay %v != kernel %v", u, v, p.OneWayMs, want)
-		}
-		// The path must really exist and really cost what it claims.
-		var sum float64
-		for _, l := range p.Links {
-			sum += n.Links[l].OneWayMs
-		}
-		if math.Abs(sum-p.OneWayMs) > 1e-9*(1+sum) {
-			t.Fatalf("pair %d→%d: path links sum to %v, path claims %v", u, v, sum, p.OneWayMs)
-		}
-	}
-}
-
 // TestBuildValidity pins the lifecycle contract: an oracle is valid only for
 // the exact network instance it was built from.
 func TestBuildValidity(t *testing.T) {
 	sim := motifSim(t, topo.PlusGrid, core.TinyScale(), "tiny")
 	n1 := buildNet(t, sim, core.BP, "")
 	n2 := buildNet(t, sim, core.BP, "")
-	o := buildOracle(t, n1, 2)
+	o := buildOracle(t, n1)
 	if !o.Valid(n1) {
 		t.Fatal("oracle invalid for its own network")
 	}
@@ -315,10 +240,12 @@ func TestBuildValidity(t *testing.T) {
 	if st.Sources != n1.NumCity || st.Nodes != n1.N() {
 		t.Fatalf("stats %+v disagree with network (%d cities, %d nodes)", st, n1.NumCity, n1.N())
 	}
-	if st.Landmarks != 2 || len(o.Landmarks()) != 2 {
-		t.Fatalf("want 2 landmarks, got stats=%d method=%d", st.Landmarks, len(o.Landmarks()))
+	// Bytes is the stored arrays exactly: a predecessor row per city and the
+	// city × city distance table.
+	if want := int64(n1.NumCity)*int64(n1.N())*4 + int64(n1.NumCity)*int64(n1.NumCity)*8; st.Bytes != want {
+		t.Fatalf("Bytes = %d, want %d", st.Bytes, want)
 	}
-	if st.Bytes <= 0 || st.BuildDuration <= 0 {
+	if st.BuildDuration <= 0 {
 		t.Fatalf("degenerate stats %+v", st)
 	}
 }
@@ -338,7 +265,7 @@ func TestBuildCancelled(t *testing.T) {
 func benchOracle(b *testing.B) (*graph.Network, *Oracle) {
 	sim := motifSim(b, topo.PlusGrid, core.TinyScale(), "tiny")
 	n := buildNet(b, sim, core.BP, "")
-	return n, buildOracle(b, n, DefaultLandmarks)
+	return n, buildOracle(b, n)
 }
 
 // BenchmarkOracleBuild measures the one-time per-snapshot build cost the

@@ -145,10 +145,9 @@ type batchPathEntry struct {
 // cost that was paid (by this request or an earlier one / the primer) to
 // make every query after it a few array reads.
 type oracleMetaJSON struct {
-	Cached    bool    `json:"cached"`
-	BuildMs   float64 `json:"buildMs"`
-	Sources   int     `json:"sources"`
-	Landmarks int     `json:"landmarks"`
+	Cached  bool    `json:"cached"`
+	BuildMs float64 `json:"buildMs"`
+	Sources int     `json:"sources"`
 }
 
 type batchPathsResponse struct {
@@ -224,10 +223,9 @@ func (s *Server) handleBatchPaths(w http.ResponseWriter, r *http.Request) {
 		Stale: meta.Stale, Degraded: meta.Degraded,
 		Count: len(pairs),
 		Oracle: oracleMetaJSON{
-			Cached:    cached,
-			BuildMs:   float64(ost.BuildDuration) / float64(time.Millisecond),
-			Sources:   ost.Sources,
-			Landmarks: ost.Landmarks,
+			Cached:  cached,
+			BuildMs: float64(ost.BuildDuration) / float64(time.Millisecond),
+			Sources: ost.Sources,
 		},
 		Results: make([]batchPathEntry, len(pairs)),
 	}
@@ -319,7 +317,7 @@ func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, n *graph.Netw
 // to the snapshot-cache entry it was derived from.
 func (s *Server) buildOracle(ctx context.Context, key snapcache.Key, n *graph.Network, attach bool) (*oracle.Oracle, bool, error) {
 	start := time.Now()
-	o, err := oracle.Build(ctx, n, oracle.Options{Landmarks: s.cfg.OracleLandmarks})
+	o, err := oracle.Build(ctx, n, oracle.Options{})
 	if err != nil {
 		telemetry.EmitEvent(ctx, telemetry.CatServe, telemetry.SevError,
 			"oracle build failed",

@@ -33,10 +33,9 @@ type batchRespJSON struct {
 	Mode   string `json:"mode"`
 	Count  int    `json:"count"`
 	Oracle struct {
-		Cached    bool    `json:"cached"`
-		BuildMs   float64 `json:"buildMs"`
-		Sources   int     `json:"sources"`
-		Landmarks int     `json:"landmarks"`
+		Cached  bool    `json:"cached"`
+		BuildMs float64 `json:"buildMs"`
+		Sources int     `json:"sources"`
 	} `json:"oracle"`
 	Results []struct {
 		Src       string   `json:"src"`
@@ -238,7 +237,7 @@ func TestBatchPathsFaulted(t *testing.T) {
 // single-path queries are then served off the oracle (oracleHits moves).
 func TestPrimeOraclesAttach(t *testing.T) {
 	sim := serverSim(t)
-	s := newTestServer(t, Config{PrimeSnapshots: true, PrimeOracles: true, OracleLandmarks: 2})
+	s := newTestServer(t, Config{PrimeSnapshots: true, PrimeOracles: true})
 	primed, err := s.primeAll(context.Background())
 	if err != nil {
 		t.Fatal(err)

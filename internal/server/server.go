@@ -84,9 +84,6 @@ type Config struct {
 	// snapshot of the day skips the one-time build. Requires
 	// PrimeSnapshots; ignored without it.
 	PrimeOracles bool
-	// OracleLandmarks is the ALT landmark count per oracle (0 = the oracle
-	// package default).
-	OracleLandmarks int
 	// Chaos, when non-nil, injects seeded faults (errors, delays, panics)
 	// into every snapshot build — the chaos-testing hook. Nil in production.
 	Chaos *fault.Chaos
@@ -486,7 +483,7 @@ func (s *Server) primeAll(ctx context.Context) (primed int, err error) {
 				// The oracle build rides the primer: once it lands, the
 				// first query against this snapshot — single or batched —
 				// skips both the graph build and the oracle build.
-				o, oerr := oracle.Build(ctx, clone, oracle.Options{Landmarks: s.cfg.OracleLandmarks})
+				o, oerr := oracle.Build(ctx, clone, oracle.Options{})
 				if oerr != nil {
 					return primed, oerr
 				}
