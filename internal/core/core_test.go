@@ -141,14 +141,6 @@ func TestSamplePairsEdgeCases(t *testing.T) {
 	}
 }
 
-func TestUniqueSources(t *testing.T) {
-	pairs := []Pair{{Src: 3}, {Src: 1}, {Src: 3}, {Src: 2}}
-	u := UniqueSources(pairs)
-	if len(u) != 3 {
-		t.Errorf("unique sources = %v", u)
-	}
-}
-
 func TestGroupPairs(t *testing.T) {
 	pairs := []Pair{{Src: 3, Dst: 0}, {Src: 1, Dst: 2}, {Src: 3, Dst: 1}, {Src: 2, Dst: 0}}
 	got := groupPairs(pairs)
@@ -373,10 +365,6 @@ func TestRunGSOArcTiny(t *testing.T) {
 			t.Errorf("constraint cannot add satellites: %+v", r)
 		}
 	}
-	eq, mid := GSOConnectivityLoss(s, 25, s.SnapshotTimes()[0])
-	if eq < mid {
-		t.Errorf("equatorial loss %v < mid-latitude loss %v", eq, mid)
-	}
 	var buf bytes.Buffer
 	WriteGSOReport(&buf, rows)
 	if !strings.Contains(buf.String(), "fig9") {
@@ -452,21 +440,5 @@ func TestSatelliteCapacityModel(t *testing.T) {
 	if hyPool/bpPool <= hyLink/bpLink {
 		t.Errorf("pool model should widen the hybrid advantage: %.2fx vs %.2fx",
 			hyPool/bpPool, hyLink/bpLink)
-	}
-}
-
-func TestWithISLCapacity(t *testing.T) {
-	s, err := NewSim(Starlink, TinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WithISLCapacity(40); err != nil {
-		t.Fatal(err)
-	}
-	n := s.NetworkAt(s.SnapshotTimes()[0], Hybrid)
-	for _, l := range n.Links {
-		if l.Kind.String() == "isl" && l.CapGbps != 40 {
-			t.Fatalf("ISL capacity = %v, want 40", l.CapGbps)
-		}
 	}
 }

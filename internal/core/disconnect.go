@@ -96,24 +96,30 @@ func RunDisconnected(ctx context.Context, s *Sim) (res *DisconnectResult, err er
 }
 
 func disconnectedSatFraction(n *graph.Network) float64 {
-	comp, _ := n.Components()
-	// The "network" component is the one holding the most cities.
-	cityCount := map[int32]int{}
+	stranded, _ := strandedSats(n)
+	return float64(stranded) / float64(n.NumSat)
+}
+
+// strandedSats counts the satellites outside n's main component and returns
+// the component count alongside. The main component is the one holding the
+// most cities; on a tie the lowest component ID wins, and Components numbers
+// them in node order, so the answer is a function of n alone.
+func strandedSats(n *graph.Network) (stranded, components int) {
+	comp, count := n.Components()
+	cities := make([]int, count)
 	for i := 0; i < n.NumCity; i++ {
-		cityCount[comp[n.CityNode(i)]]++
+		cities[comp[n.CityNode(i)]]++
 	}
-	main := int32(-1)
-	best := -1
-	for c, cnt := range cityCount {
+	main, best := int32(-1), 0
+	for c, cnt := range cities {
 		if cnt > best {
-			best, main = cnt, c
+			main, best = int32(c), cnt
 		}
 	}
-	isolated := 0
 	for i := 0; i < n.NumSat; i++ {
 		if comp[i] != main {
-			isolated++
+			stranded++
 		}
 	}
-	return float64(isolated) / float64(n.NumSat)
+	return stranded, count
 }

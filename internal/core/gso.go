@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"leosim/internal/geo"
 	"leosim/internal/ground"
@@ -65,32 +64,4 @@ func RunGSOArc(ctx context.Context, s *Sim, minElevDeg float64, latitudes []floa
 		})
 	}
 	return rows, nil
-}
-
-// GSOConnectivityLoss compares cross-Equatorial BP reachability with and
-// without the GSO constraint: the mean number of connectable satellites for
-// equatorial terminals falls much harder than for mid-latitude ones, which
-// is why BP (whose north–south traffic must transit equatorial GTs) suffers
-// disproportionately (§7).
-func GSOConnectivityLoss(s *Sim, minElevDeg float64, at time.Time) (equatorLossFrac, midLatLossFrac float64) {
-	loss := func(lat float64) float64 {
-		pos := geo.LL(lat, 0)
-		obs := pos.ToECEF()
-		ck := ground.NewGSOChecker(pos, ground.StarlinkGSOPolicy())
-		free, con := 0, 0
-		for _, sp := range s.Const.PositionsECEF(at) {
-			if geo.Elevation(obs, sp) < minElevDeg {
-				continue
-			}
-			free++
-			if ck.Allowed(sp) {
-				con++
-			}
-		}
-		if free == 0 {
-			return 0
-		}
-		return 1 - float64(con)/float64(free)
-	}
-	return loss(0), loss(45)
 }

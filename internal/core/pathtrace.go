@@ -164,7 +164,6 @@ func (s *Sim) EnsureCity(name string) error {
 	// Append as a city terminal; it participates as source/sink/transit.
 	s.Cities = append(s.Cities, c)
 	s.Seg.Cities = s.Cities
-	id := len(s.Seg.Terminals)
 	// City terminals must stay contiguous before relays: rebuild the
 	// terminal list with the new city inserted after the existing cities.
 	terms := make([]ground.Terminal, 0, len(s.Seg.Terminals)+1)
@@ -176,10 +175,7 @@ func (s *Sim) EnsureCity(name string) error {
 	}
 	s.Seg.Terminals = terms
 	s.Seg.NumCity++
-	_ = id
 	// Invalidate cached networks: node layout changed.
-	s.mu.Lock()
 	s.dropCaches()
-	s.mu.Unlock()
 	return nil
 }

@@ -150,25 +150,8 @@ func (s *Sim) ReachabilityAt(ctx context.Context, n *graph.Network, src int) (*R
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	comp, count := n.Components()
-	q := &ReachabilityQuery{Components: count, TotalCities: len(s.Cities)}
-
-	// The main component is the one holding the most cities.
-	cityCount := map[int32]int{}
-	for i := 0; i < n.NumCity; i++ {
-		cityCount[comp[n.CityNode(i)]]++
-	}
-	main, best := int32(-1), -1
-	for c, cnt := range cityCount {
-		if cnt > best {
-			best, main = cnt, c
-		}
-	}
-	for i := 0; i < n.NumSat; i++ {
-		if comp[i] != main {
-			q.StrandedSats++
-		}
-	}
+	stranded, count := strandedSats(n)
+	q := &ReachabilityQuery{Components: count, StrandedSats: stranded, TotalCities: len(s.Cities)}
 	if n.NumSat > 0 {
 		q.StrandedFrac = float64(q.StrandedSats) / float64(n.NumSat)
 	}

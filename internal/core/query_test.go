@@ -8,6 +8,7 @@ import (
 
 	"leosim/internal/fault"
 	"leosim/internal/geo"
+	"leosim/internal/graph"
 )
 
 func querySim(t *testing.T) *Sim {
@@ -175,5 +176,35 @@ func TestReachabilityAt(t *testing.T) {
 	}
 	if _, err := s.ReachabilityAt(ctx, n, len(s.Cities)); err == nil {
 		t.Fatal("out-of-range source should error")
+	}
+}
+
+// TestMainComponentTieBreak pins the "main component" choice when two
+// components hold equally many cities: city0–sat0 and city1–sat1–sat2. The
+// choice used to follow map iteration order, so the stranded fraction came
+// back as 1/3 or 2/3 from call to call; ties now go to the lowest component
+// ID (sat0's), for the §5 statistic and /v1/reachability alike.
+func TestMainComponentTieBreak(t *testing.T) {
+	n := &graph.Network{NumSat: 3, NumCity: 2}
+	for i := 0; i < 3; i++ {
+		n.AddNode(graph.NodeSatellite, geo.Vec3{}, "")
+	}
+	for i := 0; i < 2; i++ {
+		n.AddNode(graph.NodeCity, geo.Vec3{}, "")
+	}
+	n.AddLink(n.CityNode(0), 0, graph.LinkGSL, 1)
+	n.AddLink(n.CityNode(1), 1, graph.LinkGSL, 1)
+	n.AddLink(1, 2, graph.LinkISL, 1)
+	for i := 0; i < 200; i++ {
+		if got := disconnectedSatFraction(n); got != 2.0/3 {
+			t.Fatalf("call %d: disconnectedSatFraction = %v, want 2/3", i, got)
+		}
+		q, err := new(Sim).ReachabilityAt(context.Background(), n, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Components != 2 || q.StrandedSats != 2 {
+			t.Fatalf("call %d: ReachabilityAt = %+v, want 2 components, 2 stranded", i, q)
+		}
 	}
 }

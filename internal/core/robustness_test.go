@@ -154,38 +154,3 @@ func TestNetworkAtLRUEviction(t *testing.T) {
 		t.Errorf("LRU snapshot was not evicted")
 	}
 }
-
-// WithISLCapacity must only change ISL capacities: an elevation override the
-// sim was created with has to survive the builder swap (it used to be
-// silently dropped, adding GSLs back below the configured elevation).
-func TestWithISLCapacityPreservesOptions(t *testing.T) {
-	scale := TinyScale()
-	scale.NumSnapshots = 1
-	strict, err := NewSim(Starlink, scale, WithMinElevation(40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := strict.SnapshotTimes()[0]
-	before := strict.NetworkAt(t0, Hybrid)
-
-	if err := strict.WithISLCapacity(2.5); err != nil {
-		t.Fatal(err)
-	}
-	after := strict.NetworkAt(t0, Hybrid)
-	if len(after.Links) != len(before.Links) {
-		t.Errorf("topology changed across capacity swap: %d → %d links (elevation override dropped?)",
-			len(before.Links), len(after.Links))
-	}
-	isls := 0
-	for _, l := range after.Links {
-		if l.Kind == graph.LinkISL {
-			isls++
-			if l.CapGbps != 2.5 {
-				t.Fatalf("ISL capacity = %v, want 2.5", l.CapGbps)
-			}
-		}
-	}
-	if isls == 0 {
-		t.Errorf("no ISLs in hybrid network")
-	}
-}

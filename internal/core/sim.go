@@ -50,16 +50,12 @@ type Sim struct {
 
 	// baseOpts are the build options NewSim resolved from its SimOptions
 	// (GSO policy, elevation override, capacities). Every builder rebuild
-	// — WithISLCapacity, beam sweeps, fault masking — starts from these,
-	// so a rebuild never silently drops an option the sim was created
-	// with.
+	// — beam sweeps, fault masking — starts from these, so a rebuild never
+	// silently drops an option the sim was created with.
 	baseOpts graph.BuildOptions
 
-	// mu guards builders: WithISLCapacity swaps the Hybrid builder while
-	// concurrent NetworkAt calls read the map, so every access goes through
-	// builderFor / the swap below. (Reading the map without mu was the
-	// unsynchronized access the serving work flushed out.)
-	mu       sync.Mutex
+	// builders holds one builder per mode. NewSim fills it and nothing
+	// writes it afterwards, so concurrent NetworkAt calls read it unlocked.
 	builders map[Mode]*graph.Builder
 
 	// snap caches built snapshot networks, one per (mode, time).
@@ -216,9 +212,9 @@ func NewSim(choice ConstellationChoice, scale Scale, opts ...SimOption) (*Sim, e
 	ea, epochAware := cfg.motif.(topo.EpochAware)
 	var motifMu sync.Mutex
 	s.snap = snapcache.New(func(_ context.Context, key snapcache.Key) (*graph.Network, error) {
-		mode := BP
-		if key.Scenario == Hybrid.String() {
-			mode = Hybrid
+		var mode Mode
+		if err := mode.UnmarshalText([]byte(key.Scenario)); err != nil {
+			return nil, err
 		}
 		if epochAware && mode == Hybrid {
 			// Epoch-aware motifs re-place their links for the build
@@ -230,23 +226,15 @@ func NewSim(choice ConstellationChoice, scale Scale, opts ...SimOption) (*Sim, e
 			defer motifMu.Unlock()
 			c.ISLs = ea.LinksAt(c, key.Time)
 		}
-		return s.builderFor(mode).At(key.Time), nil
+		return s.builders[mode].At(key.Time), nil
 	}, snapcache.Options{Capacity: networkCacheSize})
 	return s, nil
 }
 
-// builderFor reads the current builder for mode under the lock, so a
-// concurrent WithISLCapacity swap is never observed half-written.
-func (s *Sim) builderFor(mode Mode) *graph.Builder {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.builders[mode]
-}
-
 // builderWith constructs a builder for mode from the sim's base options,
 // optionally mutated. This is the single path every builder (re)build goes
-// through, so GSO policy and elevation overrides survive capacity sweeps
-// and fault injection.
+// through, so GSO policy and elevation overrides survive beam sweeps and
+// fault injection.
 func (s *Sim) builderWith(mode Mode, mutate func(*graph.BuildOptions)) (*graph.Builder, error) {
 	o := s.baseOpts
 	o.ISL = mode == Hybrid
@@ -299,27 +287,10 @@ func (s *Sim) NetworkCacheStats() snapcache.Stats { return s.snap.Stats() }
 // cachedNetworks reports how many snapshots are currently cached (tests).
 func (s *Sim) cachedNetworks() int { return s.snap.Len() }
 
-// dropCaches empties the snapshot cache after a builder swap. In-flight
-// builds against the old builder complete for their waiters but are not
-// re-inserted (snapcache's generation guard).
+// dropCaches empties the snapshot cache after EnsureCity changed the node
+// layout. In-flight builds against the old layout complete for their waiters
+// but are not re-inserted (snapcache's generation guard).
 func (s *Sim) dropCaches() { s.snap.Purge() }
-
-// WithISLCapacity rebuilds the Hybrid builder with a different ISL capacity
-// (Fig 5), preserving every other option the sim was created with (GSO
-// policy, elevation override).
-func (s *Sim) WithISLCapacity(gbps float64) error {
-	b, err := s.builderWith(Hybrid, func(o *graph.BuildOptions) {
-		o.ISLCapGbps = gbps
-	})
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.builders[Hybrid] = b
-	s.dropCaches()
-	s.mu.Unlock()
-	return nil
-}
 
 // pairRTTsTestHook, when non-nil, runs inside every pairRTTs worker. Tests
 // inject panics here to verify worker failures surface as errors.

@@ -49,20 +49,6 @@ func SamplePairs(cities []ground.City, n int, minKm float64, seed int64) ([]Pair
 	return out, nil
 }
 
-// UniqueSources returns the sorted distinct source-city indices of pairs —
-// the Dijkstra roots the experiments run from.
-func UniqueSources(pairs []Pair) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, p := range pairs {
-		if !seen[p.Src] {
-			seen[p.Src] = true
-			out = append(out, p.Src)
-		}
-	}
-	return out
-}
-
 // pairGroup is the indices into Sim.Pairs that share the source city src.
 type pairGroup struct {
 	src   int

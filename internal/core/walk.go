@@ -29,10 +29,9 @@ type Walker struct {
 }
 
 // NewWalker returns a time cursor over mode's network using the sim's
-// current builder (capacity sweeps swap builders; a walker keeps the one it
-// started with for its whole sweep, which is what in-order experiments want).
+// builder for that mode.
 func (s *Sim) NewWalker(mode Mode) *Walker {
-	return &Walker{b: s.builderFor(mode)}
+	return &Walker{b: s.builders[mode]}
 }
 
 // NewFaultedWalker is NewWalker with an outage mask applied, built from the
@@ -75,26 +74,6 @@ func (w *Walker) Stats() graph.AdvanceStats {
 		return graph.AdvanceStats{}
 	}
 	return w.adv.Stats()
-}
-
-// Walk sweeps mode's network over times in order, calling visit at each
-// instant. The network passed to visit is reused across steps (see Walker.At);
-// visit must not retain it. Walk stops at the first visit error or context
-// cancellation, returning that error.
-func (s *Sim) Walk(ctx context.Context, mode Mode, times []time.Time, visit func(t time.Time, n *graph.Network) error) error {
-	w := s.NewWalker(mode)
-	for i, t := range times {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		_, endSnap := traceSnapshot(ctx, i)
-		err := visit(t, w.At(t))
-		endSnap()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // traceSnapshot opens one per-snapshot trace envelope when a trace capture

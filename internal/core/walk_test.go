@@ -125,35 +125,3 @@ func TestWalkerLastDelta(t *testing.T) {
 		t.Fatalf("backwards step: delta %+v, want full rebuild", d)
 	}
 }
-
-// TestWalkVisitsInOrder checks Sim.Walk's contract: every instant visited in
-// order, cancellation honoured between steps, visit errors propagated.
-func TestWalkVisitsInOrder(t *testing.T) {
-	s := getTinySim(t)
-	times := s.SnapshotTimes()[:3]
-	var visited []time.Time
-	err := s.Walk(context.Background(), Hybrid, times, func(tm time.Time, n *graph.Network) error {
-		if n == nil || n.N() == 0 {
-			t.Fatalf("empty network at %v", tm)
-		}
-		visited = append(visited, tm)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(visited, times) {
-		t.Fatalf("visited %v, want %v", visited, times)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	err = s.Walk(ctx, BP, times, func(time.Time, *graph.Network) error {
-		calls++
-		cancel()
-		return nil
-	})
-	if err != context.Canceled || calls != 1 {
-		t.Fatalf("cancelled walk: err=%v calls=%d, want context.Canceled after 1", err, calls)
-	}
-}

@@ -86,21 +86,6 @@ func BenchmarkKDisjoint(b *testing.B) {
 	}
 }
 
-// BenchmarkYen measures Yen's k-shortest loopless paths on a smaller grid
-// (Yen runs O(k·|V|) spur searches).
-func BenchmarkYen(b *testing.B) {
-	n := benchGrid(12, 16)
-	src, dst := int32(0), int32(n.N()-1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		paths := n.KShortestPaths(src, dst, 8)
-		if len(paths) != 8 {
-			b.Fatalf("got %d paths", len(paths))
-		}
-	}
-}
-
 // BenchmarkSearch measures the raw kernel loop (pooled state, no slice
 // materialization) with telemetry disabled — the configuration every batch
 // run starts in. Its ns/op must stay within noise of the pre-telemetry

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -18,10 +19,10 @@ import (
 
 // naiveDijkstra mirrors the kernel's semantics with O(n²) linear scans:
 // settle the unsettled reached node with minimal (dist, node); a settled
-// non-source node forwards only if it is not banned and expand allows it;
+// non-source node forwards only if expand allows it;
 // relaxation walks the link list in index order and accepts strict
 // improvements only.
-func naiveDijkstra(n *Network, src, target int32, bannedLinks, bannedNodes map[int32]bool,
+func naiveDijkstra(n *Network, src, target int32, bannedLinks map[int32]bool,
 	expand func(int32) bool, cost func(int32) float64) (dist []float64, prev []int32) {
 	nn := n.N()
 	dist = make([]float64, nn)
@@ -49,13 +50,8 @@ func naiveDijkstra(n *Network, src, target int32, bannedLinks, bannedNodes map[i
 		if v == target {
 			break
 		}
-		if v != src {
-			if bannedNodes[v] {
-				continue
-			}
-			if expand != nil && !expand(v) {
-				continue
-			}
+		if v != src && expand != nil && !expand(v) {
+			continue
 		}
 		for li := range n.Links {
 			l := n.Links[li]
@@ -143,12 +139,12 @@ func compareAll(t *testing.T, n *Network, dist, wantDist []float64, prev, wantPr
 }
 
 // checkSearch runs one kernel search with every restriction at once — link
-// bans, node bans, an Expand filter, a Cost hook, an early-exit target — and
+// bans, an Expand filter, a Cost hook, an early-exit target — and
 // holds the outcome to naiveDijkstra exactly: distance and predecessor of
 // every node (tentative labels of an early-exit search included, since both
 // sides settle in the same order), and under a Cost hook the delay track,
 // which must be the arc weights summed in path order from the source.
-func checkSearch(t *testing.T, n *Network, src, target int32, bannedLinks, bannedNodes map[int32]bool,
+func checkSearch(t *testing.T, n *Network, src, target int32, bannedLinks map[int32]bool,
 	expand func(int32) bool, cost func(int32) float64, tag string) {
 	t.Helper()
 	st := AcquireSearch()
@@ -156,14 +152,11 @@ func checkSearch(t *testing.T, n *Network, src, target int32, bannedLinks, banne
 	for li := range bannedLinks {
 		st.BanLink(li)
 	}
-	for v := range bannedNodes {
-		st.BanNode(v)
-	}
 	if !n.Search(st, SearchSpec{Src: src, Target: target, Expand: expand, Cost: cost}) {
 		t.Fatalf("%s: search did not complete", tag)
 	}
 	dist, prev := st.materialize(n.N())
-	wantDist, wantPrev := naiveDijkstra(n, src, target, bannedLinks, bannedNodes, expand, cost)
+	wantDist, wantPrev := naiveDijkstra(n, src, target, bannedLinks, expand, cost)
 	compareAll(t, n, dist, wantDist, prev, wantPrev, tag)
 	if cost == nil {
 		return
@@ -192,19 +185,11 @@ func TestDifferentialCombined(t *testing.T) {
 		n := randomNet(r, 25+r.Intn(40), 120)
 		src := int32(r.Intn(n.N()))
 		target := NoTarget
-		var bannedLinks, bannedNodes map[int32]bool
+		var bannedLinks map[int32]bool
 		var expand func(int32) bool
 		var cost func(int32) float64
 		if seed&1 != 0 {
 			bannedLinks = randomBans(r, n, 0.2)
-		}
-		if seed&2 != 0 {
-			bannedNodes = map[int32]bool{}
-			for v := int32(0); v < int32(n.N()); v++ {
-				if v != src && r.Intn(6) == 0 {
-					bannedNodes[v] = true
-				}
-			}
 		}
 		if seed&4 != 0 {
 			expand = func(v int32) bool { return !n.IsGroundSide(v) }
@@ -224,7 +209,7 @@ func TestDifferentialCombined(t *testing.T) {
 		if seed&16 != 0 {
 			target = int32(r.Intn(n.N()))
 		}
-		checkSearch(t, n, src, target, bannedLinks, bannedNodes, expand, cost, "combined")
+		checkSearch(t, n, src, target, bannedLinks, expand, cost, "combined")
 	}
 }
 
@@ -247,8 +232,8 @@ func TestDecreaseKeyChain(t *testing.T) {
 		add(v, v+1, 0.5)
 	}
 	n.csrValid.Store(false)
-	checkSearch(t, n, 0, NoTarget, nil, nil, nil, nil, "chain")
-	checkSearch(t, n, 0, nodes/2, map[int32]bool{3: true}, map[int32]bool{40: true}, nil, nil, "chain restricted")
+	checkSearch(t, n, 0, NoTarget, nil, nil, nil, "chain")
+	checkSearch(t, n, 0, nodes/2, map[int32]bool{3: true}, func(v int32) bool { return v != 40 }, nil, "chain restricted")
 }
 
 // TestSearchAllocs pins the kernel's allocation-free profile: a full-tree
@@ -272,7 +257,7 @@ func TestDifferentialDijkstra(t *testing.T) {
 		banned := randomBans(r, n, 0.15)
 
 		dist, prev := n.Dijkstra(src, banned)
-		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, banned, nil, nil, nil)
+		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, banned, nil, nil)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "banned")
 
 		// Same search through a reused state: stamping must fully isolate
@@ -298,7 +283,7 @@ func TestDifferentialExpand(t *testing.T) {
 		expand := func(v int32) bool { return !n.IsGroundSide(v) }
 
 		dist, prev := n.DijkstraExpand(src, nil, expand)
-		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, nil, nil, expand, nil)
+		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, nil, expand, nil)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "sat-transit")
 
 		// The restricted search must agree with ShortestPathSatTransit's
@@ -309,35 +294,10 @@ func TestDifferentialExpand(t *testing.T) {
 			if ok != wok {
 				t.Fatalf("seed %d: sat-transit %d→%d reachable=%v, reference %v", seed, src, dst, ok, wok)
 			}
-			if ok && !samePath(p, wp) {
+			if ok && !slices.Equal(p.Links, wp.Links) {
 				t.Fatalf("seed %d: sat-transit path %d→%d = %v, reference %v", seed, src, dst, p.Links, wp.Links)
 			}
 		}
-	}
-}
-
-func TestDifferentialNodeBans(t *testing.T) {
-	for seed := int64(200); seed < 215; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		n := randomNet(r, 35, 70)
-		src := int32(r.Intn(n.N()))
-		bannedNodes := map[int32]bool{}
-		for v := int32(0); v < int32(n.N()); v++ {
-			if v != src && r.Intn(5) == 0 {
-				bannedNodes[v] = true
-			}
-		}
-
-		st := AcquireSearch()
-		for v := range bannedNodes {
-			st.BanNode(v)
-		}
-		n.Search(st, SearchSpec{Src: src, Target: NoTarget})
-		dist, prev := st.materialize(n.N())
-		st.Release()
-
-		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, nil, bannedNodes, nil, nil)
-		compareAll(t, n, dist, wantDist, prev, wantPrev, "node bans")
 	}
 }
 
@@ -356,7 +316,7 @@ func TestDifferentialKDisjoint(t *testing.T) {
 		banned := map[int32]bool{}
 		var want []Path
 		for i := 0; i < 4; i++ {
-			wd, wp := naiveDijkstra(n, src, dst, banned, nil, nil, nil)
+			wd, wp := naiveDijkstra(n, src, dst, banned, nil, nil)
 			p, ok := n.extractPath(src, dst, wd, wp)
 			if !ok {
 				break
@@ -371,7 +331,7 @@ func TestDifferentialKDisjoint(t *testing.T) {
 			t.Fatalf("seed %d: KDisjointPaths found %d paths, reference %d", seed, len(got), len(want))
 		}
 		for i := range got {
-			if !samePath(got[i], want[i]) {
+			if !slices.Equal(got[i].Links, want[i].Links) {
 				t.Fatalf("seed %d: disjoint path %d = %v, reference %v", seed, i, got[i].Links, want[i].Links)
 			}
 			if got[i].OneWayMs != want[i].OneWayMs {
@@ -402,7 +362,7 @@ func TestDifferentialCostHook(t *testing.T) {
 		st := AcquireSearch()
 		n.Search(st, SearchSpec{Src: src, Target: NoTarget, Cost: cost})
 		dist, prev := st.materialize(n.N())
-		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, nil, nil, nil, cost)
+		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, nil, nil, cost)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "cost hook")
 
 		// Under a cost hook, Dist is accumulated cost but extracted paths
@@ -441,7 +401,7 @@ func TestSearchStatePoolConcurrent(t *testing.T) {
 	want := map[*Network][]ref{}
 	for _, n := range nets {
 		for src := int32(0); src < int32(n.N()); src++ {
-			d, p := naiveDijkstra(n, src, NoTarget, nil, nil, nil, nil)
+			d, p := naiveDijkstra(n, src, NoTarget, nil, nil, nil)
 			want[n] = append(want[n], ref{d, p})
 		}
 	}

@@ -67,7 +67,7 @@ func FuzzSearch(f *testing.F) {
 		}
 
 		dist, prev := n.Dijkstra(src, banned)
-		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, banned, nil, nil, nil)
+		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, banned, nil, nil)
 		for v := range dist {
 			if dist[v] != wantDist[v] || prev[v] != wantPrev[v] {
 				t.Fatalf("node %d: kernel (%v, %d) vs reference (%v, %d)",
@@ -78,7 +78,7 @@ func FuzzSearch(f *testing.F) {
 		// Sat-transit restriction against the reference with the same expand.
 		expand := func(v int32) bool { return !n.IsGroundSide(v) }
 		gotD, gotP := n.DijkstraExpand(src, nil, expand)
-		refD, refP := naiveDijkstra(n, src, NoTarget, nil, nil, expand, nil)
+		refD, refP := naiveDijkstra(n, src, NoTarget, nil, expand, nil)
 		for v := range gotD {
 			if gotD[v] != refD[v] || gotP[v] != refP[v] {
 				t.Fatalf("sat-transit node %d: kernel (%v, %d) vs reference (%v, %d)",
@@ -86,20 +86,11 @@ func FuzzSearch(f *testing.F) {
 			}
 		}
 
-		// Everything at once, selected by optB's bits: node bans, the
-		// transit filter, a cost hook with free and excluded links, and an
-		// early-exit target, on top of the link bans above.
-		var bannedNodes map[int32]bool
+		// Everything at once, selected by optB's bits: the transit filter, a
+		// cost hook with free and excluded links, and an early-exit target,
+		// on top of the link bans above.
 		var cost func(int32) float64
 		target := NoTarget
-		if optB&1 != 0 {
-			bannedNodes = map[int32]bool{}
-			for v := int32(0); v < int32(n.N()); v++ {
-				if v != src && (int(v)+int(optB>>4))%5 == 0 {
-					bannedNodes[v] = true
-				}
-			}
-		}
 		if optB&2 == 0 {
 			expand = nil
 		}
@@ -114,7 +105,7 @@ func FuzzSearch(f *testing.F) {
 		if optB&8 != 0 {
 			target = dst
 		}
-		checkSearch(t, n, src, target, banned, bannedNodes, expand, cost, "combined")
+		checkSearch(t, n, src, target, banned, expand, cost, "combined")
 
 		// Extracted path must be continuous and priced exactly at dist[dst].
 		if p, ok := n.ShortestPath(src, dst); ok {

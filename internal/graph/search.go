@@ -9,13 +9,13 @@ import (
 
 // SearchState is the reusable scratch memory of one shortest-path search:
 // per-node labels, the frontier heap with its per-node position index, and
-// epoch-stamped link/node ban masks. Acquire one with AcquireSearch, run any
+// an epoch-stamped link ban mask. Acquire one with AcquireSearch, run any
 // number of searches on a single network through Network.Search, and Release
 // it when done; the allocation-free inner loop is what lets experiment sweeps
 // run millions of searches without touching the garbage collector.
 //
 // A SearchState is not safe for concurrent use; acquire one per worker. It
-// must be used with one network at a time — AcquireSearch clears ban masks,
+// must be used with one network at a time — AcquireSearch clears the ban mask,
 // so reusing a pooled state on a different network is safe after Acquire.
 type SearchState struct {
 	net     *Network
@@ -35,13 +35,12 @@ type SearchState struct {
 	// for every queued v — the invariant decrease-key relies on.
 	heap []heapEntry
 
-	// linkBan/nodeBan mark a link or node banned iff the entry equals
-	// banStamp. Bans persist across searches (KDisjointPaths accumulates
-	// them) until ClearBans bumps the stamp — no map, no clearing loop.
-	// anyLinkBan is set by BanLink and reset by ClearBans; while it is
-	// false the relax loop skips the per-arc mask load altogether.
+	// linkBan marks a link banned iff the entry equals banStamp. Bans
+	// persist across searches (KDisjointPaths accumulates them) until
+	// ClearBans bumps the stamp — no map, no clearing loop. anyLinkBan is
+	// set by BanLink and reset by ClearBans; while it is false the relax
+	// loop skips the per-arc mask load altogether.
 	linkBan    []uint32
-	nodeBan    []uint32
 	anyLinkBan bool
 
 	searchStamp uint32
@@ -84,7 +83,6 @@ func (st *SearchState) grow(nodes, links int) {
 		st.node = append(st.node, make([]nodeState, nodes-len(st.node))...)
 		st.delay = append(st.delay, make([]float64, nodes-len(st.delay))...)
 		st.prevLink = append(st.prevLink, make([]int32, nodes-len(st.prevLink))...)
-		st.nodeBan = append(st.nodeBan, make([]uint32, nodes-len(st.nodeBan))...)
 	}
 	if len(st.linkBan) < links {
 		st.linkBan = append(st.linkBan, make([]uint32, links-len(st.linkBan))...)
@@ -107,16 +105,13 @@ func (st *SearchState) begin(n *Network, spec SearchSpec) {
 	st.heap = st.heap[:0]
 }
 
-// ClearBans forgets every banned link and node.
+// ClearBans forgets every banned link.
 func (st *SearchState) ClearBans() {
 	st.anyLinkBan = false
 	st.banStamp++
 	if st.banStamp == 0 { // wrapped: stale stamps could collide
 		for i := range st.linkBan {
 			st.linkBan[i] = 0
-		}
-		for i := range st.nodeBan {
-			st.nodeBan[i] = 0
 		}
 		st.banStamp = 1
 	}
@@ -129,20 +124,6 @@ func (st *SearchState) BanLink(li int32) {
 	}
 	st.linkBan[li] = st.banStamp
 	st.anyLinkBan = true
-}
-
-// BanNode excludes node v from forwarding in subsequent searches: like a
-// transit restriction, v may still terminate a path but is never expanded.
-func (st *SearchState) BanNode(v int32) {
-	if int(v) >= len(st.nodeBan) {
-		st.nodeBan = append(st.nodeBan, make([]uint32, int(v)+1-len(st.nodeBan))...)
-	}
-	st.nodeBan[v] = st.banStamp
-}
-
-// NodeBanned reports whether v is currently banned from forwarding.
-func (st *SearchState) NodeBanned(v int32) bool {
-	return int(v) < len(st.nodeBan) && st.nodeBan[v] == st.banStamp
 }
 
 // Dist returns the settled distance of node v from the last search's source
@@ -322,9 +303,9 @@ const stopPollInterval = 1024
 const NoTarget int32 = -1
 
 // Search runs Dijkstra from spec.Src over the network's CSR adjacency into
-// st, honouring st's link/node bans. It is the single kernel behind every
+// st, honouring st's link bans. It is the single kernel behind every
 // routing entry point: plain and transit-restricted shortest paths, k
-// edge-disjoint paths, Yen's algorithm, and the congestion-aware router.
+// edge-disjoint paths, and the congestion-aware router.
 // The inner loop performs no allocation and no hashing.
 //
 // Search reports whether it ran to completion: false means spec.Stop
@@ -368,13 +349,8 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 		if it.node == spec.Target {
 			break // settled: dist/prevLink for the target are final
 		}
-		if it.node != spec.Src {
-			if st.nodeBan[it.node] == st.banStamp {
-				continue
-			}
-			if spec.Expand != nil && !spec.Expand(it.node) {
-				continue
-			}
+		if spec.Expand != nil && it.node != spec.Src && !spec.Expand(it.node) {
+			continue
 		}
 		lo, hi := adjStart[it.node], adjStart[it.node+1]
 		edges, ms := adjEdges[lo:hi], adjMs[lo:hi]

@@ -34,11 +34,9 @@ import (
 	"leosim/internal/telemetry"
 )
 
-// Options tunes Build.
-type Options struct {
-	// Parallelism bounds the build fan-out (default GOMAXPROCS).
-	Parallelism int
-}
+// Options is empty: Build has nothing to tune. The type and Build's third
+// parameter remain because the benchmark module compiles against them.
+type Options struct{}
 
 // Stats describes a built oracle.
 type Stats struct {
@@ -70,9 +68,10 @@ type Oracle struct {
 }
 
 // Build constructs the oracle for n: one shortest-path tree per city, run in
-// parallel through the shared Dijkstra kernel. The context cancels the
-// fan-out between sources; a cancelled build returns ctx.Err() and no oracle.
-func Build(ctx context.Context, n *graph.Network, opts Options) (*Oracle, error) {
+// parallel (GOMAXPROCS workers) through the shared Dijkstra kernel. The
+// context cancels the fan-out between sources; a cancelled build returns
+// ctx.Err() and no oracle.
+func Build(ctx context.Context, n *graph.Network, _ Options) (*Oracle, error) {
 	sp := telemetry.StartStageSpan(telemetry.StageOracleBuild)
 	defer sp.End()
 	start := time.Now()
@@ -80,10 +79,6 @@ func Build(ctx context.Context, n *graph.Network, opts Options) (*Oracle, error)
 	ncity := n.NumCity
 	if ncity == 0 {
 		return nil, fmt.Errorf("oracle: network has no city terminals to label")
-	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
 	}
 	o := &Oracle{
 		net:   n,
@@ -98,7 +93,7 @@ func Build(ctx context.Context, n *graph.Network, opts Options) (*Oracle, error)
 	if nn > 0 {
 		n.Degree(0)
 	}
-	g := safe.NewGroup(ctx, par)
+	g := safe.NewGroup(ctx, runtime.GOMAXPROCS(0))
 	for city := 0; city < ncity; city++ {
 		city := city
 		g.Go(func() error {

@@ -9,8 +9,6 @@ import (
 	"net/http"
 	"time"
 
-	"leosim/internal/core"
-	"leosim/internal/fault"
 	"leosim/internal/graph"
 	"leosim/internal/oracle"
 	"leosim/internal/snapcache"
@@ -33,10 +31,10 @@ type batchPair struct {
 	Dst string `json:"dst"`
 }
 
-// batchPathsRequest is the POST /v1/paths body. Snapshot selection mirrors
-// the GET endpoints: "snap" indexes the schedule, "t" takes RFC3339 or a
-// duration offset, neither means the first snapshot; the fault triple
-// matches ?fault=&fraction=&fault-seed=.
+// batchPathsRequest is the POST /v1/paths body: the same snapshot selection
+// the GET endpoints take as query parameters (see snapForm), plus the pairs.
+// The selection's fields are spelled out rather than embedded because JSON
+// type errors quote the Go field path back to the client.
 type batchPathsRequest struct {
 	Mode          string      `json:"mode,omitempty"`
 	Snap          *int        `json:"snap,omitempty"`
@@ -48,84 +46,48 @@ type batchPathsRequest struct {
 	Pairs         []batchPair `json:"pairs"`
 }
 
-// decodeBatchPaths parses and validates one batch body. It is a pure
-// function of its input — no sim, no clock, no server state — which is what
-// makes it fuzzable in isolation (FuzzBatchPathsDecode): any input must
-// produce either a request or a *badRequestError, never a panic. City-name
-// resolution happens later in the handler, where the sim is at hand.
-func decodeBatchPaths(data []byte, maxPairs int) (*batchPathsRequest, error) {
+// decodeBatchPaths is the POST front-end: it parses one batch body and
+// validates it against the snapshot schedule times. It is a pure function of
+// its arguments — no sim, no clock, no server state — which is what makes it
+// fuzzable in isolation (FuzzBatchPathsDecode): any input must produce
+// either a request with its spec or a *badRequestError, never a panic.
+// City-name resolution happens later in the handler, where the sim is at
+// hand.
+func decodeBatchPaths(data []byte, maxPairs int, times []time.Time) (*batchPathsRequest, snapSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var req batchPathsRequest
 	if err := dec.Decode(&req); err != nil {
-		return nil, badRequest("invalid JSON body: %v", err)
+		return nil, snapSpec{}, badRequest("invalid JSON body: %v", err)
 	}
 	if dec.More() {
-		return nil, badRequest("trailing data after JSON body")
+		return nil, snapSpec{}, badRequest("trailing data after JSON body")
 	}
-	switch req.Mode {
-	case "", core.BP.String(), core.Hybrid.String():
-	default:
-		return nil, badRequest("mode must be %q or %q", core.BP, core.Hybrid)
-	}
-	if req.Snap != nil && req.T != "" {
-		return nil, badRequest("snap and t are mutually exclusive")
+	form := snapForm{mode: req.Mode, snap: req.Snap, t: req.T, fault: req.Fault, fraction: req.Fraction, seed: req.FaultSeed}
+	spec, err := form.spec(times, "faultSeed")
+	if err != nil {
+		return nil, snapSpec{}, err
 	}
 	if len(req.Pairs) == 0 {
-		return nil, badRequest("pairs must be a non-empty array")
+		return nil, snapSpec{}, badRequest("pairs must be a non-empty array")
 	}
 	if len(req.Pairs) > maxPairs {
-		return nil, badRequest("too many pairs: %d exceeds the per-request limit %d", len(req.Pairs), maxPairs)
+		return nil, snapSpec{}, badRequest("too many pairs: %d exceeds the per-request limit %d", len(req.Pairs), maxPairs)
 	}
 	seen := make(map[batchPair]struct{}, len(req.Pairs))
 	for i, p := range req.Pairs {
 		if p.Src == "" || p.Dst == "" {
-			return nil, badRequest("pairs[%d]: src and dst are required", i)
+			return nil, snapSpec{}, badRequest("pairs[%d]: src and dst are required", i)
 		}
 		if p.Src == p.Dst {
-			return nil, badRequest("pairs[%d]: src equals dst (%q)", i, p.Src)
+			return nil, snapSpec{}, badRequest("pairs[%d]: src equals dst (%q)", i, p.Src)
 		}
 		if _, dup := seen[p]; dup {
-			return nil, badRequest("pairs[%d]: duplicate pair %q → %q", i, p.Src, p.Dst)
+			return nil, snapSpec{}, badRequest("pairs[%d]: duplicate pair %q → %q", i, p.Src, p.Dst)
 		}
 		seen[p] = struct{}{}
 	}
-	if req.Fault == "" {
-		if req.Fraction != nil || req.FaultSeed != nil {
-			return nil, badRequest("fraction/faultSeed require fault=<scenario>")
-		}
-	} else if !fault.Scenario(req.Fault).Valid() {
-		return nil, badRequest("fault must be one of %v", fault.Scenarios())
-	}
-	if req.Fraction != nil && (*req.Fraction < 0 || *req.Fraction > 1) {
-		return nil, badRequest("fraction must be a number in [0,1]")
-	}
-	return &req, nil
-}
-
-// mode resolves the validated mode string.
-func (r *batchPathsRequest) mode() core.Mode {
-	if r.Mode == core.Hybrid.String() {
-		return core.Hybrid
-	}
-	return core.BP
-}
-
-// mask renders the validated fault triple as the canonical cache-key
-// fingerprint, with the same defaults as the GET parameter form.
-func (r *batchPathsRequest) maskFingerprint() string {
-	if r.Fault == "" {
-		return ""
-	}
-	frac := 0.1
-	if r.Fraction != nil {
-		frac = *r.Fraction
-	}
-	seed := int64(1)
-	if r.FaultSeed != nil {
-		seed = *r.FaultSeed
-	}
-	return fmt.Sprintf("%s:%g:%d", r.Fault, frac, seed)
+	return &req, spec, nil
 }
 
 // batchPathEntry is one pair's answer, aligned by index with the request's
@@ -170,57 +132,48 @@ const batchCancelPollInterval = 256
 // precomputed distance oracle. The first batch against a cold snapshot pays
 // the one-time oracle build (singleflight — concurrent batches share it);
 // every batch after that answers each pair in microseconds.
-func (s *Server) handleBatchPaths(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBatchPaths(w http.ResponseWriter, r *http.Request) error {
 	ctx := r.Context()
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBodyBytes+1))
 	if err != nil {
-		s.fail(w, r, badRequest("reading request body: %v", err))
-		return
+		return badRequest("reading request body: %v", err)
 	}
 	if len(body) > maxBatchBodyBytes {
-		s.fail(w, r, badRequest("request body exceeds %d bytes", maxBatchBodyBytes))
-		return
+		return badRequest("request body exceeds %d bytes", maxBatchBodyBytes)
 	}
-	req, err := decodeBatchPaths(body, MaxBatchPairs)
+	req, spec, err := decodeBatchPaths(body, MaxBatchPairs, s.times)
 	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	t, err := s.timeAt(req.Snap, req.T)
-	if err != nil {
-		s.fail(w, r, err)
-		return
+		return err
 	}
 	type idxPair struct{ src, dst int }
 	pairs := make([]idxPair, len(req.Pairs))
 	for i, p := range req.Pairs {
 		si, ok := s.cfg.Sim.FindCity(p.Src)
 		if !ok {
-			s.fail(w, r, &notFoundError{msg: fmt.Sprintf("pairs[%d]: unknown city %q", i, p.Src)})
-			return
+			return &notFoundError{msg: fmt.Sprintf("pairs[%d]: unknown city %q", i, p.Src)}
 		}
 		di, ok := s.cfg.Sim.FindCity(p.Dst)
 		if !ok {
-			s.fail(w, r, &notFoundError{msg: fmt.Sprintf("pairs[%d]: unknown city %q", i, p.Dst)})
-			return
+			return &notFoundError{msg: fmt.Sprintf("pairs[%d]: unknown city %q", i, p.Dst)}
 		}
 		pairs[i] = idxPair{src: si, dst: di}
 	}
-	mode, mask := req.mode(), req.maskFingerprint()
-	n, meta, err := s.snapshot(ctx, t, mode, mask)
+	rs, err := s.resolve(ctx, spec)
 	if err != nil {
-		s.fail(w, r, err)
-		return
+		return err
 	}
-	orc, cached, err := s.oracleFor(ctx, s.cacheKey(t, mode, mask), n)
-	if err != nil {
-		s.fail(w, r, err)
-		return
+	// A batch is worth an oracle: where resolve found none attached, pay the
+	// one-time build (shared with every concurrent batch for this key).
+	cached := rs.orc != nil
+	if !cached {
+		if rs.orc, err = s.oracleFor(ctx, rs.key, rs.n); err != nil {
+			return err
+		}
 	}
-	ost := orc.Stats()
+	ost := rs.orc.Stats()
 	resp := batchPathsResponse{
-		Time: t, Mode: mode.String(), Fault: mask,
-		Stale: meta.Stale, Degraded: meta.Degraded,
+		Time: spec.t, Mode: spec.mode.String(), Fault: spec.mask,
+		Stale: rs.meta.Stale, Degraded: rs.meta.Degraded,
 		Count: len(pairs),
 		Oracle: oracleMetaJSON{
 			Cached:  cached,
@@ -231,16 +184,17 @@ func (s *Server) handleBatchPaths(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, p := range pairs {
 		if i%batchCancelPollInterval == 0 && ctx.Err() != nil {
-			s.fail(w, r, ctx.Err())
-			return
+			return ctx.Err()
 		}
 		entry := &resp.Results[i]
 		entry.Src, entry.Dst = req.Pairs[i].Src, req.Pairs[i].Dst
-		path, ok := orc.Query(p.src, p.dst)
-		if !ok {
+		q, err := s.answer(ctx, rs, p.src, p.dst, true)
+		if err != nil {
+			return err
+		}
+		if !q.Reachable {
 			continue
 		}
-		q := core.PathQueryOf(n, path)
 		entry.Reachable = true
 		entry.RTTMs = q.RTTMs
 		entry.OneWayMs = q.OneWayMs
@@ -250,6 +204,7 @@ func (s *Server) handleBatchPaths(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // oracleCall is one in-flight singleflight oracle build.
@@ -259,23 +214,15 @@ type oracleCall struct {
 	err  error
 }
 
-// oracleFor returns the distance oracle for key's snapshot n, building it at
-// most once per key at a time: concurrent batches against the same cold
-// snapshot elect one builder and share its result. A successful build is
-// attached to the snapshot-cache entry (snapcache.Attach), so the oracle
-// rides the snapshot's own LRU/TTL/generation lifecycle; the attach is a
-// no-op if the entry was evicted or rebuilt meanwhile — the oracle still
-// answers this request, it just isn't pinned.
-//
-// cached reports whether the oracle was found ready-made (attached by an
-// earlier request or the background primer).
-func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, n *graph.Network) (o *oracle.Oracle, cached bool, err error) {
-	if aux, net, ok := s.cache.Attachment(key); ok && net == n {
-		if att, isOracle := aux.(*oracle.Oracle); isOracle && att.Valid(n) {
-			s.oracleHits.Add(1)
-			return att, true, nil
-		}
-	}
+// oracleFor builds the distance oracle for key's snapshot n — resolve found
+// none attached — at most once per key at a time: concurrent batches against
+// the same cold snapshot elect one builder and share its result. A
+// successful build is attached to the snapshot-cache entry
+// (snapcache.Attach), so the oracle rides the snapshot's own
+// LRU/TTL/generation lifecycle; the attach is a no-op if the entry was
+// evicted or rebuilt meanwhile — the oracle still answers this request, it
+// just isn't pinned.
+func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, n *graph.Network) (*oracle.Oracle, error) {
 	s.oracleMu.Lock()
 	if cl, inflight := s.oracleInflight[key]; inflight {
 		s.oracleMu.Unlock()
@@ -287,9 +234,9 @@ func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, n *graph.Netw
 				// unshared and unattached — correctness over reuse.
 				return s.buildOracle(ctx, key, n, false)
 			}
-			return cl.o, false, cl.err
+			return cl.o, cl.err
 		case <-ctx.Done():
-			return nil, false, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 	cl := &oracleCall{done: make(chan struct{})}
@@ -299,7 +246,7 @@ func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, n *graph.Netw
 		// Detached from the leader's cancellation, like snapshot builds:
 		// followers with live contexts still want the result, and the next
 		// batch for this key certainly does.
-		cl.o, _, cl.err = s.buildOracle(context.WithoutCancel(ctx), key, n, true)
+		cl.o, cl.err = s.buildOracle(context.WithoutCancel(ctx), key, n, true)
 		s.oracleMu.Lock()
 		delete(s.oracleInflight, key)
 		s.oracleMu.Unlock()
@@ -307,15 +254,16 @@ func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, n *graph.Netw
 	}()
 	select {
 	case <-cl.done:
-		return cl.o, false, cl.err
+		return cl.o, cl.err
 	case <-ctx.Done():
-		return nil, false, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
-// buildOracle runs one oracle build and (when attach is set) pins the result
-// to the snapshot-cache entry it was derived from.
-func (s *Server) buildOracle(ctx context.Context, key snapcache.Key, n *graph.Network, attach bool) (*oracle.Oracle, bool, error) {
+// buildOracle runs one oracle build — for a batch or for the primer — and
+// (when attach is set) pins the result to the snapshot-cache entry it was
+// derived from.
+func (s *Server) buildOracle(ctx context.Context, key snapcache.Key, n *graph.Network, attach bool) (*oracle.Oracle, error) {
 	start := time.Now()
 	o, err := oracle.Build(ctx, n, oracle.Options{})
 	if err != nil {
@@ -323,7 +271,7 @@ func (s *Server) buildOracle(ctx context.Context, key snapcache.Key, n *graph.Ne
 			"oracle build failed",
 			telemetry.Str("key", key.String()),
 			telemetry.Str("err", err.Error()))
-		return nil, false, err
+		return nil, err
 	}
 	s.oracleBuilds.Add(1)
 	if attach {
@@ -334,5 +282,5 @@ func (s *Server) buildOracle(ctx context.Context, key snapcache.Key, n *graph.Ne
 		telemetry.Str("key", key.String()),
 		telemetry.Int64("durMs", time.Since(start).Milliseconds()),
 		telemetry.Int64("sources", int64(o.Sources())))
-	return o, false, nil
+	return o, nil
 }

@@ -10,8 +10,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"leosim/internal/core"
+	"leosim/internal/geo"
 	"leosim/internal/oracle"
 )
 
@@ -250,7 +252,7 @@ func TestPrimeOraclesAttach(t *testing.T) {
 	}
 	for _, mode := range []core.Mode{core.BP, core.Hybrid} {
 		for _, ts := range s.times {
-			aux, n, ok := s.cache.Attachment(s.cacheKey(ts, mode, ""))
+			aux, n, ok := s.cache.Attachment(s.cacheKey(snapSpec{t: ts, mode: mode}))
 			if !ok || n == nil {
 				t.Fatalf("%s@%v: no attachment after oracle prime", mode, ts)
 			}
@@ -295,8 +297,9 @@ func FuzzBatchPathsDecode(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	const maxPairs = 16
+	times := []time.Time{geo.Epoch, geo.Epoch.Add(time.Hour)}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeBatchPaths(data, maxPairs)
+		req, spec, err := decodeBatchPaths(data, maxPairs, times)
 		if err != nil {
 			var br *badRequestError
 			if !errors.As(err, &br) {
@@ -336,6 +339,15 @@ func FuzzBatchPathsDecode(f *testing.F) {
 		}
 		if req.Fraction != nil && (*req.Fraction < 0 || *req.Fraction > 1) {
 			t.Fatalf("accepted fraction %v", *req.Fraction)
+		}
+		if spec.mode.String() != req.Mode && req.Mode != "" {
+			t.Fatalf("mode %q resolved to %v", req.Mode, spec.mode)
+		}
+		if spec.t.Before(times[0]) && req.T == "" {
+			t.Fatalf("snap %v resolved to %v, before the schedule", req.Snap, spec.t)
+		}
+		if (spec.mask == "") != (req.Fault == "") {
+			t.Fatalf("fault %q fingerprinted as %q", req.Fault, spec.mask)
 		}
 	})
 }

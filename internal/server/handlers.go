@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -28,76 +30,125 @@ const statusClientClosedRequest = 499
 // in-flight deterministically (drain, shedding, cancellation).
 var testHookLatencySnapshot func()
 
-// ---- cache key plumbing -------------------------------------------------
+// ---- the serving pipeline: spec → resolve → answer -----------------------
+//
+// Every served path question takes the same three steps (DESIGN.md §3): a
+// front-end fills a snapForm and the one validator turns it into a snapSpec;
+// resolve fetches that snapshot and looks up its attached oracle, once;
+// answer routes a city pair over the result.
+
+// snapSpec names the snapshot a question is asked of: the instant, the
+// connectivity mode and the fault fingerprint ("" = healthy).
+type snapSpec struct {
+	t    time.Time
+	mode core.Mode
+	mask string
+}
+
+// snapForm is a snapshot selection as the client wrote it. The GET endpoints
+// fill one from their query parameters (querySpec), POST /v1/paths from its
+// decoded body (decodeBatchPaths). snap indexes the schedule, t takes RFC3339 or a duration
+// offset from the simulation epoch ("90m"), neither means the first
+// snapshot; the fault triple defaults to fraction 0.1, seed 1.
+type snapForm struct {
+	mode     string
+	snap     *int
+	t        string
+	fault    string
+	fraction *float64
+	seed     *int64
+}
+
+// querySpec is the GET front-end: ?mode=&snap=|t=&fault=&fraction=
+// &fault-seed= → validated spec. Only what a query string can get wrong that
+// a JSON body cannot — a number that does not parse — is judged here; the
+// rest is snapForm.spec's.
+func querySpec(q url.Values, times []time.Time) (snapSpec, error) {
+	f := snapForm{mode: q.Get("mode"), t: q.Get("t"), fault: q.Get("fault")}
+	if v := q.Get("snap"); v != "" {
+		i, err := strconv.Atoi(v)
+		if err != nil {
+			return snapSpec{}, badRequest("snap must be an index in [0,%d)", len(times))
+		}
+		f.snap = &i
+	}
+	if v := q.Get("fraction"); v != "" {
+		x, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			return snapSpec{}, badRequest("fraction must be a number in [0,1]")
+		}
+		f.fraction = &x
+	}
+	if v := q.Get("fault-seed"); v != "" {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return snapSpec{}, badRequest("fault-seed must be an integer")
+		}
+		f.seed = &n
+	}
+	return f.spec(times, "fault-seed")
+}
+
+// spec validates the form against the snapshot schedule. It is the one
+// validator behind both front-ends and a pure function of its arguments;
+// seedParam is how the calling front-end spells the seed parameter, for the
+// one message that names it.
+func (f snapForm) spec(times []time.Time, seedParam string) (snapSpec, error) {
+	var spec snapSpec
+	if f.mode != "" && spec.mode.UnmarshalText([]byte(f.mode)) != nil {
+		return snapSpec{}, badRequest("mode must be %q or %q", core.BP, core.Hybrid)
+	}
+	switch {
+	case f.snap != nil && f.t != "":
+		return snapSpec{}, badRequest("snap and t are mutually exclusive")
+	case f.snap != nil:
+		if *f.snap < 0 || *f.snap >= len(times) {
+			return snapSpec{}, badRequest("snap must be an index in [0,%d)", len(times))
+		}
+		spec.t = times[*f.snap]
+	case f.t == "":
+		spec.t = times[0]
+	default:
+		if t, err := time.Parse(time.RFC3339, f.t); err == nil {
+			spec.t = t.UTC()
+		} else if d, err := time.ParseDuration(f.t); err == nil && d >= 0 {
+			spec.t = times[0].Add(d)
+		} else {
+			return snapSpec{}, badRequest("t must be RFC3339 or a non-negative duration offset like 90m")
+		}
+	}
+	if f.fault == "" {
+		if f.fraction != nil || f.seed != nil {
+			return snapSpec{}, badRequest("fraction/%s require fault=<scenario>", seedParam)
+		}
+		return spec, nil
+	}
+	if !fault.Scenario(f.fault).Valid() {
+		return snapSpec{}, badRequest("fault must be one of %v", fault.Scenarios())
+	}
+	frac, seed := 0.1, int64(1)
+	if f.fraction != nil {
+		if frac = *f.fraction; frac < 0 || frac > 1 {
+			return snapSpec{}, badRequest("fraction must be a number in [0,1]")
+		}
+	}
+	if f.seed != nil {
+		seed = *f.seed
+	}
+	// The fingerprint is the cache key's Mask; realizeMask is its inverse.
+	spec.mask = fmt.Sprintf("%s:%g:%d", f.fault, frac, seed)
+	return spec, nil
+}
 
 // cacheKey assembles the snapshot-cache key. Scenario namespaces by
 // constellation/scale/mode so one cache could in principle front several
-// sims; Mask is the fault fingerprint ("" = healthy).
-func (s *Server) cacheKey(t time.Time, mode core.Mode, mask string) snapcache.Key {
+// sims; Mask is the fault fingerprint.
+func (s *Server) cacheKey(spec snapSpec) snapcache.Key {
 	return snapcache.Key{
-		Scenario: s.scenario + "/" + mode.String(),
-		Time:     t,
-		Mask:     mask,
+		Scenario: s.scenario + "/" + spec.mode.String(),
+		Time:     spec.t,
+		Mask:     spec.mask,
 	}
-}
-
-// snapMeta describes how a snapshot was obtained, for the response envelope.
-type snapMeta struct {
-	// Stale: the snapshot is past its TTL and served under
-	// stale-while-revalidate (a background rebuild is in motion).
-	Stale bool
-	// Degraded names the fallback that saved the response from a 5xx:
-	// "" (none), "stale-cache" (build failed, resident copy served), or
-	// "bp-fallback" (hybrid build failed, resident BP-only snapshot served —
-	// conservative routing: BP paths exist in the hybrid graph too).
-	Degraded string
-}
-
-// snapshot fetches the network for one snapshot, degrading instead of
-// failing wherever an older answer can absorb the fault: a build error is
-// downgraded to a stale resident copy of the same key, and a hybrid-mode
-// build error to a resident BP-only snapshot. Context expiry is the
-// client's own doing and never degrades.
-func (s *Server) snapshot(ctx context.Context, t time.Time, mode core.Mode, mask string) (*graph.Network, snapMeta, error) {
-	key := s.cacheKey(t, mode, mask)
-	n, info, err := s.cache.GetEx(ctx, key)
-	if err == nil {
-		if info.Stale {
-			s.staleResponses.Add(1)
-			telemetry.EmitEvent(ctx, telemetry.CatServe, telemetry.SevInfo,
-				"stale serve: expired snapshot answered, rebuild in background",
-				telemetry.Str("key", key.String()),
-				telemetry.Int64("ageMs", info.Age.Milliseconds()))
-		}
-		return n, snapMeta{Stale: info.Stale}, nil
-	}
-	if ctx.Err() != nil {
-		return nil, snapMeta{}, err
-	}
-	if n, info, ok := s.cache.GetCached(key); ok {
-		s.noteDegraded(ctx, key.String(), "stale-cache", err)
-		return n, snapMeta{Stale: info.Stale, Degraded: "stale-cache"}, nil
-	}
-	if mode == core.Hybrid {
-		if n, info, ok := s.cache.GetCached(s.cacheKey(t, core.BP, mask)); ok {
-			s.noteDegraded(ctx, key.String(), "bp-fallback", err)
-			return n, snapMeta{Stale: info.Stale, Degraded: "bp-fallback"}, nil
-		}
-	}
-	return nil, snapMeta{}, err
-}
-
-// noteDegraded accounts one fallback serve: the counter, the /healthz
-// recency mark, and a flight-recorder event whose trace ID joins the
-// degraded response to the build failure it absorbed.
-func (s *Server) noteDegraded(ctx context.Context, key, fallback string, cause error) {
-	s.degraded.Add(1)
-	s.lastDegraded.Store(time.Now().UnixNano())
-	telemetry.EmitEvent(ctx, telemetry.CatServe, telemetry.SevWarn,
-		"degraded serve: fallback snapshot absorbed a build failure",
-		telemetry.Str("key", key),
-		telemetry.Str("fallback", fallback),
-		telemetry.Str("cause", cause.Error()))
 }
 
 // buildSnapshot is the cache's BuildFunc: it re-derives mode and fault mask
@@ -105,9 +156,9 @@ func (s *Server) noteDegraded(ctx context.Context, key, fallback string, cause e
 // build mapping pure is what makes cached snapshots trustworthy: two
 // requests that agree on the key are guaranteed the same network.
 func (s *Server) buildSnapshot(ctx context.Context, key snapcache.Key) (*graph.Network, error) {
-	mode := core.BP
-	if strings.HasSuffix(key.Scenario, "/"+core.Hybrid.String()) {
-		mode = core.Hybrid
+	var mode core.Mode
+	if err := mode.UnmarshalText([]byte(strings.TrimPrefix(key.Scenario, s.scenario+"/"))); err != nil {
+		return nil, fmt.Errorf("server: cache key %s: %w", key, err)
 	}
 	outages, err := s.realizeMask(key.Mask)
 	if err != nil {
@@ -142,6 +193,119 @@ func (s *Server) realizeMask(mask string) (*fault.Outages, error) {
 	return plan.Realize(s.cfg.Sim.Const, len(s.cfg.Sim.Seg.Terminals))
 }
 
+// snapMeta describes how a snapshot was obtained, for the response envelope.
+type snapMeta struct {
+	// Stale: the snapshot is past its TTL and served under
+	// stale-while-revalidate (a background rebuild is in motion).
+	Stale bool
+	// Degraded names the fallback that saved the response from a 5xx:
+	// "" (none), "stale-cache" (build failed, resident copy served), or
+	// "bp-fallback" (hybrid build failed, resident BP-only snapshot served —
+	// conservative routing: BP paths exist in the hybrid graph too).
+	Degraded string
+}
+
+// snapshot fetches the network for spec (key is its cache key), degrading
+// instead of failing wherever an older answer can absorb the fault: a build
+// error is downgraded to a stale resident copy of the same key, and a
+// hybrid-mode build error to a resident BP-only snapshot. Context expiry is
+// the client's own doing and never degrades.
+func (s *Server) snapshot(ctx context.Context, spec snapSpec, key snapcache.Key) (*graph.Network, snapMeta, error) {
+	n, info, err := s.cache.GetEx(ctx, key)
+	if err == nil {
+		if info.Stale {
+			s.staleResponses.Add(1)
+			telemetry.EmitEvent(ctx, telemetry.CatServe, telemetry.SevInfo,
+				"stale serve: expired snapshot answered, rebuild in background",
+				telemetry.Str("key", key.String()),
+				telemetry.Int64("ageMs", info.Age.Milliseconds()))
+		}
+		return n, snapMeta{Stale: info.Stale}, nil
+	}
+	if ctx.Err() != nil {
+		return nil, snapMeta{}, err
+	}
+	if n, info, ok := s.cache.GetCached(key); ok {
+		s.noteDegraded(ctx, key.String(), "stale-cache", err)
+		return n, snapMeta{Stale: info.Stale, Degraded: "stale-cache"}, nil
+	}
+	if spec.mode == core.Hybrid {
+		spec.mode = core.BP
+		if n, info, ok := s.cache.GetCached(s.cacheKey(spec)); ok {
+			s.noteDegraded(ctx, key.String(), "bp-fallback", err)
+			return n, snapMeta{Stale: info.Stale, Degraded: "bp-fallback"}, nil
+		}
+	}
+	return nil, snapMeta{}, err
+}
+
+// noteDegraded accounts one fallback serve: the counter, the /healthz
+// recency mark, and a flight-recorder event whose trace ID joins the
+// degraded response to the build failure it absorbed.
+func (s *Server) noteDegraded(ctx context.Context, key, fallback string, cause error) {
+	s.degraded.Add(1)
+	s.lastDegraded.Store(time.Now().UnixNano())
+	telemetry.EmitEvent(ctx, telemetry.CatServe, telemetry.SevWarn,
+		"degraded serve: fallback snapshot absorbed a build failure",
+		telemetry.Str("key", key),
+		telemetry.Str("fallback", fallback),
+		telemetry.Str("cause", cause.Error()))
+}
+
+// resolved is a snapSpec made concrete: its cache key, the network, how the
+// network was obtained, and the distance oracle attached to it — nil when
+// none is, in which case answers come from the live kernel.
+type resolved struct {
+	key  snapcache.Key
+	n    *graph.Network
+	meta snapMeta
+	orc  *oracle.Oracle
+}
+
+// resolve fetches (or builds, once, possibly degraded) spec's snapshot and
+// looks up the oracle the primer or an earlier batch attached to it. This is
+// the only attachment lookup on the serve path, so oracleHits counts exactly
+// once per resolved snapshot that had an oracle waiting. resolve never
+// builds an oracle; only batches (oracleFor) and the primer pay that.
+func (s *Server) resolve(ctx context.Context, spec snapSpec) (resolved, error) {
+	rs := resolved{key: s.cacheKey(spec)}
+	var err error
+	if rs.n, rs.meta, err = s.snapshot(ctx, spec, rs.key); err != nil {
+		return resolved{}, err
+	}
+	if aux, net, ok := s.cache.Attachment(rs.key); ok && net == rs.n {
+		if o, isOracle := aux.(*oracle.Oracle); isOracle && o.Valid(rs.n) {
+			s.oracleHits.Add(1)
+			rs.orc = o
+		}
+	}
+	return rs, nil
+}
+
+// answer routes city src → city dst over a resolved snapshot: from the
+// attached oracle's precomputed tree when there is one — identical to the
+// kernel's, proven by the oracle differential battery, at a fraction of a
+// full search — and by a live kernel search otherwise. A caller that reads
+// only reachability and RTT passes route=false, which lets an oracle answer
+// from its distance table without reconstructing the path.
+func (s *Server) answer(ctx context.Context, rs resolved, src, dst int, route bool) (*core.PathQuery, error) {
+	if rs.orc == nil {
+		return s.cfg.Sim.PathAt(ctx, rs.n, src, dst)
+	}
+	if !route {
+		d := rs.orc.DistMs(src, dst)
+		if math.IsInf(d, 1) {
+			return &core.PathQuery{}, nil
+		}
+		return &core.PathQuery{Reachable: true, RTTMs: 2 * d, OneWayMs: d}, nil
+	}
+	p, ok := rs.orc.Query(src, dst)
+	if !ok {
+		return &core.PathQuery{}, nil
+	}
+	return core.PathQueryOf(rs.n, p), nil
+}
+
 // ---- request parsing ----------------------------------------------------
 
 type badRequestError struct{ msg string }
@@ -156,91 +320,18 @@ type notFoundError struct{ msg string }
 
 func (e *notFoundError) Error() string { return e.msg }
 
-// parseMode reads ?mode=bp|hybrid (default bp).
-func parseMode(r *http.Request) (core.Mode, error) {
-	switch r.URL.Query().Get("mode") {
-	case "", core.BP.String():
-		return core.BP, nil
-	case core.Hybrid.String():
-		return core.Hybrid, nil
-	default:
-		return 0, badRequest("mode must be %q or %q", core.BP, core.Hybrid)
+// parseCityPair resolves the required ?src= and ?dst= city names.
+func (s *Server) parseCityPair(q url.Values) (src, dst int, err error) {
+	if src, err = s.parseCity(q, "src"); err != nil {
+		return 0, 0, err
 	}
-}
-
-// parseTime resolves the requested snapshot instant: ?snap=<index> picks
-// from the sim's schedule, ?t= accepts RFC3339 or a duration offset from
-// the simulation epoch ("90m"); default is the first snapshot.
-func (s *Server) parseTime(r *http.Request) (time.Time, error) {
-	q := r.URL.Query()
-	if sp := q.Get("snap"); sp != "" {
-		i, err := strconv.Atoi(sp)
-		if err != nil {
-			return time.Time{}, badRequest("snap must be an index in [0,%d)", len(s.times))
-		}
-		return s.timeAt(&i, q.Get("t"))
-	}
-	return s.timeAt(nil, q.Get("t"))
-}
-
-// timeAt resolves a snapshot spec shared by the GET query parameters and the
-// POST /v1/paths body: a schedule index, an RFC3339 instant or duration
-// offset, or (neither) the first snapshot.
-func (s *Server) timeAt(snap *int, ts string) (time.Time, error) {
-	if snap != nil {
-		if *snap < 0 || *snap >= len(s.times) {
-			return time.Time{}, badRequest("snap must be an index in [0,%d)", len(s.times))
-		}
-		return s.times[*snap], nil
-	}
-	if ts == "" {
-		return s.times[0], nil
-	}
-	if t, err := time.Parse(time.RFC3339, ts); err == nil {
-		return t.UTC(), nil
-	}
-	if d, err := time.ParseDuration(ts); err == nil && d >= 0 {
-		return s.times[0].Add(d), nil
-	}
-	return time.Time{}, badRequest("t must be RFC3339 or a non-negative duration offset like 90m")
-}
-
-// parseMask reads the fault triple ?fault=sat|plane|site|isl|gslcap,
-// ?fraction=, ?fault-seed= into a canonical fingerprint ("" = no fault).
-func parseMask(r *http.Request) (string, error) {
-	q := r.URL.Query()
-	sc := q.Get("fault")
-	if sc == "" {
-		if q.Get("fraction") != "" || q.Get("fault-seed") != "" {
-			return "", badRequest("fraction/fault-seed require fault=<scenario>")
-		}
-		return "", nil
-	}
-	if !fault.Scenario(sc).Valid() {
-		return "", badRequest("fault must be one of %v", fault.Scenarios())
-	}
-	frac := 0.1
-	if fs := q.Get("fraction"); fs != "" {
-		f, err := strconv.ParseFloat(fs, 64)
-		if err != nil || f < 0 || f > 1 {
-			return "", badRequest("fraction must be a number in [0,1]")
-		}
-		frac = f
-	}
-	seed := int64(1)
-	if ss := q.Get("fault-seed"); ss != "" {
-		n, err := strconv.ParseInt(ss, 10, 64)
-		if err != nil {
-			return "", badRequest("fault-seed must be an integer")
-		}
-		seed = n
-	}
-	return fmt.Sprintf("%s:%g:%d", sc, frac, seed), nil
+	dst, err = s.parseCity(q, "dst")
+	return src, dst, err
 }
 
 // parseCity resolves a required city-name parameter to its index.
-func (s *Server) parseCity(r *http.Request, param string) (int, error) {
-	name := r.URL.Query().Get(param)
+func (s *Server) parseCity(q url.Values, param string) (int, error) {
+	name := q.Get(param)
 	if name == "" {
 		return 0, badRequest("%s=<city name> is required", param)
 	}
@@ -261,18 +352,14 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	enc.Encode(v) //nolint:errcheck // client gone — nothing left to do
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
-// writeErrorTraced is writeError plus the request's trace ID, so an error
-// response joins to the flight-recorder events that explain it.
+// writeErrorTraced writes an error body carrying the request's trace ID, so
+// the response joins to the flight-recorder events that explain it.
 func writeErrorTraced(w http.ResponseWriter, status int, msg string, trace telemetry.TraceID) {
-	if trace == 0 {
-		writeError(w, status, msg)
-		return
+	body := map[string]string{"error": msg}
+	if trace != 0 {
+		body["traceId"] = trace.String()
 	}
-	writeJSON(w, status, map[string]string{"error": msg, "traceId": trace.String()})
+	writeJSON(w, status, body)
 }
 
 // fail maps an error to its status code and counts it. The ladder mirrors
@@ -333,69 +420,32 @@ type pathResponse struct {
 
 // handlePath answers GET /v1/path?src=&dst=[&snap=|&t=][&mode=][&fault=...]:
 // the route, RTT and hop breakdown for one city pair at one snapshot.
-func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) error {
 	ctx := r.Context()
-	src, err := s.parseCity(r, "src")
+	q := r.URL.Query()
+	src, dst, err := s.parseCityPair(q)
 	if err != nil {
-		s.fail(w, r, err)
-		return
+		return err
 	}
-	dst, err := s.parseCity(r, "dst")
+	spec, err := querySpec(q, s.times)
 	if err != nil {
-		s.fail(w, r, err)
-		return
+		return err
 	}
-	mode, err := parseMode(r)
+	rs, err := s.resolve(ctx, spec)
 	if err != nil {
-		s.fail(w, r, err)
-		return
+		return err
 	}
-	t, err := s.parseTime(r)
+	path, err := s.answer(ctx, rs, src, dst, true)
 	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	mask, err := parseMask(r)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	q, meta, err := s.pathAt(ctx, t, mode, mask, src, dst)
-	if err != nil {
-		s.fail(w, r, err)
-		return
+		return err
 	}
 	writeJSON(w, http.StatusOK, pathResponse{
-		Time: t, Mode: mode.String(), Fault: mask,
-		Stale: meta.Stale, Degraded: meta.Degraded,
+		Time: spec.t, Mode: spec.mode.String(), Fault: spec.mask,
+		Stale: rs.meta.Stale, Degraded: rs.meta.Degraded,
 		Src: s.cfg.Sim.CityName(src), Dst: s.cfg.Sim.CityName(dst),
-		Path: q,
+		Path: path,
 	})
-}
-
-// pathAt fetches (or builds, once, possibly degraded) the snapshot and
-// routes over it. When the snapshot already carries an attached distance
-// oracle (deposited by the primer or an earlier batch), the answer comes
-// from the oracle's precomputed tree — identical to the kernel's, proven by
-// the oracle differential battery — at a fraction of a full search. Single
-// queries never *build* an oracle; only batches and the primer pay that.
-func (s *Server) pathAt(ctx context.Context, t time.Time, mode core.Mode, mask string, src, dst int) (*core.PathQuery, snapMeta, error) {
-	n, meta, err := s.snapshot(ctx, t, mode, mask)
-	if err != nil {
-		return nil, meta, err
-	}
-	if aux, net, ok := s.cache.Attachment(s.cacheKey(t, mode, mask)); ok && net == n {
-		if o, isOracle := aux.(*oracle.Oracle); isOracle && o.Valid(n) {
-			s.oracleHits.Add(1)
-			p, reachable := o.Query(src, dst)
-			if !reachable {
-				return &core.PathQuery{}, meta, nil
-			}
-			return core.PathQueryOf(n, p), meta, nil
-		}
-	}
-	q, err := s.cfg.Sim.PathAt(ctx, n, src, dst)
-	return q, meta, err
+	return nil
 }
 
 type latencySample struct {
@@ -429,31 +479,24 @@ type latencyResponse struct {
 // pair's RTT across the whole simulated day (the per-pair view behind the
 // paper's §4 variability figures). The request context is checked between
 // snapshots, so a cancelled scan stops within one snapshot's work.
-func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) error {
 	ctx := r.Context()
-	src, err := s.parseCity(r, "src")
+	q := r.URL.Query()
+	// The scan covers the whole schedule, so a snapshot selection is not
+	// read (nor judged).
+	q.Del("snap")
+	q.Del("t")
+	src, dst, err := s.parseCityPair(q)
 	if err != nil {
-		s.fail(w, r, err)
-		return
+		return err
 	}
-	dst, err := s.parseCity(r, "dst")
+	spec, err := querySpec(q, s.times)
 	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	mode, err := parseMode(r)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	mask, err := parseMask(r)
-	if err != nil {
-		s.fail(w, r, err)
-		return
+		return err
 	}
 
 	resp := latencyResponse{
-		Mode: mode.String(), Fault: mask,
+		Mode: spec.mode.String(), Fault: spec.mask,
 		Src: s.cfg.Sim.CityName(src), Dst: s.cfg.Sim.CityName(dst),
 		Samples: make([]latencySample, 0, len(s.times)),
 	}
@@ -464,28 +507,31 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 			testHookLatencySnapshot()
 		}
 		if err := ctx.Err(); err != nil {
-			s.fail(w, r, err)
-			return
+			return err
 		}
-		q, meta, err := s.pathAt(ctx, t, mode, mask, src, dst)
+		spec.t = t
+		rs, err := s.resolve(ctx, spec)
 		if err != nil {
-			s.fail(w, r, err)
-			return
+			return err
 		}
-		resp.Stale = resp.Stale || meta.Stale
+		path, err := s.answer(ctx, rs, src, dst, false)
+		if err != nil {
+			return err
+		}
+		resp.Stale = resp.Stale || rs.meta.Stale
 		if resp.Degraded == "" {
-			resp.Degraded = meta.Degraded
+			resp.Degraded = rs.meta.Degraded
 		}
-		sample := latencySample{Time: t, Reachable: q.Reachable}
-		if q.Reachable {
-			sample.RTTMs = q.RTTMs
-			sum += q.RTTMs
+		sample := latencySample{Time: t, Reachable: path.Reachable}
+		if path.Reachable {
+			sample.RTTMs = path.RTTMs
+			sum += path.RTTMs
 			resp.Summary.Reachable++
-			if resp.Summary.MinMs < 0 || q.RTTMs < resp.Summary.MinMs {
-				resp.Summary.MinMs = q.RTTMs
+			if resp.Summary.MinMs < 0 || path.RTTMs < resp.Summary.MinMs {
+				resp.Summary.MinMs = path.RTTMs
 			}
-			if q.RTTMs > resp.Summary.MaxMs {
-				resp.Summary.MaxMs = q.RTTMs
+			if path.RTTMs > resp.Summary.MaxMs {
+				resp.Summary.MaxMs = path.RTTMs
 			}
 		}
 		resp.Samples = append(resp.Samples, sample)
@@ -498,6 +544,7 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 		resp.Summary.MinMs = 0
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 type reachabilityResponse struct {
@@ -513,45 +560,34 @@ type reachabilityResponse struct {
 // handleReachability answers GET /v1/reachability[?src=][&snap=|&t=][&mode=]
 // [&fault=...]: component structure and stranded satellites at one
 // snapshot, optionally from one source city's perspective.
-func (s *Server) handleReachability(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReachability(w http.ResponseWriter, r *http.Request) error {
 	ctx := r.Context()
-	mode, err := parseMode(r)
+	q := r.URL.Query()
+	spec, err := querySpec(q, s.times)
 	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	t, err := s.parseTime(r)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	mask, err := parseMask(r)
-	if err != nil {
-		s.fail(w, r, err)
-		return
+		return err
 	}
 	src, srcName := -1, ""
-	if r.URL.Query().Get("src") != "" {
-		if src, err = s.parseCity(r, "src"); err != nil {
-			s.fail(w, r, err)
-			return
+	if q.Get("src") != "" {
+		if src, err = s.parseCity(q, "src"); err != nil {
+			return err
 		}
 		srcName = s.cfg.Sim.CityName(src)
 	}
-	n, meta, err := s.snapshot(ctx, t, mode, mask)
+	// Not a path question: the snapshot alone, no oracle lookup.
+	n, meta, err := s.snapshot(ctx, spec, s.cacheKey(spec))
 	if err != nil {
-		s.fail(w, r, err)
-		return
+		return err
 	}
-	q, err := s.cfg.Sim.ReachabilityAt(ctx, n, src)
+	reach, err := s.cfg.Sim.ReachabilityAt(ctx, n, src)
 	if err != nil {
-		s.fail(w, r, err)
-		return
+		return err
 	}
 	writeJSON(w, http.StatusOK, reachabilityResponse{
-		Time: t, Mode: mode.String(), Src: srcName, Fault: mask,
-		Stale: meta.Stale, Degraded: meta.Degraded, Reachability: q,
+		Time: spec.t, Mode: spec.mode.String(), Src: srcName, Fault: spec.mask,
+		Stale: meta.Stale, Degraded: meta.Degraded, Reachability: reach,
 	})
+	return nil
 }
 
 type cacheStatsJSON struct {

@@ -38,7 +38,6 @@ import (
 
 	"leosim/internal/core"
 	"leosim/internal/fault"
-	"leosim/internal/oracle"
 	"leosim/internal/safe"
 	"leosim/internal/snapcache"
 	"leosim/internal/telemetry"
@@ -82,7 +81,7 @@ type Config struct {
 	// walker: every primed snapshot also gets its path oracle built and
 	// attached, so the first batch (or single path query) against any
 	// snapshot of the day skips the one-time build. Requires
-	// PrimeSnapshots; ignored without it.
+	// PrimeSnapshots: New rejects it alone.
 	PrimeOracles bool
 	// Chaos, when non-nil, injects seeded faults (errors, delays, panics)
 	// into every snapshot build — the chaos-testing hook. Nil in production.
@@ -106,6 +105,9 @@ type Config struct {
 func (c *Config) fillDefaults() error {
 	if c.Sim == nil {
 		return fmt.Errorf("server: Config.Sim is required")
+	}
+	if c.PrimeOracles && !c.PrimeSnapshots {
+		return fmt.Errorf("server: Config.PrimeOracles rides the snapshot primer and requires PrimeSnapshots (serve -oracle needs -prime)")
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = c.Sim.Scale.NumSnapshots + 4
@@ -396,10 +398,11 @@ func retryAfterHeader(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// limited wraps a query handler with admission control and the per-request
-// deadline. Shedding replies 429 with Retry-After so well-behaved clients
-// back off.
-func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
+// limited wraps a query handler with admission control, the per-request
+// deadline, and the error ladder: a handler returns its error before writing
+// anything and fail turns it into the response. Shedding replies 429 with
+// Retry-After so well-behaved clients back off.
+func (s *Server) limited(h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
 		select {
@@ -418,7 +421,10 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 		defer func() { s.inflight.Add(-1); <-s.sem }()
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
-		h(w, r.WithContext(ctx))
+		r = r.WithContext(ctx)
+		if err := h(w, r); err != nil {
+			s.fail(w, r, err)
+		}
 	}
 }
 
@@ -476,19 +482,16 @@ func (s *Server) primeAll(ctx context.Context) (primed int, err error) {
 			// The walker's network is mutated in place by the next step;
 			// the cache gets an immutable clone with its CSR pre-frozen.
 			clone := w.At(t).Clone()
-			key := s.cacheKey(t, mode, "")
+			key := s.cacheKey(snapSpec{t: t, mode: mode})
 			s.cache.Put(key, clone)
 			primed++
 			if s.cfg.PrimeOracles {
 				// The oracle build rides the primer: once it lands, the
 				// first query against this snapshot — single or batched —
 				// skips both the graph build and the oracle build.
-				o, oerr := oracle.Build(ctx, clone, oracle.Options{})
-				if oerr != nil {
-					return primed, oerr
+				if _, err := s.buildOracle(ctx, key, clone, true); err != nil {
+					return primed, err
 				}
-				s.oracleBuilds.Add(1)
-				s.cache.Attach(key, clone, o)
 			}
 		}
 	}

@@ -407,6 +407,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New without a Sim must error")
 	}
+	// Oracle priming rides the snapshot primer; asking for it alone used to
+	// be silently ignored.
+	if _, err := New(Config{Sim: serverSim(t), PrimeOracles: true}); err == nil {
+		t.Fatal("New with PrimeOracles but without PrimeSnapshots must error")
+	}
 	s := newTestServer(t, Config{})
 	if s.cfg.MaxInFlight <= 0 || s.cfg.RequestTimeout <= 0 || s.cfg.DrainTimeout <= 0 || s.cfg.CacheSize <= 0 {
 		t.Fatalf("defaults not filled: %+v", s.cfg)
@@ -528,7 +533,7 @@ func TestPrimeCacheWarmsWholeDay(t *testing.T) {
 	}
 	for _, mode := range []core.Mode{core.BP, core.Hybrid} {
 		for _, ts := range s.times {
-			n, _, ok := s.cache.GetCached(s.cacheKey(ts, mode, ""))
+			n, _, ok := s.cache.GetCached(s.cacheKey(snapSpec{t: ts, mode: mode}))
 			if !ok {
 				t.Fatalf("%s@%v not resident after prime", mode, ts)
 			}

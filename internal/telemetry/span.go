@@ -22,8 +22,6 @@ const (
 	StageSearch
 	// StageKDisjoint is one k-edge-disjoint-paths computation.
 	StageKDisjoint
-	// StageYen is one Yen k-shortest-paths computation.
-	StageYen
 	// StageMaxMin is one max-min fair allocation.
 	StageMaxMin
 	// StageWeather is one ITU-R attenuation curve realization.
@@ -51,7 +49,7 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	"graph_build", "csr_freeze", "search", "kdisjoint", "yen",
+	"graph_build", "csr_freeze", "search", "kdisjoint",
 	"maxmin_alloc", "weather", "fault_realize",
 	"cache_hit", "cache_miss", "cache_wait", "advance",
 	"oracle_build", "oracle_query",

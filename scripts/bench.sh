@@ -5,7 +5,7 @@
 #
 # Targets:
 #   routing   — the routing hot path (Dijkstra, ShortestPath, KDisjointPaths,
-#               Yen, MinMaxUtilization, the Fig 2a sweep) → BENCH_routing.json
+#               MinMaxUtilization, the Fig 2a sweep) → BENCH_routing.json
 #   snapshot  — the snapshot engine at paper scale: one full At() rebuild vs
 #               one incremental Advance() step at 1-second resolution
 #               → BENCH_snapshot.json
@@ -36,7 +36,7 @@ TARGET="${1:-all}"
 LABEL="${2:-current}"
 
 run_routing() {
-	PATTERN='^(BenchmarkDijkstra|BenchmarkShortestPath|BenchmarkKDisjoint|BenchmarkYen|BenchmarkMinMaxUtilization|BenchmarkFig2aMinRTT)$'
+	PATTERN='^(BenchmarkDijkstra|BenchmarkShortestPath|BenchmarkKDisjoint|BenchmarkMinMaxUtilization|BenchmarkFig2aMinRTT)$'
 	go test -run '^$' -bench "$PATTERN" -benchmem -count 1 \
 		. ./internal/graph ./internal/routing |
 		go run ./scripts/benchjson -label "$LABEL" -out BENCH_routing.json
