@@ -44,7 +44,7 @@ func runServe(ctx context.Context, args []string) error {
 	snapshots := fs.Int("snapshots", 0, "override the snapshot count (0 = scale default)")
 	cities := fs.Int("cities", 0, "override the number of cities (0 = scale default)")
 	cacheSize := fs.Int("cache-size", 0, "snapshot cache capacity in graphs (0 = snapshots+4, or 2×snapshots+8 with -prime)")
-	prime := fs.Bool("prime", false, "prime the snapshot cache in the background at startup: walk the day incrementally and deposit every snapshot for both modes")
+	prime := fs.Bool("prime", false, "prime the snapshot cache in the background at startup: build and deposit every snapshot of the day for both modes")
 	oracleOn := fs.Bool("oracle", false, "also build a distance oracle per primed snapshot so /v1/paths batches start warm (requires -prime)")
 	cacheTTL := fs.Duration("cache-ttl", 0, "snapshot cache entry TTL (0 = never expire)")
 	staleFor := fs.Duration("cache-stale-for", 0, "serve expired snapshots (marked stale) this long past TTL while rebuilding in the background")

@@ -31,7 +31,7 @@ func TestMotifISLBounds(t *testing.T) {
 		geom := NewGeometry(c, 0)
 		for k := 0; k < 12; k++ {
 			at := geo.Epoch.Add(time.Duration(k) * 11 * time.Minute)
-			links := topo.LinksAt(m, c, at)
+			links := c.ISLsAt(at)
 			if len(links) == 0 {
 				t.Fatalf("%s: no links at t%d", id, k)
 			}

@@ -15,9 +15,14 @@ import (
 type Constellation struct {
 	Shells []Shell
 	Sats   []Satellite
-	// ISLs is the list of inter-satellite links, empty for BP-only
-	// operation. Indices refer to Sats.
+	// ISLs is the list of inter-satellite links placed at construction,
+	// empty for BP-only operation. Indices refer to Sats. Nothing writes it
+	// after New returns; ISLsAt answers which links exist at an instant.
 	ISLs []ISL
+
+	// islsAt, when non-nil, re-places the links for an instant (topologies
+	// whose link set follows the geometry); nil means ISLs holds at all times.
+	islsAt func(*Constellation, time.Time) []ISL
 
 	// shellOffset[i] is the index in Sats of the first satellite of shell i.
 	shellOffset []int
@@ -36,6 +41,7 @@ type config struct {
 	omitSeam   bool
 	sgp4       bool
 	islBuilder func(*Constellation) []ISL
+	islsAt     func(*Constellation, time.Time) []ISL
 }
 
 // WithEpoch sets the constellation epoch (default geo.Epoch).
@@ -49,12 +55,16 @@ func WithISLs() Option { return func(c *config) { c.isls = true } }
 // WithISLTopology replaces the default +Grid generator with a custom one: the
 // builder receives the fully propagated constellation (satellites, shells,
 // indices) and returns the ISL set, which must be OrderISL-canonical,
-// duplicate-free and intra-shell. Implies WithISLs. The topology lab
-// (internal/topo) threads its pluggable motifs through here.
-func WithISLTopology(build func(*Constellation) []ISL) Option {
+// duplicate-free and intra-shell. A non-nil at marks a topology whose link
+// set depends on the instant: ISLsAt then calls it (it must be a pure
+// function of positions) instead of returning the set build placed. Implies
+// WithISLs. The topology lab (internal/topo) threads its pluggable motifs
+// through here.
+func WithISLTopology(build func(*Constellation) []ISL, at func(*Constellation, time.Time) []ISL) Option {
 	return func(c *config) {
 		c.isls = true
 		c.islBuilder = build
+		c.islsAt = at
 	}
 }
 
@@ -112,6 +122,7 @@ func New(shells []Shell, opts ...Option) (*Constellation, error) {
 	if cfg.isls {
 		if cfg.islBuilder != nil {
 			c.ISLs = cfg.islBuilder(c)
+			c.islsAt = cfg.islsAt
 		} else {
 			c.ISLs = PlusGridISLs(c, cfg.omitSeam)
 		}
@@ -122,6 +133,17 @@ func New(shells []Shell, opts ...Option) (*Constellation, error) {
 	}
 	c.batch, _ = orbit.NewKeplerBatch(props)
 	return c, nil
+}
+
+// ISLsAt returns the inter-satellite links that exist at time t: the set
+// placed at construction for static topologies (the very slice ISLs holds),
+// a fresh placement for time-dependent ones. It is the one place the ISL set
+// of an instant is decided; every snapshot build reads it.
+func (c *Constellation) ISLsAt(t time.Time) []ISL {
+	if c.islsAt == nil {
+		return c.ISLs
+	}
+	return c.islsAt(c, t)
 }
 
 // Analytic reports whether every satellite uses the analytic (J2-secular

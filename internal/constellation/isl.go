@@ -39,6 +39,14 @@ type ISL struct {
 // cross-plane) is part of the contract: graph building appends ISLs in this
 // order, and the topo regression suite pins the exact byte sequence.
 func PlusGridISLs(c *Constellation, omitSeam bool) []ISL {
+	return GridISLs(c, 0, omitSeam)
+}
+
+// GridISLs is the +Grid with every cross-plane link sheared by slotShift
+// slots: satellite (plane p, slot j) links to (p+1, j+slotShift). Zero is the
+// +Grid itself; degree, link count, generation order and seam handling are
+// the +Grid's at every shift.
+func GridISLs(c *Constellation, slotShift int, omitSeam bool) []ISL {
 	var isls []ISL
 	for si, sh := range c.Shells {
 		for plane := 0; plane < sh.Planes; plane++ {
@@ -51,10 +59,11 @@ func PlusGridISLs(c *Constellation, omitSeam bool) []ISL {
 						isls = append(isls, OrderISL(a, b))
 					}
 				}
-				// Cross-plane: same slot, next plane (ring over planes).
+				// Cross-plane: same slot (plus the shear), next plane (ring
+				// over planes).
 				if sh.Planes > 1 {
 					next := plane + 1
-					tgtSlot := slot
+					shift := slotShift
 					if next == sh.Planes {
 						// Star shells never close the plane ring (the seam
 						// planes counter-rotate); delta shells do unless the
@@ -67,8 +76,9 @@ func PlusGridISLs(c *Constellation, omitSeam bool) []ISL {
 						// mean-anomaly shift of exactly WalkerF slot
 						// spacings; connect to the slot that absorbs it
 						// so seam links stay as short as interior ones.
-						tgtSlot = ((slot+sh.WalkerF)%sh.SatsPerPlane + sh.SatsPerPlane) % sh.SatsPerPlane
+						shift += sh.WalkerF
 					}
+					tgtSlot := ((slot+shift)%sh.SatsPerPlane + sh.SatsPerPlane) % sh.SatsPerPlane
 					b := c.SatIndex(si, next, tgtSlot)
 					if a != b {
 						isls = append(isls, OrderISL(a, b))

@@ -31,13 +31,12 @@ func RunBeamSweep(ctx context.Context, s *Sim, caps []int, t time.Time) (out []B
 			return nil, fmt.Errorf("core: negative beam cap %d", beams)
 		}
 		for _, mode := range []Mode{BP, Hybrid} {
-			b, err := s.builderWith(mode, func(o *graph.BuildOptions) {
+			n, err := s.buildAt(t, mode, func(o *graph.BuildOptions) {
 				o.MaxGSLsPerSatellite = beams
 			})
 			if err != nil {
 				return nil, err
 			}
-			n := b.At(t)
 			paths, err := computePairPaths(ctx, s, n, 4)
 			if err != nil {
 				return nil, err

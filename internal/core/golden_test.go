@@ -1,0 +1,77 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite golden fixtures")
+
+// TestSweepGoldens pins the tiny-scale WriteJSON envelopes of the sweeps
+// whose snapshots come from more than one source (the schedule cache, masked
+// builds, the seconds-scale cursor). The determinism suite compares a run
+// with itself; these fixtures compare it with the bytes recorded before the
+// snapshot sources were unified. Rerun with -update only for an intended
+// change of an experiment's numbers, and read the diff.
+func TestSweepGoldens(t *testing.T) {
+	cases := []struct {
+		name string
+		slow bool
+		run  func(ctx context.Context, s *Sim) (interface{}, error)
+	}{
+		{"fig2a", false, func(ctx context.Context, s *Sim) (interface{}, error) {
+			return RunLatency(ctx, s)
+		}},
+		{"pathchurn", false, func(ctx context.Context, s *Sim) (interface{}, error) {
+			return RunPathChurn(ctx, s)
+		}},
+		{"resilience", false, func(ctx context.Context, s *Sim) (interface{}, error) {
+			return RunResilience(ctx, s, "sat", nil)
+		}},
+		{"topo", true, func(ctx context.Context, s *Sim) (interface{}, error) {
+			return RunTopo(ctx, s, TopoOptions{})
+		}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.slow && testing.Short() {
+				t.Skip("every motif × both modes in -short mode")
+			}
+			s, err := NewSim(Starlink, TinyScale())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := tc.run(context.Background(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := WriteJSON(&buf, tc.name, s, res); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join("testdata", tc.name+".golden")
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("rewrote %s", path)
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read fixture (run with -update to create): %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("%s envelope differs from %s; rerun with -update if the change is intentional", tc.name, path)
+			}
+		})
+	}
+}

@@ -95,11 +95,6 @@ func RunLatency(ctx context.Context, s *Sim) (res *LatencyResult, err error) {
 				telemetry.Int64("snapshots", int64(done)))
 		}
 	}
-	// Each mode's walker advances snapshot to snapshot incrementally instead
-	// of rebuilding (journal replay above needs no networks, so the walkers
-	// anchor at the first live snapshot). The walker's network is reused in
-	// place across steps; pairRTTs consumes it before the next At.
-	walk := map[Mode]*Walker{BP: s.NewWalker(BP), Hybrid: s.NewWalker(Hybrid)}
 	for _, t := range times[done:] {
 		if ctx.Err() != nil {
 			break
@@ -113,8 +108,7 @@ func RunLatency(ctx context.Context, s *Sim) (res *LatencyResult, err error) {
 		// snapshot ahead of the other's.
 		snap := map[Mode][]float64{}
 		for _, m := range []Mode{BP, Hybrid} {
-			n := walk[m].At(t)
-			rtts, rerr := s.pairRTTs(sctx, n, false)
+			rtts, rerr := s.pairRTTs(sctx, s.NetworkAtCtx(sctx, t, m), false)
 			if rerr != nil {
 				if ctx.Err() != nil && done > 0 {
 					snap = nil

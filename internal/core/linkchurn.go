@@ -83,7 +83,6 @@ func RunChurn(ctx context.Context, s *Sim, opt ChurnOptions) (res *ChurnResult, 
 	if steps < 1 {
 		return nil, fmt.Errorf("core: churn window %v shorter than step %v", opt.Window, opt.Step)
 	}
-	nPairs := len(s.Pairs)
 	res = &ChurnResult{
 		Start: opt.Start, Step: opt.Step, Window: opt.Window,
 		Steps: steps, Modes: map[Mode]ChurnModeStats{},
@@ -93,77 +92,96 @@ func RunChurn(ctx context.Context, s *Sim, opt ChurnOptions) (res *ChurnResult, 
 	prog := telemetry.NewProgress(Progress, "churn", 2*(steps+1))
 	defer prog.Finish()
 	for _, mode := range []Mode{BP, Hybrid} {
-		w := s.NewWalker(mode)
-		prevSig := make([]uint64, nPairs)
-		prevUp := make([]int32, nPairs)
-		prevDown := make([]int32, nPairs)
-		routeChanges, upChanges, downChanges := 0, 0, 0
-		valid := make([]bool, nPairs)
-		for i := range valid {
-			valid[i] = true
+		c, err := s.churnWalk(ctx, s.NewWalker(mode), opt.Start, opt.Step, steps, prog)
+		if err != nil {
+			return nil, err
 		}
-		var appeared, vanished int
-		for si := 0; si <= steps; si++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			n := w.At(opt.Start.Add(time.Duration(si) * opt.Step))
-			if d := w.LastDelta(); d != nil {
-				if d.FullRebuild {
-					res.FullRebuilds++
-				} else if mode == BP {
-					appeared += len(d.Added)
-					vanished += len(d.Removed)
-				}
-			}
-			for pi, pair := range s.Pairs {
-				if !valid[pi] {
-					continue
-				}
-				p, ok := n.ShortestPath(n.CityNode(pair.Src), n.CityNode(pair.Dst))
-				if !ok || len(p.Nodes) < 3 {
-					valid[pi] = false
-					continue
-				}
-				sig := pathSignature(p)
-				up, down := p.Nodes[1], p.Nodes[len(p.Nodes)-2]
-				if si > 0 {
-					if sig != prevSig[pi] {
-						routeChanges++
-					}
-					if up != prevUp[pi] {
-						upChanges++
-					}
-					if down != prevDown[pi] {
-						downChanges++
-					}
-				}
-				prevSig[pi], prevUp[pi], prevDown[pi] = sig, up, down
-			}
-			prog.Step(1)
-		}
-		used := 0
-		for _, v := range valid {
-			if v {
-				used++
-			}
-		}
-		if used == 0 {
+		if c.used == 0 {
 			return nil, fmt.Errorf("core: no pair reachable across the churn window under %s", mode)
 		}
-		norm := float64(used) * float64(steps)
+		res.FullRebuilds += c.fullRebuilds
+		norm := float64(c.used) * float64(steps)
 		res.Modes[mode] = ChurnModeStats{
-			PairsUsed:               used,
-			RouteChangesPerMin:      float64(routeChanges) / norm * perMin,
-			UplinkHandoversPerMin:   float64(upChanges) / norm * perMin,
-			DownlinkHandoversPerMin: float64(downChanges) / norm * perMin,
+			PairsUsed:               c.used,
+			RouteChangesPerMin:      float64(c.routes) / norm * perMin,
+			UplinkHandoversPerMin:   float64(c.ups) / norm * perMin,
+			DownlinkHandoversPerMin: float64(c.downs) / norm * perMin,
 		}
 		if mode == BP {
-			res.GSLAppearPerStep = float64(appeared) / float64(steps)
-			res.GSLVanishPerStep = float64(vanished) / float64(steps)
+			res.GSLAppearPerStep = float64(c.appeared) / float64(steps)
+			res.GSLVanishPerStep = float64(c.vanished) / float64(steps)
 		}
 	}
 	return res, nil
+}
+
+// churnCounts is what one seconds-scale walk observed: over the used pairs
+// (routable at every instant), route changes and first/last-hop handovers
+// between adjacent instants; the cursor's rebuild fallbacks; and the GSL
+// births and deaths of its incremental steps (a fallback records no delta).
+type churnCounts struct {
+	used, routes, ups, downs         int
+	fullRebuilds, appeared, vanished int
+}
+
+// churnWalk steps w through start, start+step, …, start+steps·step and
+// counts churn between adjacent instants — the one consumer loop of the
+// seconds-scale cursor, shared by RunChurn and the topo sweep's churn window.
+func (s *Sim) churnWalk(ctx context.Context, w *Walker, start time.Time, step time.Duration,
+	steps int, prog *telemetry.Progress) (c churnCounts, err error) {
+	nPairs := len(s.Pairs)
+	prevSig := make([]uint64, nPairs)
+	prevUp := make([]int32, nPairs)
+	prevDown := make([]int32, nPairs)
+	valid := make([]bool, nPairs)
+	for i := range valid {
+		valid[i] = true
+	}
+	for si := 0; si <= steps; si++ {
+		if err := ctx.Err(); err != nil {
+			return c, err
+		}
+		n := w.At(start.Add(time.Duration(si) * step))
+		if d := w.LastDelta(); d != nil {
+			if d.FullRebuild {
+				c.fullRebuilds++
+			} else {
+				c.appeared += len(d.Added)
+				c.vanished += len(d.Removed)
+			}
+		}
+		for pi, pair := range s.Pairs {
+			if !valid[pi] {
+				continue
+			}
+			p, ok := n.ShortestPath(n.CityNode(pair.Src), n.CityNode(pair.Dst))
+			if !ok || len(p.Nodes) < 3 {
+				valid[pi] = false
+				continue
+			}
+			sig := pathSignature(p)
+			up, down := p.Nodes[1], p.Nodes[len(p.Nodes)-2]
+			if si > 0 {
+				if sig != prevSig[pi] {
+					c.routes++
+				}
+				if up != prevUp[pi] {
+					c.ups++
+				}
+				if down != prevDown[pi] {
+					c.downs++
+				}
+			}
+			prevSig[pi], prevUp[pi], prevDown[pi] = sig, up, down
+		}
+		prog.Step(1)
+	}
+	for _, v := range valid {
+		if v {
+			c.used++
+		}
+	}
+	return c, nil
 }
 
 // pathSignature hashes a path's full node sequence (FNV-1a). Node indices

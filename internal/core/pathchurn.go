@@ -45,16 +45,12 @@ func RunPathChurn(ctx context.Context, s *Sim) (res *PathChurnResult, err error)
 		valid[i] = true
 	}
 
-	// One incremental time cursor per mode: the sweep visits snapshots in
-	// order, so each step is a cheap delta rather than a rebuild. Paths are
-	// signature-extracted before the next At mutates the network in place.
-	walk := map[Mode]*Walker{BP: s.NewWalker(BP), Hybrid: s.NewWalker(Hybrid)}
 	for si, t := range times {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		for _, mode := range []Mode{BP, Hybrid} {
-			n := walk[mode].At(t)
+			n := s.NetworkAtCtx(ctx, t, mode)
 			for pi, pair := range s.Pairs {
 				if !valid[pi] {
 					continue

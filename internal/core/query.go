@@ -47,15 +47,11 @@ func (s *Sim) BuildNetworkAt(ctx context.Context, t time.Time, mode Mode, outage
 	if mode != BP && mode != Hybrid {
 		return nil, fmt.Errorf("core: unknown mode %d", mode)
 	}
-	b, err := s.builderWith(mode, func(o *graph.BuildOptions) {
+	return s.buildAt(t, mode, func(o *graph.BuildOptions) {
 		if outages != nil {
 			o.Mask = outages.Mask
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return b.At(t), nil
 }
 
 // PathQuery is the answer to one pair × snapshot path question.

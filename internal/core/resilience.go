@@ -343,24 +343,17 @@ func retention(val, base float64) float64 {
 }
 
 // evalFaulted evaluates one mode under one outage set (nil = healthy): it
-// walks masked snapshots derived from the sim's base options, measures
-// per-pair best RTTs and reachability across the snapshots, and runs the §5
+// builds each masked snapshot from the sim's base options, measures per-pair
+// best RTTs and reachability across the snapshots, and runs the §5
 // throughput model at the first one.
 func (s *Sim) evalFaulted(ctx context.Context, mode Mode, outages *fault.Outages, times []time.Time) (*modeEval, error) {
-	w, err := s.NewFaultedWalker(mode, outages)
-	if err != nil {
-		return nil, err
-	}
 	best := fill(len(s.Pairs), math.Inf(1))
 	ev := &modeEval{}
 	for si, t := range times {
-		if err := ctx.Err(); err != nil {
+		n, err := s.BuildNetworkAt(ctx, t, mode, outages)
+		if err != nil {
 			return nil, err
 		}
-		n := w.At(t)
-		// The walker mutates its network in place on the next step, so the
-		// first snapshot's throughput model must run before advancing — it
-		// can no longer be deferred past the loop.
 		if si == 0 {
 			tp, err := throughputOn(ctx, s, n, resilienceK)
 			if err != nil {

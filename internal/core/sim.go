@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"leosim/internal/aircraft"
@@ -38,8 +37,7 @@ type Sim struct {
 
 	// Motif is the ISL topology strategy the constellation was built with;
 	// nil means the default +Grid. Epoch-aware motifs are re-placed for
-	// every snapshot build (Const.ISLs holds the most recently built
-	// instant's links).
+	// every snapshot build, cached or not, by Const.ISLsAt.
 	Motif topo.Motif
 
 	// SatCapGbps is the aggregate GSL capacity pool per satellite and
@@ -115,7 +113,7 @@ func WithSGP4Propagation() SimOption {
 
 // WithMotif replaces the default +Grid ISL topology with a motif from the
 // topology lab (internal/topo). Epoch-aware motifs (nearest, demand) are
-// recomputed for every snapshot build; static motifs keep the link set
+// re-placed for every snapshot build; static motifs keep the link set
 // placed at construction. A nil motif keeps the default.
 func WithMotif(m topo.Motif) SimOption {
 	return func(c *simConfig) { c.motif = m }
@@ -209,22 +207,10 @@ func NewSim(choice ConstellationChoice, scale Scale, opts ...SimOption) (*Sim, e
 		}
 		s.builders[mode] = b
 	}
-	ea, epochAware := cfg.motif.(topo.EpochAware)
-	var motifMu sync.Mutex
 	s.snap = snapcache.New(func(_ context.Context, key snapcache.Key) (*graph.Network, error) {
 		var mode Mode
 		if err := mode.UnmarshalText([]byte(key.Scenario)); err != nil {
 			return nil, err
-		}
-		if epochAware && mode == Hybrid {
-			// Epoch-aware motifs re-place their links for the build
-			// instant — a matching frozen at the epoch drifts until its
-			// chords cut the atmosphere (the invariant checker catches
-			// exactly that). The builder reads c.ISLs live, so the swap
-			// and the build are serialized; BP builds never read ISLs.
-			motifMu.Lock()
-			defer motifMu.Unlock()
-			c.ISLs = ea.LinksAt(c, key.Time)
 		}
 		return s.builders[mode].At(key.Time), nil
 	}, snapcache.Options{Capacity: networkCacheSize})
@@ -242,6 +228,16 @@ func (s *Sim) builderWith(mode Mode, mutate func(*graph.BuildOptions)) (*graph.B
 		mutate(&o)
 	}
 	return graph.NewBuilder(s.Const, s.Seg, s.Fleet, o)
+}
+
+// buildAt is the one uncached snapshot build: mode at t under the sim's base
+// options with mutate applied (a fault mask, a beam cap).
+func (s *Sim) buildAt(t time.Time, mode Mode, mutate func(*graph.BuildOptions)) (*graph.Network, error) {
+	b, err := s.builderWith(mode, mutate)
+	if err != nil {
+		return nil, err
+	}
+	return b.At(t), nil
 }
 
 // SnapshotTimes returns the simulated-day sampling instants.

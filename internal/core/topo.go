@@ -124,7 +124,7 @@ func (r *TopoResult) Cell(id topo.ID, mode Mode) *TopoCell {
 // Per-motif evaluation shares the sim's ground segment, fleet, traffic
 // matrix and capacities; only the constellation's ISL set differs, so every
 // difference between cells is attributable to the motif. Epoch-aware motifs
-// (nearest, demand) are recomputed before each snapshot — the per-snapshot
+// (nearest, demand) are re-placed for each snapshot build — the per-snapshot
 // re-optimization the paper's fixed +Grid cannot express — but hold their
 // link set fixed across the churn window: re-pointing lasers is a
 // snapshot-scale operation, not a seconds-scale one. BP cells do not depend
@@ -161,7 +161,7 @@ func RunTopo(ctx context.Context, s *Sim, opt TopoOptions) (res *TopoResult, err
 
 	// BP control: motif-independent, evaluated once on the sim's own
 	// constellation (ISLs disabled), replicated into every motif row.
-	bpCell, err := s.topoEvalMode(ctx, s.Const, BP, times, weights, opt)
+	bpCell, err := s.topoEval(ctx, s.Const, BP, times, weights, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +182,7 @@ func RunTopo(ctx context.Context, s *Sim, opt TopoOptions) (res *TopoResult, err
 		if err != nil {
 			return nil, fmt.Errorf("core: building %s constellation: %w", id, err)
 		}
-		hyCell, err := s.topoEvalMotif(ctx, mc, m, times, weights, opt)
+		hyCell, err := s.topoEval(ctx, mc, Hybrid, times, weights, opt)
 		if err != nil {
 			return nil, fmt.Errorf("core: evaluating motif %s: %w", id, err)
 		}
@@ -198,31 +198,11 @@ func RunTopo(ctx context.Context, s *Sim, opt TopoOptions) (res *TopoResult, err
 	return res, nil
 }
 
-// topoEvalMotif evaluates one motif's Hybrid cell, recomputing epoch-aware
-// link sets before every snapshot.
-func (s *Sim) topoEvalMotif(ctx context.Context, mc *constellation.Constellation, m topo.Motif,
-	times []time.Time, weights []float64, opt TopoOptions) (TopoCell, error) {
-	refresh := func(t time.Time) {
-		if ea, ok := m.(topo.EpochAware); ok {
-			mc.ISLs = ea.LinksAt(mc, t)
-		}
-	}
-	return s.topoEval(ctx, mc, Hybrid, times, weights, opt, refresh)
-}
-
-// topoEvalMode evaluates a mode cell with a static link set.
-func (s *Sim) topoEvalMode(ctx context.Context, mc *constellation.Constellation, mode Mode,
-	times []time.Time, weights []float64, opt TopoOptions) (TopoCell, error) {
-	return s.topoEval(ctx, mc, mode, times, weights, opt, func(time.Time) {})
-}
-
 // topoEval computes one TopoCell on constellation mc: latency pooled over
 // the snapshot grid, throughput and fault resilience at the epoch snapshot,
-// and route churn over the seconds-scale window. refresh is called before
-// every snapshot build so epoch-aware motifs can swap mc.ISLs (the builder
-// reads them live).
+// and route churn over the seconds-scale window.
 func (s *Sim) topoEval(ctx context.Context, mc *constellation.Constellation, mode Mode,
-	times []time.Time, weights []float64, opt TopoOptions, refresh func(time.Time)) (TopoCell, error) {
+	times []time.Time, weights []float64, opt TopoOptions) (TopoCell, error) {
 	cell := TopoCell{Mode: mode}
 	o := s.baseOpts
 	o.ISL = mode == Hybrid
@@ -232,20 +212,23 @@ func (s *Sim) topoEval(ctx context.Context, mc *constellation.Constellation, mod
 	}
 
 	if mode == Hybrid {
-		refresh(geo.Epoch)
 		st := mc.StatsAt(geo.Epoch)
 		cell.ISLCount, cell.MeanISLKm = st.Count, st.MeanKm
 	}
 
-	// Latency: pooled per-(pair, snapshot) RTT samples across the day.
+	// Latency: pooled per-(pair, snapshot) RTT samples across the day. The
+	// epoch snapshot (the schedule's first) also feeds the throughput model.
+	epochNet := b.At(geo.Epoch)
 	var rtts, wts []float64
 	samples, unreachable := 0, 0
 	for _, t := range times {
 		if err := ctx.Err(); err != nil {
 			return cell, err
 		}
-		refresh(t)
-		n := b.At(t)
+		n := epochNet
+		if !t.Equal(geo.Epoch) {
+			n = b.At(t)
+		}
 		rr, err := s.pairRTTs(ctx, n, false)
 		if err != nil {
 			return cell, err
@@ -269,8 +252,7 @@ func (s *Sim) topoEval(ctx context.Context, mc *constellation.Constellation, mod
 	cell.UnreachableFrac = float64(unreachable) / float64(samples)
 
 	// Throughput at the epoch snapshot.
-	refresh(geo.Epoch)
-	tp, err := throughputOn(ctx, s, b.At(geo.Epoch), opt.K)
+	tp, err := throughputOn(ctx, s, epochNet, opt.K)
 	if err != nil {
 		return cell, err
 	}
@@ -318,50 +300,17 @@ func (s *Sim) topoEval(ctx context.Context, mc *constellation.Constellation, mod
 	}
 
 	// Route churn over the seconds-scale window, walked with the
-	// incremental advancer. The link set stays the one refreshed at the
-	// epoch: laser re-pointing is snapshot-scale, and the advancer's
-	// frozen ISL substrate requires it.
+	// incremental advancer. The link set stays the one placed at the epoch,
+	// where the cursor anchors: laser re-pointing is snapshot-scale.
 	steps := int(opt.ChurnWindow / opt.ChurnStep)
-	w := &Walker{b: b}
-	prevSig := make([]uint64, len(s.Pairs))
-	valid := make([]bool, len(s.Pairs))
-	for i := range valid {
-		valid[i] = true
+	c, err := s.churnWalk(ctx, &Walker{b: b}, geo.Epoch, opt.ChurnStep, steps, nil)
+	if err != nil {
+		return cell, err
 	}
-	routeChanges := 0
-	for si := 0; si <= steps; si++ {
-		if err := ctx.Err(); err != nil {
-			return cell, err
-		}
-		n := w.At(geo.Epoch.Add(time.Duration(si) * opt.ChurnStep))
-		if d := w.LastDelta(); d != nil && d.FullRebuild {
-			cell.FullRebuilds++
-		}
-		for pi, pair := range s.Pairs {
-			if !valid[pi] {
-				continue
-			}
-			p, ok := n.ShortestPath(n.CityNode(pair.Src), n.CityNode(pair.Dst))
-			if !ok || len(p.Nodes) < 3 {
-				valid[pi] = false
-				continue
-			}
-			sig := pathSignature(p)
-			if si > 0 && sig != prevSig[pi] {
-				routeChanges++
-			}
-			prevSig[pi] = sig
-		}
-	}
-	used := 0
-	for _, v := range valid {
-		if v {
-			used++
-		}
-	}
-	if used > 0 && steps > 0 {
+	cell.FullRebuilds = c.fullRebuilds
+	if c.used > 0 && steps > 0 {
 		perMin := float64(time.Minute) / float64(opt.ChurnStep)
-		cell.RouteChangesPerMin = float64(routeChanges) / (float64(used) * float64(steps)) * perMin
+		cell.RouteChangesPerMin = float64(c.routes) / (float64(c.used) * float64(steps)) * perMin
 	}
 	return cell, nil
 }

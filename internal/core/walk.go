@@ -5,18 +5,18 @@ import (
 	"fmt"
 	"time"
 
-	"leosim/internal/fault"
 	"leosim/internal/graph"
 	"leosim/internal/telemetry"
 )
 
-// Walker is a forward time cursor over one connectivity mode's network. The
+// Walker is a forward time cursor over one connectivity mode's network, for
+// seconds-scale steps (leosim churn, the topo sweep's churn window). The
 // first At anchors a graph.Advancer with a full build; every later At applies
-// an incremental per-step delta instead of rebuilding, which at seconds-scale
-// steps is an order of magnitude cheaper (see BENCH_snapshot.json). The
-// advanced network is byte-identical to a fresh build at the same instant, so
-// sweeps that switch from repeated BuildNetworkAt calls to a Walker produce
-// the same results.
+// an incremental per-step delta instead of rebuilding, which at such steps is
+// an order of magnitude cheaper (see BENCH_snapshot.json). The advanced
+// network is byte-identical to a fresh build at the same instant with the
+// ISL set the cursor anchored with. Beyond graph.MaxAdvanceStep a step is a
+// rebuild, so schedule snapshots come from NetworkAt instead.
 //
 // The *graph.Network returned by At is owned by the walker and mutated in
 // place by the next At call: callers that need a snapshot to outlive the next
@@ -32,21 +32,6 @@ type Walker struct {
 // builder for that mode.
 func (s *Sim) NewWalker(mode Mode) *Walker {
 	return &Walker{b: s.builders[mode]}
-}
-
-// NewFaultedWalker is NewWalker with an outage mask applied, built from the
-// sim's base options through the same path as BuildNetworkAt — the §5
-// resilience sweep's walker.
-func (s *Sim) NewFaultedWalker(mode Mode, outages *fault.Outages) (*Walker, error) {
-	b, err := s.builderWith(mode, func(o *graph.BuildOptions) {
-		if outages != nil {
-			o.Mask = outages.Mask
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Walker{b: b}, nil
 }
 
 // At positions the cursor at t and returns the network there. The first call

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 	"time"
 
-	"leosim/internal/fault"
 	"leosim/internal/geo"
 	"leosim/internal/graph"
 )
@@ -67,32 +65,6 @@ func TestWalkerMatchesFreshBuilds(t *testing.T) {
 		if st.FullRebuilds < 1 {
 			t.Fatal("stats: the large jump did not register a full rebuild")
 		}
-	}
-}
-
-// TestFaultedWalkerMatchesBuildNetworkAt checks the resilience sweep's
-// walker: a masked advance must equal a masked fresh build.
-func TestFaultedWalkerMatchesBuildNetworkAt(t *testing.T) {
-	s := getTinySim(t)
-	plan, err := fault.ForScenario(fault.SatOutage, 0.2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outages, err := plan.Realize(s.Const, len(s.Seg.Terminals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := s.NewFaultedWalker(Hybrid, outages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		tm := geo.Epoch.Add(time.Duration(i) * 10 * time.Second)
-		want, err := s.BuildNetworkAt(context.Background(), tm, Hybrid, outages)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameTopology(t, "masked@"+tm.Format("15:04:05"), w.At(tm), want)
 	}
 }
 

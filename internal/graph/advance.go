@@ -1,12 +1,12 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
 
 	"leosim/internal/aircraft"
+	"leosim/internal/constellation"
 	"leosim/internal/geo"
 	"leosim/internal/telemetry"
 )
@@ -61,7 +61,7 @@ type Delta struct {
 	// FullRebuild marks a step that rebuilt the snapshot from scratch
 	// instead of advancing it; Reason says why ("large-jump",
 	// "backwards-step", "aircraft-set-change", "segment-growth",
-	// "gso-policy", "beam-cap").
+	// "gso-policy", "beam-cap", "fault-mask").
 	FullRebuild bool
 	Reason      string
 }
@@ -120,10 +120,8 @@ const cellGuard = 1e-9
 //
 // The incremental path requires options the delta bookkeeping can model;
 // GSO arc avoidance and per-satellite beam caps (whose link sets couple
-// terminals globally) force a full rebuild every step. Fault masks are
-// supported: the canonical unmasked link set is advanced and the mask
-// re-applied, reproducing Builder.At byte for byte. Masks must only rewrite
-// links (fault.Outages' contract), never add nodes.
+// terminals globally) and fault masks (which rewrite links arbitrarily)
+// force a full rebuild every step.
 //
 // An Advancer is not safe for concurrent use.
 type Advancer struct {
@@ -180,16 +178,15 @@ type Advancer struct {
 	// coverer's cell list on every crossing.
 	transCands map[int64][]int32
 
-	airNames   []string
 	airCands   [][]int32
 	airScratch []int32
 
-	// baseLinks is the canonical unmasked link list. Without a mask,
-	// net.Links aliases it; with one, net.Links is maskBuf (a masked copy).
-	baseLinks []Link
-	maskBuf   []Link
-	// deg tracks every node's baseLinks endpoint count across edge deltas,
-	// so unmasked re-freezes skip the CSR counting pass.
+	// isls is the ISL set the cursor anchored with at its last jump. Steps
+	// inside the advance window keep it: re-pointing lasers is a
+	// snapshot-scale operation, not a seconds-scale one.
+	isls []constellation.ISL
+	// deg tracks every node's link endpoint count across edge deltas, so
+	// re-freezes skip the CSR counting pass.
 	deg []int32
 
 	cand []int32
@@ -200,12 +197,15 @@ type Advancer struct {
 
 // NewAdvancer builds the snapshot at t and wraps it in an Advancer.
 func (b *Builder) NewAdvancer(t time.Time) *Advancer {
-	a := &Advancer{b: b, t: t, net: b.At(t)}
+	a := &Advancer{b: b, t: t}
+	a.net, a.isls = b.build(t, nil)
 	switch {
 	case b.Opts.GSO.SeparationDeg > 0:
 		a.full, a.reason = true, "gso-policy"
 	case b.Opts.MaxGSLsPerSatellite > 0:
 		a.full, a.reason = true, "beam-cap"
+	case b.Opts.Mask != nil:
+		a.full, a.reason = true, "fault-mask"
 	}
 	return a
 }
@@ -213,9 +213,6 @@ func (b *Builder) NewAdvancer(t time.Time) *Advancer {
 // Net returns the advancer's live network. It is only valid until the next
 // Advance call; Clone it to keep a snapshot.
 func (a *Advancer) Net() *Network { return a.net }
-
-// Time returns the instant the network currently models.
-func (a *Advancer) Time() time.Time { return a.t }
 
 // Stats returns cumulative advance statistics.
 func (a *Advancer) Stats() AdvanceStats { return a.stats }
@@ -411,9 +408,7 @@ func (a *Advancer) Advance(t1 time.Time) *Delta {
 	}
 
 	// 4. Weights always drift (everything moved); the link set only changed
-	// if some visibility verdict flipped. Masked advances re-materialize
-	// and re-mask every step — a mask may transform links arbitrarily, so
-	// the masked list is always re-derived from the canonical base.
+	// if some visibility verdict flipped.
 	for _, ch := range d.Added {
 		a.deg[ch.Term]++
 		a.deg[ch.Sat]++
@@ -422,19 +417,8 @@ func (a *Advancer) Advance(t1 time.Time) *Delta {
 		a.deg[ch.Term]--
 		a.deg[ch.Sat]--
 	}
-	if membershipChanged || a.b.Opts.Mask != nil {
-		if a.b.Opts.Mask != nil {
-			// A mask rewrites links arbitrarily, so its degree counts are
-			// unknowable here — the re-freeze keeps the counting pass.
-			a.materializeLinks()
-			a.maskBuf = append(a.maskBuf[:0], a.baseLinks...)
-			n.Links = a.maskBuf
-			n.csrValid.Store(false)
-			a.b.Opts.Mask(n)
-			n.ensureCSR()
-		} else {
-			a.materializeAndFreeze()
-		}
+	if membershipChanged {
+		a.materializeAndFreeze()
 	} else {
 		a.reweight()
 	}
@@ -457,7 +441,14 @@ func (a *Advancer) rebuild(t1 time.Time, reason string) *Delta {
 	telemetry.EmitEvent(nil, telemetry.CatAdvance, telemetry.SevInfo,
 		"advancer full-rebuild fallback", telemetry.Str("reason", reason))
 	epoch := a.net.epoch + 1
-	a.net = a.b.At(t1)
+	// A jump re-places the lasers with everything else; a rebuild forced
+	// inside the advance window keeps the anchored set, like the incremental
+	// steps around it.
+	keep := a.isls
+	if dt := t1.Sub(a.t); dt < 0 || dt > MaxAdvanceStep {
+		keep = nil
+	}
+	a.net, a.isls = a.b.build(t1, keep)
 	a.net.epoch = epoch
 	a.t = t1
 	a.stateValid = false
@@ -600,26 +591,13 @@ func (a *Advancer) initState() {
 	}
 
 	a.airCands = a.airCands[:0]
-	a.airNames = a.airNames[:0]
 	if b.Fleet != nil {
 		air := b.Fleet.OverWaterAt(a.t)
 		airBase := n.NumSat + a.nTerms
 		for ai := range air {
 			list := a.scanAircraft(int32(airBase+ai), air[ai].Pos)
 			a.airCands = append(a.airCands, append([]int32(nil), list...))
-			a.airNames = append(a.airNames, air[ai].Name)
 		}
-	}
-
-	// Canonical unmasked base links. Unmasked advancers adopt the network's
-	// own list as the shared buffer; masked ones keep base and masked lists
-	// separate (the network holds the masked copy built by At).
-	if b.Opts.Mask == nil {
-		a.baseLinks = n.Links
-	} else {
-		a.baseLinks = a.baseLinks[:0]
-		a.materializeLinks()
-		a.maskBuf = n.Links
 	}
 
 	if cap(a.deg) < len(n.Kind) {
@@ -629,7 +607,7 @@ func (a *Advancer) initState() {
 	for i := range a.deg {
 		a.deg[i] = 0
 	}
-	for _, l := range a.baseLinks {
+	for _, l := range n.Links {
 		a.deg[l.A]++
 		a.deg[l.B]++
 	}
@@ -775,46 +753,6 @@ func diffAirCands(d *Delta, node int32, old, new []int32) bool {
 	return changed
 }
 
-// materializeLinks rewrites baseLinks as the canonical link list for the
-// current positions and candidate verdicts: per terminal in node order, its
-// linked satellites ascending, then aircraft, then ISLs — exactly the order
-// (and delay arithmetic) of Builder.At after its per-terminal sort.
-func (a *Advancer) materializeLinks() {
-	n := a.net
-	b := a.b
-	links := a.baseLinks[:0]
-	for ti := range a.terms {
-		tm := &a.terms[ti]
-		pt := n.Pos[tm.node]
-		for _, sat := range tm.linked {
-			links = append(links, Link{
-				A: tm.node, B: sat, Kind: LinkGSL, CapGbps: b.Opts.GSLCapGbps,
-				OneWayMs: pt.Distance(n.Pos[sat]) * geo.MsPerKm,
-			})
-		}
-	}
-	airBase := n.NumSat + a.nTerms
-	for ai := range a.airCands {
-		node := int32(airBase + ai)
-		for _, si := range a.airCands[ai] {
-			links = append(links, Link{
-				A: node, B: si, Kind: LinkGSL, CapGbps: b.Opts.GSLCapGbps,
-				OneWayMs: n.Pos[node].Distance(n.Pos[si]) * geo.MsPerKm,
-			})
-		}
-	}
-	if b.Opts.ISL {
-		for _, l := range b.Const.ISLs {
-			ia, ib := int32(l.A), int32(l.B)
-			links = append(links, Link{
-				A: ia, B: ib, Kind: LinkISL, CapGbps: b.Opts.ISLCapGbps,
-				OneWayMs: n.Pos[ia].Distance(n.Pos[ib]) * geo.MsPerKm,
-			})
-		}
-	}
-	a.baseLinks = links
-}
-
 // reweight recomputes every link's propagation delay for the moved positions,
 // in place, and refreshes the CSR's arc weights in the same pass: replaying
 // the freeze's fill cursor in link-index order lands each link on exactly the
@@ -836,14 +774,14 @@ func (a *Advancer) reweight() {
 	}
 }
 
-// materializeAndFreeze rebuilds the canonical link list and the network's
-// CSR in one pass. The advancer's maintained degree counts give the CSR
-// prefix sums up front, so each link's two edge slots are written the
-// moment the link is appended — in link-index order, exactly the order
-// freezeCSRLocked's fill pass produces — and the separate two-endpoint
-// traversal over the finished link list disappears. Unmasked advances only:
-// a mask rewrites links arbitrarily, so masked steps re-materialize,
-// re-count and re-freeze instead.
+// materializeAndFreeze rebuilds the canonical link list — per terminal in
+// node order, its linked satellites ascending, then aircraft, then ISLs:
+// exactly the order (and delay arithmetic) of Builder.At after its
+// per-terminal sort — and the network's CSR in one pass. The advancer's
+// maintained degree counts give the CSR prefix sums up front, so each link's
+// two edge slots are written the moment the link is appended — in link-index
+// order, exactly the order freezeCSRLocked's fill pass produces — and the
+// separate two-endpoint traversal over the finished link list disappears.
 func (a *Advancer) materializeAndFreeze() {
 	n := a.net
 	b := a.b
@@ -862,7 +800,7 @@ func (a *Advancer) materializeAndFreeze() {
 	edges, ms, next := n.csrArcs(start, int(start[nn]))
 
 	pos := n.Pos
-	links := a.baseLinks[:0]
+	links := n.Links[:0]
 	// link appends one link and writes its two arcs into the next free slot
 	// of each endpoint.
 	link := func(from, to int32, kind LinkKind, capGbps float64) {
@@ -888,12 +826,9 @@ func (a *Advancer) materializeAndFreeze() {
 			link(int32(airBase+ai), si, LinkGSL, b.Opts.GSLCapGbps)
 		}
 	}
-	if b.Opts.ISL {
-		for _, l := range b.Const.ISLs {
-			link(int32(l.A), int32(l.B), LinkISL, b.Opts.ISLCapGbps)
-		}
+	for _, l := range a.isls {
+		link(int32(l.A), int32(l.B), LinkISL, b.Opts.ISLCapGbps)
 	}
-	a.baseLinks = links
 	n.Links = links
 	n.adjStart, n.adjEdges, n.adjMs = start, edges, ms
 	n.csrValid.Store(true)
@@ -1068,13 +1003,4 @@ func sortDedupe(s *[]int32) {
 		out = append(out, x)
 	}
 	*s = out
-}
-
-// String summarizes a delta for logs.
-func (d *Delta) String() string {
-	if d.FullRebuild {
-		return fmt.Sprintf("delta epoch=%d full-rebuild (%s)", d.Epoch, d.Reason)
-	}
-	return fmt.Sprintf("delta epoch=%d +%d/-%d gsl, %d reweighted, %d crossings, %d rechecked",
-		d.Epoch, len(d.Added), len(d.Removed), d.Reweighted, d.CellCrossings, d.Rechecked)
 }

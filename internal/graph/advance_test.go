@@ -120,10 +120,10 @@ func requireTreesIdentical(t *testing.T, label string, got, want *Network) {
 	}
 }
 
-// TestArcWeightsFollowAdvance is the stale-weight guard for the three places
-// arc weights are written outside a plain freeze: a step that only reweights
-// (no GSL appears or vanishes, so the CSR is kept and refreshed in place), a
-// masked step (re-materialized and re-frozen), and Clone.
+// TestArcWeightsFollowAdvance is the stale-weight guard for the places arc
+// weights are written outside a plain freeze — a step that only reweights
+// (no GSL appears or vanishes, so the CSR is kept and refreshed in place)
+// and Clone — and for a masked step, which must fall back to a rebuild.
 func TestArcWeightsFollowAdvance(t *testing.T) {
 	b := advSetup(t, true, false, nil)
 	start := geo.Epoch.Add(2 * time.Hour)
@@ -157,8 +157,8 @@ func TestArcWeightsFollowAdvance(t *testing.T) {
 	ma := mb.NewAdvancer(start)
 	for i := 1; i <= 5; i++ {
 		tt := start.Add(time.Duration(i) * time.Second)
-		if d := ma.Advance(tt); d.FullRebuild {
-			t.Fatalf("masked step %d fell back: %s", i, d.Reason)
+		if d := ma.Advance(tt); !d.FullRebuild || d.Reason != "fault-mask" {
+			t.Fatalf("masked step %d: %+v, want a fault-mask rebuild", i, d)
 		}
 		label := fmt.Sprintf("masked t=+%ds", i)
 		fresh := mb.At(tt)
@@ -226,8 +226,8 @@ func TestAdvanceDifferentialSeconds(t *testing.T) {
 }
 
 // TestAdvanceDifferentialMasked advances under an active fault mask (the
-// fault.Outages contract: RewriteLinks only) and requires byte-identity with
-// masked fresh rebuilds.
+// fault.Outages contract: RewriteLinks only): every step is a fault-mask
+// rebuild, byte-identical with masked fresh builds.
 func TestAdvanceDifferentialMasked(t *testing.T) {
 	mask := func(n *Network) {
 		n.RewriteLinks(func(l Link) (Link, bool) {
@@ -254,8 +254,8 @@ func TestAdvanceDifferentialMasked(t *testing.T) {
 	for i := 1; i <= 120; i++ {
 		tt := start.Add(time.Duration(i) * 30 * time.Second)
 		d := a.Advance(tt)
-		if d.FullRebuild {
-			t.Fatalf("step %d fell back: %s", i, d.Reason)
+		if !d.FullRebuild || d.Reason != "fault-mask" {
+			t.Fatalf("step %d: %+v, want a fault-mask rebuild", i, d)
 		}
 		if i%15 == 0 {
 			requireNetworksIdentical(t, fmt.Sprintf("masked t=+%ds", i*30), a.Net(), b.At(tt))
@@ -378,8 +378,8 @@ func TestAdvanceFallbacks(t *testing.T) {
 }
 
 // TestAdvanceOptionFallbacks: options whose link sets couple terminals
-// globally (GSO arc avoidance, beam caps) force a rebuild every step — and
-// still match At exactly.
+// globally (GSO arc avoidance, beam caps) or rewrite links arbitrarily (fault
+// masks) force a rebuild every step — and still match At exactly.
 func TestAdvanceOptionFallbacks(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -388,6 +388,11 @@ func TestAdvanceOptionFallbacks(t *testing.T) {
 	}{
 		{"gso", func(o *BuildOptions) { o.GSO = ground.StarlinkGSOPolicy() }, "gso-policy"},
 		{"beamcap", func(o *BuildOptions) { o.MaxGSLsPerSatellite = 4 }, "beam-cap"},
+		{"mask", func(o *BuildOptions) {
+			o.Mask = func(n *Network) {
+				n.RewriteLinks(func(l Link) (Link, bool) { return l, l.B%7 != 0 })
+			}
+		}, "fault-mask"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := advSetup(t, false, false, nil)

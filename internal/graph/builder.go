@@ -192,13 +192,37 @@ func (x *satIndex) candidates(lat, lon, radiusDeg float64, out []int32) []int32 
 	return out
 }
 
-// At builds the network snapshot for time t. Node layout: satellites
-// [0,S), cities, relays, then over-water aircraft.
+// At builds the network snapshot for time t, with the ISLs the constellation
+// places for t. Node layout: satellites [0,S), cities, relays, then
+// over-water aircraft.
 func (b *Builder) At(t time.Time) *Network {
+	n, _ := b.build(t, nil)
+	return n
+}
+
+// build is At, also returning the ISL set the network carries. A non-nil
+// isls is used instead of the placement for t: the advancer rebuilds inside
+// its advance window with the set it anchored with.
+func (b *Builder) build(t time.Time, isls []constellation.ISL) (*Network, []constellation.ISL) {
 	sp := telemetry.StartStageSpan(telemetry.StageGraphBuild)
 	defer sp.End()
+	if b.Opts.ISL && isls == nil {
+		isls = b.Const.ISLsAt(t)
+	}
 	satPos := b.Const.PositionsECEF(t)
-	n := &Network{}
+	var air []aircraft.Aircraft
+	if b.Fleet != nil {
+		air = b.Fleet.OverWaterAt(t)
+	}
+	// Node and (below) link slices are sized from counts known before the
+	// first append: a built network that lands in a cache holds no growth
+	// slack.
+	nn := len(satPos) + len(b.Seg.Terminals) + len(air)
+	n := &Network{
+		Kind: make([]NodeKind, 0, nn),
+		Pos:  make([]geo.Vec3, 0, nn),
+		Name: make([]string, 0, nn),
+	}
 	n.NumSat = len(satPos)
 	for i, p := range satPos {
 		s := b.Const.Sats[i]
@@ -213,13 +237,8 @@ func (b *Builder) At(t time.Time) *Network {
 	}
 	n.NumCity = b.Seg.NumCity
 	n.NumRelay = b.Seg.NumRelay
-
-	var air []aircraft.Aircraft
-	if b.Fleet != nil {
-		air = b.Fleet.OverWaterAt(t)
-		for _, a := range air {
-			n.AddNode(NodeAircraft, a.Pos.ToECEF(), a.Name)
-		}
+	for _, a := range air {
+		n.AddNode(NodeAircraft, a.Pos.ToECEF(), a.Name)
 	}
 	n.NumAircraft = len(air)
 
@@ -302,6 +321,11 @@ func (b *Builder) At(t time.Time) *Network {
 				})
 			}
 		}
+		gsls := 0
+		for _, cands := range perSat {
+			gsls += min(len(cands), lim)
+		}
+		n.Links = make([]Link, 0, gsls+len(isls))
 		for sat := int32(0); sat < int32(n.NumSat); sat++ {
 			cands, ok := perSat[sat]
 			if !ok {
@@ -323,6 +347,11 @@ func (b *Builder) At(t time.Time) *Network {
 			}
 		}
 	} else {
+		gsls := 0
+		for _, mine := range results {
+			gsls += len(mine)
+		}
+		n.Links = make([]Link, 0, gsls+len(isls))
 		for _, mine := range results {
 			for _, lp := range mine {
 				n.AddLink(lp.term, lp.sat, LinkGSL, b.Opts.GSLCapGbps)
@@ -330,10 +359,8 @@ func (b *Builder) At(t time.Time) *Network {
 		}
 	}
 
-	if b.Opts.ISL {
-		for _, l := range b.Const.ISLs {
-			n.AddLink(int32(l.A), int32(l.B), LinkISL, b.Opts.ISLCapGbps)
-		}
+	for _, l := range isls {
+		n.AddLink(int32(l.A), int32(l.B), LinkISL, b.Opts.ISLCapGbps)
 	}
 	if b.Opts.Mask != nil {
 		b.Opts.Mask(n)
@@ -342,7 +369,7 @@ func (b *Builder) At(t time.Time) *Network {
 	// link set) so concurrent experiment workers start routing on a
 	// published layout instead of racing to build it lazily.
 	n.ensureCSR()
-	return n
+	return n, isls
 }
 
 // parallelChunks splits [0,n) into GOMAXPROCS-sized chunks run concurrently.

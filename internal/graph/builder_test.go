@@ -66,6 +66,26 @@ func TestBuilderNodeLayout(t *testing.T) {
 	}
 }
 
+// TestBuildAtIsSized: an unmasked At sizes its node and link slices from
+// counts it has before the first append, so a network that lands in a cache
+// carries no growth slack — with aircraft and ISLs, and under a beam cap.
+func TestBuildAtIsSized(t *testing.T) {
+	b, n := testSetup(t, true)
+	b.Opts.MaxGSLsPerSatellite = 3
+	for label, n := range map[string]*Network{"default": n, "beam-cap": b.At(geo.Epoch)} {
+		if n.NumAircraft == 0 || len(n.Links) == 0 {
+			t.Fatalf("%s: %d aircraft, %d links — both expected", label, n.NumAircraft, len(n.Links))
+		}
+		if cap(n.Kind) != len(n.Kind) || cap(n.Pos) != len(n.Pos) || cap(n.Name) != len(n.Name) {
+			t.Errorf("%s: node slices cap/len = %d/%d %d/%d %d/%d", label, cap(n.Kind), len(n.Kind),
+				cap(n.Pos), len(n.Pos), cap(n.Name), len(n.Name))
+		}
+		if cap(n.Links) != len(n.Links) {
+			t.Errorf("%s: Links cap %d, len %d", label, cap(n.Links), len(n.Links))
+		}
+	}
+}
+
 func TestBuilderGSLGeometry(t *testing.T) {
 	_, n := testSetup(t, false)
 	sh := constellation.StarlinkPhase1()

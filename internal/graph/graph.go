@@ -181,9 +181,7 @@ func (n *Network) AddLink(a, b int32, kind LinkKind, capGbps float64) int32 {
 // from the adjacency structure; kept links are re-indexed densely. This is
 // the mutation primitive fault injection uses to knock out a node's links
 // or degrade link capacities on a freshly built snapshot.
-// The rewrite filters in place — the kept prefix reuses Links' backing
-// array — so per-step re-masking on the incremental advance path does not
-// allocate a link slice every step.
+// The rewrite filters in place: the kept prefix reuses Links' backing array.
 func (n *Network) RewriteLinks(fn func(Link) (Link, bool)) {
 	kept := n.Links[:0]
 	for _, l := range n.Links {

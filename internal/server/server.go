@@ -70,18 +70,16 @@ type Config struct {
 	// BreakerCooldown is how long the open breaker waits before one probe
 	// build (default: snapcache's own 5s).
 	BreakerCooldown time.Duration
-	// PrimeSnapshots, when set, walks the whole snapshot schedule for both
-	// modes in the background once Serve starts, advancing incrementally
-	// (graph.Advancer) and depositing snapshot clones into the cache — so
-	// the first client to ask for any snapshot of the day hits a warm entry
-	// instead of paying a cold build. With priming on, the default cache is
-	// sized to hold both modes' full day.
+	// PrimeSnapshots, when set, builds the whole snapshot schedule for both
+	// modes in the background once Serve starts and deposits every snapshot
+	// into the cache — so the first client to ask for any snapshot of the
+	// day hits a warm entry instead of paying a cold build. With priming on,
+	// the default cache is sized to hold both modes' full day.
 	PrimeSnapshots bool
-	// PrimeOracles piggybacks distance-oracle construction on the priming
-	// walker: every primed snapshot also gets its path oracle built and
-	// attached, so the first batch (or single path query) against any
-	// snapshot of the day skips the one-time build. Requires
-	// PrimeSnapshots: New rejects it alone.
+	// PrimeOracles piggybacks distance-oracle construction on the primer:
+	// every primed snapshot also gets its path oracle built and attached, so
+	// the first batch (or single path query) against any snapshot of the day
+	// skips the one-time build. Requires PrimeSnapshots: New rejects it alone.
 	PrimeOracles bool
 	// Chaos, when non-nil, injects seeded faults (errors, delays, panics)
 	// into every snapshot build — the chaos-testing hook. Nil in production.
@@ -453,13 +451,11 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	return err
 }
 
-// primeCache walks the snapshot schedule for both modes with an incremental
-// time cursor, depositing a clone of each snapshot into the cache. One
-// Advance step costs a fraction of a full build, so the whole day warms in
-// roughly the time a handful of cold misses would; requests arriving
-// mid-prime simply build (or singleflight-share) as usual and the prime's
-// Put refreshes their entry. Runs until done or ctx is cancelled; a builder
-// panic aborts priming with a log line, never the serve process.
+// primeCache builds every snapshot of the schedule for both modes and
+// deposits it into the cache; requests arriving mid-prime simply build (or
+// singleflight-share) as usual and the prime's Put refreshes their entry.
+// Runs until done or ctx is cancelled; a builder panic aborts priming with a
+// log line, never the serve process.
 func (s *Server) primeCache(ctx context.Context) {
 	start := time.Now()
 	primed, err := s.primeAll(ctx)
@@ -474,22 +470,19 @@ func (s *Server) primeCache(ctx context.Context) {
 func (s *Server) primeAll(ctx context.Context) (primed int, err error) {
 	defer safe.RecoverTo(&err)
 	for _, mode := range []core.Mode{core.BP, core.Hybrid} {
-		w := s.cfg.Sim.NewWalker(mode)
 		for _, t := range s.times {
-			if err := ctx.Err(); err != nil {
+			n, err := s.cfg.Sim.BuildNetworkAt(ctx, t, mode, nil)
+			if err != nil {
 				return primed, err
 			}
-			// The walker's network is mutated in place by the next step;
-			// the cache gets an immutable clone with its CSR pre-frozen.
-			clone := w.At(t).Clone()
 			key := s.cacheKey(snapSpec{t: t, mode: mode})
-			s.cache.Put(key, clone)
+			s.cache.Put(key, n)
 			primed++
 			if s.cfg.PrimeOracles {
 				// The oracle build rides the primer: once it lands, the
 				// first query against this snapshot — single or batched —
 				// skips both the graph build and the oracle build.
-				if _, err := s.buildOracle(ctx, key, clone, true); err != nil {
+				if _, err := s.buildOracle(ctx, key, n, true); err != nil {
 					return primed, err
 				}
 			}

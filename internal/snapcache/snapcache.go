@@ -583,9 +583,9 @@ func (c *Cache) adoptLate(ctx context.Context, key Key, n *graph.Network, gen ui
 }
 
 // Put inserts a ready-made network for key without running a build — the
-// cache-priming path: a background walker advances the day incrementally and
-// deposits snapshot clones far cheaper than the cold builds on-demand misses
-// would pay. The entry enters the LRU exactly as a built one would
+// cache-priming path: a background primer builds the day's snapshots outside
+// the request path (no build timeout, no breaker accounting) and deposits
+// them. The entry enters the LRU exactly as a built one would
 // (refreshing an existing entry in place, evicting the coldest over
 // capacity). A singleflight build already in flight for key is untouched;
 // its own insert simply refreshes the entry when it lands.

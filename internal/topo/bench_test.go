@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"leosim/internal/constellation"
-	"leosim/internal/geo"
 )
 
 // BenchmarkMotifBuild measures the cost of computing each motif's link set
@@ -22,7 +21,7 @@ func BenchmarkMotifBuild(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				links := LinksAt(m, c, geo.Epoch)
+				links := m.Links(c)
 				if len(links) == 0 {
 					b.Fatal("no links")
 				}

@@ -83,11 +83,10 @@ type demandSample struct {
 // over the corridors, so the swap is recomputed per snapshot.
 type demandMotif struct {
 	samples []demandSample
-	budget  int
 }
 
-func newDemandMotif(cities []ground.City, budget int) *demandMotif {
-	return &demandMotif{samples: demandCorridors(cities), budget: budget}
+func newDemandMotif(cities []ground.City) *demandMotif {
+	return &demandMotif{samples: demandCorridors(cities)}
 }
 
 // demandCorridors builds the corridor sample set from a city list (assumed
@@ -156,7 +155,7 @@ func demandCorridors(cities []ground.City) []demandSample {
 func (m *demandMotif) Name() string { return Demand.String() }
 
 func (m *demandMotif) Links(c *constellation.Constellation) []constellation.ISL {
-	return m.LinksAt(c, epochOf())
+	return m.LinksAt(c, geo.Epoch)
 }
 
 func (m *demandMotif) LinksAt(c *constellation.Constellation, t time.Time) []constellation.ISL {
@@ -236,14 +235,12 @@ func (m *demandMotif) LinksAt(c *constellation.Constellation, t time.Time) []con
 		}
 	}
 
-	budget := m.budget
-	if budget <= 0 {
-		budget = len(baseline) // +Grid parity
-	}
-	// Swap: keep the (1−frac) baseline links demand leans on hardest, free
-	// the coldest ones, and respend exactly that many on express diagonals.
-	swap := int(demandSwapFrac * float64(budget))
-	keep := budget - swap
+	// Swap at +Grid parity (one cross-plane link per satellite, so placement
+	// is compared at equal hardware cost): keep the (1−frac) baseline links
+	// demand leans on hardest, free the coldest ones, and respend exactly
+	// that many on express diagonals.
+	swap := int(demandSwapFrac * float64(len(baseline)))
+	keep := len(baseline) - swap
 	sort.Slice(baseline, func(x, y int) bool {
 		if baseline[x].score != baseline[y].score {
 			return baseline[x].score > baseline[y].score
@@ -253,10 +250,6 @@ func (m *demandMotif) LinksAt(c *constellation.Constellation, t time.Time) []con
 		}
 		return baseline[x].b < baseline[y].b
 	})
-	if keep > len(baseline) {
-		keep = len(baseline)
-		swap = budget - keep
-	}
 
 	res := make([]float64, len(m.samples))
 	for i, s := range m.samples {

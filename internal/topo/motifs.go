@@ -5,67 +5,35 @@ import (
 	"time"
 
 	"leosim/internal/constellation"
+	"leosim/internal/geo"
 )
 
 // plusGridMotif is the paper's +Grid behind the Motif interface. It delegates
 // to constellation.PlusGridISLs, whose output (content and order) is pinned
 // byte-identical to the pre-refactor generator by the regression tests in
 // this package.
-type plusGridMotif struct{ omitSeam bool }
+type plusGridMotif struct{}
 
-func (m *plusGridMotif) Name() string { return PlusGrid.String() }
+func (plusGridMotif) Name() string { return PlusGrid.String() }
 
-func (m *plusGridMotif) Links(c *constellation.Constellation) []constellation.ISL {
-	return constellation.PlusGridISLs(c, m.omitSeam)
+func (plusGridMotif) Links(c *constellation.Constellation) []constellation.ISL {
+	return constellation.PlusGridISLs(c, false)
 }
 
-// diagGridMotif is the +Grid with every cross-plane link shifted by a fixed
-// slot offset: satellite (plane p, slot j) links to (p+1, j+offset). With the
+// diagGridMotif is the +Grid with every cross-plane link shifted by one
+// slot: satellite (plane p, slot j) links to (p+1, j+1). With the
 // +Grid, an inter-plane hop makes no along-track progress; the diagonal
 // variant folds one slot of along-track advance into every plane change,
 // shortening zigzag routes on diagonal corridors (arXiv:2005.07965). Degree
 // and link count match the +Grid exactly, so comparisons are at equal
 // hardware cost. Seam handling is the +Grid's: delta shells wrap with the
 // extra WalkerF phasing shift, star shells never wrap.
-type diagGridMotif struct {
-	offset   int
-	omitSeam bool
-}
+type diagGridMotif struct{}
 
-func (m *diagGridMotif) Name() string { return DiagGrid.String() }
+func (diagGridMotif) Name() string { return DiagGrid.String() }
 
-func (m *diagGridMotif) Links(c *constellation.Constellation) []constellation.ISL {
-	var isls []constellation.ISL
-	for si, sh := range c.Shells {
-		for plane := 0; plane < sh.Planes; plane++ {
-			for slot := 0; slot < sh.SatsPerPlane; slot++ {
-				a := c.SatIndex(si, plane, slot)
-				if sh.SatsPerPlane > 1 {
-					b := c.SatIndex(si, plane, (slot+1)%sh.SatsPerPlane)
-					if a != b {
-						isls = append(isls, constellation.OrderISL(a, b))
-					}
-				}
-				if sh.Planes > 1 {
-					next := plane + 1
-					shift := m.offset
-					if next == sh.Planes {
-						if m.omitSeam || !wrapsSeam(sh) {
-							continue
-						}
-						next = 0
-						shift += sh.WalkerF
-					}
-					tgt := ((slot+shift)%sh.SatsPerPlane + sh.SatsPerPlane) % sh.SatsPerPlane
-					b := c.SatIndex(si, next, tgt)
-					if a != b {
-						isls = append(isls, constellation.OrderISL(a, b))
-					}
-				}
-			}
-		}
-	}
-	return constellation.DedupISLs(isls)
+func (diagGridMotif) Links(c *constellation.Constellation) []constellation.ISL {
+	return constellation.GridISLs(c, 1, false)
 }
 
 // ladderMotif keeps only the intra-plane rings: 2 ISLs per satellite, the
@@ -100,7 +68,7 @@ const nearestInterCap = 2
 func (nearestMotif) Name() string { return Nearest.String() }
 
 func (m nearestMotif) Links(c *constellation.Constellation) []constellation.ISL {
-	return m.LinksAt(c, epochOf())
+	return m.LinksAt(c, geo.Epoch)
 }
 
 func (nearestMotif) LinksAt(c *constellation.Constellation, t time.Time) []constellation.ISL {

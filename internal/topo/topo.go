@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"leosim/internal/constellation"
-	"leosim/internal/geo"
 	"leosim/internal/ground"
 )
 
@@ -29,9 +28,11 @@ type Motif interface {
 
 // EpochAware marks motifs whose link set depends on the instantaneous
 // geometry (nearest-neighbour matchings, demand-aware placement). LinksAt
-// returns the set for time t; plain Links freezes the motif at the
-// constellation epoch (geo.Epoch). The topo sweep recomputes epoch-aware
-// motifs per snapshot; standard experiments run them frozen.
+// returns the set for time t; plain Links places the motif at the
+// constellation epoch (geo.Epoch). Through Option, every snapshot build of a
+// constellation carrying such a motif re-places it for the build instant
+// (Constellation.ISLsAt); only a seconds-scale advance cursor holds the set
+// it anchored with, since re-pointing lasers is a snapshot-scale operation.
 type EpochAware interface {
 	Motif
 	LinksAt(c *constellation.Constellation, t time.Time) []constellation.ISL
@@ -109,37 +110,24 @@ func ParseID(s string) (ID, error) {
 	return 0, fmt.Errorf("topo: unknown motif %q (want one of %v)", s, idNames[:])
 }
 
-// Config carries the knobs motifs can take; zero values select documented
-// defaults, so Build(id, Config{}) works for every motif.
+// Config carries what a motif needs besides the constellation; the zero
+// value works for every motif.
 type Config struct {
-	// SlotOffset is the diag-grid cross-plane slot shift (default 1).
-	SlotOffset int
-	// OmitSeam drops the Walker-delta plane-ring wrap links, the
-	// WithoutSeamISLs ablation (grid-family motifs only).
-	OmitSeam bool
 	// Cities is the demand model for the demand motif: gravity corridors
 	// are drawn between the most populous entries. Nil loads a default
 	// deterministic set (ground.Cities(100)); the topo sweep passes the
 	// sim's own city set so placement and evaluation share one demand
 	// model.
 	Cities []ground.City
-	// Budget caps the demand motif's cross-plane link count. Zero means
-	// +Grid parity — one cross-plane link per satellite — so demand-aware
-	// placement is compared at equal hardware cost.
-	Budget int
 }
 
 // Build constructs motif id with configuration cfg.
 func Build(id ID, cfg Config) (Motif, error) {
 	switch id {
 	case PlusGrid:
-		return &plusGridMotif{omitSeam: cfg.OmitSeam}, nil
+		return plusGridMotif{}, nil
 	case DiagGrid:
-		off := cfg.SlotOffset
-		if off == 0 {
-			off = 1
-		}
-		return &diagGridMotif{offset: off, omitSeam: cfg.OmitSeam}, nil
+		return diagGridMotif{}, nil
 	case Ladder:
 		return ladderMotif{}, nil
 	case Nearest:
@@ -153,7 +141,7 @@ func Build(id ID, cfg Config) (Motif, error) {
 				return nil, err
 			}
 		}
-		return newDemandMotif(cities, cfg.Budget), nil
+		return newDemandMotif(cities), nil
 	default:
 		return nil, fmt.Errorf("topo: unknown motif id %d", uint8(id))
 	}
@@ -169,18 +157,14 @@ func MustBuild(id ID, cfg Config) Motif {
 	return m
 }
 
-// LinksAt resolves the link set of m at time t: epoch-aware motifs recompute,
-// static ones return their fixed set.
-func LinksAt(m Motif, c *constellation.Constellation, t time.Time) []constellation.ISL {
-	if ea, ok := m.(EpochAware); ok {
-		return ea.LinksAt(c, t)
-	}
-	return m.Links(c)
-}
-
-// Option adapts a motif to a constellation construction option.
+// Option adapts a motif to a constellation construction option; epoch-aware
+// motifs also hand over LinksAt, so Constellation.ISLsAt re-places them.
 func Option(m Motif) constellation.Option {
-	return constellation.WithISLTopology(m.Links)
+	var at func(*constellation.Constellation, time.Time) []constellation.ISL
+	if ea, ok := m.(EpochAware); ok {
+		at = ea.LinksAt
+	}
+	return constellation.WithISLTopology(m.Links, at)
 }
 
 // planeRing appends each shell's intra-plane rings — the backbone every
@@ -209,6 +193,3 @@ func planeRing(c *constellation.Constellation, isls []constellation.ISL) []const
 // planes counter-rotate across the physical seam (see
 // constellation.PlusGridISLs).
 func wrapsSeam(sh constellation.Shell) bool { return sh.RAANSpreadDeg >= 360 }
-
-// epochOf returns the reference instant for frozen epoch-aware motifs.
-func epochOf() time.Time { return geo.Epoch }

@@ -172,9 +172,9 @@ func TestMotifDeterminism(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
 		t.Run(id.String(), func(t *testing.T) {
-			c := testConst(t, constellation.WithISLs())
-			m1, m2 := MustBuild(id, Config{}), MustBuild(id, Config{})
-			a, b := LinksAt(m1, c, at), LinksAt(m2, c, at)
+			c1 := testConst(t, Option(MustBuild(id, Config{})))
+			c2 := testConst(t, Option(MustBuild(id, Config{})))
+			a, b := c1.ISLsAt(at), c2.ISLsAt(at)
 			if len(a) != len(b) {
 				t.Fatalf("builds differ in size: %d vs %d", len(a), len(b))
 			}
