@@ -10,14 +10,24 @@ import (
 	"leosim/internal/graph"
 )
 
-// buildAt builds the hybrid snapshot graph of a scenario at epoch+offset.
-func buildAt(t *testing.T, sc *Scenario, offset time.Duration) *graph.Network {
+// buildBoth builds the bent-pipe and hybrid snapshot graphs of a scenario at
+// epoch+offset.
+func buildBoth(t *testing.T, sc *Scenario, offset time.Duration) (bp, hybrid *graph.Network) {
 	t.Helper()
 	b, err := sc.Builder()
 	if err != nil {
 		t.Fatalf("builder: %v", err)
 	}
-	return b.At(geo.Epoch.Add(offset))
+	at := geo.Epoch.Add(offset)
+	bp = b.At(at)
+	return bp, b.Hybrid(bp, at)
+}
+
+// buildAt builds the hybrid snapshot graph of a scenario at epoch+offset.
+func buildAt(t *testing.T, sc *Scenario, offset time.Duration) *graph.Network {
+	t.Helper()
+	_, hybrid := buildBoth(t, sc, offset)
+	return hybrid
 }
 
 // TestCleanScenarios sweeps randomized miniature systems through every
@@ -31,16 +41,9 @@ func TestCleanScenarios(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		geom := sc.Geometry()
-		bpOpts := sc.Opts
-		bpOpts.ISL = false
-		bpBuilder, err := graph.NewBuilder(sc.Const, sc.Seg, nil, bpOpts)
-		if err != nil {
-			t.Fatalf("seed %d: bp builder: %v", seed, err)
-		}
 		var r Report
 		for _, off := range offsets {
-			n := buildAt(t, sc, off)
-			bp := bpBuilder.At(geo.Epoch.Add(off))
+			bp, n := buildBoth(t, sc, off)
 			geom.CheckNetwork(&r, n)
 			geom.CheckNetwork(&r, bp)
 			for _, pair := range sc.Pairs {

@@ -58,15 +58,15 @@ func TestGoldenMini4x4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := graph.NewBuilder(c, seg, nil,
-		graph.BuildOptions{ISL: true, GSLCapGbps: 20, ISLCapGbps: 100})
+	b, err := graph.NewBuilder(c, seg, nil, graph.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var snaps []goldenSnapshot
 	for _, off := range []int{0, 120, 3600} {
-		n := b.At(geo.Epoch.Add(time.Duration(off) * time.Second))
+		at := geo.Epoch.Add(time.Duration(off) * time.Second)
+		n := b.Hybrid(b.At(at), at)
 		gs := goldenSnapshot{OffsetSec: off, Nodes: n.N()}
 		for _, l := range n.Links {
 			switch l.Kind {

@@ -56,12 +56,11 @@ func rotatedSystem(t *testing.T, deltaDeg float64, at time.Time) *graph.Network 
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := graph.NewBuilder(c, seg, nil,
-		graph.BuildOptions{ISL: true, GSLCapGbps: 20, ISLCapGbps: 100})
+	b, err := graph.NewBuilder(c, seg, nil, graph.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b.At(at)
+	return b.Hybrid(b.At(at), at)
 }
 
 // TestRotationInvariance rotates the entire system — RAAN of every plane and

@@ -17,7 +17,6 @@ type Scenario struct {
 	Seed  int64
 	Const *constellation.Constellation
 	Seg   *ground.Segment
-	Opts  graph.BuildOptions
 	// Pairs are city-index traffic pairs (indices into Seg.Cities).
 	Pairs [][2]int
 }
@@ -74,7 +73,6 @@ func RandomScenario(seed int64) (*Scenario, error) {
 		Seed:  seed,
 		Const: c,
 		Seg:   seg,
-		Opts:  graph.BuildOptions{ISL: true, GSLCapGbps: 20, ISLCapGbps: 100},
 	}
 	nPairs := 4 + rng.Intn(8)
 	for p := 0; p < nPairs; p++ {
@@ -89,12 +87,12 @@ func RandomScenario(seed int64) (*Scenario, error) {
 
 // Builder returns a snapshot-graph builder for the scenario.
 func (sc *Scenario) Builder() (*graph.Builder, error) {
-	return graph.NewBuilder(sc.Const, sc.Seg, nil, sc.Opts)
+	return graph.NewBuilder(sc.Const, sc.Seg, nil, graph.DefaultOptions())
 }
 
 // Geometry returns the checking ground truth matched to the scenario.
 // Sparse random shells have intra-plane chords that legitimately pass
 // through the Earth, so the atmosphere floor stays disabled.
 func (sc *Scenario) Geometry() *Geometry {
-	return NewGeometry(sc.Const, sc.Opts.MinElevationOverrideDeg)
+	return NewGeometry(sc.Const, 0)
 }

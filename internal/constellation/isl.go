@@ -135,12 +135,13 @@ type ISLStats struct {
 	LinksBelowAtmosphereKm int // links dipping below 80 km
 }
 
-// StatsAt computes ISL geometry statistics for snapshot s.
+// StatsAt computes geometry statistics of the ISLs that exist at t.
 func (c *Constellation) StatsAt(t time.Time) ISLStats {
 	s := c.SnapshotAt(t)
+	isls := c.ISLsAt(t)
 	st := ISLStats{MinKm: math.Inf(1), MinLinkAltitudeKm: math.Inf(1)}
 	var sum float64
-	for _, l := range c.ISLs {
+	for _, l := range isls {
 		d := ISLLengthKm(s, l)
 		sum += d
 		st.MinKm = math.Min(st.MinKm, d)
@@ -151,7 +152,7 @@ func (c *Constellation) StatsAt(t time.Time) ISLStats {
 			st.LinksBelowAtmosphereKm++
 		}
 	}
-	st.Count = len(c.ISLs)
+	st.Count = len(isls)
 	if st.Count > 0 {
 		st.MeanKm = sum / float64(st.Count)
 	} else {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"leosim/internal/flow"
 	"leosim/internal/graph"
 	"leosim/internal/safe"
 )
@@ -30,31 +29,23 @@ func RunBeamSweep(ctx context.Context, s *Sim, caps []int, t time.Time) (out []B
 		if beams < 0 {
 			return nil, fmt.Errorf("core: negative beam cap %d", beams)
 		}
+		// A beam cap changes the scan itself: one full build per cap.
+		b, err := s.builderWith(func(o *graph.BuildOptions) { o.MaxGSLsPerSatellite = beams })
+		if err != nil {
+			return nil, err
+		}
+		base := b.At(t)
 		for _, mode := range []Mode{BP, Hybrid} {
-			n, err := s.buildAt(t, mode, func(o *graph.BuildOptions) {
-				o.MaxGSLsPerSatellite = beams
-			})
-			if err != nil {
-				return nil, err
+			n := base
+			if mode == Hybrid {
+				n = b.Hybrid(base, t)
 			}
-			paths, err := computePairPaths(ctx, s, n, 4)
-			if err != nil {
-				return nil, err
-			}
-			pr := flow.NewNetworkProblem(n, s.SatCapGbps)
-			for _, pp := range paths {
-				for _, p := range pp {
-					if _, err := pr.AddPath(p); err != nil {
-						return nil, err
-					}
-				}
-			}
-			alloc, err := pr.MaxMinFair()
+			tp, err := throughputOn(ctx, s, n, 4)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, BeamPoint{
-				MaxGSLs: beams, Mode: mode, AggregateGbps: flow.Sum(alloc),
+				MaxGSLs: beams, Mode: mode, AggregateGbps: tp.AggregateGbps,
 			})
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"leosim/internal/check"
-	"leosim/internal/flow"
 	"leosim/internal/geo"
 	"leosim/internal/graph"
 	"leosim/internal/safe"
@@ -54,7 +53,7 @@ func RunCheck(ctx context.Context, s *Sim, opts CheckOptions) (rep *check.Report
 	defer safe.RecoverTo(&err)
 	opts.setDefaults()
 
-	geom := check.NewGeometry(s.Const, s.baseOpts.MinElevationOverrideDeg)
+	geom := check.NewGeometry(s.Const, s.builder.Opts.MinElevationOverrideDeg)
 	geom.MinISLAltKm = opts.MinISLAltKm
 
 	times := s.SnapshotTimes()
@@ -70,14 +69,13 @@ func RunCheck(ctx context.Context, s *Sim, opts CheckOptions) (rep *check.Report
 			return nil, err
 		}
 		label := "t+" + t.Sub(geo.Epoch).String()
-		nets := map[Mode]*checkedNet{}
+		nets := map[Mode]*graph.Network{}
 		for _, mode := range []Mode{BP, Hybrid} {
-			n := s.NetworkAtCtx(ctx, t, mode)
-			nets[mode] = &checkedNet{net: n}
+			nets[mode] = s.NetworkAtCtx(ctx, t, mode)
 			rep.SetContext(label, mode.String())
-			geom.CheckNetwork(rep, n)
+			geom.CheckNetwork(rep, nets[mode])
 		}
-		bp, hy := nets[BP].net, nets[Hybrid].net
+		bp, hy := nets[BP], nets[Hybrid]
 
 		for pi := 0; pi < len(s.Pairs); pi += pairStride {
 			p := s.Pairs[pi]
@@ -90,14 +88,14 @@ func RunCheck(ctx context.Context, s *Sim, opts CheckOptions) (rep *check.Report
 		for pi := 0; pi < len(s.Pairs); pi += optStride {
 			p := s.Pairs[pi]
 			for _, mode := range []Mode{BP, Hybrid} {
-				n := nets[mode].net
+				n := nets[mode]
 				rep.SetContext(label, mode.String())
 				check.CheckOptimality(rep, n, n.CityNode(p.Src), n.CityNode(p.Dst), false)
 			}
 		}
 		for _, mode := range []Mode{BP, Hybrid} {
 			rep.SetContext(label, mode.String())
-			if err := checkMaxMin(ctx, s, rep, nets[mode].net); err != nil {
+			if err := checkMaxMin(ctx, s, rep, nets[mode]); err != nil {
 				return nil, err
 			}
 		}
@@ -106,26 +104,16 @@ func RunCheck(ctx context.Context, s *Sim, opts CheckOptions) (rep *check.Report
 	return rep, nil
 }
 
-type checkedNet struct{ net *graph.Network }
-
 // checkMaxMin routes the full traffic matrix over shortest paths, solves the
 // max-min allocation exactly as the throughput experiments do, and holds the
 // result to the defining optimality conditions via the independent
 // flow.VerifyMaxMin oracle.
 func checkMaxMin(ctx context.Context, s *Sim, rep *check.Report, n *graph.Network) error {
-	paths, err := computePairPaths(ctx, s, n, 1)
+	pr, _, err := loadPairFlows(ctx, s, n, 1)
 	if err != nil {
 		return err
 	}
-	pr := flow.NewNetworkProblem(n, s.SatCapGbps)
-	for _, pp := range paths {
-		for _, p := range pp {
-			if _, err := pr.AddPath(p); err != nil {
-				return err
-			}
-		}
-	}
-	alloc, err := pr.MaxMinFair()
+	alloc, err := maxMinFair(ctx, pr)
 	if err != nil {
 		return err
 	}

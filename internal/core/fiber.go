@@ -50,12 +50,8 @@ func RunFiberAugmentation(ctx context.Context, s *Sim, metro string, nearby []st
 		}
 	}
 	idx := func(name string) int {
-		for i, c := range s.Cities {
-			if c.Name == name {
-				return i
-			}
-		}
-		return -1
+		i, _ := s.FindCity(name) // EnsureCity above made every name resolve
+		return i
 	}
 	mi := idx(metro)
 
@@ -111,8 +107,8 @@ func RunFiberAugmentation(ctx context.Context, s *Sim, metro string, nearby []st
 		return nil, err
 	}
 
-	// Rebuild the snapshot and splice in fiber links metro↔neighbors.
-	aug := s.builders[Hybrid].At(t)
+	// Splice fiber links metro↔neighbors into a private copy of the snapshot.
+	aug := n.Clone()
 	for _, nb := range nearby {
 		aug.AddLink(aug.CityNode(mi), aug.CityNode(idx(nb)), graph.LinkFiber, fiberGbps)
 	}

@@ -33,12 +33,12 @@ func (s *Sim) CityName(i int) string { return s.Cities[i].Name }
 // NumCities returns the number of traffic cities in the sim.
 func (s *Sim) NumCities() int { return len(s.Cities) }
 
-// BuildNetworkAt builds a fresh snapshot network for mode at time t, with
-// an optional fault mask applied — the uncached, side-effect-free build the
-// serving cache (internal/snapcache) wraps. Unlike NetworkAt it never
-// touches the sim's own snapshot cache, so callers own the returned network
-// exclusively and may key it however they like. Cancellation is honoured at
-// the build boundary.
+// BuildNetworkAt returns the snapshot network for mode at time t under an
+// optional outage set — what the serving cache (internal/snapcache) wraps.
+// Without outages it is NetworkAt's cached healthy network: shared with the
+// sim's cache and every other caller, immutable. With outages it is a private
+// masked copy of that network: a what-if costs a copy and a link filter, not
+// a scan. Cancellation is honoured at the boundary.
 func (s *Sim) BuildNetworkAt(ctx context.Context, t time.Time, mode Mode, outages *fault.Outages) (n *graph.Network, err error) {
 	defer safe.RecoverTo(&err)
 	if err := ctx.Err(); err != nil {
@@ -47,11 +47,7 @@ func (s *Sim) BuildNetworkAt(ctx context.Context, t time.Time, mode Mode, outage
 	if mode != BP && mode != Hybrid {
 		return nil, fmt.Errorf("core: unknown mode %d", mode)
 	}
-	return s.buildAt(t, mode, func(o *graph.BuildOptions) {
-		if outages != nil {
-			o.Mask = outages.Mask
-		}
-	})
+	return outages.Masked(s.NetworkAtCtx(ctx, t, mode)), nil
 }
 
 // PathQuery is the answer to one pair × snapshot path question.

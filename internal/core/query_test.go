@@ -93,9 +93,11 @@ func TestPathAtRejectsBadIndices(t *testing.T) {
 	}
 }
 
-// BuildNetworkAt is pure: two builds of the same (t, mode, outages) agree
-// link for link, and it bypasses the sim cache entirely.
-func TestBuildNetworkAtDeterministicAndUncached(t *testing.T) {
+// BuildNetworkAt is pure — two calls with the same (t, mode, outages) agree
+// link for link — and derives instead of scanning: the healthy network is the
+// sim cache's shared entry, a masked one a private copy of it, and however
+// many what-ifs are asked the instant is scanned once.
+func TestBuildNetworkAtSharesHealthyCopiesMasked(t *testing.T) {
 	s := querySim(t)
 	ctx := context.Background()
 	base := s.NetworkCacheStats()
@@ -104,7 +106,7 @@ func TestBuildNetworkAtDeterministicAndUncached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Realize(s.Const, len(s.Seg.Terminals))
+	out, err := plan.RealizeAt(s.Const, len(s.Seg.Terminals), geo.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,7 @@ func TestBuildNetworkAtDeterministicAndUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n1 == n2 {
-		t.Fatal("BuildNetworkAt must not return a shared cached network")
+		t.Fatal("masked networks must be private copies, not one shared network")
 	}
 	if len(n1.Links) != len(n2.Links) || n1.N() != n2.N() {
 		t.Fatalf("non-deterministic build: %d/%d links, %d/%d nodes",
@@ -128,17 +130,20 @@ func TestBuildNetworkAtDeterministicAndUncached(t *testing.T) {
 			t.Fatalf("link %d differs between identical builds", i)
 		}
 	}
-	// The masked build must differ from the healthy one.
+	// The healthy network is the cached one, and the masks left it alone.
 	healthy, err := s.BuildNetworkAt(ctx, geo.Epoch, Hybrid, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if healthy != s.NetworkAt(geo.Epoch, Hybrid) {
+		t.Fatal("healthy BuildNetworkAt is not the sim cache's network")
+	}
 	if len(healthy.Links) <= len(n1.Links) {
 		t.Fatalf("mask removed nothing: healthy %d links, faulted %d", len(healthy.Links), len(n1.Links))
 	}
-	after := s.NetworkCacheStats()
-	if after.Builds != base.Builds {
-		t.Errorf("BuildNetworkAt touched the sim snapshot cache (builds %d → %d)", base.Builds, after.Builds)
+	if after := s.NetworkCacheStats(); after.Builds-base.Builds != 2 {
+		t.Errorf("three BuildNetworkAt calls cost %d cache builds, want 2 (the base and its hybrid)",
+			after.Builds-base.Builds)
 	}
 
 	cctx, cancel := context.WithCancel(ctx)

@@ -34,7 +34,7 @@ type ResiliencePoint struct {
 	Fraction float64
 	Mode     Mode
 	// FailedSats/FailedSites/FailedISLs count the concrete outages the
-	// seeded plan realized at this fraction.
+	// seeded plan realized at this fraction (lasers: at the first snapshot).
 	FailedSats, FailedSites, FailedISLs int
 	// MedianRTTMs and P99RTTMs summarize per-pair best RTTs over the
 	// evaluated snapshots (reachable pairs only).
@@ -80,10 +80,12 @@ type modeEval struct {
 // DefaultFaultFractions) and reports, per fraction and mode, latency
 // inflation, unreachable-pair fraction and throughput retention relative to
 // the healthy baseline. The baseline itself is evaluated through the same
-// masked-builder path with a zero fault plan, so the 0% row is identical to
-// an unfaulted run by construction. Outages are drawn deterministically from
-// the sim's scale seed: the same sim and scenario always produce the same
-// sweep, byte for byte.
+// path with no outages, and a zero plan masks nothing, so the 0% row is
+// identical to an unfaulted run by construction. Outages persist across the
+// evaluated snapshots; only failed lasers are drawn per snapshot, from the
+// links that exist then (the same draw every time for a static topology).
+// Draws are seeded from the sim's scale seed: the same sim and scenario
+// always produce the same sweep, byte for byte.
 //
 // Cancelling ctx stops the sweep at the next fraction boundary; completed
 // fractions are returned with Partial set, alongside ctx.Err().
@@ -141,7 +143,7 @@ func RunResilience(ctx context.Context, s *Sim, scenario fault.Scenario, fractio
 		steps = steps[1:]
 	} else {
 		for _, mode := range []Mode{BP, Hybrid} {
-			ev, err := s.evalFaulted(ctx, mode, nil, times)
+			ev, err := s.evalFaulted(ctx, mode, make([]*fault.Outages, len(times)), times)
 			if err != nil {
 				return nil, err
 			}
@@ -185,16 +187,22 @@ func RunResilience(ctx context.Context, s *Sim, scenario fault.Scenario, fractio
 			return nil, err
 		}
 		fsp := telemetry.RecordSpan(ctx, telemetry.StageFaultRealize)
-		outages, err := plan.Realize(s.Const, len(s.Seg.Terminals))
+		perSnap := make([]*fault.Outages, len(times))
+		for si, t := range times {
+			if perSnap[si], err = plan.RealizeAt(s.Const, len(s.Seg.Terminals), t); err != nil {
+				break
+			}
+		}
 		fsp.End()
 		if err != nil {
 			return nil, err
 		}
+		outages := perSnap[0]
 		progressf("resilience %s %.0f%%: %d sats, %d sites, %d lasers down\n",
 			scenario, frac*100, outages.NumFailedSats(), outages.NumFailedSites(),
 			outages.NumFailedISLs())
 		for _, mode := range []Mode{BP, Hybrid} {
-			ev, err := s.evalFaulted(ctx, mode, outages, times)
+			ev, err := s.evalFaulted(ctx, mode, perSnap, times)
 			if err != nil {
 				if ctx.Err() != nil && len(res.Fractions) > 0 {
 					// Drop this fraction's already-evaluated modes so
@@ -342,15 +350,15 @@ func retention(val, base float64) float64 {
 	return val / base
 }
 
-// evalFaulted evaluates one mode under one outage set (nil = healthy): it
-// builds each masked snapshot from the sim's base options, measures per-pair
-// best RTTs and reachability across the snapshots, and runs the §5
+// evalFaulted evaluates one mode under each snapshot's outage set (nil =
+// healthy): it masks each snapshot's cached healthy network, measures
+// per-pair best RTTs and reachability across the snapshots, and runs the §5
 // throughput model at the first one.
-func (s *Sim) evalFaulted(ctx context.Context, mode Mode, outages *fault.Outages, times []time.Time) (*modeEval, error) {
+func (s *Sim) evalFaulted(ctx context.Context, mode Mode, perSnap []*fault.Outages, times []time.Time) (*modeEval, error) {
 	best := fill(len(s.Pairs), math.Inf(1))
 	ev := &modeEval{}
 	for si, t := range times {
-		n, err := s.BuildNetworkAt(ctx, t, mode, outages)
+		n, err := s.BuildNetworkAt(ctx, t, mode, perSnap[si])
 		if err != nil {
 			return nil, err
 		}

@@ -46,26 +46,23 @@ type Sim struct {
 	// constraint (per-link capacities only — the ablation model).
 	SatCapGbps float64
 
-	// baseOpts are the build options NewSim resolved from its SimOptions
-	// (GSO policy, elevation override, capacities). Every builder rebuild
-	// — beam sweeps, fault masking — starts from these, so a rebuild never
-	// silently drops an option the sim was created with.
-	baseOpts graph.BuildOptions
+	// builder runs the one scan of an instant (builder.At, the bent-pipe base)
+	// under the options NewSim resolved from its SimOptions; every other
+	// network of the instant derives from that base. Nothing writes it after
+	// NewSim, so concurrent NetworkAt calls read it unlocked.
+	builder *graph.Builder
 
-	// builders holds one builder per mode. NewSim fills it and nothing
-	// writes it afterwards, so concurrent NetworkAt calls read it unlocked.
-	builders map[Mode]*graph.Builder
-
-	// snap caches built snapshot networks, one per (mode, time).
+	// snap caches healthy snapshot networks, one per (mode, time); the
+	// hybrid entry of t derives from the bent-pipe entry of t (buildSnapshot).
 	// snapcache's singleflight means concurrent NetworkAt calls for the
 	// same snapshot — the serving workload — build it exactly once.
 	snap *snapcache.Cache
 }
 
 // networkCacheSize bounds how many snapshot networks a Sim keeps alive.
-// Experiments sweep snapshots in order per mode, so a small LRU keeps the
-// both-modes working set of the current snapshot resident without pinning
-// the whole day at full scale.
+// Experiments sweep snapshots in order, both modes per snapshot, so a small
+// LRU keeps the base resident while its hybrid derives without pinning the
+// whole day at full scale.
 const networkCacheSize = 8
 
 // SimOption tweaks simulation construction.
@@ -197,47 +194,35 @@ func NewSim(choice ConstellationChoice, scale Scale, opts ...SimOption) (*Sim, e
 		Cities:     cities,
 		Pairs:      pairs,
 		pairGroups: groupPairs(pairs),
-		baseOpts:   baseOpts,
-		builders:   map[Mode]*graph.Builder{},
 	}
-	for _, mode := range []Mode{BP, Hybrid} {
-		b, err := s.builderWith(mode, nil)
-		if err != nil {
-			return nil, err
-		}
-		s.builders[mode] = b
+	if s.builder, err = graph.NewBuilder(c, seg, fleet, baseOpts); err != nil {
+		return nil, err
 	}
-	s.snap = snapcache.New(func(_ context.Context, key snapcache.Key) (*graph.Network, error) {
-		var mode Mode
-		if err := mode.UnmarshalText([]byte(key.Scenario)); err != nil {
-			return nil, err
-		}
-		return s.builders[mode].At(key.Time), nil
-	}, snapcache.Options{Capacity: networkCacheSize})
+	s.snap = snapcache.New(s.buildSnapshot, snapcache.Options{Capacity: networkCacheSize})
 	return s, nil
 }
 
-// builderWith constructs a builder for mode from the sim's base options,
-// optionally mutated. This is the single path every builder (re)build goes
-// through, so GSO policy and elevation overrides survive beam sweeps and
-// fault injection.
-func (s *Sim) builderWith(mode Mode, mutate func(*graph.BuildOptions)) (*graph.Builder, error) {
-	o := s.baseOpts
-	o.ISL = mode == Hybrid
-	if mutate != nil {
-		mutate(&o)
-	}
+// builderWith constructs a builder whose ground-satellite scan differs from
+// the sim's own by mutate (the beam sweep's cap): it starts from the sim's
+// options, so GSO policy and elevation overrides survive.
+func (s *Sim) builderWith(mutate func(*graph.BuildOptions)) (*graph.Builder, error) {
+	o := s.builder.Opts
+	mutate(&o)
 	return graph.NewBuilder(s.Const, s.Seg, s.Fleet, o)
 }
 
-// buildAt is the one uncached snapshot build: mode at t under the sim's base
-// options with mutate applied (a fault mask, a beam cap).
-func (s *Sim) buildAt(t time.Time, mode Mode, mutate func(*graph.BuildOptions)) (*graph.Network, error) {
-	b, err := s.builderWith(mode, mutate)
+// buildSnapshot is the snapshot cache's build function: the bent-pipe entry
+// of an instant is its one scan, the hybrid entry derives from the same
+// cache's bent-pipe entry — resident when a sweep asks for both modes in turn.
+func (s *Sim) buildSnapshot(ctx context.Context, key snapcache.Key) (*graph.Network, error) {
+	if key.Scenario == BP.String() {
+		return s.builder.At(key.Time), nil
+	}
+	base, err := s.snap.Get(ctx, snapcache.Key{Scenario: BP.String(), Time: key.Time})
 	if err != nil {
 		return nil, err
 	}
-	return b.At(t), nil
+	return s.builder.Hybrid(base, key.Time), nil
 }
 
 // SnapshotTimes returns the simulated-day sampling instants.
@@ -249,8 +234,10 @@ func (s *Sim) SnapshotTimes() []time.Time {
 	return out
 }
 
-// NetworkAt returns the (cached) network snapshot for mode at time t.
-// Concurrent callers asking for the same snapshot share one build.
+// NetworkAt returns the (cached) healthy network snapshot for mode at time t.
+// Concurrent callers asking for the same snapshot share one build — and one
+// network, whose node arrays the other mode's network of t shares too: it is
+// read, never written (Clone it to change it).
 func (s *Sim) NetworkAt(t time.Time, mode Mode) *graph.Network {
 	return s.NetworkAtCtx(context.Background(), t, mode)
 }

@@ -49,29 +49,46 @@ func RunThroughput(ctx context.Context, s *Sim, mode Mode, k int, t time.Time) (
 // network. RunResilience uses it directly to evaluate fault-masked
 // snapshots that never enter the sim's cache.
 func throughputOn(ctx context.Context, s *Sim, n *graph.Network, k int) (*ThroughputResult, error) {
-	paths, err := computePairPaths(ctx, s, n, k)
+	pr, paths, err := loadPairFlows(ctx, s, n, k)
 	if err != nil {
 		return nil, err
 	}
-	pr := flow.NewNetworkProblem(n, s.SatCapGbps)
-	res := &ThroughputResult{K: k}
-	for _, pp := range paths {
-		res.PathsFound += len(pp)
-		res.PathsMissing += k - len(pp)
+	alloc, err := maxMinFair(ctx, pr)
+	if err != nil {
+		return nil, err
+	}
+	return &ThroughputResult{
+		K:             k,
+		AggregateGbps: flow.Sum(alloc),
+		PathsFound:    len(paths),
+		PathsMissing:  k*len(s.Pairs) - len(paths),
+	}, nil
+}
+
+// loadPairFlows is the routed-flow model of §5 up to the solve: every pair's
+// k edge-disjoint shortest paths on n, each one flow of a fresh allocation
+// problem. paths lists them in flow order, so a solve's alloc[i] is paths[i]'s.
+func loadPairFlows(ctx context.Context, s *Sim, n *graph.Network, k int) (pr *flow.NetworkProblem, paths []graph.Path, err error) {
+	perPair, err := computePairPaths(ctx, s, n, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	pr = flow.NewNetworkProblem(n, s.SatCapGbps)
+	for _, pp := range perPair {
 		for _, p := range pp {
 			if _, err := pr.AddPath(p); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
+			paths = append(paths, p)
 		}
 	}
-	asp := telemetry.RecordSpan(ctx, telemetry.StageMaxMin)
-	alloc, err := pr.MaxMinFair()
-	asp.End()
-	if err != nil {
-		return nil, err
-	}
-	res.AggregateGbps = flow.Sum(alloc)
-	return res, nil
+	return pr, paths, nil
+}
+
+// maxMinFair solves pr, attributing the allocation to the run's recorder.
+func maxMinFair(ctx context.Context, pr *flow.NetworkProblem) ([]float64, error) {
+	defer telemetry.RecordSpan(ctx, telemetry.StageMaxMin).End()
+	return pr.MaxMinFair()
 }
 
 // Progress, when non-nil, receives coarse progress lines from long-running
@@ -161,18 +178,9 @@ func RunFig5(ctx context.Context, s *Sim, ratios []float64) (points []Fig5Point,
 	if err != nil {
 		return nil, 0, err
 	}
-	n := s.NetworkAtCtx(ctx, t, Hybrid)
-	paths, err := computePairPaths(ctx, s, n, k)
+	pr, _, err := loadPairFlows(ctx, s, s.NetworkAtCtx(ctx, t, Hybrid), k)
 	if err != nil {
 		return nil, 0, err
-	}
-	pr := flow.NewNetworkProblem(n, s.SatCapGbps)
-	for _, pp := range paths {
-		for _, p := range pp {
-			if _, err := pr.AddPath(p); err != nil {
-				return nil, 0, err
-			}
-		}
 	}
 	const gslCap = 20.0
 	for _, ratio := range ratios {
@@ -180,7 +188,7 @@ func RunFig5(ctx context.Context, s *Sim, ratios []float64) (points []Fig5Point,
 			return nil, 0, err
 		}
 		pr.SetISLCapacity(gslCap * ratio)
-		alloc, err := pr.MaxMinFair()
+		alloc, err := maxMinFair(ctx, pr)
 		if err != nil {
 			return nil, 0, err
 		}

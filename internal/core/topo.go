@@ -161,7 +161,7 @@ func RunTopo(ctx context.Context, s *Sim, opt TopoOptions) (res *TopoResult, err
 
 	// BP control: motif-independent, evaluated once on the sim's own
 	// constellation (ISLs disabled), replicated into every motif row.
-	bpCell, err := s.topoEval(ctx, s.Const, BP, times, weights, opt)
+	bpCell, err := s.topoEval(ctx, s.builder, BP, times, weights, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +182,11 @@ func RunTopo(ctx context.Context, s *Sim, opt TopoOptions) (res *TopoResult, err
 		if err != nil {
 			return nil, fmt.Errorf("core: building %s constellation: %w", id, err)
 		}
-		hyCell, err := s.topoEval(ctx, mc, Hybrid, times, weights, opt)
+		mb, err := graph.NewBuilder(mc, s.Seg, s.Fleet, s.builder.Opts)
+		if err != nil {
+			return nil, err
+		}
+		hyCell, err := s.topoEval(ctx, mb, Hybrid, times, weights, opt)
 		if err != nil {
 			return nil, fmt.Errorf("core: evaluating motif %s: %w", id, err)
 		}
@@ -198,27 +202,28 @@ func RunTopo(ctx context.Context, s *Sim, opt TopoOptions) (res *TopoResult, err
 	return res, nil
 }
 
-// topoEval computes one TopoCell on constellation mc: latency pooled over
+// topoEval computes one TopoCell on b's constellation: latency pooled over
 // the snapshot grid, throughput and fault resilience at the epoch snapshot,
 // and route churn over the seconds-scale window.
-func (s *Sim) topoEval(ctx context.Context, mc *constellation.Constellation, mode Mode,
+func (s *Sim) topoEval(ctx context.Context, b *graph.Builder, mode Mode,
 	times []time.Time, weights []float64, opt TopoOptions) (TopoCell, error) {
 	cell := TopoCell{Mode: mode}
-	o := s.baseOpts
-	o.ISL = mode == Hybrid
-	b, err := graph.NewBuilder(mc, s.Seg, s.Fleet, o)
-	if err != nil {
-		return cell, err
+	netAt := func(t time.Time) *graph.Network {
+		n := b.At(t)
+		if mode == Hybrid {
+			n = b.Hybrid(n, t)
+		}
+		return n
 	}
 
 	if mode == Hybrid {
-		st := mc.StatsAt(geo.Epoch)
+		st := b.Const.StatsAt(geo.Epoch)
 		cell.ISLCount, cell.MeanISLKm = st.Count, st.MeanKm
 	}
 
 	// Latency: pooled per-(pair, snapshot) RTT samples across the day. The
 	// epoch snapshot (the schedule's first) also feeds the throughput model.
-	epochNet := b.At(geo.Epoch)
+	epochNet := netAt(geo.Epoch)
 	var rtts, wts []float64
 	samples, unreachable := 0, 0
 	for _, t := range times {
@@ -227,7 +232,7 @@ func (s *Sim) topoEval(ctx context.Context, mc *constellation.Constellation, mod
 		}
 		n := epochNet
 		if !t.Equal(geo.Epoch) {
-			n = b.At(t)
+			n = netAt(t)
 		}
 		rr, err := s.pairRTTs(ctx, n, false)
 		if err != nil {
@@ -258,24 +263,18 @@ func (s *Sim) topoEval(ctx context.Context, mc *constellation.Constellation, mod
 	}
 	cell.ThroughputGbps = tp.AggregateGbps
 
-	// Fault resilience: the same realized outage plan re-applied to the
-	// epoch snapshot (same seed across motifs, so every cell loses the
-	// same satellites/sites and differences are purely topological).
+	// Fault resilience: the same outage plan masked onto the epoch snapshot
+	// (same seed across motifs, so every cell loses the same
+	// satellites/sites and differences are purely topological).
 	plan, err := fault.ForScenario(opt.FaultScenario, opt.FaultFraction, opt.FaultSeed)
 	if err != nil {
 		return cell, err
 	}
-	outages, err := plan.Realize(mc, len(s.Seg.Terminals))
+	outages, err := plan.RealizeAt(b.Const, len(s.Seg.Terminals), geo.Epoch)
 	if err != nil {
 		return cell, err
 	}
-	fo := o
-	fo.Mask = outages.Mask
-	fb, err := graph.NewBuilder(mc, s.Seg, s.Fleet, fo)
-	if err != nil {
-		return cell, err
-	}
-	fn := fb.At(geo.Epoch)
+	fn := outages.Masked(epochNet)
 	frr, err := s.pairRTTs(ctx, fn, false)
 	if err != nil {
 		return cell, err
@@ -303,7 +302,7 @@ func (s *Sim) topoEval(ctx context.Context, mc *constellation.Constellation, mod
 	// incremental advancer. The link set stays the one placed at the epoch,
 	// where the cursor anchors: laser re-pointing is snapshot-scale.
 	steps := int(opt.ChurnWindow / opt.ChurnStep)
-	c, err := s.churnWalk(ctx, &Walker{b: b}, geo.Epoch, opt.ChurnStep, steps, nil)
+	c, err := s.churnWalk(ctx, &Walker{b: b, isl: mode == Hybrid}, geo.Epoch, opt.ChurnStep, steps, nil)
 	if err != nil {
 		return cell, err
 	}

@@ -41,29 +41,21 @@ func RunTrafficEngineering(ctx context.Context, s *Sim, mode Mode, k int, t time
 	res = &TEResult{Mode: mode, K: k}
 
 	// Baseline: shortest-delay k edge-disjoint multipath.
-	basePaths, err := computePairPaths(ctx, s, n, k)
+	basePr, basePaths, err := loadPairFlows(ctx, s, n, k)
 	if err != nil {
 		return nil, err
 	}
-	basePr := flow.NewNetworkProblem(n, s.SatCapGbps)
 	var delaySum float64
-	var delayN int
-	for _, pp := range basePaths {
-		for _, p := range pp {
-			if _, err := basePr.AddPath(p); err != nil {
-				return nil, err
-			}
-			delaySum += p.OneWayMs
-			delayN++
-		}
+	for _, p := range basePaths {
+		delaySum += p.OneWayMs
 	}
-	alloc, err := basePr.MaxMinFair()
+	alloc, err := maxMinFair(ctx, basePr)
 	if err != nil {
 		return nil, err
 	}
 	res.ShortestGbps = flow.Sum(alloc)
-	if delayN > 0 {
-		res.ShortestDelayMs = delaySum / float64(delayN)
+	if len(basePaths) > 0 {
+		res.ShortestDelayMs = delaySum / float64(len(basePaths))
 	}
 
 	// TE: congestion-aware routing over the same demands.
@@ -73,8 +65,7 @@ func RunTrafficEngineering(ctx context.Context, s *Sim, mode Mode, k int, t time
 			Src: n.CityNode(pair.Src), Dst: n.CityNode(pair.Dst), K: k,
 		}
 	}
-	opts := routing.DefaultOptions()
-	asgs, err := routing.MinMaxUtilization(n, demands, opts)
+	asgs, err := routing.MinMaxUtilization(n, demands)
 	if err != nil {
 		return nil, err
 	}
@@ -86,12 +77,12 @@ func RunTrafficEngineering(ctx context.Context, s *Sim, mode Mode, k int, t time
 			}
 		}
 	}
-	teAlloc, err := tePr.MaxMinFair()
+	teAlloc, err := maxMinFair(ctx, tePr)
 	if err != nil {
 		return nil, err
 	}
 	res.TEGbps = flow.Sum(teAlloc)
 	res.TEDelayMs = routing.MeanPathDelayMs(asgs)
-	res.TEMaxUtil = routing.MaxUtilization(n, asgs, opts.UnitGbps)
+	res.TEMaxUtil = routing.MaxUtilization(n, asgs)
 	return res, nil
 }

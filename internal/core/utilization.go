@@ -7,8 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"leosim/internal/flow"
-	"leosim/internal/graph"
 	"leosim/internal/safe"
 	"leosim/internal/stats"
 )
@@ -38,21 +36,11 @@ type UtilizationResult struct {
 func RunUtilization(ctx context.Context, s *Sim, mode Mode, t time.Time) (res *UtilizationResult, err error) {
 	defer safe.RecoverTo(&err)
 	n := s.NetworkAt(t, mode)
-	paths, err := computePairPaths(ctx, s, n, 4)
+	pr, flat, err := loadPairFlows(ctx, s, n, 4)
 	if err != nil {
 		return nil, err
 	}
-	pr := flow.NewNetworkProblem(n, s.SatCapGbps)
-	var flat []graph.Path
-	for _, pp := range paths {
-		for _, p := range pp {
-			if _, err := pr.AddPath(p); err != nil {
-				return nil, err
-			}
-			flat = append(flat, p)
-		}
-	}
-	alloc, err := pr.MaxMinFair()
+	alloc, err := maxMinFair(ctx, pr)
 	if err != nil {
 		return nil, err
 	}

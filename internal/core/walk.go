@@ -24,14 +24,15 @@ import (
 // goroutine.
 type Walker struct {
 	b    *graph.Builder
+	isl  bool // a cursor over the hybrid network
 	adv  *graph.Advancer
 	last *graph.Delta
 }
 
 // NewWalker returns a time cursor over mode's network using the sim's
-// builder for that mode.
+// builder.
 func (s *Sim) NewWalker(mode Mode) *Walker {
-	return &Walker{b: s.builders[mode]}
+	return &Walker{b: s.builder, isl: mode == Hybrid}
 }
 
 // At positions the cursor at t and returns the network there. The first call
@@ -40,7 +41,7 @@ func (s *Sim) NewWalker(mode Mode) *Walker {
 // rebuild otherwise (recorded in the step's Delta).
 func (w *Walker) At(t time.Time) *graph.Network {
 	if w.adv == nil {
-		w.adv = w.b.NewAdvancer(t)
+		w.adv = w.b.NewAdvancer(t, w.isl)
 		w.last = nil
 		return w.adv.Net()
 	}

@@ -36,9 +36,12 @@ func TestWalkerMatchesFreshBuilds(t *testing.T) {
 	s := getTinySim(t)
 	for _, mode := range []Mode{BP, Hybrid} {
 		w := s.NewWalker(mode)
-		fresh, err := s.builderWith(mode, nil)
-		if err != nil {
-			t.Fatal(err)
+		fresh := func(tm time.Time) *graph.Network {
+			n := s.builder.At(tm)
+			if mode == Hybrid {
+				n = s.builder.Hybrid(n, tm)
+			}
+			return n
 		}
 		times := []time.Time{
 			geo.Epoch,
@@ -50,7 +53,7 @@ func TestWalkerMatchesFreshBuilds(t *testing.T) {
 		}
 		for _, tm := range times {
 			requireSameTopology(t, mode.String()+"@"+tm.Format("15:04:05"),
-				w.At(tm), fresh.At(tm))
+				w.At(tm), fresh(tm))
 		}
 		if d := w.LastDelta(); d == nil {
 			t.Fatal("no delta after the final step")

@@ -1,16 +1,17 @@
 // Package fault provides deterministic, seeded failure scenarios for the
 // constellation and ground segment: random and per-plane-correlated
 // satellite outages, ground-site (city/relay) failures, ISL laser failures,
-// and GSL capacity degradation. A Plan is realized once against a
-// constellation into an Outages set, whose Mask is plugged into the graph
-// builder (graph.BuildOptions.Mask) so every snapshot built afterwards
-// reflects the same persistent failures. The same seed always realizes the
-// same outages, making resilience sweeps byte-reproducible.
+// and GSL capacity degradation. A Plan is realized against a constellation
+// into an Outages set, and Outages.Masked derives the faulted network from a
+// resident healthy snapshot — a what-if repeats no propagation or visibility
+// scan. The same seed always realizes the same outages, making resilience
+// sweeps byte-reproducible.
 package fault
 
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
 	"leosim/internal/constellation"
 	"leosim/internal/graph"
@@ -159,8 +160,22 @@ func pickFrac(rng *rand.Rand, n int, frac float64) []int {
 // Realize ties the plan to a constellation and a ground segment of
 // numTerminals sites (cities + relays). The draw order is fixed —
 // satellites, planes, sites, ISLs — so a given (plan, topology) always
-// yields the same outages.
+// yields the same outages. Lasers are drawn from the set placed at
+// construction — every instant's set for a static topology; see RealizeAt.
 func (p Plan) Realize(c *constellation.Constellation, numTerminals int) (*Outages, error) {
+	return p.realize(c, numTerminals, func() []constellation.ISL { return c.ISLs })
+}
+
+// RealizeAt is Realize for a network of instant t: failed lasers are drawn
+// from the links that exist at t, so under a topology that re-places its
+// lasers per snapshot every masked pair is a link of the healthy network and
+// NumFailedISLs counts links that really disappear. The other draws precede
+// the laser draw and do not depend on t.
+func (p Plan) RealizeAt(c *constellation.Constellation, numTerminals int, t time.Time) (*Outages, error) {
+	return p.realize(c, numTerminals, func() []constellation.ISL { return c.ISLsAt(t) })
+}
+
+func (p Plan) realize(c *constellation.Constellation, numTerminals int, islsOf func() []constellation.ISL) (*Outages, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -207,9 +222,14 @@ func (p Plan) Realize(c *constellation.Constellation, numTerminals int) (*Outage
 		o.FailedSites[int32(i)] = true
 	}
 
-	// ISL laser outages.
-	for _, i := range pickFrac(rng, len(c.ISLs), p.ISLFraction) {
-		l := c.ISLs[i]
+	// ISL laser outages. A plan that fails none never asks which lasers exist
+	// (an epoch-aware placement can cost seconds).
+	var isls []constellation.ISL
+	if p.ISLFraction > 0 {
+		isls = islsOf()
+	}
+	for _, i := range pickFrac(rng, len(isls), p.ISLFraction) {
+		l := isls[i]
 		o.failedISL[islKey(int32(l.A), int32(l.B))] = true
 	}
 	return o, nil
@@ -235,17 +255,18 @@ func (o *Outages) ISLFailed(a, b int32) bool {
 	return o != nil && o.failedISL[islKey(a, b)]
 }
 
-// Mask applies the outages to a freshly built snapshot: all links of failed
-// satellites and ground sites are removed, failed ISL lasers are removed,
-// and surviving GSL capacities are scaled by GSLCapFactor. Satellites keep
-// their nodes (they still exist, just dark), so node indexing — and with it
-// the per-snapshot layout every experiment assumes — is unchanged. Mask on
-// a nil or zero Outages is a no-op, which keeps the 0%-failure sweep point
-// byte-identical to the healthy baseline.
-func (o *Outages) Mask(n *graph.Network) {
+// Masked returns healthy with the outages applied, as a private copy: all
+// links of failed satellites and ground sites are removed, failed ISL lasers
+// are removed, and surviving GSL capacities are scaled by GSLCapFactor.
+// Satellites keep their nodes (they still exist, just dark), so node indexing
+// — and with it the per-snapshot layout every experiment assumes — is
+// unchanged. A nil or zero Outages returns healthy itself, which keeps the
+// 0%-failure sweep point byte-identical to the healthy baseline.
+func (o *Outages) Masked(healthy *graph.Network) *graph.Network {
 	if o.IsZero() {
-		return
+		return healthy
 	}
+	n := healthy.Clone()
 	factor := o.GSLCapFactor
 	if factor == 0 {
 		factor = 1
@@ -273,4 +294,5 @@ func (o *Outages) Mask(n *graph.Network) {
 		}
 		return l, true
 	})
+	return n
 }

@@ -9,6 +9,7 @@ import (
 	"leosim/internal/geo"
 	"leosim/internal/graph"
 	"leosim/internal/ground"
+	"leosim/internal/topo"
 )
 
 func testShell() constellation.Shell {
@@ -28,7 +29,9 @@ func testConst(t *testing.T) *constellation.Constellation {
 	return c
 }
 
-func testNetwork(t *testing.T, c *constellation.Constellation, mask func(*graph.Network)) (*graph.Network, int) {
+// testNetwork builds the healthy hybrid network of c at testAt and returns it
+// with the ground segment's terminal count.
+func testNetwork(t *testing.T, c *constellation.Constellation) (*graph.Network, int) {
 	t.Helper()
 	cities, err := ground.Cities(12)
 	if err != nil {
@@ -38,15 +41,14 @@ func testNetwork(t *testing.T, c *constellation.Constellation, mask func(*graph.
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := graph.DefaultOptions()
-	opts.ISL = true
-	opts.Mask = mask
-	b, err := graph.NewBuilder(c, seg, nil, opts)
+	b, err := graph.NewBuilder(c, seg, nil, graph.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b.At(geo.Epoch.Add(3 * time.Hour)), len(seg.Terminals)
+	return b.Hybrid(b.At(testAt), testAt), len(seg.Terminals)
 }
+
+var testAt = geo.Epoch.Add(3 * time.Hour)
 
 // Same seed, same topology → byte-for-byte identical outages.
 func TestRealizeDeterministic(t *testing.T) {
@@ -79,7 +81,7 @@ func TestRealizeDeterministic(t *testing.T) {
 	}
 }
 
-// Fraction 0 masks nothing: the network is identical to an unmasked build.
+// Fraction 0 masks nothing: the masked network is the healthy one itself.
 func TestZeroPlanIsNoOp(t *testing.T) {
 	if !(Plan{}).IsZero() {
 		t.Fatal("zero Plan not IsZero")
@@ -92,11 +94,12 @@ func TestZeroPlanIsNoOp(t *testing.T) {
 	if !o.IsZero() {
 		t.Fatalf("zero plan realized outages: %+v", o)
 	}
-	base, _ := testNetwork(t, c, nil)
-	masked, _ := testNetwork(t, c, o.Mask)
-	if !reflect.DeepEqual(base.Links, masked.Links) {
-		t.Errorf("zero-plan mask changed the link set: %d vs %d links",
-			len(base.Links), len(masked.Links))
+	base, _ := testNetwork(t, c)
+	if masked := o.Masked(base); masked != base {
+		t.Errorf("zero-plan mask copied the network instead of returning the healthy one")
+	}
+	if masked := (*Outages)(nil).Masked(base); masked != base {
+		t.Errorf("nil outages copied the network instead of returning the healthy one")
 	}
 }
 
@@ -148,16 +151,18 @@ func TestMaskRemovesFailures(t *testing.T) {
 	c := testConst(t)
 	p := Plan{Seed: 11, SatFraction: 0.2, SiteFraction: 0.2, ISLFraction: 0.2,
 		GSLCapFactor: 0.5}
-	var numTerms int
-	_, numTerms = testNetwork(t, c, nil)
+	base, numTerms := testNetwork(t, c)
 	o, err := p.Realize(c, numTerms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := testNetwork(t, c, nil)
-	masked, _ := testNetwork(t, c, o.Mask)
+	healthy := append([]graph.Link(nil), base.Links...)
+	masked := o.Masked(base)
 	if len(masked.Links) >= len(base.Links) {
 		t.Fatalf("mask removed nothing: %d -> %d links", len(base.Links), len(masked.Links))
+	}
+	if !reflect.DeepEqual(base.Links, healthy) {
+		t.Fatal("masking wrote the healthy network's links")
 	}
 	for _, l := range masked.Links {
 		switch l.Kind {
@@ -189,6 +194,63 @@ func TestMaskRemovesFailures(t *testing.T) {
 		if d := masked.Degree(idx); d != 0 {
 			t.Fatalf("failed satellite %d still has degree %d", idx, d)
 		}
+	}
+}
+
+// Under a topology that re-places its lasers per snapshot, an ISL outage
+// realized for instant t fails links of instant t: every masked pair is an
+// ISL of the healthy network at t, and exactly round(f·|ISLsAt(t)|) ISL links
+// disappear. (Drawing from the construction-time set — the epoch's placement
+// — masked pairs that do not exist at t and over-reported NumFailedISLs.)
+func TestISLOutageDrawsFromLinksAtT(t *testing.T) {
+	nearest := topo.MustBuild(topo.Nearest, topo.Config{})
+	c, err := constellation.New([]constellation.Shell{testShell()}, topo.Option(nearest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := c.ISLsAt(testAt)
+	if reflect.DeepEqual(at, c.ISLs) {
+		t.Fatal("nearest placed the same links at the epoch and at testAt; the test needs them to differ")
+	}
+	healthy, numTerms := testNetwork(t, c)
+	exists := map[[2]int32]bool{}
+	healthyISLs := 0
+	for _, l := range healthy.Links {
+		if l.Kind == graph.LinkISL {
+			exists[[2]int32{l.A, l.B}] = true
+			healthyISLs++
+		}
+	}
+	if healthyISLs != len(at) {
+		t.Fatalf("healthy network carries %d ISLs, ISLsAt(t) has %d", healthyISLs, len(at))
+	}
+
+	const f = 0.2
+	plan, err := ForScenario(ISLOutage, f, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := plan.RealizeAt(c, numTerms, testAt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int(f*float64(len(at)) + 0.5)
+	if o.NumFailedISLs() != want {
+		t.Errorf("NumFailedISLs = %d, want round(%g·%d) = %d", o.NumFailedISLs(), f, len(at), want)
+	}
+	for key := range o.failedISL {
+		if a, b := int32(key>>32), int32(key); !exists[[2]int32{a, b}] {
+			t.Errorf("masked pair %d-%d is not an ISL of the healthy network at t", a, b)
+		}
+	}
+	maskedISLs := 0
+	for _, l := range o.Masked(healthy).Links {
+		if l.Kind == graph.LinkISL {
+			maskedISLs++
+		}
+	}
+	if got := healthyISLs - maskedISLs; got != want {
+		t.Errorf("%d ISL links disappeared, want %d", got, want)
 	}
 }
 

@@ -61,7 +61,7 @@ type Delta struct {
 	// FullRebuild marks a step that rebuilt the snapshot from scratch
 	// instead of advancing it; Reason says why ("large-jump",
 	// "backwards-step", "aircraft-set-change", "segment-growth",
-	// "gso-policy", "beam-cap", "fault-mask").
+	// "gso-policy", "beam-cap").
 	FullRebuild bool
 	Reason      string
 }
@@ -120,19 +120,18 @@ const cellGuard = 1e-9
 //
 // The incremental path requires options the delta bookkeeping can model;
 // GSO arc avoidance and per-satellite beam caps (whose link sets couple
-// terminals globally) and fault masks (which rewrite links arbitrarily)
-// force a full rebuild every step.
+// terminals globally) force a full rebuild every step.
 //
 // An Advancer is not safe for concurrent use.
 type Advancer struct {
 	b   *Builder
 	net *Network
 	t   time.Time
+	isl bool // a cursor over the hybrid network: builds append the lasers
 
-	// full forces a rebuild on every step (options outside the incremental
-	// model); reason labels the resulting deltas.
-	full   bool
-	reason string
+	// fullReason, when set, forces a rebuild on every step (options outside
+	// the incremental model) and labels the resulting deltas.
+	fullReason string
 
 	// stateValid marks the incremental bookkeeping as synchronized with
 	// net at time t. Rebuilds invalidate it; the next incremental step
@@ -195,19 +194,32 @@ type Advancer struct {
 	stats AdvanceStats
 }
 
-// NewAdvancer builds the snapshot at t and wraps it in an Advancer.
-func (b *Builder) NewAdvancer(t time.Time) *Advancer {
-	a := &Advancer{b: b, t: t}
-	a.net, a.isls = b.build(t, nil)
+// NewAdvancer builds the snapshot at t — the hybrid one when isl is set, the
+// bent-pipe base otherwise — and wraps it in an Advancer.
+func (b *Builder) NewAdvancer(t time.Time, isl bool) *Advancer {
+	a := &Advancer{b: b, t: t, isl: isl}
+	a.build(t, nil)
 	switch {
 	case b.Opts.GSO.SeparationDeg > 0:
-		a.full, a.reason = true, "gso-policy"
+		a.fullReason = "gso-policy"
 	case b.Opts.MaxGSLsPerSatellite > 0:
-		a.full, a.reason = true, "beam-cap"
-	case b.Opts.Mask != nil:
-		a.full, a.reason = true, "fault-mask"
+		a.fullReason = "beam-cap"
 	}
 	return a
+}
+
+// build replaces the network with a fresh one for t: the base scan, plus, for
+// a hybrid cursor, isls (nil: the placement for t), which it anchors.
+func (a *Advancer) build(t time.Time, isls []constellation.ISL) {
+	a.net = a.b.At(t)
+	if !a.isl {
+		return
+	}
+	if isls == nil {
+		isls = a.b.Const.ISLsAt(t)
+	}
+	a.isls = isls
+	a.net = a.net.withISLs(isls, a.b.Opts.ISLCapGbps)
 }
 
 // Net returns the advancer's live network. It is only valid until the next
@@ -231,8 +243,8 @@ func (a *Advancer) Advance(t1 time.Time) *Delta {
 	}
 	dt := t1.Sub(a.t)
 	switch {
-	case a.full:
-		return a.rebuild(t1, a.reason)
+	case a.fullReason != "":
+		return a.rebuild(t1, a.fullReason)
 	case dt < 0:
 		return a.rebuild(t1, "backwards-step")
 	case dt > MaxAdvanceStep:
@@ -448,7 +460,7 @@ func (a *Advancer) rebuild(t1 time.Time, reason string) *Delta {
 	if dt := t1.Sub(a.t); dt < 0 || dt > MaxAdvanceStep {
 		keep = nil
 	}
-	a.net, a.isls = a.b.build(t1, keep)
+	a.build(t1, keep)
 	a.net.epoch = epoch
 	a.t = t1
 	a.stateValid = false

@@ -12,8 +12,8 @@ import (
 )
 
 // advSetup wires a builder over the real Phase 1 shell with a modest ground
-// segment, optionally an aircraft fleet and a fault mask.
-func advSetup(t testing.TB, isl, fleet bool, mask func(*Network)) *Builder {
+// segment and optionally an aircraft fleet.
+func advSetup(t testing.TB, fleet bool) *Builder {
 	t.Helper()
 	c, err := constellation.New([]constellation.Shell{constellation.StarlinkPhase1()},
 		constellation.WithISLs())
@@ -34,15 +34,15 @@ func advSetup(t testing.TB, isl, fleet bool, mask func(*Network)) *Builder {
 			t.Fatal(err)
 		}
 	}
-	opts := DefaultOptions()
-	opts.ISL = isl
-	opts.Mask = mask
-	b, err := NewBuilder(c, seg, fl, opts)
+	b, err := NewBuilder(c, seg, fl, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
+
+// hybridAt is the fresh hybrid snapshot a hybrid cursor must reproduce at t.
+func hybridAt(b *Builder, t time.Time) *Network { return b.Hybrid(b.At(t), t) }
 
 // requireNetworksIdentical asserts got (an advanced network) is byte-for-byte
 // the network want (a fresh At build): nodes, positions, the link list
@@ -123,11 +123,11 @@ func requireTreesIdentical(t *testing.T, label string, got, want *Network) {
 // TestArcWeightsFollowAdvance is the stale-weight guard for the places arc
 // weights are written outside a plain freeze — a step that only reweights
 // (no GSL appears or vanishes, so the CSR is kept and refreshed in place)
-// and Clone — and for a masked step, which must fall back to a rebuild.
+// and Clone.
 func TestArcWeightsFollowAdvance(t *testing.T) {
-	b := advSetup(t, true, false, nil)
+	b := advSetup(t, false)
 	start := geo.Epoch.Add(2 * time.Hour)
-	a := b.NewAdvancer(start)
+	a := b.NewAdvancer(start, true)
 	reweightOnly := 0
 	for i := 1; i <= 40; i++ {
 		tt := start.Add(time.Duration(i) * 100 * time.Millisecond)
@@ -140,7 +140,7 @@ func TestArcWeightsFollowAdvance(t *testing.T) {
 		}
 		reweightOnly++
 		label := fmt.Sprintf("reweight-only t=+%dms", i*100)
-		fresh := b.At(tt)
+		fresh := hybridAt(b, tt)
 		requireNetworksIdentical(t, label, a.Net(), fresh)
 		requireTreesIdentical(t, label, a.Net(), fresh)
 		clone := a.Net().Clone()
@@ -151,28 +151,14 @@ func TestArcWeightsFollowAdvance(t *testing.T) {
 		t.Fatal("no step kept its link set; the in-place reweight path went untested")
 	}
 
-	mb := advSetup(t, true, false, func(n *Network) {
-		n.RewriteLinks(func(l Link) (Link, bool) { return l, l.A%29 != 0 && l.B%29 != 0 })
-	})
-	ma := mb.NewAdvancer(start)
-	for i := 1; i <= 5; i++ {
-		tt := start.Add(time.Duration(i) * time.Second)
-		if d := ma.Advance(tt); !d.FullRebuild || d.Reason != "fault-mask" {
-			t.Fatalf("masked step %d: %+v, want a fault-mask rebuild", i, d)
-		}
-		label := fmt.Sprintf("masked t=+%ds", i)
-		fresh := mb.At(tt)
-		requireNetworksIdentical(t, label, ma.Net(), fresh)
-		requireTreesIdentical(t, label, ma.Net(), fresh)
-	}
 }
 
 // TestAdvanceDifferentialDay advances a hybrid network through a full
 // simulated day in one-minute steps and checks it against fresh At rebuilds
 // at sampled instants.
 func TestAdvanceDifferentialDay(t *testing.T) {
-	b := advSetup(t, true, false, nil)
-	a := b.NewAdvancer(geo.Epoch)
+	b := advSetup(t, false)
+	a := b.NewAdvancer(geo.Epoch, true)
 	const step = time.Minute
 	for i := 1; i <= 24*60; i++ {
 		tt := geo.Epoch.Add(time.Duration(i) * step)
@@ -181,7 +167,7 @@ func TestAdvanceDifferentialDay(t *testing.T) {
 			t.Fatalf("step %d unexpectedly fell back: %s", i, d.Reason)
 		}
 		if i%60 == 0 {
-			requireNetworksIdentical(t, fmt.Sprintf("t=+%dmin", i), a.Net(), b.At(tt))
+			requireNetworksIdentical(t, fmt.Sprintf("t=+%dmin", i), a.Net(), hybridAt(b, tt))
 		}
 	}
 	st := a.Stats()
@@ -200,14 +186,14 @@ func TestAdvanceDifferentialDay(t *testing.T) {
 // advancer exists for — deadline-gated rechecks skip most pairs on most
 // steps — including aircraft, and compares against At every 20 seconds.
 func TestAdvanceDifferentialSeconds(t *testing.T) {
-	b := advSetup(t, true, true, nil)
+	b := advSetup(t, true)
 	start := geo.Epoch.Add(3 * time.Hour)
-	a := b.NewAdvancer(start)
+	a := b.NewAdvancer(start, true)
 	for i := 1; i <= 240; i++ {
 		tt := start.Add(time.Duration(i) * time.Second)
 		a.Advance(tt)
 		if i%20 == 0 {
-			requireNetworksIdentical(t, fmt.Sprintf("t=+%ds", i), a.Net(), b.At(tt))
+			requireNetworksIdentical(t, fmt.Sprintf("t=+%ds", i), a.Net(), hybridAt(b, tt))
 		}
 	}
 	// The whole point at 1 s resolution: the deadline gate must spare the
@@ -225,19 +211,21 @@ func TestAdvanceDifferentialSeconds(t *testing.T) {
 	}
 }
 
-// TestAdvanceDifferentialMasked advances under an active fault mask (the
-// fault.Outages contract: RewriteLinks only): every step is a fault-mask
-// rebuild, byte-identical with masked fresh builds.
+// TestAdvanceDifferentialMasked: a fault mask (the fault.Outages contract:
+// RewriteLinks on a Clone) applied to an advanced network yields the bytes it
+// yields on a freshly built one — advancing and masking commute with building
+// and masking, so a mask never needs a cursor of its own.
 func TestAdvanceDifferentialMasked(t *testing.T) {
-	mask := func(n *Network) {
-		n.RewriteLinks(func(l Link) (Link, bool) {
+	masked := func(n *Network) *Network {
+		m := n.Clone()
+		m.RewriteLinks(func(l Link) (Link, bool) {
 			// Knock out every 37th satellite's links entirely and degrade
 			// the GSL capacity of every 11th — deterministic, order-free.
 			sat := l.A
-			if n.Kind[sat] != NodeSatellite {
+			if m.Kind[sat] != NodeSatellite {
 				sat = l.B
 			}
-			if n.Kind[sat] == NodeSatellite {
+			if m.Kind[sat] == NodeSatellite {
 				if sat%37 == 0 {
 					return l, false
 				}
@@ -247,18 +235,24 @@ func TestAdvanceDifferentialMasked(t *testing.T) {
 			}
 			return l, true
 		})
+		return m
 	}
-	b := advSetup(t, true, false, mask)
+	b := advSetup(t, false)
 	start := geo.Epoch.Add(12 * time.Hour)
-	a := b.NewAdvancer(start)
+	a := b.NewAdvancer(start, true)
 	for i := 1; i <= 120; i++ {
 		tt := start.Add(time.Duration(i) * 30 * time.Second)
-		d := a.Advance(tt)
-		if !d.FullRebuild || d.Reason != "fault-mask" {
-			t.Fatalf("step %d: %+v, want a fault-mask rebuild", i, d)
+		if d := a.Advance(tt); d.FullRebuild {
+			t.Fatalf("step %d fell back: %s", i, d.Reason)
 		}
 		if i%15 == 0 {
-			requireNetworksIdentical(t, fmt.Sprintf("masked t=+%ds", i*30), a.Net(), b.At(tt))
+			label := fmt.Sprintf("masked t=+%ds", i*30)
+			got, want := masked(a.Net()), masked(hybridAt(b, tt))
+			if len(got.Links) == len(a.Net().Links) {
+				t.Fatalf("%s: the mask removed nothing", label)
+			}
+			requireNetworksIdentical(t, label, got, want)
+			requireTreesIdentical(t, label, got, want)
 		}
 	}
 }
@@ -266,9 +260,9 @@ func TestAdvanceDifferentialMasked(t *testing.T) {
 // TestAdvanceDeltaLogConsistency replays the per-step delta log against the
 // previous GSL edge set and requires it to reproduce each step's network.
 func TestAdvanceDeltaLogConsistency(t *testing.T) {
-	b := advSetup(t, true, true, nil)
+	b := advSetup(t, true)
 	start := geo.Epoch.Add(6 * time.Hour)
-	a := b.NewAdvancer(start)
+	a := b.NewAdvancer(start, true)
 	gsl := gslSet(a.Net())
 	epoch := a.Net().Epoch()
 	for i := 1; i <= 90; i++ {
@@ -329,8 +323,8 @@ func gslSet(n *Network) map[GSLChange]bool {
 // TestAdvanceFallbacks covers every full-rebuild trigger and that the
 // advancer recovers incrementally afterwards.
 func TestAdvanceFallbacks(t *testing.T) {
-	b := advSetup(t, false, false, nil)
-	a := b.NewAdvancer(geo.Epoch)
+	b := advSetup(t, false)
+	a := b.NewAdvancer(geo.Epoch, false)
 
 	if d := a.Advance(geo.Epoch); d.FullRebuild || len(d.Added)+len(d.Removed) != 0 {
 		t.Fatalf("zero-length step should be a no-op: %+v", d)
@@ -378,8 +372,8 @@ func TestAdvanceFallbacks(t *testing.T) {
 }
 
 // TestAdvanceOptionFallbacks: options whose link sets couple terminals
-// globally (GSO arc avoidance, beam caps) or rewrite links arbitrarily (fault
-// masks) force a rebuild every step — and still match At exactly.
+// globally (GSO arc avoidance, beam caps) force a rebuild every step — and
+// still match At exactly.
 func TestAdvanceOptionFallbacks(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -388,16 +382,11 @@ func TestAdvanceOptionFallbacks(t *testing.T) {
 	}{
 		{"gso", func(o *BuildOptions) { o.GSO = ground.StarlinkGSOPolicy() }, "gso-policy"},
 		{"beamcap", func(o *BuildOptions) { o.MaxGSLsPerSatellite = 4 }, "beam-cap"},
-		{"mask", func(o *BuildOptions) {
-			o.Mask = func(n *Network) {
-				n.RewriteLinks(func(l Link) (Link, bool) { return l, l.B%7 != 0 })
-			}
-		}, "fault-mask"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b := advSetup(t, false, false, nil)
+			b := advSetup(t, false)
 			tc.mut(&b.Opts)
-			a := b.NewAdvancer(geo.Epoch)
+			a := b.NewAdvancer(geo.Epoch, false)
 			for i := 1; i <= 3; i++ {
 				tt := geo.Epoch.Add(time.Duration(i) * time.Second)
 				d := a.Advance(tt)
@@ -413,15 +402,15 @@ func TestAdvanceOptionFallbacks(t *testing.T) {
 // TestAdvanceCloneIsolation: snapshots handed out via Clone must not change
 // under later advances.
 func TestAdvanceCloneIsolation(t *testing.T) {
-	b := advSetup(t, true, false, nil)
-	a := b.NewAdvancer(geo.Epoch)
+	b := advSetup(t, false)
+	a := b.NewAdvancer(geo.Epoch, true)
 	t1 := geo.Epoch.Add(time.Second)
 	a.Advance(t1)
 	snap := a.Net().Clone()
 	for i := 2; i <= 60; i++ {
 		a.Advance(geo.Epoch.Add(time.Duration(i) * time.Second))
 	}
-	requireNetworksIdentical(t, "clone after 59 more steps", snap, b.At(t1))
+	requireNetworksIdentical(t, "clone after 59 more steps", snap, hybridAt(b, t1))
 	if snap.Epoch() == a.Net().Epoch() {
 		t.Fatal("epoch should have moved past the clone")
 	}
@@ -431,8 +420,8 @@ func TestAdvanceCloneIsolation(t *testing.T) {
 // step. The remaining allocations are the position fan-out goroutines; the
 // candidate, index, link and CSR buffers must all be reused.
 func TestAdvanceAllocs(t *testing.T) {
-	b := advSetup(t, true, false, nil)
-	a := b.NewAdvancer(geo.Epoch)
+	b := advSetup(t, false)
+	a := b.NewAdvancer(geo.Epoch, true)
 	tt := geo.Epoch
 	for i := 0; i < 30; i++ { // settle buffers to steady state
 		tt = tt.Add(time.Second)
@@ -467,9 +456,7 @@ func fullBenchSetup(b *testing.B) *Builder {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.ISL = true
-	bld, err := NewBuilder(c, seg, nil, opts)
+	bld, err := NewBuilder(c, seg, nil, DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -484,7 +471,7 @@ func BenchmarkBuildAt(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = bld.At(geo.Epoch.Add(time.Duration(i) * time.Second))
+		_ = hybridAt(bld, geo.Epoch.Add(time.Duration(i)*time.Second))
 	}
 }
 
@@ -492,7 +479,7 @@ func BenchmarkBuildAt(b *testing.B) {
 // fixture as BenchmarkBuildAt.
 func BenchmarkAdvance(b *testing.B) {
 	bld := fullBenchSetup(b)
-	a := bld.NewAdvancer(geo.Epoch)
+	a := bld.NewAdvancer(geo.Epoch, true)
 	a.Advance(geo.Epoch.Add(time.Second)) // pay lazy state init outside the loop
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -15,16 +15,15 @@ import (
 	"leosim/internal/telemetry"
 )
 
-// BuildOptions configure per-snapshot graph construction.
+// BuildOptions configure per-snapshot graph construction: the ground-satellite
+// scan and the link capacities. Mode and fault mask are not options but
+// derivations (Builder.Hybrid, fault.Outages.Masked).
 type BuildOptions struct {
-	// ISL adds the constellation's inter-satellite links (hybrid
-	// connectivity); without it the graph is bent-pipe only.
-	ISL bool
 	// GSLCapGbps is the capacity of each ground-satellite link direction
 	// (paper default 20 Gbps).
 	GSLCapGbps float64
 	// ISLCapGbps is the capacity of each ISL direction (paper default
-	// 100 Gbps).
+	// 100 Gbps), applied where Hybrid appends the lasers.
 	ISLCapGbps float64
 	// GSO, when non-zero, applies the GSO arc-avoidance constraint to
 	// city/relay terminals (§7).
@@ -38,16 +37,9 @@ type BuildOptions struct {
 	// cap; this knob quantifies what happens when the number of beams or
 	// channels is finite. Dense relay deployments (BP) suffer first.
 	MaxGSLsPerSatellite int
-	// Mask, when non-nil, is applied to every built snapshot after
-	// construction. Fault injection plugs in here: a realized
-	// fault.Outages masks out the links of failed satellites, ground
-	// sites and ISL lasers and degrades GSL capacities. The mask must be
-	// deterministic and safe for concurrent snapshots (it receives a
-	// network no other goroutine holds yet).
-	Mask func(*Network)
 }
 
-// DefaultOptions returns the paper's §5 capacities with ISLs disabled.
+// DefaultOptions returns the paper's §5 capacities.
 func DefaultOptions() BuildOptions {
 	return BuildOptions{GSLCapGbps: 20, ISLCapGbps: 100}
 }
@@ -70,7 +62,7 @@ func NewBuilder(c *constellation.Constellation, seg *ground.Segment,
 	if c == nil || seg == nil {
 		return nil, fmt.Errorf("graph: constellation and segment are required")
 	}
-	if opts.GSLCapGbps <= 0 || (opts.ISL && opts.ISLCapGbps <= 0) {
+	if opts.GSLCapGbps <= 0 || opts.ISLCapGbps <= 0 {
 		return nil, fmt.Errorf("graph: capacities must be positive (gsl=%v isl=%v)",
 			opts.GSLCapGbps, opts.ISLCapGbps)
 	}
@@ -192,23 +184,12 @@ func (x *satIndex) candidates(lat, lon, radiusDeg float64, out []int32) []int32 
 	return out
 }
 
-// At builds the network snapshot for time t, with the ISLs the constellation
-// places for t. Node layout: satellites [0,S), cities, relays, then
-// over-water aircraft.
+// At runs the one propagation + visibility scan of instant t and returns the
+// bent-pipe network, the base every other network of t derives from. Node
+// layout: satellites [0,S), cities, relays, then over-water aircraft.
 func (b *Builder) At(t time.Time) *Network {
-	n, _ := b.build(t, nil)
-	return n
-}
-
-// build is At, also returning the ISL set the network carries. A non-nil
-// isls is used instead of the placement for t: the advancer rebuilds inside
-// its advance window with the set it anchored with.
-func (b *Builder) build(t time.Time, isls []constellation.ISL) (*Network, []constellation.ISL) {
 	sp := telemetry.StartStageSpan(telemetry.StageGraphBuild)
 	defer sp.End()
-	if b.Opts.ISL && isls == nil {
-		isls = b.Const.ISLsAt(t)
-	}
 	satPos := b.Const.PositionsECEF(t)
 	var air []aircraft.Aircraft
 	if b.Fleet != nil {
@@ -325,7 +306,7 @@ func (b *Builder) build(t time.Time, isls []constellation.ISL) (*Network, []cons
 		for _, cands := range perSat {
 			gsls += min(len(cands), lim)
 		}
-		n.Links = make([]Link, 0, gsls+len(isls))
+		n.Links = make([]Link, 0, gsls)
 		for sat := int32(0); sat < int32(n.NumSat); sat++ {
 			cands, ok := perSat[sat]
 			if !ok {
@@ -351,7 +332,7 @@ func (b *Builder) build(t time.Time, isls []constellation.ISL) (*Network, []cons
 		for _, mine := range results {
 			gsls += len(mine)
 		}
-		n.Links = make([]Link, 0, gsls+len(isls))
+		n.Links = make([]Link, 0, gsls)
 		for _, mine := range results {
 			for _, lp := range mine {
 				n.AddLink(lp.term, lp.sat, LinkGSL, b.Opts.GSLCapGbps)
@@ -359,17 +340,18 @@ func (b *Builder) build(t time.Time, isls []constellation.ISL) (*Network, []cons
 		}
 	}
 
-	for _, l := range isls {
-		n.AddLink(int32(l.A), int32(l.B), LinkISL, b.Opts.ISLCapGbps)
-	}
-	if b.Opts.Mask != nil {
-		b.Opts.Mask(n)
-	}
-	// Freeze the adjacency into CSR now (after any fault mask rewrote the
-	// link set) so concurrent experiment workers start routing on a
-	// published layout instead of racing to build it lazily.
+	// Freeze the adjacency into CSR now so concurrent experiment workers start
+	// routing on a published layout instead of racing to build it lazily.
 	n.ensureCSR()
-	return n, isls
+	return n
+}
+
+// Hybrid derives the hybrid network for time t from base, which must be this
+// builder's At(t): the same nodes and GSLs in the same order, then the ISLs
+// the constellation places for t (§2: "BP plus laser ISLs"). It shares base's
+// node arrays, owns its link list and CSR, and does not write base.
+func (b *Builder) Hybrid(base *Network, t time.Time) *Network {
+	return base.withISLs(b.Const.ISLsAt(t), b.Opts.ISLCapGbps)
 }
 
 // parallelChunks splits [0,n) into GOMAXPROCS-sized chunks run concurrently.

@@ -30,13 +30,16 @@ func testSetup(t *testing.T, isl bool) (*Builder, *Network) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.ISL = isl
-	b, err := NewBuilder(c, seg, fleet, opts)
+	b, err := NewBuilder(c, seg, fleet, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, b.At(geo.Epoch.Add(6 * time.Hour))
+	at := geo.Epoch.Add(6 * time.Hour)
+	n := b.At(at)
+	if isl {
+		n = b.Hybrid(n, at)
+	}
+	return b, n
 }
 
 func TestBuilderNodeLayout(t *testing.T) {
@@ -66,23 +69,39 @@ func TestBuilderNodeLayout(t *testing.T) {
 	}
 }
 
-// TestBuildAtIsSized: an unmasked At sizes its node and link slices from
-// counts it has before the first append, so a network that lands in a cache
-// carries no growth slack — with aircraft and ISLs, and under a beam cap.
+// TestBuildAtIsSized: At sizes its node and link slices from counts it has
+// before the first append, and a derived hybrid network copies the links into
+// an exactly-sized list of its own while sharing the base's node arrays — so
+// what lands in a cache carries no growth slack and no second copy of the
+// nodes, with aircraft and ISLs, and under a beam cap.
 func TestBuildAtIsSized(t *testing.T) {
-	b, n := testSetup(t, true)
-	b.Opts.MaxGSLsPerSatellite = 3
-	for label, n := range map[string]*Network{"default": n, "beam-cap": b.At(geo.Epoch)} {
-		if n.NumAircraft == 0 || len(n.Links) == 0 {
-			t.Fatalf("%s: %d aircraft, %d links — both expected", label, n.NumAircraft, len(n.Links))
+	b, _ := testSetup(t, true)
+	at := geo.Epoch.Add(6 * time.Hour)
+	for _, label := range []string{"default", "beam-cap"} {
+		base := b.At(at)
+		hy := b.Hybrid(base, at)
+		for kind, n := range map[string]*Network{"base": base, "hybrid": hy} {
+			if n.NumAircraft == 0 || len(n.Links) == 0 {
+				t.Fatalf("%s %s: %d aircraft, %d links — both expected", label, kind, n.NumAircraft, len(n.Links))
+			}
+			if cap(n.Kind) != len(n.Kind) || cap(n.Pos) != len(n.Pos) || cap(n.Name) != len(n.Name) {
+				t.Errorf("%s %s: node slices cap/len = %d/%d %d/%d %d/%d", label, kind, cap(n.Kind), len(n.Kind),
+					cap(n.Pos), len(n.Pos), cap(n.Name), len(n.Name))
+			}
+			if cap(n.Links) != len(n.Links) {
+				t.Errorf("%s %s: Links cap %d, len %d", label, kind, cap(n.Links), len(n.Links))
+			}
 		}
-		if cap(n.Kind) != len(n.Kind) || cap(n.Pos) != len(n.Pos) || cap(n.Name) != len(n.Name) {
-			t.Errorf("%s: node slices cap/len = %d/%d %d/%d %d/%d", label, cap(n.Kind), len(n.Kind),
-				cap(n.Pos), len(n.Pos), cap(n.Name), len(n.Name))
+		if len(hy.Links) != len(base.Links)+len(b.Const.ISLs) {
+			t.Errorf("%s: hybrid has %d links, want the base's %d + %d ISLs", label, len(hy.Links), len(base.Links), len(b.Const.ISLs))
 		}
-		if cap(n.Links) != len(n.Links) {
-			t.Errorf("%s: Links cap %d, len %d", label, cap(n.Links), len(n.Links))
+		if &hy.Kind[0] != &base.Kind[0] || &hy.Pos[0] != &base.Pos[0] || &hy.Name[0] != &base.Name[0] {
+			t.Errorf("%s: hybrid does not share the base's node arrays", label)
 		}
+		if &hy.Links[0] == &base.Links[0] {
+			t.Errorf("%s: hybrid aliases the base's link list", label)
+		}
+		b.Opts.MaxGSLsPerSatellite = 3
 	}
 }
 
@@ -299,7 +318,6 @@ func TestNewBuilderValidation(t *testing.T) {
 		t.Errorf("zero GSL capacity must fail")
 	}
 	bad = DefaultOptions()
-	bad.ISL = true
 	bad.ISLCapGbps = -1
 	if _, err := NewBuilder(c, seg, nil, bad); err == nil {
 		t.Errorf("negative ISL capacity must fail")

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"leosim/internal/constellation"
 	"leosim/internal/geo"
 	"leosim/internal/safe"
 	"leosim/internal/telemetry"
@@ -92,7 +93,11 @@ type EdgeRef struct {
 	Link int32
 }
 
-// Network is an immutable per-snapshot network graph.
+// Network is an immutable per-snapshot network graph. One handed out by a
+// cache or derived from another (Builder.Hybrid) may share its node arrays
+// with its siblings of the same instant, so holders only read it and whoever
+// wants to change one works on a Clone. The one in-place writer is the
+// Advancer, on a network nobody else holds.
 type Network struct {
 	// Kind and Pos describe the nodes; len(Kind) == len(Pos) == N().
 	Kind []NodeKind
@@ -113,8 +118,8 @@ type Network struct {
 	// of Links[adjEdges[k].Link].OneWayMs, so relaxing an arc reads its
 	// weight from the stream it is already walking instead of a random Link.
 	// Whoever writes a Link's OneWayMs after a freeze must refresh adjMs or
-	// invalidate the CSR (AddLink and RewriteLinks invalidate; the Advancer's
-	// in-place reweight refreshes).
+	// invalidate the CSR (AddLink invalidates, RewriteLinks re-freezes; the
+	// Advancer's in-place reweight refreshes).
 	adjStart []int32
 	adjEdges []EdgeRef
 	adjMs    []float64
@@ -180,8 +185,9 @@ func (n *Network) AddLink(a, b int32, kind LinkKind, capGbps float64) int32 {
 // (possibly modified) link plus whether to keep it. Dropped links disappear
 // from the adjacency structure; kept links are re-indexed densely. This is
 // the mutation primitive fault injection uses to knock out a node's links
-// or degrade link capacities on a freshly built snapshot.
-// The rewrite filters in place: the kept prefix reuses Links' backing array.
+// or degrade link capacities on its private Clone of a healthy snapshot.
+// The rewrite filters in place — the kept prefix reuses Links' backing array —
+// and re-freezes the CSR, so the result is ready for concurrent readers.
 func (n *Network) RewriteLinks(fn func(Link) (Link, bool)) {
 	kept := n.Links[:0]
 	for _, l := range n.Links {
@@ -191,6 +197,25 @@ func (n *Network) RewriteLinks(fn func(Link) (Link, bool)) {
 	}
 	n.Links = kept
 	n.csrValid.Store(false)
+	n.ensureCSR()
+}
+
+// withISLs returns n plus the given lasers appended after its links, in
+// order — the bytes a one-pass build of the same GSLs then ISLs produces. The
+// node arrays are shared (neither network writes them); the exactly-sized
+// link list and the CSR are the derived network's own.
+func (n *Network) withISLs(isls []constellation.ISL, capGbps float64) *Network {
+	d := &Network{
+		Kind: n.Kind, Pos: n.Pos, Name: n.Name,
+		Links:  make([]Link, len(n.Links), len(n.Links)+len(isls)),
+		NumSat: n.NumSat, NumCity: n.NumCity, NumRelay: n.NumRelay, NumAircraft: n.NumAircraft,
+	}
+	copy(d.Links, n.Links)
+	for _, l := range isls {
+		d.AddLink(int32(l.A), int32(l.B), LinkISL, capGbps)
+	}
+	d.ensureCSR()
+	return d
 }
 
 // ensureCSR freezes the adjacency structure into CSR form if any mutation
@@ -279,11 +304,11 @@ func (n *Network) freezeCSRLocked(start []int32) {
 	n.csrValid.Store(true)
 }
 
-// Clone returns an independent deep copy of the network with its CSR frozen.
-// The incremental advancer mutates its network in place; handing a snapshot
-// to anything that outlives the current step — the snapshot cache, a
-// concurrent consumer — goes through Clone so later Advance calls can never
-// rewrite topology under a reader.
+// Clone returns an independent deep copy of the network with its CSR frozen —
+// the way to a network one may write: a fault mask rewrites a Clone of the
+// resident healthy snapshot, the fibre experiment splices into one, and a
+// snapshot of the advancer's in-place network that must outlive the step is
+// one.
 func (n *Network) Clone() *Network {
 	n.ensureCSR()
 	c := &Network{

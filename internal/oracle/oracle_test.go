@@ -59,7 +59,7 @@ func outagesFor(t testing.TB, s *core.Sim, mask string) *fault.Outages {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Realize(s.Const, len(s.Seg.Terminals))
+	out, err := plan.RealizeAt(s.Const, len(s.Seg.Terminals), s.SnapshotTimes()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestMaskMonotonic(t *testing.T) {
 func TestBuildValidity(t *testing.T) {
 	sim := motifSim(t, topo.PlusGrid, core.TinyScale(), "tiny")
 	n1 := buildNet(t, sim, core.BP, "")
-	n2 := buildNet(t, sim, core.BP, "")
+	n2 := n1.Clone()
 	o := buildOracle(t, n1)
 	if !o.Valid(n1) {
 		t.Fatal("oracle invalid for its own network")

@@ -42,11 +42,10 @@ func BenchmarkMinMaxUtilization(b *testing.B) {
 		dst := (src + nn/2) % nn
 		demands = append(demands, Demand{Src: src, Dst: dst, K: 4})
 	}
-	opts := DefaultOptions()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		asgs, err := MinMaxUtilization(n, demands, opts)
+		asgs, err := MinMaxUtilization(n, demands)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -31,32 +31,21 @@ type Assignment struct {
 	Paths  []graph.Path
 }
 
-// Options tune the congestion-aware router.
-type Options struct {
-	// Alpha scales the congestion penalty: a link's routing cost is
-	// delay · (1 + Alpha·utilization²). Zero reduces to shortest-delay.
-	Alpha float64
-	// UnitGbps is the nominal rate each sub-flow contributes to link
+// The router's parameters mirror the paper's setup.
+const (
+	// alpha scales the congestion penalty: a link's routing cost is
+	// delay · (1 + alpha·utilization²).
+	alpha = 8
+	// unitGbps is the nominal rate each sub-flow contributes to link
 	// utilization while routing (the allocator later decides true rates).
-	UnitGbps float64
-	// DisjointWithinDemand forces the K sub-flows of one demand onto
-	// edge-disjoint paths, as the paper's baseline scheme does.
-	DisjointWithinDemand bool
-}
-
-// DefaultOptions mirror the paper's setup: 4 edge-disjoint sub-flows, a
-// strong congestion penalty, and 1 Gbps of nominal load per sub-flow.
-func DefaultOptions() Options {
-	return Options{Alpha: 8, UnitGbps: 1, DisjointWithinDemand: true}
-}
+	unitGbps = 1
+)
 
 // MinMaxUtilization routes all demands over network n with congestion-aware
-// costs and returns the per-demand assignments. Demands are processed in
-// decreasing-K then input order (deterministic).
-func MinMaxUtilization(n *graph.Network, demands []Demand, opts Options) ([]Assignment, error) {
-	if opts.UnitGbps <= 0 {
-		return nil, fmt.Errorf("routing: UnitGbps must be positive, got %v", opts.UnitGbps)
-	}
+// costs and returns the per-demand assignments. The K sub-flows of one demand
+// take edge-disjoint paths, as in the paper's baseline scheme. Demands are
+// processed in decreasing-K then input order (deterministic).
+func MinMaxUtilization(n *graph.Network, demands []Demand) ([]Assignment, error) {
 	load := make([]float64, len(n.Links)) // nominal Gbps per undirected link
 
 	cost := func(li int32) float64 {
@@ -65,7 +54,7 @@ func MinMaxUtilization(n *graph.Network, demands []Demand, opts Options) ([]Assi
 			return math.Inf(1)
 		}
 		u := load[li] / l.CapGbps
-		return l.OneWayMs * (1 + opts.Alpha*u*u)
+		return l.OneWayMs * (1 + alpha*u*u)
 	}
 
 	order := make([]int, len(demands))
@@ -96,10 +85,8 @@ func MinMaxUtilization(n *graph.Network, demands []Demand, opts Options) ([]Assi
 			}
 			asg.Paths = append(asg.Paths, p)
 			for _, li := range p.Links {
-				load[li] += opts.UnitGbps
-				if opts.DisjointWithinDemand {
-					st.BanLink(li)
-				}
+				load[li] += unitGbps
+				st.BanLink(li)
 			}
 		}
 		out[di] = asg
@@ -108,8 +95,8 @@ func MinMaxUtilization(n *graph.Network, demands []Demand, opts Options) ([]Assi
 }
 
 // MaxUtilization reports the highest nominal link utilization implied by the
-// assignments at UnitGbps per sub-flow — the quantity the scheme minimizes.
-func MaxUtilization(n *graph.Network, asgs []Assignment, unitGbps float64) float64 {
+// assignments at unitGbps per sub-flow — the quantity the scheme minimizes.
+func MaxUtilization(n *graph.Network, asgs []Assignment) float64 {
 	load := make([]float64, len(n.Links))
 	for _, a := range asgs {
 		for _, p := range a.Paths {

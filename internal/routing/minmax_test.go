@@ -24,9 +24,7 @@ func twoCorridorNet() (*graph.Network, int32, int32) {
 
 func TestShortestDelayWhenUncongested(t *testing.T) {
 	n, a, b := twoCorridorNet()
-	opts := DefaultOptions()
-	opts.DisjointWithinDemand = false
-	asgs, err := MinMaxUtilization(n, []Demand{{Src: a, Dst: b, K: 1}}, opts)
+	asgs, err := MinMaxUtilization(n, []Demand{{Src: a, Dst: b, K: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +44,7 @@ func TestCongestionSpreadsLoad(t *testing.T) {
 	for i := range demands {
 		demands[i] = Demand{Src: a, Dst: b, K: 1}
 	}
-	opts := DefaultOptions()
-	opts.DisjointWithinDemand = false
-	asgs, err := MinMaxUtilization(n, demands, opts)
+	asgs, err := MinMaxUtilization(n, demands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +67,7 @@ func TestCongestionSpreadsLoad(t *testing.T) {
 	}
 	// Max utilization must beat pure shortest-path routing (which puts
 	// all 30 on the 10 Gbps link → utilization 3.0).
-	if mu := MaxUtilization(n, asgs, 1); mu >= 3.0 {
+	if mu := MaxUtilization(n, asgs); mu >= 3.0 {
 		t.Errorf("max utilization %v not improved over shortest-path 3.0", mu)
 	}
 	// And the mean delay is higher than the pure-direct delay — the
@@ -82,27 +78,9 @@ func TestCongestionSpreadsLoad(t *testing.T) {
 	}
 }
 
-func TestAlphaZeroIsShortestPath(t *testing.T) {
-	n, a, b := twoCorridorNet()
-	demands := make([]Demand, 20)
-	for i := range demands {
-		demands[i] = Demand{Src: a, Dst: b, K: 1}
-	}
-	opts := Options{Alpha: 0, UnitGbps: 1}
-	asgs, err := MinMaxUtilization(n, demands, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, asg := range asgs {
-		if asg.Paths[0].Hops() != 1 {
-			t.Fatalf("alpha=0 must always take the shortest path")
-		}
-	}
-}
-
 func TestDisjointWithinDemand(t *testing.T) {
 	n, a, b := twoCorridorNet()
-	asgs, err := MinMaxUtilization(n, []Demand{{Src: a, Dst: b, K: 2}}, DefaultOptions())
+	asgs, err := MinMaxUtilization(n, []Demand{{Src: a, Dst: b, K: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +98,7 @@ func TestDisjointWithinDemand(t *testing.T) {
 		}
 	}
 	// K beyond the disjoint capacity yields fewer paths, not an error.
-	asgs, err = MinMaxUtilization(n, []Demand{{Src: a, Dst: b, K: 5}}, DefaultOptions())
+	asgs, err = MinMaxUtilization(n, []Demand{{Src: a, Dst: b, K: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,13 +109,8 @@ func TestDisjointWithinDemand(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	n, a, b := twoCorridorNet()
-	if _, err := MinMaxUtilization(n, []Demand{{Src: a, Dst: b, K: 0}}, DefaultOptions()); err == nil {
+	if _, err := MinMaxUtilization(n, []Demand{{Src: a, Dst: b, K: 0}}); err == nil {
 		t.Errorf("K=0 must error")
-	}
-	bad := DefaultOptions()
-	bad.UnitGbps = 0
-	if _, err := MinMaxUtilization(n, nil, bad); err == nil {
-		t.Errorf("zero unit must error")
 	}
 }
 
@@ -145,7 +118,7 @@ func TestUnroutableDemand(t *testing.T) {
 	n := &graph.Network{}
 	a := n.AddNode(graph.NodeCity, geo.LL(0, 0).ToECEF(), "a")
 	b := n.AddNode(graph.NodeCity, geo.LL(0, 50).ToECEF(), "b")
-	asgs, err := MinMaxUtilization(n, []Demand{{Src: a, Dst: b, K: 1}}, DefaultOptions())
+	asgs, err := MinMaxUtilization(n, []Demand{{Src: a, Dst: b, K: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +128,7 @@ func TestUnroutableDemand(t *testing.T) {
 	if !math.IsNaN(MeanPathDelayMs(asgs)) {
 		t.Errorf("mean delay of nothing should be NaN")
 	}
-	if MaxUtilization(n, asgs, 1) != 0 {
+	if MaxUtilization(n, asgs) != 0 {
 		t.Errorf("no load → zero utilization")
 	}
 }
@@ -163,8 +136,8 @@ func TestUnroutableDemand(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	n, a, b := twoCorridorNet()
 	demands := []Demand{{Src: a, Dst: b, K: 2}, {Src: b, Dst: a, K: 1}}
-	x, _ := MinMaxUtilization(n, demands, DefaultOptions())
-	y, _ := MinMaxUtilization(n, demands, DefaultOptions())
+	x, _ := MinMaxUtilization(n, demands)
+	y, _ := MinMaxUtilization(n, demands)
 	for i := range x {
 		if len(x[i].Paths) != len(y[i].Paths) {
 			t.Fatalf("non-deterministic path counts")

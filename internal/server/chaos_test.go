@@ -348,6 +348,35 @@ func TestChaosHybridDegradesToBPFallback(t *testing.T) {
 	}
 }
 
+// A what-if can be the breaker's half-open probe. Its build reads the healthy
+// entry through the same cache, which starts no second build while a probe is
+// in flight — so with that entry not resident the probe must take the sim's
+// network instead of failing, or a server asked only what-ifs would never
+// close its breaker.
+func TestMaskedProbeClosesBreaker(t *testing.T) {
+	chaos := fault.NewChaos(7, 1.0, 0, 0)
+	s := newTestServer(t, Config{
+		Chaos:            chaos,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Millisecond,
+	})
+	if rec := get(s, chaosURL(t, s, 0, "bp")); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("tripping build: status %d, want 500", rec.Code)
+	}
+	if st := s.cache.Breaker().State; st.String() != "open" {
+		t.Fatalf("breaker %s after the failed build, want open", st)
+	}
+	chaos.FailRate = 0
+	time.Sleep(5 * time.Millisecond) // past the cooldown
+	url := chaosURL(t, s, 1, "hybrid") + "&fault=sat&fraction=0.1"
+	if rec := get(s, url); rec.Code != http.StatusOK {
+		t.Fatalf("masked probe with no resident healthy entry: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if st := s.cache.Breaker().State; st.String() != "closed" {
+		t.Fatalf("breaker %s after the successful probe, want closed", st)
+	}
+}
+
 // Retry-After is load- and breaker-derived with jitter — never the old
 // hardcoded 1. On an idle server the base is 1s, jitter adds up to 50%.
 func TestRetryAfterLoadDerivedAndJittered(t *testing.T) {

@@ -152,28 +152,41 @@ func (s *Server) cacheKey(spec snapSpec) snapcache.Key {
 }
 
 // buildSnapshot is the cache's BuildFunc: it re-derives mode and fault mask
-// from the key and runs a fresh side-effect-free build. Keeping the key →
-// build mapping pure is what makes cached snapshots trustworthy: two
+// from the key. A healthy key is the sim's shared snapshot; a masked key is a
+// masked copy of this cache's own healthy entry (resident after priming,
+// singleflight-built otherwise), so a what-if repeats no scan. Keeping the
+// key → build mapping pure is what makes cached snapshots trustworthy: two
 // requests that agree on the key are guaranteed the same network.
 func (s *Server) buildSnapshot(ctx context.Context, key snapcache.Key) (*graph.Network, error) {
 	var mode core.Mode
 	if err := mode.UnmarshalText([]byte(strings.TrimPrefix(key.Scenario, s.scenario+"/"))); err != nil {
 		return nil, fmt.Errorf("server: cache key %s: %w", key, err)
 	}
-	outages, err := s.realizeMask(key.Mask)
+	if key.Mask == "" {
+		return s.cfg.Sim.BuildNetworkAt(ctx, key.Time, mode, nil)
+	}
+	outages, err := s.realizeMask(key.Mask, key.Time)
 	if err != nil {
 		return nil, err
 	}
-	return s.cfg.Sim.BuildNetworkAt(ctx, key.Time, mode, outages)
+	healthy, err := s.cache.Get(ctx, snapcache.Key{Scenario: key.Scenario, Time: key.Time})
+	var boe *snapcache.BreakerOpenError
+	if errors.As(err, &boe) {
+		// This build is the breaker's half-open probe, beside which the cache
+		// starts no second build: take the sim's network so it can succeed.
+		healthy, err = s.cfg.Sim.BuildNetworkAt(ctx, key.Time, mode, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return outages.Masked(healthy), nil
 }
 
 // realizeMask turns a fault fingerprint "scenario:fraction:seed" back into
-// concrete outages. Realization is deterministic (seeded), so the
-// fingerprint alone is a complete description of the failure set.
-func (s *Server) realizeMask(mask string) (*fault.Outages, error) {
-	if mask == "" {
-		return nil, nil
-	}
+// the concrete outages of instant t. Realization is deterministic (seeded),
+// so the fingerprint and the instant are a complete description of the
+// failure set.
+func (s *Server) realizeMask(mask string, t time.Time) (*fault.Outages, error) {
 	parts := strings.Split(mask, ":")
 	if len(parts) != 3 {
 		return nil, fmt.Errorf("server: malformed fault mask %q", mask)
@@ -190,7 +203,7 @@ func (s *Server) realizeMask(mask string) (*fault.Outages, error) {
 	if err != nil {
 		return nil, err
 	}
-	return plan.Realize(s.cfg.Sim.Const, len(s.cfg.Sim.Seg.Terminals))
+	return plan.RealizeAt(s.cfg.Sim.Const, len(s.cfg.Sim.Seg.Terminals), t)
 }
 
 // snapMeta describes how a snapshot was obtained, for the response envelope.

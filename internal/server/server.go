@@ -467,10 +467,12 @@ func (s *Server) primeCache(ctx context.Context) {
 		"durMs", time.Since(start).Milliseconds())
 }
 
+// primeAll goes snapshot-major, bent-pipe first, so the base the sim derives
+// hybrid(t) from is still resident: the day costs one scan per instant.
 func (s *Server) primeAll(ctx context.Context) (primed int, err error) {
 	defer safe.RecoverTo(&err)
-	for _, mode := range []core.Mode{core.BP, core.Hybrid} {
-		for _, t := range s.times {
+	for _, t := range s.times {
+		for _, mode := range []core.Mode{core.BP, core.Hybrid} {
 			n, err := s.cfg.Sim.BuildNetworkAt(ctx, t, mode, nil)
 			if err != nil {
 				return primed, err

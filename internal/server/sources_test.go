@@ -10,12 +10,13 @@ import (
 
 	"leosim/internal/core"
 	"leosim/internal/graph"
+	"leosim/internal/telemetry"
 	"leosim/internal/topo"
 )
 
 // TestSnapshotSourcesAgree holds every way of obtaining a snapshot to one
-// answer: for each motif and mode, the sim's cached schedule snapshot, an
-// uncached build, a time cursor stepped there from the epoch and the entry
+// answer: for each motif and mode, the sim's cached schedule snapshot,
+// BuildNetworkAt's, a time cursor stepped there from the epoch and the entry
 // the server's primer deposited carry the same links at the last schedule
 // instant — the ISLs at t are decided in one place, whoever asks.
 func TestSnapshotSourcesAgree(t *testing.T) {
@@ -93,15 +94,16 @@ func TestSnapshotSourcesAgree(t *testing.T) {
 		}
 	})
 
-	// Under -race: cached and uncached hybrid builds of an epoch-aware motif
-	// share nothing they write.
+	// Under -race: concurrent askers for the hybrid network of an epoch-aware
+	// motif — each a base scan, a placement and a derivation — share nothing
+	// they write.
 	t.Run("concurrent", func(t *testing.T) {
 		sim := newSim(t, topo.Nearest)
 		t0 := sim.SnapshotTimes()[0]
 		var wg sync.WaitGroup
 		for i := 0; i < 8; i++ {
-			// Distinct instants: every NetworkAt is a cache miss, so cached
-			// and uncached builds really overlap.
+			// Distinct instants: every pair of calls races for one cache
+			// miss, and the eight builds really overlap.
 			at := t0.Add(time.Duration(i) * time.Minute)
 			wg.Add(2)
 			go func() {
@@ -117,4 +119,44 @@ func TestSnapshotSourcesAgree(t *testing.T) {
 		}
 		wg.Wait()
 	})
+}
+
+// TestOneScanPerInstant: priming a day of both modes runs the propagation +
+// visibility scan once per snapshot, and a what-if against the primed day
+// runs none — the masked network is a masked copy of the resident healthy
+// entry.
+func TestOneScanPerInstant(t *testing.T) {
+	scans := func() int64 {
+		return telemetry.Enable().StageHistogram(telemetry.StageGraphBuild).Count()
+	}
+	defer telemetry.Disable()
+	sim, err := core.NewSim(core.Starlink, core.TinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, Config{Sim: sim, PrimeSnapshots: true})
+	before := scans()
+	if _, err := srv.primeAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := scans()-before, int64(sim.Scale.NumSnapshots); got != want {
+		t.Errorf("priming %d snapshots × 2 modes ran %d scans, want %d", want, got, want)
+	}
+
+	before = scans()
+	builds := srv.CacheStats().Builds
+	pair := sim.Pairs[0]
+	for _, mode := range []core.Mode{core.BP, core.Hybrid} {
+		url := q("/v1/path", "src", sim.CityName(pair.Src), "dst", sim.CityName(pair.Dst),
+			"mode", mode.String(), "snap", "2", "fault", "sat", "fraction", "0.1", "seed", "3")
+		if rec := getJSON(t, srv.Handler(), url, nil); rec.Code != 200 {
+			t.Fatalf("%s: status %d: %s", url, rec.Code, rec.Body.String())
+		}
+	}
+	if got := srv.CacheStats().Builds - builds; got != 2 {
+		t.Errorf("two masked keys cost %d cache builds, want 2", got)
+	}
+	if got := scans() - before; got != 0 {
+		t.Errorf("masked /v1/path against a primed day ran %d scans, want 0", got)
+	}
 }

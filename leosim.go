@@ -157,8 +157,8 @@ type (
 	// FaultPlan is a seeded failure description, realizable against a
 	// constellation into concrete outages.
 	FaultPlan = fault.Plan
-	// FaultOutages is a realized failure set whose Mask plugs into graph
-	// building.
+	// FaultOutages is a realized failure set; Masked derives the faulted
+	// network from a healthy one.
 	FaultOutages = fault.Outages
 	// Shell describes one orbital shell.
 	Shell = constellation.Shell
