@@ -41,10 +41,7 @@ func getBenchSim(b *testing.B) *Sim {
 	benchSimOnce.Do(func() {
 		benchSim, benchSimErr = NewSim(Starlink, benchScale())
 		if benchSimErr == nil {
-			benchSimErr = benchSim.EnsureCity("Maceió")
-		}
-		if benchSimErr == nil {
-			benchSimErr = benchSim.EnsureCity("Durban")
+			benchSim, benchSimErr = benchSim.WithCities("Maceió", "Durban")
 		}
 	})
 	if benchSimErr != nil {

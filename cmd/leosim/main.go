@@ -395,11 +395,6 @@ func runExperiment(ctx context.Context, sim *leosim.Sim, cmd string, cdfPoints i
 		}
 		return rerr
 	case "fig3":
-		for _, name := range []string{"Maceió", "Durban"} {
-			if err := sim.EnsureCity(name); err != nil {
-				return err
-			}
-		}
 		res, err := leosim.RunPathTrace(ctx, sim, "Maceió", "Durban", leosim.BP)
 		if err != nil {
 			return err

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,6 +31,15 @@ func captureRun(ctx context.Context, args []string) ([]byte, error) {
 func extArgs(journal string) []string {
 	return []string{"-scale", "tiny", "-snapshots", "2", "-cdf-points", "0",
 		"-quiet", "-json", "-resume", journal, "ext"}
+}
+
+// allArgs is the paper's reproduction command at the smallest sizing where
+// all eleven experiments succeed (Delhi–Sydney needs the reduced city set to
+// route on BP) and fig4/fig5 notice two more city terminals (the full reduced
+// traffic matrix; at 100 pairs none of it transits Maceió or Durban).
+func allArgs(extra ...string) []string {
+	return append([]string{"-scale", "reduced", "-snapshots", "2",
+		"-cdf-points", "0", "-quiet", "-json"}, extra...)
 }
 
 // countDone reports how many experiments the journal has marked complete.
@@ -110,6 +121,42 @@ func TestResumeEndToEnd(t *testing.T) {
 		}
 	})
 
+	// A journal that ends right after fig3 — the experiment that adds cities
+	// beyond the top-N cut — replays fig3 and recomputes the rest: they must
+	// not depend on fig3 having run in this process.
+	t.Run("all resumed after fig3 is byte-identical", func(t *testing.T) {
+		full := filepath.Join(dir, "all.journal")
+		want, err := captureRun(context.Background(), allArgs("-resume", full, "all"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cut int
+		for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+			cut += len(line)
+			if bytes.Contains(line, []byte(`"kind":"done"`)) && bytes.Contains(line, []byte(`"experiment":"fig3"`)) {
+				break
+			}
+		}
+		if cut == len(data) {
+			t.Fatal("no done record for fig3 before the journal's last line")
+		}
+		journal := filepath.Join(dir, "all-cut.journal")
+		if err := os.WriteFile(journal, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := captureRun(context.Background(), allArgs("-resume", journal, "all"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("all resumed after fig3 differs from the uninterrupted run (%d vs %d bytes)", len(got), len(want))
+		}
+	})
+
 	t.Run("refuses mismatched flags", func(t *testing.T) {
 		args := extArgs(ref)
 		args[5] = "7" // -cdf-points 0 → 7 changes the rendered output
@@ -118,4 +165,44 @@ func TestResumeEndToEnd(t *testing.T) {
 			t.Errorf("err = %v, want run-configuration mismatch", err)
 		}
 	})
+}
+
+// `leosim all` is the stand-alone experiments in sequence: each envelope's
+// data equals that experiment run alone on a fresh sim, so no experiment
+// depends on which ones ran before it on the shared sim.
+func TestAllMatchesStandalone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-experiment sweeps in -short mode")
+	}
+	type envelope struct {
+		Experiment string          `json:"experiment"`
+		Data       json.RawMessage `json:"data"`
+	}
+	envelopes := func(args []string) []envelope {
+		t.Helper()
+		out, err := captureRun(context.Background(), args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envs []envelope
+		for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+			var e envelope
+			if err := dec.Decode(&e); err == io.EOF {
+				return envs
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			envs = append(envs, e)
+		}
+	}
+	all := envelopes(allArgs("all"))
+	if len(all) != 11 {
+		t.Fatalf("all emitted %d envelopes, want 11", len(all))
+	}
+	for _, e := range all {
+		alone := envelopes(allArgs(e.Experiment))
+		if len(alone) != 1 || !bytes.Equal(alone[0].Data, e.Data) {
+			t.Errorf("%s under all differs from %s run alone", e.Experiment, e.Experiment)
+		}
+	}
 }

@@ -42,11 +42,6 @@ func main() {
 	}
 
 	fmt.Println("\n--- Fig 3: Maceió → Durban under BP ---")
-	for _, name := range []string{"Maceió", "Durban"} {
-		if err := sim.EnsureCity(name); err != nil {
-			log.Fatal(err)
-		}
-	}
 	trace, err := leosim.RunPathTrace(ctx, sim, "Maceió", "Durban", leosim.BP)
 	if err != nil {
 		log.Fatal(err)

@@ -12,6 +12,7 @@ import (
 
 	"leosim/internal/geo"
 	"leosim/internal/ground"
+	"leosim/internal/topo"
 )
 
 // shared tiny sim, built once: most tests only read from it.
@@ -372,39 +373,55 @@ func TestRunGSOArcTiny(t *testing.T) {
 	}
 }
 
-func TestEnsureCity(t *testing.T) {
-	// Use a private sim: EnsureCity mutates.
-	s, err := NewSim(Starlink, TinyScale())
+func TestWithCities(t *testing.T) {
+	s, err := NewSim(Starlink, TinyScale(), WithMotifID(topo.Ladder), WithSatelliteCapacity(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := s.Seg.NumCity
-	if err := s.EnsureCity("Maceió"); err != nil {
+	d, err := s.WithCities("Maceió", "Maceió", s.CityName(0))
+	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, c := range s.Cities {
-		if c.Name == "Maceió" {
-			found = true
-		}
+	if i, ok := d.FindCity("Maceió"); !ok || i != before {
+		t.Fatalf("Maceió at (%d, %v), want index %d", i, ok, before)
 	}
-	if !found {
-		t.Fatal("Maceió not added")
+	if d.Seg.NumCity != before+1 || len(d.Cities) != before+1 {
+		t.Errorf("derived sim has %d cities (%d listed), want %d", d.Seg.NumCity, len(d.Cities), before+1)
 	}
-	// Idempotent.
-	if err := s.EnsureCity("Maceió"); err != nil {
-		t.Fatal(err)
+	// The receiver is untouched, and is returned as is when nothing is missing.
+	if _, ok := s.FindCity("Maceió"); ok || s.Seg.NumCity != before || len(s.Cities) != before {
+		t.Errorf("WithCities changed its receiver: %d cities", s.Seg.NumCity)
 	}
-	if s.Seg.NumCity > before+1 {
-		t.Errorf("EnsureCity not idempotent: %d → %d", before, s.Seg.NumCity)
+	if same, err := d.WithCities("Maceió"); err != nil || same != d {
+		t.Errorf("WithCities with nothing missing = (%p, %v), want the receiver %p", same, err, d)
 	}
-	if err := s.EnsureCity("Atlantis"); err == nil {
+	if _, err := s.WithCities("Atlantis"); err == nil {
 		t.Errorf("unknown city must fail")
 	}
+	// A derivation keeps choice, scale, options and the traffic matrix; only
+	// terminals are added, before an unchanged relay grid.
+	if d.Motif == nil || d.Motif.Name() != s.Motif.Name() || d.SatCapGbps != 0 {
+		t.Errorf("derived sim dropped options: motif %v, satellite capacity %v", d.Motif, d.SatCapGbps)
+	}
+	if !reflect.DeepEqual(d.Pairs, s.Pairs) || d.Seg.NumRelay != s.Seg.NumRelay {
+		t.Errorf("derived sim changed pairs or relays")
+	}
+	// A second derivation keeps the first one's cities.
+	dd, err := d.WithCities("Durban")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i, ok := dd.FindCity("Maceió"); !ok || i != before {
+		t.Errorf("second derivation lost Maceió: (%d, %v)", i, ok)
+	}
+	if i, ok := dd.FindCity("Durban"); !ok || i != before+1 {
+		t.Errorf("Durban at (%d, %v), want index %d", i, ok, before+1)
+	}
 	// The new city terminal is wired into built networks.
-	n := s.NetworkAt(s.SnapshotTimes()[0], Hybrid)
-	if n.NumCity != s.Seg.NumCity {
-		t.Errorf("network city count %d, segment %d", n.NumCity, s.Seg.NumCity)
+	n := d.NetworkAt(d.SnapshotTimes()[0], Hybrid)
+	if n.NumCity != d.Seg.NumCity {
+		t.Errorf("network city count %d, segment %d", n.NumCity, d.Seg.NumCity)
 	}
 }
 

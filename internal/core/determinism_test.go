@@ -24,101 +24,101 @@ func detScale() Scale {
 	return sc
 }
 
+// australiaScale is where Delhi–Sydney routes on BP: the tiny 60-city set
+// has no Australian city, so the pair-weather cases bridge the gap the way
+// TestRunPairWeatherDelhiSydney does.
+func australiaScale() Scale {
+	sc := detScale()
+	sc.NumCities = 150
+	sc.RelaySpacingDeg = 2
+	sc.RelayMaxKm = 2000
+	sc.AircraftDensity = 1
+	return sc
+}
+
 func TestRunEntryPointsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full entry-point sweep in -short mode")
 	}
-	// The tiny 60-city set has no Australian city, so BP cannot route
-	// Delhi–Sydney there; the pairweather case bridges the gap the way
-	// TestRunPairWeatherDelhiSydney does.
-	australiaScale := func() Scale {
-		sc := detScale()
-		sc.NumCities = 150
-		sc.RelaySpacingDeg = 2
-		sc.RelayMaxKm = 2000
-		sc.AircraftDensity = 1
-		return sc
-	}
 	cases := []struct {
-		name   string
-		scale  func() Scale // nil = detScale
-		cities []string     // EnsureCity before running
-		run    func(ctx context.Context, s *Sim) (interface{}, error)
+		name  string
+		scale func() Scale // nil = detScale
+		run   func(ctx context.Context, s *Sim) (interface{}, error)
 	}{
-		{"latency", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"latency", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunLatency(ctx, s)
 		}},
-		{"pathtrace", nil, []string{"Maceió", "Durban"}, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"pathtrace", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunPathTrace(ctx, s, "Maceió", "Durban", BP)
 		}},
-		{"throughput", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"throughput", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunThroughput(ctx, s, Hybrid, 1, Epoch())
 		}},
-		{"fig4", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"fig4", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunFig4(ctx, s)
 		}},
-		{"fig5", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"fig5", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			pts, bp, err := RunFig5(ctx, s, []float64{0.5, 2})
 			return struct {
 				BP     float64
 				Points []Fig5Point
 			}{bp, pts}, err
 		}},
-		{"disconnected", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"disconnected", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunDisconnected(ctx, s)
 		}},
-		{"weather", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"weather", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunWeather(ctx, s)
 		}},
-		{"weather-ka", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"weather-ka", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunWeatherBand(ctx, s, KaBand)
 		}},
-		{"pairweather", australiaScale, []string{"Delhi", "Sydney"}, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"pairweather", australiaScale, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunPairWeather(ctx, s, "Delhi", "Sydney")
 		}},
-		{"heatmap", nil, []string{"Delhi", "Sydney"}, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"heatmap", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunHeatmap(ctx, s, "Delhi", "Sydney", 4)
 		}},
-		{"gsoarc", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"gsoarc", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunGSOArc(ctx, s, 40, []float64{0, 30, 60})
 		}},
-		{"gsoimpact", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"gsoimpact", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunGSOImpact(ctx, s)
 		}},
-		{"crossshell", nil, []string{"Brisbane", "Tokyo"}, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"crossshell", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunCrossShell(ctx, s, "Brisbane", "Tokyo")
 		}},
-		{"fiber", nil, []string{"Paris", "Rouen", "Orléans"}, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"fiber", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunFiberAugmentation(ctx, s, "Paris", []string{"Rouen", "Orléans"}, 200, Epoch())
 		}},
-		{"te", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"te", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunTrafficEngineering(ctx, s, Hybrid, 4, Epoch())
 		}},
-		{"modcod", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"modcod", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunWeatherCapacity(ctx, s)
 		}},
-		{"utilization", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"utilization", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunUtilization(ctx, s, Hybrid, Epoch())
 		}},
-		{"pathchurn", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"pathchurn", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunPathChurn(ctx, s)
 		}},
-		{"churn", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"churn", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunChurn(ctx, s, ChurnOptions{Step: 2 * time.Second, Window: 10 * time.Second})
 		}},
-		{"beams", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"beams", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunBeamSweep(ctx, s, []int{4, 0}, Epoch())
 		}},
-		{"relays", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"relays", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunRelayDensitySweep(ctx, s.Choice, s.Scale, []float64{s.Scale.RelaySpacingDeg})
 		}},
-		{"resilience", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"resilience", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunResilience(ctx, s, "sat", []float64{0, 0.1})
 		}},
-		{"check", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"check", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunCheck(ctx, s, CheckOptions{Snapshots: 1, PairSample: 8, OptimalitySample: 2})
 		}},
-		{"topo", nil, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"topo", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunTopo(ctx, s, TopoOptions{
 				ChurnStep:   2 * time.Second,
 				ChurnWindow: 10 * time.Second,
@@ -139,11 +139,6 @@ func TestRunEntryPointsDeterministic(t *testing.T) {
 				s, err := NewSim(Starlink, scale())
 				if err != nil {
 					t.Fatal(err)
-				}
-				for _, c := range tc.cities {
-					if err := s.EnsureCity(c); err != nil {
-						t.Fatal(err)
-					}
 				}
 				res, err := tc.run(ctx, s)
 				if err != nil {

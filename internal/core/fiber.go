@@ -41,16 +41,11 @@ func RunFiberAugmentation(ctx context.Context, s *Sim, metro string, nearby []st
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := s.EnsureCity(metro); err != nil {
+	if s, err = s.WithCities(append([]string{metro}, nearby...)...); err != nil {
 		return nil, err
 	}
-	for _, n := range nearby {
-		if err := s.EnsureCity(n); err != nil {
-			return nil, err
-		}
-	}
 	idx := func(name string) int {
-		i, _ := s.FindCity(name) // EnsureCity above made every name resolve
+		i, _ := s.FindCity(name) // WithCities above made every name resolve
 		return i
 	}
 	mi := idx(metro)

@@ -13,27 +13,46 @@ var update = flag.Bool("update", false, "rewrite golden fixtures")
 
 // TestSweepGoldens pins the tiny-scale WriteJSON envelopes of the sweeps
 // whose snapshots come from more than one source (the schedule cache, masked
-// builds, the seconds-scale cursor). The determinism suite compares a run
-// with itself; these fixtures compare it with the bytes recorded before the
-// snapshot sources were unified. Rerun with -update only for an intended
-// change of an experiment's numbers, and read the diff.
+// builds, the seconds-scale cursor) and of the five named-city experiments,
+// which run on a sim derived with cities beyond the top-N cut. The
+// determinism suite compares a run with itself; these fixtures compare it
+// with the bytes recorded before the snapshot sources were unified and, for
+// the named-city ones, while the cities were still added to the caller's sim
+// in place. Rerun with -update only for an intended change of an
+// experiment's numbers, and read the diff.
 func TestSweepGoldens(t *testing.T) {
 	cases := []struct {
-		name string
-		slow bool
-		run  func(ctx context.Context, s *Sim) (interface{}, error)
+		name  string
+		slow  bool
+		scale func() Scale // nil = TinyScale
+		run   func(ctx context.Context, s *Sim) (interface{}, error)
 	}{
-		{"fig2a", false, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"fig2a", false, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunLatency(ctx, s)
 		}},
-		{"pathchurn", false, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"pathchurn", false, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunPathChurn(ctx, s)
 		}},
-		{"resilience", false, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"resilience", false, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunResilience(ctx, s, "sat", nil)
 		}},
-		{"topo", true, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"topo", true, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunTopo(ctx, s, TopoOptions{})
+		}},
+		{"fig3", false, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+			return RunPathTrace(ctx, s, "Maceió", "Durban", BP)
+		}},
+		{"fig7", false, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+			return RunHeatmap(ctx, s, "Delhi", "Sydney", 4)
+		}},
+		{"fig8", false, australiaScale, func(ctx context.Context, s *Sim) (interface{}, error) {
+			return RunPairWeather(ctx, s, "Delhi", "Sydney")
+		}},
+		{"fig10", false, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+			return RunCrossShell(ctx, s, "Brisbane", "Tokyo")
+		}},
+		{"fig11", false, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+			return RunFiberAugmentation(ctx, s, "Paris", []string{"Rouen", "Orléans"}, 200, Epoch())
 		}},
 	}
 	for _, tc := range cases {
@@ -42,7 +61,11 @@ func TestSweepGoldens(t *testing.T) {
 			if tc.slow && testing.Short() {
 				t.Skip("every motif × both modes in -short mode")
 			}
-			s, err := NewSim(Starlink, TinyScale())
+			scale := TinyScale
+			if tc.scale != nil {
+				scale = tc.scale
+			}
+			s, err := NewSim(Starlink, scale())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,10 +30,11 @@ type GSOImpactResult struct {
 
 // RunGSOImpact compares routing with and without the Starlink 22° GSO
 // separation rule for equatorial-involved pairs, at the first snapshot.
-// It builds a second, GSO-constrained sim sharing the base sim's scale.
+// It derives a second, GSO-constrained sim from the base sim, so the two
+// differ in the constraint alone.
 func RunGSOImpact(ctx context.Context, s *Sim) (res *GSOImpactResult, err error) {
 	defer safe.RecoverTo(&err)
-	constrained, err := NewSim(s.Choice, s.Scale, WithGSOAvoidance(ground.StarlinkGSOPolicy()))
+	constrained, err := s.derive(WithGSOAvoidance(ground.StarlinkGSOPolicy()))
 	if err != nil {
 		return nil, err
 	}

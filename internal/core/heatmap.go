@@ -39,20 +39,9 @@ func RunHeatmap(ctx context.Context, s *Sim, srcName, dstName string, stepDeg fl
 	if stepDeg <= 0 {
 		return nil, fmt.Errorf("core: heatmap step must be positive")
 	}
-	if err := s.EnsureCity(srcName); err != nil {
+	s, src, dst, err := s.withPair(srcName, dstName)
+	if err != nil {
 		return nil, err
-	}
-	if err := s.EnsureCity(dstName); err != nil {
-		return nil, err
-	}
-	src, dst := -1, -1
-	for i, c := range s.Cities {
-		if c.Name == srcName {
-			src = i
-		}
-		if c.Name == dstName {
-			dst = i
-		}
 	}
 	a, b := s.Cities[src], s.Cities[dst]
 	res = &HeatmapResult{

@@ -27,31 +27,15 @@ type CrossShellResult struct {
 // +Grid generator produces).
 func RunCrossShell(ctx context.Context, s *Sim, srcName, dstName string) (res *CrossShellResult, err error) {
 	defer safe.RecoverTo(&err)
-	if err := s.EnsureCity(srcName); err != nil {
-		return nil, err
-	}
-	if err := s.EnsureCity(dstName); err != nil {
-		return nil, err
-	}
-	// Build the two-shell sim sharing this sim's scale and segment shape.
-	two, err := NewSim(s.Choice, s.Scale, WithExtraShells(constellation.PolarShell()))
+	s, src, dst, err := s.withPair(srcName, dstName)
 	if err != nil {
 		return nil, err
 	}
-	if err := two.EnsureCity(srcName); err != nil {
+	// The two-shell sim differs from this one in the extra shell alone: same
+	// options, same cities at the same indices.
+	two, err := s.derive(WithExtraShells(constellation.PolarShell()))
+	if err != nil {
 		return nil, err
-	}
-	if err := two.EnsureCity(dstName); err != nil {
-		return nil, err
-	}
-
-	find := func(sim *Sim, name string) int {
-		for i, c := range sim.Cities {
-			if c.Name == name {
-				return i
-			}
-		}
-		return -1
 	}
 	res = &CrossShellResult{SrcCity: srcName, DstCity: dstName}
 	for _, t := range s.SnapshotTimes() {
@@ -59,11 +43,11 @@ func RunCrossShell(ctx context.Context, s *Sim, srcName, dstName string) (res *C
 			return nil, err
 		}
 		one := s.NetworkAt(t, Hybrid)
-		if p, ok := one.ShortestPath(one.CityNode(find(s, srcName)), one.CityNode(find(s, dstName))); ok {
+		if p, ok := one.ShortestPath(one.CityNode(src), one.CityNode(dst)); ok {
 			res.SingleShellRTTs = append(res.SingleShellRTTs, p.RTTMs())
 		}
 		tw := two.NetworkAt(t, Hybrid)
-		if p, ok := tw.ShortestPath(tw.CityNode(find(two, srcName)), tw.CityNode(find(two, dstName))); ok {
+		if p, ok := tw.ShortestPath(tw.CityNode(src), tw.CityNode(dst)); ok {
 			res.TwoShellRTTs = append(res.TwoShellRTTs, p.RTTMs())
 		}
 	}

@@ -4,6 +4,10 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"leosim/internal/constellation"
+	"leosim/internal/ground"
+	"leosim/internal/topo"
 )
 
 func TestWithMinElevationOption(t *testing.T) {
@@ -55,6 +59,51 @@ func TestWithSGP4PropagationOption(t *testing.T) {
 	}
 	if r, err := RunThroughput(context.Background(), sgp, Hybrid, 1, t0); err != nil || r.AggregateGbps <= 0 {
 		t.Errorf("SGP4-propagated sim cannot run experiments: %v %v", r, err)
+	}
+}
+
+// The sims an experiment derives for its comparison differ from the caller's
+// in the one option the comparison is about: motif, satellite capacity and
+// added cities carry over (RunGSOImpact and RunCrossShell used to build theirs
+// from the bare choice and scale, comparing across motifs).
+func TestDeriveKeepsOptions(t *testing.T) {
+	s, err := NewSim(Starlink, TinyScale(), WithMotifID(topo.Ladder), WithSatelliteCapacity(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err = s.WithCities("Brisbane"); err != nil {
+		t.Fatal(err)
+	}
+	brisbane, _ := s.FindCity("Brisbane")
+	for _, tc := range []struct {
+		name  string
+		opt   SimOption
+		check func(d *Sim) bool
+	}{
+		{"gsoimpact", WithGSOAvoidance(ground.StarlinkGSOPolicy()), func(d *Sim) bool {
+			return d.builder.Opts.GSO == ground.StarlinkGSOPolicy() && len(d.Const.Shells) == 1
+		}},
+		{"crossshell", WithExtraShells(constellation.PolarShell()), func(d *Sim) bool {
+			return d.builder.Opts.GSO == ground.GSOPolicy{} && len(d.Const.Shells) == 2
+		}},
+	} {
+		d, err := s.derive(tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !tc.check(d) {
+			t.Errorf("%s: derived sim lacks the extra option", tc.name)
+		}
+		if d.Motif == nil || d.Motif.Name() != topo.Ladder.String() || d.SatCapGbps != 0 {
+			t.Errorf("%s: derived sim has motif %v, satellite capacity %v; want ladder, 0",
+				tc.name, d.Motif, d.SatCapGbps)
+		}
+		if i, ok := d.FindCity("Brisbane"); !ok || i != brisbane {
+			t.Errorf("%s: Brisbane at (%d, %v), want index %d", tc.name, i, ok, brisbane)
+		}
+	}
+	if len(s.Const.Shells) != 1 || s.builder.Opts.GSO != (ground.GSOPolicy{}) {
+		t.Errorf("derive changed its receiver")
 	}
 }
 

@@ -3,13 +3,11 @@ package core
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"math"
 	"strings"
 	"time"
 
 	"leosim/internal/graph"
-	"leosim/internal/ground"
 	"leosim/internal/safe"
 )
 
@@ -55,20 +53,13 @@ type PathTraceResult struct {
 }
 
 // RunPathTrace traces the path between two named cities across the day under
-// the given mode (§4 Fig 3 uses Maceió→Durban on BP).
+// the given mode (§4 Fig 3 uses Maceió→Durban on BP). Cities outside s's set
+// are added to a private derivation of s (WithCities).
 func RunPathTrace(ctx context.Context, s *Sim, srcName, dstName string, mode Mode) (res *PathTraceResult, err error) {
 	defer safe.RecoverTo(&err)
-	src, dst := -1, -1
-	for i, c := range s.Cities {
-		if c.Name == srcName {
-			src = i
-		}
-		if c.Name == dstName {
-			dst = i
-		}
-	}
-	if src < 0 || dst < 0 {
-		return nil, fmt.Errorf("core: cities %q/%q not in the %d-city set", srcName, dstName, len(s.Cities))
+	s, src, dst, err := s.withPair(srcName, dstName)
+	if err != nil {
+		return nil, err
 	}
 	res = &PathTraceResult{SrcCity: srcName, DstCity: dstName, Mode: mode}
 	for _, t := range s.SnapshotTimes() {
@@ -145,37 +136,4 @@ func (r *PathTraceResult) UsesAircraftEver() bool {
 		}
 	}
 	return false
-}
-
-// EnsureCity adds a named anchor city to the sim's city set if absent, so a
-// trace can target cities outside the top-N population cut. It extends the
-// ground segment terminals accordingly and must be called before any
-// NetworkAt (it does not invalidate built networks).
-func (s *Sim) EnsureCity(name string) error {
-	for _, c := range s.Cities {
-		if c.Name == name {
-			return nil
-		}
-	}
-	c, err := ground.CityByName(name)
-	if err != nil {
-		return err
-	}
-	// Append as a city terminal; it participates as source/sink/transit.
-	s.Cities = append(s.Cities, c)
-	s.Seg.Cities = s.Cities
-	// City terminals must stay contiguous before relays: rebuild the
-	// terminal list with the new city inserted after the existing cities.
-	terms := make([]ground.Terminal, 0, len(s.Seg.Terminals)+1)
-	terms = append(terms, s.Seg.Terminals[:s.Seg.NumCity]...)
-	terms = append(terms, ground.NewTerminal(s.Seg.NumCity, ground.KindCity, c.Name, c.Position(), s.Seg.NumCity))
-	for _, t := range s.Seg.Terminals[s.Seg.NumCity:] {
-		t.ID++
-		terms = append(terms, t)
-	}
-	s.Seg.Terminals = terms
-	s.Seg.NumCity++
-	// Invalidate cached networks: node layout changed.
-	s.dropCaches()
-	return nil
 }

@@ -16,12 +16,6 @@ func TestRunPathTraceMaceioDurban(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.EnsureCity("Maceió"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.EnsureCity("Durban"); err != nil {
-		t.Fatal(err)
-	}
 	r, err := RunPathTrace(context.Background(), s, "Maceió", "Durban", BP)
 	if err != nil {
 		t.Fatal(err)
@@ -70,12 +64,6 @@ func TestRunPathTraceMaceioDurban(t *testing.T) {
 func TestHybridPathStabler(t *testing.T) {
 	s, err := NewSim(Starlink, TinyScale())
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.EnsureCity("Maceió"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.EnsureCity("Durban"); err != nil {
 		t.Fatal(err)
 	}
 	bp, err := RunPathTrace(context.Background(), s, "Maceió", "Durban", BP)

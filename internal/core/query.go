@@ -27,6 +27,17 @@ func (s *Sim) FindCity(name string) (int, bool) {
 	return 0, false
 }
 
+// withPair returns s.WithCities(srcName, dstName) and the two cities'
+// indices in it.
+func (s *Sim) withPair(srcName, dstName string) (d *Sim, src, dst int, err error) {
+	if d, err = s.WithCities(srcName, dstName); err != nil {
+		return nil, 0, 0, err
+	}
+	src, _ = d.FindCity(srcName)
+	dst, _ = d.FindCity(dstName)
+	return d, src, dst, nil
+}
+
 // CityName returns the name of city i.
 func (s *Sim) CityName(i int) string { return s.Cities[i].Name }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"leosim/internal/aircraft"
@@ -20,7 +21,10 @@ import (
 // Sim owns the simulation state for one constellation at one scale: the
 // constellation (with +Grid ISLs generated; whether they are *used* depends
 // on the Mode), the ground segment, the aircraft fleet, and the traffic
-// matrix.
+// matrix. A Sim never changes after NewSim returns — only its snapshot cache
+// fills — so every method is safe for concurrent use; a caller that needs
+// other cities or options gets a derived Sim (WithCities) and this one stays
+// as it was.
 type Sim struct {
 	Scale  Scale
 	Choice ConstellationChoice
@@ -46,10 +50,12 @@ type Sim struct {
 	// constraint (per-link capacities only — the ablation model).
 	SatCapGbps float64
 
+	// opts are the options NewSim was called with, kept for derive.
+	opts []SimOption
+
 	// builder runs the one scan of an instant (builder.At, the bent-pipe base)
 	// under the options NewSim resolved from its SimOptions; every other
-	// network of the instant derives from that base. Nothing writes it after
-	// NewSim, so concurrent NetworkAt calls read it unlocked.
+	// network of the instant derives from that base.
 	builder *graph.Builder
 
 	// snap caches healthy snapshot networks, one per (mode, time); the
@@ -78,6 +84,8 @@ type simConfig struct {
 	motif        topo.Motif
 	motifID      topo.ID
 	motifIDSet   bool
+	// cities names anchor cities to add beyond the top-N cut (WithCities).
+	cities []string
 }
 
 // WithSatelliteCapacity sets the per-satellite aggregate GSL capacity pool
@@ -136,12 +144,12 @@ func NewSim(choice ConstellationChoice, scale Scale, opts ...SimOption) (*Sim, e
 
 	// Cities load before the constellation so a motif resolved by ID can
 	// optimize for the sim's own demand model.
-	cities, err := ground.Cities(scale.NumCities)
+	top, err := ground.Cities(scale.NumCities)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.motifIDSet {
-		m, err := topo.Build(cfg.motifID, topo.Config{Cities: cities})
+		m, err := topo.Build(cfg.motifID, topo.Config{Cities: top})
 		if err != nil {
 			return nil, err
 		}
@@ -160,9 +168,23 @@ func NewSim(choice ConstellationChoice, scale Scale, opts ...SimOption) (*Sim, e
 	if err != nil {
 		return nil, err
 	}
-	seg, err := ground.NewSegment(cities, scale.RelaySpacingDeg, scale.RelayMaxKm)
+	// Demand, pairs and the relay grid come from the top-N cities alone; named
+	// cities beyond the cut only add terminals, after the top-N and before
+	// the relays.
+	seg, err := ground.NewSegment(top, scale.RelaySpacingDeg, scale.RelayMaxKm)
 	if err != nil {
 		return nil, err
+	}
+	if len(cfg.cities) > 0 {
+		var extra []ground.City
+		for _, name := range cfg.cities {
+			c, err := ground.CityByName(name)
+			if err != nil {
+				return nil, err
+			}
+			extra = append(extra, c)
+		}
+		seg = seg.WithCities(extra...)
 	}
 	var fleet *aircraft.Fleet
 	if scale.AircraftDensity > 0 {
@@ -171,7 +193,7 @@ func NewSim(choice ConstellationChoice, scale Scale, opts ...SimOption) (*Sim, e
 			return nil, err
 		}
 	}
-	pairs, err := SamplePairs(cities, scale.NumPairs, scale.MinPairKm, scale.Seed)
+	pairs, err := SamplePairs(top, scale.NumPairs, scale.MinPairKm, scale.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -191,15 +213,40 @@ func NewSim(choice ConstellationChoice, scale Scale, opts ...SimOption) (*Sim, e
 		Const:      c,
 		Seg:        seg,
 		Fleet:      fleet,
-		Cities:     cities,
+		Cities:     seg.Cities,
 		Pairs:      pairs,
 		pairGroups: groupPairs(pairs),
+		opts:       opts,
 	}
 	if s.builder, err = graph.NewBuilder(c, seg, fleet, baseOpts); err != nil {
 		return nil, err
 	}
 	s.snap = snapcache.New(s.buildSnapshot, snapcache.Options{Capacity: networkCacheSize})
 	return s, nil
+}
+
+// derive builds a sim of the same choice and scale under the options s was
+// built with plus extra. The derived sim shares nothing mutable with s.
+func (s *Sim) derive(extra ...SimOption) (*Sim, error) {
+	return NewSim(s.Choice, s.Scale, append(slices.Clip(s.opts), extra...)...)
+}
+
+// WithCities returns a sim in which every named anchor city resolves
+// (FindCity), so a trace can target cities outside the top-N population cut:
+// s itself when they all do already, otherwise a sim derived from s with the
+// missing ones added as city terminals — after the existing cities, never
+// sampled into Pairs, the relay grid unchanged.
+func (s *Sim) WithCities(names ...string) (*Sim, error) {
+	var missing []string
+	for _, name := range names {
+		if _, ok := s.FindCity(name); !ok && !slices.Contains(missing, name) {
+			missing = append(missing, name)
+		}
+	}
+	if len(missing) == 0 {
+		return s, nil
+	}
+	return s.derive(func(c *simConfig) { c.cities = append(c.cities, missing...) })
 }
 
 // builderWith constructs a builder whose ground-satellite scan differs from
@@ -269,11 +316,6 @@ func (s *Sim) NetworkCacheStats() snapcache.Stats { return s.snap.Stats() }
 
 // cachedNetworks reports how many snapshots are currently cached (tests).
 func (s *Sim) cachedNetworks() int { return s.snap.Len() }
-
-// dropCaches empties the snapshot cache after EnsureCity changed the node
-// layout. In-flight builds against the old layout complete for their waiters
-// but are not re-inserted (snapcache's generation guard).
-func (s *Sim) dropCaches() { s.snap.Purge() }
 
 // pairRTTsTestHook, when non-nil, runs inside every pairRTTs worker. Tests
 // inject panics here to verify worker failures surface as errors.

@@ -166,24 +166,13 @@ type PairWeather struct {
 	BPCurve, ISLCurve itur.Curve
 }
 
-// RunPairWeather computes the Fig 8 curves for one named city pair. Both
-// cities are added to the sim's city set if missing (the paper notes
+// RunPairWeather computes the Fig 8 curves for one named city pair. A city
+// missing from s's set is added to a private derivation of s (the paper notes
 // Delhi–Sydney is not among the sampled pairs).
 func RunPairWeather(ctx context.Context, s *Sim, srcName, dstName string) (*PairWeather, error) {
-	if err := s.EnsureCity(srcName); err != nil {
+	s, src, dst, err := s.withPair(srcName, dstName)
+	if err != nil {
 		return nil, err
-	}
-	if err := s.EnsureCity(dstName); err != nil {
-		return nil, err
-	}
-	src, dst := -1, -1
-	for i, c := range s.Cities {
-		if c.Name == srcName {
-			src = i
-		}
-		if c.Name == dstName {
-			dst = i
-		}
 	}
 	bp, isl, err := weatherCurves(ctx, s, []Pair{{Src: src, Dst: dst}}, KuBand)
 	if err != nil {

@@ -97,8 +97,7 @@ func TestRunWeatherTiny(t *testing.T) {
 }
 
 func TestRunPairWeatherDelhiSydney(t *testing.T) {
-	// Private sim: EnsureCity mutates the city set. The tiny 60-city set
-	// has no Australian city, so no relay grid reaches Australia and BP
+	// The tiny 60-city set has no Australian city, so no relay grid reaches Australia and BP
 	// cannot route there; use enough cities and relay density to bridge
 	// the Indonesia→Australia gap the way the full-scale run does.
 	scale := TinyScale()

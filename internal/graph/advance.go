@@ -60,8 +60,7 @@ type Delta struct {
 	CellCrossings, Rechecked int
 	// FullRebuild marks a step that rebuilt the snapshot from scratch
 	// instead of advancing it; Reason says why ("large-jump",
-	// "backwards-step", "aircraft-set-change", "segment-growth",
-	// "gso-policy", "beam-cap").
+	// "backwards-step", "aircraft-set-change", "gso-policy", "beam-cap").
 	FullRebuild bool
 	Reason      string
 }
@@ -232,8 +231,8 @@ func (a *Advancer) Stats() AdvanceStats { return a.stats }
 // Advance moves the network from its current instant to t1 and returns the
 // step's delta (owned by the advancer, valid until the next call). Small
 // forward steps apply per-edge deltas; option constraints, aircraft-set
-// changes, segment growth, backwards steps and jumps beyond MaxAdvanceStep
-// fall back to a full rebuild (Delta.FullRebuild).
+// changes, backwards steps and jumps beyond MaxAdvanceStep fall back to a
+// full rebuild (Delta.FullRebuild).
 func (a *Advancer) Advance(t1 time.Time) *Delta {
 	d := &a.delta
 	*d = Delta{From: a.t, To: t1, Added: d.Added[:0], Removed: d.Removed[:0]}
@@ -249,8 +248,6 @@ func (a *Advancer) Advance(t1 time.Time) *Delta {
 		return a.rebuild(t1, "backwards-step")
 	case dt > MaxAdvanceStep:
 		return a.rebuild(t1, "large-jump")
-	case len(a.b.Seg.Terminals) != a.net.NumCity+a.net.NumRelay:
-		return a.rebuild(t1, "segment-growth")
 	}
 
 	var air []aircraft.Aircraft

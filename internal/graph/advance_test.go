@@ -352,23 +352,6 @@ func TestAdvanceFallbacks(t *testing.T) {
 		t.Fatalf("post-rebuild step fell back: %s", d.Reason)
 	}
 	requireNetworksIdentical(t, "post-rebuild incremental", a.Net(), b.At(back.Add(2*time.Second)))
-
-	// Segment growth (EnsureCity's effect): terminal count changes force a
-	// rebuild, after which incremental stepping resumes.
-	grown := append([]ground.Terminal(nil), b.Seg.Terminals...)
-	extra := ground.NewTerminal(len(grown), ground.KindCity, "extra-city",
-		geo.LatLon{Lat: 1.3, Lon: 103.8}, b.Seg.NumCity)
-	b.Seg.Terminals = append(grown, extra)
-	b.Seg.NumCity++
-	cur := back.Add(2 * time.Second)
-	if d := a.Advance(cur.Add(time.Second)); !d.FullRebuild || d.Reason != "segment-growth" {
-		t.Fatalf("segment growth: %+v", d)
-	}
-	cur = cur.Add(time.Second)
-	if d := a.Advance(cur.Add(time.Second)); d.FullRebuild {
-		t.Fatalf("post-growth step fell back: %s", d.Reason)
-	}
-	requireNetworksIdentical(t, "post-growth incremental", a.Net(), b.At(cur.Add(time.Second)))
 }
 
 // TestAdvanceOptionFallbacks: options whose link sets couple terminals

@@ -52,8 +52,9 @@ type Builder struct {
 	Fleet *aircraft.Fleet // nil = no aircraft relays
 	Opts  BuildOptions
 
-	gsoMu sync.Mutex
-	gso   []*ground.GSOChecker // per segment terminal, rebuilt on growth
+	// gso holds one arc-avoidance checker per segment terminal, nil without a
+	// GSO policy. NewBuilder fills it; the segment never changes afterwards.
+	gso []*ground.GSOChecker
 }
 
 // NewBuilder wires a builder. Fleet may be nil.
@@ -66,25 +67,14 @@ func NewBuilder(c *constellation.Constellation, seg *ground.Segment,
 		return nil, fmt.Errorf("graph: capacities must be positive (gsl=%v isl=%v)",
 			opts.GSLCapGbps, opts.ISLCapGbps)
 	}
-	return &Builder{Const: c, Seg: seg, Fleet: fleet, Opts: opts}, nil
-}
-
-func (b *Builder) gsoCheckers() []*ground.GSOChecker {
-	if b.Opts.GSO.SeparationDeg <= 0 {
-		return nil
-	}
-	b.gsoMu.Lock()
-	defer b.gsoMu.Unlock()
-	// Rebuild when the segment grew (EnsureCity adds terminals after
-	// construction); checkers for unchanged terminals are cheap enough to
-	// recompute wholesale.
-	if len(b.gso) != len(b.Seg.Terminals) {
-		b.gso = make([]*ground.GSOChecker, len(b.Seg.Terminals))
-		for i, t := range b.Seg.Terminals {
-			b.gso[i] = ground.NewGSOChecker(t.Pos, b.Opts.GSO)
+	b := &Builder{Const: c, Seg: seg, Fleet: fleet, Opts: opts}
+	if opts.GSO.SeparationDeg > 0 {
+		b.gso = make([]*ground.GSOChecker, len(seg.Terminals))
+		for i, t := range seg.Terminals {
+			b.gso[i] = ground.NewGSOChecker(t.Pos, opts.GSO)
 		}
 	}
-	return b.gso
+	return b, nil
 }
 
 // satCellDeg is the spatial-bucketing cell size of the satellite index,
@@ -226,7 +216,7 @@ func (b *Builder) At(t time.Time) *Network {
 	minElev, maxRadiusDeg := b.visibility()
 
 	idx := newSatIndex(satPos, satCellDeg)
-	gso := b.gsoCheckers()
+	gso := b.gso
 
 	// GSL edges for every terminal node (cities, relays, aircraft).
 	type termJob struct {

@@ -305,6 +305,30 @@ func TestNewSegment(t *testing.T) {
 	if seg.CityTerminal(3).CityIndex != 3 {
 		t.Errorf("CityTerminal(3) index = %d", seg.CityTerminal(3).CityIndex)
 	}
+	// WithCities: extra cities sit between the cities and the unchanged relay
+	// grid, IDs stay dense, and the receiver is left as it was.
+	extra, err := CityByName("Durban")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := seg.WithCities(extra)
+	if grown.NumCity != 51 || grown.NumRelay != seg.NumRelay || len(grown.Cities) != 51 {
+		t.Errorf("WithCities: %d cities (%d listed), %d relays", grown.NumCity, len(grown.Cities), grown.NumRelay)
+	}
+	if got := grown.CityTerminal(50); got.Name != "Durban" || got.Kind != KindCity || got.CityIndex != 50 {
+		t.Errorf("WithCities: terminal 50 = %+v", got)
+	}
+	for i, term := range grown.Terminals {
+		if term.ID != i {
+			t.Fatalf("WithCities: terminal %d has ID %d", i, term.ID)
+		}
+		if i > 50 && term.Pos != seg.Terminals[i-1].Pos {
+			t.Fatalf("WithCities: relay %d moved", i)
+		}
+	}
+	if seg.NumCity != 50 || len(seg.Cities) != 50 || seg.Terminals[50].Kind != KindRelay || seg.Terminals[50].ID != 50 {
+		t.Errorf("WithCities modified its receiver")
+	}
 	// Without relays.
 	noRelay, err := NewSegment(cities, 0, 0)
 	if err != nil {

@@ -102,3 +102,25 @@ func NewSegment(cities []City, spacingDeg, maxRelayKm float64) (*Segment, error)
 	}
 	return s, nil
 }
+
+// WithCities returns a new segment with the extra cities' terminals placed
+// after the receiver's cities and before its relays; the relay grid stays
+// the one computed from the receiver's cities. The receiver is not modified.
+func (s *Segment) WithCities(extra ...City) *Segment {
+	out := &Segment{
+		Cities:    append(s.Cities[:s.NumCity:s.NumCity], extra...),
+		Terminals: make([]Terminal, 0, len(s.Terminals)+len(extra)),
+		NumCity:   s.NumCity + len(extra),
+		NumRelay:  s.NumRelay,
+	}
+	out.Terminals = append(out.Terminals, s.Terminals[:s.NumCity]...)
+	for i, c := range extra {
+		out.Terminals = append(out.Terminals,
+			NewTerminal(s.NumCity+i, KindCity, c.Name, c.Position(), s.NumCity+i))
+	}
+	for _, t := range s.Terminals[s.NumCity:] {
+		t.ID += len(extra)
+		out.Terminals = append(out.Terminals, t)
+	}
+	return out
+}

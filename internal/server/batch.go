@@ -219,7 +219,7 @@ type oracleCall struct {
 // the same cold snapshot elect one builder and share its result. A
 // successful build is attached to the snapshot-cache entry
 // (snapcache.Attach), so the oracle rides the snapshot's own
-// LRU/TTL/generation lifecycle; the attach is a no-op if the entry was
+// LRU/TTL lifecycle; the attach is a no-op if the entry was
 // evicted or rebuilt meanwhile — the oracle still answers this request, it
 // just isn't pinned.
 func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, n *graph.Network) (*oracle.Oracle, error) {

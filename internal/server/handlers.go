@@ -699,7 +699,7 @@ const degradedWindow = time.Minute
 
 // handleHealthz answers GET /healthz: liveness plus the build identity, so a
 // fleet can be audited for what it is actually running, plus the self-healing
-// posture — breaker state, cache generation, and the error-budget summary.
+// posture — breaker state and the error-budget summary.
 // Status is "degraded" (still 200: the process is healthy, the answers are
 // second-best) while the breaker is not closed or a fallback serve happened
 // within the last minute.
@@ -711,21 +711,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "degraded"
 	}
 	writeJSON(w, http.StatusOK, struct {
-		Status          string          `json:"status"`
-		Version         version.Info    `json:"version"`
-		Sim             string          `json:"sim"`
-		UptimeSec       float64         `json:"uptimeSec"`
-		Breaker         breakerJSON     `json:"breaker"`
-		CacheGeneration uint64          `json:"cacheGeneration"`
-		ErrorBudget     errorBudgetJSON `json:"errorBudget"`
+		Status      string          `json:"status"`
+		Version     version.Info    `json:"version"`
+		Sim         string          `json:"sim"`
+		UptimeSec   float64         `json:"uptimeSec"`
+		Breaker     breakerJSON     `json:"breaker"`
+		ErrorBudget errorBudgetJSON `json:"errorBudget"`
 	}{
-		Status:          status,
-		Version:         version.Get(),
-		Sim:             s.cfg.Sim.String(),
-		UptimeSec:       time.Since(s.started).Seconds(),
-		Breaker:         br,
-		CacheGeneration: s.cache.Generation(),
-		ErrorBudget:     s.errorBudgetJSON(),
+		Status:      status,
+		Version:     version.Get(),
+		Sim:         s.cfg.Sim.String(),
+		UptimeSec:   time.Since(s.started).Seconds(),
+		Breaker:     br,
+		ErrorBudget: s.errorBudgetJSON(),
 	})
 }
 

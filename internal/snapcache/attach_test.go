@@ -45,12 +45,6 @@ func TestAttachLifecycle(t *testing.T) {
 	if st.Attachments != 1 || st.AttachMisses != 2 {
 		t.Fatalf("stats: %d attachments, %d misses (want 1, 2)", st.Attachments, st.AttachMisses)
 	}
-
-	// Purge drops the entry and the artifact with it.
-	c.Purge()
-	if _, _, ok := c.Attachment(key); ok {
-		t.Fatal("attachment survived Purge")
-	}
 }
 
 // TestAttachClearedOnRefresh pins the refresh rule: re-inserting a

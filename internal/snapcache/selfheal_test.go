@@ -305,40 +305,6 @@ func TestBuildTimeoutFailsFastAndAdoptsLateResult(t *testing.T) {
 	}
 }
 
-// Satellite regression: Purge racing an in-flight stale-revalidation build
-// must not let the pre-purge result into the post-purge cache.
-func TestPurgeRacesInFlightRevalidation(t *testing.T) {
-	clock := newFakeClock()
-	gate := make(chan struct{})
-	var builds atomic.Int64
-	c := New(func(ctx context.Context, k Key) (*graph.Network, error) {
-		if builds.Add(1) == 2 {
-			<-gate // hold the revalidation in flight
-		}
-		return tinyNet("x"), nil
-	}, Options{TTL: time.Minute, StaleFor: time.Hour, Clock: clock.Now})
-	ctx := context.Background()
-	k := keyAt("s", 1)
-	if _, err := c.Get(ctx, k); err != nil {
-		t.Fatal(err)
-	}
-	clock.Advance(2 * time.Minute)
-	if _, info, err := c.GetEx(ctx, k); err != nil || !info.Stale {
-		t.Fatalf("stale get: info=%+v err=%v", info, err)
-	}
-	waitFor(t, "revalidation in flight", func() bool { return builds.Load() == 2 })
-	c.Purge()
-	close(gate)
-	// The revalidation's generation is stale: its result must never appear.
-	time.Sleep(20 * time.Millisecond)
-	if c.Len() != 0 {
-		t.Fatalf("purged cache repopulated by stale revalidation (len=%d)", c.Len())
-	}
-	if c.Peek(k) {
-		t.Fatal("purged key resident again")
-	}
-}
-
 // Satellite regression: a TTL expiry "under" an in-flight singleflight
 // build — the clock jumps past the TTL while the build runs. Waiters still
 // share the one build, and the entry lands with a fresh builtAt so the

@@ -200,7 +200,7 @@ type entry struct {
 	elem    *list.Element // position in the LRU list; Value is the Key
 	// aux is the attachment riding this entry (a derived artifact such as a
 	// distance oracle built from n). It shares the entry's whole lifecycle:
-	// eviction, hard expiry and Purge drop it with the entry, and a rebuild
+	// eviction and hard expiry drop it with the entry, and a rebuild
 	// that replaces n clears it — an attachment never outlives, or
 	// mismatches, the snapshot it was derived from.
 	aux any
@@ -211,10 +211,6 @@ type call struct {
 	done chan struct{}
 	n    *graph.Network
 	err  error
-	// gen is the cache generation the call started in; Purge bumps the
-	// generation so a build begun against the old scenario completes for
-	// its waiters but is not inserted into the purged cache.
-	gen uint64
 }
 
 // Cache is the snapshot cache. The zero value is not usable; call New.
@@ -233,7 +229,6 @@ type Cache struct {
 	entries  map[Key]*entry
 	lru      *list.List // front = most recently used
 	inflight map[Key]*call
-	gen      uint64 // bumped by Purge; guards stale in-flight inserts
 
 	// Breaker state, guarded by mu.
 	streak   int64 // consecutive build failures
@@ -442,7 +437,7 @@ func (c *Cache) recordBuildLocked(ctx context.Context, err error) {
 
 // startBuildLocked registers and launches one detached singleflight build.
 func (c *Cache) startBuildLocked(ctx context.Context, key Key) *call {
-	cl := &call{done: make(chan struct{}), gen: c.gen}
+	cl := &call{done: make(chan struct{})}
 	c.inflight[key] = cl
 	// Build detached from the leader's cancellation: followers with live
 	// contexts — and the next request for this key — still want the result.
@@ -512,11 +507,10 @@ func (c *Cache) runBuild(ctx context.Context, key Key, cl *call) {
 			"build timeout: waiters failed, late result still adoptable",
 			telemetry.Str("key", key.String()),
 			telemetry.Int64("timeoutMs", c.buildTimeout.Milliseconds()))
-		gen := cl.gen
 		go func() {
 			defer cancel()
 			if r := <-resc; r.err == nil && r.n != nil {
-				c.adoptLate(ctx, key, r.n, gen)
+				c.adoptLate(ctx, key, r.n)
 			}
 		}()
 	}
@@ -533,7 +527,7 @@ func (c *Cache) finish(ctx context.Context, key Key, cl *call) {
 	c.recordBuildLocked(ctx, cl.err)
 	if cl.err != nil {
 		c.errors.Add(1)
-	} else if cl.gen == c.gen {
+	} else {
 		c.insertLocked(key, cl.n)
 	}
 	c.mu.Unlock()
@@ -564,22 +558,17 @@ func (c *Cache) insertLocked(key Key, n *graph.Network) {
 }
 
 // adoptLate inserts the success of a build whose waiters already saw a
-// timeout, unless a Purge invalidated its generation meanwhile. The late
-// success also counts as one for the breaker: the backend works, slowly.
-func (c *Cache) adoptLate(ctx context.Context, key Key, n *graph.Network, gen uint64) {
+// timeout. The late success also counts as one for the breaker: the backend
+// works, slowly.
+func (c *Cache) adoptLate(ctx context.Context, key Key, n *graph.Network) {
 	c.mu.Lock()
-	adopted := gen == c.gen
-	if adopted {
-		c.insertLocked(key, n)
-		c.lateBuilds.Add(1)
-		c.recordBuildLocked(ctx, nil)
-	}
+	c.insertLocked(key, n)
+	c.lateBuilds.Add(1)
+	c.recordBuildLocked(ctx, nil)
 	c.mu.Unlock()
-	if adopted {
-		telemetry.EmitEvent(ctx, telemetry.CatBuild, telemetry.SevInfo,
-			"late build adopted after timeout",
-			telemetry.Str("key", key.String()))
-	}
+	telemetry.EmitEvent(ctx, telemetry.CatBuild, telemetry.SevInfo,
+		"late build adopted after timeout",
+		telemetry.Str("key", key.String()))
 }
 
 // Put inserts a ready-made network for key without running a build — the
@@ -601,11 +590,11 @@ func (c *Cache) Put(key Key, n *graph.Network) {
 
 // Attach associates a derived artifact (e.g. a distance oracle) with the
 // resident entry for key, provided the entry still holds exactly the network
-// n it was derived from. Pointer identity is the generation guard: a rebuild,
-// Purge, eviction or TTL expiry between deriving the artifact and attaching
-// it makes the attach a no-op (returning false) rather than pinning a result
-// about a graph the cache no longer serves. The attachment is dropped
-// whenever its entry is — it rides the same LRU/TTL/generation lifecycle.
+// n it was derived from. Pointer identity is the guard: a rebuild, eviction
+// or TTL expiry between deriving the artifact and attaching it makes the
+// attach a no-op (returning false) rather than pinning a result about a graph
+// the cache no longer serves. The attachment is dropped whenever its entry
+// is — it rides the same LRU/TTL lifecycle.
 func (c *Cache) Attach(key Key, n *graph.Network, aux any) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -649,27 +638,6 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// Purge drops every resident entry and marks in-flight builds stale: they
-// still complete for their waiters but are not inserted afterwards. Used
-// when the backing scenario changes under the cache — a builder swap or a
-// segment mutation.
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	c.entries = map[Key]*entry{}
-	c.lru.Init()
-	c.gen++
-	c.mu.Unlock()
-}
-
-// Generation returns the current cache generation — the counter Purge bumps
-// to invalidate in-flight builds. Health endpoints surface it so operators
-// can tell "same cache since boot" from "purged N times".
-func (c *Cache) Generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
 }
 
 // Breaker snapshots the circuit breaker's state.

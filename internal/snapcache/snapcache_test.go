@@ -251,33 +251,6 @@ func TestPreCancelledContext(t *testing.T) {
 	}
 }
 
-// Purge marks in-flight builds stale: their waiters still get the result,
-// but the purged cache is not repopulated with a pre-purge graph.
-func TestPurgeInvalidatesInFlightBuilds(t *testing.T) {
-	gate := make(chan struct{})
-	c := New(func(ctx context.Context, k Key) (*graph.Network, error) {
-		<-gate
-		return tinyNet("stale"), nil
-	}, Options{})
-	k := keyAt("s", 1)
-	done := make(chan *graph.Network, 1)
-	go func() {
-		n, _ := c.Get(context.Background(), k)
-		done <- n
-	}()
-	for i := 0; c.Stats().Builds == 0 && i < 1000; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	c.Purge()
-	close(gate)
-	if n := <-done; n == nil {
-		t.Fatal("waiter should still receive the stale build's result")
-	}
-	if c.Peek(k) || c.Len() != 0 {
-		t.Fatalf("stale in-flight build entered the purged cache (len=%d)", c.Len())
-	}
-}
-
 // Hammer the cache from many goroutines over overlapping keys; run with
 // -race this doubles as the concurrency audit for the shared structures.
 func TestConcurrentMixedKeys(t *testing.T) {
@@ -303,9 +276,6 @@ func TestConcurrentMixedKeys(t *testing.T) {
 				if want := k.String(); n.Name[0] != want {
 					t.Errorf("key %v returned network %q", k, n.Name[0])
 					return
-				}
-				if i%50 == 0 && w == 0 {
-					c.Purge()
 				}
 			}
 		}()
@@ -339,8 +309,7 @@ func TestHitRate(t *testing.T) {
 
 // TestPutPrimesWithoutBuilding checks the cache-priming path: Put deposits a
 // ready-made network that later Gets serve as plain hits (no build), the
-// Primed counter tracks deposits, and Put respects capacity and the
-// generation guard like any insert.
+// Primed counter tracks deposits, and Put respects capacity like any insert.
 func TestPutPrimesWithoutBuilding(t *testing.T) {
 	var builds atomic.Int64
 	c := New(func(ctx context.Context, k Key) (*graph.Network, error) {
