@@ -290,11 +290,13 @@ func run(ctx context.Context, args []string) error {
 	// -resume binds this run to a journal: completed experiments replay
 	// their stored output, the snapshot-level sweeps skip journaled
 	// snapshots, and the journal description pins every flag that shapes
-	// the output so incompatible runs can never be spliced together.
+	// the output — the sim's summary carries counts only, so the seed and
+	// the motif are named too — so incompatible runs can never be spliced
+	// together.
 	var jour *leosim.Journal
 	if *resume != "" {
-		desc := fmt.Sprintf("%s cmd=%s json=%t cdf=%d fault=%s churn=%v/%v",
-			sim, cmd, *jsonOut, *cdfPoints, *faultName, *churnStep, *churnWindow)
+		desc := fmt.Sprintf("%s seed=%d motif=%s cmd=%s json=%t cdf=%d fault=%s churn=%v/%v",
+			sim, scale.Seed, *motifName, cmd, *jsonOut, *cdfPoints, *faultName, *churnStep, *churnWindow)
 		jour, err = leosim.OpenJournal(*resume, desc)
 		if err != nil {
 			return err

@@ -157,12 +157,18 @@ func TestResumeEndToEnd(t *testing.T) {
 		}
 	})
 
+	// Every flag that changes the bytes the journal stores must change its
+	// header: -cdf-points the rendering, -seed the traffic matrix, -motif
+	// the ISL topology (the last two leave every count in the sim's summary
+	// as it was).
 	t.Run("refuses mismatched flags", func(t *testing.T) {
-		args := extArgs(ref)
-		args[5] = "7" // -cdf-points 0 → 7 changes the rendered output
-		_, err := captureRun(context.Background(), args)
-		if err == nil || !strings.Contains(err.Error(), "different run configuration") {
-			t.Errorf("err = %v, want run-configuration mismatch", err)
+		for _, flags := range [][]string{{"-cdf-points", "7"}, {"-seed", "7"}, {"-motif", "ladder"}} {
+			args := extArgs(ref) // a later flag overrides: insert before the experiment name
+			args = append(args[:len(args)-1], append(flags, "ext")...)
+			_, err := captureRun(context.Background(), args)
+			if err == nil || !strings.Contains(err.Error(), "different run configuration") {
+				t.Errorf("%v: err = %v, want run-configuration mismatch", flags, err)
+			}
 		}
 	})
 }

@@ -14,9 +14,9 @@ import (
 // each satellite can serve at most MaxGSLs terminals simultaneously
 // (0 = unlimited, the paper's §2 assumption).
 type BeamPoint struct {
-	MaxGSLs       int
-	Mode          Mode
-	AggregateGbps float64
+	MaxGSLs       int     `json:"maxGslsPerSat"`
+	Mode          Mode    `json:"mode"`
+	AggregateGbps float64 `json:"aggregateGbps"`
 }
 
 // RunBeamSweep quantifies §2's "careful frequency management alleviates

@@ -2,19 +2,12 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 
 	"leosim/internal/graph"
 	"leosim/internal/safe"
-	"leosim/internal/telemetry"
 )
-
-// disconnectJournalStep is one journaled snapshot of the disconnected sweep.
-type disconnectJournalStep struct {
-	Frac float64 `json:"frac"`
-}
 
 // DisconnectResult is the §5 satellite-utilization statistic: the fraction
 // of satellites entirely disconnected from the rest of the network under BP
@@ -42,54 +35,26 @@ func RunDisconnected(ctx context.Context, s *Sim) (res *DisconnectResult, err er
 			s.Scale.NumSnapshots)
 	}
 	res = &DisconnectResult{Min: math.Inf(1), Max: math.Inf(-1)}
-	prog := telemetry.NewProgress(Progress, "disconnected", len(times))
-	defer prog.Finish()
 	var sum float64
-	aggregate := func(frac float64) {
-		res.FractionPerSnapshot = append(res.FractionPerSnapshot, frac)
-		res.Min = math.Min(res.Min, frac)
-		res.Max = math.Max(res.Max, frac)
-		sum += frac
-		prog.Step(1)
+	done, err := runSteps(ctx, "disconnected", len(times),
+		func(i int) (float64, error) {
+			return disconnectedSatFraction(s.NetworkAtCtx(ctx, times[i], BP)), nil
+		},
+		func(_ int, frac float64) error {
+			res.FractionPerSnapshot = append(res.FractionPerSnapshot, frac)
+			res.Min = math.Min(res.Min, frac)
+			res.Max = math.Max(res.Max, frac)
+			sum += frac
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	// Replay snapshots a journaled previous run already completed.
-	jour := JournalFrom(ctx)
-	if jour != nil {
-		for _, raw := range jour.Steps("disconnected") {
-			var st disconnectJournalStep
-			if jerr := json.Unmarshal(raw, &st); jerr != nil {
-				return nil, fmt.Errorf("core: journal disconnected step: %w", jerr)
-			}
-			aggregate(st.Frac)
-			if len(res.FractionPerSnapshot) == len(times) {
-				break
-			}
-		}
-		if replayed := len(res.FractionPerSnapshot); replayed > 0 {
-			telemetry.EmitEvent(ctx, telemetry.CatJournal, telemetry.SevInfo,
-				"journal replay: snapshots restored from previous run",
-				telemetry.Str("experiment", "disconnected"),
-				telemetry.Int64("snapshots", int64(replayed)))
-		}
-	}
-	for _, t := range times[len(res.FractionPerSnapshot):] {
-		if ctx.Err() != nil {
-			break
-		}
-		n := s.NetworkAtCtx(ctx, t, BP)
-		frac := disconnectedSatFraction(n)
-		if jour != nil {
-			if jerr := jour.Step("disconnected", disconnectJournalStep{Frac: frac}); jerr != nil {
-				return nil, jerr
-			}
-		}
-		aggregate(frac)
-	}
-	if len(res.FractionPerSnapshot) == 0 {
+	if done == 0 {
 		return nil, ctx.Err()
 	}
-	res.Mean = sum / float64(len(res.FractionPerSnapshot))
-	if res.Partial = len(res.FractionPerSnapshot) < len(times); res.Partial {
+	res.Mean = sum / float64(done)
+	if res.Partial = done < len(times); res.Partial {
 		return res, ctx.Err()
 	}
 	return res, nil

@@ -6,7 +6,9 @@ import (
 	"io"
 	"math"
 
+	"leosim/internal/fault"
 	"leosim/internal/telemetry"
+	"leosim/internal/topo"
 )
 
 // JSONEnvelope wraps an experiment result with enough metadata to interpret
@@ -32,13 +34,8 @@ func WriteJSON(w io.Writer, experiment string, s *Sim, data interface{}) error {
 	return WriteJSONStages(w, experiment, s, data, false, nil)
 }
 
-// WriteJSONPartial is WriteJSON with an explicit partial flag, used when a
-// cancelled run flushes the snapshots it completed.
-func WriteJSONPartial(w io.Writer, experiment string, s *Sim, data interface{}, partial bool) error {
-	return WriteJSONStages(w, experiment, s, data, partial, nil)
-}
-
-// WriteJSONStages is WriteJSONPartial with the run's telemetry recorder: a
+// WriteJSONStages is WriteJSON with an explicit partial flag (a cancelled
+// run flushing the units it completed) and the run's telemetry recorder: a
 // non-nil rec with observed spans adds the per-stage time breakdown to the
 // envelope.
 func WriteJSONStages(w io.Writer, experiment string, s *Sim, data interface{}, partial bool, rec *telemetry.Recorder) error {
@@ -62,68 +59,69 @@ func WriteJSONStages(w io.Writer, experiment string, s *Sim, data interface{}, p
 	return nil
 }
 
-// MarshalJSON renders the per-mode maps with readable keys.
-func (r *LatencyResult) MarshalJSON() ([]byte, error) {
-	type modeSeries struct {
-		BP     []float64 `json:"bp"`
-		Hybrid []float64 `json:"hybrid"`
+// Float is a float64 whose wire form admits the non-finite values results
+// really hold (an unreachable median is +Inf), which encoding/json rejects:
+// it is written as null when not finite and null reads back as +Inf. Finite
+// values round-trip bit for bit, because Go's float64 encoding is the
+// shortest one that parses back to the identical bits.
+type Float float64
+
+// MarshalJSON writes null for ±Inf and NaN.
+func (f Float) MarshalJSON() ([]byte, error) {
+	if v := float64(f); math.IsInf(v, 0) || math.IsNaN(v) {
+		return []byte("null"), nil
 	}
+	return json.Marshal(float64(f))
+}
+
+// UnmarshalJSON reads null as +Inf.
+func (f *Float) UnmarshalJSON(b []byte) error {
+	v := math.Inf(1)
+	if string(b) != "null" {
+		if err := json.Unmarshal(b, &v); err != nil {
+			return err
+		}
+	}
+	*f = Float(v)
+	return nil
+}
+
+// A result's wire form is its struct tags. The MarshalJSON methods below
+// exist only where the wire form is not the struct: headline numbers derived
+// from the fields are appended (the fields themselves are embedded, never
+// listed again), or the shape differs.
+
+// MarshalJSON appends the paper's headline variation numbers.
+func (r *LatencyResult) MarshalJSON() ([]byte, error) {
+	type plain LatencyResult
 	med, p95 := r.Headline()
 	return json.Marshal(struct {
-		MinRTTMs             modeSeries `json:"minRttMs"`
-		RangeRTTMs           modeSeries `json:"rangeRttMs"`
-		ReachablePairs       int        `json:"reachablePairs"`
-		Excluded             int        `json:"excludedPairs"`
-		SnapshotsDone        int        `json:"snapshotsDone"`
-		Partial              bool       `json:"partial,omitempty"`
-		MaxMinRTTGapMs       float64    `json:"maxMinRttGapMs"`
-		MedianVariationIncPc float64    `json:"medianVariationIncreasePct"`
-		P95VariationIncPc    float64    `json:"p95VariationIncreasePct"`
-	}{
-		MinRTTMs:             modeSeries{BP: r.MinRTT[BP], Hybrid: r.MinRTT[Hybrid]},
-		RangeRTTMs:           modeSeries{BP: r.RangeRTT[BP], Hybrid: r.RangeRTT[Hybrid]},
-		ReachablePairs:       r.ReachablePairs,
-		Excluded:             r.Excluded,
-		SnapshotsDone:        r.SnapshotsDone,
-		Partial:              r.Partial,
-		MaxMinRTTGapMs:       r.MaxMinRTTGapMs(),
-		MedianVariationIncPc: med,
-		P95VariationIncPc:    p95,
-	})
+		*plain
+		MaxMinRTTGapMs       float64 `json:"maxMinRttGapMs"`
+		MedianVariationIncPc float64 `json:"medianVariationIncreasePct"`
+		P95VariationIncPc    float64 `json:"p95VariationIncreasePct"`
+	}{(*plain)(r), r.MaxMinRTTGapMs(), med, p95})
 }
 
-// MarshalJSON names the mode and adds derived fields.
-func (r *ThroughputResult) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Mode          string  `json:"mode"`
-		K             int     `json:"k"`
-		AggregateGbps float64 `json:"aggregateGbps"`
-		PathsFound    int     `json:"pathsFound"`
-		PathsMissing  int     `json:"pathsMissing"`
-	}{r.Mode.String(), r.K, r.AggregateGbps, r.PathsFound, r.PathsMissing})
-}
-
-// MarshalJSON names constellation and mode.
-func (r Fig4Row) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Constellation string  `json:"constellation"`
-		Mode          string  `json:"mode"`
-		K             int     `json:"k"`
-		AggregateGbps float64 `json:"aggregateGbps"`
-	}{r.Constellation.String(), r.Mode.String(), r.K, r.AggregateGbps})
-}
-
-// MarshalJSON adds the derived headline numbers to the weather result.
+// MarshalJSON appends the median ISL advantage.
 func (r *WeatherResult) MarshalJSON() ([]byte, error) {
+	type plain WeatherResult
 	return json.Marshal(struct {
-		P995BPdB          []float64 `json:"p995BpDb"`
-		P995ISLdB         []float64 `json:"p995IslDb"`
-		PairsUsed         int       `json:"pairsUsed"`
-		MedianAdvantageDB float64   `json:"medianIslAdvantageDb"`
-	}{r.P995BP, r.P995ISL, r.PairsUsed, r.MedianAdvantageDB()})
+		*plain
+		MedianAdvantageDB float64 `json:"medianIslAdvantageDb"`
+	}{(*plain)(r), r.MedianAdvantageDB()})
 }
 
-// MarshalJSON names the modes in the churn map.
+// MarshalJSON appends the throughput gain of TE over shortest paths.
+func (r *TEResult) MarshalJSON() ([]byte, error) {
+	type plain TEResult
+	return json.Marshal(struct {
+		*plain
+		GainFrac float64 `json:"gainFrac"`
+	}{(*plain)(r), r.ThroughputGainFrac()})
+}
+
+// MarshalJSON flattens the per-mode churn map and adds the per-mode means.
 func (r *PathChurnResult) MarshalJSON() ([]byte, error) {
 	return json.Marshal(struct {
 		BP        []float64 `json:"bpChangeFrac"`
@@ -138,146 +136,29 @@ func (r *PathChurnResult) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// MarshalJSON names the mode and summarizes the load distribution.
-func (r *UtilizationResult) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Mode          string    `json:"mode"`
-		PerSatGbps    []float64 `json:"perSatGbps"`
-		IdleFrac      float64   `json:"idleFrac"`
-		Gini          float64   `json:"gini"`
-		AggregateGbps float64   `json:"aggregateGbps"`
-	}{r.Mode.String(), r.PerSatGbps, r.IdleFrac, r.Gini, r.AggregateGbps})
-}
-
-// MarshalJSON names the mode of a beam-sweep point.
-func (p BeamPoint) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		MaxGSLs       int     `json:"maxGslsPerSat"`
-		Mode          string  `json:"mode"`
-		AggregateGbps float64 `json:"aggregateGbps"`
-	}{p.MaxGSLs, p.Mode.String(), p.AggregateGbps})
-}
-
-// MarshalJSON names the mode of a TE comparison.
-func (r *TEResult) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Mode            string  `json:"mode"`
-		K               int     `json:"k"`
-		ShortestGbps    float64 `json:"shortestGbps"`
-		TEGbps          float64 `json:"teGbps"`
-		ShortestDelayMs float64 `json:"shortestDelayMs"`
-		TEDelayMs       float64 `json:"teDelayMs"`
-		TEMaxUtil       float64 `json:"teMaxUtil"`
-		GainFrac        float64 `json:"gainFrac"`
-	}{r.Mode.String(), r.K, r.ShortestGbps, r.TEGbps,
-		r.ShortestDelayMs, r.TEDelayMs, r.TEMaxUtil, r.ThroughputGainFrac()})
-}
-
-// MarshalJSON names motif and mode of a topology-lab cell.
-func (c TopoCell) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Motif                string   `json:"motif"`
-		Mode                 string   `json:"mode"`
-		ISLCount             int      `json:"islCount"`
-		MeanISLKm            float64  `json:"meanIslKm"`
-		MedianRTTMs          *float64 `json:"medianRttMs"`
-		P99RTTMs             *float64 `json:"p99RttMs"`
-		DemandWeightedMedian *float64 `json:"demandWeightedMedianRttMs"`
-		UnreachableFrac      float64  `json:"unreachableFrac"`
-		ThroughputGbps       float64  `json:"throughputGbps"`
-		FaultMedianRTTMs     *float64 `json:"faultMedianRttMs"`
-		FaultUnreachableFrac float64  `json:"faultUnreachableFrac"`
-		ThroughputRetention  float64  `json:"throughputRetention"`
-		RouteChangesPerMin   float64  `json:"routeChangesPerMin"`
-		FullRebuilds         int      `json:"fullRebuilds"`
-	}{
-		Motif: c.Motif.String(), Mode: c.Mode.String(),
-		ISLCount: c.ISLCount, MeanISLKm: c.MeanISLKm,
-		MedianRTTMs: finiteOrNil(c.MedianRTTMs), P99RTTMs: finiteOrNil(c.P99RTTMs),
-		DemandWeightedMedian: finiteOrNil(c.DemandWeightedMedianRTTMs),
-		UnreachableFrac:      c.UnreachableFrac,
-		ThroughputGbps:       c.ThroughputGbps,
-		FaultMedianRTTMs:     finiteOrNil(c.FaultMedianRTTMs),
-		FaultUnreachableFrac: c.FaultUnreachableFrac,
-		ThroughputRetention:  c.ThroughputRetention,
-		RouteChangesPerMin:   c.RouteChangesPerMin,
-		FullRebuilds:         c.FullRebuilds,
-	})
-}
-
-// MarshalJSON names the sweep configuration of the topology-lab result.
+// MarshalJSON names the sweep configuration of the topology-lab result
+// (durations as strings) and adds the demand-motif headline before the cells.
 func (r *TopoResult) MarshalJSON() ([]byte, error) {
-	motifs := make([]string, len(r.Motifs))
-	for i, m := range r.Motifs {
-		motifs[i] = m.String()
-	}
 	return json.Marshal(struct {
-		Motifs          []string   `json:"motifs"`
-		K               int        `json:"k"`
-		FaultScenario   string     `json:"faultScenario"`
-		FaultFraction   float64    `json:"faultFraction"`
-		FaultSeed       int64      `json:"faultSeed"`
-		ChurnStep       string     `json:"churnStep"`
-		ChurnWindow     string     `json:"churnWindow"`
-		SnapshotsUsed   int        `json:"snapshotsUsed"`
-		DemandAdvantage float64    `json:"demandVsPlusGridAdvantagePct"`
-		Cells           []TopoCell `json:"cells"`
+		Motifs          []topo.ID      `json:"motifs"`
+		K               int            `json:"k"`
+		FaultScenario   fault.Scenario `json:"faultScenario"`
+		FaultFraction   float64        `json:"faultFraction"`
+		FaultSeed       int64          `json:"faultSeed"`
+		ChurnStep       string         `json:"churnStep"`
+		ChurnWindow     string         `json:"churnWindow"`
+		SnapshotsUsed   int            `json:"snapshotsUsed"`
+		DemandAdvantage float64        `json:"demandVsPlusGridAdvantagePct"`
+		Cells           []TopoCell     `json:"cells"`
 	}{
-		Motifs: motifs, K: r.K,
-		FaultScenario: string(r.FaultScenario), FaultFraction: r.FaultFraction,
+		Motifs: r.Motifs, K: r.K,
+		FaultScenario: r.FaultScenario, FaultFraction: r.FaultFraction,
 		FaultSeed: r.FaultSeed,
 		ChurnStep: r.ChurnStep.String(), ChurnWindow: r.ChurnWindow.String(),
 		SnapshotsUsed:   r.SnapshotsUsed,
 		DemandAdvantage: r.DemandAdvantagePct(),
 		Cells:           r.Cells,
 	})
-}
-
-// finiteOrNil maps non-finite floats (unreachable medians, infinite
-// inflation) to JSON null, which encoding/json cannot represent otherwise.
-func finiteOrNil(x float64) *float64 {
-	if math.IsInf(x, 0) || math.IsNaN(x) {
-		return nil
-	}
-	return &x
-}
-
-// MarshalJSON names scenario and modes of the resilience sweep.
-func (r *ResilienceResult) MarshalJSON() ([]byte, error) {
-	type point struct {
-		Fraction            float64  `json:"fraction"`
-		Mode                string   `json:"mode"`
-		FailedSats          int      `json:"failedSats"`
-		FailedSites         int      `json:"failedSites"`
-		FailedISLs          int      `json:"failedIsls"`
-		MedianRTTMs         *float64 `json:"medianRttMs"`
-		P99RTTMs            *float64 `json:"p99RttMs"`
-		MedianInflationPct  *float64 `json:"medianInflationPct"`
-		P99InflationPct     *float64 `json:"p99InflationPct"`
-		UnreachableFrac     float64  `json:"unreachableFrac"`
-		ThroughputGbps      float64  `json:"throughputGbps"`
-		ThroughputRetention float64  `json:"throughputRetention"`
-	}
-	pts := make([]point, len(r.Points))
-	for i, p := range r.Points {
-		pts[i] = point{
-			Fraction: p.Fraction, Mode: p.Mode.String(),
-			FailedSats: p.FailedSats, FailedSites: p.FailedSites, FailedISLs: p.FailedISLs,
-			MedianRTTMs: finiteOrNil(p.MedianRTTMs), P99RTTMs: finiteOrNil(p.P99RTTMs),
-			MedianInflationPct: finiteOrNil(p.MedianInflationPct),
-			P99InflationPct:    finiteOrNil(p.P99InflationPct),
-			UnreachableFrac:    p.UnreachableFrac,
-			ThroughputGbps:     p.ThroughputGbps, ThroughputRetention: p.ThroughputRetention,
-		}
-	}
-	return json.Marshal(struct {
-		Scenario      string    `json:"scenario"`
-		Seed          int64     `json:"seed"`
-		Fractions     []float64 `json:"fractions"`
-		SnapshotsUsed int       `json:"snapshotsUsed"`
-		Partial       bool      `json:"partial,omitempty"`
-		Points        []point   `json:"points"`
-	}{string(r.Scenario), r.Seed, r.Fractions, r.SnapshotsUsed, r.Partial, pts})
 }
 
 // MarshalJSON renders both exceedance curves plus the 1%-of-time headline.

@@ -14,11 +14,14 @@ var update = flag.Bool("update", false, "rewrite golden fixtures")
 // TestSweepGoldens pins the tiny-scale WriteJSON envelopes of the sweeps
 // whose snapshots come from more than one source (the schedule cache, masked
 // builds, the seconds-scale cursor) and of the five named-city experiments,
-// which run on a sim derived with cities beyond the top-N cut. The
+// which run on a sim derived with cities beyond the top-N cut, and of the
+// results whose wire form is their struct tags (fig4, throughput, beams,
+// util) or the tagged struct plus derived headline fields (te, fig6). The
 // determinism suite compares a run with itself; these fixtures compare it
-// with the bytes recorded before the snapshot sources were unified and, for
-// the named-city ones, while the cities were still added to the caller's sim
-// in place. Rerun with -update only for an intended change of an
+// with the bytes recorded before the snapshot sources were unified, for the
+// named-city ones while the cities were still added to the caller's sim in
+// place, and for the tagged ones while each still had a hand-written
+// MarshalJSON. Rerun with -update only for an intended change of an
 // experiment's numbers, and read the diff.
 func TestSweepGoldens(t *testing.T) {
 	cases := []struct {
@@ -53,6 +56,29 @@ func TestSweepGoldens(t *testing.T) {
 		}},
 		{"fig11", false, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
 			return RunFiberAugmentation(ctx, s, "Paris", []string{"Rouen", "Orléans"}, 200, Epoch())
+		}},
+		{"fig4", false, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+			return RunFig4(ctx, s)
+		}},
+		{"throughput", false, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+			return RunThroughput(ctx, s, Hybrid, 4, Epoch())
+		}},
+		{"beams", false, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+			return RunBeamSweep(ctx, s, []int{2, 8, 0}, Epoch())
+		}},
+		{"util", false, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+			bp, err := RunUtilization(ctx, s, BP, Epoch())
+			if err != nil {
+				return nil, err
+			}
+			hy, err := RunUtilization(ctx, s, Hybrid, Epoch())
+			return []*UtilizationResult{bp, hy}, err
+		}},
+		{"te", false, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+			return RunTrafficEngineering(ctx, s, Hybrid, 4, Epoch())
+		}},
+		{"fig6", false, nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+			return RunWeather(ctx, s)
 		}},
 	}
 	for _, tc := range cases {

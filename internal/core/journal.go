@@ -6,11 +6,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 
 	"leosim/internal/atomicfile"
+	"leosim/internal/telemetry"
 )
 
 // Journal is a crash-safe record of sweep progress: per-experiment,
@@ -115,10 +115,20 @@ func (j *Journal) Step(experiment string, state interface{}) error {
 	if err != nil {
 		return fmt.Errorf("core: journal: %w", err)
 	}
+	return j.appendRecord(journalRecord{Kind: "step", Experiment: experiment, State: raw})
+}
+
+// appendRecord adds rec and persists the journal; a failed write leaves the
+// in-memory journal as it was, so Steps never reports a unit the file lacks.
+func (j *Journal) appendRecord(rec journalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.records = append(j.records, journalRecord{Kind: "step", Experiment: experiment, State: raw})
-	return j.flushLocked()
+	j.records = append(j.records, rec)
+	if err := j.flushLocked(); err != nil {
+		j.records = j.records[:len(j.records)-1]
+		return err
+	}
+	return nil
 }
 
 // Steps returns the recorded step payloads for experiment, in append order.
@@ -137,10 +147,7 @@ func (j *Journal) Steps(experiment string) []json.RawMessage {
 // MarkDone records experiment as complete with its full rendered output,
 // which a resumed run replays instead of recomputing.
 func (j *Journal) MarkDone(experiment string, output []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.records = append(j.records, journalRecord{Kind: "done", Experiment: experiment, Output: output})
-	return j.flushLocked()
+	return j.appendRecord(journalRecord{Kind: "done", Experiment: experiment, Output: output})
 }
 
 // DoneOutput returns the stored output of a completed experiment.
@@ -178,18 +185,64 @@ func JournalFrom(ctx context.Context) *Journal {
 	return j
 }
 
-// ---- nullable-float plumbing --------------------------------------------
+// runSteps is the one resumable-sweep loop: it runs units 0..n-1 of the sweep
+// journaled as name, where compute(i) produces unit i's state — a result
+// type, so its wire form is the one the experiment emits — and apply(i, st)
+// folds it into the caller's result. Under a journal (WithJournal) the units
+// a previous run completed are decoded and applied instead of computed, in
+// order, and a rejecting apply fails the run rather than splicing a foreign
+// journal; each computed unit is journaled before it is applied, so an
+// applied unit is never lost to a crash and replay ≡ recompute.
 //
-// Step payloads must round-trip non-finite float64s (unreachable pairs are
-// +Inf), which encoding/json cannot represent. Journal payloads therefore
-// store *float64 with nil ⇔ +Inf; finite values round-trip exactly because
-// Go's float64 JSON encoding uses the shortest representation that parses
-// back to the identical bits.
-
-// infOrVal maps a journal float back to the in-memory convention.
-func infOrVal(p *float64) float64 {
-	if p == nil {
-		return math.Inf(1)
+// Cancellation takes effect at unit boundaries only: ctx is checked before
+// each unit, and a compute error under a cancelled ctx after at least one
+// applied unit is that cancellation, not a failure. done counts the applied
+// units; done < n with a nil error means ctx was cancelled, and what a
+// partial or empty sweep means is the caller's rule.
+func runSteps[T any](ctx context.Context, name string, n int,
+	compute func(i int) (T, error), apply func(i int, st T) error) (done int, err error) {
+	prog := telemetry.NewProgress(Progress, name, n)
+	defer prog.Finish()
+	jour := JournalFrom(ctx)
+	if jour != nil {
+		for _, raw := range jour.Steps(name) {
+			if done == n {
+				break
+			}
+			var st T
+			if err = json.Unmarshal(raw, &st); err != nil {
+				return done, fmt.Errorf("core: journal %s step %d: %w", name, done, err)
+			}
+			if err = apply(done, st); err != nil {
+				return done, err
+			}
+			done++
+			prog.Step(1)
+		}
+		if done > 0 {
+			telemetry.EmitEvent(ctx, telemetry.CatJournal, telemetry.SevInfo,
+				"journal replay: steps restored from previous run",
+				telemetry.Str("experiment", name),
+				telemetry.Int64("steps", int64(done)))
+		}
 	}
-	return *p
+	for ; done < n && ctx.Err() == nil; done++ {
+		var st T
+		if st, err = compute(done); err != nil {
+			if ctx.Err() != nil && done > 0 {
+				return done, nil
+			}
+			return done, err
+		}
+		if jour != nil {
+			if err = jour.Step(name, st); err != nil {
+				return done, err
+			}
+		}
+		if err = apply(done, st); err != nil {
+			return done, err
+		}
+		prog.Step(1)
+	}
+	return done, nil
 }

@@ -2,29 +2,28 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 
 	"leosim/internal/safe"
 	"leosim/internal/stats"
-	"leosim/internal/telemetry"
 )
 
 // LatencyResult holds the Fig 2 experiment output: per-pair minimum RTT and
 // RTT range (max − min across snapshots) for both connectivity modes.
 type LatencyResult struct {
 	// MinRTT[mode][i] is the minimum RTT (ms) of pair i across snapshots.
-	MinRTT map[Mode][]float64
+	MinRTT map[Mode][]float64 `json:"minRttMs"`
 	// RangeRTT[mode][i] is max−min RTT (ms) of pair i across snapshots.
-	RangeRTT map[Mode][]float64
+	RangeRTT map[Mode][]float64 `json:"rangeRttMs"`
 	// ReachablePairs counts pairs reachable in every snapshot under both
 	// modes (the population the CDFs are over); Excluded counts the rest.
-	ReachablePairs, Excluded int
+	ReachablePairs int `json:"reachablePairs"`
+	Excluded       int `json:"excludedPairs"`
 	// SnapshotsDone counts snapshots fully aggregated; Partial marks a
 	// result cut short by cancellation (SnapshotsDone < requested).
-	SnapshotsDone int
-	Partial       bool
+	SnapshotsDone int  `json:"snapshotsDone"`
+	Partial       bool `json:"partial,omitempty"`
 }
 
 // RunLatency runs the §4 experiment: simulate the day, find shortest paths
@@ -51,83 +50,54 @@ func RunLatency(ctx context.Context, s *Sim) (res *LatencyResult, err error) {
 		ok[i] = true
 	}
 
-	prog := telemetry.NewProgress(Progress, "latency", len(times))
-	defer prog.Finish()
-	done := 0
-	aggregate := func(snap map[Mode][]float64) {
-		for _, m := range []Mode{BP, Hybrid} {
-			for i, r := range snap[m] {
-				if math.IsInf(r, 1) {
-					ok[i] = false
-					continue
+	// A snapshot is one unit: both modes' per-pair RTTs (+Inf = unreachable)
+	// are computed before either is aggregated, so a cancellation
+	// mid-snapshot never leaves one mode's extremes a snapshot ahead of the
+	// other's.
+	done, err := runSteps(ctx, "latency", len(times),
+		func(i int) (map[Mode][]Float, error) {
+			// Under a running trace capture each snapshot gets its own trace
+			// ID: the exported Chrome trace shows one track per snapshot, its
+			// search fan-out spans nested inside the envelope.
+			sctx, endSnap := traceSnapshot(ctx, i)
+			defer endSnap()
+			snap := map[Mode][]Float{}
+			for _, m := range []Mode{BP, Hybrid} {
+				rtts, err := s.pairRTTs(sctx, s.NetworkAtCtx(sctx, times[i], m), false)
+				if err != nil {
+					return nil, err
 				}
-				if r < minRTT[m][i] {
-					minRTT[m][i] = r
-				}
-				if r > maxRTT[m][i] {
-					maxRTT[m][i] = r
+				snap[m] = make([]Float, len(rtts))
+				for pi, r := range rtts {
+					snap[m][pi] = Float(r)
 				}
 			}
-		}
-		done++
-		prog.Step(1)
-	}
-	// A journaled run replays the snapshots a previous (crashed or killed)
-	// run already completed, then computes only the remainder. Replayed
-	// aggregation is identical to live aggregation: journal floats
-	// round-trip exactly.
-	jour := JournalFrom(ctx)
-	if jour != nil {
-		for _, raw := range jour.Steps("latency") {
-			snap, jerr := latencySnapFromJournal(raw, nPairs)
-			if jerr != nil {
-				return nil, jerr
+			return snap, nil
+		},
+		func(_ int, snap map[Mode][]Float) error {
+			if len(snap[BP]) != nPairs || len(snap[Hybrid]) != nPairs {
+				return fmt.Errorf("core: journal latency step has %d/%d pairs, sim has %d — journal from a different run?",
+					len(snap[BP]), len(snap[Hybrid]), nPairs)
 			}
-			aggregate(snap)
-			if done == len(times) {
-				break
-			}
-		}
-		if done > 0 {
-			telemetry.EmitEvent(ctx, telemetry.CatJournal, telemetry.SevInfo,
-				"journal replay: snapshots restored from previous run",
-				telemetry.Str("experiment", "latency"),
-				telemetry.Int64("snapshots", int64(done)))
-		}
-	}
-	for _, t := range times[done:] {
-		if ctx.Err() != nil {
-			break
-		}
-		// Under a running trace capture each snapshot gets its own trace ID:
-		// the exported Chrome trace shows one track per snapshot, its search
-		// fan-out spans nested inside the envelope.
-		sctx, endSnap := traceSnapshot(ctx, done)
-		// Compute both modes for this snapshot before aggregating, so a
-		// cancellation mid-snapshot never leaves one mode's extremes a
-		// snapshot ahead of the other's.
-		snap := map[Mode][]float64{}
-		for _, m := range []Mode{BP, Hybrid} {
-			rtts, rerr := s.pairRTTs(sctx, s.NetworkAtCtx(sctx, t, m), false)
-			if rerr != nil {
-				if ctx.Err() != nil && done > 0 {
-					snap = nil
-					break
+			for _, m := range []Mode{BP, Hybrid} {
+				for i, r := range snap[m] {
+					r := float64(r)
+					if math.IsInf(r, 1) {
+						ok[i] = false
+						continue
+					}
+					if r < minRTT[m][i] {
+						minRTT[m][i] = r
+					}
+					if r > maxRTT[m][i] {
+						maxRTT[m][i] = r
+					}
 				}
-				return nil, rerr
 			}
-			snap[m] = rtts
-		}
-		endSnap()
-		if snap == nil {
-			break
-		}
-		if jour != nil {
-			if jerr := jour.Step("latency", latencySnapToJournal(snap)); jerr != nil {
-				return nil, jerr
-			}
-		}
-		aggregate(snap)
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	if done == 0 {
 		if cerr := ctx.Err(); cerr != nil {
@@ -160,43 +130,6 @@ func RunLatency(ctx context.Context, s *Sim) (res *LatencyResult, err error) {
 		return res, ctx.Err()
 	}
 	return res, nil
-}
-
-// latencyJournalStep is one journaled snapshot of the latency sweep: both
-// modes' per-pair RTTs, with nil standing in for +Inf (unreachable).
-type latencyJournalStep struct {
-	BP     []*float64 `json:"bp"`
-	Hybrid []*float64 `json:"hybrid"`
-}
-
-func latencySnapToJournal(snap map[Mode][]float64) latencyJournalStep {
-	conv := func(rtts []float64) []*float64 {
-		out := make([]*float64, len(rtts))
-		for i, r := range rtts {
-			out[i] = finiteOrNil(r)
-		}
-		return out
-	}
-	return latencyJournalStep{BP: conv(snap[BP]), Hybrid: conv(snap[Hybrid])}
-}
-
-func latencySnapFromJournal(raw json.RawMessage, nPairs int) (map[Mode][]float64, error) {
-	var st latencyJournalStep
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return nil, fmt.Errorf("core: journal latency step: %w", err)
-	}
-	if len(st.BP) != nPairs || len(st.Hybrid) != nPairs {
-		return nil, fmt.Errorf("core: journal latency step has %d/%d pairs, sim has %d — journal from a different run?",
-			len(st.BP), len(st.Hybrid), nPairs)
-	}
-	conv := func(rtts []*float64) []float64 {
-		out := make([]float64, len(rtts))
-		for i, r := range rtts {
-			out[i] = infOrVal(r)
-		}
-		return out
-	}
-	return map[Mode][]float64{BP: conv(st.BP), Hybrid: conv(st.Hybrid)}, nil
 }
 
 func fill(n int, v float64) []float64 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"math"
 	"strings"
 	"time"
@@ -13,35 +12,19 @@ import (
 
 // HopTrace describes one snapshot's path between a city pair.
 type HopTrace struct {
-	Time  time.Time
-	RTTMs float64
-	Hops  int
+	Time time.Time `json:"time"`
+	// RTTMs is +Inf (null on the wire) when the pair is unreachable.
+	RTTMs Float `json:"rttMs"`
+	Hops  int   `json:"hops"`
 	// AircraftHops counts intermediate aircraft relays; RelayHops counts
 	// grid relays; CityHops counts intermediate city GTs.
-	AircraftHops, RelayHops, CityHops int
+	AircraftHops int `json:"aircraftHops"`
+	RelayHops    int `json:"relayHops"`
+	CityHops     int `json:"cityHops"`
 	// Route is a compact rendering of the hop sequence.
-	Route string
+	Route string `json:"route,omitempty"`
 	// Reachable is false when the pair was disconnected at this snapshot.
-	Reachable bool
-}
-
-// MarshalJSON renders an unreachable snapshot's RTT (internally +Inf, which
-// encoding/json rejects) as null instead of failing the whole envelope.
-func (h HopTrace) MarshalJSON() ([]byte, error) {
-	var rtt *float64
-	if h.Reachable && !math.IsInf(h.RTTMs, 0) {
-		rtt = &h.RTTMs
-	}
-	return json.Marshal(struct {
-		Time         time.Time `json:"time"`
-		RTTMs        *float64  `json:"rttMs"`
-		Hops         int       `json:"hops"`
-		AircraftHops int       `json:"aircraftHops"`
-		RelayHops    int       `json:"relayHops"`
-		CityHops     int       `json:"cityHops"`
-		Route        string    `json:"route,omitempty"`
-		Reachable    bool      `json:"reachable"`
-	}{h.Time, rtt, h.Hops, h.AircraftHops, h.RelayHops, h.CityHops, h.Route, h.Reachable})
+	Reachable bool `json:"reachable"`
 }
 
 // PathTraceResult is the Fig 3 output: the BP path between one city pair
@@ -68,9 +51,9 @@ func RunPathTrace(ctx context.Context, s *Sim, srcName, dstName string, mode Mod
 		}
 		n := s.NetworkAt(t, mode)
 		p, okPath := n.ShortestPath(n.CityNode(src), n.CityNode(dst))
-		tr := HopTrace{Time: t, Reachable: okPath}
+		tr := HopTrace{Time: t, RTTMs: Float(math.Inf(1)), Reachable: okPath}
 		if okPath {
-			tr.RTTMs = p.RTTMs()
+			tr.RTTMs = Float(p.RTTMs())
 			tr.Hops = p.Hops()
 			tr.Route = renderRoute(n, p)
 			for _, node := range p.Nodes[1 : len(p.Nodes)-1] {
@@ -83,8 +66,6 @@ func RunPathTrace(ctx context.Context, s *Sim, srcName, dstName string, mode Mod
 					tr.CityHops++
 				}
 			}
-		} else {
-			tr.RTTMs = math.Inf(1)
 		}
 		res.Traces = append(res.Traces, tr)
 	}
@@ -119,8 +100,8 @@ func (r *PathTraceResult) RTTInflationMs() float64 {
 		if !tr.Reachable {
 			continue
 		}
-		lo = math.Min(lo, tr.RTTMs)
-		hi = math.Max(hi, tr.RTTMs)
+		lo = math.Min(lo, float64(tr.RTTMs))
+		hi = math.Max(hi, float64(tr.RTTMs))
 	}
 	if math.IsInf(lo, 1) {
 		return math.Inf(1)

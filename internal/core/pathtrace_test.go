@@ -81,9 +81,9 @@ func TestHybridPathStabler(t *testing.T) {
 		if !hy.Traces[i].Reachable {
 			t.Fatalf("hybrid unreachable at snapshot %d", i)
 		}
-		hyR = append(hyR, hy.Traces[i].RTTMs)
+		hyR = append(hyR, float64(hy.Traces[i].RTTMs))
 		if bp.Traces[i].Reachable {
-			bpR = append(bpR, bp.Traces[i].RTTMs)
+			bpR = append(bpR, float64(bp.Traces[i].RTTMs))
 			if hy.Traces[i].RTTMs > bp.Traces[i].RTTMs+1e-9 {
 				t.Errorf("snapshot %d: hybrid %v > bp %v",
 					i, hy.Traces[i].RTTMs, bp.Traces[i].RTTMs)
@@ -149,11 +149,11 @@ func TestFiberAugmentationParis(t *testing.T) {
 }
 
 // An unreachable snapshot stores +Inf RTT internally, which encoding/json
-// rejects; the custom marshaller must render it as null so -json output of a
+// rejects; the field is a Float, so it renders as null and -json output of a
 // partially disconnected trace stays valid.
 func TestHopTraceJSONUnreachable(t *testing.T) {
 	r := &PathTraceResult{Traces: []HopTrace{
-		{RTTMs: math.Inf(1)},
+		{RTTMs: Float(math.Inf(1))},
 		{RTTMs: 42.5, Reachable: true},
 	}}
 	raw, err := json.Marshal(r)

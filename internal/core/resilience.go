@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -31,38 +30,43 @@ func DefaultFaultFractions() []float64 {
 // ResiliencePoint is one cell of the sweep: one failure fraction under one
 // connectivity mode.
 type ResiliencePoint struct {
-	Fraction float64
-	Mode     Mode
+	Fraction float64 `json:"fraction"`
+	Mode     Mode    `json:"mode"`
 	// FailedSats/FailedSites/FailedISLs count the concrete outages the
 	// seeded plan realized at this fraction (lasers: at the first snapshot).
-	FailedSats, FailedSites, FailedISLs int
+	FailedSats  int `json:"failedSats"`
+	FailedSites int `json:"failedSites"`
+	FailedISLs  int `json:"failedIsls"`
 	// MedianRTTMs and P99RTTMs summarize per-pair best RTTs over the
-	// evaluated snapshots (reachable pairs only).
-	MedianRTTMs, P99RTTMs float64
+	// evaluated snapshots (reachable pairs only; +Inf when there are none).
+	MedianRTTMs Float `json:"medianRttMs"`
+	P99RTTMs    Float `json:"p99RttMs"`
 	// MedianInflationPct and P99InflationPct are the percentage increases
 	// over this mode's 0%-failure baseline.
-	MedianInflationPct, P99InflationPct float64
+	MedianInflationPct Float `json:"medianInflationPct"`
+	P99InflationPct    Float `json:"p99InflationPct"`
 	// UnreachableFrac is the fraction of sampled pairs with no path in any
 	// evaluated snapshot.
-	UnreachableFrac float64
+	UnreachableFrac float64 `json:"unreachableFrac"`
 	// ThroughputGbps is the max-min aggregate at the first snapshot;
 	// ThroughputRetention is its ratio to the mode's healthy baseline.
-	ThroughputGbps, ThroughputRetention float64
+	ThroughputGbps      float64 `json:"throughputGbps"`
+	ThroughputRetention float64 `json:"throughputRetention"`
 }
 
 // ResilienceResult is the fault-injection sweep output: how BP and Hybrid
 // connectivity degrade as a growing fraction of a resource fails.
 type ResilienceResult struct {
-	Scenario  fault.Scenario
-	Seed      int64
-	Fractions []float64
-	// Points is fraction-major, BP before Hybrid within each fraction.
-	Points []ResiliencePoint
+	Scenario  fault.Scenario `json:"scenario"`
+	Seed      int64          `json:"seed"`
+	Fractions []float64      `json:"fractions"`
 	// SnapshotsUsed is how many snapshots each point averaged over.
-	SnapshotsUsed int
+	SnapshotsUsed int `json:"snapshotsUsed"`
 	// Partial marks a sweep cut short by cancellation: Points holds the
 	// completed fractions only.
-	Partial bool
+	Partial bool `json:"partial,omitempty"`
+	// Points is fraction-major, BP before Hybrid within each fraction.
+	Points []ResiliencePoint `json:"points"`
 }
 
 // resilienceSeed derives the outage seed for sweep point i so each fraction
@@ -73,7 +77,17 @@ func resilienceSeed(base int64, i int) int64 {
 
 // modeEval holds one mode's aggregate metrics at one sweep point.
 type modeEval struct {
-	median, p99, unreachable, tput float64
+	Median      Float   `json:"median"`
+	P99         Float   `json:"p99"`
+	Unreachable float64 `json:"unreachable"`
+	Tput        float64 `json:"tput"`
+}
+
+// resilienceStep is one unit of the sweep: the healthy baseline (unit 0) or
+// one completed fraction's two points (BP, Hybrid).
+type resilienceStep struct {
+	Baseline map[Mode]modeEval `json:"baseline,omitempty"`
+	Points   []ResiliencePoint `json:"points,omitempty"`
 }
 
 // RunResilience sweeps a failure scenario over the given fractions (nil =
@@ -116,231 +130,93 @@ func RunResilience(ctx context.Context, s *Sim, scenario fault.Scenario, fractio
 		SnapshotsUsed: len(times),
 	}
 
-	// A journaled run replays the baseline and completed fractions from a
-	// previous (crashed or killed) run. Only whole fractions are journaled,
-	// mirroring the live invariant that Points never holds half a fraction.
-	jour := JournalFrom(ctx)
-	jkey := "resilience/" + string(scenario)
-	var steps []json.RawMessage
-	if jour != nil {
-		steps = jour.Steps(jkey)
-		if len(steps) > 0 {
-			telemetry.EmitEvent(ctx, telemetry.CatJournal, telemetry.SevInfo,
-				"journal replay: steps restored from previous run",
-				telemetry.Str("experiment", jkey),
-				telemetry.Int64("steps", int64(len(steps))))
-		}
-	}
-
-	// Healthy baseline through the identical code path (zero plan).
-	baseline := map[Mode]modeEval{}
-	if len(steps) > 0 {
-		b, jerr := resilienceBaselineFromJournal(steps[0])
-		if jerr != nil {
-			return nil, jerr
-		}
-		baseline = b
-		steps = steps[1:]
-	} else {
-		for _, mode := range []Mode{BP, Hybrid} {
-			ev, err := s.evalFaulted(ctx, mode, make([]*fault.Outages, len(times)), times)
-			if err != nil {
-				return nil, err
-			}
-			baseline[mode] = *ev
-		}
-		if jour != nil {
-			if jerr := jour.Step(jkey, resilienceBaselineToJournal(baseline)); jerr != nil {
-				return nil, jerr
-			}
-		}
-	}
-
-	prog := telemetry.NewProgress(Progress, "resilience", len(fractions))
-	defer prog.Finish()
-	start := 0
-	for _, raw := range steps {
-		if start >= len(fractions) {
-			break
-		}
-		pts, frac, jerr := resilienceFractionFromJournal(raw)
-		if jerr != nil {
-			return nil, jerr
-		}
-		if frac != fractions[start] {
-			return nil, fmt.Errorf("core: journal resilience fraction %g, sweep expects %g — journal from a different sweep?",
-				frac, fractions[start])
-		}
-		res.Points = append(res.Points, pts...)
-		res.Fractions = append(res.Fractions, frac)
-		start++
-		prog.Step(1)
-	}
-	for i := start; i < len(fractions); i++ {
-		frac := fractions[i]
-		if ctx.Err() != nil && len(res.Fractions) > 0 {
-			res.Partial = true
-			return res, ctx.Err()
-		}
-		plan, err := fault.ForScenario(scenario, frac, resilienceSeed(s.Scale.Seed, i))
-		if err != nil {
-			return nil, err
-		}
-		fsp := telemetry.RecordSpan(ctx, telemetry.StageFaultRealize)
-		perSnap := make([]*fault.Outages, len(times))
-		for si, t := range times {
-			if perSnap[si], err = plan.RealizeAt(s.Const, len(s.Seg.Terminals), t); err != nil {
-				break
-			}
-		}
-		fsp.End()
-		if err != nil {
-			return nil, err
-		}
-		outages := perSnap[0]
-		progressf("resilience %s %.0f%%: %d sats, %d sites, %d lasers down\n",
-			scenario, frac*100, outages.NumFailedSats(), outages.NumFailedSites(),
-			outages.NumFailedISLs())
-		for _, mode := range []Mode{BP, Hybrid} {
-			ev, err := s.evalFaulted(ctx, mode, perSnap, times)
-			if err != nil {
-				if ctx.Err() != nil && len(res.Fractions) > 0 {
-					// Drop this fraction's already-evaluated modes so
-					// Points only ever holds complete fractions.
-					res.Points = res.Points[:2*len(res.Fractions)]
-					res.Partial = true
-					return res, ctx.Err()
+	// Unit 0 is the healthy baseline, evaluated through the identical code
+	// path (zero plan); unit i ≥ 1 is fraction i-1, both modes, so Points
+	// only ever grows by whole fractions.
+	var baseline map[Mode]modeEval
+	done, err := runSteps(ctx, "resilience/"+string(scenario), 1+len(fractions),
+		func(i int) (resilienceStep, error) {
+			perSnap := make([]*fault.Outages, len(times))
+			if i == 0 {
+				base := map[Mode]modeEval{}
+				for _, mode := range []Mode{BP, Hybrid} {
+					ev, err := s.evalFaulted(ctx, mode, perSnap, times)
+					if err != nil {
+						return resilienceStep{}, err
+					}
+					base[mode] = ev
 				}
-				return nil, err
+				return resilienceStep{Baseline: base}, nil
 			}
-			base := baseline[mode]
-			res.Points = append(res.Points, ResiliencePoint{
-				Fraction:            frac,
-				Mode:                mode,
-				FailedSats:          outages.NumFailedSats(),
-				FailedSites:         outages.NumFailedSites(),
-				FailedISLs:          outages.NumFailedISLs(),
-				MedianRTTMs:         ev.median,
-				P99RTTMs:            ev.p99,
-				MedianInflationPct:  pctIncrease(base.median, ev.median),
-				P99InflationPct:     pctIncrease(base.p99, ev.p99),
-				UnreachableFrac:     ev.unreachable,
-				ThroughputGbps:      ev.tput,
-				ThroughputRetention: retention(ev.tput, base.tput),
-			})
-		}
-		if jour != nil {
-			if jerr := jour.Step(jkey, resilienceFractionToJournal(frac, res.Points[len(res.Points)-2:])); jerr != nil {
-				return nil, jerr
+			frac := fractions[i-1]
+			plan, err := fault.ForScenario(scenario, frac, resilienceSeed(s.Scale.Seed, i-1))
+			if err != nil {
+				return resilienceStep{}, err
 			}
+			fsp := telemetry.RecordSpan(ctx, telemetry.StageFaultRealize)
+			for si, t := range times {
+				if perSnap[si], err = plan.RealizeAt(s.Const, len(s.Seg.Terminals), t); err != nil {
+					break
+				}
+			}
+			fsp.End()
+			if err != nil {
+				return resilienceStep{}, err
+			}
+			outages := perSnap[0]
+			progressf("resilience %s %.0f%%: %d sats, %d sites, %d lasers down\n",
+				scenario, frac*100, outages.NumFailedSats(), outages.NumFailedSites(),
+				outages.NumFailedISLs())
+			var st resilienceStep
+			for _, mode := range []Mode{BP, Hybrid} {
+				ev, err := s.evalFaulted(ctx, mode, perSnap, times)
+				if err != nil {
+					return resilienceStep{}, err
+				}
+				base := baseline[mode]
+				st.Points = append(st.Points, ResiliencePoint{
+					Fraction:            frac,
+					Mode:                mode,
+					FailedSats:          outages.NumFailedSats(),
+					FailedSites:         outages.NumFailedSites(),
+					FailedISLs:          outages.NumFailedISLs(),
+					MedianRTTMs:         ev.Median,
+					P99RTTMs:            ev.P99,
+					MedianInflationPct:  Float(pctIncrease(float64(base.Median), float64(ev.Median))),
+					P99InflationPct:     Float(pctIncrease(float64(base.P99), float64(ev.P99))),
+					UnreachableFrac:     ev.Unreachable,
+					ThroughputGbps:      ev.Tput,
+					ThroughputRetention: retention(ev.Tput, base.Tput),
+				})
+			}
+			return st, nil
+		},
+		func(i int, st resilienceStep) error {
+			if i == 0 {
+				if len(st.Baseline) != 2 {
+					return fmt.Errorf("core: journal resilience sweep is missing its baseline step")
+				}
+				baseline = st.Baseline
+				return nil
+			}
+			if len(st.Points) != 2 || st.Points[0].Fraction != fractions[i-1] {
+				return fmt.Errorf("core: journal resilience step is not fraction %g — journal from a different sweep?",
+					fractions[i-1])
+			}
+			res.Points = append(res.Points, st.Points...)
+			res.Fractions = append(res.Fractions, fractions[i-1])
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	if res.Partial = done < 1+len(fractions); res.Partial {
+		if len(res.Fractions) == 0 {
+			return nil, ctx.Err()
 		}
-		res.Fractions = append(res.Fractions, frac)
-		prog.Step(1)
+		return res, ctx.Err()
 	}
 	return res, nil
-}
-
-// ---- journal payloads ----------------------------------------------------
-//
-// Journal floats use *float64 with nil ⇔ +Inf (see journal.go); modes are
-// stored as their integer values for exact round-trips.
-
-type resilienceEvalJSON struct {
-	Median      *float64 `json:"median"`
-	P99         *float64 `json:"p99"`
-	Unreachable float64  `json:"unreachable"`
-	Tput        float64  `json:"tput"`
-}
-
-type resiliencePointJSON struct {
-	Fraction            float64  `json:"fraction"`
-	Mode                int      `json:"mode"`
-	FailedSats          int      `json:"failedSats"`
-	FailedSites         int      `json:"failedSites"`
-	FailedISLs          int      `json:"failedIsls"`
-	MedianRTTMs         *float64 `json:"medianRttMs"`
-	P99RTTMs            *float64 `json:"p99RttMs"`
-	MedianInflationPct  *float64 `json:"medianInflationPct"`
-	P99InflationPct     *float64 `json:"p99InflationPct"`
-	UnreachableFrac     float64  `json:"unreachableFrac"`
-	ThroughputGbps      float64  `json:"throughputGbps"`
-	ThroughputRetention float64  `json:"throughputRetention"`
-}
-
-type resilienceJournalStep struct {
-	// Baseline is set on the sweep's first step only.
-	BaselineBP     *resilienceEvalJSON `json:"baselineBp,omitempty"`
-	BaselineHybrid *resilienceEvalJSON `json:"baselineHybrid,omitempty"`
-	// Fraction/Points describe one completed sweep fraction (both modes).
-	Fraction *float64              `json:"fraction,omitempty"`
-	Points   []resiliencePointJSON `json:"points,omitempty"`
-}
-
-func resilienceBaselineToJournal(baseline map[Mode]modeEval) resilienceJournalStep {
-	conv := func(ev modeEval) *resilienceEvalJSON {
-		return &resilienceEvalJSON{
-			Median: finiteOrNil(ev.median), P99: finiteOrNil(ev.p99),
-			Unreachable: ev.unreachable, Tput: ev.tput,
-		}
-	}
-	bp, hy := baseline[BP], baseline[Hybrid]
-	return resilienceJournalStep{BaselineBP: conv(bp), BaselineHybrid: conv(hy)}
-}
-
-func resilienceBaselineFromJournal(raw json.RawMessage) (map[Mode]modeEval, error) {
-	var st resilienceJournalStep
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return nil, fmt.Errorf("core: journal resilience baseline: %w", err)
-	}
-	if st.BaselineBP == nil || st.BaselineHybrid == nil {
-		return nil, fmt.Errorf("core: journal resilience sweep is missing its baseline step")
-	}
-	conv := func(e *resilienceEvalJSON) modeEval {
-		return modeEval{
-			median: infOrVal(e.Median), p99: infOrVal(e.P99),
-			unreachable: e.Unreachable, tput: e.Tput,
-		}
-	}
-	return map[Mode]modeEval{BP: conv(st.BaselineBP), Hybrid: conv(st.BaselineHybrid)}, nil
-}
-
-func resilienceFractionToJournal(frac float64, pts []ResiliencePoint) resilienceJournalStep {
-	st := resilienceJournalStep{Fraction: &frac}
-	for _, p := range pts {
-		st.Points = append(st.Points, resiliencePointJSON{
-			Fraction: p.Fraction, Mode: int(p.Mode),
-			FailedSats: p.FailedSats, FailedSites: p.FailedSites, FailedISLs: p.FailedISLs,
-			MedianRTTMs: finiteOrNil(p.MedianRTTMs), P99RTTMs: finiteOrNil(p.P99RTTMs),
-			MedianInflationPct: finiteOrNil(p.MedianInflationPct),
-			P99InflationPct:    finiteOrNil(p.P99InflationPct),
-			UnreachableFrac:    p.UnreachableFrac,
-			ThroughputGbps:     p.ThroughputGbps, ThroughputRetention: p.ThroughputRetention,
-		})
-	}
-	return st
-}
-
-func resilienceFractionFromJournal(raw json.RawMessage) ([]ResiliencePoint, float64, error) {
-	var st resilienceJournalStep
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return nil, 0, fmt.Errorf("core: journal resilience step: %w", err)
-	}
-	if st.Fraction == nil || len(st.Points) != 2 {
-		return nil, 0, fmt.Errorf("core: journal resilience step is not a completed fraction")
-	}
-	pts := make([]ResiliencePoint, len(st.Points))
-	for i, p := range st.Points {
-		pts[i] = ResiliencePoint{
-			Fraction: p.Fraction, Mode: Mode(p.Mode),
-			FailedSats: p.FailedSats, FailedSites: p.FailedSites, FailedISLs: p.FailedISLs,
-			MedianRTTMs: infOrVal(p.MedianRTTMs), P99RTTMs: infOrVal(p.P99RTTMs),
-			MedianInflationPct: infOrVal(p.MedianInflationPct),
-			P99InflationPct:    infOrVal(p.P99InflationPct),
-			UnreachableFrac:    p.UnreachableFrac,
-			ThroughputGbps:     p.ThroughputGbps, ThroughputRetention: p.ThroughputRetention,
-		}
-	}
-	return pts, *st.Fraction, nil
 }
 
 func retention(val, base float64) float64 {
@@ -354,24 +230,24 @@ func retention(val, base float64) float64 {
 // healthy): it masks each snapshot's cached healthy network, measures
 // per-pair best RTTs and reachability across the snapshots, and runs the §5
 // throughput model at the first one.
-func (s *Sim) evalFaulted(ctx context.Context, mode Mode, perSnap []*fault.Outages, times []time.Time) (*modeEval, error) {
+func (s *Sim) evalFaulted(ctx context.Context, mode Mode, perSnap []*fault.Outages, times []time.Time) (modeEval, error) {
 	best := fill(len(s.Pairs), math.Inf(1))
-	ev := &modeEval{}
+	var ev modeEval
 	for si, t := range times {
 		n, err := s.BuildNetworkAt(ctx, t, mode, perSnap[si])
 		if err != nil {
-			return nil, err
+			return ev, err
 		}
 		if si == 0 {
 			tp, err := throughputOn(ctx, s, n, resilienceK)
 			if err != nil {
-				return nil, err
+				return ev, err
 			}
-			ev.tput = tp.AggregateGbps
+			ev.Tput = tp.AggregateGbps
 		}
 		rtts, err := s.pairRTTs(ctx, n, false)
 		if err != nil {
-			return nil, err
+			return ev, err
 		}
 		for i, r := range rtts {
 			if r < best[i] {
@@ -386,12 +262,11 @@ func (s *Sim) evalFaulted(ctx context.Context, mode Mode, perSnap []*fault.Outag
 		}
 		reachable = append(reachable, r)
 	}
-	ev.unreachable = 1 - float64(len(reachable))/float64(len(best))
+	ev.Unreachable = 1 - float64(len(reachable))/float64(len(best))
+	ev.Median, ev.P99 = Float(math.Inf(1)), Float(math.Inf(1))
 	if len(reachable) > 0 {
-		ev.median = stats.Percentile(reachable, 50)
-		ev.p99 = stats.Percentile(reachable, 99)
-	} else {
-		ev.median, ev.p99 = math.Inf(1), math.Inf(1)
+		ev.Median = Float(stats.Percentile(reachable, 50))
+		ev.P99 = Float(stats.Percentile(reachable, 99))
 	}
 	return ev, nil
 }

@@ -185,6 +185,10 @@ func (c ConstellationChoice) String() string {
 	return "kuiper"
 }
 
+// MarshalText renders the constellation name, so results that carry their
+// constellation serialize it as "starlink"/"kuiper" rather than a raw int.
+func (c ConstellationChoice) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
 // Shell returns the preset shell for the choice.
 func (c ConstellationChoice) Shell() constellation.Shell {
 	if c == Starlink {

@@ -18,13 +18,14 @@ import (
 // ThroughputResult holds one §5 data point: the max-min fair aggregate
 // throughput of the 5,000-pair traffic matrix.
 type ThroughputResult struct {
-	Mode Mode
-	K    int
+	Mode Mode `json:"mode"`
+	K    int  `json:"k"`
 	// AggregateGbps is the sum of all flow allocations (Fig 4's bars).
-	AggregateGbps float64
+	AggregateGbps float64 `json:"aggregateGbps"`
 	// PathsFound is the total number of sub-flows that got a path;
 	// PathsMissing counts pair-slots with no (further) disjoint path.
-	PathsFound, PathsMissing int
+	PathsFound   int `json:"pathsFound"`
+	PathsMissing int `json:"pathsMissing"`
 }
 
 // RunThroughput computes aggregate throughput for the given mode and
@@ -133,10 +134,10 @@ func computePairPaths(ctx context.Context, s *Sim, n *graph.Network, k int) ([][
 
 // Fig4Row is one row of the Fig 4 table: a constellation × mode × k cell.
 type Fig4Row struct {
-	Constellation ConstellationChoice
-	Mode          Mode
-	K             int
-	AggregateGbps float64
+	Constellation ConstellationChoice `json:"constellation"`
+	Mode          Mode                `json:"mode"`
+	K             int                 `json:"k"`
+	AggregateGbps float64             `json:"aggregateGbps"`
 }
 
 // RunFig4 evaluates the full Fig 4 matrix on this sim's constellation:

@@ -64,33 +64,33 @@ func (o *TopoOptions) setDefaults(s *Sim) {
 
 // TopoCell is one motif × mode cell of the topology comparison.
 type TopoCell struct {
-	Motif topo.ID
-	Mode  Mode
+	Motif topo.ID `json:"motif"`
+	Mode  Mode    `json:"mode"`
 	// ISLCount and MeanISLKm describe the link set at the epoch (for
 	// epoch-aware motifs the count can drift slightly across snapshots).
-	ISLCount  int
-	MeanISLKm float64
+	ISLCount  int     `json:"islCount"`
+	MeanISLKm float64 `json:"meanIslKm"`
 	// MedianRTTMs / P99RTTMs summarize the pooled per-pair RTTs across
 	// every snapshot; DemandWeightedMedianRTTMs weighs each sample by its
 	// pair's population product (the gravity demand the demand motif
 	// optimizes for). UnreachableFrac is the unreachable share of
 	// (pair, snapshot) samples.
-	MedianRTTMs               float64
-	P99RTTMs                  float64
-	DemandWeightedMedianRTTMs float64
-	UnreachableFrac           float64
+	MedianRTTMs               Float   `json:"medianRttMs"`
+	P99RTTMs                  Float   `json:"p99RttMs"`
+	DemandWeightedMedianRTTMs Float   `json:"demandWeightedMedianRttMs"`
+	UnreachableFrac           float64 `json:"unreachableFrac"`
 	// ThroughputGbps is the max-min fair aggregate at the epoch snapshot.
-	ThroughputGbps float64
+	ThroughputGbps float64 `json:"throughputGbps"`
 	// FaultMedianRTTMs, FaultUnreachableFrac and ThroughputRetention
 	// re-evaluate the epoch snapshot under the fault plan.
-	FaultMedianRTTMs     float64
-	FaultUnreachableFrac float64
-	ThroughputRetention  float64
+	FaultMedianRTTMs     Float   `json:"faultMedianRttMs"`
+	FaultUnreachableFrac float64 `json:"faultUnreachableFrac"`
+	ThroughputRetention  float64 `json:"throughputRetention"`
 	// RouteChangesPerMin is the churn-window route-change rate;
 	// FullRebuilds counts advancer fallbacks in that walk (expected 0 at
 	// seconds-scale steps).
-	RouteChangesPerMin float64
-	FullRebuilds       int
+	RouteChangesPerMin float64 `json:"routeChangesPerMin"`
+	FullRebuilds       int     `json:"fullRebuilds"`
 }
 
 // TopoResult is the topology-lab comparison: every swept motif × mode cell
@@ -251,9 +251,9 @@ func (s *Sim) topoEval(ctx context.Context, b *graph.Builder, mode Mode,
 	if len(rtts) == 0 {
 		return cell, fmt.Errorf("core: no pair reachable in any snapshot")
 	}
-	cell.MedianRTTMs = stats.Percentile(rtts, 50)
-	cell.P99RTTMs = stats.Percentile(rtts, 99)
-	cell.DemandWeightedMedianRTTMs = stats.WeightedMedian(rtts, wts)
+	cell.MedianRTTMs = Float(stats.Percentile(rtts, 50))
+	cell.P99RTTMs = Float(stats.Percentile(rtts, 99))
+	cell.DemandWeightedMedianRTTMs = Float(stats.WeightedMedian(rtts, wts))
 	cell.UnreachableFrac = float64(unreachable) / float64(samples)
 
 	// Throughput at the epoch snapshot.
@@ -288,7 +288,7 @@ func (s *Sim) topoEval(ctx context.Context, b *graph.Builder, mode Mode,
 		}
 		faultRtts = append(faultRtts, r)
 	}
-	cell.FaultMedianRTTMs = stats.Percentile(faultRtts, 50)
+	cell.FaultMedianRTTMs = Float(stats.Percentile(faultRtts, 50))
 	cell.FaultUnreachableFrac = float64(faultUnreachable) / float64(len(frr))
 	ftp, err := throughputOn(ctx, s, fn, opt.K)
 	if err != nil {
@@ -322,8 +322,8 @@ func (r *TopoResult) DemandAdvantagePct() float64 {
 	if dem == nil || plus == nil || plus.DemandWeightedMedianRTTMs <= 0 {
 		return 0
 	}
-	return (plus.DemandWeightedMedianRTTMs - dem.DemandWeightedMedianRTTMs) /
-		plus.DemandWeightedMedianRTTMs * 100
+	return float64((plus.DemandWeightedMedianRTTMs - dem.DemandWeightedMedianRTTMs) /
+		plus.DemandWeightedMedianRTTMs * 100)
 }
 
 // WriteTopoReport renders the motif comparison table.

@@ -13,15 +13,17 @@ import (
 // against the minimum-maximum-utilization routing §5 leaves to future work,
 // on the same snapshot and traffic matrix.
 type TEResult struct {
-	Mode Mode
-	K    int
+	Mode Mode `json:"mode"`
+	K    int  `json:"k"`
 	// ShortestGbps and TEGbps are the max-min aggregate throughputs.
-	ShortestGbps, TEGbps float64
+	ShortestGbps float64 `json:"shortestGbps"`
+	TEGbps       float64 `json:"teGbps"`
 	// ShortestDelayMs and TEDelayMs are the mean one-way path delays —
 	// the latency price of traffic engineering.
-	ShortestDelayMs, TEDelayMs float64
+	ShortestDelayMs float64 `json:"shortestDelayMs"`
+	TEDelayMs       float64 `json:"teDelayMs"`
 	// TEMaxUtil is the nominal max link utilization after TE routing.
-	TEMaxUtil float64
+	TEMaxUtil float64 `json:"teMaxUtil"`
 }
 
 // ThroughputGainFrac returns the relative throughput improvement of TE.

@@ -16,18 +16,18 @@ import (
 // distribution of max-min-allocated traffic across satellites under each
 // connectivity mode.
 type UtilizationResult struct {
-	Mode Mode
+	Mode Mode `json:"mode"`
 	// PerSatGbps is the traffic carried by each satellite (sum of
 	// allocated rates of flows transiting it).
-	PerSatGbps []float64
+	PerSatGbps []float64 `json:"perSatGbps"`
 	// IdleFrac is the fraction of satellites carrying (essentially) no
 	// traffic — disconnected ones plus connected-but-unused ones.
-	IdleFrac float64
+	IdleFrac float64 `json:"idleFrac"`
 	// Gini is the Gini coefficient of the load distribution (0 = all
 	// satellites equally used, →1 = all load on a few).
-	Gini float64
+	Gini float64 `json:"gini"`
 	// AggregateGbps is the total allocated throughput (as in Fig 4).
-	AggregateGbps float64
+	AggregateGbps float64 `json:"aggregateGbps"`
 }
 
 // RunUtilization routes the traffic matrix (k=4 paths, max-min allocation)

@@ -21,9 +21,10 @@ type WeatherResult struct {
 	// the weather statistics of the links the path actually used across
 	// the day's snapshots. BP paths report the worst radio link of the
 	// zig-zag; ISL paths report the worse of the first/last hop only.
-	P995BP, P995ISL []float64
+	P995BP  []float64 `json:"p995BpDb"`
+	P995ISL []float64 `json:"p995IslDb"`
 	// PairsUsed counts pairs reachable in both models in ≥ 1 snapshot.
-	PairsUsed int
+	PairsUsed int `json:"pairsUsed"`
 }
 
 // pathCurve computes the attenuation exceedance curve of a routed path: the

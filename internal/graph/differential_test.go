@@ -17,6 +17,15 @@ import (
 // predecessor links, and extracted paths must be bit-identical, which pins
 // down the kernel's (dist, node) tie-break as well as its correctness.
 
+// extractPath walks predecessor links (as returned by Dijkstra or the naive
+// reference) from dst back to src.
+func (n *Network) extractPath(src, dst int32, dist []float64, prevLink []int32) (Path, bool) {
+	if math.IsInf(dist[dst], 1) {
+		return Path{}, false
+	}
+	return n.walkPath(src, dst, func(v int32) int32 { return prevLink[v] }, dist[dst])
+}
+
 // naiveDijkstra mirrors the kernel's semantics with O(n²) linear scans:
 // settle the unsettled reached node with minimal (dist, node); a settled
 // non-source node forwards only if expand allows it;

@@ -7,7 +7,6 @@ package graph
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -383,15 +382,6 @@ func (n *Network) DijkstraExpand(src int32, banned map[int32]bool, expand func(i
 	}
 	n.Search(st, SearchSpec{Src: src, Target: NoTarget, Expand: expand})
 	return st.materialize(n.N())
-}
-
-// extractPath walks predecessor links (as returned by Dijkstra) from dst
-// back to src.
-func (n *Network) extractPath(src, dst int32, dist []float64, prevLink []int32) (Path, bool) {
-	if math.IsInf(dist[dst], 1) {
-		return Path{}, false
-	}
-	return n.walkPath(src, dst, func(v int32) int32 { return prevLink[v] }, dist[dst])
 }
 
 // ShortestPath returns the minimum-delay path from src to dst, or ok=false

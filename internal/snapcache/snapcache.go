@@ -624,15 +624,6 @@ func (c *Cache) Attachment(key Key) (any, *graph.Network, bool) {
 	return e.aux, e.n, true
 }
 
-// Peek reports whether key is resident without touching LRU order or
-// counters (tests and metrics). Stale-but-servable entries count.
-func (c *Cache) Peek(key Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	return ok && !(c.ttl > 0 && c.now().Sub(e.builtAt) >= c.ttl+c.staleFor)
-}
-
 // Len returns the number of resident entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()

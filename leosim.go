@@ -191,6 +191,9 @@ type (
 	TopoResult = core.TopoResult
 	// TopoCell is one motif × mode cell of it.
 	TopoCell = core.TopoCell
+	// Float is the float64 of result fields that can be non-finite (an
+	// unreachable median is +Inf): JSON null on the wire.
+	Float = core.Float
 )
 
 // Experiment sizing presets.
@@ -331,9 +334,6 @@ var (
 	WriteTopoReport        = core.WriteTopoReport
 	// WriteJSON emits any experiment result as a JSON envelope.
 	WriteJSON = core.WriteJSON
-	// WriteJSONPartial is WriteJSON with an explicit partial flag (used
-	// when a cancelled run flushes the prefix it completed).
-	WriteJSONPartial = core.WriteJSONPartial
 	// WriteSnapshotGeoJSON exports a snapshot + routed pair as GeoJSON.
 	WriteSnapshotGeoJSON = core.WriteSnapshotGeoJSON
 )
@@ -398,7 +398,8 @@ var (
 	// WithTelemetryRecorder attaches a recorder to a context; Run* calls
 	// under that context attribute their stage times to it.
 	WithTelemetryRecorder = telemetry.WithRecorder
-	// WriteJSONStages is WriteJSONPartial plus the recorder's stage-time
+	// WriteJSONStages is WriteJSON with an explicit partial flag (a cancelled
+	// run flushing the prefix it completed) plus the recorder's stage-time
 	// breakdown in the envelope ("stage_times").
 	WriteJSONStages = core.WriteJSONStages
 	// StartTracing begins the process's exclusive bounded span-trace capture
