@@ -19,12 +19,8 @@ import (
 // FindCity returns the pair-sampling index of the named city, or ok=false
 // if it is outside the sim's city set.
 func (s *Sim) FindCity(name string) (int, bool) {
-	for i, c := range s.Cities {
-		if c.Name == name {
-			return i, true
-		}
-	}
-	return 0, false
+	i, ok := s.cityIndex[name]
+	return i, ok
 }
 
 // withPair returns s.WithCities(srcName, dstName) and the two cities'

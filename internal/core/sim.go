@@ -34,6 +34,10 @@ type Sim struct {
 	Cities []ground.City
 	Pairs  []Pair
 
+	// cityIndex maps a city name to its index in Cities (the first, should a
+	// name repeat) — FindCity's lookup. Built once in NewSim, like pairGroups.
+	cityIndex map[string]int
+
 	// pairGroups indexes Pairs by source city, sources ascending: one
 	// shortest-path tree per group answers all of its pairs. Built once in
 	// NewSim (Pairs never changes afterwards).
@@ -216,7 +220,11 @@ func NewSim(choice ConstellationChoice, scale Scale, opts ...SimOption) (*Sim, e
 		Cities:     seg.Cities,
 		Pairs:      pairs,
 		pairGroups: groupPairs(pairs),
+		cityIndex:  make(map[string]int, len(seg.Cities)),
 		opts:       opts,
+	}
+	for i := len(seg.Cities) - 1; i >= 0; i-- {
+		s.cityIndex[seg.Cities[i].Name] = i
 	}
 	if s.builder, err = graph.NewBuilder(c, seg, fleet, baseOpts); err != nil {
 		return nil, err

@@ -11,15 +11,20 @@
 // than approximately so: distances are bit-identical and the stored
 // predecessor trees reconstruct the identical tie-broken path, byte for byte
 // (the differential battery in oracle_test.go pins this across motifs, fault
-// masks and presets). Of each tree it keeps only what a served route reads:
-// the predecessor row (to reconstruct paths) and the distances to the other
-// cities — a cities × cities table, not a cities × nodes one.
+// masks and presets). Of each tree it keeps only what a served answer reads:
+// the predecessor row (to reconstruct a route when one is asked for) and, for
+// the other cities only, the distance and the hop count of the tree path —
+// two cities × cities tables, not cities × nodes ones. A route-less answer is
+// one read of each.
 //
 // An Oracle is immutable after Build and safe for unbounded concurrent
 // readers; it is pinned to the exact *graph.Network instance (and mutation
-// epoch) it was built from. The snapshot cache carries oracles alongside
-// their snapshots (snapcache.Attach), so an oracle rides the same
-// LRU/TTL/generation lifecycle as its graph and can never outlive it.
+// epoch) it was built from, which Valid checks. The snapshot cache carries
+// oracles alongside their snapshots: snapcache.Attach pins one to a resident
+// entry only while that entry still holds the very network it was built from
+// (pointer identity), and drops it with the entry. So an oracle rides its
+// graph's LRU/TTL lifecycle, cannot outlive it in the cache, and a reader that
+// checks Valid never answers about any network but the oracle's own.
 package oracle
 
 import (
@@ -46,7 +51,8 @@ type Stats struct {
 	Nodes int
 	// BuildDuration is the wall time Build spent.
 	BuildDuration time.Duration
-	// Bytes is the resident label memory (the dist and prev arrays).
+	// Bytes is the resident label memory: the prev, dist and hops arrays,
+	// exactly.
 	Bytes int64
 }
 
@@ -60,9 +66,11 @@ type Oracle struct {
 	// prev holds the per-city predecessor trees, row-major: row i (the tree
 	// rooted at city i's node) occupies [i*nn, (i+1)*nn), -1 at the root and
 	// at unreached nodes. dist[i*ncity+j] is the delay from city i to city
-	// j in i's tree, +Inf when unreached.
+	// j in i's tree, +Inf when unreached; hops[i*ncity+j] is the link count of
+	// that tree path, 0 when unreached (and on the diagonal).
 	prev []int32
 	dist []float64
+	hops []uint16
 
 	buildTime time.Duration
 }
@@ -87,13 +95,21 @@ func Build(ctx context.Context, n *graph.Network, _ Options) (*Oracle, error) {
 		ncity: ncity,
 		prev:  make([]int32, ncity*nn),
 		dist:  make([]float64, ncity*ncity),
+		hops:  make([]uint16, ncity*ncity),
 	}
 	// Freeze the CSR once before the fan-out (Degree forces it) so workers
 	// never contend on the freeze lock.
 	if nn > 0 {
 		n.Degree(0)
 	}
-	g := safe.NewGroup(ctx, runtime.GOMAXPROCS(0))
+	// fillHops' scratch, one per worker rather than one per tree: a task takes
+	// a buffer for its walk and hands it back, and they die with the build.
+	workers := min(runtime.GOMAXPROCS(0), ncity)
+	scratch := make(chan []int32, workers)
+	for i := 0; i < workers; i++ {
+		scratch <- make([]int32, nn)
+	}
+	g := safe.NewGroup(ctx, workers)
 	for city := 0; city < ncity; city++ {
 		city := city
 		g.Go(func() error {
@@ -111,7 +127,9 @@ func Build(ctx context.Context, n *graph.Network, _ Options) (*Oracle, error) {
 			for dst := range dist {
 				dist[dst] = st.Dist(n.CityNode(dst))
 			}
-			return nil
+			depth := <-scratch
+			defer func() { scratch <- depth }()
+			return o.fillHops(city, depth)
 		})
 	}
 	if err := g.Wait(); err != nil {
@@ -119,6 +137,50 @@ func Build(ctx context.Context, n *graph.Network, _ Options) (*Oracle, error) {
 	}
 	o.buildTime = time.Since(start)
 	return o, nil
+}
+
+// fillHops writes row city of the hop table from the predecessor row Build
+// has just stored. depth (one entry per node, contents ignored) memoises the
+// back-walk — depth[v] is v's hop count from the root plus one, 0 while
+// unknown — so a walk from a city stops at the first node an earlier walk
+// already measured and every tree node is measured at most once per tree. A
+// count beyond uint16 fails the build.
+func (o *Oracle) fillHops(city int, depth []int32) error {
+	n := o.net
+	prev := o.prev[city*o.nn : (city+1)*o.nn]
+	hops := o.hops[city*o.ncity : (city+1)*o.ncity]
+	clear(depth)
+	depth[n.CityNode(city)] = 1
+	parent := func(v int32) int32 {
+		l := n.Links[prev[v]]
+		if l.A == v {
+			return l.B
+		}
+		return l.A
+	}
+	walk := make([]int32, 0, 64) // the nodes between a city and the first measured one
+	for dst := range hops {
+		leaf := n.CityNode(dst)
+		if prev[leaf] < 0 {
+			continue // the root itself, or unreached
+		}
+		walk = walk[:0]
+		at := leaf
+		for ; depth[at] == 0; at = parent(at) {
+			walk = append(walk, at)
+		}
+		d := depth[at]
+		for i := len(walk) - 1; i >= 0; i-- {
+			d++
+			depth[walk[i]] = d
+		}
+		h := depth[leaf] - 1
+		if h > math.MaxUint16 {
+			return fmt.Errorf("oracle: the path from city %d to city %d has %d hops, beyond the hop table's uint16", city, dst, h)
+		}
+		hops[dst] = uint16(h)
+	}
+	return nil
 }
 
 // Valid reports whether the oracle still describes n: the same network
@@ -136,7 +198,7 @@ func (o *Oracle) Stats() Stats {
 		Sources:       o.ncity,
 		Nodes:         o.nn,
 		BuildDuration: o.buildTime,
-		Bytes:         int64(len(o.dist))*8 + int64(len(o.prev))*4,
+		Bytes:         int64(len(o.prev))*4 + int64(len(o.dist))*8 + int64(len(o.hops))*2,
 	}
 }
 
@@ -148,6 +210,13 @@ func (o *Oracle) Sources() int { return o.ncity }
 // is a single array read.
 func (o *Oracle) DistMs(srcCity, dstCity int) float64 {
 	return o.dist[srcCity*o.ncity+dstCity]
+}
+
+// Hops returns the link count of the path Query reconstructs for the pair —
+// the stored tree path — without walking it: a single array read. It is 0
+// when the pair is disconnected at this snapshot (and for src == dst).
+func (o *Oracle) Hops(srcCity, dstCity int) int {
+	return int(o.hops[srcCity*o.ncity+dstCity])
 }
 
 // Query returns the exact shortest path between two cities, reconstructed

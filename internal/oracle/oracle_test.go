@@ -12,6 +12,7 @@ import (
 
 	"leosim/internal/core"
 	"leosim/internal/fault"
+	"leosim/internal/geo"
 	"leosim/internal/graph"
 	"leosim/internal/topo"
 )
@@ -115,11 +116,32 @@ func samePath(t *testing.T, label string, want, got graph.Path) {
 	}
 }
 
-// diffBattery runs the differential check for one built network: seeded
-// random city pairs, oracle answers vs the live kernel, distances exact and
-// paths byte-identical.
+// hopTableMatchesWalk checks the hop table against the tree walk it replaces:
+// for every ordered city pair Hops is the link count of the path Query
+// reconstructs, and 0 exactly where there is no path to count — disconnected
+// pairs and the diagonal.
+func hopTableMatchesWalk(t *testing.T, o *Oracle) {
+	t.Helper()
+	for src := 0; src < o.Sources(); src++ {
+		for dst := 0; dst < o.Sources(); dst++ {
+			p, ok := o.Query(src, dst)
+			got := o.Hops(src, dst)
+			if got != p.Hops() {
+				t.Fatalf("pair %d→%d: Hops %d != walked path's %d", src, dst, got, p.Hops())
+			}
+			if (got == 0) != (!ok || src == dst) {
+				t.Fatalf("pair %d→%d: Hops %d with reachable=%v", src, dst, got, ok)
+			}
+		}
+	}
+}
+
+// diffBattery runs the differential check for one built network: the hop
+// table against the tree walk for every pair, then seeded random city pairs,
+// oracle answers vs the live kernel, distances exact and paths byte-identical.
 func diffBattery(t *testing.T, n *graph.Network, pairs int, seed int64) {
 	o := buildOracle(t, n)
+	hopTableMatchesWalk(t, o)
 	rng := rand.New(rand.NewSource(seed))
 	for k := 0; k < pairs; k++ {
 		src := rng.Intn(n.NumCity)
@@ -152,7 +174,8 @@ func diffBattery(t *testing.T, n *graph.Network, pairs int, seed int64) {
 // TestOracleMatchesKernel is the core differential battery: every motif,
 // both modes, fault masks including nonzero ones, tiny preset always and the
 // reduced preset when not -short. Distances must be bit-identical and paths
-// byte-identical to the live Dijkstra kernel.
+// byte-identical to the live Dijkstra kernel, and the hop table equal to the
+// walked paths' link counts.
 func TestOracleMatchesKernel(t *testing.T) {
 	masks := []string{"", "sat:0.1:1", "isl:0.2:2"}
 	for _, id := range topo.IDs() {
@@ -241,12 +264,39 @@ func TestBuildValidity(t *testing.T) {
 		t.Fatalf("stats %+v disagree with network (%d cities, %d nodes)", st, n1.NumCity, n1.N())
 	}
 	// Bytes is the stored arrays exactly: a predecessor row per city and the
-	// city × city distance table.
-	if want := int64(n1.NumCity)*int64(n1.N())*4 + int64(n1.NumCity)*int64(n1.NumCity)*8; st.Bytes != want {
+	// city × city distance and hop tables.
+	if want := int64(n1.NumCity)*int64(n1.N())*4 + int64(n1.NumCity)*int64(n1.NumCity)*(8+2); st.Bytes != want {
 		t.Fatalf("Bytes = %d, want %d", st.Bytes, want)
 	}
 	if st.BuildDuration <= 0 {
 		t.Fatalf("degenerate stats %+v", st)
+	}
+}
+
+// TestHopTableOverflow pins the table's range: a tree path with more links
+// than a uint16 counts fails the build instead of wrapping. Two cities joined
+// by a chain of relays are enough.
+func TestHopTableOverflow(t *testing.T) {
+	chain := func(relays int) *graph.Network {
+		n := &graph.Network{NumCity: 2}
+		a := n.AddNode(graph.NodeCity, geo.Vec3{}, "a")
+		b := n.AddNode(graph.NodeCity, geo.Vec3{X: float64(relays + 1)}, "b")
+		at := a
+		for i := 1; i <= relays; i++ {
+			r := n.AddNode(graph.NodeRelay, geo.Vec3{X: float64(i)}, "r")
+			n.AddLink(at, r, graph.LinkGSL, 1)
+			at = r
+		}
+		n.AddLink(at, b, graph.LinkGSL, 1)
+		return n
+	}
+	o := buildOracle(t, chain(math.MaxUint16-1))
+	if got := o.Hops(0, 1); got != math.MaxUint16 {
+		t.Fatalf("Hops = %d over a %d-link chain", got, math.MaxUint16)
+	}
+	hopTableMatchesWalk(t, o)
+	if o, err := Build(context.Background(), chain(math.MaxUint16), Options{}); err == nil {
+		t.Fatalf("a %d-link path built an oracle reporting %d hops", math.MaxUint16+1, o.Hops(0, 1))
 	}
 }
 
@@ -293,10 +343,10 @@ func BenchmarkOracleQuery(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkOracleBatch measures the full batched serving unit of work: path
-// reconstruction from the stored tree for a stream of Zipf-ish repeating
-// pairs — the per-pair cost behind POST /v1/paths (the p99 < 100µs
-// acceptance bar).
+// BenchmarkOracleBatch measures path reconstruction from the stored tree for
+// a stream of Zipf-ish repeating pairs — the per-pair cost behind GET /v1/path
+// and a POST /v1/paths that asks for routes (the p99 < 100µs acceptance bar).
+// Without routes a pair is BenchmarkOracleQuery's read, twice.
 func BenchmarkOracleBatch(b *testing.B) {
 	_, o := benchOracle(b)
 	ncity := o.Sources()

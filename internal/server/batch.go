@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"leosim/internal/graph"
 	"leosim/internal/oracle"
@@ -91,7 +94,8 @@ func decodeBatchPaths(data []byte, maxPairs int, times []time.Time) (*batchPaths
 }
 
 // batchPathEntry is one pair's answer, aligned by index with the request's
-// pairs array.
+// pairs array. The struct tags are the row's wire form; appendJSON is what
+// writes it.
 type batchPathEntry struct {
 	Src       string   `json:"src"`
 	Dst       string   `json:"dst"`
@@ -112,15 +116,160 @@ type oracleMetaJSON struct {
 	Sources int     `json:"sources"`
 }
 
+// batchPathsResponse is the response envelope: every member but the last,
+// "results", whose rows the handler appends itself (batchPathEntry.appendJSON)
+// behind this struct's encoding.
 type batchPathsResponse struct {
-	Time     time.Time        `json:"time"`
-	Mode     string           `json:"mode"`
-	Fault    string           `json:"fault,omitempty"`
-	Stale    bool             `json:"stale,omitempty"`
-	Degraded string           `json:"degraded,omitempty"`
-	Count    int              `json:"count"`
-	Oracle   oracleMetaJSON   `json:"oracle"`
-	Results  []batchPathEntry `json:"results"`
+	Time     time.Time      `json:"time"`
+	Mode     string         `json:"mode"`
+	Fault    string         `json:"fault,omitempty"`
+	Stale    bool           `json:"stale,omitempty"`
+	Degraded string         `json:"degraded,omitempty"`
+	Count    int            `json:"count"`
+	Oracle   oracleMetaJSON `json:"oracle"`
+}
+
+// ---- the results rows' wire form -----------------------------------------
+//
+// A batch response is a few hundred bytes of envelope and ~175 bytes per pair
+// of rows. Encoding the rows through encoding/json cost more than answering
+// them — reflection over every entry, then a second pass over the whole body
+// to indent it — so the rows are appended directly, already indented, and
+// only the envelope goes through encoding/json. The bytes are the ones
+// json.MarshalIndent gives for the same batchPathEntry (writeJSON's two-space
+// indent, HTML-escaping on); FuzzBatchEntryJSON holds the writer to that, and
+// served.golden pins whole responses.
+
+// The fragments between the values. A row sits two levels deep — in the
+// "results" array, in the envelope — and its members a third.
+const (
+	batchResultsOpen  = ",\n  \"results\": ["
+	batchRowIndent    = "\n    "
+	batchResultsClose = "\n  ]\n}\n"
+
+	rowSrc       = "{\n      \"src\": "
+	rowDst       = ",\n      \"dst\": "
+	rowReachable = ",\n      \"reachable\": "
+	rowRTTMs     = ",\n      \"rttMs\": "
+	rowOneWayMs  = ",\n      \"oneWayMs\": "
+	rowHops      = ",\n      \"hops\": "
+	rowRoute     = ",\n      \"route\": ["
+	rowRouteNode = "\n        "
+	rowRouteEnd  = "\n      ]"
+	rowEnd       = "\n    }"
+)
+
+// batchRowReserve bounds the encoded size of a route-less row beyond its two
+// names: its separator, the fragments, the names' quotes and the widest
+// values — "false", two floats (-0.0000012345678901234567 is 25 bytes, 'e'
+// forms are shorter) and a 20-byte hop count. With it the handler reserves the
+// response buffer once; only names that need escaping, and routes, make it
+// grow.
+const batchRowReserve = len(",") + len(batchRowIndent) +
+	len(rowSrc+rowDst+rowReachable+rowRTTMs+rowOneWayMs+rowHops+rowEnd) +
+	len(`""`+`""`+"false") + 2*25 + 20
+
+// appendJSON appends the entry as json.MarshalIndent(e, "    ", "  ") writes
+// it: the row of a response, from its opening brace.
+func (e *batchPathEntry) appendJSON(dst []byte) []byte {
+	dst = append(dst, rowSrc...)
+	dst = appendJSONString(dst, e.Src)
+	dst = append(dst, rowDst...)
+	dst = appendJSONString(dst, e.Dst)
+	dst = append(dst, rowReachable...)
+	dst = strconv.AppendBool(dst, e.Reachable)
+	if e.RTTMs != 0 {
+		dst = append(dst, rowRTTMs...)
+		dst = appendJSONFloat(dst, e.RTTMs)
+	}
+	if e.OneWayMs != 0 {
+		dst = append(dst, rowOneWayMs...)
+		dst = appendJSONFloat(dst, e.OneWayMs)
+	}
+	if e.Hops != 0 {
+		dst = append(dst, rowHops...)
+		dst = strconv.AppendInt(dst, int64(e.Hops), 10)
+	}
+	if len(e.Route) > 0 {
+		dst = append(dst, rowRoute...)
+		for i, name := range e.Route {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, rowRouteNode...)
+			dst = appendJSONString(dst, name)
+		}
+		dst = append(dst, rowRouteEnd...)
+	}
+	return append(dst, rowEnd...)
+}
+
+// appendJSONFloat appends a finite f in encoding/json's number form: the
+// shortest digits that round-trip, positional unless the exponent is below
+// -6 or at least 21, and then with the exponent's leading zero dropped.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-07 → e-7
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// appendJSONString appends s quoted and escaped as encoding/json does with
+// HTML-escaping on: `"`, `\`, control bytes, `<`, `>`, `&`, U+2028 and U+2029
+// are escaped, invalid UTF-8 becomes \ufffd, everything else is copied.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0 // s[start:i] is verbatim text not yet copied
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // batchCancelPollInterval spaces context polls in the answer loop: a
@@ -147,6 +296,7 @@ func (s *Server) handleBatchPaths(w http.ResponseWriter, r *http.Request) error 
 	}
 	type idxPair struct{ src, dst int }
 	pairs := make([]idxPair, len(req.Pairs))
+	reserve := len(pairs) * batchRowReserve
 	for i, p := range req.Pairs {
 		si, ok := s.cfg.Sim.FindCity(p.Src)
 		if !ok {
@@ -157,6 +307,7 @@ func (s *Server) handleBatchPaths(w http.ResponseWriter, r *http.Request) error 
 			return &notFoundError{msg: fmt.Sprintf("pairs[%d]: unknown city %q", i, p.Dst)}
 		}
 		pairs[i] = idxPair{src: si, dst: di}
+		reserve += len(p.Src) + len(p.Dst)
 	}
 	rs, err := s.resolve(ctx, spec)
 	if err != nil {
@@ -171,7 +322,7 @@ func (s *Server) handleBatchPaths(w http.ResponseWriter, r *http.Request) error 
 		}
 	}
 	ost := rs.orc.Stats()
-	resp := batchPathsResponse{
+	head, err := json.MarshalIndent(batchPathsResponse{
 		Time: spec.t, Mode: spec.mode.String(), Fault: spec.mask,
 		Stale: rs.meta.Stale, Degraded: rs.meta.Degraded,
 		Count: len(pairs),
@@ -180,30 +331,38 @@ func (s *Server) handleBatchPaths(w http.ResponseWriter, r *http.Request) error 
 			BuildMs: float64(ost.BuildDuration) / float64(time.Millisecond),
 			Sources: ost.Sources,
 		},
-		Results: make([]batchPathEntry, len(pairs)),
+	}, "", "  ")
+	if err != nil {
+		return err
 	}
+	// The envelope's closing "\n}" is held back: "results" goes in as its last
+	// member, one appended row per pair, and then the envelope closes.
+	out := make([]byte, 0, len(head)+len(batchResultsOpen)+reserve+len(batchResultsClose))
+	out = append(out, head[:len(head)-len("\n}")]...)
+	out = append(out, batchResultsOpen...)
 	for i, p := range pairs {
 		if i%batchCancelPollInterval == 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		entry := &resp.Results[i]
-		entry.Src, entry.Dst = req.Pairs[i].Src, req.Pairs[i].Dst
-		q, err := s.answer(ctx, rs, p.src, p.dst, true)
+		q, err := s.answer(ctx, rs, p.src, p.dst, req.IncludeRoutes)
 		if err != nil {
 			return err
 		}
-		if !q.Reachable {
-			continue
+		entry := batchPathEntry{
+			Src: req.Pairs[i].Src, Dst: req.Pairs[i].Dst,
+			Reachable: q.Reachable, RTTMs: q.RTTMs, OneWayMs: q.OneWayMs, Hops: q.Hops,
+			Route: q.Route,
 		}
-		entry.Reachable = true
-		entry.RTTMs = q.RTTMs
-		entry.OneWayMs = q.OneWayMs
-		entry.Hops = q.Hops
-		if req.IncludeRoutes {
-			entry.Route = q.Route
+		if i > 0 {
+			out = append(out, ',')
 		}
+		out = append(out, batchRowIndent...)
+		out = entry.appendJSON(out)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	out = append(out, batchResultsClose...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(out) //nolint:errcheck // client gone — nothing left to do
 	return nil
 }
 

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"leosim/internal/core"
 	"leosim/internal/geo"
 	"leosim/internal/oracle"
+	"leosim/internal/telemetry"
 )
 
 func postJSON(t *testing.T, h http.Handler, url string, body []byte, out interface{}) *httptest.ResponseRecorder {
@@ -270,6 +273,121 @@ func TestPrimeOraclesAttach(t *testing.T) {
 	if s.oracleHits.Value() != before+1 {
 		t.Fatalf("single query did not hit the primed oracle (hits %d → %d)", before, s.oracleHits.Value())
 	}
+}
+
+// TestBatchRoutesOnlyAddRoute pins what includeRoutes changes: the route, and
+// nothing else. The same 256 pairs asked both ways of a healthy, a
+// sat-faulted and a fully failed snapshot give entry-for-entry equal
+// reachable/rttMs/oneWayMs/hops; and only the batch that returns routes walks
+// the oracle's trees — one oracle.Query per pair with, none without, where the
+// answers are reads of the distance and hop tables.
+func TestBatchRoutesOnlyAddRoute(t *testing.T) {
+	queries := func() int64 {
+		return telemetry.Enable().StageHistogram(telemetry.StageOracleQuery).Count()
+	}
+	defer telemetry.Disable()
+	sim := serverSim(t)
+	s := newTestServer(t, Config{})
+	const npairs = 256
+	var pairs []string
+	for src := 0; len(pairs) < npairs; src++ {
+		for dst := 0; dst < sim.NumCities() && len(pairs) < npairs; dst += 7 {
+			if src != dst {
+				pairs = append(pairs, fmt.Sprintf(`{"src":%q,"dst":%q}`, sim.CityName(src), sim.CityName(dst)))
+			}
+		}
+	}
+	for _, snapshot := range []struct {
+		name, selection string
+		reachable       bool // whether any pair can be
+	}{
+		{"healthy", `"mode":"hybrid","snap":1`, true},
+		{"sat-faulted", `"fault":"sat","fraction":0.3,"faultSeed":5`, true},
+		{"fully failed", `"fault":"sat","fraction":1`, false},
+	} {
+		t.Run(snapshot.name, func(t *testing.T) {
+			ask := func(includeRoutes bool) (batchRespJSON, int64) {
+				payload := fmt.Sprintf(`{%s,"includeRoutes":%v,"pairs":[%s]}`,
+					snapshot.selection, includeRoutes, strings.Join(pairs, ","))
+				before := queries()
+				var resp batchRespJSON
+				if rec := postJSON(t, s.Handler(), "/v1/paths", []byte(payload), &resp); rec.Code != http.StatusOK {
+					t.Fatalf("includeRoutes=%v: %d\n%s", includeRoutes, rec.Code, rec.Body.String())
+				}
+				if len(resp.Results) != npairs {
+					t.Fatalf("includeRoutes=%v: %d results, want %d", includeRoutes, len(resp.Results), npairs)
+				}
+				return resp, queries() - before
+			}
+			bare, bareQueries := ask(false)
+			routed, routedQueries := ask(true)
+			if bareQueries != 0 || routedQueries != npairs {
+				t.Errorf("oracle.Query ran %d times without routes and %d with, want 0 and %d", bareQueries, routedQueries, npairs)
+			}
+			reached := 0
+			for i, b := range bare.Results {
+				r := routed.Results[i]
+				if b.Route != nil {
+					t.Fatalf("entry %d: a route nobody asked for: %v", i, b.Route)
+				}
+				if b.Reachable {
+					reached++
+					if b.Hops == 0 || len(r.Route) != b.Hops+1 {
+						t.Fatalf("entry %d: %d hops beside a route of %d nodes", i, b.Hops, len(r.Route))
+					}
+				}
+				r.Route = nil
+				if !reflect.DeepEqual(b, r) {
+					t.Fatalf("entry %d differs beyond its route:\nwithout %+v\nwith    %+v", i, b, r)
+				}
+			}
+			if (reached > 0) != snapshot.reachable {
+				t.Errorf("%d of %d pairs reachable", reached, npairs)
+			}
+		})
+	}
+}
+
+// FuzzBatchEntryJSON holds the results rows' writer to the encoder it stands
+// in for: whatever the entry, appendJSON's bytes are json.MarshalIndent's for
+// the same struct at the depth a response nests it — names that need
+// escaping, every omitempty member present or absent, floats in both number
+// forms, routes of any length. A route-less row of names that need no escaping
+// also fits the reservation the handler makes for it.
+func FuzzBatchEntryJSON(f *testing.F) {
+	for _, e := range []batchPathEntry{
+		{Src: "Tokyo", Dst: "Delhi", Reachable: true, RTTMs: 123.456, OneWayMs: 61.728, Hops: 7},
+		{Src: "São Paulo", Dst: "Maceió"}, // unreachable: every omitempty member absent
+		{Src: "A&B<c>", Dst: "quote\" backslash\\ tab\t nul\x00 bell\a bs\b ff\f nl\n cr\r del\x7f", Reachable: true, RTTMs: 1e-7, OneWayMs: 1e21, Hops: 1},
+		{Src: "bad utf8 \xff\xfe \xe2\x80", Dst: "line\u2028sep para\u2029sep", Reachable: true, RTTMs: 5e-324, OneWayMs: math.MaxFloat64, Hops: math.MaxInt},
+		{Src: "x", Dst: "y", Reachable: true, RTTMs: -1.2345678901234567e-6, OneWayMs: 999999999999999900000, Hops: math.MinInt},
+		{Src: "x", Dst: "y", Reachable: true, RTTMs: math.Copysign(0, -1), OneWayMs: 1e-6, Hops: 65535, Route: []string{"x"}},
+		{Src: "x", Dst: "y", Reachable: true, RTTMs: 2, OneWayMs: 1, Hops: 3, Route: []string{"x", "sat-12", "Zürich <relay>", "y"}},
+		{Src: "x", Dst: "y", Route: []string{"", ""}},
+	} {
+		f.Add(e.Src, e.Dst, e.Reachable, e.RTTMs, e.OneWayMs, e.Hops, strings.Join(e.Route, "|"), len(e.Route))
+	}
+	f.Fuzz(func(t *testing.T, src, dst string, reachable bool, rtt, oneWay float64, hops int, route string, routeLen int) {
+		e := batchPathEntry{Src: src, Dst: dst, Reachable: reachable, RTTMs: rtt, OneWayMs: oneWay, Hops: hops}
+		if routeLen > 0 {
+			e.Route = strings.Split(route, "|")
+		}
+		want, err := json.MarshalIndent(e, "    ", "  ")
+		if err != nil {
+			t.Skip(err) // a non-finite float: no answer carries one
+		}
+		prefix := []byte("[")
+		got := e.appendJSON(prefix)
+		if !bytes.Equal(got[:1], prefix) || !bytes.Equal(got[1:], want) {
+			t.Fatalf("entry %+v\nappendJSON:    %s\nMarshalIndent: %s", e, got[1:], want)
+		}
+		plain := func(s string) bool { q, _ := json.Marshal(s); return len(q) == len(s)+2 }
+		if len(e.Route) == 0 && plain(src) && plain(dst) {
+			if row, reserved := len(",")+len(batchRowIndent)+len(want), batchRowReserve+len(src)+len(dst); row > reserved {
+				t.Fatalf("a %d-byte row outgrows the %d reserved for it: %s", row, reserved, want)
+			}
+		}
+	})
 }
 
 // FuzzBatchPathsDecode fuzzes the pure batch-body decoder: any byte string

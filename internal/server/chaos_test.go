@@ -331,7 +331,7 @@ func TestChaosHybridDegradesToBPFallback(t *testing.T) {
 	if resp.Degraded != "bp-fallback" {
 		t.Fatalf("degraded = %q, want bp-fallback", resp.Degraded)
 	}
-	if resp.Path == nil || !resp.Path.Reachable {
+	if !resp.Path.Reachable {
 		t.Fatal("degraded response lacks a usable path")
 	}
 	if got := s.degraded.Value(); got != 1 {

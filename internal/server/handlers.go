@@ -296,27 +296,35 @@ func (s *Server) resolve(ctx context.Context, spec snapSpec) (resolved, error) {
 }
 
 // answer routes city src → city dst over a resolved snapshot: from the
-// attached oracle's precomputed tree when there is one — identical to the
-// kernel's, proven by the oracle differential battery, at a fraction of a
-// full search — and by a live kernel search otherwise. A caller that reads
-// only reachability and RTT passes route=false, which lets an oracle answer
-// from its distance table without reconstructing the path.
-func (s *Server) answer(ctx context.Context, rs resolved, src, dst int, route bool) (*core.PathQuery, error) {
+// attached oracle when there is one — identical to the kernel's answer, proven
+// by the oracle differential battery, at a fraction of a full search — and by
+// a live kernel search otherwise. With route=false the answer carries no
+// Route, which lets an oracle give it from its distance and hop tables: two
+// reads, no path reconstructed, nothing allocated. Only route=true walks the
+// stored tree and names the nodes.
+func (s *Server) answer(ctx context.Context, rs resolved, src, dst int, route bool) (core.PathQuery, error) {
 	if rs.orc == nil {
-		return s.cfg.Sim.PathAt(ctx, rs.n, src, dst)
+		q, err := s.cfg.Sim.PathAt(ctx, rs.n, src, dst)
+		if err != nil {
+			return core.PathQuery{}, err
+		}
+		if !route {
+			q.Route = nil
+		}
+		return *q, nil
 	}
 	if !route {
 		d := rs.orc.DistMs(src, dst)
 		if math.IsInf(d, 1) {
-			return &core.PathQuery{}, nil
+			return core.PathQuery{}, nil
 		}
-		return &core.PathQuery{Reachable: true, RTTMs: 2 * d, OneWayMs: d}, nil
+		return core.PathQuery{Reachable: true, RTTMs: 2 * d, OneWayMs: d, Hops: rs.orc.Hops(src, dst)}, nil
 	}
 	p, ok := rs.orc.Query(src, dst)
 	if !ok {
-		return &core.PathQuery{}, nil
+		return core.PathQuery{}, nil
 	}
-	return core.PathQueryOf(rs.n, p), nil
+	return *core.PathQueryOf(rs.n, p), nil
 }
 
 // ---- request parsing ----------------------------------------------------
@@ -421,14 +429,14 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) {
 // ---- endpoints ----------------------------------------------------------
 
 type pathResponse struct {
-	Time     time.Time       `json:"time"`
-	Mode     string          `json:"mode"`
-	Src      string          `json:"src"`
-	Dst      string          `json:"dst"`
-	Fault    string          `json:"fault,omitempty"`
-	Stale    bool            `json:"stale,omitempty"`
-	Degraded string          `json:"degraded,omitempty"`
-	Path     *core.PathQuery `json:"path"`
+	Time     time.Time      `json:"time"`
+	Mode     string         `json:"mode"`
+	Src      string         `json:"src"`
+	Dst      string         `json:"dst"`
+	Fault    string         `json:"fault,omitempty"`
+	Stale    bool           `json:"stale,omitempty"`
+	Degraded string         `json:"degraded,omitempty"`
+	Path     core.PathQuery `json:"path"`
 }
 
 // handlePath answers GET /v1/path?src=&dst=[&snap=|&t=][&mode=][&fault=...]:
