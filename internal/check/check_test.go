@@ -151,14 +151,9 @@ func TestCorruptedLinkCaught(t *testing.T) {
 		t.Fatalf("pre-corruption graph not clean: %s", clean.Summary())
 	}
 
-	count := 0
-	n.RewriteLinks(func(l graph.Link) (graph.Link, bool) {
-		if count == gsl {
-			l.A, l.B = term, badSat // stale OneWayMs now also wrong
-		}
-		count++
-		return l, true
-	})
+	links := append([]graph.Link(nil), n.Links...)
+	links[gsl].A, links[gsl].B = term, badSat // stale OneWayMs now also wrong
+	n = n.WithLinks(links)
 
 	var r Report
 	geom.CheckNetwork(&r, n)

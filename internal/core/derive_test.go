@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"reflect"
 	"sort"
 	"sync"
@@ -20,9 +22,10 @@ import (
 // referenceScan is the reference the derived networks are held to: the
 // snapshot build as it was before networks were derived — nodes, GSLs, ISLs
 // and the fault mask in one pass over one private network. It shares nothing
-// with graph.Builder: visibility is brute force over every (terminal,
-// satellite) pair instead of the spatial index. The scan runs once; the
-// returned function assembles a network from it per (isl, outages).
+// with graph.Builder or Outages.Masked: visibility is brute force over every
+// (terminal, satellite) pair instead of the spatial index, and a failed link
+// is simply never added. The scan runs once; the returned function assembles
+// a network from it per (isl, outages).
 func referenceScan(s *Sim, o graph.BuildOptions, t time.Time) func(isl bool, out *fault.Outages) *graph.Network {
 	satPos := s.Const.PositionsECEF(t)
 	var air []geo.LatLon
@@ -110,16 +113,43 @@ func referenceScan(s *Sim, o graph.BuildOptions, t time.Time) func(isl bool, out
 		for i, ll := range air {
 			n.AddNode(graph.NodeAircraft, ll.ToECEF(), airNames[i])
 		}
+		if out == nil {
+			out = &fault.Outages{}
+		}
+		gslCap := o.GSLCapGbps
+		if out.GSLCapFactor != 0 {
+			gslCap *= out.GSLCapFactor
+		}
 		for _, g := range gsls {
-			n.AddLink(g.term, g.sat, graph.LinkGSL, o.GSLCapGbps)
+			if !out.FailedSats[g.sat] && !out.FailedSites[g.term-int32(numSat)] {
+				n.AddLink(g.term, g.sat, graph.LinkGSL, gslCap)
+			}
 		}
 		if isl {
 			for _, l := range s.Const.ISLsAt(t) {
-				n.AddLink(int32(l.A), int32(l.B), graph.LinkISL, o.ISLCapGbps)
+				a, b := int32(l.A), int32(l.B)
+				if !out.FailedSats[a] && !out.FailedSats[b] && !out.ISLFailed(a, b) {
+					n.AddLink(a, b, graph.LinkISL, o.ISLCapGbps)
+				}
 			}
 		}
-		return out.Masked(n)
+		return n
 	}
+}
+
+// networkHash digests what a reader of n can see change if someone wrote it:
+// the link list and every node's adjacency, in order.
+func networkHash(n *graph.Network) uint64 {
+	h := fnv.New64a()
+	for _, l := range n.Links {
+		fmt.Fprintf(h, "%d %d %d %x %x;", l.A, l.B, l.Kind, math.Float64bits(l.CapGbps), math.Float64bits(l.OneWayMs))
+	}
+	for v := int32(0); v < int32(n.N()); v++ {
+		for _, e := range n.Edges(v) {
+			fmt.Fprintf(h, "%d %d,", e.To, e.Link)
+		}
+	}
+	return h.Sum64()
 }
 
 // requireNetworksIdentical holds got to want on everything a consumer can
@@ -153,8 +183,9 @@ func requireNetworksIdentical(t *testing.T, label string, got, want *graph.Netwo
 // resident one — hybrid from the base scan, fault-masked from the healthy
 // network, the fibre splice from a clone — is byte-identical to the network
 // the one-pass reference build produces, across static and epoch-aware
-// motifs, with and without a GSO policy and a beam cap; and deriving, even
-// concurrently with searches on the base, never writes the base.
+// motifs, with and without a GSO policy and a beam cap; a masked network
+// shares its parent's node arrays; and deriving, even concurrently with
+// searches on the parent, never writes the parent.
 func TestDerivedNetworksIdentical(t *testing.T) {
 	ctx := context.Background()
 	for _, motif := range []topo.ID{topo.PlusGrid, topo.Ladder, topo.Nearest} {
@@ -199,12 +230,32 @@ func TestDerivedNetworksIdentical(t *testing.T) {
 							t.Fatal(err)
 						}
 						for label, healthy := range map[string]*graph.Network{"bp": base, "hybrid": hybrid} {
+							before := networkHash(healthy)
 							masked := out.Masked(healthy)
 							if masked == healthy {
 								t.Fatalf("%s %s: a non-zero plan returned the healthy network itself", sc, label)
 							}
 							requireNetworksIdentical(t, fmt.Sprintf("%s masked from resident %s", sc, label),
 								masked, ref(label == "hybrid", out))
+							if &masked.Pos[0] != &healthy.Pos[0] || &masked.Kind[0] != &healthy.Kind[0] || &masked.Name[0] != &healthy.Name[0] {
+								t.Fatalf("%s %s: the masked network copied its parent's node arrays", sc, label)
+							}
+							if networkHash(healthy) != before {
+								t.Fatalf("%s %s: masking wrote the parent's links or CSR", sc, label)
+							}
+							if sc == fault.ISLOutage {
+								// Lasers are drawn from the placement at this
+								// instant (nearest re-places per snapshot), so
+								// every failed laser is a link that disappears.
+								want := 0
+								if label == "hybrid" {
+									want = out.NumFailedISLs()
+								}
+								if got := len(healthy.Links) - len(masked.Links); got != want {
+									t.Fatalf("%s %s: %d links disappeared, want the %d failed lasers of %d placed at t",
+										sc, label, got, want, len(s.Const.ISLsAt(at)))
+								}
+							}
 						}
 					}
 					zero, err := fault.Plan{Seed: 7}.RealizeAt(s.Const, nTerms, at)
@@ -244,6 +295,7 @@ func TestDerivedNetworksIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					hybridHash := networkHash(hybrid)
 					var wg sync.WaitGroup
 					for w := 0; w < 4; w++ {
 						wg.Add(1)
@@ -253,12 +305,18 @@ func TestDerivedNetworksIdentical(t *testing.T) {
 							out.Masked(h).ShortestPath(h.CityNode(w), h.CityNode(w+4))
 							base.ShortestPath(base.CityNode(w), base.CityNode(w+4))
 							splice(h.Clone())
+							// One parent, masked by some while others read it.
+							out.Masked(hybrid).ShortestPath(hybrid.CityNode(w), hybrid.CityNode(w+4))
+							hybrid.ShortestPath(hybrid.CityNode(w), hybrid.CityNode(w+4))
 						}(w)
 					}
 					wg.Wait()
 					if !reflect.DeepEqual(base.Kind, kind) || !reflect.DeepEqual(base.Pos, pos) ||
 						!reflect.DeepEqual(base.Name, names) {
 						t.Fatal("a derivation wrote the base's node arrays")
+					}
+					if networkHash(hybrid) != hybridHash {
+						t.Fatal("masking under concurrent readers wrote the parent's links or CSR")
 					}
 				})
 			}

@@ -43,9 +43,9 @@ func (s *Sim) NumCities() int { return len(s.Cities) }
 // BuildNetworkAt returns the snapshot network for mode at time t under an
 // optional outage set — what the serving cache (internal/snapcache) wraps.
 // Without outages it is NetworkAt's cached healthy network: shared with the
-// sim's cache and every other caller, immutable. With outages it is a private
-// masked copy of that network: a what-if costs a copy and a link filter, not
-// a scan. Cancellation is honoured at the boundary.
+// sim's cache and every other caller, immutable. With outages it is that
+// network masked — its nodes shared, its links filtered: a what-if costs a
+// link filter, not a scan. Cancellation is honoured at the boundary.
 func (s *Sim) BuildNetworkAt(ctx context.Context, t time.Time, mode Mode, outages *fault.Outages) (n *graph.Network, err error) {
 	defer safe.RecoverTo(&err)
 	if err := ctx.Err(); err != nil {

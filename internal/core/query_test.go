@@ -95,7 +95,7 @@ func TestPathAtRejectsBadIndices(t *testing.T) {
 
 // BuildNetworkAt is pure — two calls with the same (t, mode, outages) agree
 // link for link — and derives instead of scanning: the healthy network is the
-// sim cache's shared entry, a masked one a private copy of it, and however
+// sim cache's shared entry, a masked one its own link list over it, and however
 // many what-ifs are asked the instant is scanned once.
 func TestBuildNetworkAtSharesHealthyCopiesMasked(t *testing.T) {
 	s := querySim(t)

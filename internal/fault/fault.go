@@ -3,9 +3,10 @@
 // satellite outages, ground-site (city/relay) failures, ISL laser failures,
 // and GSL capacity degradation. A Plan is realized against a constellation
 // into an Outages set, and Outages.Masked derives the faulted network from a
-// resident healthy snapshot — a what-if repeats no propagation or visibility
-// scan. The same seed always realizes the same outages, making resilience
-// sweeps byte-reproducible.
+// resident healthy snapshot — its nodes shared, its links filtered — so a
+// what-if repeats no propagation or visibility scan and copies no node. The
+// same seed always realizes the same outages, making resilience sweeps
+// byte-reproducible.
 package fault
 
 import (
@@ -255,44 +256,62 @@ func (o *Outages) ISLFailed(a, b int32) bool {
 	return o != nil && o.failedISL[islKey(a, b)]
 }
 
-// Masked returns healthy with the outages applied, as a private copy: all
-// links of failed satellites and ground sites are removed, failed ISL lasers
-// are removed, and surviving GSL capacities are scaled by GSLCapFactor.
-// Satellites keep their nodes (they still exist, just dark), so node indexing
-// — and with it the per-snapshot layout every experiment assumes — is
-// unchanged. A nil or zero Outages returns healthy itself, which keeps the
-// 0%-failure sweep point byte-identical to the healthy baseline.
+// Masked derives healthy with the outages applied: all links of failed
+// satellites and ground sites are removed, failed ISL lasers are removed, and
+// surviving GSL capacities are scaled by GSLCapFactor; fibre is left alone.
+// The result shares healthy's node arrays and owns its filtered link list
+// (order kept, densely re-indexed) and CSR — no node is copied and healthy is
+// only read, so concurrent readers of it are undisturbed. Satellites keep
+// their nodes (they still exist, just dark), so node indexing — and with it
+// the per-snapshot layout every experiment assumes — is unchanged. A nil or
+// zero Outages returns healthy itself, which keeps the 0%-failure sweep point
+// byte-identical to the healthy baseline.
 func (o *Outages) Masked(healthy *graph.Network) *graph.Network {
 	if o.IsZero() {
 		return healthy
 	}
-	n := healthy.Clone()
+	// One mark per node: satellites are nodes [0, NumSat), terminal i is node
+	// NumSat+i. Aircraft follow the segment terminals and are not subject to
+	// site outages.
+	dead := make([]bool, healthy.N())
+	for sat := range o.FailedSats {
+		if int(sat) < healthy.NumSat {
+			dead[sat] = true
+		}
+	}
+	for site := range o.FailedSites {
+		if v := healthy.NumSat + int(site); v < len(dead) {
+			dead[v] = true
+		}
+	}
+	survives := func(l graph.Link) bool {
+		switch l.Kind {
+		case graph.LinkGSL:
+			return !dead[l.A] && !dead[l.B]
+		case graph.LinkISL:
+			return !dead[l.A] && !dead[l.B] && !o.failedISL[islKey(l.A, l.B)]
+		}
+		return true
+	}
 	factor := o.GSLCapFactor
 	if factor == 0 {
 		factor = 1
 	}
-	n.RewriteLinks(func(l graph.Link) (graph.Link, bool) {
-		switch l.Kind {
-		case graph.LinkISL:
-			if o.FailedSats[l.A] || o.FailedSats[l.B] || o.failedISL[islKey(l.A, l.B)] {
-				return l, false
-			}
-		case graph.LinkGSL:
-			sat, term := l.A, l.B
-			if n.Kind[sat] != graph.NodeSatellite {
-				sat, term = term, sat
-			}
-			if o.FailedSats[sat] {
-				return l, false
-			}
-			// Terminal nodes follow the satellites; aircraft follow the
-			// segment terminals and are not subject to site outages.
-			if ti := term - int32(n.NumSat); ti >= 0 && o.FailedSites[ti] {
-				return l, false
-			}
+	kept := 0
+	for _, l := range healthy.Links {
+		if survives(l) {
+			kept++
+		}
+	}
+	links := make([]graph.Link, 0, kept)
+	for _, l := range healthy.Links {
+		if !survives(l) {
+			continue
+		}
+		if l.Kind == graph.LinkGSL {
 			l.CapGbps *= factor
 		}
-		return l, true
-	})
-	return n
+		links = append(links, l)
+	}
+	return healthy.WithLinks(links)
 }

@@ -211,31 +211,32 @@ func TestAdvanceDifferentialSeconds(t *testing.T) {
 	}
 }
 
-// TestAdvanceDifferentialMasked: a fault mask (the fault.Outages contract:
-// RewriteLinks on a Clone) applied to an advanced network yields the bytes it
-// yields on a freshly built one — advancing and masking commute with building
-// and masking, so a mask never needs a cursor of its own.
+// TestAdvanceDifferentialMasked: a fault mask (the fault.Outages contract: a
+// WithLinks derivation over the filtered link list) applied to an advanced
+// network yields the bytes it yields on a freshly built one — advancing and
+// masking commute with building and masking, so a mask never needs a cursor of
+// its own.
 func TestAdvanceDifferentialMasked(t *testing.T) {
 	masked := func(n *Network) *Network {
-		m := n.Clone()
-		m.RewriteLinks(func(l Link) (Link, bool) {
+		var links []Link
+		for _, l := range n.Links {
 			// Knock out every 37th satellite's links entirely and degrade
 			// the GSL capacity of every 11th — deterministic, order-free.
 			sat := l.A
-			if m.Kind[sat] != NodeSatellite {
+			if n.Kind[sat] != NodeSatellite {
 				sat = l.B
 			}
-			if m.Kind[sat] == NodeSatellite {
+			if n.Kind[sat] == NodeSatellite {
 				if sat%37 == 0 {
-					return l, false
+					continue
 				}
 				if l.Kind == LinkGSL && sat%11 == 0 {
 					l.CapGbps /= 2
 				}
 			}
-			return l, true
-		})
-		return m
+			links = append(links, l)
+		}
+		return n.WithLinks(links)
 	}
 	b := advSetup(t, false)
 	start := geo.Epoch.Add(12 * time.Hour)

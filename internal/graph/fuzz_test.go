@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"leosim/internal/geo"
@@ -134,8 +135,8 @@ func FuzzSearch(f *testing.F) {
 
 // FuzzBuildCSR checks the lazily built CSR adjacency against the flat link
 // list on arbitrary topologies: every link appears exactly once per endpoint,
-// degrees agree, and a RewriteLinks round-trip (the mutation path that
-// invalidates the CSR) rebuilds it consistently.
+// degrees agree, and a WithLinks derivation over the odd-indexed links (the
+// way a fault mask re-indexes a filtered list) freezes a consistent one too.
 func FuzzBuildCSR(f *testing.F) {
 	f.Add([]byte{6, 0, 0, 1, 1, 1, 2, 1, 4, 5, 1, 0, 5, 1})
 	f.Add([]byte{3, 0xFF, 0, 1, 1, 0, 1, 1, 1, 2, 1})
@@ -174,7 +175,122 @@ func FuzzBuildCSR(f *testing.F) {
 			}
 		}
 		verify("initial")
-		n.RewriteLinks(func(l Link) (Link, bool) { return l, true })
-		verify("after rewrite")
+		var odd []Link
+		for li, l := range n.Links {
+			if li%2 == 1 {
+				odd = append(odd, l)
+			}
+		}
+		n = n.WithLinks(odd)
+		verify("derived")
 	})
+}
+
+// checkSurvivingTreePaths holds the subgraph lemma (DESIGN.md §7) on one
+// network and one subgraph of it: wherever the tree path src → dst of n is
+// still a path of sub, the kernel on sub returns that very node sequence at
+// that very float distance — ties included — and a pair n cannot join, sub
+// cannot either. It returns how many tree paths survived and how many were cut.
+func checkSurvivingTreePaths(t *testing.T, n *Network, keep func(li int) bool, src int32) (survived, cut int) {
+	t.Helper()
+	var links []Link
+	for li, l := range n.Links {
+		if keep(li) {
+			links = append(links, l)
+		}
+	}
+	sub := n.WithLinks(links)
+	for dst := int32(0); dst < int32(n.N()); dst++ {
+		p, ok := n.ShortestPath(src, dst)
+		q, subOK := sub.ShortestPath(src, dst)
+		if !ok {
+			if subOK {
+				t.Fatalf("%d→%d: unreachable in the network, reached in its subgraph", src, dst)
+			}
+			continue
+		}
+		if !sub.Carries(n, p) {
+			if subOK && q.OneWayMs < p.OneWayMs {
+				t.Fatalf("%d→%d: subgraph distance %v below the network's %v", src, dst, q.OneWayMs, p.OneWayMs)
+			}
+			cut++
+			continue
+		}
+		survived++
+		if !subOK || q.OneWayMs != p.OneWayMs || len(q.Nodes) != len(p.Nodes) {
+			t.Fatalf("%d→%d: tree path %v (%v ms) survives, subgraph kernel found %v (%v ms, ok=%v)",
+				src, dst, p.Nodes, p.OneWayMs, q.Nodes, q.OneWayMs, subOK)
+		}
+		for i := range p.Nodes {
+			if q.Nodes[i] != p.Nodes[i] {
+				t.Fatalf("%d→%d: tree path %v survives, subgraph kernel broke the tie differently: %v", src, dst, p.Nodes, q.Nodes)
+			}
+		}
+	}
+	return survived, cut
+}
+
+// gridBytes encodes a rows × cols unit-weight grid (every shortest path tied
+// many ways) in fuzzNet's layout.
+func gridBytes(rows, cols int) []byte {
+	data := []byte{byte(rows*cols - 2), 0}
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if c+1 < cols {
+				data = append(data, byte(r*cols+c), byte(r*cols+c+1), 3)
+			}
+			if r+1 < rows {
+				data = append(data, byte(r*cols+c), byte((r+1)*cols+c), 3)
+			}
+		}
+	}
+	return data
+}
+
+// FuzzSubgraphTreePath drives checkSurvivingTreePaths over decoded topologies
+// and subgraphs: link li is dropped when bit li of the drop stream (cycled) is
+// set. fuzzNet's quantized weights and the grid seeds make equal-distance
+// alternatives the rule, which real geometry never does.
+func FuzzSubgraphTreePath(f *testing.F) {
+	f.Add(gridBytes(6, 6), []byte{0x11, 0x40, 0x02}, uint8(0))
+	f.Add(gridBytes(5, 7), []byte{0x84, 0x21, 0x10, 0x08}, uint8(17))
+	f.Add(gridBytes(3, 3), []byte{0x00}, uint8(4))
+	f.Add([]byte{9, 0x49, 0, 1, 31, 0, 2, 30, 0, 3, 29, 0, 4, 28, 1, 2, 0, 2, 3, 0, 3, 4, 0, 0, 1, 31}, []byte{0x05}, uint8(0))
+	f.Add([]byte{40, 0x0F, 5, 6, 2, 6, 7, 2, 7, 5, 2, 1, 2, 30}, []byte{0xFF}, uint8(5))
+	f.Fuzz(func(t *testing.T, data, drop []byte, srcB uint8) {
+		n := fuzzNet(data)
+		if n == nil || len(n.Links) == 0 || len(drop) == 0 {
+			t.Skip()
+		}
+		checkSurvivingTreePaths(t, n, func(li int) bool {
+			return drop[li/8%len(drop)]&(1<<(li%8)) == 0
+		}, int32(int(srcB)%n.N()))
+	})
+}
+
+// TestSubgraphTreePathTies runs the same property over random subgraphs of a
+// larger unit-weight grid and of a grid with two weights, and requires both
+// outcomes to occur: paths that survive and paths the subgraph cut.
+func TestSubgraphTreePathTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const rows, cols = 7, 8 // 56 nodes: fuzzNet's ceiling is 61
+	for trial := 0; trial < 60; trial++ {
+		data := gridBytes(rows, cols)
+		if trial%2 == 1 {
+			for i := 4; i < len(data); i += 3 {
+				data[i] = byte(3 + 4*rng.Intn(2)) // weights 1 and 2: ties across hop counts
+			}
+		}
+		n := fuzzNet(data)
+		dropped := map[int]bool{}
+		for li := range n.Links {
+			if rng.Float64() < 0.02+0.2*float64(trial%5)/4 {
+				dropped[li] = true
+			}
+		}
+		survived, cut := checkSurvivingTreePaths(t, n, func(li int) bool { return !dropped[li] }, int32(rng.Intn(n.N())))
+		if len(dropped) > 10 && (survived == 0 || cut == 0) {
+			t.Fatalf("trial %d (%d links dropped): %d survived, %d cut — the property was not exercised", trial, len(dropped), survived, cut)
+		}
+	}
 }

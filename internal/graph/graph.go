@@ -93,10 +93,10 @@ type EdgeRef struct {
 }
 
 // Network is an immutable per-snapshot network graph. One handed out by a
-// cache or derived from another (Builder.Hybrid) may share its node arrays
-// with its siblings of the same instant, so holders only read it and whoever
-// wants to change one works on a Clone. The one in-place writer is the
-// Advancer, on a network nobody else holds.
+// cache or derived from another (Builder.Hybrid, WithLinks) may share its node
+// arrays with its siblings of the same instant, so holders only read it and
+// whoever wants to change one works on a Clone. The one in-place writer is
+// the Advancer, on a network nobody else holds.
 type Network struct {
 	// Kind and Pos describe the nodes; len(Kind) == len(Pos) == N().
 	Kind []NodeKind
@@ -117,8 +117,8 @@ type Network struct {
 	// of Links[adjEdges[k].Link].OneWayMs, so relaxing an arc reads its
 	// weight from the stream it is already walking instead of a random Link.
 	// Whoever writes a Link's OneWayMs after a freeze must refresh adjMs or
-	// invalidate the CSR (AddLink invalidates, RewriteLinks re-freezes; the
-	// Advancer's in-place reweight refreshes).
+	// invalidate the CSR (AddLink invalidates; the Advancer's in-place reweight
+	// refreshes).
 	adjStart []int32
 	adjEdges []EdgeRef
 	adjMs    []float64
@@ -180,23 +180,26 @@ func (n *Network) AddLink(a, b int32, kind LinkKind, capGbps float64) int32 {
 	return idx
 }
 
-// RewriteLinks rebuilds the link set: fn receives each link and returns the
-// (possibly modified) link plus whether to keep it. Dropped links disappear
-// from the adjacency structure; kept links are re-indexed densely. This is
-// the mutation primitive fault injection uses to knock out a node's links
-// or degrade link capacities on its private Clone of a healthy snapshot.
-// The rewrite filters in place — the kept prefix reuses Links' backing array —
-// and re-freezes the CSR, so the result is ready for concurrent readers.
-func (n *Network) RewriteLinks(fn func(Link) (Link, bool)) {
-	kept := n.Links[:0]
-	for _, l := range n.Links {
-		if nl, keep := fn(l); keep {
-			kept = append(kept, nl)
-		}
+// sharing returns a network of n's nodes joined by links: the node arrays are
+// n's own (neither network writes them), the link list is the new network's,
+// and its CSR is not yet frozen.
+func (n *Network) sharing(links []Link) *Network {
+	return &Network{
+		Kind: n.Kind, Pos: n.Pos, Name: n.Name,
+		Links:  links,
+		NumSat: n.NumSat, NumCity: n.NumCity, NumRelay: n.NumRelay, NumAircraft: n.NumAircraft,
 	}
-	n.Links = kept
-	n.csrValid.Store(false)
-	n.ensureCSR()
+}
+
+// WithLinks derives the network of n's nodes joined by links instead of n's
+// own, its CSR frozen and ready for concurrent readers. It shares n's node
+// arrays, takes ownership of links, and does not write n — how a fault mask
+// turns a resident healthy snapshot into the faulted one: a filter over its
+// link list, in order, with no node copied.
+func (n *Network) WithLinks(links []Link) *Network {
+	d := n.sharing(links)
+	d.ensureCSR()
+	return d
 }
 
 // withISLs returns n plus the given lasers appended after its links, in
@@ -204,11 +207,7 @@ func (n *Network) RewriteLinks(fn func(Link) (Link, bool)) {
 // node arrays are shared (neither network writes them); the exactly-sized
 // link list and the CSR are the derived network's own.
 func (n *Network) withISLs(isls []constellation.ISL, capGbps float64) *Network {
-	d := &Network{
-		Kind: n.Kind, Pos: n.Pos, Name: n.Name,
-		Links:  make([]Link, len(n.Links), len(n.Links)+len(isls)),
-		NumSat: n.NumSat, NumCity: n.NumCity, NumRelay: n.NumRelay, NumAircraft: n.NumAircraft,
-	}
+	d := n.sharing(make([]Link, len(n.Links), len(n.Links)+len(isls)))
 	copy(d.Links, n.Links)
 	for _, l := range isls {
 		d.AddLink(int32(l.A), int32(l.B), LinkISL, capGbps)
@@ -304,10 +303,9 @@ func (n *Network) freezeCSRLocked(start []int32) {
 }
 
 // Clone returns an independent deep copy of the network with its CSR frozen —
-// the way to a network one may write: a fault mask rewrites a Clone of the
-// resident healthy snapshot, the fibre experiment splices into one, and a
-// snapshot of the advancer's in-place network that must outlive the step is
-// one.
+// the way to a network one may write: the fibre experiment splices into one,
+// and a snapshot of the advancer's in-place network that must outlive the step
+// is one.
 func (n *Network) Clone() *Network {
 	n.ensureCSR()
 	c := &Network{
@@ -335,7 +333,7 @@ func (n *Network) Degree(v int32) int {
 }
 
 // Edges returns node v's adjacency list. The returned slice is owned by the
-// network, must not be mutated, and is invalidated by AddLink/RewriteLinks.
+// network, must not be mutated, and is invalidated by AddLink.
 func (n *Network) Edges(v int32) []EdgeRef {
 	n.ensureCSR()
 	return n.adjEdges[n.adjStart[v]:n.adjStart[v+1]]
@@ -463,6 +461,29 @@ func (n *Network) MultiSourceDistances(sources []int32) [][]float64 {
 // kernel recorded it, or a negative value where no predecessor exists.
 func (n *Network) WalkPath(src, dst int32, prevAt func(int32) int32, total float64) (Path, bool) {
 	return n.walkPath(src, dst, prevAt, total)
+}
+
+// Carries reports whether p, a path over parent, is also a path of n: every
+// hop joins the same two nodes with the same delay in n. When n is a subgraph
+// of parent (a fault mask of it) and p is the kernel's path in parent, a true
+// answer means the kernel's path in n is p as well — node for node, tie-breaks
+// included (DESIGN.md §7). p's link indices are parent's and mean nothing in n.
+func (n *Network) Carries(parent *Network, p Path) bool {
+	n.ensureCSR()
+	for i, li := range p.Links {
+		u, v := p.Nodes[i], p.Nodes[i+1]
+		if n.Degree(v) < n.Degree(u) {
+			u, v = v, u
+		}
+		ms, found := parent.Links[li].OneWayMs, false
+		for k := n.adjStart[u]; k < n.adjStart[u+1] && !found; k++ {
+			found = n.adjEdges[k].To == v && n.adjMs[k] == ms
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }
 
 // Components labels connected components (ignoring capacities) and returns

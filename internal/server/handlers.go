@@ -152,8 +152,8 @@ func (s *Server) cacheKey(spec snapSpec) snapcache.Key {
 }
 
 // buildSnapshot is the cache's BuildFunc: it re-derives mode and fault mask
-// from the key. A healthy key is the sim's shared snapshot; a masked key is a
-// masked copy of this cache's own healthy entry (resident after priming,
+// from the key. A healthy key is the sim's shared snapshot; a masked key is
+// derived from this cache's own healthy entry (resident after priming,
 // singleflight-built otherwise), so a what-if repeats no scan. Keeping the
 // key → build mapping pure is what makes cached snapshots trustworthy: two
 // requests that agree on the key are guaranteed the same network.
@@ -267,7 +267,8 @@ func (s *Server) noteDegraded(ctx context.Context, key, fallback string, cause e
 
 // resolved is a snapSpec made concrete: its cache key, the network, how the
 // network was obtained, and the distance oracle attached to it — nil when
-// none is, in which case answers come from the live kernel.
+// none is, in which case answers come from the healthy parent's oracle where
+// the fault missed the route and from the live kernel otherwise.
 type resolved struct {
 	key  snapcache.Key
 	n    *graph.Network
@@ -286,27 +287,43 @@ func (s *Server) resolve(ctx context.Context, spec snapSpec) (resolved, error) {
 	if rs.n, rs.meta, err = s.snapshot(ctx, spec, rs.key); err != nil {
 		return resolved{}, err
 	}
-	if aux, net, ok := s.cache.Attachment(rs.key); ok && net == rs.n {
-		if o, isOracle := aux.(*oracle.Oracle); isOracle && o.Valid(rs.n) {
-			s.oracleHits.Add(1)
-			rs.orc = o
-		}
+	if o, net := s.attachedOracle(rs.key); o != nil && net == rs.n {
+		s.oracleHits.Add(1)
+		rs.orc = o
 	}
 	return rs, nil
 }
 
+// attachedOracle returns the oracle riding key's resident cache entry and the
+// network it describes, or nils when the entry is gone or carries none.
+func (s *Server) attachedOracle(key snapcache.Key) (*oracle.Oracle, *graph.Network) {
+	if aux, n, ok := s.cache.Attachment(key); ok {
+		if o, isOracle := aux.(*oracle.Oracle); isOracle && o.Valid(n) {
+			return o, n
+		}
+	}
+	return nil, nil
+}
+
 // answer routes city src → city dst over a resolved snapshot: from the
 // attached oracle when there is one — identical to the kernel's answer, proven
-// by the oracle differential battery, at a fraction of a full search — and by
-// a live kernel search otherwise. With route=false the answer carries no
-// Route, which lets an oracle give it from its distance and hop tables: two
-// reads, no path reconstructed, nothing allocated. Only route=true walks the
-// stored tree and names the nodes.
+// by the oracle differential battery, at a fraction of a full search — and
+// otherwise from the healthy parent's tree if the fault left that route alone
+// (survivingRoute), or by a live kernel search. With route=false the answer
+// carries no Route, which lets an oracle give it from its distance and hop
+// tables: two reads, no path reconstructed, nothing allocated. Only route=true
+// walks the stored tree and names the nodes.
 func (s *Server) answer(ctx context.Context, rs resolved, src, dst int, route bool) (core.PathQuery, error) {
 	if rs.orc == nil {
-		q, err := s.cfg.Sim.PathAt(ctx, rs.n, src, dst)
-		if err != nil {
-			return core.PathQuery{}, err
+		q, ok := s.survivingRoute(rs, src, dst)
+		if ok {
+			s.survivingAnswers.Add(1)
+		} else {
+			s.kernelAnswers.Add(1)
+			var err error
+			if q, err = s.cfg.Sim.PathAt(ctx, rs.n, src, dst); err != nil {
+				return core.PathQuery{}, err
+			}
 		}
 		if !route {
 			q.Route = nil
@@ -325,6 +342,32 @@ func (s *Server) answer(ctx context.Context, rs resolved, src, dst int, route bo
 		return core.PathQuery{}, nil
 	}
 	return *core.PathQueryOf(rs.n, p), nil
+}
+
+// survivingRoute answers a what-if from the healthy day: rs is a masked
+// snapshot with no oracle of its own, and the healthy snapshot of the same
+// instant and mode has one. The masked network is a subgraph of the healthy
+// one — same node ids, same link delays — so a pair unreachable there is
+// unreachable here, and if every hop of the healthy tree path is still an edge
+// here, that path is node for node what the kernel would find on rs.n, ties
+// included (DESIGN.md §7). ok is false when the fault cut the route, or there
+// is no healthy oracle to ask; the kernel answers then.
+func (s *Server) survivingRoute(rs resolved, src, dst int) (q *core.PathQuery, ok bool) {
+	if rs.key.Mask == "" {
+		return nil, false
+	}
+	o, healthy := s.attachedOracle(snapcache.Key{Scenario: rs.key.Scenario, Time: rs.key.Time})
+	if o == nil {
+		return nil, false
+	}
+	p, reachable := o.Query(src, dst)
+	if !reachable {
+		return &core.PathQuery{}, true
+	}
+	if !rs.n.Carries(healthy, p) {
+		return nil, false
+	}
+	return core.PathQueryOf(rs.n, p), true
 }
 
 // ---- request parsing ----------------------------------------------------

@@ -8,7 +8,9 @@
 //   - One snapcache.Cache of frozen snapshot graphs, keyed by
 //     (scenario, time, fault-mask). Concurrent queries for the same epoch
 //     build the network once (singleflight) and share the immutable CSR
-//     graph across goroutines; an LRU bound keeps memory flat.
+//     graph across goroutines; an entry bound keeps memory flat, and evicts
+//     oracle-carrying entries last, so one-shot what-ifs never push out the
+//     primed day they are derived from.
 //   - Per-request routing scratch comes from the graph package's
 //     SearchState pool, so steady-state queries allocate almost nothing in
 //     the kernel.
@@ -176,6 +178,10 @@ type Server struct {
 	oracleInflight map[snapcache.Key]*oracleCall
 	oracleBuilds   *telemetry.Counter
 	oracleHits     *telemetry.Counter
+	// How answers without an oracle of their own were given: read off the
+	// healthy parent's tree (the fault missed the route, or the pair was
+	// already unreachable), or searched by the live kernel.
+	survivingAnswers, kernelAnswers *telemetry.Counter
 
 	// lastDegraded is the unix-nano time of the most recent degraded
 	// (fallback) serve; /healthz reports "degraded" while it is recent.
@@ -234,6 +240,10 @@ func New(cfg Config) (*Server, error) {
 	// and queries answered from an already-attached oracle.
 	s.oracleBuilds = s.reg.Counter("oracleBuilds")
 	s.oracleHits = s.reg.Counter("oracleHits")
+	// oracleHits keeps meaning "the resolved key had its own oracle": a what-if
+	// answered from its healthy parent's tree counts here instead.
+	s.survivingAnswers = s.reg.Counter("survivingRouteAnswers")
+	s.kernelAnswers = s.reg.Counter("kernelAnswers")
 	// Snapshot-cache counters as pull-style gauges: read at snapshot time
 	// from the cache's own atomics, never copied on the request path.
 	// singleflight_shares is the misses that piggybacked on another

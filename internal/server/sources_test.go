@@ -123,7 +123,7 @@ func TestSnapshotSourcesAgree(t *testing.T) {
 
 // TestOneScanPerInstant: priming a day of both modes runs the propagation +
 // visibility scan once per snapshot, and a what-if against the primed day
-// runs none — the masked network is a masked copy of the resident healthy
+// runs none — the masked network is derived from the resident healthy
 // entry.
 func TestOneScanPerInstant(t *testing.T) {
 	scans := func() int64 {

@@ -10,8 +10,12 @@
 //     rest wait for its result. A waiter whose context expires gives up
 //     early, but the build itself keeps running and populates the cache —
 //     work already paid for is never thrown away.
-//   - LRU: a bounded number of snapshots stay resident; the
-//     least-recently-used entry is evicted when a new one arrives.
+//   - Bounded residency, attachments last: when a new key arrives at
+//     capacity the victim is the least recently used entry that carries no
+//     attachment — a network alone is a scan or a filter to bring back, an
+//     attachment (a distance oracle) is work no single-path request repeats —
+//     and the plain LRU entry once every resident entry carries one. Without
+//     attachments this is a plain LRU.
 //   - TTL: entries older than the configured lifetime are rebuilt on next
 //     access, which bounds staleness when the backing scenario can change
 //     (a zero TTL disables expiry — snapshot graphs for a fixed scenario
@@ -518,7 +522,7 @@ func (c *Cache) runBuild(ctx context.Context, key Key, cl *call) {
 }
 
 // finish publishes a completed build: on success the entry enters the LRU
-// (replacing a stale predecessor, evicting the coldest if over capacity);
+// (replacing a stale predecessor, evicting one entry if over capacity);
 // errors are not cached, so the next Get retries. Either way the outcome
 // feeds the breaker.
 func (c *Cache) finish(ctx context.Context, key Key, cl *call) {
@@ -537,7 +541,8 @@ func (c *Cache) finish(ctx context.Context, key Key, cl *call) {
 // insertLocked puts a freshly built network into the LRU, refreshing an
 // existing (stale) entry in place rather than duplicating it. Refreshing
 // with a different network drops the entry's attachment: the artifact was
-// derived from the old graph and must not describe the new one.
+// derived from the old graph and must not describe the new one. A new key over
+// capacity evicts victimLocked's choice.
 func (c *Cache) insertLocked(key Key, n *graph.Network) {
 	if e, ok := c.entries[key]; ok {
 		if e.n != n {
@@ -549,12 +554,25 @@ func (c *Cache) insertLocked(key Key, n *graph.Network) {
 		return
 	}
 	for c.lru.Len() >= c.cap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(Key))
+		victim := c.victimLocked()
+		c.lru.Remove(victim)
+		delete(c.entries, victim.Value.(Key))
 		c.evictions.Add(1)
 	}
 	c.entries[key] = &entry{n: n, builtAt: c.now(), elem: c.lru.PushFront(key)}
+}
+
+// victimLocked picks the entry a new key pushes out: the least recently used
+// one without an attachment, else the least recently used. One-shot entries
+// (what-ifs, off-schedule instants) thus age each other out, and an entry
+// whose oracle nothing on the single-path route rebuilds stays.
+func (c *Cache) victimLocked() *list.Element {
+	for el := c.lru.Back(); el != nil; el = el.Prev() {
+		if c.entries[el.Value.(Key)].aux == nil {
+			return el
+		}
+	}
+	return c.lru.Back()
 }
 
 // adoptLate inserts the success of a build whose waiters already saw a
@@ -574,10 +592,10 @@ func (c *Cache) adoptLate(ctx context.Context, key Key, n *graph.Network) {
 // Put inserts a ready-made network for key without running a build — the
 // cache-priming path: a background primer builds the day's snapshots outside
 // the request path (no build timeout, no breaker accounting) and deposits
-// them. The entry enters the LRU exactly as a built one would
-// (refreshing an existing entry in place, evicting the coldest over
-// capacity). A singleflight build already in flight for key is untouched;
-// its own insert simply refreshes the entry when it lands.
+// them. The entry enters the LRU exactly as a built one would (refreshing an
+// existing entry in place, evicting over capacity as victimLocked chooses). A
+// singleflight build already in flight for key is untouched; its own insert
+// simply refreshes the entry when it lands.
 func (c *Cache) Put(key Key, n *graph.Network) {
 	if n == nil {
 		return
