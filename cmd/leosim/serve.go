@@ -46,8 +46,6 @@ func runServe(ctx context.Context, args []string) error {
 	cacheSize := fs.Int("cache-size", 0, "snapshot cache capacity in graphs (0 = snapshots+4, or 2×snapshots+8 with -prime)")
 	prime := fs.Bool("prime", false, "prime the snapshot cache in the background at startup: build and deposit every snapshot of the day for both modes")
 	oracleOn := fs.Bool("oracle", false, "also build a distance oracle per primed snapshot so /v1/paths batches start warm (requires -prime)")
-	cacheTTL := fs.Duration("cache-ttl", 0, "snapshot cache entry TTL (0 = never expire)")
-	staleFor := fs.Duration("cache-stale-for", 0, "serve expired snapshots (marked stale) this long past TTL while rebuilding in the background")
 	buildTimeout := fs.Duration("build-timeout", 0, "per-snapshot build deadline (0 = unbounded)")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive build failures that trip the circuit breaker (0 = default 5, negative = disabled)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before one probe build (0 = 5s)")
@@ -106,8 +104,6 @@ func runServe(ctx context.Context, args []string) error {
 	srv, err := server.New(server.Config{
 		Sim:              sim,
 		CacheSize:        *cacheSize,
-		CacheTTL:         *cacheTTL,
-		CacheStaleFor:    *staleFor,
 		BuildTimeout:     *buildTimeout,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,

@@ -58,7 +58,7 @@ func backoff(attempt int, retryAfter string) time.Duration {
 }
 
 type tally struct {
-	ok, failed, shed, retried, stale, degraded atomic.Int64
+	ok, failed, shed, retried, degraded atomic.Int64
 }
 
 func main() {
@@ -161,7 +161,6 @@ func main() {
 		v.Set("mode", q.mode)
 		v.Set("snap", q.snap)
 		var body struct {
-			Stale    bool   `json:"stale"`
 			Degraded string `json:"degraded"`
 			Path     struct {
 				Reachable bool    `json:"reachable"`
@@ -181,9 +180,6 @@ func main() {
 				resp.Body.Close()
 				if err != nil {
 					log.Fatalf("GET /v1/path: truncated or invalid JSON body: %v", err)
-				}
-				if body.Stale {
-					tl.stale.Add(1)
 				}
 				if body.Degraded != "" {
 					tl.degraded.Add(1)
@@ -232,9 +228,9 @@ func main() {
 			len(queries), *clients, st.Builds, st.Hits, st.HitRate()*100)
 	}
 	rate := float64(tl.ok.Load()) / float64(len(queries))
-	fmt.Printf("answered %d/%d (%.1f%%): %d shed+retried, %d 5xx+retried, %d stale, %d degraded, %d gave up\n",
+	fmt.Printf("answered %d/%d (%.1f%%): %d shed+retried, %d 5xx+retried, %d degraded, %d gave up\n",
 		tl.ok.Load(), len(queries), rate*100, tl.shed.Load(), tl.retried.Load(),
-		tl.stale.Load(), tl.degraded.Load(), tl.failed.Load())
+		tl.degraded.Load(), tl.failed.Load())
 	if degradedTrace != "" {
 		fmt.Printf("first degraded answer trace: %s (join it against GET /debug/events)\n", degradedTrace)
 	}

@@ -123,7 +123,6 @@ type batchPathsResponse struct {
 	Time     time.Time      `json:"time"`
 	Mode     string         `json:"mode"`
 	Fault    string         `json:"fault,omitempty"`
-	Stale    bool           `json:"stale,omitempty"`
 	Degraded string         `json:"degraded,omitempty"`
 	Count    int            `json:"count"`
 	Oracle   oracleMetaJSON `json:"oracle"`
@@ -323,8 +322,7 @@ func (s *Server) handleBatchPaths(w http.ResponseWriter, r *http.Request) error 
 	}
 	ost := rs.orc.Stats()
 	head, err := json.MarshalIndent(batchPathsResponse{
-		Time: spec.t, Mode: spec.mode.String(), Fault: spec.mask,
-		Stale: rs.meta.Stale, Degraded: rs.meta.Degraded,
+		Time: spec.t, Mode: spec.mode.String(), Fault: spec.mask, Degraded: rs.degraded,
 		Count: len(pairs),
 		Oracle: oracleMetaJSON{
 			Cached:  cached,
@@ -377,10 +375,10 @@ type oracleCall struct {
 // none attached — at most once per key at a time: concurrent batches against
 // the same cold snapshot elect one builder and share its result. A
 // successful build is attached to the snapshot-cache entry
-// (snapcache.Attach), so the oracle rides the snapshot's own
-// LRU/TTL lifecycle; the attach is a no-op if the entry was
-// evicted or rebuilt meanwhile — the oracle still answers this request, it
-// just isn't pinned.
+// (snapcache.Attach), so the oracle rides the snapshot's own LRU
+// lifecycle; the attach is a no-op if n is not the resident network (a
+// degraded fallback's, or the entry was evicted meanwhile) — the oracle still
+// answers this request, it just isn't pinned.
 func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, n *graph.Network) (*oracle.Oracle, error) {
 	s.oracleMu.Lock()
 	if cl, inflight := s.oracleInflight[key]; inflight {
@@ -389,8 +387,9 @@ func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, n *graph.Netw
 		case <-cl.done:
 			if cl.err == nil && !cl.o.Valid(n) {
 				// The leader built against a different network instance (a
-				// degraded fallback raced a rebuild). Rare: build our own,
-				// unshared and unattached — correctness over reuse.
+				// degraded fallback raced the key's own build, or an eviction
+				// and rebuild). Rare: build our own, unshared and unattached —
+				// correctness over reuse.
 				return s.buildOracle(ctx, key, n, false)
 			}
 			return cl.o, cl.err

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"leosim/internal/core"
 	"leosim/internal/fault"
 	"leosim/internal/telemetry"
 )
@@ -30,26 +32,11 @@ func get(s *Server, url string) *httptest.ResponseRecorder {
 	return rec
 }
 
-// The chaos acceptance criterion: with seeded injection failing (or
-// panicking) over a third of snapshot builds, a client retrying a handful of
-// times must succeed ≥95% of the time — and once a key's snapshot is
-// resident, it must never see a 5xx again, because stale-while-revalidate
-// absorbs every background rebuild failure. The injector is seeded, so the
-// fault stream is reproducible; the assertions hold for any goroutine
-// interleaving, so the test is deterministic under -race as well.
-func TestChaosStormServesResidentKeysWithoutErrors(t *testing.T) {
-	chaos := fault.NewChaos(42, 0.30, 0.05, 0)
-	s := newTestServer(t, Config{
-		CacheTTL:        time.Millisecond, // nearly every storm request is past TTL
-		CacheStaleFor:   time.Hour,        // but far from hard expiry
-		BreakerCooldown: 50 * time.Millisecond,
-		Chaos:           chaos,
-		MaxInFlight:     64,
-	})
-
-	// Prime every (snapshot, mode) key, retrying through injected failures.
-	// These pre-residency attempts are the only ones allowed to fail.
-	var attempts, failures int
+// primeKeys asks for every (snapshot, mode) key of the test sim through
+// request, retrying through injected failures until each is resident, and
+// returns their URLs.
+func primeKeys(t *testing.T, s *Server, request func(url string) int) []string {
+	t.Helper()
 	urls := make([]string, 0, 4)
 	for snap := 0; snap < 2; snap++ {
 		for _, mode := range []string{"bp", "hybrid"} {
@@ -57,15 +44,8 @@ func TestChaosStormServesResidentKeysWithoutErrors(t *testing.T) {
 			urls = append(urls, url)
 			primed := false
 			for try := 0; try < 50 && !primed; try++ {
-				attempts++
-				switch code := get(s, url).Code; code {
-				case http.StatusOK:
-					primed = true
-				case http.StatusInternalServerError, http.StatusServiceUnavailable:
-					failures++
+				if primed = request(url) == http.StatusOK; !primed {
 					time.Sleep(10 * time.Millisecond) // breaker cooldown headroom
-				default:
-					t.Fatalf("prime %s: unexpected status %d", url, code)
 				}
 			}
 			if !primed {
@@ -73,11 +53,48 @@ func TestChaosStormServesResidentKeysWithoutErrors(t *testing.T) {
 			}
 		}
 	}
+	return urls
+}
 
-	// The storm: concurrent requests for primed keys only, with rebuilds
-	// failing in the background the whole time.
-	const workers, perWorker = 8, 25
-	var non200 atomic.Int64
+// stormURL is request i of a chaos storm: half go to the resident keys, the
+// other half each need a build of their own — a what-if under a fault seed
+// no other request uses, or an instant off the snapshot schedule — so builds,
+// and the failures injected into them, keep going for the whole storm.
+func stormURL(t *testing.T, s *Server, resident []string, i int) (url string, isResident bool) {
+	switch i % 4 {
+	case 0, 1:
+		return resident[i%len(resident)], true
+	case 2:
+		return resident[i%len(resident)] + "&fault=sat&fraction=0.05&fault-seed=" + strconv.Itoa(1000+i), false
+	}
+	sim := serverSim(t)
+	return q("/v1/path",
+		"src", sim.CityName(sim.Pairs[0].Src), "dst", sim.CityName(sim.Pairs[0].Dst),
+		"t", strconv.Itoa(1+i)+"m", "mode", []string{"bp", "hybrid"}[i/4%2]), false
+}
+
+// The chaos acceptance criterion: with seeded injection failing (or
+// panicking) over a third of snapshot builds, a client retrying up to four
+// times must be answered ≥95% of the time — and a key resident before the
+// storm never sees a non-200, because a resident snapshot is final: nothing
+// rebuilds it, so no injected failure can reach it. The storm mixes those keys
+// with requests that each need a build, so injections keep landing beside
+// them. The injector is seeded, so the fault stream is reproducible; the
+// assertions hold for any goroutine interleaving, so the test is
+// deterministic under -race as well.
+func TestChaosStormServesResidentKeysWithoutErrors(t *testing.T) {
+	chaos := fault.NewChaos(42, 0.30, 0.05, 0)
+	s := newTestServer(t, Config{
+		CacheSize:       512, // every key of the storm stays resident
+		BreakerCooldown: 50 * time.Millisecond,
+		Chaos:           chaos,
+		MaxInFlight:     64,
+	})
+	urls := primeKeys(t, s, func(url string) int { return get(s, url).Code })
+	primeFails := chaos.Fails()
+
+	const workers, perWorker, tries = 8, 25, 4
+	var non200, unanswered atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
@@ -85,10 +102,20 @@ func TestChaosStormServesResidentKeysWithoutErrors(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				rec := get(s, urls[(w+i)%len(urls)])
-				if rec.Code != http.StatusOK {
-					non200.Add(1)
-					t.Errorf("resident key: status %d: %s", rec.Code, rec.Body.String())
+				url, resident := stormURL(t, s, urls, w*perWorker+i)
+				answered := false
+				for try := 0; try < tries && !answered; try++ {
+					rec := get(s, url)
+					switch answered = rec.Code == http.StatusOK; {
+					case !answered && resident:
+						non200.Add(1)
+						t.Errorf("resident key: status %d: %s", rec.Code, rec.Body.String())
+					case !answered:
+						time.Sleep(time.Duration(20<<try) * time.Millisecond) // back off past the breaker cooldown
+					}
+				}
+				if !answered {
+					unanswered.Add(1)
 				}
 			}
 		}()
@@ -96,46 +123,33 @@ func TestChaosStormServesResidentKeysWithoutErrors(t *testing.T) {
 	wg.Wait()
 
 	if non200.Load() != 0 {
-		t.Fatalf("%d non-200 responses for resident keys, want 0", non200.Load())
+		t.Fatalf("%d non-200 responses for keys resident before the storm, want 0", non200.Load())
 	}
-	total := attempts + workers*perWorker
-	rate := float64(total-failures) / float64(total)
+	total := int64(workers * perWorker)
+	rate := float64(total-unanswered.Load()) / float64(total)
 	if rate < 0.95 {
-		t.Fatalf("success rate %.3f (%d/%d), want ≥ 0.95", rate, total-failures, total)
+		t.Fatalf("answered %.3f of %d requests within %d tries, want ≥ 0.95", rate, total, tries)
 	}
-	// The run must actually have been chaotic, and the resilience visible.
-	if chaos.Fails() == 0 {
-		t.Fatal("chaos injected no failures — the storm proved nothing")
+	// The storm itself must have been chaotic.
+	stormFails := chaos.Fails() - primeFails
+	if stormFails == 0 {
+		t.Fatal("chaos injected no failures during the storm — it proved nothing")
 	}
-	if st := s.cache.Stats(); st.StaleServes == 0 {
-		t.Errorf("no stale serves recorded during the storm: %+v", st)
-	}
-	var metrics struct {
-		Server struct {
-			Counters map[string]int64 `json:"counters"`
-		} `json:"server"`
-	}
-	if rec := getJSON(t, s.Handler(), "/metrics", &metrics); rec.Code != http.StatusOK {
-		t.Fatalf("/metrics: status %d", rec.Code)
-	}
-	if metrics.Server.Counters["staleResponses"] == 0 {
-		t.Errorf("staleResponses counter = 0 after a stale-serving storm")
-	}
-	t.Logf("chaos storm: %d requests, %d prime failures, rate %.3f, injector %d/%d fail/panic",
-		total, failures, rate, chaos.Fails(), chaos.Panics())
+	t.Logf("chaos storm: %d requests, %.3f answered within %d tries, %d injected failures in the storm (%d while priming), %d panics",
+		total, rate, tries, stormFails, primeFails, chaos.Panics())
 }
 
 // The chaos suite must self-explain: with 30% injected build failures,
 // every single injection appears in /debug/events as a chaos event whose
 // trace ID joins the request that triggered the build — and that request's
-// own outcome (a 5xx, a stale serve, or a degraded fallback) is the
-// response that absorbed it. An operator holding one X-Trace-Id from a bad
-// response can pull the exact injected fault that caused it, and vice versa.
+// own outcome (a 5xx or a degraded fallback) is the response that absorbed
+// it; conversely, every 5xx or degraded response joins an injection. An
+// operator holding one X-Trace-Id from a bad response can pull the exact
+// injected fault that caused it, and vice versa.
 func TestChaosSelfExplainsInFlightRecorder(t *testing.T) {
 	chaos := fault.NewChaos(99, 0.30, 0.05, 0)
 	s := newTestServer(t, Config{
-		CacheTTL:         time.Millisecond,
-		CacheStaleFor:    time.Hour,
+		CacheSize:        512,
 		BreakerThreshold: -1, // isolate the event join from breaker 503s
 		Chaos:            chaos,
 		MaxInFlight:      64,
@@ -147,7 +161,6 @@ func TestChaosSelfExplainsInFlightRecorder(t *testing.T) {
 	// outcome is what one request experienced, keyed by its X-Trace-Id.
 	type outcome struct {
 		status   int
-		stale    bool
 		degraded bool
 	}
 	var mu sync.Mutex
@@ -155,34 +168,18 @@ func TestChaosSelfExplainsInFlightRecorder(t *testing.T) {
 	request := func(url string) int {
 		rec := get(s, url)
 		var body struct {
-			Stale    bool   `json:"stale"`
 			Degraded string `json:"degraded"`
 		}
-		json.Unmarshal(rec.Body.Bytes(), &body) //nolint:errcheck // error bodies lack the fields
+		json.Unmarshal(rec.Body.Bytes(), &body) //nolint:errcheck // error bodies lack the field
 		mu.Lock()
-		outcomes[rec.Header().Get("X-Trace-Id")] = outcome{
-			status: rec.Code, stale: body.Stale, degraded: body.Degraded != "",
-		}
+		outcomes[rec.Header().Get("X-Trace-Id")] = outcome{status: rec.Code, degraded: body.Degraded != ""}
 		mu.Unlock()
 		return rec.Code
 	}
 
 	// Prime each key through the injected failures, then storm the resident
-	// keys while background rebuilds keep failing.
-	urls := make([]string, 0, 4)
-	for snap := 0; snap < 2; snap++ {
-		for _, mode := range []string{"bp", "hybrid"} {
-			url := chaosURL(t, s, snap, mode)
-			urls = append(urls, url)
-			primed := false
-			for try := 0; try < 50 && !primed; try++ {
-				primed = request(url) == http.StatusOK
-			}
-			if !primed {
-				t.Fatalf("key %s not primed after 50 attempts", url)
-			}
-		}
-	}
+	// keys beside requests that each need a build.
+	urls := primeKeys(t, s, request)
 	const workers, perWorker = 8, 25
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -191,76 +188,62 @@ func TestChaosSelfExplainsInFlightRecorder(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				request(urls[(w+i)%len(urls)])
-				// Pace past the TTL so revalidations (and their injected
-				// failures) keep cycling instead of coalescing into one.
-				time.Sleep(time.Millisecond)
+				url, _ := stormURL(t, s, urls, w*perWorker+i)
+				request(url)
 			}
 		}()
 	}
 	wg.Wait()
 
-	// Quiesce: background revalidation builds may still be landing their
-	// events; poll until the recorder holds every injection. The registry is
-	// process-global, so a straggler build from an earlier test can land a
-	// foreign chaos event in the ring too — scope the join to events whose
-	// trace belongs to this storm's requests. The scoping costs nothing: an
-	// injection of OURS that lost its trace would drop out of the joined set
-	// and fail the exact-count assertion below.
-	injected := func() int64 { return chaos.Fails() + chaos.Panics() }
-	joinedChaos := func() []telemetry.Event {
-		mu.Lock()
-		defer mu.Unlock()
-		var ours []telemetry.Event
-		for _, e := range telemetry.Events(telemetry.EventFilter{Cat: telemetry.CatChaos, Since: since}) {
-			if _, ok := outcomes[e.Trace.String()]; ok {
-				ours = append(ours, e)
-			}
+	// Every build was some request's own, so its events landed before that
+	// request answered. The registry is process-global, though, so a
+	// straggler build from an earlier test can land a foreign chaos event in
+	// the ring — scope the join to events whose trace belongs to this storm's
+	// requests. The scoping costs nothing: an injection of OURS that lost its
+	// trace would drop out of the joined set and fail the exact count below.
+	injected := chaos.Fails() + chaos.Panics()
+	var evs []telemetry.Event
+	injectedTraces := map[string]bool{}
+	for _, e := range telemetry.Events(telemetry.EventFilter{Cat: telemetry.CatChaos, Since: since}) {
+		if _, ok := outcomes[e.Trace.String()]; ok {
+			evs = append(evs, e)
+			injectedTraces[e.Trace.String()] = true
 		}
-		return ours
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for int64(len(joinedChaos())) < injected() && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	evs := joinedChaos()
-	if int64(len(evs)) != injected() {
+	if int64(len(evs)) != injected {
 		t.Fatalf("flight recorder joins %d chaos events to this storm's requests, injector reports %d (fails=%d panics=%d)",
-			len(evs), injected(), chaos.Fails(), chaos.Panics())
+			len(evs), injected, chaos.Fails(), chaos.Panics())
 	}
-	if injected() == 0 {
+	if injected == 0 {
 		t.Fatal("chaos injected nothing — the join proved nothing")
 	}
 
 	// Every injection joins a request, and that request's response absorbed
-	// the failure: a 5xx, a stale serve, or a degraded fallback. (A 200
-	// with neither marker would mean a failed build silently produced a
-	// fresh answer — the one impossible outcome.)
-	mu.Lock()
-	defer mu.Unlock()
+	// the failure: a 5xx or a degraded fallback. (A clean 200 would mean a
+	// failed build silently produced an answer — the one impossible outcome.)
 	for _, e := range evs {
-		oc := outcomes[e.Trace.String()]
-		if oc.status < 500 && !oc.stale && !oc.degraded {
-			t.Errorf("chaos event %d trace %s joined a clean 200 (status=%d stale=%v degraded=%v)",
-				e.Seq, e.Trace, oc.status, oc.stale, oc.degraded)
+		if oc := outcomes[e.Trace.String()]; oc.status < 500 && !oc.degraded {
+			t.Errorf("chaos event %d trace %s joined a clean %d", e.Seq, e.Trace, oc.status)
 		}
 	}
-
-	// The join works in the other direction too: the injections surface as
-	// build-failure events carrying the same trace IDs. (Universal
-	// quantification is again off the table because of foreign stragglers.)
-	var joinedBuildFails int
+	// And the other way: every 5xx or degraded response joins an injection,
+	// which also surfaced as a build-failure event under the same trace.
+	failedTraces := map[string]bool{}
 	for _, e := range telemetry.Events(telemetry.EventFilter{Cat: telemetry.CatBuild, MinSev: telemetry.SevError, Since: since}) {
-		if _, ok := outcomes[e.Trace.String()]; ok {
-			joinedBuildFails++
+		failedTraces[e.Trace.String()] = true
+	}
+	var bad int
+	for trace, oc := range outcomes {
+		if oc.status < 500 && !oc.degraded {
+			continue
+		}
+		bad++
+		if !injectedTraces[trace] || !failedTraces[trace] {
+			t.Errorf("response trace %s (status %d, degraded %v) joins no injected build failure", trace, oc.status, oc.degraded)
 		}
 	}
-	if joinedBuildFails == 0 {
-		t.Error("no build-failure event joins any of this storm's requests")
-	}
-	t.Logf("joined %d injected faults (%d fails, %d panics) across %d requests",
-		injected(), chaos.Fails(), chaos.Panics(), len(outcomes))
+	t.Logf("joined %d injected faults (%d fails, %d panics) to %d failed or degraded responses across %d requests",
+		injected, chaos.Fails(), chaos.Panics(), bad, len(outcomes))
 }
 
 // With every build failing, the breaker must trip after the configured
@@ -345,6 +328,31 @@ func TestChaosHybridDegradesToBPFallback(t *testing.T) {
 	}
 	if resp.Degraded != "" {
 		t.Errorf("healed response still degraded: %q", resp.Degraded)
+	}
+}
+
+// The same-key rung: a request's build fails while another writer — here the
+// primer's Put, landing from inside the failing build — makes the key
+// resident. The request is answered from that snapshot, marked
+// "stale-cache", instead of a 500.
+func TestStaleCacheServesKeyLandedDuringFailedBuild(t *testing.T) {
+	chaos := fault.NewChaos(7, 1.0, 0, time.Nanosecond)
+	s := newTestServer(t, Config{Chaos: chaos, BreakerThreshold: -1})
+	key := s.cacheKey(snapSpec{t: s.times[0], mode: core.BP})
+	landed, err := s.cfg.Sim.BuildNetworkAt(context.Background(), key.Time, core.BP, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos.Sleep = func(time.Duration) { s.cache.Put(key, landed) }
+	var resp pathResponse
+	if rec := getJSON(t, s.Handler(), chaosURL(t, s, 0, "bp"), &resp); rec.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200 from the landed snapshot: %s", rec.Code, rec.Body.String())
+	}
+	if resp.Degraded != "stale-cache" || !resp.Path.Reachable {
+		t.Fatalf("degraded = %q, reachable = %v; want a stale-cache answer", resp.Degraded, resp.Path.Reachable)
+	}
+	if chaos.Fails() != 1 || s.degraded.Value() != 1 {
+		t.Errorf("%d injected failures, %d degraded responses; want 1 each", chaos.Fails(), s.degraded.Value())
 	}
 }
 

@@ -206,50 +206,37 @@ func (s *Server) realizeMask(mask string, t time.Time) (*fault.Outages, error) {
 	return plan.RealizeAt(s.cfg.Sim.Const, len(s.cfg.Sim.Seg.Terminals), t)
 }
 
-// snapMeta describes how a snapshot was obtained, for the response envelope.
-type snapMeta struct {
-	// Stale: the snapshot is past its TTL and served under
-	// stale-while-revalidate (a background rebuild is in motion).
-	Stale bool
-	// Degraded names the fallback that saved the response from a 5xx:
-	// "" (none), "stale-cache" (build failed, resident copy served), or
-	// "bp-fallback" (hybrid build failed, resident BP-only snapshot served —
-	// conservative routing: BP paths exist in the hybrid graph too).
-	Degraded string
-}
-
 // snapshot fetches the network for spec (key is its cache key), degrading
-// instead of failing wherever an older answer can absorb the fault: a build
-// error is downgraded to a stale resident copy of the same key, and a
-// hybrid-mode build error to a resident BP-only snapshot. Context expiry is
-// the client's own doing and never degrades.
-func (s *Server) snapshot(ctx context.Context, spec snapSpec, key snapcache.Key) (*graph.Network, snapMeta, error) {
-	n, info, err := s.cache.GetEx(ctx, key)
-	if err == nil {
-		if info.Stale {
-			s.staleResponses.Add(1)
-			telemetry.EmitEvent(ctx, telemetry.CatServe, telemetry.SevInfo,
-				"stale serve: expired snapshot answered, rebuild in background",
-				telemetry.Str("key", key.String()),
-				telemetry.Int64("ageMs", info.Age.Milliseconds()))
-		}
-		return n, snapMeta{Stale: info.Stale}, nil
+// instead of failing wherever a resident snapshot can absorb a build failure.
+// The string names the fallback that saved the response from a 5xx: ""
+// (none), "stale-cache" or "bp-fallback". Context expiry is the client's own
+// doing and never degrades.
+//
+// "stale-cache" serves the key's own snapshot after its build failed. The key
+// was not resident when Get missed, so this rung fires when another writer
+// lands it while this request's build fails: the late adoption of an earlier
+// timed-out build, or the primer's Put. The copy is the same pure function of
+// the key as the failed build; clients know the rung by this wire value.
+// "bp-fallback" answers a failed hybrid build from the resident BP-only
+// snapshot of the same instant — conservative routing: BP paths exist in the
+// hybrid graph too.
+func (s *Server) snapshot(ctx context.Context, spec snapSpec, key snapcache.Key) (*graph.Network, string, error) {
+	n, err := s.cache.Get(ctx, key)
+	if err == nil || ctx.Err() != nil {
+		return n, "", err
 	}
-	if ctx.Err() != nil {
-		return nil, snapMeta{}, err
-	}
-	if n, info, ok := s.cache.GetCached(key); ok {
+	if n, ok := s.cache.GetCached(key); ok {
 		s.noteDegraded(ctx, key.String(), "stale-cache", err)
-		return n, snapMeta{Stale: info.Stale, Degraded: "stale-cache"}, nil
+		return n, "stale-cache", nil
 	}
 	if spec.mode == core.Hybrid {
 		spec.mode = core.BP
-		if n, info, ok := s.cache.GetCached(s.cacheKey(spec)); ok {
+		if n, ok := s.cache.GetCached(s.cacheKey(spec)); ok {
 			s.noteDegraded(ctx, key.String(), "bp-fallback", err)
-			return n, snapMeta{Stale: info.Stale, Degraded: "bp-fallback"}, nil
+			return n, "bp-fallback", nil
 		}
 	}
-	return nil, snapMeta{}, err
+	return nil, "", err
 }
 
 // noteDegraded accounts one fallback serve: the counter, the /healthz
@@ -265,15 +252,16 @@ func (s *Server) noteDegraded(ctx context.Context, key, fallback string, cause e
 		telemetry.Str("cause", cause.Error()))
 }
 
-// resolved is a snapSpec made concrete: its cache key, the network, how the
-// network was obtained, and the distance oracle attached to it — nil when
-// none is, in which case answers come from the healthy parent's oracle where
-// the fault missed the route and from the live kernel otherwise.
+// resolved is a snapSpec made concrete: its cache key, the network, the
+// fallback that supplied it ("" for the key's own snapshot, as in snapshot),
+// and the distance oracle attached to it — nil when none is, in which case
+// answers come from the healthy parent's oracle where the fault missed the
+// route and from the live kernel otherwise.
 type resolved struct {
-	key  snapcache.Key
-	n    *graph.Network
-	meta snapMeta
-	orc  *oracle.Oracle
+	key      snapcache.Key
+	n        *graph.Network
+	degraded string
+	orc      *oracle.Oracle
 }
 
 // resolve fetches (or builds, once, possibly degraded) spec's snapshot and
@@ -284,7 +272,7 @@ type resolved struct {
 func (s *Server) resolve(ctx context.Context, spec snapSpec) (resolved, error) {
 	rs := resolved{key: s.cacheKey(spec)}
 	var err error
-	if rs.n, rs.meta, err = s.snapshot(ctx, spec, rs.key); err != nil {
+	if rs.n, rs.degraded, err = s.snapshot(ctx, spec, rs.key); err != nil {
 		return resolved{}, err
 	}
 	if o, net := s.attachedOracle(rs.key); o != nil && net == rs.n {
@@ -477,7 +465,6 @@ type pathResponse struct {
 	Src      string         `json:"src"`
 	Dst      string         `json:"dst"`
 	Fault    string         `json:"fault,omitempty"`
-	Stale    bool           `json:"stale,omitempty"`
 	Degraded string         `json:"degraded,omitempty"`
 	Path     core.PathQuery `json:"path"`
 }
@@ -504,8 +491,7 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	writeJSON(w, http.StatusOK, pathResponse{
-		Time: spec.t, Mode: spec.mode.String(), Fault: spec.mask,
-		Stale: rs.meta.Stale, Degraded: rs.meta.Degraded,
+		Time: spec.t, Mode: spec.mode.String(), Fault: spec.mask, Degraded: rs.degraded,
 		Src: s.cfg.Sim.CityName(src), Dst: s.cfg.Sim.CityName(dst),
 		Path: path,
 	})
@@ -523,10 +509,8 @@ type latencyResponse struct {
 	Src   string `json:"src"`
 	Dst   string `json:"dst"`
 	Fault string `json:"fault,omitempty"`
-	// Stale: at least one sample was served from an expired snapshot under
-	// stale-while-revalidate. Degraded: at least one sample needed a
-	// fallback snapshot; the value is the first fallback used.
-	Stale    bool            `json:"stale,omitempty"`
+	// Degraded: at least one sample needed a fallback snapshot; the value is
+	// the first fallback used.
 	Degraded string          `json:"degraded,omitempty"`
 	Samples  []latencySample `json:"samples"`
 	Summary  struct {
@@ -582,9 +566,8 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) error {
 		if err != nil {
 			return err
 		}
-		resp.Stale = resp.Stale || rs.meta.Stale
 		if resp.Degraded == "" {
-			resp.Degraded = rs.meta.Degraded
+			resp.Degraded = rs.degraded
 		}
 		sample := latencySample{Time: t, Reachable: path.Reachable}
 		if path.Reachable {
@@ -616,7 +599,6 @@ type reachabilityResponse struct {
 	Mode         string                  `json:"mode"`
 	Src          string                  `json:"src,omitempty"`
 	Fault        string                  `json:"fault,omitempty"`
-	Stale        bool                    `json:"stale,omitempty"`
 	Degraded     string                  `json:"degraded,omitempty"`
 	Reachability *core.ReachabilityQuery `json:"reachability"`
 }
@@ -639,7 +621,7 @@ func (s *Server) handleReachability(w http.ResponseWriter, r *http.Request) erro
 		srcName = s.cfg.Sim.CityName(src)
 	}
 	// Not a path question: the snapshot alone, no oracle lookup.
-	n, meta, err := s.snapshot(ctx, spec, s.cacheKey(spec))
+	n, degraded, err := s.snapshot(ctx, spec, s.cacheKey(spec))
 	if err != nil {
 		return err
 	}
@@ -649,24 +631,22 @@ func (s *Server) handleReachability(w http.ResponseWriter, r *http.Request) erro
 	}
 	writeJSON(w, http.StatusOK, reachabilityResponse{
 		Time: spec.t, Mode: spec.mode.String(), Src: srcName, Fault: spec.mask,
-		Stale: meta.Stale, Degraded: meta.Degraded, Reachability: reach,
+		Degraded: degraded, Reachability: reach,
 	})
 	return nil
 }
 
 type cacheStatsJSON struct {
-	Hits        int64   `json:"hits"`
-	Misses      int64   `json:"misses"`
-	Builds      int64   `json:"builds"`
-	Evictions   int64   `json:"evictions"`
-	Expirations int64   `json:"expirations"`
-	Errors      int64   `json:"errors"`
-	StaleServes int64   `json:"staleServes"`
-	Timeouts    int64   `json:"buildTimeouts"`
-	LateBuilds  int64   `json:"lateBuilds"`
-	FastFails   int64   `json:"fastFails"`
-	HitRate     float64 `json:"hitRate"`
-	Resident    int     `json:"resident"`
+	Hits       int64   `json:"hits"`
+	Misses     int64   `json:"misses"`
+	Builds     int64   `json:"builds"`
+	Evictions  int64   `json:"evictions"`
+	Errors     int64   `json:"errors"`
+	Timeouts   int64   `json:"buildTimeouts"`
+	LateBuilds int64   `json:"lateBuilds"`
+	FastFails  int64   `json:"fastFails"`
+	HitRate    float64 `json:"hitRate"`
+	Resident   int     `json:"resident"`
 }
 
 // breakerJSON is the live circuit-breaker position in /metrics and
@@ -683,8 +663,7 @@ func (s *Server) cacheStatsJSON() cacheStatsJSON {
 	st := s.cache.Stats()
 	return cacheStatsJSON{
 		Hits: st.Hits, Misses: st.Misses, Builds: st.Builds,
-		Evictions: st.Evictions, Expirations: st.Expirations, Errors: st.Errors,
-		StaleServes: st.StaleServes, Timeouts: st.Timeouts,
+		Evictions: st.Evictions, Errors: st.Errors, Timeouts: st.Timeouts,
 		LateBuilds: st.LateBuilds, FastFails: st.FastFails,
 		HitRate: st.HitRate(), Resident: s.cache.Len(),
 	}
@@ -718,14 +697,13 @@ func (s *Server) handleSnapshots(w http.ResponseWriter, r *http.Request) {
 
 // errorBudgetJSON summarizes how much failure the serve path has absorbed or
 // surfaced: total requests, hard failures (5xx: internal errors, deadline
-// timeouts, breaker rejects), sheds, degraded/stale serves, and the
-// resulting availability ratio.
+// timeouts, breaker rejects), sheds, degraded serves, and the resulting
+// availability ratio.
 type errorBudgetJSON struct {
 	Requests     int64   `json:"requests"`
 	Errors5xx    int64   `json:"errors5xx"`
 	Shed         int64   `json:"shed"`
 	Degraded     int64   `json:"degraded"`
-	Stale        int64   `json:"stale"`
 	Availability float64 `json:"availability"`
 }
 
@@ -735,7 +713,6 @@ func (s *Server) errorBudgetJSON() errorBudgetJSON {
 		Errors5xx: s.internalErrors.Value() + s.timeouts.Value() + s.breakerTrips.Value(),
 		Shed:      s.shed.Value(),
 		Degraded:  s.degraded.Value(),
-		Stale:     s.staleResponses.Value(),
 	}
 	eb.Availability = 1
 	if eb.Requests > 0 {

@@ -53,21 +53,13 @@ type Config struct {
 	// day + 4, enough for a whole-day latency scan per mode at small
 	// scales without evictions thrashing).
 	CacheSize int
-	// CacheTTL expires cached snapshots (default 0: never — snapshot
-	// graphs for a fixed scenario are immutable).
-	CacheTTL time.Duration
-	// CacheStaleFor extends expired snapshots' lives: within the window a
-	// stale snapshot is served (responses carry "stale": true) while one
-	// background rebuild runs. Zero disables stale-while-revalidate;
-	// meaningless without CacheTTL.
-	CacheStaleFor time.Duration
 	// BuildTimeout bounds each snapshot build. Zero means no bound beyond
 	// the per-request deadline.
 	BuildTimeout time.Duration
 	// BreakerThreshold trips the snapshot-build circuit breaker after this
 	// many consecutive build failures (default 5; negative disables). While
 	// open, misses fail fast with 503 + Retry-After instead of hammering a
-	// broken build path; stale snapshots keep serving.
+	// broken build path; resident snapshots keep serving.
 	BreakerThreshold int
 	// BreakerCooldown is how long the open breaker waits before one probe
 	// build (default: snapcache's own 5s).
@@ -166,11 +158,11 @@ type Server struct {
 	// histograms. Per-server (not the process-global telemetry registry) so
 	// several instances — e.g. test servers — never share a namespace. The
 	// cache's counters surface as pull-style gauges on the same registry.
-	reg                                    *telemetry.Registry
-	requests, shed, cancelled, timeouts    *telemetry.Counter
-	badRequests, notFound, internalErrors  *telemetry.Counter
-	degraded, staleResponses, breakerTrips *telemetry.Counter
-	inflight                               *telemetry.Gauge
+	reg                                   *telemetry.Registry
+	requests, shed, cancelled, timeouts   *telemetry.Counter
+	badRequests, notFound, internalErrors *telemetry.Counter
+	degraded, breakerTrips                *telemetry.Counter
+	inflight                              *telemetry.Gauge
 
 	// Oracle serving state: per-key singleflight for the one-time builds,
 	// plus counters for builds paid and attached oracles reused.
@@ -203,8 +195,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.cache = snapcache.New(s.buildSnapshot, snapcache.Options{
 		Capacity:         cfg.CacheSize,
-		TTL:              cfg.CacheTTL,
-		StaleFor:         cfg.CacheStaleFor,
 		BuildTimeout:     cfg.BuildTimeout,
 		BreakerThreshold: cfg.BreakerThreshold,
 		BreakerCooldown:  cfg.BreakerCooldown,
@@ -228,12 +218,10 @@ func New(cfg Config) (*Server, error) {
 	s.badRequests = s.reg.Counter("badRequests")
 	s.notFound = s.reg.Counter("notFound")
 	s.internalErrors = s.reg.Counter("internalErrors")
-	// Degraded-mode accounting: responses answered from a stale or fallback
-	// snapshot (200 with a "degraded" field where a plain server would 5xx),
-	// responses served stale under stale-while-revalidate, and requests
-	// rejected by the open build breaker (503).
+	// Degraded-mode accounting: responses answered from a fallback snapshot
+	// (200 with a "degraded" field where a plain server would 5xx), and
+	// requests rejected by the open build breaker (503).
 	s.degraded = s.reg.Counter("degradedResponses")
-	s.staleResponses = s.reg.Counter("staleResponses")
 	s.breakerTrips = s.reg.Counter("breakerRejects")
 	s.inflight = s.reg.Gauge("inflight")
 	// Oracle accounting: one-time builds paid (on demand or by the primer)
@@ -257,10 +245,9 @@ func New(cfg Config) (*Server, error) {
 		return st.Misses - st.Builds
 	})
 	s.reg.RegisterGaugeFunc("cache_resident", func() int64 { return int64(s.cache.Len()) })
-	// Self-healing surface: stale serves, abandoned/adopted builds, and the
-	// live breaker position (0 closed, 1 half-open, 2 open) with its
-	// consecutive-failure streak.
-	s.reg.RegisterGaugeFunc("cache_stale_serves", func() int64 { return s.cache.Stats().StaleServes })
+	// Self-healing surface: abandoned/adopted builds, and the live breaker
+	// position (0 closed, 1 half-open, 2 open) with its consecutive-failure
+	// streak.
 	s.reg.RegisterGaugeFunc("cache_primed", func() int64 { return s.cache.Stats().Primed })
 	s.reg.RegisterGaugeFunc("cache_build_timeouts", func() int64 { return s.cache.Stats().Timeouts })
 	s.reg.RegisterGaugeFunc("cache_late_builds", func() int64 { return s.cache.Stats().LateBuilds })
@@ -463,7 +450,8 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 
 // primeCache builds every snapshot of the schedule for both modes and
 // deposits it into the cache; requests arriving mid-prime simply build (or
-// singleflight-share) as usual and the prime's Put refreshes their entry.
+// singleflight-share) as usual, and whichever network lands first for a key
+// is the one that stays.
 // Runs until done or ctx is cancelled; a builder panic aborts priming with a
 // log line, never the serve process.
 func (s *Server) primeCache(ctx context.Context) {
@@ -488,7 +476,9 @@ func (s *Server) primeAll(ctx context.Context) (primed int, err error) {
 				return primed, err
 			}
 			key := s.cacheKey(snapSpec{t: t, mode: mode})
-			s.cache.Put(key, n)
+			// A request's build may have landed this key first; the oracle
+			// must describe the network that is resident, not ours.
+			n = s.cache.Put(key, n)
 			primed++
 			if s.cfg.PrimeOracles {
 				// The oracle build rides the primer: once it lands, the

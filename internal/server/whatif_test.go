@@ -255,9 +255,9 @@ func TestSurvivingRouteUnderBPFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := resolved{
-		key:  s.cacheKey(snapSpec{t: s.times[1], mode: core.Hybrid, mask: "sat:0.1:9"}),
-		n:    bp.n,
-		meta: snapMeta{Degraded: "bp-fallback"},
+		key:      s.cacheKey(snapSpec{t: s.times[1], mode: core.Hybrid, mask: "sat:0.1:9"}),
+		n:        bp.n,
+		degraded: "bp-fallback",
 	}
 	srcs := []int{0, 7, 19, 33}
 	survived, cut, _ := requireShortcutMatchesKernel(t, s, rs, srcs, "bp-fallback")
@@ -316,7 +316,7 @@ func TestSurvivingRouteNeedsAHealthyOracle(t *testing.T) {
 		t.Fatal("surviving-route answer given with no healthy oracle resident")
 	}
 	healthy := snapcache.Key{Scenario: rs.key.Scenario, Time: rs.key.Time}
-	if _, _, ok := s.cache.GetCached(healthy); !ok {
+	if _, ok := s.cache.GetCached(healthy); !ok {
 		t.Fatal("the masked build did not leave its healthy parent resident")
 	}
 	if _, err := s.answer(context.Background(), rs, 0, 1, true); err != nil {

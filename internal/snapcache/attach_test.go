@@ -2,6 +2,7 @@ package snapcache
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 
 // TestAttachLifecycle pins the attachment contract: an artifact attaches
 // only to the exact network it was derived from, is readable while the
-// entry is servable, and dies with the entry.
+// entry is resident, and dies with the entry.
 func TestAttachLifecycle(t *testing.T) {
 	c := New(func(ctx context.Context, k Key) (*graph.Network, error) {
 		return tinyNet(k.String()), nil
@@ -47,35 +48,53 @@ func TestAttachLifecycle(t *testing.T) {
 	}
 }
 
-// TestAttachClearedOnRefresh pins the refresh rule: re-inserting a
-// *different* network under the same key clears the attachment (the
-// artifact described the old graph), while a same-pointer refresh keeps it.
-func TestAttachClearedOnRefresh(t *testing.T) {
+// TestResidentEntryIsNeverReplaced pins first writer wins: inserting a key
+// that is already resident — a primer Put, or the late adoption of a
+// timed-out build — keeps the resident network and its attachment, and hands
+// the resident network back, so an oracle derived from it is never silently
+// dropped in favour of an equal graph nothing on the GET path would attach
+// one to again.
+func TestResidentEntryIsNeverReplaced(t *testing.T) {
+	gate := make(chan struct{})
 	c := New(func(ctx context.Context, k Key) (*graph.Network, error) {
-		return tinyNet(k.String()), nil
-	}, Options{})
+		<-gate // the timed-out build of the second half, finishing late
+		return tinyNet("late"), nil
+	}, Options{BuildTimeout: 10 * time.Millisecond})
 	key := keyAt("s", 1)
-	n1 := tinyNet("first")
-	c.Put(key, n1)
+	n1, n2 := tinyNet("first"), tinyNet("second")
+	if got := c.Put(key, n1); got != n1 {
+		t.Fatal("Put into an empty slot returned a different network")
+	}
 	if !c.Attach(key, n1, "artifact") {
 		t.Fatal("Attach refused a primed entry")
 	}
-
-	// Same network re-deposited: the artifact still describes it.
-	c.Put(key, n1)
-	if _, _, ok := c.Attachment(key); !ok {
-		t.Fatal("same-network refresh dropped the attachment")
+	got := c.Put(key, n2)
+	if n, _ := c.GetCached(key); n != n1 {
+		t.Fatal("Put of a second network replaced the resident one")
+	}
+	if aux, n, ok := c.Attachment(key); !ok || aux != "artifact" || n != n1 {
+		t.Fatalf("Attachment after a second Put = (%v, %v), want the artifact on the first network", aux, ok)
+	}
+	if got != n1 {
+		t.Fatal("Put returned the network it was given, not the resident one")
+	}
+	if c.Attach(key, n2, "other") {
+		t.Fatal("Attach accepted the network that lost the insert")
 	}
 
-	// A genuinely new network: the artifact must go.
-	n2 := tinyNet("second")
-	c.Put(key, n2)
-	if _, _, ok := c.Attachment(key); ok {
-		t.Fatal("attachment survived a refresh with a different network")
+	// A late adoption over a resident entry keeps it too.
+	late := keyAt("s", 2)
+	if _, err := c.Get(context.Background(), late); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("slow build: err = %v, want DeadlineExceeded", err)
 	}
-	// And the old network no longer accepts attaches under this key.
-	if c.Attach(key, n1, "artifact") {
-		t.Fatal("Attach accepted the superseded network")
+	c.Put(late, n2)
+	if !c.Attach(late, n2, "artifact") {
+		t.Fatal("Attach refused a primed entry")
+	}
+	close(gate)
+	waitFor(t, "late adoption", func() bool { return c.Stats().LateBuilds == 1 })
+	if aux, n, ok := c.Attachment(late); !ok || aux != "artifact" || n != n2 {
+		t.Fatalf("late adoption over a primed entry: Attachment = (%v, %v), want the artifact on the primed network", aux, ok)
 	}
 }
 
@@ -94,34 +113,5 @@ func TestAttachEvicted(t *testing.T) {
 	c.Put(k2, tinyNet("two")) // capacity 1: evicts k1
 	if _, _, ok := c.Attachment(k1); ok {
 		t.Fatal("attachment survived eviction")
-	}
-}
-
-// TestAttachmentTTLWindow pins expiry coupling: the attachment is servable
-// exactly as long as its entry is (TTL + StaleFor), then becomes a miss.
-func TestAttachmentTTLWindow(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	c := New(func(ctx context.Context, k Key) (*graph.Network, error) {
-		return tinyNet(k.String()), nil
-	}, Options{TTL: 10 * time.Second, StaleFor: 5 * time.Second, Clock: clock})
-	key := keyAt("s", 1)
-	n := tinyNet("ttl")
-	c.Put(key, n)
-	if !c.Attach(key, n, "artifact") {
-		t.Fatal("Attach refused fresh entry")
-	}
-
-	now = now.Add(9 * time.Second) // fresh
-	if _, _, ok := c.Attachment(key); !ok {
-		t.Fatal("attachment missing within TTL")
-	}
-	now = now.Add(3 * time.Second) // expired but within StaleFor
-	if _, _, ok := c.Attachment(key); !ok {
-		t.Fatal("attachment missing in the stale-while-revalidate window")
-	}
-	now = now.Add(4 * time.Second) // past TTL+StaleFor
-	if _, _, ok := c.Attachment(key); ok {
-		t.Fatal("attachment served past TTL+StaleFor")
 	}
 }

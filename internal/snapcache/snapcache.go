@@ -4,6 +4,12 @@
 // same constellation epoch must route over one graph built once, not once
 // per request.
 //
+// A resident snapshot is final; entries leave only by eviction. The graph for
+// a key is a deterministic function of that key, so nothing can make a
+// resident entry stale: there is no expiry and no refresh, and inserting a key
+// that is already resident keeps the resident network (first writer wins).
+// Self-healing is about build failure, which is real.
+//
 // Mechanisms, composing from plain caching to self-healing:
 //
 //   - Singleflight: concurrent Gets for the same key elect one builder; the
@@ -16,14 +22,6 @@
 //     attachment (a distance oracle) is work no single-path request repeats —
 //     and the plain LRU entry once every resident entry carries one. Without
 //     attachments this is a plain LRU.
-//   - TTL: entries older than the configured lifetime are rebuilt on next
-//     access, which bounds staleness when the backing scenario can change
-//     (a zero TTL disables expiry — snapshot graphs for a fixed scenario
-//     are immutable).
-//   - Stale-while-revalidate: an entry past its TTL but within StaleFor is
-//     served immediately, marked Stale, while one background rebuild runs.
-//     Readers never block on — or 5xx because of — a refresh that the old
-//     answer could absorb.
 //   - Build timeout: each build gets a deadline. A timed-out build fails
 //     its waiters promptly, but if the build later completes anyway its
 //     result is adopted into the cache (self-healing, not wasted).
@@ -31,7 +29,7 @@
 //     further misses fail fast with a BreakerOpenError carrying a
 //     Retry-After hint instead of hammering a broken backend. After a
 //     cooldown one probe build half-opens the breaker; success closes it.
-//     Stale entries keep serving throughout — the breaker only guards
+//     Resident entries keep serving throughout — the breaker only guards
 //     *new* build work.
 package snapcache
 
@@ -78,14 +76,6 @@ type BuildFunc func(ctx context.Context, key Key) (*graph.Network, error)
 type Options struct {
 	// Capacity bounds resident entries (default 16; minimum 1).
 	Capacity int
-	// TTL expires entries this long after their build completed; zero
-	// means entries never expire.
-	TTL time.Duration
-	// StaleFor extends each entry's life past its TTL: within the window
-	// the stale entry is served (marked Stale) while a background rebuild
-	// runs; past it the entry is a hard miss. Zero disables
-	// stale-while-revalidate. Ignored when TTL is zero.
-	StaleFor time.Duration
 	// BuildTimeout bounds each build. A build that exceeds it fails its
 	// waiters with context.DeadlineExceeded (feeding the breaker), but a
 	// late successful result is still adopted into the cache. Zero means
@@ -103,25 +93,23 @@ type Options struct {
 	// the build's detached context; it still carries the triggering
 	// request's trace ID, so injected faults are joinable to requests.
 	BuildHook func(ctx context.Context, key Key) error
-	// Clock overrides time.Now for TTL/breaker tests.
+	// Clock overrides time.Now for breaker tests.
 	Clock func() time.Time
 }
 
 // Stats are cumulative cache counters. Hits+Misses counts Gets; Builds
 // counts invocations of the build function (Misses > Builds when
-// singleflight coalesced concurrent misses). StaleServes counts hits
-// served past TTL under stale-while-revalidate (also included in Hits).
+// singleflight coalesced concurrent misses).
 type Stats struct {
-	Hits, Misses, Builds, Evictions, Expirations, Errors int64
-	// StaleServes counts Gets answered with an expired-but-valid entry.
-	StaleServes int64
+	Hits, Misses, Builds, Evictions, Errors int64
 	// Attachments counts successful Attach calls (derived artifacts —
 	// e.g. distance oracles — keyed to entry lifecycles).
 	Attachments int64
 	// AttachMisses counts Attach calls rejected because the entry was gone
-	// or its network had been replaced since the artifact was derived.
+	// or holds a different network than the one the artifact was derived
+	// from.
 	AttachMisses int64
-	// Primed counts entries inserted ready-made via Put (cache priming)
+	// Primed counts networks offered ready-made via Put (cache priming)
 	// rather than built on demand.
 	Primed int64
 	// Timeouts counts builds that exceeded BuildTimeout.
@@ -143,15 +131,9 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// Info describes how a Get was answered.
-type Info struct {
-	// Stale is set when the entry was served past its TTL while a
-	// background rebuild proceeds (stale-while-revalidate).
-	Stale bool
-	// Age is how long ago the served entry was built (zero for an entry
-	// built by this very Get).
-	Age time.Duration
-}
+// Info is what GetEx reports beside the network: nothing, as a resident
+// entry is final. It exists for GetEx's callers.
+type Info struct{}
 
 // BreakerState is the circuit breaker's position.
 type BreakerState int32
@@ -199,14 +181,12 @@ func (e *BreakerOpenError) Error() string {
 }
 
 type entry struct {
-	n       *graph.Network
-	builtAt time.Time
-	elem    *list.Element // position in the LRU list; Value is the Key
+	n    *graph.Network
+	elem *list.Element // position in the LRU list; Value is the Key
 	// aux is the attachment riding this entry (a derived artifact such as a
 	// distance oracle built from n). It shares the entry's whole lifecycle:
-	// eviction and hard expiry drop it with the entry, and a rebuild
-	// that replaces n clears it — an attachment never outlives, or
-	// mismatches, the snapshot it was derived from.
+	// n is never replaced, and eviction drops both — an attachment never
+	// outlives, or mismatches, the snapshot it was derived from.
 	aux any
 }
 
@@ -222,8 +202,6 @@ type Cache struct {
 	build        BuildFunc
 	hook         func(context.Context, Key) error
 	cap          int
-	ttl          time.Duration
-	staleFor     time.Duration
 	buildTimeout time.Duration
 	brThreshold  int
 	brCooldown   time.Duration
@@ -240,10 +218,10 @@ type Cache struct {
 	brProbe  bool // a half-open probe build is in flight
 	openedAt time.Time
 
-	hits, misses, builds, evictions, expirations, errors atomic.Int64
-	staleServes, timeouts, lateBuilds, primed            atomic.Int64
-	fastFails, breakerOpens                              atomic.Int64
-	attachments, attachMisses                            atomic.Int64
+	hits, misses, builds, evictions, errors atomic.Int64
+	timeouts, lateBuilds, primed            atomic.Int64
+	fastFails, breakerOpens                 atomic.Int64
+	attachments, attachMisses               atomic.Int64
 }
 
 // New creates a cache that builds missing snapshots with build.
@@ -264,8 +242,6 @@ func New(build BuildFunc, opts Options) *Cache {
 		build:        build,
 		hook:         opts.BuildHook,
 		cap:          opts.Capacity,
-		ttl:          opts.TTL,
-		staleFor:     opts.StaleFor,
 		buildTimeout: opts.BuildTimeout,
 		brThreshold:  opts.BreakerThreshold,
 		brCooldown:   opts.BreakerCooldown,
@@ -281,112 +257,68 @@ func New(build BuildFunc, opts Options) *Cache {
 // without a network if ctx is done before the build finishes; the build is
 // not abandoned on behalf of one impatient caller.
 func (c *Cache) Get(ctx context.Context, key Key) (*graph.Network, error) {
-	n, _, err := c.GetEx(ctx, key)
-	return n, err
-}
-
-// GetEx is Get plus an Info describing how the request was answered —
-// notably whether the served snapshot is stale (expired but inside the
-// stale-while-revalidate window, with a background rebuild in motion).
-func (c *Cache) GetEx(ctx context.Context, key Key) (*graph.Network, Info, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, Info{}, err
+		return nil, err
 	}
 	// The span's stage is classified at the end — the lookup's outcome (hit,
 	// singleflight wait, or leader miss) is not known at entry.
 	sp := telemetry.StartSpan(ctx, telemetry.StageCacheHit)
 	c.mu.Lock()
-	now := c.now()
 	if e, ok := c.entries[key]; ok {
-		age := now.Sub(e.builtAt)
-		switch {
-		case c.ttl <= 0 || age < c.ttl:
-			c.lru.MoveToFront(e.elem)
-			c.hits.Add(1)
-			n := e.n
-			c.mu.Unlock()
-			sp.EndAs(telemetry.StageCacheHit)
-			return n, Info{Age: age}, nil
-		case c.staleFor > 0 && age < c.ttl+c.staleFor:
-			// Expired but servable: answer now, refresh in the background.
-			c.lru.MoveToFront(e.elem)
-			c.hits.Add(1)
-			c.staleServes.Add(1)
-			c.revalidateLocked(ctx, key, now)
-			n := e.n
-			c.mu.Unlock()
-			sp.EndAs(telemetry.StageCacheHit)
-			return n, Info{Stale: true, Age: age}, nil
-		default:
-			c.lru.Remove(e.elem)
-			delete(c.entries, key)
-			c.expirations.Add(1)
-		}
+		c.lru.MoveToFront(e.elem)
+		c.hits.Add(1)
+		n := e.n
+		c.mu.Unlock()
+		sp.EndAs(telemetry.StageCacheHit)
+		return n, nil
 	}
 	c.misses.Add(1)
-	if cl, ok := c.inflight[key]; ok {
-		// Someone else is already building this snapshot; wait for them.
-		c.mu.Unlock()
-		defer sp.EndAs(telemetry.StageCacheWait)
-		select {
-		case <-cl.done:
-			return cl.n, Info{}, cl.err
-		case <-ctx.Done():
-			return nil, Info{}, ctx.Err()
+	// Someone else may already be building this snapshot; then wait for them.
+	stage := telemetry.StageCacheWait
+	cl, ok := c.inflight[key]
+	if !ok {
+		if allow, retry := c.allowBuildLocked(ctx); !allow {
+			c.fastFails.Add(1)
+			c.mu.Unlock()
+			sp.EndAs(telemetry.StageCacheMiss)
+			return nil, &BreakerOpenError{RetryAfter: retry}
 		}
+		cl = c.startBuildLocked(ctx, key)
+		stage = telemetry.StageCacheMiss
 	}
-	if allow, retry := c.allowBuildLocked(ctx, now); !allow {
-		c.fastFails.Add(1)
-		c.mu.Unlock()
-		sp.EndAs(telemetry.StageCacheMiss)
-		return nil, Info{}, &BreakerOpenError{RetryAfter: retry}
-	}
-	cl := c.startBuildLocked(ctx, key)
 	c.mu.Unlock()
-
-	defer sp.EndAs(telemetry.StageCacheMiss)
+	defer sp.EndAs(stage)
 	select {
 	case <-cl.done:
-		return cl.n, Info{}, cl.err
+		return cl.n, cl.err
 	case <-ctx.Done():
-		return nil, Info{}, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
-// GetCached returns the resident entry for key if one exists within its
-// servable window (TTL, extended by StaleFor), without ever building. It
-// is the degraded-fallback probe: "do we have *anything* usable for this
-// key right now?". No counters move and no revalidation starts.
-func (c *Cache) GetCached(key Key) (*graph.Network, Info, bool) {
+// GetEx is Get with an empty Info, for callers that take the three-value form
+// (the bench module's ledger times it); new code calls Get.
+func (c *Cache) GetEx(ctx context.Context, key Key) (*graph.Network, Info, error) {
+	n, err := c.Get(ctx, key)
+	return n, Info{}, err
+}
+
+// GetCached returns the resident entry for key, if there is one, without
+// ever building. It is the degraded-fallback probe: "do we have *anything*
+// usable for this key right now?". No counters and no LRU order move.
+func (c *Cache) GetCached(key Key) (*graph.Network, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
-		return nil, Info{}, false
+		return nil, false
 	}
-	age := c.now().Sub(e.builtAt)
-	if c.ttl > 0 && age >= c.ttl+c.staleFor {
-		return nil, Info{}, false
-	}
-	return e.n, Info{Stale: c.ttl > 0 && age >= c.ttl, Age: age}, true
-}
-
-// revalidateLocked kicks one background rebuild for a stale key, if none is
-// in flight and the breaker permits. Nobody waits on it; the stale entry
-// keeps serving until the rebuild lands (or hard expiry wins).
-func (c *Cache) revalidateLocked(ctx context.Context, key Key, now time.Time) {
-	if _, busy := c.inflight[key]; busy {
-		return
-	}
-	if allow, _ := c.allowBuildLocked(ctx, now); !allow {
-		return
-	}
-	c.startBuildLocked(ctx, key)
+	return e.n, true
 }
 
 // allowBuildLocked asks the breaker whether a build may start now. When it
 // may not, the returned duration is the caller-facing Retry-After hint.
-func (c *Cache) allowBuildLocked(ctx context.Context, now time.Time) (bool, time.Duration) {
+func (c *Cache) allowBuildLocked(ctx context.Context) (bool, time.Duration) {
 	if c.brThreshold <= 0 || !c.brOpen {
 		return true, 0
 	}
@@ -394,7 +326,7 @@ func (c *Cache) allowBuildLocked(ctx context.Context, now time.Time) (bool, time
 		// A probe is already in flight; its outcome decides the breaker.
 		return false, c.brCooldown
 	}
-	if elapsed := now.Sub(c.openedAt); elapsed >= c.brCooldown {
+	if elapsed := c.now().Sub(c.openedAt); elapsed >= c.brCooldown {
 		c.brProbe = true // this build is the half-open probe
 		telemetry.EmitEvent(ctx, telemetry.CatBreaker, telemetry.SevInfo,
 			"breaker half-open: probe build allowed",
@@ -522,9 +454,9 @@ func (c *Cache) runBuild(ctx context.Context, key Key, cl *call) {
 }
 
 // finish publishes a completed build: on success the entry enters the LRU
-// (replacing a stale predecessor, evicting one entry if over capacity);
-// errors are not cached, so the next Get retries. Either way the outcome
-// feeds the breaker.
+// (evicting one entry if over capacity) and the waiters get the network that
+// is resident afterwards; errors are not cached, so the next Get retries.
+// Either way the outcome feeds the breaker.
 func (c *Cache) finish(ctx context.Context, key Key, cl *call) {
 	c.mu.Lock()
 	delete(c.inflight, key)
@@ -532,26 +464,23 @@ func (c *Cache) finish(ctx context.Context, key Key, cl *call) {
 	if cl.err != nil {
 		c.errors.Add(1)
 	} else {
-		c.insertLocked(key, cl.n)
+		cl.n = c.insertLocked(key, cl.n)
 	}
 	c.mu.Unlock()
 	close(cl.done)
 }
 
-// insertLocked puts a freshly built network into the LRU, refreshing an
-// existing (stale) entry in place rather than duplicating it. Refreshing
-// with a different network drops the entry's attachment: the artifact was
-// derived from the old graph and must not describe the new one. A new key over
-// capacity evicts victimLocked's choice.
-func (c *Cache) insertLocked(key Key, n *graph.Network) {
+// insertLocked puts n into the LRU under key and returns the network resident
+// for key afterwards. First writer wins: if key is already resident (a primer
+// Put or a late adoption landed first), the resident network and its
+// attachment stay and only move to the front — both graphs are the same pure
+// function of key, and the resident one may carry an oracle nothing on the
+// single-path route would rebuild. A new key over capacity evicts
+// victimLocked's choice.
+func (c *Cache) insertLocked(key Key, n *graph.Network) *graph.Network {
 	if e, ok := c.entries[key]; ok {
-		if e.n != n {
-			e.aux = nil
-		}
-		e.n = n
-		e.builtAt = c.now()
 		c.lru.MoveToFront(e.elem)
-		return
+		return e.n
 	}
 	for c.lru.Len() >= c.cap {
 		victim := c.victimLocked()
@@ -559,7 +488,8 @@ func (c *Cache) insertLocked(key Key, n *graph.Network) {
 		delete(c.entries, victim.Value.(Key))
 		c.evictions.Add(1)
 	}
-	c.entries[key] = &entry{n: n, builtAt: c.now(), elem: c.lru.PushFront(key)}
+	c.entries[key] = &entry{n: n, elem: c.lru.PushFront(key)}
+	return n
 }
 
 // victimLocked picks the entry a new key pushes out: the least recently used
@@ -592,27 +522,31 @@ func (c *Cache) adoptLate(ctx context.Context, key Key, n *graph.Network) {
 // Put inserts a ready-made network for key without running a build — the
 // cache-priming path: a background primer builds the day's snapshots outside
 // the request path (no build timeout, no breaker accounting) and deposits
-// them. The entry enters the LRU exactly as a built one would (refreshing an
-// existing entry in place, evicting over capacity as victimLocked chooses). A
-// singleflight build already in flight for key is untouched; its own insert
-// simply refreshes the entry when it lands.
-func (c *Cache) Put(key Key, n *graph.Network) {
+// them. The entry enters the LRU exactly as a built one would (evicting over
+// capacity as victimLocked chooses), and as there, an entry already resident
+// for key wins. Put returns the network resident for key afterwards — derive
+// attachments from that one, or Attach refuses them. A singleflight build
+// already in flight for key is untouched; when it lands, its waiters get the
+// resident network. A nil n is ignored (and nil returned).
+func (c *Cache) Put(key Key, n *graph.Network) *graph.Network {
 	if n == nil {
-		return
+		return nil
 	}
 	c.mu.Lock()
-	c.insertLocked(key, n)
+	n = c.insertLocked(key, n)
 	c.mu.Unlock()
 	c.primed.Add(1)
+	return n
 }
 
 // Attach associates a derived artifact (e.g. a distance oracle) with the
-// resident entry for key, provided the entry still holds exactly the network
-// n it was derived from. Pointer identity is the guard: a rebuild, eviction
-// or TTL expiry between deriving the artifact and attaching it makes the
-// attach a no-op (returning false) rather than pinning a result about a graph
-// the cache no longer serves. The attachment is dropped whenever its entry
-// is — it rides the same LRU/TTL lifecycle.
+// resident entry for key, provided the entry holds exactly the network n it
+// was derived from. Pointer identity is the guard: an artifact derived from a
+// network that lost the insert race, or an eviction between deriving the
+// artifact and attaching it, makes the attach a no-op (returning false)
+// rather than pinning a result about a graph the cache does not serve. The
+// attachment is dropped when its entry is evicted — it rides the same LRU
+// lifecycle.
 func (c *Cache) Attach(key Key, n *graph.Network, aux any) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -627,16 +561,13 @@ func (c *Cache) Attach(key Key, n *graph.Network, aux any) bool {
 }
 
 // Attachment returns key's attachment and the network it was derived from,
-// if the entry is resident, servable (within TTL+StaleFor) and carries one.
-// LRU order and counters are untouched — like GetCached, this is a probe.
+// if the entry is resident and carries one. LRU order and counters are
+// untouched — like GetCached, this is a probe.
 func (c *Cache) Attachment(key Key) (any, *graph.Network, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok || e.aux == nil {
-		return nil, nil, false
-	}
-	if c.ttl > 0 && c.now().Sub(e.builtAt) >= c.ttl+c.staleFor {
 		return nil, nil, false
 	}
 	return e.aux, e.n, true
@@ -676,9 +607,7 @@ func (c *Cache) Stats() Stats {
 		Misses:       c.misses.Load(),
 		Builds:       c.builds.Load(),
 		Evictions:    c.evictions.Load(),
-		Expirations:  c.expirations.Load(),
 		Errors:       c.errors.Load(),
-		StaleServes:  c.staleServes.Load(),
 		Primed:       c.primed.Load(),
 		Timeouts:     c.timeouts.Load(),
 		LateBuilds:   c.lateBuilds.Load(),

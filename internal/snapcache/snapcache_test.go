@@ -137,42 +137,6 @@ func TestLRUEvictsColdest(t *testing.T) {
 	}
 }
 
-func TestTTLExpiresAndRebuilds(t *testing.T) {
-	var builds atomic.Int64
-	now := time.Unix(1000, 0)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
-	c := New(func(ctx context.Context, k Key) (*graph.Network, error) {
-		builds.Add(1)
-		return tinyNet(k.String()), nil
-	}, Options{TTL: time.Minute, Clock: clock})
-	ctx := context.Background()
-	k := keyAt("s", 1)
-
-	if _, err := c.Get(ctx, k); err != nil {
-		t.Fatal(err)
-	}
-	advance(30 * time.Second)
-	if _, err := c.Get(ctx, k); err != nil {
-		t.Fatal(err)
-	}
-	if builds.Load() != 1 {
-		t.Fatalf("fresh entry rebuilt: builds = %d", builds.Load())
-	}
-	advance(31 * time.Second) // 61s > TTL
-	if _, err := c.Get(ctx, k); err != nil {
-		t.Fatal(err)
-	}
-	if builds.Load() != 2 {
-		t.Fatalf("expired entry not rebuilt: builds = %d", builds.Load())
-	}
-	if st := c.Stats(); st.Expirations != 1 {
-		t.Errorf("expirations = %d, want 1", st.Expirations)
-	}
-}
-
 func TestBuildErrorsPropagateAndAreNotCached(t *testing.T) {
 	boom := errors.New("boom")
 	var builds atomic.Int64
@@ -335,14 +299,14 @@ func TestPutPrimesWithoutBuilding(t *testing.T) {
 
 	// nil networks are ignored, not cached as poison.
 	c.Put(keyAt("p", 2), nil)
-	if _, _, ok := c.GetCached(keyAt("p", 2)); ok {
+	if _, ok := c.GetCached(keyAt("p", 2)); ok {
 		t.Fatal("nil Put created an entry")
 	}
 
 	// Put participates in the LRU: two more deposits evict the oldest.
 	c.Put(keyAt("p", 3), tinyNet("x"))
 	c.Put(keyAt("p", 4), tinyNet("y"))
-	if _, _, ok := c.GetCached(keyAt("p", 1)); ok {
+	if _, ok := c.GetCached(keyAt("p", 1)); ok {
 		t.Fatal("capacity-2 cache still holds the first primed entry after two more Puts")
 	}
 }

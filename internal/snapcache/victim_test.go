@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"leosim/internal/graph"
 )
@@ -24,7 +23,7 @@ func victimKey(name string) Key {
 // attachment, and the plain LRU entry once every resident one carries one.
 func TestVictimOrder(t *testing.T) {
 	type step struct {
-		op     string // get (build on miss) | put | attach | replace (put a different network)
+		op     string // get (build on miss) | put | attach | replace (put another network for a resident key)
 		key    string
 		evicts string // the key this step pushes out, "" for none
 	}
@@ -63,20 +62,19 @@ func TestVictimOrder(t *testing.T) {
 			{"get", "m2", "h2"},
 			{"get", "m1", ""},
 		}},
-		{"replacing an entry's network drops its attachment and with it its protection", 3, []step{
+		{"re-inserting a resident key keeps its attachment", 3, []step{
 			{"put", "h1", ""}, {"attach", "h1", ""},
 			{"put", "h2", ""}, {"attach", "h2", ""},
 			{"put", "h3", ""}, {"attach", "h3", ""},
-			{"replace", "h3", ""}, // most recently used, but bare now
-			{"put", "h4", "h3"},
+			{"replace", "h1", ""}, // the resident network and its oracle stay; h1 is now the most recent
+			{"put", "h4", "h2"},   // all attached: plain LRU
 			{"put", "h5", "h4"},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			now := time.Unix(0, 0)
 			c := New(func(ctx context.Context, k Key) (*graph.Network, error) {
 				return tinyNet(k.String()), nil
-			}, Options{Capacity: tc.cap, Clock: func() time.Time { now = now.Add(time.Second); return now }})
+			}, Options{Capacity: tc.cap})
 			resident := map[string]bool{}
 			for i, st := range tc.steps {
 				key := victimKey(st.key)
@@ -88,7 +86,7 @@ func TestVictimOrder(t *testing.T) {
 				case "put", "replace":
 					c.Put(key, tinyNet(st.key))
 				case "attach":
-					n, _, _ := c.GetCached(key)
+					n, _ := c.GetCached(key)
 					if !c.Attach(key, n, "oracle of "+st.key) {
 						t.Fatalf("step %d: attach %s refused", i, st.key)
 					}

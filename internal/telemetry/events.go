@@ -32,8 +32,8 @@ const (
 	CatBuild Category = iota
 	// CatBreaker is a circuit-breaker transition (open, half-open, close).
 	CatBreaker
-	// CatServe is a request-path degradation: stale serve, fallback serve,
-	// load shed, breaker reject, internal error.
+	// CatServe is a request-path degradation: fallback serve, load shed,
+	// breaker reject, internal error.
 	CatServe
 	// CatChaos is an injected fault from the chaos injector.
 	CatChaos
@@ -79,7 +79,7 @@ type Severity uint8
 const (
 	// SevInfo is normal operation worth recording (build done, replay).
 	SevInfo Severity = iota
-	// SevWarn is a degradation the system absorbed (stale serve, timeout).
+	// SevWarn is a degradation the system absorbed (fallback serve, timeout).
 	SevWarn
 	// SevError is a failure (build failed, breaker opened).
 	SevError
@@ -156,7 +156,7 @@ type Event struct {
 	// Trace joins the event to the request or run that caused it (zero when
 	// none was in scope).
 	Trace TraceID
-	// Msg is the event's static description ("build failed", "stale serve").
+	// Msg is the event's static description ("build failed", "load shed").
 	Msg string
 
 	attrs  [maxEventAttrs]Attr

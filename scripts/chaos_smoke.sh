@@ -2,23 +2,24 @@
 # Chaos smoke: boot `leosim serve` with seeded build-failure injection, then
 # drive it with the backoff client from examples/serve. Passes when ≥95% of
 # queries are answered despite a 30% injected build-failure rate, every body
-# decodes as complete JSON (the client fails hard on truncation), and the
-# repeat pass returns bit-identical answers. Run from the repo root; CI runs
-# it on every push.
+# decodes as complete JSON (the client fails hard on truncation), the repeat
+# pass returns bit-identical answers, and /metrics shows at least one build
+# that failed (cache.errors ≥ 1) — a storm with nothing injected proves
+# nothing. Run from the repo root; CI runs it on every push.
 #
 #   ./scripts/chaos_smoke.sh [port]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PORT="${1:-18080}"
-BIN="$(mktemp -d)/leosim"
-trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$(dirname "$BIN")"' EXIT
+TMP="$(mktemp -d)"
+BIN="$TMP/leosim"
+trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 go build -o "$BIN" ./cmd/leosim
 
 "$BIN" serve -addr "127.0.0.1:$PORT" -scale tiny -log-level warn \
-  -cache-ttl 50ms -cache-stale-for 1h -breaker-cooldown 100ms \
-  -chaos-fail 0.30 -chaos-seed 1234 &
+  -breaker-cooldown 100ms -chaos-fail 0.30 -chaos-seed 1234 &
 SERVER_PID=$!
 
 echo "chaos_smoke: waiting for server on port $PORT"
@@ -36,9 +37,14 @@ done
 go run ./examples/serve -addr "127.0.0.1:$PORT" -requests 192 -min-success 0.95
 
 echo "chaos_smoke: server-side view of the storm:"
-curl -fsS "http://127.0.0.1:$PORT/metrics" |
-  python3 -c 'import json,sys; m=json.load(sys.stdin); print(json.dumps({"counters": m["server"]["counters"], "cache": m["cache"], "breaker": m["breaker"]}, indent=2))' \
-  || curl -fsS "http://127.0.0.1:$PORT/metrics"
+curl -fsS "http://127.0.0.1:$PORT/metrics" >"$TMP/metrics.json"
+python3 - "$TMP/metrics.json" <<'EOF'
+import json, sys
+m = json.load(open(sys.argv[1]))
+print(json.dumps({"counters": m["server"]["counters"], "cache": m["cache"], "breaker": m["breaker"]}, indent=2))
+if m["cache"]["errors"] < 1:
+    sys.exit("chaos_smoke: FAIL: no snapshot build failed, so the storm injected nothing")
+EOF
 
 kill "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
