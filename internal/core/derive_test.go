@@ -237,6 +237,7 @@ func TestDerivedNetworksIdentical(t *testing.T) {
 							}
 							requireNetworksIdentical(t, fmt.Sprintf("%s masked from resident %s", sc, label),
 								masked, ref(label == "hybrid", out))
+							requireCutIsMask(t, fmt.Sprintf("%s cut of resident %s", sc, label), out, healthy, masked)
 							if &masked.Pos[0] != &healthy.Pos[0] || &masked.Kind[0] != &healthy.Kind[0] || &masked.Name[0] != &healthy.Name[0] {
 								t.Fatalf("%s %s: the masked network copied its parent's node arrays", sc, label)
 							}
@@ -321,6 +322,70 @@ func TestDerivedNetworksIdentical(t *testing.T) {
 				})
 			}
 		}
+	}
+
+	// Every motif, with the sim's own options: each mask that removes links
+	// removes its cut.
+	for _, motif := range topo.IDs() {
+		t.Run("cut/"+motif.String(), func(t *testing.T) {
+			if motif == topo.Demand && testing.Short() {
+				t.Skip("demand placement costs seconds per snapshot")
+			}
+			s, err := NewSim(Starlink, TinyScale(), WithMotifID(motif))
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := s.SnapshotTimes()[1]
+			for _, mode := range []Mode{BP, Hybrid} {
+				healthy := s.NetworkAt(at, mode)
+				for _, sc := range []fault.Scenario{fault.SatOutage, fault.PlaneOutage, fault.SiteOutage, fault.ISLOutage} {
+					plan, err := fault.ForScenario(sc, 0.15, 7)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out, err := plan.RealizeAt(s.Const, len(s.Seg.Terminals), at)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireCutIsMask(t, fmt.Sprintf("%s %s", sc, mode), out, healthy, out.Masked(healthy))
+				}
+			}
+		})
+	}
+}
+
+// requireCutIsMask holds a fault mask's cut to the network it stands for,
+// masked: sorted distinct link ids of healthy, exactly the links a failure
+// touches by the reference rule (every non-fibre link of a failed satellite
+// or site, every failed laser), as many as the mask removes, and the same
+// components when healthy is labelled through the cut.
+func requireCutIsMask(t *testing.T, label string, out *fault.Outages, healthy, masked *graph.Network) {
+	t.Helper()
+	cut := out.Cut(healthy)
+	for i := 1; i < len(cut); i++ {
+		if cut[i] <= cut[i-1] {
+			t.Fatalf("%s: cut not strictly increasing at %d: %d after %d", label, i, cut[i], cut[i-1])
+		}
+	}
+	dead := func(v int32) bool {
+		if int(v) < healthy.NumSat {
+			return out.FailedSats[v]
+		}
+		return out.FailedSites[v-int32(healthy.NumSat)]
+	}
+	for li, l := range healthy.Links {
+		failed := l.Kind != graph.LinkFiber && (dead(l.A) || dead(l.B) || l.Kind == graph.LinkISL && out.ISLFailed(l.A, l.B))
+		if cut.Has(int32(li)) != failed {
+			t.Fatalf("%s: link %d (%s %d-%d): in the cut %v, failed %v", label, li, l.Kind, l.A, l.B, !failed, failed)
+		}
+	}
+	if got, want := len(cut), len(healthy.Links)-len(masked.Links); got != want {
+		t.Fatalf("%s: the cut holds %d links, the mask removes %d", label, got, want)
+	}
+	comp, count := graph.View{N: healthy, Cut: cut}.Components()
+	wantComp, wantCount := graph.View{N: masked}.Components()
+	if count != wantCount || !reflect.DeepEqual(comp, wantComp) {
+		t.Fatalf("%s: labelled through the cut, %d components; the masked network has %d (or other labels)", label, count, wantCount)
 	}
 }
 

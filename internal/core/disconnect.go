@@ -61,16 +61,17 @@ func RunDisconnected(ctx context.Context, s *Sim) (res *DisconnectResult, err er
 }
 
 func disconnectedSatFraction(n *graph.Network) float64 {
-	stranded, _ := strandedSats(n)
+	stranded, _ := strandedSats(graph.View{N: n})
 	return float64(stranded) / float64(n.NumSat)
 }
 
-// strandedSats counts the satellites outside n's main component and returns
+// strandedSats counts the satellites outside v's main component and returns
 // the component count alongside. The main component is the one holding the
 // most cities; on a tie the lowest component ID wins, and Components numbers
-// them in node order, so the answer is a function of n alone.
-func strandedSats(n *graph.Network) (stranded, components int) {
-	comp, count := n.Components()
+// them in node order, so the answer is a function of v alone.
+func strandedSats(v graph.View) (stranded, components int) {
+	n := v.N
+	comp, count := v.Components()
 	cities := make([]int, count)
 	for i := 0; i < n.NumCity; i++ {
 		cities[comp[n.CityNode(i)]]++

@@ -91,16 +91,17 @@ func (f *Float) UnmarshalJSON(b []byte) error {
 // from the fields are appended (the fields themselves are embedded, never
 // listed again), or the shape differs.
 
-// MarshalJSON appends the paper's headline variation numbers.
+// MarshalJSON appends the paper's headline variation numbers. They are Floats:
+// an increase over a zero hybrid variation is +Inf, written as null.
 func (r *LatencyResult) MarshalJSON() ([]byte, error) {
 	type plain LatencyResult
 	med, p95 := r.Headline()
 	return json.Marshal(struct {
 		*plain
-		MaxMinRTTGapMs       float64 `json:"maxMinRttGapMs"`
-		MedianVariationIncPc float64 `json:"medianVariationIncreasePct"`
-		P95VariationIncPc    float64 `json:"p95VariationIncreasePct"`
-	}{(*plain)(r), r.MaxMinRTTGapMs(), med, p95})
+		MaxMinRTTGapMs       Float `json:"maxMinRttGapMs"`
+		MedianVariationIncPc Float `json:"medianVariationIncreasePct"`
+		P95VariationIncPc    Float `json:"p95VariationIncreasePct"`
+	}{(*plain)(r), Float(r.MaxMinRTTGapMs()), Float(med), Float(p95)})
 }
 
 // MarshalJSON appends the median ISL advantage.

@@ -52,6 +52,28 @@ func TestLatencyResultJSON(t *testing.T) {
 	}
 }
 
+// TestLatencyResultJSONZeroHybridVariation: a day on which no hybrid pair's
+// RTT varies makes every variation increase over it +Inf, and the envelope
+// must still encode — the increases as null, every finite number as before.
+func TestLatencyResultJSONZeroHybridVariation(t *testing.T) {
+	r := &LatencyResult{
+		MinRTT:         map[Mode][]float64{BP: {10, 20}, Hybrid: {9, 18}},
+		RangeRTT:       map[Mode][]float64{BP: {4, 6}, Hybrid: {0, 0}},
+		ReachablePairs: 2,
+	}
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatalf("zero hybrid variation does not encode: %v", err)
+	}
+	s := string(b)
+	for _, want := range []string{`"maxMinRttGapMs":2`, `"medianVariationIncreasePct":null`,
+		`"p95VariationIncreasePct":null`, `"hybrid":[0,0]`} {
+		if !strings.Contains(s, want) {
+			t.Errorf("JSON missing %q:\n%s", want, s)
+		}
+	}
+}
+
 func TestThroughputAndWeatherJSON(t *testing.T) {
 	tr := &ThroughputResult{Mode: Hybrid, K: 4, AggregateGbps: 123.5, PathsFound: 9}
 	b, _ := json.Marshal(tr)

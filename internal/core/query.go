@@ -41,11 +41,13 @@ func (s *Sim) CityName(i int) string { return s.Cities[i].Name }
 func (s *Sim) NumCities() int { return len(s.Cities) }
 
 // BuildNetworkAt returns the snapshot network for mode at time t under an
-// optional outage set — what the serving cache (internal/snapcache) wraps.
-// Without outages it is NetworkAt's cached healthy network: shared with the
-// sim's cache and every other caller, immutable. With outages it is that
-// network masked — its nodes shared, its links filtered: a what-if costs a
-// link filter, not a scan. Cancellation is honoured at the boundary.
+// optional outage set. Without outages it is NetworkAt's cached healthy
+// network: shared with the sim's cache and every other caller, immutable —
+// what the server's cache holds for a healthy key. With outages it is that
+// network masked and materialized — its nodes shared, its links filtered and
+// its capacities scaled: a what-if costs a link filter, not a scan. (A served
+// what-if is a view instead, the healthy network and Outages.Cut, and never
+// materialized.) Cancellation is honoured at the boundary.
 func (s *Sim) BuildNetworkAt(ctx context.Context, t time.Time, mode Mode, outages *fault.Outages) (n *graph.Network, err error) {
 	defer safe.RecoverTo(&err)
 	if err := ctx.Err(); err != nil {
@@ -73,13 +75,22 @@ type PathQuery struct {
 	CityHops     int `json:"cityHops"`
 }
 
-// PathAt routes city src → city dst over snapshot network n. The context
-// reaches the Dijkstra kernel itself (polled between settle batches), so a
-// cancelled request abandons even a single in-flight search.
+// PathAt routes city src → city dst over snapshot network n: PathIn over the
+// whole of n.
 func (s *Sim) PathAt(ctx context.Context, n *graph.Network, src, dst int) (*PathQuery, error) {
+	return s.PathIn(ctx, graph.View{N: n}, src, dst)
+}
+
+// PathIn routes city src → city dst over a view of a snapshot: its network
+// searched with its cut banned, which is the answer PathAt gives on the
+// materialized masked network, field for field. The context reaches the
+// Dijkstra kernel itself (polled between settle batches), so a cancelled
+// request abandons even a single in-flight search.
+func (s *Sim) PathIn(ctx context.Context, v graph.View, src, dst int) (*PathQuery, error) {
 	if src < 0 || src >= len(s.Cities) || dst < 0 || dst >= len(s.Cities) {
 		return nil, fmt.Errorf("core: city index out of range (%d, %d of %d)", src, dst, len(s.Cities))
 	}
+	n := v.N
 	st := graph.AcquireSearch()
 	defer st.Release()
 	spec := graph.SearchSpec{
@@ -87,7 +98,7 @@ func (s *Sim) PathAt(ctx context.Context, n *graph.Network, src, dst int) (*Path
 		Target: n.CityNode(dst),
 		Stop:   func() bool { return ctx.Err() != nil },
 	}
-	if !n.Search(st, spec) {
+	if !v.Search(st, spec) {
 		return nil, ctx.Err()
 	}
 	p, ok := st.Path(n.CityNode(dst))
@@ -142,14 +153,16 @@ type ReachabilityQuery struct {
 	TotalCities     int `json:"totalCities"`
 }
 
-// ReachabilityAt summarizes snapshot network n: component structure,
+// ReachabilityIn summarizes a view of a snapshot: component structure,
 // stranded satellites, and — when src ≥ 0 — how many cities that source can
-// reach. Cancellation reaches the kernel as in PathAt.
-func (s *Sim) ReachabilityAt(ctx context.Context, n *graph.Network, src int) (*ReachabilityQuery, error) {
+// reach, all with the view's cut removed. Cancellation reaches the kernel as
+// in PathIn.
+func (s *Sim) ReachabilityIn(ctx context.Context, v graph.View, src int) (*ReachabilityQuery, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	stranded, count := strandedSats(n)
+	n := v.N
+	stranded, count := strandedSats(v)
 	q := &ReachabilityQuery{Components: count, StrandedSats: stranded, TotalCities: len(s.Cities)}
 	if n.NumSat > 0 {
 		q.StrandedFrac = float64(q.StrandedSats) / float64(n.NumSat)
@@ -164,7 +177,7 @@ func (s *Sim) ReachabilityAt(ctx context.Context, n *graph.Network, src int) (*R
 	}
 	st := graph.AcquireSearch()
 	defer st.Release()
-	done := n.Search(st, graph.SearchSpec{
+	done := v.Search(st, graph.SearchSpec{
 		Src:    n.CityNode(src),
 		Target: graph.NoTarget,
 		Stop:   func() bool { return ctx.Err() != nil },

@@ -77,8 +77,8 @@ func TestPathAtCancellationReachesKernel(t *testing.T) {
 	if q != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("PathAt on cancelled ctx = (%v, %v), want (nil, context.Canceled)", q, err)
 	}
-	if _, err := s.ReachabilityAt(ctx, n, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ReachabilityAt on cancelled ctx: err = %v, want context.Canceled", err)
+	if _, err := s.ReachabilityIn(ctx, graph.View{N: n}, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ReachabilityIn on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -158,7 +158,7 @@ func TestReachabilityAt(t *testing.T) {
 	ctx := context.Background()
 	n := s.NetworkAt(geo.Epoch, BP)
 
-	q, err := s.ReachabilityAt(ctx, n, -1)
+	q, err := s.ReachabilityIn(ctx, graph.View{N: n}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +172,14 @@ func TestReachabilityAt(t *testing.T) {
 		t.Fatalf("no-source query: ReachableCities = %d, want TotalCities %d", q.ReachableCities, q.TotalCities)
 	}
 
-	qs, err := s.ReachabilityAt(ctx, n, 0)
+	qs, err := s.ReachabilityIn(ctx, graph.View{N: n}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qs.ReachableCities < 1 || qs.ReachableCities > qs.TotalCities {
 		t.Fatalf("sourced query: ReachableCities = %d of %d", qs.ReachableCities, qs.TotalCities)
 	}
-	if _, err := s.ReachabilityAt(ctx, n, len(s.Cities)); err == nil {
+	if _, err := s.ReachabilityIn(ctx, graph.View{N: n}, len(s.Cities)); err == nil {
 		t.Fatal("out-of-range source should error")
 	}
 }
@@ -204,12 +204,12 @@ func TestMainComponentTieBreak(t *testing.T) {
 		if got := disconnectedSatFraction(n); got != 2.0/3 {
 			t.Fatalf("call %d: disconnectedSatFraction = %v, want 2/3", i, got)
 		}
-		q, err := new(Sim).ReachabilityAt(context.Background(), n, -1)
+		q, err := new(Sim).ReachabilityIn(context.Background(), graph.View{N: n}, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if q.Components != 2 || q.StrandedSats != 2 {
-			t.Fatalf("call %d: ReachabilityAt = %+v, want 2 components, 2 stranded", i, q)
+			t.Fatalf("call %d: ReachabilityIn = %+v, want 2 components, 2 stranded", i, q)
 		}
 	}
 }

@@ -66,7 +66,7 @@ type Sim struct {
 	// hybrid entry of t derives from the bent-pipe entry of t (buildSnapshot).
 	// snapcache's singleflight means concurrent NetworkAt calls for the
 	// same snapshot — the serving workload — build it exactly once.
-	snap *snapcache.Cache
+	snap *snapcache.Cache[*graph.Network]
 }
 
 // networkCacheSize bounds how many snapshot networks a Sim keeps alive.

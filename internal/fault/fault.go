@@ -2,15 +2,17 @@
 // constellation and ground segment: random and per-plane-correlated
 // satellite outages, ground-site (city/relay) failures, ISL laser failures,
 // and GSL capacity degradation. A Plan is realized against a constellation
-// into an Outages set, and Outages.Masked derives the faulted network from a
-// resident healthy snapshot — its nodes shared, its links filtered — so a
-// what-if repeats no propagation or visibility scan and copies no node. The
-// same seed always realizes the same outages, making resilience sweeps
-// byte-reproducible.
+// into an Outages set. Outages.Cut names the links it removes from a resident
+// healthy snapshot — a served what-if searches that snapshot with them banned
+// — and Outages.Masked materializes the faulted network where capacities are
+// read, its nodes shared and its links filtered; either way a what-if repeats
+// no propagation or visibility scan and copies no node. The same seed always
+// realizes the same outages, making resilience sweeps byte-reproducible.
 package fault
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -256,56 +258,83 @@ func (o *Outages) ISLFailed(a, b int32) bool {
 	return o != nil && o.failedISL[islKey(a, b)]
 }
 
-// Masked derives healthy with the outages applied: all links of failed
-// satellites and ground sites are removed, failed ISL lasers are removed, and
-// surviving GSL capacities are scaled by GSLCapFactor; fibre is left alone.
-// The result shares healthy's node arrays and owns its filtered link list
-// (order kept, densely re-indexed) and CSR — no node is copied and healthy is
-// only read, so concurrent readers of it are undisturbed. Satellites keep
-// their nodes (they still exist, just dark), so node indexing — and with it
-// the per-snapshot layout every experiment assumes — is unchanged. A nil or
-// zero Outages returns healthy itself, which keeps the 0%-failure sweep point
-// byte-identical to the healthy baseline.
+// Cut returns the links of healthy the outages remove — every GSL and ISL of a
+// failed satellite or ground site, and every failed laser; fibre stays — as
+// sorted link ids. It is the one definition of what a mask removes: searched
+// with the cut banned, healthy is the masked network (graph.View), and Masked
+// materializes it. The links are read off healthy's CSR, so beyond one bit
+// per link the cost scales with the failures, not the network. Satellites are
+// nodes [0, NumSat) and terminal i is node NumSat+i; aircraft follow the
+// segment terminals and are not subject to site outages. A nil Outages cuts
+// nothing.
+func (o *Outages) Cut(healthy *graph.Network) graph.Cut {
+	if o == nil {
+		return nil
+	}
+	// One bit per link of healthy: a link between two dead nodes, or a failed
+	// laser of a dead satellite, is marked twice and listed once, and reading
+	// the bits out in order sorts the cut.
+	marked := make([]uint64, (len(healthy.Links)+63)/64)
+	mark := func(li int32) { marked[li>>6] |= 1 << (li & 63) }
+	dead := func(v int32) {
+		for _, e := range healthy.Edges(v) {
+			if healthy.Links[e.Link].Kind != graph.LinkFiber {
+				mark(e.Link)
+			}
+		}
+	}
+	for sat := range o.FailedSats {
+		if int(sat) < healthy.NumSat {
+			dead(sat)
+		}
+	}
+	for site := range o.FailedSites {
+		if v := healthy.NumSat + int(site); v < healthy.N() {
+			dead(int32(v))
+		}
+	}
+	for key := range o.failedISL {
+		a, b := int32(key>>32), int32(key)
+		if int(b) >= healthy.NumSat {
+			continue
+		}
+		for _, e := range healthy.Edges(a) {
+			if e.To == b && healthy.Links[e.Link].Kind == graph.LinkISL {
+				mark(e.Link)
+			}
+		}
+	}
+	var cut graph.Cut
+	for w, word := range marked {
+		for ; word != 0; word &= word - 1 {
+			cut = append(cut, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return cut
+}
+
+// Masked materializes the network Cut describes, for readers of link
+// capacities (the flow sweeps): healthy's links minus the cut, in order and
+// densely re-indexed, with surviving GSL capacities scaled by GSLCapFactor.
+// The result shares healthy's node arrays and owns its link list and CSR — no
+// node is copied and healthy is only read, so concurrent readers of it are
+// undisturbed. Satellites keep their nodes (they still exist, just dark), so
+// node indexing — and with it the per-snapshot layout every experiment
+// assumes — is unchanged. A nil or zero Outages returns healthy itself, which
+// keeps the 0%-failure sweep point byte-identical to the healthy baseline.
 func (o *Outages) Masked(healthy *graph.Network) *graph.Network {
 	if o.IsZero() {
 		return healthy
 	}
-	// One mark per node: satellites are nodes [0, NumSat), terminal i is node
-	// NumSat+i. Aircraft follow the segment terminals and are not subject to
-	// site outages.
-	dead := make([]bool, healthy.N())
-	for sat := range o.FailedSats {
-		if int(sat) < healthy.NumSat {
-			dead[sat] = true
-		}
-	}
-	for site := range o.FailedSites {
-		if v := healthy.NumSat + int(site); v < len(dead) {
-			dead[v] = true
-		}
-	}
-	survives := func(l graph.Link) bool {
-		switch l.Kind {
-		case graph.LinkGSL:
-			return !dead[l.A] && !dead[l.B]
-		case graph.LinkISL:
-			return !dead[l.A] && !dead[l.B] && !o.failedISL[islKey(l.A, l.B)]
-		}
-		return true
-	}
+	cut := o.Cut(healthy)
 	factor := o.GSLCapFactor
 	if factor == 0 {
 		factor = 1
 	}
-	kept := 0
-	for _, l := range healthy.Links {
-		if survives(l) {
-			kept++
-		}
-	}
-	links := make([]graph.Link, 0, kept)
-	for _, l := range healthy.Links {
-		if !survives(l) {
+	links := make([]graph.Link, 0, len(healthy.Links)-len(cut))
+	for li, l := range healthy.Links {
+		if len(cut) > 0 && cut[0] == int32(li) {
+			cut = cut[1:]
 			continue
 		}
 		if l.Kind == graph.LinkGSL {

@@ -202,7 +202,7 @@ func TestBuilderISLToggle(t *testing.T) {
 
 func TestHybridConnectsEverything(t *testing.T) {
 	_, hy := testSetup(t, true)
-	comp, _ := hy.Components()
+	comp, _ := View{N: hy}.Components()
 	// All satellites are one component via ISLs; all cities reach it.
 	c0 := comp[0]
 	for i := 0; i < hy.NumSat; i++ {
@@ -221,7 +221,7 @@ func TestBPDisconnectsSomeSatellites(t *testing.T) {
 	// §5: with BP only, a large fraction of satellites (over oceans,
 	// away from any GT) is disconnected.
 	_, bp := testSetup(t, false)
-	comp, _ := bp.Components()
+	comp, _ := View{N: bp}.Components()
 	// Find the giant component via city 0.
 	main := comp[bp.CityNode(0)]
 	isolated := 0

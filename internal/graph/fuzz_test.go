@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"leosim/internal/geo"
@@ -47,12 +48,18 @@ func fuzzNet(data []byte) *Network {
 // FuzzSearch holds the allocation-free search kernel to the naive O(V²)
 // reference on arbitrary decoded topologies: identical distances, identical
 // predecessor links (pinning the (dist, node) tie-break), and an extracted
-// path consistent with the distance label.
+// path consistent with the distance label; and a view — the network searched
+// with a cut banned — to the network of its other links searched whole
+// (checkView). The grid seeds tie every shortest path many ways.
 func FuzzSearch(f *testing.F) {
 	f.Add([]byte{10, 0xAA, 0, 1, 3, 1, 2, 7, 2, 3, 1, 0, 3, 9}, uint8(0), uint8(3), uint8(0), uint8(0))
 	f.Add([]byte{40, 0x0F, 5, 6, 2, 6, 7, 2, 7, 5, 2, 1, 2, 30}, uint8(5), uint8(7), uint8(3), uint8(0x1F))
 	f.Add([]byte{2, 1, 0, 1, 15}, uint8(1), uint8(0), uint8(255), uint8(0x0A))
 	f.Add([]byte{9, 0x49, 0, 1, 31, 0, 2, 30, 0, 3, 29, 0, 4, 28, 1, 2, 0, 2, 3, 0, 3, 4, 0}, uint8(0), uint8(4), uint8(7), uint8(0x15))
+	f.Add(gridBytes(6, 6), uint8(0), uint8(35), uint8(2), uint8(0x40))
+	f.Add(gridBytes(7, 8), uint8(27), uint8(0), uint8(5), uint8(0x93))
+	f.Add(gridBytes(4, 9), uint8(13), uint8(31), uint8(7), uint8(0x0C))
+	f.Add([]byte{6, 0, 0, 1, 3, 0, 1, 3, 1, 2, 3, 2, 1, 3, 2, 3, 3, 0, 3, 9, 3, 4, 3, 4, 3, 3, 4, 5, 3, 5, 4, 3}, uint8(0), uint8(5), uint8(1), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, srcB, dstB, banB, optB uint8) {
 		n := fuzzNet(data)
 		if n == nil || len(n.Links) == 0 {
@@ -107,6 +114,16 @@ func FuzzSearch(f *testing.F) {
 			target = dst
 		}
 		checkSearch(t, n, src, target, banned, expand, cost, "combined")
+
+		// A cut of banB%8 eighths of the links, drawn by hashing link ids
+		// with optB.
+		var cut Cut
+		for li := range n.Links {
+			if h := uint32(li)*2654435761 ^ uint32(optB)*40503; h>>29 < uint32(banB%8) {
+				cut = append(cut, int32(li))
+			}
+		}
+		checkView(t, n, cut, src)
 
 		// Extracted path must be continuous and priced exactly at dist[dst].
 		if p, ok := n.ShortestPath(src, dst); ok {
@@ -186,17 +203,56 @@ func FuzzBuildCSR(f *testing.F) {
 	})
 }
 
+// checkView holds a view to the network it stands for: n searched with cut
+// banned, and the network of n's other links (WithLinks, order kept) searched
+// whole, settle every node from src at the same float distance along the same
+// node path over the same links — ties included, parallel links too.
+func checkView(t *testing.T, n *Network, cut Cut, src int32) {
+	t.Helper()
+	var links []Link
+	subIndex := make([]int32, len(n.Links)) // n's link id → its id in the filtered network
+	for li, l := range n.Links {
+		if !cut.Has(int32(li)) {
+			subIndex[li] = int32(len(links))
+			links = append(links, l)
+		}
+	}
+	sub := n.WithLinks(links)
+	view, whole := AcquireSearch(), AcquireSearch()
+	defer view.Release()
+	defer whole.Release()
+	View{N: n, Cut: cut}.Search(view, SearchSpec{Src: src, Target: NoTarget})
+	sub.Search(whole, SearchSpec{Src: src, Target: NoTarget})
+	for v := int32(0); v < int32(n.N()); v++ {
+		p, ok := view.Path(v)
+		q, subOK := whole.Path(v)
+		if ok != subOK || view.Dist(v) != whole.Dist(v) || p.OneWayMs != q.OneWayMs || !slices.Equal(p.Nodes, q.Nodes) {
+			t.Fatalf("%d→%d with %d of %d links cut: view %v (%v ms, ok=%v), filtered network %v (%v ms, ok=%v)",
+				src, v, len(cut), len(n.Links), p.Nodes, view.Dist(v), ok, q.Nodes, whole.Dist(v), subOK)
+		}
+		for i, li := range p.Links {
+			if cut.Has(li) || subIndex[li] != q.Links[i] {
+				t.Fatalf("%d→%d: hop %d is link %d of the view, %d of the filtered network", src, v, i, li, q.Links[i])
+			}
+		}
+	}
+}
+
 // checkSurvivingTreePaths holds the subgraph lemma (DESIGN.md §7) on one
-// network and one subgraph of it: wherever the tree path src → dst of n is
-// still a path of sub, the kernel on sub returns that very node sequence at
-// that very float distance — ties included — and a pair n cannot join, sub
-// cannot either. It returns how many tree paths survived and how many were cut.
+// network and one subgraph of it: wherever the subgraph's cut severs no hop
+// of the tree path src → dst of n, the kernel on the subgraph returns that
+// very node sequence at that very float distance — ties included — and a
+// pair n cannot join, the subgraph cannot either. It returns how many tree
+// paths survived and how many were cut.
 func checkSurvivingTreePaths(t *testing.T, n *Network, keep func(li int) bool, src int32) (survived, cut int) {
 	t.Helper()
 	var links []Link
+	var removed Cut
 	for li, l := range n.Links {
 		if keep(li) {
 			links = append(links, l)
+		} else {
+			removed = append(removed, int32(li))
 		}
 	}
 	sub := n.WithLinks(links)
@@ -209,7 +265,7 @@ func checkSurvivingTreePaths(t *testing.T, n *Network, keep func(li int) bool, s
 			}
 			continue
 		}
-		if !sub.Carries(n, p) {
+		if removed.Severs(p) {
 			if subOK && q.OneWayMs < p.OneWayMs {
 				t.Fatalf("%d→%d: subgraph distance %v below the network's %v", src, dst, q.OneWayMs, p.OneWayMs)
 			}

@@ -194,8 +194,9 @@ func (n *Network) sharing(links []Link) *Network {
 // WithLinks derives the network of n's nodes joined by links instead of n's
 // own, its CSR frozen and ready for concurrent readers. It shares n's node
 // arrays, takes ownership of links, and does not write n — how a fault mask
-// turns a resident healthy snapshot into the faulted one: a filter over its
-// link list, in order, with no node copied.
+// materializes the faulted network where its capacities are read: a filter
+// over the healthy link list, in order, with no node copied. A question about
+// routes alone asks a View instead.
 func (n *Network) WithLinks(links []Link) *Network {
 	d := n.sharing(links)
 	d.ensureCSR()
@@ -461,59 +462,4 @@ func (n *Network) MultiSourceDistances(sources []int32) [][]float64 {
 // kernel recorded it, or a negative value where no predecessor exists.
 func (n *Network) WalkPath(src, dst int32, prevAt func(int32) int32, total float64) (Path, bool) {
 	return n.walkPath(src, dst, prevAt, total)
-}
-
-// Carries reports whether p, a path over parent, is also a path of n: every
-// hop joins the same two nodes with the same delay in n. When n is a subgraph
-// of parent (a fault mask of it) and p is the kernel's path in parent, a true
-// answer means the kernel's path in n is p as well — node for node, tie-breaks
-// included (DESIGN.md §7). p's link indices are parent's and mean nothing in n.
-func (n *Network) Carries(parent *Network, p Path) bool {
-	n.ensureCSR()
-	for i, li := range p.Links {
-		u, v := p.Nodes[i], p.Nodes[i+1]
-		if n.Degree(v) < n.Degree(u) {
-			u, v = v, u
-		}
-		ms, found := parent.Links[li].OneWayMs, false
-		for k := n.adjStart[u]; k < n.adjStart[u+1] && !found; k++ {
-			found = n.adjEdges[k].To == v && n.adjMs[k] == ms
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-// Components labels connected components (ignoring capacities) and returns
-// the component ID per node and the component count.
-func (n *Network) Components() (comp []int32, count int) {
-	n.ensureCSR()
-	nn := n.N()
-	comp = make([]int32, nn)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var stack []int32
-	for v := 0; v < nn; v++ {
-		if comp[v] >= 0 {
-			continue
-		}
-		id := int32(count)
-		count++
-		stack = append(stack[:0], int32(v))
-		comp[v] = id
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range n.adjEdges[n.adjStart[u]:n.adjStart[u+1]] {
-				if comp[e.To] < 0 {
-					comp[e.To] = id
-					stack = append(stack, e.To)
-				}
-			}
-		}
-	}
-	return comp, count
 }

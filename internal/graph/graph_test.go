@@ -76,7 +76,7 @@ func TestDisconnected(t *testing.T) {
 	if !math.IsInf(dist[iso], 1) {
 		t.Errorf("distance to isolated node = %v", dist[iso])
 	}
-	comp, count := n.Components()
+	comp, count := View{N: n}.Components()
 	if count != 2 {
 		t.Errorf("components = %d, want 2", count)
 	}

@@ -17,14 +17,20 @@
 // two cities × cities tables, not cities × nodes ones. A route-less answer is
 // one read of each.
 //
+// An oracle of a what-if is built on the healthy network with the mask's cut
+// banned (graph.View), so it labels the masked network without one being
+// materialized; its stored paths carry the healthy network's link indices.
+//
 // An Oracle is immutable after Build and safe for unbounded concurrent
-// readers; it is pinned to the exact *graph.Network instance (and mutation
-// epoch) it was built from, which Valid checks. The snapshot cache carries
-// oracles alongside their snapshots: snapcache.Attach pins one to a resident
-// entry only while that entry still holds the very network it was built from
-// (pointer identity), and drops it with the entry. So an oracle rides its
-// graph's LRU/TTL lifecycle, cannot outlive it in the cache, and a reader that
-// checks Valid never answers about any network but the oracle's own.
+// readers; it answers for exactly the view it was built from — the network
+// instance at its mutation epoch, and the cut — which Valid checks. The
+// snapshot cache carries oracles alongside their snapshots: snapcache.Attach
+// pins one to a resident entry only while that entry still holds the very
+// view it was built from (pointer identity), and drops it with the entry. So
+// an oracle rides its snapshot's LRU lifecycle, cannot outlive it in the
+// cache, and a reader that checks Valid never answers about any view but the
+// oracle's own — a what-if's oracle never for its healthy parent, nor the
+// parent's for it.
 package oracle
 
 import (
@@ -32,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"leosim/internal/graph"
@@ -39,9 +46,10 @@ import (
 	"leosim/internal/telemetry"
 )
 
-// Options is empty: Build has nothing to tune. The type and Build's third
-// parameter remain because the benchmark module compiles against them.
-type Options struct{}
+// Options is the cut Build searches under; Options{} (no cut) labels the
+// network whole. It is a name for graph.Cut because the benchmark module
+// passes Options{}.
+type Options = graph.Cut
 
 // Stats describes a built oracle.
 type Stats struct {
@@ -59,6 +67,7 @@ type Stats struct {
 // Oracle answers exact shortest-path queries over one frozen snapshot graph.
 type Oracle struct {
 	net   *graph.Network
+	cut   graph.Cut
 	epoch uint64
 	nn    int // node count
 	ncity int
@@ -75,11 +84,11 @@ type Oracle struct {
 	buildTime time.Duration
 }
 
-// Build constructs the oracle for n: one shortest-path tree per city, run in
-// parallel (GOMAXPROCS workers) through the shared Dijkstra kernel. The
-// context cancels the fan-out between sources; a cancelled build returns
-// ctx.Err() and no oracle.
-func Build(ctx context.Context, n *graph.Network, _ Options) (*Oracle, error) {
+// Build constructs the oracle for n without the links of cut: one
+// shortest-path tree per city, run in parallel (GOMAXPROCS workers) through
+// the shared Dijkstra kernel with the cut banned. The context cancels the
+// fan-out between sources; a cancelled build returns ctx.Err() and no oracle.
+func Build(ctx context.Context, n *graph.Network, cut Options) (*Oracle, error) {
 	sp := telemetry.StartStageSpan(telemetry.StageOracleBuild)
 	defer sp.End()
 	start := time.Now()
@@ -90,6 +99,7 @@ func Build(ctx context.Context, n *graph.Network, _ Options) (*Oracle, error) {
 	}
 	o := &Oracle{
 		net:   n,
+		cut:   cut,
 		epoch: n.Epoch(),
 		nn:    nn,
 		ncity: ncity,
@@ -109,6 +119,7 @@ func Build(ctx context.Context, n *graph.Network, _ Options) (*Oracle, error) {
 	for i := 0; i < workers; i++ {
 		scratch <- make([]int32, nn)
 	}
+	view := graph.View{N: n, Cut: cut}
 	g := safe.NewGroup(ctx, workers)
 	for city := 0; city < ncity; city++ {
 		city := city
@@ -118,7 +129,7 @@ func Build(ctx context.Context, n *graph.Network, _ Options) (*Oracle, error) {
 			}
 			st := graph.AcquireSearch()
 			defer st.Release()
-			n.Search(st, graph.SearchSpec{Src: n.CityNode(city), Target: graph.NoTarget})
+			view.Search(st, graph.SearchSpec{Src: n.CityNode(city), Target: graph.NoTarget})
 			prev := o.prev[city*nn : (city+1)*nn]
 			for v := range prev {
 				prev[v] = st.PrevLink(int32(v))
@@ -183,13 +194,13 @@ func (o *Oracle) fillHops(city int, depth []int32) error {
 	return nil
 }
 
-// Valid reports whether the oracle still describes n: the same network
-// instance at the same mutation epoch. A snapshot the incremental advancer
-// has stepped past (or a rebuilt cache entry) fails this check, and callers
-// must rebuild rather than serve answers about a topology that no longer
-// exists.
-func (o *Oracle) Valid(n *graph.Network) bool {
-	return o.net == n && o.epoch == n.Epoch()
+// Valid reports whether the oracle still describes v: the same network
+// instance at the same mutation epoch, with the same cut. A snapshot the
+// incremental advancer has stepped past, a rebuilt cache entry, or the view
+// of another fault mask over the same network fails this check, and callers
+// must rebuild rather than serve answers about a topology that is not v.
+func (o *Oracle) Valid(v *graph.View) bool {
+	return v != nil && o.net == v.N && o.epoch == v.N.Epoch() && slices.Equal(o.cut, v.Cut)
 }
 
 // Stats summarizes the built oracle.

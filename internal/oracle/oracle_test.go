@@ -171,11 +171,64 @@ func diffBattery(t *testing.T, n *graph.Network, pairs int, seed int64) {
 	}
 }
 
+// viewMatchesMasked holds the oracle of a what-if view — the healthy network
+// with the mask's cut banned, as the server builds it — to the oracle of the
+// materialized masked network, over every ordered city pair: DistMs to the
+// bit, Hops, and Query's node sequence, hop for hop the same links (the
+// view's carry the healthy network's ids). It also holds the two oracles'
+// validity apart: the view's answers for its own view only, never for its
+// parent's.
+func viewMatchesMasked(t *testing.T, s *core.Sim, mode core.Mode, mask string) {
+	t.Helper()
+	healthy := buildNet(t, s, mode, "")
+	masked := buildNet(t, s, mode, mask)
+	cut := outagesFor(t, s, mask).Cut(healthy)
+	view, err := Build(context.Background(), healthy, cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := buildOracle(t, masked)
+	for src := 0; src < want.Sources(); src++ {
+		for dst := 0; dst < want.Sources(); dst++ {
+			label := fmt.Sprintf("pair %d→%d", src, dst)
+			if got, w := view.DistMs(src, dst), want.DistMs(src, dst); got != w && !(math.IsInf(got, 1) && math.IsInf(w, 1)) {
+				t.Fatalf("%s: view DistMs %v, masked network's %v", label, got, w)
+			}
+			if got, w := view.Hops(src, dst), want.Hops(src, dst); got != w {
+				t.Fatalf("%s: view Hops %d, masked network's %d", label, got, w)
+			}
+			p, ok := view.Query(src, dst)
+			q, wantOK := want.Query(src, dst)
+			if ok != wantOK || p.OneWayMs != q.OneWayMs || len(p.Nodes) != len(q.Nodes) {
+				t.Fatalf("%s: view path %v (ok=%v), masked network's %v (ok=%v)", label, p.Nodes, ok, q.Nodes, wantOK)
+			}
+			for i := range p.Nodes {
+				if p.Nodes[i] != q.Nodes[i] {
+					t.Fatalf("%s: view path %v, masked network's %v", label, p.Nodes, q.Nodes)
+				}
+			}
+			for i, li := range p.Links {
+				if cut.Has(li) || healthy.Links[li] != masked.Links[q.Links[i]] {
+					t.Fatalf("%s: hop %d is healthy link %d, masked link %d", label, i, li, q.Links[i])
+				}
+			}
+		}
+	}
+	if len(cut) > 0 && (view.Valid(&graph.View{N: healthy}) || !view.Valid(&graph.View{N: healthy, Cut: cut})) {
+		t.Fatal("a what-if's oracle is valid for its parent's view, or not for its own")
+	}
+	if len(cut) > 0 && buildOracle(t, healthy).Valid(&graph.View{N: healthy, Cut: cut}) {
+		t.Fatal("the healthy oracle is valid for a what-if's view")
+	}
+}
+
 // TestOracleMatchesKernel is the core differential battery: every motif,
 // both modes, fault masks including nonzero ones, tiny preset always and the
 // reduced preset when not -short. Distances must be bit-identical and paths
 // byte-identical to the live Dijkstra kernel, and the hop table equal to the
-// walked paths' link counts.
+// walked paths' link counts. Each mask row also builds the oracle the server
+// builds for that what-if, on the healthy network under the cut, and holds it
+// to the masked network's (viewMatchesMasked).
 func TestOracleMatchesKernel(t *testing.T) {
 	masks := []string{"", "sat:0.1:1", "isl:0.2:2"}
 	for _, id := range topo.IDs() {
@@ -186,6 +239,9 @@ func TestOracleMatchesKernel(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					n := buildNet(t, sim, mode, mask)
 					diffBattery(t, n, 30, int64(mi+1))
+					if mask != "" {
+						viewMatchesMasked(t, sim, mode, mask)
+					}
 				})
 			}
 		}
@@ -200,6 +256,7 @@ func TestOracleMatchesKernel(t *testing.T) {
 		t.Run(fmt.Sprintf("reduced/%s", mode), func(t *testing.T) {
 			n := buildNet(t, sim, mode, "sat:0.1:1")
 			diffBattery(t, n, 20, 7)
+			viewMatchesMasked(t, sim, mode, "sat:0.1:1")
 		})
 	}
 }
@@ -250,17 +307,20 @@ func TestMaskMonotonic(t *testing.T) {
 }
 
 // TestBuildValidity pins the lifecycle contract: an oracle is valid only for
-// the exact network instance it was built from.
+// the exact network instance it was built from, under the same cut.
 func TestBuildValidity(t *testing.T) {
 	sim := motifSim(t, topo.PlusGrid, core.TinyScale(), "tiny")
 	n1 := buildNet(t, sim, core.BP, "")
 	n2 := n1.Clone()
 	o := buildOracle(t, n1)
-	if !o.Valid(n1) {
+	if !o.Valid(&graph.View{N: n1}) {
 		t.Fatal("oracle invalid for its own network")
 	}
-	if o.Valid(n2) {
+	if o.Valid(&graph.View{N: n2}) || o.Valid(nil) {
 		t.Fatal("oracle valid for a different network instance")
+	}
+	if o.Valid(&graph.View{N: n1, Cut: graph.Cut{0}}) {
+		t.Fatal("oracle of the whole network valid for a view with a cut")
 	}
 	st := o.Stats()
 	if st.Sources != n1.NumCity || st.Nodes != n1.N() {

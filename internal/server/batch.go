@@ -316,7 +316,7 @@ func (s *Server) handleBatchPaths(w http.ResponseWriter, r *http.Request) error 
 	// one-time build (shared with every concurrent batch for this key).
 	cached := rs.orc != nil
 	if !cached {
-		if rs.orc, err = s.oracleFor(ctx, rs.key, rs.n); err != nil {
+		if rs.orc, err = s.oracleFor(ctx, rs.key, rs.view); err != nil {
 			return err
 		}
 	}
@@ -371,26 +371,27 @@ type oracleCall struct {
 	err  error
 }
 
-// oracleFor builds the distance oracle for key's snapshot n — resolve found
-// none attached — at most once per key at a time: concurrent batches against
-// the same cold snapshot elect one builder and share its result. A
+// oracleFor builds the distance oracle for key's snapshot view v — resolve
+// found none attached — at most once per key at a time: concurrent batches
+// against the same cold snapshot elect one builder and share its result. A
+// what-if's oracle is built on its parent's network with the cut banned. A
 // successful build is attached to the snapshot-cache entry
 // (snapcache.Attach), so the oracle rides the snapshot's own LRU
-// lifecycle; the attach is a no-op if n is not the resident network (a
+// lifecycle; the attach is a no-op if v is not the resident view (a
 // degraded fallback's, or the entry was evicted meanwhile) — the oracle still
 // answers this request, it just isn't pinned.
-func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, n *graph.Network) (*oracle.Oracle, error) {
+func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, v *graph.View) (*oracle.Oracle, error) {
 	s.oracleMu.Lock()
 	if cl, inflight := s.oracleInflight[key]; inflight {
 		s.oracleMu.Unlock()
 		select {
 		case <-cl.done:
-			if cl.err == nil && !cl.o.Valid(n) {
-				// The leader built against a different network instance (a
-				// degraded fallback raced the key's own build, or an eviction
-				// and rebuild). Rare: build our own, unshared and unattached —
+			if cl.err == nil && !cl.o.Valid(v) {
+				// The leader built against a different view (a degraded
+				// fallback raced the key's own build, or an eviction and
+				// rebuild). Rare: build our own, unshared and unattached —
 				// correctness over reuse.
-				return s.buildOracle(ctx, key, n, false)
+				return s.buildOracle(ctx, key, v, false)
 			}
 			return cl.o, cl.err
 		case <-ctx.Done():
@@ -404,7 +405,7 @@ func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, n *graph.Netw
 		// Detached from the leader's cancellation, like snapshot builds:
 		// followers with live contexts still want the result, and the next
 		// batch for this key certainly does.
-		cl.o, cl.err = s.buildOracle(context.WithoutCancel(ctx), key, n, true)
+		cl.o, cl.err = s.buildOracle(context.WithoutCancel(ctx), key, v, true)
 		s.oracleMu.Lock()
 		delete(s.oracleInflight, key)
 		s.oracleMu.Unlock()
@@ -421,9 +422,9 @@ func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, n *graph.Netw
 // buildOracle runs one oracle build — for a batch or for the primer — and
 // (when attach is set) pins the result to the snapshot-cache entry it was
 // derived from.
-func (s *Server) buildOracle(ctx context.Context, key snapcache.Key, n *graph.Network, attach bool) (*oracle.Oracle, error) {
+func (s *Server) buildOracle(ctx context.Context, key snapcache.Key, v *graph.View, attach bool) (*oracle.Oracle, error) {
 	start := time.Now()
-	o, err := oracle.Build(ctx, n, oracle.Options{})
+	o, err := oracle.Build(ctx, v.N, v.Cut)
 	if err != nil {
 		telemetry.EmitEvent(ctx, telemetry.CatServe, telemetry.SevError,
 			"oracle build failed",
@@ -433,7 +434,7 @@ func (s *Server) buildOracle(ctx context.Context, key snapcache.Key, n *graph.Ne
 	}
 	s.oracleBuilds.Add(1)
 	if attach {
-		s.cache.Attach(key, n, o)
+		s.cache.Attach(key, v, o)
 	}
 	telemetry.EmitEvent(ctx, telemetry.CatServe, telemetry.SevInfo,
 		"oracle built",

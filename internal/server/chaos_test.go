@@ -13,6 +13,7 @@ import (
 
 	"leosim/internal/core"
 	"leosim/internal/fault"
+	"leosim/internal/graph"
 	"leosim/internal/telemetry"
 )
 
@@ -343,7 +344,7 @@ func TestStaleCacheServesKeyLandedDuringFailedBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaos.Sleep = func(time.Duration) { s.cache.Put(key, landed) }
+	chaos.Sleep = func(time.Duration) { s.cache.Put(key, &graph.View{N: landed}) }
 	var resp pathResponse
 	if rec := getJSON(t, s.Handler(), chaosURL(t, s, 0, "bp"), &resp); rec.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200 from the landed snapshot: %s", rec.Code, rec.Body.String())

@@ -152,34 +152,41 @@ func (s *Server) cacheKey(spec snapSpec) snapcache.Key {
 }
 
 // buildSnapshot is the cache's BuildFunc: it re-derives mode and fault mask
-// from the key. A healthy key is the sim's shared snapshot; a masked key is
-// derived from this cache's own healthy entry (resident after priming,
-// singleflight-built otherwise), so a what-if repeats no scan. Keeping the
-// key → build mapping pure is what makes cached snapshots trustworthy: two
-// requests that agree on the key are guaranteed the same network.
-func (s *Server) buildSnapshot(ctx context.Context, key snapcache.Key) (*graph.Network, error) {
+// from the key. A healthy key is the sim's shared snapshot, whole. A masked
+// key is a view of this cache's own healthy entry (resident after priming,
+// singleflight-built otherwise): the same network, and the cut of its links
+// the mask removes — a few KB, where a materialized copy would own a link
+// list and a CSR — so a what-if repeats no scan and copies no graph. Keeping
+// the key → build mapping pure is what makes cached snapshots trustworthy: two
+// requests that agree on the key are guaranteed the same view.
+func (s *Server) buildSnapshot(ctx context.Context, key snapcache.Key) (*graph.View, error) {
 	var mode core.Mode
 	if err := mode.UnmarshalText([]byte(strings.TrimPrefix(key.Scenario, s.scenario+"/"))); err != nil {
 		return nil, fmt.Errorf("server: cache key %s: %w", key, err)
 	}
 	if key.Mask == "" {
-		return s.cfg.Sim.BuildNetworkAt(ctx, key.Time, mode, nil)
+		n, err := s.cfg.Sim.BuildNetworkAt(ctx, key.Time, mode, nil)
+		if err != nil {
+			return nil, err
+		}
+		return &graph.View{N: n}, nil
 	}
 	outages, err := s.realizeMask(key.Mask, key.Time)
 	if err != nil {
 		return nil, err
 	}
-	healthy, err := s.cache.Get(ctx, snapcache.Key{Scenario: key.Scenario, Time: key.Time})
+	parentKey := snapcache.Key{Scenario: key.Scenario, Time: key.Time}
+	parent, err := s.cache.Get(ctx, parentKey)
 	var boe *snapcache.BreakerOpenError
 	if errors.As(err, &boe) {
 		// This build is the breaker's half-open probe, beside which the cache
-		// starts no second build: take the sim's network so it can succeed.
-		healthy, err = s.cfg.Sim.BuildNetworkAt(ctx, key.Time, mode, nil)
+		// starts no second build: build the parent here so it can succeed.
+		parent, err = s.buildSnapshot(ctx, parentKey)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return outages.Masked(healthy), nil
+	return &graph.View{N: parent.N, Cut: outages.Cut(parent.N)}, nil
 }
 
 // realizeMask turns a fault fingerprint "scenario:fraction:seed" back into
@@ -220,20 +227,20 @@ func (s *Server) realizeMask(mask string, t time.Time) (*fault.Outages, error) {
 // "bp-fallback" answers a failed hybrid build from the resident BP-only
 // snapshot of the same instant — conservative routing: BP paths exist in the
 // hybrid graph too.
-func (s *Server) snapshot(ctx context.Context, spec snapSpec, key snapcache.Key) (*graph.Network, string, error) {
-	n, err := s.cache.Get(ctx, key)
+func (s *Server) snapshot(ctx context.Context, spec snapSpec, key snapcache.Key) (*graph.View, string, error) {
+	v, err := s.cache.Get(ctx, key)
 	if err == nil || ctx.Err() != nil {
-		return n, "", err
+		return v, "", err
 	}
-	if n, ok := s.cache.GetCached(key); ok {
+	if v, ok := s.cache.GetCached(key); ok {
 		s.noteDegraded(ctx, key.String(), "stale-cache", err)
-		return n, "stale-cache", nil
+		return v, "stale-cache", nil
 	}
 	if spec.mode == core.Hybrid {
 		spec.mode = core.BP
-		if n, ok := s.cache.GetCached(s.cacheKey(spec)); ok {
+		if v, ok := s.cache.GetCached(s.cacheKey(spec)); ok {
 			s.noteDegraded(ctx, key.String(), "bp-fallback", err)
-			return n, "bp-fallback", nil
+			return v, "bp-fallback", nil
 		}
 	}
 	return nil, "", err
@@ -252,14 +259,15 @@ func (s *Server) noteDegraded(ctx context.Context, key, fallback string, cause e
 		telemetry.Str("cause", cause.Error()))
 }
 
-// resolved is a snapSpec made concrete: its cache key, the network, the
-// fallback that supplied it ("" for the key's own snapshot, as in snapshot),
-// and the distance oracle attached to it — nil when none is, in which case
-// answers come from the healthy parent's oracle where the fault missed the
-// route and from the live kernel otherwise.
+// resolved is a snapSpec made concrete: its cache key, the view of the
+// snapshot (a what-if's is its healthy parent's network and the mask's cut),
+// the fallback that supplied it ("" for the key's own snapshot, as in
+// snapshot), and the distance oracle attached to it — nil when none is, in
+// which case answers come from the healthy parent's oracle where the fault
+// missed the route and from the live kernel otherwise.
 type resolved struct {
 	key      snapcache.Key
-	n        *graph.Network
+	view     *graph.View
 	degraded string
 	orc      *oracle.Oracle
 }
@@ -272,10 +280,10 @@ type resolved struct {
 func (s *Server) resolve(ctx context.Context, spec snapSpec) (resolved, error) {
 	rs := resolved{key: s.cacheKey(spec)}
 	var err error
-	if rs.n, rs.degraded, err = s.snapshot(ctx, spec, rs.key); err != nil {
+	if rs.view, rs.degraded, err = s.snapshot(ctx, spec, rs.key); err != nil {
 		return resolved{}, err
 	}
-	if o, net := s.attachedOracle(rs.key); o != nil && net == rs.n {
+	if o, v := s.attachedOracle(rs.key); o != nil && v == rs.view {
 		s.oracleHits.Add(1)
 		rs.orc = o
 	}
@@ -283,11 +291,11 @@ func (s *Server) resolve(ctx context.Context, spec snapSpec) (resolved, error) {
 }
 
 // attachedOracle returns the oracle riding key's resident cache entry and the
-// network it describes, or nils when the entry is gone or carries none.
-func (s *Server) attachedOracle(key snapcache.Key) (*oracle.Oracle, *graph.Network) {
-	if aux, n, ok := s.cache.Attachment(key); ok {
-		if o, isOracle := aux.(*oracle.Oracle); isOracle && o.Valid(n) {
-			return o, n
+// view it describes, or nils when the entry is gone or carries none.
+func (s *Server) attachedOracle(key snapcache.Key) (*oracle.Oracle, *graph.View) {
+	if aux, v, ok := s.cache.Attachment(key); ok {
+		if o, isOracle := aux.(*oracle.Oracle); isOracle && o.Valid(v) {
+			return o, v
 		}
 	}
 	return nil, nil
@@ -297,10 +305,10 @@ func (s *Server) attachedOracle(key snapcache.Key) (*oracle.Oracle, *graph.Netwo
 // attached oracle when there is one — identical to the kernel's answer, proven
 // by the oracle differential battery, at a fraction of a full search — and
 // otherwise from the healthy parent's tree if the fault left that route alone
-// (survivingRoute), or by a live kernel search. With route=false the answer
-// carries no Route, which lets an oracle give it from its distance and hop
-// tables: two reads, no path reconstructed, nothing allocated. Only route=true
-// walks the stored tree and names the nodes.
+// (survivingRoute), or by a live kernel search of the view. With route=false
+// the answer carries no Route, which lets an oracle give it from its distance
+// and hop tables: two reads, no path reconstructed, nothing allocated. Only
+// route=true walks the stored tree and names the nodes.
 func (s *Server) answer(ctx context.Context, rs resolved, src, dst int, route bool) (core.PathQuery, error) {
 	if rs.orc == nil {
 		q, ok := s.survivingRoute(rs, src, dst)
@@ -309,7 +317,7 @@ func (s *Server) answer(ctx context.Context, rs resolved, src, dst int, route bo
 		} else {
 			s.kernelAnswers.Add(1)
 			var err error
-			if q, err = s.cfg.Sim.PathAt(ctx, rs.n, src, dst); err != nil {
+			if q, err = s.cfg.Sim.PathIn(ctx, *rs.view, src, dst); err != nil {
 				return core.PathQuery{}, err
 			}
 		}
@@ -329,33 +337,34 @@ func (s *Server) answer(ctx context.Context, rs resolved, src, dst int, route bo
 	if !ok {
 		return core.PathQuery{}, nil
 	}
-	return *core.PathQueryOf(rs.n, p), nil
+	return *core.PathQueryOf(rs.view.N, p), nil
 }
 
 // survivingRoute answers a what-if from the healthy day: rs is a masked
 // snapshot with no oracle of its own, and the healthy snapshot of the same
-// instant and mode has one. The masked network is a subgraph of the healthy
-// one — same node ids, same link delays — so a pair unreachable there is
-// unreachable here, and if every hop of the healthy tree path is still an edge
-// here, that path is node for node what the kernel would find on rs.n, ties
-// included (DESIGN.md §7). ok is false when the fault cut the route, or there
-// is no healthy oracle to ask; the kernel answers then.
+// instant and mode has one, over the network rs views. The view is a subgraph
+// of that network — same node ids, same link delays — so a pair unreachable
+// there is unreachable here, and if the cut severs no hop of the healthy tree
+// path, that path is node for node what the kernel would find in the view,
+// ties included (DESIGN.md §7). ok is false when the fault cut the route, or
+// there is no healthy oracle of rs's network to ask (none primed, or a
+// bp-fallback view under a hybrid key); the kernel answers then.
 func (s *Server) survivingRoute(rs resolved, src, dst int) (q *core.PathQuery, ok bool) {
 	if rs.key.Mask == "" {
 		return nil, false
 	}
 	o, healthy := s.attachedOracle(snapcache.Key{Scenario: rs.key.Scenario, Time: rs.key.Time})
-	if o == nil {
+	if o == nil || healthy.N != rs.view.N {
 		return nil, false
 	}
 	p, reachable := o.Query(src, dst)
 	if !reachable {
 		return &core.PathQuery{}, true
 	}
-	if !rs.n.Carries(healthy, p) {
+	if rs.view.Cut.Severs(p) {
 		return nil, false
 	}
-	return core.PathQueryOf(rs.n, p), true
+	return core.PathQueryOf(rs.view.N, p), true
 }
 
 // ---- request parsing ----------------------------------------------------
@@ -621,11 +630,11 @@ func (s *Server) handleReachability(w http.ResponseWriter, r *http.Request) erro
 		srcName = s.cfg.Sim.CityName(src)
 	}
 	// Not a path question: the snapshot alone, no oracle lookup.
-	n, degraded, err := s.snapshot(ctx, spec, s.cacheKey(spec))
+	v, degraded, err := s.snapshot(ctx, spec, s.cacheKey(spec))
 	if err != nil {
 		return err
 	}
-	reach, err := s.cfg.Sim.ReachabilityAt(ctx, n, src)
+	reach, err := s.cfg.Sim.ReachabilityIn(ctx, *v, src)
 	if err != nil {
 		return err
 	}

@@ -5,12 +5,13 @@
 //
 // The load-bearing pieces:
 //
-//   - One snapcache.Cache of frozen snapshot graphs, keyed by
-//     (scenario, time, fault-mask). Concurrent queries for the same epoch
-//     build the network once (singleflight) and share the immutable CSR
-//     graph across goroutines; an entry bound keeps memory flat, and evicts
-//     oracle-carrying entries last, so one-shot what-ifs never push out the
-//     primed day they are derived from.
+//   - One snapcache.Cache of snapshot views, keyed by (scenario, time,
+//     fault-mask). Concurrent queries for the same epoch build the network
+//     once (singleflight) and share the immutable CSR graph across
+//     goroutines; a what-if is that same graph plus the sorted ids of the
+//     links its mask cuts, searched with them banned, never a copy. An entry
+//     bound keeps memory flat, and evicts oracle-carrying entries last, so
+//     one-shot what-ifs never push out the primed day they are views of.
 //   - Per-request routing scratch comes from the graph package's
 //     SearchState pool, so steady-state queries allocate almost nothing in
 //     the kernel.
@@ -40,6 +41,7 @@ import (
 
 	"leosim/internal/core"
 	"leosim/internal/fault"
+	"leosim/internal/graph"
 	"leosim/internal/safe"
 	"leosim/internal/snapcache"
 	"leosim/internal/telemetry"
@@ -146,7 +148,7 @@ func (discardHandler) WithGroup(string) slog.Handler             { return discar
 type Server struct {
 	cfg      Config
 	scenario string // cache-key namespace: "<constellation>/<scale>"
-	cache    *snapcache.Cache
+	cache    *snapcache.Cache[*graph.View]
 	sem      chan struct{}
 	times    []time.Time
 	started  time.Time
@@ -477,14 +479,14 @@ func (s *Server) primeAll(ctx context.Context) (primed int, err error) {
 			}
 			key := s.cacheKey(snapSpec{t: t, mode: mode})
 			// A request's build may have landed this key first; the oracle
-			// must describe the network that is resident, not ours.
-			n = s.cache.Put(key, n)
+			// must describe the view that is resident, not ours.
+			v := s.cache.Put(key, &graph.View{N: n})
 			primed++
 			if s.cfg.PrimeOracles {
 				// The oracle build rides the primer: once it lands, the
 				// first query against this snapshot — single or batched —
 				// skips both the graph build and the oracle build.
-				if _, err := s.buildOracle(ctx, key, n, true); err != nil {
+				if _, err := s.buildOracle(ctx, key, v, true); err != nil {
 					return primed, err
 				}
 			}

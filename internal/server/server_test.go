@@ -533,7 +533,7 @@ func TestPrimeCacheWarmsWholeDay(t *testing.T) {
 	}
 	for _, mode := range []core.Mode{core.BP, core.Hybrid} {
 		for _, ts := range s.times {
-			n, ok := s.cache.GetCached(s.cacheKey(snapSpec{t: ts, mode: mode}))
+			v, ok := s.cache.GetCached(s.cacheKey(snapSpec{t: ts, mode: mode}))
 			if !ok {
 				t.Fatalf("%s@%v not resident after prime", mode, ts)
 			}
@@ -541,9 +541,9 @@ func TestPrimeCacheWarmsWholeDay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(n.Links) != len(want.Links) {
-				t.Fatalf("%s@%v: primed snapshot has %d links, cold build %d",
-					mode, ts, len(n.Links), len(want.Links))
+			if len(v.N.Links) != len(want.Links) || v.Cut != nil {
+				t.Fatalf("%s@%v: primed snapshot has %d links and a cut of %d, cold build %d links",
+					mode, ts, len(v.N.Links), len(v.Cut), len(want.Links))
 			}
 		}
 	}

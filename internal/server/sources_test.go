@@ -72,7 +72,7 @@ func TestSnapshotSourcesAgree(t *testing.T) {
 				// not be what made the others agree.
 				want := sim.NetworkAt(last, mode).Links
 				for label, got := range map[string][]graph.Link{
-					"primed entry": primed.Links, "BuildNetworkAt": built.Links, "walker": walked.Links,
+					"primed entry": primed.N.Links, "BuildNetworkAt": built.Links, "walker": walked.Links,
 				} {
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s: %s has %d links that differ from NetworkAt's %d",

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -123,20 +124,30 @@ var survivingRouteMasks = []string{
 }
 
 // requireShortcutMatchesKernel asks every (src, dst) of the given sources
-// through answer — which takes the surviving-route branch when it can — and
-// directly of the kernel on the same masked network, and requires the two
-// PathQuery values equal in every field: RTT to the bit, hop counts, per-kind
-// relay counts and the named route. It returns how each answer was given.
+// through answer — which reads the healthy tree when the cut spares the route
+// and searches the view otherwise — and of the kernel on the materialized
+// masked network (Outages.Masked of the network rs views), and requires the
+// two PathQuery values equal in every field: RTT to the bit, hop counts,
+// per-kind relay counts and the named route. It returns how each answer was
+// given.
 func requireShortcutMatchesKernel(t *testing.T, s *Server, rs resolved, srcs []int, label string) (survived, cut, unreachable int) {
 	t.Helper()
 	ctx := context.Background()
 	sim := s.cfg.Sim
+	outages, err := s.realizeMask(rs.key.Mask, rs.key.Time)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masked := outages.Masked(rs.view.N)
+	if got, want := len(rs.view.Cut), len(rs.view.N.Links)-len(masked.Links); got != want {
+		t.Fatalf("%s: the view cuts %d links, the materialized mask removes %d", label, got, want)
+	}
 	for _, src := range srcs {
 		for dst := 0; dst < sim.NumCities(); dst++ {
 			if dst == src {
 				continue
 			}
-			want, err := sim.PathAt(ctx, rs.n, src, dst)
+			want, err := sim.PathAt(ctx, masked, src, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +165,7 @@ func requireShortcutMatchesKernel(t *testing.T, s *Server, rs resolved, srcs []i
 				unreachable++
 			}
 			if !reflect.DeepEqual(got, *want) {
-				t.Fatalf("%s %d→%d: answer %+v, kernel on the masked network %+v", label, src, dst, got, *want)
+				t.Fatalf("%s %d→%d: answer %+v, kernel on the materialized masked network %+v", label, src, dst, got, *want)
 			}
 		}
 	}
@@ -162,10 +173,12 @@ func requireShortcutMatchesKernel(t *testing.T, s *Server, rs resolved, srcs []i
 }
 
 // TestSurvivingRouteMatchesKernel is the served differential behind the
-// surviving-route answer: over every ordered city pair, seven what-ifs and
-// both modes, it is the kernel's answer on the masked network field for field
-// — and all three outcomes occur: routes the fault missed, routes it cut
-// (answered by the kernel), and pairs the healthy day already cannot join.
+// what-if view: over every ordered city pair, seven what-ifs and both modes,
+// the served answer — read off the healthy tree, or searched on the healthy
+// network with the cut banned — is the kernel's answer on the materialized
+// masked network field for field. All three outcomes occur: routes the fault
+// missed, routes it cut (answered by the kernel), and pairs the healthy day
+// already cannot join.
 func TestSurvivingRouteMatchesKernel(t *testing.T) {
 	type preset struct {
 		name  string
@@ -239,11 +252,11 @@ func TestSurvivingRouteMatchesKernel(t *testing.T) {
 }
 
 // TestSurvivingRouteUnderBPFallback: a hybrid what-if whose build failed is
-// served the resident bent-pipe network of the same mask. The healthy tree
-// consulted is then the hybrid day's, whose laser hops are no edges of a
-// bent-pipe network: those routes fall to the kernel, and the laser-free ones
-// that survive are still the kernel's answer — the served network is a
-// subgraph of the hybrid day all the same.
+// served the resident bent-pipe view of the same mask. The healthy oracle of
+// the key is then the hybrid day's, an oracle of another network, whose link
+// ids the bent-pipe cut does not speak for: nothing is read off its tree, and
+// every answer is the kernel's on the bent-pipe view — the kernel's answer on
+// the materialized bent-pipe mask.
 func TestSurvivingRouteUnderBPFallback(t *testing.T) {
 	s := newTestServer(t, Config{PrimeSnapshots: true, PrimeOracles: true})
 	if _, err := s.primeAll(context.Background()); err != nil {
@@ -256,15 +269,14 @@ func TestSurvivingRouteUnderBPFallback(t *testing.T) {
 	}
 	rs := resolved{
 		key:      s.cacheKey(snapSpec{t: s.times[1], mode: core.Hybrid, mask: "sat:0.1:9"}),
-		n:        bp.n,
+		view:     bp.view,
 		degraded: "bp-fallback",
 	}
 	srcs := []int{0, 7, 19, 33}
-	survived, cut, _ := requireShortcutMatchesKernel(t, s, rs, srcs, "bp-fallback")
-	if cut == 0 {
-		t.Error("no hybrid tree path failed the edge check on a bent-pipe network")
+	survived, cut, unreachable := requireShortcutMatchesKernel(t, s, rs, srcs, "bp-fallback")
+	if cut == 0 || survived+unreachable != 0 {
+		t.Errorf("bp-fallback: %d answers read off the hybrid tree, %d searched; want none and all", survived+unreachable, cut)
 	}
-	t.Logf("bp-fallback: %d routes survived, %d went to the kernel", survived, cut)
 }
 
 // TestAnswerCountersOnMetrics: the two counters for answers given without an
@@ -325,5 +337,62 @@ func TestSurvivingRouteNeedsAHealthyOracle(t *testing.T) {
 	if s.kernelAnswers.Value() != 1 || s.survivingAnswers.Value() != 0 {
 		t.Fatalf("answer without a healthy oracle: %d kernel, %d surviving-route, want 1 and 0",
 			s.kernelAnswers.Value(), s.survivingAnswers.Value())
+	}
+}
+
+// TestWhatIfSharesItsParent is the regression test for a what-if owning a
+// graph: its cache entry is a view of the healthy entry of the same instant
+// and mode — that entry's very network, plus the cut — and the miss that
+// makes it allocates under a tenth of what materializing the same mask does
+// (Outages.Masked: a link list and a CSR of its own). At the served scale,
+// where a mask is ~5 % of the links and the realization's draws are a small
+// share of the miss.
+func TestWhatIfSharesItsParent(t *testing.T) {
+	scale := core.ReducedScale()
+	scale.NumSnapshots = 2
+	sim, err := core.NewSim(core.Starlink, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Sim: sim})
+	ctx := context.Background()
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for i, mode := range []core.Mode{core.BP, core.Hybrid} {
+		healthy, err := s.resolve(ctx, snapSpec{t: s.times[1], mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := snapSpec{t: s.times[1], mode: mode, mask: fmt.Sprintf("sat:0.05:%d", 40+i)}
+		builds := s.CacheStats().Builds
+		var rs resolved
+		missBytes := allocated(func() { rs, err = s.resolve(ctx, spec) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.CacheStats().Builds - builds; got != 1 {
+			t.Fatalf("%s: the what-if ran %d builds, want 1 (a miss, its parent resident)", mode, got)
+		}
+		if resident, ok := s.cache.GetCached(rs.key); !ok || resident != rs.view {
+			t.Fatalf("%s: the what-if's view is not its resident entry", mode)
+		}
+		if rs.view.N != healthy.view.N || len(rs.view.Cut) == 0 {
+			t.Fatalf("%s: the what-if's entry holds network %p with a cut of %d links, want its parent's %p and a non-empty cut",
+				mode, rs.view.N, len(rs.view.Cut), healthy.view.N)
+		}
+		outages, err := s.realizeMask(spec.mask, spec.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maskedBytes := allocated(func() { outages.Masked(healthy.view.N) })
+		t.Logf("%s: the miss allocated %d B, Masked %d B", mode, missBytes, maskedBytes)
+		if 10*missBytes >= maskedBytes {
+			t.Errorf("%s: the what-if miss allocated %d B, not under a tenth of the %d B Masked allocates", mode, missBytes, maskedBytes)
+		}
 	}
 }

@@ -226,7 +226,7 @@ type lateBuild struct {
 }
 
 type harness struct {
-	c    *Cache
+	c    *Cache[*graph.Network]
 	slow chan *lateBuild // each slow build announces itself
 	done chan struct{}   // closed when the run ends: parked builds give up
 
@@ -612,7 +612,7 @@ func runConcurrent(t *testing.T, seed int64, steps int) {
 	active := map[Key]int{}
 	auxNet := map[any]*graph.Network{}
 	var gets, attaches, builds, failures atomic.Int64
-	var c *Cache
+	var c *Cache[*graph.Network]
 	get := func(k Key) (*graph.Network, error) {
 		gets.Add(1)
 		n, err := c.Get(context.Background(), k)
@@ -715,7 +715,7 @@ func runConcurrent(t *testing.T, seed int64, steps int) {
 func runNested(t *testing.T) {
 	var mu sync.Mutex
 	builds := map[Key]int{}
-	var c *Cache
+	var c *Cache[*graph.Network]
 	c = New(func(ctx context.Context, k Key) (*graph.Network, error) {
 		mu.Lock()
 		builds[k]++

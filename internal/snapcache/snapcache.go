@@ -1,13 +1,18 @@
-// Package snapcache is a concurrency-safe cache of frozen per-snapshot
-// network graphs, keyed by (scenario, time, fault-mask). It is the shared
-// substrate of the serving subsystem: many concurrent queries against the
-// same constellation epoch must route over one graph built once, not once
-// per request.
+// Package snapcache is a concurrency-safe cache of per-snapshot values,
+// keyed by (scenario, time, fault-mask). It is the shared substrate of the
+// serving subsystem: many concurrent queries against the same constellation
+// epoch must route over one graph built once, not once per request.
 //
-// A resident snapshot is final; entries leave only by eviction. The graph for
+// The value type is a parameter, Cache[V]: the Sim caches frozen networks
+// (*graph.Network), the server views of them (a network and the links its
+// key's fault mask cuts). Values are compared by ==, which for the pointers
+// both use is identity — what Attach's guard and the first-writer rule rest
+// on.
+//
+// A resident snapshot is final; entries leave only by eviction. The value for
 // a key is a deterministic function of that key, so nothing can make a
 // resident entry stale: there is no expiry and no refresh, and inserting a key
-// that is already resident keeps the resident network (first writer wins).
+// that is already resident keeps the resident value (first writer wins).
 // Self-healing is about build failure, which is real.
 //
 // Mechanisms, composing from plain caching to self-healing:
@@ -18,7 +23,7 @@
 //     work already paid for is never thrown away.
 //   - Bounded residency, attachments last: when a new key arrives at
 //     capacity the victim is the least recently used entry that carries no
-//     attachment — a network alone is a scan or a filter to bring back, an
+//     attachment — a value alone is a scan or a cut to bring back, an
 //     attachment (a distance oracle) is work no single-path request repeats —
 //     and the plain LRU entry once every resident entry carries one. Without
 //     attachments this is a plain LRU.
@@ -41,12 +46,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"leosim/internal/graph"
 	"leosim/internal/telemetry"
 )
 
-// Key identifies one snapshot graph. Two Gets with equal keys always share
-// one build and one cached network.
+// Key identifies one snapshot. Two Gets with equal keys always share one
+// build and one cached value.
 type Key struct {
 	// Scenario namespaces the cache: constellation, scale, connectivity
 	// mode — everything that changes the graph apart from time and faults
@@ -67,10 +71,11 @@ func (k Key) String() string {
 	return fmt.Sprintf("%s@%s+%s", k.Scenario, k.Time.Format(time.RFC3339), k.Mask)
 }
 
-// BuildFunc constructs the network for a key. It runs at most once per key
-// at a time (singleflight); the context is detached from any single
-// caller's cancellation, so a build outlives the request that triggered it.
-type BuildFunc func(ctx context.Context, key Key) (*graph.Network, error)
+// BuildFunc constructs the value for a key. It runs at most once per key at
+// a time (singleflight); the context is detached from any single caller's
+// cancellation, so a build outlives the request that triggered it. A
+// successful build returns a value other than V's zero value.
+type BuildFunc[V comparable] func(ctx context.Context, key Key) (V, error)
 
 // Options tune a Cache.
 type Options struct {
@@ -131,8 +136,8 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// Info is what GetEx reports beside the network: nothing, as a resident
-// entry is final. It exists for GetEx's callers.
+// Info is what GetEx reports beside the value: nothing, as a resident entry
+// is final. It exists for GetEx's callers.
 type Info struct{}
 
 // BreakerState is the circuit breaker's position.
@@ -180,26 +185,26 @@ func (e *BreakerOpenError) Error() string {
 	return fmt.Sprintf("snapcache: circuit breaker open (retry in %s)", e.RetryAfter.Round(time.Millisecond))
 }
 
-type entry struct {
-	n    *graph.Network
+type entry[V comparable] struct {
+	v    V
 	elem *list.Element // position in the LRU list; Value is the Key
 	// aux is the attachment riding this entry (a derived artifact such as a
-	// distance oracle built from n). It shares the entry's whole lifecycle:
-	// n is never replaced, and eviction drops both — an attachment never
+	// distance oracle built from v). It shares the entry's whole lifecycle:
+	// v is never replaced, and eviction drops both — an attachment never
 	// outlives, or mismatches, the snapshot it was derived from.
 	aux any
 }
 
 // call is one in-flight singleflight build.
-type call struct {
+type call[V comparable] struct {
 	done chan struct{}
-	n    *graph.Network
+	v    V
 	err  error
 }
 
 // Cache is the snapshot cache. The zero value is not usable; call New.
-type Cache struct {
-	build        BuildFunc
+type Cache[V comparable] struct {
+	build        BuildFunc[V]
 	hook         func(context.Context, Key) error
 	cap          int
 	buildTimeout time.Duration
@@ -208,9 +213,9 @@ type Cache struct {
 	now          func() time.Time
 
 	mu       sync.Mutex
-	entries  map[Key]*entry
+	entries  map[Key]*entry[V]
 	lru      *list.List // front = most recently used
-	inflight map[Key]*call
+	inflight map[Key]*call[V]
 
 	// Breaker state, guarded by mu.
 	streak   int64 // consecutive build failures
@@ -225,7 +230,7 @@ type Cache struct {
 }
 
 // New creates a cache that builds missing snapshots with build.
-func New(build BuildFunc, opts Options) *Cache {
+func New[V comparable](build BuildFunc[V], opts Options) *Cache[V] {
 	if build == nil {
 		panic("snapcache: nil BuildFunc")
 	}
@@ -238,7 +243,7 @@ func New(build BuildFunc, opts Options) *Cache {
 	if opts.BreakerThreshold > 0 && opts.BreakerCooldown <= 0 {
 		opts.BreakerCooldown = 5 * time.Second
 	}
-	return &Cache{
+	return &Cache[V]{
 		build:        build,
 		hook:         opts.BuildHook,
 		cap:          opts.Capacity,
@@ -246,19 +251,20 @@ func New(build BuildFunc, opts Options) *Cache {
 		brThreshold:  opts.BreakerThreshold,
 		brCooldown:   opts.BreakerCooldown,
 		now:          opts.Clock,
-		entries:      map[Key]*entry{},
+		entries:      map[Key]*entry[V]{},
 		lru:          list.New(),
-		inflight:     map[Key]*call{},
+		inflight:     map[Key]*call[V]{},
 	}
 }
 
-// Get returns the cached network for key, building it (once, regardless of
+// Get returns the cached value for key, building it (once, regardless of
 // how many goroutines ask concurrently) on a miss. It returns ctx.Err()
-// without a network if ctx is done before the build finishes; the build is
+// without a value if ctx is done before the build finishes; the build is
 // not abandoned on behalf of one impatient caller.
-func (c *Cache) Get(ctx context.Context, key Key) (*graph.Network, error) {
+func (c *Cache[V]) Get(ctx context.Context, key Key) (V, error) {
+	var zero V
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return zero, err
 	}
 	// The span's stage is classified at the end — the lookup's outcome (hit,
 	// singleflight wait, or leader miss) is not known at entry.
@@ -267,10 +273,10 @@ func (c *Cache) Get(ctx context.Context, key Key) (*graph.Network, error) {
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e.elem)
 		c.hits.Add(1)
-		n := e.n
+		v := e.v
 		c.mu.Unlock()
 		sp.EndAs(telemetry.StageCacheHit)
-		return n, nil
+		return v, nil
 	}
 	c.misses.Add(1)
 	// Someone else may already be building this snapshot; then wait for them.
@@ -281,7 +287,7 @@ func (c *Cache) Get(ctx context.Context, key Key) (*graph.Network, error) {
 			c.fastFails.Add(1)
 			c.mu.Unlock()
 			sp.EndAs(telemetry.StageCacheMiss)
-			return nil, &BreakerOpenError{RetryAfter: retry}
+			return zero, &BreakerOpenError{RetryAfter: retry}
 		}
 		cl = c.startBuildLocked(ctx, key)
 		stage = telemetry.StageCacheMiss
@@ -290,35 +296,36 @@ func (c *Cache) Get(ctx context.Context, key Key) (*graph.Network, error) {
 	defer sp.EndAs(stage)
 	select {
 	case <-cl.done:
-		return cl.n, cl.err
+		return cl.v, cl.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return zero, ctx.Err()
 	}
 }
 
 // GetEx is Get with an empty Info, for callers that take the three-value form
 // (the bench module's ledger times it); new code calls Get.
-func (c *Cache) GetEx(ctx context.Context, key Key) (*graph.Network, Info, error) {
-	n, err := c.Get(ctx, key)
-	return n, Info{}, err
+func (c *Cache[V]) GetEx(ctx context.Context, key Key) (V, Info, error) {
+	v, err := c.Get(ctx, key)
+	return v, Info{}, err
 }
 
 // GetCached returns the resident entry for key, if there is one, without
 // ever building. It is the degraded-fallback probe: "do we have *anything*
 // usable for this key right now?". No counters and no LRU order move.
-func (c *Cache) GetCached(key Key) (*graph.Network, bool) {
+func (c *Cache[V]) GetCached(key Key) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
-	return e.n, true
+	return e.v, true
 }
 
 // allowBuildLocked asks the breaker whether a build may start now. When it
 // may not, the returned duration is the caller-facing Retry-After hint.
-func (c *Cache) allowBuildLocked(ctx context.Context) (bool, time.Duration) {
+func (c *Cache[V]) allowBuildLocked(ctx context.Context) (bool, time.Duration) {
 	if c.brThreshold <= 0 || !c.brOpen {
 		return true, 0
 	}
@@ -339,7 +346,7 @@ func (c *Cache) allowBuildLocked(ctx context.Context) (bool, time.Duration) {
 
 // recordBuildLocked feeds one build outcome into the breaker, emitting a
 // flight-recorder event at every state transition.
-func (c *Cache) recordBuildLocked(ctx context.Context, err error) {
+func (c *Cache[V]) recordBuildLocked(ctx context.Context, err error) {
 	if err == nil {
 		if c.brOpen {
 			telemetry.EmitEvent(ctx, telemetry.CatBreaker, telemetry.SevInfo,
@@ -372,8 +379,8 @@ func (c *Cache) recordBuildLocked(ctx context.Context, err error) {
 }
 
 // startBuildLocked registers and launches one detached singleflight build.
-func (c *Cache) startBuildLocked(ctx context.Context, key Key) *call {
-	cl := &call{done: make(chan struct{})}
+func (c *Cache[V]) startBuildLocked(ctx context.Context, key Key) *call[V] {
+	cl := &call[V]{done: make(chan struct{})}
 	c.inflight[key] = cl
 	// Build detached from the leader's cancellation: followers with live
 	// contexts — and the next request for this key — still want the result.
@@ -381,8 +388,8 @@ func (c *Cache) startBuildLocked(ctx context.Context, key Key) *call {
 	return cl
 }
 
-type buildResult struct {
-	n   *graph.Network
+type buildResult[V comparable] struct {
+	v   V
 	err error
 }
 
@@ -390,7 +397,7 @@ type buildResult struct {
 // timeout budget, then publishes the outcome. The whole lifecycle lands in
 // the flight recorder; ctx (detached, but value-preserving) carries the
 // triggering request's trace ID into every event.
-func (c *Cache) runBuild(ctx context.Context, key Key, cl *call) {
+func (c *Cache[V]) runBuild(ctx context.Context, key Key, cl *call[V]) {
 	c.builds.Add(1)
 	start := c.now()
 	telemetry.EmitEvent(ctx, telemetry.CatBuild, telemetry.SevInfo,
@@ -399,28 +406,28 @@ func (c *Cache) runBuild(ctx context.Context, key Key, cl *call) {
 	if c.buildTimeout > 0 {
 		bctx, cancel = context.WithTimeout(ctx, c.buildTimeout)
 	}
-	resc := make(chan buildResult, 1)
+	resc := make(chan buildResult[V], 1)
 	go func() {
 		defer func() {
 			// A panicking build must not strand waiters on a never-closed
 			// channel; surface it as an error to every waiter instead.
 			if r := recover(); r != nil {
-				resc <- buildResult{err: fmt.Errorf("snapcache: build %s panicked: %v", key, r)}
+				resc <- buildResult[V]{err: fmt.Errorf("snapcache: build %s panicked: %v", key, r)}
 			}
 		}()
 		if c.hook != nil {
 			if err := c.hook(ctx, key); err != nil {
-				resc <- buildResult{err: err}
+				resc <- buildResult[V]{err: err}
 				return
 			}
 		}
-		n, err := c.build(bctx, key)
-		resc <- buildResult{n: n, err: err}
+		v, err := c.build(bctx, key)
+		resc <- buildResult[V]{v: v, err: err}
 	}()
 	select {
 	case r := <-resc:
 		cancel()
-		cl.n, cl.err = r.n, r.err
+		cl.v, cl.err = r.v, r.err
 		durMs := c.now().Sub(start).Milliseconds()
 		if cl.err != nil {
 			telemetry.EmitEvent(ctx, telemetry.CatBuild, telemetry.SevError,
@@ -445,8 +452,9 @@ func (c *Cache) runBuild(ctx context.Context, key Key, cl *call) {
 			telemetry.Int64("timeoutMs", c.buildTimeout.Milliseconds()))
 		go func() {
 			defer cancel()
-			if r := <-resc; r.err == nil && r.n != nil {
-				c.adoptLate(ctx, key, r.n)
+			var zero V
+			if r := <-resc; r.err == nil && r.v != zero {
+				c.adoptLate(ctx, key, r.v)
 			}
 		}()
 	}
@@ -454,33 +462,33 @@ func (c *Cache) runBuild(ctx context.Context, key Key, cl *call) {
 }
 
 // finish publishes a completed build: on success the entry enters the LRU
-// (evicting one entry if over capacity) and the waiters get the network that
+// (evicting one entry if over capacity) and the waiters get the value that
 // is resident afterwards; errors are not cached, so the next Get retries.
 // Either way the outcome feeds the breaker.
-func (c *Cache) finish(ctx context.Context, key Key, cl *call) {
+func (c *Cache[V]) finish(ctx context.Context, key Key, cl *call[V]) {
 	c.mu.Lock()
 	delete(c.inflight, key)
 	c.recordBuildLocked(ctx, cl.err)
 	if cl.err != nil {
 		c.errors.Add(1)
 	} else {
-		cl.n = c.insertLocked(key, cl.n)
+		cl.v = c.insertLocked(key, cl.v)
 	}
 	c.mu.Unlock()
 	close(cl.done)
 }
 
-// insertLocked puts n into the LRU under key and returns the network resident
+// insertLocked puts v into the LRU under key and returns the value resident
 // for key afterwards. First writer wins: if key is already resident (a primer
-// Put or a late adoption landed first), the resident network and its
-// attachment stay and only move to the front — both graphs are the same pure
+// Put or a late adoption landed first), the resident value and its
+// attachment stay and only move to the front — both are the same pure
 // function of key, and the resident one may carry an oracle nothing on the
 // single-path route would rebuild. A new key over capacity evicts
 // victimLocked's choice.
-func (c *Cache) insertLocked(key Key, n *graph.Network) *graph.Network {
+func (c *Cache[V]) insertLocked(key Key, v V) V {
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e.elem)
-		return e.n
+		return e.v
 	}
 	for c.lru.Len() >= c.cap {
 		victim := c.victimLocked()
@@ -488,15 +496,15 @@ func (c *Cache) insertLocked(key Key, n *graph.Network) *graph.Network {
 		delete(c.entries, victim.Value.(Key))
 		c.evictions.Add(1)
 	}
-	c.entries[key] = &entry{n: n, elem: c.lru.PushFront(key)}
-	return n
+	c.entries[key] = &entry[V]{v: v, elem: c.lru.PushFront(key)}
+	return v
 }
 
 // victimLocked picks the entry a new key pushes out: the least recently used
 // one without an attachment, else the least recently used. One-shot entries
 // (what-ifs, off-schedule instants) thus age each other out, and an entry
 // whose oracle nothing on the single-path route rebuilds stays.
-func (c *Cache) victimLocked() *list.Element {
+func (c *Cache[V]) victimLocked() *list.Element {
 	for el := c.lru.Back(); el != nil; el = el.Prev() {
 		if c.entries[el.Value.(Key)].aux == nil {
 			return el
@@ -508,9 +516,9 @@ func (c *Cache) victimLocked() *list.Element {
 // adoptLate inserts the success of a build whose waiters already saw a
 // timeout. The late success also counts as one for the breaker: the backend
 // works, slowly.
-func (c *Cache) adoptLate(ctx context.Context, key Key, n *graph.Network) {
+func (c *Cache[V]) adoptLate(ctx context.Context, key Key, v V) {
 	c.mu.Lock()
-	c.insertLocked(key, n)
+	c.insertLocked(key, v)
 	c.lateBuilds.Add(1)
 	c.recordBuildLocked(ctx, nil)
 	c.mu.Unlock()
@@ -519,39 +527,40 @@ func (c *Cache) adoptLate(ctx context.Context, key Key, n *graph.Network) {
 		telemetry.Str("key", key.String()))
 }
 
-// Put inserts a ready-made network for key without running a build — the
+// Put inserts a ready-made value for key without running a build — the
 // cache-priming path: a background primer builds the day's snapshots outside
 // the request path (no build timeout, no breaker accounting) and deposits
 // them. The entry enters the LRU exactly as a built one would (evicting over
 // capacity as victimLocked chooses), and as there, an entry already resident
-// for key wins. Put returns the network resident for key afterwards — derive
+// for key wins. Put returns the value resident for key afterwards — derive
 // attachments from that one, or Attach refuses them. A singleflight build
 // already in flight for key is untouched; when it lands, its waiters get the
-// resident network. A nil n is ignored (and nil returned).
-func (c *Cache) Put(key Key, n *graph.Network) *graph.Network {
-	if n == nil {
-		return nil
+// resident value. V's zero value is ignored (and returned).
+func (c *Cache[V]) Put(key Key, v V) V {
+	var zero V
+	if v == zero {
+		return zero
 	}
 	c.mu.Lock()
-	n = c.insertLocked(key, n)
+	v = c.insertLocked(key, v)
 	c.mu.Unlock()
 	c.primed.Add(1)
-	return n
+	return v
 }
 
 // Attach associates a derived artifact (e.g. a distance oracle) with the
-// resident entry for key, provided the entry holds exactly the network n it
-// was derived from. Pointer identity is the guard: an artifact derived from a
-// network that lost the insert race, or an eviction between deriving the
-// artifact and attaching it, makes the attach a no-op (returning false)
-// rather than pinning a result about a graph the cache does not serve. The
+// resident entry for key, provided the entry holds exactly the value v it
+// was derived from. Identity is the guard: an artifact derived from a value
+// that lost the insert race, or an eviction between deriving the artifact
+// and attaching it, makes the attach a no-op (returning false) rather than
+// pinning a result about a snapshot the cache does not serve. The
 // attachment is dropped when its entry is evicted — it rides the same LRU
 // lifecycle.
-func (c *Cache) Attach(key Key, n *graph.Network, aux any) bool {
+func (c *Cache[V]) Attach(key Key, v V, aux any) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
-	if !ok || e.n != n {
+	if !ok || e.v != v {
 		c.attachMisses.Add(1)
 		return false
 	}
@@ -560,28 +569,29 @@ func (c *Cache) Attach(key Key, n *graph.Network, aux any) bool {
 	return true
 }
 
-// Attachment returns key's attachment and the network it was derived from,
+// Attachment returns key's attachment and the value it was derived from,
 // if the entry is resident and carries one. LRU order and counters are
 // untouched — like GetCached, this is a probe.
-func (c *Cache) Attachment(key Key) (any, *graph.Network, bool) {
+func (c *Cache[V]) Attachment(key Key) (any, V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok || e.aux == nil {
-		return nil, nil, false
+		var zero V
+		return nil, zero, false
 	}
-	return e.aux, e.n, true
+	return e.aux, e.v, true
 }
 
 // Len returns the number of resident entries.
-func (c *Cache) Len() int {
+func (c *Cache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
 
 // Breaker snapshots the circuit breaker's state.
-func (c *Cache) Breaker() BreakerStatus {
+func (c *Cache[V]) Breaker() BreakerStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := BreakerStatus{FailureStreak: c.streak}
@@ -601,7 +611,7 @@ func (c *Cache) Breaker() BreakerStatus {
 }
 
 // Stats snapshots the cumulative counters.
-func (c *Cache) Stats() Stats {
+func (c *Cache[V]) Stats() Stats {
 	return Stats{
 		Hits:         c.hits.Load(),
 		Misses:       c.misses.Load(),

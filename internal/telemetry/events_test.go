@@ -65,7 +65,7 @@ func TestEventRingFilters(t *testing.T) {
 	r := newEventRing(64)
 	r.emit(Event{Cat: CatBuild, Sev: SevInfo, Msg: "build done"})
 	r.emit(Event{Cat: CatBuild, Sev: SevError, Msg: "build failed"})
-	r.emit(Event{Cat: CatServe, Sev: SevWarn, Msg: "stale serve"})
+	r.emit(Event{Cat: CatServe, Sev: SevWarn, Msg: "load shed: server at capacity"})
 	r.emit(Event{Cat: CatBreaker, Sev: SevError, Msg: "breaker open"})
 
 	if evs := r.Snapshot(EventFilter{Cat: CatBuild}); len(evs) != 2 {
@@ -130,11 +130,11 @@ func TestEmitEventCarriesTraceID(t *testing.T) {
 
 func TestEventMarshalJSON(t *testing.T) {
 	e := Event{
-		Seq: 3, Time: time.Unix(0, 0).UTC(), Cat: CatServe, Sev: SevWarn,
-		Trace: TraceID(0xabc), Msg: "stale serve",
+		Seq: 3, Time: time.Unix(0, 0).UTC(), Cat: CatBuild, Sev: SevError,
+		Trace: TraceID(0xabc), Msg: "build failed",
 	}
 	e.attrs[0] = Str("key", "bp@snap0")
-	e.attrs[1] = Int64("ageMs", 1500)
+	e.attrs[1] = Int64("durMs", 1500)
 	e.nattrs = 2
 	raw, err := json.Marshal(e)
 	if err != nil {
@@ -144,14 +144,14 @@ func TestEventMarshalJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got["category"] != "serve" || got["severity"] != "warn" || got["msg"] != "stale serve" {
+	if got["category"] != "build" || got["severity"] != "error" || got["msg"] != "build failed" {
 		t.Errorf("marshalled = %v", got)
 	}
 	if got["trace"] != TraceID(0xabc).String() {
 		t.Errorf("trace = %v, want %v", got["trace"], TraceID(0xabc).String())
 	}
 	attrs, _ := got["attrs"].(map[string]interface{})
-	if attrs["key"] != "bp@snap0" || attrs["ageMs"] != float64(1500) {
+	if attrs["key"] != "bp@snap0" || attrs["durMs"] != float64(1500) {
 		t.Errorf("attrs = %v", attrs)
 	}
 }
