@@ -99,14 +99,21 @@ func groundHops(n *graph.Network, p graph.Path) [][2]float64 {
 }
 
 // hopDelays annotates each ground hop of p with its one-way delay from both
-// path endpoints, via one parallel two-source sweep.
+// path endpoints: one search per endpoint, stopped once every hop is settled.
 func hopDelays(n *graph.Network, p graph.Path) [][2]float64 {
-	ends := []int32{p.Nodes[0], p.Nodes[len(p.Nodes)-1]}
-	d := n.MultiSourceDistances(ends)
-	var out [][2]float64
+	var hops []int32
 	for _, v := range p.Nodes {
 		if n.IsGroundSide(v) {
-			out = append(out, [2]float64{d[0][v], d[1][v]})
+			hops = append(hops, v)
+		}
+	}
+	out := make([][2]float64, len(hops))
+	st := graph.AcquireSearch()
+	defer st.Release()
+	for e, src := range []int32{p.Nodes[0], p.Nodes[len(p.Nodes)-1]} {
+		n.Search(st, graph.SearchSpec{Src: src, Target: graph.NoTarget, Targets: hops})
+		for i, v := range hops {
+			out[i][e] = st.Dist(v)
 		}
 	}
 	return out

@@ -63,7 +63,7 @@ func RunLatency(ctx context.Context, s *Sim) (res *LatencyResult, err error) {
 			defer endSnap()
 			snap := map[Mode][]Float{}
 			for _, m := range []Mode{BP, Hybrid} {
-				rtts, err := s.pairRTTs(sctx, s.NetworkAtCtx(sctx, times[i], m), false)
+				rtts, err := s.pairRTTs(sctx, s.NetworkAtCtx(sctx, times[i], m))
 				if err != nil {
 					return nil, err
 				}

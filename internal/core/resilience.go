@@ -245,7 +245,7 @@ func (s *Sim) evalFaulted(ctx context.Context, mode Mode, perSnap []*fault.Outag
 			}
 			ev.Tput = tp.AggregateGbps
 		}
-		rtts, err := s.pairRTTs(ctx, n, false)
+		rtts, err := s.pairRTTs(ctx, n)
 		if err != nil {
 			return ev, err
 		}

@@ -330,11 +330,10 @@ func (s *Sim) cachedNetworks() int { return s.snap.Len() }
 var pairRTTsTestHook func(src int)
 
 // pairRTTs computes, for one snapshot network, the round-trip time in ms for
-// every pair (indexed like s.Pairs). Unreachable pairs get +Inf. noGround
-// restricts transit to satellites (used by the §6 "pure ISL path" model).
+// every pair (indexed like s.Pairs). Unreachable pairs get +Inf.
 // Cancellation of ctx stops the fan-out between sources and returns the
 // context's error; a worker panic comes back as a *safe.PanicError.
-func (s *Sim) pairRTTs(ctx context.Context, n *graph.Network, noGroundTransit bool) ([]float64, error) {
+func (s *Sim) pairRTTs(ctx context.Context, n *graph.Network) ([]float64, error) {
 	// Recorder-only span: the per-search kernel time already feeds the
 	// registry histogram from graph.Search; this attributes the whole
 	// fan-out's wall time to the run.
@@ -347,17 +346,18 @@ func (s *Sim) pairRTTs(ctx context.Context, n *graph.Network, noGroundTransit bo
 			if pairRTTsTestHook != nil {
 				pairRTTsTestHook(grp.src)
 			}
-			// Pooled scratch state: the whole search runs allocation-free
-			// and distances are read back without materializing slices.
+			// Pooled scratch state: the search runs allocation-free, stops
+			// once the group's last destination is settled, and distances
+			// are read back without materializing slices.
+			dsts := make([]int32, len(grp.pairs))
+			for i, pi := range grp.pairs {
+				dsts[i] = n.CityNode(s.Pairs[pi].Dst)
+			}
 			st := graph.AcquireSearch()
 			defer st.Release()
-			spec := graph.SearchSpec{Src: n.CityNode(grp.src), Target: graph.NoTarget}
-			if noGroundTransit {
-				spec.Expand = func(v int32) bool { return !n.IsGroundSide(v) }
-			}
-			n.Search(st, spec)
-			for _, pi := range grp.pairs {
-				out[pi] = 2 * st.Dist(n.CityNode(s.Pairs[pi].Dst))
+			n.Search(st, graph.SearchSpec{Src: n.CityNode(grp.src), Target: graph.NoTarget, Targets: dsts})
+			for i, pi := range grp.pairs {
+				out[pi] = 2 * st.Dist(dsts[i])
 			}
 			return nil
 		})

@@ -234,7 +234,7 @@ func (s *Sim) topoEval(ctx context.Context, b *graph.Builder, mode Mode,
 		if !t.Equal(geo.Epoch) {
 			n = netAt(t)
 		}
-		rr, err := s.pairRTTs(ctx, n, false)
+		rr, err := s.pairRTTs(ctx, n)
 		if err != nil {
 			return cell, err
 		}
@@ -275,7 +275,7 @@ func (s *Sim) topoEval(ctx context.Context, b *graph.Builder, mode Mode,
 		return cell, err
 	}
 	fn := outages.Masked(epochNet)
-	frr, err := s.pairRTTs(ctx, fn, false)
+	frr, err := s.pairRTTs(ctx, fn)
 	if err != nil {
 		return cell, err
 	}

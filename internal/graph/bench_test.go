@@ -3,7 +3,10 @@ package graph
 import (
 	"testing"
 
+	"leosim/internal/aircraft"
+	"leosim/internal/constellation"
 	"leosim/internal/geo"
+	"leosim/internal/ground"
 	"leosim/internal/telemetry"
 )
 
@@ -102,6 +105,68 @@ func BenchmarkSearch(b *testing.B) {
 		if !n.Search(st, spec) {
 			b.Fatal("search stopped")
 		}
+	}
+}
+
+// BenchmarkSearchTargets measures what a day sweep's tree costs on a
+// reduced-scale bent-pipe snapshot (150 cities, 2.5° relays, aircraft at
+// density 0.5 — core.ReducedScale's ground segment): a full tree, against the
+// same search stopped once three destination cities are settled, which is
+// what a pair group asks for. Sources cycle through the cities; settled/node
+// reports the share of nodes each variant settles.
+func BenchmarkSearchTargets(b *testing.B) {
+	telemetry.Disable()
+	c, err := constellation.New([]constellation.Shell{constellation.StarlinkPhase1()}, constellation.WithISLs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cities, err := ground.Cities(150)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seg, err := ground.NewSegment(cities, 2.5, 2000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fleet, err := aircraft.NewFleet(0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bld, err := NewBuilder(c, seg, fleet, DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := bld.At(geo.Epoch)
+	for _, bc := range []struct {
+		name    string
+		offsets []int // destination cities, as offsets from the source city
+	}{{"full", nil}, {"3cities", []int{37, 74, 111}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			st := AcquireSearch()
+			defer st.Release()
+			specs := make([]SearchSpec, n.NumCity)
+			settled := 0
+			for src := range specs {
+				specs[src] = SearchSpec{Src: n.CityNode(src), Target: NoTarget}
+				for _, k := range bc.offsets {
+					specs[src].Targets = append(specs[src].Targets, n.CityNode((src+k)%n.NumCity))
+				}
+				n.Search(st, specs[src])
+				for v := int32(0); v < int32(n.N()); v++ {
+					if st.Settled(v) {
+						settled++
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !n.Search(st, specs[i%len(specs)]) {
+					b.Fatal("search stopped")
+				}
+			}
+			b.ReportMetric(float64(settled)/float64(len(specs)*n.N()), "settled/node")
+		})
 	}
 }
 

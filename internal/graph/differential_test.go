@@ -27,11 +27,11 @@ func (n *Network) extractPath(src, dst int32, dist []float64, prevLink []int32) 
 }
 
 // naiveDijkstra mirrors the kernel's semantics with O(n²) linear scans:
-// settle the unsettled reached node with minimal (dist, node); a settled
-// non-source node forwards only if expand allows it;
-// relaxation walks the link list in index order and accepts strict
-// improvements only.
-func naiveDijkstra(n *Network, src, target int32, bannedLinks map[int32]bool,
+// settle the unsettled reached node with minimal (dist, node), and stop once
+// every node of a non-empty targets list is settled; a settled non-source
+// node forwards only if expand allows it; relaxation walks the link list in
+// index order and accepts strict improvements only.
+func naiveDijkstra(n *Network, src int32, targets []int32, bannedLinks map[int32]bool,
 	expand func(int32) bool, cost func(int32) float64) (dist []float64, prev []int32) {
 	nn := n.N()
 	dist = make([]float64, nn)
@@ -40,6 +40,10 @@ func naiveDijkstra(n *Network, src, target int32, bannedLinks map[int32]bool,
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		prev[i] = -1
+	}
+	unsettled := map[int32]bool{}
+	for _, v := range targets {
+		unsettled[v] = true
 	}
 	dist[src] = 0
 	for {
@@ -56,8 +60,10 @@ func naiveDijkstra(n *Network, src, target int32, bannedLinks map[int32]bool,
 			break
 		}
 		settled[v] = true
-		if v == target {
-			break
+		if unsettled[v] {
+			if delete(unsettled, v); len(unsettled) == 0 {
+				break
+			}
 		}
 		if v != src && expand != nil && !expand(v) {
 			continue
@@ -148,26 +154,52 @@ func compareAll(t *testing.T, n *Network, dist, wantDist []float64, prev, wantPr
 }
 
 // checkSearch runs one kernel search with every restriction at once — link
-// bans, an Expand filter, a Cost hook, an early-exit target — and
+// bans, an Expand filter, a Cost hook, a target and a target list — and
 // holds the outcome to naiveDijkstra exactly: distance and predecessor of
 // every node (tentative labels of an early-exit search included, since both
-// sides settle in the same order), and under a Cost hook the delay track,
-// which must be the arc weights summed in path order from the source.
-func checkSearch(t *testing.T, n *Network, src, target int32, bannedLinks map[int32]bool,
-	expand func(int32) bool, cost func(int32) float64, tag string) {
+// sides settle in the same order). Every wanted node must be settled with the
+// full tree's distance, predecessor and path, the kernel's and the
+// reference's alike. Under a Cost hook the delay track must be the arc
+// weights summed in path order from the source.
+func checkSearch(t *testing.T, n *Network, spec SearchSpec, bannedLinks map[int32]bool, tag string) {
 	t.Helper()
-	st := AcquireSearch()
+	wanted := spec.Targets
+	if spec.Target != NoTarget {
+		wanted = append([]int32{spec.Target}, wanted...)
+	}
+	st, tree := AcquireSearch(), AcquireSearch()
 	defer st.Release()
+	defer tree.Release()
 	for li := range bannedLinks {
 		st.BanLink(li)
+		tree.BanLink(li)
 	}
-	if !n.Search(st, SearchSpec{Src: src, Target: target, Expand: expand, Cost: cost}) {
+	if !n.Search(st, spec) {
 		t.Fatalf("%s: search did not complete", tag)
 	}
 	dist, prev := st.materialize(n.N())
-	wantDist, wantPrev := naiveDijkstra(n, src, target, bannedLinks, expand, cost)
+	wantDist, wantPrev := naiveDijkstra(n, spec.Src, wanted, bannedLinks, spec.Expand, spec.Cost)
 	compareAll(t, n, dist, wantDist, prev, wantPrev, tag)
-	if cost == nil {
+
+	n.Search(tree, SearchSpec{Src: spec.Src, Target: NoTarget, Expand: spec.Expand, Cost: spec.Cost})
+	treeDist, treePrev := naiveDijkstra(n, spec.Src, nil, bannedLinks, spec.Expand, spec.Cost)
+	for _, v := range wanted {
+		if st.Dist(v) != tree.Dist(v) || st.PrevLink(v) != tree.PrevLink(v) ||
+			st.Dist(v) != treeDist[v] || st.PrevLink(v) != treePrev[v] {
+			t.Fatalf("%s: wanted node %d: (%v, %d), full tree (%v, %d), reference tree (%v, %d)", tag, v,
+				st.Dist(v), st.PrevLink(v), tree.Dist(v), tree.PrevLink(v), treeDist[v], treePrev[v])
+		}
+		if st.Settled(v) != tree.Reached(v) {
+			t.Fatalf("%s: wanted node %d settled=%v, reached by the full tree=%v", tag, v, st.Settled(v), tree.Reached(v))
+		}
+		p, ok := st.Path(v)
+		q, treeOK := tree.Path(v)
+		if ok != treeOK || p.OneWayMs != q.OneWayMs || !slices.Equal(p.Nodes, q.Nodes) || !slices.Equal(p.Links, q.Links) {
+			t.Fatalf("%s: path to wanted node %d: %v (%v ms, ok=%v), full tree %v (%v ms, ok=%v)",
+				tag, v, p.Links, p.OneWayMs, ok, q.Links, q.OneWayMs, treeOK)
+		}
+	}
+	if spec.Cost == nil {
 		return
 	}
 	for dst := int32(0); dst < int32(n.N()); dst++ {
@@ -218,7 +250,14 @@ func TestDifferentialCombined(t *testing.T) {
 		if seed&16 != 0 {
 			target = int32(r.Intn(n.N()))
 		}
-		checkSearch(t, n, src, target, bannedLinks, expand, cost, "combined")
+		var targets []int32
+		if seed&32 != 0 {
+			for i := r.Intn(5); i >= 0; i-- {
+				targets = append(targets, int32(r.Intn(n.N())))
+			}
+			targets = append(targets, targets[0], src) // a duplicate, and the source
+		}
+		checkSearch(t, n, SearchSpec{Src: src, Target: target, Targets: targets, Expand: expand, Cost: cost}, bannedLinks, "combined")
 	}
 }
 
@@ -241,20 +280,79 @@ func TestDecreaseKeyChain(t *testing.T) {
 		add(v, v+1, 0.5)
 	}
 	n.csrValid.Store(false)
-	checkSearch(t, n, 0, NoTarget, nil, nil, nil, "chain")
-	checkSearch(t, n, 0, nodes/2, map[int32]bool{3: true}, func(v int32) bool { return v != 40 }, nil, "chain restricted")
+	checkSearch(t, n, SearchSpec{Src: 0, Target: NoTarget}, nil, "chain")
+	checkSearch(t, n, SearchSpec{Src: 0, Target: nodes / 2, Expand: func(v int32) bool { return v != 40 }},
+		map[int32]bool{3: true}, "chain restricted")
+}
+
+// TestSearchStopsAtLastTarget: a search for a target list settles nothing past
+// its last wanted node. On a chain the nodes beyond it are not even reached;
+// on a unit grid every node strictly farther than the last target is left
+// unsettled and every nearer node settled, and the targets' labels are the
+// full tree's.
+func TestSearchStopsAtLastTarget(t *testing.T) {
+	chain := &Network{}
+	for i := 0; i < 20; i++ {
+		chain.AddNode(NodeSatellite, geo.Vec3{}, "")
+	}
+	for v := int32(0); v+1 < 20; v++ {
+		chain.Links = append(chain.Links, Link{A: v, B: v + 1, Kind: LinkISL, CapGbps: 1, OneWayMs: 1})
+	}
+	chain.csrValid.Store(false)
+	st := AcquireSearch()
+	defer st.Release()
+	chain.Search(st, SearchSpec{Src: 0, Target: NoTarget, Targets: []int32{7, 3, 7}})
+	for v := int32(0); v < 20; v++ {
+		if v <= 7 && (!st.Settled(v) || st.Dist(v) != float64(v)) {
+			t.Fatalf("chain: node %d up to the last target: settled=%v at %v", v, st.Settled(v), st.Dist(v))
+		}
+		if v > 7 && st.Reached(v) {
+			t.Fatalf("chain: node %d beyond the last target 7 was reached", v)
+		}
+	}
+
+	const rows, cols = 7, 8
+	grid := fuzzNet(gridBytes(rows, cols))
+	src := int32(2*cols + 3)
+	tree := AcquireSearch()
+	defer tree.Release()
+	grid.Search(tree, SearchSpec{Src: src, Target: NoTarget})
+	targets := []int32{src + 1, 5*cols + 1, src, 5*cols + 1}
+	last := tree.Dist(5*cols + 1)
+	grid.Search(st, SearchSpec{Src: src, Target: NoTarget, Targets: targets})
+	for _, v := range targets {
+		if st.Dist(v) != tree.Dist(v) || st.PrevLink(v) != tree.PrevLink(v) {
+			t.Fatalf("grid: target %d at (%v, %d), full tree (%v, %d)", v, st.Dist(v), st.PrevLink(v), tree.Dist(v), tree.PrevLink(v))
+		}
+	}
+	unsettled := 0
+	for v := int32(0); v < rows*cols; v++ {
+		switch d := tree.Dist(v); {
+		case d > last && st.Settled(v):
+			t.Fatalf("grid: node %d at %v, beyond the last target's %v, was settled", v, d, last)
+		case d < last && !st.Settled(v):
+			t.Fatalf("grid: node %d at %v, nearer than the last target's %v, was left unsettled", v, d, last)
+		case !st.Settled(v):
+			unsettled++
+		}
+	}
+	if unsettled == 0 {
+		t.Fatal("grid: the stopped search settled every node")
+	}
 }
 
 // TestSearchAllocs pins the kernel's allocation-free profile: a full-tree
-// search on a pooled, already-grown state allocates nothing.
+// search and one stopped at a target list, on a pooled, already-grown state,
+// allocate nothing.
 func TestSearchAllocs(t *testing.T) {
 	n := randomNet(rand.New(rand.NewSource(9)), 300, 900)
 	st := AcquireSearch()
 	defer st.Release()
-	spec := SearchSpec{Src: 0, Target: NoTarget}
-	n.Search(st, spec) // grow the scratch arrays and the heap once
-	if allocs := testing.AllocsPerRun(50, func() { n.Search(st, spec) }); allocs != 0 {
-		t.Fatalf("pooled full-tree search allocates %v times per run, want 0", allocs)
+	for _, spec := range []SearchSpec{{Src: 0, Target: NoTarget}, {Src: 0, Target: 7, Targets: []int32{150, 299, 150}}} {
+		n.Search(st, spec) // grow the scratch arrays and the heap once
+		if allocs := testing.AllocsPerRun(50, func() { n.Search(st, spec) }); allocs != 0 {
+			t.Fatalf("pooled search %+v allocates %v times per run, want 0", spec, allocs)
+		}
 	}
 }
 
@@ -266,7 +364,7 @@ func TestDifferentialDijkstra(t *testing.T) {
 		banned := randomBans(r, n, 0.15)
 
 		dist, prev := n.Dijkstra(src, banned)
-		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, banned, nil, nil)
+		wantDist, wantPrev := naiveDijkstra(n, src, nil, banned, nil, nil)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "banned")
 
 		// Same search through a reused state: stamping must fully isolate
@@ -292,7 +390,7 @@ func TestDifferentialExpand(t *testing.T) {
 		expand := func(v int32) bool { return !n.IsGroundSide(v) }
 
 		dist, prev := n.DijkstraExpand(src, nil, expand)
-		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, nil, expand, nil)
+		wantDist, wantPrev := naiveDijkstra(n, src, nil, nil, expand, nil)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "sat-transit")
 
 		// The restricted search must agree with ShortestPathSatTransit's
@@ -325,7 +423,7 @@ func TestDifferentialKDisjoint(t *testing.T) {
 		banned := map[int32]bool{}
 		var want []Path
 		for i := 0; i < 4; i++ {
-			wd, wp := naiveDijkstra(n, src, dst, banned, nil, nil)
+			wd, wp := naiveDijkstra(n, src, []int32{dst}, banned, nil, nil)
 			p, ok := n.extractPath(src, dst, wd, wp)
 			if !ok {
 				break
@@ -371,7 +469,7 @@ func TestDifferentialCostHook(t *testing.T) {
 		st := AcquireSearch()
 		n.Search(st, SearchSpec{Src: src, Target: NoTarget, Cost: cost})
 		dist, prev := st.materialize(n.N())
-		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, nil, nil, cost)
+		wantDist, wantPrev := naiveDijkstra(n, src, nil, nil, nil, cost)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "cost hook")
 
 		// Under a cost hook, Dist is accumulated cost but extracted paths
@@ -410,7 +508,7 @@ func TestSearchStatePoolConcurrent(t *testing.T) {
 	want := map[*Network][]ref{}
 	for _, n := range nets {
 		for src := int32(0); src < int32(n.N()); src++ {
-			d, p := naiveDijkstra(n, src, NoTarget, nil, nil, nil)
+			d, p := naiveDijkstra(n, src, nil, nil, nil, nil)
 			want[n] = append(want[n], ref{d, p})
 		}
 	}

@@ -48,25 +48,35 @@ func fuzzNet(data []byte) *Network {
 // FuzzSearch holds the allocation-free search kernel to the naive O(V²)
 // reference on arbitrary decoded topologies: identical distances, identical
 // predecessor links (pinning the (dist, node) tie-break), and an extracted
-// path consistent with the distance label; and a view — the network searched
-// with a cut banned — to the network of its other links searched whole
-// (checkView). The grid seeds tie every shortest path many ways.
+// path consistent with the distance label; a search stopped at a target list
+// (duplicates, the source, unreachable nodes) to the full tree on every listed
+// node (checkSearch); and a view — the network searched with a cut banned —
+// to the network of its other links searched whole (checkView). The grid
+// seeds tie every shortest path many ways; of the last two, one lists the
+// source and a duplicate on a grid with nothing banned, and the other's six
+// extra nodes are isolated, so its list holds unreachable targets.
 func FuzzSearch(f *testing.F) {
-	f.Add([]byte{10, 0xAA, 0, 1, 3, 1, 2, 7, 2, 3, 1, 0, 3, 9}, uint8(0), uint8(3), uint8(0), uint8(0))
-	f.Add([]byte{40, 0x0F, 5, 6, 2, 6, 7, 2, 7, 5, 2, 1, 2, 30}, uint8(5), uint8(7), uint8(3), uint8(0x1F))
-	f.Add([]byte{2, 1, 0, 1, 15}, uint8(1), uint8(0), uint8(255), uint8(0x0A))
-	f.Add([]byte{9, 0x49, 0, 1, 31, 0, 2, 30, 0, 3, 29, 0, 4, 28, 1, 2, 0, 2, 3, 0, 3, 4, 0}, uint8(0), uint8(4), uint8(7), uint8(0x15))
-	f.Add(gridBytes(6, 6), uint8(0), uint8(35), uint8(2), uint8(0x40))
-	f.Add(gridBytes(7, 8), uint8(27), uint8(0), uint8(5), uint8(0x93))
-	f.Add(gridBytes(4, 9), uint8(13), uint8(31), uint8(7), uint8(0x0C))
-	f.Add([]byte{6, 0, 0, 1, 3, 0, 1, 3, 1, 2, 3, 2, 1, 3, 2, 3, 3, 0, 3, 9, 3, 4, 3, 4, 3, 3, 4, 5, 3, 5, 4, 3}, uint8(0), uint8(5), uint8(1), uint8(0))
-	f.Fuzz(func(t *testing.T, data []byte, srcB, dstB, banB, optB uint8) {
+	f.Add([]byte{10, 0xAA, 0, 1, 3, 1, 2, 7, 2, 3, 1, 0, 3, 9}, uint8(0), uint8(3), uint8(0), uint8(0), []byte{2, 7, 2})
+	f.Add([]byte{40, 0x0F, 5, 6, 2, 6, 7, 2, 7, 5, 2, 1, 2, 30}, uint8(5), uint8(7), uint8(3), uint8(0x1F), []byte{6, 5})
+	f.Add([]byte{2, 1, 0, 1, 15}, uint8(1), uint8(0), uint8(255), uint8(0x0A), []byte(nil))
+	f.Add([]byte{9, 0x49, 0, 1, 31, 0, 2, 30, 0, 3, 29, 0, 4, 28, 1, 2, 0, 2, 3, 0, 3, 4, 0}, uint8(0), uint8(4), uint8(7), uint8(0x15), []byte{3, 1})
+	f.Add(gridBytes(6, 6), uint8(0), uint8(35), uint8(2), uint8(0x40), []byte{14, 21, 14})
+	f.Add(gridBytes(7, 8), uint8(27), uint8(0), uint8(5), uint8(0x93), []byte{27, 55, 8, 40})
+	f.Add(gridBytes(4, 9), uint8(13), uint8(31), uint8(7), uint8(0x0C), []byte(nil))
+	f.Add([]byte{6, 0, 0, 1, 3, 0, 1, 3, 1, 2, 3, 2, 1, 3, 2, 3, 3, 0, 3, 9, 3, 4, 3, 4, 3, 3, 4, 5, 3, 5, 4, 3}, uint8(0), uint8(5), uint8(1), uint8(0), []byte{5, 4, 4})
+	f.Add(gridBytes(7, 8), uint8(20), uint8(0), uint8(0), uint8(0), []byte{20, 34, 34, 9})
+	f.Add(append([]byte{40}, gridBytes(6, 6)[1:]...), uint8(14), uint8(29), uint8(0), uint8(0x0C), []byte{35, 14, 40, 22, 35, 0})
+	f.Fuzz(func(t *testing.T, data []byte, srcB, dstB, banB, optB uint8, targetB []byte) {
 		n := fuzzNet(data)
 		if n == nil || len(n.Links) == 0 {
 			t.Skip()
 		}
 		src := int32(int(srcB) % n.N())
 		dst := int32(int(dstB) % n.N())
+		var targets []int32
+		for _, b := range targetB {
+			targets = append(targets, int32(int(b)%n.N()))
+		}
 		banned := map[int32]bool{}
 		for li := range n.Links {
 			if banB > 0 && li%int(banB) == 0 {
@@ -75,7 +85,7 @@ func FuzzSearch(f *testing.F) {
 		}
 
 		dist, prev := n.Dijkstra(src, banned)
-		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, banned, nil, nil)
+		wantDist, wantPrev := naiveDijkstra(n, src, nil, banned, nil, nil)
 		for v := range dist {
 			if dist[v] != wantDist[v] || prev[v] != wantPrev[v] {
 				t.Fatalf("node %d: kernel (%v, %d) vs reference (%v, %d)",
@@ -86,7 +96,7 @@ func FuzzSearch(f *testing.F) {
 		// Sat-transit restriction against the reference with the same expand.
 		expand := func(v int32) bool { return !n.IsGroundSide(v) }
 		gotD, gotP := n.DijkstraExpand(src, nil, expand)
-		refD, refP := naiveDijkstra(n, src, NoTarget, nil, expand, nil)
+		refD, refP := naiveDijkstra(n, src, nil, nil, expand, nil)
 		for v := range gotD {
 			if gotD[v] != refD[v] || gotP[v] != refP[v] {
 				t.Fatalf("sat-transit node %d: kernel (%v, %d) vs reference (%v, %d)",
@@ -96,7 +106,7 @@ func FuzzSearch(f *testing.F) {
 
 		// Everything at once, selected by optB's bits: the transit filter, a
 		// cost hook with free and excluded links, and an early-exit target,
-		// on top of the link bans above.
+		// on top of the link bans above and the target list.
 		var cost func(int32) float64
 		target := NoTarget
 		if optB&2 == 0 {
@@ -113,7 +123,7 @@ func FuzzSearch(f *testing.F) {
 		if optB&8 != 0 {
 			target = dst
 		}
-		checkSearch(t, n, src, target, banned, expand, cost, "combined")
+		checkSearch(t, n, SearchSpec{Src: src, Target: target, Targets: targets, Expand: expand, Cost: cost}, banned, "combined")
 
 		// A cut of banB%8 eighths of the links, drawn by hashing link ids
 		// with optB.

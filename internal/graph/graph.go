@@ -5,15 +5,12 @@
 package graph
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"leosim/internal/constellation"
 	"leosim/internal/geo"
-	"leosim/internal/safe"
 	"leosim/internal/telemetry"
 )
 
@@ -425,31 +422,6 @@ func (n *Network) KDisjointPaths(src, dst int32, k int) []Path {
 		for _, li := range p.Links {
 			st.BanLink(li)
 		}
-	}
-	return out
-}
-
-// MultiSourceDistances runs Dijkstra from each source in parallel (bounded
-// by GOMAXPROCS, panic-safe via internal/safe) and returns dist[i] for
-// sources[i].
-func (n *Network) MultiSourceDistances(sources []int32) [][]float64 {
-	n.ensureCSR() // freeze once, before the fan-out
-	out := make([][]float64, len(sources))
-	g := safe.NewGroup(context.Background(), runtime.GOMAXPROCS(0))
-	for i, src := range sources {
-		i, src := i, src
-		g.Go(func() error {
-			st := AcquireSearch()
-			defer st.Release()
-			n.Search(st, SearchSpec{Src: src, Target: NoTarget})
-			out[i] = st.materializeDist(n.N())
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		// Workers only fail by panicking; re-throw so callers' RecoverTo
-		// (or the test harness) sees the original stack.
-		panic(err)
 	}
 	return out
 }

@@ -162,14 +162,3 @@ func TestNodeLinkKindStrings(t *testing.T) {
 		t.Errorf("unknown kinds should format")
 	}
 }
-
-func TestMultiSourceDistances(t *testing.T) {
-	n := lineNetwork(t, 3)
-	d := n.MultiSourceDistances([]int32{0, 3})
-	if len(d) != 2 {
-		t.Fatalf("got %d results", len(d))
-	}
-	if d[0][3] != d[1][0] {
-		t.Errorf("distance not symmetric on undirected graph")
-	}
-}

@@ -43,6 +43,10 @@ type SearchState struct {
 	linkBan    []uint32
 	anyLinkBan bool
 
+	// want[v] == searchStamp marks v as a node the current search stops
+	// for (SearchSpec.Target/Targets) — stamped like node, never cleared.
+	want []uint32
+
 	searchStamp uint32
 	banStamp    uint32
 }
@@ -83,14 +87,16 @@ func (st *SearchState) grow(nodes, links int) {
 		st.node = append(st.node, make([]nodeState, nodes-len(st.node))...)
 		st.delay = append(st.delay, make([]float64, nodes-len(st.delay))...)
 		st.prevLink = append(st.prevLink, make([]int32, nodes-len(st.prevLink))...)
+		st.want = append(st.want, make([]uint32, nodes-len(st.want))...)
 	}
 	if len(st.linkBan) < links {
 		st.linkBan = append(st.linkBan, make([]uint32, links-len(st.linkBan))...)
 	}
 }
 
-// begin starts a new search epoch on network n.
-func (st *SearchState) begin(n *Network, spec SearchSpec) {
+// begin starts a new search epoch on network n and marks the nodes spec
+// wants, returning how many distinct ones there are.
+func (st *SearchState) begin(n *Network, spec SearchSpec) (wanted int) {
 	st.net = n
 	st.src = spec.Src
 	st.hasCost = spec.Cost != nil
@@ -99,10 +105,24 @@ func (st *SearchState) begin(n *Network, spec SearchSpec) {
 	if st.searchStamp == 0 { // wrapped: stale stamps could collide
 		for i := range st.node {
 			st.node[i].stamp = 0
+			st.want[i] = 0
 		}
 		st.searchStamp = 1
 	}
 	st.heap = st.heap[:0]
+	mark := func(v int32) {
+		if st.want[v] != st.searchStamp { // a node listed twice counts once
+			st.want[v] = st.searchStamp
+			wanted++
+		}
+	}
+	if spec.Target != NoTarget {
+		mark(spec.Target)
+	}
+	for _, v := range spec.Targets {
+		mark(v)
+	}
+	return wanted
 }
 
 // ClearBans forgets every banned link.
@@ -137,6 +157,13 @@ func (st *SearchState) Dist(v int32) float64 {
 
 // Reached reports whether the last search reached node v.
 func (st *SearchState) Reached(v int32) bool { return st.node[v].stamp == st.searchStamp }
+
+// Settled reports whether the last search popped node v, making its labels
+// final. A search stopped at its targets leaves the nodes past them reached
+// but unsettled, or unreached.
+func (st *SearchState) Settled(v int32) bool {
+	return st.node[v].stamp == st.searchStamp && st.node[v].pos == posPopped
+}
 
 // PrevLink returns the predecessor link of node v in the last search (-1 at
 // the source or if unreached).
@@ -180,20 +207,6 @@ func (st *SearchState) materialize(nn int) (dist []float64, prevLink []int32) {
 		}
 	}
 	return dist, prevLink
-}
-
-// materializeDist is materialize without the predecessor copy.
-func (st *SearchState) materializeDist(nn int) []float64 {
-	dist := make([]float64, nn)
-	inf := math.Inf(1)
-	for i := 0; i < nn; i++ {
-		if st.node[i].stamp == st.searchStamp {
-			dist[i] = st.node[i].dist
-		} else {
-			dist[i] = inf
-		}
-	}
-	return dist
 }
 
 // heapEntry is one frontier node in the priority queue. Entries are plain
@@ -270,10 +283,16 @@ func siftDown(h []heapEntry, node []nodeState, e heapEntry) {
 type SearchSpec struct {
 	// Src is the source node.
 	Src int32
-	// Target stops the search as soon as that node is settled (its distance
-	// and predecessor are then final). Use NoTarget to settle every
-	// reachable node. Note the zero value targets node 0.
-	Target int32
+	// Target and Targets name the nodes the search is for: it stops as soon
+	// as the last distinct one of them is settled (popped). Every listed
+	// node's Dist, PrevLink and Path are then final, bit-identical to a full
+	// tree's, because the loop up to the stop is the full tree's loop; every
+	// other node's labels are partial. A listed node that is unreachable
+	// never pops, so the search runs to exhaustion. Target is the
+	// one-element case: use NoTarget there (note the zero value targets node
+	// 0), and with no Targets either every reachable node is settled.
+	Target  int32
+	Targets []int32
 	// Expand, when non-nil, restricts forwarding: edges are only relaxed
 	// out of nodes for which Expand returns true (the source is always
 	// expanded). This implements transit restrictions — e.g. §6's "pure
@@ -299,7 +318,8 @@ type SearchSpec struct {
 // relax loop never notices the check.
 const stopPollInterval = 1024
 
-// NoTarget makes Search settle every reachable node.
+// NoTarget leaves SearchSpec.Target unset: with no Targets either, Search
+// settles every reachable node.
 const NoTarget int32 = -1
 
 // Search runs Dijkstra from spec.Src over the network's CSR adjacency into
@@ -317,10 +337,10 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 	sp := telemetry.StartStageSpan(telemetry.StageSearch)
 	defer sp.End()
 	n.ensureCSR()
-	st.begin(n, spec)
+	wantLeft := st.begin(n, spec) // wanted nodes not yet popped; 0: settle all
 	// Loop locals: the scratch arrays and CSR stay in registers instead of
 	// being re-loaded through st and n on every arc.
-	node, cur := st.node, st.searchStamp
+	node, cur, want := st.node, st.searchStamp, st.want
 	prevLink := st.prevLink
 	adjStart, adjEdges, adjMs := n.adjStart, n.adjEdges, n.adjMs
 	linkBans := st.anyLinkBan
@@ -346,8 +366,12 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 		if last > 0 {
 			siftDown(h, node, tail)
 		}
-		if it.node == spec.Target {
-			break // settled: dist/prevLink for the target are final
+		// The one stop rule, checked per pop: once the last wanted node is
+		// settled, every wanted dist/prevLink is final.
+		if wantLeft > 0 && want[it.node] == cur {
+			if wantLeft--; wantLeft == 0 {
+				break
+			}
 		}
 		if spec.Expand != nil && it.node != spec.Src && !spec.Expand(it.node) {
 			continue
