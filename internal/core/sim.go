@@ -349,10 +349,7 @@ func (s *Sim) pairRTTs(ctx context.Context, n *graph.Network) ([]float64, error)
 			// Pooled scratch state: the search runs allocation-free, stops
 			// once the group's last destination is settled, and distances
 			// are read back without materializing slices.
-			dsts := make([]int32, len(grp.pairs))
-			for i, pi := range grp.pairs {
-				dsts[i] = n.CityNode(s.Pairs[pi].Dst)
-			}
+			dsts := s.dstNodes(n, grp)
 			st := graph.AcquireSearch()
 			defer st.Release()
 			n.Search(st, graph.SearchSpec{Src: n.CityNode(grp.src), Target: graph.NoTarget, Targets: dsts})
@@ -366,6 +363,15 @@ func (s *Sim) pairRTTs(ctx context.Context, n *graph.Network) ([]float64, error)
 		return nil, err
 	}
 	return out, nil
+}
+
+// dstNodes returns grp's destination city nodes on n, in grp.pairs order.
+func (s *Sim) dstNodes(n *graph.Network, grp pairGroup) []int32 {
+	dsts := make([]int32, len(grp.pairs))
+	for i, pi := range grp.pairs {
+		dsts[i] = n.CityNode(s.Pairs[pi].Dst)
+	}
+	return dsts
 }
 
 // String summarizes the sim.

@@ -108,14 +108,11 @@ func BenchmarkSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchTargets measures what a day sweep's tree costs on a
-// reduced-scale bent-pipe snapshot (150 cities, 2.5° relays, aircraft at
-// density 0.5 — core.ReducedScale's ground segment): a full tree, against the
-// same search stopped once three destination cities are settled, which is
-// what a pair group asks for. Sources cycle through the cities; settled/node
-// reports the share of nodes each variant settles.
-func BenchmarkSearchTargets(b *testing.B) {
-	telemetry.Disable()
+// reducedBPSnapshot builds the bent-pipe network of a reduced-scale snapshot
+// at the epoch: 150 cities, 2.5° relays, aircraft at density 0.5 —
+// core.ReducedScale's ground segment.
+func reducedBPSnapshot(b *testing.B) *Network {
+	b.Helper()
 	c, err := constellation.New([]constellation.Shell{constellation.StarlinkPhase1()}, constellation.WithISLs())
 	if err != nil {
 		b.Fatal(err)
@@ -136,11 +133,26 @@ func BenchmarkSearchTargets(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n := bld.At(geo.Epoch)
+	return bld.At(geo.Epoch)
+}
+
+// pairGroupOffsets are the destination cities BenchmarkSearchTargets and
+// BenchmarkKDisjointFrom give each source city, as offsets from it: a pair
+// group's three destinations.
+var pairGroupOffsets = []int{37, 74, 111}
+
+// BenchmarkSearchTargets measures what a day sweep's tree costs on the
+// reduced-scale bent-pipe snapshot: a full tree, against the same search
+// stopped once three destination cities are settled, which is what a pair
+// group asks for. Sources cycle through the cities; settled/node reports the
+// share of nodes each variant settles.
+func BenchmarkSearchTargets(b *testing.B) {
+	telemetry.Disable()
+	n := reducedBPSnapshot(b)
 	for _, bc := range []struct {
 		name    string
 		offsets []int // destination cities, as offsets from the source city
-	}{{"full", nil}, {"3cities", []int{37, 74, 111}}} {
+	}{{"full", nil}, {"3cities", pairGroupOffsets}} {
 		b.Run(bc.name, func(b *testing.B) {
 			st := AcquireSearch()
 			defer st.Release()
@@ -168,6 +180,41 @@ func BenchmarkSearchTargets(b *testing.B) {
 			b.ReportMetric(float64(settled)/float64(len(specs)*n.N()), "settled/node")
 		})
 	}
+}
+
+// kDisjointSink keeps the benchmarked path sets alive.
+var kDisjointSink [][]Path
+
+// BenchmarkKDisjointFrom measures one source's pair group at k = 4 on the
+// reduced-scale bent-pipe snapshot: three destination cities as three
+// KDisjointPaths calls, against one KDisjointPathsFrom, whose first paths
+// come off one listed search. Sources cycle through the cities.
+func BenchmarkKDisjointFrom(b *testing.B) {
+	telemetry.Disable()
+	n := reducedBPSnapshot(b)
+	dsts := make([][]int32, n.NumCity)
+	for src := range dsts {
+		for _, k := range pairGroupOffsets {
+			dsts[src] = append(dsts[src], n.CityNode((src+k)%n.NumCity))
+		}
+	}
+	b.Run("per-destination", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			src := i % n.NumCity
+			kDisjointSink = kDisjointSink[:0]
+			for _, dst := range dsts[src] {
+				kDisjointSink = append(kDisjointSink, n.KDisjointPaths(n.CityNode(src), dst, 4))
+			}
+		}
+	})
+	b.Run("listed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			src := i % n.NumCity
+			kDisjointSink = n.KDisjointPathsFrom(n.CityNode(src), dsts[src], 4)
+		}
+	})
 }
 
 // BenchmarkSearchTelemetryEnabled is the same kernel loop with the metrics

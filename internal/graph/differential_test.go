@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -408,42 +409,86 @@ func TestDifferentialExpand(t *testing.T) {
 	}
 }
 
+// TestDifferentialKDisjoint holds every entry of KDisjointPathsFrom to
+// KDisjointPaths for that destination and to naiveDijkstra peeling — search,
+// ban the found path's links, search again — on random graphs (seeds
+// 300–314) and on the tie-rich grids of FuzzSearch. Each destination list
+// holds a duplicate, the source itself and an isolated node, and k runs past
+// the number of disjoint routes.
 func TestDifferentialKDisjoint(t *testing.T) {
+	type kCase struct {
+		name string
+		n    *Network
+		src  int32
+		dsts []int32
+	}
+	var cases []kCase
+	add := func(name string, n *Network, src int32, dsts ...int32) {
+		isolated := n.AddNode(NodeSatellite, geo.Vec3{}, "")
+		cases = append(cases, kCase{name, n, src, append(dsts, src, isolated)})
+	}
 	for seed := int64(300); seed < 315; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := randomNet(r, 40, 100)
-		src, dst := int32(r.Intn(n.N())), int32(r.Intn(n.N()))
-		if src == dst {
-			continue
-		}
-		got := n.KDisjointPaths(src, dst, 4)
+		a, b := int32(r.Intn(n.N())), int32(r.Intn(n.N()))
+		add(fmt.Sprintf("seed %d", seed), n, int32(r.Intn(n.N())), a, b, int32(r.Intn(n.N())), a)
+	}
+	add("6×6 grid", fuzzNet(gridBytes(6, 6)), 0, 35, 14, 21, 14)
+	add("7×8 grid", fuzzNet(gridBytes(7, 8)), 27, 0, 55, 8, 40, 55)
+	add("4×9 grid", fuzzNet(gridBytes(4, 9)), 13, 31, 4, 35, 4)
 
-		// Reference: successive naive searches, banning each found path's
-		// links — the exact peeling KDisjointPaths performs.
-		banned := map[int32]bool{}
-		var want []Path
-		for i := 0; i < 4; i++ {
-			wd, wp := naiveDijkstra(n, src, []int32{dst}, banned, nil, nil)
-			p, ok := n.extractPath(src, dst, wd, wp)
-			if !ok {
-				break
+	short := 0 // entries that ran out of disjoint routes before k
+	for _, c := range cases {
+		for _, k := range []int{1, 4, 9} {
+			got := c.n.KDisjointPathsFrom(c.src, c.dsts, k)
+			if len(got) != len(c.dsts) {
+				t.Fatalf("%s, k=%d: %d entries for %d destinations", c.name, k, len(got), len(c.dsts))
 			}
-			want = append(want, p)
-			for _, li := range p.Links {
-				banned[li] = true
+			for i, dst := range c.dsts {
+				tag := fmt.Sprintf("%s, k=%d, %d→%d", c.name, k, c.src, dst)
+				requireSamePaths(t, tag+" (KDisjointPaths)", got[i], c.n.KDisjointPaths(c.src, dst, k))
+				requireSamePaths(t, tag+" (reference)", got[i], naiveKDisjoint(c.n, c.src, dst, k))
+				if len(got[i]) > 0 && len(got[i]) < k {
+					short++
+				}
 			}
 		}
+	}
+	if short == 0 {
+		t.Fatal("no destination ran out of disjoint routes: k never exceeded them")
+	}
+}
 
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: KDisjointPaths found %d paths, reference %d", seed, len(got), len(want))
+// naiveKDisjoint is KDisjointPaths' peeling on naiveDijkstra.
+func naiveKDisjoint(n *Network, src, dst int32, k int) []Path {
+	banned := map[int32]bool{}
+	var out []Path
+	for len(out) < k {
+		wd, wp := naiveDijkstra(n, src, []int32{dst}, banned, nil, nil)
+		p, ok := n.extractPath(src, dst, wd, wp)
+		if !ok {
+			break
 		}
-		for i := range got {
-			if !slices.Equal(got[i].Links, want[i].Links) {
-				t.Fatalf("seed %d: disjoint path %d = %v, reference %v", seed, i, got[i].Links, want[i].Links)
-			}
-			if got[i].OneWayMs != want[i].OneWayMs {
-				t.Fatalf("seed %d: disjoint path %d delay %v, reference %v", seed, i, got[i].OneWayMs, want[i].OneWayMs)
-			}
+		out = append(out, p)
+		for _, li := range p.Links {
+			banned[li] = true
+		}
+	}
+	return out
+}
+
+// requireSamePaths fails unless got and want hold the same paths in the same
+// order: links, nodes and the delay's float bits.
+func requireSamePaths(t *testing.T, tag string, got, want []Path) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d paths, want %d", tag, len(got), len(want))
+	}
+	for i := range got {
+		if !slices.Equal(got[i].Links, want[i].Links) || !slices.Equal(got[i].Nodes, want[i].Nodes) ||
+			math.Float64bits(got[i].OneWayMs) != math.Float64bits(want[i].OneWayMs) {
+			t.Fatalf("%s: path %d = %v over %v (%v ms), want %v over %v (%v ms)", tag, i,
+				got[i].Nodes, got[i].Links, got[i].OneWayMs, want[i].Nodes, want[i].Links, want[i].OneWayMs)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -50,8 +51,10 @@ func fuzzNet(data []byte) *Network {
 // predecessor links (pinning the (dist, node) tie-break), and an extracted
 // path consistent with the distance label; a search stopped at a target list
 // (duplicates, the source, unreachable nodes) to the full tree on every listed
-// node (checkSearch); and a view — the network searched with a cut banned —
-// to the network of its other links searched whole (checkView). The grid
+// node (checkSearch); a view — the network searched with a cut banned — to
+// the network of its other links searched whole (checkView); and the k = 3
+// disjoint-path sets of the target list (KDisjointPathsFrom) to each
+// destination's own KDisjointPaths and the naive peeling. The grid
 // seeds tie every shortest path many ways; of the last two, one lists the
 // source and a duplicate on a grid with nothing banned, and the other's six
 // extra nodes are isolated, so its list holds unreachable targets.
@@ -134,6 +137,15 @@ func FuzzSearch(f *testing.F) {
 			}
 		}
 		checkView(t, n, cut, src)
+
+		// The disjoint-path sets of the drawn target list, each what its
+		// one-destination call and the naive peeling find.
+		sets := n.KDisjointPathsFrom(src, targets, 3)
+		for i, v := range targets {
+			tag := fmt.Sprintf("%d→%d disjoint paths", src, v)
+			requireSamePaths(t, tag, sets[i], n.KDisjointPaths(src, v, 3))
+			requireSamePaths(t, tag+" (reference)", sets[i], naiveKDisjoint(n, src, v, 3))
+		}
 
 		// Extracted path must be continuous and priced exactly at dist[dst].
 		if p, ok := n.ShortestPath(src, dst); ok {

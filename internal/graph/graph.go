@@ -403,24 +403,44 @@ func (n *Network) ShortestPathSatTransit(src, dst int32) (Path, bool) {
 }
 
 // KDisjointPaths returns up to k edge-disjoint minimum-delay paths from src
-// to dst, computed by successively removing the links of each found path
-// (the scheme §5 routes traffic over). Fewer than k paths are returned when
-// the graph runs out of disjoint routes.
+// to dst, computed by successively removing the links of each found path (the
+// scheme §5 routes traffic over); fewer when the graph runs out of disjoint
+// routes. It is KDisjointPathsFrom's one-destination case.
 func (n *Network) KDisjointPaths(src, dst int32, k int) []Path {
+	return n.KDisjointPathsFrom(src, []int32{dst}, k)[0]
+}
+
+// KDisjointPathsFrom returns as entry i exactly what KDisjointPaths(src,
+// dsts[i], k) returns, path for path and bit for bit. One search listing every
+// destination (SearchSpec.Targets) finds all the first paths; each destination
+// is then peeled alone on the same pooled state.
+func (n *Network) KDisjointPathsFrom(src int32, dsts []int32, k int) [][]Path {
 	sp := telemetry.StartStageSpan(telemetry.StageKDisjoint)
 	defer sp.End()
+	out := make([][]Path, len(dsts))
+	if k < 1 {
+		return out
+	}
 	st := AcquireSearch()
 	defer st.Release()
-	var out []Path
-	for i := 0; i < k; i++ {
-		n.Search(st, SearchSpec{Src: src, Target: dst})
-		p, ok := st.Path(dst)
-		if !ok {
-			break
+	n.Search(st, SearchSpec{Src: src, Target: NoTarget, Targets: dsts})
+	for i, dst := range dsts {
+		if p, ok := st.Path(dst); ok {
+			out[i] = []Path{p}
 		}
-		out = append(out, p)
-		for _, li := range p.Links {
-			st.BanLink(li)
+	}
+	for i, dst := range dsts {
+		st.ClearBans()
+		for len(out[i]) > 0 && len(out[i]) < k {
+			for _, li := range out[i][len(out[i])-1].Links {
+				st.BanLink(li)
+			}
+			n.Search(st, SearchSpec{Src: src, Target: dst})
+			p, ok := st.Path(dst)
+			if !ok {
+				break
+			}
+			out[i] = append(out[i], p)
 		}
 	}
 	return out
