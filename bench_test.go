@@ -1,16 +1,15 @@
 package leosim
 
-// Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation, plus ablations for the design choices DESIGN.md calls out.
-// Benchmarks run the same experiment code as the CLI, at a scale chosen so
-// one iteration stays in the hundreds-of-milliseconds-to-seconds range; the
-// reported per-op time is the cost of regenerating that figure at bench
-// scale. Shapes (who wins, by what factor) match the paper at every scale;
+// Benchmark harness: one sub-benchmark per row of the experiment table,
+// plus ablations for the design choices DESIGN.md calls out. The rows make
+// the same calls as the CLI, at a scale chosen so one iteration stays in the
+// milliseconds-to-seconds range; the reported per-op time is the cost of
+// regenerating that experiment at bench scale. Shapes (who wins, by what factor) match the paper at every scale;
 // absolute ratios sharpen with scale (see EXPERIMENTS.md).
 
 import (
 	"context"
-	"io"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -40,9 +39,6 @@ func getBenchSim(b *testing.B) *Sim {
 	b.Helper()
 	benchSimOnce.Do(func() {
 		benchSim, benchSimErr = NewSim(Starlink, benchScale())
-		if benchSimErr == nil {
-			benchSim, benchSimErr = benchSim.WithCities("Maceió", "Durban")
-		}
 	})
 	if benchSimErr != nil {
 		b.Fatal(benchSimErr)
@@ -50,104 +46,32 @@ func getBenchSim(b *testing.B) *Sim {
 	return benchSim
 }
 
-// BenchmarkFig2aMinRTT regenerates Fig 2a/2b: per-pair min RTT and RTT range
-// across the day under BP and hybrid connectivity.
-func BenchmarkFig2aMinRTT(b *testing.B) {
-	s := getBenchSim(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := RunLatency(context.Background(), s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.ReachablePairs == 0 {
-			b.Fatal("no pairs")
-		}
+// BenchmarkExperiment regenerates each experiment of the table the CLI runs,
+// one sub-benchmark per row, with churn's and topo's window cut to 10 s.
+// fig8 runs on a sim with the Australian relays Delhi–Sydney needs.
+func BenchmarkExperiment(b *testing.B) {
+	args := DefaultExperimentArgs()
+	args.ChurnStep, args.ChurnWindow = 2*time.Second, 10*time.Second
+	for _, e := range Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			s := getBenchSim(b)
+			if e.Name == "fig8" {
+				s = fig8Sim(b)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(context.Background(), s, args); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkFig2bRTTVariation isolates the variation metric (headline claim).
-func BenchmarkFig2bRTTVariation(b *testing.B) {
-	s := getBenchSim(b)
-	res, err := RunLatency(context.Background(), s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		med, p95 := res.Headline()
-		if med < -100 || p95 < -100 {
-			b.Fatal("impossible headline")
-		}
-	}
-}
-
-// BenchmarkFig3PathTrace regenerates the Maceió–Durban path trace.
-func BenchmarkFig3PathTrace(b *testing.B) {
-	s := getBenchSim(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunPathTrace(context.Background(), s, "Maceió", "Durban", BP); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig4Throughput regenerates the Fig 4 throughput matrix.
-func BenchmarkFig4Throughput(b *testing.B) {
-	s := getBenchSim(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := RunFig4(context.Background(), s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		WriteFig4Report(io.Discard, rows)
-	}
-}
-
-// BenchmarkFig5ISLSweep regenerates the ISL-capacity sweep.
-func BenchmarkFig5ISLSweep(b *testing.B) {
-	s := getBenchSim(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := RunFig5(context.Background(), s, []float64{0.5, 1, 2, 3, 4, 5}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDisconnectedSats regenerates the §5 stranded-satellite statistic.
-func BenchmarkDisconnectedSats(b *testing.B) {
-	s := getBenchSim(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := RunDisconnected(context.Background(), s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Max <= 0 {
-			b.Fatal("no disconnection measured")
-		}
-	}
-}
-
-// BenchmarkFig6Attenuation regenerates the cross-pair weather comparison.
-func BenchmarkFig6Attenuation(b *testing.B) {
-	s := getBenchSim(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunWeather(context.Background(), s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig8DelhiSydney regenerates the single-pair weather deep dive.
-// Delhi–Sydney needs a denser ground segment than the shared tiny sim (no
-// Australian relays there), so this bench owns a small dedicated sim.
-func BenchmarkFig8DelhiSydney(b *testing.B) {
+// fig8Sim is a small sim with a denser ground segment than the shared tiny
+// one, which has no Australian city or relay.
+func fig8Sim(b *testing.B) *Sim {
 	scale := TinyScale()
 	scale.NumCities = 150
 	scale.RelaySpacingDeg = 2
@@ -158,105 +82,7 @@ func BenchmarkFig8DelhiSydney(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pw, err := RunPairWeather(context.Background(), s, "Delhi", "Sydney")
-		if err != nil {
-			b.Fatal(err)
-		}
-		bpDB, islDB, _, _ := pw.At1Percent()
-		if bpDB <= islDB {
-			b.Fatalf("BP %v ≤ ISL %v at 1%%", bpDB, islDB)
-		}
-	}
-}
-
-// BenchmarkFig9GSOArc regenerates the GSO arc-avoidance analysis.
-func BenchmarkFig9GSOArc(b *testing.B) {
-	s := getBenchSim(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := RunGSOArc(context.Background(), s, 40, []float64{0, 20, 40, 60, 80})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 5 {
-			b.Fatal("bad rows")
-		}
-	}
-}
-
-// BenchmarkFig10CrossShell regenerates the Brisbane–Tokyo BP-augmentation
-// comparison.
-func BenchmarkFig10CrossShell(b *testing.B) {
-	s := getBenchSim(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunCrossShell(context.Background(), s, "Brisbane", "Tokyo"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig11Fiber regenerates the Paris fiber-augmentation analysis.
-func BenchmarkFig11Fiber(b *testing.B) {
-	s := getBenchSim(b)
-	nearby := []string{"Rouen", "Orléans", "Reims", "Amiens", "Le Mans"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunFiberAugmentation(context.Background(), s, "Paris", nearby, 200, Epoch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExtUtilization regenerates the satellite-load extension (§5).
-func BenchmarkExtUtilization(b *testing.B) {
-	s := getBenchSim(b)
-	t := s.SnapshotTimes()[0]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunUtilization(context.Background(), s, BP, t); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExtPathChurn regenerates the path-stability extension (§4).
-func BenchmarkExtPathChurn(b *testing.B) {
-	s := getBenchSim(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunPathChurn(context.Background(), s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExtModcod regenerates the MODCOD capacity-retention extension
-// (§6).
-func BenchmarkExtModcod(b *testing.B) {
-	s := getBenchSim(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunWeatherCapacity(context.Background(), s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExtTrafficEngineering regenerates the §5 future-work routing
-// comparison.
-func BenchmarkExtTrafficEngineering(b *testing.B) {
-	s := getBenchSim(b)
-	t := s.SnapshotTimes()[0]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunTrafficEngineering(context.Background(), s, Hybrid, 4, t); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return s
 }
 
 // ---- Ablation benches (design choices called out in DESIGN.md) ----
@@ -267,7 +93,7 @@ func BenchmarkAblationKPaths(b *testing.B) {
 	s := getBenchSim(b)
 	t := s.SnapshotTimes()[0]
 	for _, k := range []int{1, 2, 4, 8} {
-		b.Run(benchName("k", k), func(b *testing.B) {
+		b.Run("k="+strconv.Itoa(k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := RunThroughput(context.Background(), s, Hybrid, k, t); err != nil {
@@ -289,7 +115,7 @@ func BenchmarkAblationRelayDensity(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(benchName("spacingDegX10", int(spacing*10)), func(b *testing.B) {
+		b.Run("spacingDegX10="+strconv.Itoa(int(spacing*10)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := RunLatency(context.Background(), s); err != nil {
@@ -449,30 +275,4 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 			}
 		})
 	}
-}
-
-func benchName(prefix string, v int) string {
-	return prefix + "=" + itoa(v)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -1,17 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"leosim"
 )
 
 // The CLI plumbing: flag parsing, scale/constellation resolution, and the
-// dispatch table. Experiments themselves are covered by package tests; here
-// each command only needs to run end-to-end at tiny scale without error.
+// experiment table's rows end to end at tiny scale.
 func TestRunInfo(t *testing.T) {
 	if err := run(context.Background(), []string{"-scale", "tiny", "info"}); err != nil {
 		t.Fatal(err)
@@ -24,15 +26,35 @@ func TestRunKuiper(t *testing.T) {
 	}
 }
 
+// Every experiment the CLI runs prints, under -json and a fresh journal, the
+// bytes of its golden fixture in internal/core/testdata, and its text report
+// renders. fig8 is left out: Delhi–Sydney does not route at tiny scale, so
+// its fixture is recorded at a larger city set.
 func TestRunSingleExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI experiment dispatch in -short mode")
-	}
-	for _, cmd := range []string{"fig4", "disconnected", "fig9", "xchurn", "passes", "util", "resilience"} {
-		cmd := cmd
-		t.Run(cmd, func(t *testing.T) {
-			if err := run(context.Background(), []string{"-scale", "tiny", "-cdf-points", "0", cmd}); err != nil {
+	for _, e := range leosim.Experiments {
+		if e.Name == "fig8" {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			if e.Name == "topo" && testing.Short() {
+				t.Skip("every motif × both modes in -short mode")
+			}
+			journal := filepath.Join(t.TempDir(), "run.journal")
+			got, err := captureRun(context.Background(), []string{"-scale", "tiny", "-json", "-quiet", "-resume", journal, e.Name})
+			if err != nil {
 				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("..", "..", "internal", "core", "testdata", e.Name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("leosim -json %s differs from its golden fixture (%d vs %d bytes)", e.Name, len(got), len(want))
+			}
+			// The text report at the determinism suite's sizing, which every
+			// row but fig8 supports.
+			if _, err := captureRun(context.Background(), []string{"-scale", "tiny", "-snapshots", "2", "-pairs", "24", "-quiet", e.Name}); err != nil {
+				t.Fatalf("text mode: %v", err)
 			}
 		})
 	}
@@ -75,6 +97,17 @@ func TestRunErrors(t *testing.T) {
 		} else if strings.Contains(err.Error(), "panic") {
 			t.Errorf("run(%v) panicked: %v", args, err)
 		}
+	}
+
+	// A mistyped experiment is refused before a sim is built or a journal
+	// opened, with the valid names in the message.
+	journal := filepath.Join(t.TempDir(), "j.jsonl")
+	err := run(context.Background(), []string{"-scale", "reduced", "-resume", journal, "figX"})
+	if err == nil || !strings.Contains(err.Error(), "fig2a") {
+		t.Errorf("unknown experiment: err = %v, want the valid names", err)
+	}
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Errorf("unknown experiment left a journal behind (stat: %v)", err)
 	}
 }
 

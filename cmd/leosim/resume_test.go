@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"leosim"
 )
 
 // captureRun executes the CLI with stdout redirected into a buffer,
@@ -34,12 +36,23 @@ func extArgs(journal string) []string {
 }
 
 // allArgs is the paper's reproduction command at the smallest sizing where
-// all eleven experiments succeed (Delhi–Sydney needs the reduced city set to
+// every experiment of all succeeds (Delhi–Sydney needs the reduced city set to
 // route on BP) and fig4/fig5 notice two more city terminals (the full reduced
 // traffic matrix; at 100 pairs none of it transits Maceió or Durban).
 func allArgs(extra ...string) []string {
 	return append([]string{"-scale", "reduced", "-snapshots", "2",
 		"-cdf-points", "0", "-quiet", "-json"}, extra...)
+}
+
+// groupSize counts the experiment table's rows in group g.
+func groupSize(g string) int {
+	n := 0
+	for _, e := range leosim.Experiments {
+		if e.Group == g {
+			n++
+		}
+	}
+	return n
 }
 
 // countDone reports how many experiments the journal has marked complete.
@@ -106,7 +119,7 @@ func TestResumeEndToEnd(t *testing.T) {
 		close(stopWatch)
 
 		done := countDone(journal)
-		if done < 2 || done >= 11 {
+		if done < 2 || done >= groupSize("ext") {
 			t.Fatalf("killed run journaled %d done experiments, want a strict mid-sweep prefix", done)
 		}
 		got, err := captureRun(context.Background(), extArgs(journal))
@@ -116,8 +129,8 @@ func TestResumeEndToEnd(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("resumed output differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
 		}
-		if countDone(journal) != 11 {
-			t.Errorf("resumed journal holds %d done experiments, want all 11", countDone(journal))
+		if got, want := countDone(journal), groupSize("ext"); got != want {
+			t.Errorf("resumed journal holds %d done experiments, want all %d", got, want)
 		}
 	})
 
@@ -202,8 +215,8 @@ func TestAllMatchesStandalone(t *testing.T) {
 		}
 	}
 	all := envelopes(allArgs("all"))
-	if len(all) != 11 {
-		t.Fatalf("all emitted %d envelopes, want 11", len(all))
+	if want := groupSize("all"); len(all) != want {
+		t.Fatalf("all emitted %d envelopes, want %d", len(all), want)
 	}
 	for _, e := range all {
 		alone := envelopes(allArgs(e.Experiment))

@@ -80,11 +80,12 @@ func TestNetworkAtSingleBuildUnderConcurrency(t *testing.T) {
 	}
 }
 
-// A Sim never changes after NewSim: the five named-city experiments derive a
-// private sim for the cities they add, so the caller's city set, segment,
-// resident snapshots and throughput numbers are the same before and after —
-// `leosim all` runs fig4 on the sim fig3 ran on. A concurrent NetworkAt
-// reader makes -race the check that nothing writes the shared sim meanwhile.
+// A Sim never changes after NewSim: every experiment of the table — the
+// named-city ones derive a private sim for the cities they add — leaves the
+// caller's city set, segment, resident snapshots and throughput numbers as
+// they were, so `leosim all` runs fig4 on the sim fig3 ran on. A concurrent
+// NetworkAt reader makes -race the check that nothing writes the shared sim
+// meanwhile.
 func TestExperimentsLeaveSimUnchanged(t *testing.T) {
 	s, err := NewSim(Starlink, australiaScale())
 	if err != nil {
@@ -105,10 +106,12 @@ func TestExperimentsLeaveSimUnchanged(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for {
+			// Paced, so the reader does not take a core from the experiments
+			// it watches.
 			select {
 			case <-stop:
 				return
-			default:
+			case <-time.After(time.Millisecond):
 				if n := s.NetworkAt(t0, BP); n.NumCity != cities {
 					t.Errorf("reader saw a network with %d cities, want %d", n.NumCity, cities)
 					return
@@ -116,18 +119,12 @@ func TestExperimentsLeaveSimUnchanged(t *testing.T) {
 			}
 		}
 	}()
-	for name, run := range map[string]func() error{
-		"fig3":  func() error { _, err := RunPathTrace(ctx, s, "Maceió", "Durban", BP); return err },
-		"fig7":  func() error { _, err := RunHeatmap(ctx, s, "Delhi", "Sydney", 4); return err },
-		"fig8":  func() error { _, err := RunPairWeather(ctx, s, "Delhi", "Sydney"); return err },
-		"fig10": func() error { _, err := RunCrossShell(ctx, s, "Brisbane", "Tokyo"); return err },
-		"fig11": func() error {
-			_, err := RunFiberAugmentation(ctx, s, "Paris", []string{"Rouen", "Orléans"}, 200, Epoch())
-			return err
-		},
-	} {
-		if err := run(); err != nil {
-			t.Errorf("%s: %v", name, err)
+	for _, e := range Experiments {
+		if e.Name == "topo" && testing.Short() {
+			continue // every motif × both modes
+		}
+		if _, err := e.Run(ctx, s, detArgs()); err != nil {
+			t.Errorf("%s: %v", e.Name, err)
 		}
 	}
 	close(stop)
@@ -145,6 +142,6 @@ func TestExperimentsLeaveSimUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(after, fig4) {
-		t.Errorf("fig4 changed after the named-city experiments:\nbefore %+v\nafter  %+v", fig4, after)
+		t.Errorf("fig4 changed after the table's experiments:\nbefore %+v\nafter  %+v", fig4, after)
 	}
 }

@@ -3,20 +3,20 @@ package core
 import (
 	"bytes"
 	"context"
+	"io"
 	"testing"
 	"time"
 
 	"leosim/internal/geo"
 )
 
-// Every Run* entry point must be a pure function of (constellation, scale,
-// seed): two runs from identically constructed sims must serialize to
-// byte-identical JSON envelopes. This pins down iteration-order leaks
-// (map-ordered merges, nondeterministic worker interleavings, unseeded
-// randomness) anywhere in the pipeline — the paper's numbers are only
-// reproducible if the pipeline is.
+// Every experiment must be a pure function of (constellation, scale, seed):
+// two runs from identically constructed sims must print byte-identical JSON
+// envelopes. This pins down iteration-order leaks (map-ordered merges,
+// nondeterministic worker interleavings, unseeded randomness) anywhere in the
+// pipeline — the paper's numbers are only reproducible if the pipeline is.
 
-// detScale trims the test scale so the full entry-point table stays fast.
+// detScale trims the test scale so the full experiment table stays fast.
 func detScale() Scale {
 	sc := TinyScale()
 	sc.NumSnapshots = 2
@@ -25,7 +25,7 @@ func detScale() Scale {
 }
 
 // australiaScale is where Delhi–Sydney routes on BP: the tiny 60-city set
-// has no Australian city, so the pair-weather cases bridge the gap the way
+// has no Australian city, so fig8 bridges the gap the way
 // TestRunPairWeatherDelhiSydney does.
 func australiaScale() Scale {
 	sc := detScale()
@@ -36,143 +36,89 @@ func australiaScale() Scale {
 	return sc
 }
 
+// detArgs are the CLI defaults with churn's and topo's window cut to 10 s.
+func detArgs() Args {
+	a := DefaultArgs()
+	a.ChurnStep, a.ChurnWindow = 2*time.Second, 10*time.Second
+	return a
+}
+
+// stableIDs keeps the subtest names the suite used before it iterated the
+// experiment table.
+var stableIDs = map[string]string{
+	"fig2a": "latency", "fig3": "pathtrace", "fig6": "weather", "fig7": "heatmap",
+	"fig8": "pairweather", "fig9": "gsoarc", "fig10": "crossshell", "fig11": "fiber",
+	"util": "utilization",
+}
+
 func TestRunEntryPointsDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full entry-point sweep in -short mode")
+		t.Skip("full experiment table in -short mode")
 	}
-	cases := []struct {
+	type detCase struct {
 		name  string
-		scale func() Scale // nil = detScale
-		run   func(ctx context.Context, s *Sim) (interface{}, error)
+		scale func() Scale
+		print func(ctx context.Context, w io.Writer, s *Sim) error
+	}
+	var cases []detCase
+	for _, e := range Experiments {
+		c := detCase{e.Name, detScale, func(ctx context.Context, w io.Writer, s *Sim) error {
+			return e.Print(ctx, w, s, detArgs(), true, nil)
+		}}
+		if id, ok := stableIDs[e.Name]; ok {
+			c.name = id
+		}
+		if e.Name == "fig8" {
+			c.scale = australiaScale
+		}
+		cases = append(cases, c)
+	}
+	// The three calls no CLI experiment makes.
+	for _, c := range []struct {
+		name string
+		run  func(ctx context.Context, s *Sim) (any, error)
 	}{
-		{"latency", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunLatency(ctx, s)
-		}},
-		{"pathtrace", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunPathTrace(ctx, s, "Maceió", "Durban", BP)
-		}},
-		{"throughput", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunThroughput(ctx, s, Hybrid, 1, Epoch())
-		}},
-		{"fig4", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunFig4(ctx, s)
-		}},
-		{"fig5", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			pts, bp, err := RunFig5(ctx, s, []float64{0.5, 2})
-			return struct {
-				BP     float64
-				Points []Fig5Point
-			}{bp, pts}, err
-		}},
-		{"disconnected", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunDisconnected(ctx, s)
-		}},
-		{"weather", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunWeather(ctx, s)
-		}},
-		{"weather-ka", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunWeatherBand(ctx, s, KaBand)
-		}},
-		{"pairweather", australiaScale, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunPairWeather(ctx, s, "Delhi", "Sydney")
-		}},
-		{"heatmap", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunHeatmap(ctx, s, "Delhi", "Sydney", 4)
-		}},
-		{"gsoarc", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunGSOArc(ctx, s, 40, []float64{0, 30, 60})
-		}},
-		{"gsoimpact", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunGSOImpact(ctx, s)
-		}},
-		{"crossshell", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunCrossShell(ctx, s, "Brisbane", "Tokyo")
-		}},
-		{"fiber", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunFiberAugmentation(ctx, s, "Paris", []string{"Rouen", "Orléans"}, 200, Epoch())
-		}},
-		{"te", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunTrafficEngineering(ctx, s, Hybrid, 4, Epoch())
-		}},
-		{"modcod", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunWeatherCapacity(ctx, s)
-		}},
-		{"utilization", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunUtilization(ctx, s, Hybrid, Epoch())
-		}},
-		{"pathchurn", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunPathChurn(ctx, s)
-		}},
-		{"churn", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunChurn(ctx, s, ChurnOptions{Step: 2 * time.Second, Window: 10 * time.Second})
-		}},
-		{"beams", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunBeamSweep(ctx, s, []int{4, 0}, Epoch())
-		}},
-		{"relays", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunRelayDensitySweep(ctx, s.Choice, s.Scale, []float64{s.Scale.RelaySpacingDeg})
-		}},
-		{"resilience", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunResilience(ctx, s, "sat", []float64{0, 0.1})
-		}},
-		{"check", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
+		{"weather-ka", func(ctx context.Context, s *Sim) (any, error) { return RunWeatherBand(ctx, s, KaBand) }},
+		{"throughput", func(ctx context.Context, s *Sim) (any, error) { return RunThroughput(ctx, s, Hybrid, 1, Epoch()) }},
+		{"check", func(ctx context.Context, s *Sim) (any, error) {
 			return RunCheck(ctx, s, CheckOptions{Snapshots: 1, PairSample: 8, OptimalitySample: 2})
 		}},
-		{"topo", nil, func(ctx context.Context, s *Sim) (interface{}, error) {
-			return RunTopo(ctx, s, TopoOptions{
-				ChurnStep:   2 * time.Second,
-				ChurnWindow: 10 * time.Second,
-			})
-		}},
+	} {
+		cases = append(cases, detCase{c.name, detScale, func(ctx context.Context, w io.Writer, s *Sim) error {
+			res, err := c.run(ctx, s)
+			if err != nil {
+				return err
+			}
+			return WriteJSON(w, c.name, s, res)
+		}})
 	}
 
-	ctx := context.Background()
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			var out [2][]byte
-			for rep := 0; rep < 2; rep++ {
-				scale := detScale
-				if tc.scale != nil {
-					scale = tc.scale
-				}
-				s, err := NewSim(Starlink, scale())
+			for rep := range out {
+				s, err := NewSim(Starlink, tc.scale())
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := tc.run(ctx, s)
-				if err != nil {
-					t.Fatalf("run %d: %v", rep, err)
-				}
 				var buf bytes.Buffer
-				if err := WriteJSON(&buf, tc.name, s, res); err != nil {
+				if err := tc.print(context.Background(), &buf, s); err != nil {
 					t.Fatalf("run %d: %v", rep, err)
 				}
 				out[rep] = buf.Bytes()
 			}
-			if !bytes.Equal(out[0], out[1]) {
-				a, b := out[0], out[1]
+			if a, b := out[0], out[1]; !bytes.Equal(a, b) {
 				i := 0
 				for i < len(a) && i < len(b) && a[i] == b[i] {
 					i++
 				}
-				lo := i - 120
-				if lo < 0 {
-					lo = 0
-				}
-				hiA, hiB := i+120, i+120
-				if hiA > len(a) {
-					hiA = len(a)
-				}
-				if hiB > len(b) {
-					hiB = len(b)
-				}
+				lo := max(i-120, 0)
 				t.Fatalf("same-seed runs diverge at byte %d:\nrun0 …%s…\nrun1 …%s…",
-					i, a[lo:hiA], b[lo:hiB])
+					i, a[lo:min(i+120, len(a))], b[lo:min(i+120, len(b))])
 			}
 		})
 	}
 }
 
-// Epoch is the fixed snapshot time the single-snapshot cases above share.
+// Epoch is the fixed snapshot time the single-snapshot cases share.
 func Epoch() time.Time { return geo.Epoch }

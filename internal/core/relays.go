@@ -30,6 +30,10 @@ type RelayPoint struct {
 // spacings. Each spacing rebuilds the full simulation at the given base
 // scale (slow: one sim per point).
 func RunRelayDensitySweep(ctx context.Context, choice ConstellationChoice, base Scale, spacings []float64) ([]RelayPoint, error) {
+	// Each spacing is a sim of its own, so its sweeps run unjournaled: under
+	// the caller's journal every spacing would replay the latency and
+	// disconnected steps the first one recorded under the same names.
+	ctx = WithJournal(ctx, nil)
 	var out []RelayPoint
 	for _, sp := range spacings {
 		if err := ctx.Err(); err != nil {

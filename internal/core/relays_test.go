@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -39,6 +41,20 @@ func TestRunRelayDensitySweep(t *testing.T) {
 	}
 	if _, err := RunRelayDensitySweep(context.Background(), Starlink, base, []float64{0}); err == nil {
 		t.Errorf("zero spacing must fail")
+	}
+
+	// Under a run's journal (`leosim -resume j relays`) every spacing is
+	// still computed, not replayed from the first one's steps.
+	jour, err := OpenJournal(filepath.Join(t.TempDir(), "j.jsonl"), "relays")
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled, err := RunRelayDensitySweep(WithJournal(context.Background(), jour), Starlink, base, []float64{5, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(journaled, points) {
+		t.Errorf("journaled sweep %+v, want %+v", journaled, points)
 	}
 }
 

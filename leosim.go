@@ -194,6 +194,10 @@ type (
 	// Float is the float64 of result fields that can be non-finite (an
 	// unreachable median is +Inf): JSON null on the wire.
 	Float = core.Float
+	// Experiment is one row of the experiment table (Experiments).
+	Experiment = core.Experiment
+	// ExperimentArgs are the experiment settings `leosim` exposes as flags.
+	ExperimentArgs = core.Args
 )
 
 // Experiment sizing presets.
@@ -243,6 +247,11 @@ var (
 
 // Experiments — one per table/figure of the paper's evaluation.
 var (
+	// Experiments is every experiment `leosim <name>` runs, each with its
+	// arguments, the call that computes it and its text report.
+	Experiments = core.Experiments
+	// DefaultExperimentArgs are the flag defaults of `leosim`.
+	DefaultExperimentArgs = core.DefaultArgs
 	// RunLatency runs §4 / Fig 2 (latency and its variability).
 	RunLatency = core.RunLatency
 	// RunPathTrace runs Fig 3 (per-snapshot path trace).
