@@ -207,10 +207,10 @@ func BenchmarkAblationMaxMin(b *testing.B) {
 	t := s.SnapshotTimes()[0]
 	n := s.NetworkAt(t, Hybrid)
 	// One shared problem from the hybrid network and k=4 disjoint paths.
-	pr := flow.ProblemFromNetwork(n)
+	pr := flow.NewNetworkProblem(n, 0)
 	for _, pair := range s.Pairs {
 		for _, p := range n.KDisjointPaths(n.CityNode(pair.Src), n.CityNode(pair.Dst), 4) {
-			if _, err := flow.AddPathFlow(pr, n, p); err != nil {
+			if _, err := pr.AddPath(p); err != nil {
 				b.Fatal(err)
 			}
 		}

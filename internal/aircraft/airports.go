@@ -89,10 +89,3 @@ func AirportByCode(code string) (Airport, bool) {
 	}
 	return Airport{}, false
 }
-
-// Airports returns a copy of the airport catalogue.
-func Airports() []Airport {
-	out := make([]Airport, len(airports))
-	copy(out, airports)
-	return out
-}

@@ -90,10 +90,3 @@ var routes = []Route{
 	{"AKL", "BNE", 2}, {"AKL", "SIN", 2}, {"AKL", "HKG", 1},
 	{"BNE", "SIN", 2}, {"BNE", "HKG", 1},
 }
-
-// Routes returns a copy of the route catalogue.
-func Routes() []Route {
-	out := make([]Route, len(routes))
-	copy(out, routes)
-	return out
-}

@@ -145,16 +145,3 @@ func (f *Fleet) OverWaterAt(t time.Time) []Aircraft {
 	}
 	return out
 }
-
-// CountInBox counts aircraft from the list within a lat/lon box — used to
-// verify corridor-density calibration.
-func CountInBox(list []Aircraft, latMin, latMax, lonMin, lonMax float64) int {
-	n := 0
-	for _, a := range list {
-		if a.Pos.Lat >= latMin && a.Pos.Lat <= latMax &&
-			a.Pos.Lon >= lonMin && a.Pos.Lon <= lonMax {
-			n++
-		}
-	}
-	return n
-}

@@ -36,16 +36,12 @@ type Constellation struct {
 type Option func(*config)
 
 type config struct {
-	epoch      time.Time
 	isls       bool
 	omitSeam   bool
 	sgp4       bool
 	islBuilder func(*Constellation) []ISL
 	islsAt     func(*Constellation, time.Time) []ISL
 }
-
-// WithEpoch sets the constellation epoch (default geo.Epoch).
-func WithEpoch(t time.Time) Option { return func(c *config) { c.epoch = t } }
 
 // WithISLs enables generation of the +Grid ISL topology for every shell.
 // Cross-shell ISLs are never generated (§8: Starlink's four ISLs per
@@ -83,7 +79,7 @@ func WithSGP4() Option { return func(c *config) { c.sgp4 = true } }
 
 // New builds a constellation from the given shells.
 func New(shells []Shell, opts ...Option) (*Constellation, error) {
-	cfg := config{epoch: geo.Epoch}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -98,10 +94,10 @@ func New(shells []Shell, opts ...Option) (*Constellation, error) {
 		c.shellOffset = append(c.shellOffset, len(c.Sats))
 		for plane := 0; plane < sh.Planes; plane++ {
 			for slot := 0; slot < sh.SatsPerPlane; slot++ {
-				el := sh.elements(plane, slot, cfg.epoch)
+				el := sh.elements(plane, slot, geo.Epoch)
 				var prop orbit.Propagator
 				if cfg.sgp4 {
-					p, err := sgp4For(el, cfg.epoch)
+					p, err := sgp4For(el, geo.Epoch)
 					if err != nil {
 						return nil, err
 					}

@@ -50,38 +50,6 @@ func PolarShell() Shell {
 	}
 }
 
-// StarlinkGen1 returns the five shells of SpaceX's 2019-modified first
-// generation (approximate parameters from the FCC modification [44]): the
-// phase-1 inclined shell plus a second 540 km inclined shell, two
-// higher-inclination shells and a polar shell. The paper restricts its
-// quantitative analysis to phase 1; the full set exists for multi-shell
-// studies (§8).
-func StarlinkGen1() []Shell {
-	return []Shell{
-		StarlinkPhase1(),
-		{
-			Name: "starlink-s2", Planes: 72, SatsPerPlane: 22,
-			AltitudeKm: 540, InclinationDeg: 53.2, WalkerF: 1,
-			RAANSpreadDeg: 360, MinElevationDeg: 25,
-		},
-		{
-			Name: "starlink-s3", Planes: 36, SatsPerPlane: 20,
-			AltitudeKm: 570, InclinationDeg: 70, WalkerF: 1,
-			RAANSpreadDeg: 360, MinElevationDeg: 25,
-		},
-		{
-			Name: "starlink-s4", Planes: 6, SatsPerPlane: 58,
-			AltitudeKm: 560, InclinationDeg: 97.6, WalkerF: 1,
-			RAANSpreadDeg: 180, MinElevationDeg: 25,
-		},
-		{
-			Name: "starlink-s5", Planes: 4, SatsPerPlane: 43,
-			AltitudeKm: 560, InclinationDeg: 97.6, WalkerF: 1,
-			RAANSpreadDeg: 180, MinElevationDeg: 25,
-		},
-	}
-}
-
 // TestShell is a deliberately small shell (8 planes × 8 satellites) sharing
 // Starlink's altitude/inclination, used to keep unit tests and reduced-scale
 // benchmarks fast while exercising identical code paths.

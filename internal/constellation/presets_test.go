@@ -2,46 +2,9 @@ package constellation
 
 import (
 	"testing"
-	"time"
 
 	"leosim/internal/geo"
 )
-
-func TestStarlinkGen1(t *testing.T) {
-	shells := StarlinkGen1()
-	if len(shells) != 5 {
-		t.Fatalf("gen1 has %d shells, want 5", len(shells))
-	}
-	names := map[string]bool{}
-	total := 0
-	for _, sh := range shells {
-		if err := sh.Validate(); err != nil {
-			t.Errorf("%s: %v", sh.Name, err)
-		}
-		if names[sh.Name] {
-			t.Errorf("duplicate shell name %q", sh.Name)
-		}
-		names[sh.Name] = true
-		total += sh.Size()
-	}
-	// Gen1 totals ≈4,400 satellites.
-	if total < 4000 || total > 4800 {
-		t.Errorf("gen1 total = %d satellites, want ≈4400", total)
-	}
-	// The full constellation builds, with ISLs intra-shell only.
-	c, err := New(shells, WithISLs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Size() != total {
-		t.Errorf("constellation size %d, want %d", c.Size(), total)
-	}
-	for _, l := range c.ISLs {
-		if c.Sats[l.A].ShellIndex != c.Sats[l.B].ShellIndex {
-			t.Fatalf("cross-shell ISL %+v — +Grid must stay intra-shell", l)
-		}
-	}
-}
 
 func TestShellGeometryHelpers(t *testing.T) {
 	sh := StarlinkPhase1()
@@ -54,31 +17,5 @@ func TestShellGeometryHelpers(t *testing.T) {
 	// Both consistent with geo-level primitives.
 	if sh.CoverageRadiusKm() != geo.CoverageRadius(sh.AltitudeKm, sh.MinElevationDeg) {
 		t.Errorf("CoverageRadiusKm disagrees with geo.CoverageRadius")
-	}
-}
-
-func TestWithEpoch(t *testing.T) {
-	late := geo.Epoch.Add(6 * time.Hour)
-	a, err := New([]Shell{TestShell()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New([]Shell{TestShell()}, WithEpoch(late))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At the late epoch, the epoch-shifted constellation is at its initial
-	// geometry while the default one has moved — but in the rotating ECEF
-	// frame both must still be valid LEO positions.
-	pa := a.PositionsECEF(late)
-	pb := b.PositionsECEF(late)
-	if pa[0].Distance(pb[0]) < 1 {
-		t.Errorf("epoch shift had no effect")
-	}
-	for _, p := range pb {
-		alt := p.Norm() - geo.EarthRadius
-		if alt < 540 || alt > 560 {
-			t.Fatalf("altitude %v after epoch shift", alt)
-		}
 	}
 }

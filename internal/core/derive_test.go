@@ -171,12 +171,25 @@ func requireNetworksIdentical(t *testing.T, label string, got, want *graph.Netwo
 		}
 	}
 	for _, src := range []int32{want.CityNode(0), want.CityNode(want.NumCity - 1), want.SatNode(17)} {
-		gd, gp := got.Dijkstra(src, nil)
-		wd, wp := want.Dijkstra(src, nil)
+		gd, gp := fullTree(got, src)
+		wd, wp := fullTree(want, src)
 		if !reflect.DeepEqual(gd, wd) || !reflect.DeepEqual(gp, wp) {
 			t.Fatalf("%s: shortest-path tree from node %d differs from the reference", label, src)
 		}
 	}
+}
+
+// fullTree runs the kernel's full tree from src and reads every node's
+// distance and predecessor link off it.
+func fullTree(n *graph.Network, src int32) (dist []float64, prevLink []int32) {
+	st := graph.AcquireSearch()
+	defer st.Release()
+	n.Search(st, graph.SearchSpec{Src: src, Target: graph.NoTarget})
+	dist, prevLink = make([]float64, n.N()), make([]int32, n.N())
+	for v := range dist {
+		dist[v], prevLink[v] = st.Dist(int32(v)), st.PrevLink(int32(v))
+	}
+	return dist, prevLink
 }
 
 // TestDerivedNetworksIdentical: every network the system derives from a

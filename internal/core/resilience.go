@@ -271,8 +271,8 @@ func (s *Sim) evalFaulted(ctx context.Context, mode Mode, perSnap []*fault.Outag
 	return ev, nil
 }
 
-// BPPoint and HybridPoint fetch the two rows of one fraction (helpers for
-// reports and tests); ok is false if the fraction is absent.
+// PointAt fetches the row of one fraction and mode (a helper for reports and
+// tests); ok is false if the row is absent.
 func (r *ResilienceResult) PointAt(frac float64, mode Mode) (ResiliencePoint, bool) {
 	for _, p := range r.Points {
 		if p.Fraction == frac && p.Mode == mode {

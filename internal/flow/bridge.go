@@ -30,23 +30,3 @@ func DirectedEdges(n *graph.Network, p graph.Path) ([]int32, error) {
 	}
 	return out, nil
 }
-
-// ProblemFromNetwork creates an allocation Problem whose directed-edge
-// capacities mirror the network's links.
-func ProblemFromNetwork(n *graph.Network) *Problem {
-	caps := make([]float64, 2*len(n.Links))
-	for i, l := range n.Links {
-		caps[2*i] = l.CapGbps
-		caps[2*i+1] = l.CapGbps
-	}
-	return NewProblem(caps)
-}
-
-// AddPathFlow registers the directed flow along path p and returns its ID.
-func AddPathFlow(pr *Problem, n *graph.Network, p graph.Path) (int, error) {
-	edges, err := DirectedEdges(n, p)
-	if err != nil {
-		return 0, err
-	}
-	return pr.AddFlow(edges), nil
-}

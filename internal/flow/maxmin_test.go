@@ -281,13 +281,13 @@ func TestDirectedEdgesBridge(t *testing.T) {
 		t.Errorf("reverse edges = %v, want [3 1]", redges)
 	}
 
-	pr := ProblemFromNetwork(n)
+	pr := NewNetworkProblem(n, 0)
 	if len(pr.cap) != 4 {
 		t.Fatalf("problem has %d directed edges", len(pr.cap))
 	}
-	id, err := AddPathFlow(pr, n, p)
+	id, err := pr.AddPath(p)
 	if err != nil || id != 0 {
-		t.Fatalf("AddPathFlow: %v %v", id, err)
+		t.Fatalf("AddPath: %v %v", id, err)
 	}
 	alloc, _ := pr.MaxMinFair()
 	if !almostEq(alloc[0], 20, 1e-12) {

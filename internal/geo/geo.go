@@ -1,8 +1,8 @@
 // Package geo provides the geodetic and astrodynamic primitives used by the
 // rest of the simulator: Cartesian vectors, coordinate transforms between
 // geodetic, Earth-centered Earth-fixed (ECEF) and Earth-centered inertial
-// (ECI) frames, topocentric look angles, great-circle geodesics, and sidereal
-// time.
+// (ECI) frames, elevation and visibility, great-circle geodesics, and
+// sidereal time.
 //
 // Conventions: distances are kilometers, times are seconds (or time.Time for
 // epochs), angles at the public API boundary are degrees, and internal math
@@ -22,9 +22,6 @@ const (
 
 	// EarthEquatorialRadius is the WGS84 semi-major axis.
 	EarthEquatorialRadius = 6378.137
-
-	// EarthFlattening is the WGS84 flattening f = 1/298.257223563.
-	EarthFlattening = 1.0 / 298.257223563
 
 	// EarthMu is the WGS84 gravitational parameter in km^3/s^2.
 	EarthMu = 398600.4418

@@ -7,7 +7,7 @@ import (
 
 // ToECEF converts a geodetic position on the spherical Earth to ECEF
 // Cartesian coordinates (km). The spherical model is used for all network
-// geometry; see ToECEFWGS84 for the ellipsoidal variant.
+// geometry, so coverage-radius math matches the paper's §2 numbers exactly.
 func (p LatLon) ToECEF() Vec3 {
 	lat := p.Lat * Deg
 	lon := p.Lon * Deg
@@ -34,34 +34,10 @@ func FromECEF(v Vec3) LatLon {
 	}
 }
 
-// ToECEFWGS84 converts a geodetic position to ECEF using the WGS84
-// ellipsoid. Provided for interoperability (e.g. comparing against SGP4/TEME
-// pipelines); the experiments themselves use the spherical model so that
-// coverage-radius math matches the paper's §2 numbers exactly.
-func (p LatLon) ToECEFWGS84() Vec3 {
-	lat := p.Lat * Deg
-	lon := p.Lon * Deg
-	a := EarthEquatorialRadius
-	e2 := EarthFlattening * (2 - EarthFlattening)
-	sl := math.Sin(lat)
-	n := a / math.Sqrt(1-e2*sl*sl)
-	cl := math.Cos(lat)
-	return Vec3{
-		X: (n + p.Alt) * cl * math.Cos(lon),
-		Y: (n + p.Alt) * cl * math.Sin(lon),
-		Z: (n*(1-e2) + p.Alt) * sl,
-	}
-}
-
 // ECIToECEF rotates an ECI position into the ECEF frame at time t, using
 // GMST as the rotation angle about the Z axis.
 func ECIToECEF(v Vec3, t time.Time) Vec3 {
 	return RotateZ(v, -GMST(t))
-}
-
-// ECEFToECI rotates an ECEF position into the ECI frame at time t.
-func ECEFToECI(v Vec3, t time.Time) Vec3 {
-	return RotateZ(v, GMST(t))
 }
 
 // RotateZ rotates v about the +Z axis by angle radians (right-handed).
@@ -99,33 +75,6 @@ func Elevation(obs, tgt Vec3) float64 {
 // sat (ECEF) at or above the minimum elevation angle minElevDeg.
 func Visible(obs, sat Vec3, minElevDeg float64) bool {
 	return Elevation(obs, sat) >= minElevDeg
-}
-
-// LookAngles returns azimuth (degrees clockwise from north) and elevation
-// (degrees) from an observer at ECEF obs toward target tgt, on the spherical
-// Earth.
-func LookAngles(obs, tgt Vec3) (azDeg, elDeg float64) {
-	p := FromECEF(obs)
-	lat := p.Lat * Deg
-	lon := p.Lon * Deg
-	d := tgt.Sub(obs)
-	sinLat, cosLat := math.Sincos(lat)
-	sinLon, cosLon := math.Sincos(lon)
-	// Rotate the difference vector into the local SEZ (south-east-zenith)
-	// frame.
-	s := sinLat*cosLon*d.X + sinLat*sinLon*d.Y - cosLat*d.Z
-	e := -sinLon*d.X + cosLon*d.Y
-	z := cosLat*cosLon*d.X + cosLat*sinLon*d.Y + sinLat*d.Z
-	rng := d.Norm()
-	if rng == 0 {
-		return 0, 90
-	}
-	el := math.Asin(clamp(z/rng, -1, 1)) * Rad
-	az := math.Atan2(e, -s) * Rad
-	if az < 0 {
-		az += 360
-	}
-	return az, el
 }
 
 func clamp(x, lo, hi float64) float64 {

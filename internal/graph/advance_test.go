@@ -109,8 +109,8 @@ func requireArcWeightsFresh(t *testing.T, label string, n *Network) {
 func requireTreesIdentical(t *testing.T, label string, got, want *Network) {
 	t.Helper()
 	for _, src := range []int32{got.CityNode(0), got.CityNode(got.NumCity - 1), got.SatNode(17)} {
-		gd, gp := got.Dijkstra(src, nil)
-		wd, wp := want.Dijkstra(src, nil)
+		gd, gp := searchTree(got, src, nil, nil)
+		wd, wp := searchTree(want, src, nil, nil)
 		for v := range wd {
 			if gd[v] != wd[v] || gp[v] != wp[v] {
 				t.Fatalf("%s: tree from %d at node %d: got (%v, %d), fresh build (%v, %d)",

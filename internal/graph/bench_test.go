@@ -42,21 +42,6 @@ func benchGrid(rows, cols int) *Network {
 	return n
 }
 
-// BenchmarkDijkstra measures a full single-source search on an 8k-node grid
-// — the primitive every experiment sweep runs thousands of times.
-func BenchmarkDijkstra(b *testing.B) {
-	n := benchGrid(80, 100)
-	src := int32(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dist, _ := n.Dijkstra(src, nil)
-		if dist[int32(n.N()-1)] <= 0 {
-			b.Fatal("unreachable")
-		}
-	}
-}
-
 // BenchmarkShortestPath measures the targeted (early-exit) search plus path
 // extraction for a cross-grid pair.
 func BenchmarkShortestPath(b *testing.B) {

@@ -27,6 +27,29 @@ func (n *Network) extractPath(src, dst int32, dist []float64, prevLink []int32) 
 	return n.walkPath(src, dst, func(v int32) int32 { return prevLink[v] }, dist[dst])
 }
 
+// treeOf reads every node's distance (+Inf if unreached) and predecessor
+// link (-1 at the source or if unreached) off st's last search.
+func treeOf(st *SearchState, nn int) (dist []float64, prevLink []int32) {
+	dist, prevLink = make([]float64, nn), make([]int32, nn)
+	for v := range dist {
+		dist[v], prevLink[v] = st.Dist(int32(v)), st.PrevLink(int32(v))
+	}
+	return dist, prevLink
+}
+
+// searchTree runs the kernel's full tree from src with every link of banned
+// skipped and transit limited by expand (nil: every node forwards), and
+// returns treeOf it.
+func searchTree(n *Network, src int32, banned map[int32]bool, expand func(int32) bool) (dist []float64, prevLink []int32) {
+	st := AcquireSearch()
+	defer st.Release()
+	for li := range banned {
+		st.BanLink(li)
+	}
+	n.Search(st, SearchSpec{Src: src, Target: NoTarget, Expand: expand})
+	return treeOf(st, n.N())
+}
+
 // naiveDijkstra mirrors the kernel's semantics with O(n²) linear scans:
 // settle the unsettled reached node with minimal (dist, node), and stop once
 // every node of a non-empty targets list is settled; a settled non-source
@@ -178,7 +201,7 @@ func checkSearch(t *testing.T, n *Network, spec SearchSpec, bannedLinks map[int3
 	if !n.Search(st, spec) {
 		t.Fatalf("%s: search did not complete", tag)
 	}
-	dist, prev := st.materialize(n.N())
+	dist, prev := treeOf(st, n.N())
 	wantDist, wantPrev := naiveDijkstra(n, spec.Src, wanted, bannedLinks, spec.Expand, spec.Cost)
 	compareAll(t, n, dist, wantDist, prev, wantPrev, tag)
 
@@ -364,7 +387,7 @@ func TestDifferentialDijkstra(t *testing.T) {
 		src := int32(r.Intn(n.N()))
 		banned := randomBans(r, n, 0.15)
 
-		dist, prev := n.Dijkstra(src, banned)
+		dist, prev := searchTree(n, src, banned, nil)
 		wantDist, wantPrev := naiveDijkstra(n, src, nil, banned, nil, nil)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "banned")
 
@@ -376,7 +399,7 @@ func TestDifferentialDijkstra(t *testing.T) {
 		}
 		for rep := 0; rep < 3; rep++ {
 			n.Search(st, SearchSpec{Src: src, Target: NoTarget})
-			gotDist, gotPrev := st.materialize(n.N())
+			gotDist, gotPrev := treeOf(st, n.N())
 			compareAll(t, n, gotDist, wantDist, gotPrev, wantPrev, "reused state")
 		}
 		st.Release()
@@ -390,7 +413,7 @@ func TestDifferentialExpand(t *testing.T) {
 		src := int32(r.Intn(n.N()))
 		expand := func(v int32) bool { return !n.IsGroundSide(v) }
 
-		dist, prev := n.DijkstraExpand(src, nil, expand)
+		dist, prev := searchTree(n, src, nil, expand)
 		wantDist, wantPrev := naiveDijkstra(n, src, nil, nil, expand, nil)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "sat-transit")
 
@@ -513,7 +536,7 @@ func TestDifferentialCostHook(t *testing.T) {
 
 		st := AcquireSearch()
 		n.Search(st, SearchSpec{Src: src, Target: NoTarget, Cost: cost})
-		dist, prev := st.materialize(n.N())
+		dist, prev := treeOf(st, n.N())
 		wantDist, wantPrev := naiveDijkstra(n, src, nil, nil, nil, cost)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "cost hook")
 
@@ -570,7 +593,7 @@ func TestSearchStatePoolConcurrent(t *testing.T) {
 				src := int32(r.Intn(n.N()))
 				st := AcquireSearch()
 				n.Search(st, SearchSpec{Src: src, Target: NoTarget})
-				d, p := st.materialize(n.N())
+				d, p := treeOf(st, n.N())
 				st.Release()
 				rf := want[n][src]
 				for v := range d {

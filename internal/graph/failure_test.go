@@ -33,7 +33,7 @@ func TestSatelliteFailureRerouting(t *testing.T) {
 		}
 	}
 
-	dist, prev := hy.Dijkstra(src, banned)
+	dist, prev := searchTree(hy, src, banned, nil)
 	if math.IsInf(dist[dst], 1) {
 		t.Fatalf("failing %d satellites disconnected the pair — no mesh resilience", len(failed))
 	}
@@ -72,7 +72,7 @@ func TestPlaneFailureKeepsMeshConnected(t *testing.T) {
 		}
 	}
 	src := hy.CityNode(0)
-	dist, _ := hy.Dijkstra(src, banned)
+	dist, _ := searchTree(hy, src, banned, nil)
 	reached := 0
 	for i := 0; i < hy.NumSat; i++ {
 		if inPlane[int32(i)] {

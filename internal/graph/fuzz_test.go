@@ -87,7 +87,7 @@ func FuzzSearch(f *testing.F) {
 			}
 		}
 
-		dist, prev := n.Dijkstra(src, banned)
+		dist, prev := searchTree(n, src, banned, nil)
 		wantDist, wantPrev := naiveDijkstra(n, src, nil, banned, nil, nil)
 		for v := range dist {
 			if dist[v] != wantDist[v] || prev[v] != wantPrev[v] {
@@ -98,7 +98,7 @@ func FuzzSearch(f *testing.F) {
 
 		// Sat-transit restriction against the reference with the same expand.
 		expand := func(v int32) bool { return !n.IsGroundSide(v) }
-		gotD, gotP := n.DijkstraExpand(src, nil, expand)
+		gotD, gotP := searchTree(n, src, nil, expand)
 		refD, refP := naiveDijkstra(n, src, nil, nil, expand, nil)
 		for v := range gotD {
 			if gotD[v] != refD[v] || gotP[v] != refP[v] {
@@ -149,7 +149,7 @@ func FuzzSearch(f *testing.F) {
 
 		// Extracted path must be continuous and priced exactly at dist[dst].
 		if p, ok := n.ShortestPath(src, dst); ok {
-			d, _ := n.Dijkstra(src, nil)
+			d, _ := searchTree(n, src, nil, nil)
 			if math.Abs(p.OneWayMs-d[dst]) > 1e-12*math.Max(1, d[dst]) {
 				t.Fatalf("path delay %v vs dist %v", p.OneWayMs, d[dst])
 			}

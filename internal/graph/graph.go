@@ -352,34 +352,6 @@ func (p Path) RTTMs() float64 { return 2 * p.OneWayMs }
 // Hops returns the hop count (number of links).
 func (p Path) Hops() int { return len(p.Links) }
 
-// Dijkstra computes shortest (delay) distances from src to every node.
-// banned, if non-nil, marks link indices to skip. It returns per-node
-// distance in ms (math.Inf(1) if unreachable) and the predecessor link per
-// node (-1 at src/unreachable).
-//
-// This is the allocating convenience wrapper; hot loops should hold a
-// pooled SearchState and call Network.Search directly.
-func (n *Network) Dijkstra(src int32, banned map[int32]bool) (dist []float64, prevLink []int32) {
-	return n.DijkstraExpand(src, banned, nil)
-}
-
-// DijkstraExpand generalizes Dijkstra: when expand is non-nil, edges are only
-// relaxed out of nodes for which expand returns true (the source is always
-// expanded). This implements transit restrictions — e.g. §6's "pure ISL
-// path" model forbids ground terminals as intermediate hops, so expand
-// returns false for every ground-side node.
-func (n *Network) DijkstraExpand(src int32, banned map[int32]bool, expand func(int32) bool) (dist []float64, prevLink []int32) {
-	st := AcquireSearch()
-	defer st.Release()
-	for li, b := range banned {
-		if b {
-			st.BanLink(li)
-		}
-	}
-	n.Search(st, SearchSpec{Src: src, Target: NoTarget, Expand: expand})
-	return st.materialize(n.N())
-}
-
 // ShortestPath returns the minimum-delay path from src to dst, or ok=false
 // if disconnected.
 func (n *Network) ShortestPath(src, dst int32) (Path, bool) {

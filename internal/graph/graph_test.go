@@ -72,7 +72,7 @@ func TestDisconnected(t *testing.T) {
 	if _, ok := n.ShortestPath(0, iso); ok {
 		t.Errorf("found path to isolated node")
 	}
-	dist, _ := n.Dijkstra(0, nil)
+	dist, _ := searchTree(n, 0, nil, nil)
 	if !math.IsInf(dist[iso], 1) {
 		t.Errorf("distance to isolated node = %v", dist[iso])
 	}
@@ -127,7 +127,7 @@ func TestKDisjointFewerThanK(t *testing.T) {
 func TestDijkstraBannedLinks(t *testing.T) {
 	n := lineNetwork(t, 2)
 	banned := map[int32]bool{0: true}
-	dist, _ := n.Dijkstra(0, banned)
+	dist, _ := searchTree(n, 0, banned, nil)
 	if !math.IsInf(dist[2], 1) {
 		t.Errorf("banned link should disconnect: dist=%v", dist[2])
 	}

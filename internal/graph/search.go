@@ -191,24 +191,6 @@ func (st *SearchState) Path(dst int32) (Path, bool) {
 	}, total)
 }
 
-// materialize copies the search outcome into freshly allocated dist/prevLink
-// slices with the legacy conventions (+Inf / -1 for unreached nodes).
-func (st *SearchState) materialize(nn int) (dist []float64, prevLink []int32) {
-	dist = make([]float64, nn)
-	prevLink = make([]int32, nn)
-	inf := math.Inf(1)
-	for i := 0; i < nn; i++ {
-		if st.node[i].stamp == st.searchStamp {
-			dist[i] = st.node[i].dist
-			prevLink[i] = st.prevLink[i]
-		} else {
-			dist[i] = inf
-			prevLink[i] = -1
-		}
-	}
-	return dist, prevLink
-}
-
 // heapEntry is one frontier node in the priority queue. Entries are plain
 // values in a flat slice — no interface boxing, no per-push allocation — and
 // carry their key, so sift comparisons never leave the heap's own memory.

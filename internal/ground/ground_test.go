@@ -302,8 +302,8 @@ func TestNewSegment(t *testing.T) {
 			t.Fatalf("terminal %d has no cached ECEF", i)
 		}
 	}
-	if seg.CityTerminal(3).CityIndex != 3 {
-		t.Errorf("CityTerminal(3) index = %d", seg.CityTerminal(3).CityIndex)
+	if seg.Terminals[3].CityIndex != 3 {
+		t.Errorf("Terminals[3] city index = %d", seg.Terminals[3].CityIndex)
 	}
 	// WithCities: extra cities sit between the cities and the unchanged relay
 	// grid, IDs stay dense, and the receiver is left as it was.
@@ -315,7 +315,7 @@ func TestNewSegment(t *testing.T) {
 	if grown.NumCity != 51 || grown.NumRelay != seg.NumRelay || len(grown.Cities) != 51 {
 		t.Errorf("WithCities: %d cities (%d listed), %d relays", grown.NumCity, len(grown.Cities), grown.NumRelay)
 	}
-	if got := grown.CityTerminal(50); got.Name != "Durban" || got.Kind != KindCity || got.CityIndex != 50 {
+	if got := grown.Terminals[50]; got.Name != "Durban" || got.Kind != KindCity || got.CityIndex != 50 {
 		t.Errorf("WithCities: terminal 50 = %+v", got)
 	}
 	for i, term := range grown.Terminals {
@@ -373,8 +373,8 @@ func TestGSOCheckerEquator(t *testing.T) {
 func TestGSOCheckerHighLatitude(t *testing.T) {
 	// Above ~81° latitude the GSO arc is below the horizon entirely.
 	ck := NewGSOChecker(geo.LL(85, 0), StarlinkGSOPolicy())
-	if ck.VisibleArcCount() != 0 {
-		t.Errorf("GSO arc visible from 85°N? count=%d", ck.VisibleArcCount())
+	if len(ck.dirs) != 0 {
+		t.Errorf("GSO arc visible from 85°N? count=%d", len(ck.dirs))
 	}
 	anywhere := geo.LatLon{Lat: 85, Lon: 0, Alt: 550}.ToECEF()
 	if !ck.Allowed(anywhere) {

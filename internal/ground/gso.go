@@ -72,17 +72,6 @@ func (ck *GSOChecker) Allowed(sat geo.Vec3) bool {
 	return true
 }
 
-// VisibleArcCount returns how many sampled GSO-arc directions are above the
-// terminal's horizon — a proxy for how much of the sky the constraint
-// blocks. It is 0 for terminals above ≈81° latitude, where the GSO arc is
-// below the horizon and the constraint vanishes.
-func (ck *GSOChecker) VisibleArcCount() int {
-	if ck == nil {
-		return 0
-	}
-	return len(ck.dirs)
-}
-
 // FOVReduction quantifies Fig 9: the fraction of otherwise-usable sky
 // directions (elevation ≥ minElevDeg) that the GSO constraint blocks for a
 // terminal at latitude latDeg. Directions are sampled on an

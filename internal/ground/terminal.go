@@ -75,9 +75,6 @@ type Segment struct {
 	NumRelay  int
 }
 
-// CityTerminal returns the terminal corresponding to city index i.
-func (s *Segment) CityTerminal(i int) Terminal { return s.Terminals[i] }
-
 // NewSegment builds the ground segment: one terminal per city plus transit
 // relays on a spacingDeg grid within maxRelayKm of any city (on land). Pass
 // spacingDeg = 0 to omit grid relays entirely.

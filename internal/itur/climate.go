@@ -55,11 +55,6 @@ func WaterVapourDensity(latDeg float64) float64 {
 	return 19*math.Exp(-sq(latDeg/35)) + 3
 }
 
-// SurfaceTempK returns the mean surface temperature in kelvin.
-func SurfaceTempK(latDeg float64) float64 {
-	return 300 - 32*math.Pow(math.Abs(latDeg)/90, 1.6)
-}
-
 // WetRefractivity returns N_wet, the wet term of the surface radio
 // refractivity, used by the scintillation model (tropics ≈ 100, poles ≈ 20).
 func WetRefractivity(latDeg float64) float64 {

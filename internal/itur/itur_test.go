@@ -39,8 +39,8 @@ func TestClimatologyShape(t *testing.T) {
 	if RainHeightKm(89) < 0.5-1e-9 {
 		t.Errorf("rain height floor violated")
 	}
-	// Vapour, temperature, Nwet all decrease with |lat|.
-	for _, f := range []func(float64) float64{WaterVapourDensity, SurfaceTempK, WetRefractivity} {
+	// Vapour and Nwet both decrease with |lat|.
+	for _, f := range []func(float64) float64{WaterVapourDensity, WetRefractivity} {
 		if !(f(0) > f(45) && f(45) > f(85)) {
 			t.Errorf("climatology profile not decreasing with latitude")
 		}

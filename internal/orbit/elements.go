@@ -52,11 +52,6 @@ func (e Elements) MeanMotion() float64 {
 	return math.Sqrt(geo.EarthMu / (a * a * a))
 }
 
-// Period returns the orbital period.
-func (e Elements) Period() time.Duration {
-	return time.Duration(2 * math.Pi / e.MeanMotion() * float64(time.Second))
-}
-
 // AltitudeKm returns the mean altitude above the spherical Earth surface.
 func (e Elements) AltitudeKm() float64 { return e.SemiMajorKm - geo.EarthRadius }
 

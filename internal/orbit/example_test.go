@@ -2,6 +2,7 @@ package orbit_test
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"leosim/internal/geo"
@@ -32,7 +33,7 @@ func ExampleNewSGP4() {
 func ExampleCircular() {
 	el := orbit.Circular(550, 53, 0, 0, geo.Epoch)
 	prop := orbit.NewKepler(el)
-	fmt.Printf("period %.1f min\n", el.Period().Minutes())
+	fmt.Printf("period %.1f min\n", 2*math.Pi/el.MeanMotion()/60)
 	p := orbit.SubsatellitePoint(prop, geo.Epoch.Add(10*time.Minute))
 	fmt.Printf("northbound after 10 min: %v\n", p.Lat > 20 && p.Lat < 45)
 	// Output:

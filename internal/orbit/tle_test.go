@@ -177,7 +177,7 @@ func TestTLEElements(t *testing.T) {
 		t.Errorf("inclination = %v", el.InclinationRad*geo.Rad)
 	}
 	// Period from mean motion: 1440/15.72 ≈ 91.6 minutes.
-	if p := el.Period().Minutes(); !almostEq(p, 1440/15.72125391, 0.1) {
+	if p := period(el).Minutes(); !almostEq(p, 1440/15.72125391, 0.1) {
 		t.Errorf("period = %v min", p)
 	}
 }

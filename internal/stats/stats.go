@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit the experiments use:
-// percentiles, empirical CDF/CCDF series, and summaries.
+// percentiles, empirical CDF series, and summaries.
 package stats
 
 import (
@@ -96,30 +96,6 @@ func CDF(xs []float64) []CDFPoint {
 		out[i] = CDFPoint{X: x, F: float64(i+1) / float64(len(s))}
 	}
 	return out
-}
-
-// CCDF returns the complementary CDF: fraction of samples strictly greater
-// than X, evaluated at each sample.
-func CCDF(xs []float64) []CDFPoint {
-	cdf := CDF(xs)
-	for i := range cdf {
-		cdf[i].F = 1 - cdf[i].F
-	}
-	return cdf
-}
-
-// CDFAt evaluates the empirical CDF of xs at value x.
-func CDFAt(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for _, v := range xs {
-		if v <= x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
 }
 
 // Mean returns the arithmetic mean, or NaN for empty input.

@@ -106,30 +106,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestCCDF(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	cc := CCDF(xs)
-	if cc[0].F != 0.75 || cc[3].F != 0 {
-		t.Errorf("CCDF = %+v", cc)
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if f := CDFAt(xs, 2.5); f != 0.5 {
-		t.Errorf("CDFAt(2.5) = %v", f)
-	}
-	if f := CDFAt(xs, 0); f != 0 {
-		t.Errorf("CDFAt(0) = %v", f)
-	}
-	if f := CDFAt(xs, 9); f != 1 {
-		t.Errorf("CDFAt(9) = %v", f)
-	}
-	if !math.IsNaN(CDFAt(nil, 1)) {
-		t.Errorf("empty CDFAt should be NaN")
-	}
-}
-
 func TestMean(t *testing.T) {
 	if m := Mean([]float64{1, 2, 3}); m != 2 {
 		t.Errorf("Mean = %v", m)

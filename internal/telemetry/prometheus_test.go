@@ -107,7 +107,7 @@ func TestWritePrometheus(t *testing.T) {
 // process-global stage histograms this way.
 func TestWritePrometheusStagesCompose(t *testing.T) {
 	serverReg := NewRegistry()
-	serverReg.Counter("requests").Inc()
+	serverReg.Counter("requests").Add(1)
 	globalReg := NewRegistry()
 	globalReg.StageHistogram(StageGraphBuild).Observe(time.Millisecond)
 

@@ -20,7 +20,7 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				reg.Counter("requests").Inc()
+				reg.Counter("requests").Add(1)
 				reg.Gauge("inflight").Add(1)
 				reg.Histogram("latency").Observe(time.Microsecond)
 				reg.Gauge("inflight").Add(-1)
