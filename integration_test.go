@@ -9,6 +9,9 @@ import (
 	"io"
 	"testing"
 	"time"
+
+	"leosim/internal/core"
+	"leosim/internal/geo"
 )
 
 func TestEndToEndAllExperiments(t *testing.T) {
@@ -80,7 +83,7 @@ func TestEndToEndAllExperiments(t *testing.T) {
 		if d.Mean <= 0 || d.Mean >= 1 {
 			t.Errorf("stranded fraction %v", d.Mean)
 		}
-		u, err := RunUtilization(context.Background(), sim, BP, Epoch)
+		u, err := core.RunUtilization(context.Background(), sim, BP, geo.Epoch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +92,7 @@ func TestEndToEndAllExperiments(t *testing.T) {
 			t.Errorf("idle %v below disconnected %v", u.IdleFrac, d.FractionPerSnapshot[0])
 		}
 		WriteDisconnectReport(io.Discard, d)
-		WriteUtilizationReport(io.Discard, u)
+		core.WriteUtilizationReport(io.Discard, u)
 	})
 
 	t.Run("weather", func(t *testing.T) {
@@ -100,7 +103,7 @@ func TestEndToEndAllExperiments(t *testing.T) {
 		if res.MedianAdvantageDB() < 0 {
 			t.Errorf("ISL weather advantage negative")
 		}
-		cap, err := RunWeatherCapacity(context.Background(), sim)
+		cap, err := core.RunWeatherCapacity(context.Background(), sim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,44 +112,44 @@ func TestEndToEndAllExperiments(t *testing.T) {
 			t.Errorf("ISL capacity retention below BP")
 		}
 		WriteWeatherReport(io.Discard, res, 5)
-		WriteModcodReport(io.Discard, cap)
+		core.WriteModcodReport(io.Discard, cap)
 	})
 
 	t.Run("gso", func(t *testing.T) {
-		rows, err := RunGSOArc(context.Background(), sim, 40, []float64{0, 40, 80})
+		rows, err := core.RunGSOArc(context.Background(), sim, 40, []float64{0, 40, 80})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rows[0].FOVBlockedFrac <= rows[2].FOVBlockedFrac {
 			t.Errorf("GSO FoV blocking not decreasing with latitude")
 		}
-		WriteGSOReport(io.Discard, rows)
+		core.WriteGSOReport(io.Discard, rows)
 	})
 
 	t.Run("te", func(t *testing.T) {
-		res, err := RunTrafficEngineering(context.Background(), sim, Hybrid, 4, Epoch)
+		res, err := core.RunTrafficEngineering(context.Background(), sim, Hybrid, 4, geo.Epoch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.TEGbps < 0.8*res.ShortestGbps {
 			t.Errorf("TE collapsed: %v vs %v", res.TEGbps, res.ShortestGbps)
 		}
-		WriteTEReport(io.Discard, res)
+		core.WriteTEReport(io.Discard, res)
 	})
 
 	t.Run("pathchurn", func(t *testing.T) {
-		res, err := RunPathChurn(context.Background(), sim)
+		res, err := core.RunPathChurn(context.Background(), sim)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.MeanChangeFrac(BP) < res.MeanChangeFrac(Hybrid) {
 			t.Errorf("BP paths should churn at least as much as hybrid")
 		}
-		WritePathChurnReport(io.Discard, res)
+		core.WritePathChurnReport(io.Discard, res)
 	})
 
 	t.Run("geojson+json", func(t *testing.T) {
-		if err := WriteSnapshotGeoJSON(io.Discard, sim, 0, Epoch.Add(30*time.Minute)); err != nil {
+		if err := core.WriteSnapshotGeoJSON(io.Discard, sim, 0, geo.Epoch.Add(30*time.Minute)); err != nil {
 			t.Fatal(err)
 		}
 		rows, err := RunFig4(context.Background(), sim)

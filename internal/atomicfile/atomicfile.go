@@ -59,9 +59,6 @@ func (a *File) Write(p []byte) (int, error) { return a.f.Write(p) }
 // Chmod sets the mode the committed file will carry.
 func (a *File) Chmod(perm os.FileMode) error { return a.f.Chmod(perm) }
 
-// Name returns the destination path the file will commit to.
-func (a *File) Name() string { return a.path }
-
 // Commit makes the written contents durable and visible at the destination
 // path: fsync, close, rename. After Commit the handle is spent.
 func (a *File) Commit() error {

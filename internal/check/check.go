@@ -148,9 +148,6 @@ func (r *Report) Classes() []Class {
 	return out
 }
 
-// Count returns the violation count for one class.
-func (r *Report) Count(c Class) int { return r.counts[c] }
-
 // Violations returns the retained violation samples (capped per class).
 func (r *Report) Violations() []Violation { return r.violations }
 

@@ -161,7 +161,7 @@ func TestCorruptedLinkCaught(t *testing.T) {
 		t.Fatal("corrupted link not detected")
 	}
 	for _, c := range []Class{ClassGSLElevation, ClassGSLRange, ClassLinkDelay} {
-		if r.Count(c) == 0 {
+		if r.counts[c] == 0 {
 			t.Errorf("class %s did not fire", c)
 		}
 	}
@@ -227,7 +227,7 @@ func TestPathChecksCatchFabrications(t *testing.T) {
 	for _, tc := range cases {
 		var r Report
 		CheckPath(&r, n, src, dst, tc.mutat(p))
-		if r.Count(tc.class) == 0 {
+		if r.counts[tc.class] == 0 {
 			t.Errorf("%s: class %s did not fire (%s)", tc.name, tc.class, r.Summary())
 		}
 	}
@@ -247,7 +247,7 @@ func TestReportAccounting(t *testing.T) {
 	if r.OK() {
 		t.Fatal("report with violations claims OK")
 	}
-	if got := r.Count(ClassFlow); got != maxSamplesPerClass+10 {
+	if got := r.counts[ClassFlow]; got != maxSamplesPerClass+10 {
 		t.Fatalf("count %d, want %d", got, maxSamplesPerClass+10)
 	}
 	if got := len(r.Violations()); got != maxSamplesPerClass+1 {

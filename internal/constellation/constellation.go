@@ -256,12 +256,3 @@ type Snapshot struct {
 func (c *Constellation) SnapshotAt(t time.Time) Snapshot {
 	return Snapshot{Time: t, Pos: c.PositionsECEF(t)}
 }
-
-// Snapshots computes n snapshots starting at start, spaced by step.
-func (c *Constellation) Snapshots(start time.Time, step time.Duration, n int) []Snapshot {
-	out := make([]Snapshot, n)
-	for i := range out {
-		out[i] = c.SnapshotAt(start.Add(time.Duration(i) * step))
-	}
-	return out
-}

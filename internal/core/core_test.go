@@ -401,7 +401,7 @@ func TestWithCities(t *testing.T) {
 	}
 	// A derivation keeps choice, scale, options and the traffic matrix; only
 	// terminals are added, before an unchanged relay grid.
-	if d.Motif == nil || d.Motif.Name() != s.Motif.Name() || d.SatCapGbps != 0 {
+	if d.Motif == nil || d.Motif != s.Motif || d.SatCapGbps != 0 {
 		t.Errorf("derived sim dropped options: motif %v, satellite capacity %v", d.Motif, d.SatCapGbps)
 	}
 	if !reflect.DeepEqual(d.Pairs, s.Pairs) || d.Seg.NumRelay != s.Seg.NumRelay {

@@ -48,7 +48,7 @@ func detArgs() Args {
 var stableIDs = map[string]string{
 	"fig2a": "latency", "fig3": "pathtrace", "fig6": "weather", "fig7": "heatmap",
 	"fig8": "pairweather", "fig9": "gsoarc", "fig10": "crossshell", "fig11": "fiber",
-	"util": "utilization",
+	"util": "utilization", "ka": "weather-ka",
 }
 
 func TestRunEntryPointsDeterministic(t *testing.T) {
@@ -73,12 +73,11 @@ func TestRunEntryPointsDeterministic(t *testing.T) {
 		}
 		cases = append(cases, c)
 	}
-	// The three calls no CLI experiment makes.
+	// The two calls no CLI experiment makes.
 	for _, c := range []struct {
 		name string
 		run  func(ctx context.Context, s *Sim) (any, error)
 	}{
-		{"weather-ka", func(ctx context.Context, s *Sim) (any, error) { return RunWeatherBand(ctx, s, KaBand) }},
 		{"throughput", func(ctx context.Context, s *Sim) (any, error) { return RunThroughput(ctx, s, Hybrid, 1, Epoch()) }},
 		{"check", func(ctx context.Context, s *Sim) (any, error) {
 			return RunCheck(ctx, s, CheckOptions{Snapshots: 1, PairSample: 8, OptimalitySample: 2})

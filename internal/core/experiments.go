@@ -16,7 +16,7 @@ import (
 
 // An Experiment is one row of the experiment table: what `leosim <Name>`
 // computes and prints. Run is the one place its arguments are written; the
-// CLI, the goldens, the determinism suite and the root benchmarks all call it.
+// CLI, the goldens, the determinism suite and BenchmarkExperiment all call it.
 type Experiment struct {
 	Name    string
 	Section string // the paper section reproduced or extended, and what is measured
@@ -120,8 +120,7 @@ var Experiments = []Experiment{
 			return fig5Result{bp, pts}, err
 		}, report(func(w io.Writer, r fig5Result) { WriteFig5Report(w, r.Points, r.BPBaselineGbps) })),
 	row("disconnected", "§5: satellites BP leaves stranded", "all", call(RunDisconnected), report(WriteDisconnectReport)),
-	row("fig6", "§6 Fig 6: weather attenuation across pairs", "all", call(RunWeather),
-		func(w io.Writer, r *WeatherResult, a Args) { WriteWeatherReport(w, r, a.CDFPoints) }),
+	row("fig6", "§6 Fig 6: weather attenuation across pairs", "all", call(RunWeather), writeWeather),
 	row("fig7", "§6 Fig 7: the Delhi–Sydney regional attenuation map", "all",
 		func(ctx context.Context, s *Sim, _ Args) (*HeatmapResult, error) {
 			return RunHeatmap(ctx, s, "Delhi", "Sydney", 2)
@@ -180,6 +179,10 @@ var Experiments = []Experiment{
 	row("passes", "§2: satellite passes over a terminal", "ext", call(passes), report(writePasses)),
 
 	row("fig2b", "§4 Fig 2b: RTT variation across pairs (fig2a's run)", "", call(RunLatency), writeLatency),
+	row("ka", "§6: fig6 at Ka band, the gateway band §6 flags as more weather-affected", "",
+		func(ctx context.Context, s *Sim, _ Args) (*WeatherResult, error) {
+			return RunWeatherBand(ctx, s, KaBand)
+		}, writeWeather),
 	row("relays", "§3: what coarser relay grids cost BP", "",
 		func(ctx context.Context, s *Sim, _ Args) ([]RelayPoint, error) {
 			d := s.Scale.RelaySpacingDeg
@@ -203,6 +206,8 @@ type fig5Result struct {
 }
 
 func writeLatency(w io.Writer, r *LatencyResult, a Args) { WriteLatencyReport(w, r, a.CDFPoints) }
+
+func writeWeather(w io.Writer, r *WeatherResult, a Args) { WriteWeatherReport(w, r, a.CDFPoints) }
 
 func writePathTrace(w io.Writer, r *PathTraceResult) {
 	for _, tr := range r.Traces {

@@ -60,7 +60,7 @@ func RunHeatmap(ctx context.Context, s *Sim, srcName, dstName string, stepDeg fl
 		for lon := res.LonMin; lon <= res.LonMax; lon += stepDeg {
 			aDB, err := itur.TotalAttenuation(itur.LinkParams{
 				LatDeg: lat, LonDeg: lon, ElevationDeg: 40,
-				FreqGHz: UplinkGHz, Pol: itur.PolCircular,
+				FreqGHz: KuBand.UpGHz, Pol: itur.PolCircular,
 			}, 0.5)
 			if err != nil {
 				return nil, err

@@ -10,25 +10,6 @@ import (
 	"leosim/internal/topo"
 )
 
-func TestWithMinElevationOption(t *testing.T) {
-	scale := TinyScale()
-	scale.NumSnapshots = 1
-	base, err := NewSim(Starlink, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strict, err := NewSim(Starlink, scale, WithMinElevation(40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := base.SnapshotTimes()[0]
-	nb := len(base.NetworkAt(t0, BP).Links)
-	ns := len(strict.NetworkAt(t0, BP).Links)
-	if ns >= nb {
-		t.Errorf("40° min elevation should remove GSLs: %d vs %d", ns, nb)
-	}
-}
-
 func TestWithSGP4PropagationOption(t *testing.T) {
 	scale := TinyScale()
 	scale.NumSnapshots = 1
@@ -94,7 +75,7 @@ func TestDeriveKeepsOptions(t *testing.T) {
 		if !tc.check(d) {
 			t.Errorf("%s: derived sim lacks the extra option", tc.name)
 		}
-		if d.Motif == nil || d.Motif.Name() != topo.Ladder.String() || d.SatCapGbps != 0 {
+		if d.Motif != topo.MustBuild(topo.Ladder, topo.Config{}) || d.SatCapGbps != 0 {
 			t.Errorf("%s: derived sim has motif %v, satellite capacity %v; want ladder, 0",
 				tc.name, d.Motif, d.SatCapGbps)
 		}

@@ -216,11 +216,3 @@ var (
 	// (typical 28.5 GHz up, 18.5 GHz down).
 	KaBand = Band{Name: "ka", UpGHz: 28.5, DownGHz: 18.5}
 )
-
-// Ku-band frequencies retained as named constants for direct use.
-const (
-	// UplinkGHz is the Ku GT→satellite carrier frequency.
-	UplinkGHz = 14.25
-	// DownlinkGHz is the Ku satellite→GT carrier frequency.
-	DownlinkGHz = 11.7
-)

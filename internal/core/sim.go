@@ -79,15 +79,13 @@ const networkCacheSize = 8
 type SimOption func(*simConfig)
 
 type simConfig struct {
-	gso          ground.GSOPolicy
-	elevOverride float64
-	extraShells  []constellation.Shell
-	sgp4         bool
-	satCap       float64
-	satCapSet    bool
-	motif        topo.Motif
-	motifID      topo.ID
-	motifIDSet   bool
+	gso         ground.GSOPolicy
+	extraShells []constellation.Shell
+	sgp4        bool
+	satCap      float64
+	satCapSet   bool
+	motifID     topo.ID
+	motifIDSet  bool
 	// cities names anchor cities to add beyond the top-N cut (WithCities).
 	cities []string
 }
@@ -105,11 +103,6 @@ func WithGSOAvoidance(p ground.GSOPolicy) SimOption {
 	return func(c *simConfig) { c.gso = p }
 }
 
-// WithMinElevation overrides each shell's minimum elevation angle.
-func WithMinElevation(deg float64) SimOption {
-	return func(c *simConfig) { c.elevOverride = deg }
-}
-
 // WithExtraShells adds shells beyond the chosen preset (Fig 10).
 func WithExtraShells(shells ...constellation.Shell) SimOption {
 	return func(c *simConfig) { c.extraShells = shells }
@@ -120,18 +113,13 @@ func WithSGP4Propagation() SimOption {
 	return func(c *simConfig) { c.sgp4 = true }
 }
 
-// WithMotif replaces the default +Grid ISL topology with a motif from the
-// topology lab (internal/topo). Epoch-aware motifs (nearest, demand) are
-// re-placed for every snapshot build; static motifs keep the link set
-// placed at construction. A nil motif keeps the default.
-func WithMotif(m topo.Motif) SimOption {
-	return func(c *simConfig) { c.motif = m }
-}
-
-// WithMotifID is WithMotif resolving a built-in motif by ID inside NewSim,
-// where the sim's own city set is available — so the demand-aware motif
-// optimizes for the same demand model the experiments sample traffic from.
-// This is the path the -motif CLI flag takes.
+// WithMotifID replaces the default +Grid ISL topology with a built-in motif
+// of the topology lab (internal/topo), resolved by ID inside NewSim, where
+// the sim's own city set is available — so the demand-aware motif optimizes
+// for the same demand model the experiments sample traffic from. Epoch-aware
+// motifs (nearest, demand) are re-placed for every snapshot build; static
+// motifs keep the link set placed at construction. This is the path the
+// -motif CLI flag takes.
 func WithMotifID(id topo.ID) SimOption {
 	return func(c *simConfig) { c.motifID, c.motifIDSet = id, true }
 }
@@ -152,18 +140,17 @@ func NewSim(choice ConstellationChoice, scale Scale, opts ...SimOption) (*Sim, e
 	if err != nil {
 		return nil, err
 	}
+	var motif topo.Motif
 	if cfg.motifIDSet {
-		m, err := topo.Build(cfg.motifID, topo.Config{Cities: top})
-		if err != nil {
+		if motif, err = topo.Build(cfg.motifID, topo.Config{Cities: top}); err != nil {
 			return nil, err
 		}
-		cfg.motif = m
 	}
 
 	shells := append([]constellation.Shell{choice.Shell()}, cfg.extraShells...)
 	constOpts := []constellation.Option{constellation.WithISLs()}
-	if cfg.motif != nil {
-		constOpts = append(constOpts, topo.Option(cfg.motif))
+	if motif != nil {
+		constOpts = append(constOpts, topo.Option(motif))
 	}
 	if cfg.sgp4 {
 		constOpts = append(constOpts, constellation.WithSGP4())
@@ -208,12 +195,11 @@ func NewSim(choice ConstellationChoice, scale Scale, opts ...SimOption) (*Sim, e
 	}
 	baseOpts := graph.DefaultOptions()
 	baseOpts.GSO = cfg.gso
-	baseOpts.MinElevationOverrideDeg = cfg.elevOverride
 	s := &Sim{
 		Scale:      scale,
 		SatCapGbps: satCap,
 		Choice:     choice,
-		Motif:      cfg.motif,
+		Motif:      motif,
 		Const:      c,
 		Seg:        seg,
 		Fleet:      fleet,

@@ -160,7 +160,7 @@ func TestCurveSanityOnRealLink(t *testing.T) {
 	// plausible band (rain-dominated, not absurd).
 	lp := itur.LinkParams{
 		LatDeg: 28.7, LonDeg: 77.1, ElevationDeg: 40,
-		FreqGHz: UplinkGHz, Pol: itur.PolCircular,
+		FreqGHz: KuBand.UpGHz, Pol: itur.PolCircular,
 	}
 	c, err := itur.NewCurve(lp)
 	if err != nil {

@@ -121,12 +121,6 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// IsZero reports whether the plan injects no fault at all.
-func (p Plan) IsZero() bool {
-	return p.SatFraction == 0 && p.PlaneFraction == 0 && p.SiteFraction == 0 &&
-		p.ISLFraction == 0 && (p.GSLCapFactor == 0 || p.GSLCapFactor == 1)
-}
-
 // Outages is a Plan realized against one constellation and ground segment:
 // the concrete set of failed satellites, sites and lasers. Outages persist
 // across snapshots — an outage does not heal as satellites move.

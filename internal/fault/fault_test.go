@@ -83,9 +83,6 @@ func TestRealizeDeterministic(t *testing.T) {
 
 // Fraction 0 masks nothing: the masked network is the healthy one itself.
 func TestZeroPlanIsNoOp(t *testing.T) {
-	if !(Plan{}).IsZero() {
-		t.Fatal("zero Plan not IsZero")
-	}
 	c := testConst(t)
 	o, err := Plan{Seed: 7}.Realize(c, 20)
 	if err != nil {
@@ -255,6 +252,7 @@ func TestISLOutageDrawsFromLinksAtT(t *testing.T) {
 }
 
 func TestForScenario(t *testing.T) {
+	c := testConst(t)
 	for _, sc := range Scenarios() {
 		if !sc.Valid() {
 			t.Errorf("scenario %q not Valid", sc)
@@ -266,15 +264,15 @@ func TestForScenario(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("%s: %v", sc, err)
 		}
-		if p.IsZero() {
-			t.Errorf("%s at 10%% is a zero plan", sc)
+		if o, err := p.Realize(c, 20); err != nil || o.IsZero() {
+			t.Errorf("%s at 10%% realizes no outage (%v)", sc, err)
 		}
 		z, err := ForScenario(sc, 0, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)
 		}
-		if !z.IsZero() {
-			t.Errorf("%s at 0%% is not a zero plan: %+v", sc, z)
+		if o, err := z.Realize(c, 20); err != nil || !o.IsZero() {
+			t.Errorf("%s at 0%% realizes outages: %+v (%v)", sc, o, err)
 		}
 	}
 	if _, err := ForScenario("meteor", 0.1, 5); err == nil {

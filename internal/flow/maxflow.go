@@ -32,9 +32,6 @@ func NewMaxFlowNet(n int) *MaxFlowNet {
 	return &MaxFlowNet{head: h}
 }
 
-// Nodes returns the node count.
-func (m *MaxFlowNet) Nodes() int { return len(m.head) }
-
 // AddNode appends a node and returns its index.
 func (m *MaxFlowNet) AddNode() int32 {
 	m.head = append(m.head, -1)

@@ -318,10 +318,10 @@ func TestProblemAccessors(t *testing.T) {
 
 func TestMaxFlowNodes(t *testing.T) {
 	m := NewMaxFlowNet(3)
-	if m.Nodes() != 3 {
-		t.Errorf("Nodes = %d", m.Nodes())
+	if len(m.head) != 3 {
+		t.Errorf("Nodes = %d", len(m.head))
 	}
-	if id := m.AddNode(); id != 3 || m.Nodes() != 4 {
-		t.Errorf("AddNode = %d, Nodes = %d", id, m.Nodes())
+	if id := m.AddNode(); id != 3 || len(m.head) != 4 {
+		t.Errorf("AddNode = %d, Nodes = %d", id, len(m.head))
 	}
 }

@@ -67,9 +67,6 @@ func (v Vec3) AngleTo(w Vec3) float64 {
 	return math.Acos(cos)
 }
 
-// IsZero reports whether all components are exactly zero.
-func (v Vec3) IsZero() bool { return v.X == 0 && v.Y == 0 && v.Z == 0 }
-
 // String implements fmt.Stringer.
 func (v Vec3) String() string {
 	return fmt.Sprintf("(%.3f, %.3f, %.3f)", v.X, v.Y, v.Z)

@@ -45,10 +45,7 @@ func TestVecNormUnit(t *testing.T) {
 	if !almostEq(u.Norm(), 1, 1e-12) {
 		t.Fatalf("Unit norm = %v, want 1", u.Norm())
 	}
-	if !Vec3.IsZero(Vec3{}) {
-		t.Fatalf("zero vector should report IsZero")
-	}
-	if got := (Vec3{}).Unit(); !got.IsZero() {
+	if got := (Vec3{}).Unit(); got != (Vec3{}) {
 		t.Fatalf("Unit of zero = %v, want zero", got)
 	}
 }

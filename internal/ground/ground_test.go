@@ -298,7 +298,7 @@ func TestNewSegment(t *testing.T) {
 		if i >= 50 && term.Kind != KindRelay {
 			t.Fatalf("terminal %d should be a relay", i)
 		}
-		if term.ECEF.IsZero() {
+		if term.ECEF == (geo.Vec3{}) {
 			t.Fatalf("terminal %d has no cached ECEF", i)
 		}
 	}

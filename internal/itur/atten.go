@@ -211,27 +211,6 @@ func TotalAttenuation(lp LinkParams, p float64) (float64, error) {
 	return ag + math.Sqrt(sq(ar+ac)+sq(as)), nil
 }
 
-// ScaleRainAttenuationFrequency applies the P.618 §2.2.1.2 long-term
-// frequency-scaling rule: given rain attenuation a1 (dB) measured or
-// predicted at frequency f1 (GHz), estimate the attenuation at f2 on the
-// same path. Valid for 7–55 GHz; used to transfer beacon measurements
-// between bands (e.g. the Ku→Ka comparison §6 alludes to).
-func ScaleRainAttenuationFrequency(a1, f1GHz, f2GHz float64) (float64, error) {
-	if a1 < 0 {
-		return 0, fmt.Errorf("itur: negative attenuation %v", a1)
-	}
-	if f1GHz < 7 || f1GHz > 55 || f2GHz < 7 || f2GHz > 55 {
-		return 0, fmt.Errorf("itur: frequency scaling valid for 7–55 GHz, got %v→%v", f1GHz, f2GHz)
-	}
-	if a1 == 0 || f1GHz == f2GHz {
-		return a1, nil
-	}
-	phi := func(f float64) float64 { return f * f / (1 + 1e-4*f*f) }
-	p1, p2 := phi(f1GHz), phi(f2GHz)
-	h := 1.12e-3 * math.Sqrt(p2/p1) * math.Pow(p1*a1, 0.55)
-	return a1 * math.Pow(p2/p1, 1-h), nil
-}
-
 // ReceivedPowerFraction converts attenuation in dB to the fraction of power
 // received (e.g. 1 dB → ≈0.794, the "11% reduction" of §6).
 func ReceivedPowerFraction(dB float64) float64 {

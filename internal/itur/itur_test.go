@@ -377,55 +377,3 @@ func TestHighLatitudeStationAboveRain(t *testing.T) {
 		t.Errorf("station above rain height should see 0, got %v", a)
 	}
 }
-
-func TestScaleRainAttenuationFrequency(t *testing.T) {
-	// Identity cases.
-	if a, err := ScaleRainAttenuationFrequency(5, 14.25, 14.25); err != nil || a != 5 {
-		t.Errorf("same-frequency scaling: %v %v", a, err)
-	}
-	if a, err := ScaleRainAttenuationFrequency(0, 14.25, 28.5); err != nil || a != 0 {
-		t.Errorf("zero attenuation scaling: %v %v", a, err)
-	}
-	// Ku → Ka grows substantially (factor ≈2–4 at a few dB).
-	a, err := ScaleRainAttenuationFrequency(3, 14.25, 28.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a < 6 || a > 14 {
-		t.Errorf("3 dB at Ku scales to %v dB at Ka, want ≈6–14", a)
-	}
-	// Downscaling is the inverse direction (smaller).
-	down, err := ScaleRainAttenuationFrequency(a, 28.5, 14.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if down >= a {
-		t.Errorf("downscaling should shrink: %v from %v", down, a)
-	}
-	// Monotone in target frequency.
-	a20, _ := ScaleRainAttenuationFrequency(3, 14.25, 20)
-	a30, _ := ScaleRainAttenuationFrequency(3, 14.25, 30)
-	if !(3 < a20 && a20 < a30) {
-		t.Errorf("scaling not monotone: 3 → %v → %v", a20, a30)
-	}
-	// Validation.
-	if _, err := ScaleRainAttenuationFrequency(-1, 14, 20); err == nil {
-		t.Errorf("negative attenuation accepted")
-	}
-	if _, err := ScaleRainAttenuationFrequency(3, 2, 20); err == nil {
-		t.Errorf("out-of-range frequency accepted")
-	}
-	// Consistency with the direct model: scaling the Ku prediction lands
-	// within a factor ~2 of the direct Ka prediction on the same link.
-	lp := kuLink(5, 100, 40)
-	ku, _ := RainAttenuation(lp, 0.5)
-	ka := lp
-	ka.FreqGHz = 28.5
-	kaDirect, _ := RainAttenuation(ka, 0.5)
-	scaled, _ := ScaleRainAttenuationFrequency(ku, 14.25, 28.5)
-	ratio := scaled / kaDirect
-	if ratio < 0.5 || ratio > 2 {
-		t.Errorf("frequency scaling vs direct model ratio %v (scaled %v, direct %v)",
-			ratio, scaled, kaDirect)
-	}
-}

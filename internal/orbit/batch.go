@@ -80,13 +80,6 @@ func NewKeplerBatch(props []Propagator) (b *KeplerBatch, ok bool) {
 	return b, true
 }
 
-// PositionsECEF fills dst (len ≥ len(props)) with the ECEF position of every
-// satellite at t, bit-identical to geo.ECIToECEF(p.PositionECI(t), t) per
-// satellite. Chunked callers parallelize via PositionsECEFRange.
-func (b *KeplerBatch) PositionsECEF(t time.Time, dst []geo.Vec3) {
-	b.PositionsECEFRange(t, 0, len(b.props), dst)
-}
-
 // PositionsECEFRange evaluates satellites [lo,hi) into dst[lo:hi]. Ranges may
 // be evaluated concurrently on disjoint chunks; the per-plane matrix reuse
 // then resets at each chunk boundary, which costs one extra matrix build and

@@ -34,7 +34,7 @@ func TestKeplerBatchBitIdentical(t *testing.T) {
 	dst := make([]geo.Vec3, len(props))
 	for _, dt := range []time.Duration{0, time.Second, time.Minute, 7 * time.Hour, 100 * 24 * time.Hour} {
 		tt := epoch.Add(dt)
-		b.PositionsECEF(tt, dst)
+		b.PositionsECEFRange(tt, 0, len(props), dst)
 		for i, p := range props {
 			want := geo.ECIToECEF(p.PositionECI(tt), tt)
 			got := dst[i]
@@ -68,7 +68,7 @@ func TestKeplerBatchRange(t *testing.T) {
 	b, _ := NewKeplerBatch(props)
 	tt := epoch.Add(90 * time.Minute)
 	whole := make([]geo.Vec3, len(props))
-	b.PositionsECEF(tt, whole)
+	b.PositionsECEFRange(tt, 0, len(props), whole)
 	chunked := make([]geo.Vec3, len(props))
 	for lo := 0; lo < len(props); lo += 7 {
 		hi := lo + 7

@@ -52,9 +52,6 @@ func (e Elements) MeanMotion() float64 {
 	return math.Sqrt(geo.EarthMu / (a * a * a))
 }
 
-// AltitudeKm returns the mean altitude above the spherical Earth surface.
-func (e Elements) AltitudeKm() float64 { return e.SemiMajorKm - geo.EarthRadius }
-
 // Validate checks that the elements describe a closed orbit above the
 // surface.
 func (e Elements) Validate() error {

@@ -63,8 +63,8 @@ func TestElementsBasics(t *testing.T) {
 	if err := el.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if !almostEq(el.AltitudeKm(), 550, 1e-9) {
-		t.Errorf("altitude = %v", el.AltitudeKm())
+	if !almostEq((el.SemiMajorKm - geo.EarthRadius), 550, 1e-9) {
+		t.Errorf("altitude = %v", (el.SemiMajorKm - geo.EarthRadius))
 	}
 	// Orbital period at 550 km is about 95.6 minutes (~5737 s).
 	if p := period(el).Seconds(); !almostEq(p, 5737, 10) {

@@ -178,9 +178,6 @@ func NewSGP4(t TLE) (*SGP4, error) {
 	return s, nil
 }
 
-// Epoch returns the TLE epoch the propagator was initialized from.
-func (s *SGP4) Epoch() time.Time { return s.epoch }
-
 // PosVelECI returns the TEME/ECI position (km) and velocity (km/s) at time t.
 func (s *SGP4) PosVelECI(t time.Time) (geo.Vec3, geo.Vec3, error) {
 	tsince := t.Sub(s.epoch).Minutes()

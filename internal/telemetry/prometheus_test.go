@@ -42,7 +42,7 @@ var promLineRE = regexp.MustCompile(
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("requests").Add(42)
-	r.Gauge("inflight").Set(3)
+	r.Gauge("inflight").Add(3)
 	r.RegisterGaugeFunc("cacheEntries", func() int64 { return 7 })
 	h := r.Histogram("http_path_ms")
 	for _, d := range []time.Duration{500 * time.Nanosecond, 3 * time.Microsecond,

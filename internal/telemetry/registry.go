@@ -20,9 +20,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // entries).
 type Gauge struct{ v atomic.Int64 }
 
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add moves the gauge by n (negative to decrease).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
@@ -67,9 +64,6 @@ func NewRegistry() *Registry {
 	}
 	return r
 }
-
-// EventRing returns the registry's flight recorder.
-func (r *Registry) EventRing() *EventRing { return r.events }
 
 // Counter returns (registering on first use) the named counter.
 func (r *Registry) Counter(name string) *Counter {

@@ -42,7 +42,7 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 func TestRegistrySnapshotJSON(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("requests").Add(7)
-	reg.Gauge("inflight").Set(2)
+	reg.Gauge("inflight").Add(2)
 	reg.RegisterGaugeFunc("cache_hits", func() int64 { return 41 })
 	reg.Histogram("http_request").Observe(5 * time.Millisecond)
 	reg.StageHistogram(StageSearch).Observe(time.Millisecond)

@@ -167,11 +167,6 @@ func (r *Recorder) observe(stage Stage, d time.Duration) {
 	r.counts[stage].Add(1)
 }
 
-// Total returns the accumulated wall time of one stage.
-func (r *Recorder) Total(stage Stage) time.Duration {
-	return time.Duration(r.nanos[stage].Load())
-}
-
 // Count returns how many spans of one stage ended on this recorder.
 func (r *Recorder) Count(stage Stage) int64 { return r.counts[stage].Load() }
 

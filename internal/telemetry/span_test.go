@@ -67,9 +67,8 @@ func TestSpanNestingAttribution(t *testing.T) {
 		if got := rec.Count(StageKDisjoint); got != 1 {
 			t.Errorf("kdisjoint count = %d, want 1", got)
 		}
-		if rec.Total(StageKDisjoint) < rec.Total(StageSearch) {
-			t.Errorf("outer stage total %v < summed inner %v",
-				rec.Total(StageKDisjoint), rec.Total(StageSearch))
+		if outer, inner := rec.nanos[StageKDisjoint].Load(), rec.nanos[StageSearch].Load(); outer < inner {
+			t.Errorf("outer stage total %v < summed inner %v", time.Duration(outer), time.Duration(inner))
 		}
 		bd := rec.Breakdown()
 		if len(bd) != 2 {

@@ -68,6 +68,3 @@ func Disable() { active.Store(nil) }
 
 // Active returns the process-global registry, or nil when disabled.
 func Active() *Registry { return active.Load() }
-
-// Enabled reports whether process-global telemetry is on.
-func Enabled() bool { return active.Load() != nil }

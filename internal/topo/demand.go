@@ -152,8 +152,6 @@ func demandCorridors(cities []ground.City) []demandSample {
 	return samples
 }
 
-func (m *demandMotif) Name() string { return Demand.String() }
-
 func (m *demandMotif) Links(c *constellation.Constellation) []constellation.ISL {
 	return m.LinksAt(c, geo.Epoch)
 }

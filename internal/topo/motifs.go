@@ -14,8 +14,6 @@ import (
 // this package.
 type plusGridMotif struct{}
 
-func (plusGridMotif) Name() string { return PlusGrid.String() }
-
 func (plusGridMotif) Links(c *constellation.Constellation) []constellation.ISL {
 	return constellation.PlusGridISLs(c, false)
 }
@@ -30,8 +28,6 @@ func (plusGridMotif) Links(c *constellation.Constellation) []constellation.ISL {
 // extra WalkerF phasing shift, star shells never wrap.
 type diagGridMotif struct{}
 
-func (diagGridMotif) Name() string { return DiagGrid.String() }
-
 func (diagGridMotif) Links(c *constellation.Constellation) []constellation.ISL {
 	return constellation.GridISLs(c, 1, false)
 }
@@ -42,8 +38,6 @@ func (diagGridMotif) Links(c *constellation.Constellation) []constellation.ISL {
 // pointing slew), so a ring-only bus needs the least terminal hardware;
 // cross-plane traffic must bounce through the ground segment.
 type ladderMotif struct{}
-
-func (ladderMotif) Name() string { return Ladder.String() }
 
 func (ladderMotif) Links(c *constellation.Constellation) []constellation.ISL {
 	return constellation.DedupISLs(planeRing(c, nil))
@@ -64,8 +58,6 @@ type nearestMotif struct{}
 // nearestInterCap is the inter-plane terminal count per satellite (plus the
 // two ring terminals: degree ≤ 4, the +Grid bus).
 const nearestInterCap = 2
-
-func (nearestMotif) Name() string { return Nearest.String() }
 
 func (m nearestMotif) Links(c *constellation.Constellation) []constellation.ISL {
 	return m.LinksAt(c, geo.Epoch)

@@ -22,7 +22,6 @@ import (
 // the rest of the simulator (graph building, the checker) assumes and the
 // motif test suite enforces for every registered motif.
 type Motif interface {
-	Name() string
 	Links(c *constellation.Constellation) []constellation.ISL
 }
 

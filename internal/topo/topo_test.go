@@ -106,9 +106,6 @@ func TestMotifInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.Name() != id.String() {
-				t.Errorf("Name() = %q, want %q", m.Name(), id.String())
-			}
 			c := testConst(t, Option(m))
 			if len(c.ISLs) == 0 {
 				t.Fatal("motif produced no links")

@@ -6,6 +6,13 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"leosim/internal/constellation"
+	"leosim/internal/core"
+	"leosim/internal/fault"
+	"leosim/internal/geo"
+	"leosim/internal/ground"
+	"leosim/internal/itur"
 )
 
 // The facade must expose a working end-to-end pipeline: build, route,
@@ -63,7 +70,7 @@ func TestFacadeResilience(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Errorf("empty resilience report")
 	}
-	for _, sc := range FaultScenarios() {
+	for _, sc := range fault.Scenarios() {
 		if !sc.Valid() {
 			t.Errorf("scenario %q invalid", sc)
 		}
@@ -71,7 +78,7 @@ func TestFacadeResilience(t *testing.T) {
 }
 
 func TestFacadePresets(t *testing.T) {
-	if StarlinkPhase1().Size() != 1584 || KuiperPhase1().Size() != 1156 {
+	if constellation.StarlinkPhase1().Size() != 1584 || constellation.KuiperPhase1().Size() != 1156 {
 		t.Errorf("preset sizes wrong")
 	}
 	for _, s := range []Scale{TinyScale(), ReducedScale(), LargeScale(), FullScale()} {
@@ -79,17 +86,17 @@ func TestFacadePresets(t *testing.T) {
 			t.Errorf("%s: %v", s.Name, err)
 		}
 	}
-	if !SnapshotAt(time.Hour).Equal(Epoch.Add(time.Hour)) {
+	if !SnapshotAt(time.Hour).Equal(geo.Epoch.Add(time.Hour)) {
 		t.Errorf("SnapshotAt arithmetic wrong")
 	}
 }
 
 func TestFacadeCities(t *testing.T) {
-	cities, err := Cities(100)
+	cities, err := ground.Cities(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := SamplePairs(cities, 50, 2000, 3)
+	pairs, err := core.SamplePairs(cities, 50, 2000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +118,17 @@ func ExampleNewSim() {
 }
 
 func TestFacadeAttenuation(t *testing.T) {
-	a, err := TotalAttenuation(AttenuationLink{
-		LatDeg: 1.35, LonDeg: 103.8, ElevationDeg: 40, FreqGHz: 14.25,
-	}, 0.5)
+	ku := itur.LinkParams{LatDeg: 1.35, LonDeg: 103.8, ElevationDeg: 40, FreqGHz: 14.25}
+	a, err := itur.TotalAttenuation(ku, 0.5)
 	if err != nil || a <= 0 {
 		t.Fatalf("TotalAttenuation: %v %v", a, err)
 	}
-	ka, err := ScaleRainAttenuationFrequency(a, 14.25, 28.5)
-	if err != nil || ka <= a {
-		t.Fatalf("frequency scaling: %v %v", ka, err)
+	ka := ku
+	ka.FreqGHz = 28.5
+	if k, err := itur.TotalAttenuation(ka, 0.5); err != nil || k <= a {
+		t.Fatalf("Ka-band attenuation %v (%v) is not above Ku's %v", k, err, a)
 	}
-	if p := ReceivedPowerFraction(a); p <= 0 || p >= 1 {
+	if p := itur.ReceivedPowerFraction(a); p <= 0 || p >= 1 {
 		t.Fatalf("power fraction: %v", p)
 	}
 }

@@ -46,7 +46,7 @@ run_routing() {
 	{
 		go test -run '^$' -bench "$PATTERN" -benchmem -count 1 \
 			./internal/graph ./internal/core
-		go test -run '^$' -bench '^BenchmarkExperiment$/^fig2a$' -benchmem -count 1 .
+		go test -run '^$' -bench '^BenchmarkExperiment$/^fig2a$' -benchmem -count 1 ./internal/core
 	} | go run ./scripts/benchjson -label "$LABEL" -out BENCH_routing.json
 }
 
