@@ -208,17 +208,20 @@ func (b *Builder) NewAdvancer(t time.Time, isl bool) *Advancer {
 }
 
 // build replaces the network with a fresh one for t: the base scan, plus, for
-// a hybrid cursor, isls (nil: the placement for t), which it anchors.
+// a hybrid cursor, isls (nil: the placement for t), which it anchors. Either
+// way the CSR is frozen once, on the network the cursor keeps.
 func (a *Advancer) build(t time.Time, isls []constellation.ISL) {
-	a.net = a.b.At(t)
 	if !a.isl {
+		a.net = a.b.At(t)
 		return
 	}
 	if isls == nil {
 		isls = a.b.Const.ISLsAt(t)
 	}
 	a.isls = isls
-	a.net = a.net.withISLs(isls, a.b.Opts.ISLCapGbps)
+	sp := telemetry.StartStageSpan(telemetry.StageGraphBuild)
+	defer sp.End()
+	a.net = a.b.scan(t).withISLs(isls, a.b.Opts.ISLCapGbps)
 }
 
 // Net returns the advancer's live network. It is only valid until the next
@@ -769,6 +772,7 @@ func diffAirCands(d *Delta, node int32, old, new []int32) bool {
 // is unchanged; this is the one writer of Link.OneWayMs on a frozen network.
 func (a *Advancer) reweight() {
 	n := a.net
+	n.resetBound(true)
 	pos, ms := n.Pos, n.adjMs
 	next := n.csrNext[:len(n.Kind)]
 	copy(next, n.adjStart)
@@ -840,6 +844,7 @@ func (a *Advancer) materializeAndFreeze() {
 	}
 	n.Links = links
 	n.adjStart, n.adjEdges, n.adjMs = start, edges, ms
+	n.resetBound(true)
 	n.csrValid.Store(true)
 }
 

@@ -1,0 +1,176 @@
+package graph
+
+import (
+	"math"
+	"sync"
+
+	"leosim/internal/geo"
+)
+
+// The free-space bound of a goal-directed search (DESIGN.md §7). No signal
+// path between two points outside the Earth sphere is shorter than the taut
+// string pulled around the planet between them (geo.MinFreeSpacePathKm), so
+// that length at the speed of light bounds every remaining path delay to the
+// goal from below, with no precomputation beyond a few per-node terms.
+
+// boundSlack scales the bound down so that float rounding in the bound, in
+// the search's accumulated distances and in its keys cannot make it
+// inconsistent: a link weighs at least the free-space delay between its ends
+// (its chord at c, or more for fiber), so every arc keeps a reduced cost of
+// at least boundSlack of its weight, far above rounding at the delays a
+// snapshot reaches.
+const boundSlack = 1e-9
+
+// boundMsPerKm converts a taut-string length in km to the bound in ms.
+const boundMsPerKm = geo.MsPerKm * (1 - boundSlack)
+
+// surfaceTolKm is how far below the sphere a node may sit and still count as
+// on the surface: a terminal's ECEF position is R to within a few ulps.
+const surfaceTolKm = 1e-6
+
+// nodeTerm holds what the bound reads of one node besides its position: its
+// distance from the Earth's centre, its tangent length sqrt(r² − R²) and its
+// limb angle acos(R/r), the last two with r clamped to the surface — the
+// per-node factors of geo.MinFreeSpacePathKm, computed by the same
+// operations so the bound's length is that function's to the last bit.
+type nodeTerm struct {
+	r, tangent, limb float64
+}
+
+// nodeTerms is the lazily built nodeTerm of every node of one node array,
+// shared by every network that shares the array. above reports whether every
+// node lies on or above the surface, where the taut string is a metric.
+type nodeTerms struct {
+	once  sync.Once
+	terms []nodeTerm
+	above bool
+}
+
+// build computes the terms of pos once.
+func (t *nodeTerms) build(pos []geo.Vec3) ([]nodeTerm, bool) {
+	t.once.Do(func() {
+		t.terms = make([]nodeTerm, len(pos))
+		t.above = true
+		for i, p := range pos {
+			r := p.Norm()
+			if r < geo.EarthRadius-surfaceTolKm {
+				t.above = false
+			}
+			rc := math.Max(r, geo.EarthRadius)
+			t.terms[i] = nodeTerm{
+				r:       r,
+				tangent: math.Sqrt(rc*rc - geo.EarthRadius*geo.EarthRadius),
+				limb:    math.Acos(geo.EarthRadius / rc),
+			}
+		}
+	})
+	return t.terms, t.above
+}
+
+// nodeTermsOf returns the terms holder of n's node arrays, creating it on
+// first use; concurrent first callers agree on one.
+func (n *Network) nodeTermsOf() *nodeTerms {
+	if t := n.terms.Load(); t != nil {
+		return t
+	}
+	n.terms.CompareAndSwap(nil, &nodeTerms{})
+	return n.terms.Load()
+}
+
+// States of Network.gate: whether the free-space bound may direct searches
+// on the network's current links.
+const (
+	gateUnknown int32 = iota
+	gateOpen
+	gateClosed
+)
+
+// resetBound forgets the gate verdict, and with movedNodes the node terms
+// too: the link set or weights changed, or (movedNodes) positions did.
+func (n *Network) resetBound(movedNodes bool) {
+	n.gate.Store(gateUnknown)
+	if movedNodes {
+		n.terms.Store(nil)
+	}
+}
+
+// goalTerms returns the node terms when the free-space bound is admissible
+// and consistent on n — every node on or above the surface, every link's
+// weight positive and at least the bound between its ends — and nil
+// otherwise. The verdict is taken once per CSR freeze.
+func (n *Network) goalTerms() []nodeTerm {
+	switch n.gate.Load() {
+	case gateOpen:
+		terms, _ := n.nodeTermsOf().build(n.Pos)
+		return terms
+	case gateClosed:
+		return nil
+	}
+	n.csrMu.Lock()
+	defer n.csrMu.Unlock()
+	terms, above := n.nodeTermsOf().build(n.Pos)
+	if n.gate.Load() == gateUnknown {
+		verdict := gateOpen
+		if !above {
+			verdict = gateClosed
+		}
+		for i := 0; verdict == gateOpen && i < len(n.Links); i++ {
+			l := n.Links[i]
+			if !(l.OneWayMs > 0 && l.OneWayMs >= goalBound(n.Pos, terms, l.B).at(l.A)) {
+				verdict = gateClosed
+			}
+		}
+		n.gate.Store(verdict)
+	}
+	if n.gate.Load() == gateClosed {
+		return nil
+	}
+	return terms
+}
+
+// boundTo is the free-space bound towards one goal node.
+type boundTo struct {
+	pos   []geo.Vec3
+	terms []nodeTerm
+	goal  geo.Vec3
+	gt    nodeTerm
+}
+
+// goalBound returns the bound towards goal over pos and its terms.
+func goalBound(pos []geo.Vec3, terms []nodeTerm, goal int32) boundTo {
+	return boundTo{pos: pos, terms: terms, goal: pos[goal], gt: terms[goal]}
+}
+
+// at returns the bound in ms from node v to the goal:
+// geo.MinFreeSpacePathKm(Pos[v], Pos[goal]) × boundMsPerKm, evaluated with
+// the cached terms in that function's own operation order.
+func (b boundTo) at(v int32) float64 {
+	a, t := b.pos[v], b.terms[v]
+	ab := b.goal.Sub(a)
+	den := ab.Norm2()
+	if den == 0 {
+		return 0
+	}
+	chord := math.Sqrt(den)
+	// geo.SegmentMinAltitudeKm: the straight segment clears the sphere.
+	s := -a.Dot(ab) / den
+	if s < 0 {
+		s = 0
+	} else if s > 1 {
+		s = 1
+	}
+	if a.Add(ab.Scale(s)).Norm() >= geo.EarthRadius {
+		return chord * boundMsPerKm
+	}
+	cos := a.Dot(b.goal) / (t.r * b.gt.r)
+	if cos > 1 {
+		cos = 1
+	} else if cos < -1 {
+		cos = -1
+	}
+	wrap := math.Acos(cos) - t.limb - b.gt.limb
+	if wrap < 0 {
+		return chord * boundMsPerKm
+	}
+	return (t.tangent + b.gt.tangent + geo.EarthRadius*wrap) * boundMsPerKm
+}

@@ -180,6 +180,16 @@ func (x *satIndex) candidates(lat, lon, radiusDeg float64, out []int32) []int32 
 func (b *Builder) At(t time.Time) *Network {
 	sp := telemetry.StartStageSpan(telemetry.StageGraphBuild)
 	defer sp.End()
+	n := b.scan(t)
+	// Freeze the adjacency into CSR now so concurrent experiment workers start
+	// routing on a published layout instead of racing to build it lazily.
+	n.ensureCSR()
+	return n
+}
+
+// scan is At without its span and its CSR freeze, for a caller that derives
+// the network it keeps from the scan's links.
+func (b *Builder) scan(t time.Time) *Network {
 	satPos := b.Const.PositionsECEF(t)
 	var air []aircraft.Aircraft
 	if b.Fleet != nil {
@@ -329,10 +339,6 @@ func (b *Builder) At(t time.Time) *Network {
 			}
 		}
 	}
-
-	// Freeze the adjacency into CSR now so concurrent experiment workers start
-	// routing on a published layout instead of racing to build it lazily.
-	n.ensureCSR()
 	return n
 }
 

@@ -372,3 +372,137 @@ func TestSubgraphTreePathTies(t *testing.T) {
 		}
 	}
 }
+
+// geoNet decodes a byte stream into a small geometric network, the kind the
+// free-space bound directs searches on. Byte 0 sizes the node set; each node
+// then takes two bytes — the first's top bit lifts it from the surface to
+// 550 km and its low bits pick a latitude on a 15° lattice (−60°…60°), the
+// second a longitude (−180°…165°) — and each link two bytes, its ends. A link
+// joins two satellites by laser and a satellite and a terminal by radio where
+// the straight segment clears the Earth, and any other pair by fiber; a pair
+// at one lattice point is not linked. Weights come from AddLink, so every
+// link is at least the bound between its ends.
+func geoNet(data []byte) *Network {
+	if len(data) < 1 {
+		return nil
+	}
+	nodes := 2 + int(data[0])%30
+	if len(data) < 1+2*nodes {
+		return nil
+	}
+	n := &Network{}
+	for i := 0; i < nodes; i++ {
+		lat, lon := data[1+2*i], data[2+2*i]
+		kind, alt := NodeCity, 0.0
+		if lat&0x80 != 0 {
+			kind, alt = NodeSatellite, 550
+		}
+		ll := geo.LatLon{Lat: 15 * float64(int(lat&0x7f)%9-4), Lon: 15 * float64(int(lon)%24-12), Alt: alt}
+		n.AddNode(kind, ll.ToECEF(), "")
+	}
+	for i := 1 + 2*nodes; i+1 < len(data); i += 2 {
+		a, b := int32(int(data[i])%nodes), int32(int(data[i+1])%nodes)
+		if n.Pos[a] == n.Pos[b] {
+			continue
+		}
+		kind := LinkFiber
+		if geo.SegmentMinAltitudeKm(n.Pos[a], n.Pos[b]) >= 0 {
+			switch satA, satB := n.Kind[a] == NodeSatellite, n.Kind[b] == NodeSatellite; {
+			case satA && satB:
+				kind = LinkISL
+			case satA || satB:
+				kind = LinkGSL
+			}
+		}
+		n.AddLink(a, b, kind, 1)
+	}
+	return n
+}
+
+// mirrorBytes encodes, in geoNet's layout, nodes given as (satellite 0/1,
+// latitude index 0…8, longitude index 0…23) and links between them, plus the
+// reflection of both in the equator: each node off it gets a twin at the
+// mirrored latitude, appended after the given nodes, and each link the link
+// between its ends' twins. Reflected positions are exact, so twin paths tie
+// to the last bit.
+func mirrorBytes(nodes [][3]int, links [][2]int) []byte {
+	twin := make([]int, len(nodes))
+	all := append([][3]int(nil), nodes...)
+	for i, nd := range nodes {
+		twin[i] = i
+		if nd[1] != 4 {
+			twin[i] = len(all)
+			all = append(all, [3]int{nd[0], 8 - nd[1], nd[2]})
+		}
+	}
+	data := []byte{byte(len(all) - 2)}
+	for _, nd := range all {
+		data = append(data, byte(nd[0]<<7|nd[1]), byte(nd[2]))
+	}
+	for _, l := range links {
+		data = append(data, byte(l[0]), byte(l[1]))
+		if m := [2]int{twin[l[0]], twin[l[1]]}; m != l {
+			data = append(data, byte(m[0]), byte(m[1]))
+		}
+	}
+	return data
+}
+
+// FuzzSearchGeometric holds goal-directed searches to the naive reference on
+// decoded geometric networks: from the drawn source to every node, under the
+// drawn bans, the target's distance (float bits), predecessor link and path,
+// and the label of every node on that path, are the reference's — labels off
+// the path are not compared, since the bound settles fewer nodes — and so are
+// the k = 3 disjoint-path sets to the drawn destination, whose peels are
+// goal-directed too. The bound must be in use on these networks, and not on
+// the zero-position fuzzNet decoded from the same bytes. The seeds are
+// mirror-symmetric, so twin routes tie exactly.
+func FuzzSearchGeometric(f *testing.F) {
+	// Two terminals on the equator joined over twin satellite chains at ±15°.
+	f.Add(mirrorBytes([][3]int{{0, 4, 8}, {0, 4, 16}, {1, 5, 9}, {1, 5, 11}, {1, 5, 13}, {1, 5, 15}},
+		[][2]int{{0, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 1}}), uint8(0), uint8(1), uint8(0))
+	// A 3 × 5 satellite grid about the equator with a terminal at each end.
+	f.Add(mirrorBytes([][3]int{{0, 4, 6}, {0, 4, 14}, {1, 4, 7}, {1, 4, 9}, {1, 4, 11}, {1, 4, 13}, {1, 3, 7}, {1, 3, 9}, {1, 3, 11}, {1, 3, 13}},
+		[][2]int{{0, 2}, {0, 6}, {2, 3}, {3, 4}, {4, 5}, {6, 7}, {7, 8}, {8, 9}, {2, 6}, {3, 7}, {4, 8}, {5, 9}, {5, 1}, {9, 1}}), uint8(0), uint8(1), uint8(5))
+	// Terminals only: a fiber ring about the equator and a chord across it.
+	f.Add(mirrorBytes([][3]int{{0, 4, 0}, {0, 4, 12}, {0, 2, 4}, {0, 2, 8}},
+		[][2]int{{0, 2}, {2, 3}, {3, 1}, {0, 1}}), uint8(1), uint8(0), uint8(0))
+	// Terminals on both sides with satellites between, banned a third at a time.
+	f.Add(mirrorBytes([][3]int{{0, 4, 10}, {0, 4, 14}, {0, 3, 12}, {1, 3, 11}, {1, 3, 13}, {1, 4, 12}},
+		[][2]int{{0, 3}, {3, 2}, {2, 4}, {4, 1}, {0, 5}, {5, 1}, {3, 5}, {5, 4}, {0, 2}, {2, 1}}), uint8(0), uint8(1), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, srcB, dstB, banB uint8) {
+		n := geoNet(data)
+		if n == nil || len(n.Links) == 0 {
+			t.Skip()
+		}
+		if n.goalTerms() == nil {
+			t.Fatal("the bound is not admissible on a geometric network")
+		}
+		banned := map[int32]bool{}
+		for li := range n.Links {
+			if banB > 0 && li%int(banB) == 0 {
+				banned[int32(li)] = true
+			}
+		}
+		st := AcquireSearch()
+		defer st.Release()
+		for li := range banned {
+			st.BanLink(li)
+		}
+		src := int32(int(srcB) % n.N())
+		for dst := int32(0); dst < int32(n.N()); dst++ {
+			requireNaivePath(t, "geometric", n, st, src, dst, banned, true)
+		}
+		dst := int32(int(dstB) % n.N())
+		requireSamePaths(t, fmt.Sprintf("%d→%d disjoint paths", src, dst), n.KDisjointPaths(src, dst, 3), naiveKDisjoint(n, src, dst, 3))
+
+		if zero := fuzzNet(data); zero != nil {
+			plain := AcquireSearch()
+			defer plain.Release()
+			zero.Search(plain, SearchSpec{Src: src % int32(zero.N()), Target: dst % int32(zero.N())})
+			if plain.goal != NoTarget {
+				t.Fatal("a search on a zero-position network was goal-directed")
+			}
+		}
+	})
+}

@@ -125,6 +125,13 @@ type Network struct {
 	// the incremental advancer's periodic re-freezes stop allocating.
 	csrNext []int32
 
+	// terms holds the free-space bound's per-node terms, shared with every
+	// network of the same node arrays; gate is whether the bound may direct
+	// searches over this network's links (gateUnknown until the first
+	// goal-directed search after a freeze decides it). See bound.go.
+	terms atomic.Pointer[nodeTerms]
+	gate  atomic.Int32
+
 	// epoch counts in-place mutations of this network by the incremental
 	// advancer. Results computed against an earlier epoch (paths, pooled
 	// search state reads) describe a topology that no longer exists.
@@ -156,6 +163,7 @@ func (n *Network) AddNode(kind NodeKind, pos geo.Vec3, name string) int32 {
 	n.Pos = append(n.Pos, pos)
 	n.Name = append(n.Name, name)
 	n.csrValid.Store(false)
+	n.resetBound(true)
 	return int32(len(n.Kind) - 1)
 }
 
@@ -178,14 +186,16 @@ func (n *Network) AddLink(a, b int32, kind LinkKind, capGbps float64) int32 {
 }
 
 // sharing returns a network of n's nodes joined by links: the node arrays are
-// n's own (neither network writes them), the link list is the new network's,
-// and its CSR is not yet frozen.
+// n's own (neither network writes them), and so are the bound's node terms;
+// the link list is the new network's, and its CSR is not yet frozen.
 func (n *Network) sharing(links []Link) *Network {
-	return &Network{
+	d := &Network{
 		Kind: n.Kind, Pos: n.Pos, Name: n.Name,
 		Links:  links,
 		NumSat: n.NumSat, NumCity: n.NumCity, NumRelay: n.NumRelay, NumAircraft: n.NumAircraft,
 	}
+	d.terms.Store(n.nodeTermsOf())
+	return d
 }
 
 // WithLinks derives the network of n's nodes joined by links instead of n's
@@ -297,6 +307,7 @@ func (n *Network) freezeCSRLocked(start []int32) {
 		next[l.B]++
 	}
 	n.adjStart, n.adjEdges, n.adjMs = start, edges, ms
+	n.resetBound(false)
 	n.csrValid.Store(true)
 }
 

@@ -47,6 +47,13 @@ type SearchState struct {
 	// for (SearchSpec.Target/Targets) — stamped like node, never cleared.
 	want []uint32
 
+	// goal is the one node a goal-directed search heads for (NoTarget: the
+	// search was plain Dijkstra), toGoal the bound towards it, and bound[v]
+	// v's bound, valid while v is reached this epoch.
+	goal   int32
+	toGoal boundTo
+	bound  []float64
+
 	searchStamp uint32
 	banStamp    uint32
 }
@@ -76,6 +83,7 @@ func AcquireSearch() *SearchState {
 // value read from it) after Release.
 func (st *SearchState) Release() {
 	st.net = nil
+	st.toGoal = boundTo{}
 	searchPool.Put(st)
 }
 
@@ -88,6 +96,7 @@ func (st *SearchState) grow(nodes, links int) {
 		st.delay = append(st.delay, make([]float64, nodes-len(st.delay))...)
 		st.prevLink = append(st.prevLink, make([]int32, nodes-len(st.prevLink))...)
 		st.want = append(st.want, make([]uint32, nodes-len(st.want))...)
+		st.bound = append(st.bound, make([]float64, nodes-len(st.bound))...)
 	}
 	if len(st.linkBan) < links {
 		st.linkBan = append(st.linkBan, make([]uint32, links-len(st.linkBan))...)
@@ -95,8 +104,8 @@ func (st *SearchState) grow(nodes, links int) {
 }
 
 // begin starts a new search epoch on network n and marks the nodes spec
-// wants, returning how many distinct ones there are.
-func (st *SearchState) begin(n *Network, spec SearchSpec) (wanted int) {
+// wants, returning how many distinct ones there are and the last one marked.
+func (st *SearchState) begin(n *Network, spec SearchSpec) (wanted int, last int32) {
 	st.net = n
 	st.src = spec.Src
 	st.hasCost = spec.Cost != nil
@@ -114,6 +123,7 @@ func (st *SearchState) begin(n *Network, spec SearchSpec) (wanted int) {
 		if st.want[v] != st.searchStamp { // a node listed twice counts once
 			st.want[v] = st.searchStamp
 			wanted++
+			last = v
 		}
 	}
 	if spec.Target != NoTarget {
@@ -122,7 +132,7 @@ func (st *SearchState) begin(n *Network, spec SearchSpec) (wanted int) {
 	for _, v := range spec.Targets {
 		mark(v)
 	}
-	return wanted
+	return wanted, last
 }
 
 // ClearBans forgets every banned link.
@@ -194,16 +204,18 @@ func (st *SearchState) Path(dst int32) (Path, bool) {
 // heapEntry is one frontier node in the priority queue. Entries are plain
 // values in a flat slice — no interface boxing, no per-push allocation — and
 // carry their key, so sift comparisons never leave the heap's own memory.
+// The key is the node's tentative distance, plus its free-space bound in a
+// goal-directed search.
 type heapEntry struct {
 	node int32
-	dist float64
+	key  float64
 }
 
-// heapLess orders by (dist, node): the node tie-break makes settle order —
-// and therefore predecessor choice on equal-distance ties — deterministic
-// and identical to a linear-scan reference Dijkstra.
+// heapLess orders by (key, node): the node tie-break makes settle order —
+// and therefore predecessor choice on equal-distance ties — deterministic,
+// and in a plain search identical to a linear-scan reference Dijkstra.
 func heapLess(a, b heapEntry) bool {
-	return a.dist < b.dist || (a.dist == b.dist && a.node < b.node)
+	return a.key < b.key || (a.key == b.key && a.node < b.node)
 }
 
 // The frontier is a 4-ary implicit heap indexed by node (pos), so an
@@ -273,6 +285,13 @@ type SearchSpec struct {
 	// never pops, so the search runs to exhaustion. Target is the
 	// one-element case: use NoTarget there (note the zero value targets node
 	// 0), and with no Targets either every reachable node is settled.
+	//
+	// A search that wants exactly one distinct node, with no Expand and no
+	// Cost, is goal-directed wherever the network admits the free-space
+	// bound (DESIGN.md §7): ShortestPath, KDisjointPaths' banned peels and a
+	// served path are. It settles fewer nodes, and its target's Dist,
+	// PrevLink chain and Path are still plain Dijkstra's, bit for bit.
+	// Listed searches (two or more distinct nodes) stay plain.
 	Target  int32
 	Targets []int32
 	// Expand, when non-nil, restricts forwarding: edges are only relaxed
@@ -305,8 +324,9 @@ const stopPollInterval = 1024
 const NoTarget int32 = -1
 
 // Search runs Dijkstra from spec.Src over the network's CSR adjacency into
-// st, honouring st's link bans. It is the single kernel behind every
-// routing entry point: plain and transit-restricted shortest paths, k
+// st, honouring st's link bans — goal-directed by the free-space bound when
+// spec wants one node (SearchSpec.Target). It is the single kernel behind
+// every routing entry point: plain and transit-restricted shortest paths, k
 // edge-disjoint paths, and the congestion-aware router.
 // The inner loop performs no allocation and no hashing.
 //
@@ -319,7 +339,19 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 	sp := telemetry.StartStageSpan(telemetry.StageSearch)
 	defer sp.End()
 	n.ensureCSR()
-	wantLeft := st.begin(n, spec) // wanted nodes not yet popped; 0: settle all
+	wantLeft, only := st.begin(n, spec) // wanted nodes not yet popped; 0: settle all
+	// A search for one node, with no hook that changes weights or
+	// forwarding, is goal-directed wherever the free-space bound is
+	// consistent: the heap orders by (dist + bound, node).
+	st.goal = NoTarget
+	if wantLeft == 1 && spec.Cost == nil && spec.Expand == nil {
+		if terms := n.goalTerms(); terms != nil {
+			st.goal = only
+			st.toGoal = goalBound(n.Pos, terms, only)
+		}
+	}
+	// The bound is read through st, off the registers the relax loop needs.
+	goal := st.goal != NoTarget
 	// Loop locals: the scratch arrays and CSR stay in registers instead of
 	// being re-loaded through st and n on every arc.
 	node, cur, want := st.node, st.searchStamp, st.want
@@ -332,7 +364,12 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 	if st.hasCost {
 		st.delay[spec.Src] = 0
 	}
-	h := append(st.heap, heapEntry{node: spec.Src})
+	var key float64
+	if goal {
+		key = st.toGoal.at(spec.Src)
+		st.bound[spec.Src] = key
+	}
+	h := append(st.heap, heapEntry{node: spec.Src, key: key})
 	pops := 0
 	for len(h) > 0 {
 		if spec.Stop != nil && pops%stopPollInterval == 0 && spec.Stop() {
@@ -340,8 +377,9 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 			return false
 		}
 		pops++
-		it := h[0]
-		node[it.node].pos = posPopped
+		u := h[0].node
+		node[u].pos = posPopped
+		g := node[u].dist
 		last := len(h) - 1
 		tail := h[last]
 		h = h[:last]
@@ -350,15 +388,15 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 		}
 		// The one stop rule, checked per pop: once the last wanted node is
 		// settled, every wanted dist/prevLink is final.
-		if wantLeft > 0 && want[it.node] == cur {
+		if wantLeft > 0 && want[u] == cur {
 			if wantLeft--; wantLeft == 0 {
 				break
 			}
 		}
-		if spec.Expand != nil && it.node != spec.Src && !spec.Expand(it.node) {
+		if spec.Expand != nil && u != spec.Src && !spec.Expand(u) {
 			continue
 		}
-		lo, hi := adjStart[it.node], adjStart[it.node+1]
+		lo, hi := adjStart[u], adjStart[u+1]
 		edges, ms := adjEdges[lo:hi], adjMs[lo:hi]
 		for k, e := range edges {
 			if linkBans && st.linkBan[e.Link] == st.banStamp {
@@ -371,27 +409,48 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 					continue
 				}
 			}
-			nd := it.dist + w
+			nd := g + w
 			to := &node[e.To]
 			at := len(h) // a node new to the frontier enters at the bottom
 			if to.stamp == cur {
 				// With non-negative weights nd >= dist holds for every
 				// popped node, so the posPopped test only ever fires for
 				// a Cost hook that breaks its contract.
-				if nd >= to.dist || to.pos == posPopped {
+				if nd > to.dist || to.pos == posPopped {
+					continue
+				}
+				if nd == to.dist {
+					// The tie rule. Plain Dijkstra pops the tied
+					// predecessors in (dist, node) order and keeps the
+					// first; a goal-directed search pops them in its own
+					// order, so the (dist, node)-least one takes over.
+					if goal {
+						l := n.Links[prevLink[e.To]]
+						p := l.A + l.B - e.To
+						if dp := node[p].dist; g < dp || (g == dp && u < p) {
+							prevLink[e.To] = e.Link
+						}
+					}
 					continue
 				}
 				at = int(to.pos)
 			} else {
 				to.stamp = cur
 				h = append(h, heapEntry{})
+				if goal {
+					st.bound[e.To] = st.toGoal.at(e.To)
+				}
 			}
 			to.dist = nd
 			prevLink[e.To] = e.Link
 			if st.hasCost {
-				st.delay[e.To] = st.delay[it.node] + ms[k]
+				st.delay[e.To] = st.delay[u] + ms[k]
 			}
-			siftUp(h, node, at, heapEntry{node: e.To, dist: nd})
+			key = nd
+			if goal {
+				key += st.bound[e.To]
+			}
+			siftUp(h, node, at, heapEntry{node: e.To, key: key})
 		}
 	}
 	st.heap = h // keep the grown backing array
