@@ -58,7 +58,7 @@ func TestGoldenMini4x4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := graph.NewBuilder(c, seg, nil, graph.DefaultOptions())
+	b, err := graph.NewBuilder(c, seg, nil, graph.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,14 +9,11 @@ import (
 )
 
 // Geometry holds the physical ground truth a snapshot graph is checked
-// against: the constellation that produced its satellite nodes, the resolved
-// per-shell elevation masks, and tolerances. Build one per experiment (not
+// against: the constellation that produced its satellite nodes (whose shells
+// carry the elevation masks) and tolerances. Build one per experiment (not
 // per snapshot); the closed-form ISL bounds it caches are time-invariant.
 type Geometry struct {
 	Const *constellation.Constellation
-	// MinElevDeg is the effective minimum elevation mask per shell, after
-	// any experiment-level override.
-	MinElevDeg []float64
 
 	// RadiusTolKm bounds how far a satellite may sit from its shell's
 	// nominal orbital radius. The analytic J2-secular propagator keeps
@@ -56,26 +53,19 @@ const (
 	aircraftCeil = 25.0 // km; aircraft relays cruise far below this
 )
 
-// NewGeometry derives the checking ground truth from a constellation and the
-// experiment's elevation override (0 = use each shell's own mask), matching
-// how graph.Builder resolves masks.
-func NewGeometry(c *constellation.Constellation, minElevOverrideDeg float64) *Geometry {
+// NewGeometry derives the checking ground truth from a constellation.
+func NewGeometry(c *constellation.Constellation) *Geometry {
 	g := &Geometry{
 		Const:       c,
-		MinElevDeg:  make([]float64, len(c.Shells)),
 		RadiusTolKm: 1e-3,
 		ISLSlackKm:  1e-3,
 		islBounds:   map[islKey][2]float64{},
 	}
-	for i, sh := range c.Shells {
-		g.MinElevDeg[i] = sh.MinElevationDeg
-		if minElevOverrideDeg > 0 {
-			g.MinElevDeg[i] = minElevOverrideDeg
-		}
-	}
 	if !c.Analytic() {
-		// SGP4: J2 short-period terms move the radius by up to ~10 km and
-		// shift along-track phase; loosen both bounds well past that.
+		// SGP4: its radius departs from the Kepler one by up to 7.4 km over
+		// a day (constellation's TestWithSGP4MatchesKeplerCoarsely bounds it
+		// at 10 km) and its along-track phase drifts; loosen both bounds
+		// well past that.
 		g.RadiusTolKm = 30
 		g.ISLSlackKm = 100
 	}
@@ -254,8 +244,7 @@ func (g *Geometry) checkLinks(r *Report, n *graph.Network) {
 				continue // malformed endpoints, reported by CheckShape
 			}
 			gsl++
-			shell := g.Const.Sats[sat].ShellIndex
-			minElev := g.MinElevDeg[shell]
+			minElev := g.Const.ShellOf(int(sat)).MinElevationDeg
 			if e := geo.Elevation(n.Pos[term], n.Pos[sat]); e < minElev-elevTolDeg {
 				r.Violatef(ClassGSLElevation,
 					"GSL %d: satellite %s is %.4f° above %s's horizon, mask is %.1f°",
@@ -301,51 +290,15 @@ func (g *Geometry) checkISL(r *Report, n *graph.Network, li int, l graph.Link, d
 	}
 }
 
-// islBoundsFor returns the exact [min,max] length a +Grid ISL between two
+// islBoundsFor returns the exact [min,max] length a link between two
 // satellites of the shell with the given plane/slot offsets can take, at any
-// time.
-//
-// Both satellites move on circular orbits of radius r and inclination i with
-// RAAN separation ΔΩ and argument-of-latitude separation Δu; under the
-// J2-secular model both separations are constants of motion (all satellites
-// of a shell share a, i and hence identical drift rates). Writing u for the
-// first satellite's argument of latitude, the central angle ψ between them
-// satisfies
-//
-//	cos ψ = ½(A+B)·cosΔu + ½(A−B)·cos(2u+Δu) + C
-//	A = cosΔΩ,  B = cos²i·cosΔΩ + sin²i,  C = −cos i·sinΔΩ·sinΔu
-//
-// — a pure sinusoid in 2u plus a constant, so the extrema are exact:
-// cosψ ∈ [K1−|K2|, K1+|K2|] with K1 the constant part and K2 = ½(A−B).
-// The chord length is r·√(2−2cosψ). For intra-plane links (ΔΩ=0) the
-// oscillating term vanishes and the bound collapses to the constant
-// 2r·sin(Δu/2).
+// time (Shell.ChordBoundsKm), cached per relation.
 func (g *Geometry) islBoundsFor(shell, dPlane, dSlot int) (lo, hi float64) {
 	key := islKey{shell: shell, dPlane: dPlane, dSlot: dSlot}
 	if b, ok := g.islBounds[key]; ok {
 		return b[0], b[1]
 	}
-	sh := g.Const.Shells[shell]
-	r := geo.EarthRadius + sh.AltitudeKm
-	inc := sh.InclinationDeg * geo.Deg
-	dRaan := sh.RAANSpreadDeg / float64(sh.Planes) * float64(dPlane) * geo.Deg
-	dU := (360/float64(sh.SatsPerPlane)*float64(dSlot) +
-		float64(sh.WalkerF)*360/float64(sh.Size())*float64(dPlane)) * geo.Deg
-
-	ci, si := math.Cos(inc), math.Sin(inc)
-	a := math.Cos(dRaan)
-	b := ci*ci*math.Cos(dRaan) + si*si
-	k1 := 0.5*(a+b)*math.Cos(dU) - ci*math.Sin(dRaan)*math.Sin(dU)
-	k2 := 0.5 * math.Abs(a-b)
-
-	chord := func(cosPsi float64) float64 {
-		q := 2 - 2*cosPsi
-		if q < 0 {
-			q = 0
-		}
-		return r * math.Sqrt(q)
-	}
-	lo, hi = chord(k1+k2), chord(k1-k2) // larger cosψ ⇒ shorter chord
+	lo, hi = g.Const.Shells[shell].ChordBoundsKm(dPlane, dSlot)
 	g.islBounds[key] = [2]float64{lo, hi}
 	return lo, hi
 }

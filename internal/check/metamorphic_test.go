@@ -56,7 +56,7 @@ func rotatedSystem(t *testing.T, deltaDeg float64, at time.Time) *graph.Network 
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := graph.NewBuilder(c, seg, nil, graph.DefaultOptions())
+	b, err := graph.NewBuilder(c, seg, nil, graph.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

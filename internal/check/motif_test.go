@@ -28,7 +28,7 @@ func TestMotifISLBounds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: constellation: %v", id, err)
 		}
-		geom := NewGeometry(c, 0)
+		geom := NewGeometry(c)
 		for k := 0; k < 12; k++ {
 			at := geo.Epoch.Add(time.Duration(k) * 11 * time.Minute)
 			links := c.ISLsAt(at)

@@ -87,12 +87,12 @@ func RandomScenario(seed int64) (*Scenario, error) {
 
 // Builder returns a snapshot-graph builder for the scenario.
 func (sc *Scenario) Builder() (*graph.Builder, error) {
-	return graph.NewBuilder(sc.Const, sc.Seg, nil, graph.DefaultOptions())
+	return graph.NewBuilder(sc.Const, sc.Seg, nil, graph.BuildOptions{})
 }
 
 // Geometry returns the checking ground truth matched to the scenario.
 // Sparse random shells have intra-plane chords that legitimately pass
 // through the Earth, so the atmosphere floor stays disabled.
 func (sc *Scenario) Geometry() *Geometry {
-	return NewGeometry(sc.Const, 0)
+	return NewGeometry(sc.Const)
 }

@@ -1,7 +1,9 @@
 package constellation
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -196,22 +198,64 @@ func TestSnapshotsAdvanceSatellites(t *testing.T) {
 	}
 }
 
+// How far WithSGP4's satellites may sit from their J2-secular Kepler
+// counterparts over the simulated day, per component of the Kepler
+// satellite's radial / along-track / cross-track (RTN) frame. Radial is the
+// component the code depends on: check.NewGeometry's SGP4 RadiusTolKm (30 km)
+// and graph's altSlackKm (25 km) must dominate sgp4RadialTolKm. Along-track is
+// the two models' secular drift apart, which grows over the day.
+const (
+	sgp4RadialTolKm     = 10
+	sgp4AlongTrackTolKm = 100
+	sgp4CrossTrackTolKm = 5
+)
+
+// TestWithSGP4MatchesKeplerCoarsely propagates both paper shells for 24 h in
+// 5-minute steps with WithSGP4 and with the default Kepler propagator, and
+// holds every satellite's SGP4 position to the RTN bounds above.
 func TestWithSGP4MatchesKeplerCoarsely(t *testing.T) {
-	kep, err := New([]Shell{TestShell()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sg, err := New([]Shell{TestShell()}, WithSGP4())
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := geo.Epoch.Add(10 * time.Minute)
-	pk := kep.PositionsECEF(at)
-	ps := sg.PositionsECEF(at)
-	for i := range pk {
-		if d := pk[i].Distance(ps[i]); d > 100 {
-			t.Fatalf("sat %d: SGP4 vs Kepler %v km apart after 10 min", i, d)
-		}
+	for _, sh := range []Shell{StarlinkPhase1(), KuiperPhase1()} {
+		t.Run(sh.Name, func(t *testing.T) {
+			kep, err := New([]Shell{sh})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sg, err := New([]Shell{sh}, WithSGP4())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var maxR, maxT, maxN float64
+			var totalAt []string
+			for m := 0; m <= 24*60; m += 5 {
+				at := geo.Epoch.Add(time.Duration(m) * time.Minute)
+				total := 0.0
+				for i := range kep.Sats {
+					r, v := kep.Sats[i].Prop.(*orbit.KeplerPropagator).PosVelECI(at)
+					d := sg.Sats[i].Prop.PositionECI(at).Sub(r)
+					rHat := r.Unit()
+					nHat := r.Cross(v).Unit()
+					tHat := nHat.Cross(rHat)
+					maxR = math.Max(maxR, math.Abs(d.Dot(rHat)))
+					maxT = math.Max(maxT, math.Abs(d.Dot(tHat)))
+					maxN = math.Max(maxN, math.Abs(d.Dot(nHat)))
+					total = math.Max(total, d.Norm())
+				}
+				if m == 60 || m == 6*60 || m == 24*60 {
+					totalAt = append(totalAt, fmt.Sprintf("%dh %.1f km", m/60, total))
+				}
+			}
+			t.Logf("%d sats, max |error| radial %.2f km, along-track %.2f km, cross-track %.2f km; total at %s",
+				len(kep.Sats), maxR, maxT, maxN, strings.Join(totalAt, ", "))
+			if maxR > sgp4RadialTolKm {
+				t.Errorf("radial error %.2f km exceeds %d km", maxR, sgp4RadialTolKm)
+			}
+			if maxT > sgp4AlongTrackTolKm {
+				t.Errorf("along-track error %.2f km exceeds %d km", maxT, sgp4AlongTrackTolKm)
+			}
+			if maxN > sgp4CrossTrackTolKm {
+				t.Errorf("cross-track error %.2f km exceeds %d km", maxN, sgp4CrossTrackTolKm)
+			}
+		})
 	}
 }
 

@@ -110,6 +110,48 @@ func (s Shell) elements(plane, slot int, epoch time.Time) orbit.Elements {
 	return orbit.Circular(s.AltitudeKm, s.InclinationDeg, raan, ma, epoch)
 }
 
+// ChordBoundsKm returns the exact [min,max] length a link between two
+// satellites of the shell with the given plane/slot offsets can take, at any
+// time.
+//
+// Both satellites move on circular orbits of radius r and inclination i with
+// RAAN separation ΔΩ and argument-of-latitude separation Δu; under the
+// J2-secular model both separations are constants of motion (all satellites
+// of a shell share a, i and hence identical drift rates). Writing u for the
+// first satellite's argument of latitude, the central angle ψ between them
+// satisfies
+//
+//	cos ψ = ½(A+B)·cosΔu + ½(A−B)·cos(2u+Δu) + C
+//	A = cosΔΩ,  B = cos²i·cosΔΩ + sin²i,  C = −cos i·sinΔΩ·sinΔu
+//
+// — a pure sinusoid in 2u plus a constant, so the extrema are exact:
+// cosψ ∈ [K1−|K2|, K1+|K2|] with K1 the constant part and K2 = ½(A−B).
+// The chord length is r·√(2−2cosψ). For intra-plane links (ΔΩ=0) the
+// oscillating term vanishes and the bound collapses to the constant
+// 2r·sin(Δu/2).
+func (s Shell) ChordBoundsKm(dPlane, dSlot int) (lo, hi float64) {
+	r := geo.EarthRadius + s.AltitudeKm
+	inc := s.InclinationDeg * geo.Deg
+	dRaan := s.RAANSpreadDeg / float64(s.Planes) * float64(dPlane) * geo.Deg
+	dU := (360/float64(s.SatsPerPlane)*float64(dSlot) +
+		float64(s.WalkerF)*360/float64(s.Size())*float64(dPlane)) * geo.Deg
+
+	ci, si := math.Cos(inc), math.Sin(inc)
+	a := math.Cos(dRaan)
+	b := ci*ci*math.Cos(dRaan) + si*si
+	k1 := 0.5*(a+b)*math.Cos(dU) - ci*math.Sin(dRaan)*math.Sin(dU)
+	k2 := 0.5 * math.Abs(a-b)
+
+	chord := func(cosPsi float64) float64 {
+		q := 2 - 2*cosPsi
+		if q < 0 {
+			q = 0
+		}
+		return r * math.Sqrt(q)
+	}
+	return chord(k1 + k2), chord(k1 - k2) // larger cosψ ⇒ shorter chord
+}
+
 // TLEs generates a formatted two-line element set per satellite of the
 // shell, numbered from firstSatNum. The TLEs round-trip through
 // orbit.ParseTLE/NewSGP4, enabling SGP4-based propagation of the shell.

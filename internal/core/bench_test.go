@@ -167,7 +167,7 @@ func BenchmarkAblationVisibility(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	builder, err := graph.NewBuilder(c, seg, nil, graph.DefaultOptions())
+	builder, err := graph.NewBuilder(c, seg, nil, graph.BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func BenchmarkAblationVisibility(b *testing.B) {
 			links := 0
 			for _, term := range seg.Terminals {
 				for _, sp := range pos {
-					if geo.Visible(term.ECEF, sp, sh.MinElevationDeg) {
+					if geo.Elevation(term.ECEF, sp) >= sh.MinElevationDeg {
 						links++
 					}
 				}

@@ -53,7 +53,7 @@ func RunCheck(ctx context.Context, s *Sim, opts CheckOptions) (rep *check.Report
 	defer safe.RecoverTo(&err)
 	opts.setDefaults()
 
-	geom := check.NewGeometry(s.Const, s.builder.Opts.MinElevationOverrideDeg)
+	geom := check.NewGeometry(s.Const)
 	geom.MinISLAltKm = opts.MinISLAltKm
 
 	times := s.SnapshotTimes()

@@ -36,18 +36,12 @@ func referenceScan(s *Sim, o graph.BuildOptions, t time.Time) func(isl bool, out
 			airNames = append(airNames, a.Name)
 		}
 	}
-	minElev := func(sat int) float64 {
-		if o.MinElevationOverrideDeg > 0 {
-			return o.MinElevationOverrideDeg
-		}
-		return s.Const.ShellOf(sat).MinElevationDeg
-	}
 	numSat := len(satPos)
 	type gsl struct{ term, sat int32 }
 	var gsls []gsl // terminal-major, satellites ascending
 	scan := func(node int32, pos geo.Vec3, ck *ground.GSOChecker) {
 		for si, sp := range satPos {
-			if geo.Elevation(pos, sp) >= minElev(si) && ck.Allowed(sp) {
+			if geo.Elevation(pos, sp) >= s.Const.ShellOf(si).MinElevationDeg && ck.Allowed(sp) {
 				gsls = append(gsls, gsl{node, int32(si)})
 			}
 		}
@@ -116,7 +110,7 @@ func referenceScan(s *Sim, o graph.BuildOptions, t time.Time) func(isl bool, out
 		if out == nil {
 			out = &fault.Outages{}
 		}
-		gslCap := o.GSLCapGbps
+		gslCap := graph.GSLCapGbps
 		if out.GSLCapFactor != 0 {
 			gslCap *= out.GSLCapFactor
 		}
@@ -129,7 +123,7 @@ func referenceScan(s *Sim, o graph.BuildOptions, t time.Time) func(isl bool, out
 			for _, l := range s.Const.ISLsAt(t) {
 				a, b := int32(l.A), int32(l.B)
 				if !out.FailedSats[a] && !out.FailedSats[b] && !out.ISLFailed(a, b) {
-					n.AddLink(a, b, graph.LinkISL, o.ISLCapGbps)
+					n.AddLink(a, b, graph.LinkISL, graph.ISLCapGbps)
 				}
 			}
 		}

@@ -193,8 +193,6 @@ func NewSim(choice ConstellationChoice, scale Scale, opts ...SimOption) (*Sim, e
 	if cfg.satCapSet {
 		satCap = cfg.satCap
 	}
-	baseOpts := graph.DefaultOptions()
-	baseOpts.GSO = cfg.gso
 	s := &Sim{
 		Scale:      scale,
 		SatCapGbps: satCap,
@@ -212,7 +210,7 @@ func NewSim(choice ConstellationChoice, scale Scale, opts ...SimOption) (*Sim, e
 	for i := len(seg.Cities) - 1; i >= 0; i-- {
 		s.cityIndex[seg.Cities[i].Name] = i
 	}
-	if s.builder, err = graph.NewBuilder(c, seg, fleet, baseOpts); err != nil {
+	if s.builder, err = graph.NewBuilder(c, seg, fleet, graph.BuildOptions{GSO: cfg.gso}); err != nil {
 		return nil, err
 	}
 	s.snap = snapcache.New(s.buildSnapshot, snapcache.Options{Capacity: networkCacheSize})
@@ -245,7 +243,7 @@ func (s *Sim) WithCities(names ...string) (*Sim, error) {
 
 // builderWith constructs a builder whose ground-satellite scan differs from
 // the sim's own by mutate (the beam sweep's cap): it starts from the sim's
-// options, so GSO policy and elevation overrides survive.
+// options, so the GSO policy survives.
 func (s *Sim) builderWith(mutate func(*graph.BuildOptions)) (*graph.Builder, error) {
 	o := s.builder.Opts
 	mutate(&o)

@@ -197,12 +197,11 @@ func RunFig5(ctx context.Context, s *Sim, ratios []float64) (points []Fig5Point,
 	if err != nil {
 		return nil, 0, err
 	}
-	const gslCap = 20.0
 	for _, ratio := range ratios {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
-		pr.SetISLCapacity(gslCap * ratio)
+		pr.SetISLCapacity(graph.GSLCapGbps * ratio)
 		alloc, err := maxMinFair(ctx, pr)
 		if err != nil {
 			return nil, 0, err

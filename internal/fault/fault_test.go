@@ -41,7 +41,7 @@ func testNetwork(t *testing.T, c *constellation.Constellation) (*graph.Network, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := graph.NewBuilder(c, seg, nil, graph.DefaultOptions())
+	b, err := graph.NewBuilder(c, seg, nil, graph.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestMaskRemovesFailures(t *testing.T) {
 			if ti := term - int32(masked.NumSat); ti >= 0 && o.FailedSites[ti] {
 				t.Fatalf("GSL to failed site %d survives", ti)
 			}
-			if want := graph.DefaultOptions().GSLCapGbps * 0.5; l.CapGbps != want {
+			if want := graph.GSLCapGbps * 0.5; l.CapGbps != want {
 				t.Fatalf("GSL capacity %v, want %v", l.CapGbps, want)
 			}
 		}

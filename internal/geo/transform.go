@@ -71,12 +71,6 @@ func Elevation(obs, tgt Vec3) float64 {
 	return math.Asin(sinE) * Rad
 }
 
-// Visible reports whether a ground observer at obs (ECEF) sees a satellite at
-// sat (ECEF) at or above the minimum elevation angle minElevDeg.
-func Visible(obs, sat Vec3, minElevDeg float64) bool {
-	return Elevation(obs, sat) >= minElevDeg
-}
-
 func clamp(x, lo, hi float64) float64 {
 	if x < lo {
 		return lo

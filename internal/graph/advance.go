@@ -19,9 +19,14 @@ import (
 const MaxAdvanceStep = 5 * time.Minute
 
 // altSlackKm absorbs propagation-model altitude deviation from the nominal
-// shell altitude (SGP4 short-period perturbations, e≈1e-4 eccentricity) in
-// the elevation-rate bound. Kepler orbits are exactly circular; the slack
-// only loosens the bound, never the correctness.
+// shell altitude in the elevation-rate bound. Kepler orbits are exactly
+// circular; under SGP4 (its short-period terms, the e = 1e-4 the generated
+// TLEs carry) a satellite's radius departs from the Kepler one by at most
+// 7.4 km over a day on either paper shell, a deviation constellation's
+// TestWithSGP4MatchesKeplerCoarsely bounds at 10 km. The slack only
+// loosens the bound, never the correctness. No served route drives
+// an Advancer: the server's primer builds every instant through
+// BuildNetworkAt, so only the experiments' time walks (core's walker) step one.
 const altSlackKm = 25
 
 // rateSafety further loosens the elevation-rate bound. Every other factor in
@@ -30,8 +35,11 @@ const altSlackKm = 25
 // range-shrink lower bound, with the sine-space margin never exceeding the
 // angular one — so this multiplier only has to absorb propagation-model drift
 // beyond the circular Kepler + secular-J2 model (whose rate deviations the
-// altSlackKm padding already dominates). 10% is ample; the differential suite
-// exercises a full simulated day against fresh rebuilds to back it up.
+// altSlackKm padding already dominates). 10% is ample:
+// TestAdvanceDifferentialDay and TestAdvanceDifferentialSeconds run their
+// day in one-minute steps and 240 one-second steps under both the Kepler
+// model and SGP4, without a fallback and identical to fresh rebuilds at
+// every compare.
 const rateSafety = 1.1
 
 // GSLChange names one ground-satellite link that appeared or disappeared
@@ -221,7 +229,7 @@ func (a *Advancer) build(t time.Time, isls []constellation.ISL) {
 	a.isls = isls
 	sp := telemetry.StartStageSpan(telemetry.StageGraphBuild)
 	defer sp.End()
-	a.net = a.b.scan(t).withISLs(isls, a.b.Opts.ISLCapGbps)
+	a.net = a.b.scan(t).withISLs(isls, ISLCapGbps)
 }
 
 // Net returns the advancer's live network. It is only valid until the next
@@ -797,7 +805,6 @@ func (a *Advancer) reweight() {
 // separate two-endpoint traversal over the finished link list disappears.
 func (a *Advancer) materializeAndFreeze() {
 	n := a.net
-	b := a.b
 	n.csrMu.Lock()
 	defer n.csrMu.Unlock()
 	sp := telemetry.StartStageSpan(telemetry.StageCSRFreeze)
@@ -830,17 +837,17 @@ func (a *Advancer) materializeAndFreeze() {
 	for ti := range a.terms {
 		tm := &a.terms[ti]
 		for _, sat := range tm.linked {
-			link(tm.node, sat, LinkGSL, b.Opts.GSLCapGbps)
+			link(tm.node, sat, LinkGSL, GSLCapGbps)
 		}
 	}
 	airBase := n.NumSat + a.nTerms
 	for ai := range a.airCands {
 		for _, si := range a.airCands[ai] {
-			link(int32(airBase+ai), si, LinkGSL, b.Opts.GSLCapGbps)
+			link(int32(airBase+ai), si, LinkGSL, GSLCapGbps)
 		}
 	}
 	for _, l := range a.isls {
-		link(int32(l.A), int32(l.B), LinkISL, b.Opts.ISLCapGbps)
+		link(int32(l.A), int32(l.B), LinkISL, ISLCapGbps)
 	}
 	n.Links = links
 	n.adjStart, n.adjEdges, n.adjMs = start, edges, ms

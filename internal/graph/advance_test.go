@@ -12,11 +12,12 @@ import (
 )
 
 // advSetup wires a builder over the real Phase 1 shell with a modest ground
-// segment and optionally an aircraft fleet.
-func advSetup(t testing.TB, fleet bool) *Builder {
+// segment and optionally an aircraft fleet; opts add constellation options
+// (WithSGP4) to its ISLs.
+func advSetup(t testing.TB, fleet bool, opts ...constellation.Option) *Builder {
 	t.Helper()
 	c, err := constellation.New([]constellation.Shell{constellation.StarlinkPhase1()},
-		constellation.WithISLs())
+		append(opts, constellation.WithISLs())...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func advSetup(t testing.TB, fleet bool) *Builder {
 			t.Fatal(err)
 		}
 	}
-	b, err := NewBuilder(c, seg, fl, DefaultOptions())
+	b, err := NewBuilder(c, seg, fl, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,61 +154,82 @@ func TestArcWeightsFollowAdvance(t *testing.T) {
 
 }
 
+// advPropagators are the two propagation models a constellation runs under:
+// the J2-secular Kepler model every experiment uses, and SGP4 (WithSGP4),
+// whose short-period radial terms the Advancer's altSlackKm and rateSafety
+// padding must absorb.
+var advPropagators = []struct {
+	name string
+	opts []constellation.Option
+}{
+	{"kepler", nil},
+	{"sgp4", []constellation.Option{constellation.WithSGP4()}},
+}
+
 // TestAdvanceDifferentialDay advances a hybrid network through a full
-// simulated day in one-minute steps and checks it against fresh At rebuilds
-// at sampled instants.
+// simulated day in one-minute steps, under each propagator, and checks it
+// against fresh At rebuilds at sampled instants.
 func TestAdvanceDifferentialDay(t *testing.T) {
-	b := advSetup(t, false)
-	a := b.NewAdvancer(geo.Epoch, true)
-	const step = time.Minute
-	for i := 1; i <= 24*60; i++ {
-		tt := geo.Epoch.Add(time.Duration(i) * step)
-		d := a.Advance(tt)
-		if d.FullRebuild {
-			t.Fatalf("step %d unexpectedly fell back: %s", i, d.Reason)
-		}
-		if i%60 == 0 {
-			requireNetworksIdentical(t, fmt.Sprintf("t=+%dmin", i), a.Net(), hybridAt(b, tt))
-		}
-	}
-	st := a.Stats()
-	if st.Steps != 24*60 || st.FullRebuilds != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.Added == 0 || st.Removed == 0 {
-		t.Fatalf("a simulated day should churn GSLs: %+v", st)
-	}
-	if st.Rechecked == 0 || st.CellCrossings == 0 {
-		t.Fatalf("incremental machinery idle: %+v", st)
+	for _, p := range advPropagators {
+		t.Run(p.name, func(t *testing.T) {
+			b := advSetup(t, false, p.opts...)
+			a := b.NewAdvancer(geo.Epoch, true)
+			const step = time.Minute
+			for i := 1; i <= 24*60; i++ {
+				tt := geo.Epoch.Add(time.Duration(i) * step)
+				d := a.Advance(tt)
+				if d.FullRebuild {
+					t.Fatalf("step %d unexpectedly fell back: %s", i, d.Reason)
+				}
+				if i%60 == 0 {
+					requireNetworksIdentical(t, fmt.Sprintf("t=+%dmin", i), a.Net(), hybridAt(b, tt))
+				}
+			}
+			st := a.Stats()
+			if st.Steps != 24*60 || st.FullRebuilds != 0 {
+				t.Fatalf("stats = %+v", st)
+			}
+			if st.Added == 0 || st.Removed == 0 {
+				t.Fatalf("a simulated day should churn GSLs: %+v", st)
+			}
+			if st.Rechecked == 0 || st.CellCrossings == 0 {
+				t.Fatalf("incremental machinery idle: %+v", st)
+			}
+		})
 	}
 }
 
 // TestAdvanceDifferentialSeconds exercises the 1-second resolution the
 // advancer exists for — deadline-gated rechecks skip most pairs on most
-// steps — including aircraft, and compares against At every 20 seconds.
+// steps — including aircraft, under each propagator, and compares against
+// At every 20 seconds.
 func TestAdvanceDifferentialSeconds(t *testing.T) {
-	b := advSetup(t, true)
-	start := geo.Epoch.Add(3 * time.Hour)
-	a := b.NewAdvancer(start, true)
-	for i := 1; i <= 240; i++ {
-		tt := start.Add(time.Duration(i) * time.Second)
-		a.Advance(tt)
-		if i%20 == 0 {
-			requireNetworksIdentical(t, fmt.Sprintf("t=+%ds", i), a.Net(), hybridAt(b, tt))
-		}
-	}
-	// The whole point at 1 s resolution: the deadline gate must spare the
-	// bulk of the candidate evaluations. Rechecking every pair every step
-	// would cost steps × (total candidate pairs); require at least a 2×
-	// saving (in practice it is far larger).
-	st := a.Stats()
-	pairs := int64(0)
-	for i := range a.terms {
-		pairs += int64(len(a.terms[i].cands))
-	}
-	if budget := int64(st.Steps) * pairs / 2; st.Rechecked >= budget {
-		t.Fatalf("deadline gate ineffective: %d rechecks over %d steps (budget %d)",
-			st.Rechecked, st.Steps, budget)
+	for _, p := range advPropagators {
+		t.Run(p.name, func(t *testing.T) {
+			b := advSetup(t, true, p.opts...)
+			start := geo.Epoch.Add(3 * time.Hour)
+			a := b.NewAdvancer(start, true)
+			for i := 1; i <= 240; i++ {
+				tt := start.Add(time.Duration(i) * time.Second)
+				a.Advance(tt)
+				if i%20 == 0 {
+					requireNetworksIdentical(t, fmt.Sprintf("t=+%ds", i), a.Net(), hybridAt(b, tt))
+				}
+			}
+			// The whole point at 1 s resolution: the deadline gate must spare
+			// the bulk of the candidate evaluations. Rechecking every pair
+			// every step would cost steps × (total candidate pairs); require
+			// at least a 2× saving (in practice it is far larger).
+			st := a.Stats()
+			pairs := int64(0)
+			for i := range a.terms {
+				pairs += int64(len(a.terms[i].cands))
+			}
+			if budget := int64(st.Steps) * pairs / 2; st.Rechecked >= budget {
+				t.Fatalf("deadline gate ineffective: %d rechecks over %d steps (budget %d)",
+					st.Rechecked, st.Steps, budget)
+			}
+		})
 	}
 }
 
@@ -440,7 +462,7 @@ func fullBenchSetup(b *testing.B) *Builder {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bld, err := NewBuilder(c, seg, nil, DefaultOptions())
+	bld, err := NewBuilder(c, seg, nil, BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

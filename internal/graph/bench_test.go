@@ -114,7 +114,7 @@ func reducedBPSnapshot(b *testing.B) *Network {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bld, err := NewBuilder(c, seg, fleet, DefaultOptions())
+	bld, err := NewBuilder(c, seg, fleet, BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

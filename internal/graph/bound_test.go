@@ -36,7 +36,7 @@ func reducedBuilder(t *testing.T) *Builder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBuilder(c, seg, fleet, DefaultOptions())
+	b, err := NewBuilder(c, seg, fleet, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

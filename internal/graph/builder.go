@@ -15,33 +15,27 @@ import (
 	"leosim/internal/telemetry"
 )
 
-// BuildOptions configure per-snapshot graph construction: the ground-satellite
-// scan and the link capacities. Mode and fault mask are not options but
-// derivations (Builder.Hybrid, fault.Outages.Masked).
+// Link capacities per direction, the paper's §5 values: GSLCapGbps for each
+// ground-satellite link, ISLCapGbps for each ISL (applied where Hybrid
+// appends the lasers). A fault mask scales the GSL one (Outages.GSLCapFactor).
+const (
+	GSLCapGbps = 20.0
+	ISLCapGbps = 100.0
+)
+
+// BuildOptions configure the per-snapshot ground-satellite scan. Mode and
+// fault mask are not options but derivations (Builder.Hybrid,
+// fault.Outages.Masked); the minimum elevation angle is each shell's own.
 type BuildOptions struct {
-	// GSLCapGbps is the capacity of each ground-satellite link direction
-	// (paper default 20 Gbps).
-	GSLCapGbps float64
-	// ISLCapGbps is the capacity of each ISL direction (paper default
-	// 100 Gbps), applied where Hybrid appends the lasers.
-	ISLCapGbps float64
 	// GSO, when non-zero, applies the GSO arc-avoidance constraint to
 	// city/relay terminals (§7).
 	GSO ground.GSOPolicy
-	// MinElevationOverrideDeg, when positive, replaces each shell's
-	// minimum elevation angle (Fig 9 uses 40° for full deployment).
-	MinElevationOverrideDeg float64
 	// MaxGSLsPerSatellite, when positive, caps how many terminals a
 	// satellite can serve simultaneously (closest first). §2 assumes
 	// "careful frequency management alleviates interference" — i.e. no
 	// cap; this knob quantifies what happens when the number of beams or
 	// channels is finite. Dense relay deployments (BP) suffer first.
 	MaxGSLsPerSatellite int
-}
-
-// DefaultOptions returns the paper's §5 capacities.
-func DefaultOptions() BuildOptions {
-	return BuildOptions{GSLCapGbps: 20, ISLCapGbps: 100}
 }
 
 // Builder constructs per-snapshot Networks from a constellation, a ground
@@ -62,10 +56,6 @@ func NewBuilder(c *constellation.Constellation, seg *ground.Segment,
 	fleet *aircraft.Fleet, opts BuildOptions) (*Builder, error) {
 	if c == nil || seg == nil {
 		return nil, fmt.Errorf("graph: constellation and segment are required")
-	}
-	if opts.GSLCapGbps <= 0 || opts.ISLCapGbps <= 0 {
-		return nil, fmt.Errorf("graph: capacities must be positive (gsl=%v isl=%v)",
-			opts.GSLCapGbps, opts.ISLCapGbps)
 	}
 	b := &Builder{Const: c, Seg: seg, Fleet: fleet, Opts: opts}
 	if opts.GSO.SeparationDeg > 0 {
@@ -90,12 +80,8 @@ const satCellDeg = 4
 func (b *Builder) visibility() (minElev []float64, maxRadiusDeg float64) {
 	minElev = make([]float64, len(b.Const.Shells))
 	for i, sh := range b.Const.Shells {
-		e := sh.MinElevationDeg
-		if b.Opts.MinElevationOverrideDeg > 0 {
-			e = b.Opts.MinElevationOverrideDeg
-		}
-		minElev[i] = e
-		rd := geo.CoverageRadius(sh.AltitudeKm, e)/geo.EarthRadius*geo.Rad + 0.5
+		minElev[i] = sh.MinElevationDeg
+		rd := geo.CoverageRadius(sh.AltitudeKm, sh.MinElevationDeg)/geo.EarthRadius*geo.Rad + 0.5
 		if rd > maxRadiusDeg {
 			maxRadiusDeg = rd
 		}
@@ -324,7 +310,7 @@ func (b *Builder) scan(t time.Time) *Network {
 			// Deterministic link order: by terminal index.
 			sort.Slice(cands, func(i, j int) bool { return cands[i].term < cands[j].term })
 			for _, c := range cands {
-				n.AddLink(c.term, sat, LinkGSL, b.Opts.GSLCapGbps)
+				n.AddLink(c.term, sat, LinkGSL, GSLCapGbps)
 			}
 		}
 	} else {
@@ -335,7 +321,7 @@ func (b *Builder) scan(t time.Time) *Network {
 		n.Links = make([]Link, 0, gsls)
 		for _, mine := range results {
 			for _, lp := range mine {
-				n.AddLink(lp.term, lp.sat, LinkGSL, b.Opts.GSLCapGbps)
+				n.AddLink(lp.term, lp.sat, LinkGSL, GSLCapGbps)
 			}
 		}
 	}
@@ -347,7 +333,7 @@ func (b *Builder) scan(t time.Time) *Network {
 // the constellation places for t (§2: "BP plus laser ISLs"). It shares base's
 // node arrays, owns its link list and CSR, and does not write base.
 func (b *Builder) Hybrid(base *Network, t time.Time) *Network {
-	return base.withISLs(b.Const.ISLsAt(t), b.Opts.ISLCapGbps)
+	return base.withISLs(b.Const.ISLsAt(t), ISLCapGbps)
 }
 
 // parallelChunks splits [0,n) into GOMAXPROCS-sized chunks run concurrently.

@@ -30,7 +30,7 @@ func testSetup(t *testing.T, isl bool) (*Builder, *Network) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBuilder(c, seg, fleet, DefaultOptions())
+	b, err := NewBuilder(c, seg, fleet, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +268,8 @@ func TestBuilderGSOOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _ := NewBuilder(c, seg, nil, DefaultOptions())
-	opts := DefaultOptions()
-	opts.GSO = ground.StarlinkGSOPolicy()
-	constrained, _ := NewBuilder(c, seg, nil, opts)
+	plain, _ := NewBuilder(c, seg, nil, BuildOptions{})
+	constrained, _ := NewBuilder(c, seg, nil, BuildOptions{GSO: ground.StarlinkGSOPolicy()})
 	// Count GSLs over a day: GSO avoidance must strictly reduce them.
 	var nPlain, nCon int
 	for h := 0; h < 24; h++ {
@@ -287,17 +285,19 @@ func TestBuilderGSOOption(t *testing.T) {
 	}
 }
 
+// TestBuilderElevationOverride: a shell's higher minimum elevation angle
+// (Fig 9 runs full deployment at 40°) yields fewer GSLs.
 func TestBuilderElevationOverride(t *testing.T) {
-	c, _ := constellation.New([]constellation.Shell{constellation.StarlinkPhase1()})
 	cities, _ := ground.Cities(10)
 	seg, _ := ground.NewSegment(cities, 0, 0)
-	lo, _ := NewBuilder(c, seg, nil, DefaultOptions())
-	opts := DefaultOptions()
-	opts.MinElevationOverrideDeg = 40
-	hi, _ := NewBuilder(c, seg, nil, opts)
-	nLo := len(lo.At(geo.Epoch).Links)
-	nHi := len(hi.At(geo.Epoch).Links)
-	if nHi >= nLo {
+	gsls := func(minElevDeg float64) int {
+		sh := constellation.StarlinkPhase1()
+		sh.MinElevationDeg = minElevDeg
+		c, _ := constellation.New([]constellation.Shell{sh})
+		b, _ := NewBuilder(c, seg, nil, BuildOptions{})
+		return len(b.At(geo.Epoch).Links)
+	}
+	if nLo, nHi := gsls(constellation.StarlinkPhase1().MinElevationDeg), gsls(40); nHi >= nLo {
 		t.Errorf("40° min elevation should reduce GSLs: %d vs %d", nHi, nLo)
 	}
 }
@@ -306,21 +306,11 @@ func TestNewBuilderValidation(t *testing.T) {
 	c, _ := constellation.New([]constellation.Shell{constellation.TestShell()})
 	cities, _ := ground.Cities(5)
 	seg, _ := ground.NewSegment(cities, 0, 0)
-	if _, err := NewBuilder(nil, seg, nil, DefaultOptions()); err == nil {
+	if _, err := NewBuilder(nil, seg, nil, BuildOptions{}); err == nil {
 		t.Errorf("nil constellation must fail")
 	}
-	if _, err := NewBuilder(c, nil, nil, DefaultOptions()); err == nil {
+	if _, err := NewBuilder(c, nil, nil, BuildOptions{}); err == nil {
 		t.Errorf("nil segment must fail")
-	}
-	bad := DefaultOptions()
-	bad.GSLCapGbps = 0
-	if _, err := NewBuilder(c, seg, nil, bad); err == nil {
-		t.Errorf("zero GSL capacity must fail")
-	}
-	bad = DefaultOptions()
-	bad.ISLCapGbps = -1
-	if _, err := NewBuilder(c, seg, nil, bad); err == nil {
-		t.Errorf("negative ISL capacity must fail")
 	}
 }
 
@@ -328,7 +318,7 @@ func TestSatIndexPolarTerminal(t *testing.T) {
 	// A terminal near the pole must still find satellites (full-ring scan).
 	c, _ := constellation.New([]constellation.Shell{constellation.PolarShell()})
 	seg, _ := ground.NewSegment([]ground.City{{Name: "Alert-ish", Lat: 82, Lon: -60, Pop: 0.1}}, 0, 0)
-	b, _ := NewBuilder(c, seg, nil, DefaultOptions())
+	b, _ := NewBuilder(c, seg, nil, BuildOptions{})
 	found := false
 	for m := 0; m < 60 && !found; m += 5 {
 		n := b.At(geo.Epoch.Add(time.Duration(m) * time.Minute))

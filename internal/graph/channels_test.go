@@ -22,13 +22,11 @@ func TestMaxGSLsPerSatellite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	unlimited, err := NewBuilder(c, seg, nil, DefaultOptions())
+	unlimited, err := NewBuilder(c, seg, nil, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.MaxGSLsPerSatellite = 4
-	capped, err := NewBuilder(c, seg, nil, opts)
+	capped, err := NewBuilder(c, seg, nil, BuildOptions{MaxGSLsPerSatellite: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,9 @@ func ParseTLE(lines ...string) (TLE, error) {
 }
 
 // validate rejects element values outside the physical/format ranges; such
-// lines can only arise from corruption (the checksum is weak).
+// lines can only arise from corruption (the checksum is weak). In range, the
+// elements must still describe a closed orbit above the surface: a mean
+// motion the range admits can put the perigee underground.
 func (t TLE) validate() error {
 	switch {
 	case t.MeanMotion <= 0 || t.MeanMotion > 20:
@@ -157,6 +159,9 @@ func (t TLE) validate() error {
 		return fmt.Errorf("tle: ndot %v out of (-1,1) rev/day²", t.NDot)
 	case math.Abs(t.NDDot) >= 1 || math.Abs(t.BStar) >= 1:
 		return fmt.Errorf("tle: nddot/bstar magnitude ≥ 1")
+	}
+	if err := t.Elements().Validate(); err != nil {
+		return fmt.Errorf("tle: %w", err)
 	}
 	return nil
 }

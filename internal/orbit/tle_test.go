@@ -209,6 +209,20 @@ func TestTLEValidateRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestParseTLERejectsSubSurfaceOrbit: mean motions inside the format's
+// (0,20] rev/day range can still put the orbit underground — 17.2 rev/day is
+// a ≈ 6,339 km, 19.0 is a ≈ 5,932 km — and such a set must not parse.
+func TestParseTLERejectsSubSurfaceOrbit(t *testing.T) {
+	for _, mm := range []float64{17.2, 19.0} {
+		l1, l2 := (TLE{SatNum: 1, Epoch: geo.Epoch, InclinationDeg: 53,
+			Eccentricity: 0.0001, MeanMotion: mm}).Format()
+		_, err := ParseTLE(l1, l2)
+		if err == nil || !strings.Contains(err.Error(), "perigee") {
+			t.Errorf("mean motion %v rev/day: err = %v, want a perigee error", mm, err)
+		}
+	}
+}
+
 func TestParseEpochRejectsBadDay(t *testing.T) {
 	if _, err := parseEpoch("20400.00000000"); err == nil {
 		t.Errorf("day 400 accepted")

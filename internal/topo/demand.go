@@ -294,7 +294,8 @@ func (m *demandMotif) LinksAt(c *constellation.Constellation, t time.Time) []con
 			k := relKey{sb.Plane - sa.Plane, sb.Slot - sa.Slot}
 			ok, cached := clears[k]
 			if !cached {
-				ok = chordClearsFloor(sh, maxChordKm(sh, k.dPlane, k.dSlot))
+				_, hi := sh.ChordBoundsKm(k.dPlane, k.dSlot)
+				ok = chordClearsFloor(sh, hi)
 				clears[k] = ok
 			}
 			return ok
@@ -390,31 +391,6 @@ func (m *demandMotif) LinksAt(c *constellation.Constellation, t time.Time) []con
 		}
 	}
 	return constellation.DedupISLs(isls)
-}
-
-// maxChordKm is the exact worst-case length of an intra-shell link between
-// satellites with the given plane/slot offsets, over all time — the same
-// closed form internal/check validates against (see its islBoundsFor for
-// the derivation): cos ψ between the endpoints is a pure sinusoid in twice
-// the argument of latitude, so its extrema, and hence the chord's, are
-// analytic.
-func maxChordKm(sh constellation.Shell, dPlane, dSlot int) float64 {
-	r := geo.EarthRadius + sh.AltitudeKm
-	inc := sh.InclinationDeg * geo.Deg
-	dRaan := sh.RAANSpreadDeg / float64(sh.Planes) * float64(dPlane) * geo.Deg
-	dU := (360/float64(sh.SatsPerPlane)*float64(dSlot) +
-		float64(sh.WalkerF)*360/float64(sh.Size())*float64(dPlane)) * geo.Deg
-
-	ci, si := math.Cos(inc), math.Sin(inc)
-	a := math.Cos(dRaan)
-	b := ci*ci*math.Cos(dRaan) + si*si
-	k1 := 0.5*(a+b)*math.Cos(dU) - ci*math.Sin(dRaan)*math.Sin(dU)
-	k2 := 0.5 * math.Abs(a-b)
-	q := 2 - 2*(k1-k2) // smallest cos ψ ⇒ longest chord
-	if q < 0 {
-		q = 0
-	}
-	return r * math.Sqrt(q)
 }
 
 // chordClearsFloor reports whether a link of worst-case chord length d

@@ -40,12 +40,10 @@ var reachExempt = map[string]string{
 	"internal/check.Report.CheckedCount":         "observer: tests read how many items a check covered",
 	"internal/geo.MinRTTOverSurface":             "reference: the physical RTT bound builder tests hold paths to",
 	"internal/flow.Problem.BottleneckApprox":     "reference: DESIGN.md's max-min ablation and VerifyMaxMin's negative case",
-	"internal/orbit.ElementsFromRV":              "reference: the SGP4 check's inverse",
 	"internal/ground.LandFraction":               "reference: pins the land raster's digest",
 	"internal/graph.Network.SatNode":             "names the satellites-first node layout",
 	"internal/constellation.WithoutSeamISLs":     "option tests turn on to cut the seam's lasers",
 	"internal/core.WithSatelliteCapacity":        "ablation: DESIGN.md §5's capacity semantics (BenchmarkAblationSatCapacity) sets it to 0",
-	"internal/orbit.Elements.Validate":           "reference: tests hold parsed and derived elements to a closed orbit above the surface",
 	"internal/flow.Problem.Validate":             "reference: the allocator tests hold allocations to the link capacities",
 	"internal/geo.LatLon.Valid":                  "reference: tests hold the city dataset's coordinates to it",
 }
