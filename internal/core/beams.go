@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"leosim/internal/graph"
 	"leosim/internal/safe"
 )
 
@@ -29,18 +28,14 @@ func RunBeamSweep(ctx context.Context, s *Sim, caps []int, t time.Time) (out []B
 		if beams < 0 {
 			return nil, fmt.Errorf("core: negative beam cap %d", beams)
 		}
-		// A beam cap changes the scan itself: one full build per cap.
-		b, err := s.builderWith(func(o *graph.BuildOptions) { o.MaxGSLsPerSatellite = beams })
+		// A beam cap changes the scan itself: each cap is a sim of its own,
+		// derived so that every other option of s carries over.
+		capped, err := s.derive(withBeamCap(beams))
 		if err != nil {
 			return nil, err
 		}
-		base := b.At(t)
 		for _, mode := range []Mode{BP, Hybrid} {
-			n := base
-			if mode == Hybrid {
-				n = b.Hybrid(base, t)
-			}
-			tp, err := throughputOn(ctx, s, n, 4)
+			tp, err := throughputOn(ctx, capped, capped.NetworkAtCtx(ctx, t, mode), 4)
 			if err != nil {
 				return nil, err
 			}
@@ -50,6 +45,11 @@ func RunBeamSweep(ctx context.Context, s *Sim, caps []int, t time.Time) (out []B
 		}
 	}
 	return out, nil
+}
+
+// withBeamCap caps the terminals each satellite serves at once (0 = no cap).
+func withBeamCap(beams int) SimOption {
+	return func(c *simConfig) { c.beamCap = beams }
 }
 
 // WriteBeamReport renders the sweep.

@@ -204,14 +204,16 @@ func TestDerivedNetworksIdentical(t *testing.T) {
 					if gso {
 						opts = append(opts, WithGSOAvoidance(ground.StarlinkGSOPolicy()))
 					}
-					s, err := NewSim(Starlink, TinyScale(), opts...)
+					parent, err := NewSim(Starlink, TinyScale(), opts...)
 					if err != nil {
 						t.Fatal(err)
 					}
-					b, err := s.builderWith(func(o *graph.BuildOptions) { o.MaxGSLsPerSatellite = beamCap })
+					// The beam sweep's derivation: a capped sim of its own.
+					s, err := parent.derive(withBeamCap(beamCap))
 					if err != nil {
 						t.Fatal(err)
 					}
+					b := s.builder
 					// Not the epoch: an epoch-aware motif's placement here
 					// differs from the one made at construction.
 					at := s.SnapshotTimes()[1]
@@ -280,26 +282,24 @@ func TestDerivedNetworksIdentical(t *testing.T) {
 					}
 					requireNetworksIdentical(t, "fibre clone", splice(hybrid.Clone()), splice(ref(true, nil)))
 
-					if beamCap == 0 {
-						// The same derivations as the sim's callers reach them.
-						requireNetworksIdentical(t, "NetworkAt bp", s.NetworkAt(at, BP), ref(false, nil))
-						requireNetworksIdentical(t, "NetworkAt hybrid", s.NetworkAt(at, Hybrid), ref(true, nil))
-						plan, _ := fault.ForScenario(fault.SatOutage, 0.15, 7)
-						out, err := plan.RealizeAt(s.Const, nTerms, at)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := s.BuildNetworkAt(ctx, at, Hybrid, out)
-						if err != nil {
-							t.Fatal(err)
-						}
-						requireNetworksIdentical(t, "BuildNetworkAt masked", got, ref(true, out))
+					// The same derivations as the sim's callers reach them.
+					requireNetworksIdentical(t, "NetworkAt bp", s.NetworkAt(at, BP), ref(false, nil))
+					requireNetworksIdentical(t, "NetworkAt hybrid", s.NetworkAt(at, Hybrid), ref(true, nil))
+					plan, _ := fault.ForScenario(fault.SatOutage, 0.15, 7)
+					out, err := plan.RealizeAt(s.Const, nTerms, at)
+					if err != nil {
+						t.Fatal(err)
 					}
+					got, err := s.BuildNetworkAt(ctx, at, Hybrid, out)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireNetworksIdentical(t, "BuildNetworkAt masked", got, ref(true, out))
 
 					// Concurrent derivations and searches over one base: under
 					// -race any write to the shared node arrays is a report.
-					plan, _ := fault.ForScenario(fault.SiteOutage, 0.15, 7)
-					out, err := plan.RealizeAt(s.Const, nTerms, at)
+					plan, _ = fault.ForScenario(fault.SiteOutage, 0.15, 7)
+					out, err = plan.RealizeAt(s.Const, nTerms, at)
 					if err != nil {
 						t.Fatal(err)
 					}

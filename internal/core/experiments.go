@@ -167,14 +167,8 @@ var Experiments = []Experiment{
 		func(ctx context.Context, s *Sim, a Args) (*ResilienceResult, error) {
 			return RunResilience(ctx, s, a.Fault, nil)
 		}, report(WriteResilienceReport)),
-	row("topo", "ISL topology lab: motifs × modes (-motif picks one for the other runs)", "ext",
-		func(ctx context.Context, s *Sim, a Args) (*TopoResult, error) {
-			return RunTopo(ctx, s, TopoOptions{FaultScenario: a.Fault, ChurnStep: a.ChurnStep, ChurnWindow: a.ChurnWindow})
-		}, report(WriteTopoReport)),
-	row("churn", "seconds-scale GSL and route churn (-churn-step, -churn-window)", "ext",
-		func(ctx context.Context, s *Sim, a Args) (*ChurnResult, error) {
-			return RunChurn(ctx, s, ChurnOptions{Step: a.ChurnStep, Window: a.ChurnWindow})
-		}, report(WriteChurnReport)),
+	row("topo", "ISL topology lab: motifs × modes (-motif picks one for the other runs)", "ext", RunTopo, report(WriteTopoReport)),
+	row("churn", "seconds-scale GSL and route churn (-churn-step, -churn-window)", "ext", RunChurn, report(WriteChurnReport)),
 	row("xchurn", "§8: lifetime of cross-shell ISL pairings", "ext", call(crossShellChurn), report(writeCrossShellChurn)),
 	row("passes", "§2: satellite passes over a terminal", "ext", call(passes), report(writePasses)),
 
@@ -186,7 +180,7 @@ var Experiments = []Experiment{
 	row("relays", "§3: what coarser relay grids cost BP", "",
 		func(ctx context.Context, s *Sim, _ Args) ([]RelayPoint, error) {
 			d := s.Scale.RelaySpacingDeg
-			return RunRelayDensitySweep(ctx, s.Choice, s.Scale, []float64{d, d * 2, d * 4})
+			return RunRelayDensitySweep(ctx, s, []float64{d, d * 2, d * 4})
 		}, report(WriteRelayReport)),
 	row("geojson", "one snapshot and a routed pair as GeoJSON", "",
 		call(func(_ context.Context, s *Sim) (Verbatim, error) {

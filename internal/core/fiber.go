@@ -74,14 +74,14 @@ func RunFiberAugmentation(ctx context.Context, s *Sim, metro string, nearby []st
 		union[s] = true
 	}
 	res.MetroVisible = float64(len(metroSats))
-	res.MetroUplinkGbps = float64(len(metroSats)) * 20
+	res.MetroUplinkGbps = float64(len(metroSats)) * graph.GSLCapGbps
 	for _, nb := range nearby {
 		for s := range visible(idx(nb)) {
 			union[s] = true
 		}
 	}
 	res.UnionVisible = float64(len(union))
-	res.UnionUplinkGbps = float64(len(union)) * 20
+	res.UnionUplinkGbps = float64(len(union)) * graph.GSLCapGbps
 
 	// Throughput for metro-sourced demand: route the metro to a sample of
 	// far destinations over k=4 disjoint paths, without and with fiber.

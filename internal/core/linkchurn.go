@@ -12,20 +12,6 @@ import (
 	"leosim/internal/telemetry"
 )
 
-// ChurnOptions configures the seconds-scale churn experiment. The zero value
-// means 1-second steps over a 60-second window starting at the simulation
-// epoch — resolution the 15-minute snapshot grid cannot see, and exactly the
-// regime the incremental advancer makes affordable.
-type ChurnOptions struct {
-	// Start is the first instant (zero = geo.Epoch).
-	Start time.Time
-	// Step is the time between consecutive instants (zero = 1s).
-	Step time.Duration
-	// Window is the total simulated span (zero = 60s); the experiment
-	// evaluates Window/Step transitions.
-	Window time.Duration
-}
-
 // ChurnModeStats is one mode's route-stability picture over the window.
 // Rates are per pair per minute of simulated time, averaged over the pairs
 // reachable at every evaluated instant.
@@ -63,36 +49,27 @@ type ChurnResult struct {
 }
 
 // RunChurn measures link and route churn at seconds-scale resolution under
-// both connectivity modes. It walks the time axis with the incremental
-// advancer — the experiment the snapshot-grid rebuild cost used to rule out:
-// Window/Step+1 instants per mode, each a per-step delta rather than a full
-// build. Deterministic: the same sim and options always produce the same
-// result.
-func RunChurn(ctx context.Context, s *Sim, opt ChurnOptions) (res *ChurnResult, err error) {
+// both connectivity modes, over a.ChurnWindow from the simulation epoch in
+// steps of a.ChurnStep — resolution the 15-minute snapshot grid cannot see.
+// It walks the time axis with the incremental advancer: Window/Step+1
+// instants per mode, each a per-step delta rather than a full build.
+// Deterministic: the same sim and arguments always produce the same result.
+func RunChurn(ctx context.Context, s *Sim, a Args) (res *ChurnResult, err error) {
 	defer safe.RecoverTo(&err)
-	if opt.Start.IsZero() {
-		opt.Start = geo.Epoch
-	}
-	if opt.Step <= 0 {
-		opt.Step = time.Second
-	}
-	if opt.Window <= 0 {
-		opt.Window = time.Minute
-	}
-	steps := int(opt.Window / opt.Step)
-	if steps < 1 {
-		return nil, fmt.Errorf("core: churn window %v shorter than step %v", opt.Window, opt.Step)
+	steps, err := churnSteps(a.ChurnStep, a.ChurnWindow)
+	if err != nil {
+		return nil, err
 	}
 	res = &ChurnResult{
-		Start: opt.Start, Step: opt.Step, Window: opt.Window,
+		Start: geo.Epoch, Step: a.ChurnStep, Window: a.ChurnWindow,
 		Steps: steps, Modes: map[Mode]ChurnModeStats{},
 	}
-	perMin := float64(time.Minute) / float64(opt.Step)
+	perMin := float64(time.Minute) / float64(a.ChurnStep)
 
 	prog := telemetry.NewProgress(Progress, "churn", 2*(steps+1))
 	defer prog.Finish()
 	for _, mode := range []Mode{BP, Hybrid} {
-		c, err := s.churnWalk(ctx, s.NewWalker(mode), opt.Start, opt.Step, steps, prog)
+		c, err := s.churnWalk(ctx, s.NewWalker(mode), geo.Epoch, a.ChurnStep, steps, prog)
 		if err != nil {
 			return nil, err
 		}
@@ -113,6 +90,19 @@ func RunChurn(ctx context.Context, s *Sim, opt ChurnOptions) (res *ChurnResult, 
 		}
 	}
 	return res, nil
+}
+
+// churnSteps is the number of step-long transitions in a churn window: an
+// error unless step is positive and window holds at least one step.
+func churnSteps(step, window time.Duration) (int, error) {
+	if step <= 0 {
+		return 0, fmt.Errorf("core: churn step %v is not positive", step)
+	}
+	steps := int(window / step)
+	if steps < 1 {
+		return 0, fmt.Errorf("core: churn window %v shorter than step %v", window, step)
+	}
+	return steps, nil
 }
 
 // churnCounts is what one seconds-scale walk observed: over the used pairs

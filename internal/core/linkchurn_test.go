@@ -10,12 +10,12 @@ import (
 
 func TestRunChurnDeterministic(t *testing.T) {
 	s := getTinySim(t)
-	opt := ChurnOptions{Step: 2 * time.Second, Window: 20 * time.Second}
-	r1, err := RunChurn(context.Background(), s, opt)
+	a := Args{ChurnStep: 2 * time.Second, ChurnWindow: 20 * time.Second}
+	r1, err := RunChurn(context.Background(), s, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunChurn(context.Background(), s, opt)
+	r2, err := RunChurn(context.Background(), s, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestRunChurnDeterministic(t *testing.T) {
 
 func TestRunChurnShape(t *testing.T) {
 	s := getTinySim(t)
-	r, err := RunChurn(context.Background(), s, ChurnOptions{Step: 2 * time.Second, Window: 20 * time.Second})
+	r, err := RunChurn(context.Background(), s, Args{ChurnStep: 2 * time.Second, ChurnWindow: 20 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +59,21 @@ func TestRunChurnShape(t *testing.T) {
 
 func TestRunChurnValidation(t *testing.T) {
 	s := getTinySim(t)
-	if _, err := RunChurn(context.Background(), s, ChurnOptions{Step: time.Minute, Window: time.Second}); err == nil {
-		t.Fatal("window shorter than step accepted")
+	for _, a := range []Args{
+		{ChurnStep: time.Minute, ChurnWindow: time.Second},
+		{ChurnStep: 0, ChurnWindow: time.Minute},
+		{ChurnStep: -time.Second, ChurnWindow: time.Minute},
+	} {
+		if _, err := RunChurn(context.Background(), s, a); err == nil {
+			t.Errorf("step %v, window %v accepted", a.ChurnStep, a.ChurnWindow)
+		}
+		if _, err := RunTopo(context.Background(), s, a); err == nil {
+			t.Errorf("topo: step %v, window %v accepted", a.ChurnStep, a.ChurnWindow)
+		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunChurn(ctx, s, ChurnOptions{}); err != context.Canceled {
+	if _, err := RunChurn(ctx, s, DefaultArgs()); err != context.Canceled {
 		t.Fatalf("cancelled churn returned %v", err)
 	}
 }

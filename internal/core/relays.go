@@ -27,9 +27,9 @@ type RelayPoint struct {
 }
 
 // RunRelayDensitySweep evaluates latency and reachability across relay grid
-// spacings. Each spacing rebuilds the full simulation at the given base
-// scale (slow: one sim per point).
-func RunRelayDensitySweep(ctx context.Context, choice ConstellationChoice, base Scale, spacings []float64) ([]RelayPoint, error) {
+// spacings. Each spacing is a sim of its own (slow: one sim per point): s's
+// choice, scale and options with the relay grid respaced.
+func RunRelayDensitySweep(ctx context.Context, s *Sim, spacings []float64) ([]RelayPoint, error) {
 	// Each spacing is a sim of its own, so its sweeps run unjournaled: under
 	// the caller's journal every spacing would replay the latency and
 	// disconnected steps the first one recorded under the same names.
@@ -42,14 +42,14 @@ func RunRelayDensitySweep(ctx context.Context, choice ConstellationChoice, base 
 		if sp <= 0 {
 			return nil, fmt.Errorf("core: relay spacing must be positive, got %v", sp)
 		}
-		scale := base
-		scale.Name = fmt.Sprintf("%s-relay%.1f", base.Name, sp)
+		scale := s.Scale
+		scale.Name = fmt.Sprintf("%s-relay%.1f", s.Scale.Name, sp)
 		scale.RelaySpacingDeg = sp
-		s, err := NewSim(choice, scale)
+		rs, err := NewSim(s.Choice, scale, s.opts...)
 		if err != nil {
 			return nil, err
 		}
-		lat, err := RunLatency(ctx, s)
+		lat, err := RunLatency(ctx, rs)
 		if err != nil {
 			// All pairs unreachable under BP at this sparsity still
 			// yields a data point: RunLatency fails only when NO pair is
@@ -57,7 +57,7 @@ func RunRelayDensitySweep(ctx context.Context, choice ConstellationChoice, base 
 			// functioning hybrid prevents; treat other errors as real.
 			return nil, fmt.Errorf("spacing %v: %w", sp, err)
 		}
-		disc, err := RunDisconnected(ctx, s)
+		disc, err := RunDisconnected(ctx, rs)
 		if err != nil {
 			return nil, err
 		}
@@ -65,7 +65,7 @@ func RunRelayDensitySweep(ctx context.Context, choice ConstellationChoice, base 
 			SpacingDeg:          sp,
 			MedianMinRTTBP:      stats.Percentile(lat.MinRTT[BP], 50),
 			MedianMinRTTHybrid:  stats.Percentile(lat.MinRTT[Hybrid], 50),
-			ReachableFracBP:     float64(lat.ReachablePairs) / float64(len(s.Pairs)),
+			ReachableFracBP:     float64(lat.ReachablePairs) / float64(len(rs.Pairs)),
 			DisconnectedSatFrac: disc.Mean,
 		}
 		if math.IsNaN(pt.MedianMinRTTBP) {

@@ -7,12 +7,19 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"leosim/internal/stats"
+	"leosim/internal/topo"
 )
 
 func TestRunRelayDensitySweep(t *testing.T) {
 	base := TinyScale()
 	base.NumSnapshots = 2
-	points, err := RunRelayDensitySweep(context.Background(), Starlink, base, []float64{5, 10})
+	s, err := NewSim(Starlink, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := RunRelayDensitySweep(context.Background(), s, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +46,7 @@ func TestRunRelayDensitySweep(t *testing.T) {
 	if !strings.Contains(buf.String(), "relays") {
 		t.Errorf("report:\n%s", buf.String())
 	}
-	if _, err := RunRelayDensitySweep(context.Background(), Starlink, base, []float64{0}); err == nil {
+	if _, err := RunRelayDensitySweep(context.Background(), s, []float64{0}); err == nil {
 		t.Errorf("zero spacing must fail")
 	}
 
@@ -49,12 +56,34 @@ func TestRunRelayDensitySweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	journaled, err := RunRelayDensitySweep(WithJournal(context.Background(), jour), Starlink, base, []float64{5, 10})
+	journaled, err := RunRelayDensitySweep(WithJournal(context.Background(), jour), s, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(journaled, points) {
 		t.Errorf("journaled sweep %+v, want %+v", journaled, points)
+	}
+}
+
+// Each spacing is a sim with the caller's options: at the sim's own spacing
+// the sweep's hybrid median is the sim's own fig2a median, motif included
+// (the sweep used to build every spacing on the default +Grid).
+func TestRelaySweepKeepsMotif(t *testing.T) {
+	ctx := context.Background()
+	s, err := NewSim(Starlink, TinyScale(), WithMotifID(topo.Nearest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat, err := RunLatency(ctx, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := RunRelayDensitySweep(ctx, s, []float64{s.Scale.RelaySpacingDeg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := points[0].MedianMinRTTHybrid, stats.Percentile(lat.MinRTT[Hybrid], 50); got != want {
+		t.Errorf("hybrid median at the sim's own spacing %v ms, the sim's own %v ms", got, want)
 	}
 }
 

@@ -86,6 +86,9 @@ type simConfig struct {
 	satCapSet   bool
 	motifID     topo.ID
 	motifIDSet  bool
+	// beamCap caps the terminals each satellite serves at once (the beam
+	// sweep's variable; 0 = unlimited).
+	beamCap int
 	// cities names anchor cities to add beyond the top-N cut (WithCities).
 	cities []string
 }
@@ -210,7 +213,7 @@ func NewSim(choice ConstellationChoice, scale Scale, opts ...SimOption) (*Sim, e
 	for i := len(seg.Cities) - 1; i >= 0; i-- {
 		s.cityIndex[seg.Cities[i].Name] = i
 	}
-	if s.builder, err = graph.NewBuilder(c, seg, fleet, graph.BuildOptions{GSO: cfg.gso}); err != nil {
+	if s.builder, err = graph.NewBuilder(c, seg, fleet, graph.BuildOptions{GSO: cfg.gso, MaxGSLsPerSatellite: cfg.beamCap}); err != nil {
 		return nil, err
 	}
 	s.snap = snapcache.New(s.buildSnapshot, snapcache.Options{Capacity: networkCacheSize})
@@ -239,15 +242,6 @@ func (s *Sim) WithCities(names ...string) (*Sim, error) {
 		return s, nil
 	}
 	return s.derive(func(c *simConfig) { c.cities = append(c.cities, missing...) })
-}
-
-// builderWith constructs a builder whose ground-satellite scan differs from
-// the sim's own by mutate (the beam sweep's cap): it starts from the sim's
-// options, so the GSO policy survives.
-func (s *Sim) builderWith(mutate func(*graph.BuildOptions)) (*graph.Builder, error) {
-	o := s.builder.Opts
-	mutate(&o)
-	return graph.NewBuilder(s.Const, s.Seg, s.Fleet, o)
 }
 
 // buildSnapshot is the snapshot cache's build function: the bent-pipe entry

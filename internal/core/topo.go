@@ -8,59 +8,23 @@ import (
 	"sort"
 	"time"
 
-	"leosim/internal/constellation"
 	"leosim/internal/fault"
 	"leosim/internal/geo"
-	"leosim/internal/graph"
 	"leosim/internal/safe"
 	"leosim/internal/stats"
 	"leosim/internal/telemetry"
 	"leosim/internal/topo"
 )
 
-// TopoOptions configures the topology-lab sweep. The zero value sweeps every
-// built-in motif under both modes with the defaults noted per field.
-type TopoOptions struct {
-	// Motifs lists the motifs to sweep (nil = every built-in motif).
-	Motifs []topo.ID
-	// K is the multipath degree of the throughput evaluation (0 = 3, the
-	// middle of Fig 4's range).
-	K int
-	// FaultScenario and FaultFraction define the resilience probe
-	// (defaults: sat outage, 10% — correlated enough to separate sparse
-	// from dense motifs without blacking the network out).
-	FaultScenario fault.Scenario
-	FaultFraction float64
-	// FaultSeed drives outage sampling (0 = the sim's scale seed).
-	FaultSeed int64
-	// ChurnStep and ChurnWindow define the seconds-scale route-stability
-	// probe (defaults 1s / 30s), walked with the incremental advancer.
-	ChurnStep, ChurnWindow time.Duration
-}
-
-func (o *TopoOptions) setDefaults(s *Sim) {
-	if len(o.Motifs) == 0 {
-		o.Motifs = topo.IDs()
-	}
-	if o.K <= 0 {
-		o.K = 3
-	}
-	if o.FaultScenario == "" {
-		o.FaultScenario = fault.SatOutage
-	}
-	if o.FaultFraction == 0 {
-		o.FaultFraction = 0.1
-	}
-	if o.FaultSeed == 0 {
-		o.FaultSeed = s.Scale.Seed
-	}
-	if o.ChurnStep <= 0 {
-		o.ChurnStep = time.Second
-	}
-	if o.ChurnWindow <= 0 {
-		o.ChurnWindow = 30 * time.Second
-	}
-}
+// The topo sweep's fixed probe settings: throughput over topoK disjoint paths
+// per pair (the middle of Fig 4's range), and a fault probe failing
+// topoFaultFraction of the -fault scenario's elements — correlated enough to
+// separate sparse from dense motifs without blacking the network out — drawn
+// with the scale's seed.
+const (
+	topoK             = 3
+	topoFaultFraction = 0.1
+)
 
 // TopoCell is one motif × mode cell of the topology comparison.
 type TopoCell struct {
@@ -119,74 +83,54 @@ func (r *TopoResult) Cell(id topo.ID, mode Mode) *TopoCell {
 
 // RunTopo runs the topology-lab sweep: every motif under BP and Hybrid
 // connectivity, compared on pooled latency (median/p99/demand-weighted),
-// max-min fair throughput, fault resilience, and seconds-scale route churn.
+// max-min fair throughput, fault resilience (a.Fault), and route churn over
+// a.ChurnWindow in steps of a.ChurnStep.
 //
-// Per-motif evaluation shares the sim's ground segment, fleet, traffic
-// matrix and capacities; only the constellation's ISL set differs, so every
-// difference between cells is attributable to the motif. Epoch-aware motifs
-// (nearest, demand) are re-placed for each snapshot build — the per-snapshot
-// re-optimization the paper's fixed +Grid cannot express — but hold their
-// link set fixed across the churn window: re-pointing lasers is a
-// snapshot-scale operation, not a seconds-scale one. BP cells do not depend
-// on the motif (no ISLs); they are evaluated once and replicated so the
-// table stays rectangular, and their equality across motifs is itself the
-// BP-invariance control. Deterministic: the same sim and options always
-// produce byte-identical results.
-func RunTopo(ctx context.Context, s *Sim, opt TopoOptions) (res *TopoResult, err error) {
+// Each motif is a sim derived from s, so it keeps s's shells, propagator,
+// ground segment, traffic matrix and capacities; only the ISL set differs,
+// and every difference between cells is attributable to the motif.
+// Epoch-aware motifs (nearest, demand) are re-placed for each snapshot
+// build — the per-snapshot re-optimization the paper's fixed +Grid cannot
+// express — but hold their link set fixed across the churn window:
+// re-pointing lasers is a snapshot-scale operation, not a seconds-scale one.
+// BP cells do not depend on the motif (no ISLs); they are evaluated once on s
+// and replicated so the table stays rectangular, and their equality across
+// motifs is itself the BP-invariance control. Deterministic: the same sim and
+// arguments always produce byte-identical results.
+func RunTopo(ctx context.Context, s *Sim, a Args) (res *TopoResult, err error) {
 	defer safe.RecoverTo(&err)
-	opt.setDefaults(s)
-	times := s.SnapshotTimes()
-
+	if _, err := churnSteps(a.ChurnStep, a.ChurnWindow); err != nil {
+		return nil, err
+	}
 	res = &TopoResult{
-		Motifs:        opt.Motifs,
-		K:             opt.K,
-		FaultScenario: opt.FaultScenario,
-		FaultFraction: opt.FaultFraction,
-		FaultSeed:     opt.FaultSeed,
-		ChurnStep:     opt.ChurnStep,
-		ChurnWindow:   opt.ChurnWindow,
-		SnapshotsUsed: len(times),
+		Motifs:        topo.IDs(),
+		K:             topoK,
+		FaultScenario: a.Fault,
+		FaultFraction: topoFaultFraction,
+		FaultSeed:     s.Scale.Seed,
+		ChurnStep:     a.ChurnStep,
+		ChurnWindow:   a.ChurnWindow,
+		SnapshotsUsed: s.Scale.NumSnapshots,
 	}
 
-	// Gravity weights for the demand-weighted latency view: a pair counts
-	// by the population product of its endpoints, matching the corridor
-	// model the demand motif places links for.
-	weights := make([]float64, len(s.Pairs))
-	for i, p := range s.Pairs {
-		weights[i] = s.Cities[p.Src].Pop * s.Cities[p.Dst].Pop
-	}
-
-	prog := telemetry.NewProgress(Progress, "topo", len(opt.Motifs)+1)
+	prog := telemetry.NewProgress(Progress, "topo", len(res.Motifs)+1)
 	defer prog.Finish()
 
-	// BP control: motif-independent, evaluated once on the sim's own
-	// constellation (ISLs disabled), replicated into every motif row.
-	bpCell, err := s.topoEval(ctx, s.builder, BP, times, weights, opt)
+	bpCell, err := s.topoEval(ctx, BP, res)
 	if err != nil {
 		return nil, err
 	}
 	prog.Step(1)
 
-	for _, id := range opt.Motifs {
+	for _, id := range res.Motifs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		m, err := topo.Build(id, topo.Config{Cities: s.Cities})
+		ms, err := s.derive(WithMotifID(id))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: building motif %s: %w", id, err)
 		}
-		// A per-motif constellation over the same shells keeps satellite
-		// and terminal node indices aligned with the sim's, so the shared
-		// traffic matrix and search plumbing apply unchanged.
-		mc, err := constellation.New(s.Const.Shells, topo.Option(m))
-		if err != nil {
-			return nil, fmt.Errorf("core: building %s constellation: %w", id, err)
-		}
-		mb, err := graph.NewBuilder(mc, s.Seg, s.Fleet, s.builder.Opts)
-		if err != nil {
-			return nil, err
-		}
-		hyCell, err := s.topoEval(ctx, mb, Hybrid, times, weights, opt)
+		hyCell, err := ms.topoEval(ctx, Hybrid, res)
 		if err != nil {
 			return nil, fmt.Errorf("core: evaluating motif %s: %w", id, err)
 		}
@@ -202,62 +146,21 @@ func RunTopo(ctx context.Context, s *Sim, opt TopoOptions) (res *TopoResult, err
 	return res, nil
 }
 
-// topoEval computes one TopoCell on b's constellation: latency pooled over
-// the snapshot grid, throughput and fault resilience at the epoch snapshot,
-// and route churn over the seconds-scale window.
-func (s *Sim) topoEval(ctx context.Context, b *graph.Builder, mode Mode,
-	times []time.Time, weights []float64, opt TopoOptions) (TopoCell, error) {
+// topoEval computes one TopoCell on s's mode network under the settings of
+// sweep: throughput and fault resilience at the epoch snapshot, latency
+// pooled over the snapshot grid, and route churn over the seconds-scale
+// window.
+func (s *Sim) topoEval(ctx context.Context, mode Mode, sweep *TopoResult) (TopoCell, error) {
 	cell := TopoCell{Mode: mode}
-	netAt := func(t time.Time) *graph.Network {
-		n := b.At(t)
-		if mode == Hybrid {
-			n = b.Hybrid(n, t)
-		}
-		return n
-	}
-
 	if mode == Hybrid {
-		st := b.Const.StatsAt(geo.Epoch)
+		st := s.Const.StatsAt(geo.Epoch)
 		cell.ISLCount, cell.MeanISLKm = st.Count, st.MeanKm
 	}
 
-	// Latency: pooled per-(pair, snapshot) RTT samples across the day. The
-	// epoch snapshot (the schedule's first) also feeds the throughput model.
-	epochNet := netAt(geo.Epoch)
-	var rtts, wts []float64
-	samples, unreachable := 0, 0
-	for _, t := range times {
-		if err := ctx.Err(); err != nil {
-			return cell, err
-		}
-		n := epochNet
-		if !t.Equal(geo.Epoch) {
-			n = netAt(t)
-		}
-		rr, err := s.pairRTTs(ctx, n)
-		if err != nil {
-			return cell, err
-		}
-		for i, r := range rr {
-			samples++
-			if math.IsInf(r, 1) {
-				unreachable++
-				continue
-			}
-			rtts = append(rtts, r)
-			wts = append(wts, weights[i])
-		}
-	}
-	if len(rtts) == 0 {
-		return cell, fmt.Errorf("core: no pair reachable in any snapshot")
-	}
-	cell.MedianRTTMs = Float(stats.Percentile(rtts, 50))
-	cell.P99RTTMs = Float(stats.Percentile(rtts, 99))
-	cell.DemandWeightedMedianRTTMs = Float(stats.WeightedMedian(rtts, wts))
-	cell.UnreachableFrac = float64(unreachable) / float64(samples)
-
-	// Throughput at the epoch snapshot.
-	tp, err := throughputOn(ctx, s, epochNet, opt.K)
+	// Throughput at the epoch snapshot — the epoch probes run before the day
+	// sweep, while the epoch entry is still resident in s's cache.
+	epochNet := s.NetworkAtCtx(ctx, geo.Epoch, mode)
+	tp, err := throughputOn(ctx, s, epochNet, sweep.K)
 	if err != nil {
 		return cell, err
 	}
@@ -266,15 +169,18 @@ func (s *Sim) topoEval(ctx context.Context, b *graph.Builder, mode Mode,
 	// Fault resilience: the same outage plan masked onto the epoch snapshot
 	// (same seed across motifs, so every cell loses the same
 	// satellites/sites and differences are purely topological).
-	plan, err := fault.ForScenario(opt.FaultScenario, opt.FaultFraction, opt.FaultSeed)
+	plan, err := fault.ForScenario(sweep.FaultScenario, sweep.FaultFraction, sweep.FaultSeed)
 	if err != nil {
 		return cell, err
 	}
-	outages, err := plan.RealizeAt(b.Const, len(s.Seg.Terminals), geo.Epoch)
+	outages, err := plan.RealizeAt(s.Const, len(s.Seg.Terminals), geo.Epoch)
 	if err != nil {
 		return cell, err
 	}
-	fn := outages.Masked(epochNet)
+	fn, err := s.BuildNetworkAt(ctx, geo.Epoch, mode, outages)
+	if err != nil {
+		return cell, err
+	}
 	frr, err := s.pairRTTs(ctx, fn)
 	if err != nil {
 		return cell, err
@@ -290,7 +196,7 @@ func (s *Sim) topoEval(ctx context.Context, b *graph.Builder, mode Mode,
 	}
 	cell.FaultMedianRTTMs = Float(stats.Percentile(faultRtts, 50))
 	cell.FaultUnreachableFrac = float64(faultUnreachable) / float64(len(frr))
-	ftp, err := throughputOn(ctx, s, fn, opt.K)
+	ftp, err := throughputOn(ctx, s, fn, sweep.K)
 	if err != nil {
 		return cell, err
 	}
@@ -298,17 +204,49 @@ func (s *Sim) topoEval(ctx context.Context, b *graph.Builder, mode Mode,
 		cell.ThroughputRetention = ftp.AggregateGbps / tp.AggregateGbps
 	}
 
+	// Latency: pooled per-(pair, snapshot) RTT samples across the day, each
+	// weighted for the demand-weighted view by its pair's population product
+	// (the gravity demand the demand motif places links for).
+	var rtts, wts []float64
+	samples, unreachable := 0, 0
+	for _, t := range s.SnapshotTimes() {
+		if err := ctx.Err(); err != nil {
+			return cell, err
+		}
+		rr, err := s.pairRTTs(ctx, s.NetworkAtCtx(ctx, t, mode))
+		if err != nil {
+			return cell, err
+		}
+		for i, r := range rr {
+			samples++
+			if math.IsInf(r, 1) {
+				unreachable++
+				continue
+			}
+			p := s.Pairs[i]
+			rtts = append(rtts, r)
+			wts = append(wts, s.Cities[p.Src].Pop*s.Cities[p.Dst].Pop)
+		}
+	}
+	if len(rtts) == 0 {
+		return cell, fmt.Errorf("core: no pair reachable in any snapshot")
+	}
+	cell.MedianRTTMs = Float(stats.Percentile(rtts, 50))
+	cell.P99RTTMs = Float(stats.Percentile(rtts, 99))
+	cell.DemandWeightedMedianRTTMs = Float(stats.WeightedMedian(rtts, wts))
+	cell.UnreachableFrac = float64(unreachable) / float64(samples)
+
 	// Route churn over the seconds-scale window, walked with the
 	// incremental advancer. The link set stays the one placed at the epoch,
 	// where the cursor anchors: laser re-pointing is snapshot-scale.
-	steps := int(opt.ChurnWindow / opt.ChurnStep)
-	c, err := s.churnWalk(ctx, &Walker{b: b, isl: mode == Hybrid}, geo.Epoch, opt.ChurnStep, steps, nil)
+	steps := int(sweep.ChurnWindow / sweep.ChurnStep)
+	c, err := s.churnWalk(ctx, s.NewWalker(mode), geo.Epoch, sweep.ChurnStep, steps, nil)
 	if err != nil {
 		return cell, err
 	}
 	cell.FullRebuilds = c.fullRebuilds
-	if c.used > 0 && steps > 0 {
-		perMin := float64(time.Minute) / float64(opt.ChurnStep)
+	if c.used > 0 {
+		perMin := float64(time.Minute) / float64(sweep.ChurnStep)
 		cell.RouteChangesPerMin = float64(c.routes) / (float64(c.used) * float64(steps)) * perMin
 	}
 	return cell, nil
