@@ -10,6 +10,7 @@ import (
 
 	"leosim/internal/fault"
 	"leosim/internal/graph"
+	"leosim/internal/oracle"
 )
 
 // plainDisjointPaths peels k edge-disjoint paths src → dst the way
@@ -41,7 +42,9 @@ func plainDisjointPaths(n *graph.Network, src, dst int32, k int) []graph.Path {
 // goal-directed) is the plain peeling's, and every city pair searched alone
 // under random link bans — on the outage's view, the healthy hybrid with the
 // cut banned too — settles its target at the plain search's distance (float
-// bits), predecessor link and path.
+// bits), predecessor link and path, both under the free-space bound and
+// directed by the unbanned network's tree rooted at the target (an uncut
+// oracle's row, as a served what-if passes it).
 func TestGoalDirectedMatchesDijkstra(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three reduced sims' worth of searches")
@@ -106,29 +109,43 @@ func goalDirectedMatchesDijkstra(ctx context.Context, t *testing.T, seed int64) 
 			}
 
 			v := c.view
-			st, ref := graph.AcquireSearch(), graph.AcquireSearch()
+			healthy, err := oracle.Build(ctx, v.N, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, byTree, ref := graph.AcquireSearch(), graph.AcquireSearch(), graph.AcquireSearch()
 			identity := func(li int32) float64 { return v.N.Links[li].OneWayMs }
 			rng := rand.New(rand.NewSource(seed*100 + int64(snap)))
 			for _, p := range s.Pairs {
 				src, dst := v.N.CityNode(p.Src), v.N.CityNode(p.Dst)
-				st.ClearBans()
-				ref.ClearBans()
+				for _, x := range []*graph.SearchState{st, byTree, ref} {
+					x.ClearBans()
+				}
 				for li := range v.N.Links {
 					if rng.Float64() < 0.02 {
-						st.BanLink(int32(li))
-						ref.BanLink(int32(li))
+						for _, x := range []*graph.SearchState{st, byTree, ref} {
+							x.BanLink(int32(li))
+						}
 					}
 				}
-				v.Search(st, graph.SearchSpec{Src: src, Target: dst})
 				v.Search(ref, graph.SearchSpec{Src: src, Target: dst, Cost: identity})
-				got, gotOK := st.Path(dst)
 				want, wantOK := ref.Path(dst)
-				if math.Float64bits(st.Dist(dst)) != math.Float64bits(ref.Dist(dst)) ||
-					st.PrevLink(dst) != ref.PrevLink(dst) || gotOK != wantOK || !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: %d→%d under bans: %v (%v ms), plain %v (%v ms)", tag, src, dst, got, st.Dist(dst), want, ref.Dist(dst))
+				for _, x := range []struct {
+					how  string
+					st   *graph.SearchState
+					tree []int32
+				}{{"free-space", st, nil}, {"healthy tree", byTree, healthy.Tree(p.Dst)}} {
+					v.Search(x.st, graph.SearchSpec{Src: src, Target: dst, Tree: x.tree})
+					got, gotOK := x.st.Path(dst)
+					if math.Float64bits(x.st.Dist(dst)) != math.Float64bits(ref.Dist(dst)) ||
+						x.st.PrevLink(dst) != ref.PrevLink(dst) || gotOK != wantOK || !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: %d→%d under bans, directed by the %s: %v (%v ms), plain %v (%v ms)",
+							tag, src, dst, x.how, got, x.st.Dist(dst), want, ref.Dist(dst))
+					}
 				}
 			}
 			st.Release()
+			byTree.Release()
 			ref.Release()
 		}
 	}

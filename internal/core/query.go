@@ -78,15 +78,19 @@ type PathQuery struct {
 // PathAt routes city src → city dst over snapshot network n: PathIn over the
 // whole of n.
 func (s *Sim) PathAt(ctx context.Context, n *graph.Network, src, dst int) (*PathQuery, error) {
-	return s.PathIn(ctx, graph.View{N: n}, src, dst)
+	return s.PathIn(ctx, graph.View{N: n}, src, dst, nil)
 }
 
 // PathIn routes city src → city dst over a view of a snapshot: its network
 // searched with its cut banned, which is the answer PathAt gives on the
-// materialized masked network, field for field. The context reaches the
-// Dijkstra kernel itself (polled between settle batches), so a cancelled
-// request abandons even a single in-flight search.
-func (s *Sim) PathIn(ctx context.Context, v graph.View, src, dst int) (*PathQuery, error) {
+// materialized masked network, field for field. tree, when not nil, is the
+// shortest-path tree of the view's whole network rooted at dst's node — the
+// row an uncut oracle of v.N at its current epoch stores for dst
+// (oracle.Tree) — and directs the search (graph.SearchSpec.Tree) without
+// changing the answer. The context reaches the Dijkstra kernel itself
+// (polled between settle batches), so a cancelled request abandons even a
+// single in-flight search.
+func (s *Sim) PathIn(ctx context.Context, v graph.View, src, dst int, tree []int32) (*PathQuery, error) {
 	if src < 0 || src >= len(s.Cities) || dst < 0 || dst >= len(s.Cities) {
 		return nil, fmt.Errorf("core: city index out of range (%d, %d of %d)", src, dst, len(s.Cities))
 	}
@@ -96,6 +100,7 @@ func (s *Sim) PathIn(ctx context.Context, v graph.View, src, dst int) (*PathQuer
 	spec := graph.SearchSpec{
 		Src:    n.CityNode(src),
 		Target: n.CityNode(dst),
+		Tree:   tree,
 		Stop:   func() bool { return ctx.Err() != nil },
 	}
 	if !v.Search(st, spec) {

@@ -174,3 +174,58 @@ func (b boundTo) at(v int32) float64 {
 	}
 	return (t.tangent + b.gt.tangent + geo.EarthRadius*wrap) * boundMsPerKm
 }
+
+// The tree bound of a goal-directed search (DESIGN.md §7, "A what-if's search
+// is directed by its healthy tree"). A node's distance to the goal in a
+// shortest-path tree of the unbanned network — SearchSpec.Tree — is its true
+// distance there, so no banned search of the network finds a shorter one,
+// and Dijkstra's own relaxation made it consistent: D(u) ≤ D(v) ⊕ w(u, v) on
+// every link. Scaled by the same slack as the free-space bound, it leaves
+// every arc the same margin.
+
+// treeScale is the slack factor of the tree bound.
+const treeScale = 1 - boundSlack
+
+// directByTree makes tree, rooted at st.goal, the bound of the search begun
+// on st.net.
+func (st *SearchState) directByTree(tree []int32) {
+	st.tree = tree
+	if len(st.treeMemo) < len(tree) {
+		st.treeMemo = append(st.treeMemo, make([]treeLabel, len(tree)-len(st.treeMemo))...)
+	}
+	st.treeMemo[st.goal] = treeLabel{dist: 0, stamp: st.searchStamp}
+}
+
+// treeBound returns the tree bound from v to the goal: v's distance to the
+// root of st.tree, scaled by the slack, +Inf when the tree does not reach v.
+// The distance is summed lazily: walk the row up from v to the first node
+// memoised this search, then add the link delays back down in the tree's own
+// order, which is the order Dijkstra summed them in when it grew the tree, and
+// memoise every node passed. So each node of the tree is measured at most once
+// per search, and what it is measured at is the tree's own float distance.
+func (st *SearchState) treeBound(v int32) float64 {
+	memo, cur, tree, links := st.treeMemo, st.searchStamp, st.tree, st.net.Links
+	walk := st.treeWalk[:0]
+	at := v
+	for memo[at].stamp != cur {
+		li := tree[at]
+		if li < 0 { // off the tree: no path to the goal at all
+			memo[at] = treeLabel{dist: math.Inf(1), stamp: cur}
+			break
+		}
+		if len(walk) == len(tree) {
+			panic("graph: SearchSpec.Tree has a cycle")
+		}
+		walk = append(walk, at)
+		l := links[li]
+		at = l.A + l.B - at
+	}
+	d := memo[at].dist
+	for i := len(walk) - 1; i >= 0; i-- {
+		u := walk[i]
+		d += links[tree[u]].OneWayMs
+		memo[u] = treeLabel{dist: d, stamp: cur}
+	}
+	st.treeWalk = walk
+	return memo[v].dist * treeScale
+}

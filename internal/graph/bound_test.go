@@ -127,14 +127,18 @@ func (n *Network) link(a, b int32, ms float64) int32 {
 	return int32(len(n.Links) - 1)
 }
 
-// requireNaivePath searches src → dst alone and holds the target's label,
-// its path and every node on that path to naiveDijkstra; goal says whether
-// the search must have been goal-directed.
-func requireNaivePath(t *testing.T, tag string, n *Network, st *SearchState, src, dst int32, banned map[int32]bool, goal bool) {
+// requireNaivePath searches src → dst alone, given tree as SearchSpec.Tree,
+// and holds the target's label, its path and every node on that path to
+// naiveDijkstra; goal says whether the search must have been goal-directed —
+// by tree when it is not nil.
+func requireNaivePath(t *testing.T, tag string, n *Network, st *SearchState, src, dst int32, banned map[int32]bool, tree []int32, goal bool) {
 	t.Helper()
-	n.Search(st, SearchSpec{Src: src, Target: dst})
+	n.Search(st, SearchSpec{Src: src, Target: dst, Tree: tree})
 	if got := st.goal == dst; got != goal {
 		t.Fatalf("%s: %d→%d goal-directed = %v, want %v", tag, src, dst, got, goal)
+	}
+	if got, want := st.tree != nil, goal && tree != nil; got != want {
+		t.Fatalf("%s: %d→%d directed by the tree = %v, want %v", tag, src, dst, got, want)
 	}
 	wd, wp := naiveDijkstra(n, src, []int32{dst}, banned, nil, nil)
 	p, ok := st.Path(dst)
@@ -156,7 +160,10 @@ func requireNaivePath(t *testing.T, tag string, n *Network, st *SearchState, src
 // exactly (dyadic weights add without rounding). Dijkstra pops u1 first — it
 // is nearer the source — and keeps it; the bound pops u2 first — it is nearer
 // the target — so without the tie rule v would keep u2. The goal-directed
-// path must be the reference's, through u1.
+// path must be the reference's, through u1. Two more ties at the target pop
+// the target before the better candidate without the slack: one over links
+// at exactly the free-space delay, one under the tree bound over links at
+// exactly their tree distances.
 func TestGoalDirectedTieRule(t *testing.T) {
 	const s, tgt, u1, u2, v = 0, 1, 2, 3, 4
 	n := planeNet([2]float64{600, 0}, [2]float64{0, 0}, [2]float64{500, 0}, [2]float64{100, 100}, [2]float64{100, 0})
@@ -178,7 +185,7 @@ func TestGoalDirectedTieRule(t *testing.T) {
 	}
 	st := AcquireSearch()
 	defer st.Release()
-	requireNaivePath(t, "tie", n, st, s, tgt, nil, true)
+	requireNaivePath(t, "tie", n, st, s, tgt, nil, nil, true)
 	if st.PrevLink(v) != viaU1 {
 		t.Fatalf("v's predecessor link is %d, want %d (from u1)", st.PrevLink(v), viaU1)
 	}
@@ -205,9 +212,30 @@ func TestGoalDirectedTieRule(t *testing.T) {
 	if !(1 < d2) {
 		t.Fatalf("u1 at 1 ms does not settle before u2 at %v ms", d2)
 	}
-	requireNaivePath(t, "tight tie", tight, st, ts, tt, nil, true)
+	requireNaivePath(t, "tight tie", tight, st, ts, tt, nil, nil, true)
 	if st.PrevLink(tt) != last {
 		t.Fatalf("the target's predecessor link is %d, want %d (from u1)", st.PrevLink(tt), last)
+	}
+
+	// The same tie under the tree bound, where links weigh exactly their
+	// distances in the tree: u1 and u2 reach the target over links that are
+	// their tree distances, so without the slack both would key at the
+	// target's own distance (3.5 ms, dyadic sums that do not round) and the
+	// node tie-break would pop u2, then the target, before u1 — which
+	// Dijkstra, settling u1 at 1 ms before u2 at 1.5 ms, keeps.
+	const ks, ku2, kt, ku1 = 0, 1, 2, 3
+	tree := planeNet([2]float64{0, 0}, [2]float64{20, 20}, [2]float64{40, 0}, [2]float64{20, -20})
+	tree.link(ks, ku1, 1)
+	tree.link(ks, ku2, 1.5)
+	fromU1 := tree.link(ku1, kt, 2.5)
+	tree.link(ku2, kt, 2)
+	dist, row := searchTree(tree, kt, nil, nil)
+	if dist[ku1] != 2.5 || dist[ku2] != 2 || 1+dist[ku1] != 1.5+dist[ku2] {
+		t.Fatalf("the tree does not weigh the last links exactly: %v", dist)
+	}
+	requireNaivePath(t, "tree-tight tie", tree, st, ks, kt, nil, row, true)
+	if st.PrevLink(kt) != fromU1 {
+		t.Fatalf("the target's predecessor link is %d, want %d (from u1)", st.PrevLink(kt), fromU1)
 	}
 }
 
@@ -216,8 +244,9 @@ func TestGoalDirectedTieRule(t *testing.T) {
 // wormhole), a zero-weight link and a node inside the Earth each close the
 // gate, and the search is then plain Dijkstra — which the wormhole network
 // needs, since the bound would settle the target over the detour first.
-// The verdict follows the network: a freeze after a new link re-decides it,
-// and a Clone decides its own.
+// Where the gate is closed, a tree row is refused too. The verdict follows
+// the network: a freeze after a new link re-decides it, and a Clone decides
+// its own.
 func TestGoalGate(t *testing.T) {
 	st := AcquireSearch()
 	defer st.Release()
@@ -228,22 +257,30 @@ func TestGoalGate(t *testing.T) {
 	n.link(b, tgt, 0.1)
 	n.link(s, c, 1.7)
 	n.link(c, tgt, 1.7)
-	requireNaivePath(t, "no wormhole", n, st, s, tgt, nil, true)
+	// Each case runs twice: bounded by free space, and given the network's
+	// own tree rooted at the target — a row the gate must refuse as well.
+	both := func(tag string, n *Network, src, dst int32, goal bool) {
+		t.Helper()
+		_, row := searchTree(n, dst, nil, nil)
+		requireNaivePath(t, tag, n, st, src, dst, nil, nil, goal)
+		requireNaivePath(t, tag+" with its tree", n, st, src, dst, nil, row, goal)
+	}
+	both("no wormhole", n, s, tgt, true)
 	clone := n.Clone()
 	n.link(a, b, 0.01)
-	requireNaivePath(t, "wormhole", n, st, s, tgt, nil, false)
+	both("wormhole", n, s, tgt, false)
 	if n.goalTerms() != nil {
 		t.Fatal("the gate stayed open after a wormhole link")
 	}
-	requireNaivePath(t, "clone before the wormhole", clone, st, s, tgt, nil, true)
+	both("clone before the wormhole", clone, s, tgt, true)
 	clone.link(s, tgt, 0)
-	requireNaivePath(t, "zero-weight link", clone, st, s, tgt, nil, false)
+	both("zero-weight link", clone, s, tgt, false)
 
 	inside := planeNet([2]float64{0, 0}, [2]float64{100, 0})
 	inside.AddNode(NodeCity, geo.Vec3{X: 6000}, "")
 	inside.link(0, 1, 1)
 	inside.link(1, 2, 5)
-	requireNaivePath(t, "node inside the Earth", inside, st, 0, 1, nil, false)
+	both("node inside the Earth", inside, 0, 1, false)
 
 	if fuzzNet(gridBytes(4, 4)).goalTerms() != nil || randomNet(rand.New(rand.NewSource(1)), 20, 10).goalTerms() != nil {
 		t.Fatal("the zero-position test graphs must keep plain Dijkstra")

@@ -368,10 +368,13 @@ func TestSearchStopsAtLastTarget(t *testing.T) {
 // TestSearchAllocs pins the kernel's allocation-free profile: a full-tree
 // search and one stopped at a target list, on a pooled, already-grown state,
 // allocate nothing; nor does a goal-directed search on a snapshot once its
-// first run has built the bound's node terms and gate verdict.
+// first run has built the bound's node terms and gate verdict, nor one
+// directed by a tree, whose memo is pooled scratch too.
 func TestSearchAllocs(t *testing.T) {
 	n := randomNet(rand.New(rand.NewSource(9)), 300, 900)
 	snap := advSetup(t, false).At(geo.Epoch)
+	goal := snap.CityNode(snap.NumCity - 1)
+	_, row := searchTree(snap, goal, nil, nil)
 	st := AcquireSearch()
 	defer st.Release()
 	for _, c := range []struct {
@@ -380,15 +383,16 @@ func TestSearchAllocs(t *testing.T) {
 	}{
 		{n, SearchSpec{Src: 0, Target: NoTarget}},
 		{n, SearchSpec{Src: 0, Target: 7, Targets: []int32{150, 299, 150}}},
-		{snap, SearchSpec{Src: snap.CityNode(0), Target: snap.CityNode(snap.NumCity - 1)}},
+		{snap, SearchSpec{Src: snap.CityNode(0), Target: goal}},
+		{snap, SearchSpec{Src: snap.CityNode(0), Target: goal, Tree: row}},
 	} {
 		c.n.Search(st, c.spec) // grow the scratch arrays and the heap once
 		if allocs := testing.AllocsPerRun(50, func() { c.n.Search(st, c.spec) }); allocs != 0 {
 			t.Fatalf("pooled search %+v allocates %v times per run, want 0", c.spec, allocs)
 		}
-	}
-	if st.goal != snap.CityNode(snap.NumCity-1) {
-		t.Fatal("the search on the snapshot was not goal-directed")
+		if directed := st.goal == goal; c.n == snap && (!directed || (st.tree != nil) != (c.spec.Tree != nil)) {
+			t.Fatalf("the search on the snapshot was not goal-directed (given a tree: %v)", c.spec.Tree != nil)
+		}
 	}
 }
 

@@ -455,8 +455,12 @@ func mirrorBytes(nodes [][3]int, links [][2]int) []byte {
 // the path are not compared, since the bound settles fewer nodes — and so are
 // the k = 3 disjoint-path sets to the drawn destination, whose peels are
 // goal-directed too. The bound must be in use on these networks, and not on
-// the zero-position fuzzNet decoded from the same bytes. The seeds are
-// mirror-symmetric, so twin routes tie exactly.
+// the zero-position fuzzNet decoded from the same bytes, not even given a
+// tree. Its tree-directed arm is a what-if in miniature: the drawn bans are
+// the cut, each search is directed by the uncut network's full tree rooted at
+// its target, and the reference is naiveDijkstra with the cut's links absent
+// — the filtered network. The seeds are mirror-symmetric, so twin routes tie
+// exactly.
 func FuzzSearchGeometric(f *testing.F) {
 	// Two terminals on the equator joined over twin satellite chains at ±15°.
 	f.Add(mirrorBytes([][3]int{{0, 4, 8}, {0, 4, 16}, {1, 5, 9}, {1, 5, 11}, {1, 5, 13}, {1, 5, 15}},
@@ -491,7 +495,9 @@ func FuzzSearchGeometric(f *testing.F) {
 		}
 		src := int32(int(srcB) % n.N())
 		for dst := int32(0); dst < int32(n.N()); dst++ {
-			requireNaivePath(t, "geometric", n, st, src, dst, banned, true)
+			requireNaivePath(t, "geometric", n, st, src, dst, banned, nil, true)
+			_, row := searchTree(n, dst, nil, nil)
+			requireNaivePath(t, "directed by the uncut tree", n, st, src, dst, banned, row, true)
 		}
 		dst := int32(int(dstB) % n.N())
 		requireSamePaths(t, fmt.Sprintf("%d→%d disjoint paths", src, dst), n.KDisjointPaths(src, dst, 3), naiveKDisjoint(n, src, dst, 3))
@@ -499,9 +505,13 @@ func FuzzSearchGeometric(f *testing.F) {
 		if zero := fuzzNet(data); zero != nil {
 			plain := AcquireSearch()
 			defer plain.Release()
-			zero.Search(plain, SearchSpec{Src: src % int32(zero.N()), Target: dst % int32(zero.N())})
-			if plain.goal != NoTarget {
-				t.Fatal("a search on a zero-position network was goal-directed")
+			zsrc, zdst := src%int32(zero.N()), dst%int32(zero.N())
+			_, row := searchTree(zero, zdst, nil, nil)
+			for _, tree := range [][]int32{nil, row} {
+				zero.Search(plain, SearchSpec{Src: zsrc, Target: zdst, Tree: tree})
+				if plain.goal != NoTarget || plain.tree != nil {
+					t.Fatalf("a search on a zero-position network was goal-directed (given a tree: %v)", tree != nil)
+				}
 			}
 		}
 	})

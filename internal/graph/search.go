@@ -48,11 +48,18 @@ type SearchState struct {
 	want []uint32
 
 	// goal is the one node a goal-directed search heads for (NoTarget: the
-	// search was plain Dijkstra), toGoal the bound towards it, and bound[v]
-	// v's bound, valid while v is reached this epoch.
-	goal   int32
-	toGoal boundTo
-	bound  []float64
+	// search was plain Dijkstra), toGoal the free-space bound towards it, and
+	// bound[v] v's bound, valid while v is reached this epoch. tree is the
+	// goal's SearchSpec.Tree when that row directs the search instead (nil:
+	// the free-space bound does); treeMemo[v] memoises v's distance to the
+	// goal in it, valid iff its stamp is searchStamp, and treeWalk is the
+	// scratch of the walk that fills it.
+	goal     int32
+	toGoal   boundTo
+	bound    []float64
+	tree     []int32
+	treeMemo []treeLabel
+	treeWalk []int32
 
 	searchStamp uint32
 	banStamp    uint32
@@ -65,6 +72,12 @@ type nodeState struct {
 	dist  float64
 	stamp uint32
 	pos   int32
+}
+
+// treeLabel is one node's memoised distance to the goal in SearchSpec.Tree.
+type treeLabel struct {
+	dist  float64
+	stamp uint32
 }
 
 // posPopped marks a node that has left the frontier for good.
@@ -84,6 +97,7 @@ func AcquireSearch() *SearchState {
 func (st *SearchState) Release() {
 	st.net = nil
 	st.toGoal = boundTo{}
+	st.tree = nil
 	searchPool.Put(st)
 }
 
@@ -115,6 +129,9 @@ func (st *SearchState) begin(n *Network, spec SearchSpec) (wanted int, last int3
 		for i := range st.node {
 			st.node[i].stamp = 0
 			st.want[i] = 0
+		}
+		for i := range st.treeMemo {
+			st.treeMemo[i].stamp = 0
 		}
 		st.searchStamp = 1
 	}
@@ -204,8 +221,8 @@ func (st *SearchState) Path(dst int32) (Path, bool) {
 // heapEntry is one frontier node in the priority queue. Entries are plain
 // values in a flat slice — no interface boxing, no per-push allocation — and
 // carry their key, so sift comparisons never leave the heap's own memory.
-// The key is the node's tentative distance, plus its free-space bound in a
-// goal-directed search.
+// The key is the node's tentative distance, plus its bound (free-space or
+// tree) in a goal-directed search.
 type heapEntry struct {
 	node int32
 	key  float64
@@ -294,6 +311,18 @@ type SearchSpec struct {
 	// Listed searches (two or more distinct nodes) stay plain.
 	Target  int32
 	Targets []int32
+	// Tree, when a goal-directed search is given one, directs it in place of
+	// the free-space bound: a shortest-path tree of this very network, with
+	// no link banned, rooted at the search's one target — Tree[v] is v's
+	// predecessor link towards the root, -1 at the root and at nodes the
+	// tree does not reach, as an uncut oracle's row stores it. A node's
+	// distance to the root in that tree is a consistent lower bound under
+	// any bans (DESIGN.md §7), so the target's labels are still plain
+	// Dijkstra's; a served what-if passes its healthy tree and settles a
+	// small fraction of the nodes. A row of another length, or not rooted
+	// at the target, is ignored, and so is any row where the free-space
+	// gate is closed.
+	Tree []int32
 	// Expand, when non-nil, restricts forwarding: edges are only relaxed
 	// out of nodes for which Expand returns true (the source is always
 	// expanded). This implements transit restrictions — e.g. §6's "pure
@@ -324,10 +353,10 @@ const stopPollInterval = 1024
 const NoTarget int32 = -1
 
 // Search runs Dijkstra from spec.Src over the network's CSR adjacency into
-// st, honouring st's link bans — goal-directed by the free-space bound when
-// spec wants one node (SearchSpec.Target). It is the single kernel behind
-// every routing entry point: plain and transit-restricted shortest paths, k
-// edge-disjoint paths, and the congestion-aware router.
+// st, honouring st's link bans — goal-directed by the free-space bound, or by
+// spec.Tree, when spec wants one node (SearchSpec.Target). It is the single
+// kernel behind every routing entry point: plain and transit-restricted
+// shortest paths, k edge-disjoint paths, and the congestion-aware router.
 // The inner loop performs no allocation and no hashing.
 //
 // Search reports whether it ran to completion: false means spec.Stop
@@ -342,16 +371,23 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 	wantLeft, only := st.begin(n, spec) // wanted nodes not yet popped; 0: settle all
 	// A search for one node, with no hook that changes weights or
 	// forwarding, is goal-directed wherever the free-space bound is
-	// consistent: the heap orders by (dist + bound, node).
-	st.goal = NoTarget
+	// consistent: the heap orders by (dist + bound, node), the bound being
+	// spec.Tree's where the search is given a row rooted at its target.
+	st.goal, st.tree = NoTarget, nil
 	if wantLeft == 1 && spec.Cost == nil && spec.Expand == nil {
 		if terms := n.goalTerms(); terms != nil {
 			st.goal = only
-			st.toGoal = goalBound(n.Pos, terms, only)
+			if len(spec.Tree) == n.N() && spec.Tree[only] < 0 {
+				st.directByTree(spec.Tree)
+			} else {
+				st.toGoal = goalBound(n.Pos, terms, only)
+			}
 		}
 	}
-	// The bound is read through st, off the registers the relax loop needs.
+	// The bound is read through st, off the registers the relax loop needs;
+	// freeSpace says it is the free-space bound, not the tree's.
 	goal := st.goal != NoTarget
+	freeSpace := goal && st.tree == nil
 	// Loop locals: the scratch arrays and CSR stay in registers instead of
 	// being re-loaded through st and n on every arc.
 	node, cur, want := st.node, st.searchStamp, st.want
@@ -365,10 +401,12 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 		st.delay[spec.Src] = 0
 	}
 	var key float64
-	if goal {
+	if freeSpace {
 		key = st.toGoal.at(spec.Src)
-		st.bound[spec.Src] = key
+	} else if goal {
+		key = st.treeBound(spec.Src)
 	}
+	st.bound[spec.Src] = key
 	h := append(st.heap, heapEntry{node: spec.Src, key: key})
 	pops := 0
 	for len(h) > 0 {
@@ -437,8 +475,10 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 			} else {
 				to.stamp = cur
 				h = append(h, heapEntry{})
-				if goal {
+				if freeSpace {
 					st.bound[e.To] = st.toGoal.at(e.To)
+				} else if goal {
+					st.bound[e.To] = st.treeBound(e.To)
 				}
 			}
 			to.dist = nd

@@ -230,6 +230,19 @@ func (o *Oracle) Hops(srcCity, dstCity int) int {
 	return int(o.hops[srcCity*o.ncity+dstCity])
 }
 
+// Tree returns city's stored predecessor row — the kernel's shortest-path
+// tree rooted at the city's node, in graph.SearchSpec.Tree's layout — for a
+// search of the oracle's network to direct itself by, or nil when the oracle
+// was built under a cut: a cut tree's distances can exceed the network's,
+// so its row bounds nothing but searches of its own view. The row is the
+// oracle's own memory; callers only read it.
+func (o *Oracle) Tree(city int) []int32 {
+	if len(o.cut) > 0 {
+		return nil
+	}
+	return o.prev[city*o.nn : (city+1)*o.nn : (city+1)*o.nn]
+}
+
 // Query returns the exact shortest path between two cities, reconstructed
 // from city srcCity's stored predecessor tree — node for node and link for
 // link the path the Dijkstra kernel would find, including equal-distance

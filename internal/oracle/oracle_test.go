@@ -336,6 +336,36 @@ func TestBuildValidity(t *testing.T) {
 	}
 }
 
+// TestTreeRow: an oracle of the whole network hands out each city's row —
+// the kernel's full tree from that city, link for link. An oracle built under
+// a cut hands out none: its tree distances are no lower bound on the whole
+// network, and a search directed by them could settle the target over a
+// detour.
+func TestTreeRow(t *testing.T) {
+	sim := motifSim(t, topo.PlusGrid, core.TinyScale(), "tiny")
+	for _, mode := range []core.Mode{core.BP, core.Hybrid} {
+		n := buildNet(t, sim, mode, "")
+		cut := outagesFor(t, sim, "sat:0.3:5").Cut(n)
+		whole := buildOracle(t, n)
+		cutOracle, err := Build(context.Background(), n, cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < n.NumCity; c++ {
+			if cutOracle.Tree(c) != nil {
+				t.Fatalf("%s: an oracle built under a cut handed out city %d's row", mode, c)
+			}
+			row, ref := whole.Tree(c), kernelTree(n, c)
+			for v := range row {
+				if row[v] != ref.PrevLink(int32(v)) {
+					t.Fatalf("%s: city %d's row has link %d at node %d, its kernel tree %d", mode, c, row[v], v, ref.PrevLink(int32(v)))
+				}
+			}
+			ref.Release()
+		}
+	}
+}
+
 // TestHopTableOverflow pins the table's range: a tree path with more links
 // than a uint16 counts fails the build instead of wrapping. Two cities joined
 // by a chain of relays are enough.

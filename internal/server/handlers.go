@@ -305,24 +305,25 @@ func (s *Server) attachedOracle(key snapcache.Key) (*oracle.Oracle, *graph.View)
 // attached oracle when there is one — identical to the kernel's answer, proven
 // by the oracle differential battery, at a fraction of a full search — and
 // otherwise from the healthy parent's tree if the fault left that route alone
-// (survivingRoute), or by a live kernel search of the view. With route=false
-// the answer carries no Route, which lets an oracle give it from its distance
-// and hop tables: two reads, no path reconstructed, nothing allocated. Only
-// route=true walks the stored tree and names the nodes.
+// (survivingRoute), or by a live kernel search of the view, directed by that
+// same tree's row for dst when there is one. With route=false an oracle
+// answers from its distance and hop tables: two reads, no path reconstructed,
+// nothing allocated, and no Route. Only route=true walks the stored tree and
+// names the nodes.
 func (s *Server) answer(ctx context.Context, rs resolved, src, dst int, route bool) (core.PathQuery, error) {
 	if rs.orc == nil {
-		q, ok := s.survivingRoute(rs, src, dst)
-		if ok {
+		q, tree := s.survivingRoute(rs, src, dst)
+		if q != nil {
 			s.survivingAnswers.Add(1)
-		} else {
-			s.kernelAnswers.Add(1)
-			var err error
-			if q, err = s.cfg.Sim.PathIn(ctx, *rs.view, src, dst); err != nil {
-				return core.PathQuery{}, err
-			}
+			return *q, nil
 		}
-		if !route {
-			q.Route = nil
+		s.kernelAnswers.Add(1)
+		if testHookKernelAnswer != nil {
+			testHookKernelAnswer(tree)
+		}
+		q, err := s.cfg.Sim.PathIn(ctx, *rs.view, src, dst, tree)
+		if err != nil {
+			return core.PathQuery{}, err
 		}
 		return *q, nil
 	}
@@ -340,31 +341,38 @@ func (s *Server) answer(ctx context.Context, rs resolved, src, dst int, route bo
 	return *core.PathQueryOf(rs.view.N, p), nil
 }
 
+// testHookKernelAnswer, when set, is told of every live kernel answer and the
+// tree row that directed it (nil: none did).
+var testHookKernelAnswer func(tree []int32)
+
 // survivingRoute answers a what-if from the healthy day: rs is a masked
 // snapshot with no oracle of its own, and the healthy snapshot of the same
 // instant and mode has one, over the network rs views. The view is a subgraph
 // of that network — same node ids, same link delays — so a pair unreachable
 // there is unreachable here, and if the cut severs no hop of the healthy tree
 // path, that path is node for node what the kernel would find in the view,
-// ties included (DESIGN.md §7). ok is false when the fault cut the route, or
-// there is no healthy oracle of rs's network to ask (none primed, or a
-// bp-fallback view under a hybrid key); the kernel answers then.
-func (s *Server) survivingRoute(rs resolved, src, dst int) (q *core.PathQuery, ok bool) {
+// ties included (DESIGN.md §7). When the fault cut the route, q is nil and
+// tree is that oracle's row for dst, which directs the kernel's search of the
+// view (DESIGN.md §7, "A what-if's search is directed by its healthy tree").
+// Both are nil when there is no healthy oracle of rs's network to ask (none
+// primed, or a bp-fallback view under a hybrid key): the kernel answers
+// undirected by any tree then.
+func (s *Server) survivingRoute(rs resolved, src, dst int) (q *core.PathQuery, tree []int32) {
 	if rs.key.Mask == "" {
-		return nil, false
+		return nil, nil
 	}
 	o, healthy := s.attachedOracle(snapcache.Key{Scenario: rs.key.Scenario, Time: rs.key.Time})
 	if o == nil || healthy.N != rs.view.N {
-		return nil, false
+		return nil, nil
 	}
 	p, reachable := o.Query(src, dst)
 	if !reachable {
-		return &core.PathQuery{}, true
+		return &core.PathQuery{}, nil
 	}
 	if rs.view.Cut.Severs(p) {
-		return nil, false
+		return nil, o.Tree(dst)
 	}
-	return core.PathQueryOf(rs.view.N, p), true
+	return core.PathQueryOf(rs.view.N, p), nil
 }
 
 // ---- request parsing ----------------------------------------------------

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"reflect"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"leosim/internal/core"
+	"leosim/internal/graph"
 	"leosim/internal/oracle"
 	"leosim/internal/snapcache"
 )
@@ -128,9 +130,10 @@ var survivingRouteMasks = []string{
 // and searches the view otherwise — and of the kernel on the materialized
 // masked network (Outages.Masked of the network rs views), and requires the
 // two PathQuery values equal in every field: RTT to the bit, hop counts,
-// per-kind relay counts and the named route. It returns how each answer was
-// given.
-func requireShortcutMatchesKernel(t *testing.T, s *Server, rs resolved, srcs []int, label string) (survived, cut, unreachable int) {
+// per-kind relay counts and the named route. Every answer the kernel gives
+// must have been directed by the healthy tree's row for dst when directed is
+// set, and by no row otherwise. It returns how each answer was given.
+func requireShortcutMatchesKernel(t *testing.T, s *Server, rs resolved, srcs []int, label string, directed bool) (survived, cut, unreachable int) {
 	t.Helper()
 	ctx := context.Background()
 	sim := s.cfg.Sim
@@ -142,6 +145,10 @@ func requireShortcutMatchesKernel(t *testing.T, s *Server, rs resolved, srcs []i
 	if got, want := len(rs.view.Cut), len(rs.view.N.Links)-len(masked.Links); got != want {
 		t.Fatalf("%s: the view cuts %d links, the materialized mask removes %d", label, got, want)
 	}
+	var row []int32
+	searched := false
+	testHookKernelAnswer = func(tree []int32) { row, searched = tree, true }
+	defer func() { testHookKernelAnswer = nil }()
 	for _, src := range srcs {
 		for dst := 0; dst < sim.NumCities(); dst++ {
 			if dst == src {
@@ -152,6 +159,7 @@ func requireShortcutMatchesKernel(t *testing.T, s *Server, rs resolved, srcs []i
 				t.Fatal(err)
 			}
 			fromTree := s.survivingAnswers.Value()
+			row, searched = nil, false
 			got, err := s.answer(ctx, rs, src, dst, true)
 			if err != nil {
 				t.Fatal(err)
@@ -159,6 +167,11 @@ func requireShortcutMatchesKernel(t *testing.T, s *Server, rs resolved, srcs []i
 			switch {
 			case s.survivingAnswers.Value() == fromTree:
 				cut++
+				rooted := len(row) == rs.view.N.N() && row[rs.view.N.CityNode(dst)] == -1
+				if !searched || (row != nil) != directed || (directed && !rooted) {
+					t.Fatalf("%s %d→%d: searched by the kernel given a row of %d nodes (rooted at dst: %v), want a row rooted at dst: %v",
+						label, src, dst, len(row), rooted, directed)
+				}
 			case got.Reachable:
 				survived++
 			default:
@@ -175,10 +188,13 @@ func requireShortcutMatchesKernel(t *testing.T, s *Server, rs resolved, srcs []i
 // TestSurvivingRouteMatchesKernel is the served differential behind the
 // what-if view: over every ordered city pair, seven what-ifs and both modes,
 // the served answer — read off the healthy tree, or searched on the healthy
-// network with the cut banned — is the kernel's answer on the materialized
-// masked network field for field. All three outcomes occur: routes the fault
-// missed, routes it cut (answered by the kernel), and pairs the healthy day
-// already cannot join.
+// network with the cut banned, directed by the healthy tree — is the kernel's
+// answer on the materialized masked network field for field. All three
+// outcomes occur: routes the fault missed, routes it cut (answered by the
+// kernel), and pairs the healthy day already cannot join. A server that primed
+// no oracle answers every what-if by the kernel, and so does a bp-fallback
+// view, whose key's healthy oracle is the hybrid day's: neither search may be
+// given a row.
 func TestSurvivingRouteMatchesKernel(t *testing.T) {
 	type preset struct {
 		name  string
@@ -223,7 +239,7 @@ func TestSurvivingRouteMatchesKernel(t *testing.T) {
 					if rs.orc != nil {
 						t.Fatalf("%s %s: a what-if resolved with an oracle of its own", mask, mode)
 					}
-					sv, c, u := requireShortcutMatchesKernel(t, s, rs, srcs, mask+" "+mode.String())
+					sv, c, u := requireShortcutMatchesKernel(t, s, rs, srcs, mask+" "+mode.String(), true)
 					if strings.HasPrefix(mask, "gslcap:") || strings.HasPrefix(mask, "sat:0:") {
 						if c != 0 {
 							t.Errorf("%s %s removes no link, yet %d routes were found cut", mask, mode, c)
@@ -249,33 +265,138 @@ func TestSurvivingRouteMatchesKernel(t *testing.T) {
 			}
 		})
 	}
+
+	// On a server that primed no oracle a what-if is the kernel's to answer,
+	// undirected, and is counted so — although its masked build left the
+	// healthy parent resident.
+	t.Run("unprimed", func(t *testing.T) {
+		s := newTestServer(t, Config{}) // nothing primed: no oracle anywhere
+		answers := 0
+		for i, mask := range survivingRouteMasks {
+			for _, mode := range []core.Mode{core.BP, core.Hybrid} {
+				rs, err := s.resolve(context.Background(), snapSpec{t: s.times[i%2], mode: mode, mask: mask})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := s.cache.GetCached(snapcache.Key{Scenario: rs.key.Scenario, Time: rs.key.Time}); !ok {
+					t.Fatalf("unprimed %s %s: the masked build did not leave its healthy parent resident", mask, mode)
+				}
+				survived, cut, unreachable := requireShortcutMatchesKernel(t, s, rs, []int{0, 19}, "unprimed "+mask+" "+mode.String(), false)
+				if survived+unreachable != 0 || cut == 0 {
+					t.Fatalf("unprimed %s %s: %d answers read off a healthy tree no oracle holds, %d searched", mask, mode, survived+unreachable, cut)
+				}
+				answers += cut
+			}
+		}
+		if s.kernelAnswers.Value() != int64(answers) || s.survivingAnswers.Value() != 0 {
+			t.Fatalf("%d answers without a healthy oracle: %d kernel, %d surviving-route, want all and 0",
+				answers, s.kernelAnswers.Value(), s.survivingAnswers.Value())
+		}
+	})
+
+	// A hybrid what-if whose build failed is served the resident bent-pipe
+	// view of the same mask. The healthy oracle of the key is then the
+	// hybrid day's, an oracle of another network, whose link ids the
+	// bent-pipe cut does not speak for: nothing is read off its tree, no
+	// search is directed by it, and every answer is the kernel's on the
+	// bent-pipe view — the kernel's answer on the materialized bent-pipe mask.
+	t.Run("bp-fallback", func(t *testing.T) {
+		s := newTestServer(t, Config{PrimeSnapshots: true, PrimeOracles: true})
+		if _, err := s.primeAll(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		bp, err := s.resolve(ctx, snapSpec{t: s.times[1], mode: core.BP, mask: "sat:0.1:9"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := resolved{
+			key:      s.cacheKey(snapSpec{t: s.times[1], mode: core.Hybrid, mask: "sat:0.1:9"}),
+			view:     bp.view,
+			degraded: "bp-fallback",
+		}
+		srcs := []int{0, 7, 19, 33}
+		survived, cut, unreachable := requireShortcutMatchesKernel(t, s, rs, srcs, "bp-fallback", false)
+		if cut == 0 || survived+unreachable != 0 {
+			t.Errorf("bp-fallback: %d answers read off the hybrid tree, %d searched; want none and all", survived+unreachable, cut)
+		}
+	})
 }
 
-// TestSurvivingRouteUnderBPFallback: a hybrid what-if whose build failed is
-// served the resident bent-pipe view of the same mask. The healthy oracle of
-// the key is then the hybrid day's, an oracle of another network, whose link
-// ids the bent-pipe cut does not speak for: nothing is read off its tree, and
-// every answer is the kernel's on the bent-pipe view — the kernel's answer on
-// the materialized bent-pipe mask.
-func TestSurvivingRouteUnderBPFallback(t *testing.T) {
-	s := newTestServer(t, Config{PrimeSnapshots: true, PrimeOracles: true})
-	if _, err := s.primeAll(context.Background()); err != nil {
-		t.Fatal(err)
+// TestWhatIfSearchSettlesFewer counts the nodes a severed what-if answer's
+// kernel search settles — before, under the free-space bound alone, and as
+// served, directed by the healthy tree's row for the destination — on reduced
+// seed 1 at snapshot 0, both modes, three 5 % satellite masks, four sources
+// to every destination. The two searches settle the target at the same
+// distance (float bits) along the same path; the tree settles under a quarter
+// of the nodes.
+func TestWhatIfSearchSettlesFewer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("primes a reduced day")
 	}
-	ctx := context.Background()
-	bp, err := s.resolve(ctx, snapSpec{t: s.times[1], mode: core.BP, mask: "sat:0.1:9"})
+	scale := core.ReducedScale()
+	scale.NumSnapshots = 1
+	sim, err := core.NewSim(core.Starlink, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := resolved{
-		key:      s.cacheKey(snapSpec{t: s.times[1], mode: core.Hybrid, mask: "sat:0.1:9"}),
-		view:     bp.view,
-		degraded: "bp-fallback",
+	s := newTestServer(t, Config{Sim: sim, PrimeSnapshots: true, PrimeOracles: true})
+	if _, err := s.primeAll(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	srcs := []int{0, 7, 19, 33}
-	survived, cut, unreachable := requireShortcutMatchesKernel(t, s, rs, srcs, "bp-fallback")
-	if cut == 0 || survived+unreachable != 0 {
-		t.Errorf("bp-fallback: %d answers read off the hybrid tree, %d searched; want none and all", survived+unreachable, cut)
+	settled := func(st *graph.SearchState, n *graph.Network) int {
+		count := 0
+		for v := int32(0); v < int32(n.N()); v++ {
+			if st.Settled(v) {
+				count++
+			}
+		}
+		return count
+	}
+	var answers, before, after int
+	for _, mask := range []string{"sat:0.05:1", "sat:0.05:2", "sat:0.05:3"} {
+		for _, mode := range []core.Mode{core.BP, core.Hybrid} {
+			rs, err := s.resolve(context.Background(), snapSpec{t: s.times[0], mode: mode, mask: mask})
+			if err != nil {
+				t.Fatal(err)
+			}
+			healthy, hv := s.attachedOracle(snapcache.Key{Scenario: rs.key.Scenario, Time: rs.key.Time})
+			if healthy == nil || hv.N != rs.view.N {
+				t.Fatalf("%s %s: no healthy oracle of the view's network", mask, mode)
+			}
+			n := rs.view.N
+			free, byTree := graph.AcquireSearch(), graph.AcquireSearch()
+			for _, src := range []int{0, 41, 97, sim.NumCities() - 1} {
+				for dst := 0; dst < sim.NumCities(); dst++ {
+					if p, ok := healthy.Query(src, dst); dst == src || !ok || !rs.view.Cut.Severs(p) {
+						continue
+					}
+					spec := graph.SearchSpec{Src: n.CityNode(src), Target: n.CityNode(dst)}
+					rs.view.Search(free, spec)
+					spec.Tree = healthy.Tree(dst)
+					rs.view.Search(byTree, spec)
+					p, ok := free.Path(spec.Target)
+					q, treeOK := byTree.Path(spec.Target)
+					if ok != treeOK || math.Float64bits(free.Dist(spec.Target)) != math.Float64bits(byTree.Dist(spec.Target)) || !reflect.DeepEqual(p, q) {
+						t.Fatalf("%s %s %d→%d: free-space %v (%v ms), tree-directed %v (%v ms)",
+							mask, mode, src, dst, p.Nodes, free.Dist(spec.Target), q.Nodes, byTree.Dist(spec.Target))
+					}
+					answers++
+					before += settled(free, n)
+					after += settled(byTree, n)
+				}
+			}
+			free.Release()
+			byTree.Release()
+		}
+	}
+	if answers == 0 {
+		t.Fatal("no route was severed")
+	}
+	t.Logf("%d severed what-if answers: %.1f nodes settled per answer under the free-space bound, %.1f directed by the healthy tree",
+		answers, float64(before)/float64(answers), float64(after)/float64(answers))
+	if 4*after >= before {
+		t.Errorf("the healthy tree settled %d nodes, the free-space bound %d: want under a quarter", after, before)
 	}
 }
 
@@ -313,30 +434,6 @@ func TestAnswerCountersOnMetrics(t *testing.T) {
 		if want := fmt.Sprintf("leosim_%s %d\n", name, c[name]); !strings.Contains(prom, want) {
 			t.Errorf("prometheus exposition lacks %q", want)
 		}
-	}
-}
-
-// TestSurvivingRouteNeedsAHealthyOracle: on a server that primed no oracle a
-// what-if is the kernel's to answer, and is counted so.
-func TestSurvivingRouteNeedsAHealthyOracle(t *testing.T) {
-	s := newTestServer(t, Config{}) // nothing primed: no oracle anywhere
-	rs, err := s.resolve(context.Background(), snapSpec{t: s.times[0], mode: core.BP, mask: "sat:0.1:1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.survivingRoute(rs, 0, 1); ok {
-		t.Fatal("surviving-route answer given with no healthy oracle resident")
-	}
-	healthy := snapcache.Key{Scenario: rs.key.Scenario, Time: rs.key.Time}
-	if _, ok := s.cache.GetCached(healthy); !ok {
-		t.Fatal("the masked build did not leave its healthy parent resident")
-	}
-	if _, err := s.answer(context.Background(), rs, 0, 1, true); err != nil {
-		t.Fatal(err)
-	}
-	if s.kernelAnswers.Value() != 1 || s.survivingAnswers.Value() != 0 {
-		t.Fatalf("answer without a healthy oracle: %d kernel, %d surviving-route, want 1 and 0",
-			s.kernelAnswers.Value(), s.survivingAnswers.Value())
 	}
 }
 
