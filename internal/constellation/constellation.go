@@ -191,8 +191,8 @@ func (c *Constellation) PositionsECEF(t time.Time) []geo.Vec3 {
 }
 
 // PositionsECEFInto is PositionsECEF writing into dst when its capacity
-// suffices, so per-step callers (the incremental snapshot advancer) reuse
-// one buffer instead of allocating a position slice every step. The filled
+// suffices, so a caller stepping through time reuses one buffer instead of
+// allocating a position slice every step. The filled
 // slice is returned; it aliases dst unless dst was too small.
 func (c *Constellation) PositionsECEFInto(t time.Time, dst []geo.Vec3) []geo.Vec3 {
 	if cap(dst) < len(c.Sats) {
@@ -217,8 +217,8 @@ func (c *Constellation) PositionsECEFInto(t time.Time, dst []geo.Vec3) []geo.Vec
 }
 
 // parallelRanges splits [0,n) into GOMAXPROCS contiguous chunks run
-// concurrently, falling back to one inline call on single-core hosts (no
-// goroutine spawn on the per-step advance path).
+// concurrently, falling back to one inline call on single-core hosts or
+// small fleets (no goroutine spawn).
 func parallelRanges(n int, fn func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers <= 1 || n < 64 {

@@ -202,8 +202,8 @@ func TestSnapshotsAdvanceSatellites(t *testing.T) {
 // counterparts over the simulated day, per component of the Kepler
 // satellite's radial / along-track / cross-track (RTN) frame. Radial is the
 // component the code depends on: check.NewGeometry's SGP4 RadiusTolKm (30 km)
-// and graph's altSlackKm (25 km) must dominate sgp4RadialTolKm. Along-track is
-// the two models' secular drift apart, which grows over the day.
+// must dominate sgp4RadialTolKm. Along-track is the two models' secular drift
+// apart, which grows over the day.
 const (
 	sgp4RadialTolKm     = 10
 	sgp4AlongTrackTolKm = 100

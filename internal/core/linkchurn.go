@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"time"
 
 	"leosim/internal/geo"
@@ -29,8 +31,8 @@ type ChurnModeStats struct {
 }
 
 // ChurnResult is the seconds-scale link- and route-dynamics report: GSL edge
-// turnover straight from the advancer's delta log, and per-mode route-change
-// and handover rates.
+// turnover between adjacent instants, and per-mode route-change and handover
+// rates.
 type ChurnResult struct {
 	Start  time.Time     `json:"start"`
 	Step   time.Duration `json:"step"`
@@ -38,21 +40,19 @@ type ChurnResult struct {
 	// Steps is the number of evaluated transitions.
 	Steps int `json:"steps"`
 	// GSLAppearPerStep / GSLVanishPerStep are constellation-wide GSL edge
-	// births/deaths per step, from the BP walker's delta log (GSL edges are
-	// identical across modes; ISLs never churn under +Grid).
-	GSLAppearPerStep float64 `json:"gslAppearPerStep"`
-	GSLVanishPerStep float64 `json:"gslVanishPerStep"`
-	// FullRebuilds counts steps where a walker fell back to a full rebuild
-	// (no delta recorded for those steps).
-	FullRebuilds int                     `json:"fullRebuilds"`
-	Modes        map[Mode]ChurnModeStats `json:"modes"`
+	// births/deaths per step under BP (GSL edges are identical across modes;
+	// a cursor's lasers never churn). A step across which the over-water
+	// aircraft set changes is not diffed — aircraft node indices shift there
+	// — and counts nothing, though the averages still divide by Steps.
+	GSLAppearPerStep float64                 `json:"gslAppearPerStep"`
+	GSLVanishPerStep float64                 `json:"gslVanishPerStep"`
+	Modes            map[Mode]ChurnModeStats `json:"modes"`
 }
 
 // RunChurn measures link and route churn at seconds-scale resolution under
 // both connectivity modes, over a.ChurnWindow from the simulation epoch in
 // steps of a.ChurnStep — resolution the 15-minute snapshot grid cannot see.
-// It walks the time axis with the incremental advancer: Window/Step+1
-// instants per mode, each a per-step delta rather than a full build.
+// It walks the time axis with a Walker: Window/Step+1 instants per mode.
 // Deterministic: the same sim and arguments always produce the same result.
 func RunChurn(ctx context.Context, s *Sim, a Args) (res *ChurnResult, err error) {
 	defer safe.RecoverTo(&err)
@@ -76,7 +76,6 @@ func RunChurn(ctx context.Context, s *Sim, a Args) (res *ChurnResult, err error)
 		if c.used == 0 {
 			return nil, fmt.Errorf("core: no pair reachable across the churn window under %s", mode)
 		}
-		res.FullRebuilds += c.fullRebuilds
 		norm := float64(c.used) * float64(steps)
 		res.Modes[mode] = ChurnModeStats{
 			PairsUsed:               c.used,
@@ -107,11 +106,10 @@ func churnSteps(step, window time.Duration) (int, error) {
 
 // churnCounts is what one seconds-scale walk observed: over the used pairs
 // (routable at every instant), route changes and first/last-hop handovers
-// between adjacent instants; the cursor's rebuild fallbacks; and the GSL
-// births and deaths of its incremental steps (a fallback records no delta).
+// between adjacent instants, and the GSL births and deaths between them.
 type churnCounts struct {
-	used, routes, ups, downs         int
-	fullRebuilds, appeared, vanished int
+	used, routes, ups, downs int
+	appeared, vanished       int
 }
 
 // churnWalk steps w through start, start+step, …, start+steps·step and
@@ -127,25 +125,28 @@ func (s *Sim) churnWalk(ctx context.Context, w *Walker, start time.Time, step ti
 	for i := range valid {
 		valid[i] = true
 	}
+	var prev *graph.Network
 	for si := 0; si <= steps; si++ {
 		if err := ctx.Err(); err != nil {
 			return c, err
 		}
 		n := w.At(start.Add(time.Duration(si) * step))
-		if d := w.LastDelta(); d != nil {
-			if d.FullRebuild {
-				c.fullRebuilds++
-			} else {
-				c.appeared += len(d.Added)
-				c.vanished += len(d.Removed)
+		if prev != nil {
+			if up, down, ok := gslChurn(prev, n); ok {
+				c.appeared += up
+				c.vanished += down
 			}
 		}
-		for pi, pair := range s.Pairs {
+		prev = n
+		paths, err := s.churnPaths(ctx, n, valid)
+		if err != nil {
+			return c, err
+		}
+		for pi, p := range paths {
 			if !valid[pi] {
 				continue
 			}
-			p, ok := n.ShortestPath(n.CityNode(pair.Src), n.CityNode(pair.Dst))
-			if !ok || len(p.Nodes) < 3 {
+			if len(p.Nodes) < 3 {
 				valid[pi] = false
 				continue
 			}
@@ -174,8 +175,86 @@ func (s *Sim) churnWalk(ctx context.Context, w *Walker, start time.Time, step ti
 	return c, nil
 }
 
+// churnPaths returns the shortest path on n of every pair want marks, and
+// the zero Path for the others and for the unreachable: one search per
+// source city, stopped once its last wanted destination is settled and
+// fanned out like pairRTTs. Each path is the one ShortestPath finds.
+func (s *Sim) churnPaths(ctx context.Context, n *graph.Network, want []bool) ([]graph.Path, error) {
+	paths := make([]graph.Path, len(s.Pairs))
+	g := safe.NewGroup(ctx, runtime.GOMAXPROCS(0))
+	for _, grp := range s.pairGroups {
+		g.Go(func() error {
+			var pis []int
+			var dsts []int32
+			for _, pi := range grp.pairs {
+				if want[pi] {
+					pis = append(pis, pi)
+					dsts = append(dsts, n.CityNode(s.Pairs[pi].Dst))
+				}
+			}
+			if len(pis) == 0 {
+				return nil
+			}
+			st := graph.AcquireSearch()
+			defer st.Release()
+			n.Search(st, graph.SearchSpec{Src: n.CityNode(grp.src), Target: graph.NoTarget, Targets: dsts})
+			for i, pi := range pis {
+				paths[pi], _ = st.Path(dsts[i])
+			}
+			return nil
+		})
+	}
+	if err := g.Wait(); err != nil {
+		return nil, err
+	}
+	return paths, nil
+}
+
+// gslChurn merge-diffs the sorted (terminal, satellite) GSL lists of two
+// instants: appeared counts cur's GSLs absent from prev, vanished prev's
+// absent from cur. It diffs nothing (ok false) when the over-water aircraft
+// set differs between them, since aircraft node indices shift there.
+func gslChurn(prev, cur *graph.Network) (appeared, vanished int, ok bool) {
+	if !slices.Equal(aircraftNames(prev), aircraftNames(cur)) {
+		return 0, 0, false
+	}
+	a, b := gslKeys(prev), gslKeys(cur)
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j == len(b) || (i < len(a) && a[i] < b[j]):
+			vanished++
+			i++
+		case i == len(a) || b[j] < a[i]:
+			appeared++
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	return appeared, vanished, true
+}
+
+// aircraftNames returns n's aircraft node names, in node order.
+func aircraftNames(n *graph.Network) []string {
+	return n.Name[n.NumSat+n.NumCity+n.NumRelay:]
+}
+
+// gslKeys returns n's GSLs as ascending (terminal, satellite) keys.
+func gslKeys(n *graph.Network) []uint64 {
+	var keys []uint64
+	for _, l := range n.Links {
+		if l.Kind == graph.LinkGSL {
+			keys = append(keys, uint64(uint32(l.A))<<32|uint64(uint32(l.B)))
+		}
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 // pathSignature hashes a path's full node sequence (FNV-1a). Node indices
-// are stable for satellites and static terminals across advances, so equal
+// are stable for satellites and static terminals across instants, so equal
 // signatures at adjacent instants mean the same route.
 func pathSignature(p graph.Path) uint64 {
 	h := uint64(14695981039346656037)
@@ -188,8 +267,7 @@ func pathSignature(p graph.Path) uint64 {
 
 // WriteChurnReport renders the seconds-scale churn comparison.
 func WriteChurnReport(w io.Writer, r *ChurnResult) {
-	fmt.Fprintf(w, "churn window=%v step=%v steps=%d rebuild-fallbacks=%d\n",
-		r.Window, r.Step, r.Steps, r.FullRebuilds)
+	fmt.Fprintf(w, "churn window=%v step=%v steps=%d\n", r.Window, r.Step, r.Steps)
 	fmt.Fprintf(w, "churn GSL edges: +%.1f/-%.1f per step (constellation-wide)\n",
 		r.GSLAppearPerStep, r.GSLVanishPerStep)
 	for _, m := range []Mode{BP, Hybrid} {

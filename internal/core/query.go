@@ -85,11 +85,10 @@ func (s *Sim) PathAt(ctx context.Context, n *graph.Network, src, dst int) (*Path
 // searched with its cut banned, which is the answer PathAt gives on the
 // materialized masked network, field for field. tree, when not nil, is the
 // shortest-path tree of the view's whole network rooted at dst's node — the
-// row an uncut oracle of v.N at its current epoch stores for dst
-// (oracle.Tree) — and directs the search (graph.SearchSpec.Tree) without
-// changing the answer. The context reaches the Dijkstra kernel itself
-// (polled between settle batches), so a cancelled request abandons even a
-// single in-flight search.
+// row an uncut oracle of v.N stores for dst (oracle.Tree) — and directs the
+// search (graph.SearchSpec.Tree) without changing the answer. The context
+// reaches the Dijkstra kernel itself (polled between settle batches), so a
+// cancelled request abandons even a single in-flight search.
 func (s *Sim) PathIn(ctx context.Context, v graph.View, src, dst int, tree []int32) (*PathQuery, error) {
 	if src < 0 || src >= len(s.Cities) || dst < 0 || dst >= len(s.Cities) {
 		return nil, fmt.Errorf("core: city index out of range (%d, %d of %d)", src, dst, len(s.Cities))

@@ -50,11 +50,8 @@ type TopoCell struct {
 	FaultMedianRTTMs     Float   `json:"faultMedianRttMs"`
 	FaultUnreachableFrac float64 `json:"faultUnreachableFrac"`
 	ThroughputRetention  float64 `json:"throughputRetention"`
-	// RouteChangesPerMin is the churn-window route-change rate;
-	// FullRebuilds counts advancer fallbacks in that walk (expected 0 at
-	// seconds-scale steps).
+	// RouteChangesPerMin is the churn-window route-change rate.
 	RouteChangesPerMin float64 `json:"routeChangesPerMin"`
-	FullRebuilds       int     `json:"fullRebuilds"`
 }
 
 // TopoResult is the topology-lab comparison: every swept motif × mode cell
@@ -236,15 +233,14 @@ func (s *Sim) topoEval(ctx context.Context, mode Mode, sweep *TopoResult) (TopoC
 	cell.DemandWeightedMedianRTTMs = Float(stats.WeightedMedian(rtts, wts))
 	cell.UnreachableFrac = float64(unreachable) / float64(samples)
 
-	// Route churn over the seconds-scale window, walked with the
-	// incremental advancer. The link set stays the one placed at the epoch,
-	// where the cursor anchors: laser re-pointing is snapshot-scale.
+	// Route churn over the seconds-scale window, walked with a Walker. The
+	// lasers stay the ones placed at the epoch, where the cursor anchors:
+	// laser re-pointing is snapshot-scale.
 	steps := int(sweep.ChurnWindow / sweep.ChurnStep)
 	c, err := s.churnWalk(ctx, s.NewWalker(mode), geo.Epoch, sweep.ChurnStep, steps, nil)
 	if err != nil {
 		return cell, err
 	}
-	cell.FullRebuilds = c.fullRebuilds
 	if c.used > 0 {
 		perMin := float64(time.Minute) / float64(sweep.ChurnStep)
 		cell.RouteChangesPerMin = float64(c.routes) / (float64(c.used) * float64(steps)) * perMin

@@ -5,61 +5,53 @@ import (
 	"fmt"
 	"time"
 
+	"leosim/internal/constellation"
 	"leosim/internal/graph"
 	"leosim/internal/telemetry"
 )
 
 // Walker is a forward time cursor over one connectivity mode's network, for
-// seconds-scale steps (leosim churn, the topo sweep's churn window). The
-// first At anchors a graph.Advancer with a full build; every later At applies
-// an incremental per-step delta instead of rebuilding, which at such steps is
-// an order of magnitude cheaper (see BENCH_snapshot.json). The advanced
-// network is byte-identical to a fresh build at the same instant with the
-// ISL set the cursor anchored with. Beyond graph.MaxAdvanceStep a step is a
-// rebuild, so schedule snapshots come from NetworkAt instead.
-//
-// The *graph.Network returned by At is owned by the walker and mutated in
-// place by the next At call: callers that need a snapshot to outlive the next
-// step must Clone it. A Walker is not safe for concurrent use; create one per
-// goroutine.
+// seconds-scale steps (leosim churn, the topo sweep's churn window): every At
+// is a fresh build of its instant. A hybrid cursor joins each build with the
+// lasers placed at its first instant, not at the step's: re-pointing lasers
+// is a snapshot-scale operation, and an epoch-aware placement would cost
+// seconds per step. Schedule snapshots come from NetworkAt instead. A Walker
+// is not safe for concurrent use; create one per goroutine.
 type Walker struct {
-	b    *graph.Builder
-	isl  bool // a cursor over the hybrid network
-	adv  *graph.Advancer
-	last *graph.Delta
+	b      *graph.Builder
+	hybrid bool
+	isls   []constellation.ISL // the anchor's lasers
+	steps  int
 }
 
 // NewWalker returns a time cursor over mode's network using the sim's
 // builder.
 func (s *Sim) NewWalker(mode Mode) *Walker {
-	return &Walker{b: s.builder, isl: mode == Hybrid}
+	return &Walker{b: s.builder, hybrid: mode == Hybrid}
 }
 
-// At positions the cursor at t and returns the network there. The first call
-// performs a full build; subsequent calls advance incrementally when t is
-// within graph.MaxAdvanceStep ahead of the cursor and fall back to a full
-// rebuild otherwise (recorded in the step's Delta).
+// At builds the network at t; the first call anchors a hybrid cursor's lasers.
 func (w *Walker) At(t time.Time) *graph.Network {
-	if w.adv == nil {
-		w.adv = w.b.NewAdvancer(t, w.isl)
-		w.last = nil
-		return w.adv.Net()
+	n := w.b.At(t)
+	if w.hybrid {
+		if w.steps == 0 {
+			w.isls = w.b.Const.ISLsAt(t)
+		}
+		n = n.WithISLs(w.isls)
 	}
-	w.last = w.adv.Advance(t)
-	return w.adv.Net()
+	w.steps++
+	return n
 }
 
-// LastDelta returns the edge delta of the most recent At, or nil if the
-// cursor has taken no step yet (the anchoring build has no delta). The delta
-// is valid until the next At call.
-func (w *Walker) LastDelta() *graph.Delta { return w.last }
+// WalkerStats counts a cursor's rebuilds. Only bench's walker rows read it.
+type WalkerStats struct {
+	// FullRebuilds is every step after the anchoring one.
+	FullRebuilds int
+}
 
-// Stats returns the cursor's accumulated advance statistics.
-func (w *Walker) Stats() graph.AdvanceStats {
-	if w.adv == nil {
-		return graph.AdvanceStats{}
-	}
-	return w.adv.Stats()
+// Stats returns the cursor's rebuild count.
+func (w *Walker) Stats() WalkerStats {
+	return WalkerStats{FullRebuilds: max(w.steps-1, 0)}
 }
 
 // traceSnapshot opens one per-snapshot trace envelope when a trace capture

@@ -5,13 +5,15 @@ import (
 	"testing"
 	"time"
 
+	"leosim/internal/constellation"
 	"leosim/internal/geo"
 	"leosim/internal/graph"
+	"leosim/internal/topo"
 )
 
-// requireSameTopology asserts the walker's in-place network matches a fresh
-// build on the identity surface: nodes, positions, names and the full link
-// list (kind, endpoints, capacity, delay).
+// requireSameTopology asserts the walker's network matches a fresh build on
+// the identity surface: nodes, positions, names and the full link list (kind,
+// endpoints, capacity, delay).
 func requireSameTopology(t *testing.T, label string, got, want *graph.Network) {
 	t.Helper()
 	if got.N() != want.N() {
@@ -29,74 +31,60 @@ func requireSameTopology(t *testing.T, label string, got, want *graph.Network) {
 	}
 }
 
-// TestWalkerMatchesFreshBuilds drives a walker at seconds-scale steps (far
-// below the scenario's snapshot step) and at snapshot-scale jumps, checking
-// every visited instant against an independent fresh build.
+// TestWalkerMatchesFreshBuilds drives a walker at seconds-scale steps and
+// across a snapshot-scale jump: at every instant its network is the builder's
+// At there, joined under Hybrid by the lasers of the anchoring instant.
 func TestWalkerMatchesFreshBuilds(t *testing.T) {
 	s := getTinySim(t)
+	times := []time.Time{
+		geo.Epoch,
+		geo.Epoch.Add(1 * time.Second),
+		geo.Epoch.Add(2 * time.Second),
+		geo.Epoch.Add(30 * time.Second),
+		geo.Epoch.Add(15*time.Minute + 31*time.Second),
+		geo.Epoch.Add(15*time.Minute + 32*time.Second),
+	}
+	anchor := s.Const.ISLsAt(times[0])
 	for _, mode := range []Mode{BP, Hybrid} {
 		w := s.NewWalker(mode)
-		fresh := func(tm time.Time) *graph.Network {
-			n := s.builder.At(tm)
-			if mode == Hybrid {
-				n = s.builder.Hybrid(n, tm)
-			}
-			return n
-		}
-		times := []time.Time{
-			geo.Epoch,
-			geo.Epoch.Add(1 * time.Second),
-			geo.Epoch.Add(2 * time.Second),
-			geo.Epoch.Add(30 * time.Second),
-			geo.Epoch.Add(graph.MaxAdvanceStep + 31*time.Second), // falls back
-			geo.Epoch.Add(graph.MaxAdvanceStep + 32*time.Second),
-		}
 		for _, tm := range times {
-			requireSameTopology(t, mode.String()+"@"+tm.Format("15:04:05"),
-				w.At(tm), fresh(tm))
+			want := s.builder.At(tm)
+			if mode == Hybrid {
+				want = want.WithISLs(anchor)
+			}
+			requireSameTopology(t, mode.String()+"@"+tm.Format("15:04:05"), w.At(tm), want)
 		}
-		if d := w.LastDelta(); d == nil {
-			t.Fatal("no delta after the final step")
-		}
-		st := w.Stats()
-		if st.Steps != len(times)-1 {
-			t.Fatalf("stats: %d steps, want %d", st.Steps, len(times)-1)
-		}
-		// The jump past MaxAdvanceStep must have fallen back (the tiny
-		// scale's aircraft schedule may force additional rebuilds at other
-		// steps — that is the advancer's call, identity is what matters).
-		if st.FullRebuilds < 1 {
-			t.Fatal("stats: the large jump did not register a full rebuild")
+		if got := w.Stats().FullRebuilds; got != len(times)-1 {
+			t.Fatalf("%s: stats count %d rebuilds, want %d", mode, got, len(times)-1)
 		}
 	}
 }
 
-// TestWalkerLastDelta checks the delta surface experiments consume: nil
-// before any step, populated after incremental steps, flagged on fallbacks.
-func TestWalkerLastDelta(t *testing.T) {
-	s := getTinySim(t)
-	w := s.NewWalker(BP)
-	if w.LastDelta() != nil {
-		t.Fatal("LastDelta non-nil before the first At")
+// TestWalkerKeepsAnchorLasers: a hybrid cursor over the epoch-aware nearest
+// motif keeps the lasers it placed at its first instant, one second later and
+// half an hour later, where the motif places others.
+func TestWalkerKeepsAnchorLasers(t *testing.T) {
+	s, err := NewSim(Starlink, TinyScale(), WithMotifID(topo.Nearest))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := w.Stats(); st != (graph.AdvanceStats{}) {
-		t.Fatalf("zero-value walker has stats %+v", st)
+	anchor, later := geo.Epoch, geo.Epoch.Add(30*time.Minute)
+	want := s.Const.ISLsAt(anchor)
+	if reflect.DeepEqual(want, s.Const.ISLsAt(later)) {
+		t.Fatal("nearest placed the same lasers at the anchor and half an hour later; the test needs them to differ")
 	}
-	w.At(geo.Epoch)
-	if w.LastDelta() != nil {
-		t.Fatal("LastDelta non-nil after the anchoring build")
-	}
-	w.At(geo.Epoch.Add(time.Second))
-	d := w.LastDelta()
-	if d == nil || d.FullRebuild {
-		t.Fatalf("seconds-scale step: delta %+v, want incremental", d)
-	}
-	if d.From != geo.Epoch || d.To != geo.Epoch.Add(time.Second) {
-		t.Fatalf("delta bounds [%v, %v] don't match the step", d.From, d.To)
-	}
-	w.At(geo.Epoch) // backwards: must fall back, not corrupt
-	d = w.LastDelta()
-	if d == nil || !d.FullRebuild || d.Reason != "backwards-step" {
-		t.Fatalf("backwards step: delta %+v, want full rebuild", d)
+	w := s.NewWalker(Hybrid)
+	w.At(anchor)
+	for _, tm := range []time.Time{anchor.Add(time.Second), later} {
+		var got []constellation.ISL
+		for _, l := range w.At(tm).Links {
+			if l.Kind == graph.LinkISL {
+				got = append(got, constellation.ISL{A: int(l.A), B: int(l.B)})
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v after the anchor: the cursor carries %d lasers, not the anchor's %d",
+				tm.Sub(anchor), len(got), len(want))
+		}
 	}
 }

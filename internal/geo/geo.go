@@ -26,9 +26,6 @@ const (
 	// EarthMu is the WGS84 gravitational parameter in km^3/s^2.
 	EarthMu = 398600.4418
 
-	// EarthRotationRate is the Earth's sidereal rotation rate in rad/s.
-	EarthRotationRate = 7.2921150e-5
-
 	// LightSpeed is the speed of light in vacuum, km/s. Laser ISLs and
 	// radio ground-satellite links both propagate at c.
 	LightSpeed = 299792.458
@@ -40,10 +37,9 @@ const (
 	// MsPerKm is the one-way propagation delay in milliseconds per
 	// kilometre at c. Link construction multiplies by this instead of
 	// dividing by LightSpeed: the untyped constant 1000/c is rounded once
-	// at compile time, so every construction site — the full snapshot
-	// builder and the incremental advancer alike — produces bit-identical
+	// at compile time, so every construction site produces bit-identical
 	// delays from the same distance, and the per-link float division
-	// disappears from both hot paths.
+	// disappears from the hot path.
 	MsPerKm = 1000 / LightSpeed
 
 	// GSOAltitude is the altitude of the geostationary arc above the

@@ -12,7 +12,6 @@ import (
 	"leosim/internal/constellation"
 	"leosim/internal/geo"
 	"leosim/internal/ground"
-	"leosim/internal/telemetry"
 )
 
 // reducedBuilder builds the reduced preset's snapshot geometry: 150 cities,
@@ -287,55 +286,12 @@ func TestGoalGate(t *testing.T) {
 	}
 }
 
-// TestGoalBoundFollowsAdvance: the Advancer moves positions in place, so
-// every step drops the bound's node terms and gate verdict; the next
-// goal-directed search rebuilds them from the moved positions, equal to a
-// fresh build's, and finds the fresh build's paths.
-func TestGoalBoundFollowsAdvance(t *testing.T) {
-	b := advSetup(t, false)
-	start := geo.Epoch.Add(2 * time.Hour)
-	a := b.NewAdvancer(start, true)
-	for i := 1; i <= 6; i++ {
-		tt := start.Add(time.Duration(i) * 20 * time.Second)
-		a.Advance(tt)
-		n := a.Net()
-		if n.terms.Load() != nil || n.gate.Load() != gateUnknown {
-			t.Fatalf("step %d kept the bound's terms or verdict of the positions before it", i)
-		}
-		fresh := hybridAt(b, tt)
-		got, want := n.goalTerms(), fresh.goalTerms()
-		if got == nil || !slices.Equal(got, want) {
-			t.Fatalf("step %d: node terms differ from a fresh build's", i)
-		}
-		for c := 1; c < n.NumCity; c += 5 {
-			p, _ := n.ShortestPath(n.CityNode(0), n.CityNode(c))
-			q, _ := fresh.ShortestPath(fresh.CityNode(0), fresh.CityNode(c))
-			requireSamePaths(t, "advanced vs fresh", []Path{p}, []Path{q})
-		}
-	}
-}
-
-// TestAdvancerFreezesOnce: a hybrid cursor's build freezes one CSR, the one
-// it keeps — not the bent-pipe scan's as well.
-func TestAdvancerFreezesOnce(t *testing.T) {
-	defer telemetry.Disable()
-	b := advSetup(t, false)
-	for _, isl := range []bool{false, true} {
-		freezes := telemetry.Enable().StageHistogram(telemetry.StageCSRFreeze)
-		before := freezes.Count()
-		b.NewAdvancer(geo.Epoch.Add(time.Hour), isl)
-		if got := freezes.Count() - before; got != 1 {
-			t.Fatalf("isl=%v: building the cursor froze %d CSRs, want 1", isl, got)
-		}
-	}
-}
-
 // TestGoalBoundConcurrentFirstUse: goroutines racing to a fresh network's
 // first goal-directed searches — one building the node terms and deciding
 // the gate while the others wait on it — all find the paths the same network
 // built again and searched one at a time finds.
 func TestGoalBoundConcurrentFirstUse(t *testing.T) {
-	b := advSetup(t, false)
+	b := phase1Builder(t)
 	at := geo.Epoch.Add(time.Hour)
 	for _, hybrid := range []bool{false, true} {
 		build := func() *Network {

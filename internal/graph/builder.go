@@ -67,16 +67,13 @@ func NewBuilder(c *constellation.Constellation, seg *ground.Segment,
 	return b, nil
 }
 
-// satCellDeg is the spatial-bucketing cell size of the satellite index,
-// shared by At and the incremental advancer (whose candidate bookkeeping is
-// keyed by these cells).
+// satCellDeg is the spatial-bucketing cell size of the satellite index.
 const satCellDeg = 4
 
 // visibility resolves the per-shell minimum elevation angles and the
 // conservative candidate-scan radius: the Earth-central angle of the widest
 // shell's coverage cone, in degrees, plus slack for terminal altitude
-// (aircraft). At and the incremental advancer share it verbatim so both
-// derive identical link sets.
+// (aircraft).
 func (b *Builder) visibility() (minElev []float64, maxRadiusDeg float64) {
 	minElev = make([]float64, len(b.Const.Shells))
 	for i, sh := range b.Const.Shells {
@@ -166,16 +163,6 @@ func (x *satIndex) candidates(lat, lon, radiusDeg float64, out []int32) []int32 
 func (b *Builder) At(t time.Time) *Network {
 	sp := telemetry.StartStageSpan(telemetry.StageGraphBuild)
 	defer sp.End()
-	n := b.scan(t)
-	// Freeze the adjacency into CSR now so concurrent experiment workers start
-	// routing on a published layout instead of racing to build it lazily.
-	n.ensureCSR()
-	return n
-}
-
-// scan is At without its span and its CSR freeze, for a caller that derives
-// the network it keeps from the scan's links.
-func (b *Builder) scan(t time.Time) *Network {
 	satPos := b.Const.PositionsECEF(t)
 	var air []aircraft.Aircraft
 	if b.Fleet != nil {
@@ -259,9 +246,7 @@ func (b *Builder) scan(t time.Time) *Network {
 			}
 			// Canonical per-terminal order: ascending satellite index, one
 			// link per pair (the near-polar full-ring scan can report a
-			// candidate twice). The incremental advancer materializes links
-			// in exactly this order, so advanced and rebuilt snapshots agree
-			// byte for byte — link indices included.
+			// candidate twice).
 			sort.Slice(mine, func(a, b int) bool { return mine[a].sat < mine[b].sat })
 			uniq := mine[:0]
 			for k, lp := range mine {
@@ -325,6 +310,9 @@ func (b *Builder) scan(t time.Time) *Network {
 			}
 		}
 	}
+	// Freeze the adjacency into CSR now so concurrent experiment workers start
+	// routing on a published layout instead of racing to build it lazily.
+	n.ensureCSR()
 	return n
 }
 
@@ -333,7 +321,7 @@ func (b *Builder) scan(t time.Time) *Network {
 // the constellation places for t (§2: "BP plus laser ISLs"). It shares base's
 // node arrays, owns its link list and CSR, and does not write base.
 func (b *Builder) Hybrid(base *Network, t time.Time) *Network {
-	return base.withISLs(b.Const.ISLsAt(t), ISLCapGbps)
+	return base.WithISLs(b.Const.ISLsAt(t))
 }
 
 // parallelChunks splits [0,n) into GOMAXPROCS-sized chunks run concurrently.

@@ -11,6 +11,30 @@ import (
 	"leosim/internal/ground"
 )
 
+// phase1Builder wires a builder over the real Phase 1 shell, with ISLs, and a
+// modest ground segment: 25 cities, relays every 6°, no aircraft.
+func phase1Builder(t testing.TB) *Builder {
+	t.Helper()
+	c, err := constellation.New([]constellation.Shell{constellation.StarlinkPhase1()},
+		constellation.WithISLs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cities, err := ground.Cities(25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := ground.NewSegment(cities, 6, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBuilder(c, seg, nil, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func testSetup(t *testing.T, isl bool) (*Builder, *Network) {
 	t.Helper()
 	c, err := constellation.New([]constellation.Shell{constellation.StarlinkPhase1()},
@@ -346,4 +370,38 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestArcWeightsMatchLinks: every arc of a frozen CSR carries its link's
+// delay and points at its link's other end — after At's freeze, a
+// derivation's (WithISLs, WithLinks) and a Clone's copy.
+func TestArcWeightsMatchLinks(t *testing.T) {
+	b := phase1Builder(t)
+	at := geo.Epoch.Add(2 * time.Hour)
+	base := b.At(at)
+	hybrid := b.Hybrid(base, at)
+	var alternate []Link
+	for i, l := range hybrid.Links {
+		if i%2 == 0 {
+			alternate = append(alternate, l)
+		}
+	}
+	for _, c := range []struct {
+		label string
+		n     *Network
+	}{{"base", base}, {"hybrid", hybrid}, {"every other link", hybrid.WithLinks(alternate)}, {"clone", hybrid.Clone()}} {
+		n := c.n
+		if len(n.adjEdges) != 2*len(n.Links) || len(n.adjMs) != len(n.adjEdges) {
+			t.Fatalf("%s: %d arcs and %d arc weights for %d links", c.label, len(n.adjEdges), len(n.adjMs), len(n.Links))
+		}
+		for v := int32(0); v < int32(n.N()); v++ {
+			for k := n.adjStart[v]; k < n.adjStart[v+1]; k++ {
+				e, l := n.adjEdges[k], n.Links[n.adjEdges[k].Link]
+				if n.adjMs[k] != l.OneWayMs || !(l.A == v && l.B == e.To || l.B == v && l.A == e.To) {
+					t.Fatalf("%s: arc %d of node %d (to %d, %v ms) does not match its link %+v",
+						c.label, k, v, e.To, n.adjMs[k], l)
+				}
+			}
+		}
+	}
 }

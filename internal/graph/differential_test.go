@@ -372,7 +372,7 @@ func TestSearchStopsAtLastTarget(t *testing.T) {
 // directed by a tree, whose memo is pooled scratch too.
 func TestSearchAllocs(t *testing.T) {
 	n := randomNet(rand.New(rand.NewSource(9)), 300, 900)
-	snap := advSetup(t, false).At(geo.Epoch)
+	snap := phase1Builder(t).At(geo.Epoch)
 	goal := snap.CityNode(snap.NumCity - 1)
 	_, row := searchTree(snap, goal, nil, nil)
 	st := AcquireSearch()

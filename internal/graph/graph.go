@@ -90,10 +90,10 @@ type EdgeRef struct {
 }
 
 // Network is an immutable per-snapshot network graph. One handed out by a
-// cache or derived from another (Builder.Hybrid, WithLinks) may share its node
-// arrays with its siblings of the same instant, so holders only read it and
-// whoever wants to change one works on a Clone. The one in-place writer is
-// the Advancer, on a network nobody else holds.
+// cache or derived from another (Builder.Hybrid, WithLinks, WithISLs) may
+// share its node arrays with its siblings of the same instant, so holders only
+// read it and whoever wants to change one works on a Clone. Nothing writes a
+// network after its CSR freeze.
 type Network struct {
 	// Kind and Pos describe the nodes; len(Kind) == len(Pos) == N().
 	Kind []NodeKind
@@ -113,17 +113,12 @@ type Network struct {
 	// chasing per-node slices. adjStart has N()+1 entries. adjMs[k] is a copy
 	// of Links[adjEdges[k].Link].OneWayMs, so relaxing an arc reads its
 	// weight from the stream it is already walking instead of a random Link.
-	// Whoever writes a Link's OneWayMs after a freeze must refresh adjMs or
-	// invalidate the CSR (AddLink invalidates; the Advancer's in-place reweight
-	// refreshes).
+	// AddLink invalidates the CSR; the next use freezes it again.
 	adjStart []int32
 	adjEdges []EdgeRef
 	adjMs    []float64
 	csrValid atomic.Bool
 	csrMu    sync.Mutex
-	// csrNext is the counting-sort cursor scratch reused across freezes, so
-	// the incremental advancer's periodic re-freezes stop allocating.
-	csrNext []int32
 
 	// terms holds the free-space bound's per-node terms, shared with every
 	// network of the same node arrays; gate is whether the bound may direct
@@ -131,18 +126,7 @@ type Network struct {
 	// goal-directed search after a freeze decides it). See bound.go.
 	terms atomic.Pointer[nodeTerms]
 	gate  atomic.Int32
-
-	// epoch counts in-place mutations of this network by the incremental
-	// advancer. Results computed against an earlier epoch (paths, pooled
-	// search state reads) describe a topology that no longer exists.
-	epoch uint64
 }
-
-// Epoch returns the network's mutation epoch. A freshly built snapshot is at
-// epoch 0; every Advancer step that touches the network bumps it. Holders of
-// derived results (paths, distances) across an Advance can compare epochs to
-// detect staleness instead of trusting stale reads.
-func (n *Network) Epoch() uint64 { return n.epoch }
 
 // SatNode returns the node index of satellite i.
 func (n *Network) SatNode(i int) int32 { return int32(i) }
@@ -210,15 +194,15 @@ func (n *Network) WithLinks(links []Link) *Network {
 	return d
 }
 
-// withISLs returns n plus the given lasers appended after its links, in
-// order — the bytes a one-pass build of the same GSLs then ISLs produces. The
-// node arrays are shared (neither network writes them); the exactly-sized
-// link list and the CSR are the derived network's own.
-func (n *Network) withISLs(isls []constellation.ISL, capGbps float64) *Network {
+// WithISLs returns n plus the given lasers, at ISLCapGbps each, appended
+// after its links in order — the bytes a one-pass build of the same GSLs then
+// ISLs produces. The node arrays are shared (neither network writes them); the
+// exactly-sized link list and the CSR are the derived network's own.
+func (n *Network) WithISLs(isls []constellation.ISL) *Network {
 	d := n.sharing(make([]Link, len(n.Links), len(n.Links)+len(isls)))
 	copy(d.Links, n.Links)
 	for _, l := range isls {
-		d.AddLink(int32(l.A), int32(l.B), LinkISL, capGbps)
+		d.AddLink(int32(l.A), int32(l.B), LinkISL, ISLCapGbps)
 	}
 	d.ensureCSR()
 	return d
@@ -242,59 +226,20 @@ func (n *Network) ensureCSR() {
 	// once per network — are measured.
 	sp := telemetry.StartStageSpan(telemetry.StageCSRFreeze)
 	defer sp.End()
-	// Buffers are reused across freezes when capacities allow: a network
-	// that the incremental advancer re-freezes every few steps settles into
-	// steady-state arrays instead of re-allocating the CSR each time.
+	// Counting sort by endpoint: start[v+1] first holds v's degree, then the
+	// prefix sum makes start[v] v's first slot.
 	nn := len(n.Kind)
-	start := n.csrStart(nn)
-	for i := range start {
-		start[i] = 0
-	}
+	start := make([]int32, nn+1)
 	for _, l := range n.Links {
 		start[l.A+1]++
 		start[l.B+1]++
 	}
-	n.freezeCSRLocked(start)
-}
-
-// csrStart returns the adjStart buffer resized (not zeroed) to nn+1.
-func (n *Network) csrStart(nn int) []int32 {
-	start := n.adjStart
-	if cap(start) < nn+1 {
-		start = make([]int32, nn+1)
-	}
-	return start[:nn+1]
-}
-
-// csrArcs returns the edge and arc-weight buffers resized (not cleared) to
-// arcs entries, and the fill cursor initialized to each node's first slot in
-// start (already prefix-summed).
-func (n *Network) csrArcs(start []int32, arcs int) (edges []EdgeRef, ms []float64, next []int32) {
-	edges, ms = n.adjEdges, n.adjMs
-	if cap(edges) < arcs || cap(ms) < arcs {
-		edges = make([]EdgeRef, arcs)
-		ms = make([]float64, arcs)
-	}
-	nn := len(start) - 1
-	next = n.csrNext
-	if cap(next) < nn {
-		next = make([]int32, nn)
-		n.csrNext = next
-	}
-	next = next[:nn]
-	copy(next, start[:nn])
-	return edges[:arcs], ms[:arcs], next
-}
-
-// freezeCSRLocked finishes a CSR freeze from start, whose slot i+1 holds node
-// i's degree: prefix-sums it, fills the edge and arc-weight arrays in
-// link-index order, and publishes the result. Callers hold csrMu.
-func (n *Network) freezeCSRLocked(start []int32) {
-	nn := len(n.Kind)
 	for i := 0; i < nn; i++ {
 		start[i+1] += start[i]
 	}
-	edges, ms, next := n.csrArcs(start, 2*len(n.Links))
+	edges := make([]EdgeRef, 2*len(n.Links))
+	ms := make([]float64, 2*len(n.Links))
+	next := append([]int32(nil), start[:nn]...)
 	// Iterating Links in index order reproduces the append order the old
 	// per-node slices had, so relaxation order — and with it every
 	// tie-broken predecessor — is unchanged.
@@ -312,9 +257,7 @@ func (n *Network) freezeCSRLocked(start []int32) {
 }
 
 // Clone returns an independent deep copy of the network with its CSR frozen —
-// the way to a network one may write: the fibre experiment splices into one,
-// and a snapshot of the advancer's in-place network that must outlive the step
-// is one.
+// the way to a network one may write: the fibre experiment splices into one.
 func (n *Network) Clone() *Network {
 	n.ensureCSR()
 	c := &Network{
@@ -329,7 +272,6 @@ func (n *Network) Clone() *Network {
 		adjStart:    append([]int32(nil), n.adjStart...),
 		adjEdges:    append([]EdgeRef(nil), n.adjEdges...),
 		adjMs:       append([]float64(nil), n.adjMs...),
-		epoch:       n.epoch,
 	}
 	c.csrValid.Store(true)
 	return c

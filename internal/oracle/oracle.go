@@ -23,10 +23,10 @@
 //
 // An Oracle is immutable after Build and safe for unbounded concurrent
 // readers; it answers for exactly the view it was built from — the network
-// instance at its mutation epoch, and the cut — which Valid checks. The
-// snapshot cache carries oracles alongside their snapshots: snapcache.Attach
-// pins one to a resident entry only while that entry still holds the very
-// view it was built from (pointer identity), and drops it with the entry. So
+// instance and the cut — which Valid checks. The snapshot cache carries
+// oracles alongside their snapshots: snapcache.Attach pins one to a resident
+// entry only while that entry still holds the very view it was built from
+// (pointer identity), and drops it with the entry. So
 // an oracle rides its snapshot's LRU lifecycle, cannot outlive it in the
 // cache, and a reader that checks Valid never answers about any view but the
 // oracle's own — a what-if's oracle never for its healthy parent, nor the
@@ -68,7 +68,6 @@ type Stats struct {
 type Oracle struct {
 	net   *graph.Network
 	cut   graph.Cut
-	epoch uint64
 	nn    int // node count
 	ncity int
 
@@ -100,7 +99,6 @@ func Build(ctx context.Context, n *graph.Network, cut Options) (*Oracle, error) 
 	o := &Oracle{
 		net:   n,
 		cut:   cut,
-		epoch: n.Epoch(),
 		nn:    nn,
 		ncity: ncity,
 		prev:  make([]int32, ncity*nn),
@@ -195,12 +193,12 @@ func (o *Oracle) fillHops(city int, depth []int32) error {
 }
 
 // Valid reports whether the oracle still describes v: the same network
-// instance at the same mutation epoch, with the same cut. A snapshot the
-// incremental advancer has stepped past, a rebuilt cache entry, or the view
-// of another fault mask over the same network fails this check, and callers
-// must rebuild rather than serve answers about a topology that is not v.
+// instance (a network is never written after its freeze), with the same cut.
+// A rebuilt cache entry, or the view of another fault mask over the same
+// network, fails this check, and callers must rebuild rather than serve
+// answers about a topology that is not v.
 func (o *Oracle) Valid(v *graph.View) bool {
-	return v != nil && o.net == v.N && o.epoch == v.N.Epoch() && slices.Equal(o.cut, v.Cut)
+	return v != nil && o.net == v.N && slices.Equal(o.cut, v.Cut)
 }
 
 // Stats summarizes the built oracle.

@@ -23,9 +23,9 @@ import (
 //   - the ECEF rotation angle's sine/cosine are computed once per call
 //     instead of once per satellite.
 //
-// The per-step snapshot advancer leans on this: satellite propagation is the
-// floor under every incremental step, and the hoisting roughly halves it
-// without perturbing a single output bit.
+// Every snapshot build leans on this: satellite propagation is the floor
+// under each one, and the hoisting roughly halves it without perturbing a
+// single output bit.
 type KeplerBatch struct {
 	props []*KeplerPropagator
 	// Cached per-satellite secular constants (identical bits to the values

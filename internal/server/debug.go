@@ -19,7 +19,7 @@ type eventsResponse struct {
 
 // handleEvents answers GET /debug/events: the flight recorder's retained
 // events, oldest first. Filters: ?since=<seq> (events after that sequence
-// number), ?category=build|breaker|serve|chaos|advance|journal,
+// number), ?category=build|breaker|serve|chaos|journal,
 // ?severity=info|warn|error (minimum), ?limit=<n> (newest n).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
@@ -34,7 +34,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	cat, err := telemetry.ParseCategory(q.Get("category"))
 	if err != nil {
-		s.fail(w, r, badRequest("category must be one of build, breaker, serve, chaos, advance, journal"))
+		s.fail(w, r, badRequest("category must be one of build, breaker, serve, chaos, journal"))
 		return
 	}
 	f.Cat = cat

@@ -16,9 +16,11 @@ import (
 
 // TestSnapshotSourcesAgree holds every way of obtaining a snapshot to one
 // answer: for each motif and mode, the sim's cached schedule snapshot,
-// BuildNetworkAt's, a time cursor stepped there from the epoch and the entry
-// the server's primer deposited carry the same links at the last schedule
-// instant — the ISLs at t are decided in one place, whoever asks.
+// BuildNetworkAt's, a time cursor anchored there and the entry the server's
+// primer deposited carry the same links at the last schedule instant — the
+// ISLs at t are decided in one place, whoever asks. (A cursor stepped there
+// from an earlier instant keeps the lasers it anchored with: core's
+// TestWalkerKeepsAnchorLasers.)
 func TestSnapshotSourcesAgree(t *testing.T) {
 	scale := core.TinyScale()
 	scale.NumSnapshots = 2
@@ -65,9 +67,7 @@ func TestSnapshotSourcesAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				w := sim.NewWalker(mode)
-				w.At(times[0])
-				walked := w.At(last)
+				walked := sim.NewWalker(mode).At(last)
 				// The cached snapshot last: whatever it leaves behind must
 				// not be what made the others agree.
 				want := sim.NetworkAt(last, mode).Links

@@ -37,8 +37,6 @@ const (
 	CatServe
 	// CatChaos is an injected fault from the chaos injector.
 	CatChaos
-	// CatAdvance is an incremental-advancer event (full-rebuild fallback).
-	CatAdvance
 	// CatJournal is a crash-recovery event (resume replays).
 	CatJournal
 	// NumCategories bounds the enum; not a category itself.
@@ -48,7 +46,7 @@ const (
 )
 
 var categoryNames = [NumCategories]string{
-	"build", "breaker", "serve", "chaos", "advance", "journal",
+	"build", "breaker", "serve", "chaos", "journal",
 }
 
 // String returns the stable category name used in /debug/events filters and

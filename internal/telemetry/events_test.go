@@ -110,7 +110,7 @@ func TestEmitEventCarriesTraceID(t *testing.T) {
 	detached := context.WithoutCancel(ctx)
 	since := LastEventSeq()
 	EmitEvent(detached, CatChaos, SevWarn, "chaos injected build failure", Str("key", "k"), Int64("draw", 7))
-	EmitEvent(nil, CatAdvance, SevInfo, "no context at all")
+	EmitEvent(nil, CatJournal, SevInfo, "no context at all")
 
 	evs := Events(EventFilter{Cat: CatAll, Since: since})
 	if len(evs) != 2 {

@@ -35,9 +35,6 @@ const (
 	// StageCacheWait is a snapshot-cache lookup that waited on another
 	// caller's in-flight build (singleflight share).
 	StageCacheWait
-	// StageAdvance is one incremental snapshot advance (Advancer.Advance),
-	// the per-step delta alternative to a full StageGraphBuild.
-	StageAdvance
 	// StageOracleBuild is one per-snapshot distance-oracle construction
 	// (oracle.Build): the one-time cost the batched query path amortizes.
 	StageOracleBuild
@@ -51,7 +48,7 @@ const (
 var stageNames = [NumStages]string{
 	"graph_build", "csr_freeze", "search", "kdisjoint",
 	"maxmin_alloc", "weather", "fault_realize",
-	"cache_hit", "cache_miss", "cache_wait", "advance",
+	"cache_hit", "cache_miss", "cache_wait",
 	"oracle_build", "oracle_query",
 }
 

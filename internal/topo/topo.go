@@ -30,8 +30,9 @@ type Motif interface {
 // returns the set for time t; plain Links places the motif at the
 // constellation epoch (geo.Epoch). Through Option, every snapshot build of a
 // constellation carrying such a motif re-places it for the build instant
-// (Constellation.ISLsAt); only a seconds-scale advance cursor holds the set
-// it anchored with, since re-pointing lasers is a snapshot-scale operation.
+// (Constellation.ISLsAt); only a seconds-scale cursor (core's Walker) holds
+// the set it anchored with, since re-pointing lasers is a snapshot-scale
+// operation.
 type EpochAware interface {
 	Motif
 	LinksAt(c *constellation.Constellation, t time.Time) []constellation.ISL

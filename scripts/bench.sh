@@ -1,15 +1,12 @@
 #!/bin/sh
 # Run a benchmark suite and record it in its trajectory JSON file.
 #
-# usage: scripts/bench.sh [routing|snapshot|topo|telemetry|serve|all] [label]
+# usage: scripts/bench.sh [routing|topo|telemetry|serve|all] [label]
 #
 # Targets:
 #   routing   — the routing hot path (the full-tree Search, ShortestPath,
 #               KDisjointPaths, MinMaxUtilization, the Fig 2a sweep as
 #               BenchmarkExperiment/fig2a) → BENCH_routing.json
-#   snapshot  — the snapshot engine at paper scale: one full At() rebuild vs
-#               one incremental Advance() step at 1-second resolution
-#               → BENCH_snapshot.json
 #   topo      — ISL motif construction cost at Starlink scale (one build per
 #               motif, including the demand optimizer's greedy placement)
 #               → BENCH_topo.json
@@ -27,9 +24,7 @@
 #
 # The label names the run inside the trajectory file (default "current");
 # rerunning with the same label replaces that run in place, so each file keeps
-# one entry per milestone. Snapshot benchmarks run with -count 3; benchjson
-# keeps the fastest sample per benchmark, so a noisy neighbour can only be
-# filtered out, never flatter the result.
+# one entry per milestone.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -48,21 +43,6 @@ run_routing() {
 			./internal/graph ./internal/core
 		go test -run '^$' -bench '^BenchmarkExperiment$/^fig2a$' -benchmem -count 1 ./internal/core
 	} | go run ./scripts/benchjson -label "$LABEL" -out BENCH_routing.json
-}
-
-run_snapshot() {
-	# Three interleaved rounds rather than -count 3: with -count, all
-	# BuildAt samples land minutes before all Advance samples, and on a
-	# shared machine the noise phase can shift in between, skewing the
-	# rebuild/advance ratio either way. Alternating rounds keep each
-	# pair's measurement windows seconds apart; benchjson's min-aggregation
-	# then picks each side's cleanest round.
-	PATTERN='^(BenchmarkBuildAt|BenchmarkAdvance)$'
-	for round in 1 2 3; do
-		go test -run '^$' -bench "$PATTERN" -benchmem -benchtime 2s \
-			./internal/graph
-	done |
-		go run ./scripts/benchjson -label "$LABEL" -out BENCH_snapshot.json
 }
 
 run_topo() {
@@ -87,19 +67,17 @@ run_serve() {
 
 case "$TARGET" in
 routing) run_routing ;;
-snapshot) run_snapshot ;;
 topo) run_topo ;;
 telemetry) run_telemetry ;;
 serve) run_serve ;;
 all)
 	run_routing
-	run_snapshot
 	run_topo
 	run_telemetry
 	run_serve
 	;;
 *)
-	echo "usage: scripts/bench.sh [routing|snapshot|topo|telemetry|serve|all] [label]" >&2
+	echo "usage: scripts/bench.sh [routing|topo|telemetry|serve|all] [label]" >&2
 	exit 2
 	;;
 esac
