@@ -192,8 +192,10 @@ func run(ctx context.Context, args []string) error {
 	// enabled is still nanoseconds per stage, and the per-run breakdown
 	// (stage_times, debug logs) depends on it.
 	leosim.EnableTelemetry()
-	// -tracefile captures every span the run completes — one track per
-	// snapshot — and exports Chrome trace_event JSON for Perfetto.
+	// -tracefile captures every stage span the run completes and exports
+	// Chrome trace_event JSON for Perfetto: a day sweep's spans on one track
+	// per snapshot, every other span (all of an experiment without
+	// per-snapshot trace IDs, such as fig4) on one "untraced" track.
 	if *traceEventFile != "" {
 		if _, err := leosim.StartTracing(leosim.DefaultTraceCapacity); err != nil {
 			return fmt.Errorf("tracefile: %w", err)

@@ -145,7 +145,7 @@ func TestSamplePairsEdgeCases(t *testing.T) {
 func TestGroupPairs(t *testing.T) {
 	pairs := []Pair{{Src: 3, Dst: 0}, {Src: 1, Dst: 2}, {Src: 3, Dst: 1}, {Src: 2, Dst: 0}}
 	got := groupPairs(pairs)
-	want := []pairGroup{{src: 1, pairs: []int{1}}, {src: 2, pairs: []int{3}}, {src: 3, pairs: []int{0, 2}}}
+	want := map[int][]int{1: {1}, 2: {3}, 3: {0, 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("groupPairs = %v, want %v", got, want)
 	}

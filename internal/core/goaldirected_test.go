@@ -95,10 +95,10 @@ func goalDirectedMatchesDijkstra(ctx context.Context, t *testing.T, seed int64) 
 		} {
 			tag := fmt.Sprintf("seed %d snapshot %d %s", seed, snap, c.label)
 			n := c.n
-			for _, grp := range s.pairGroups {
-				src := n.CityNode(grp.src)
+			for srcCity, pis := range groupPairs(s.Pairs) {
+				src := n.CityNode(srcCity)
 				var dsts []int32
-				for _, pi := range grp.pairs {
+				for _, pi := range pis {
 					dsts = append(dsts, n.CityNode(s.Pairs[pi].Dst))
 				}
 				for i, set := range n.KDisjointPathsFrom(src, dsts, 4) {

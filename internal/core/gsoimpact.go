@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 
+	"leosim/internal/graph"
 	"leosim/internal/ground"
 	"leosim/internal/safe"
 	"leosim/internal/stats"
@@ -41,13 +42,7 @@ func RunGSOImpact(ctx context.Context, s *Sim) (res *GSOImpactResult, err error)
 	t := s.SnapshotTimes()[0]
 	res = &GSOImpactResult{}
 
-	var eqPairs []Pair
-	for _, p := range s.Pairs {
-		if math.Abs(s.Cities[p.Src].Lat) <= 15 || math.Abs(s.Cities[p.Dst].Lat) <= 15 {
-			eqPairs = append(eqPairs, p)
-		}
-	}
-	res.EquatorialPairs = len(eqPairs)
+	eqPairs := s.equatorialPairs()
 	if len(eqPairs) == 0 {
 		return nil, fmt.Errorf("core: no equatorial-involved pairs in the sample")
 	}
@@ -55,58 +50,57 @@ func RunGSOImpact(ctx context.Context, s *Sim) (res *GSOImpactResult, err error)
 	// Restrict to pairs reachable unconstrained under BOTH modes so the
 	// two unreachability fractions share a denominator (and the hybrid ⊇
 	// BP graph containment makes them comparable).
-	freeRTT := map[Mode]map[int]float64{BP: {}, Hybrid: {}}
+	freeRTT := map[Mode][]float64{}
 	for _, mode := range []Mode{BP, Hybrid} {
-		free := s.NetworkAt(t, mode)
-		for pi, p := range eqPairs {
-			if pf, ok := free.ShortestPath(free.CityNode(p.Src), free.CityNode(p.Dst)); ok {
-				freeRTT[mode][pi] = pf.RTTMs()
-			}
-		}
-	}
-	var eligible []int
-	for pi := range eqPairs {
-		if _, a := freeRTT[BP][pi]; a {
-			if _, b := freeRTT[Hybrid][pi]; b {
-				eligible = append(eligible, pi)
-			}
-		}
-	}
-	if len(eligible) == 0 {
-		return nil, fmt.Errorf("core: no equatorial pair reachable under both unconstrained modes")
-	}
-	res.EquatorialPairs = len(eligible)
-
-	for _, mode := range []Mode{BP, Hybrid} {
-		if err := ctx.Err(); err != nil {
+		if freeRTT[mode], err = pairRTTs(ctx, graph.View{N: s.NetworkAt(t, mode)}, eqPairs, nil); err != nil {
 			return nil, err
 		}
-		gso := constrained.NetworkAt(t, mode)
+	}
+	eligible := make([]bool, len(eqPairs))
+	for pi := range eqPairs {
+		if eligible[pi] = !math.IsInf(freeRTT[BP][pi], 1) && !math.IsInf(freeRTT[Hybrid][pi], 1); eligible[pi] {
+			res.EquatorialPairs++
+		}
+	}
+	if res.EquatorialPairs == 0 {
+		return nil, fmt.Errorf("core: no equatorial pair reachable under both unconstrained modes")
+	}
+
+	for _, m := range []struct {
+		mode        Mode
+		unFrac, med *float64
+	}{{BP, &res.UnreachableFracBP, &res.MedianInflationBPMs}, {Hybrid, &res.UnreachableFracHybrid, &res.MedianInflationHybridMs}} {
+		gsoRTT, err := pairRTTs(ctx, graph.View{N: constrained.NetworkAt(t, m.mode)}, eqPairs, eligible)
+		if err != nil {
+			return nil, err
+		}
 		var inflations []float64
 		unreachable := 0
-		for _, pi := range eligible {
-			p := eqPairs[pi]
-			pg, ok := gso.ShortestPath(gso.CityNode(p.Src), gso.CityNode(p.Dst))
-			if !ok {
+		for pi, ok := range eligible {
+			if ok && math.IsInf(gsoRTT[pi], 1) {
 				unreachable++
-				continue
+			} else if ok {
+				inflations = append(inflations, gsoRTT[pi]-freeRTT[m.mode][pi])
 			}
-			inflations = append(inflations, pg.RTTMs()-freeRTT[mode][pi])
 		}
-		unFrac := float64(unreachable) / float64(len(eligible))
-		med := stats.Percentile(inflations, 50)
-		if math.IsNaN(med) {
-			med = math.Inf(1)
-		}
-		if mode == BP {
-			res.UnreachableFracBP = unFrac
-			res.MedianInflationBPMs = med
-		} else {
-			res.UnreachableFracHybrid = unFrac
-			res.MedianInflationHybridMs = med
+		*m.unFrac = float64(unreachable) / float64(res.EquatorialPairs)
+		if *m.med = stats.Percentile(inflations, 50); math.IsNaN(*m.med) {
+			*m.med = math.Inf(1)
 		}
 	}
 	return res, nil
+}
+
+// equatorialPairs returns the pairs of s with an endpoint within ±15°
+// latitude, in s.Pairs order.
+func (s *Sim) equatorialPairs() []Pair {
+	var eq []Pair
+	for _, p := range s.Pairs {
+		if math.Abs(s.Cities[p.Src].Lat) <= 15 || math.Abs(s.Cities[p.Dst].Lat) <= 15 {
+			eq = append(eq, p)
+		}
+	}
+	return eq
 }
 
 // WriteGSOImpactReport renders the comparison.

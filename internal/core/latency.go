@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"leosim/internal/graph"
 	"leosim/internal/safe"
 	"leosim/internal/stats"
 )
@@ -63,7 +64,7 @@ func RunLatency(ctx context.Context, s *Sim) (res *LatencyResult, err error) {
 			defer endSnap()
 			snap := map[Mode][]Float{}
 			for _, m := range []Mode{BP, Hybrid} {
-				rtts, err := s.pairRTTs(sctx, s.NetworkAtCtx(sctx, times[i], m))
+				rtts, err := pairRTTs(sctx, graph.View{N: s.NetworkAtCtx(sctx, times[i], m)}, s.Pairs, nil)
 				if err != nil {
 					return nil, err
 				}

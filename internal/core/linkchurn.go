@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
 	"time"
 
@@ -138,7 +137,7 @@ func (s *Sim) churnWalk(ctx context.Context, w *Walker, start time.Time, step ti
 			}
 		}
 		prev = n
-		paths, err := s.churnPaths(ctx, n, valid)
+		paths, err := pairPaths(ctx, graph.View{N: n}, s.Pairs, valid, nil)
 		if err != nil {
 			return c, err
 		}
@@ -173,41 +172,6 @@ func (s *Sim) churnWalk(ctx context.Context, w *Walker, start time.Time, step ti
 		}
 	}
 	return c, nil
-}
-
-// churnPaths returns the shortest path on n of every pair want marks, and
-// the zero Path for the others and for the unreachable: one search per
-// source city, stopped once its last wanted destination is settled and
-// fanned out like pairRTTs. Each path is the one ShortestPath finds.
-func (s *Sim) churnPaths(ctx context.Context, n *graph.Network, want []bool) ([]graph.Path, error) {
-	paths := make([]graph.Path, len(s.Pairs))
-	g := safe.NewGroup(ctx, runtime.GOMAXPROCS(0))
-	for _, grp := range s.pairGroups {
-		g.Go(func() error {
-			var pis []int
-			var dsts []int32
-			for _, pi := range grp.pairs {
-				if want[pi] {
-					pis = append(pis, pi)
-					dsts = append(dsts, n.CityNode(s.Pairs[pi].Dst))
-				}
-			}
-			if len(pis) == 0 {
-				return nil
-			}
-			st := graph.AcquireSearch()
-			defer st.Release()
-			n.Search(st, graph.SearchSpec{Src: n.CityNode(grp.src), Target: graph.NoTarget, Targets: dsts})
-			for i, pi := range pis {
-				paths[pi], _ = st.Path(dsts[i])
-			}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-	return paths, nil
 }
 
 // gslChurn merge-diffs the sorted (terminal, satellite) GSL lists of two

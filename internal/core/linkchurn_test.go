@@ -83,9 +83,14 @@ func TestRunChurnValidation(t *testing.T) {
 }
 
 // TestChurnPathsMatchShortestPath: the churn walk's per-source stopped
-// searches find, for every wanted pair, the path ShortestPath finds, node for
-// node and bit for bit — with every pair wanted and with every other one, on
-// tiny and reduced, under both modes, for the default motif and nearest.
+// searches (pairPaths) find, for every wanted pair, the path ShortestPath
+// finds, node for node and bit for bit — with every pair wanted and with
+// every other one, on tiny and reduced, under both modes, for the default
+// motif and nearest. They do the same on the pair lists other experiments
+// pass — gsoimpact's equatorial pairs and a one-pair list outside s.Pairs,
+// as RunPairWeather passes — under both modes, and with §6's
+// satellite-transit hook on the hybrid network they find the path
+// ShortestPathSatTransit finds, for s.Pairs and both lists.
 func TestChurnPathsMatchShortestPath(t *testing.T) {
 	ctx := context.Background()
 	for _, scale := range []Scale{TinyScale(), ReducedScale()} {
@@ -102,11 +107,13 @@ func TestChurnPathsMatchShortestPath(t *testing.T) {
 				for pi := range all {
 					all[pi], alternate[pi] = true, pi%2 == 0
 				}
+				at := geo.Epoch.Add(90 * time.Second)
+				nets := map[Mode]*graph.Network{BP: s.NewWalker(BP).At(at), Hybrid: s.NewWalker(Hybrid).At(at)}
 				routed := 0
 				for _, mode := range []Mode{BP, Hybrid} {
-					n := s.NewWalker(mode).At(geo.Epoch.Add(90 * time.Second))
+					n := nets[mode]
 					for _, want := range [][]bool{all, alternate} {
-						got, err := s.churnPaths(ctx, n, want)
+						got, err := pairPaths(ctx, graph.View{N: n}, s.Pairs, want, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -116,7 +123,7 @@ func TestChurnPathsMatchShortestPath(t *testing.T) {
 								ref, _ = n.ShortestPath(n.CityNode(p.Src), n.CityNode(p.Dst))
 							}
 							if !reflect.DeepEqual(got[pi], ref) {
-								t.Fatalf("%s: pair %d (%d→%d): churnPaths %v, ShortestPath %v",
+								t.Fatalf("%s: pair %d (%d→%d): pairPaths %v, ShortestPath %v",
 									mode, pi, p.Src, p.Dst, got[pi].Nodes, ref.Nodes)
 							}
 							if len(ref.Nodes) > 0 {
@@ -128,9 +135,72 @@ func TestChurnPathsMatchShortestPath(t *testing.T) {
 				if routed == 0 {
 					t.Fatal("no pair routed: the comparison is vacuous")
 				}
+
+				eq, outside := s.equatorialPairs(), []Pair{outsidePair(s)}
+				bp, hy := nets[BP], nets[Hybrid]
+				satTransit := func(v int32) bool { return !hy.IsGroundSide(v) }
+				for _, c := range []struct {
+					label  string
+					pairs  []Pair
+					n      *graph.Network
+					expand func(int32) bool
+				}{
+					{"bp, equatorial pairs", eq, bp, nil},
+					{"hybrid, equatorial pairs", eq, hy, nil},
+					{"bp, one pair outside s.Pairs", outside, bp, nil},
+					{"hybrid, one pair outside s.Pairs", outside, hy, nil},
+					{"hybrid satellite transit", s.Pairs, hy, satTransit},
+					{"hybrid satellite transit, equatorial pairs", eq, hy, satTransit},
+					{"hybrid satellite transit, one pair outside s.Pairs", outside, hy, satTransit},
+				} {
+					if len(c.pairs) == 0 {
+						t.Fatalf("%s: no pairs: the comparison is vacuous", c.label)
+					}
+					got, err := pairPaths(ctx, graph.View{N: c.n}, c.pairs, nil, c.expand)
+					if err != nil {
+						t.Fatal(err)
+					}
+					routed := 0
+					for pi, p := range c.pairs {
+						src, dst := c.n.CityNode(p.Src), c.n.CityNode(p.Dst)
+						ref, _ := c.n.ShortestPath(src, dst)
+						if c.expand != nil {
+							ref, _ = c.n.ShortestPathSatTransit(src, dst)
+						}
+						if !reflect.DeepEqual(got[pi], ref) {
+							t.Fatalf("%s: pair %d (%d→%d): pairPaths %v, single-pair search %v",
+								c.label, pi, p.Src, p.Dst, got[pi].Nodes, ref.Nodes)
+						}
+						if len(ref.Nodes) > 0 {
+							routed++
+						}
+					}
+					if routed == 0 {
+						t.Fatalf("%s: no pair routed: the comparison is vacuous", c.label)
+					}
+				}
 			})
 		}
 	}
+}
+
+// outsidePair is a city pair of s that s.Pairs does not hold — the kind of
+// pair RunPairWeather routes — chosen as the first such pair, ascending, of
+// cities at least 5,000 km apart.
+func outsidePair(s *Sim) Pair {
+	in := map[[2]int]bool{}
+	for _, p := range s.Pairs {
+		in[[2]int{p.Src, p.Dst}] = true
+	}
+	for src := range s.Cities {
+		for dst := src + 1; dst < len(s.Cities); dst++ {
+			km := geo.GreatCircleKm(s.Cities[src].Position(), s.Cities[dst].Position())
+			if !in[[2]int{src, dst}] && km >= 5000 {
+				return Pair{Src: src, Dst: dst, GeodesicKm: km}
+			}
+		}
+	}
+	panic("every distant city pair is in s.Pairs")
 }
 
 // TestGSLChurn: the merge-diff of two instants' GSL lists counts the links

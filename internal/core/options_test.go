@@ -65,7 +65,7 @@ func TestTopoKeepsSGP4(t *testing.T) {
 	}
 	var pooled []float64
 	for _, at := range s.SnapshotTimes() {
-		rr, err := s.pairRTTs(ctx, s.NetworkAt(at, Hybrid))
+		rr, err := pairRTTs(ctx, graph.View{N: s.NetworkAt(at, Hybrid)}, s.Pairs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

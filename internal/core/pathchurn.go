@@ -51,12 +51,15 @@ func RunPathChurn(ctx context.Context, s *Sim) (res *PathChurnResult, err error)
 		}
 		for _, mode := range []Mode{BP, Hybrid} {
 			n := s.NetworkAtCtx(ctx, t, mode)
-			for pi, pair := range s.Pairs {
+			paths, err := pairPaths(ctx, graph.View{N: n}, s.Pairs, valid, nil)
+			if err != nil {
+				return nil, err
+			}
+			for pi, p := range paths {
 				if !valid[pi] {
 					continue
 				}
-				p, ok := n.ShortestPath(n.CityNode(pair.Src), n.CityNode(pair.Dst))
-				if !ok {
+				if len(p.Nodes) == 0 {
 					valid[pi] = false
 					continue
 				}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"leosim/internal/fault"
+	"leosim/internal/graph"
 	"leosim/internal/safe"
 	"leosim/internal/stats"
 	"leosim/internal/telemetry"
@@ -227,25 +228,23 @@ func retention(val, base float64) float64 {
 }
 
 // evalFaulted evaluates one mode under each snapshot's outage set (nil =
-// healthy): it masks each snapshot's cached healthy network, measures
-// per-pair best RTTs and reachability across the snapshots, and runs the §5
-// throughput model at the first one.
+// healthy): it measures per-pair best RTTs and reachability across the
+// snapshots on views of the cached healthy networks (each with its outages'
+// cut), and runs the §5 throughput model at the first one — the one place
+// the mask is materialized, since the model reads the masked capacities.
 func (s *Sim) evalFaulted(ctx context.Context, mode Mode, perSnap []*fault.Outages, times []time.Time) (modeEval, error) {
 	best := fill(len(s.Pairs), math.Inf(1))
 	var ev modeEval
 	for si, t := range times {
-		n, err := s.BuildNetworkAt(ctx, t, mode, perSnap[si])
-		if err != nil {
-			return ev, err
-		}
+		healthy := s.NetworkAtCtx(ctx, t, mode)
 		if si == 0 {
-			tp, err := throughputOn(ctx, s, n, resilienceK)
+			tp, err := throughputOn(ctx, s, perSnap[si].Masked(healthy), resilienceK)
 			if err != nil {
 				return ev, err
 			}
 			ev.Tput = tp.AggregateGbps
 		}
-		rtts, err := s.pairRTTs(ctx, n)
+		rtts, err := pairRTTs(ctx, graph.View{N: healthy, Cut: perSnap[si].Cut(healthy)}, s.Pairs, nil)
 		if err != nil {
 			return ev, err
 		}

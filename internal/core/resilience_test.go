@@ -116,12 +116,12 @@ func TestRunResilienceCancelPartial(t *testing.T) {
 	}
 	perEval := int64(snaps * numSources(s))
 	var calls atomic.Int64
-	pairRTTsTestHook = func(int) {
+	searchPairsTestHook = func(int) {
 		if calls.Add(1) == 4*perEval+1 {
 			cancel()
 		}
 	}
-	defer func() { pairRTTsTestHook = nil }()
+	defer func() { searchPairsTestHook = nil }()
 
 	res, err := RunResilience(ctx, s, fault.SatOutage, []float64{0, 0.2, 0.3})
 	if !errors.Is(err, context.Canceled) {

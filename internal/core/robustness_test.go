@@ -36,12 +36,12 @@ func TestRunLatencyCancelPartial(t *testing.T) {
 	// deterministic.
 	perSnapshot := int64(2 * numSources(s))
 	var calls atomic.Int64
-	pairRTTsTestHook = func(int) {
+	searchPairsTestHook = func(int) {
 		if calls.Add(1) == perSnapshot+1 {
 			cancel()
 		}
 	}
-	defer func() { pairRTTsTestHook = nil }()
+	defer func() { searchPairsTestHook = nil }()
 
 	res, err := RunLatency(ctx, s)
 	if !errors.Is(err, context.Canceled) {
@@ -79,8 +79,8 @@ func TestRunLatencyPreCancelled(t *testing.T) {
 // *safe.PanicError carrying the worker's stack, not crash the process.
 func TestRunLatencyWorkerPanic(t *testing.T) {
 	s := getTinySim(t)
-	pairRTTsTestHook = func(int) { panic("injected worker failure") }
-	defer func() { pairRTTsTestHook = nil }()
+	searchPairsTestHook = func(int) { panic("injected worker failure") }
+	defer func() { searchPairsTestHook = nil }()
 
 	res, err := RunLatency(context.Background(), s)
 	if res != nil || err == nil {

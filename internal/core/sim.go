@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"time"
 
@@ -12,9 +11,7 @@ import (
 	"leosim/internal/geo"
 	"leosim/internal/graph"
 	"leosim/internal/ground"
-	"leosim/internal/safe"
 	"leosim/internal/snapcache"
-	"leosim/internal/telemetry"
 	"leosim/internal/topo"
 )
 
@@ -35,13 +32,8 @@ type Sim struct {
 	Pairs  []Pair
 
 	// cityIndex maps a city name to its index in Cities (the first, should a
-	// name repeat) — FindCity's lookup. Built once in NewSim, like pairGroups.
+	// name repeat) — FindCity's lookup. Built once in NewSim.
 	cityIndex map[string]int
-
-	// pairGroups indexes Pairs by source city, sources ascending: one
-	// shortest-path tree per group answers all of its pairs. Built once in
-	// NewSim (Pairs never changes afterwards).
-	pairGroups []pairGroup
 
 	// Motif is the ISL topology strategy the constellation was built with;
 	// nil means the default +Grid. Epoch-aware motifs are re-placed for
@@ -206,7 +198,6 @@ func NewSim(choice ConstellationChoice, scale Scale, opts ...SimOption) (*Sim, e
 		Fleet:      fleet,
 		Cities:     seg.Cities,
 		Pairs:      pairs,
-		pairGroups: groupPairs(pairs),
 		cityIndex:  make(map[string]int, len(seg.Cities)),
 		opts:       opts,
 	}
@@ -302,55 +293,6 @@ func (s *Sim) NetworkCacheStats() snapcache.Stats { return s.snap.Stats() }
 
 // cachedNetworks reports how many snapshots are currently cached (tests).
 func (s *Sim) cachedNetworks() int { return s.snap.Len() }
-
-// pairRTTsTestHook, when non-nil, runs inside every pairRTTs worker. Tests
-// inject panics here to verify worker failures surface as errors.
-var pairRTTsTestHook func(src int)
-
-// pairRTTs computes, for one snapshot network, the round-trip time in ms for
-// every pair (indexed like s.Pairs). Unreachable pairs get +Inf.
-// Cancellation of ctx stops the fan-out between sources and returns the
-// context's error; a worker panic comes back as a *safe.PanicError.
-func (s *Sim) pairRTTs(ctx context.Context, n *graph.Network) ([]float64, error) {
-	// Recorder-only span: the per-search kernel time already feeds the
-	// registry histogram from graph.Search; this attributes the whole
-	// fan-out's wall time to the run.
-	defer telemetry.RecordSpan(ctx, telemetry.StageSearch).End()
-	out := make([]float64, len(s.Pairs))
-	g := safe.NewGroup(ctx, runtime.GOMAXPROCS(0))
-	for _, grp := range s.pairGroups {
-		grp := grp
-		g.Go(func() error {
-			if pairRTTsTestHook != nil {
-				pairRTTsTestHook(grp.src)
-			}
-			// Pooled scratch state: the search runs allocation-free, stops
-			// once the group's last destination is settled, and distances
-			// are read back without materializing slices.
-			dsts := s.dstNodes(n, grp)
-			st := graph.AcquireSearch()
-			defer st.Release()
-			n.Search(st, graph.SearchSpec{Src: n.CityNode(grp.src), Target: graph.NoTarget, Targets: dsts})
-			for i, pi := range grp.pairs {
-				out[pi] = 2 * st.Dist(dsts[i])
-			}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// dstNodes returns grp's destination city nodes on n, in grp.pairs order.
-func (s *Sim) dstNodes(n *graph.Network, grp pairGroup) []int32 {
-	dsts := make([]int32, len(grp.pairs))
-	for i, pi := range grp.pairs {
-		dsts[i] = n.CityNode(s.Pairs[pi].Dst)
-	}
-	return dsts
-}
 
 // String summarizes the sim.
 func (s *Sim) String() string {

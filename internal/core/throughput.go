@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,25 +112,25 @@ func progressf(format string, args ...interface{}) {
 }
 
 // computePairPaths finds k edge-disjoint shortest paths per pair, one
-// KDisjointPathsFrom per source city in parallel. Cancellation stops further
-// sources with the context's error; a worker panic returns as *safe.PanicError.
+// KDisjointPathsFrom per source city in parallel (eachSource).
 func computePairPaths(ctx context.Context, s *Sim, n *graph.Network, k int) ([][]graph.Path, error) {
 	defer telemetry.RecordSpan(ctx, telemetry.StageKDisjoint).End()
 	out := make([][]graph.Path, len(s.Pairs))
 	var done atomic.Int64
-	g := safe.NewGroup(ctx, runtime.GOMAXPROCS(0))
-	for _, grp := range s.pairGroups {
-		g.Go(func() error {
-			for i, paths := range n.KDisjointPathsFrom(n.CityNode(grp.src), s.dstNodes(n, grp), k) {
-				out[grp.pairs[i]] = paths
-			}
-			if d := done.Add(int64(len(grp.pairs))); d/1000 > (d-int64(len(grp.pairs)))/1000 {
-				progressf("  ... %d/%d pairs routed\n", d, len(s.Pairs))
-			}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+	err := eachSource(ctx, s.Pairs, func(src int, pis []int) error {
+		dsts := make([]int32, len(pis))
+		for i, pi := range pis {
+			dsts[i] = n.CityNode(s.Pairs[pi].Dst)
+		}
+		for i, paths := range n.KDisjointPathsFrom(n.CityNode(src), dsts, k) {
+			out[pis[i]] = paths
+		}
+		if d := done.Add(int64(len(pis))); d/1000 > (d-int64(len(pis)))/1000 {
+			progressf("  ... %d/%d pairs routed\n", d, len(s.Pairs))
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

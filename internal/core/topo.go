@@ -10,6 +10,7 @@ import (
 
 	"leosim/internal/fault"
 	"leosim/internal/geo"
+	"leosim/internal/graph"
 	"leosim/internal/safe"
 	"leosim/internal/stats"
 	"leosim/internal/telemetry"
@@ -178,7 +179,7 @@ func (s *Sim) topoEval(ctx context.Context, mode Mode, sweep *TopoResult) (TopoC
 	if err != nil {
 		return cell, err
 	}
-	frr, err := s.pairRTTs(ctx, fn)
+	frr, err := pairRTTs(ctx, graph.View{N: fn}, s.Pairs, nil)
 	if err != nil {
 		return cell, err
 	}
@@ -210,7 +211,7 @@ func (s *Sim) topoEval(ctx context.Context, mode Mode, sweep *TopoResult) (TopoC
 		if err := ctx.Err(); err != nil {
 			return cell, err
 		}
-		rr, err := s.pairRTTs(ctx, s.NetworkAtCtx(ctx, t, mode))
+		rr, err := pairRTTs(ctx, graph.View{N: s.NetworkAtCtx(ctx, t, mode)}, s.Pairs, nil)
 		if err != nil {
 			return cell, err
 		}

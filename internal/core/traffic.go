@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"leosim/internal/geo"
 	"leosim/internal/ground"
@@ -47,24 +46,4 @@ func SamplePairs(cities []ground.City, n int, minKm float64, seed int64) ([]Pair
 	out := make([]Pair, n)
 	copy(out, eligible[:n])
 	return out, nil
-}
-
-// pairGroup is the indices into Sim.Pairs that share the source city src.
-type pairGroup struct {
-	src   int
-	pairs []int
-}
-
-// groupPairs groups pair indices by source city, sources ascending.
-func groupPairs(pairs []Pair) []pairGroup {
-	bySrc := map[int][]int{}
-	for pi, p := range pairs {
-		bySrc[p.Src] = append(bySrc[p.Src], pi)
-	}
-	groups := make([]pairGroup, 0, len(bySrc))
-	for src, pis := range bySrc {
-		groups = append(groups, pairGroup{src: src, pairs: pis})
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].src < groups[j].src })
-	return groups
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"leosim/internal/geo"
 	"leosim/internal/graph"
@@ -71,11 +70,21 @@ func pathCurve(n *graph.Network, p graph.Path, band Band) (itur.Curve, error) {
 	return itur.WorstOf(curves...), nil
 }
 
+// appendCurve appends the attenuation curve of p, a path of n, to curves;
+// the zero Path of an unreachable pair appends nothing.
+func appendCurve(curves []itur.Curve, n *graph.Network, p graph.Path, band Band) ([]itur.Curve, error) {
+	if len(p.Nodes) == 0 {
+		return curves, nil
+	}
+	c, err := pathCurve(n, p, band)
+	return append(curves, c), err
+}
+
 // weatherCurves computes, for each pair, the per-snapshot path attenuation
 // curves under the BP model (worst link of the zig-zag shortest path) and
 // the pure-ISL model (worst of first/last hop of the satellite-transit-only
-// shortest path). The snapshot loop is outermost so each network is built
-// exactly once.
+// shortest path), each read off one search per source city. The snapshot
+// loop is outermost so each network is built exactly once.
 func weatherCurves(ctx context.Context, s *Sim, pairs []Pair, band Band) (bp, isl [][]itur.Curve, err error) {
 	defer safe.RecoverTo(&err)
 	bp = make([][]itur.Curve, len(pairs))
@@ -89,32 +98,29 @@ func weatherCurves(ctx context.Context, s *Sim, pairs []Pair, band Band) (bp, is
 		}
 		bpNet := s.NetworkAtCtx(ctx, t, BP)
 		hyNet := s.NetworkAtCtx(ctx, t, Hybrid)
-		// Recorder-only span over the per-snapshot curve fan-out; the
-		// per-curve cost feeds the registry histogram from itur.NewCurve.
-		sp := telemetry.RecordSpan(ctx, telemetry.StageWeather)
-		g := safe.NewGroup(ctx, runtime.GOMAXPROCS(0))
-		for pi := range pairs {
-			pi := pi
-			g.Go(func() error {
-				pair := pairs[pi]
-				if p, found := bpNet.ShortestPath(bpNet.CityNode(pair.Src), bpNet.CityNode(pair.Dst)); found {
-					c, cerr := pathCurve(bpNet, p, band)
-					if cerr != nil {
-						return cerr
-					}
-					bp[pi] = append(bp[pi], c) // pi is this worker's slot
-				}
-				if p, found := hyNet.ShortestPathSatTransit(hyNet.CityNode(pair.Src), hyNet.CityNode(pair.Dst)); found {
-					c, cerr := pathCurve(hyNet, p, band)
-					if cerr != nil {
-						return cerr
-					}
-					isl[pi] = append(isl[pi], c)
-				}
-				return nil
-			})
+		bpPaths, err := pairPaths(ctx, graph.View{N: bpNet}, pairs, nil, nil)
+		if err != nil {
+			return nil, nil, err
 		}
-		err := g.Wait()
+		islPaths, err := pairPaths(ctx, graph.View{N: hyNet}, pairs, nil, func(v int32) bool { return !hyNet.IsGroundSide(v) })
+		if err != nil {
+			return nil, nil, err
+		}
+		// Recorder-only span over the snapshot's curves, each source's pairs
+		// on its own worker; the per-curve cost feeds the registry histogram
+		// from itur.NewCurve.
+		sp := telemetry.RecordSpan(ctx, telemetry.StageWeather)
+		err = eachSource(ctx, pairs, func(_ int, pis []int) (err error) {
+			for _, pi := range pis {
+				if bp[pi], err = appendCurve(bp[pi], bpNet, bpPaths[pi], band); err != nil {
+					return err
+				}
+				if isl[pi], err = appendCurve(isl[pi], hyNet, islPaths[pi], band); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		sp.End()
 		if err != nil {
 			return nil, nil, err

@@ -68,10 +68,12 @@ type Span struct {
 	rec    *Recorder
 	stage  Stage
 	toHist bool
-	// trace routes the completed span into the running trace capture; zero
-	// (no capture running, or no trace ID on the context) skips the tracer.
-	trace TraceID
-	start time.Time
+	// traced routes the completed span into the trace capture that was
+	// running when it started, on trace's track: the context's trace ID, or
+	// zero — the tracer's "untraced" track — when the context carries none.
+	traced bool
+	trace  TraceID
+	start  time.Time
 }
 
 // StartStageSpan opens a span that records only into the active registry's
@@ -88,14 +90,16 @@ func StartStageSpan(stage Stage) Span {
 // StartSpan opens a span that records into both the active registry's stage
 // histogram and the Recorder carried by ctx (if any). Use it where a stage
 // is observed exactly once per execution and a context is at hand (the
-// snapshot cache).
+// snapshot cache). Under a running trace capture, StartSpan and RecordSpan
+// spans are traced too: on the track of the context's trace ID, or on the
+// "untraced" track when it carries none.
 func StartSpan(ctx context.Context, stage Stage) Span {
 	reg := active.Load()
 	if reg == nil {
 		return Span{}
 	}
-	sp := Span{rec: FromContext(ctx), stage: stage, toHist: true, start: time.Now()}
-	if reg.tracer.Load() != nil {
+	sp := Span{rec: FromContext(ctx), stage: stage, toHist: true, traced: reg.tracer.Load() != nil, start: time.Now()}
+	if sp.traced {
 		sp.trace = TraceIDFrom(ctx)
 	}
 	return sp
@@ -115,7 +119,7 @@ func RecordSpan(ctx context.Context, stage Stage) Span {
 	if rec == nil && !traced {
 		return Span{}
 	}
-	sp := Span{rec: rec, stage: stage, start: time.Now()}
+	sp := Span{rec: rec, stage: stage, traced: traced, start: time.Now()}
 	if traced {
 		sp.trace = TraceIDFrom(ctx)
 	}
@@ -129,7 +133,7 @@ func (sp Span) End() { sp.EndAs(sp.stage) }
 // started with — for call sites that learn the outcome only at the end
 // (cache hit vs miss vs singleflight wait).
 func (sp Span) EndAs(stage Stage) {
-	if !sp.toHist && sp.rec == nil && sp.trace == 0 {
+	if !sp.toHist && sp.rec == nil && !sp.traced {
 		return
 	}
 	d := time.Since(sp.start)
@@ -141,7 +145,7 @@ func (sp Span) EndAs(stage Stage) {
 	if sp.rec != nil {
 		sp.rec.observe(stage, d)
 	}
-	if sp.trace != 0 {
+	if sp.traced {
 		AddTraceSpan(stage.String(), sp.trace, sp.start, d)
 	}
 }

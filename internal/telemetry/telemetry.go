@@ -34,9 +34,10 @@
 //     serves, chaos injections — served at /debug/events and dumped to
 //     stderr on panic or SIGQUIT, so "what happened, in what order" is
 //     answerable after the fact.
-//   - Per-request tracing (TraceID / StartTracing): spans under a traced
-//     context export as Chrome trace_event JSON, one track per request or
-//     batch snapshot, viewable in Perfetto.
+//   - Per-request tracing (TraceID / StartTracing): spans a capture records
+//     export as Chrome trace_event JSON, one track per request or batch
+//     snapshot plus an "untraced" track for spans whose context carries no
+//     trace ID, viewable in Perfetto.
 //   - Prometheus text exposition (Registry.WritePrometheus), so the same
 //     registry scrapes into standard dashboards.
 package telemetry

@@ -18,7 +18,7 @@ import (
 // trace_event JSON, loadable in Perfetto (ui.perfetto.dev) or
 // chrome://tracing. Each trace renders as its own named track, so one
 // request's graph-build → search → cache-lookup timeline reads left to
-// right.
+// right; context spans without a trace ID share one "untraced" track.
 //
 // Capture is explicitly bounded: StartTracing installs one Tracer on the
 // active registry (`-tracefile` arms it for a whole batch run; GET
