@@ -6,11 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
-	"unicode/utf8"
 
 	"leosim/internal/graph"
 	"leosim/internal/oracle"
@@ -131,13 +129,10 @@ type batchPathsResponse struct {
 // ---- the results rows' wire form -----------------------------------------
 //
 // A batch response is a few hundred bytes of envelope and ~175 bytes per pair
-// of rows. Encoding the rows through encoding/json cost more than answering
-// them — reflection over every entry, then a second pass over the whole body
-// to indent it — so the rows are appended directly, already indented, and
-// only the envelope goes through encoding/json. The bytes are the ones
-// json.MarshalIndent gives for the same batchPathEntry (writeJSON's two-space
-// indent, HTML-escaping on); FuzzBatchEntryJSON holds the writer to that, and
-// served.golden pins whole responses.
+// of rows. The envelope goes through encoding/json; the rows are a served
+// answer's and have their own writer (wire.go): each is appended already
+// indented, as json.MarshalIndent gives it for the same batchPathEntry, into
+// a buffer reserved once. FuzzBatchEntryJSON holds the row writer to that.
 
 // The fragments between the values. A row sits two levels deep — in the
 // "results" array, in the envelope — and its members a third.
@@ -201,74 +196,6 @@ func (e *batchPathEntry) appendJSON(dst []byte) []byte {
 		dst = append(dst, rowRouteEnd...)
 	}
 	return append(dst, rowEnd...)
-}
-
-// appendJSONFloat appends a finite f in encoding/json's number form: the
-// shortest digits that round-trip, positional unless the exponent is below
-// -6 or at least 21, and then with the exponent's leading zero dropped.
-func appendJSONFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1] // e-07 → e-7
-		dst = dst[:n-1]
-	}
-	return dst
-}
-
-// appendJSONString appends s quoted and escaped as encoding/json does with
-// HTML-escaping on: `"`, `\`, control bytes, `<`, `>`, `&`, U+2028 and U+2029
-// are escaped, invalid UTF-8 becomes \ufffd, everything else is copied.
-func appendJSONString(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	start := 0 // s[start:i] is verbatim text not yet copied
-	for i := 0; i < len(s); {
-		b := s[i]
-		if b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-			start = i + size
-		case c == '\u2028' || c == '\u2029':
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
-			start = i + size
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
 }
 
 // batchCancelPollInterval spaces context polls in the answer loop: a
@@ -358,9 +285,7 @@ func (s *Server) handleBatchPaths(w http.ResponseWriter, r *http.Request) error 
 		out = entry.appendJSON(out)
 	}
 	out = append(out, batchResultsClose...)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(out) //nolint:errcheck // client gone — nothing left to do
+	writeBody(w, out)
 	return nil
 }
 

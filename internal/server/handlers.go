@@ -145,7 +145,7 @@ func (f snapForm) spec(times []time.Time, seedParam string) (snapSpec, error) {
 // sims; Mask is the fault fingerprint.
 func (s *Server) cacheKey(spec snapSpec) snapcache.Key {
 	return snapcache.Key{
-		Scenario: s.scenario + "/" + spec.mode.String(),
+		Scenario: s.keyScenario[spec.mode],
 		Time:     spec.t,
 		Mask:     spec.mask,
 	}
@@ -334,7 +334,11 @@ func (s *Server) answer(ctx context.Context, rs resolved, src, dst int, route bo
 		}
 		return core.PathQuery{Reachable: true, RTTMs: 2 * d, OneWayMs: d, Hops: rs.orc.Hops(src, dst)}, nil
 	}
+	// The oracle times its queries for /metrics only; the request's own
+	// recorder learns of this one here.
+	sp := telemetry.RecordSpan(ctx, telemetry.StageOracleQuery)
 	p, ok := rs.orc.Query(src, dst)
+	sp.End()
 	if !ok {
 		return core.PathQuery{}, nil
 	}
@@ -507,11 +511,17 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	writeJSON(w, http.StatusOK, pathResponse{
+	resp := pathResponse{
 		Time: spec.t, Mode: spec.mode.String(), Fault: spec.mask, Degraded: rs.degraded,
 		Src: s.cfg.Sim.CityName(src), Dst: s.cfg.Sim.CityName(dst),
 		Path: path,
-	})
+	}
+	buf := replyBufs.Get().(*[]byte)
+	*buf = resp.appendJSON((*buf)[:0])
+	writeBody(w, *buf)
+	if cap(*buf) <= maxPooledReply {
+		replyBufs.Put(buf)
+	}
 	return nil
 }
 

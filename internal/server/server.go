@@ -156,6 +156,10 @@ type Server struct {
 	log      *slog.Logger
 	reqID    atomic.Int64 // monotonic request id for log correlation
 
+	// keyScenario is each mode's cache-key Scenario, "<scenario>/<mode>",
+	// built once rather than per request.
+	keyScenario [core.Hybrid + 1]string
+
 	// reg holds this server's counters, gauges and per-route latency
 	// histograms. Per-server (not the process-global telemetry registry) so
 	// several instances — e.g. test servers — never share a namespace. The
@@ -194,6 +198,9 @@ func New(cfg Config) (*Server, error) {
 		times:          cfg.Sim.SnapshotTimes(),
 		started:        time.Now(),
 		oracleInflight: map[snapcache.Key]*oracleCall{},
+	}
+	for _, mode := range []core.Mode{core.BP, core.Hybrid} {
+		s.keyScenario[mode] = s.scenario + "/" + mode.String()
 	}
 	s.cache = snapcache.New(s.buildSnapshot, snapcache.Options{
 		Capacity:         cfg.CacheSize,
@@ -318,20 +325,21 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // responses log at Warn regardless of the route's base level.
 func (s *Server) instrumented(route string, lvl slog.Level, h http.HandlerFunc) http.HandlerFunc {
 	hist := s.reg.Histogram("http_" + route + "_ms")
+	span := "http_" + route
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := s.reqID.Add(1)
 		rec := telemetry.NewRecorder()
 		trace := telemetry.NewTraceID()
-		w.Header().Set("X-Trace-Id", trace.String())
-		ctx := telemetry.WithTraceID(telemetry.WithRecorder(r.Context(), rec), trace)
+		traceID := trace.String()
+		w.Header().Set("X-Trace-Id", traceID)
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
-		h(sw, r.WithContext(ctx))
+		h(sw, r.WithContext(telemetry.WithRequest(r.Context(), rec, trace)))
 		dur := time.Since(start)
 		hist.Observe(dur)
 		// The whole-request envelope span: one top-level slice per request
 		// track in the exported trace (no-op unless a capture is running).
-		telemetry.AddTraceSpan("http_"+route, trace, start, dur)
+		telemetry.AddTraceSpan(span, trace, start, dur)
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
@@ -342,21 +350,24 @@ func (s *Server) instrumented(route string, lvl slog.Level, h http.HandlerFunc) 
 		if !s.log.Enabled(r.Context(), level) {
 			return
 		}
-		attrs := []any{
+		attrs := [9]slog.Attr{
 			slog.Int64("id", id),
-			slog.String("trace", trace.String()),
+			slog.String("trace", traceID),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", sw.status),
 			slog.Float64("durMs", float64(dur)/float64(time.Millisecond)),
 		}
+		n := 6
 		if hits, misses := rec.Count(telemetry.StageCacheHit), rec.Count(telemetry.StageCacheMiss); hits+misses > 0 {
-			attrs = append(attrs, slog.Int64("cacheHits", hits), slog.Int64("cacheMisses", misses))
+			attrs[n], attrs[n+1] = slog.Int64("cacheHits", hits), slog.Int64("cacheMisses", misses)
+			n += 2
 		}
 		if stages := rec.Summary(); stages != "" {
-			attrs = append(attrs, slog.String("stages", stages))
+			attrs[n] = slog.String("stages", stages)
+			n++
 		}
-		s.log.Log(r.Context(), level, "request", attrs...)
+		s.log.LogAttrs(r.Context(), level, "request", attrs[:n]...)
 	}
 }
 

@@ -482,30 +482,57 @@ func TestRequestLogging(t *testing.T) {
 	sim := serverSim(t)
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo}))
-	s := newTestServer(t, Config{Logger: logger})
+	s := newTestServer(t, Config{Logger: logger, PrimeSnapshots: true, PrimeOracles: true})
 	url := q("/v1/path", "src", sim.CityName(sim.Pairs[0].Src), "dst", sim.CityName(sim.Pairs[0].Dst))
-	if rec := getJSON(t, s.Handler(), url, nil); rec.Code != http.StatusOK {
-		t.Fatalf("%s: status %d", url, rec.Code)
+
+	type logLine struct {
+		Msg         string  `json:"msg"`
+		ID          int64   `json:"id"`
+		Trace       string  `json:"trace"`
+		Method      string  `json:"method"`
+		Path        string  `json:"path"`
+		Status      int     `json:"status"`
+		DurMs       float64 `json:"durMs"`
+		CacheHits   *int64  `json:"cacheHits"`
+		CacheMisses *int64  `json:"cacheMisses"`
+		Stages      string  `json:"stages"`
+	}
+	// request serves url and returns the one log line it wrote, checking
+	// every field a request line carries.
+	request := func() logLine {
+		t.Helper()
+		buf.Reset()
+		rec := getJSON(t, s.Handler(), url, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", url, rec.Code)
+		}
+		var line logLine
+		if err := json.Unmarshal(buf.Bytes(), &line); err != nil {
+			t.Fatalf("request log is not one JSON line: %v\n%s", err, buf.String())
+		}
+		if line.Msg != "request" || line.ID < 1 || line.Method != "GET" ||
+			line.Path != "/v1/path" || line.Status != http.StatusOK || line.DurMs < 0 {
+			t.Fatalf("request log line incomplete: %+v", line)
+		}
+		if trace := rec.Header().Get("X-Trace-Id"); line.Trace == "" || line.Trace != trace {
+			t.Errorf("log line trace %q, response X-Trace-Id %q", line.Trace, trace)
+		}
+		if line.CacheHits == nil || line.CacheMisses == nil || *line.CacheHits+*line.CacheMisses == 0 {
+			t.Errorf("request log lacks its cache counts: %s", buf.String())
+		}
+		return line
 	}
 
-	var line struct {
-		Msg    string  `json:"msg"`
-		ID     int64   `json:"id"`
-		Method string  `json:"method"`
-		Path   string  `json:"path"`
-		Status int     `json:"status"`
-		DurMs  float64 `json:"durMs"`
-		Stages string  `json:"stages"`
+	if line := request(); !strings.Contains(line.Stages, "cache_miss=") || *line.CacheMisses == 0 {
+		t.Errorf("cold request: log lacks its cache miss: stages %q, cacheMisses %d", line.Stages, *line.CacheMisses)
 	}
-	if err := json.Unmarshal(buf.Bytes(), &line); err != nil {
-		t.Fatalf("request log is not one JSON line: %v\n%s", err, buf.String())
+	// Primed and oracle-attached: the line names the hit and the oracle read.
+	if _, err := s.primeAll(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	if line.Msg != "request" || line.ID < 1 || line.Method != "GET" ||
-		line.Path != "/v1/path" || line.Status != http.StatusOK || line.DurMs < 0 {
-		t.Fatalf("request log line incomplete: %+v", line)
-	}
-	if line.Stages == "" || !strings.Contains(line.Stages, "cache_miss") {
-		t.Errorf("request log lacks stage breakdown: %q", line.Stages)
+	line := request()
+	if !strings.Contains(line.Stages, "cache_hit=") || !strings.Contains(line.Stages, "oracle_query=") || *line.CacheHits == 0 {
+		t.Errorf("primed request: stages %q, cacheHits %d; want a cache hit and an oracle query", line.Stages, *line.CacheHits)
 	}
 
 	// Introspection endpoints log at debug — silent at the info level.

@@ -3,8 +3,7 @@ package telemetry
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -201,30 +200,46 @@ func (r *Recorder) Breakdown() map[string]StageTime {
 	return out
 }
 
-// Summary renders the breakdown as one compact "stage=12.3ms×4" list,
-// sorted by descending total — the form request logs carry.
+// Summary renders the non-empty stages as one compact "stage=12.30ms×4"
+// list, by descending total and, between equal totals, in Stage order — the
+// form request logs and the CLI's stage line carry. It runs on every served
+// request, so it sorts the fixed stage array in place and appends with
+// strconv: the returned string is its one allocation.
 func (r *Recorder) Summary() string {
-	bd := r.Breakdown()
-	if len(bd) == 0 {
+	if r == nil {
 		return ""
 	}
-	type kv struct {
-		name string
-		st   StageTime
-	}
-	items := make([]kv, 0, len(bd))
-	for name, st := range bd {
-		items = append(items, kv{name, st})
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].st.TotalMs > items[j].st.TotalMs })
-	var b strings.Builder
-	for i, it := range items {
-		if i > 0 {
-			b.WriteByte(' ')
+	var nanos, counts [NumStages]int64
+	var order [NumStages]Stage
+	n := 0
+	for s := Stage(0); s < NumStages; s++ {
+		if counts[s] = r.counts[s].Load(); counts[s] == 0 {
+			continue
 		}
-		fmt.Fprintf(&b, "%s=%.2fms×%d", it.name, it.st.TotalMs, it.st.Count)
+		nanos[s] = r.nanos[s].Load()
+		i := n // insertion sort; stages come in Stage order, so ties keep it
+		for ; i > 0 && nanos[order[i-1]] < nanos[s]; i-- {
+			order[i] = order[i-1]
+		}
+		order[i] = s
+		n++
 	}
-	return b.String()
+	if n == 0 {
+		return ""
+	}
+	var buf [int(NumStages) * 48]byte
+	b := buf[:0]
+	for i, s := range order[:n] {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, stageNames[s]...)
+		b = append(b, '=')
+		b = strconv.AppendFloat(b, float64(nanos[s])/1e6, 'f', 2, 64)
+		b = append(b, "ms×"...)
+		b = strconv.AppendInt(b, counts[s], 10)
+	}
+	return string(b)
 }
 
 type recorderKey struct{}
@@ -240,4 +255,28 @@ func WithRecorder(ctx context.Context, rec *Recorder) context.Context {
 func FromContext(ctx context.Context) *Recorder {
 	rec, _ := ctx.Value(recorderKey{}).(*Recorder)
 	return rec
+}
+
+// WithRequest attaches a request's recorder and trace ID to ctx: what
+// WithTraceID(WithRecorder(ctx, rec), id) attaches, in one context node
+// instead of two.
+func WithRequest(ctx context.Context, rec *Recorder, id TraceID) context.Context {
+	return &requestCtx{Context: ctx, rec: rec, trace: id}
+}
+
+// requestCtx is WithRequest's context node.
+type requestCtx struct {
+	context.Context
+	rec   *Recorder
+	trace TraceID
+}
+
+func (c *requestCtx) Value(key any) any {
+	switch key.(type) {
+	case recorderKey:
+		return c.rec
+	case traceIDKey:
+		return c.trace
+	}
+	return c.Context.Value(key)
 }

@@ -146,6 +146,35 @@ func TestRecorderSurvivesWithoutCancel(t *testing.T) {
 	})
 }
 
+// Summary orders stages by descending total and breaks ties in Stage order,
+// so equal totals print the same line on every call, and its string is its
+// only allocation.
+func TestSummaryOrder(t *testing.T) {
+	rec := NewRecorder()
+	if got := rec.Summary(); got != "" {
+		t.Errorf("empty Summary = %q, want \"\"", got)
+	}
+	if got := (*Recorder)(nil).Summary(); got != "" {
+		t.Errorf("nil Summary = %q, want \"\"", got)
+	}
+	rec.observe(StageOracleQuery, 1500*time.Microsecond)
+	rec.observe(StageCacheHit, 1500*time.Microsecond)
+	rec.observe(StageSearch, 1500*time.Microsecond)
+	rec.observe(StageGraphBuild, 2*time.Millisecond)
+	rec.observe(StageCacheMiss, 4*time.Microsecond)
+	rec.observe(StageCacheMiss, 1*time.Microsecond)
+	rec.observe(StageMaxMin, 12345678*time.Nanosecond)
+	const want = "maxmin_alloc=12.35ms×1 graph_build=2.00ms×1 search=1.50ms×1 cache_hit=1.50ms×1 oracle_query=1.50ms×1 cache_miss=0.01ms×2"
+	for i := 0; i < 100; i++ {
+		if got := rec.Summary(); got != want {
+			t.Fatalf("call %d: Summary = %q, want %q", i, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = rec.Summary() }); allocs > 1 {
+		t.Errorf("Summary allocates %.0f times, want at most 1", allocs)
+	}
+}
+
 func TestNilRecorderBreakdown(t *testing.T) {
 	var rec *Recorder
 	if bd := rec.Breakdown(); bd != nil {

@@ -31,7 +31,15 @@ import (
 type TraceID uint64
 
 // String renders the ID as it appears in logs, response headers and events.
-func (id TraceID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
+func (id TraceID) String() string {
+	const hex = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = hex[id&0xf]
+		id >>= 4
+	}
+	return string(b[:])
+}
 
 var (
 	// traceEpoch distinguishes runs: restarted processes never reuse IDs

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"regexp"
 	"testing"
 	"time"
@@ -12,6 +13,11 @@ import (
 func TestTraceIDString(t *testing.T) {
 	if got := TraceID(0xab).String(); !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(got) {
 		t.Errorf("TraceID.String() = %q, want 16 hex digits", got)
+	}
+	for _, id := range []TraceID{0, 0xab, 0x0123456789abcdef, 1<<64 - 1, NewTraceID()} {
+		if got, want := id.String(), fmt.Sprintf("%016x", uint64(id)); got != want {
+			t.Errorf("TraceID(%#x).String() = %q, want %q", uint64(id), got, want)
+		}
 	}
 	a, b := NewTraceID(), NewTraceID()
 	if a == b || a == 0 || b == 0 {
@@ -27,6 +33,31 @@ func TestTraceIDContext(t *testing.T) {
 	}
 	if got := TraceIDFrom(context.Background()); got != 0 {
 		t.Errorf("TraceIDFrom(empty) = %v, want 0", got)
+	}
+}
+
+// WithRequest's one context node answers both lookups, through the wrappers
+// a request context gets (a deadline, a detached build), and passes every
+// other key to its parent.
+func TestWithRequest(t *testing.T) {
+	type otherKey struct{}
+	id, rec := NewTraceID(), NewRecorder()
+	parent := context.WithValue(context.Background(), otherKey{}, "kept")
+	ctx, cancel := context.WithTimeout(WithRequest(parent, rec, id), time.Minute)
+	defer cancel()
+	for _, c := range []context.Context{ctx, context.WithoutCancel(ctx)} {
+		if got := TraceIDFrom(c); got != id {
+			t.Errorf("TraceIDFrom = %v, want %v", got, id)
+		}
+		if got := FromContext(c); got != rec {
+			t.Errorf("FromContext = %p, want %p", got, rec)
+		}
+		if got := c.Value(otherKey{}); got != "kept" {
+			t.Errorf("parent value = %v, want kept", got)
+		}
+	}
+	if rec := FromContext(WithRequest(context.Background(), nil, id)); rec != nil {
+		t.Errorf("FromContext of a nil recorder = %p, want nil", rec)
 	}
 }
 
