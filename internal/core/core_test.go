@@ -3,15 +3,19 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"leosim/internal/geo"
 	"leosim/internal/ground"
+	"leosim/internal/safe"
 	"leosim/internal/topo"
 )
 
@@ -144,10 +148,90 @@ func TestSamplePairsEdgeCases(t *testing.T) {
 
 func TestGroupPairs(t *testing.T) {
 	pairs := []Pair{{Src: 3, Dst: 0}, {Src: 1, Dst: 2}, {Src: 3, Dst: 1}, {Src: 2, Dst: 0}}
-	got := groupPairs(pairs)
-	want := map[int][]int{1: {1}, 2: {3}, 3: {0, 2}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("groupPairs = %v, want %v", got, want)
+	if got, want := groupPairs(pairs, pairSrc), (map[int][]int{1: {1}, 2: {3}, 3: {0, 2}}); !reflect.DeepEqual(got, want) {
+		t.Errorf("groupPairs by source = %v, want %v", got, want)
+	}
+	if got, want := groupPairs(pairs, pairDst), (map[int][]int{0: {0, 3}, 1: {2}, 2: {1}}); !reflect.DeepEqual(got, want) {
+		t.Errorf("groupPairs by destination = %v, want %v", got, want)
+	}
+}
+
+// TestEachGroup holds the fan-out to its contract, grouped by source and by
+// destination: fn runs once per group with the group's pair indices, a
+// cancelled context stops it before any group with the context's error, and a
+// worker panic comes back as a *safe.PanicError.
+func TestEachGroup(t *testing.T) {
+	pairs := []Pair{{Src: 3, Dst: 0}, {Src: 1, Dst: 2}, {Src: 3, Dst: 1}, {Src: 2, Dst: 0}}
+	for _, end := range []struct {
+		name string
+		f    func(Pair) int
+	}{{"source", pairSrc}, {"destination", pairDst}} {
+		var mu sync.Mutex
+		got := map[int][]int{}
+		err := eachGroup(context.Background(), pairs, end.f, func(city int, pis []int) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if _, twice := got[city]; twice {
+				t.Errorf("by %s: city %d ran twice", end.name, city)
+			}
+			got[city] = pis
+			return nil
+		})
+		if want := groupPairs(pairs, end.f); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("by %s: ran %v (err %v), want %v", end.name, got, err, want)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		var ran atomic.Int32
+		err = eachGroup(ctx, pairs, end.f, func(int, []int) error { ran.Add(1); return nil })
+		if !errors.Is(err, context.Canceled) || ran.Load() != 0 {
+			t.Errorf("by %s, cancelled: err %v after %d groups, want context.Canceled after none", end.name, err, ran.Load())
+		}
+
+		err = eachGroup(context.Background(), pairs, end.f, func(int, []int) error { panic("injected group failure") })
+		var pe *safe.PanicError
+		if !errors.As(err, &pe) || !strings.Contains(err.Error(), "injected group failure") {
+			t.Errorf("by %s, panicking: err %T %v, want a *safe.PanicError", end.name, err, err)
+		}
+	}
+}
+
+// TestComputePairPathsProgress holds the per-destination fan-out of
+// computePairPaths to the progress and cancellation contract of a long run:
+// on a tiny sim of more than 1,000 pairs it prints one "pairs routed" line,
+// once the count passes 1,000, and under a cancelled context it returns the
+// context's error and no paths.
+func TestComputePairPathsProgress(t *testing.T) {
+	scale := TinyScale()
+	scale.NumPairs, scale.NumSnapshots = 1200, 1
+	s, err := NewSim(Starlink, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Pairs) <= 1000 {
+		t.Fatalf("%d pairs sampled, want more than 1,000", len(s.Pairs))
+	}
+	n := s.NetworkAt(s.SnapshotTimes()[0], Hybrid)
+	var buf bytes.Buffer
+	Progress = &buf
+	defer func() { Progress = nil }()
+	if _, err := computePairPaths(context.Background(), s, n, 1); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	var routed int
+	if len(lines) != 1 || !strings.HasSuffix(lines[0], fmt.Sprintf("/%d pairs routed", len(s.Pairs))) {
+		t.Fatalf("progress %q, want one pairs-routed line", buf.String())
+	}
+	if _, err := fmt.Sscanf(lines[0], "  ... %d/", &routed); err != nil || routed < 1000 || routed > len(s.Pairs) {
+		t.Fatalf("progress line %q: want a count past 1,000 (%v)", lines[0], err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if paths, err := computePairPaths(ctx, s, n, 4); paths != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled: %d path sets, err %v; want none and context.Canceled", len(paths), err)
 	}
 }
 

@@ -10,25 +10,28 @@ import (
 	"leosim/internal/telemetry"
 )
 
-// groupPairs maps each source city of pairs to the indices of its pairs,
-// ascending.
-func groupPairs(pairs []Pair) map[int][]int {
-	bySrc := map[int][]int{}
+// groupPairs maps each end city of pairs — end picks the source (pairSrc) or
+// the destination (pairDst) — to the indices of the pairs there, ascending.
+func groupPairs(pairs []Pair, end func(Pair) int) map[int][]int {
+	groups := map[int][]int{}
 	for pi, p := range pairs {
-		bySrc[p.Src] = append(bySrc[p.Src], pi)
+		groups[end(p)] = append(groups[end(p)], pi)
 	}
-	return bySrc
+	return groups
 }
 
-// eachSource runs fn once per source city of pairs, in parallel and in no set
-// order: pis are the indices into pairs of the pairs leaving src, ascending.
-// It is the one loop over a pair list's source groups. Cancellation of ctx
-// stops further sources with the context's error; a worker panic comes back
-// as a *safe.PanicError.
-func eachSource(ctx context.Context, pairs []Pair, fn func(src int, pis []int) error) error {
+func pairSrc(p Pair) int { return p.Src }
+func pairDst(p Pair) int { return p.Dst }
+
+// eachGroup runs fn once per end city of pairs (groupPairs), in parallel and
+// in no set order: pis are the indices into pairs of the pairs there,
+// ascending. It is the one loop over a pair list's groups, per source or per
+// destination. Cancellation of ctx stops further groups with the context's
+// error; a worker panic comes back as a *safe.PanicError.
+func eachGroup(ctx context.Context, pairs []Pair, end func(Pair) int, fn func(city int, pis []int) error) error {
 	g := safe.NewGroup(ctx, runtime.GOMAXPROCS(0))
-	for src, pis := range groupPairs(pairs) {
-		g.Go(func() error { return fn(src, pis) })
+	for city, pis := range groupPairs(pairs, end) {
+		g.Go(func() error { return fn(city, pis) })
 	}
 	return g.Wait()
 }
@@ -48,7 +51,7 @@ func searchPairs(ctx context.Context, v graph.View, pairs []Pair, want []bool, e
 	visit func(pi int, dst int32, st *graph.SearchState)) error {
 	defer telemetry.RecordSpan(ctx, telemetry.StageSearch).End()
 	n := v.N
-	return eachSource(ctx, pairs, func(src int, pis []int) error {
+	return eachGroup(ctx, pairs, pairSrc, func(src int, pis []int) error {
 		var wanted []int
 		var dsts []int32
 		for _, pi := range pis {

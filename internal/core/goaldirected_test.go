@@ -38,8 +38,8 @@ func plainDisjointPaths(n *graph.Network, src, dst int32, k int) []graph.Path {
 // TestGoalDirectedMatchesDijkstra holds the goal-directed kernel to plain
 // Dijkstra on reduced snapshots — seeds 1, 5 and 17, snapshots 0 and 5,
 // bent-pipe, hybrid, and the hybrid under a 20 % satellite outage: every
-// pair's k = 4 disjoint-path set from KDisjointPathsFrom (its peels are
-// goal-directed) is the plain peeling's, and every city pair searched alone
+// pair's k = 4 disjoint-path set from KDisjointPathsTo (its destination's
+// tree directs every search) is the plain peeling's, and every city pair searched alone
 // under random link bans — on the outage's view, the healthy hybrid with the
 // cut banned too — settles its target at the plain search's distance (float
 // bits), predecessor link and path, both under the free-space bound and
@@ -95,15 +95,15 @@ func goalDirectedMatchesDijkstra(ctx context.Context, t *testing.T, seed int64) 
 		} {
 			tag := fmt.Sprintf("seed %d snapshot %d %s", seed, snap, c.label)
 			n := c.n
-			for srcCity, pis := range groupPairs(s.Pairs) {
-				src := n.CityNode(srcCity)
-				var dsts []int32
+			for dstCity, pis := range groupPairs(s.Pairs, pairDst) {
+				dst := n.CityNode(dstCity)
+				var srcs []int32
 				for _, pi := range pis {
-					dsts = append(dsts, n.CityNode(s.Pairs[pi].Dst))
+					srcs = append(srcs, n.CityNode(s.Pairs[pi].Src))
 				}
-				for i, set := range n.KDisjointPathsFrom(src, dsts, 4) {
-					if want := plainDisjointPaths(n, src, dsts[i], 4); !reflect.DeepEqual(set, want) {
-						t.Fatalf("%s: %d→%d: k = 4 sets %v, plain peeling %v", tag, src, dsts[i], set, want)
+				for i, set := range n.KDisjointPathsTo(dst, srcs, 4) {
+					if want := plainDisjointPaths(n, srcs[i], dst, 4); !reflect.DeepEqual(set, want) {
+						t.Fatalf("%s: %d→%d: k = 4 sets %v, plain peeling %v", tag, srcs[i], dst, set, want)
 					}
 				}
 			}

@@ -66,13 +66,12 @@ func RunGSOImpact(ctx context.Context, s *Sim) (res *GSOImpactResult, err error)
 		return nil, fmt.Errorf("core: no equatorial pair reachable under both unconstrained modes")
 	}
 
-	for _, m := range []struct {
-		mode        Mode
-		unFrac, med *float64
-	}{{BP, &res.UnreachableFracBP, &res.MedianInflationBPMs}, {Hybrid, &res.UnreachableFracHybrid, &res.MedianInflationHybridMs}} {
-		gsoRTT, err := pairRTTs(ctx, graph.View{N: constrained.NetworkAt(t, m.mode)}, eqPairs, eligible)
+	// impact returns the share of eligible pairs the constraint makes
+	// unreachable under mode, and the median RTT inflation of the rest.
+	impact := func(mode Mode) (unFrac, med float64, err error) {
+		gsoRTT, err := pairRTTs(ctx, graph.View{N: constrained.NetworkAt(t, mode)}, eqPairs, eligible)
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 		var inflations []float64
 		unreachable := 0
@@ -80,13 +79,19 @@ func RunGSOImpact(ctx context.Context, s *Sim) (res *GSOImpactResult, err error)
 			if ok && math.IsInf(gsoRTT[pi], 1) {
 				unreachable++
 			} else if ok {
-				inflations = append(inflations, gsoRTT[pi]-freeRTT[m.mode][pi])
+				inflations = append(inflations, gsoRTT[pi]-freeRTT[mode][pi])
 			}
 		}
-		*m.unFrac = float64(unreachable) / float64(res.EquatorialPairs)
-		if *m.med = stats.Percentile(inflations, 50); math.IsNaN(*m.med) {
-			*m.med = math.Inf(1)
+		if med = stats.Percentile(inflations, 50); math.IsNaN(med) {
+			med = math.Inf(1)
 		}
+		return float64(unreachable) / float64(res.EquatorialPairs), med, nil
+	}
+	if res.UnreachableFracBP, res.MedianInflationBPMs, err = impact(BP); err != nil {
+		return nil, err
+	}
+	if res.UnreachableFracHybrid, res.MedianInflationHybridMs, err = impact(Hybrid); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

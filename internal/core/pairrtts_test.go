@@ -48,7 +48,7 @@ func TestPairRTTsMatchesFullTrees(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for srcCity, pis := range groupPairs(s.Pairs) {
+				for srcCity, pis := range groupPairs(s.Pairs, pairSrc) {
 					src := n.CityNode(srcCity)
 					var dsts []int32
 					for _, pi := range pis {
@@ -76,7 +76,7 @@ func TestPairRTTsMatchesFullTrees(t *testing.T) {
 				}
 			}
 			t.Logf("%s day (%d snapshots × 2 modes, %d sources): full trees settle %d nodes, the stopped searches %d (%.3f)",
-				scale.Name, len(times), len(groupPairs(s.Pairs)), full, stopped, float64(stopped)/float64(full))
+				scale.Name, len(times), len(groupPairs(s.Pairs, pairSrc)), full, stopped, float64(stopped)/float64(full))
 
 			f, sp := check("hybrid masked by a 20% satellite outage", satOutageHybrid(t, s))
 			t.Logf("%s masked network: full trees settle %d nodes, the stopped searches %d", scale.Name, f, sp)
@@ -140,14 +140,17 @@ func satOutageHybrid(t *testing.T, s *Sim) *graph.Network {
 	return masked
 }
 
-// TestPairPathsMatchPerPair holds computePairPaths — one KDisjointPathsFrom
-// per source city — to one KDisjointPaths call per pair, for k = 1 and 4, on
-// both modes of the first snapshot of the tiny and reduced days and on the
+// TestPairPathsMatchPerPair holds computePairPaths — one KDisjointPathsTo
+// per destination city — to one KDisjointPaths call per pair, for k = 1 and 4,
+// on both modes of the first snapshot of the tiny and reduced days and on the
 // hybrid network under a 20 % satellite outage; and RunFig4, which solves
 // k = 1 over the first paths of its k = 4 sets, to RunThroughput row for row.
 // It then counts the kernel searches of one reduced RunFig4 (seed 1): per
-// mode one listed search per source plus three banned ones per pair, where
-// searching each pair alone, once per k, took 2,500.
+// mode one full tree per destination plus four directed searches per pair,
+// where one listed search per source plus three free-space peels per pair
+// took 1,720. It also counts the nodes those searches settle, replaying each
+// mode's round search by search (replayRound): the trees add searches, and
+// the searches they direct settle far fewer nodes.
 func TestPairPathsMatchPerPair(t *testing.T) {
 	ctx := context.Background()
 	for _, scale := range []Scale{TinyScale(), ReducedScale()} {
@@ -212,9 +215,111 @@ func TestPairPathsMatchPerPair(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := searches() - before
-		t.Logf("reduced seed %d: %d pairs from %d sources, %d kernel searches per RunFig4", s.Scale.Seed, len(s.Pairs), len(groupPairs(s.Pairs)), got)
-		if got != 1720 {
-			t.Fatalf("RunFig4 ran %d kernel searches, want 1,720", got)
+		t.Logf("reduced seed %d: %d pairs to %d destinations, %d kernel searches per RunFig4", s.Scale.Seed, len(s.Pairs), len(groupPairs(s.Pairs, pairDst)), got)
+		if got != 2208 {
+			t.Fatalf("RunFig4 ran %d kernel searches, want 2,208", got)
+		}
+
+		at := s.SnapshotTimes()[0]
+		var settled, trees, listed int
+		for _, mode := range []Mode{BP, Hybrid} {
+			n := s.NetworkAt(at, mode)
+			want, err := computePairPaths(ctx, s, n, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths, tree, directed, free := replayRound(n, s.Pairs)
+			if !reflect.DeepEqual(paths, want) {
+				t.Fatalf("%s: the replayed round's paths differ from computePairPaths'", mode)
+			}
+			t.Logf("%s: the trees settle %d nodes and the searches they direct %d; one listed search per source plus free-space peels settled %d", mode, tree, directed, free)
+			settled += tree + directed
+			trees += tree
+			listed += free
+		}
+		t.Logf("RunFig4 settles %d nodes (%d of them in trees), where the listed searches and free-space peels settled %d", settled, trees, listed)
+		if settled != 926891 {
+			t.Fatalf("RunFig4 settled %d nodes, want 926,891", settled)
 		}
 	})
+}
+
+// replayRound re-runs on n, one search at a time, the searches
+// computePairPaths makes for pairs at k = 4 — per destination a full tree,
+// then each source's peels directed by it — and returns the paths and the
+// nodes the trees and the directed searches settle. free is what the scheme
+// before it settled: per source one search listing its destinations, then
+// each pair's banned peels under the free-space bound.
+func replayRound(n *graph.Network, pairs []Pair) (paths [][]graph.Path, tree, directed, free int) {
+	st := graph.AcquireSearch()
+	defer st.Release()
+	settled := func() (c int) {
+		for v := int32(0); v < int32(n.N()); v++ {
+			if st.Settled(v) {
+				c++
+			}
+		}
+		return c
+	}
+	// peel extends set to k = 4 paths src → dst, banning set's links and
+	// searching directed by row (nil: the free-space bound), and adds the
+	// nodes each search settles to *count.
+	peel := func(src, dst int32, row []int32, set []graph.Path, count *int) []graph.Path {
+		st.ClearBans()
+		for _, p := range set {
+			for _, li := range p.Links {
+				st.BanLink(li)
+			}
+		}
+		for len(set) < 4 {
+			n.Search(st, graph.SearchSpec{Src: src, Target: dst, Tree: row})
+			*count += settled()
+			p, ok := st.Path(dst)
+			if !ok {
+				break
+			}
+			set = append(set, p)
+			for _, li := range p.Links {
+				st.BanLink(li)
+			}
+		}
+		return set
+	}
+	paths = make([][]graph.Path, len(pairs))
+	for dstCity, pis := range groupPairs(pairs, pairDst) {
+		dst := n.CityNode(dstCity)
+		st.ClearBans()
+		n.Search(st, graph.SearchSpec{Src: dst, Target: graph.NoTarget})
+		tree += settled()
+		row := make([]int32, n.N())
+		for v := range row {
+			row[v] = st.PrevLink(int32(v))
+		}
+		for _, pi := range pis {
+			if src := n.CityNode(pairs[pi].Src); row[src] >= 0 || src == dst {
+				paths[pi] = peel(src, dst, row, nil, &directed)
+			}
+		}
+	}
+	for srcCity, pis := range groupPairs(pairs, pairSrc) {
+		src := n.CityNode(srcCity)
+		var dsts []int32
+		for _, pi := range pis {
+			dsts = append(dsts, n.CityNode(pairs[pi].Dst))
+		}
+		st.ClearBans()
+		n.Search(st, graph.SearchSpec{Src: src, Target: graph.NoTarget, Targets: dsts})
+		free += settled()
+		firsts := make([]graph.Path, len(dsts))
+		reached := make([]bool, len(dsts))
+		for i, dst := range dsts {
+			firsts[i], reached[i] = st.Path(dst)
+		}
+		for i, dst := range dsts {
+			if reached[i] {
+				peel(src, dst, nil, firsts[i:i+1], &free)
+			}
+		}
+	}
+	return paths, tree, directed, free
 }

@@ -112,17 +112,18 @@ func progressf(format string, args ...interface{}) {
 }
 
 // computePairPaths finds k edge-disjoint shortest paths per pair, one
-// KDisjointPathsFrom per source city in parallel (eachSource).
+// KDisjointPathsTo per destination city in parallel (eachGroup): each
+// destination's tree directs the searches of every pair arriving there.
 func computePairPaths(ctx context.Context, s *Sim, n *graph.Network, k int) ([][]graph.Path, error) {
 	defer telemetry.RecordSpan(ctx, telemetry.StageKDisjoint).End()
 	out := make([][]graph.Path, len(s.Pairs))
 	var done atomic.Int64
-	err := eachSource(ctx, s.Pairs, func(src int, pis []int) error {
-		dsts := make([]int32, len(pis))
+	err := eachGroup(ctx, s.Pairs, pairDst, func(dst int, pis []int) error {
+		srcs := make([]int32, len(pis))
 		for i, pi := range pis {
-			dsts[i] = n.CityNode(s.Pairs[pi].Dst)
+			srcs[i] = n.CityNode(s.Pairs[pi].Src)
 		}
-		for i, paths := range n.KDisjointPathsFrom(n.CityNode(src), dsts, k) {
+		for i, paths := range n.KDisjointPathsTo(n.CityNode(dst), srcs, k) {
 			out[pis[i]] = paths
 		}
 		if d := done.Add(int64(len(pis))); d/1000 > (d-int64(len(pis)))/1000 {

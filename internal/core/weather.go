@@ -110,7 +110,7 @@ func weatherCurves(ctx context.Context, s *Sim, pairs []Pair, band Band) (bp, is
 		// on its own worker; the per-curve cost feeds the registry histogram
 		// from itur.NewCurve.
 		sp := telemetry.RecordSpan(ctx, telemetry.StageWeather)
-		err = eachSource(ctx, pairs, func(_ int, pis []int) (err error) {
+		err = eachGroup(ctx, pairs, pairSrc, func(_ int, pis []int) (err error) {
 			for _, pi := range pis {
 				if bp[pi], err = appendCurve(bp[pi], bpNet, bpPaths[pi], band); err != nil {
 					return err

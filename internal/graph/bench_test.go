@@ -121,9 +121,9 @@ func reducedBPSnapshot(b *testing.B) *Network {
 	return bld.At(geo.Epoch)
 }
 
-// pairGroupOffsets are the destination cities BenchmarkSearchTargets and
-// BenchmarkKDisjointFrom give each source city, as offsets from it: a pair
-// group's three destinations.
+// pairGroupOffsets are the cities BenchmarkSearchTargets gives each source
+// city as destinations, and BenchmarkKDisjointTo each destination city as
+// sources, as offsets from it: a pair group's three other ends.
 var pairGroupOffsets = []int{37, 74, 111}
 
 // BenchmarkSearchTargets measures what a day sweep's tree costs on the
@@ -170,34 +170,60 @@ func BenchmarkSearchTargets(b *testing.B) {
 // kDisjointSink keeps the benchmarked path sets alive.
 var kDisjointSink [][]Path
 
-// BenchmarkKDisjointFrom measures one source's pair group at k = 4 on the
-// reduced-scale bent-pipe snapshot: three destination cities as three
-// KDisjointPaths calls, against one KDisjointPathsFrom, whose first paths
-// come off one listed search. Sources cycle through the cities.
-func BenchmarkKDisjointFrom(b *testing.B) {
+// BenchmarkKDisjointTo measures one destination's pair group at k = 4 on the
+// reduced-scale bent-pipe snapshot, three source cities peeled three ways:
+// each search under the free-space bound alone, three KDisjointPaths calls
+// (each builds its own tree), and one KDisjointPathsTo, whose one tree
+// directs all twelve searches. Destinations cycle through the cities.
+func BenchmarkKDisjointTo(b *testing.B) {
 	telemetry.Disable()
 	n := reducedBPSnapshot(b)
-	dsts := make([][]int32, n.NumCity)
-	for src := range dsts {
+	srcs := make([][]int32, n.NumCity)
+	for dst := range srcs {
 		for _, k := range pairGroupOffsets {
-			dsts[src] = append(dsts[src], n.CityNode((src+k)%n.NumCity))
+			srcs[dst] = append(srcs[dst], n.CityNode((dst+k)%n.NumCity))
 		}
 	}
-	b.Run("per-destination", func(b *testing.B) {
+	b.Run("free-space", func(b *testing.B) {
 		b.ReportAllocs()
+		st := AcquireSearch()
+		defer st.Release()
 		for i := 0; i < b.N; i++ {
-			src := i % n.NumCity
+			dst := i % n.NumCity
 			kDisjointSink = kDisjointSink[:0]
-			for _, dst := range dsts[src] {
-				kDisjointSink = append(kDisjointSink, n.KDisjointPaths(n.CityNode(src), dst, 4))
+			for _, src := range srcs[dst] {
+				var set []Path
+				st.ClearBans()
+				for len(set) < 4 {
+					n.Search(st, SearchSpec{Src: src, Target: n.CityNode(dst)})
+					p, ok := st.Path(n.CityNode(dst))
+					if !ok {
+						break
+					}
+					set = append(set, p)
+					for _, li := range p.Links {
+						st.BanLink(li)
+					}
+				}
+				kDisjointSink = append(kDisjointSink, set)
 			}
 		}
 	})
-	b.Run("listed", func(b *testing.B) {
+	b.Run("per-source", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			src := i % n.NumCity
-			kDisjointSink = n.KDisjointPathsFrom(n.CityNode(src), dsts[src], 4)
+			dst := i % n.NumCity
+			kDisjointSink = kDisjointSink[:0]
+			for _, src := range srcs[dst] {
+				kDisjointSink = append(kDisjointSink, n.KDisjointPaths(src, n.CityNode(dst), 4))
+			}
+		}
+	})
+	b.Run("tree", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dst := i % n.NumCity
+			kDisjointSink = n.KDisjointPathsTo(n.CityNode(dst), srcs[dst], 4)
 		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"leosim/internal/geo"
+	"leosim/internal/telemetry"
 )
 
 // This file checks the allocation-free kernel against a deliberately naive
@@ -448,54 +449,102 @@ func TestDifferentialExpand(t *testing.T) {
 	}
 }
 
-// TestDifferentialKDisjoint holds every entry of KDisjointPathsFrom to
-// KDisjointPaths for that destination and to naiveDijkstra peeling — search,
-// ban the found path's links, search again — on random graphs (seeds
-// 300–314) and on the tie-rich grids of FuzzSearch. Each destination list
-// holds a duplicate, the source itself and an isolated node, and k runs past
-// the number of disjoint routes.
+// TestDifferentialKDisjoint holds every entry of KDisjointPathsTo to
+// KDisjointPaths for that source and to naiveDijkstra peeling — search, ban
+// the found path's links, search again. Where the free-space gate is open the
+// destination's tree directs every search: on random mirror-symmetric lattice
+// networks (seeds 300–314), whose twin routes tie exactly, and on
+// FuzzSearchGeometric's twin chains and equatorial grid. Where it is closed
+// the searches are plain: on FuzzSearch's tie-rich zero-position grids and on
+// the equatorial grid with a node below the surface. Each source list holds a
+// duplicate, the destination itself and an isolated node, twice, and k runs
+// past the number of disjoint routes. The kernel searches counted are one per
+// path found, one per source that ran short of k, and the tree exactly where
+// the gate is open; a source off that tree is not searched.
 func TestDifferentialKDisjoint(t *testing.T) {
 	type kCase struct {
 		name string
 		n    *Network
-		src  int32
-		dsts []int32
+		open bool // the free-space gate
+		dst  int32
+		srcs []int32
 	}
 	var cases []kCase
-	add := func(name string, n *Network, src int32, dsts ...int32) {
-		isolated := n.AddNode(NodeSatellite, geo.Vec3{}, "")
-		cases = append(cases, kCase{name, n, src, append(dsts, src, isolated)})
+	// add appends to srcs a duplicate of the first source, the destination
+	// and, twice, an isolated node at pos: a source searched where the gate
+	// is closed, and not searched where it is open.
+	add := func(name string, n *Network, open bool, pos geo.Vec3, dst int32, srcs ...int32) {
+		isolated := n.AddNode(NodeSatellite, pos, "")
+		cases = append(cases, kCase{name, n, open, dst, append(srcs, srcs[0], dst, isolated, isolated)})
 	}
+	orbit := geo.LatLon{Alt: 550}.ToECEF()
 	for seed := int64(300); seed < 315; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		n := randomNet(r, 40, 100)
-		a, b := int32(r.Intn(n.N())), int32(r.Intn(n.N()))
-		add(fmt.Sprintf("seed %d", seed), n, int32(r.Intn(n.N())), a, b, int32(r.Intn(n.N())), a)
+		n := randomMirrorNet(r, 10, 24)
+		pick := func() int32 { return int32(r.Intn(n.N())) }
+		add(fmt.Sprintf("seed %d", seed), n, true, orbit, pick(), pick(), pick(), pick())
 	}
-	add("6×6 grid", fuzzNet(gridBytes(6, 6)), 0, 35, 14, 21, 14)
-	add("7×8 grid", fuzzNet(gridBytes(7, 8)), 27, 0, 55, 8, 40, 55)
-	add("4×9 grid", fuzzNet(gridBytes(4, 9)), 13, 31, 4, 35, 4)
+	add("twin chains", geoNet(twinChainsBytes()), true, orbit, 1, 0, 2, 7)
+	add("equatorial grid", geoNet(equatorialGridBytes()), true, orbit, 1, 0, 4, 8, 12)
+	add("equatorial grid, a node below the surface", geoNet(equatorialGridBytes()), false, geo.Vec3{}, 1, 0, 4, 8, 12)
+	add("6×6 grid", fuzzNet(gridBytes(6, 6)), false, geo.Vec3{}, 0, 35, 14, 21)
+	add("7×8 grid", fuzzNet(gridBytes(7, 8)), false, geo.Vec3{}, 27, 0, 55, 8, 40)
+	add("4×9 grid", fuzzNet(gridBytes(4, 9)), false, geo.Vec3{}, 13, 31, 4, 35)
 
+	defer telemetry.Disable()
+	searches := func() int64 { return telemetry.Enable().StageHistogram(telemetry.StageSearch).Count() }
 	short := 0 // entries that ran out of disjoint routes before k
 	for _, c := range cases {
+		if open := c.n.goalTerms() != nil; open != c.open {
+			t.Fatalf("%s: free-space gate open = %v, want %v", c.name, open, c.open)
+		}
 		for _, k := range []int{1, 4, 9} {
-			got := c.n.KDisjointPathsFrom(c.src, c.dsts, k)
-			if len(got) != len(c.dsts) {
-				t.Fatalf("%s, k=%d: %d entries for %d destinations", c.name, k, len(got), len(c.dsts))
+			before := searches()
+			got := c.n.KDisjointPathsTo(c.dst, c.srcs, k)
+			ran := searches() - before
+			if len(got) != len(c.srcs) {
+				t.Fatalf("%s, k=%d: %d entries for %d sources", c.name, k, len(got), len(c.srcs))
 			}
-			for i, dst := range c.dsts {
-				tag := fmt.Sprintf("%s, k=%d, %d→%d", c.name, k, c.src, dst)
-				requireSamePaths(t, tag+" (KDisjointPaths)", got[i], c.n.KDisjointPaths(c.src, dst, k))
-				requireSamePaths(t, tag+" (reference)", got[i], naiveKDisjoint(c.n, c.src, dst, k))
+			var want int64
+			if c.open {
+				want = 1 // the destination's tree
+			}
+			for i, src := range c.srcs {
+				tag := fmt.Sprintf("%s, k=%d, %d→%d", c.name, k, src, c.dst)
+				requireSamePaths(t, tag+" (KDisjointPaths)", got[i], c.n.KDisjointPaths(src, c.dst, k))
+				requireSamePaths(t, tag+" (reference)", got[i], naiveKDisjoint(c.n, src, c.dst, k))
+				if len(got[i]) > 0 || !c.open {
+					want += int64(len(got[i]))
+					if len(got[i]) < k {
+						want++
+					}
+				}
 				if len(got[i]) > 0 && len(got[i]) < k {
 					short++
 				}
 			}
+			if ran != want {
+				t.Fatalf("%s, k=%d: %d kernel searches, want %d", c.name, k, ran, want)
+			}
 		}
 	}
 	if short == 0 {
-		t.Fatal("no destination ran out of disjoint routes: k never exceeded them")
+		t.Fatal("no source ran out of disjoint routes: k never exceeded them")
 	}
+}
+
+// randomMirrorNet is a geoNet of nodes random lattice nodes and links random
+// links between them, plus their reflections in the equator (mirrorBytes).
+func randomMirrorNet(r *rand.Rand, nodes, links int) *Network {
+	nd := make([][3]int, nodes)
+	for i := range nd {
+		nd[i] = [3]int{r.Intn(2), r.Intn(9), r.Intn(24)}
+	}
+	ls := make([][2]int, links)
+	for i := range ls {
+		ls[i] = [2]int{r.Intn(nodes), r.Intn(nodes)}
+	}
+	return geoNet(mirrorBytes(nd, ls))
 }
 
 // naiveKDisjoint is KDisjointPaths' peeling on naiveDijkstra.

@@ -53,11 +53,12 @@ func fuzzNet(data []byte) *Network {
 // (duplicates, the source, unreachable nodes) to the full tree on every listed
 // node (checkSearch); a view — the network searched with a cut banned — to
 // the network of its other links searched whole (checkView); and the k = 3
-// disjoint-path sets of the target list (KDisjointPathsFrom) to each
-// destination's own KDisjointPaths and the naive peeling. The grid
-// seeds tie every shortest path many ways; of the last two, one lists the
-// source and a duplicate on a grid with nothing banned, and the other's six
-// extra nodes are isolated, so its list holds unreachable targets.
+// disjoint-path sets from the target list to the drawn destination
+// (KDisjointPathsTo) to each source's own KDisjointPaths and the naive
+// peeling. The grid seeds tie every shortest path many ways; of the last
+// three, one lists the source and a duplicate on a grid with nothing banned,
+// the next's six extra nodes are isolated, so its list holds unreachable
+// targets, and the last lists the destination and a duplicate.
 func FuzzSearch(f *testing.F) {
 	f.Add([]byte{10, 0xAA, 0, 1, 3, 1, 2, 7, 2, 3, 1, 0, 3, 9}, uint8(0), uint8(3), uint8(0), uint8(0), []byte{2, 7, 2})
 	f.Add([]byte{40, 0x0F, 5, 6, 2, 6, 7, 2, 7, 5, 2, 1, 2, 30}, uint8(5), uint8(7), uint8(3), uint8(0x1F), []byte{6, 5})
@@ -69,6 +70,7 @@ func FuzzSearch(f *testing.F) {
 	f.Add([]byte{6, 0, 0, 1, 3, 0, 1, 3, 1, 2, 3, 2, 1, 3, 2, 3, 3, 0, 3, 9, 3, 4, 3, 4, 3, 3, 4, 5, 3, 5, 4, 3}, uint8(0), uint8(5), uint8(1), uint8(0), []byte{5, 4, 4})
 	f.Add(gridBytes(7, 8), uint8(20), uint8(0), uint8(0), uint8(0), []byte{20, 34, 34, 9})
 	f.Add(append([]byte{40}, gridBytes(6, 6)[1:]...), uint8(14), uint8(29), uint8(0), uint8(0x0C), []byte{35, 14, 40, 22, 35, 0})
+	f.Add(gridBytes(6, 6), uint8(0), uint8(35), uint8(0), uint8(0), []byte{14, 35, 0, 14})
 	f.Fuzz(func(t *testing.T, data []byte, srcB, dstB, banB, optB uint8, targetB []byte) {
 		n := fuzzNet(data)
 		if n == nil || len(n.Links) == 0 {
@@ -138,13 +140,13 @@ func FuzzSearch(f *testing.F) {
 		}
 		checkView(t, n, cut, src)
 
-		// The disjoint-path sets of the drawn target list, each what its
-		// one-destination call and the naive peeling find.
-		sets := n.KDisjointPathsFrom(src, targets, 3)
+		// The disjoint-path sets from the drawn target list, each what its
+		// one-source call and the naive peeling find.
+		sets := n.KDisjointPathsTo(dst, targets, 3)
 		for i, v := range targets {
-			tag := fmt.Sprintf("%d→%d disjoint paths", src, v)
-			requireSamePaths(t, tag, sets[i], n.KDisjointPaths(src, v, 3))
-			requireSamePaths(t, tag+" (reference)", sets[i], naiveKDisjoint(n, src, v, 3))
+			tag := fmt.Sprintf("%d→%d disjoint paths", v, dst)
+			requireSamePaths(t, tag, sets[i], n.KDisjointPaths(v, dst, 3))
+			requireSamePaths(t, tag+" (reference)", sets[i], naiveKDisjoint(n, v, dst, 3))
 		}
 
 		// Extracted path must be continuous and priced exactly at dist[dst].
@@ -448,13 +450,27 @@ func mirrorBytes(nodes [][3]int, links [][2]int) []byte {
 	return data
 }
 
+// twinChainsBytes encodes two terminals on the equator, nodes 0 and 1,
+// joined over twin satellite chains at ±15°.
+func twinChainsBytes() []byte {
+	return mirrorBytes([][3]int{{0, 4, 8}, {0, 4, 16}, {1, 5, 9}, {1, 5, 11}, {1, 5, 13}, {1, 5, 15}},
+		[][2]int{{0, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 1}})
+}
+
+// equatorialGridBytes encodes a 3 × 5 satellite grid about the equator with a
+// terminal at each end, nodes 0 and 1.
+func equatorialGridBytes() []byte {
+	return mirrorBytes([][3]int{{0, 4, 6}, {0, 4, 14}, {1, 4, 7}, {1, 4, 9}, {1, 4, 11}, {1, 4, 13}, {1, 3, 7}, {1, 3, 9}, {1, 3, 11}, {1, 3, 13}},
+		[][2]int{{0, 2}, {0, 6}, {2, 3}, {3, 4}, {4, 5}, {6, 7}, {7, 8}, {8, 9}, {2, 6}, {3, 7}, {4, 8}, {5, 9}, {5, 1}, {9, 1}})
+}
+
 // FuzzSearchGeometric holds goal-directed searches to the naive reference on
 // decoded geometric networks: from the drawn source to every node, under the
 // drawn bans, the target's distance (float bits), predecessor link and path,
 // and the label of every node on that path, are the reference's — labels off
 // the path are not compared, since the bound settles fewer nodes — and so are
-// the k = 3 disjoint-path sets to the drawn destination, whose peels are
-// goal-directed too. The bound must be in use on these networks, and not on
+// the k = 3 disjoint-path sets from every node to the drawn destination
+// (KDisjointPathsTo), whose searches its tree directs. The bound must be in use on these networks, and not on
 // the zero-position fuzzNet decoded from the same bytes, not even given a
 // tree. Its tree-directed arm is a what-if in miniature: the drawn bans are
 // the cut, each search is directed by the uncut network's full tree rooted at
@@ -462,12 +478,8 @@ func mirrorBytes(nodes [][3]int, links [][2]int) []byte {
 // — the filtered network. The seeds are mirror-symmetric, so twin routes tie
 // exactly.
 func FuzzSearchGeometric(f *testing.F) {
-	// Two terminals on the equator joined over twin satellite chains at ±15°.
-	f.Add(mirrorBytes([][3]int{{0, 4, 8}, {0, 4, 16}, {1, 5, 9}, {1, 5, 11}, {1, 5, 13}, {1, 5, 15}},
-		[][2]int{{0, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 1}}), uint8(0), uint8(1), uint8(0))
-	// A 3 × 5 satellite grid about the equator with a terminal at each end.
-	f.Add(mirrorBytes([][3]int{{0, 4, 6}, {0, 4, 14}, {1, 4, 7}, {1, 4, 9}, {1, 4, 11}, {1, 4, 13}, {1, 3, 7}, {1, 3, 9}, {1, 3, 11}, {1, 3, 13}},
-		[][2]int{{0, 2}, {0, 6}, {2, 3}, {3, 4}, {4, 5}, {6, 7}, {7, 8}, {8, 9}, {2, 6}, {3, 7}, {4, 8}, {5, 9}, {5, 1}, {9, 1}}), uint8(0), uint8(1), uint8(5))
+	f.Add(twinChainsBytes(), uint8(0), uint8(1), uint8(0))
+	f.Add(equatorialGridBytes(), uint8(0), uint8(1), uint8(5))
 	// Terminals only: a fiber ring about the equator and a chord across it.
 	f.Add(mirrorBytes([][3]int{{0, 4, 0}, {0, 4, 12}, {0, 2, 4}, {0, 2, 8}},
 		[][2]int{{0, 2}, {2, 3}, {3, 1}, {0, 1}}), uint8(1), uint8(0), uint8(0))
@@ -500,7 +512,13 @@ func FuzzSearchGeometric(f *testing.F) {
 			requireNaivePath(t, "directed by the uncut tree", n, st, src, dst, banned, row, true)
 		}
 		dst := int32(int(dstB) % n.N())
-		requireSamePaths(t, fmt.Sprintf("%d→%d disjoint paths", src, dst), n.KDisjointPaths(src, dst, 3), naiveKDisjoint(n, src, dst, 3))
+		every := make([]int32, n.N())
+		for v := range every {
+			every[v] = int32(v)
+		}
+		for v, set := range n.KDisjointPathsTo(dst, every, 3) {
+			requireSamePaths(t, fmt.Sprintf("%d→%d disjoint paths", v, dst), set, naiveKDisjoint(n, int32(v), dst, 3))
+		}
 
 		if zero := fuzzNet(data); zero != nil {
 			plain := AcquireSearch()

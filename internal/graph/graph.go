@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -330,42 +331,51 @@ func (n *Network) ShortestPathSatTransit(src, dst int32) (Path, bool) {
 // KDisjointPaths returns up to k edge-disjoint minimum-delay paths from src
 // to dst, computed by successively removing the links of each found path (the
 // scheme §5 routes traffic over); fewer when the graph runs out of disjoint
-// routes. It is KDisjointPathsFrom's one-destination case.
+// routes. It is KDisjointPathsTo's one-source case.
 func (n *Network) KDisjointPaths(src, dst int32, k int) []Path {
-	return n.KDisjointPathsFrom(src, []int32{dst}, k)[0]
+	return n.KDisjointPathsTo(dst, []int32{src}, k)[0]
 }
 
-// KDisjointPathsFrom returns as entry i exactly what KDisjointPaths(src,
-// dsts[i], k) returns, path for path and bit for bit. One search listing every
-// destination (SearchSpec.Targets) finds all the first paths; each destination
-// is then peeled alone on the same pooled state.
-func (n *Network) KDisjointPathsFrom(src int32, dsts []int32, k int) [][]Path {
+// KDisjointPathsTo returns as entry i the up to k edge-disjoint paths from
+// srcs[i] to dst that KDisjointPaths peels, each plain Dijkstra's path bit for
+// bit (DESIGN.md §7). Where the free-space gate is open, one full tree from
+// dst, kept as its predecessor row, directs every search (SearchSpec.Tree): a
+// source's unbanned first path and each banned peel. Where the gate is closed
+// the kernel would ignore the row, so none is built. A source dst's tree does
+// not reach has no path and is not searched.
+func (n *Network) KDisjointPathsTo(dst int32, srcs []int32, k int) [][]Path {
 	sp := telemetry.StartStageSpan(telemetry.StageKDisjoint)
 	defer sp.End()
-	out := make([][]Path, len(dsts))
+	out := make([][]Path, len(srcs))
 	if k < 1 {
 		return out
 	}
 	st := AcquireSearch()
 	defer st.Release()
-	n.Search(st, SearchSpec{Src: src, Target: NoTarget, Targets: dsts})
-	for i, dst := range dsts {
-		if p, ok := st.Path(dst); ok {
-			out[i] = []Path{p}
+	var tree []int32
+	if n.goalTerms() != nil {
+		n.Search(st, SearchSpec{Src: dst, Target: NoTarget})
+		tree = slices.Grow(st.row[:0], n.N())[:n.N()]
+		for v := range tree {
+			tree[v] = st.PrevLink(int32(v))
 		}
+		st.row = tree
 	}
-	for i, dst := range dsts {
+	for i, src := range srcs {
+		if tree != nil && tree[src] < 0 && src != dst {
+			continue
+		}
 		st.ClearBans()
-		for len(out[i]) > 0 && len(out[i]) < k {
-			for _, li := range out[i][len(out[i])-1].Links {
-				st.BanLink(li)
-			}
-			n.Search(st, SearchSpec{Src: src, Target: dst})
+		for len(out[i]) < k {
+			n.Search(st, SearchSpec{Src: src, Target: dst, Tree: tree})
 			p, ok := st.Path(dst)
 			if !ok {
 				break
 			}
 			out[i] = append(out[i], p)
+			for _, li := range p.Links {
+				st.BanLink(li)
+			}
 		}
 	}
 	return out

@@ -63,6 +63,10 @@ type SearchState struct {
 
 	searchStamp uint32
 	banStamp    uint32
+
+	// row is KDisjointPathsTo's copy of its destination's tree, the Tree of
+	// every search it then runs on this state; its memory is reused.
+	row []int32
 }
 
 // nodeState packs what relaxing an arc into node v reads — is v reached this
@@ -305,10 +309,10 @@ type SearchSpec struct {
 	//
 	// A search that wants exactly one distinct node, with no Expand and no
 	// Cost, is goal-directed wherever the network admits the free-space
-	// bound (DESIGN.md §7): ShortestPath, KDisjointPaths' banned peels and a
-	// served path are. It settles fewer nodes, and its target's Dist,
-	// PrevLink chain and Path are still plain Dijkstra's, bit for bit.
-	// Listed searches (two or more distinct nodes) stay plain.
+	// bound (DESIGN.md §7): ShortestPath and a served path are. It settles
+	// fewer nodes, and its target's Dist, PrevLink chain and Path are still
+	// plain Dijkstra's, bit for bit. Listed searches (two or more distinct
+	// nodes) stay plain.
 	Target  int32
 	Targets []int32
 	// Tree, when a goal-directed search is given one, directs it in place of
@@ -318,7 +322,9 @@ type SearchSpec struct {
 	// tree does not reach, as an uncut oracle's row stores it. A node's
 	// distance to the root in that tree is a consistent lower bound under
 	// any bans (DESIGN.md §7), so the target's labels are still plain
-	// Dijkstra's; a served what-if passes its healthy tree and settles a
+	// Dijkstra's. A served what-if passes its healthy tree, and
+	// KDisjointPathsTo its destination's tree to every search of a
+	// disjoint-path set, first path and banned peels alike; each settles a
 	// small fraction of the nodes. A row of another length, or not rooted
 	// at the target, is ignored, and so is any row where the free-space
 	// gate is closed.
