@@ -399,7 +399,7 @@ func requireCutIsMask(t *testing.T, label string, out *fault.Outages, healthy, m
 // graphBuilds returns how many snapshot scans (graph.Builder.At) the
 // process-global registry has observed.
 func graphBuilds() int64 {
-	return telemetry.Enable().StageHistogram(telemetry.StageGraphBuild).Count()
+	return telemetry.Enable().Histogram(telemetry.StageGraphBuild.String()).Count()
 }
 
 // TestOneScanPerInstant: a day sweep over both modes runs the propagation +

@@ -209,7 +209,7 @@ func TestPairPathsMatchPerPair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		searches := func() int64 { return telemetry.Enable().StageHistogram(telemetry.StageSearch).Count() }
+		searches := func() int64 { return telemetry.Enable().Histogram(telemetry.StageSearch.String()).Count() }
 		before := searches()
 		if _, err := RunFig4(ctx, s); err != nil {
 			t.Fatal(err)

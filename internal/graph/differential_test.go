@@ -492,7 +492,7 @@ func TestDifferentialKDisjoint(t *testing.T) {
 	add("4×9 grid", fuzzNet(gridBytes(4, 9)), false, geo.Vec3{}, 13, 31, 4, 35)
 
 	defer telemetry.Disable()
-	searches := func() int64 { return telemetry.Enable().StageHistogram(telemetry.StageSearch).Count() }
+	searches := func() int64 { return telemetry.Enable().Histogram(telemetry.StageSearch.String()).Count() }
 	short := 0 // entries that ran out of disjoint routes before k
 	for _, c := range cases {
 		if open := c.n.goalTerms() != nil; open != c.open {

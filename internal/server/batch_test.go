@@ -283,7 +283,7 @@ func TestPrimeOraclesAttach(t *testing.T) {
 // answers are reads of the distance and hop tables.
 func TestBatchRoutesOnlyAddRoute(t *testing.T) {
 	queries := func() int64 {
-		return telemetry.Enable().StageHistogram(telemetry.StageOracleQuery).Count()
+		return telemetry.Enable().Histogram(telemetry.StageOracleQuery.String()).Count()
 	}
 	defer telemetry.Disable()
 	sim := serverSim(t)

@@ -272,25 +272,31 @@ func TestChaosBreakerOpensEndToEnd(t *testing.T) {
 		t.Fatalf("Retry-After = %q, want ≥ 3600s (the 1h cooldown)", rec.Header().Get("Retry-After"))
 	}
 
+	var health struct {
+		Breaker breakerJSON `json:"breaker"`
+	}
+	if rec := getJSON(t, s.Handler(), "/healthz", &health); rec.Code != http.StatusOK {
+		t.Fatalf("/healthz: status %d", rec.Code)
+	}
+	if health.Breaker.State != "open" || health.Breaker.FailureStreak < 3 || health.Breaker.Opens != 1 {
+		t.Errorf("/healthz breaker block = %+v, want open with streak ≥ 3 and 1 open", health.Breaker)
+	}
 	var metrics struct {
 		Server struct {
 			Counters map[string]int64 `json:"counters"`
 			Gauges   map[string]int64 `json:"gauges"`
 		} `json:"server"`
-		Breaker breakerJSON `json:"breaker"`
 	}
 	if rec := getJSON(t, s.Handler(), "/metrics", &metrics); rec.Code != http.StatusOK {
 		t.Fatalf("/metrics: status %d", rec.Code)
 	}
-	if metrics.Breaker.State != "open" || metrics.Breaker.FailureStreak < 3 || metrics.Breaker.Opens != 1 {
-		t.Errorf("breaker block = %+v, want open with streak ≥ 3 and 1 open", metrics.Breaker)
-	}
 	if metrics.Server.Counters["breakerRejects"] < 1 {
 		t.Errorf("breakerRejects counter = %d, want ≥ 1", metrics.Server.Counters["breakerRejects"])
 	}
-	if metrics.Server.Gauges["breaker_state"] != 2 || metrics.Server.Gauges["build_failure_streak"] < 3 {
-		t.Errorf("breaker gauges = state %d streak %d, want state 2 (open), streak ≥ 3",
-			metrics.Server.Gauges["breaker_state"], metrics.Server.Gauges["build_failure_streak"])
+	g := metrics.Server.Gauges
+	if g["breaker_state"] != 2 || g["build_failure_streak"] < 3 || g["breaker_opens"] != 1 || g["cache_errors"] < 3 {
+		t.Errorf("breaker gauges = state %d streak %d opens %d, cache_errors %d; want state 2 (open), streak ≥ 3, 1 open, ≥ 3 errors",
+			g["breaker_state"], g["build_failure_streak"], g["breaker_opens"], g["cache_errors"])
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -304,5 +305,105 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	}
 	if _, ok := js["server"]; !ok {
 		t.Errorf("JSON /metrics lost its server block: %v", js)
+	}
+}
+
+// TestMetricsFormatsAgree: /metrics renders one set of families in both
+// formats. On a primed, oracle-attached server left quiet after a path
+// request, a what-if and a batch, every JSON counter and gauge equals its
+// leosim_<name> sample, every histogram's and stage's count equals its
+// _count sample, and every Prometheus family is in the JSON. The runtime
+// block is JSON-only, and http_metrics moves with the first scrape.
+func TestMetricsFormatsAgree(t *testing.T) {
+	telemetry.Disable()
+	sim := serverSim(t)
+	s := newTestServer(t, Config{PrimeSnapshots: true, PrimeOracles: true})
+	if _, err := s.primeAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	src, dst := sim.CityName(sim.Pairs[0].Src), sim.CityName(sim.Pairs[0].Dst)
+	for _, url := range []string{
+		q("/v1/path", "src", src, "dst", dst, "snap", "1"),
+		q("/v1/path", "src", src, "dst", dst, "snap", "1", "fault", "sat", "fraction", "0.3", "fault-seed", "4"),
+	} {
+		if rec := get(s, url); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", url, rec.Code)
+		}
+	}
+	body := `{"snap":1,"pairs":[{"src":"` + src + `","dst":"` + dst + `"}]}`
+	if rec := postJSON(t, s.Handler(), "/v1/paths", []byte(body), nil); rec.Code != http.StatusOK {
+		t.Fatalf("POST /v1/paths: status %d\n%s", rec.Code, rec.Body.String())
+	}
+
+	var js struct {
+		Server telemetry.RegistrySnapshot             `json:"server"`
+		Stages map[string]telemetry.HistogramSnapshot `json:"stages"`
+	}
+	if rec := getJSON(t, s.Handler(), "/metrics", &js); rec.Code != http.StatusOK {
+		t.Fatalf("/metrics: status %d", rec.Code)
+	}
+	rec := get(s, "/metrics?format=prometheus")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics?format=prometheus: status %d", rec.Code)
+	}
+	samples := map[string]string{} // every sample but the buckets
+	var families []string
+	for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
+		if f := strings.Fields(line); strings.HasPrefix(line, "# TYPE ") {
+			families = append(families, f[2])
+		} else if !strings.Contains(f[0], "{") {
+			samples[f[0]] = f[1]
+		}
+	}
+
+	// want is every family the JSON names, with the sample its value or
+	// count must equal (empty where the first scrape moves it).
+	want := map[string]string{}
+	for name, v := range js.Server.Counters {
+		want["leosim_"+name] = strconv.FormatInt(v, 10)
+	}
+	for name, v := range js.Server.Gauges {
+		want["leosim_"+name] = strconv.FormatInt(v, 10)
+	}
+	for name, h := range js.Server.Histograms {
+		family := "leosim_" + strings.TrimSuffix(name, "_ms") + "_seconds"
+		want[family] = strconv.FormatInt(h.Count, 10)
+		if name == "http_metrics_ms" {
+			want[family] = ""
+		}
+	}
+	for name, h := range js.Stages {
+		want["leosim_stage_"+name+"_seconds"] = strconv.FormatInt(h.Count, 10)
+	}
+	if len(js.Stages) != int(telemetry.NumStages) {
+		t.Errorf("JSON stages has %d entries, want all %d", len(js.Stages), telemetry.NumStages)
+	}
+	for _, g := range []string{"cache_errors", "breaker_opens"} {
+		if _, ok := js.Server.Gauges[g]; !ok {
+			t.Errorf("JSON gauges lack %s", g)
+		}
+	}
+
+	for _, family := range families {
+		if _, ok := want[family]; !ok {
+			t.Errorf("Prometheus family %s is not in the JSON", family)
+		}
+	}
+	for family, v := range want {
+		sample := family
+		if _, ok := samples[family]; !ok {
+			sample = family + "_count"
+		}
+		got, ok := samples[sample]
+		switch {
+		case !ok:
+			t.Errorf("JSON names %s, the Prometheus text has no %s", family, sample)
+		case v != "" && got != v:
+			t.Errorf("%s = %s in the Prometheus text, %s in the JSON", sample, got, v)
+		}
+	}
+	if samples["leosim_oracleHits"] == "0" || samples["leosim_stage_oracle_query_seconds_count"] == "0" {
+		t.Errorf("the primed server answered no query from an oracle: %s oracle hits, %s oracle queries",
+			samples["leosim_oracleHits"], samples["leosim_stage_oracle_query_seconds_count"])
 	}
 }

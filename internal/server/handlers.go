@@ -676,9 +676,9 @@ type cacheStatsJSON struct {
 	Resident   int     `json:"resident"`
 }
 
-// breakerJSON is the live circuit-breaker position in /metrics and
-// /v1/snapshots: the state name, the consecutive-failure streak feeding the
-// trip threshold, and the seconds until a retry is worth attempting.
+// breakerJSON is the live circuit-breaker position in /healthz: the state
+// name, the consecutive-failure streak feeding the trip threshold, the
+// seconds until a retry is worth attempting, and the closed→open trips.
 type breakerJSON struct {
 	State         string  `json:"state"`
 	FailureStreak int64   `json:"failureStreak"`
@@ -783,46 +783,35 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // metricsResponse is the GET /metrics payload: this server's registry
-// (request counters, cache gauges, per-route latency histograms), the
-// snapshot-cache statistics, the process-wide pipeline-stage histograms
-// (graph build, search, flow allocation, cache lookup — p50/p90/p99 each),
-// and a runtime/metrics sample of the Go runtime.
+// (request counters, cache and breaker gauges, per-route latency
+// histograms), the process registry's pipeline-stage histograms (graph
+// build, search, flow allocation, cache lookup — p50/p90/p99 each) by stage
+// name, and a runtime/metrics sample of the Go runtime.
 type metricsResponse struct {
 	Server  telemetry.RegistrySnapshot             `json:"server"`
-	Cache   cacheStatsJSON                         `json:"cache"`
-	Breaker breakerJSON                            `json:"breaker"`
 	Stages  map[string]telemetry.HistogramSnapshot `json:"stages,omitempty"`
 	Runtime telemetry.RuntimeStats                 `json:"runtime"`
 }
 
 // handleMetrics answers GET /metrics as one JSON object, or — with
-// ?format=prometheus — in Prometheus text exposition format (this server's
-// registry plus the process-global pipeline-stage histograms, all under the
-// "leosim_" prefix). Server counters live in a per-server registry so
-// several Server instances never share a namespace; the stage histograms
-// come from the process-global telemetry registry New enabled.
+// ?format=prometheus — in Prometheus text exposition format. Both render
+// the same families: this server's registry (under "leosim_"), then the
+// process registry's stage histograms New enabled (under "leosim_stage_").
+// Server counters live in a per-server registry so several Server
+// instances never share a namespace.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	proc := telemetry.Active()
 	if r.URL.Query().Get("format") == "prometheus" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := s.reg.WritePrometheus(w, "leosim_"); err != nil {
-			return // client gone mid-scrape
+		if err := s.reg.WritePrometheus(w, "leosim_"); err != nil || proc == nil {
+			return // client gone mid-scrape, or telemetry disabled since New
 		}
-		if reg := telemetry.Active(); reg != nil {
-			// The server registry records no stage spans of its own (those go
-			// to the process-global registry), so the two exports never emit
-			// the same family twice.
-			reg.WritePrometheusStages(w, "leosim_") //nolint:errcheck
-		}
+		proc.WritePrometheus(w, "leosim_stage_") //nolint:errcheck
 		return
 	}
-	resp := metricsResponse{
-		Server:  s.reg.Snapshot(),
-		Cache:   s.cacheStatsJSON(),
-		Breaker: s.breakerJSON(),
-		Runtime: telemetry.SampleRuntime(),
-	}
-	if reg := telemetry.Active(); reg != nil {
-		resp.Stages = reg.Snapshot().Stages
+	resp := metricsResponse{Server: s.reg.Snapshot(), Runtime: telemetry.SampleRuntime()}
+	if proc != nil {
+		resp.Stages = proc.Snapshot().Histograms
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -214,9 +214,9 @@ func New(cfg Config) (*Server, error) {
 	})
 	s.log = cfg.Logger
 
-	// The process-global telemetry registry feeds the per-stage histograms
-	// (graph build, search, cache lookup, …) that /metrics reports; a serve
-	// process always records them.
+	// The process registry holds the per-stage histograms (graph build,
+	// search, cache lookup, …) that /metrics reports; a serve process always
+	// records them.
 	telemetry.Enable()
 
 	s.reg = telemetry.NewRegistry()
@@ -254,9 +254,10 @@ func New(cfg Config) (*Server, error) {
 		return st.Misses - st.Builds
 	})
 	s.reg.RegisterGaugeFunc("cache_resident", func() int64 { return int64(s.cache.Len()) })
-	// Self-healing surface: abandoned/adopted builds, and the live breaker
-	// position (0 closed, 1 half-open, 2 open) with its consecutive-failure
-	// streak.
+	// Self-healing surface: failed, abandoned and adopted builds, and the
+	// live breaker position (0 closed, 1 half-open, 2 open) with its
+	// consecutive-failure streak and closed→open trips.
+	s.reg.RegisterGaugeFunc("cache_errors", func() int64 { return s.cache.Stats().Errors })
 	s.reg.RegisterGaugeFunc("cache_primed", func() int64 { return s.cache.Stats().Primed })
 	s.reg.RegisterGaugeFunc("cache_build_timeouts", func() int64 { return s.cache.Stats().Timeouts })
 	s.reg.RegisterGaugeFunc("cache_late_builds", func() int64 { return s.cache.Stats().LateBuilds })
@@ -264,6 +265,7 @@ func New(cfg Config) (*Server, error) {
 	s.reg.RegisterGaugeFunc("cache_attachments", func() int64 { return s.cache.Stats().Attachments })
 	s.reg.RegisterGaugeFunc("breaker_state", func() int64 { return int64(s.cache.Breaker().State) })
 	s.reg.RegisterGaugeFunc("build_failure_streak", func() int64 { return s.cache.Breaker().FailureStreak })
+	s.reg.RegisterGaugeFunc("breaker_opens", func() int64 { return s.cache.Stats().BreakerOpens })
 
 	s.mux = http.NewServeMux()
 	// Query endpoints: admission-controlled and deadline-bounded, with a

@@ -127,7 +127,7 @@ func TestSnapshotSourcesAgree(t *testing.T) {
 // entry.
 func TestOneScanPerInstant(t *testing.T) {
 	scans := func() int64 {
-		return telemetry.Enable().StageHistogram(telemetry.StageGraphBuild).Count()
+		return telemetry.Enable().Histogram(telemetry.StageGraphBuild.String()).Count()
 	}
 	defer telemetry.Disable()
 	sim, err := core.NewSim(core.Starlink, core.TinyScale())

@@ -284,13 +284,13 @@ func (r *EventRing) Snapshot(f EventFilter) []Event {
 	return out
 }
 
-// EmitEvent records one event on the active registry's flight recorder.
+// EmitEvent records one event on the process flight recorder.
 // Disabled telemetry makes it one atomic load; enabled, it reads the trace
 // ID from ctx and copies the event into the ring — no heap allocation when
 // msg and the attrs are preexisting values. A nil ctx is allowed.
 func EmitEvent(ctx context.Context, cat Category, sev Severity, msg string, attrs ...Attr) {
-	reg := active.Load()
-	if reg == nil {
+	p := active.Load()
+	if p == nil {
 		return
 	}
 	e := Event{Time: time.Now(), Cat: cat, Sev: sev, Msg: msg}
@@ -299,27 +299,27 @@ func EmitEvent(ctx context.Context, cat Category, sev Severity, msg string, attr
 	}
 	n := copy(e.attrs[:], attrs)
 	e.nattrs = uint8(n)
-	reg.events.emit(e)
+	p.events.emit(e)
 }
 
-// Events snapshots the active registry's flight recorder (nil when
+// Events snapshots the process flight recorder (nil when
 // telemetry is disabled).
 func Events(f EventFilter) []Event {
-	reg := active.Load()
-	if reg == nil {
+	p := active.Load()
+	if p == nil {
 		return nil
 	}
-	return reg.events.Snapshot(f)
+	return p.events.Snapshot(f)
 }
 
-// LastEventSeq returns the newest event sequence number on the active
-// registry (0 when disabled or empty) — the cursor for incremental reads.
+// LastEventSeq returns the newest event sequence number on the process
+// flight recorder (0 when disabled or empty) — the cursor for incremental reads.
 func LastEventSeq() uint64 {
-	reg := active.Load()
-	if reg == nil {
+	p := active.Load()
+	if p == nil {
 		return 0
 	}
-	return reg.events.LastSeq()
+	return p.events.LastSeq()
 }
 
 // dumpLimit bounds a crash dump so a panic report stays readable.
@@ -329,11 +329,11 @@ const dumpLimit = 256
 // oldest first — the post-mortem view wired to panic recovery and SIGQUIT.
 // A no-op when telemetry is disabled or nothing was recorded.
 func DumpEvents(w io.Writer) {
-	reg := active.Load()
-	if reg == nil {
+	p := active.Load()
+	if p == nil {
 		return
 	}
-	evs := reg.events.Snapshot(EventFilter{Cat: CatAll, Limit: dumpLimit})
+	evs := p.events.Snapshot(EventFilter{Cat: CatAll, Limit: dumpLimit})
 	if len(evs) == 0 {
 		return
 	}

@@ -57,7 +57,7 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Quantile estimates the q-th (0..1) sample quantile in nanoseconds.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
+	total := h.Count()
 	if total == 0 {
 		return 0
 	}
@@ -107,7 +107,7 @@ type HistogramSnapshot struct {
 // Snapshot summarizes the histogram. Concurrent Observes may land between
 // field reads; the snapshot is a monitoring view, not a consistent cut.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	n := h.count.Load()
+	n := h.Count()
 	s := HistogramSnapshot{Count: n}
 	if n == 0 {
 		return s

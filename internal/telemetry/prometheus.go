@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -50,11 +49,10 @@ func promFloat(v float64) string {
 // The bucket grid is the histogram's own power-of-two microsecond grid,
 // expressed in seconds; +Inf equals the bucket-count total, so bucket
 // monotonicity and the count invariant hold by construction even while
-// concurrent Observes land mid-scrape.
-func writePromHistogram(w io.Writer, name string, h *Histogram) error {
-	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-		return err
-	}
+// concurrent Observes land mid-scrape. A write error sticks to w and
+// surfaces at its Flush.
+func writePromHistogram(w *bufio.Writer, name string, h *Histogram) {
+	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 	var cum int64
 	for i := 0; i < numBuckets; i++ {
 		cum += h.buckets[i].Load()
@@ -64,105 +62,29 @@ func writePromHistogram(w io.Writer, name string, h *Histogram) error {
 			break
 		}
 		le := promFloat(float64(bucketUpperNs(i)) / 1e9)
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", name, le, cum); err != nil {
-			return err
-		}
+		fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", name, le, cum)
 	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %s\n", name, promFloat(float64(h.sumNs.Load())/1e9)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", name, cum)
-	return err
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(w, "%s_sum %s\n", name, promFloat(float64(h.sumNs.Load())/1e9))
+	fmt.Fprintf(w, "%s_count %d\n", name, cum)
 }
+
+// promTypes is each family kind's exposition TYPE.
+var promTypes = [...]string{kindCounter: "counter", kindGauge: "gauge"}
 
 // WritePrometheus renders the registry — counters, gauges (including
-// pull-style gauge funcs), named histograms, and the per-stage histograms
-// that saw at least one span — in Prometheus text exposition format, every
-// metric name prefixed (e.g. "leosim_"). Output order is deterministic:
-// families sorted by name within each kind.
+// pull-style gauge funcs) and histograms, observed or not — in Prometheus
+// text exposition format, every metric name prefixed (e.g. "leosim_").
+// Output order is deterministic: families sorted by name within each kind.
 func (r *Registry) WritePrometheus(w io.Writer, prefix string) error {
 	bw := bufio.NewWriter(w)
-
-	r.mu.Lock()
-	counters := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		counters[name] = c.Value()
-	}
-	gauges := make(map[string]int64, len(r.gauges)+len(r.gaugeFuncs))
-	for name, g := range r.gauges {
-		gauges[name] = g.Value()
-	}
-	gaugeFuncs := make(map[string]func() int64, len(r.gaugeFuncs))
-	for name, fn := range r.gaugeFuncs {
-		gaugeFuncs[name] = fn
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for name, h := range r.hists {
-		hists[name] = h
-	}
-	r.mu.Unlock()
-	// Gauge funcs run unlocked: they may re-enter other components' locks.
-	for name, fn := range gaugeFuncs {
-		gauges[name] = fn()
-	}
-
-	for _, name := range sortedKeys(counters) {
-		full := prefix + promName(name)
-		fmt.Fprintf(bw, "# TYPE %s counter\n%s %d\n", full, full, counters[name])
-	}
-	for _, name := range sortedKeys(gauges) {
-		full := prefix + promName(name)
-		fmt.Fprintf(bw, "# TYPE %s gauge\n%s %d\n", full, full, gauges[name])
-	}
-	histNames := make([]string, 0, len(hists))
-	for name := range hists {
-		histNames = append(histNames, name)
-	}
-	sort.Strings(histNames)
-	for _, name := range histNames {
-		if err := writePromHistogram(bw, prefix+promHistName(name), hists[name]); err != nil {
-			return err
-		}
-	}
-	if err := r.writePromStages(bw, prefix); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// WritePrometheusStages renders only the per-stage histograms that saw at
-// least one span, as "<prefix>stage_<name>_seconds" families. The serve
-// path uses it to append the process-global pipeline-stage histograms to a
-// per-server registry's exposition without duplicating any family.
-func (r *Registry) WritePrometheusStages(w io.Writer, prefix string) error {
-	bw := bufio.NewWriter(w)
-	if err := r.writePromStages(bw, prefix); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func (r *Registry) writePromStages(w io.Writer, prefix string) error {
-	for s := Stage(0); s < NumStages; s++ {
-		h := r.stages[s]
-		if h.Count() == 0 {
+	for _, f := range r.families() {
+		if f.kind == kindHistogram {
+			writePromHistogram(bw, prefix+promHistName(f.name), f.hist)
 			continue
 		}
-		if err := writePromHistogram(w, prefix+"stage_"+promName(s.String())+"_seconds", h); err != nil {
-			return err
-		}
+		full := prefix + promName(f.name)
+		fmt.Fprintf(bw, "# TYPE %s %s\n%s %d\n", full, promTypes[f.kind], full, f.value)
 	}
-	return nil
-}
-
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return bw.Flush()
 }

@@ -49,7 +49,7 @@ func TestWritePrometheus(t *testing.T) {
 		90 * time.Microsecond, 2 * time.Millisecond, 40 * time.Millisecond} {
 		h.Observe(d)
 	}
-	r.StageHistogram(StageSearch).Observe(120 * time.Microsecond)
+	r.Histogram("queue_ms") // registered, never observed
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf, "leosim_"); err != nil {
@@ -69,7 +69,8 @@ func TestWritePrometheus(t *testing.T) {
 		"leosim_inflight 3",
 		"leosim_cacheEntries 7",
 		"# TYPE leosim_http_path_seconds histogram",
-		"# TYPE leosim_stage_search_seconds histogram",
+		"# TYPE leosim_queue_seconds histogram",
+		"leosim_queue_seconds_count 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -102,20 +103,22 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-// A second registry rendering only stages must not duplicate any family of
-// the first render — the serve path composes per-server metrics with the
-// process-global stage histograms this way.
-func TestWritePrometheusStagesCompose(t *testing.T) {
+// The serve path renders its own registry and then the process registry
+// back to back; together they must declare no family twice, and every stage
+// appears, observed or not.
+func TestWritePrometheusCompose(t *testing.T) {
 	serverReg := NewRegistry()
 	serverReg.Counter("requests").Add(1)
-	globalReg := NewRegistry()
-	globalReg.StageHistogram(StageGraphBuild).Observe(time.Millisecond)
+	serverReg.Histogram("http_path_ms").Observe(time.Millisecond)
+	proc := Enable()
+	defer Disable()
+	StartStageSpan(StageGraphBuild).End()
 
 	var buf bytes.Buffer
 	if err := serverReg.WritePrometheus(&buf, "leosim_"); err != nil {
 		t.Fatal(err)
 	}
-	if err := globalReg.WritePrometheusStages(&buf, "leosim_"); err != nil {
+	if err := proc.WritePrometheus(&buf, "leosim_stage_"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -130,8 +133,14 @@ func TestWritePrometheusStagesCompose(t *testing.T) {
 			t.Errorf("family %s declared %d times", family, n)
 		}
 	}
-	if seen["leosim_stage_graph_build_seconds"] != 1 {
-		t.Errorf("stage family missing from composed output:\n%s", out)
+	for s := Stage(0); s < NumStages; s++ {
+		if family := "leosim_stage_" + s.String() + "_seconds"; seen[family] != 1 {
+			t.Errorf("stage family %s missing from composed output:\n%s", family, out)
+		}
+	}
+	if !strings.Contains(out, "leosim_stage_graph_build_seconds_count 1\n") ||
+		!strings.Contains(out, "leosim_stage_search_seconds_count 0\n") {
+		t.Errorf("stage counts: want graph_build 1 and search 0:\n%s", out)
 	}
 }
 

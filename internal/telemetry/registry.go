@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"runtime/metrics"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -26,43 +27,27 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Registry is a named collection of metrics plus the fixed per-stage
-// histograms. Registration takes a lock; metric updates are lock-free.
-// One registry is installed process-globally with Enable; components that
-// must not share a namespace (test servers) create their own with
-// NewRegistry.
+// Registry is a named collection of counters, gauges, gauge funcs and
+// histograms. Registration takes a lock; metric updates are lock-free. Each
+// server creates its own with NewRegistry, so several servers never share a
+// namespace; the process registry Enable installs holds the stage
+// histograms.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() int64
 	hists      map[string]*Histogram
-
-	// stages is indexed by Stage — the span fast path does no map lookup.
-	stages [NumStages]*Histogram
-
-	// events is the flight recorder: a fixed ring of structured events
-	// (build failures, breaker transitions, degraded serves, …).
-	events *EventRing
-	// tracer, when non-nil, is the running trace capture; spans under a
-	// traced context are routed into it.
-	tracer atomic.Pointer[Tracer]
 }
 
-// NewRegistry returns an empty registry with all stage histograms and the
-// flight-recorder ring ready.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{
+	return &Registry{
 		counters:   map[string]*Counter{},
 		gauges:     map[string]*Gauge{},
 		gaugeFuncs: map[string]func() int64{},
 		hists:      map[string]*Histogram{},
-		events:     newEventRing(DefaultEventCapacity),
 	}
-	for i := range r.stages {
-		r.stages[i] = &Histogram{}
-	}
-	return r
 }
 
 // Counter returns (registering on first use) the named counter.
@@ -90,9 +75,11 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // RegisterGaugeFunc registers a pull-style gauge: fn is evaluated at
-// Snapshot time. It replaces any previous function under the same name —
-// the idiom for surfacing another component's atomic stats (the snapshot
-// cache) without copying them on every update.
+// render time, outside the registry's lock, so it may read this registry
+// or take other components' locks. It replaces any previous function under
+// the same name, and shadows a Gauge of that name — the idiom for surfacing
+// another component's atomic stats (the snapshot cache) without copying
+// them on every update.
 func (r *Registry) RegisterGaugeFunc(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -111,57 +98,93 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// StageHistogram returns the fixed histogram of one pipeline stage.
-func (r *Registry) StageHistogram(s Stage) *Histogram { return r.stages[s] }
+// familyKind is what a metric family is; families render in this order.
+type familyKind uint8
+
+const (
+	kindCounter familyKind = iota
+	kindGauge
+	kindHistogram
+)
+
+// family is one metric family as a render sees it: a counter's or gauge's
+// value, or a histogram.
+type family struct {
+	kind  familyKind
+	name  string
+	value int64
+	fn    func() int64
+	hist  *Histogram
+}
+
+// families is the one walk over a registry's metrics, which both Snapshot
+// and WritePrometheus render: every family, sorted by kind and then by
+// name. Counters and gauges are read under r.mu; gauge funcs are called
+// after it is released.
+func (r *Registry) families() []family {
+	r.mu.Lock()
+	fams := make([]family, 0, len(r.counters)+len(r.gauges)+len(r.gaugeFuncs)+len(r.hists))
+	for name, c := range r.counters {
+		fams = append(fams, family{kind: kindCounter, name: name, value: c.Value()})
+	}
+	for name, g := range r.gauges {
+		if _, shadowed := r.gaugeFuncs[name]; !shadowed {
+			fams = append(fams, family{kind: kindGauge, name: name, value: g.Value()})
+		}
+	}
+	for name, fn := range r.gaugeFuncs {
+		fams = append(fams, family{kind: kindGauge, name: name, fn: fn})
+	}
+	for name, h := range r.hists {
+		fams = append(fams, family{kind: kindHistogram, name: name, hist: h})
+	}
+	r.mu.Unlock()
+	for i := range fams {
+		if fams[i].fn != nil {
+			fams[i].value = fams[i].fn()
+		}
+	}
+	sort.Slice(fams, func(i, j int) bool {
+		if fams[i].kind != fams[j].kind {
+			return fams[i].kind < fams[j].kind
+		}
+		return fams[i].name < fams[j].name
+	})
+	return fams
+}
 
 // RegistrySnapshot is the JSON-ready view of a registry: every counter and
-// gauge by name, every named histogram, and the per-stage histograms that
-// saw at least one span.
+// gauge by name, and every histogram, observed or not.
 type RegistrySnapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Stages     map[string]HistogramSnapshot `json:"stages,omitempty"`
 }
 
 // Snapshot captures the registry. Counters and gauges are read atomically
 // per metric; the snapshot as a whole is a monitoring view, not a
 // consistent cut.
 func (r *Registry) Snapshot() RegistrySnapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := RegistrySnapshot{}
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]int64, len(r.counters))
-		for name, c := range r.counters {
-			s.Counters[name] = c.Value()
+	var s RegistrySnapshot
+	for _, f := range r.families() {
+		switch f.kind {
+		case kindCounter:
+			put(&s.Counters, f.name, f.value)
+		case kindGauge:
+			put(&s.Gauges, f.name, f.value)
+		case kindHistogram:
+			put(&s.Histograms, f.name, f.hist.Snapshot())
 		}
-	}
-	if len(r.gauges)+len(r.gaugeFuncs) > 0 {
-		s.Gauges = make(map[string]int64, len(r.gauges)+len(r.gaugeFuncs))
-		for name, g := range r.gauges {
-			s.Gauges[name] = g.Value()
-		}
-		for name, fn := range r.gaugeFuncs {
-			s.Gauges[name] = fn()
-		}
-	}
-	if len(r.hists) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
-		for name, h := range r.hists {
-			s.Histograms[name] = h.Snapshot()
-		}
-	}
-	for i, h := range r.stages {
-		if h.Count() == 0 {
-			continue
-		}
-		if s.Stages == nil {
-			s.Stages = make(map[string]HistogramSnapshot)
-		}
-		s.Stages[Stage(i).String()] = h.Snapshot()
 	}
 	return s
+}
+
+// put sets m[k] = v, making m on first use so an empty kind stays nil.
+func put[V any](m *map[string]V, k string, v V) {
+	if *m == nil {
+		*m = map[string]V{}
+	}
+	(*m)[k] = v
 }
 
 // RuntimeStats samples the Go runtime through runtime/metrics: live heap,

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -45,7 +46,7 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 	reg.Gauge("inflight").Add(2)
 	reg.RegisterGaugeFunc("cache_hits", func() int64 { return 41 })
 	reg.Histogram("http_request").Observe(5 * time.Millisecond)
-	reg.StageHistogram(StageSearch).Observe(time.Millisecond)
+	reg.Histogram("maxmin_alloc") // registered, never observed
 
 	snap := reg.Snapshot()
 	if snap.Counters["requests"] != 7 {
@@ -57,22 +58,67 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 	if snap.Histograms["http_request"].Count != 1 {
 		t.Errorf("histograms = %v", snap.Histograms)
 	}
-	if snap.Stages["search"].Count != 1 {
-		t.Errorf("stages = %v", snap.Stages)
-	}
-	// Empty stages must be omitted, and the whole snapshot must marshal.
-	if _, ok := snap.Stages["maxmin_alloc"]; ok {
-		t.Error("empty stage appeared in snapshot")
+	// Every registered histogram is present, observed or not, and the
+	// whole snapshot must marshal.
+	if h, ok := snap.Histograms["maxmin_alloc"]; !ok || h.Count != 0 {
+		t.Errorf("unobserved histogram = %+v, present %v; want present with count 0", h, ok)
 	}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatalf("snapshot does not marshal: %v", err)
 	}
-	for _, want := range []string{`"search"`, `"p50Ms"`, `"cache_hits"`} {
+	for _, want := range []string{`"maxmin_alloc"`, `"p50Ms"`, `"cache_hits"`} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("snapshot JSON lacks %s: %s", want, buf.String())
 		}
 	}
+}
+
+// A gauge func may read its own registry: both renders call gauge funcs
+// outside the registry's lock, so neither deadlocks.
+func TestGaugeFuncReadsOwnRegistry(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("requests").Add(3)
+	reg.RegisterGaugeFunc("requests_seen", func() int64 { return reg.Counter("requests").Value() })
+	renders := map[string]func() int64{
+		"Snapshot": func() int64 { return reg.Snapshot().Gauges["requests_seen"] },
+		"WritePrometheus": func() int64 {
+			var buf bytes.Buffer
+			if err := reg.WritePrometheus(&buf, ""); err != nil || !strings.Contains(buf.String(), "\nrequests_seen 3\n") {
+				return -1
+			}
+			return 3
+		},
+	}
+	for name, render := range renders {
+		got := make(chan int64, 1)
+		go func() { got <- render() }()
+		select {
+		case v := <-got:
+			if v != 3 {
+				t.Errorf("%s: requests_seen = %d, want 3", name, v)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s did not return within 5s: the gauge func deadlocked on its registry", name)
+		}
+	}
+}
+
+// A registry holds named metrics only: the flight-recorder ring belongs to
+// the process state, so a server's registry costs next to nothing.
+func TestNewRegistryIsSmall(t *testing.T) {
+	const calls, budget = 10, 16 << 10
+	regs := make([]*Registry, calls)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range regs {
+		regs[i] = NewRegistry()
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Errorf("%d NewRegistry calls allocated %d B, want under %d B", calls, got, budget)
+	}
+	runtime.KeepAlive(regs)
 }
 
 func TestSampleRuntime(t *testing.T) {

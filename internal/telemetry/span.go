@@ -75,7 +75,7 @@ type Span struct {
 	start  time.Time
 }
 
-// StartStageSpan opens a span that records only into the active registry's
+// StartStageSpan opens a span that records only into the process registry's
 // per-stage histogram. It is the form used by the packages that own each
 // stage (graph, flow, itur, fault) — call sites without a context. When
 // telemetry is disabled it costs one atomic load and returns the zero Span.
@@ -86,18 +86,18 @@ func StartStageSpan(stage Stage) Span {
 	return Span{stage: stage, toHist: true, start: time.Now()}
 }
 
-// StartSpan opens a span that records into both the active registry's stage
+// StartSpan opens a span that records into both the process registry's stage
 // histogram and the Recorder carried by ctx (if any). Use it where a stage
 // is observed exactly once per execution and a context is at hand (the
 // snapshot cache). Under a running trace capture, StartSpan and RecordSpan
 // spans are traced too: on the track of the context's trace ID, or on the
 // "untraced" track when it carries none.
 func StartSpan(ctx context.Context, stage Stage) Span {
-	reg := active.Load()
-	if reg == nil {
+	p := active.Load()
+	if p == nil {
 		return Span{}
 	}
-	sp := Span{rec: FromContext(ctx), stage: stage, toHist: true, traced: reg.tracer.Load() != nil, start: time.Now()}
+	sp := Span{rec: FromContext(ctx), stage: stage, toHist: true, traced: p.tracer.Load() != nil, start: time.Now()}
 	if sp.traced {
 		sp.trace = TraceIDFrom(ctx)
 	}
@@ -109,12 +109,12 @@ func StartSpan(ctx context.Context, stage Stage) Span {
 // calls into packages that already feed the registry histograms themselves,
 // so wrapping never double-counts /metrics.
 func RecordSpan(ctx context.Context, stage Stage) Span {
-	reg := active.Load()
-	if reg == nil {
+	p := active.Load()
+	if p == nil {
 		return Span{}
 	}
 	rec := FromContext(ctx)
-	traced := reg.tracer.Load() != nil
+	traced := p.tracer.Load() != nil
 	if rec == nil && !traced {
 		return Span{}
 	}
@@ -137,8 +137,8 @@ func (sp Span) EndAs(stage Stage) {
 	}
 	d := time.Since(sp.start)
 	if sp.toHist {
-		if reg := active.Load(); reg != nil {
-			reg.stages[stage].Observe(d)
+		if p := active.Load(); p != nil {
+			p.stages[stage].Observe(d)
 		}
 	}
 	if sp.rec != nil {

@@ -36,7 +36,7 @@ func TestStageSpanFeedsActiveRegistry(t *testing.T) {
 		sp := StartStageSpan(StageMaxMin)
 		time.Sleep(time.Millisecond)
 		sp.End()
-		h := reg.StageHistogram(StageMaxMin)
+		h := reg.Histogram(StageMaxMin.String())
 		if h.Count() != 1 {
 			t.Fatalf("stage histogram count = %d, want 1", h.Count())
 		}
@@ -83,7 +83,7 @@ func TestSpanNestingAttribution(t *testing.T) {
 		}
 		// RecordSpan never feeds the registry histograms — the owning
 		// package does that — so the stage hist must stay empty.
-		if c := reg.StageHistogram(StageSearch).Count(); c != 0 {
+		if c := reg.Histogram(StageSearch.String()).Count(); c != 0 {
 			t.Errorf("RecordSpan leaked %d observations into the registry", c)
 		}
 	})
@@ -102,7 +102,7 @@ func TestSpanEndAs(t *testing.T) {
 		if got := rec.Count(StageCacheMiss); got != 1 {
 			t.Errorf("cache_miss count = %d, want 1", got)
 		}
-		if c := reg.StageHistogram(StageCacheMiss).Count(); c != 1 {
+		if c := reg.Histogram(StageCacheMiss.String()).Count(); c != 1 {
 			t.Errorf("registry cache_miss count = %d, want 1 (StartSpan feeds both)", c)
 		}
 	})

@@ -16,11 +16,17 @@
 //
 // Collection surfaces compose:
 //
-//   - The process-global active Registry (Enable/Disable) receives per-stage
-//     latency histograms from the packages that own each stage — the graph
-//     builder and Dijkstra kernel, the max-min allocator, the ITU-R curve
-//     sampler, the fault realizer, the snapshot cache. /metrics and the
-//     batch -v summaries read it with Snapshot.
+//   - The process state (Enable/Disable) holds the flight recorder, the
+//     running trace capture, and one Registry with a histogram per pipeline
+//     stage, registered under the stage's name and fed by the packages that
+//     own each stage — the graph builder and Dijkstra kernel, the max-min
+//     allocator, the ITU-R curve sampler, the fault realizer, the snapshot
+//     cache, the oracle. Active returns that registry.
+//   - A Registry of named counters, gauges and histograms: each server
+//     creates its own with NewRegistry for its request counters, cache
+//     gauges and per-route latencies. /metrics renders the server's
+//     registry and then the process registry, each with Snapshot (JSON) or
+//     WritePrometheus (text exposition, so standard dashboards scrape it).
 //   - A Recorder, attached to a context with WithRecorder, accumulates
 //     per-stage wall-clock totals for ONE run or ONE request: experiment
 //     JSON envelopes emit it as the stage_times breakdown, the server logs
@@ -38,28 +44,49 @@
 //     export as Chrome trace_event JSON, one track per request or batch
 //     snapshot plus an "untraced" track for spans whose context carries no
 //     trace ID, viewable in Perfetto.
-//   - Prometheus text exposition (Registry.WritePrometheus), so the same
-//     registry scrapes into standard dashboards.
 package telemetry
 
 import (
 	"sync/atomic"
 )
 
-// active is the process-global registry; nil means telemetry is disabled
-// and every span start returns the zero Span after one atomic load.
-var active atomic.Pointer[Registry]
+// process is the state Enable installs: the flight recorder, the running
+// trace capture, and the registry of per-stage histograms.
+type process struct {
+	reg *Registry
+	// stages holds reg's stage histograms indexed by Stage — the span fast
+	// path does no map lookup.
+	stages [NumStages]*Histogram
+	// events is the flight recorder: a fixed ring of structured events
+	// (build failures, breaker transitions, degraded serves, …).
+	events *EventRing
+	// tracer, when non-nil, is the running trace capture; spans under a
+	// traced context are routed into it.
+	tracer atomic.Pointer[Tracer]
+}
 
-// Enable turns on process-global telemetry, installing (and returning) a
-// registry. If telemetry is already enabled the existing registry is kept.
+// active is the process state; nil means telemetry is disabled and every
+// span start returns the zero Span after one atomic load.
+var active atomic.Pointer[process]
+
+func newProcess() *process {
+	p := &process{reg: NewRegistry(), events: newEventRing(DefaultEventCapacity)}
+	for s := range p.stages {
+		p.stages[s] = p.reg.Histogram(Stage(s).String())
+	}
+	return p
+}
+
+// Enable turns on process-global telemetry and returns the process
+// registry, which holds one histogram per stage under the stage's name. If
+// telemetry is already enabled the existing state is kept.
 func Enable() *Registry {
 	for {
-		if r := active.Load(); r != nil {
-			return r
+		if p := active.Load(); p != nil {
+			return p.reg
 		}
-		r := NewRegistry()
-		if active.CompareAndSwap(nil, r) {
-			return r
+		if p := newProcess(); active.CompareAndSwap(nil, p) {
+			return p.reg
 		}
 	}
 }
@@ -67,5 +94,10 @@ func Enable() *Registry {
 // Disable turns process-global telemetry off again (tests, benchmarks).
 func Disable() { active.Store(nil) }
 
-// Active returns the process-global registry, or nil when disabled.
-func Active() *Registry { return active.Load() }
+// Active returns the process registry, or nil when disabled.
+func Active() *Registry {
+	if p := active.Load(); p != nil {
+		return p.reg
+	}
+	return nil
+}

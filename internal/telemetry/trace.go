@@ -20,8 +20,8 @@ import (
 // request's graph-build → search → cache-lookup timeline reads left to
 // right; context spans without a trace ID share one "untraced" track.
 //
-// Capture is explicitly bounded: StartTracing installs one Tracer on the
-// active registry (`-tracefile` arms it for a whole batch run; GET
+// Capture is explicitly bounded: StartTracing installs one Tracer in the
+// process state (`-tracefile` arms it for a whole batch run; GET
 // /debug/trace?duration= for a serve window); when no Tracer is installed a
 // span's only tracing cost is one atomic load.
 
@@ -90,7 +90,7 @@ type Tracer struct {
 }
 
 // NewTracer creates a detached tracer (max <= 0 uses DefaultTraceCapacity).
-// Most callers want StartTracing, which also installs it on the registry.
+// Most callers want StartTracing, which also installs it.
 func NewTracer(max int) *Tracer {
 	if max <= 0 {
 		max = DefaultTraceCapacity
@@ -205,17 +205,17 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	return bw.Flush()
 }
 
-// StartTracing installs a fresh Tracer on the active registry and returns
+// StartTracing installs a fresh Tracer in the process state and returns
 // it. It fails when telemetry is disabled or a capture is already running —
 // captures are exclusive so two /debug/trace windows cannot steal each
 // other's spans.
 func StartTracing(max int) (*Tracer, error) {
-	reg := active.Load()
-	if reg == nil {
+	p := active.Load()
+	if p == nil {
 		return nil, fmt.Errorf("telemetry: tracing requires telemetry enabled")
 	}
 	tr := NewTracer(max)
-	if !reg.tracer.CompareAndSwap(nil, tr) {
+	if !p.tracer.CompareAndSwap(nil, tr) {
 		return nil, fmt.Errorf("telemetry: a trace capture is already running")
 	}
 	return tr, nil
@@ -223,28 +223,28 @@ func StartTracing(max int) (*Tracer, error) {
 
 // StopTracing uninstalls and returns the running capture (nil when none).
 func StopTracing() *Tracer {
-	reg := active.Load()
-	if reg == nil {
+	p := active.Load()
+	if p == nil {
 		return nil
 	}
-	return reg.tracer.Swap(nil)
+	return p.tracer.Swap(nil)
 }
 
 // TracingEnabled reports whether a capture is currently running — the gate
 // callers use before paying for per-snapshot trace IDs.
 func TracingEnabled() bool {
-	reg := active.Load()
-	return reg != nil && reg.tracer.Load() != nil
+	p := active.Load()
+	return p != nil && p.tracer.Load() != nil
 }
 
 // AddTraceSpan records one explicitly-delimited span (a whole HTTP request,
 // a whole experiment) into the running capture, if any.
 func AddTraceSpan(name string, id TraceID, start time.Time, dur time.Duration) {
-	reg := active.Load()
-	if reg == nil {
+	p := active.Load()
+	if p == nil {
 		return
 	}
-	if tr := reg.tracer.Load(); tr != nil {
+	if tr := p.tracer.Load(); tr != nil {
 		tr.Add(name, id, start, dur)
 	}
 }

@@ -166,9 +166,10 @@ func SetProgress(w io.Writer) { core.Progress = w }
 
 // Observability entry points (internal/telemetry).
 var (
-	// EnableTelemetry installs the process-global metrics registry; every
-	// pipeline stage then feeds its latency histogram. Near-zero cost is
-	// paid when disabled (one atomic load per stage).
+	// EnableTelemetry installs the process telemetry state (stage
+	// histograms, flight recorder, trace capture); every pipeline stage then
+	// feeds its latency histogram. Near-zero cost is paid when disabled (one
+	// atomic load per stage).
 	EnableTelemetry = telemetry.Enable
 	// NewTelemetryRecorder creates a per-run stage-time recorder.
 	NewTelemetryRecorder = telemetry.NewRecorder

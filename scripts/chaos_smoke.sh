@@ -4,8 +4,8 @@
 # queries are answered despite a 30% injected build-failure rate, every body
 # decodes as complete JSON (the client fails hard on truncation), the repeat
 # pass returns bit-identical answers, and /metrics shows at least one build
-# that failed (cache.errors ≥ 1) — a storm with nothing injected proves
-# nothing. Run from the repo root; CI runs it on every push.
+# that failed (the cache_errors gauge ≥ 1) — a storm with nothing injected
+# proves nothing. Run from the repo root; CI runs it on every push.
 #
 #   ./scripts/chaos_smoke.sh [port]
 set -euo pipefail
@@ -41,8 +41,8 @@ curl -fsS "http://127.0.0.1:$PORT/metrics" >"$TMP/metrics.json"
 python3 - "$TMP/metrics.json" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))
-print(json.dumps({"counters": m["server"]["counters"], "cache": m["cache"], "breaker": m["breaker"]}, indent=2))
-if m["cache"]["errors"] < 1:
+print(json.dumps({"counters": m["server"]["counters"], "gauges": m["server"]["gauges"]}, indent=2))
+if m["server"]["gauges"]["cache_errors"] < 1:
     sys.exit("chaos_smoke: FAIL: no snapshot build failed, so the storm injected nothing")
 EOF
 
