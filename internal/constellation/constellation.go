@@ -210,8 +210,10 @@ func (c *Constellation) PositionsECEFInto(t time.Time, dst []geo.Vec3) []geo.Vec
 	// Rotate once: compute ECI in parallel, then apply the shared GMST
 	// rotation, rather than recomputing GMST per satellite.
 	theta := -geo.GMST(t)
-	parallelFor(len(c.Sats), func(i int) {
-		dst[i] = geo.RotateZ(c.Sats[i].Prop.PositionECI(t), theta)
+	parallelRanges(len(c.Sats), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] = geo.RotateZ(c.Sats[i].Prop.PositionECI(t), theta)
+		}
 	})
 	return dst
 }

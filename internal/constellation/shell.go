@@ -6,8 +6,6 @@ package constellation
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"leosim/internal/geo"
@@ -175,38 +173,4 @@ func (s Shell) TLEs(firstSatNum int, epoch time.Time) []string {
 		}
 	}
 	return lines
-}
-
-// parallelFor runs fn(i) for i in [0,n) across GOMAXPROCS workers.
-func parallelFor(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }

@@ -45,8 +45,8 @@ func RunHeatmap(ctx context.Context, s *Sim, srcName, dstName string, stepDeg fl
 	}
 	a, b := s.Cities[src], s.Cities[dst]
 	res = &HeatmapResult{
-		LatMin: minF(a.Lat, b.Lat) - 5, LatMax: maxF(a.Lat, b.Lat) + 5,
-		LonMin: minF(a.Lon, b.Lon) - 5, LonMax: maxF(a.Lon, b.Lon) + 5,
+		LatMin: min(a.Lat, b.Lat) - 5, LatMax: max(a.Lat, b.Lat) + 5,
+		LonMin: min(a.Lon, b.Lon) - 5, LonMax: max(a.Lon, b.Lon) + 5,
 		StepDeg: stepDeg,
 	}
 
@@ -191,18 +191,4 @@ func WriteHeatmapReport(w io.Writer, r *HeatmapResult) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

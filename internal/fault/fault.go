@@ -79,7 +79,8 @@ type Plan struct {
 // resource. For GSLDegrade the fraction is the capacity *lost*, i.e. the
 // factor applied is 1-fraction.
 func ForScenario(sc Scenario, fraction float64, seed int64) (Plan, error) {
-	if fraction < 0 || fraction > 1 {
+	// Negated, here and in Validate, so that NaN is refused too.
+	if !(fraction >= 0 && fraction <= 1) {
 		return Plan{}, fmt.Errorf("fault: fraction %v outside [0,1]", fraction)
 	}
 	p := Plan{Seed: seed}
@@ -111,11 +112,11 @@ func (p Plan) Validate() error {
 		{"SiteFraction", p.SiteFraction},
 		{"ISLFraction", p.ISLFraction},
 	} {
-		if f.v < 0 || f.v > 1 {
+		if !(f.v >= 0 && f.v <= 1) {
 			return fmt.Errorf("fault: %s = %v outside [0,1]", f.name, f.v)
 		}
 	}
-	if p.GSLCapFactor < 0 || p.GSLCapFactor > 1 {
+	if !(p.GSLCapFactor >= 0 && p.GSLCapFactor <= 1) {
 		return fmt.Errorf("fault: GSLCapFactor = %v outside [0,1]", p.GSLCapFactor)
 	}
 	return nil

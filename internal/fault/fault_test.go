@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -286,6 +287,20 @@ func TestForScenario(t *testing.T) {
 	}
 	if err := (Plan{GSLCapFactor: 2}).Validate(); err == nil {
 		t.Error("cap factor > 1 accepted")
+	}
+	// NaN fails every ordered comparison, so only a range check written as
+	// !(x >= 0 && x <= 1) refuses it; pickFrac would turn it into a
+	// negative slice bound.
+	nan := math.NaN()
+	for _, sc := range Scenarios() {
+		if _, err := ForScenario(sc, nan, 5); err == nil {
+			t.Errorf("%s: fraction NaN accepted", sc)
+		}
+	}
+	for _, p := range []Plan{{SatFraction: nan}, {PlaneFraction: nan}, {SiteFraction: nan}, {ISLFraction: nan}, {GSLCapFactor: nan}} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("%+v accepted", p)
+		}
 	}
 	if _, err := (Plan{SatFraction: 2}).Realize(testConst(t), 0); err == nil {
 		t.Error("Realize accepted an invalid plan")

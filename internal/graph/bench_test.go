@@ -76,8 +76,8 @@ func BenchmarkKDisjoint(b *testing.B) {
 
 // BenchmarkSearch measures the raw kernel loop (pooled state, no slice
 // materialization) with telemetry disabled — the configuration every batch
-// run starts in. Its ns/op must stay within noise of the pre-telemetry
-// kernel (BENCH_routing.json): the disabled-path cost is one atomic load.
+// run starts in; bench/'s graph.search_tree_ms times the same call on the
+// reduced-scale network. The disabled-path cost is one atomic load.
 func BenchmarkSearch(b *testing.B) {
 	telemetry.Disable()
 	n := benchGrid(80, 100)

@@ -370,7 +370,7 @@ const NoTarget int32 = -1
 func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 	// One span per search, outside the loop: with telemetry disabled this
 	// is a single atomic load, preserving the kernel's allocation-free
-	// profile (verified by BenchmarkSearch vs BENCH_telemetry.json).
+	// profile (BenchmarkSearch against BenchmarkSearchTelemetryEnabled).
 	sp := telemetry.StartStageSpan(telemetry.StageSearch)
 	defer sp.End()
 	n.ensureCSR()

@@ -412,7 +412,8 @@ func benchOracle(b *testing.B) (*graph.Network, *Oracle) {
 }
 
 // BenchmarkOracleBuild measures the one-time per-snapshot build cost the
-// serving layer amortizes (reported alongside query latency in bench.sh).
+// serving layer amortizes; bench/ records it at reduced scale as
+// oracle.build_ms, beside the query costs it buys.
 func BenchmarkOracleBuild(b *testing.B) {
 	sim := motifSim(b, topo.PlusGrid, core.TinyScale(), "tiny")
 	n := buildNet(b, sim, core.BP, "")

@@ -300,6 +300,29 @@ func TestChaosBreakerOpensEndToEnd(t *testing.T) {
 	}
 }
 
+// fraction=NaN parses as a float but is no fraction: it must be refused
+// before any build. In the outage draw it is a negative slice bound, and
+// enough failed builds would open the breaker for every client.
+func TestNaNFractionIsBadRequest(t *testing.T) {
+	s := newTestServer(t, Config{BreakerThreshold: 5})
+	builds := s.cache.Stats().Builds
+	for i := 0; i < 5; i++ {
+		url := chaosURL(t, s, 0, "bp") + "&fault=sat&fraction=NaN&fault-seed=" + strconv.Itoa(i)
+		if rec := get(s, url); rec.Code != http.StatusBadRequest {
+			t.Fatalf("request %d: status %d, want 400: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	if got := s.cache.Stats().Builds; got != builds {
+		t.Errorf("%d builds started by NaN fractions, want 0", got-builds)
+	}
+	if st := s.cache.Breaker().State; st.String() != "closed" {
+		t.Fatalf("breaker %s after NaN fractions, want closed", st)
+	}
+	if rec := get(s, chaosURL(t, s, 1, "bp")); rec.Code != http.StatusOK {
+		t.Fatalf("healthy query after NaN fractions: status %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
 // A hybrid-mode build failure with a resident BP snapshot for the same
 // instant degrades to the BP copy (200 + degraded marker) instead of a 500.
 // Seed 10 at FailRate 0.5 draws ok, fail, ok — so the BP prime succeeds, the

@@ -128,7 +128,7 @@ func (f snapForm) spec(times []time.Time, seedParam string) (snapSpec, error) {
 	}
 	frac, seed := 0.1, int64(1)
 	if f.fraction != nil {
-		if frac = *f.fraction; frac < 0 || frac > 1 {
+		if frac = *f.fraction; !(frac >= 0 && frac <= 1) {
 			return snapSpec{}, badRequest("fraction must be a number in [0,1]")
 		}
 	}

@@ -197,18 +197,20 @@ func TestEventRingConcurrent(t *testing.T) {
 	}
 }
 
-// The enabled emit path must not allocate per event: Event is a fixed-size
-// value copied into a preallocated slot, and integer attrs are not formatted
-// at emission time.
+// Neither emit path may allocate per event: disabled it is one atomic load;
+// enabled, Event is a fixed-size value copied into a preallocated slot, and
+// integer attrs are not formatted at emission time.
 func TestEmitEventZeroAlloc(t *testing.T) {
-	Enable()
-	defer Disable()
 	key := Str("key", "bp@snap0")
 	dur := Int64("durMs", 12)
-	allocs := testing.AllocsPerRun(1000, func() {
-		EmitEvent(nil, CatBuild, SevInfo, "build done", key, dur)
-	})
-	if allocs != 0 {
+	emit := func() { EmitEvent(nil, CatBuild, SevInfo, "build done", key, dur) }
+	Disable()
+	if allocs := testing.AllocsPerRun(1000, emit); allocs != 0 {
+		t.Errorf("disabled EmitEvent allocates %.1f per call, want 0", allocs)
+	}
+	Enable()
+	defer Disable()
+	if allocs := testing.AllocsPerRun(1000, emit); allocs != 0 {
 		t.Errorf("EmitEvent allocates %.1f per call, want 0", allocs)
 	}
 }

@@ -29,6 +29,22 @@ func TestSpanDisabledIsZero(t *testing.T) {
 	if sp := RecordSpan(ctx, StageSearch); sp != (Span{}) {
 		t.Fatalf("disabled RecordSpan = %+v, want zero Span", sp)
 	}
+
+	// The allocation half of the cost model (ns/op stays a benchmark): no
+	// span form allocates, disabled or enabled, with or without a recorder.
+	zeroAllocs := func(name string, fn func()) {
+		t.Helper()
+		if allocs := testing.AllocsPerRun(1000, fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f per call, want 0", name, allocs)
+		}
+	}
+	zeroAllocs("disabled StartStageSpan+End", func() { StartStageSpan(StageSearch).End() })
+	zeroAllocs("disabled StartSpan+End", func() { StartSpan(ctx, StageSearch).End() })
+	zeroAllocs("disabled RecordSpan+End", func() { RecordSpan(ctx, StageSearch).End() })
+	withEnabled(t, func(*Registry) {
+		zeroAllocs("enabled StartStageSpan+End", func() { StartStageSpan(StageSearch).End() })
+		zeroAllocs("enabled StartSpan+End under a recorder", func() { StartSpan(ctx, StageSearch).End() })
+	})
 }
 
 func TestStageSpanFeedsActiveRegistry(t *testing.T) {
