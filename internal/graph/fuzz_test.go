@@ -383,7 +383,8 @@ func TestSubgraphTreePathTies(t *testing.T) {
 // joins two satellites by laser and a satellite and a terminal by radio where
 // the straight segment clears the Earth, and any other pair by fiber; a pair
 // at one lattice point is not linked. Weights come from AddLink, so every
-// link is at least the bound between its ends.
+// link is at least the bound between its ends. The leading satellites are
+// NumSat, as a built network's are.
 func geoNet(data []byte) *Network {
 	if len(data) < 1 {
 		return nil
@@ -401,6 +402,9 @@ func geoNet(data []byte) *Network {
 		}
 		ll := geo.LatLon{Lat: 15 * float64(int(lat&0x7f)%9-4), Lon: 15 * float64(int(lon)%24-12), Alt: alt}
 		n.AddNode(kind, ll.ToECEF(), "")
+	}
+	for n.NumSat < nodes && n.Kind[n.NumSat] == NodeSatellite {
+		n.NumSat++
 	}
 	for i := 1 + 2*nodes; i+1 < len(data); i += 2 {
 		a, b := int32(int(data[i])%nodes), int32(int(data[i+1])%nodes)
@@ -457,6 +461,27 @@ func twinChainsBytes() []byte {
 		[][2]int{{0, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 1}})
 }
 
+// relayChainBytes encodes, in geoNet's layout and satellites first, a chain
+// of four satellites at 15° N (nodes 0–3) and their twins at 15° S (4–7) that
+// hand over to each other only through relays on the equator (10–12), from
+// terminal 8 to terminal 9, with fiber between relays 10 and 11.
+func relayChainBytes() []byte {
+	data := []byte{13 - 2}
+	for _, lat := range []byte{5, 3} {
+		for _, lon := range []byte{9, 11, 13, 15} {
+			data = append(data, 1<<7|lat, lon)
+		}
+	}
+	for _, lon := range []byte{8, 16, 10, 12, 14} {
+		data = append(data, 4, lon)
+	}
+	hops := []byte{8, 10, 11, 12, 9}
+	for i, sat := range []byte{0, 1, 2, 3} {
+		data = append(data, hops[i], sat, sat, hops[i+1], hops[i], sat+4, sat+4, hops[i+1])
+	}
+	return append(data, 10, 11)
+}
+
 // equatorialGridBytes encodes a 3 × 5 satellite grid about the equator with a
 // terminal at each end, nodes 0 and 1.
 func equatorialGridBytes() []byte {
@@ -476,7 +501,10 @@ func equatorialGridBytes() []byte {
 // the cut, each search is directed by the uncut network's full tree rooted at
 // its target, and the reference is naiveDijkstra with the cut's links absent
 // — the filtered network. The seeds are mirror-symmetric, so twin routes tie
-// exactly.
+// exactly. In the last two, terminals on the equator relay between
+// satellites to either side of it, laid out satellites first, so a satellite
+// and its twin offer each relay one label and the relay is relaxed through;
+// fiber between two relays queues the second.
 func FuzzSearchGeometric(f *testing.F) {
 	f.Add(twinChainsBytes(), uint8(0), uint8(1), uint8(0))
 	f.Add(equatorialGridBytes(), uint8(0), uint8(1), uint8(5))
@@ -486,6 +514,8 @@ func FuzzSearchGeometric(f *testing.F) {
 	// Terminals on both sides with satellites between, banned a third at a time.
 	f.Add(mirrorBytes([][3]int{{0, 4, 10}, {0, 4, 14}, {0, 3, 12}, {1, 3, 11}, {1, 3, 13}, {1, 4, 12}},
 		[][2]int{{0, 3}, {3, 2}, {2, 4}, {4, 1}, {0, 5}, {5, 1}, {3, 5}, {5, 4}, {0, 2}, {2, 1}}), uint8(0), uint8(1), uint8(3))
+	f.Add(relayChainBytes(), uint8(8), uint8(9), uint8(0))
+	f.Add(relayChainBytes(), uint8(9), uint8(10), uint8(5))
 	f.Fuzz(func(t *testing.T, data []byte, srcB, dstB, banB uint8) {
 		n := geoNet(data)
 		if n == nil || len(n.Links) == 0 {

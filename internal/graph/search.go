@@ -29,10 +29,11 @@ type SearchState struct {
 	delay    []float64
 	prevLink []int32
 
-	// heap is the frontier: exactly one entry per reached, not yet popped
-	// node. node[v].pos is v's index in heap while it is queued and
-	// posPopped from the moment it is popped, so heap[node[v].pos].node == v
-	// for every queued v — the invariant decrease-key relies on.
+	// heap is the frontier: exactly one entry per queued, not yet popped
+	// node. node[v].pos is v's index in heap while it is queued, posPopped
+	// from the moment it is popped and posPassed while it is relaxed through
+	// without a heap entry, so heap[node[v].pos].node == v for every queued
+	// v — the invariant decrease-key relies on.
 	heap []heapEntry
 
 	// linkBan marks a link banned iff the entry equals banStamp. Bans
@@ -84,8 +85,12 @@ type treeLabel struct {
 	stamp uint32
 }
 
-// posPopped marks a node that has left the frontier for good.
-const posPopped int32 = -1
+// posPopped marks a node that has left the frontier for good; posPassed a
+// node relaxed through, reached but never queued (Search).
+const (
+	posPopped int32 = -1
+	posPassed int32 = -2
+)
 
 var searchPool = sync.Pool{New: func() interface{} { return &SearchState{} }}
 
@@ -186,12 +191,15 @@ func (st *SearchState) Dist(v int32) float64 {
 	return st.node[v].dist
 }
 
-// Reached reports whether the last search reached node v.
+// Reached reports whether the last search reached node v: gave it a label,
+// whether it then queued or was relaxed through.
 func (st *SearchState) Reached(v int32) bool { return st.node[v].stamp == st.searchStamp }
 
 // Settled reports whether the last search popped node v, making its labels
-// final. A search stopped at its targets leaves the nodes past them reached
-// but unsettled, or unreached.
+// final. A node relaxed through (Search) never queues, so it is reached but
+// never settled; in a search that runs to completion its labels are final
+// all the same. A search stopped at its targets leaves the nodes past them
+// reached but unsettled, or unreached.
 func (st *SearchState) Settled(v int32) bool {
 	return st.node[v].stamp == st.searchStamp && st.node[v].pos == posPopped
 }
@@ -302,10 +310,11 @@ type SearchSpec struct {
 	// as the last distinct one of them is settled (popped). Every listed
 	// node's Dist, PrevLink and Path are then final, bit-identical to a full
 	// tree's, because the loop up to the stop is the full tree's loop; every
-	// other node's labels are partial. A listed node that is unreachable
-	// never pops, so the search runs to exhaustion. Target is the
-	// one-element case: use NoTarget there (note the zero value targets node
-	// 0), and with no Targets either every reachable node is settled.
+	// other node's labels are partial. A listed node always queues, never
+	// relaxed through, so its pop is seen; one that is unreachable never
+	// pops, so the search runs to exhaustion. Target is the one-element
+	// case: use NoTarget there (note the zero value targets node 0), and
+	// with no Targets either every reachable node gets its final labels.
 	//
 	// A search that wants exactly one distinct node, with no Expand and no
 	// Cost, is goal-directed wherever the network admits the free-space
@@ -338,14 +347,17 @@ type SearchSpec struct {
 	// delay). It must be non-negative — a popped node is final and is never
 	// re-queued; returning +Inf excludes the link. The kernel then tracks
 	// propagation delay separately so extracted paths still report true
-	// OneWayMs; Dist returns accumulated cost.
+	// OneWayMs; Dist returns accumulated cost. It may be asked about one
+	// link many times in a search (a node relaxed through relaxes its arcs
+	// again when its label falls), so it must answer alike each time.
 	Cost func(int32) float64
-	// Stop, when non-nil, is polled every stopPollInterval settled nodes
-	// (and once before the first); returning true abandons the search,
-	// making Search return false. This is how request-context cancellation
-	// reaches the kernel: servers set Stop to poll ctx.Err. An abandoned
-	// search leaves the state partially settled — treat its results as
-	// invalid.
+	// Stop, when non-nil, is polled every stopPollInterval expanded nodes —
+	// popped, or relaxed through — and once before the first, so as often
+	// per relaxed arc as when every node queued. Returning true abandons
+	// the search, making Search return false. This is how request-context
+	// cancellation reaches the kernel: servers set Stop to poll ctx.Err. An
+	// abandoned search leaves the state partially settled — treat its
+	// results as invalid.
 	Stop func() bool
 }
 
@@ -365,6 +377,13 @@ const NoTarget int32 = -1
 // shortest paths, k edge-disjoint paths, and the congestion-aware router.
 // The inner loop performs no allocation and no hashing.
 //
+// A node at or above NumSat (the ground side of a built network: cities,
+// relays, aircraft) that is not wanted is relaxed through instead of queued
+// in every search a tree does not direct: when a popped node lowers its
+// label it keeps that label and predecessor and relaxes its own arcs from it
+// at once (DESIGN.md §7). Labels and predecessors are still plain
+// Dijkstra's, bit for bit.
+//
 // Search reports whether it ran to completion: false means spec.Stop
 // abandoned it and st holds partial, unusable results.
 func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
@@ -374,6 +393,22 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 	sp := telemetry.StartStageSpan(telemetry.StageSearch)
 	defer sp.End()
 	n.ensureCSR()
+	done, strict := n.search(st, spec, true)
+	if !strict {
+		// An arc lowered a label without adding to it (a Cost hook that
+		// prices a link at 0): the tie rule is plain Dijkstra's only where
+		// labels strictly increase along arcs, so run the search again the
+		// way plain Dijkstra runs it, queuing every node.
+		done, _ = n.search(st, spec, false)
+	}
+	return done
+}
+
+// search is one run of the kernel. With through set, a search that no tree
+// directs relaxes ground nodes through, breaks every exact tie by the
+// (dist, node, link) rule, and gives up, reporting strict false, at the
+// first relaxation that lowers a label to the label it came from.
+func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, strict bool) {
 	wantLeft, only := st.begin(n, spec) // wanted nodes not yet popped; 0: settle all
 	// A search for one node, with no hook that changes weights or
 	// forwarding, is goal-directed wherever the free-space bound is
@@ -391,15 +426,20 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 		}
 	}
 	// The bound is read through st, off the registers the relax loop needs;
-	// freeSpace says it is the free-space bound, not the tree's.
+	// freeSpace says it is the free-space bound, not the tree's. A
+	// tree-directed search queues its ground nodes: relaxed through, each
+	// would hand satellites A* never pops a treeBound walk apiece.
 	goal := st.goal != NoTarget
 	freeSpace := goal && st.tree == nil
+	through = through && st.tree == nil
+	tieRule := goal || through
 	// Loop locals: the scratch arrays and CSR stay in registers instead of
 	// being re-loaded through st and n on every arc.
 	node, cur, want := st.node, st.searchStamp, st.want
 	prevLink := st.prevLink
 	adjStart, adjEdges, adjMs := n.adjStart, n.adjEdges, n.adjMs
 	linkBans := st.anyLinkBan
+	ground := int32(n.NumSat)
 
 	node[spec.Src] = nodeState{stamp: cur}
 	prevLink[spec.Src] = -1
@@ -414,13 +454,15 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 	}
 	st.bound[spec.Src] = key
 	h := append(st.heap, heapEntry{node: spec.Src, key: key})
-	pops := 0
+	// expanded counts pops and nodes relaxed through, each of which relaxes
+	// its arcs once: the clock Stop is polled by.
+	expanded := 0
 	for len(h) > 0 {
-		if spec.Stop != nil && pops%stopPollInterval == 0 && spec.Stop() {
+		if spec.Stop != nil && expanded%stopPollInterval == 0 && spec.Stop() {
 			st.heap = h
-			return false
+			return false, true
 		}
-		pops++
+		expanded++
 		u := h[0].node
 		node[u].pos = posPopped
 		g := node[u].dist
@@ -441,12 +483,13 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 			continue
 		}
 		lo, hi := adjStart[u], adjStart[u+1]
-		edges, ms := adjEdges[lo:hi], adjMs[lo:hi]
+		edges, arcMs := adjEdges[lo:hi], adjMs[lo:hi]
 		for k, e := range edges {
 			if linkBans && st.linkBan[e.Link] == st.banStamp {
 				continue
 			}
-			w := ms[k]
+			ms := arcMs[k]
+			w := ms
 			if spec.Cost != nil {
 				w = spec.Cost(e.Link)
 				if math.IsInf(w, 1) {
@@ -454,8 +497,9 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 				}
 			}
 			nd := g + w
-			to := &node[e.To]
-			at := len(h) // a node new to the frontier enters at the bottom
+			v := e.To
+			to := &node[v]
+			queued := false // v holds an entry in h
 			if to.stamp == cur {
 				// With non-negative weights nd >= dist holds for every
 				// popped node, so the posPopped test only ever fires for
@@ -466,41 +510,127 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 				if nd == to.dist {
 					// The tie rule. Plain Dijkstra pops the tied
 					// predecessors in (dist, node) order and keeps the
-					// first; a goal-directed search pops them in its own
-					// order, so the (dist, node)-least one takes over.
-					if goal {
-						l := n.Links[prevLink[e.To]]
-						p := l.A + l.B - e.To
-						if dp := node[p].dist; g < dp || (g == dp && u < p) {
-							prevLink[e.To] = e.Link
+					// first, and its first arc of them; a goal-directed
+					// search pops them in its own order, and a node
+					// relaxed through relaxes before its turn, so the
+					// (dist, node, link)-least one takes over.
+					if tieRule {
+						l := n.Links[prevLink[v]]
+						p := l.A + l.B - v
+						if dp := node[p].dist; g < dp || (g == dp && (u < p || (u == p && e.Link < prevLink[v]))) {
+							prevLink[v] = e.Link
 						}
 					}
 					continue
 				}
-				at = int(to.pos)
+				queued = to.pos >= 0
 			} else {
 				to.stamp = cur
-				h = append(h, heapEntry{})
-				if freeSpace {
-					st.bound[e.To] = st.toGoal.at(e.To)
-				} else if goal {
-					st.bound[e.To] = st.treeBound(e.To)
-				}
+			}
+			if through && nd == g { // a label that did not grow: see Search
+				st.heap = h
+				return false, false
 			}
 			to.dist = nd
-			prevLink[e.To] = e.Link
+			prevLink[v] = e.Link
 			if st.hasCost {
-				st.delay[e.To] = st.delay[u] + ms[k]
+				st.delay[v] = st.delay[u] + ms
+			}
+			if through && !queued && v >= ground && want[v] != cur {
+				// Relax v through: it keeps its label and predecessor and
+				// relaxes its arcs from them now (unless Expand holds it
+				// back), which a later pop that lowers the label repeats.
+				// The loop below is the one above without this branch, so
+				// a node it lowers is queued and nothing recurses; it is
+				// written out again because a shared body costs the outer
+				// loop its registers.
+				to.pos = posPassed
+				if spec.Expand != nil && !spec.Expand(v) {
+					continue
+				}
+				if spec.Stop != nil && expanded%stopPollInterval == 0 && spec.Stop() {
+					st.heap = h
+					return false, true
+				}
+				expanded++
+				vlo, vhi := adjStart[v], adjStart[v+1]
+				vMs := adjMs[vlo:vhi]
+				for j, f := range adjEdges[vlo:vhi] {
+					if linkBans && st.linkBan[f.Link] == st.banStamp {
+						continue
+					}
+					fms := vMs[j]
+					w := fms
+					if spec.Cost != nil {
+						w = spec.Cost(f.Link)
+						if math.IsInf(w, 1) {
+							continue
+						}
+					}
+					nx := nd + w
+					y := f.To
+					ty := &node[y]
+					yQueued := false
+					if ty.stamp == cur {
+						if nx > ty.dist || ty.pos == posPopped {
+							continue
+						}
+						if nx == ty.dist {
+							l := n.Links[prevLink[y]]
+							p := l.A + l.B - y
+							if dp := node[p].dist; nd < dp || (nd == dp && (v < p || (v == p && f.Link < prevLink[y]))) {
+								prevLink[y] = f.Link
+							}
+							continue
+						}
+						yQueued = ty.pos >= 0
+					} else {
+						ty.stamp = cur
+					}
+					if nx == nd {
+						st.heap = h
+						return false, false
+					}
+					ty.dist = nx
+					prevLink[y] = f.Link
+					if st.hasCost {
+						st.delay[y] = st.delay[v] + fms
+					}
+					at := int(ty.pos)
+					if !yQueued { // a tree never directs a search that relaxes through
+						at = len(h)
+						h = append(h, heapEntry{})
+						if freeSpace {
+							st.bound[y] = st.toGoal.at(y)
+						}
+					}
+					key = nx
+					if freeSpace {
+						key += st.bound[y]
+					}
+					siftUp(h, node, at, heapEntry{node: y, key: key})
+				}
+				continue
+			}
+			at := int(to.pos)
+			if !queued { // a node new to the frontier enters at the bottom
+				at = len(h)
+				h = append(h, heapEntry{})
+				if freeSpace {
+					st.bound[v] = st.toGoal.at(v)
+				} else if goal {
+					st.bound[v] = st.treeBound(v)
+				}
 			}
 			key = nd
 			if goal {
-				key += st.bound[e.To]
+				key += st.bound[v]
 			}
-			siftUp(h, node, at, heapEntry{node: e.To, key: key})
+			siftUp(h, node, at, heapEntry{node: v, key: key})
 		}
 	}
 	st.heap = h // keep the grown backing array
-	return true
+	return true, true
 }
 
 // walkPath reconstructs the node/link sequence from dst back to src given a

@@ -323,13 +323,15 @@ func TestSurvivingRouteMatchesKernel(t *testing.T) {
 	})
 }
 
-// TestWhatIfSearchSettlesFewer counts the nodes a severed what-if answer's
-// kernel search settles — before, under the free-space bound alone, and as
-// served, directed by the healthy tree's row for the destination — on reduced
-// seed 1 at snapshot 0, both modes, three 5 % satellite masks, four sources
-// to every destination. The two searches settle the target at the same
-// distance (float bits) along the same path; the tree settles under a quarter
-// of the nodes.
+// TestWhatIfSearchSettlesFewer counts the satellites a severed what-if
+// answer's kernel search settles — before, under the free-space bound alone,
+// and as served, directed by the healthy tree's row for the destination — on
+// reduced seed 1 at snapshot 0, both modes, three 5 % satellite masks, four
+// sources to every destination. Satellites, because both searches queue
+// every satellite they reach, where the free-space search relaxes ground
+// nodes through and the tree-directed one queues them. The two searches
+// settle the target at the same distance (float bits) along the same path;
+// the tree settles under a quarter of the satellites.
 func TestWhatIfSearchSettlesFewer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("primes a reduced day")
@@ -346,7 +348,7 @@ func TestWhatIfSearchSettlesFewer(t *testing.T) {
 	}
 	settled := func(st *graph.SearchState, n *graph.Network) int {
 		count := 0
-		for v := int32(0); v < int32(n.N()); v++ {
+		for v := int32(0); v < int32(n.NumSat); v++ {
 			if st.Settled(v) {
 				count++
 			}
@@ -393,10 +395,10 @@ func TestWhatIfSearchSettlesFewer(t *testing.T) {
 	if answers == 0 {
 		t.Fatal("no route was severed")
 	}
-	t.Logf("%d severed what-if answers: %.1f nodes settled per answer under the free-space bound, %.1f directed by the healthy tree",
+	t.Logf("%d severed what-if answers: %.1f satellites settled per answer under the free-space bound, %.1f directed by the healthy tree",
 		answers, float64(before)/float64(answers), float64(after)/float64(answers))
 	if 4*after >= before {
-		t.Errorf("the healthy tree settled %d nodes, the free-space bound %d: want under a quarter", after, before)
+		t.Errorf("the healthy tree settled %d satellites, the free-space bound %d: want under a quarter", after, before)
 	}
 }
 
