@@ -2,12 +2,11 @@ package constellation
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"leosim/internal/geo"
 	"leosim/internal/orbit"
+	"leosim/internal/safe"
 )
 
 // Constellation is one or more orbital shells with per-satellite propagators
@@ -26,10 +25,6 @@ type Constellation struct {
 
 	// shellOffset[i] is the index in Sats of the first satellite of shell i.
 	shellOffset []int
-
-	// batch is the hoisted-constants fast path for all-Kepler fleets
-	// (bit-identical to per-satellite propagation); nil under SGP4.
-	batch *orbit.KeplerBatch
 }
 
 // Option configures constellation construction.
@@ -123,11 +118,6 @@ func New(shells []Shell, opts ...Option) (*Constellation, error) {
 			c.ISLs = PlusGridISLs(c, cfg.omitSeam)
 		}
 	}
-	props := make([]orbit.Propagator, len(c.Sats))
-	for i := range c.Sats {
-		props[i] = c.Sats[i].Prop
-	}
-	c.batch, _ = orbit.NewKeplerBatch(props)
 	return c, nil
 }
 
@@ -191,60 +181,22 @@ func (c *Constellation) PositionsECEF(t time.Time) []geo.Vec3 {
 }
 
 // PositionsECEFInto is PositionsECEF writing into dst when its capacity
-// suffices, so a caller stepping through time reuses one buffer instead of
-// allocating a position slice every step. The filled
-// slice is returned; it aliases dst unless dst was too small.
+// suffices, so a caller timing or repeating propagation can reuse one buffer.
+// The filled slice is returned; it aliases dst unless dst was too small.
+// Every fleet, Kepler or SGP4, takes the same path: each satellite's
+// PositionECI, rotated into the Earth frame by one GMST angle per instant.
 func (c *Constellation) PositionsECEFInto(t time.Time, dst []geo.Vec3) []geo.Vec3 {
 	if cap(dst) < len(c.Sats) {
 		dst = make([]geo.Vec3, len(c.Sats))
 	}
 	dst = dst[:len(c.Sats)]
-	if c.batch != nil {
-		// All-Kepler fleets take the batched propagator: per-plane rotation
-		// matrices and hoisted secular rates, same bits, ~half the work.
-		parallelRanges(len(c.Sats), func(lo, hi int) {
-			c.batch.PositionsECEFRange(t, lo, hi, dst)
-		})
-		return dst
-	}
-	// Rotate once: compute ECI in parallel, then apply the shared GMST
-	// rotation, rather than recomputing GMST per satellite.
 	theta := -geo.GMST(t)
-	parallelRanges(len(c.Sats), func(lo, hi int) {
+	safe.Chunks(len(c.Sats), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = geo.RotateZ(c.Sats[i].Prop.PositionECI(t), theta)
 		}
 	})
 	return dst
-}
-
-// parallelRanges splits [0,n) into GOMAXPROCS contiguous chunks run
-// concurrently, falling back to one inline call on single-core hosts or
-// small fleets (no goroutine spawn).
-func parallelRanges(n int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers <= 1 || n < 64 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // Snapshot bundles satellite positions at one instant.

@@ -3,12 +3,14 @@ package constellation
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"leosim/internal/geo"
 	"leosim/internal/orbit"
+	"leosim/internal/safe"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -334,4 +336,68 @@ func TestISLLengthAndAltitudeHelpers(t *testing.T) {
 	if a := ISLMinAltitudeKm(s, l); !almostEq(a, geo.SegmentMinAltitudeKm(s.Pos[l.A], s.Pos[l.B]), 1e-9) {
 		t.Errorf("ISLMinAltitudeKm inconsistent with geo.SegmentMinAltitudeKm")
 	}
+}
+
+// TestPositionsAreOnePathAtAnyParallelism: PositionsECEFInto is, bit for bit,
+// the serial loop of each satellite's PositionECI rotated by -GMST(t), for
+// analytic and SGP4 fleets alike, however many processors its range fan-out
+// spreads over.
+func TestPositionsAreOnePathAtAnyParallelism(t *testing.T) {
+	kepler, err := New([]Shell{StarlinkPhase1()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sgp4, err := New([]Shell{StarlinkPhase1()}, WithSGP4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, c := range map[string]*Constellation{"kepler": kepler, "sgp4": sgp4} {
+		for _, dt := range []time.Duration{0, time.Second, 97 * time.Minute, 13 * time.Hour, 40 * 24 * time.Hour} {
+			at := geo.Epoch.Add(dt)
+			want := make([]geo.Vec3, c.Size())
+			for i, s := range c.Sats {
+				want[i] = geo.RotateZ(s.Prop.PositionECI(at), -geo.GMST(at))
+			}
+			for _, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
+				got := c.PositionsECEFInto(at, nil)
+				for i := range want {
+					if !sameBits(got[i], want[i]) {
+						t.Fatalf("%s at +%v, GOMAXPROCS %d: satellite %d at %v, serial loop %v",
+							name, dt, procs, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b geo.Vec3) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
+}
+
+// panicProp is a propagator that fails on every call.
+type panicProp struct{}
+
+func (panicProp) PositionECI(time.Time) geo.Vec3  { panic("propagator exploded") }
+func (panicProp) PositionECEF(time.Time) geo.Vec3 { panic("propagator exploded") }
+
+// TestPositionsPanicIsPanicError: a propagator panicking on a fan-out worker
+// reaches PositionsECEFInto's caller as a *safe.PanicError, not as a dead
+// process.
+func TestPositionsPanicIsPanicError(t *testing.T) {
+	c := &Constellation{Sats: make([]Satellite, 200)}
+	for i := range c.Sats {
+		c.Sats[i].Prop = panicProp{}
+	}
+	defer func() {
+		pe, ok := recover().(*safe.PanicError)
+		if !ok || pe.Value != "propagator exploded" {
+			t.Fatalf("recovered %#v, want a *safe.PanicError", pe)
+		}
+	}()
+	c.PositionsECEFInto(geo.Epoch, nil)
 }

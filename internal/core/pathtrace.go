@@ -53,19 +53,11 @@ func RunPathTrace(ctx context.Context, s *Sim, srcName, dstName string, mode Mod
 		p, okPath := n.ShortestPath(n.CityNode(src), n.CityNode(dst))
 		tr := HopTrace{Time: t, RTTMs: Float(math.Inf(1)), Reachable: okPath}
 		if okPath {
-			tr.RTTMs = Float(p.RTTMs())
-			tr.Hops = p.Hops()
+			q := PathQueryOf(n, p)
+			tr.RTTMs = Float(q.RTTMs)
+			tr.Hops = q.Hops
+			tr.AircraftHops, tr.RelayHops, tr.CityHops = q.AircraftHops, q.RelayHops, q.CityHops
 			tr.Route = renderRoute(n, p)
-			for _, node := range p.Nodes[1 : len(p.Nodes)-1] {
-				switch n.Kind[node] {
-				case graph.NodeAircraft:
-					tr.AircraftHops++
-				case graph.NodeRelay:
-					tr.RelayHops++
-				case graph.NodeCity:
-					tr.CityHops++
-				}
-			}
 		}
 		res.Traces = append(res.Traces, tr)
 	}

@@ -114,9 +114,9 @@ func (s *Sim) PathIn(ctx context.Context, v graph.View, src, dst int, tree []int
 
 // PathQueryOf converts a found path over n into the serving PathQuery
 // envelope: RTT, hop count, the named route, and the per-kind relay hop
-// breakdown. It is the single classification step behind PathAt and the
-// oracle-served batch path endpoint, so both produce identical envelopes
-// for identical paths.
+// breakdown. It is the single classification step behind PathIn, the
+// oracle-served batch path endpoint and Fig 3's path trace, so all of them
+// count the same hops for identical paths.
 func PathQueryOf(n *graph.Network, p graph.Path) *PathQuery {
 	q := &PathQuery{
 		Reachable: true,

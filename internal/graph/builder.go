@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"leosim/internal/aircraft"
@@ -228,7 +227,7 @@ func (b *Builder) At(t time.Time) *Network {
 	// Parallel visibility computation; link insertion is serialized after.
 	type linkPair struct{ term, sat int32 }
 	results := make([][]linkPair, len(jobs))
-	parallelChunks(len(jobs), func(lo, hi int) {
+	safe.Chunks(len(jobs), func(lo, hi int) {
 		var cand []int32
 		for j := lo; j < hi; j++ {
 			job := jobs[j]
@@ -322,49 +321,4 @@ func (b *Builder) At(t time.Time) *Network {
 // node arrays, owns its link list and CSR, and does not write base.
 func (b *Builder) Hybrid(base *Network, t time.Time) *Network {
 	return base.WithISLs(b.Const.ISLsAt(t))
-}
-
-// parallelChunks splits [0,n) into GOMAXPROCS-sized chunks run concurrently.
-// A panic in a worker goroutine is recovered and re-thrown on the calling
-// goroutine as a *safe.PanicError carrying the worker's stack, so callers
-// (the experiment entry points defer safe.RecoverTo) see an error instead
-// of a dead process.
-func parallelChunks(n int, fn func(lo, hi int)) {
-	workers := 8
-	if n < workers*4 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	var panicMu sync.Mutex
-	var panicErr error
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicErr == nil {
-						panicErr = safe.AsError(r)
-					}
-					panicMu.Unlock()
-				}
-			}()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	if panicErr != nil {
-		panic(panicErr)
-	}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -401,6 +402,40 @@ func TestArcWeightsMatchLinks(t *testing.T) {
 					t.Fatalf("%s: arc %d of node %d (to %d, %v ms) does not match its link %+v",
 						c.label, k, v, e.To, n.adjMs[k], l)
 				}
+			}
+		}
+	}
+}
+
+// TestBuildAtAnyParallelism: the GSL scan's range fan-out cannot show in its
+// output — At gives the same nodes and links, bit for bit, with one
+// processor and with four.
+func TestBuildAtAnyParallelism(t *testing.T) {
+	b, _ := testSetup(t, false)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, dt := range []time.Duration{0, 6 * time.Hour, 17*time.Hour + 3*time.Second} {
+		at := geo.Epoch.Add(dt)
+		runtime.GOMAXPROCS(1)
+		one := b.At(at)
+		runtime.GOMAXPROCS(4)
+		four := b.At(at)
+		if len(one.Links) == 0 || len(one.Links) != len(four.Links) || len(one.Pos) != len(four.Pos) {
+			t.Fatalf("+%v: %d links and %d nodes with one processor, %d and %d with four",
+				dt, len(one.Links), len(one.Pos), len(four.Links), len(four.Pos))
+		}
+		for i, l := range one.Links {
+			m := four.Links[i]
+			if l.A != m.A || l.B != m.B || l.Kind != m.Kind ||
+				math.Float64bits(l.CapGbps) != math.Float64bits(m.CapGbps) ||
+				math.Float64bits(l.OneWayMs) != math.Float64bits(m.OneWayMs) {
+				t.Fatalf("+%v: link %d is %+v with one processor, %+v with four", dt, i, l, m)
+			}
+		}
+		for i, p := range one.Pos {
+			q := four.Pos[i]
+			if math.Float64bits(p.X) != math.Float64bits(q.X) || math.Float64bits(p.Y) != math.Float64bits(q.Y) ||
+				math.Float64bits(p.Z) != math.Float64bits(q.Z) {
+				t.Fatalf("+%v: node %d at %v with one processor, %v with four", dt, i, p, q)
 			}
 		}
 	}

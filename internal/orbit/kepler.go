@@ -45,11 +45,9 @@ func TrueAnomaly(eccAnom, ecc float64) float64 {
 
 // circAnomalySinCos returns sin and cos of m0+theta through the angle-sum
 // identity. For circular orbits the true anomaly IS the mean anomaly, so this
-// replaces the SolveKepler→TrueAnomaly→Sincos chain; the identity's ~1-ulp
-// rounding (≈1 µm of position) is the cost of an expression tree whose two
-// Sincos factors are cacheable — per satellite (m0) and per orbital plane
-// (theta) — which the batched propagator exploits. Scalar and batched paths
-// both evaluate exactly this tree, keeping them bit-identical.
+// replaces the SolveKepler→TrueAnomaly→Sincos chain. The identity rounds
+// about 1 ulp (≈1 µm of position) away from Sincos(m0+theta); the recorded
+// experiment outputs carry this form's bits, so it stays as written.
 func circAnomalySinCos(m0, theta float64) (sinM, cosM float64) {
 	sM0, cM0 := math.Sincos(m0)
 	sT, cT := math.Sincos(theta)
@@ -117,11 +115,7 @@ func (k *KeplerPropagator) PosVelECI(t time.Time) (geo.Vec3, geo.Vec3) {
 	var sinNu, cosNu, r float64
 	if el.Eccentricity == 0 {
 		// Circular orbits (every Walker-shell satellite): ν ≡ M = M0 + θ
-		// exactly, evaluated through the angle-sum identity. This is the
-		// bit-contract the batched fleet propagator shares — it caches
-		// Sincos(M0) per satellite and Sincos(θ) per orbital plane, so the
-		// identical expression tree here keeps scalar and batch outputs
-		// bit-for-bit equal.
+		// exactly, evaluated through the angle-sum identity.
 		sinNu, cosNu = circAnomalySinCos(el.MeanAnomalyRad, theta)
 		r = el.SemiMajorKm
 	} else {

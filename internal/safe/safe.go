@@ -51,6 +51,54 @@ func RecoverTo(errp *error) {
 	}
 }
 
+// Chunks calls fn on contiguous ranges that together cover [0,n), each
+// range on its own goroutine, and returns once every call has. The ranges are
+// disjoint, so fn may write the indices it is handed without locking, and
+// what it writes cannot depend on where [0,n) was cut. A span too short to
+// share runs as one inline call. A panic in a worker goroutine is re-thrown
+// on the caller's as a *PanicError carrying the worker's stack, so the
+// entry point's RecoverTo reports it as an error instead of the process
+// dying.
+//
+// The span is cut into eight ranges, not one per processor: the GSL scan's
+// terminals differ widely in cost, and on a 2-core box eight ranges built
+// a reduced bent-pipe snapshot faster than two in four of five alternating
+// runs, while propagation alone showed no difference outside its spread.
+func Chunks(n int, fn func(lo, hi int)) {
+	const chunks = 8
+	if n < chunks*4 {
+		fn(0, n)
+		return
+	}
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		panicked error
+	)
+	size := (n + chunks - 1) / chunks
+	for lo := 0; lo < n; lo += size {
+		hi := min(lo+size, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					mu.Lock()
+					if panicked == nil {
+						panicked = AsError(r)
+					}
+					mu.Unlock()
+				}
+			}()
+			fn(lo, hi)
+		}()
+	}
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
+}
+
 // Group runs functions on at most `limit` concurrent goroutines, stops
 // starting new work once the context is cancelled or a function fails, and
 // recovers panics into errors. The zero Group is not usable; call NewGroup.

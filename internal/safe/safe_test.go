@@ -137,3 +137,44 @@ func TestRecoverToNoPanic(t *testing.T) {
 		t.Fatalf("spurious error: %v", err)
 	}
 }
+
+// TestChunksCoverOnce: every index of [0,n) is handed to exactly one call,
+// for spans run inline and spans fanned out, including uneven splits.
+func TestChunksCoverOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 31, 32, 33, 64, 1000, 1584} {
+		seen := make([]int32, n)
+		Chunks(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&seen[i], 1)
+			}
+		})
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("n=%d: index %d handed out %d times", n, i, c)
+			}
+		}
+	}
+}
+
+// TestChunksRethrowPanicError: a worker's panic reaches the caller's
+// goroutine as a *PanicError carrying the panic value, and RecoverTo turns
+// it into the entry point's error.
+func TestChunksRethrowPanicError(t *testing.T) {
+	run := func() (err error) {
+		defer RecoverTo(&err)
+		Chunks(1000, func(lo, hi int) {
+			if lo <= 500 && 500 < hi {
+				panic("chunk exploded")
+			}
+		})
+		return nil
+	}
+	err := run()
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %T %v, want *PanicError", err, err)
+	}
+	if pe.Value != "chunk exploded" {
+		t.Errorf("panic value = %v", pe.Value)
+	}
+}
