@@ -149,7 +149,7 @@ func (s *Sim) churnWalk(ctx context.Context, w *Walker, start time.Time, step ti
 				valid[pi] = false
 				continue
 			}
-			sig := pathSignature(p)
+			sig := pathSignature(n, p)
 			up, down := p.Nodes[1], p.Nodes[len(p.Nodes)-2]
 			if si > 0 {
 				if sig != prevSig[pi] {
@@ -217,14 +217,25 @@ func gslKeys(n *graph.Network) []uint64 {
 	return keys
 }
 
-// pathSignature hashes a path's full node sequence (FNV-1a). Node indices
-// are stable for satellites and static terminals across instants, so equal
-// signatures at adjacent instants mean the same route.
-func pathSignature(p graph.Path) uint64 {
+// pathSignature hashes a path's full node sequence (FNV-1a), so equal
+// signatures at adjacent instants mean the same route. Satellites, cities and
+// relays keep their node indices across instants; aircraft do not — an
+// index shifts whenever the over-water set changes — so an aircraft hop
+// hashes its name, each byte tagged above the 32-bit index range.
+func pathSignature(n *graph.Network, p graph.Path) uint64 {
+	const prime = 1099511628211
+	firstAircraft := int32(n.NumSat + n.NumCity + n.NumRelay)
 	h := uint64(14695981039346656037)
 	for _, v := range p.Nodes {
-		h ^= uint64(uint32(v))
-		h *= 1099511628211
+		if v < firstAircraft {
+			h ^= uint64(uint32(v))
+			h *= prime
+			continue
+		}
+		for _, c := range []byte(n.Name[v]) {
+			h ^= 1<<32 | uint64(c)
+			h *= prime
+		}
 	}
 	return h
 }

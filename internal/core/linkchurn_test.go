@@ -248,3 +248,29 @@ func TestGSLChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestPathSignatureNamesAircraft: when an earlier aircraft leaves the
+// over-water set between two instants, every later aircraft's node index
+// shifts down by one. The same route through a later aircraft must keep its
+// signature, and a different aircraft that lands on the old index must not.
+func TestPathSignatureNamesAircraft(t *testing.T) {
+	// 3 satellites, 2 cities, 1 relay, then the named aircraft (nodes 6, …).
+	net := func(air ...string) *graph.Network {
+		return &graph.Network{NumSat: 3, NumCity: 2, NumRelay: 1, NumAircraft: len(air),
+			Name: append([]string{"s0", "s1", "s2", "c0", "c1", "r0"}, air...)}
+	}
+	path := func(nodes ...int32) graph.Path { return graph.Path{Nodes: nodes} }
+	before, after := net("AF1", "BA2"), net("BA2")
+	viaBA2Before := path(3, 0, 5, 1, 7, 2, 4) // c0 s0 r0 s1 BA2 s2 c1
+	viaBA2After := path(3, 0, 5, 1, 6, 2, 4)
+	if pathSignature(before, viaBA2Before) != pathSignature(after, viaBA2After) {
+		t.Error("the same route through BA2 reads as a change once AF1 left the set")
+	}
+	viaAF1Before := path(3, 0, 5, 1, 6, 2, 4)
+	if pathSignature(before, viaAF1Before) == pathSignature(after, viaBA2After) {
+		t.Error("a route moved from AF1 to BA2, which took AF1's node index, reads as no change")
+	}
+	if pathSignature(before, viaBA2Before) == pathSignature(before, viaAF1Before) {
+		t.Error("routes through two different aircraft share a signature")
+	}
+}
