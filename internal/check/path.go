@@ -132,13 +132,14 @@ func CheckDominance(r *Report, bp, hybrid *graph.Network, src, dst int32) {
 // two implementations share no code beyond the graph representation.
 func CheckOptimality(r *Report, n *graph.Network, src, dst int32, satTransitOnly bool) {
 	r.Checked("optimality-pairs", 1)
-	var p graph.Path
-	var ok bool
+	spec := graph.SearchSpec{Src: src, Target: dst}
 	if satTransitOnly {
-		p, ok = n.ShortestPathSatTransit(src, dst)
-	} else {
-		p, ok = n.ShortestPath(src, dst)
+		spec.Expand = n.SatTransit
 	}
+	st := graph.AcquireSearch()
+	defer st.Release()
+	n.Search(st, spec)
+	p, ok := st.Path(dst)
 	want, reach := NaiveShortestMs(n, src, dst, satTransitOnly)
 	if ok != reach {
 		r.Violatef(ClassOptimality,

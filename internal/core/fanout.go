@@ -88,7 +88,7 @@ func pairRTTs(ctx context.Context, v graph.View, pairs []Pair, want []bool) ([]f
 
 // pairPaths returns, on one snapshot view, the path of every pair of pairs
 // that want marks (nil: every pair) under expand (nil: none), indexed like
-// pairs: the one ShortestPath finds, or with expand ShortestPathSatTransit.
+// pairs: the one a single-pair search under the same expand finds.
 // Unreachable and unwanted pairs get the zero Path; the slice is partial on
 // error.
 func pairPaths(ctx context.Context, v graph.View, pairs []Pair, want []bool, expand func(int32) bool) ([]graph.Path, error) {

@@ -78,9 +78,11 @@ func RunHeatmap(ctx context.Context, s *Sim, srcName, dstName string, stepDeg fl
 		res.BPHopDelayMs = hopDelays(bpNet, p)
 	}
 	hyNet := s.NetworkAt(t, Hybrid)
-	if p, ok := hyNet.ShortestPathSatTransit(hyNet.CityNode(src), hyNet.CityNode(dst)); ok {
-		res.ISLGroundHops = groundHops(hyNet, p)
+	isl, err := pairPaths(ctx, graph.View{N: hyNet}, []Pair{{Src: src, Dst: dst}}, nil, hyNet.SatTransit)
+	if err != nil {
+		return nil, err
 	}
+	res.ISLGroundHops = groundHops(hyNet, isl[0]) // nil when unroutable
 	if res.BPGroundHops == nil && res.ISLGroundHops == nil {
 		return nil, fmt.Errorf("core: %s–%s unroutable at the first snapshot", srcName, dstName)
 	}

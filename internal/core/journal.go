@@ -27,7 +27,6 @@ import (
 // splice together results from incompatible sweeps.
 type Journal struct {
 	path string
-	desc string
 
 	mu      sync.Mutex
 	records []journalRecord
@@ -48,7 +47,7 @@ type journalRecord struct {
 // OpenJournal opens (or creates) the journal at path for runs described by
 // desc. An existing journal must carry the same desc in its header.
 func OpenJournal(path, desc string) (*Journal, error) {
-	j := &Journal{path: path, desc: desc}
+	j := &Journal{path: path}
 	data, err := os.ReadFile(path)
 	switch {
 	case os.IsNotExist(err):

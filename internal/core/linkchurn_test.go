@@ -89,8 +89,8 @@ func TestRunChurnValidation(t *testing.T) {
 // motif and nearest. They do the same on the pair lists other experiments
 // pass — gsoimpact's equatorial pairs and a one-pair list outside s.Pairs,
 // as RunPairWeather passes — under both modes, and with §6's
-// satellite-transit hook on the hybrid network they find the path
-// ShortestPathSatTransit finds, for s.Pairs and both lists.
+// satellite-transit Expand on the hybrid network they find the path a
+// single-pair Search under the same Expand finds, for s.Pairs and both lists.
 func TestChurnPathsMatchShortestPath(t *testing.T) {
 	ctx := context.Background()
 	for _, scale := range []Scale{TinyScale(), ReducedScale()} {
@@ -138,7 +138,7 @@ func TestChurnPathsMatchShortestPath(t *testing.T) {
 
 				eq, outside := s.equatorialPairs(), []Pair{outsidePair(s)}
 				bp, hy := nets[BP], nets[Hybrid]
-				satTransit := func(v int32) bool { return !hy.IsGroundSide(v) }
+				satTransit := hy.SatTransit
 				for _, c := range []struct {
 					label  string
 					pairs  []Pair
@@ -163,10 +163,10 @@ func TestChurnPathsMatchShortestPath(t *testing.T) {
 					routed := 0
 					for pi, p := range c.pairs {
 						src, dst := c.n.CityNode(p.Src), c.n.CityNode(p.Dst)
-						ref, _ := c.n.ShortestPath(src, dst)
-						if c.expand != nil {
-							ref, _ = c.n.ShortestPathSatTransit(src, dst)
-						}
+						st := graph.AcquireSearch()
+						c.n.Search(st, graph.SearchSpec{Src: src, Target: dst, Expand: c.expand})
+						ref, _ := st.Path(dst)
+						st.Release()
 						if !reflect.DeepEqual(got[pi], ref) {
 							t.Fatalf("%s: pair %d (%d→%d): pairPaths %v, single-pair search %v",
 								c.label, pi, p.Src, p.Dst, got[pi].Nodes, ref.Nodes)

@@ -36,15 +36,23 @@ func (m Mode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
 
 // UnmarshalText accepts the names produced by MarshalText.
 func (m *Mode) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "bp":
-		*m = BP
-	case "hybrid":
-		*m = Hybrid
-	default:
-		return fmt.Errorf("core: unknown mode %q (want bp or hybrid)", b)
+	mode, err := ParseMode(string(b))
+	if err == nil {
+		*m = mode
 	}
-	return nil
+	return err
+}
+
+// ParseMode is the one mode-name parser: it accepts the names String
+// produces and, for those, allocates nothing.
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "bp":
+		return BP, nil
+	case "hybrid":
+		return Hybrid, nil
+	}
+	return 0, fmt.Errorf("core: unknown mode %q (want bp or hybrid)", name)
 }
 
 // Scale bundles the experiment sizing knobs so tests, benchmarks and the

@@ -58,7 +58,7 @@ type Sim struct {
 	// hybrid entry of t derives from the bent-pipe entry of t (buildSnapshot).
 	// snapcache's singleflight means concurrent NetworkAt calls for the
 	// same snapshot — the serving workload — build it exactly once.
-	snap *snapcache.Cache[*graph.Network]
+	snap *snapcache.Cache[snapcache.Key, *graph.Network]
 }
 
 // networkCacheSize bounds how many snapshot networks a Sim keeps alive.

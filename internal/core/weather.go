@@ -102,7 +102,7 @@ func weatherCurves(ctx context.Context, s *Sim, pairs []Pair, band Band) (bp, is
 		if err != nil {
 			return nil, nil, err
 		}
-		islPaths, err := pairPaths(ctx, graph.View{N: hyNet}, pairs, nil, func(v int32) bool { return !hyNet.IsGroundSide(v) })
+		islPaths, err := pairPaths(ctx, graph.View{N: hyNet}, pairs, nil, hyNet.SatTransit)
 		if err != nil {
 			return nil, nil, err
 		}

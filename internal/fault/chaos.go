@@ -66,8 +66,8 @@ func NewChaos(seed int64, failRate, panicRate float64, delay time.Duration) *Cha
 }
 
 // BuildHook is the snapshot-build injection point: sleep the configured
-// delay, then panic or fail according to the seeded draw. Matches
-// snapcache's Options.BuildHook signature via a closure over Key.String().
+// delay, then panic or fail according to the seeded draw. It has
+// snapcache's Options.BuildHook signature, so a cache wires it directly.
 // Every injection lands in the flight recorder under CatChaos, carrying the
 // trace ID from ctx so injected faults join to the requests that hit them.
 func (c *Chaos) BuildHook(ctx context.Context, key string) error {

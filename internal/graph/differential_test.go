@@ -455,16 +455,16 @@ func TestDifferentialExpand(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := randomNet(r, 40, 90)
 		src := int32(r.Intn(n.N()))
-		expand := func(v int32) bool { return !n.IsGroundSide(v) }
+		expand := n.SatTransit
 
 		dist, prev := searchTree(n, src, nil, expand)
 		wantDist, wantPrev := naiveDijkstra(n, src, nil, nil, expand, nil)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "sat-transit")
 
-		// The restricted search must agree with ShortestPathSatTransit's
+		// A targeted restricted search must agree with the reference's
 		// extracted route hop for hop.
 		for dst := int32(0); dst < int32(n.N()); dst++ {
-			p, ok := n.ShortestPathSatTransit(src, dst)
+			p, ok := satTransitPath(n, src, dst)
 			wp, wok := n.extractPath(src, dst, wantDist, wantPrev)
 			if ok != wok {
 				t.Fatalf("seed %d: sat-transit %d→%d reachable=%v, reference %v", seed, src, dst, ok, wok)

@@ -315,18 +315,10 @@ func (n *Network) ShortestPath(src, dst int32) (Path, bool) {
 	return st.Path(dst)
 }
 
-// ShortestPathSatTransit returns the minimum-delay path from src to dst that
-// only transits satellites: ground-side nodes other than src may terminate
-// the path but never forward traffic. This is the §6 "ISL path" model,
-// which excludes GTs as intermediate hops.
-func (n *Network) ShortestPathSatTransit(src, dst int32) (Path, bool) {
-	st := AcquireSearch()
-	defer st.Release()
-	n.Search(st, SearchSpec{Src: src, Target: dst, Expand: func(v int32) bool {
-		return !n.IsGroundSide(v)
-	}})
-	return st.Path(dst)
-}
+// SatTransit is the §6 "ISL path" model as a SearchSpec.Expand: only
+// satellites forward, so ground-side nodes other than the source may
+// terminate a path but never relay it.
+func (n *Network) SatTransit(v int32) bool { return !n.IsGroundSide(v) }
 
 // KDisjointPaths returns up to k edge-disjoint minimum-delay paths from src
 // to dst, computed by successively removing the links of each found path (the

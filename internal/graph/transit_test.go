@@ -6,10 +6,19 @@ import (
 	"leosim/internal/geo"
 )
 
-func TestShortestPathSatTransit(t *testing.T) {
+// satTransitPath is the minimum-delay path from src to dst under §6's
+// satellite-transit model: one search with Expand set to SatTransit.
+func satTransitPath(n *Network, src, dst int32) (Path, bool) {
+	st := AcquireSearch()
+	defer st.Release()
+	n.Search(st, SearchSpec{Src: src, Target: dst, Expand: n.SatTransit})
+	return st.Path(dst)
+}
+
+func TestSatTransit(t *testing.T) {
 	// a — s1 — r — s2 — b with an ISL s1—s2: the unrestricted shortest
 	// path may bounce through relay r, but the satellite-transit-only
-	// variant must stay in space.
+	// search must stay in space.
 	n := &Network{}
 	s1 := n.AddNode(NodeSatellite, geo.LatLon{Lat: 0, Lon: 8, Alt: 550}.ToECEF(), "s1")
 	s2 := n.AddNode(NodeSatellite, geo.LatLon{Lat: 0, Lon: 22, Alt: 550}.ToECEF(), "s2")
@@ -27,7 +36,7 @@ func TestShortestPathSatTransit(t *testing.T) {
 	if !ok {
 		t.Fatal("no unrestricted path")
 	}
-	sat, ok := n.ShortestPathSatTransit(a, b)
+	sat, ok := satTransitPath(n, a, b)
 	if !ok {
 		t.Fatal("no satellite-transit path")
 	}
@@ -56,14 +65,14 @@ func TestShortestPathSatTransit(t *testing.T) {
 	}
 
 	// If the destination's only access is via a ground bounce, the
-	// sat-transit variant reports unreachable.
+	// sat-transit search reports unreachable.
 	c := n.AddNode(NodeCity, geo.LL(5, 45).ToECEF(), "c")
 	r2 := n.AddNode(NodeRelay, geo.LL(0, 38).ToECEF(), "r2")
 	s3 := n.AddNode(NodeSatellite, geo.LatLon{Lat: 0, Lon: 42, Alt: 550}.ToECEF(), "s3")
 	n.AddLink(s2, r2, LinkGSL, 20) // reachable only by bouncing at r2
 	n.AddLink(r2, s3, LinkGSL, 20)
 	n.AddLink(s3, c, LinkGSL, 20)
-	if _, ok := n.ShortestPathSatTransit(a, c); ok {
+	if _, ok := satTransitPath(n, a, c); ok {
 		t.Errorf("c requires a ground bounce; sat-transit must fail")
 	}
 	if _, ok := n.ShortestPath(a, c); !ok {

@@ -14,7 +14,6 @@ import (
 
 	"leosim/internal/graph"
 	"leosim/internal/oracle"
-	"leosim/internal/snapcache"
 	"leosim/internal/telemetry"
 )
 
@@ -505,13 +504,13 @@ func (s *Server) handleBatchPaths(w http.ResponseWriter, r *http.Request) error 
 	// one-time build (shared with every concurrent batch for this key).
 	cached := rs.orc != nil
 	if !cached {
-		if rs.orc, err = s.oracleFor(ctx, rs.key, rs.view); err != nil {
+		if rs.orc, err = s.oracleFor(ctx, rs.spec, rs.view); err != nil {
 			return err
 		}
 	}
 	ost := rs.orc.Stats()
 	head, err := json.MarshalIndent(batchPathsResponse{
-		Time: spec.t, Mode: spec.mode.String(), Fault: spec.mask, Degraded: rs.degraded,
+		Time: spec.t, Mode: spec.mode.String(), Fault: spec.faultText(), Degraded: rs.degraded,
 		Count: len(pairs),
 		Oracle: oracleMetaJSON{
 			Cached:  cached,
@@ -585,8 +584,8 @@ type oracleCall struct {
 	err  error
 }
 
-// oracleFor builds the distance oracle for key's snapshot view v — resolve
-// found none attached — at most once per key at a time: concurrent batches
+// oracleFor builds the distance oracle for spec's snapshot view v — resolve
+// found none attached — at most once per spec at a time: concurrent batches
 // against the same cold snapshot elect one builder and share its result. A
 // what-if's oracle is built on its parent's network with the cut banned. A
 // successful build is attached to the snapshot-cache entry
@@ -594,9 +593,9 @@ type oracleCall struct {
 // lifecycle; the attach is a no-op if v is not the resident view (a
 // degraded fallback's, or the entry was evicted meanwhile) — the oracle still
 // answers this request, it just isn't pinned.
-func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, v *graph.View) (*oracle.Oracle, error) {
+func (s *Server) oracleFor(ctx context.Context, spec snapSpec, v *graph.View) (*oracle.Oracle, error) {
 	s.oracleMu.Lock()
-	if cl, inflight := s.oracleInflight[key]; inflight {
+	if cl, inflight := s.oracleInflight[spec]; inflight {
 		s.oracleMu.Unlock()
 		select {
 		case <-cl.done:
@@ -605,7 +604,7 @@ func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, v *graph.View
 				// fallback raced the key's own build, or an eviction and
 				// rebuild). Rare: build our own, unshared and unattached —
 				// correctness over reuse.
-				return s.buildOracle(ctx, key, v, false)
+				return s.buildOracle(ctx, spec, v, false)
 			}
 			return cl.o, cl.err
 		case <-ctx.Done():
@@ -613,15 +612,15 @@ func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, v *graph.View
 		}
 	}
 	cl := &oracleCall{done: make(chan struct{})}
-	s.oracleInflight[key] = cl
+	s.oracleInflight[spec] = cl
 	s.oracleMu.Unlock()
 	go func() {
 		// Detached from the leader's cancellation, like snapshot builds:
 		// followers with live contexts still want the result, and the next
 		// batch for this key certainly does.
-		cl.o, cl.err = s.buildOracle(context.WithoutCancel(ctx), key, v, true)
+		cl.o, cl.err = s.buildOracle(context.WithoutCancel(ctx), spec, v, true)
 		s.oracleMu.Lock()
-		delete(s.oracleInflight, key)
+		delete(s.oracleInflight, spec)
 		s.oracleMu.Unlock()
 		close(cl.done)
 	}()
@@ -636,23 +635,23 @@ func (s *Server) oracleFor(ctx context.Context, key snapcache.Key, v *graph.View
 // buildOracle runs one oracle build — for a batch or for the primer — and
 // (when attach is set) pins the result to the snapshot-cache entry it was
 // derived from.
-func (s *Server) buildOracle(ctx context.Context, key snapcache.Key, v *graph.View, attach bool) (*oracle.Oracle, error) {
+func (s *Server) buildOracle(ctx context.Context, spec snapSpec, v *graph.View, attach bool) (*oracle.Oracle, error) {
 	start := time.Now()
 	o, err := oracle.Build(ctx, v.N, v.Cut)
 	if err != nil {
 		telemetry.EmitEvent(ctx, telemetry.CatServe, telemetry.SevError,
 			"oracle build failed",
-			telemetry.Str("key", key.String()),
+			telemetry.Str("key", spec.String()),
 			telemetry.Str("err", err.Error()))
 		return nil, err
 	}
 	s.oracleBuilds.Add(1)
 	if attach {
-		s.cache.Attach(key, v, o)
+		s.cache.Attach(spec, v, o)
 	}
 	telemetry.EmitEvent(ctx, telemetry.CatServe, telemetry.SevInfo,
 		"oracle built",
-		telemetry.Str("key", key.String()),
+		telemetry.Str("key", spec.String()),
 		telemetry.Int64("durMs", time.Since(start).Milliseconds()),
 		telemetry.Int64("sources", int64(o.Sources())))
 	return o, nil

@@ -328,7 +328,7 @@ func TestPrimeOraclesAttach(t *testing.T) {
 	}
 	for _, mode := range []core.Mode{core.BP, core.Hybrid} {
 		for _, ts := range s.times {
-			aux, n, ok := s.cache.Attachment(s.cacheKey(snapSpec{t: ts, mode: mode}))
+			aux, n, ok := s.cache.Attachment(snapSpec{t: ts, mode: mode})
 			if !ok || n == nil {
 				t.Fatalf("%s@%v: no attachment after oracle prime", mode, ts)
 			}
@@ -648,8 +648,8 @@ func FuzzBatchPathsDecode(f *testing.F) {
 		if spec.t.Before(times[0]) && req.T == "" {
 			t.Fatalf("snap %v resolved to %v, before the schedule", req.Snap, spec.t)
 		}
-		if (spec.mask == "") != (req.Fault == "") {
-			t.Fatalf("fault %q fingerprinted as %q", req.Fault, spec.mask)
+		if string(spec.scenario) != req.Fault {
+			t.Fatalf("fault %q validated as %q", req.Fault, spec.scenario)
 		}
 	})
 }
@@ -725,9 +725,9 @@ func reducedTimes() []time.Time {
 
 // batchDecodeAllocBudget bounds the allocations of decoding and validating a
 // 256-pair body: the body's one string, the request, the snapshot index, the
-// pairs, and in the shared validation the mode's bytes and the duplicate
-// check's map — none per pair.
-const batchDecodeAllocBudget = 8
+// pairs, and in the shared validation the duplicate check's map — none per
+// pair, and none for the mode's name.
+const batchDecodeAllocBudget = 7
 
 // TestBatchDecodeAllocBudget pins that a batch body is scanned, not reflected
 // over: its allocations do not grow with the pairs it carries.

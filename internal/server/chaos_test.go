@@ -368,8 +368,8 @@ func TestChaosHybridDegradesToBPFallback(t *testing.T) {
 func TestStaleCacheServesKeyLandedDuringFailedBuild(t *testing.T) {
 	chaos := fault.NewChaos(7, 1.0, 0, time.Nanosecond)
 	s := newTestServer(t, Config{Chaos: chaos, BreakerThreshold: -1})
-	key := s.cacheKey(snapSpec{t: s.times[0], mode: core.BP})
-	landed, err := s.cfg.Sim.BuildNetworkAt(context.Background(), key.Time, core.BP, nil)
+	key := snapSpec{t: s.times[0], mode: core.BP}
+	landed, err := s.cfg.Sim.BuildNetworkAt(context.Background(), key.t, core.BP, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
 	"leosim/internal/core"
@@ -37,12 +36,38 @@ var testHookLatencySnapshot func()
 // resolve fetches that snapshot and looks up its attached oracle, once;
 // answer routes a city pair over the result.
 
-// snapSpec names the snapshot a question is asked of: the instant, the
-// connectivity mode and the fault fingerprint ("" = healthy).
+// snapSpec names the snapshot a question is asked of — the instant, the
+// connectivity mode and the fault (scenario "" = healthy), typed as
+// snapForm.spec validated them — and is its key in the cache, the oracle
+// singleflight and every attachment lookup. Nothing parses it back from text.
 type snapSpec struct {
-	t    time.Time
-	mode core.Mode
-	mask string
+	t        time.Time
+	mode     core.Mode
+	scenario fault.Scenario
+	fraction float64
+	seed     int64
+}
+
+// healthy names the snapshot a what-if is a view of: the same instant and
+// mode, no fault.
+func (s snapSpec) healthy() snapSpec { return snapSpec{t: s.t, mode: s.mode} }
+
+// faultText is the fault as the wire's fault field spells it,
+// "scenario:fraction:seed", or "" when healthy.
+func (s snapSpec) faultText() string {
+	if s.scenario == "" {
+		return ""
+	}
+	return fmt.Sprintf("%s:%g:%d", s.scenario, s.fraction, s.seed)
+}
+
+// String renders the spec for events and logs: mode@instant, then +fault for
+// a what-if. The instant keeps its sub-second digits, as the key does.
+func (s snapSpec) String() string {
+	if s.scenario == "" {
+		return s.mode.String() + "@" + s.t.Format(time.RFC3339Nano)
+	}
+	return s.healthy().String() + "+" + s.faultText()
 }
 
 // snapForm is a snapshot selection as the client wrote it. The GET endpoints
@@ -95,8 +120,12 @@ func querySpec(q url.Values, times []time.Time) (snapSpec, error) {
 // one message that names it.
 func (f snapForm) spec(times []time.Time, seedParam string) (snapSpec, error) {
 	var spec snapSpec
-	if f.mode != "" && spec.mode.UnmarshalText([]byte(f.mode)) != nil {
-		return snapSpec{}, badRequest("mode must be %q or %q", core.BP, core.Hybrid)
+	if f.mode != "" {
+		mode, err := core.ParseMode(f.mode)
+		if err != nil {
+			return snapSpec{}, badRequest("mode must be %q or %q", core.BP, core.Hybrid)
+		}
+		spec.mode = mode
 	}
 	switch {
 	case f.snap != nil && f.t != "":
@@ -135,53 +164,36 @@ func (f snapForm) spec(times []time.Time, seedParam string) (snapSpec, error) {
 	if f.seed != nil {
 		seed = *f.seed
 	}
-	// The fingerprint is the cache key's Mask; realizeMask is its inverse.
-	spec.mask = fmt.Sprintf("%s:%g:%d", f.fault, frac, seed)
+	spec.scenario, spec.fraction, spec.seed = fault.Scenario(f.fault), frac, seed
 	return spec, nil
 }
 
-// cacheKey assembles the snapshot-cache key. Scenario namespaces by
-// constellation/scale/mode so one cache could in principle front several
-// sims; Mask is the fault fingerprint.
-func (s *Server) cacheKey(spec snapSpec) snapcache.Key {
-	return snapcache.Key{
-		Scenario: s.keyScenario[spec.mode],
-		Time:     spec.t,
-		Mask:     spec.mask,
-	}
-}
-
-// buildSnapshot is the cache's BuildFunc: it re-derives mode and fault mask
-// from the key. A healthy key is the sim's shared snapshot, whole. A masked
-// key is a view of this cache's own healthy entry (resident after priming,
-// singleflight-built otherwise): the same network, and the cut of its links
-// the mask removes — a few KB, where a materialized copy would own a link
-// list and a CSR — so a what-if repeats no scan and copies no graph. Keeping
-// the key → build mapping pure is what makes cached snapshots trustworthy: two
-// requests that agree on the key are guaranteed the same view.
-func (s *Server) buildSnapshot(ctx context.Context, key snapcache.Key) (*graph.View, error) {
-	var mode core.Mode
-	if err := mode.UnmarshalText([]byte(strings.TrimPrefix(key.Scenario, s.scenario+"/"))); err != nil {
-		return nil, fmt.Errorf("server: cache key %s: %w", key, err)
-	}
-	if key.Mask == "" {
-		n, err := s.cfg.Sim.BuildNetworkAt(ctx, key.Time, mode, nil)
+// buildSnapshot is the cache's BuildFunc. A healthy spec is the sim's shared
+// snapshot, whole. A what-if is a view of this cache's own healthy entry
+// (resident after priming, singleflight-built otherwise): the same network,
+// and the cut of its links the fault removes — a few KB, where a materialized
+// copy would own a link list and a CSR — so a what-if repeats no scan and
+// copies no graph. A spec holds only values snapForm.spec accepted, so what
+// fails a build, and feeds the breaker, is the backend, never a request's
+// input. Two requests that agree on the spec get the same view.
+func (s *Server) buildSnapshot(ctx context.Context, spec snapSpec) (*graph.View, error) {
+	if spec.scenario == "" {
+		n, err := s.cfg.Sim.BuildNetworkAt(ctx, spec.t, spec.mode, nil)
 		if err != nil {
 			return nil, err
 		}
 		return &graph.View{N: n}, nil
 	}
-	outages, err := s.realizeMask(key.Mask, key.Time)
+	outages, err := s.realize(spec)
 	if err != nil {
 		return nil, err
 	}
-	parentKey := snapcache.Key{Scenario: key.Scenario, Time: key.Time}
-	parent, err := s.cache.Get(ctx, parentKey)
+	parent, err := s.cache.Get(ctx, spec.healthy())
 	var boe *snapcache.BreakerOpenError
 	if errors.As(err, &boe) {
 		// This build is the breaker's half-open probe, beside which the cache
 		// starts no second build: build the parent here so it can succeed.
-		parent, err = s.buildSnapshot(ctx, parentKey)
+		parent, err = s.buildSnapshot(ctx, spec.healthy())
 	}
 	if err != nil {
 		return nil, err
@@ -189,57 +201,46 @@ func (s *Server) buildSnapshot(ctx context.Context, key snapcache.Key) (*graph.V
 	return &graph.View{N: parent.N, Cut: outages.Cut(parent.N)}, nil
 }
 
-// realizeMask turns a fault fingerprint "scenario:fraction:seed" back into
-// the concrete outages of instant t. Realization is deterministic (seeded),
-// so the fingerprint and the instant are a complete description of the
-// failure set.
-func (s *Server) realizeMask(mask string, t time.Time) (*fault.Outages, error) {
-	parts := strings.Split(mask, ":")
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("server: malformed fault mask %q", mask)
-	}
-	frac, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil {
-		return nil, fmt.Errorf("server: fault mask fraction: %w", err)
-	}
-	seed, err := strconv.ParseInt(parts[2], 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("server: fault mask seed: %w", err)
-	}
-	plan, err := fault.ForScenario(fault.Scenario(parts[0]), frac, seed)
+// realize turns a what-if's fault into the concrete outages of its instant.
+// Realization is deterministic (seeded), so the spec is a complete
+// description of the failure set.
+func (s *Server) realize(spec snapSpec) (*fault.Outages, error) {
+	plan, err := fault.ForScenario(spec.scenario, spec.fraction, spec.seed)
 	if err != nil {
 		return nil, err
 	}
-	return plan.RealizeAt(s.cfg.Sim.Const, len(s.cfg.Sim.Seg.Terminals), t)
+	return plan.RealizeAt(s.cfg.Sim.Const, len(s.cfg.Sim.Seg.Terminals), spec.t)
 }
 
-// snapshot fetches the network for spec (key is its cache key), degrading
-// instead of failing wherever a resident snapshot can absorb a build failure.
-// The string names the fallback that saved the response from a 5xx: ""
-// (none), "stale-cache" or "bp-fallback". Context expiry is the client's own
-// doing and never degrades.
+// snapshot fetches the network for spec, degrading instead of failing
+// wherever a resident snapshot can absorb a build failure. The string names
+// the fallback that saved the response from a 5xx: "" (none), "stale-cache"
+// or "bp-fallback". Context expiry is the client's own doing and never
+// degrades.
 //
-// "stale-cache" serves the key's own snapshot after its build failed. The key
-// was not resident when Get missed, so this rung fires when another writer
-// lands it while this request's build fails: the late adoption of an earlier
-// timed-out build, or the primer's Put. The copy is the same pure function of
-// the key as the failed build; clients know the rung by this wire value.
+// "stale-cache" serves the spec's own snapshot after its build failed. The
+// spec was not resident when Get missed, so this rung fires when another
+// writer lands it while this request's build fails: the late adoption of an
+// earlier timed-out build, or the primer's Put. The copy is the same pure
+// function of the spec as the failed build; clients know the rung by this
+// wire value.
 // "bp-fallback" answers a failed hybrid build from the resident BP-only
 // snapshot of the same instant — conservative routing: BP paths exist in the
 // hybrid graph too.
-func (s *Server) snapshot(ctx context.Context, spec snapSpec, key snapcache.Key) (*graph.View, string, error) {
-	v, err := s.cache.Get(ctx, key)
+func (s *Server) snapshot(ctx context.Context, spec snapSpec) (*graph.View, string, error) {
+	v, err := s.cache.Get(ctx, spec)
 	if err == nil || ctx.Err() != nil {
 		return v, "", err
 	}
-	if v, ok := s.cache.GetCached(key); ok {
-		s.noteDegraded(ctx, key.String(), "stale-cache", err)
+	if v, ok := s.cache.GetCached(spec); ok {
+		s.noteDegraded(ctx, spec, "stale-cache", err)
 		return v, "stale-cache", nil
 	}
 	if spec.mode == core.Hybrid {
-		spec.mode = core.BP
-		if v, ok := s.cache.GetCached(s.cacheKey(spec)); ok {
-			s.noteDegraded(ctx, key.String(), "bp-fallback", err)
+		bp := spec
+		bp.mode = core.BP
+		if v, ok := s.cache.GetCached(bp); ok {
+			s.noteDegraded(ctx, spec, "bp-fallback", err)
 			return v, "bp-fallback", nil
 		}
 	}
@@ -249,24 +250,24 @@ func (s *Server) snapshot(ctx context.Context, spec snapSpec, key snapcache.Key)
 // noteDegraded accounts one fallback serve: the counter, the /healthz
 // recency mark, and a flight-recorder event whose trace ID joins the
 // degraded response to the build failure it absorbed.
-func (s *Server) noteDegraded(ctx context.Context, key, fallback string, cause error) {
+func (s *Server) noteDegraded(ctx context.Context, spec snapSpec, fallback string, cause error) {
 	s.degraded.Add(1)
 	s.lastDegraded.Store(time.Now().UnixNano())
 	telemetry.EmitEvent(ctx, telemetry.CatServe, telemetry.SevWarn,
 		"degraded serve: fallback snapshot absorbed a build failure",
-		telemetry.Str("key", key),
+		telemetry.Str("key", spec.String()),
 		telemetry.Str("fallback", fallback),
 		telemetry.Str("cause", cause.Error()))
 }
 
-// resolved is a snapSpec made concrete: its cache key, the view of the
-// snapshot (a what-if's is its healthy parent's network and the mask's cut),
-// the fallback that supplied it ("" for the key's own snapshot, as in
-// snapshot), and the distance oracle attached to it — nil when none is, in
-// which case answers come from the healthy parent's oracle where the fault
-// missed the route and from the live kernel otherwise.
+// resolved is a snapSpec made concrete: the spec, the view of its snapshot (a
+// what-if's is its healthy parent's network and the fault's cut), the
+// fallback that supplied it ("" for the spec's own snapshot, as in snapshot),
+// and the distance oracle attached to it — nil when none is, in which case
+// answers come from the healthy parent's oracle where the fault missed the
+// route and from the live kernel otherwise.
 type resolved struct {
-	key      snapcache.Key
+	spec     snapSpec
 	view     *graph.View
 	degraded string
 	orc      *oracle.Oracle
@@ -278,22 +279,22 @@ type resolved struct {
 // once per resolved snapshot that had an oracle waiting. resolve never
 // builds an oracle; only batches (oracleFor) and the primer pay that.
 func (s *Server) resolve(ctx context.Context, spec snapSpec) (resolved, error) {
-	rs := resolved{key: s.cacheKey(spec)}
+	rs := resolved{spec: spec}
 	var err error
-	if rs.view, rs.degraded, err = s.snapshot(ctx, spec, rs.key); err != nil {
+	if rs.view, rs.degraded, err = s.snapshot(ctx, spec); err != nil {
 		return resolved{}, err
 	}
-	if o, v := s.attachedOracle(rs.key); o != nil && v == rs.view {
+	if o, v := s.attachedOracle(spec); o != nil && v == rs.view {
 		s.oracleHits.Add(1)
 		rs.orc = o
 	}
 	return rs, nil
 }
 
-// attachedOracle returns the oracle riding key's resident cache entry and the
+// attachedOracle returns the oracle riding spec's resident cache entry and the
 // view it describes, or nils when the entry is gone or carries none.
-func (s *Server) attachedOracle(key snapcache.Key) (*oracle.Oracle, *graph.View) {
-	if aux, v, ok := s.cache.Attachment(key); ok {
+func (s *Server) attachedOracle(spec snapSpec) (*oracle.Oracle, *graph.View) {
+	if aux, v, ok := s.cache.Attachment(spec); ok {
 		if o, isOracle := aux.(*oracle.Oracle); isOracle && o.Valid(v) {
 			return o, v
 		}
@@ -362,10 +363,10 @@ var testHookKernelAnswer func(tree []int32)
 // primed, or a bp-fallback view under a hybrid key): the kernel answers
 // undirected by any tree then.
 func (s *Server) survivingRoute(rs resolved, src, dst int) (q *core.PathQuery, tree []int32) {
-	if rs.key.Mask == "" {
+	if rs.spec.scenario == "" {
 		return nil, nil
 	}
-	o, healthy := s.attachedOracle(snapcache.Key{Scenario: rs.key.Scenario, Time: rs.key.Time})
+	o, healthy := s.attachedOracle(rs.spec.healthy())
 	if o == nil || healthy.N != rs.view.N {
 		return nil, nil
 	}
@@ -512,7 +513,7 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	resp := pathResponse{
-		Time: spec.t, Mode: spec.mode.String(), Fault: spec.mask, Degraded: rs.degraded,
+		Time: spec.t, Mode: spec.mode.String(), Fault: spec.faultText(), Degraded: rs.degraded,
 		Src: s.cfg.Sim.CityName(src), Dst: s.cfg.Sim.CityName(dst),
 		Path: path,
 	}
@@ -571,7 +572,7 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) error {
 	}
 
 	resp := latencyResponse{
-		Mode: spec.mode.String(), Fault: spec.mask,
+		Mode: spec.mode.String(), Fault: spec.faultText(),
 		Src: s.cfg.Sim.CityName(src), Dst: s.cfg.Sim.CityName(dst),
 		Samples: make([]latencySample, 0, len(s.times)),
 	}
@@ -648,7 +649,7 @@ func (s *Server) handleReachability(w http.ResponseWriter, r *http.Request) erro
 		srcName = s.cfg.Sim.CityName(src)
 	}
 	// Not a path question: the snapshot alone, no oracle lookup.
-	v, degraded, err := s.snapshot(ctx, spec, s.cacheKey(spec))
+	v, degraded, err := s.snapshot(ctx, spec)
 	if err != nil {
 		return err
 	}
@@ -657,7 +658,7 @@ func (s *Server) handleReachability(w http.ResponseWriter, r *http.Request) erro
 		return err
 	}
 	writeJSON(w, http.StatusOK, reachabilityResponse{
-		Time: spec.t, Mode: spec.mode.String(), Src: srcName, Fault: spec.mask,
+		Time: spec.t, Mode: spec.mode.String(), Src: srcName, Fault: spec.faultText(),
 		Degraded: degraded, Reachability: reach,
 	})
 	return nil
@@ -715,7 +716,7 @@ func (s *Server) handleSnapshots(w http.ResponseWriter, r *http.Request) {
 		Times        []time.Time    `json:"times"`
 		Cache        cacheStatsJSON `json:"cache"`
 	}{
-		Scenario:     s.scenario,
+		Scenario:     fmt.Sprintf("%s/%s", s.cfg.Sim.Choice, s.cfg.Sim.Scale.Name),
 		SnapshotStep: s.cfg.Sim.Scale.SnapshotStep.String(),
 		Times:        s.times,
 		Cache:        s.cacheStatsJSON(),

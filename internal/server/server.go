@@ -5,8 +5,9 @@
 //
 // The load-bearing pieces:
 //
-//   - One snapcache.Cache of snapshot views, keyed by (scenario, time,
-//     fault-mask). Concurrent queries for the same epoch build the network
+//   - One snapcache.Cache of snapshot views, keyed by the validated request
+//     spec (instant, mode, and the fault as typed values — never a string
+//     parsed back). Concurrent queries for the same epoch build the network
 //     once (singleflight) and share the immutable CSR graph across
 //     goroutines; a what-if is that same graph plus the sorted ids of the
 //     links its mask cuts, searched with them banned, never a copy. An entry
@@ -146,19 +147,14 @@ func (discardHandler) WithGroup(string) slog.Handler             { return discar
 // Server is the query service. Create one with New; it is safe for
 // arbitrary handler concurrency.
 type Server struct {
-	cfg      Config
-	scenario string // cache-key namespace: "<constellation>/<scale>"
-	cache    *snapcache.Cache[*graph.View]
-	sem      chan struct{}
-	times    []time.Time
-	started  time.Time
-	mux      *http.ServeMux
-	log      *slog.Logger
-	reqID    atomic.Int64 // monotonic request id for log correlation
-
-	// keyScenario is each mode's cache-key Scenario, "<scenario>/<mode>",
-	// built once rather than per request.
-	keyScenario [core.Hybrid + 1]string
+	cfg     Config
+	cache   *snapcache.Cache[snapSpec, *graph.View]
+	sem     chan struct{}
+	times   []time.Time
+	started time.Time
+	mux     *http.ServeMux
+	log     *slog.Logger
+	reqID   atomic.Int64 // monotonic request id for log correlation
 
 	// reg holds this server's counters, gauges and per-route latency
 	// histograms. Per-server (not the process-global telemetry registry) so
@@ -170,10 +166,10 @@ type Server struct {
 	degraded, breakerTrips                *telemetry.Counter
 	inflight                              *telemetry.Gauge
 
-	// Oracle serving state: per-key singleflight for the one-time builds,
+	// Oracle serving state: per-spec singleflight for the one-time builds,
 	// plus counters for builds paid and attached oracles reused.
 	oracleMu       sync.Mutex
-	oracleInflight map[snapcache.Key]*oracleCall
+	oracleInflight map[snapSpec]*oracleCall
 	oracleBuilds   *telemetry.Counter
 	oracleHits     *telemetry.Counter
 	// How answers without an oracle of their own were given: read off the
@@ -193,14 +189,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:            cfg,
-		scenario:       fmt.Sprintf("%s/%s", cfg.Sim.Choice, cfg.Sim.Scale.Name),
 		sem:            make(chan struct{}, cfg.MaxInFlight),
 		times:          cfg.Sim.SnapshotTimes(),
 		started:        time.Now(),
-		oracleInflight: map[snapcache.Key]*oracleCall{},
-	}
-	for _, mode := range []core.Mode{core.BP, core.Hybrid} {
-		s.keyScenario[mode] = s.scenario + "/" + mode.String()
+		oracleInflight: map[snapSpec]*oracleCall{},
 	}
 	s.cache = snapcache.New(s.buildSnapshot, snapcache.Options{
 		Capacity:         cfg.CacheSize,
@@ -210,7 +202,7 @@ func New(cfg Config) (*Server, error) {
 		// fault.Chaos is nil-safe, so the hook is wired unconditionally. The
 		// build context still carries the triggering request's trace ID, so
 		// injected faults join to requests in the flight recorder.
-		BuildHook: func(ctx context.Context, k snapcache.Key) error { return cfg.Chaos.BuildHook(ctx, k.String()) },
+		BuildHook: cfg.Chaos.BuildHook,
 	})
 	s.log = cfg.Logger
 
@@ -490,16 +482,16 @@ func (s *Server) primeAll(ctx context.Context) (primed int, err error) {
 			if err != nil {
 				return primed, err
 			}
-			key := s.cacheKey(snapSpec{t: t, mode: mode})
-			// A request's build may have landed this key first; the oracle
+			spec := snapSpec{t: t, mode: mode}
+			// A request's build may have landed this spec first; the oracle
 			// must describe the view that is resident, not ours.
-			v := s.cache.Put(key, &graph.View{N: n})
+			v := s.cache.Put(spec, &graph.View{N: n})
 			primed++
 			if s.cfg.PrimeOracles {
 				// The oracle build rides the primer: once it lands, the
 				// first query against this snapshot — single or batched —
 				// skips both the graph build and the oracle build.
-				if _, err := s.buildOracle(ctx, key, v, true); err != nil {
+				if _, err := s.buildOracle(ctx, spec, v, true); err != nil {
 					return primed, err
 				}
 			}

@@ -560,7 +560,7 @@ func TestPrimeCacheWarmsWholeDay(t *testing.T) {
 	}
 	for _, mode := range []core.Mode{core.BP, core.Hybrid} {
 		for _, ts := range s.times {
-			v, ok := s.cache.GetCached(s.cacheKey(snapSpec{t: ts, mode: mode}))
+			v, ok := s.cache.GetCached(snapSpec{t: ts, mode: mode})
 			if !ok {
 				t.Fatalf("%s@%v not resident after prime", mode, ts)
 			}

@@ -59,7 +59,7 @@ func TestSnapshotSourcesAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, mode := range []core.Mode{core.BP, core.Hybrid} {
-				primed, ok := srv.cache.GetCached(srv.cacheKey(snapSpec{t: last, mode: mode}))
+				primed, ok := srv.cache.GetCached(snapSpec{t: last, mode: mode})
 				if !ok {
 					t.Fatalf("%s: primer left no entry", mode)
 				}

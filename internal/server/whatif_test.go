@@ -10,11 +10,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"leosim/internal/core"
+	"leosim/internal/fault"
 	"leosim/internal/graph"
 	"leosim/internal/oracle"
-	"leosim/internal/snapcache"
 )
 
 // TestWhatIfFloodKeepsPrimedDay is the regression test for what-if traffic
@@ -39,7 +40,7 @@ func TestWhatIfFloodKeepsPrimedDay(t *testing.T) {
 		t.Helper()
 		for _, mode := range []core.Mode{core.BP, core.Hybrid} {
 			for _, ts := range s.times {
-				aux, n, ok := s.cache.Attachment(s.cacheKey(snapSpec{t: ts, mode: mode}))
+				aux, n, ok := s.cache.Attachment(snapSpec{t: ts, mode: mode})
 				if o, isOracle := aux.(*oracle.Oracle); !ok || !isOracle || !o.Valid(n) {
 					t.Fatalf("%s: %s@%v lost its primed entry or its oracle", when, mode, ts)
 				}
@@ -121,8 +122,17 @@ func TestWhatIfFloodKeepsPrimedDay(t *testing.T) {
 // the kernel under: light and heavy satellite loss, whole planes, ground
 // sites, lasers only, capacity only (no link leaves), and a mask that fails
 // nothing (the masked key holds the healthy network itself).
-var survivingRouteMasks = []string{
-	"sat:0.05:1", "sat:0.3:2", "plane:0.1:3", "site:0.2:4", "isl:0.3:5", "gslcap:0.5:6", "sat:0:7",
+var survivingRouteMasks = []snapSpec{
+	{scenario: fault.SatOutage, fraction: 0.05, seed: 1}, {scenario: fault.SatOutage, fraction: 0.3, seed: 2},
+	{scenario: fault.PlaneOutage, fraction: 0.1, seed: 3}, {scenario: fault.SiteOutage, fraction: 0.2, seed: 4},
+	{scenario: fault.ISLOutage, fraction: 0.3, seed: 5}, {scenario: fault.GSLDegrade, fraction: 0.5, seed: 6},
+	{scenario: fault.SatOutage, fraction: 0, seed: 7},
+}
+
+// at is the fault of f at instant t under mode.
+func (f snapSpec) at(t time.Time, mode core.Mode) snapSpec {
+	f.t, f.mode = t, mode
+	return f
 }
 
 // requireShortcutMatchesKernel asks every (src, dst) of the given sources
@@ -137,7 +147,7 @@ func requireShortcutMatchesKernel(t *testing.T, s *Server, rs resolved, srcs []i
 	t.Helper()
 	ctx := context.Background()
 	sim := s.cfg.Sim
-	outages, err := s.realizeMask(rs.key.Mask, rs.key.Time)
+	outages, err := s.realize(rs.spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,15 +242,15 @@ func TestSurvivingRouteMatchesKernel(t *testing.T) {
 			hits, surviving, kernel := s.oracleHits.Value(), s.survivingAnswers.Value(), s.kernelAnswers.Value()
 			for i, mask := range survivingRouteMasks {
 				for _, mode := range []core.Mode{core.BP, core.Hybrid} {
-					rs, err := s.resolve(context.Background(), snapSpec{t: s.times[i%2], mode: mode, mask: mask})
+					rs, err := s.resolve(context.Background(), mask.at(s.times[i%2], mode))
 					if err != nil {
 						t.Fatal(err)
 					}
 					if rs.orc != nil {
 						t.Fatalf("%s %s: a what-if resolved with an oracle of its own", mask, mode)
 					}
-					sv, c, u := requireShortcutMatchesKernel(t, s, rs, srcs, mask+" "+mode.String(), true)
-					if strings.HasPrefix(mask, "gslcap:") || strings.HasPrefix(mask, "sat:0:") {
+					sv, c, u := requireShortcutMatchesKernel(t, s, rs, srcs, rs.spec.String(), true)
+					if mask.scenario == fault.GSLDegrade || mask.fraction == 0 {
 						if c != 0 {
 							t.Errorf("%s %s removes no link, yet %d routes were found cut", mask, mode, c)
 						}
@@ -274,14 +284,14 @@ func TestSurvivingRouteMatchesKernel(t *testing.T) {
 		answers := 0
 		for i, mask := range survivingRouteMasks {
 			for _, mode := range []core.Mode{core.BP, core.Hybrid} {
-				rs, err := s.resolve(context.Background(), snapSpec{t: s.times[i%2], mode: mode, mask: mask})
+				rs, err := s.resolve(context.Background(), mask.at(s.times[i%2], mode))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, ok := s.cache.GetCached(snapcache.Key{Scenario: rs.key.Scenario, Time: rs.key.Time}); !ok {
+				if _, ok := s.cache.GetCached(rs.spec.healthy()); !ok {
 					t.Fatalf("unprimed %s %s: the masked build did not leave its healthy parent resident", mask, mode)
 				}
-				survived, cut, unreachable := requireShortcutMatchesKernel(t, s, rs, []int{0, 19}, "unprimed "+mask+" "+mode.String(), false)
+				survived, cut, unreachable := requireShortcutMatchesKernel(t, s, rs, []int{0, 19}, "unprimed "+rs.spec.String(), false)
 				if survived+unreachable != 0 || cut == 0 {
 					t.Fatalf("unprimed %s %s: %d answers read off a healthy tree no oracle holds, %d searched", mask, mode, survived+unreachable, cut)
 				}
@@ -306,12 +316,13 @@ func TestSurvivingRouteMatchesKernel(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
-		bp, err := s.resolve(ctx, snapSpec{t: s.times[1], mode: core.BP, mask: "sat:0.1:9"})
+		sat := snapSpec{scenario: fault.SatOutage, fraction: 0.1, seed: 9}
+		bp, err := s.resolve(ctx, sat.at(s.times[1], core.BP))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rs := resolved{
-			key:      s.cacheKey(snapSpec{t: s.times[1], mode: core.Hybrid, mask: "sat:0.1:9"}),
+			spec:     sat.at(s.times[1], core.Hybrid),
 			view:     bp.view,
 			degraded: "bp-fallback",
 		}
@@ -356,13 +367,14 @@ func TestWhatIfSearchSettlesFewer(t *testing.T) {
 		return count
 	}
 	var answers, before, after int
-	for _, mask := range []string{"sat:0.05:1", "sat:0.05:2", "sat:0.05:3"} {
+	for seed := int64(1); seed <= 3; seed++ {
 		for _, mode := range []core.Mode{core.BP, core.Hybrid} {
-			rs, err := s.resolve(context.Background(), snapSpec{t: s.times[0], mode: mode, mask: mask})
+			mask := snapSpec{t: s.times[0], mode: mode, scenario: fault.SatOutage, fraction: 0.05, seed: seed}
+			rs, err := s.resolve(context.Background(), mask)
 			if err != nil {
 				t.Fatal(err)
 			}
-			healthy, hv := s.attachedOracle(snapcache.Key{Scenario: rs.key.Scenario, Time: rs.key.Time})
+			healthy, hv := s.attachedOracle(rs.spec.healthy())
 			if healthy == nil || hv.N != rs.view.N {
 				t.Fatalf("%s %s: no healthy oracle of the view's network", mask, mode)
 			}
@@ -467,7 +479,7 @@ func TestWhatIfSharesItsParent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := snapSpec{t: s.times[1], mode: mode, mask: fmt.Sprintf("sat:0.05:%d", 40+i)}
+		spec := snapSpec{t: s.times[1], mode: mode, scenario: fault.SatOutage, fraction: 0.05, seed: int64(40 + i)}
 		builds := s.CacheStats().Builds
 		var rs resolved
 		missBytes := allocated(func() { rs, err = s.resolve(ctx, spec) })
@@ -477,14 +489,14 @@ func TestWhatIfSharesItsParent(t *testing.T) {
 		if got := s.CacheStats().Builds - builds; got != 1 {
 			t.Fatalf("%s: the what-if ran %d builds, want 1 (a miss, its parent resident)", mode, got)
 		}
-		if resident, ok := s.cache.GetCached(rs.key); !ok || resident != rs.view {
+		if resident, ok := s.cache.GetCached(rs.spec); !ok || resident != rs.view {
 			t.Fatalf("%s: the what-if's view is not its resident entry", mode)
 		}
 		if rs.view.N != healthy.view.N || len(rs.view.Cut) == 0 {
 			t.Fatalf("%s: the what-if's entry holds network %p with a cut of %d links, want its parent's %p and a non-empty cut",
 				mode, rs.view.N, len(rs.view.Cut), healthy.view.N)
 		}
-		outages, err := s.realizeMask(spec.mask, spec.t)
+		outages, err := s.realize(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ type model struct {
 	st        Stats
 }
 
-func (m *model) find(k Key) *residentEntry {
+func (m *model) find(k whatIf) *residentEntry {
 	for i, e := range m.lru {
 		if e.key == k {
 			copy(m.lru[1:i+1], m.lru[:i])
@@ -46,7 +46,7 @@ func (m *model) find(k Key) *residentEntry {
 	return nil
 }
 
-func (m *model) peek(k Key) *residentEntry {
+func (m *model) peek(k whatIf) *residentEntry {
 	for _, e := range m.lru {
 		if e.key == k {
 			return e
@@ -55,7 +55,7 @@ func (m *model) peek(k Key) *residentEntry {
 	return nil
 }
 
-func (m *model) insert(k Key, n *graph.Network) *graph.Network {
+func (m *model) insert(k whatIf, n *graph.Network) *graph.Network {
 	if e := m.find(k); e != nil {
 		return e.n
 	}
@@ -125,7 +125,7 @@ func (m *model) adopt(lb *lateBuild, now time.Time) {
 // get steps a Get of k whose build, if there is one, has outcome sc. built
 // holds the networks the build function made in this step (the model cannot
 // know the pointers in advance); the returned error stands for a kind.
-func (m *model) get(k Key, sc script, now time.Time, built map[Key]*graph.Network) (*graph.Network, error) {
+func (m *model) get(k whatIf, sc script, now time.Time, built map[whatIf]*graph.Network) (*graph.Network, error) {
 	if e := m.find(k); e != nil {
 		m.st.Hits++
 		return e.n, nil
@@ -136,7 +136,7 @@ func (m *model) get(k Key, sc script, now time.Time, built map[Key]*graph.Networ
 		return nil, &BreakerOpenError{RetryAfter: retry}
 	}
 	m.st.Builds++
-	if k.Mask != "" {
+	if k.mask != "" {
 		m.get(parentOf(k), script{}, now, built) //nolint:errcheck // the probe builds its parent itself
 	}
 	var err error
@@ -161,7 +161,7 @@ func (m *model) get(k Key, sc script, now time.Time, built map[Key]*graph.Networ
 	return m.insert(k, built[k]), nil
 }
 
-func (m *model) attach(k Key, n *graph.Network, aux any) bool {
+func (m *model) attach(k whatIf, n *graph.Network, aux any) bool {
 	if e := m.peek(k); e != nil && e.n == n {
 		e.aux = aux
 		m.st.Attachments++
@@ -174,17 +174,17 @@ func (m *model) attach(k Key, n *graph.Network, aux any) bool {
 // ---- the harness: a real cache behind a scripted build function -------------
 
 // modelKeys are three instants, each healthy and under a fault mask.
-func modelKeys() []Key {
-	var keys []Key
+func modelKeys() []whatIf {
+	var keys []whatIf
 	for i := 0; i < 3; i++ {
-		k := keyAt("s", 900*i)
-		keys = append(keys, k, Key{Scenario: k.Scenario, Time: k.Time, Mask: fmt.Sprintf("sat:0.05:%d", i)})
+		k := whatIf{Key: keyAt("s", 900*i)}
+		keys = append(keys, k, whatIf{Key: k.Key, mask: fmt.Sprintf("sat:0.05:%d", i)})
 	}
 	return keys
 }
 
 // parentOf is the healthy key a masked key is derived from.
-func parentOf(k Key) Key { return Key{Scenario: k.Scenario, Time: k.Time} }
+func parentOf(k whatIf) whatIf { return whatIf{Key: k.Key} }
 
 // outcome scripts one build.
 type outcome int
@@ -218,7 +218,7 @@ type script struct {
 
 // lateBuild is a build that overran BuildTimeout, parked until released.
 type lateBuild struct {
-	key     Key
+	key     whatIf
 	n       *graph.Network
 	parked  chan struct{} // closed once the build has seen its timeout
 	release chan struct{}
@@ -226,15 +226,15 @@ type lateBuild struct {
 }
 
 type harness struct {
-	c    *Cache[*graph.Network]
+	c    *Cache[whatIf, *graph.Network]
 	slow chan *lateBuild // each slow build announces itself
 	done chan struct{}   // closed when the run ends: parked builds give up
 
 	mu       sync.Mutex
-	scripts  map[Key]script         // next build's outcome per key (default ok)
-	active   map[Key]int            // build calls per key that have not timed out
-	built    map[Key]*graph.Network // networks built (not adopted late) this step
-	gets     int64                  // Gets issued, nested ones included
+	scripts  map[whatIf]script         // next build's outcome per key (default ok)
+	active   map[whatIf]int            // build calls per key that have not timed out
+	built    map[whatIf]*graph.Network // networks built (not adopted late) this step
+	gets     int64                     // Gets issued, nested ones included
 	problems []string
 }
 
@@ -244,7 +244,7 @@ func (h *harness) problemf(format string, args ...any) {
 	h.mu.Unlock()
 }
 
-func (h *harness) get(ctx context.Context, k Key) (*graph.Network, error) {
+func (h *harness) get(ctx context.Context, k whatIf) (*graph.Network, error) {
 	h.mu.Lock()
 	h.gets++
 	h.mu.Unlock()
@@ -258,7 +258,7 @@ func (h *harness) get(ctx context.Context, k Key) (*graph.Network, error) {
 	return n, err
 }
 
-func (h *harness) build(ctx context.Context, k Key) (*graph.Network, error) {
+func (h *harness) build(ctx context.Context, k whatIf) (*graph.Network, error) {
 	h.mu.Lock()
 	sc := h.scripts[k]
 	delete(h.scripts, k)
@@ -275,7 +275,7 @@ func (h *harness) build(ctx context.Context, k Key) (*graph.Network, error) {
 			h.mu.Unlock()
 		}
 	}()
-	if k.Mask != "" {
+	if k.mask != "" {
 		// A derived key reads its parent through the same cache, as the
 		// server's what-ifs do. Beside a half-open probe the cache starts no
 		// second build, so the probe makes its parent itself.
@@ -407,7 +407,7 @@ func runModel(seed int64, steps int) error {
 	const capacity, threshold, cooldown = 3, 2, 10 * time.Second
 	h := &harness{
 		slow: make(chan *lateBuild, 1), done: make(chan struct{}),
-		active: map[Key]int{},
+		active: map[whatIf]int{},
 	}
 	defer close(h.done)
 	h.c = New(h.build, Options{
@@ -416,13 +416,13 @@ func runModel(seed int64, steps int) error {
 	})
 	m := &model{cap: capacity, threshold: threshold, cooldown: cooldown}
 	keys := modelKeys()
-	history := map[Key][]*graph.Network{} // every network made for a key
-	auxNet := map[any]*graph.Network{}    // the network each attachment was attached to
+	history := map[whatIf][]*graph.Network{} // every network made for a key
+	auxNet := map[any]*graph.Network{}       // the network each attachment was attached to
 	var attaches int64
 	for step := 0; step < steps; step++ {
 		k := keys[rng.Intn(len(keys))]
 		h.mu.Lock()
-		h.scripts, h.built = map[Key]script{}, map[Key]*graph.Network{}
+		h.scripts, h.built = map[whatIf]script{}, map[whatIf]*graph.Network{}
 		h.mu.Unlock()
 		prevBr, prevSt := h.c.Breaker(), h.c.Stats()
 		var what string
@@ -609,11 +609,11 @@ func runConcurrent(t *testing.T, seed int64, steps int) {
 	clock := newFakeClock()
 	var mu sync.Mutex
 	draws := rand.New(rand.NewSource(seed))
-	active := map[Key]int{}
+	active := map[whatIf]int{}
 	auxNet := map[any]*graph.Network{}
 	var gets, attaches, builds, failures atomic.Int64
-	var c *Cache[*graph.Network]
-	get := func(k Key) (*graph.Network, error) {
+	var c *Cache[whatIf, *graph.Network]
+	get := func(k whatIf) (*graph.Network, error) {
 		gets.Add(1)
 		n, err := c.Get(context.Background(), k)
 		if n != nil && n.Name[0] != k.String() {
@@ -621,7 +621,7 @@ func runConcurrent(t *testing.T, seed int64, steps int) {
 		}
 		return n, err
 	}
-	c = New(func(ctx context.Context, k Key) (*graph.Network, error) {
+	c = New(func(ctx context.Context, k whatIf) (*graph.Network, error) {
 		builds.Add(1)
 		mu.Lock()
 		active[k]++
@@ -639,7 +639,7 @@ func runConcurrent(t *testing.T, seed int64, steps int) {
 		if overlap {
 			t.Errorf("seed %d: two builds of %v in flight", seed, k)
 		}
-		if k.Mask != "" {
+		if k.mask != "" {
 			if _, err := get(parentOf(k)); err != nil && !errors.As(err, new(*BreakerOpenError)) {
 				return nil, err
 			}
@@ -714,14 +714,14 @@ func runConcurrent(t *testing.T, seed int64, steps int) {
 // key is built exactly once.
 func runNested(t *testing.T) {
 	var mu sync.Mutex
-	builds := map[Key]int{}
-	var c *Cache[*graph.Network]
-	c = New(func(ctx context.Context, k Key) (*graph.Network, error) {
+	builds := map[whatIf]int{}
+	var c *Cache[whatIf, *graph.Network]
+	c = New(func(ctx context.Context, k whatIf) (*graph.Network, error) {
 		mu.Lock()
 		builds[k]++
 		mu.Unlock()
 		time.Sleep(time.Millisecond) // widen the window for a second build
-		if k.Mask != "" {
+		if k.mask != "" {
 			if _, err := c.Get(ctx, parentOf(k)); err != nil {
 				return nil, err
 			}

@@ -207,7 +207,7 @@ func TestChaosSeededFailureInjection(t *testing.T) {
 		return tinyNet(k.String()), nil
 	}, Options{
 		Capacity:  4,
-		BuildHook: func(ctx context.Context, k Key) error { return chaos.BuildHook(ctx, k.String()) },
+		BuildHook: chaos.BuildHook,
 	})
 	ctx := context.Background()
 

@@ -1,13 +1,14 @@
-// Package snapcache is a concurrency-safe cache of per-snapshot values,
-// keyed by (scenario, time, fault-mask). It is the shared substrate of the
-// serving subsystem: many concurrent queries against the same constellation
-// epoch must route over one graph built once, not once per request.
+// Package snapcache is a concurrency-safe cache of per-snapshot values. It is
+// the shared substrate of the serving subsystem: many concurrent queries
+// against the same constellation epoch must route over one graph built once,
+// not once per request.
 //
-// The value type is a parameter, Cache[V]: the Sim caches frozen networks
-// (*graph.Network), the server views of them (a network and the links its
-// key's fault mask cuts). Values are compared by ==, which for the pointers
-// both use is identity — what Attach's guard and the first-writer rule rest
-// on.
+// Key and value are type parameters, Cache[K, V]; a key's String is for
+// events and the build hook, never parsed back. The Sim (and the bench
+// ledger) caches frozen networks under Key{Scenario, Time}, the server views
+// of them under its validated request spec. Values are compared by ==, which
+// for the pointers both use is identity — what Attach's guard and the
+// first-writer rule rest on.
 //
 // A resident snapshot is final; entries leave only by eviction. The value for
 // a key is a deterministic function of that key, so nothing can make a
@@ -49,33 +50,35 @@ import (
 	"leosim/internal/telemetry"
 )
 
-// Key identifies one snapshot. Two Gets with equal keys always share one
-// build and one cached value.
+// Keyer is what a cache key is: a comparable value — two Gets with equal keys
+// always share one build and one cached value — with a String method that
+// renders it for events, logs and the build hook.
+type Keyer interface {
+	comparable
+	String() string
+}
+
+// Key is the key of a cache whose snapshots differ only by scenario and
+// instant: the Sim's, and the bench ledger's, which keys its own cache so.
 type Key struct {
 	// Scenario namespaces the cache: constellation, scale, connectivity
-	// mode — everything that changes the graph apart from time and faults
-	// (e.g. "starlink/reduced/hybrid").
+	// mode — everything that changes the graph apart from time (e.g.
+	// "starlink/reduced/hybrid").
 	Scenario string
 	// Time is the snapshot instant.
 	Time time.Time
-	// Mask fingerprints the fault mask applied to the snapshot ("" = none).
-	// Distinct fault realizations must use distinct fingerprints.
-	Mask string
 }
 
 // String renders the key for logs and metrics.
 func (k Key) String() string {
-	if k.Mask == "" {
-		return fmt.Sprintf("%s@%s", k.Scenario, k.Time.Format(time.RFC3339))
-	}
-	return fmt.Sprintf("%s@%s+%s", k.Scenario, k.Time.Format(time.RFC3339), k.Mask)
+	return fmt.Sprintf("%s@%s", k.Scenario, k.Time.Format(time.RFC3339))
 }
 
 // BuildFunc constructs the value for a key. It runs at most once per key at
 // a time (singleflight); the context is detached from any single caller's
 // cancellation, so a build outlives the request that triggered it. A
 // successful build returns a value other than V's zero value.
-type BuildFunc[V comparable] func(ctx context.Context, key Key) (V, error)
+type BuildFunc[K Keyer, V comparable] func(ctx context.Context, key K) (V, error)
 
 // Options tune a Cache.
 type Options struct {
@@ -96,8 +99,9 @@ type Options struct {
 	// build goroutine). An error or panic fails the build exactly as if
 	// the BuildFunc had failed — the chaos-injection point. The context is
 	// the build's detached context; it still carries the triggering
-	// request's trace ID, so injected faults are joinable to requests.
-	BuildHook func(ctx context.Context, key Key) error
+	// request's trace ID, so injected faults are joinable to requests; key
+	// is the key's String.
+	BuildHook func(ctx context.Context, key string) error
 	// Clock overrides time.Now for breaker tests.
 	Clock func() time.Time
 }
@@ -187,7 +191,7 @@ func (e *BreakerOpenError) Error() string {
 
 type entry[V comparable] struct {
 	v    V
-	elem *list.Element // position in the LRU list; Value is the Key
+	elem *list.Element // position in the LRU list; Value is the key
 	// aux is the attachment riding this entry (a derived artifact such as a
 	// distance oracle built from v). It shares the entry's whole lifecycle:
 	// v is never replaced, and eviction drops both — an attachment never
@@ -203,9 +207,9 @@ type call[V comparable] struct {
 }
 
 // Cache is the snapshot cache. The zero value is not usable; call New.
-type Cache[V comparable] struct {
-	build        BuildFunc[V]
-	hook         func(context.Context, Key) error
+type Cache[K Keyer, V comparable] struct {
+	build        BuildFunc[K, V]
+	hook         func(context.Context, string) error
 	cap          int
 	buildTimeout time.Duration
 	brThreshold  int
@@ -213,9 +217,9 @@ type Cache[V comparable] struct {
 	now          func() time.Time
 
 	mu       sync.Mutex
-	entries  map[Key]*entry[V]
+	entries  map[K]*entry[V]
 	lru      *list.List // front = most recently used
-	inflight map[Key]*call[V]
+	inflight map[K]*call[V]
 
 	// Breaker state, guarded by mu.
 	streak   int64 // consecutive build failures
@@ -230,7 +234,7 @@ type Cache[V comparable] struct {
 }
 
 // New creates a cache that builds missing snapshots with build.
-func New[V comparable](build BuildFunc[V], opts Options) *Cache[V] {
+func New[K Keyer, V comparable](build BuildFunc[K, V], opts Options) *Cache[K, V] {
 	if build == nil {
 		panic("snapcache: nil BuildFunc")
 	}
@@ -243,7 +247,7 @@ func New[V comparable](build BuildFunc[V], opts Options) *Cache[V] {
 	if opts.BreakerThreshold > 0 && opts.BreakerCooldown <= 0 {
 		opts.BreakerCooldown = 5 * time.Second
 	}
-	return &Cache[V]{
+	return &Cache[K, V]{
 		build:        build,
 		hook:         opts.BuildHook,
 		cap:          opts.Capacity,
@@ -251,9 +255,9 @@ func New[V comparable](build BuildFunc[V], opts Options) *Cache[V] {
 		brThreshold:  opts.BreakerThreshold,
 		brCooldown:   opts.BreakerCooldown,
 		now:          opts.Clock,
-		entries:      map[Key]*entry[V]{},
+		entries:      map[K]*entry[V]{},
 		lru:          list.New(),
-		inflight:     map[Key]*call[V]{},
+		inflight:     map[K]*call[V]{},
 	}
 }
 
@@ -261,7 +265,7 @@ func New[V comparable](build BuildFunc[V], opts Options) *Cache[V] {
 // how many goroutines ask concurrently) on a miss. It returns ctx.Err()
 // without a value if ctx is done before the build finishes; the build is
 // not abandoned on behalf of one impatient caller.
-func (c *Cache[V]) Get(ctx context.Context, key Key) (V, error) {
+func (c *Cache[K, V]) Get(ctx context.Context, key K) (V, error) {
 	var zero V
 	if err := ctx.Err(); err != nil {
 		return zero, err
@@ -304,7 +308,7 @@ func (c *Cache[V]) Get(ctx context.Context, key Key) (V, error) {
 
 // GetEx is Get with an empty Info, for callers that take the three-value form
 // (the bench module's ledger times it); new code calls Get.
-func (c *Cache[V]) GetEx(ctx context.Context, key Key) (V, Info, error) {
+func (c *Cache[K, V]) GetEx(ctx context.Context, key K) (V, Info, error) {
 	v, err := c.Get(ctx, key)
 	return v, Info{}, err
 }
@@ -312,7 +316,7 @@ func (c *Cache[V]) GetEx(ctx context.Context, key Key) (V, Info, error) {
 // GetCached returns the resident entry for key, if there is one, without
 // ever building. It is the degraded-fallback probe: "do we have *anything*
 // usable for this key right now?". No counters and no LRU order move.
-func (c *Cache[V]) GetCached(key Key) (V, bool) {
+func (c *Cache[K, V]) GetCached(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
@@ -325,7 +329,7 @@ func (c *Cache[V]) GetCached(key Key) (V, bool) {
 
 // allowBuildLocked asks the breaker whether a build may start now. When it
 // may not, the returned duration is the caller-facing Retry-After hint.
-func (c *Cache[V]) allowBuildLocked(ctx context.Context) (bool, time.Duration) {
+func (c *Cache[K, V]) allowBuildLocked(ctx context.Context) (bool, time.Duration) {
 	if c.brThreshold <= 0 || !c.brOpen {
 		return true, 0
 	}
@@ -346,7 +350,7 @@ func (c *Cache[V]) allowBuildLocked(ctx context.Context) (bool, time.Duration) {
 
 // recordBuildLocked feeds one build outcome into the breaker, emitting a
 // flight-recorder event at every state transition.
-func (c *Cache[V]) recordBuildLocked(ctx context.Context, err error) {
+func (c *Cache[K, V]) recordBuildLocked(ctx context.Context, err error) {
 	if err == nil {
 		if c.brOpen {
 			telemetry.EmitEvent(ctx, telemetry.CatBreaker, telemetry.SevInfo,
@@ -379,7 +383,7 @@ func (c *Cache[V]) recordBuildLocked(ctx context.Context, err error) {
 }
 
 // startBuildLocked registers and launches one detached singleflight build.
-func (c *Cache[V]) startBuildLocked(ctx context.Context, key Key) *call[V] {
+func (c *Cache[K, V]) startBuildLocked(ctx context.Context, key K) *call[V] {
 	cl := &call[V]{done: make(chan struct{})}
 	c.inflight[key] = cl
 	// Build detached from the leader's cancellation: followers with live
@@ -397,11 +401,12 @@ type buildResult[V comparable] struct {
 // timeout budget, then publishes the outcome. The whole lifecycle lands in
 // the flight recorder; ctx (detached, but value-preserving) carries the
 // triggering request's trace ID into every event.
-func (c *Cache[V]) runBuild(ctx context.Context, key Key, cl *call[V]) {
+func (c *Cache[K, V]) runBuild(ctx context.Context, key K, cl *call[V]) {
 	c.builds.Add(1)
 	start := c.now()
+	name := key.String()
 	telemetry.EmitEvent(ctx, telemetry.CatBuild, telemetry.SevInfo,
-		"build start", telemetry.Str("key", key.String()))
+		"build start", telemetry.Str("key", name))
 	bctx, cancel := ctx, context.CancelFunc(func() {})
 	if c.buildTimeout > 0 {
 		bctx, cancel = context.WithTimeout(ctx, c.buildTimeout)
@@ -412,11 +417,11 @@ func (c *Cache[V]) runBuild(ctx context.Context, key Key, cl *call[V]) {
 			// A panicking build must not strand waiters on a never-closed
 			// channel; surface it as an error to every waiter instead.
 			if r := recover(); r != nil {
-				resc <- buildResult[V]{err: fmt.Errorf("snapcache: build %s panicked: %v", key, r)}
+				resc <- buildResult[V]{err: fmt.Errorf("snapcache: build %s panicked: %v", name, r)}
 			}
 		}()
 		if c.hook != nil {
-			if err := c.hook(ctx, key); err != nil {
+			if err := c.hook(ctx, name); err != nil {
 				resc <- buildResult[V]{err: err}
 				return
 			}
@@ -432,23 +437,23 @@ func (c *Cache[V]) runBuild(ctx context.Context, key Key, cl *call[V]) {
 		if cl.err != nil {
 			telemetry.EmitEvent(ctx, telemetry.CatBuild, telemetry.SevError,
 				"build failed",
-				telemetry.Str("key", key.String()),
+				telemetry.Str("key", name),
 				telemetry.Str("err", cl.err.Error()),
 				telemetry.Int64("durMs", durMs))
 		} else {
 			telemetry.EmitEvent(ctx, telemetry.CatBuild, telemetry.SevInfo,
 				"build done",
-				telemetry.Str("key", key.String()),
+				telemetry.Str("key", name),
 				telemetry.Int64("durMs", durMs))
 		}
 	case <-bctx.Done():
 		// Timed out: fail the waiters now, but adopt the result if the
 		// build eventually succeeds anyway — the work is already paid for.
 		c.timeouts.Add(1)
-		cl.err = fmt.Errorf("snapcache: build %s: %w", key, bctx.Err())
+		cl.err = fmt.Errorf("snapcache: build %s: %w", name, bctx.Err())
 		telemetry.EmitEvent(ctx, telemetry.CatBuild, telemetry.SevWarn,
 			"build timeout: waiters failed, late result still adoptable",
-			telemetry.Str("key", key.String()),
+			telemetry.Str("key", name),
 			telemetry.Int64("timeoutMs", c.buildTimeout.Milliseconds()))
 		go func() {
 			defer cancel()
@@ -465,7 +470,7 @@ func (c *Cache[V]) runBuild(ctx context.Context, key Key, cl *call[V]) {
 // (evicting one entry if over capacity) and the waiters get the value that
 // is resident afterwards; errors are not cached, so the next Get retries.
 // Either way the outcome feeds the breaker.
-func (c *Cache[V]) finish(ctx context.Context, key Key, cl *call[V]) {
+func (c *Cache[K, V]) finish(ctx context.Context, key K, cl *call[V]) {
 	c.mu.Lock()
 	delete(c.inflight, key)
 	c.recordBuildLocked(ctx, cl.err)
@@ -485,7 +490,7 @@ func (c *Cache[V]) finish(ctx context.Context, key Key, cl *call[V]) {
 // function of key, and the resident one may carry an oracle nothing on the
 // single-path route would rebuild. A new key over capacity evicts
 // victimLocked's choice.
-func (c *Cache[V]) insertLocked(key Key, v V) V {
+func (c *Cache[K, V]) insertLocked(key K, v V) V {
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e.elem)
 		return e.v
@@ -493,7 +498,7 @@ func (c *Cache[V]) insertLocked(key Key, v V) V {
 	for c.lru.Len() >= c.cap {
 		victim := c.victimLocked()
 		c.lru.Remove(victim)
-		delete(c.entries, victim.Value.(Key))
+		delete(c.entries, victim.Value.(K))
 		c.evictions.Add(1)
 	}
 	c.entries[key] = &entry[V]{v: v, elem: c.lru.PushFront(key)}
@@ -504,9 +509,9 @@ func (c *Cache[V]) insertLocked(key Key, v V) V {
 // one without an attachment, else the least recently used. One-shot entries
 // (what-ifs, off-schedule instants) thus age each other out, and an entry
 // whose oracle nothing on the single-path route rebuilds stays.
-func (c *Cache[V]) victimLocked() *list.Element {
+func (c *Cache[K, V]) victimLocked() *list.Element {
 	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		if c.entries[el.Value.(Key)].aux == nil {
+		if c.entries[el.Value.(K)].aux == nil {
 			return el
 		}
 	}
@@ -516,7 +521,7 @@ func (c *Cache[V]) victimLocked() *list.Element {
 // adoptLate inserts the success of a build whose waiters already saw a
 // timeout. The late success also counts as one for the breaker: the backend
 // works, slowly.
-func (c *Cache[V]) adoptLate(ctx context.Context, key Key, v V) {
+func (c *Cache[K, V]) adoptLate(ctx context.Context, key K, v V) {
 	c.mu.Lock()
 	c.insertLocked(key, v)
 	c.lateBuilds.Add(1)
@@ -536,7 +541,7 @@ func (c *Cache[V]) adoptLate(ctx context.Context, key Key, v V) {
 // attachments from that one, or Attach refuses them. A singleflight build
 // already in flight for key is untouched; when it lands, its waiters get the
 // resident value. V's zero value is ignored (and returned).
-func (c *Cache[V]) Put(key Key, v V) V {
+func (c *Cache[K, V]) Put(key K, v V) V {
 	var zero V
 	if v == zero {
 		return zero
@@ -556,7 +561,7 @@ func (c *Cache[V]) Put(key Key, v V) V {
 // pinning a result about a snapshot the cache does not serve. The
 // attachment is dropped when its entry is evicted — it rides the same LRU
 // lifecycle.
-func (c *Cache[V]) Attach(key Key, v V, aux any) bool {
+func (c *Cache[K, V]) Attach(key K, v V, aux any) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
@@ -572,7 +577,7 @@ func (c *Cache[V]) Attach(key Key, v V, aux any) bool {
 // Attachment returns key's attachment and the value it was derived from,
 // if the entry is resident and carries one. LRU order and counters are
 // untouched — like GetCached, this is a probe.
-func (c *Cache[V]) Attachment(key Key) (any, V, bool) {
+func (c *Cache[K, V]) Attachment(key K) (any, V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
@@ -584,14 +589,14 @@ func (c *Cache[V]) Attachment(key Key) (any, V, bool) {
 }
 
 // Len returns the number of resident entries.
-func (c *Cache[V]) Len() int {
+func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
 
 // Breaker snapshots the circuit breaker's state.
-func (c *Cache[V]) Breaker() BreakerStatus {
+func (c *Cache[K, V]) Breaker() BreakerStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := BreakerStatus{FailureStreak: c.streak}
@@ -611,7 +616,7 @@ func (c *Cache[V]) Breaker() BreakerStatus {
 }
 
 // Stats snapshots the cumulative counters.
-func (c *Cache[V]) Stats() Stats {
+func (c *Cache[K, V]) Stats() Stats {
 	return Stats{
 		Hits:         c.hits.Load(),
 		Misses:       c.misses.Load(),

@@ -3,6 +3,9 @@ package snapcache
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +27,20 @@ func tinyNet(label string) *graph.Network {
 
 func keyAt(scenario string, sec int) Key {
 	return Key{Scenario: scenario, Time: time.Unix(int64(sec), 0).UTC()}
+}
+
+// whatIf is the tests' key where a fault matters, shaped like the server's:
+// a Key and a fault mask ("" = healthy).
+type whatIf struct {
+	Key
+	mask string
+}
+
+func (k whatIf) String() string {
+	if k.mask == "" {
+		return k.Key.String()
+	}
+	return k.Key.String() + "+" + k.mask
 }
 
 // The acceptance-criteria test: 100 concurrent Gets for one key run the
@@ -73,16 +90,16 @@ func TestSingleflightOneBuildPer100ConcurrentGets(t *testing.T) {
 // Distinct (scenario, time, mask) components must not share builds.
 func TestDistinctKeysBuildSeparately(t *testing.T) {
 	var builds atomic.Int64
-	c := New(func(ctx context.Context, k Key) (*graph.Network, error) {
+	c := New(func(ctx context.Context, k whatIf) (*graph.Network, error) {
 		builds.Add(1)
 		return tinyNet(k.String()), nil
 	}, Options{})
 	ctx := context.Background()
-	keys := []Key{
-		keyAt("a", 1),
-		keyAt("a", 2),
-		keyAt("b", 1),
-		{Scenario: "a", Time: time.Unix(1, 0).UTC(), Mask: "sat:0.10:7"},
+	keys := []whatIf{
+		{Key: keyAt("a", 1)},
+		{Key: keyAt("a", 2)},
+		{Key: keyAt("b", 1)},
+		{Key: keyAt("a", 1), mask: "sat:0.10:7"},
 	}
 	seen := map[*graph.Network]bool{}
 	for _, k := range keys {
@@ -255,9 +272,65 @@ func TestKeyString(t *testing.T) {
 	if got := k.String(); got != "starlink/tiny/bp@1970-01-01T00:00:00Z" {
 		t.Errorf("String() = %q", got)
 	}
-	k.Mask = "sat:0.10:7"
-	if got := k.String(); got != "starlink/tiny/bp@1970-01-01T00:00:00Z+sat:0.10:7" {
-		t.Errorf("String() = %q", got)
+}
+
+// faultKey is a key of the server's kind: typed fields, a float among them,
+// and a String for events and the build hook.
+type faultKey struct {
+	at       int
+	fraction float64
+	seed     int64
+}
+
+func (k faultKey) String() string { return fmt.Sprintf("t%d+sat:%g:%d", k.at, k.fraction, k.seed) }
+
+// A cache keyed by a type other than Key: equal values share one build and
+// one entry — 0 and -0 among them, as == has it — distinct ones build apart,
+// attachments ride the typed key, and the build hook is handed the key's
+// String.
+func TestKeyedByAnyComparable(t *testing.T) {
+	var mu sync.Mutex
+	var hooked []string
+	c := New(func(ctx context.Context, k faultKey) (*graph.Network, error) {
+		return tinyNet(k.String()), nil
+	}, Options{BuildHook: func(_ context.Context, key string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		hooked = append(hooked, key)
+		return nil
+	}})
+	ctx := context.Background()
+	keys := []faultKey{{1, 0.1, 7}, {1, 0.1, 8}, {2, 0.1, 7}, {1, 0, math.MinInt64}, {1, 0, math.MaxInt64}}
+	var want []string
+	for _, k := range keys {
+		n, err := c.Get(ctx, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Name[0] != k.String() {
+			t.Fatalf("Get(%v) returned the network of %q", k, n.Name[0])
+		}
+		want = append(want, k.String())
+	}
+	negZero := faultKey{1, math.Copysign(0, -1), math.MinInt64}
+	n, err := c.Get(ctx, negZero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Name[0] != keys[3].String() {
+		t.Errorf("Get(%v) = the network of %q, want the resident %v's", negZero, n.Name[0], keys[3])
+	}
+	if st := c.Stats(); st.Builds != int64(len(keys)) || st.Hits != 1 {
+		t.Errorf("builds = %d, hits = %d; want %d builds and one hit", st.Builds, st.Hits, len(keys))
+	}
+	if !reflect.DeepEqual(hooked, want) {
+		t.Errorf("build hook saw %q, want %q", hooked, want)
+	}
+	if !c.Attach(negZero, n, "oracle") {
+		t.Fatal("Attach under an equal key refused")
+	}
+	if aux, _, ok := c.Attachment(keys[3]); !ok || aux != "oracle" {
+		t.Errorf("Attachment(%v) = %v, %v", keys[3], aux, ok)
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 
 // victimKey names a test key by kind and number: "h3" is a healthy key, "m3"
 // the same instant under a fault mask.
-func victimKey(name string) Key {
-	k := keyAt("s", int(name[1]-'0'))
+func victimKey(name string) whatIf {
+	k := whatIf{Key: keyAt("s", int(name[1]-'0'))}
 	if name[0] == 'm' {
-		k.Mask = "sat:0.05:" + name[1:]
+		k.mask = "sat:0.05:" + name[1:]
 	}
 	return k
 }
@@ -72,7 +72,7 @@ func TestVictimOrder(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New(func(ctx context.Context, k Key) (*graph.Network, error) {
+			c := New(func(ctx context.Context, k whatIf) (*graph.Network, error) {
 				return tinyNet(k.String()), nil
 			}, Options{Capacity: tc.cap})
 			resident := map[string]bool{}
@@ -123,7 +123,7 @@ func TestVictimOrder(t *testing.T) {
 func TestNoAttachmentIsPlainLRU(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const capacity = 4
-	c := New(func(ctx context.Context, k Key) (*graph.Network, error) {
+	c := New(func(ctx context.Context, k whatIf) (*graph.Network, error) {
 		return tinyNet(k.String()), nil
 	}, Options{Capacity: capacity})
 	var names []string
