@@ -45,12 +45,21 @@ var searchPairsTestHook func(src int)
 // settled, under the forwarding restriction expand (nil: none). visit gets
 // each wanted pair's index and destination node and the settled search, whose
 // labels there are a full tree's, bit for bit (DESIGN.md §7); it runs on the
-// source's worker and writes only pair pi's slots. The fan-out is one search
-// span.
+// source's worker and writes only pair pi's slots. With no cut and no expand
+// the searches run on the network's relay overlay, built for this fan-out and
+// shared by its workers (graph.AcquireOverlay): every label and path a visit
+// reads is the CSR kernel's, bit for bit. The fan-out, the build included, is
+// one search span.
 func searchPairs(ctx context.Context, v graph.View, pairs []Pair, want []bool, expand func(int32) bool,
 	visit func(pi int, dst int32, st *graph.SearchState)) error {
 	defer telemetry.RecordSpan(ctx, telemetry.StageSearch).End()
 	n := v.N
+	search := v.Search
+	if len(v.Cut) == 0 && expand == nil {
+		ov := graph.AcquireOverlay(n, sources(pairs, want, n.NumCity))
+		defer ov.Release()
+		search = ov.Search
+	}
 	return eachGroup(ctx, pairs, pairSrc, func(src int, pis []int) error {
 		var wanted []int
 		var dsts []int32
@@ -68,12 +77,26 @@ func searchPairs(ctx context.Context, v graph.View, pairs []Pair, want []bool, e
 		}
 		st := graph.AcquireSearch()
 		defer st.Release()
-		v.Search(st, graph.SearchSpec{Src: n.CityNode(src), Target: graph.NoTarget, Targets: dsts, Expand: expand})
+		search(st, graph.SearchSpec{Src: n.CityNode(src), Target: graph.NoTarget, Targets: dsts, Expand: expand})
 		for i, pi := range wanted {
 			visit(pi, dsts[i], st)
 		}
 		return nil
 	})
+}
+
+// sources counts the searches searchPairs runs: the distinct source cities,
+// each below cities, of the pairs want marks (nil: every pair).
+func sources(pairs []Pair, want []bool, cities int) int {
+	seen := make([]bool, cities)
+	count := 0
+	for pi, p := range pairs {
+		if (want == nil || want[pi]) && !seen[p.Src] {
+			seen[p.Src] = true
+			count++
+		}
+	}
+	return count
 }
 
 // pairRTTs computes, on one snapshot view, the round-trip time in ms of every

@@ -17,7 +17,7 @@ import (
 // reducedBuilder builds the reduced preset's snapshot geometry: 150 cities,
 // relays on a 2.5° grid within 2,000 km, half-density aircraft, Starlink
 // phase 1 with lasers.
-func reducedBuilder(t *testing.T) *Builder {
+func reducedBuilder(t testing.TB) *Builder {
 	t.Helper()
 	c, err := constellation.New([]constellation.Shell{constellation.StarlinkPhase1()}, constellation.WithISLs())
 	if err != nil {

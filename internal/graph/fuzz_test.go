@@ -482,6 +482,42 @@ func relayChainBytes() []byte {
 	return append(data, 10, 11)
 }
 
+// relayDenseBytes encodes, in geoNet's layout, satellites at 15° N (nodes
+// 0–3) and 15° S (4–7) with lasers along each row, cities on the equator
+// beyond either end (8, 9), and eight relays on the equator between them,
+// two at each of three points and one at each of two more, that link every
+// satellite within one lattice step of longitude; each
+// relay's links are listed by ascending satellite, as the Builder lists
+// them, or descending.
+func relayDenseBytes(ascending bool) []byte {
+	data := []byte{18 - 2}
+	for _, lat := range []byte{5, 3} {
+		for _, lon := range []byte{9, 11, 13, 15} {
+			data = append(data, 1<<7|lat, lon)
+		}
+	}
+	relays := []byte{10, 12, 14, 10, 12, 14, 11, 13}
+	for _, lon := range append([]byte{8, 16}, relays...) {
+		data = append(data, 4, lon)
+	}
+	data = append(data, 0, 1, 1, 2, 2, 3, 4, 5, 5, 6, 6, 7, 8, 0, 8, 4, 9, 3, 9, 7)
+	for i, lon := range relays {
+		var sats []byte
+		for s := byte(0); s < 8; s++ {
+			if d := int(9+2*(s%4)) - int(lon); d >= -1 && d <= 1 {
+				sats = append(sats, s)
+			}
+		}
+		if !ascending {
+			slices.Reverse(sats)
+		}
+		for _, s := range sats {
+			data = append(data, byte(10+i), s)
+		}
+	}
+	return data
+}
+
 // equatorialGridBytes encodes a 3 × 5 satellite grid about the equator with a
 // terminal at each end, nodes 0 and 1.
 func equatorialGridBytes() []byte {
@@ -500,11 +536,15 @@ func equatorialGridBytes() []byte {
 // tree. Its tree-directed arm is a what-if in miniature: the drawn bans are
 // the cut, each search is directed by the uncut network's full tree rooted at
 // its target, and the reference is naiveDijkstra with the cut's links absent
-// — the filtered network. The seeds are mirror-symmetric, so twin routes tie
-// exactly. In the last two, terminals on the equator relay between
-// satellites to either side of it, laid out satellites first, so a satellite
-// and its twin offer each relay one label and the relay is relaxed through;
-// fiber between two relays queues the second.
+// — the filtered network. Its overlay arm counts the terminals right after
+// the satellites as cities and, where the overlay admits the network, holds
+// its searches to the CSR kernel's on every node (checkGeometricOverlay).
+// The seeds are mirror-symmetric, so twin routes tie exactly. In the relay
+// seeds, terminals on the equator relay between satellites to either side of
+// it, laid out satellites first, so a satellite and its twin offer each relay
+// one label and the relay is relaxed through; fiber between two relays queues
+// the second. The relay-dense seeds stack relays, two at a point, under a
+// two-row satellite chain, and are overlays.
 func FuzzSearchGeometric(f *testing.F) {
 	f.Add(twinChainsBytes(), uint8(0), uint8(1), uint8(0))
 	f.Add(equatorialGridBytes(), uint8(0), uint8(1), uint8(5))
@@ -516,6 +556,8 @@ func FuzzSearchGeometric(f *testing.F) {
 		[][2]int{{0, 3}, {3, 2}, {2, 4}, {4, 1}, {0, 5}, {5, 1}, {3, 5}, {5, 4}, {0, 2}, {2, 1}}), uint8(0), uint8(1), uint8(3))
 	f.Add(relayChainBytes(), uint8(8), uint8(9), uint8(0))
 	f.Add(relayChainBytes(), uint8(9), uint8(10), uint8(5))
+	f.Add(relayDenseBytes(true), uint8(8), uint8(9), uint8(0))
+	f.Add(relayDenseBytes(false), uint8(9), uint8(8), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, srcB, dstB, banB uint8) {
 		n := geoNet(data)
 		if n == nil || len(n.Links) == 0 {
@@ -549,6 +591,8 @@ func FuzzSearchGeometric(f *testing.F) {
 		for v, set := range n.KDisjointPathsTo(dst, every, 3) {
 			requireSamePaths(t, fmt.Sprintf("%d→%d disjoint paths", v, dst), set, naiveKDisjoint(n, int32(v), dst, 3))
 		}
+
+		checkGeometricOverlay(t, n)
 
 		if zero := fuzzNet(data); zero != nil {
 			plain := AcquireSearch()

@@ -1,0 +1,475 @@
+package graph
+
+import (
+	"cmp"
+	"math"
+	"slices"
+	"sync"
+
+	"leosim/internal/safe"
+	"leosim/internal/telemetry"
+)
+
+// The relay overlay (DESIGN.md §7, "A fan-out searches the relay overlay").
+// Relays and aircraft only forward: in a built network every one of them joins
+// satellites to satellites, so what a search learns from one is the label it
+// hands each of its satellites. The overlay keeps the nodes that can branch —
+// satellites and cities, the prefix [0, NumSat+NumCity) of a built network —
+// and replaces each forwarder by the arcs it makes between its satellites.
+// Searching it pops the same nodes in the same order at the same labels as the
+// CSR kernel, so every answer is the CSR kernel's, bit for bit.
+
+// overlayArc is one arc of the overlay out of a node u: either a direct link
+// of u (pre 0) or one candidate forwarder r of a satellite pair, u–r weighing
+// pre and r–to weighing ms. Relaxing it from label g offers to the label
+// fl(fl(g + pre) + ms), the sum the CSR kernel forms through r, and link is
+// the link into to (u–to, or r–to), so prevLink and its holder's node read as
+// the CSR's.
+type overlayArc struct {
+	pre, ms  float64
+	to, link int32
+}
+
+// The overlay's exactness rests on three bounds (DESIGN.md §7). Every link it
+// reads weighs between overlayMinMs and overlayMaxMs, and a search on it pops
+// no label above overlayLabelCap (past it the CSR answers), so every sum a
+// relaxation forms stays below M = 2¹⁷ ms, where adding a weight always
+// raises a label and each of the two roundings of fl(fl(g + pre) + ms) is at
+// most 2⁻⁵³·M. A candidate whose sum exceeds its pair's least by more than
+// overlayCandidateTol = 16·2⁻⁵³·M therefore offers a strictly larger label
+// than the least one does from every label below the cap, and is dropped.
+const (
+	overlayMinMs        = 0x1p-30
+	overlayMaxMs        = 0x1p14
+	overlayLabelCap     = 0x1p16
+	overlayCandidateTol = 0x1p-32
+)
+
+// Overlay is the relay-contracted search graph of one network: its satellites
+// and cities joined by their direct links and by one arc per candidate relay
+// or aircraft between two satellites (overlayArc). It is built for one fan-out
+// of searches — core's per-source pair fan-out, an oracle build — shared by
+// its workers read-only, and released when the fan-out ends; no network
+// caches one. Acquire it with AcquireOverlay and search through Search.
+type Overlay struct {
+	net *Network
+	// n is the overlay's node count, NumSat+NumCity; 0 when the network does
+	// not admit an overlay and Search is the CSR kernel's.
+	n int32
+	// Node u's arcs are arcs[start[u]:start[u+1]]: its direct links in CSR
+	// order, then, for a satellite, its candidates.
+	start []int32
+	arcs  []overlayArc
+	// parts holds, while a build runs, the candidates of its ranges of
+	// satellites (gather), under mu. The build drops them: a pooled overlay
+	// keeps only what its searches read.
+	mu    sync.Mutex
+	parts []buildPart
+}
+
+// buildPart holds the candidates gather kept for the satellites from lo on.
+type buildPart struct {
+	lo    int32
+	pairs []candidate
+}
+
+// candidate is a forwarder r between satellites u < t: the arc u–r is
+// adjEdges[k] on u's CSR row, the arc r–t adjEdges[j] on r's.
+type candidate struct {
+	u, k, j int32
+}
+
+// leastSum is the least candidate sum towards one satellite among the
+// candidates of the overlay row it was last written for (row is that node
+// plus one).
+type leastSum struct {
+	sum float64
+	row int32
+}
+
+var overlayPool = sync.Pool{New: func() interface{} { return new(Overlay) }}
+
+// overlayMinSearches is the fewest searches a fan-out must run for
+// AcquireOverlay to build: a reduced build costs what 7 to 15 searches save
+// by running on the overlay instead of the CSR (DESIGN.md §7).
+const overlayMinSearches = 16
+
+// AcquireOverlay returns from a pool the overlay of n for a fan-out of
+// searches searches. It is empty, and Search runs the CSR kernel, where fewer
+// searches cannot pay back the build, and where n admits no overlay: no relay
+// or aircraft, a forwarder with a neighbour that is not a satellite, a link
+// weight outside the bounds above. Release it when the fan-out is done.
+func AcquireOverlay(n *Network, searches int) *Overlay {
+	ov := overlayPool.Get().(*Overlay)
+	ov.net = n
+	if searches < overlayMinSearches || !ov.build() {
+		ov.n = 0
+	}
+	return ov
+}
+
+// Release returns the overlay to the pool. No search of it, nor any
+// SearchState it searched into, may be read afterwards.
+func (ov *Overlay) Release() {
+	ov.net = nil
+	overlayPool.Put(ov)
+}
+
+// build fills the overlay of ov.net, or reports false where it admits none.
+// It checks every arc weight and every forwarder's and city's row and counts
+// the direct links, then gathers the candidates of ranges of satellites in
+// parallel (gather), and lays the arcs out in node order: each node's direct
+// links in CSR order, then its candidates, range by range.
+func (ov *Overlay) build() bool {
+	n := ov.net
+	n.ensureCSR()
+	ns, on := int32(n.NumSat), int32(n.NumSat+n.NumCity)
+	if n.NumSat < 0 || n.NumCity < 0 || int(on) >= n.N() {
+		return false
+	}
+	adjStart, adjEdges, adjMs := n.adjStart, n.adjEdges, n.adjMs
+	for _, w := range adjMs {
+		if !(w >= overlayMinMs && w <= overlayMaxMs) {
+			return false
+		}
+	}
+	// A forwarder's row lists its satellites in ascending order wherever the
+	// Builder made it; then the candidates t > u of a row u are a suffix.
+	ascending := true
+	for r := on; r < int32(n.N()); r++ {
+		for j := adjStart[r]; j < adjStart[r+1]; j++ {
+			t := adjEdges[j].To
+			if t >= ns { // a forwarder with a neighbour that is not a satellite
+				return false
+			}
+			if j > adjStart[r] && t < adjEdges[j-1].To {
+				ascending = false
+			}
+		}
+	}
+	if cap(ov.start) < int(on)+2 {
+		ov.start = make([]int32, on+2)
+	}
+	// count[u+2] first counts u's arcs, then the prefix sum makes count[u+1]
+	// u's first slot, which the fill advances to u's last plus one: u+1's
+	// first. So the filled count[:on+1] is start.
+	count := ov.start[:on+2]
+	clear(count)
+	for u := int32(0); u < on; u++ {
+		for _, e := range adjEdges[adjStart[u]:adjStart[u+1]] {
+			if e.To < on {
+				count[u+2]++
+			} else if u >= ns { // a city joined to a forwarder
+				return false
+			}
+		}
+	}
+	ov.n, ov.parts = on, ov.parts[:0]
+	safe.Chunks(int(ns), func(lo, hi int) { ov.gather(int32(lo), int32(hi), ascending) })
+	parts := ov.parts
+	slices.SortFunc(parts, func(a, b buildPart) int { return cmp.Compare(a.lo, b.lo) })
+	for _, part := range parts {
+		for _, c := range part.pairs {
+			count[c.u+2]++
+			count[adjEdges[c.j].To+2]++
+		}
+	}
+	for u := int32(2); u < on+2; u++ {
+		count[u] += count[u-1]
+	}
+	arcs := ov.arcs[:0]
+	if cap(arcs) < int(count[on+1]) {
+		arcs = make([]overlayArc, 0, count[on+1])
+	}
+	arcs = arcs[:count[on+1]]
+	next := count[1:]
+	for u := int32(0); u < on; u++ {
+		for k := adjStart[u]; k < adjStart[u+1]; k++ {
+			if e := adjEdges[k]; e.To < on {
+				arcs[next[u]] = overlayArc{ms: adjMs[k], to: e.To, link: e.Link}
+				next[u]++
+			}
+		}
+	}
+	for _, part := range parts {
+		for _, c := range part.pairs {
+			eu, et := adjEdges[c.k], adjEdges[c.j]
+			wu, wt := adjMs[c.k], adjMs[c.j]
+			arcs[next[c.u]] = overlayArc{pre: wu, ms: wt, to: et.To, link: et.Link}
+			next[c.u]++
+			arcs[next[et.To]] = overlayArc{pre: wt, ms: wu, to: c.u, link: eu.Link}
+			next[et.To]++
+		}
+	}
+	clear(parts)
+	ov.start, ov.arcs, ov.parts = count[:on+1], arcs, parts[:0]
+	return true
+}
+
+// gather adds to the build's parts the candidates of satellites [lo, hi).
+// For satellite u, every forwarder r on its row and every satellite t > u on
+// r's row is a candidate of the pair {u, t}, whose least sum a dense
+// per-satellite scratch keeps while the candidates not already past it wait
+// in a row; those within overlayCandidateTol of the least are the pair's. A pair's candidates serve both its arcs, u → t through r–t and
+// t → u through r–u, since fl(w₁ + w₂) = fl(w₂ + w₁).
+func (ov *Overlay) gather(lo, hi int32, ascending bool) {
+	n := ov.net
+	ns := int32(n.NumSat)
+	adjStart, adjEdges, adjMs := n.adjStart, n.adjEdges, n.adjMs
+	least := make([]leastSum, ns)
+	var pairs, row []candidate
+	for u := lo; u < hi; u++ {
+		for k := adjStart[u]; k < adjStart[u+1]; k++ {
+			r := adjEdges[k].To
+			if r < ov.n {
+				continue
+			}
+			w := adjMs[k]
+			for j := adjStart[r+1] - 1; j >= adjStart[r]; j-- {
+				t := adjEdges[j].To
+				if t <= u {
+					if ascending {
+						break
+					}
+					continue
+				}
+				s, l := w+adjMs[j], &least[t]
+				if l.row != u+1 || s < l.sum {
+					*l = leastSum{sum: s, row: u + 1}
+				} else if s > l.sum+overlayCandidateTol {
+					continue
+				}
+				row = append(row, candidate{u: u, k: k, j: j})
+			}
+		}
+		for _, c := range row {
+			if t := adjEdges[c.j].To; adjMs[c.k]+adjMs[c.j] <= least[t].sum+overlayCandidateTol {
+				pairs = append(pairs, c)
+			}
+		}
+		row = row[:0]
+	}
+	ov.mu.Lock()
+	ov.parts = append(ov.parts, buildPart{lo: lo, pairs: pairs})
+	ov.mu.Unlock()
+}
+
+// Search runs spec over the overlay into st, as Network.Search would over the
+// network's CSR, and with the same answers for every node: the satellites' and
+// cities' labels are the search's own, and a relay's or aircraft's Dist,
+// Reached, PrevLink and Path are derived from its satellites
+// (SearchState.forwarder). Only a plain search of an overlay node — no link
+// ban, no Cost, Expand, Tree or Stop, every wanted node a satellite or city —
+// runs on the overlay; any other, and any on an empty overlay, is
+// Network.Search's. Like Network.Search it is goal-directed where spec wants
+// one node and the free-space gate is open.
+func (ov *Overlay) Search(st *SearchState, spec SearchSpec) bool {
+	n := ov.net
+	if !ov.admits(st, spec) {
+		return n.Search(st, spec)
+	}
+	sp := telemetry.StartStageSpan(telemetry.StageSearch)
+	done := ov.search(st, spec)
+	sp.End()
+	if !done { // a label past overlayLabelCap
+		return n.Search(st, spec)
+	}
+	return true
+}
+
+// admits reports whether spec on st may run on the overlay.
+func (ov *Overlay) admits(st *SearchState, spec SearchSpec) bool {
+	if ov.n == 0 || st.anyLinkBan || spec.Cost != nil || spec.Expand != nil || spec.Tree != nil || spec.Stop != nil {
+		return false
+	}
+	in := func(v int32) bool { return v >= 0 && v < ov.n }
+	if !in(spec.Src) || (spec.Target != NoTarget && !in(spec.Target)) {
+		return false
+	}
+	for _, v := range spec.Targets {
+		if !in(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// overlayTakes is the (dist, node, link) tie rule at an overlay arc: whether
+// an offer to v through link li, from a holder labelled mid, beats v's holder,
+// labelled held when it took v through link prev. Each holder is the far end
+// of its link from v — a satellite or city, or the relay of a candidate.
+func overlayTakes(links []Link, v int32, mid float64, li int32, held float64, prev int32) bool {
+	if mid != held {
+		return mid < held
+	}
+	l, pl := links[li], links[prev]
+	u, p := l.A+l.B-v, pl.A+pl.B-v
+	return u < p || (u == p && li < prev)
+}
+
+// search is the kernel's loop (Network.search, relaxing ground nodes through)
+// over the overlay's arcs: a popped node relaxes its direct links and its
+// candidates, and a city that is not wanted is relaxed through. It returns
+// false, with st unusable, at the first pop past overlayLabelCap.
+func (ov *Overlay) search(st *SearchState, spec SearchSpec) bool {
+	n := ov.net
+	wantLeft, only := st.begin(n, spec)
+	st.split, st.stop = ov.n, NoTarget
+	if len(st.held) < int(ov.n) {
+		st.held = append(st.held, make([]float64, int(ov.n)-len(st.held))...)
+	}
+	st.goal, st.tree = NoTarget, nil
+	if wantLeft == 1 {
+		if terms := n.goalTerms(); terms != nil {
+			st.goal = only
+			st.toGoal = goalBound(n.Pos, terms, only)
+		}
+	}
+	goal := st.goal != NoTarget
+	node, cur, want := st.node, st.searchStamp, st.want
+	prevLink, held := st.prevLink, st.held
+	start, arcs, links := ov.start, ov.arcs, n.Links
+	ground := int32(n.NumSat)
+
+	node[spec.Src] = nodeState{stamp: cur}
+	prevLink[spec.Src] = -1
+	var key float64
+	if goal {
+		key = st.toGoal.at(spec.Src)
+	}
+	st.bound[spec.Src] = key
+	h := append(st.heap, heapEntry{node: spec.Src, key: key})
+	relaxed := 0
+	for len(h) > 0 {
+		u := h[0].node
+		node[u].pos = posPopped
+		g := node[u].dist
+		if g > overlayLabelCap {
+			st.heap = h[:0]
+			return false
+		}
+		last := len(h) - 1
+		tail := h[last]
+		h = h[:last]
+		if last > 0 {
+			siftDown(h, node, tail)
+		}
+		if wantLeft > 0 && want[u] == cur {
+			if wantLeft--; wantLeft == 0 {
+				st.stop = u
+				break
+			}
+		}
+		row := arcs[start[u]:start[u+1]]
+		relaxed += len(row)
+		for _, a := range row {
+			mid := g + a.pre
+			nd := mid + a.ms
+			v := a.to
+			to := &node[v]
+			queued := false
+			if to.stamp == cur {
+				if nd > to.dist || to.pos == posPopped {
+					continue
+				}
+				if nd == to.dist {
+					if overlayTakes(links, v, mid, a.link, held[v], prevLink[v]) {
+						prevLink[v], held[v] = a.link, mid
+					}
+					continue
+				}
+				queued = to.pos >= 0
+			} else {
+				to.stamp = cur
+			}
+			to.dist = nd
+			prevLink[v], held[v] = a.link, mid
+			if !queued && v >= ground && want[v] != cur {
+				// Relax city v through. Its arcs are all direct links
+				// (pre 0): the build refuses a city joined to a forwarder.
+				to.pos = posPassed
+				vrow := arcs[start[v]:start[v+1]]
+				relaxed += len(vrow)
+				for _, f := range vrow {
+					nx := nd + f.ms
+					y := f.to
+					ty := &node[y]
+					yQueued := false
+					if ty.stamp == cur {
+						if nx > ty.dist || ty.pos == posPopped {
+							continue
+						}
+						if nx == ty.dist {
+							if overlayTakes(links, y, nd, f.link, held[y], prevLink[y]) {
+								prevLink[y], held[y] = f.link, nd
+							}
+							continue
+						}
+						yQueued = ty.pos >= 0
+					} else {
+						ty.stamp = cur
+					}
+					ty.dist = nx
+					prevLink[y], held[y] = f.link, nd
+					at := int(ty.pos)
+					if !yQueued {
+						at = len(h)
+						h = append(h, heapEntry{})
+						if goal {
+							st.bound[y] = st.toGoal.at(y)
+						}
+					}
+					key = nx
+					if goal {
+						key += st.bound[y]
+					}
+					siftUp(h, node, at, heapEntry{node: y, key: key})
+				}
+				continue
+			}
+			at := int(to.pos)
+			if !queued {
+				at = len(h)
+				h = append(h, heapEntry{})
+				if goal {
+					st.bound[v] = st.toGoal.at(v)
+				}
+			}
+			key = nd
+			if goal {
+				key += st.bound[v]
+			}
+			siftUp(h, node, at, heapEntry{node: v, key: key})
+		}
+	}
+	st.heap = h
+	st.relaxed = relaxed
+	return true
+}
+
+// forwarder derives the labels of node v, a relay or aircraft the last search
+// ran the overlay past (SearchState.split): the CSR kernel relaxes v from each
+// of its satellites as that satellite pops — unless the pop ends the search —
+// and from nothing else, keeping the least sum and, among equal sums, the
+// (dist, node, link)-least satellite. So v is reached iff a satellite of v
+// popped and relaxed, at the least fl(d(s) + w) over those, through that
+// satellite's link.
+func (st *SearchState) forwarder(v int32) (dist float64, link int32) {
+	n := st.net
+	node, cur := st.node, st.searchStamp
+	dist, link = math.Inf(1), -1
+	var held float64
+	var p int32
+	for k := n.adjStart[v]; k < n.adjStart[v+1]; k++ {
+		e := n.adjEdges[k]
+		s := node[e.To]
+		if s.stamp != cur || s.pos != posPopped || e.To == st.stop {
+			continue
+		}
+		if d := s.dist + n.adjMs[k]; link < 0 || d < dist ||
+			(d == dist && (s.dist < held || (s.dist == held && (e.To < p || (e.To == p && e.Link < link))))) {
+			dist, link, held, p = d, e.Link, s.dist, e.To
+		}
+	}
+	return dist, link
+}

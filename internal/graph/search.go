@@ -68,6 +68,21 @@ type SearchState struct {
 	// row is KDisjointPathsTo's copy of its destination's tree, the Tree of
 	// every search it then runs on this state; its memory is reused.
 	row []int32
+
+	// split is the node count of the overlay the last search ran on, 0 after
+	// a CSR search: nodes at or above it were not searched, and their labels
+	// are derived from their satellites (forwarder). stop is the wanted node
+	// whose pop ended that search, which relaxed nothing (NoTarget: the
+	// search ran to exhaustion). held[v] is the label of v's holder — the
+	// node at the far end of prevLink[v] — when it took v, what an overlay
+	// search's tie rule compares.
+	split int32
+	stop  int32
+	held  []float64
+
+	// relaxed counts the arcs the last overlay search relaxed, its pops' and
+	// its passes' rows.
+	relaxed int
 }
 
 // nodeState packs what relaxing an arc into node v reads — is v reached this
@@ -132,6 +147,7 @@ func (st *SearchState) begin(n *Network, spec SearchSpec) (wanted int, last int3
 	st.net = n
 	st.src = spec.Src
 	st.hasCost = spec.Cost != nil
+	st.split = 0
 	st.grow(n.N(), len(n.Links))
 	st.searchStamp++
 	if st.searchStamp == 0 { // wrapped: stale stamps could collide
@@ -185,6 +201,10 @@ func (st *SearchState) BanLink(li int32) {
 // Dist returns the settled distance of node v from the last search's source
 // (+Inf if unreached). Under a Cost hook this is total cost, not delay.
 func (st *SearchState) Dist(v int32) float64 {
+	if st.split > 0 && v >= st.split {
+		d, _ := st.forwarder(v)
+		return d
+	}
 	if st.node[v].stamp != st.searchStamp {
 		return math.Inf(1)
 	}
@@ -193,7 +213,13 @@ func (st *SearchState) Dist(v int32) float64 {
 
 // Reached reports whether the last search reached node v: gave it a label,
 // whether it then queued or was relaxed through.
-func (st *SearchState) Reached(v int32) bool { return st.node[v].stamp == st.searchStamp }
+func (st *SearchState) Reached(v int32) bool {
+	if st.split > 0 && v >= st.split {
+		_, li := st.forwarder(v)
+		return li >= 0
+	}
+	return st.node[v].stamp == st.searchStamp
+}
 
 // Settled reports whether the last search popped node v, making its labels
 // final. A node relaxed through (Search) never queues, so it is reached but
@@ -207,6 +233,10 @@ func (st *SearchState) Settled(v int32) bool {
 // PrevLink returns the predecessor link of node v in the last search (-1 at
 // the source or if unreached).
 func (st *SearchState) PrevLink(v int32) int32 {
+	if st.split > 0 && v >= st.split {
+		_, li := st.forwarder(v)
+		return li
+	}
 	if st.node[v].stamp != st.searchStamp {
 		return -1
 	}
@@ -215,19 +245,14 @@ func (st *SearchState) PrevLink(v int32) int32 {
 
 // Path reconstructs the found route from the last search's source to dst.
 func (st *SearchState) Path(dst int32) (Path, bool) {
-	if st.node[dst].stamp != st.searchStamp {
+	if !st.Reached(dst) {
 		return Path{}, false
 	}
-	total := st.node[dst].dist
+	total := st.Dist(dst)
 	if st.hasCost {
 		total = st.delay[dst]
 	}
-	return st.net.walkPath(st.src, dst, func(v int32) int32 {
-		if st.node[v].stamp != st.searchStamp {
-			return -1
-		}
-		return st.prevLink[v]
-	}, total)
+	return st.net.walkPath(st.src, dst, st.PrevLink, total)
 }
 
 // heapEntry is one frontier node in the priority queue. Entries are plain

@@ -85,8 +85,11 @@ type Oracle struct {
 
 // Build constructs the oracle for n without the links of cut: one
 // shortest-path tree per city, run in parallel (GOMAXPROCS workers) through
-// the shared Dijkstra kernel with the cut banned. The context cancels the
-// fan-out between sources; a cancelled build returns ctx.Err() and no oracle.
+// the shared Dijkstra kernel with the cut banned. With no cut the trees run on
+// n's relay overlay, built for this build and released with it
+// (graph.AcquireOverlay); every row is the CSR kernel's, bit for bit. The
+// context cancels the fan-out between sources; a cancelled build returns
+// ctx.Err() and no oracle.
 func Build(ctx context.Context, n *graph.Network, cut Options) (*Oracle, error) {
 	sp := telemetry.StartStageSpan(telemetry.StageOracleBuild)
 	defer sp.End()
@@ -117,7 +120,12 @@ func Build(ctx context.Context, n *graph.Network, cut Options) (*Oracle, error) 
 	for i := 0; i < workers; i++ {
 		scratch <- make([]int32, nn)
 	}
-	view := graph.View{N: n, Cut: cut}
+	search := graph.View{N: n, Cut: cut}.Search
+	if len(cut) == 0 {
+		ov := graph.AcquireOverlay(n, ncity)
+		defer ov.Release()
+		search = ov.Search
+	}
 	g := safe.NewGroup(ctx, workers)
 	for city := 0; city < ncity; city++ {
 		city := city
@@ -127,7 +135,7 @@ func Build(ctx context.Context, n *graph.Network, cut Options) (*Oracle, error) 
 			}
 			st := graph.AcquireSearch()
 			defer st.Release()
-			view.Search(st, graph.SearchSpec{Src: n.CityNode(city), Target: graph.NoTarget})
+			search(st, graph.SearchSpec{Src: n.CityNode(city), Target: graph.NoTarget})
 			prev := o.prev[city*nn : (city+1)*nn]
 			for v := range prev {
 				prev[v] = st.PrevLink(int32(v))

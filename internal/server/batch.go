@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net/http"
 	"strconv"
@@ -336,7 +337,7 @@ func (req *batchPathsRequest) check(maxPairs int, times []time.Time) (snapSpec, 
 	if len(req.Pairs) > maxPairs {
 		return snapSpec{}, badRequest("too many pairs: %d exceeds the per-request limit %d", len(req.Pairs), maxPairs)
 	}
-	seen := make(map[batchPair]struct{}, len(req.Pairs))
+	dup := firstRepeat(req.Pairs)
 	for i, p := range req.Pairs {
 		if p.Src == "" || p.Dst == "" {
 			return snapSpec{}, badRequest("pairs[%d]: src and dst are required", i)
@@ -344,12 +345,54 @@ func (req *batchPathsRequest) check(maxPairs int, times []time.Time) (snapSpec, 
 		if p.Src == p.Dst {
 			return snapSpec{}, badRequest("pairs[%d]: src equals dst (%q)", i, p.Src)
 		}
-		if _, dup := seen[p]; dup {
+		if i == dup {
 			return snapSpec{}, badRequest("pairs[%d]: duplicate pair %q → %q", i, p.Src, p.Dst)
 		}
-		seen[p] = struct{}{}
 	}
 	return spec, nil
+}
+
+// pairHashSeed seeds the pair hashes of firstRepeat; which seed only changes
+// how often two distinct pairs are compared.
+var pairHashSeed = maphash.MakeSeed()
+
+// pairSlot is one slot of firstRepeat's table: the low bits of a pair's
+// hash and its index plus one, 0 when the slot is empty.
+type pairSlot struct {
+	hash uint32
+	at   int32
+}
+
+// firstRepeat returns the index of the first pair equal to an earlier one,
+// or len(pairs) when every pair is distinct. The pairs go, in order, into an
+// open-addressed table of at least twice their count — on the stack for a
+// batch of up to 256 pairs — and a pair whose probe meets an equal one is the
+// first repeat. It hashes each name once and allocates nothing per pair.
+func firstRepeat(pairs []batchPair) int {
+	var buf [512]pairSlot
+	size := len(buf)
+	for size < 2*len(pairs) {
+		size *= 2
+	}
+	table := buf[:]
+	if size > len(buf) {
+		table = make([]pairSlot, size)
+	}
+	mask := uint64(size - 1)
+	for i, p := range pairs {
+		h := maphash.String(pairHashSeed, p.Src)*31 + maphash.String(pairHashSeed, p.Dst)
+		for at := h & mask; ; at = (at + 1) & mask {
+			slot := &table[at]
+			if slot.at == 0 {
+				*slot = pairSlot{hash: uint32(h), at: int32(i + 1)}
+				break
+			}
+			if slot.hash == uint32(h) && pairs[slot.at-1] == p {
+				return i
+			}
+		}
+	}
+	return len(pairs)
 }
 
 // batchPathEntry is one pair's answer, aligned by index with the request's

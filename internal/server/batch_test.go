@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -724,10 +725,53 @@ func reducedTimes() []time.Time {
 }
 
 // batchDecodeAllocBudget bounds the allocations of decoding and validating a
-// 256-pair body: the body's one string, the request, the snapshot index, the
-// pairs, and in the shared validation the duplicate check's map — none per
-// pair, and none for the mode's name.
-const batchDecodeAllocBudget = 7
+// 256-pair body: the body's one string, the request, the snapshot index and
+// the pairs — none per pair, none for the mode's name, and none for the
+// duplicate check, whose table is on the stack up to 256 pairs.
+const batchDecodeAllocBudget = 4
+
+// TestPairChecksInOrder holds check's per-pair validation to the loop it
+// replaces — one map of the pairs seen so far, each pair checked in order
+// for a missing name, then src equal to dst, then a repeat — on random pair
+// lists, some past the 256 pairs firstRepeat keeps on the stack: the same
+// first refusal, by the same text, or none.
+func TestPairChecksInOrder(t *testing.T) {
+	reference := func(pairs []batchPair) error {
+		seen := map[batchPair]bool{}
+		for i, p := range pairs {
+			switch {
+			case p.Src == "" || p.Dst == "":
+				return badRequest("pairs[%d]: src and dst are required", i)
+			case p.Src == p.Dst:
+				return badRequest("pairs[%d]: src equals dst (%q)", i, p.Src)
+			case seen[p]:
+				return badRequest("pairs[%d]: duplicate pair %q → %q", i, p.Src, p.Dst)
+			}
+			seen[p] = true
+		}
+		return nil
+	}
+	r := rand.New(rand.NewSource(5))
+	names := []string{"", "Tokyo", "Delhi", "Paris", "Lima", "Cairo", "Oslo", "Perth"}
+	for trial := 0; trial < 2000; trial++ {
+		size := 1 + r.Intn([]int{4, 40, 300}[trial%3])
+		pairs := make([]batchPair, size)
+		for i := range pairs {
+			// Mostly distinct pairs of long names, now and then a short
+			// one, an empty one or one equal to its partner.
+			pairs[i] = batchPair{Src: fmt.Sprintf("s%d", r.Intn(4*size)), Dst: fmt.Sprintf("d%d", r.Intn(4*size))}
+			if r.Intn(size) == 0 {
+				pairs[i] = batchPair{Src: names[r.Intn(len(names))], Dst: names[r.Intn(len(names))]}
+			}
+		}
+		req := batchPathsRequest{Pairs: pairs}
+		_, err := req.check(MaxBatchPairs, reducedTimes())
+		want := reference(pairs)
+		if fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Fatalf("trial %d (%d pairs): check says %v, the in-order loop %v", trial, size, err, want)
+		}
+	}
+}
 
 // TestBatchDecodeAllocBudget pins that a batch body is scanned, not reflected
 // over: its allocations do not grow with the pairs it carries.
