@@ -47,7 +47,7 @@ var searchPairsTestHook func(src int)
 // labels there are a full tree's, bit for bit (DESIGN.md §7); it runs on the
 // source's worker and writes only pair pi's slots. With no cut and no expand
 // the searches run on the network's relay overlay, built for this fan-out and
-// shared by its workers (graph.AcquireOverlay): every label and path a visit
+// shared by its workers (graph.NewOverlay): every label and path a visit
 // reads is the CSR kernel's, bit for bit. The fan-out, the build included, is
 // one search span.
 func searchPairs(ctx context.Context, v graph.View, pairs []Pair, want []bool, expand func(int32) bool,
@@ -56,9 +56,7 @@ func searchPairs(ctx context.Context, v graph.View, pairs []Pair, want []bool, e
 	n := v.N
 	search := v.Search
 	if len(v.Cut) == 0 && expand == nil {
-		ov := graph.AcquireOverlay(n, sources(pairs, want, n.NumCity))
-		defer ov.Release()
-		search = ov.Search
+		search = graph.NewOverlay(n, sources(pairs, want, n.NumCity)).Search
 	}
 	return eachGroup(ctx, pairs, pairSrc, func(src int, pis []int) error {
 		var wanted []int

@@ -146,12 +146,13 @@ func satOutageHybrid(t *testing.T, s *Sim) *graph.Network {
 // hybrid network under a 20 % satellite outage; and RunFig4, which solves
 // k = 1 over the first paths of its k = 4 sets, to RunThroughput row for row.
 // It then counts the kernel searches of one reduced RunFig4 (seed 1): per
-// mode one full tree per destination plus four directed searches per pair,
-// where one listed search per source plus three free-space peels per pair
-// took 1,720. It also counts the nodes those searches settle — queue and
-// pop; a ground node relaxed through never queues — replaying each mode's
-// round search by search (replayRound): the trees add searches, and the
-// searches they direct settle far fewer nodes.
+// mode one ball per destination plus four directed searches per pair, where
+// one listed search per source plus three free-space peels per pair took
+// 1,720. It also counts the nodes those searches settle — queue and pop; a
+// ground node relaxed through never queues — replaying each mode's round
+// destination by destination (replayRound): the balls add searches, and the
+// searches they direct settle far fewer nodes. A ball stops once its last
+// source settles.
 func TestPairPathsMatchPerPair(t *testing.T) {
 	ctx := context.Background()
 	for _, scale := range []Scale{TinyScale(), ReducedScale()} {
@@ -222,36 +223,36 @@ func TestPairPathsMatchPerPair(t *testing.T) {
 		}
 
 		at := s.SnapshotTimes()[0]
-		var settled, trees, listed int
+		var settled, balls, listed int
 		for _, mode := range []Mode{BP, Hybrid} {
 			n := s.NetworkAt(at, mode)
 			want, err := computePairPaths(ctx, s, n, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			paths, tree, directed, free := replayRound(n, s.Pairs)
+			paths, ball, directed, free := replayRound(n, s.Pairs)
 			if !reflect.DeepEqual(paths, want) {
 				t.Fatalf("%s: the replayed round's paths differ from computePairPaths'", mode)
 			}
-			t.Logf("%s: the trees settle %d nodes and the searches they direct %d; one listed search per source plus free-space peels settled %d", mode, tree, directed, free)
-			settled += tree + directed
-			trees += tree
+			t.Logf("%s: the balls settle %d nodes and the searches they direct %d; one listed search per source plus free-space peels settled %d", mode, ball, directed, free)
+			settled += ball + directed
+			balls += ball
 			listed += free
 		}
-		t.Logf("RunFig4 settles %d nodes (%d of them in trees), where the listed searches and free-space peels settled %d", settled, trees, listed)
-		if settled != 475635 {
-			t.Fatalf("RunFig4 settled (queued and popped) %d nodes, want 475,635", settled)
+		t.Logf("RunFig4 settles %d nodes (%d of them in balls), where the listed searches and free-space peels settled %d", settled, balls, listed)
+		if settled != 362118 {
+			t.Fatalf("RunFig4 settled (queued and popped) %d nodes, want 362,118", settled)
 		}
 	})
 }
 
-// replayRound re-runs on n, one search at a time, the searches
-// computePairPaths makes for pairs at k = 4 — per destination a full tree,
-// then each source's peels directed by it — and returns the paths and the
-// nodes the trees and the directed searches settle. free is what the scheme
-// before it settled: per source one search listing its destinations, then
-// each pair's banned peels under the free-space bound.
-func replayRound(n *graph.Network, pairs []Pair) (paths [][]graph.Path, tree, directed, free int) {
+// replayRound re-runs on n the searches computePairPaths makes for pairs at
+// k = 4 — per destination a ball, then each source's peels directed by it —
+// and returns the paths and the nodes the balls and the directed searches
+// settle. free is what an earlier scheme settles: per source one search
+// listing its destinations, then each pair's banned peels under the
+// free-space bound.
+func replayRound(n *graph.Network, pairs []Pair) (paths [][]graph.Path, ball, directed, free int) {
 	st := graph.AcquireSearch()
 	defer st.Release()
 	settled := func() (c int) {
@@ -262,10 +263,23 @@ func replayRound(n *graph.Network, pairs []Pair) (paths [][]graph.Path, tree, di
 		}
 		return c
 	}
+	paths = make([][]graph.Path, len(pairs))
+	for dstCity, pis := range groupPairs(pairs, pairDst) {
+		srcs := make([]int32, len(pis))
+		for i, pi := range pis {
+			srcs[i] = n.CityNode(pairs[pi].Src)
+		}
+		sets, b, d := n.KDisjointPathsToSettled(n.CityNode(dstCity), srcs, 4)
+		for i, pi := range pis {
+			paths[pi] = sets[i]
+		}
+		ball += b
+		directed += d
+	}
 	// peel extends set to k = 4 paths src → dst, banning set's links and
-	// searching directed by row (nil: the free-space bound), and adds the
-	// nodes each search settles to *count.
-	peel := func(src, dst int32, row []int32, set []graph.Path, count *int) []graph.Path {
+	// searching under the free-space bound, and adds the nodes each search
+	// settles to *count.
+	peel := func(src, dst int32, set []graph.Path, count *int) {
 		st.ClearBans()
 		for _, p := range set {
 			for _, li := range p.Links {
@@ -273,7 +287,7 @@ func replayRound(n *graph.Network, pairs []Pair) (paths [][]graph.Path, tree, di
 			}
 		}
 		for len(set) < 4 {
-			n.Search(st, graph.SearchSpec{Src: src, Target: dst, Tree: row})
+			n.Search(st, graph.SearchSpec{Src: src, Target: dst})
 			*count += settled()
 			p, ok := st.Path(dst)
 			if !ok {
@@ -282,23 +296,6 @@ func replayRound(n *graph.Network, pairs []Pair) (paths [][]graph.Path, tree, di
 			set = append(set, p)
 			for _, li := range p.Links {
 				st.BanLink(li)
-			}
-		}
-		return set
-	}
-	paths = make([][]graph.Path, len(pairs))
-	for dstCity, pis := range groupPairs(pairs, pairDst) {
-		dst := n.CityNode(dstCity)
-		st.ClearBans()
-		n.Search(st, graph.SearchSpec{Src: dst, Target: graph.NoTarget})
-		tree += settled()
-		row := make([]int32, n.N())
-		for v := range row {
-			row[v] = st.PrevLink(int32(v))
-		}
-		for _, pi := range pis {
-			if src := n.CityNode(pairs[pi].Src); row[src] >= 0 || src == dst {
-				paths[pi] = peel(src, dst, row, nil, &directed)
 			}
 		}
 	}
@@ -318,9 +315,9 @@ func replayRound(n *graph.Network, pairs []Pair) (paths [][]graph.Path, tree, di
 		}
 		for i, dst := range dsts {
 			if reached[i] {
-				peel(src, dst, nil, firsts[i:i+1], &free)
+				peel(src, dst, firsts[i:i+1], &free)
 			}
 		}
 	}
-	return paths, tree, directed, free
+	return paths, ball, directed, free
 }

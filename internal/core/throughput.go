@@ -113,7 +113,7 @@ func progressf(format string, args ...interface{}) {
 
 // computePairPaths finds k edge-disjoint shortest paths per pair, one
 // KDisjointPathsTo per destination city in parallel (eachGroup): each
-// destination's tree directs the searches of every pair arriving there.
+// destination's ball directs the searches of every pair arriving there.
 func computePairPaths(ctx context.Context, s *Sim, n *graph.Network, k int) ([][]graph.Path, error) {
 	defer telemetry.RecordSpan(ctx, telemetry.StageKDisjoint).End()
 	out := make([][]graph.Path, len(s.Pairs))

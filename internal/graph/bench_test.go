@@ -174,7 +174,7 @@ var kDisjointSink [][]Path
 // BenchmarkKDisjointTo measures one destination's pair group at k = 4 on the
 // reduced-scale bent-pipe snapshot, three source cities peeled three ways:
 // each search under the free-space bound alone, three KDisjointPaths calls
-// (each builds its own tree), and one KDisjointPathsTo, whose one tree
+// (each grows its own ball), and one KDisjointPathsTo, whose one ball
 // directs all twelve searches. Destinations cycle through the cities.
 func BenchmarkKDisjointTo(b *testing.B) {
 	telemetry.Disable()
@@ -220,7 +220,7 @@ func BenchmarkKDisjointTo(b *testing.B) {
 			}
 		}
 	})
-	b.Run("tree", func(b *testing.B) {
+	b.Run("ball", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			dst := i % n.NumCity

@@ -196,14 +196,35 @@ func (st *SearchState) directByTree(tree []int32) {
 	st.treeMemo[st.goal] = treeLabel{dist: 0, stamp: st.searchStamp}
 }
 
-// treeBound returns the tree bound from v to the goal: v's distance to the
-// root of st.tree, scaled by the slack, +Inf when the tree does not reach v.
-// The distance is summed lazily: walk the row up from v to the first node
-// memoised this search, then add the link delays back down in the tree's own
-// order, which is the order Dijkstra summed them in when it grew the tree, and
-// memoise every node passed. So each node of the tree is measured at most once
-// per search, and what it is measured at is the tree's own float distance.
+// directByBall makes ball, a plain search from st.goal, the bound of the
+// search begun on st.net (DESIGN.md §7, "A disjoint-path set is directed by
+// its destination's ball"): its radius is the label of the pop that stopped
+// it, +Inf if it ran to exhaustion.
+func (st *SearchState) directByBall(ball *SearchState) {
+	st.ball = ball
+	st.radius = math.Inf(1)
+	if ball.stop != NoTarget {
+		st.radius = ball.node[ball.stop].dist
+	}
+}
+
+// treeBound returns the tree bound from v to the goal, scaled by the slack.
+// Directed by a ball it is min(D(v), R), read off the ball's own label in
+// O(1). Directed by st.tree it is v's distance to the root, +Inf when the
+// tree does not reach v, summed lazily: walk the row up from v to the first
+// node memoised this search, then add the link delays back down in the tree's
+// own order, which is the order Dijkstra summed them in when it grew the
+// tree, and memoise every node passed. So each node of the tree is measured
+// at most once per search, and what it is measured at is the tree's own float
+// distance.
 func (st *SearchState) treeBound(v int32) float64 {
+	if b := st.ball; b != nil {
+		d := st.radius
+		if s := b.node[v]; s.stamp == b.searchStamp && s.dist < d {
+			d = s.dist
+		}
+		return d * treeScale
+	}
 	memo, cur, tree, links := st.treeMemo, st.searchStamp, st.tree, st.net.Links
 	walk := st.treeWalk[:0]
 	at := v

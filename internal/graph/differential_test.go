@@ -479,15 +479,15 @@ func TestDifferentialExpand(t *testing.T) {
 // TestDifferentialKDisjoint holds every entry of KDisjointPathsTo to
 // KDisjointPaths for that source and to naiveDijkstra peeling — search, ban
 // the found path's links, search again. Where the free-space gate is open the
-// destination's tree directs every search: on random mirror-symmetric lattice
+// destination's ball directs every search: on random mirror-symmetric lattice
 // networks (seeds 300–314), whose twin routes tie exactly, and on
 // FuzzSearchGeometric's twin chains and equatorial grid. Where it is closed
 // the searches are plain: on FuzzSearch's tie-rich zero-position grids and on
 // the equatorial grid with a node below the surface. Each source list holds a
 // duplicate, the destination itself and an isolated node, twice, and k runs
 // past the number of disjoint routes. The kernel searches counted are one per
-// path found, one per source that ran short of k, and the tree exactly where
-// the gate is open; a source off that tree is not searched.
+// path found, one per source that ran short of k, and the ball exactly where
+// the gate is open; a source the ball does not reach is not searched.
 func TestDifferentialKDisjoint(t *testing.T) {
 	type kCase struct {
 		name string
@@ -534,7 +534,7 @@ func TestDifferentialKDisjoint(t *testing.T) {
 			}
 			var want int64
 			if c.open {
-				want = 1 // the destination's tree
+				want = 1 // the destination's ball
 			}
 			for i, src := range c.srcs {
 				tag := fmt.Sprintf("%s, k=%d, %d→%d", c.name, k, src, c.dst)

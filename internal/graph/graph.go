@@ -6,7 +6,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -330,36 +329,54 @@ func (n *Network) KDisjointPaths(src, dst int32, k int) []Path {
 
 // KDisjointPathsTo returns as entry i the up to k edge-disjoint paths from
 // srcs[i] to dst that KDisjointPaths peels, each plain Dijkstra's path bit for
-// bit (DESIGN.md §7). Where the free-space gate is open, one full tree from
-// dst, kept as its predecessor row, directs every search (SearchSpec.Tree): a
-// source's unbanned first path and each banned peel. Where the gate is closed
-// the kernel would ignore the row, so none is built. A source dst's tree does
-// not reach has no path and is not searched.
+// bit (DESIGN.md §7). Where the free-space gate is open, one plain search from
+// dst, stopped once its last source settles, is the destination's ball: it
+// directs every search of every set, a source's unbanned first path and each
+// banned peel, each reading v's bound off the ball's own label capped at its
+// radius. Where the gate is closed the kernel would ignore the ball, so none
+// is grown. A source the ball does not reach has no path and is not searched.
 func (n *Network) KDisjointPathsTo(dst int32, srcs []int32, k int) [][]Path {
+	return n.kDisjointPathsTo(dst, srcs, k, nil)
+}
+
+// KDisjointPathsToSettled is KDisjointPathsTo that also counts the nodes its
+// searches settle: ball the destination's ball, peels every search it directs.
+func (n *Network) KDisjointPathsToSettled(dst int32, srcs []int32, k int) (paths [][]Path, ball, peels int) {
+	var settled [2]int
+	paths = n.kDisjointPathsTo(dst, srcs, k, &settled)
+	return paths, settled[0], settled[1]
+}
+
+// kDisjointPathsTo is KDisjointPathsTo; where settled is set it adds to it the
+// nodes the ball ([0]) and the peels ([1]) settle.
+func (n *Network) kDisjointPathsTo(dst int32, srcs []int32, k int, settled *[2]int) [][]Path {
 	sp := telemetry.StartStageSpan(telemetry.StageKDisjoint)
 	defer sp.End()
 	out := make([][]Path, len(srcs))
-	if k < 1 {
+	if k < 1 || len(srcs) == 0 {
 		return out
 	}
 	st := AcquireSearch()
 	defer st.Release()
-	var tree []int32
+	var ball *SearchState
 	if n.goalTerms() != nil {
-		n.Search(st, SearchSpec{Src: dst, Target: NoTarget})
-		tree = slices.Grow(st.row[:0], n.N())[:n.N()]
-		for v := range tree {
-			tree[v] = st.PrevLink(int32(v))
+		ball = AcquireSearch()
+		defer ball.Release()
+		n.growBall(ball, dst, srcs)
+		if settled != nil {
+			settled[0] += ball.settled()
 		}
-		st.row = tree
 	}
 	for i, src := range srcs {
-		if tree != nil && tree[src] < 0 && src != dst {
+		if ball != nil && !ball.Reached(src) {
 			continue
 		}
 		st.ClearBans()
 		for len(out[i]) < k {
-			n.Search(st, SearchSpec{Src: src, Target: dst, Tree: tree})
+			n.Search(st, SearchSpec{Src: src, Target: dst, ball: ball})
+			if settled != nil {
+				settled[1] += st.settled()
+			}
 			p, ok := st.Path(dst)
 			if !ok {
 				break
@@ -371,6 +388,13 @@ func (n *Network) KDisjointPathsTo(dst int32, srcs []int32, k int) [][]Path {
 		}
 	}
 	return out
+}
+
+// growBall grows dst's ball for srcs into ball: a plain search from dst, never
+// goal-directed even for one source, stopped once its last source settles, or
+// run to exhaustion where one is unreachable.
+func (n *Network) growBall(ball *SearchState, dst int32, srcs []int32) {
+	n.Search(ball, SearchSpec{Src: dst, Target: NoTarget, Targets: srcs, plain: true})
 }
 
 // WalkPath reconstructs the node/link sequence from dst back to src given a

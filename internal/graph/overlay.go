@@ -49,8 +49,8 @@ const (
 // and cities joined by their direct links and by one arc per candidate relay
 // or aircraft between two satellites (overlayArc). It is built for one fan-out
 // of searches — core's per-source pair fan-out, an oracle build — shared by
-// its workers read-only, and released when the fan-out ends; no network
-// caches one. Acquire it with AcquireOverlay and search through Search.
+// its workers read-only, and dropped when the fan-out ends; no network
+// caches one. Build it with NewOverlay and search through Search.
 type Overlay struct {
 	net *Network
 	// n is the overlay's node count, NumSat+NumCity; 0 when the network does
@@ -61,8 +61,8 @@ type Overlay struct {
 	start []int32
 	arcs  []overlayArc
 	// parts holds, while a build runs, the candidates of its ranges of
-	// satellites (gather), under mu. The build drops them: a pooled overlay
-	// keeps only what its searches read.
+	// satellites (gather), under mu. The build drops them: an overlay keeps
+	// only what its searches read.
 	mu    sync.Mutex
 	parts []buildPart
 }
@@ -87,50 +87,40 @@ type leastSum struct {
 	row int32
 }
 
-var overlayPool = sync.Pool{New: func() interface{} { return new(Overlay) }}
-
 // overlayMinSearches is the fewest searches a fan-out must run for
-// AcquireOverlay to build: a reduced build costs what 7 to 15 searches save
+// NewOverlay to build: a reduced build costs what 7 to 15 searches save
 // by running on the overlay instead of the CSR (DESIGN.md §7).
 const overlayMinSearches = 16
 
-// AcquireOverlay returns from a pool the overlay of n for a fan-out of
-// searches searches. It is empty, and Search runs the CSR kernel, where fewer
-// searches cannot pay back the build, and where n admits no overlay: no relay
-// or aircraft, a forwarder with a neighbour that is not a satellite, a link
-// weight outside the bounds above. Release it when the fan-out is done.
-func AcquireOverlay(n *Network, searches int) *Overlay {
-	ov := overlayPool.Get().(*Overlay)
-	ov.net = n
-	if searches < overlayMinSearches || !ov.build() {
-		ov.n = 0
+// NewOverlay builds the overlay of n for a fan-out of searches searches. It
+// is empty, and Search runs the CSR kernel, where fewer searches cannot pay
+// back the build, and where n admits no overlay: no relay or aircraft, a
+// forwarder with a neighbour that is not a satellite, a link weight outside
+// the bounds above. It is not pooled: its memory goes with the fan-out.
+func NewOverlay(n *Network, searches int) *Overlay {
+	ov := &Overlay{net: n}
+	if searches >= overlayMinSearches {
+		ov.build()
 	}
 	return ov
 }
 
-// Release returns the overlay to the pool. No search of it, nor any
-// SearchState it searched into, may be read afterwards.
-func (ov *Overlay) Release() {
-	ov.net = nil
-	overlayPool.Put(ov)
-}
-
-// build fills the overlay of ov.net, or reports false where it admits none.
+// build fills the overlay of ov.net, and leaves ov.n 0 where it admits none.
 // It checks every arc weight and every forwarder's and city's row and counts
 // the direct links, then gathers the candidates of ranges of satellites in
 // parallel (gather), and lays the arcs out in node order: each node's direct
 // links in CSR order, then its candidates, range by range.
-func (ov *Overlay) build() bool {
+func (ov *Overlay) build() {
 	n := ov.net
 	n.ensureCSR()
 	ns, on := int32(n.NumSat), int32(n.NumSat+n.NumCity)
 	if n.NumSat < 0 || n.NumCity < 0 || int(on) >= n.N() {
-		return false
+		return
 	}
 	adjStart, adjEdges, adjMs := n.adjStart, n.adjEdges, n.adjMs
 	for _, w := range adjMs {
 		if !(w >= overlayMinMs && w <= overlayMaxMs) {
-			return false
+			return
 		}
 	}
 	// A forwarder's row lists its satellites in ascending order wherever the
@@ -140,31 +130,27 @@ func (ov *Overlay) build() bool {
 		for j := adjStart[r]; j < adjStart[r+1]; j++ {
 			t := adjEdges[j].To
 			if t >= ns { // a forwarder with a neighbour that is not a satellite
-				return false
+				return
 			}
 			if j > adjStart[r] && t < adjEdges[j-1].To {
 				ascending = false
 			}
 		}
 	}
-	if cap(ov.start) < int(on)+2 {
-		ov.start = make([]int32, on+2)
-	}
 	// count[u+2] first counts u's arcs, then the prefix sum makes count[u+1]
 	// u's first slot, which the fill advances to u's last plus one: u+1's
 	// first. So the filled count[:on+1] is start.
-	count := ov.start[:on+2]
-	clear(count)
+	count := make([]int32, on+2)
 	for u := int32(0); u < on; u++ {
 		for _, e := range adjEdges[adjStart[u]:adjStart[u+1]] {
 			if e.To < on {
 				count[u+2]++
 			} else if u >= ns { // a city joined to a forwarder
-				return false
+				return
 			}
 		}
 	}
-	ov.n, ov.parts = on, ov.parts[:0]
+	ov.n = on
 	safe.Chunks(int(ns), func(lo, hi int) { ov.gather(int32(lo), int32(hi), ascending) })
 	parts := ov.parts
 	slices.SortFunc(parts, func(a, b buildPart) int { return cmp.Compare(a.lo, b.lo) })
@@ -177,11 +163,7 @@ func (ov *Overlay) build() bool {
 	for u := int32(2); u < on+2; u++ {
 		count[u] += count[u-1]
 	}
-	arcs := ov.arcs[:0]
-	if cap(arcs) < int(count[on+1]) {
-		arcs = make([]overlayArc, 0, count[on+1])
-	}
-	arcs = arcs[:count[on+1]]
+	arcs := make([]overlayArc, count[on+1])
 	next := count[1:]
 	for u := int32(0); u < on; u++ {
 		for k := adjStart[u]; k < adjStart[u+1]; k++ {
@@ -201,9 +183,7 @@ func (ov *Overlay) build() bool {
 			next[et.To]++
 		}
 	}
-	clear(parts)
-	ov.start, ov.arcs, ov.parts = count[:on+1], arcs, parts[:0]
-	return true
+	ov.start, ov.arcs, ov.parts = count[:on+1], arcs, nil
 }
 
 // gather adds to the build's parts the candidates of satellites [lo, hi).
@@ -314,7 +294,7 @@ func overlayTakes(links []Link, v int32, mid float64, li int32, held float64, pr
 func (ov *Overlay) search(st *SearchState, spec SearchSpec) bool {
 	n := ov.net
 	wantLeft, only := st.begin(n, spec)
-	st.split, st.stop = ov.n, NoTarget
+	st.split = ov.n
 	if len(st.held) < int(ov.n) {
 		st.held = append(st.held, make([]float64, int(ov.n)-len(st.held))...)
 	}

@@ -133,7 +133,7 @@ func TestOverlayDifferential(t *testing.T) {
 	for seed := int64(900); seed < 960; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := overlayNet(r, 6+r.Intn(20), 2+r.Intn(8), 5+r.Intn(40), r.Intn(10), r.Intn(30), r.Intn(6))
-		ov := AcquireOverlay(n, overlayMinSearches)
+		ov := NewOverlay(n, overlayMinSearches)
 		tag := fmt.Sprintf("seed %d", seed)
 		if ov.n != int32(n.NumSat+n.NumCity) {
 			t.Fatalf("%s: the overlay was refused", tag)
@@ -149,7 +149,6 @@ func TestOverlayDifferential(t *testing.T) {
 			checkOverlay(t, tag+" targets", n, ov, SearchSpec{Src: src, Target: NoTarget, Targets: targets}, true)
 			checkOverlay(t, tag+" target", n, ov, SearchSpec{Src: src, Target: int32(r.Intn(on))}, true)
 		}
-		ov.Release()
 	}
 }
 
@@ -165,8 +164,7 @@ func checkGeometricOverlay(t *testing.T, n *Network) (nodes, cands int) {
 	for c.NumCity < 2 && c.NumSat+c.NumCity < c.N() && c.Kind[c.NumSat+c.NumCity] == NodeCity {
 		c.NumCity++
 	}
-	ov := AcquireOverlay(c, overlayMinSearches)
-	defer ov.Release()
+	ov := NewOverlay(c, overlayMinSearches)
 	for src := int32(0); src < ov.n; src++ {
 		checkOverlay(t, "geometric overlay", c, ov, SearchSpec{Src: src, Target: NoTarget}, true)
 		for dst := int32(0); dst < ov.n; dst++ {
@@ -206,7 +204,7 @@ func TestOverlayReducedDay(t *testing.T) {
 		bp := b.At(at)
 		for mode, n := range []*Network{bp, b.Hybrid(bp, at)} {
 			tag := fmt.Sprintf("hour %d, mode %d", h, mode)
-			ov := AcquireOverlay(n, n.NumCity)
+			ov := NewOverlay(n, n.NumCity)
 			for c := h % 5; c < n.NumCity; c += 5 {
 				src := n.CityNode(c)
 				spec := SearchSpec{Src: src, Target: NoTarget}
@@ -223,7 +221,6 @@ func TestOverlayReducedDay(t *testing.T) {
 			if !testing.Short() {
 				checkOverlay(t, tag+", naive", n, ov, SearchSpec{Src: n.CityNode(h * 11 % n.NumCity), Target: NoTarget}, true)
 			}
-			ov.Release()
 		}
 	}
 }
@@ -258,7 +255,7 @@ func TestOverlayRoundingTies(t *testing.T) {
 			toX[r] = n.link(r, x, hops[r][1])
 		}
 		viaR2 := toX[r2]
-		ov := AcquireOverlay(n, overlayMinSearches)
+		ov := NewOverlay(n, overlayMinSearches)
 		if candidates(ov) != 4 {
 			t.Fatalf("%s: %d candidates, want both relays both ways", tc.name, candidates(ov))
 		}
@@ -269,7 +266,6 @@ func TestOverlayRoundingTies(t *testing.T) {
 			t.Fatalf("%s: x at (%v, %d), want (2.5, %d) through r2", tc.name, st.Dist(x), st.PrevLink(x), viaR2)
 		}
 		st.Release()
-		ov.Release()
 	}
 }
 
@@ -313,7 +309,7 @@ func TestOverlayRefused(t *testing.T) {
 		n := base()
 		tc.edit(n)
 		n.csrValid.Store(false)
-		ov := AcquireOverlay(n, tc.searches)
+		ov := NewOverlay(n, tc.searches)
 		if ov.n != 0 {
 			t.Fatalf("%s: an overlay of %d nodes was built", tc.name, ov.n)
 		}
@@ -329,7 +325,6 @@ func TestOverlayRefused(t *testing.T) {
 		}
 		st.Release()
 		ref.Release()
-		ov.Release()
 	}
 }
 
@@ -338,8 +333,7 @@ func TestOverlayRefused(t *testing.T) {
 // run on the CSR kernel through it.
 func TestOverlayCSRKept(t *testing.T) {
 	n := overlayNet(rand.New(rand.NewSource(77)), 12, 4, 20, 4, 6, 2)
-	ov := AcquireOverlay(n, overlayMinSearches)
-	defer ov.Release()
+	ov := NewOverlay(n, overlayMinSearches)
 	relay := int32(n.NumSat + n.NumCity)
 	_, tree := searchTree(n, 1, nil, nil)
 	for name, spec := range map[string]SearchSpec{
@@ -385,8 +379,7 @@ func TestOverlayLabelCap(t *testing.T) {
 		n.link(i, 7+i, overlayMaxMs)
 		n.link(7+i, i+1, overlayMaxMs)
 	}
-	ov := AcquireOverlay(n, overlayMinSearches)
-	defer ov.Release()
+	ov := NewOverlay(n, overlayMinSearches)
 	if ov.n != 7 {
 		t.Fatalf("overlay of %d nodes, want 7", ov.n)
 	}
@@ -425,7 +418,7 @@ func TestOverlayCounts(t *testing.T) {
 		{"hybrid", b.Hybrid(bp, geo.Epoch), counts{3863, 52258, 0, 57763}, counts{1734, 36322, 27118, 36631}},
 	} {
 		n := tc.n
-		ov := AcquireOverlay(n, n.NumCity)
+		ov := NewOverlay(n, n.NumCity)
 		// A Cost hook that prices each link at its delay changes nothing
 		// in the CSR kernel's search but is asked once per arc relaxed.
 		relaxed := 0
@@ -437,7 +430,6 @@ func TestOverlayCounts(t *testing.T) {
 		spec := SearchSpec{Src: n.CityNode(0), Target: NoTarget}
 		overlaySearch(t, tc.name, ov, st, spec)
 		got := counts{int(ov.n), len(ov.arcs), candidates(ov), st.relaxed}
-		ov.Release()
 		if csr != tc.csr || got != tc.overlay {
 			t.Fatalf("%s: CSR %+v, overlay %+v; pinned %+v and %+v", tc.name, csr, got, tc.csr, tc.overlay)
 		}
@@ -457,7 +449,7 @@ func BenchmarkOverlayBuild(b *testing.B) {
 	})
 	b.Run("overlay", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			AcquireOverlay(n, n.NumCity).Release()
+			NewOverlay(n, n.NumCity)
 		}
 	})
 }

@@ -54,20 +54,21 @@ type SearchState struct {
 	// goal's SearchSpec.Tree when that row directs the search instead (nil:
 	// the free-space bound does); treeMemo[v] memoises v's distance to the
 	// goal in it, valid iff its stamp is searchStamp, and treeWalk is the
-	// scratch of the walk that fills it.
+	// scratch of the walk that fills it. ball is the stopped plain search
+	// from the goal that directs the search in place of either
+	// (KDisjointPathsTo), and radius the label of its last pop (+Inf: it ran
+	// to exhaustion).
 	goal     int32
 	toGoal   boundTo
 	bound    []float64
 	tree     []int32
 	treeMemo []treeLabel
 	treeWalk []int32
+	ball     *SearchState
+	radius   float64
 
 	searchStamp uint32
 	banStamp    uint32
-
-	// row is KDisjointPathsTo's copy of its destination's tree, the Tree of
-	// every search it then runs on this state; its memory is reused.
-	row []int32
 
 	// split is the node count of the overlay the last search ran on, 0 after
 	// a CSR search: nodes at or above it were not searched, and their labels
@@ -121,7 +122,7 @@ func AcquireSearch() *SearchState {
 func (st *SearchState) Release() {
 	st.net = nil
 	st.toGoal = boundTo{}
-	st.tree = nil
+	st.tree, st.ball = nil, nil
 	searchPool.Put(st)
 }
 
@@ -147,7 +148,7 @@ func (st *SearchState) begin(n *Network, spec SearchSpec) (wanted int, last int3
 	st.net = n
 	st.src = spec.Src
 	st.hasCost = spec.Cost != nil
-	st.split = 0
+	st.split, st.stop = 0, NoTarget
 	st.grow(n.N(), len(n.Links))
 	st.searchStamp++
 	if st.searchStamp == 0 { // wrapped: stale stamps could collide
@@ -228,6 +229,16 @@ func (st *SearchState) Reached(v int32) bool {
 // reached but unsettled, or unreached.
 func (st *SearchState) Settled(v int32) bool {
 	return st.node[v].stamp == st.searchStamp && st.node[v].pos == posPopped
+}
+
+// settled counts the nodes the last search popped.
+func (st *SearchState) settled() (c int) {
+	for v := range int32(st.net.N()) {
+		if st.Settled(v) {
+			c++
+		}
+	}
+	return c
 }
 
 // PrevLink returns the predecessor link of node v in the last search (-1 at
@@ -356,12 +367,11 @@ type SearchSpec struct {
 	// tree does not reach, as an uncut oracle's row stores it. A node's
 	// distance to the root in that tree is a consistent lower bound under
 	// any bans (DESIGN.md §7), so the target's labels are still plain
-	// Dijkstra's. A served what-if passes its healthy tree, and
-	// KDisjointPathsTo its destination's tree to every search of a
-	// disjoint-path set, first path and banned peels alike; each settles a
-	// small fraction of the nodes. A row of another length, or not rooted
-	// at the target, is ignored, and so is any row where the free-space
-	// gate is closed.
+	// Dijkstra's. A served what-if passes its healthy tree, the oracle's
+	// predecessor row, and settles a small fraction of the nodes. A row of
+	// another length, or not rooted at the target, is ignored, and so is
+	// any row where the free-space gate is closed. (KDisjointPathsTo builds
+	// no row: its searches read their bound off their destination's ball.)
 	Tree []int32
 	// Expand, when non-nil, restricts forwarding: edges are only relaxed
 	// out of nodes for which Expand returns true (the source is always
@@ -384,6 +394,20 @@ type SearchSpec struct {
 	// abandoned search leaves the state partially settled — treat its
 	// results as invalid.
 	Stop func() bool
+
+	// plain keeps a search that wants one node from being goal-directed, so
+	// it pops in distance order as a listed search does: what a ball must
+	// do, since a goal-directed pop order leaves its radius bounding
+	// nothing.
+	plain bool
+	// ball, a plain search from the target stopped once its last wanted
+	// node settled, directs a goal-directed search in place of Tree or the
+	// free-space bound: v's bound is min(D(v), R) scaled by the tree slack,
+	// D being the ball's label and R its radius, the label of its last pop
+	// (DESIGN.md §7, "A disjoint-path set is directed by its destination's
+	// ball"). A ball on another network, or not grown from the target, is
+	// ignored.
+	ball *SearchState
 }
 
 // stopPollInterval spaces SearchSpec.Stop polls: frequent enough that a
@@ -397,9 +421,10 @@ const NoTarget int32 = -1
 
 // Search runs Dijkstra from spec.Src over the network's CSR adjacency into
 // st, honouring st's link bans — goal-directed by the free-space bound, or by
-// spec.Tree, when spec wants one node (SearchSpec.Target). It is the single
-// kernel behind every routing entry point: plain and transit-restricted
-// shortest paths, k edge-disjoint paths, and the congestion-aware router.
+// spec.Tree or a destination's ball, when spec wants one node
+// (SearchSpec.Target). It is the single kernel behind every routing entry
+// point: plain and transit-restricted shortest paths, k edge-disjoint paths,
+// and the congestion-aware router.
 // The inner loop performs no allocation and no hashing.
 //
 // A node at or above NumSat (the ground side of a built network: cities,
@@ -438,12 +463,15 @@ func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, 
 	// A search for one node, with no hook that changes weights or
 	// forwarding, is goal-directed wherever the free-space bound is
 	// consistent: the heap orders by (dist + bound, node), the bound being
-	// spec.Tree's where the search is given a row rooted at its target.
-	st.goal, st.tree = NoTarget, nil
-	if wantLeft == 1 && spec.Cost == nil && spec.Expand == nil {
+	// the ball's or spec.Tree's where the search is given one grown from its
+	// target.
+	st.goal, st.tree, st.ball = NoTarget, nil, nil
+	if wantLeft == 1 && !spec.plain && spec.Cost == nil && spec.Expand == nil {
 		if terms := n.goalTerms(); terms != nil {
 			st.goal = only
-			if len(spec.Tree) == n.N() && spec.Tree[only] < 0 {
+			if b := spec.ball; b != nil && b.net == n && b.src == only {
+				st.directByBall(b)
+			} else if len(spec.Tree) == n.N() && spec.Tree[only] < 0 {
 				st.directByTree(spec.Tree)
 			} else {
 				st.toGoal = goalBound(n.Pos, terms, only)
@@ -451,12 +479,13 @@ func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, 
 		}
 	}
 	// The bound is read through st, off the registers the relax loop needs;
-	// freeSpace says it is the free-space bound, not the tree's. A
-	// tree-directed search queues its ground nodes: relaxed through, each
-	// would hand satellites A* never pops a treeBound walk apiece.
+	// freeSpace says it is the free-space bound, not the tree's or the
+	// ball's. A search either directs queues its ground nodes: relaxed
+	// through, each would hand satellites A* never pops a bound apiece.
 	goal := st.goal != NoTarget
-	freeSpace := goal && st.tree == nil
-	through = through && st.tree == nil
+	byTree := st.tree != nil || st.ball != nil
+	freeSpace := goal && !byTree
+	through = through && !byTree
 	tieRule := goal || through
 	// Loop locals: the scratch arrays and CSR stay in registers instead of
 	// being re-loaded through st and n on every arc.
@@ -501,6 +530,7 @@ func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, 
 		// settled, every wanted dist/prevLink is final.
 		if wantLeft > 0 && want[u] == cur {
 			if wantLeft--; wantLeft == 0 {
+				st.stop = u
 				break
 			}
 		}

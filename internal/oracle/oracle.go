@@ -86,8 +86,7 @@ type Oracle struct {
 // Build constructs the oracle for n without the links of cut: one
 // shortest-path tree per city, run in parallel (GOMAXPROCS workers) through
 // the shared Dijkstra kernel with the cut banned. With no cut the trees run on
-// n's relay overlay, built for this build and released with it
-// (graph.AcquireOverlay); every row is the CSR kernel's, bit for bit. The
+// n's relay overlay, built for this build (graph.NewOverlay); every row is the CSR kernel's, bit for bit. The
 // context cancels the fan-out between sources; a cancelled build returns
 // ctx.Err() and no oracle.
 func Build(ctx context.Context, n *graph.Network, cut Options) (*Oracle, error) {
@@ -122,9 +121,7 @@ func Build(ctx context.Context, n *graph.Network, cut Options) (*Oracle, error) 
 	}
 	search := graph.View{N: n, Cut: cut}.Search
 	if len(cut) == 0 {
-		ov := graph.AcquireOverlay(n, ncity)
-		defer ov.Release()
-		search = ov.Search
+		search = graph.NewOverlay(n, ncity).Search
 	}
 	g := safe.NewGroup(ctx, workers)
 	for city := 0; city < ncity; city++ {

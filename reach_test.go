@@ -25,26 +25,26 @@ import (
 // Keys are "<dir>.<Name>" or "<dir>.<Type>.<Method>"; the root package's dir
 // is "leosim".
 var reachExempt = map[string]string{
-	"internal/telemetry.Disable":             "test hook: turns process telemetry off",
-	"internal/telemetry.Tracer.Dropped":      "observer: tests read the ring's overflow count",
-	"internal/graph.SearchState.Settled":     "observer: tests count a search's pops",
-	"internal/fault.Chaos.Draws":             "observer: chaos tests count draws",
-	"internal/fault.Chaos.Fails":             "observer: chaos tests count injected failures",
-	"internal/fault.Chaos.Panics":            "observer: chaos tests count injected panics",
-	"internal/fault.Outages.ISLFailed":       "observer: tests read a realized mask's failed lasers",
-	"internal/core.Sim.cachedNetworks":       "observer: tests read the sim's snapshot cache",
-	"internal/topo.MustBuild":                "fixture shared by several packages' tests",
-	"internal/constellation.TestShell":       "fixture shared by several packages' tests",
-	"internal/check.Report.Classes":          "observer: tests read a report's violation classes",
-	"internal/check.Report.CheckedCount":     "observer: tests read how many items a check covered",
-	"internal/geo.MinRTTOverSurface":         "reference: the physical RTT bound builder tests hold paths to",
-	"internal/flow.Problem.BottleneckApprox": "reference: DESIGN.md's max-min ablation and VerifyMaxMin's negative case",
-	"internal/ground.LandFraction":           "reference: pins the land raster's digest",
-	"internal/graph.Network.SatNode":         "names the satellites-first node layout",
-	"internal/constellation.WithoutSeamISLs": "option tests turn on to cut the seam's lasers",
-	"internal/core.WithSatelliteCapacity":    "ablation: DESIGN.md §5's capacity semantics (BenchmarkAblationSatCapacity) sets it to 0",
-	"internal/flow.Problem.Validate":         "reference: the allocator tests hold allocations to the link capacities",
-	"internal/geo.LatLon.Valid":              "reference: tests hold the city dataset's coordinates to it",
+	"internal/telemetry.Disable":                     "test hook: turns process telemetry off",
+	"internal/telemetry.Tracer.Dropped":              "observer: tests read the ring's overflow count",
+	"internal/graph.Network.KDisjointPathsToSettled": "observer: tests count the pops of a destination's ball and of the peels it directs",
+	"internal/fault.Chaos.Draws":                     "observer: chaos tests count draws",
+	"internal/fault.Chaos.Fails":                     "observer: chaos tests count injected failures",
+	"internal/fault.Chaos.Panics":                    "observer: chaos tests count injected panics",
+	"internal/fault.Outages.ISLFailed":               "observer: tests read a realized mask's failed lasers",
+	"internal/core.Sim.cachedNetworks":               "observer: tests read the sim's snapshot cache",
+	"internal/topo.MustBuild":                        "fixture shared by several packages' tests",
+	"internal/constellation.TestShell":               "fixture shared by several packages' tests",
+	"internal/check.Report.Classes":                  "observer: tests read a report's violation classes",
+	"internal/check.Report.CheckedCount":             "observer: tests read how many items a check covered",
+	"internal/geo.MinRTTOverSurface":                 "reference: the physical RTT bound builder tests hold paths to",
+	"internal/flow.Problem.BottleneckApprox":         "reference: DESIGN.md's max-min ablation and VerifyMaxMin's negative case",
+	"internal/ground.LandFraction":                   "reference: pins the land raster's digest",
+	"internal/graph.Network.SatNode":                 "names the satellites-first node layout",
+	"internal/constellation.WithoutSeamISLs":         "option tests turn on to cut the seam's lasers",
+	"internal/core.WithSatelliteCapacity":            "ablation: DESIGN.md §5's capacity semantics (BenchmarkAblationSatCapacity) sets it to 0",
+	"internal/flow.Problem.Validate":                 "reference: the allocator tests hold allocations to the link capacities",
+	"internal/geo.LatLon.Valid":                      "reference: tests hold the city dataset's coordinates to it",
 }
 
 // interfaceMethods are the names of the methods this repository declares to
