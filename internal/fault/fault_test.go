@@ -189,7 +189,7 @@ func TestMaskRemovesFailures(t *testing.T) {
 	}
 	// Degree of failed satellites must be zero.
 	for idx := range o.FailedSats {
-		if d := masked.Degree(idx); d != 0 {
+		if d := len(masked.Edges(idx)); d != 0 {
 			t.Fatalf("failed satellite %d still has degree %d", idx, d)
 		}
 	}

@@ -85,10 +85,12 @@ const (
 	gateClosed
 )
 
-// resetBound forgets the gate verdict, and with movedNodes the node terms
-// too: the link set or weights changed, or (movedNodes) positions did.
+// resetBound forgets the gate verdict and the tree rows' length, and with
+// movedNodes the node terms too: the link set or weights changed, or
+// (movedNodes) positions did.
 func (n *Network) resetBound(movedNodes bool) {
 	n.gate.Store(gateUnknown)
+	n.rows.Store(0)
 	if movedNodes {
 		n.terms.Store(nil)
 	}
@@ -210,13 +212,8 @@ func (st *SearchState) directByBall(ball *SearchState) {
 
 // treeBound returns the tree bound from v to the goal, scaled by the slack.
 // Directed by a ball it is min(D(v), R), read off the ball's own label in
-// O(1). Directed by st.tree it is v's distance to the root, +Inf when the
-// tree does not reach v, summed lazily: walk the row up from v to the first
-// node memoised this search, then add the link delays back down in the tree's
-// own order, which is the order Dijkstra summed them in when it grew the
-// tree, and memoise every node passed. So each node of the tree is measured
-// at most once per search, and what it is measured at is the tree's own float
-// distance.
+// O(1); directed by st.tree, v's distance to the root in the tree
+// (treeDist).
 func (st *SearchState) treeBound(v int32) float64 {
 	if b := st.ball; b != nil {
 		d := st.radius
@@ -225,12 +222,41 @@ func (st *SearchState) treeBound(v int32) float64 {
 		}
 		return d * treeScale
 	}
-	memo, cur, tree, links := st.treeMemo, st.searchStamp, st.tree, st.net.Links
+	return st.treeDist(v) * treeScale
+}
+
+// treeDist returns v's distance to the root of st.tree, a tree row, +Inf
+// where the tree does not reach v. At a node of the row it is summed lazily:
+// walk the row up from v to the first node memoised this search, then add the
+// link delays back down in the tree's own order — d ⊕ w per link, and
+// fl(fl(d + w₁) + w₂) over the two links of a tagged entry — which is the
+// order Dijkstra summed them in when it grew the tree, and memoise every node
+// passed. So each node of the row is measured at most once per search, and
+// what it is measured at is the tree's own float distance. A forwarder past
+// the row is at the least fl(D(s) + w) over its satellites s: the label the
+// tree's search gave it, which relaxed it from each of them.
+func (st *SearchState) treeDist(v int32) float64 {
+	n, tree, memo, cur := st.net, st.tree, st.treeMemo, st.searchStamp
+	if int(v) >= len(tree) {
+		d := math.Inf(1)
+		lo, hi := n.adjStart[v], n.adjStart[v+1]
+		arcMs := n.adjMs[lo:hi]
+		for k, e := range n.adjEdges[lo:hi] {
+			ds := memo[e.To].dist
+			if memo[e.To].stamp != cur {
+				ds = st.treeDist(e.To)
+			}
+			if x := ds + arcMs[k]; x < d {
+				d = x
+			}
+		}
+		return d
+	}
+	links := n.Links
 	walk := st.treeWalk[:0]
 	at := v
 	for memo[at].stamp != cur {
-		li := tree[at]
-		if li < 0 { // off the tree: no path to the goal at all
+		if tree[at] == -1 { // off the tree: no path to the goal at all
 			memo[at] = treeLabel{dist: math.Inf(1), stamp: cur}
 			break
 		}
@@ -238,15 +264,20 @@ func (st *SearchState) treeBound(v int32) float64 {
 			panic("graph: SearchSpec.Tree has a cycle")
 		}
 		walk = append(walk, at)
-		l := links[li]
-		at = l.A + l.B - at
+		at, _ = n.RowParent(tree, at)
 	}
 	d := memo[at].dist
 	for i := len(walk) - 1; i >= 0; i-- {
 		u := walk[i]
-		d += links[tree[u]].OneWayMs
+		if e := tree[u]; e >= 0 {
+			d += links[e].OneWayMs
+		} else {
+			_, l1, _, rv := n.rowHop(tree, u)
+			d += links[l1].OneWayMs
+			d += links[rv].OneWayMs
+		}
 		memo[u] = treeLabel{dist: d, stamp: cur}
 	}
 	st.treeWalk = walk
-	return memo[v].dist * treeScale
+	return memo[v].dist
 }

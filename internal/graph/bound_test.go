@@ -18,20 +18,32 @@ import (
 // relays on a 2.5° grid within 2,000 km, half-density aircraft, Starlink
 // phase 1 with lasers.
 func reducedBuilder(t testing.TB) *Builder {
+	return presetBuilder(t, 150, 2.5, 2000, 0.5)
+}
+
+// tinyBuilder builds the tiny preset's: 60 cities, relays on a 5° grid within
+// 1,500 km, aircraft at 0.3 density.
+func tinyBuilder(t testing.TB) *Builder {
+	return presetBuilder(t, 60, 5, 1500, 0.3)
+}
+
+// presetBuilder builds a preset's snapshot geometry over Starlink phase 1
+// with lasers.
+func presetBuilder(t testing.TB, numCities int, relaySpacingDeg, relayMaxKm, aircraftDensity float64) *Builder {
 	t.Helper()
 	c, err := constellation.New([]constellation.Shell{constellation.StarlinkPhase1()}, constellation.WithISLs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cities, err := ground.Cities(150)
+	cities, err := ground.Cities(numCities)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := ground.NewSegment(cities, 2.5, 2000)
+	seg, err := ground.NewSegment(cities, relaySpacingDeg, relayMaxKm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := aircraft.NewFleet(0.5)
+	fleet, err := aircraft.NewFleet(aircraftDensity)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -397,7 +397,9 @@ func TestSearchStopsAtLastTarget(t *testing.T) {
 // search and one stopped at a target list, on a pooled, already-grown state,
 // allocate nothing; nor does a goal-directed search on a snapshot once its
 // first run has built the bound's node terms and gate verdict, nor one
-// directed by a tree, whose memo is pooled scratch too.
+// directed by a tree, whose memo is pooled scratch too — a row over every
+// node, or an oracle's over the satellites and cities, whose forwarders'
+// bounds are read off their satellites.
 func TestSearchAllocs(t *testing.T) {
 	n := randomNet(rand.New(rand.NewSource(9)), 300, 900)
 	snap := phase1Builder(t).At(geo.Epoch)
@@ -405,6 +407,9 @@ func TestSearchAllocs(t *testing.T) {
 	_, row := searchTree(snap, goal, nil, nil)
 	st := AcquireSearch()
 	defer st.Release()
+	compact := make([]int32, snap.RowNodes())
+	snap.Search(st, SearchSpec{Src: goal, Target: NoTarget})
+	st.TreeRow(compact)
 	for _, c := range []struct {
 		n    *Network
 		spec SearchSpec
@@ -413,6 +418,7 @@ func TestSearchAllocs(t *testing.T) {
 		{n, SearchSpec{Src: 0, Target: 7, Targets: []int32{150, 299, 150}}},
 		{snap, SearchSpec{Src: snap.CityNode(0), Target: goal}},
 		{snap, SearchSpec{Src: snap.CityNode(0), Target: goal, Tree: row}},
+		{snap, SearchSpec{Src: snap.CityNode(0), Target: goal, Tree: compact}},
 	} {
 		c.n.Search(st, c.spec) // grow the scratch arrays and the heap once
 		if allocs := testing.AllocsPerRun(50, func() { c.n.Search(st, c.spec) }); allocs != 0 {

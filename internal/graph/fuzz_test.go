@@ -191,9 +191,6 @@ func FuzzBuildCSR(f *testing.F) {
 			total := 0
 			for v := int32(0); v < int32(n.N()); v++ {
 				edges := n.Edges(v)
-				if len(edges) != n.Degree(v) {
-					t.Fatalf("%s: node %d: %d edges vs degree %d", tag, v, len(edges), n.Degree(v))
-				}
 				total += len(edges)
 				for _, e := range edges {
 					l := n.Links[e.Link]

@@ -126,6 +126,8 @@ type Network struct {
 	// goal-directed search after a freeze decides it). See bound.go.
 	terms atomic.Pointer[nodeTerms]
 	gate  atomic.Int32
+	// rows is RowNodes()+1 once taken after a freeze, 0 until then.
+	rows atomic.Int32
 }
 
 // SatNode returns the node index of satellite i.
@@ -277,12 +279,6 @@ func (n *Network) Clone() *Network {
 	return c
 }
 
-// Degree returns the number of links at node v.
-func (n *Network) Degree(v int32) int {
-	n.ensureCSR()
-	return int(n.adjStart[v+1] - n.adjStart[v])
-}
-
 // Edges returns node v's adjacency list. The returned slice is owned by the
 // network, must not be mutated, and is invalidated by AddLink.
 func (n *Network) Edges(v int32) []EdgeRef {
@@ -395,14 +391,4 @@ func (n *Network) kDisjointPathsTo(dst int32, srcs []int32, k int, settled *[2]i
 // run to exhaustion where one is unreachable.
 func (n *Network) growBall(ball *SearchState, dst int32, srcs []int32) {
 	n.Search(ball, SearchSpec{Src: dst, Target: NoTarget, Targets: srcs, plain: true})
-}
-
-// WalkPath reconstructs the node/link sequence from dst back to src given a
-// predecessor-link lookup and the already-known total delay. It is the
-// exported form of the back-walk every in-package path extraction uses, for
-// callers (the distance-oracle layer) that hold predecessor trees outside a
-// SearchState. prevAt must return the predecessor link of a node as the
-// kernel recorded it, or a negative value where no predecessor exists.
-func (n *Network) WalkPath(src, dst int32, prevAt func(int32) int32, total float64) (Path, bool) {
-	return n.walkPath(src, dst, prevAt, total)
 }

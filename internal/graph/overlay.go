@@ -125,17 +125,9 @@ func (ov *Overlay) build() {
 	}
 	// A forwarder's row lists its satellites in ascending order wherever the
 	// Builder made it; then the candidates t > u of a row u are a suffix.
-	ascending := true
-	for r := on; r < int32(n.N()); r++ {
-		for j := adjStart[r]; j < adjStart[r+1]; j++ {
-			t := adjEdges[j].To
-			if t >= ns { // a forwarder with a neighbour that is not a satellite
-				return
-			}
-			if j > adjStart[r] && t < adjEdges[j-1].To {
-				ascending = false
-			}
-		}
+	ok, ascending, _ := n.forwarding()
+	if !ok {
+		return
 	}
 	// count[u+2] first counts u's arcs, then the prefix sum makes count[u+1]
 	// u's first slot, which the fill advances to u's last plus one: u+1's

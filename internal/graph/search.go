@@ -362,13 +362,12 @@ type SearchSpec struct {
 	Targets []int32
 	// Tree, when a goal-directed search is given one, directs it in place of
 	// the free-space bound: a shortest-path tree of this very network, with
-	// no link banned, rooted at the search's one target — Tree[v] is v's
-	// predecessor link towards the root, -1 at the root and at nodes the
-	// tree does not reach, as an uncut oracle's row stores it. A node's
-	// distance to the root in that tree is a consistent lower bound under
-	// any bans (DESIGN.md §7), so the target's labels are still plain
-	// Dijkstra's. A served what-if passes its healthy tree, the oracle's
-	// predecessor row, and settles a small fraction of the nodes. A row of
+	// no link banned, rooted at the search's one target, as an uncut
+	// oracle's row stores it: a tree row (TreeRow) of RowNodes() entries, or
+	// of N(). A node's distance to the root in that tree is a consistent
+	// lower bound under any bans (DESIGN.md §7), so the target's labels are
+	// still plain Dijkstra's. A served what-if passes its healthy tree, the
+	// oracle's row, and settles a small fraction of the nodes. A row of
 	// another length, or not rooted at the target, is ignored, and so is
 	// any row where the free-space gate is closed. (KDisjointPathsTo builds
 	// no row: its searches read their bound off their destination's ball.)
@@ -471,7 +470,7 @@ func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, 
 			st.goal = only
 			if b := spec.ball; b != nil && b.net == n && b.src == only {
 				st.directByBall(b)
-			} else if len(spec.Tree) == n.N() && spec.Tree[only] < 0 {
+			} else if n.rowOf(spec.Tree) && int(only) < len(spec.Tree) && spec.Tree[only] == -1 {
 				st.directByTree(spec.Tree)
 			} else {
 				st.toGoal = goalBound(n.Pos, terms, only)

@@ -51,10 +51,7 @@ func TestSatTransit(t *testing.T) {
 		t.Errorf("restricted path cannot be faster")
 	}
 
-	// Degree/Edges accessors.
-	if n.Degree(s1) != 3 {
-		t.Errorf("deg(s1) = %d", n.Degree(s1))
-	}
+	// The Edges accessor.
 	if len(n.Edges(s1)) != 3 {
 		t.Errorf("edges(s1) = %d", len(n.Edges(s1)))
 	}

@@ -15,7 +15,11 @@
 // the predecessor row (to reconstruct a route when one is asked for) and, for
 // the other cities only, the distance and the hop count of the tree path —
 // two cities × cities tables, not cities × nodes ones. A route-less answer is
-// one read of each.
+// one read of each. The row is a graph tree row over the satellites and
+// cities only (graph.Network.RowNodes): a relay or aircraft only joins two
+// satellites, so the satellite it hands its label to records its link, and a
+// walk rebuilds the relay hop; where a forwarder does more (§8's fiber, a
+// relay chain) the row covers every node, through the same code.
 //
 // An oracle of a what-if is built on the healthy network with the mask's cut
 // banned (graph.View), so it labels the masked network without one being
@@ -55,12 +59,14 @@ type Options = graph.Cut
 type Stats struct {
 	// Sources is the number of hub-label trees (one per city).
 	Sources int
-	// Nodes is the node count of the underlying snapshot graph.
+	// Nodes is the length of each stored row: the network's satellites and
+	// cities (graph.Network.RowNodes), or all its nodes where a forwarder
+	// links anything but satellites.
 	Nodes int
 	// BuildDuration is the wall time Build spent.
 	BuildDuration time.Duration
 	// Bytes is the resident label memory: the prev, dist and hops arrays,
-	// exactly.
+	// exactly — cities × Nodes × 4 B + cities² × (8 + 2) B.
 	Bytes int64
 }
 
@@ -68,14 +74,15 @@ type Stats struct {
 type Oracle struct {
 	net   *graph.Network
 	cut   graph.Cut
-	nn    int // node count
+	nn    int // row length, graph.Network.RowNodes
 	ncity int
 
-	// prev holds the per-city predecessor trees, row-major: row i (the tree
-	// rooted at city i's node) occupies [i*nn, (i+1)*nn), -1 at the root and
-	// at unreached nodes. dist[i*ncity+j] is the delay from city i to city
-	// j in i's tree, +Inf when unreached; hops[i*ncity+j] is the link count of
-	// that tree path, 0 when unreached (and on the diagonal).
+	// prev holds the per-city predecessor trees as graph tree rows,
+	// row-major: row i (the tree rooted at city i's node) occupies
+	// [i*nn, (i+1)*nn), -1 at the root and at unreached nodes.
+	// dist[i*ncity+j] is the delay from city i to city j in i's tree, +Inf
+	// when unreached; hops[i*ncity+j] is the link count of that tree path, 0
+	// when unreached (and on the diagonal).
 	prev []int32
 	dist []float64
 	hops []uint16
@@ -86,14 +93,17 @@ type Oracle struct {
 // Build constructs the oracle for n without the links of cut: one
 // shortest-path tree per city, run in parallel (GOMAXPROCS workers) through
 // the shared Dijkstra kernel with the cut banned. With no cut the trees run on
-// n's relay overlay, built for this build (graph.NewOverlay); every row is the CSR kernel's, bit for bit. The
-// context cancels the fan-out between sources; a cancelled build returns
+// n's relay overlay, built for this build (graph.NewOverlay); every row is the
+// CSR kernel's, bit for bit, stored as a graph tree row (SearchState.TreeRow).
+// The context cancels the fan-out between sources; a cancelled build returns
 // ctx.Err() and no oracle.
 func Build(ctx context.Context, n *graph.Network, cut Options) (*Oracle, error) {
 	sp := telemetry.StartStageSpan(telemetry.StageOracleBuild)
 	defer sp.End()
 	start := time.Now()
-	nn := n.N()
+	// RowNodes freezes the CSR before the fan-out, so workers never contend
+	// on the freeze lock.
+	nn := n.RowNodes()
 	ncity := n.NumCity
 	if ncity == 0 {
 		return nil, fmt.Errorf("oracle: network has no city terminals to label")
@@ -106,11 +116,6 @@ func Build(ctx context.Context, n *graph.Network, cut Options) (*Oracle, error) 
 		prev:  make([]int32, ncity*nn),
 		dist:  make([]float64, ncity*ncity),
 		hops:  make([]uint16, ncity*ncity),
-	}
-	// Freeze the CSR once before the fan-out (Degree forces it) so workers
-	// never contend on the freeze lock.
-	if nn > 0 {
-		n.Degree(0)
 	}
 	// fillHops' scratch, one per worker rather than one per tree: a task takes
 	// a buffer for its walk and hands it back, and they die with the build.
@@ -133,10 +138,7 @@ func Build(ctx context.Context, n *graph.Network, cut Options) (*Oracle, error) 
 			st := graph.AcquireSearch()
 			defer st.Release()
 			search(st, graph.SearchSpec{Src: n.CityNode(city), Target: graph.NoTarget})
-			prev := o.prev[city*nn : (city+1)*nn]
-			for v := range prev {
-				prev[v] = st.PrevLink(int32(v))
-			}
+			st.TreeRow(o.prev[city*nn : (city+1)*nn])
 			dist := o.dist[city*ncity : (city+1)*ncity]
 			for dst := range dist {
 				dist[dst] = st.Dist(n.CityNode(dst))
@@ -154,39 +156,36 @@ func Build(ctx context.Context, n *graph.Network, cut Options) (*Oracle, error) 
 }
 
 // fillHops writes row city of the hop table from the predecessor row Build
-// has just stored. depth (one entry per node, contents ignored) memoises the
-// back-walk — depth[v] is v's hop count from the root plus one, 0 while
+// has just stored. depth (one entry per row node, contents ignored) memoises
+// the back-walk — depth[v] is v's hop count from the root plus one, 0 while
 // unknown — so a walk from a city stops at the first node an earlier walk
-// already measured and every tree node is measured at most once per tree. A
-// count beyond uint16 fails the build.
+// already measured and every row node is measured at most once per tree; a
+// tagged entry's step, through a forwarder, counts two links. A count beyond
+// uint16 fails the build.
 func (o *Oracle) fillHops(city int, depth []int32) error {
 	n := o.net
 	prev := o.prev[city*o.nn : (city+1)*o.nn]
 	hops := o.hops[city*o.ncity : (city+1)*o.ncity]
 	clear(depth)
 	depth[n.CityNode(city)] = 1
-	parent := func(v int32) int32 {
-		l := n.Links[prev[v]]
-		if l.A == v {
-			return l.B
-		}
-		return l.A
-	}
-	walk := make([]int32, 0, 64) // the nodes between a city and the first measured one
+	type step struct{ v, links int32 }
+	walk := make([]step, 0, 64) // the nodes between a city and the first measured one
 	for dst := range hops {
 		leaf := n.CityNode(dst)
-		if prev[leaf] < 0 {
+		if prev[leaf] == -1 {
 			continue // the root itself, or unreached
 		}
 		walk = walk[:0]
 		at := leaf
-		for ; depth[at] == 0; at = parent(at) {
-			walk = append(walk, at)
+		for depth[at] == 0 {
+			p, k := n.RowParent(prev, at)
+			walk = append(walk, step{at, int32(k)})
+			at = p
 		}
 		d := depth[at]
 		for i := len(walk) - 1; i >= 0; i-- {
-			d++
-			depth[walk[i]] = d
+			d += walk[i].links
+			depth[walk[i].v] = d
 		}
 		h := depth[leaf] - 1
 		if h > math.MaxUint16 {
@@ -234,11 +233,11 @@ func (o *Oracle) Hops(srcCity, dstCity int) int {
 }
 
 // Tree returns city's stored predecessor row — the kernel's shortest-path
-// tree rooted at the city's node, in graph.SearchSpec.Tree's layout — for a
-// search of the oracle's network to direct itself by, or nil when the oracle
-// was built under a cut: a cut tree's distances can exceed the network's,
-// so its row bounds nothing but searches of its own view. The row is the
-// oracle's own memory; callers only read it.
+// tree rooted at the city's node, a graph tree row as graph.SearchSpec.Tree
+// reads it — for a search of the oracle's network to direct itself by, or nil
+// when the oracle was built under a cut: a cut tree's distances can exceed
+// the network's, so its row bounds nothing but searches of its own view. The
+// row is the oracle's own memory; callers only read it.
 func (o *Oracle) Tree(city int) []int32 {
 	if len(o.cut) > 0 {
 		return nil
@@ -259,6 +258,5 @@ func (o *Oracle) Query(srcCity, dstCity int) (graph.Path, bool) {
 		return graph.Path{}, false
 	}
 	row := o.prev[srcCity*o.nn : (srcCity+1)*o.nn]
-	return o.net.WalkPath(o.net.CityNode(srcCity), o.net.CityNode(dstCity),
-		func(v int32) int32 { return row[v] }, total)
+	return o.net.WalkRow(row, o.net.CityNode(srcCity), o.net.CityNode(dstCity), total)
 }

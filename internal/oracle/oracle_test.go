@@ -323,12 +323,12 @@ func TestBuildValidity(t *testing.T) {
 		t.Fatal("oracle of the whole network valid for a view with a cut")
 	}
 	st := o.Stats()
-	if st.Sources != n1.NumCity || st.Nodes != n1.N() {
-		t.Fatalf("stats %+v disagree with network (%d cities, %d nodes)", st, n1.NumCity, n1.N())
+	if rn := n1.NumSat + n1.NumCity; st.Sources != n1.NumCity || st.Nodes != rn || rn >= n1.N() {
+		t.Fatalf("stats %+v disagree with network (%d cities, rows over %d of %d nodes)", st, n1.NumCity, rn, n1.N())
 	}
-	// Bytes is the stored arrays exactly: a predecessor row per city and the
-	// city × city distance and hop tables.
-	if want := int64(n1.NumCity)*int64(n1.N())*4 + int64(n1.NumCity)*int64(n1.NumCity)*(8+2); st.Bytes != want {
+	// Bytes is the stored arrays exactly: a predecessor row per city over its
+	// satellites and cities, and the city × city distance and hop tables.
+	if want := int64(n1.NumCity)*int64(st.Nodes)*4 + int64(n1.NumCity)*int64(n1.NumCity)*(8+2); st.Bytes != want {
 		t.Fatalf("Bytes = %d, want %d", st.Bytes, want)
 	}
 	if st.BuildDuration <= 0 {
@@ -337,8 +337,12 @@ func TestBuildValidity(t *testing.T) {
 }
 
 // TestTreeRow: an oracle of the whole network hands out each city's row —
-// the kernel's full tree from that city, link for link. An oracle built under
-// a cut hands out none: its tree distances are no lower bound on the whole
+// the kernel's full tree from that city over the satellites and cities — and
+// every entry decodes back to the kernel's predecessor link: a plain entry is
+// it; a tagged one, at a satellite the tree reaches through a forwarder r,
+// names r's own predecessor, the kernel's derived one, and the one link
+// joining r to the satellite is the satellite's. An oracle built under a cut
+// hands out no row: its tree distances are no lower bound on the whole
 // network, and a search directed by them could settle the target over a
 // detour.
 func TestTreeRow(t *testing.T) {
@@ -351,18 +355,116 @@ func TestTreeRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rn := int32(n.NumSat + n.NumCity)
+		tagged := 0
 		for c := 0; c < n.NumCity; c++ {
 			if cutOracle.Tree(c) != nil {
 				t.Fatalf("%s: an oracle built under a cut handed out city %d's row", mode, c)
 			}
 			row, ref := whole.Tree(c), kernelTree(n, c)
-			for v := range row {
-				if row[v] != ref.PrevLink(int32(v)) {
-					t.Fatalf("%s: city %d's row has link %d at node %d, its kernel tree %d", mode, c, row[v], v, ref.PrevLink(int32(v)))
+			if len(row) != int(rn) {
+				t.Fatalf("%s: city %d's row has %d entries, want the %d satellites and cities", mode, c, len(row), rn)
+			}
+			for v, e := range row {
+				want := ref.PrevLink(int32(v))
+				if e >= -1 {
+					if e != want {
+						t.Fatalf("%s: city %d's row has link %d at node %d, its kernel tree %d", mode, c, e, v, want)
+					}
+					continue
+				}
+				tagged++
+				l1 := n.Links[-2-e]
+				r := max(l1.A, l1.B)
+				lv := n.Links[want]
+				if r < rn || ref.PrevLink(r) != -2-e || lv.A+lv.B-int32(v) != r {
+					t.Fatalf("%s: city %d's row tags node %d with forwarder %d's link %d; the kernel reaches it over link %d (%d–%d), the forwarder over %d",
+						mode, c, v, r, -2-e, want, lv.A, lv.B, ref.PrevLink(r))
+				}
+				for _, x := range n.Edges(r) {
+					if x.To == int32(v) && x.Link != want {
+						t.Fatalf("%s: forwarder %d has a second link %d to node %d", mode, r, x.Link, v)
+					}
 				}
 			}
 			ref.Release()
 		}
+		if tagged == 0 {
+			t.Fatalf("%s: no row reached a satellite through a forwarder", mode)
+		}
+	}
+}
+
+// TestReducedRowBytes pins the reduced preset's oracle size at snapshot 0,
+// both modes: 150 rows over 1,734 satellites and cities and the 150 × 150
+// tables, 150·1,734·4 + 150²·(8 + 2) = 1,265,400 bytes.
+func TestReducedRowBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the reduced preset")
+	}
+	sim := motifSim(t, topo.PlusGrid, core.ReducedScale(), "reduced")
+	for _, mode := range []core.Mode{core.BP, core.Hybrid} {
+		if st := buildOracle(t, buildNet(t, sim, mode, "")).Stats(); st.Nodes != 1734 || st.Bytes != 1_265_400 {
+			t.Fatalf("%s: %d-node rows, %d bytes; want 1,734 and 1,265,400", mode, st.Nodes, st.Bytes)
+		}
+	}
+}
+
+// relayChain is two cities joined by a chain of relays: forwarders that touch
+// no satellite at all.
+func relayChain(relays int) *graph.Network {
+	n := &graph.Network{NumCity: 2}
+	a := n.AddNode(graph.NodeCity, geo.Vec3{}, "a")
+	b := n.AddNode(graph.NodeCity, geo.Vec3{X: float64(relays + 1)}, "b")
+	at := a
+	for i := 1; i <= relays; i++ {
+		r := n.AddNode(graph.NodeRelay, geo.Vec3{X: float64(i)}, "r")
+		n.AddLink(at, r, graph.LinkGSL, 1)
+		at = r
+	}
+	n.AddLink(at, b, graph.LinkGSL, 1)
+	return n
+}
+
+// TestRowsOverEveryNode: where a forwarder does more than join satellites —
+// a relay linked to a city (§8's fiber augmentation), to another relay, a
+// satellite linked twice, a chain of relays between two cities — the rows
+// cover every node, through the same code, and the differential battery and
+// the hop table still hold.
+func TestRowsOverEveryNode(t *testing.T) {
+	sim := motifSim(t, topo.PlusGrid, core.TinyScale(), "tiny")
+	healthy := buildNet(t, sim, core.BP, "")
+	relay := int32(healthy.NumSat + healthy.NumCity)
+	for i, tc := range []struct {
+		name string
+		a, b int32
+		kind graph.LinkKind
+	}{
+		{"relay–city fiber", relay, healthy.CityNode(0), graph.LinkFiber},
+		{"relay–relay", relay, relay + 1, graph.LinkGSL},
+		{"parallel", relay, healthy.Edges(relay)[0].To, graph.LinkGSL},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := healthy.Clone()
+			n.AddLink(tc.a, tc.b, tc.kind, 1)
+			o := buildOracle(t, n)
+			if st := o.Stats(); st.Nodes != n.N() || len(o.Tree(0)) != n.N() {
+				t.Fatalf("rows of %d nodes (%d handed out), want all %d", st.Nodes, len(o.Tree(0)), n.N())
+			}
+			diffBattery(t, n, 30, int64(i+11))
+		})
+	}
+	chain := relayChain(50)
+	o := buildOracle(t, chain)
+	if st := o.Stats(); st.Nodes != chain.N() {
+		t.Fatalf("the relay chain's rows have %d nodes, want all %d", st.Nodes, chain.N())
+	}
+	hopTableMatchesWalk(t, o)
+	if got := o.Hops(0, 1); got != 51 {
+		t.Fatalf("Hops = %d over a 51-link chain", got)
+	}
+	if p, ok := o.Query(0, 1); !ok || p.OneWayMs != o.DistMs(0, 1) || len(p.Nodes) != 52 {
+		t.Fatalf("the chain's path is %v (ok=%v)", p, ok)
 	}
 }
 
@@ -370,25 +472,12 @@ func TestTreeRow(t *testing.T) {
 // than a uint16 counts fails the build instead of wrapping. Two cities joined
 // by a chain of relays are enough.
 func TestHopTableOverflow(t *testing.T) {
-	chain := func(relays int) *graph.Network {
-		n := &graph.Network{NumCity: 2}
-		a := n.AddNode(graph.NodeCity, geo.Vec3{}, "a")
-		b := n.AddNode(graph.NodeCity, geo.Vec3{X: float64(relays + 1)}, "b")
-		at := a
-		for i := 1; i <= relays; i++ {
-			r := n.AddNode(graph.NodeRelay, geo.Vec3{X: float64(i)}, "r")
-			n.AddLink(at, r, graph.LinkGSL, 1)
-			at = r
-		}
-		n.AddLink(at, b, graph.LinkGSL, 1)
-		return n
-	}
-	o := buildOracle(t, chain(math.MaxUint16-1))
+	o := buildOracle(t, relayChain(math.MaxUint16-1))
 	if got := o.Hops(0, 1); got != math.MaxUint16 {
 		t.Fatalf("Hops = %d over a %d-link chain", got, math.MaxUint16)
 	}
 	hopTableMatchesWalk(t, o)
-	if o, err := Build(context.Background(), chain(math.MaxUint16), Options{}); err == nil {
+	if o, err := Build(context.Background(), relayChain(math.MaxUint16), Options{}); err == nil {
 		t.Fatalf("a %d-link path built an oracle reporting %d hops", math.MaxUint16+1, o.Hops(0, 1))
 	}
 }

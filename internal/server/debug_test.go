@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"leosim/internal/core"
 	"leosim/internal/fault"
 	"leosim/internal/telemetry"
 )
@@ -405,5 +406,67 @@ func TestMetricsFormatsAgree(t *testing.T) {
 	if samples["leosim_oracleHits"] == "0" || samples["leosim_stage_oracle_query_seconds_count"] == "0" {
 		t.Errorf("the primed server answered no query from an oracle: %s oracle hits, %s oracle queries",
 			samples["leosim_oracleHits"], samples["leosim_stage_oracle_query_seconds_count"])
+	}
+}
+
+// TestOracleBytesGauge: /metrics's oracle_bytes is the label memory of the
+// resident oracles — after priming a tiny day, Σ Stats().Bytes over the
+// oracle attachedOracle reads for every (instant, mode), in the JSON and the
+// Prometheus text alike — and an evicted entry's oracle leaves the sum.
+func TestOracleBytesGauge(t *testing.T) {
+	sim := serverSim(t)
+	// Room for the primed day and nothing else: the next key evicts an entry
+	// that carries an oracle.
+	s := newTestServer(t, Config{PrimeSnapshots: true, PrimeOracles: true, CacheSize: 2 * len(sim.SnapshotTimes())})
+	if _, err := s.primeAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	gauge := func() (fromJSON, fromText int64) {
+		t.Helper()
+		var js struct {
+			Server telemetry.RegistrySnapshot `json:"server"`
+		}
+		if rec := getJSON(t, s.Handler(), "/metrics", &js); rec.Code != http.StatusOK {
+			t.Fatalf("/metrics: status %d", rec.Code)
+		}
+		fromJSON, fromText = js.Server.Gauges["oracle_bytes"], -1
+		for _, line := range strings.Split(get(s, "/metrics?format=prometheus").Body.String(), "\n") {
+			if f := strings.Fields(line); len(f) == 2 && f[0] == "leosim_oracle_bytes" {
+				v, err := strconv.ParseInt(f[1], 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fromText = v
+			}
+		}
+		return fromJSON, fromText
+	}
+	var want int64
+	for _, at := range sim.SnapshotTimes() {
+		for _, mode := range []core.Mode{core.BP, core.Hybrid} {
+			o, _ := s.attachedOracle(snapSpec{t: at, mode: mode})
+			if o == nil {
+				t.Fatalf("%s@%v: no oracle attached after priming", mode, at)
+			}
+			want += o.Stats().Bytes
+		}
+	}
+	if js, text := gauge(); js != want || text != want {
+		t.Fatalf("oracle_bytes %d in the JSON, %d in the Prometheus text; the attached oracles hold %d", js, text, want)
+	}
+	src, dst := sim.CityName(sim.Pairs[0].Src), sim.CityName(sim.Pairs[0].Dst)
+	if rec := get(s, q("/v1/path", "src", src, "dst", dst, "snap", "0", "fault", "sat", "fraction", "0.1", "fault-seed", "3")); rec.Code != http.StatusOK {
+		t.Fatalf("what-if: status %d", rec.Code)
+	}
+	var left int64
+	for _, at := range sim.SnapshotTimes() {
+		for _, mode := range []core.Mode{core.BP, core.Hybrid} {
+			if o, _ := s.attachedOracle(snapSpec{t: at, mode: mode}); o != nil {
+				left += o.Stats().Bytes
+			}
+		}
+	}
+	if js, text := gauge(); left >= want || js != left || text != left {
+		t.Fatalf("after an eviction oracle_bytes reads %d in the JSON, %d in the Prometheus text; the attached oracles hold %d of %d", js, text, left, want)
 	}
 }

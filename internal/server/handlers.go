@@ -302,6 +302,19 @@ func (s *Server) attachedOracle(spec snapSpec) (*oracle.Oracle, *graph.View) {
 	return nil, nil
 }
 
+// oracleBytes sums Stats().Bytes over the oracles attached to resident
+// entries, each counted where attachedOracle would read it: valid for its
+// entry's view.
+func (s *Server) oracleBytes() int64 {
+	var b int64
+	s.cache.RangeAttachments(func(aux any, v *graph.View) {
+		if o, ok := aux.(*oracle.Oracle); ok && o.Valid(v) {
+			b += o.Stats().Bytes
+		}
+	})
+	return b
+}
+
 // answer routes city src → city dst over a resolved snapshot: from the
 // attached oracle when there is one — identical to the kernel's answer, proven
 // by the oracle differential battery, at a fraction of a full search — and

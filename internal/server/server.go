@@ -258,6 +258,9 @@ func New(cfg Config) (*Server, error) {
 	s.reg.RegisterGaugeFunc("breaker_state", func() int64 { return int64(s.cache.Breaker().State) })
 	s.reg.RegisterGaugeFunc("build_failure_streak", func() int64 { return s.cache.Breaker().FailureStreak })
 	s.reg.RegisterGaugeFunc("breaker_opens", func() int64 { return s.cache.Stats().BreakerOpens })
+	// The label memory of the resident oracles: an evicted entry's oracle
+	// leaves the sum with it.
+	s.reg.RegisterGaugeFunc("oracle_bytes", s.oracleBytes)
 
 	s.mux = http.NewServeMux()
 	// Query endpoints: admission-controlled and deadline-bounded, with a

@@ -177,7 +177,7 @@ func requireShortcutMatchesKernel(t *testing.T, s *Server, rs resolved, srcs []i
 			switch {
 			case s.survivingAnswers.Value() == fromTree:
 				cut++
-				rooted := len(row) == rs.view.N.N() && row[rs.view.N.CityNode(dst)] == -1
+				rooted := len(row) == rs.view.N.RowNodes() && row[rs.view.N.CityNode(dst)] == -1
 				if !searched || (row != nil) != directed || (directed && !rooted) {
 					t.Fatalf("%s %d→%d: searched by the kernel given a row of %d nodes (rooted at dst: %v), want a row rooted at dst: %v",
 						label, src, dst, len(row), rooted, directed)

@@ -588,6 +588,28 @@ func (c *Cache[K, V]) Attachment(key K) (any, V, bool) {
 	return e.aux, e.v, true
 }
 
+// RangeAttachments calls f with every resident attachment and the value it
+// was derived from, in no particular order, as they stood when it took the
+// cache's lock; f runs after the lock is released. LRU order and counters are
+// untouched.
+func (c *Cache[K, V]) RangeAttachments(f func(aux any, v V)) {
+	type attached struct {
+		aux any
+		v   V
+	}
+	c.mu.Lock()
+	all := make([]attached, 0, len(c.entries))
+	for _, e := range c.entries {
+		if e.aux != nil {
+			all = append(all, attached{e.aux, e.v})
+		}
+	}
+	c.mu.Unlock()
+	for _, a := range all {
+		f(a.aux, a.v)
+	}
+}
+
 // Len returns the number of resident entries.
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
