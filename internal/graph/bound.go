@@ -272,7 +272,7 @@ func (st *SearchState) treeDist(v int32) float64 {
 		if e := tree[u]; e >= 0 {
 			d += links[e].OneWayMs
 		} else {
-			_, l1, _, rv := n.rowHop(tree, u)
+			l1, rv := n.rowHop(tree, u)
 			d += links[l1].OneWayMs
 			d += links[rv].OneWayMs
 		}

@@ -159,6 +159,7 @@ func requireNaivePath(t *testing.T, tag string, n *Network, st *SearchState, src
 		t.Fatalf("%s: %d→%d: %v over %v (%v ms, ok=%v), reference %v over %v (%v ms, ok=%v)",
 			tag, src, dst, p.Nodes, p.Links, st.Dist(dst), ok, q.Nodes, q.Links, wd[dst], wantOK)
 	}
+	requirePathWeighs(t, tag, st, dst, false)
 	for _, v := range p.Nodes {
 		if math.Float64bits(st.Dist(v)) != math.Float64bits(wd[v]) || st.PrevLink(v) != wp[v] {
 			t.Fatalf("%s: %d→%d: path node %d at (%v, %d), reference (%v, %d)",

@@ -366,13 +366,6 @@ func TestGSLDelayConsistency(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestArcWeightsMatchLinks: every arc of a frozen CSR carries its link's
 // delay and points at its link's other end — after At's freeze, a
 // derivation's (WithISLs, WithLinks) and a Clone's copy.

@@ -25,7 +25,38 @@ func (n *Network) extractPath(src, dst int32, dist []float64, prevLink []int32) 
 	if math.IsInf(dist[dst], 1) {
 		return Path{}, false
 	}
-	return n.walkPath(src, dst, func(v int32) int32 { return prevLink[v] }, dist[dst])
+	return n.walk(src, dst, func(v int32) (int32, int32) { return prevLink[v], -1 })
+}
+
+// linkSum adds p's link delays from its source on, the order a search adds
+// its arc weights in.
+func linkSum(n *Network, p Path) float64 {
+	var ms float64
+	for _, li := range p.Links {
+		ms += n.Links[li].OneWayMs
+	}
+	return ms
+}
+
+// requirePathWeighs holds st's path to v, where its last search reached v, to
+// weighing its own links (DESIGN.md §7, "A path is its links"): its OneWayMs
+// is linkSum's under math.Float64bits, and, where no Cost hook priced the
+// search (cost false), Dist(v)'s too.
+func requirePathWeighs(t *testing.T, tag string, st *SearchState, v int32, cost bool) {
+	t.Helper()
+	p, ok := st.Path(v)
+	if ok != st.Reached(v) {
+		t.Fatalf("%s: path to %d ok=%v, reached=%v", tag, v, ok, st.Reached(v))
+	}
+	if !ok {
+		return
+	}
+	if sum := linkSum(st.net, p); math.Float64bits(p.OneWayMs) != math.Float64bits(sum) {
+		t.Fatalf("%s: path to %d over %v weighs %v ms, its links sum to %v", tag, v, p.Links, p.OneWayMs, sum)
+	}
+	if !cost && math.Float64bits(p.OneWayMs) != math.Float64bits(st.Dist(v)) {
+		t.Fatalf("%s: path to %d over %v weighs %v ms, its label is %v", tag, v, p.Links, p.OneWayMs, st.Dist(v))
+	}
 }
 
 // treeOf reads every node's distance (+Inf if unreached) and predecessor
@@ -187,8 +218,8 @@ func compareAll(t *testing.T, n *Network, dist, wantDist []float64, prev, wantPr
 // (the rest are tentative, and a node relaxed through hands its neighbours
 // labels before plain Dijkstra's pop order would). Every wanted node must be
 // settled with the full tree's distance, predecessor and path, the kernel's
-// and the reference's alike. Under a Cost hook the delay track must be the
-// arc weights summed in path order from the source.
+// and the reference's alike. Every reached node's path must weigh its links
+// and, with no Cost hook, its label (requirePathWeighs).
 func checkSearch(t *testing.T, n *Network, spec SearchSpec, bannedLinks map[int32]bool, tag string) {
 	t.Helper()
 	wanted := spec.Targets
@@ -245,21 +276,8 @@ func checkSearch(t *testing.T, n *Network, spec SearchSpec, bannedLinks map[int3
 				tag, v, p.Links, p.OneWayMs, ok, q.Links, q.OneWayMs, treeOK)
 		}
 	}
-	if spec.Cost == nil {
-		return
-	}
-	for dst := int32(0); dst < int32(n.N()); dst++ {
-		p, ok := st.Path(dst)
-		if !ok {
-			continue
-		}
-		var delay float64
-		for _, li := range p.Links {
-			delay += n.Links[li].OneWayMs
-		}
-		if p.OneWayMs != delay {
-			t.Fatalf("%s: cost-hook path to %d reports %v ms, links sum to %v", tag, dst, p.OneWayMs, delay)
-		}
+	for v := int32(0); v < int32(n.N()); v++ {
+		requirePathWeighs(t, tag, st, v, spec.Cost != nil)
 	}
 }
 
@@ -641,19 +659,42 @@ func TestDifferentialCostHook(t *testing.T) {
 		// Under a cost hook, Dist is accumulated cost but extracted paths
 		// must still report true propagation delay.
 		for dst := int32(0); dst < int32(n.N()); dst++ {
-			p, ok := st.Path(dst)
-			if !ok {
-				continue
-			}
-			var delay float64
-			for _, li := range p.Links {
-				delay += n.Links[li].OneWayMs
-			}
-			if math.Abs(p.OneWayMs-delay) > 1e-9 {
-				t.Fatalf("seed %d: cost-hook path to %d reports %v ms, links sum to %v", seed, dst, p.OneWayMs, delay)
-			}
+			requirePathWeighs(t, fmt.Sprintf("seed %d", seed), st, dst, true)
 		}
 		st.Release()
+	}
+}
+
+// TestCostTiePathWeighsItsLinks: under a Cost hook that prices every link
+// at 1, city t ties at cost 2 through relay a (1 ms links) and through
+// satellite b (5 ms links). The relay, relaxed through, offers first; the tie
+// rule then hands t to b, the (dist, node, link)-least holder. The path must
+// weigh the links it takes, 10 ms, not the 2 ms of the route it replaced.
+func TestCostTiePathWeighsItsLinks(t *testing.T) {
+	const b, s, a, tc = 0, 1, 2, 3
+	n := &Network{}
+	for _, kind := range []NodeKind{NodeSatellite, NodeCity, NodeRelay, NodeCity} {
+		n.AddNode(kind, geo.Vec3{}, "")
+	}
+	n.NumSat = 1
+	for _, l := range []struct {
+		a, b int32
+		ms   float64
+	}{{s, a, 1}, {a, tc, 1}, {s, b, 5}, {b, tc, 5}} {
+		n.Links = append(n.Links, Link{A: l.a, B: l.b, Kind: LinkGSL, CapGbps: 1, OneWayMs: l.ms})
+	}
+	st := AcquireSearch()
+	defer st.Release()
+	n.Search(st, SearchSpec{Src: s, Target: NoTarget, Cost: func(int32) float64 { return 1 }})
+	p, ok := st.Path(tc)
+	if !ok || !slices.Equal(p.Nodes, []int32{s, b, tc}) {
+		t.Fatalf("path %v (ok=%v), want the tie rule's %v", p.Nodes, ok, []int32{s, b, tc})
+	}
+	if p.OneWayMs != 10 || st.Dist(tc) != 2 {
+		t.Fatalf("path weighs %v ms at cost %v, want 10 ms at cost 2", p.OneWayMs, st.Dist(tc))
+	}
+	for v := range int32(n.N()) {
+		requirePathWeighs(t, "cost tie", st, v, true)
 	}
 }
 

@@ -291,7 +291,8 @@ type Path struct {
 	Nodes []int32
 	// Links[i] is the link index between Nodes[i] and Nodes[i+1].
 	Links []int32
-	// OneWayMs is the total propagation delay.
+	// OneWayMs is the total propagation delay: the links' OneWayMs summed
+	// from Nodes[0] on.
 	OneWayMs float64
 }
 
@@ -300,6 +301,40 @@ func (p Path) RTTMs() float64 { return 2 * p.OneWayMs }
 
 // Hops returns the hop count (number of links).
 func (p Path) Hops() int { return len(p.Links) }
+
+// walk lays down the path from src to dst by one back-walk from dst, the one
+// path builder behind SearchState.Path and WalkRow. step(v) names li, the
+// link into v on the path (-1: v has none), or, where a tree row records v
+// past a forwarder r outside the row, the link into r, with rv the link r–v
+// (-1 otherwise). OneWayMs is the sum of the link delays from src to dst, the
+// order every kernel forms its labels in (DESIGN.md §7, "A path is its
+// links"). ok is false where the walk stops short of src, or is longer than
+// the network has nodes (a cycle).
+func (n *Network) walk(src, dst int32, step func(v int32) (li, rv int32)) (Path, bool) {
+	type hop struct{ to, link int32 }
+	back := make([]hop, 0, 64) // dst first; a short path's stays on the stack
+	links := n.Links
+	for at := dst; at != src; {
+		li, rv := step(at)
+		if li < 0 || len(back) >= n.N() {
+			return Path{}, false
+		}
+		if rv >= 0 {
+			back = append(back, hop{at, rv})
+			at = links[rv].A + links[rv].B - at
+		}
+		back = append(back, hop{at, li})
+		at = links[li].A + links[li].B - at
+	}
+	p := Path{Nodes: make([]int32, len(back)+1), Links: make([]int32, len(back))}
+	p.Nodes[0] = src
+	for i := range p.Links {
+		h := back[len(back)-1-i]
+		p.Nodes[i+1], p.Links[i] = h.to, h.link
+		p.OneWayMs += links[h.link].OneWayMs
+	}
+	return p, true
+}
 
 // ShortestPath returns the minimum-delay path from src to dst, or ok=false
 // if disconnected.

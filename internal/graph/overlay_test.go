@@ -72,7 +72,7 @@ func overlaySearch(t *testing.T, tag string, ov *Overlay, st *SearchState, spec 
 // requireSameSearch holds st, searched on an overlay, to ref, the CSR
 // kernel's search of the same spec: every node's Dist bits, PrevLink, Reached
 // and Settled, and the Path to every node — or, where cities is set, to every
-// city.
+// city —, which weighs its label in both (requirePathWeighs).
 func requireSameSearch(t *testing.T, tag string, n *Network, st, ref *SearchState, cities bool) {
 	t.Helper()
 	for v := int32(0); v < int32(n.N()); v++ {
@@ -91,6 +91,8 @@ func requireSameSearch(t *testing.T, tag string, n *Network, st, ref *SearchStat
 			!slices.Equal(p.Nodes, q.Nodes) || !slices.Equal(p.Links, q.Links) {
 			t.Fatalf("%s: path to %v node %d: overlay %v (ok %v), CSR %v (ok %v)", tag, n.Kind[v], v, p.Links, ok, q.Links, refOK)
 		}
+		requirePathWeighs(t, tag+" overlay", st, v, false)
+		requirePathWeighs(t, tag+" CSR", ref, v, false)
 	}
 }
 

@@ -57,8 +57,8 @@ func bentPipeNet(r *rand.Rand, sats, ground, isls, fibers int) *Network {
 
 // requireNaiveTree holds the last search on st, a full tree from src, to
 // naiveDijkstra's under the same bans, Expand and Cost: every node's label
-// bit for bit and its predecessor link. It returns how many nodes the search
-// relaxed through.
+// bit for bit and its predecessor link, and every path's weight
+// (requirePathWeighs). It returns how many nodes the search relaxed through.
 func requireNaiveTree(t *testing.T, tag string, n *Network, st *SearchState, src int32,
 	banned map[int32]bool, expand func(int32) bool, cost func(int32) float64) (passed int) {
 	t.Helper()
@@ -66,6 +66,7 @@ func requireNaiveTree(t *testing.T, tag string, n *Network, st *SearchState, src
 	wantDist, wantPrev := naiveDijkstra(n, src, nil, banned, expand, cost)
 	compareAll(t, n, dist, wantDist, prev, wantPrev, tag)
 	for v := int32(0); v < int32(n.N()); v++ {
+		requirePathWeighs(t, tag, st, v, cost != nil)
 		if st.Reached(v) && st.node[v].pos == posPassed {
 			passed++
 		}

@@ -90,21 +90,19 @@ func (st *SearchState) TreeRow(row []int32) {
 	}
 }
 
-// rowHop decodes row's entry at v, a node with a predecessor: the node the
-// walk goes on to — v's predecessor, or for a tagged entry the satellite
-// before its forwarder — and the link into that node's successor on the way
-// to v; for a tagged entry also the forwarder r and the link r–v (r is -1
+// rowHop decodes row's entry at v as a back-walk's step (Network.walk): the
+// link into v (-1 at the root and where the row does not reach v), or for a
+// tagged entry the link l₁ into its forwarder r, with rv the link r–v (-1
 // otherwise).
-func (n *Network) rowHop(row []int32, v int32) (p, li, r, rv int32) {
-	if e := row[v]; e >= 0 {
-		l := n.Links[e]
-		return l.A + l.B - v, e, -1, -1
+func (n *Network) rowHop(row []int32, v int32) (li, rv int32) {
+	if e := row[v]; e >= -1 {
+		return e, -1
 	}
 	li = -2 - row[v]
-	p, r = n.forwarderEnds(li)
+	_, r := n.forwarderEnds(li)
 	for k := n.adjStart[r]; k < n.adjStart[r+1]; k++ {
 		if e := n.adjEdges[k]; e.To == v {
-			return p, li, r, e.Link
+			return li, e.Link
 		}
 	}
 	panic("graph: a tagged tree-row entry names a forwarder not linked to its node")
@@ -137,37 +135,10 @@ func (n *Network) forwarderEnds(li int32) (s, r int32) {
 	return l.B, l.A
 }
 
-// WalkRow reconstructs the path from src, the root of row, to dst, in one
-// backward pass into exactly-sized slices, with total as its delay: the
-// kernel's own path, node for node and link for link, forwarders included.
-// ok is false where the row does not reach dst.
-func (n *Network) WalkRow(row []int32, src, dst int32, total float64) (Path, bool) {
-	hops := 0
-	for at := dst; at != src; {
-		p, k := n.RowParent(row, at)
-		if k == 0 {
-			return Path{}, false
-		}
-		hops += k
-		if hops > n.N() {
-			return Path{}, false // cycle guard
-		}
-		at = p
-	}
-	nodes := make([]int32, hops+1)
-	links := make([]int32, hops)
-	at, i := dst, hops
-	for at != src {
-		nodes[i] = at
-		p, li, r, rv := n.rowHop(row, at)
-		if r >= 0 {
-			i--
-			nodes[i], links[i] = r, rv
-		}
-		i--
-		links[i] = li
-		at = p
-	}
-	nodes[0] = src
-	return Path{Nodes: nodes, Links: links, OneWayMs: total}, true
+// WalkRow reconstructs the path from src, the root of row, to dst: the
+// kernel's own path, node for node and link for link, forwarders included,
+// weighing the sum of its links as the kernel's label does. ok is false
+// where the row does not reach dst.
+func (n *Network) WalkRow(row []int32, src, dst int32) (Path, bool) {
+	return n.walk(src, dst, func(v int32) (int32, int32) { return n.rowHop(row, v) })
 }

@@ -16,7 +16,7 @@ import (
 // the row directs a search by (treeDist) is the kernel's Dist under
 // math.Float64bits at every satellite, city, relay and aircraft, and the tree
 // bound is that distance scaled by the slack; walking the row to every node
-// of it gives the kernel's Path.
+// of it gives the kernel's Path, weighing the kernel's Dist bit for bit.
 func TestTreeRowBound(t *testing.T) {
 	presets := []struct {
 		name  string
@@ -62,11 +62,15 @@ func TestTreeRowBound(t *testing.T) {
 						tagged++
 					}
 					want, wantOK := ref.Path(v)
-					got, ok := n.WalkRow(row, root, v, ref.Dist(v))
+					got, ok := n.WalkRow(row, root, v)
 					if ok != wantOK || !slices.Equal(got.Nodes, want.Nodes) || !slices.Equal(got.Links, want.Links) {
 						t.Fatalf("%s, city %d: walked %v over %v (ok=%v), kernel %v over %v (ok=%v)",
 							tag, c, got.Nodes, got.Links, ok, want.Nodes, want.Links, wantOK)
 					}
+					if ok && math.Float64bits(got.OneWayMs) != math.Float64bits(ref.Dist(v)) {
+						t.Fatalf("%s, city %d: the walk to %d weighs %v ms, the kernel's label is %v", tag, c, v, got.OneWayMs, ref.Dist(v))
+					}
+					requirePathWeighs(t, tag, ref, v, false)
 				}
 			}
 			st.Release()

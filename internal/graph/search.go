@@ -18,15 +18,12 @@ import (
 // must be used with one network at a time — AcquireSearch clears the ban mask,
 // so reusing a pooled state on a different network is safe after Acquire.
 type SearchState struct {
-	net     *Network
-	src     int32
-	hasCost bool
+	net *Network
+	src int32
 
-	// node[v], delay[v] and prevLink[v] are valid iff node[v].stamp ==
-	// searchStamp; stamping replaces the O(n) "fill with +Inf"
-	// re-initialization.
+	// node[v] and prevLink[v] are valid iff node[v].stamp == searchStamp;
+	// stamping replaces the O(n) "fill with +Inf" re-initialization.
 	node     []nodeState
-	delay    []float64
 	prevLink []int32
 
 	// heap is the frontier: exactly one entry per queued, not yet popped
@@ -132,7 +129,6 @@ func (st *SearchState) Release() {
 func (st *SearchState) grow(nodes, links int) {
 	if len(st.node) < nodes {
 		st.node = append(st.node, make([]nodeState, nodes-len(st.node))...)
-		st.delay = append(st.delay, make([]float64, nodes-len(st.delay))...)
 		st.prevLink = append(st.prevLink, make([]int32, nodes-len(st.prevLink))...)
 		st.want = append(st.want, make([]uint32, nodes-len(st.want))...)
 		st.bound = append(st.bound, make([]float64, nodes-len(st.bound))...)
@@ -147,7 +143,6 @@ func (st *SearchState) grow(nodes, links int) {
 func (st *SearchState) begin(n *Network, spec SearchSpec) (wanted int, last int32) {
 	st.net = n
 	st.src = spec.Src
-	st.hasCost = spec.Cost != nil
 	st.split, st.stop = 0, NoTarget
 	st.grow(n.N(), len(n.Links))
 	st.searchStamp++
@@ -254,16 +249,12 @@ func (st *SearchState) PrevLink(v int32) int32 {
 	return st.prevLink[v]
 }
 
-// Path reconstructs the found route from the last search's source to dst.
+// Path reconstructs the found route from the last search's source to dst,
+// ok false where the search did not reach dst. It weighs the sum of its link
+// delays, which is Dist(dst) bit for bit unless a Cost hook priced the search
+// (DESIGN.md §7, "A path is its links").
 func (st *SearchState) Path(dst int32) (Path, bool) {
-	if !st.Reached(dst) {
-		return Path{}, false
-	}
-	total := st.Dist(dst)
-	if st.hasCost {
-		total = st.delay[dst]
-	}
-	return st.net.walkPath(st.src, dst, st.PrevLink, total)
+	return st.net.walk(st.src, dst, func(v int32) (int32, int32) { return st.PrevLink(v), -1 })
 }
 
 // heapEntry is one frontier node in the priority queue. Entries are plain
@@ -379,9 +370,9 @@ type SearchSpec struct {
 	Expand func(int32) bool
 	// Cost, when non-nil, replaces the link weight (default: propagation
 	// delay). It must be non-negative — a popped node is final and is never
-	// re-queued; returning +Inf excludes the link. The kernel then tracks
-	// propagation delay separately so extracted paths still report true
-	// OneWayMs; Dist returns accumulated cost. It may be asked about one
+	// re-queued; returning +Inf excludes the link. Dist returns accumulated
+	// cost; Path still reports true propagation delay, the sum of its links'
+	// OneWayMs, as every path does. It may be asked about one
 	// link many times in a search (a node relaxed through relaxes its arcs
 	// again when its label falls), so it must answer alike each time.
 	Cost func(int32) float64
@@ -496,9 +487,6 @@ func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, 
 
 	node[spec.Src] = nodeState{stamp: cur}
 	prevLink[spec.Src] = -1
-	if st.hasCost {
-		st.delay[spec.Src] = 0
-	}
 	var key float64
 	if freeSpace {
 		key = st.toGoal.at(spec.Src)
@@ -542,8 +530,7 @@ func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, 
 			if linkBans && st.linkBan[e.Link] == st.banStamp {
 				continue
 			}
-			ms := arcMs[k]
-			w := ms
+			w := arcMs[k]
 			if spec.Cost != nil {
 				w = spec.Cost(e.Link)
 				if math.IsInf(w, 1) {
@@ -587,9 +574,6 @@ func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, 
 			}
 			to.dist = nd
 			prevLink[v] = e.Link
-			if st.hasCost {
-				st.delay[v] = st.delay[u] + ms
-			}
 			if through && !queued && v >= ground && want[v] != cur {
 				// Relax v through: it keeps its label and predecessor and
 				// relaxes its arcs from them now (unless Expand holds it
@@ -613,8 +597,7 @@ func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, 
 					if linkBans && st.linkBan[f.Link] == st.banStamp {
 						continue
 					}
-					fms := vMs[j]
-					w := fms
+					w := vMs[j]
 					if spec.Cost != nil {
 						w = spec.Cost(f.Link)
 						if math.IsInf(w, 1) {
@@ -647,9 +630,6 @@ func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, 
 					}
 					ty.dist = nx
 					prevLink[y] = f.Link
-					if st.hasCost {
-						st.delay[y] = st.delay[v] + fms
-					}
 					at := int(ty.pos)
 					if !yQueued { // a tree never directs a search that relaxes through
 						at = len(h)
@@ -685,43 +665,4 @@ func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, 
 	}
 	st.heap = h // keep the grown backing array
 	return true, true
-}
-
-// walkPath reconstructs the node/link sequence from dst back to src given a
-// predecessor-link lookup, in one backward pass into exactly-sized slices.
-// It is the one shared back-walk behind every path extraction (including the
-// congestion-aware router's), with a cycle guard in case prevAt is
-// inconsistent.
-func (n *Network) walkPath(src, dst int32, prevAt func(int32) int32, total float64) (Path, bool) {
-	hops := 0
-	for at := dst; at != src; {
-		li := prevAt(at)
-		if li < 0 {
-			return Path{}, false
-		}
-		if l := n.Links[li]; l.A == at {
-			at = l.B
-		} else {
-			at = l.A
-		}
-		hops++
-		if hops > n.N() {
-			return Path{}, false // cycle guard
-		}
-	}
-	nodes := make([]int32, hops+1)
-	links := make([]int32, hops)
-	at := dst
-	for i := hops; i > 0; i-- {
-		li := prevAt(at)
-		nodes[i] = at
-		links[i-1] = li
-		if l := n.Links[li]; l.A == at {
-			at = l.B
-		} else {
-			at = l.A
-		}
-	}
-	nodes[0] = src
-	return Path{Nodes: nodes, Links: links, OneWayMs: total}, true
 }

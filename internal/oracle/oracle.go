@@ -249,14 +249,11 @@ func (o *Oracle) Tree(city int) []int32 {
 // from city srcCity's stored predecessor tree — node for node and link for
 // link the path the Dijkstra kernel would find, including equal-distance
 // tie-breaks (the kernel's (dist, node) settle order is deterministic and
-// the tree stores its choices). ok is false when the pair is disconnected.
+// the tree stores its choices) — weighing the sum of its links, which is
+// DistMs bit for bit. ok is false when the pair is disconnected.
 func (o *Oracle) Query(srcCity, dstCity int) (graph.Path, bool) {
 	sp := telemetry.StartStageSpan(telemetry.StageOracleQuery)
 	defer sp.End()
-	total := o.DistMs(srcCity, dstCity)
-	if math.IsInf(total, 1) {
-		return graph.Path{}, false
-	}
 	row := o.prev[srcCity*o.nn : (srcCity+1)*o.nn]
-	return o.net.WalkRow(row, o.net.CityNode(srcCity), o.net.CityNode(dstCity), total)
+	return o.net.WalkRow(row, o.net.CityNode(srcCity), o.net.CityNode(dstCity))
 }

@@ -97,7 +97,7 @@ func kernelTree(n *graph.Network, src int) *graph.SearchState {
 // accumulated delay — the tie-break-exact guarantee Query documents.
 func samePath(t *testing.T, label string, want, got graph.Path) {
 	t.Helper()
-	if want.OneWayMs != got.OneWayMs {
+	if math.Float64bits(want.OneWayMs) != math.Float64bits(got.OneWayMs) {
 		t.Fatalf("%s: delay %v != kernel %v", label, got.OneWayMs, want.OneWayMs)
 	}
 	if len(want.Nodes) != len(got.Nodes) || len(want.Links) != len(got.Links) {
@@ -119,7 +119,9 @@ func samePath(t *testing.T, label string, want, got graph.Path) {
 // hopTableMatchesWalk checks the hop table against the tree walk it replaces:
 // for every ordered city pair Hops is the link count of the path Query
 // reconstructs, and 0 exactly where there is no path to count — disconnected
-// pairs and the diagonal.
+// pairs and the diagonal. The walked path, which weighs the sum of its links,
+// weighs DistMs under math.Float64bits, and DistMs is +Inf exactly where there
+// is none.
 func hopTableMatchesWalk(t *testing.T, o *Oracle) {
 	t.Helper()
 	for src := 0; src < o.Sources(); src++ {
@@ -131,6 +133,9 @@ func hopTableMatchesWalk(t *testing.T, o *Oracle) {
 			}
 			if (got == 0) != (!ok || src == dst) {
 				t.Fatalf("pair %d→%d: Hops %d with reachable=%v", src, dst, got, ok)
+			}
+			if d := o.DistMs(src, dst); ok == math.IsInf(d, 1) || ok && math.Float64bits(p.OneWayMs) != math.Float64bits(d) {
+				t.Fatalf("pair %d→%d: the walked path weighs %v ms (reachable=%v), DistMs %v", src, dst, p.OneWayMs, ok, d)
 			}
 		}
 	}
@@ -163,7 +168,7 @@ func diffBattery(t *testing.T, n *graph.Network, pairs int, seed int64) {
 			st.Release()
 			continue
 		}
-		if d := o.DistMs(src, dst); d != want.OneWayMs {
+		if d := o.DistMs(src, dst); math.Float64bits(d) != math.Float64bits(want.OneWayMs) {
 			t.Fatalf("%s: DistMs %v != kernel %v", label, d, want.OneWayMs)
 		}
 		samePath(t, label, want, got)

@@ -229,6 +229,13 @@ type harness struct {
 	c    *Cache[whatIf, *graph.Network]
 	slow chan *lateBuild // each slow build announces itself
 	done chan struct{}   // closed when the run ends: parked builds give up
+	// stalled is closed once a build's nested Get of its parent, whose
+	// build the model scripts ok, fails on a deadline — the build's own or
+	// the parent's: the machine stalled for longer than modelBuildTimeout,
+	// and the build returns without doing what it was scripted to (a slow
+	// one never announces itself).
+	stalled   chan struct{}
+	stallOnce sync.Once
 
 	mu       sync.Mutex
 	scripts  map[whatIf]script         // next build's outcome per key (default ok)
@@ -280,6 +287,10 @@ func (h *harness) build(ctx context.Context, k whatIf) (*graph.Network, error) {
 		// server's what-ifs do. Beside a half-open probe the cache starts no
 		// second build, so the probe makes its parent itself.
 		_, err := h.get(ctx, parentOf(k))
+		if errors.Is(err, context.DeadlineExceeded) {
+			h.stallOnce.Do(func() { close(h.stalled) })
+			return nil, err
+		}
 		if err != nil && !errors.As(err, new(*BreakerOpenError)) {
 			return nil, err
 		}
@@ -395,8 +406,10 @@ func (h *harness) check(m *model, now time.Time, prevBr BreakerStatus, prevSt St
 }
 
 // errOverran abandons a run: a build scripted to be fast overran
-// BuildTimeout (the machine stalled for longer than modelBuildTimeout), so the
-// step the model took is not the one the cache took.
+// BuildTimeout, or a build's nested Get of its parent failed on a deadline
+// (harness.stalled) — the machine stalled for longer than
+// modelBuildTimeout — so the step the model took is not the one the cache
+// took.
 var errOverran = errors.New("a fast build overran BuildTimeout")
 
 // runModel drives steps random operations from seed against a fresh cache
@@ -406,7 +419,7 @@ func runModel(seed int64, steps int) error {
 	clock := newFakeClock()
 	const capacity, threshold, cooldown = 3, 2, 10 * time.Second
 	h := &harness{
-		slow: make(chan *lateBuild, 1), done: make(chan struct{}),
+		slow: make(chan *lateBuild, 1), done: make(chan struct{}), stalled: make(chan struct{}),
 		active: map[whatIf]int{},
 	}
 	defer close(h.done)
@@ -451,6 +464,11 @@ func runModel(seed int64, steps int) error {
 			built := maps.Clone(h.built) // a build that overran may still write
 			h.mu.Unlock()
 			wantN, wantErr := m.get(k, sc, clock.Now(), built)
+			select {
+			case <-h.stalled:
+				return errOverran
+			default:
+			}
 			if h.c.Stats().Timeouts != m.st.Timeouts {
 				return errOverran
 			}
@@ -464,6 +482,8 @@ func runModel(seed int64, steps int) error {
 				var lb *lateBuild
 				select {
 				case lb = <-h.slow:
+				case <-h.stalled:
+					return errOverran
 				case <-time.After(10 * time.Second):
 					return fmt.Errorf("step %d %s: the timed-out build never started", step, what)
 				}
