@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,6 +58,32 @@ func TestRunSingleExperiments(t *testing.T) {
 				t.Fatalf("text mode: %v", err)
 			}
 		})
+	}
+}
+
+// Experiments that build their own snapshots carry the run's context into
+// the snapshot cache, so their -json envelopes attribute the builds:
+// stage_times names graph_build or a cache stage.
+func TestStageTimesNameBuilds(t *testing.T) {
+	for _, name := range []string{"fig3", "fig10", "fig11"} {
+		out, err := captureRun(context.Background(), []string{"-scale", "tiny", "-snapshots", "2", "-json", "-quiet", name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct {
+			StageTimes map[string]json.RawMessage `json:"stage_times"`
+		}
+		if err := json.Unmarshal(out, &env); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		found := false
+		for _, stage := range []string{"graph_build", "cache_hit", "cache_miss", "cache_wait"} {
+			_, ok := env.StageTimes[stage]
+			found = found || ok
+		}
+		if !found {
+			t.Errorf("%s: stage_times %v names no build or cache stage", name, env.StageTimes)
+		}
 	}
 }
 

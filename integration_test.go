@@ -149,7 +149,7 @@ func TestEndToEndAllExperiments(t *testing.T) {
 	})
 
 	t.Run("geojson+json", func(t *testing.T) {
-		if err := core.WriteSnapshotGeoJSON(io.Discard, sim, 0, geo.Epoch.Add(30*time.Minute)); err != nil {
+		if err := core.WriteSnapshotGeoJSON(context.Background(), io.Discard, sim, 0, geo.Epoch.Add(30*time.Minute)); err != nil {
 			t.Fatal(err)
 		}
 		rows, err := RunFig4(context.Background(), sim)

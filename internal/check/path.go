@@ -132,13 +132,9 @@ func CheckDominance(r *Report, bp, hybrid *graph.Network, src, dst int32) {
 // two implementations share no code beyond the graph representation.
 func CheckOptimality(r *Report, n *graph.Network, src, dst int32, satTransitOnly bool) {
 	r.Checked("optimality-pairs", 1)
-	spec := graph.SearchSpec{Src: src, Target: dst}
-	if satTransitOnly {
-		spec.Expand = n.SatTransit
-	}
 	st := graph.AcquireSearch()
 	defer st.Release()
-	n.Search(st, spec)
+	n.Search(st, graph.SearchSpec{Src: src, Target: dst, SatTransit: satTransitOnly})
 	p, ok := st.Path(dst)
 	want, reach := NaiveShortestMs(n, src, dst, satTransitOnly)
 	if ok != reach {

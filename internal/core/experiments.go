@@ -183,9 +183,9 @@ var Experiments = []Experiment{
 			return RunRelayDensitySweep(ctx, s, []float64{d, d * 2, d * 4})
 		}, report(WriteRelayReport)),
 	row("geojson", "one snapshot and a routed pair as GeoJSON", "",
-		call(func(_ context.Context, s *Sim) (Verbatim, error) {
+		call(func(ctx context.Context, s *Sim) (Verbatim, error) {
 			var b bytes.Buffer
-			err := WriteSnapshotGeoJSON(&b, s, 0, geo.Epoch)
+			err := WriteSnapshotGeoJSON(ctx, &b, s, 0, geo.Epoch)
 			return b.Bytes(), err
 		}), report(writeVerbatim)),
 	row("info", "the sim's one-line summary", "",

@@ -42,21 +42,26 @@ var searchPairsTestHook func(src int)
 
 // searchPairs runs, on the view v, one search per source city of the pairs
 // want marks (nil: every pair), stopped once its last wanted destination is
-// settled, under the forwarding restriction expand (nil: none). visit gets
-// each wanted pair's index and destination node and the settled search, whose
-// labels there are a full tree's, bit for bit (DESIGN.md §7); it runs on the
-// source's worker and writes only pair pi's slots. With no cut and no expand
-// the searches run on the network's relay overlay, built for this fan-out and
-// shared by its workers (graph.NewOverlay): every label and path a visit
-// reads is the CSR kernel's, bit for bit. The fan-out, the build included, is
-// one search span.
-func searchPairs(ctx context.Context, v graph.View, pairs []Pair, want []bool, expand func(int32) bool,
+// settled, satellites-only where transit is set (SearchSpec.SatTransit).
+// visit gets each wanted pair's index and destination node and the settled
+// search, whose labels there are a full tree's, bit for bit (DESIGN.md §7); it
+// runs on the source's worker and writes only pair pi's slots. With no cut the
+// searches run on the relay overlay, built for a fan-out that pays for it and
+// shared by its workers (graph.NewOverlay): every label and path a visit reads
+// is the CSR kernel's, bit for bit. The fan-out is one search span.
+func searchPairs(ctx context.Context, v graph.View, pairs []Pair, want []bool, transit bool,
 	visit func(pi int, dst int32, st *graph.SearchState)) error {
 	defer telemetry.RecordSpan(ctx, telemetry.StageSearch).End()
 	n := v.N
 	search := v.Search
-	if len(v.Cut) == 0 && expand == nil {
-		search = graph.NewOverlay(n, sources(pairs, want, n.NumCity)).Search
+	if len(v.Cut) == 0 {
+		sources := map[int]bool{} // the searches the overlay must pay for
+		for pi, p := range pairs {
+			if want == nil || want[pi] {
+				sources[p.Src] = true
+			}
+		}
+		search = graph.NewOverlay(n, len(sources)).Search
 	}
 	return eachGroup(ctx, pairs, pairSrc, func(src int, pis []int) error {
 		var wanted []int
@@ -75,7 +80,7 @@ func searchPairs(ctx context.Context, v graph.View, pairs []Pair, want []bool, e
 		}
 		st := graph.AcquireSearch()
 		defer st.Release()
-		search(st, graph.SearchSpec{Src: n.CityNode(src), Target: graph.NoTarget, Targets: dsts, Expand: expand})
+		search(st, graph.SearchSpec{Src: n.CityNode(src), Target: graph.NoTarget, Targets: dsts, SatTransit: transit})
 		for i, pi := range wanted {
 			visit(pi, dsts[i], st)
 		}
@@ -83,38 +88,24 @@ func searchPairs(ctx context.Context, v graph.View, pairs []Pair, want []bool, e
 	})
 }
 
-// sources counts the searches searchPairs runs: the distinct source cities,
-// each below cities, of the pairs want marks (nil: every pair).
-func sources(pairs []Pair, want []bool, cities int) int {
-	seen := make([]bool, cities)
-	count := 0
-	for pi, p := range pairs {
-		if (want == nil || want[pi]) && !seen[p.Src] {
-			seen[p.Src] = true
-			count++
-		}
-	}
-	return count
-}
-
 // pairRTTs computes, on one snapshot view, the round-trip time in ms of every
 // pair of pairs that want marks (nil: every pair), indexed like pairs.
 // Unreachable and unwanted pairs get +Inf; the slice is partial on error.
 func pairRTTs(ctx context.Context, v graph.View, pairs []Pair, want []bool) ([]float64, error) {
 	out := fill(len(pairs), math.Inf(1))
-	return out, searchPairs(ctx, v, pairs, want, nil, func(pi int, dst int32, st *graph.SearchState) {
+	return out, searchPairs(ctx, v, pairs, want, false, func(pi int, dst int32, st *graph.SearchState) {
 		out[pi] = 2 * st.Dist(dst)
 	})
 }
 
 // pairPaths returns, on one snapshot view, the path of every pair of pairs
-// that want marks (nil: every pair) under expand (nil: none), indexed like
-// pairs: the one a single-pair search under the same expand finds.
+// that want marks (nil: every pair), satellites-only where transit is set,
+// indexed like pairs: the one a single-pair search under the same rule finds.
 // Unreachable and unwanted pairs get the zero Path; the slice is partial on
 // error.
-func pairPaths(ctx context.Context, v graph.View, pairs []Pair, want []bool, expand func(int32) bool) ([]graph.Path, error) {
+func pairPaths(ctx context.Context, v graph.View, pairs []Pair, want []bool, transit bool) ([]graph.Path, error) {
 	out := make([]graph.Path, len(pairs))
-	return out, searchPairs(ctx, v, pairs, want, expand, func(pi int, dst int32, st *graph.SearchState) {
+	return out, searchPairs(ctx, v, pairs, want, transit, func(pi int, dst int32, st *graph.SearchState) {
 		out[pi], _ = st.Path(dst)
 	})
 }

@@ -50,7 +50,7 @@ func RunFiberAugmentation(ctx context.Context, s *Sim, metro string, nearby []st
 	}
 	mi := idx(metro)
 
-	n := s.NetworkAt(t, Hybrid)
+	n := s.NetworkAtCtx(ctx, t, Hybrid)
 	res = &FiberResult{Metro: metro, Nearby: nearby}
 
 	visible := func(city int) map[int32]bool {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -64,14 +65,14 @@ func sign(x float64) float64 {
 // satellite as a point, the pair's cities, and the shortest paths under both
 // modes as LineStrings (split at the antimeridian is NOT performed; viewers
 // handle it).
-func WriteSnapshotGeoJSON(w io.Writer, s *Sim, pairIdx int, t time.Time) error {
+func WriteSnapshotGeoJSON(ctx context.Context, w io.Writer, s *Sim, pairIdx int, t time.Time) error {
 	if pairIdx < 0 || pairIdx >= len(s.Pairs) {
 		return fmt.Errorf("core: pair index %d out of range", pairIdx)
 	}
 	pair := s.Pairs[pairIdx]
 	col := geoJSONCollection{Type: "FeatureCollection"}
 
-	hy := s.NetworkAt(t, Hybrid)
+	hy := s.NetworkAtCtx(ctx, t, Hybrid)
 	for i := 0; i < hy.NumSat; i++ {
 		ll := geo.FromECEF(hy.Pos[i])
 		col.Features = append(col.Features, pointFeature(ll, map[string]interface{}{
@@ -85,7 +86,7 @@ func WriteSnapshotGeoJSON(w io.Writer, s *Sim, pairIdx int, t time.Time) error {
 			}))
 	}
 	for _, mode := range []Mode{BP, Hybrid} {
-		n := s.NetworkAt(t, mode)
+		n := s.NetworkAtCtx(ctx, t, mode)
 		p, ok := n.ShortestPath(n.CityNode(pair.Src), n.CityNode(pair.Dst))
 		if !ok {
 			continue

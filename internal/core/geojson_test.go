@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 )
@@ -9,7 +10,7 @@ import (
 func TestWriteSnapshotGeoJSON(t *testing.T) {
 	s := getTinySim(t)
 	var buf bytes.Buffer
-	if err := WriteSnapshotGeoJSON(&buf, s, 0, s.SnapshotTimes()[0]); err != nil {
+	if err := WriteSnapshotGeoJSON(context.Background(), &buf, s, 0, s.SnapshotTimes()[0]); err != nil {
 		t.Fatal(err)
 	}
 	var col struct {
@@ -69,7 +70,7 @@ func TestWriteSnapshotGeoJSON(t *testing.T) {
 	if paths == 0 {
 		t.Errorf("no path features")
 	}
-	if err := WriteSnapshotGeoJSON(&buf, s, 1<<20, s.SnapshotTimes()[0]); err == nil {
+	if err := WriteSnapshotGeoJSON(context.Background(), &buf, s, 1<<20, s.SnapshotTimes()[0]); err == nil {
 		t.Errorf("out-of-range pair must fail")
 	}
 }

@@ -52,7 +52,7 @@ func RunGSOImpact(ctx context.Context, s *Sim) (res *GSOImpactResult, err error)
 	// BP graph containment makes them comparable).
 	freeRTT := map[Mode][]float64{}
 	for _, mode := range []Mode{BP, Hybrid} {
-		if freeRTT[mode], err = pairRTTs(ctx, graph.View{N: s.NetworkAt(t, mode)}, eqPairs, nil); err != nil {
+		if freeRTT[mode], err = pairRTTs(ctx, graph.View{N: s.NetworkAtCtx(ctx, t, mode)}, eqPairs, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -69,7 +69,7 @@ func RunGSOImpact(ctx context.Context, s *Sim) (res *GSOImpactResult, err error)
 	// impact returns the share of eligible pairs the constraint makes
 	// unreachable under mode, and the median RTT inflation of the rest.
 	impact := func(mode Mode) (unFrac, med float64, err error) {
-		gsoRTT, err := pairRTTs(ctx, graph.View{N: constrained.NetworkAt(t, mode)}, eqPairs, eligible)
+		gsoRTT, err := pairRTTs(ctx, graph.View{N: constrained.NetworkAtCtx(ctx, t, mode)}, eqPairs, eligible)
 		if err != nil {
 			return 0, 0, err
 		}

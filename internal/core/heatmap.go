@@ -72,13 +72,13 @@ func RunHeatmap(ctx context.Context, s *Sim, srcName, dstName string, stepDeg fl
 
 	// The paths at the first snapshot.
 	t := s.SnapshotTimes()[0]
-	bpNet := s.NetworkAt(t, BP)
+	bpNet := s.NetworkAtCtx(ctx, t, BP)
 	if p, ok := bpNet.ShortestPath(bpNet.CityNode(src), bpNet.CityNode(dst)); ok {
 		res.BPGroundHops = groundHops(bpNet, p)
 		res.BPHopDelayMs = hopDelays(bpNet, p)
 	}
-	hyNet := s.NetworkAt(t, Hybrid)
-	isl, err := pairPaths(ctx, graph.View{N: hyNet}, []Pair{{Src: src, Dst: dst}}, nil, hyNet.SatTransit)
+	hyNet := s.NetworkAtCtx(ctx, t, Hybrid)
+	isl, err := pairPaths(ctx, graph.View{N: hyNet}, []Pair{{Src: src, Dst: dst}}, nil, true)
 	if err != nil {
 		return nil, err
 	}

@@ -137,7 +137,7 @@ func (s *Sim) churnWalk(ctx context.Context, w *Walker, start time.Time, step ti
 			}
 		}
 		prev = n
-		paths, err := pairPaths(ctx, graph.View{N: n}, s.Pairs, valid, nil)
+		paths, err := pairPaths(ctx, graph.View{N: n}, s.Pairs, valid, false)
 		if err != nil {
 			return c, err
 		}

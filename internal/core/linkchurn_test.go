@@ -88,9 +88,9 @@ func TestRunChurnValidation(t *testing.T) {
 // every other one, on tiny and reduced, under both modes, for the default
 // motif and nearest. They do the same on the pair lists other experiments
 // pass — gsoimpact's equatorial pairs and a one-pair list outside s.Pairs,
-// as RunPairWeather passes — under both modes, and with §6's
-// satellite-transit Expand on the hybrid network they find the path a
-// single-pair Search under the same Expand finds, for s.Pairs and both lists.
+// as RunPairWeather passes — under both modes, and under §6's
+// satellite-transit rule on the hybrid network they find the path a
+// single-pair Search under the same rule finds, for s.Pairs and both lists.
 func TestChurnPathsMatchShortestPath(t *testing.T) {
 	ctx := context.Background()
 	for _, scale := range []Scale{TinyScale(), ReducedScale()} {
@@ -113,7 +113,7 @@ func TestChurnPathsMatchShortestPath(t *testing.T) {
 				for _, mode := range []Mode{BP, Hybrid} {
 					n := nets[mode]
 					for _, want := range [][]bool{all, alternate} {
-						got, err := pairPaths(ctx, graph.View{N: n}, s.Pairs, want, nil)
+						got, err := pairPaths(ctx, graph.View{N: n}, s.Pairs, want, false)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -138,25 +138,24 @@ func TestChurnPathsMatchShortestPath(t *testing.T) {
 
 				eq, outside := s.equatorialPairs(), []Pair{outsidePair(s)}
 				bp, hy := nets[BP], nets[Hybrid]
-				satTransit := hy.SatTransit
 				for _, c := range []struct {
-					label  string
-					pairs  []Pair
-					n      *graph.Network
-					expand func(int32) bool
+					label   string
+					pairs   []Pair
+					n       *graph.Network
+					transit bool
 				}{
-					{"bp, equatorial pairs", eq, bp, nil},
-					{"hybrid, equatorial pairs", eq, hy, nil},
-					{"bp, one pair outside s.Pairs", outside, bp, nil},
-					{"hybrid, one pair outside s.Pairs", outside, hy, nil},
-					{"hybrid satellite transit", s.Pairs, hy, satTransit},
-					{"hybrid satellite transit, equatorial pairs", eq, hy, satTransit},
-					{"hybrid satellite transit, one pair outside s.Pairs", outside, hy, satTransit},
+					{"bp, equatorial pairs", eq, bp, false},
+					{"hybrid, equatorial pairs", eq, hy, false},
+					{"bp, one pair outside s.Pairs", outside, bp, false},
+					{"hybrid, one pair outside s.Pairs", outside, hy, false},
+					{"hybrid satellite transit", s.Pairs, hy, true},
+					{"hybrid satellite transit, equatorial pairs", eq, hy, true},
+					{"hybrid satellite transit, one pair outside s.Pairs", outside, hy, true},
 				} {
 					if len(c.pairs) == 0 {
 						t.Fatalf("%s: no pairs: the comparison is vacuous", c.label)
 					}
-					got, err := pairPaths(ctx, graph.View{N: c.n}, c.pairs, nil, c.expand)
+					got, err := pairPaths(ctx, graph.View{N: c.n}, c.pairs, nil, c.transit)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -164,7 +163,7 @@ func TestChurnPathsMatchShortestPath(t *testing.T) {
 					for pi, p := range c.pairs {
 						src, dst := c.n.CityNode(p.Src), c.n.CityNode(p.Dst)
 						st := graph.AcquireSearch()
-						c.n.Search(st, graph.SearchSpec{Src: src, Target: dst, Expand: c.expand})
+						c.n.Search(st, graph.SearchSpec{Src: src, Target: dst, SatTransit: c.transit})
 						ref, _ := st.Path(dst)
 						st.Release()
 						if !reflect.DeepEqual(got[pi], ref) {

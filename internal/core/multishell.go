@@ -42,11 +42,11 @@ func RunCrossShell(ctx context.Context, s *Sim, srcName, dstName string) (res *C
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		one := s.NetworkAt(t, Hybrid)
+		one := s.NetworkAtCtx(ctx, t, Hybrid)
 		if p, ok := one.ShortestPath(one.CityNode(src), one.CityNode(dst)); ok {
 			res.SingleShellRTTs = append(res.SingleShellRTTs, p.RTTMs())
 		}
-		tw := two.NetworkAt(t, Hybrid)
+		tw := two.NetworkAtCtx(ctx, t, Hybrid)
 		if p, ok := tw.ShortestPath(tw.CityNode(src), tw.CityNode(dst)); ok {
 			res.TwoShellRTTs = append(res.TwoShellRTTs, p.RTTMs())
 		}

@@ -51,7 +51,7 @@ func RunPathChurn(ctx context.Context, s *Sim) (res *PathChurnResult, err error)
 		}
 		for _, mode := range []Mode{BP, Hybrid} {
 			n := s.NetworkAtCtx(ctx, t, mode)
-			paths, err := pairPaths(ctx, graph.View{N: n}, s.Pairs, valid, nil)
+			paths, err := pairPaths(ctx, graph.View{N: n}, s.Pairs, valid, false)
 			if err != nil {
 				return nil, err
 			}

@@ -49,7 +49,7 @@ func RunPathTrace(ctx context.Context, s *Sim, srcName, dstName string, mode Mod
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		n := s.NetworkAt(t, mode)
+		n := s.NetworkAtCtx(ctx, t, mode)
 		p, okPath := n.ShortestPath(n.CityNode(src), n.CityNode(dst))
 		tr := HopTrace{Time: t, RTTMs: Float(math.Inf(1)), Reachable: okPath}
 		if okPath {

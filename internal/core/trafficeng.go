@@ -44,7 +44,7 @@ func RunTrafficEngineering(ctx context.Context, s *Sim, mode Mode, k int, t time
 	if k < 1 {
 		return nil, fmt.Errorf("core: traffic engineering needs k ≥ 1, got %d", k)
 	}
-	n := s.NetworkAt(t, mode)
+	n := s.NetworkAtCtx(ctx, t, mode)
 	res = &TEResult{Mode: mode, K: k}
 
 	// Baseline: shortest-delay k edge-disjoint multipath.

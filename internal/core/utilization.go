@@ -35,7 +35,7 @@ type UtilizationResult struct {
 // path.
 func RunUtilization(ctx context.Context, s *Sim, mode Mode, t time.Time) (res *UtilizationResult, err error) {
 	defer safe.RecoverTo(&err)
-	n := s.NetworkAt(t, mode)
+	n := s.NetworkAtCtx(ctx, t, mode)
 	pr, flat, err := loadPairFlows(ctx, s, n, 4)
 	if err != nil {
 		return nil, err

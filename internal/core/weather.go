@@ -98,11 +98,11 @@ func weatherCurves(ctx context.Context, s *Sim, pairs []Pair, band Band) (bp, is
 		}
 		bpNet := s.NetworkAtCtx(ctx, t, BP)
 		hyNet := s.NetworkAtCtx(ctx, t, Hybrid)
-		bpPaths, err := pairPaths(ctx, graph.View{N: bpNet}, pairs, nil, nil)
+		bpPaths, err := pairPaths(ctx, graph.View{N: bpNet}, pairs, nil, false)
 		if err != nil {
 			return nil, nil, err
 		}
-		islPaths, err := pairPaths(ctx, graph.View{N: hyNet}, pairs, nil, hyNet.SatTransit)
+		islPaths, err := pairPaths(ctx, graph.View{N: hyNet}, pairs, nil, true)
 		if err != nil {
 			return nil, nil, err
 		}

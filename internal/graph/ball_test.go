@@ -138,7 +138,7 @@ func TestBallBound(t *testing.T) {
 		}
 		c.n.growBall(ball, c.dst, c.srcs)
 		st.directByBall(ball)
-		dist, _ := naiveDijkstra(c.n, c.dst, nil, nil, nil, nil)
+		dist, _ := naiveDijkstra(c.n, c.dst, nil, nil, false, nil)
 		reachable := true
 		for _, v := range c.srcs {
 			reachable = reachable && !math.IsInf(dist[v], 1)

@@ -151,7 +151,7 @@ func requireNaivePath(t *testing.T, tag string, n *Network, st *SearchState, src
 	if got, want := st.tree != nil, goal && tree != nil; got != want {
 		t.Fatalf("%s: %d→%d directed by the tree = %v, want %v", tag, src, dst, got, want)
 	}
-	wd, wp := naiveDijkstra(n, src, []int32{dst}, banned, nil, nil)
+	wd, wp := naiveDijkstra(n, src, []int32{dst}, banned, false, nil)
 	p, ok := st.Path(dst)
 	q, wantOK := n.extractPath(src, dst, wd, wp)
 	if ok != wantOK || math.Float64bits(st.Dist(dst)) != math.Float64bits(wd[dst]) ||
@@ -241,7 +241,7 @@ func TestGoalDirectedTieRule(t *testing.T) {
 	tree.link(ks, ku2, 1.5)
 	fromU1 := tree.link(ku1, kt, 2.5)
 	tree.link(ku2, kt, 2)
-	dist, row := searchTree(tree, kt, nil, nil)
+	dist, row := searchTree(tree, kt, nil, false)
 	if dist[ku1] != 2.5 || dist[ku2] != 2 || 1+dist[ku1] != 1.5+dist[ku2] {
 		t.Fatalf("the tree does not weigh the last links exactly: %v", dist)
 	}
@@ -273,7 +273,7 @@ func TestGoalGate(t *testing.T) {
 	// own tree rooted at the target — a row the gate must refuse as well.
 	both := func(tag string, n *Network, src, dst int32, goal bool) {
 		t.Helper()
-		_, row := searchTree(n, dst, nil, nil)
+		_, row := searchTree(n, dst, nil, false)
 		requireNaivePath(t, tag, n, st, src, dst, nil, nil, goal)
 		requireNaivePath(t, tag+" with its tree", n, st, src, dst, nil, row, goal)
 	}

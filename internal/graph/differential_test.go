@@ -70,25 +70,25 @@ func treeOf(st *SearchState, nn int) (dist []float64, prevLink []int32) {
 }
 
 // searchTree runs the kernel's full tree from src with every link of banned
-// skipped and transit limited by expand (nil: every node forwards), and
+// skipped, satellites-only where transit is set (SearchSpec.SatTransit), and
 // returns treeOf it.
-func searchTree(n *Network, src int32, banned map[int32]bool, expand func(int32) bool) (dist []float64, prevLink []int32) {
+func searchTree(n *Network, src int32, banned map[int32]bool, transit bool) (dist []float64, prevLink []int32) {
 	st := AcquireSearch()
 	defer st.Release()
 	for li := range banned {
 		st.BanLink(li)
 	}
-	n.Search(st, SearchSpec{Src: src, Target: NoTarget, Expand: expand})
+	n.Search(st, SearchSpec{Src: src, Target: NoTarget, SatTransit: transit})
 	return treeOf(st, n.N())
 }
 
 // naiveDijkstra mirrors the kernel's semantics with O(n²) linear scans:
 // settle the unsettled reached node with minimal (dist, node), and stop once
-// every node of a non-empty targets list is settled; a settled non-source
-// node forwards only if expand allows it; relaxation walks the link list in
-// index order and accepts strict improvements only.
+// every node of a non-empty targets list is settled; under transit a settled
+// non-source node forwards only if it is a satellite; relaxation walks the
+// link list in index order and accepts strict improvements only.
 func naiveDijkstra(n *Network, src int32, targets []int32, bannedLinks map[int32]bool,
-	expand func(int32) bool, cost func(int32) float64) (dist []float64, prev []int32) {
+	transit bool, cost func(int32) float64) (dist []float64, prev []int32) {
 	nn := n.N()
 	dist = make([]float64, nn)
 	prev = make([]int32, nn)
@@ -121,7 +121,7 @@ func naiveDijkstra(n *Network, src int32, targets []int32, bannedLinks map[int32
 				break
 			}
 		}
-		if v != src && expand != nil && !expand(v) {
+		if v != src && transit && n.Kind[v] != NodeSatellite {
 			continue
 		}
 		for li := range n.Links {
@@ -210,7 +210,7 @@ func compareAll(t *testing.T, n *Network, dist, wantDist []float64, prev, wantPr
 }
 
 // checkSearch runs one kernel search with every restriction at once — link
-// bans, an Expand filter, a Cost hook, a target and a target list — and
+// bans, satellites-only transit, a Cost hook, a target and a target list — and
 // holds the outcome to naiveDijkstra exactly: a full tree's distance and
 // predecessor of every node; a stopped search's of every node it settled and
 // of every node nearer than its farthest wanted node (which it settled or
@@ -237,8 +237,8 @@ func checkSearch(t *testing.T, n *Network, spec SearchSpec, bannedLinks map[int3
 		t.Fatalf("%s: search did not complete", tag)
 	}
 	dist, prev := treeOf(st, n.N())
-	n.Search(tree, SearchSpec{Src: spec.Src, Target: NoTarget, Expand: spec.Expand, Cost: spec.Cost})
-	treeDist, treePrev := naiveDijkstra(n, spec.Src, nil, bannedLinks, spec.Expand, spec.Cost)
+	n.Search(tree, SearchSpec{Src: spec.Src, Target: NoTarget, SatTransit: spec.SatTransit, Cost: spec.Cost})
+	treeDist, treePrev := naiveDijkstra(n, spec.Src, nil, bannedLinks, spec.SatTransit, spec.Cost)
 	if len(wanted) == 0 {
 		compareAll(t, n, dist, treeDist, prev, treePrev, tag)
 	}
@@ -291,13 +291,9 @@ func TestDifferentialCombined(t *testing.T) {
 		src := int32(r.Intn(n.N()))
 		target := NoTarget
 		var bannedLinks map[int32]bool
-		var expand func(int32) bool
 		var cost func(int32) float64
 		if seed&1 != 0 {
 			bannedLinks = randomBans(r, n, 0.2)
-		}
-		if seed&4 != 0 {
-			expand = func(v int32) bool { return !n.IsGroundSide(v) }
 		}
 		if seed&8 != 0 {
 			scale := make([]float64, len(n.Links))
@@ -321,18 +317,23 @@ func TestDifferentialCombined(t *testing.T) {
 			}
 			targets = append(targets, targets[0], src) // a duplicate, and the source
 		}
-		checkSearch(t, n, SearchSpec{Src: src, Target: target, Targets: targets, Expand: expand, Cost: cost}, bannedLinks, "combined")
+		checkSearch(t, n, SearchSpec{Src: src, Target: target, Targets: targets, SatTransit: seed&4 != 0, Cost: cost}, bannedLinks, "combined")
 	}
 }
 
 // TestDecreaseKeyChain relabels every node but the source's neighbour on
 // purpose: the source reaches all nodes directly at a high price, then a
 // cheap chain undercuts each label in turn while the node is still queued.
+// Node 40 is a city, which breaks the chain under satellites-only transit.
 func TestDecreaseKeyChain(t *testing.T) {
 	n := &Network{}
 	const nodes = 200
 	for i := 0; i < nodes; i++ {
-		n.AddNode(NodeSatellite, geo.Vec3{}, "")
+		kind := NodeSatellite
+		if i == 40 {
+			kind = NodeCity
+		}
+		n.AddNode(kind, geo.Vec3{}, "")
 	}
 	add := func(a, b int32, w float64) {
 		n.Links = append(n.Links, Link{A: a, B: b, Kind: LinkISL, CapGbps: 1, OneWayMs: w})
@@ -345,8 +346,7 @@ func TestDecreaseKeyChain(t *testing.T) {
 	}
 	n.csrValid.Store(false)
 	checkSearch(t, n, SearchSpec{Src: 0, Target: NoTarget}, nil, "chain")
-	checkSearch(t, n, SearchSpec{Src: 0, Target: nodes / 2, Expand: func(v int32) bool { return v != 40 }},
-		map[int32]bool{3: true}, "chain restricted")
+	checkSearch(t, n, SearchSpec{Src: 0, Target: nodes / 2, SatTransit: true}, map[int32]bool{3: true}, "chain restricted")
 }
 
 // TestSearchStopsAtLastTarget: a search for a target list settles nothing past
@@ -422,7 +422,7 @@ func TestSearchAllocs(t *testing.T) {
 	n := randomNet(rand.New(rand.NewSource(9)), 300, 900)
 	snap := phase1Builder(t).At(geo.Epoch)
 	goal := snap.CityNode(snap.NumCity - 1)
-	_, row := searchTree(snap, goal, nil, nil)
+	_, row := searchTree(snap, goal, nil, false)
 	st := AcquireSearch()
 	defer st.Release()
 	compact := make([]int32, snap.RowNodes())
@@ -455,8 +455,8 @@ func TestDifferentialDijkstra(t *testing.T) {
 		src := int32(r.Intn(n.N()))
 		banned := randomBans(r, n, 0.15)
 
-		dist, prev := searchTree(n, src, banned, nil)
-		wantDist, wantPrev := naiveDijkstra(n, src, nil, banned, nil, nil)
+		dist, prev := searchTree(n, src, banned, false)
+		wantDist, wantPrev := naiveDijkstra(n, src, nil, banned, false, nil)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "banned")
 
 		// Same search through a reused state: stamping must fully isolate
@@ -474,15 +474,14 @@ func TestDifferentialDijkstra(t *testing.T) {
 	}
 }
 
-func TestDifferentialExpand(t *testing.T) {
+func TestDifferentialSatTransit(t *testing.T) {
 	for seed := int64(100); seed < 115; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := randomNet(r, 40, 90)
 		src := int32(r.Intn(n.N()))
-		expand := n.SatTransit
 
-		dist, prev := searchTree(n, src, nil, expand)
-		wantDist, wantPrev := naiveDijkstra(n, src, nil, nil, expand, nil)
+		dist, prev := searchTree(n, src, nil, true)
+		wantDist, wantPrev := naiveDijkstra(n, src, nil, nil, true, nil)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "sat-transit")
 
 		// A targeted restricted search must agree with the reference's
@@ -603,7 +602,7 @@ func naiveKDisjoint(n *Network, src, dst int32, k int) []Path {
 	banned := map[int32]bool{}
 	var out []Path
 	for len(out) < k {
-		wd, wp := naiveDijkstra(n, src, []int32{dst}, banned, nil, nil)
+		wd, wp := naiveDijkstra(n, src, []int32{dst}, banned, false, nil)
 		p, ok := n.extractPath(src, dst, wd, wp)
 		if !ok {
 			break
@@ -653,7 +652,7 @@ func TestDifferentialCostHook(t *testing.T) {
 		st := AcquireSearch()
 		n.Search(st, SearchSpec{Src: src, Target: NoTarget, Cost: cost})
 		dist, prev := treeOf(st, n.N())
-		wantDist, wantPrev := naiveDijkstra(n, src, nil, nil, nil, cost)
+		wantDist, wantPrev := naiveDijkstra(n, src, nil, nil, false, cost)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "cost hook")
 
 		// Under a cost hook, Dist is accumulated cost but extracted paths
@@ -715,7 +714,7 @@ func TestSearchStatePoolConcurrent(t *testing.T) {
 	want := map[*Network][]ref{}
 	for _, n := range nets {
 		for src := int32(0); src < int32(n.N()); src++ {
-			d, p := naiveDijkstra(n, src, nil, nil, nil, nil)
+			d, p := naiveDijkstra(n, src, nil, nil, false, nil)
 			want[n] = append(want[n], ref{d, p})
 		}
 	}

@@ -33,7 +33,7 @@ func TestSatelliteFailureRerouting(t *testing.T) {
 		}
 	}
 
-	dist, prev := searchTree(hy, src, banned, nil)
+	dist, prev := searchTree(hy, src, banned, false)
 	if math.IsInf(dist[dst], 1) {
 		t.Fatalf("failing %d satellites disconnected the pair — no mesh resilience", len(failed))
 	}
@@ -72,7 +72,7 @@ func TestPlaneFailureKeepsMeshConnected(t *testing.T) {
 		}
 	}
 	src := hy.CityNode(0)
-	dist, _ := searchTree(hy, src, banned, nil)
+	dist, _ := searchTree(hy, src, banned, false)
 	reached := 0
 	for i := 0; i < hy.NumSat; i++ {
 		if inPlane[int32(i)] {

@@ -89,8 +89,8 @@ func FuzzSearch(f *testing.F) {
 			}
 		}
 
-		dist, prev := searchTree(n, src, banned, nil)
-		wantDist, wantPrev := naiveDijkstra(n, src, nil, banned, nil, nil)
+		dist, prev := searchTree(n, src, banned, false)
+		wantDist, wantPrev := naiveDijkstra(n, src, nil, banned, false, nil)
 		for v := range dist {
 			if dist[v] != wantDist[v] || prev[v] != wantPrev[v] {
 				t.Fatalf("node %d: kernel (%v, %d) vs reference (%v, %d)",
@@ -98,10 +98,9 @@ func FuzzSearch(f *testing.F) {
 			}
 		}
 
-		// Sat-transit restriction against the reference with the same expand.
-		expand := func(v int32) bool { return !n.IsGroundSide(v) }
-		gotD, gotP := searchTree(n, src, nil, expand)
-		refD, refP := naiveDijkstra(n, src, nil, nil, expand, nil)
+		// Satellites-only transit against the reference under the same rule.
+		gotD, gotP := searchTree(n, src, nil, true)
+		refD, refP := naiveDijkstra(n, src, nil, nil, true, nil)
 		for v := range gotD {
 			if gotD[v] != refD[v] || gotP[v] != refP[v] {
 				t.Fatalf("sat-transit node %d: kernel (%v, %d) vs reference (%v, %d)",
@@ -109,14 +108,12 @@ func FuzzSearch(f *testing.F) {
 			}
 		}
 
-		// Everything at once, selected by optB's bits: the transit filter, a
-		// cost hook with free and excluded links, and an early-exit target,
-		// on top of the link bans above and the target list.
+		// Everything at once, selected by optB's bits: satellites-only
+		// transit, a cost hook with free and excluded links, and an
+		// early-exit target, on top of the link bans above and the target
+		// list.
 		var cost func(int32) float64
 		target := NoTarget
-		if optB&2 == 0 {
-			expand = nil
-		}
 		if optB&4 != 0 {
 			cost = func(li int32) float64 {
 				if m := (int(li) + int(optB>>4)) % 7; m < 5 {
@@ -128,7 +125,7 @@ func FuzzSearch(f *testing.F) {
 		if optB&8 != 0 {
 			target = dst
 		}
-		checkSearch(t, n, SearchSpec{Src: src, Target: target, Targets: targets, Expand: expand, Cost: cost}, banned, "combined")
+		checkSearch(t, n, SearchSpec{Src: src, Target: target, Targets: targets, SatTransit: optB&2 != 0, Cost: cost}, banned, "combined")
 
 		// A cut of banB%8 eighths of the links, drawn by hashing link ids
 		// with optB.
@@ -151,7 +148,7 @@ func FuzzSearch(f *testing.F) {
 
 		// Extracted path must be continuous and priced exactly at dist[dst].
 		if p, ok := n.ShortestPath(src, dst); ok {
-			d, _ := searchTree(n, src, nil, nil)
+			d, _ := searchTree(n, src, nil, false)
 			if math.Abs(p.OneWayMs-d[dst]) > 1e-12*math.Max(1, d[dst]) {
 				t.Fatalf("path delay %v vs dist %v", p.OneWayMs, d[dst])
 			}
@@ -577,7 +574,7 @@ func FuzzSearchGeometric(f *testing.F) {
 		src := int32(int(srcB) % n.N())
 		for dst := int32(0); dst < int32(n.N()); dst++ {
 			requireNaivePath(t, "geometric", n, st, src, dst, banned, nil, true)
-			_, row := searchTree(n, dst, nil, nil)
+			_, row := searchTree(n, dst, nil, false)
 			requireNaivePath(t, "directed by the uncut tree", n, st, src, dst, banned, row, true)
 		}
 		dst := int32(int(dstB) % n.N())
@@ -595,7 +592,7 @@ func FuzzSearchGeometric(f *testing.F) {
 			plain := AcquireSearch()
 			defer plain.Release()
 			zsrc, zdst := src%int32(zero.N()), dst%int32(zero.N())
-			_, row := searchTree(zero, zdst, nil, nil)
+			_, row := searchTree(zero, zdst, nil, false)
 			for _, tree := range [][]int32{nil, row} {
 				zero.Search(plain, SearchSpec{Src: zsrc, Target: zdst, Tree: tree})
 				if plain.goal != NoTarget || plain.tree != nil {

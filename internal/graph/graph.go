@@ -345,11 +345,6 @@ func (n *Network) ShortestPath(src, dst int32) (Path, bool) {
 	return st.Path(dst)
 }
 
-// SatTransit is the §6 "ISL path" model as a SearchSpec.Expand: only
-// satellites forward, so ground-side nodes other than the source may
-// terminate a path but never relay it.
-func (n *Network) SatTransit(v int32) bool { return !n.IsGroundSide(v) }
-
 // KDisjointPaths returns up to k edge-disjoint minimum-delay paths from src
 // to dst, computed by successively removing the links of each found path (the
 // scheme §5 routes traffic over); fewer when the graph runs out of disjoint

@@ -57,9 +57,9 @@ type Overlay struct {
 	// not admit an overlay and Search is the CSR kernel's.
 	n int32
 	// Node u's arcs are arcs[start[u]:start[u+1]]: its direct links in CSR
-	// order, then, for a satellite, its candidates.
-	start []int32
-	arcs  []overlayArc
+	// order, arcs[start[u]:direct[u]], then a satellite's candidates.
+	start, direct []int32
+	arcs          []overlayArc
 	// parts holds, while a build runs, the candidates of its ranges of
 	// satellites (gather), under mu. The build drops them: an overlay keeps
 	// only what its searches read.
@@ -95,8 +95,9 @@ const overlayMinSearches = 16
 // NewOverlay builds the overlay of n for a fan-out of searches searches. It
 // is empty, and Search runs the CSR kernel, where fewer searches cannot pay
 // back the build, and where n admits no overlay: no relay or aircraft, a
-// forwarder with a neighbour that is not a satellite, a link weight outside
-// the bounds above. It is not pooled: its memory goes with the fan-out.
+// forwarder with a neighbour that is not a satellite, a node kind out of the
+// Builder's layout, a link weight outside the bounds above. It is not pooled:
+// its memory goes with the fan-out.
 func NewOverlay(n *Network, searches int) *Overlay {
 	ov := &Overlay{net: n}
 	if searches >= overlayMinSearches {
@@ -106,10 +107,10 @@ func NewOverlay(n *Network, searches int) *Overlay {
 }
 
 // build fills the overlay of ov.net, and leaves ov.n 0 where it admits none.
-// It checks every arc weight and every forwarder's and city's row and counts
-// the direct links, then gathers the candidates of ranges of satellites in
-// parallel (gather), and lays the arcs out in node order: each node's direct
-// links in CSR order, then its candidates, range by range.
+// It checks every arc weight, node kind and forwarder's and city's row and
+// counts the direct links, then gathers the candidates of ranges of satellites
+// in parallel (gather), and lays the arcs out in node order: each node's
+// direct links in CSR order, then its candidates, range by range.
 func (ov *Overlay) build() {
 	n := ov.net
 	n.ensureCSR()
@@ -128,6 +129,11 @@ func (ov *Overlay) build() {
 	ok, ascending, _ := n.forwarding()
 	if !ok {
 		return
+	}
+	for v, k := range n.Kind { // SatTransit reads the kind, the overlay the index
+		if (k == NodeSatellite) != (int32(v) < ns) {
+			return
+		}
 	}
 	// count[u+2] first counts u's arcs, then the prefix sum makes count[u+1]
 	// u's first slot, which the fill advances to u's last plus one: u+1's
@@ -165,6 +171,7 @@ func (ov *Overlay) build() {
 			}
 		}
 	}
+	direct := slices.Clone(next[:on])
 	for _, part := range parts {
 		for _, c := range part.pairs {
 			eu, et := adjEdges[c.k], adjEdges[c.j]
@@ -175,7 +182,7 @@ func (ov *Overlay) build() {
 			next[et.To]++
 		}
 	}
-	ov.start, ov.arcs, ov.parts = count[:on+1], arcs, nil
+	ov.start, ov.direct, ov.arcs, ov.parts = count[:on+1], direct, arcs, nil
 }
 
 // gather adds to the build's parts the candidates of satellites [lo, hi).
@@ -230,9 +237,9 @@ func (ov *Overlay) gather(lo, hi int32, ascending bool) {
 // network's CSR, and with the same answers for every node: the satellites' and
 // cities' labels are the search's own, and a relay's or aircraft's Dist,
 // Reached, PrevLink and Path are derived from its satellites
-// (SearchState.forwarder). Only a plain search of an overlay node — no link
-// ban, no Cost, Expand, Tree or Stop, every wanted node a satellite or city —
-// runs on the overlay; any other, and any on an empty overlay, is
+// (SearchState.forwarder). Only a search of an overlay node — no link ban, no
+// Cost, Tree or Stop, every wanted node a satellite or city — runs on the
+// overlay, SatTransit or not; any other, and any on an empty overlay, is
 // Network.Search's. Like Network.Search it is goal-directed where spec wants
 // one node and the free-space gate is open.
 func (ov *Overlay) Search(st *SearchState, spec SearchSpec) bool {
@@ -243,15 +250,12 @@ func (ov *Overlay) Search(st *SearchState, spec SearchSpec) bool {
 	sp := telemetry.StartStageSpan(telemetry.StageSearch)
 	done := ov.search(st, spec)
 	sp.End()
-	if !done { // a label past overlayLabelCap
-		return n.Search(st, spec)
-	}
-	return true
+	return done || n.Search(st, spec) // a label past overlayLabelCap: the CSR's
 }
 
 // admits reports whether spec on st may run on the overlay.
 func (ov *Overlay) admits(st *SearchState, spec SearchSpec) bool {
-	if ov.n == 0 || st.anyLinkBan || spec.Cost != nil || spec.Expand != nil || spec.Tree != nil || spec.Stop != nil {
+	if ov.n == 0 || st.anyLinkBan || spec.Cost != nil || spec.Tree != nil || spec.Stop != nil {
 		return false
 	}
 	in := func(v int32) bool { return v >= 0 && v < ov.n }
@@ -281,8 +285,10 @@ func overlayTakes(links []Link, v int32, mid float64, li int32, held float64, pr
 
 // search is the kernel's loop (Network.search, relaxing ground nodes through)
 // over the overlay's arcs: a popped node relaxes its direct links and its
-// candidates, and a city that is not wanted is relaxed through. It returns
-// false, with st unusable, at the first pop past overlayLabelCap.
+// candidates, and a city that is not wanted is relaxed through. Under
+// SatTransit no forwarder forwards, so a satellite relaxes its direct links
+// only and a city but the source relaxes nothing. It returns false, with st
+// unusable, at the first pop past overlayLabelCap.
 func (ov *Overlay) search(st *SearchState, spec SearchSpec) bool {
 	n := ov.net
 	wantLeft, only := st.begin(n, spec)
@@ -300,8 +306,9 @@ func (ov *Overlay) search(st *SearchState, spec SearchSpec) bool {
 	goal := st.goal != NoTarget
 	node, cur, want := st.node, st.searchStamp, st.want
 	prevLink, held := st.prevLink, st.held
-	start, arcs, links := ov.start, ov.arcs, n.Links
+	start, direct, arcs, links := ov.start, ov.direct, ov.arcs, n.Links
 	ground := int32(n.NumSat)
+	transit := spec.SatTransit
 
 	node[spec.Src] = nodeState{stamp: cur}
 	prevLink[spec.Src] = -1
@@ -332,7 +339,14 @@ func (ov *Overlay) search(st *SearchState, spec SearchSpec) bool {
 				break
 			}
 		}
-		row := arcs[start[u]:start[u+1]]
+		end := start[u+1]
+		if transit {
+			if u >= ground && u != spec.Src {
+				continue
+			}
+			end = direct[u]
+		}
+		row := arcs[start[u]:end]
 		relaxed += len(row)
 		for _, a := range row {
 			mid := g + a.pre
@@ -360,6 +374,9 @@ func (ov *Overlay) search(st *SearchState, spec SearchSpec) bool {
 				// Relax city v through. Its arcs are all direct links
 				// (pre 0): the build refuses a city joined to a forwarder.
 				to.pos = posPassed
+				if transit {
+					continue
+				}
 				vrow := arcs[start[v]:start[v+1]]
 				relaxed += len(vrow)
 				for _, f := range vrow {

@@ -98,7 +98,8 @@ func requireSameSearch(t *testing.T, tag string, n *Network, st, ref *SearchStat
 
 // checkOverlay runs spec on the overlay and on the CSR and holds the two to
 // each other on every node; a full tree is held to naiveDijkstra too, and a
-// stopped search's wanted nodes to the reference's full tree.
+// stopped search's wanted nodes to the reference's full tree, each under
+// spec's transit rule.
 func checkOverlay(t *testing.T, tag string, n *Network, ov *Overlay, spec SearchSpec, naive bool) {
 	t.Helper()
 	st, ref := AcquireSearch(), AcquireSearch()
@@ -110,7 +111,7 @@ func checkOverlay(t *testing.T, tag string, n *Network, ov *Overlay, spec Search
 	if !naive {
 		return
 	}
-	wantDist, wantPrev := naiveDijkstra(n, spec.Src, nil, nil, nil, nil)
+	wantDist, wantPrev := naiveDijkstra(n, spec.Src, nil, nil, spec.SatTransit, nil)
 	wanted := spec.Targets
 	if spec.Target != NoTarget {
 		wanted = append(wanted, spec.Target)
@@ -130,7 +131,8 @@ func checkOverlay(t *testing.T, tag string, n *Network, ov *Overlay, spec Search
 // TestOverlayDifferential holds the overlay to the CSR kernel and to
 // naiveDijkstra on random networks of satellites, cities (with fiber),
 // relays and aircraft: full trees from cities and satellites, searches
-// stopped at target lists, and single-target searches.
+// stopped at target lists, and single-target searches, each plain and under
+// satellites-only transit.
 func TestOverlayDifferential(t *testing.T) {
 	for seed := int64(900); seed < 960; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -141,22 +143,25 @@ func TestOverlayDifferential(t *testing.T) {
 			t.Fatalf("%s: the overlay was refused", tag)
 		}
 		on := int(ov.n)
-		for i := 0; i < 4; i++ {
+		for i := 0; i < 8; i++ {
+			transit := i%2 == 1
+			tag := fmt.Sprintf("%s (transit %v)", tag, transit)
 			src := int32(r.Intn(on))
-			checkOverlay(t, tag+" full tree", n, ov, SearchSpec{Src: src, Target: NoTarget}, true)
+			checkOverlay(t, tag+" full tree", n, ov, SearchSpec{Src: src, Target: NoTarget, SatTransit: transit}, true)
 			var targets []int32
 			for k := 1 + r.Intn(3); k > 0; k-- {
 				targets = append(targets, int32(n.NumSat+r.Intn(n.NumCity)))
 			}
-			checkOverlay(t, tag+" targets", n, ov, SearchSpec{Src: src, Target: NoTarget, Targets: targets}, true)
-			checkOverlay(t, tag+" target", n, ov, SearchSpec{Src: src, Target: int32(r.Intn(on))}, true)
+			checkOverlay(t, tag+" targets", n, ov, SearchSpec{Src: src, Target: NoTarget, Targets: targets, SatTransit: transit}, true)
+			checkOverlay(t, tag+" target", n, ov, SearchSpec{Src: src, Target: int32(r.Intn(on)), SatTransit: transit}, true)
 		}
 	}
 }
 
 // checkGeometricOverlay counts the terminals right after n's satellites, up
 // to two, as cities, and where the overlay admits that network holds every
-// full tree and every search for one node from each of its nodes to the CSR
+// full tree, every search stopped at its cities and every search for one node
+// from each of its nodes, plain and under satellites-only transit, to the CSR
 // kernel's on every node, and to naiveDijkstra; on these networks the free-
 // space bound directs the searches for one node. It returns the overlay's
 // node and candidate counts, 0 where it was refused.
@@ -167,10 +172,18 @@ func checkGeometricOverlay(t *testing.T, n *Network) (nodes, cands int) {
 		c.NumCity++
 	}
 	ov := NewOverlay(c, overlayMinSearches)
+	var cities []int32
+	for v := int32(c.NumSat); v < ov.n; v++ {
+		cities = append(cities, v)
+	}
 	for src := int32(0); src < ov.n; src++ {
-		checkOverlay(t, "geometric overlay", c, ov, SearchSpec{Src: src, Target: NoTarget}, true)
-		for dst := int32(0); dst < ov.n; dst++ {
-			checkOverlay(t, "geometric overlay", c, ov, SearchSpec{Src: src, Target: dst}, true)
+		for _, transit := range []bool{false, true} {
+			tag := fmt.Sprintf("geometric overlay (transit %v)", transit)
+			checkOverlay(t, tag, c, ov, SearchSpec{Src: src, Target: NoTarget, SatTransit: transit}, true)
+			checkOverlay(t, tag+" cities", c, ov, SearchSpec{Src: src, Target: NoTarget, Targets: cities, SatTransit: transit}, true)
+			for dst := int32(0); dst < ov.n; dst++ {
+				checkOverlay(t, tag, c, ov, SearchSpec{Src: src, Target: dst, SatTransit: transit}, true)
+			}
 		}
 	}
 	return int(ov.n), candidates(ov)
@@ -193,9 +206,10 @@ func TestOverlayGeometricSeeds(t *testing.T) {
 
 // TestOverlayReducedDay holds the overlay to the CSR kernel on all 24 of a
 // reduced day's networks (12 hourly snapshots, bent-pipe and hybrid): every
-// fifth city's full tree, and its search stopped at three destination cities,
-// on every node's labels and every city's path; and, outside -short, one full
-// tree per network to naiveDijkstra.
+// fifth city's full tree, and its search stopped at three destination cities
+// (on the hybrid, under satellites-only transit too, as Fig 6's ISL paths
+// search), on every node's labels and every city's path; and, outside -short,
+// one full tree per network to naiveDijkstra.
 func TestOverlayReducedDay(t *testing.T) {
 	b := reducedBuilder(t)
 	st, ref := AcquireSearch(), AcquireSearch()
@@ -219,6 +233,12 @@ func TestOverlayReducedDay(t *testing.T) {
 				overlaySearch(t, tag, ov, st, spec)
 				n.Search(ref, spec)
 				requireSameSearch(t, fmt.Sprintf("%s, city %d, stopped", tag, c), n, st, ref, true)
+				if mode == 1 {
+					spec.SatTransit = true
+					overlaySearch(t, tag, ov, st, spec)
+					n.Search(ref, spec)
+					requireSameSearch(t, fmt.Sprintf("%s, city %d, stopped, transit", tag, c), n, st, ref, true)
+				}
 			}
 			if !testing.Short() {
 				checkOverlay(t, tag+", naive", n, ov, SearchSpec{Src: n.CityNode(h * 11 % n.NumCity), Target: NoTarget}, true)
@@ -284,10 +304,10 @@ func candidates(ov *Overlay) int {
 }
 
 // TestOverlayRefused: a network the overlay cannot answer for exactly gets an
-// empty one, and every search through it is the CSR kernel's — an aircraft
-// linked to a city, a relay linked to a relay, a link outside the weight
-// bounds, a network with no forwarder, and a fan-out too small to pay for a
-// build.
+// empty one, and every search through it, plain or under satellites-only
+// transit, is the CSR kernel's — an aircraft linked to a city, a relay linked
+// to a relay, a relay of satellite kind, a link outside the weight bounds, a
+// network with no forwarder, and a fan-out too small to pay for a build.
 func TestOverlayRefused(t *testing.T) {
 	base := func() *Network {
 		return overlayNet(rand.New(rand.NewSource(31)), 12, 4, 20, 4, 6, 2)
@@ -299,6 +319,7 @@ func TestOverlayRefused(t *testing.T) {
 	}{
 		{"aircraft to city", func(n *Network) { n.link(int32(n.N()-1), int32(n.NumSat), 1) }, overlayMinSearches},
 		{"relay to relay", func(n *Network) { n.link(int32(n.NumSat+n.NumCity), int32(n.NumSat+n.NumCity+1), 1) }, overlayMinSearches},
+		{"satellite kind past NumSat", func(n *Network) { n.Kind[n.NumSat+n.NumCity] = NodeSatellite }, overlayMinSearches},
 		{"zero weight", func(n *Network) { n.link(0, 1, 0) }, overlayMinSearches},
 		{"beyond the weight bound", func(n *Network) { n.link(0, 1, 2*overlayMaxMs) }, overlayMinSearches},
 		{"no forwarder", func(n *Network) {
@@ -317,13 +338,15 @@ func TestOverlayRefused(t *testing.T) {
 		}
 		st, ref := AcquireSearch(), AcquireSearch()
 		for src := int32(0); src < int32(n.NumSat+n.NumCity); src++ {
-			spec := SearchSpec{Src: src, Target: NoTarget}
-			ov.Search(st, spec)
-			if st.split != 0 {
-				t.Fatalf("%s: a search ran on the overlay", tc.name)
+			for _, transit := range []bool{false, true} {
+				spec := SearchSpec{Src: src, Target: NoTarget, SatTransit: transit}
+				ov.Search(st, spec)
+				if st.split != 0 {
+					t.Fatalf("%s: a search ran on the overlay", tc.name)
+				}
+				n.Search(ref, spec)
+				requireSameSearch(t, tc.name, n, st, ref, false)
 			}
-			n.Search(ref, spec)
-			requireSameSearch(t, tc.name, n, st, ref, false)
 		}
 		st.Release()
 		ref.Release()
@@ -331,16 +354,16 @@ func TestOverlayRefused(t *testing.T) {
 }
 
 // TestOverlayCSRKept: searches the overlay admits no change to — a ban, a
-// Cost or Expand hook, a tree, a Stop hook, a relay wanted or searched from —
-// run on the CSR kernel through it.
+// Cost hook, a tree, a Stop hook, a relay wanted or searched from — run on
+// the CSR kernel through it; a satellites-only transit search runs on the
+// overlay.
 func TestOverlayCSRKept(t *testing.T) {
 	n := overlayNet(rand.New(rand.NewSource(77)), 12, 4, 20, 4, 6, 2)
 	ov := NewOverlay(n, overlayMinSearches)
 	relay := int32(n.NumSat + n.NumCity)
-	_, tree := searchTree(n, 1, nil, nil)
+	_, tree := searchTree(n, 1, nil, false)
 	for name, spec := range map[string]SearchSpec{
 		"cost":          {Src: 0, Target: NoTarget, Cost: func(li int32) float64 { return n.Links[li].OneWayMs }},
-		"expand":        {Src: 0, Target: NoTarget, Expand: n.SatTransit},
 		"tree":          {Src: 0, Target: 1, Tree: tree},
 		"stop":          {Src: 0, Target: NoTarget, Stop: func() bool { return false }},
 		"relay wanted":  {Src: 0, Target: NoTarget, Targets: []int32{1, relay}},
@@ -356,6 +379,7 @@ func TestOverlayCSRKept(t *testing.T) {
 	}
 	st := AcquireSearch()
 	defer st.Release()
+	overlaySearch(t, "satellite transit", ov, st, SearchSpec{Src: 0, Target: NoTarget, SatTransit: true})
 	st.BanLink(0)
 	ov.Search(st, SearchSpec{Src: 0, Target: NoTarget})
 	if st.split != 0 {

@@ -56,14 +56,14 @@ func bentPipeNet(r *rand.Rand, sats, ground, isls, fibers int) *Network {
 }
 
 // requireNaiveTree holds the last search on st, a full tree from src, to
-// naiveDijkstra's under the same bans, Expand and Cost: every node's label
+// naiveDijkstra's under the same bans, transit rule and Cost: every node's label
 // bit for bit and its predecessor link, and every path's weight
 // (requirePathWeighs). It returns how many nodes the search relaxed through.
 func requireNaiveTree(t *testing.T, tag string, n *Network, st *SearchState, src int32,
-	banned map[int32]bool, expand func(int32) bool, cost func(int32) float64) (passed int) {
+	banned map[int32]bool, transit bool, cost func(int32) float64) (passed int) {
 	t.Helper()
 	dist, prev := treeOf(st, n.N())
-	wantDist, wantPrev := naiveDijkstra(n, src, nil, banned, expand, cost)
+	wantDist, wantPrev := naiveDijkstra(n, src, nil, banned, transit, cost)
 	compareAll(t, n, dist, wantDist, prev, wantPrev, tag)
 	for v := int32(0); v < int32(n.N()); v++ {
 		requirePathWeighs(t, tag, st, v, cost != nil)
@@ -74,12 +74,12 @@ func requireNaiveTree(t *testing.T, tag string, n *Network, st *SearchState, src
 	return passed
 }
 
-// TestRelayThroughDifferential runs full trees, trees under bans, Expand and
-// a Cost hook, searches stopped at a target and at target lists, and views
+// TestRelayThroughDifferential runs full trees, trees under bans,
+// satellites-only transit and a Cost hook, searches stopped at a target and at target lists, and views
 // under a cut on random bent-pipe networks with fiber between ground nodes,
 // and holds each to naiveDijkstra. Full trees must relax ground nodes
-// through, and only ground nodes; under the satellite-transit Expand a
-// ground node takes its label and relaxes nothing; a Cost hook that never
+// through, and only ground nodes; under satellites-only transit a ground node
+// takes its label and relaxes nothing; a Cost hook that never
 // prices a link at 0 keeps relaxing through, one that does falls back to
 // queuing every node.
 func TestRelayThroughDifferential(t *testing.T) {
@@ -91,7 +91,7 @@ func TestRelayThroughDifferential(t *testing.T) {
 		tag := fmt.Sprintf("seed %d", seed)
 
 		n.Search(st, SearchSpec{Src: src, Target: NoTarget})
-		if requireNaiveTree(t, tag+" full tree", n, st, src, nil, nil, nil) == 0 {
+		if requireNaiveTree(t, tag+" full tree", n, st, src, nil, false, nil) == 0 {
 			t.Fatalf("%s: the full tree relaxed no node through", tag)
 		}
 		for v := int32(0); v < int32(n.NumSat); v++ {
@@ -105,12 +105,11 @@ func TestRelayThroughDifferential(t *testing.T) {
 			st.BanLink(li)
 		}
 		n.Search(st, SearchSpec{Src: src, Target: NoTarget})
-		requireNaiveTree(t, tag+" banned", n, st, src, banned, nil, nil)
+		requireNaiveTree(t, tag+" banned", n, st, src, banned, false, nil)
 		st.ClearBans()
 
-		expand := func(v int32) bool { return !n.IsGroundSide(v) }
-		n.Search(st, SearchSpec{Src: src, Target: NoTarget, Expand: expand})
-		requireNaiveTree(t, tag+" satellite transit", n, st, src, nil, expand, nil)
+		n.Search(st, SearchSpec{Src: src, Target: NoTarget, SatTransit: true})
+		requireNaiveTree(t, tag+" satellite transit", n, st, src, nil, true, nil)
 
 		scale := make([]float64, len(n.Links))
 		for li := range scale {
@@ -118,12 +117,12 @@ func TestRelayThroughDifferential(t *testing.T) {
 		}
 		positive := func(li int32) float64 { return n.Links[li].OneWayMs * scale[li] }
 		n.Search(st, SearchSpec{Src: src, Target: NoTarget, Cost: positive})
-		if requireNaiveTree(t, tag+" positive cost", n, st, src, nil, nil, positive) == 0 {
+		if requireNaiveTree(t, tag+" positive cost", n, st, src, nil, false, positive) == 0 {
 			t.Fatalf("%s: a search under a positive Cost hook relaxed no node through", tag)
 		}
 		free := func(li int32) float64 { return n.Links[li].OneWayMs * float64(li%3) } // every third link free
 		n.Search(st, SearchSpec{Src: src, Target: NoTarget, Cost: free})
-		if passed := requireNaiveTree(t, tag+" free links", n, st, src, nil, nil, free); passed != 0 {
+		if passed := requireNaiveTree(t, tag+" free links", n, st, src, nil, false, free); passed != 0 {
 			t.Fatalf("%s: a search under a Cost hook with free links relaxed %d nodes through, want the plain loop's 0", tag, passed)
 		}
 		st.Release()
@@ -134,7 +133,7 @@ func TestRelayThroughDifferential(t *testing.T) {
 		}
 		checkSearch(t, n, SearchSpec{Src: src, Target: cities[r.Intn(len(cities))]}, nil, tag+" target")
 		checkSearch(t, n, SearchSpec{Src: src, Target: NoTarget, Targets: cities[:1+r.Intn(len(cities))]}, banned, tag+" targets")
-		checkSearch(t, n, SearchSpec{Src: src, Target: NoTarget, Targets: cities, Expand: expand, Cost: positive}, banned, tag+" targets, transit, cost")
+		checkSearch(t, n, SearchSpec{Src: src, Target: NoTarget, Targets: cities, SatTransit: true, Cost: positive}, banned, tag+" targets, transit, cost")
 		var cut Cut
 		for li := range n.Links {
 			if r.Intn(5) == 0 {
@@ -187,7 +186,7 @@ func TestRelayTiesPlanted(t *testing.T) {
 		}
 		st := AcquireSearch()
 		n.Search(st, SearchSpec{Src: c, Target: NoTarget})
-		if requireNaiveTree(t, tc.name, n, st, c, nil, nil, nil) == 0 {
+		if requireNaiveTree(t, tc.name, n, st, c, nil, false, nil) == 0 {
 			t.Fatalf("%s: r was not relaxed through", tc.name)
 		}
 		for v, li := range tc.prev {
@@ -224,7 +223,7 @@ func TestZeroCostFallsBackToPopOrder(t *testing.T) {
 	st := AcquireSearch()
 	defer st.Release()
 	n.Search(st, SearchSpec{Src: src, Target: NoTarget, Cost: cost})
-	requireNaiveTree(t, "free link", n, st, src, nil, nil, cost)
+	requireNaiveTree(t, "free link", n, st, src, nil, false, cost)
 	if st.PrevLink(z) != viaU {
 		t.Fatalf("z's predecessor link is %d, want %d through the first popped candidate", st.PrevLink(z), viaU)
 	}
@@ -271,7 +270,7 @@ func TestRelayChains(t *testing.T) {
 		src, dst int32
 	}{{"relay chain", chain, a, b}, {"relay chain, reversed", chain, b, a}, {"bridged", bridged, 30, 89}, {"bridged, reversed", bridged, 89, 30}} {
 		c.n.Search(st, SearchSpec{Src: c.src, Target: NoTarget})
-		if requireNaiveTree(t, c.name, c.n, st, c.src, nil, nil, nil) == 0 {
+		if requireNaiveTree(t, c.name, c.n, st, c.src, nil, false, nil) == 0 {
 			t.Fatalf("%s: no node relaxed through", c.name)
 		}
 		checkSearch(t, c.n, SearchSpec{Src: c.src, Target: c.dst}, nil, c.name+", stopped")
@@ -301,13 +300,13 @@ func TestRelayThroughOnSnapshot(t *testing.T) {
 		for _, city := range []int{0, n.NumCity - 1} {
 			src := n.CityNode(city)
 			n.Search(st, SearchSpec{Src: src, Target: NoTarget})
-			if passed := requireNaiveTree(t, "snapshot", n, st, src, nil, nil, nil); passed < n.NumRelay/2 {
+			if passed := requireNaiveTree(t, "snapshot", n, st, src, nil, false, nil); passed < n.NumRelay/2 {
 				t.Fatalf("a full tree relaxed %d nodes through, of %d relays", passed, n.NumRelay)
 			}
 		}
 		src, dst := n.CityNode(3), n.CityNode(n.NumCity-4)
 		requireNaivePath(t, "snapshot", n, st, src, dst, nil, nil, true)
-		_, row := searchTree(n, dst, nil, nil)
+		_, row := searchTree(n, dst, nil, false)
 		requireNaivePath(t, "snapshot, directed by the tree", n, st, src, dst, nil, row, true)
 		for v := int32(0); v < int32(n.N()); v++ {
 			if st.Reached(v) && st.node[v].pos == posPassed {

@@ -343,12 +343,12 @@ type SearchSpec struct {
 	// case: use NoTarget there (note the zero value targets node 0), and
 	// with no Targets either every reachable node gets its final labels.
 	//
-	// A search that wants exactly one distinct node, with no Expand and no
-	// Cost, is goal-directed wherever the network admits the free-space
-	// bound (DESIGN.md §7): ShortestPath and a served path are. It settles
-	// fewer nodes, and its target's Dist, PrevLink chain and Path are still
-	// plain Dijkstra's, bit for bit. Listed searches (two or more distinct
-	// nodes) stay plain.
+	// A search that wants exactly one distinct node, with no Cost, is
+	// goal-directed wherever the network admits the free-space bound
+	// (DESIGN.md §7): ShortestPath, a served path and a SatTransit pair
+	// are. It settles fewer nodes, and its target's Dist, PrevLink chain and
+	// Path are still plain Dijkstra's, bit for bit. Listed searches (two or
+	// more distinct nodes) stay plain.
 	Target  int32
 	Targets []int32
 	// Tree, when a goal-directed search is given one, directs it in place of
@@ -363,11 +363,11 @@ type SearchSpec struct {
 	// any row where the free-space gate is closed. (KDisjointPathsTo builds
 	// no row: its searches read their bound off their destination's ball.)
 	Tree []int32
-	// Expand, when non-nil, restricts forwarding: edges are only relaxed
-	// out of nodes for which Expand returns true (the source is always
-	// expanded). This implements transit restrictions — e.g. §6's "pure
-	// ISL path" model forbids ground terminals as intermediate hops.
-	Expand func(int32) bool
+	// SatTransit is §6's "pure ISL path" model: only satellites (Kind
+	// NodeSatellite) and the source forward, so a city, relay or aircraft
+	// may end a path but never relay it. A node that does not forward takes
+	// its label and relaxes nothing.
+	SatTransit bool
 	// Cost, when non-nil, replaces the link weight (default: propagation
 	// delay). It must be non-negative — a popped node is final and is never
 	// re-queued; returning +Inf excludes the link. Dist returns accumulated
@@ -450,13 +450,12 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 // first relaxation that lowers a label to the label it came from.
 func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, strict bool) {
 	wantLeft, only := st.begin(n, spec) // wanted nodes not yet popped; 0: settle all
-	// A search for one node, with no hook that changes weights or
-	// forwarding, is goal-directed wherever the free-space bound is
-	// consistent: the heap orders by (dist + bound, node), the bound being
-	// the ball's or spec.Tree's where the search is given one grown from its
-	// target.
+	// A search for one node, with no Cost hook, is goal-directed wherever
+	// the free-space bound is consistent (SatTransit only drops arcs): the
+	// heap orders by (dist + bound, node), the bound being the ball's or
+	// spec.Tree's where the search is given one grown from its target.
 	st.goal, st.tree, st.ball = NoTarget, nil, nil
-	if wantLeft == 1 && !spec.plain && spec.Cost == nil && spec.Expand == nil {
+	if wantLeft == 1 && !spec.plain && spec.Cost == nil {
 		if terms := n.goalTerms(); terms != nil {
 			st.goal = only
 			if b := spec.ball; b != nil && b.net == n && b.src == only {
@@ -484,6 +483,7 @@ func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, 
 	adjStart, adjEdges, adjMs := n.adjStart, n.adjEdges, n.adjMs
 	linkBans := st.anyLinkBan
 	ground := int32(n.NumSat)
+	transit, kind := spec.SatTransit, n.Kind
 
 	node[spec.Src] = nodeState{stamp: cur}
 	prevLink[spec.Src] = -1
@@ -521,7 +521,7 @@ func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, 
 				break
 			}
 		}
-		if spec.Expand != nil && u != spec.Src && !spec.Expand(u) {
+		if transit && u != spec.Src && kind[u] != NodeSatellite {
 			continue
 		}
 		lo, hi := adjStart[u], adjStart[u+1]
@@ -576,14 +576,14 @@ func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, 
 			prevLink[v] = e.Link
 			if through && !queued && v >= ground && want[v] != cur {
 				// Relax v through: it keeps its label and predecessor and
-				// relaxes its arcs from them now (unless Expand holds it
-				// back), which a later pop that lowers the label repeats.
+				// relaxes its arcs from them now (unless SatTransit holds
+				// it back), which a later pop that lowers the label repeats.
 				// The loop below is the one above without this branch, so
 				// a node it lowers is queued and nothing recurses; it is
 				// written out again because a shared body costs the outer
 				// loop its registers.
 				to.pos = posPassed
-				if spec.Expand != nil && !spec.Expand(v) {
+				if transit && kind[v] != NodeSatellite {
 					continue
 				}
 				if spec.Stop != nil && expanded%stopPollInterval == 0 && spec.Stop() {

@@ -7,11 +7,11 @@ import (
 )
 
 // satTransitPath is the minimum-delay path from src to dst under §6's
-// satellite-transit model: one search with Expand set to SatTransit.
+// satellite-transit model: one search with SatTransit set.
 func satTransitPath(n *Network, src, dst int32) (Path, bool) {
 	st := AcquireSearch()
 	defer st.Release()
-	n.Search(st, SearchSpec{Src: src, Target: dst, Expand: n.SatTransit})
+	n.Search(st, SearchSpec{Src: src, Target: dst, SatTransit: true})
 	return st.Path(dst)
 }
 

@@ -4,8 +4,9 @@
 # usage: scripts/regenerate.sh [reduced|large|full] [outdir]
 #
 # "reduced" (default) finishes in about a minute on a laptop; "large" takes
-# ~15 minutes on one core; "full" is the paper's exact sizing and needs
-# hours. ("tiny" is not supported here: its 60-city set cannot route the
+# ~15 minutes on one core; "full" is the paper's exact sizing, whose `all`
+# took 594 s on 2 cores. scripts/full_digests.sh checks its one-snapshot
+# fig2a, fig4 and fig6 digests. ("tiny" is not supported here: its 60-city set cannot route the
 # Delhi–Sydney pair under bent-pipe, which Fig 8 requires.)
 set -eu
 
