@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"sync/atomic"
 
 	"leosim/internal/graph"
 	"leosim/internal/safe"
@@ -108,4 +109,34 @@ func pairPaths(ctx context.Context, v graph.View, pairs []Pair, want []bool, tra
 	return out, searchPairs(ctx, v, pairs, want, transit, func(pi int, dst int32, st *graph.SearchState) {
 		out[pi], _ = st.Path(dst)
 	})
+}
+
+// computePairPaths finds k edge-disjoint shortest paths per pair of the sim,
+// one KDisjointPathsTo per destination city in parallel (eachGroup): each
+// destination's ball directs the searches of every pair arriving there. The
+// balls and peels run on one relay overlay of n, built for the up to k
+// searches per pair and shared by the destinations' workers: every path is
+// the CSR kernel's, bit for bit.
+func computePairPaths(ctx context.Context, s *Sim, n *graph.Network, k int) ([][]graph.Path, error) {
+	defer telemetry.RecordSpan(ctx, telemetry.StageKDisjoint).End()
+	ov := graph.NewOverlay(n, k*len(s.Pairs))
+	out := make([][]graph.Path, len(s.Pairs))
+	var done atomic.Int64
+	err := eachGroup(ctx, s.Pairs, pairDst, func(dst int, pis []int) error {
+		srcs := make([]int32, len(pis))
+		for i, pi := range pis {
+			srcs[i] = n.CityNode(s.Pairs[pi].Src)
+		}
+		for i, paths := range ov.KDisjointPathsTo(n.CityNode(dst), srcs, k) {
+			out[pis[i]] = paths
+		}
+		if d := done.Add(int64(len(pis))); d/1000 > (d-int64(len(pis)))/1000 {
+			progressf("  ... %d/%d pairs routed\n", d, len(s.Pairs))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -95,13 +95,14 @@ func goalDirectedMatchesDijkstra(ctx context.Context, t *testing.T, seed int64) 
 		} {
 			tag := fmt.Sprintf("seed %d snapshot %d %s", seed, snap, c.label)
 			n := c.n
+			ov := graph.NewOverlay(n, 4*len(s.Pairs))
 			for dstCity, pis := range groupPairs(s.Pairs, pairDst) {
 				dst := n.CityNode(dstCity)
 				var srcs []int32
 				for _, pi := range pis {
 					srcs = append(srcs, n.CityNode(s.Pairs[pi].Src))
 				}
-				for i, set := range n.KDisjointPathsTo(dst, srcs, 4) {
+				for i, set := range ov.KDisjointPathsTo(dst, srcs, 4) {
 					if want := plainDisjointPaths(n, srcs[i], dst, 4); !reflect.DeepEqual(set, want) {
 						t.Fatalf("%s: %d→%d: k = 4 sets %v, plain peeling %v", tag, srcs[i], dst, set, want)
 					}

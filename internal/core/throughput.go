@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"leosim/internal/flow"
@@ -109,32 +108,6 @@ func progressf(format string, args ...interface{}) {
 	progressMu.Lock()
 	fmt.Fprintf(Progress, format, args...)
 	progressMu.Unlock()
-}
-
-// computePairPaths finds k edge-disjoint shortest paths per pair, one
-// KDisjointPathsTo per destination city in parallel (eachGroup): each
-// destination's ball directs the searches of every pair arriving there.
-func computePairPaths(ctx context.Context, s *Sim, n *graph.Network, k int) ([][]graph.Path, error) {
-	defer telemetry.RecordSpan(ctx, telemetry.StageKDisjoint).End()
-	out := make([][]graph.Path, len(s.Pairs))
-	var done atomic.Int64
-	err := eachGroup(ctx, s.Pairs, pairDst, func(dst int, pis []int) error {
-		srcs := make([]int32, len(pis))
-		for i, pi := range pis {
-			srcs[i] = n.CityNode(s.Pairs[pi].Src)
-		}
-		for i, paths := range n.KDisjointPathsTo(n.CityNode(dst), srcs, k) {
-			out[pis[i]] = paths
-		}
-		if d := done.Add(int64(len(pis))); d/1000 > (d-int64(len(pis)))/1000 {
-			progressf("  ... %d/%d pairs routed\n", d, len(s.Pairs))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Fig4Row is one row of the Fig 4 table: a constellation × mode × k cell.

@@ -145,14 +145,31 @@ func RunWeatherBand(ctx context.Context, s *Sim, band Band) (*WeatherResult, err
 	if err != nil {
 		return nil, err
 	}
+	// Each pair's day curves combine on its source's worker, written by pair
+	// index, under a recorder-only weather span; the result keeps pair order.
+	p995BP, p995ISL := make([]float64, len(s.Pairs)), make([]float64, len(s.Pairs))
+	sp := telemetry.RecordSpan(ctx, telemetry.StageWeather)
+	err = eachGroup(ctx, s.Pairs, pairSrc, func(_ int, pis []int) error {
+		for _, pi := range pis {
+			if len(bp[pi]) > 0 && len(isl[pi]) > 0 {
+				p995BP[pi] = itur.CombineOverTime(bp[pi]).At(0.5)
+				p995ISL[pi] = itur.CombineOverTime(isl[pi]).At(0.5)
+			}
+		}
+		return nil
+	})
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
 	res := &WeatherResult{}
 	for pi := range s.Pairs {
 		if len(bp[pi]) == 0 || len(isl[pi]) == 0 {
 			continue
 		}
 		res.PairsUsed++
-		res.P995BP = append(res.P995BP, itur.CombineOverTime(bp[pi]).At(0.5))
-		res.P995ISL = append(res.P995ISL, itur.CombineOverTime(isl[pi]).At(0.5))
+		res.P995BP = append(res.P995BP, p995BP[pi])
+		res.P995ISL = append(res.P995ISL, p995ISL[pi])
 	}
 	if res.PairsUsed == 0 {
 		return nil, fmt.Errorf("core: no pair routable in both weather models")

@@ -21,11 +21,12 @@ import (
 // order and counted so, at random points 550 km up within 5° of (0°, 0°), and
 // one isolated aircraft after them. Every city, relay and aircraft but the
 // last links to one to four random satellites; isls random satellite pairs
-// and fibers random ground-side pairs are linked too. A link weighs its
+// and fibers random ground-side pairs — city pairs only where cityFibers is
+// set, so the relay overlay admits the network — are linked too. A link weighs its
 // chord's delay rounded up to a 0.5 ms step, plus 0 to 1 ms in 0.5 ms steps:
 // the free-space bound is open and strong, so a search for one node pops far
 // out of distance order, and sums tie exactly and often.
-func ballNet(r *rand.Rand, sats, cities, relays, aircraft, isls, fibers int) *Network {
+func ballNet(r *rand.Rand, sats, cities, relays, aircraft, isls, fibers int, cityFibers bool) *Network {
 	n := &Network{NumSat: sats, NumCity: cities, NumRelay: relays, NumAircraft: aircraft + 1}
 	for _, k := range []struct {
 		kind  NodeKind
@@ -52,8 +53,12 @@ func ballNet(r *rand.Rand, sats, cities, relays, aircraft, isls, fibers int) *Ne
 			add(a, b, LinkISL)
 		}
 	}
+	ground := int(isolated) - sats
+	if cityFibers {
+		ground = cities
+	}
 	for i := 0; i < fibers; i++ {
-		if a, b := int32(sats+r.Intn(int(isolated)-sats)), int32(sats+r.Intn(int(isolated)-sats)); a != b {
+		if a, b := int32(sats+r.Intn(ground)), int32(sats+r.Intn(ground)); a != b {
 			add(a, b, LinkFiber)
 		}
 	}
@@ -81,7 +86,8 @@ type ballCase struct {
 }
 
 // ballCases draws, on 40 ballNets and each one masked by a 20 % link outage,
-// and on randomMirrorNet's geometric lattices (seeds 300–314, whose twin
+// as many whose fiber joins cities only (the relay overlay admits them), and
+// on randomMirrorNet's geometric lattices (seeds 300–314, whose twin
 // routes tie to the last bit), a destination and its source lists: two
 // sources, one of them twice, with the destination itself; the same plus the
 // isolated node, which no ball reaches, so the ball runs to exhaustion; every
@@ -106,9 +112,12 @@ func ballCases() []ballCase {
 	}
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		n := ballNet(r, 10, 3, 8, 3, 12, 4)
+		n := ballNet(r, 10, 3, 8, 3, 12, 4, false)
 		add("relay", fmt.Sprintf("seed %d", seed), r, n, int32(n.N()-1))
 		add("masked relay", fmt.Sprintf("seed %d masked", seed), r, masked(r, n, 0.2), int32(n.N()-1))
+		n = ballNet(r, 10, 3, 8, 3, 12, 4, true)
+		add("overlay", fmt.Sprintf("seed %d, city fiber", seed), r, n, int32(n.N()-1))
+		add("masked overlay", fmt.Sprintf("seed %d, city fiber, masked", seed), r, masked(r, n, 0.2), int32(n.N()-1))
 	}
 	orbit := geo.LatLon{Alt: 550}.ToECEF()
 	for seed := int64(300); seed < 315; seed++ {
@@ -136,7 +145,7 @@ func TestBallBound(t *testing.T) {
 		if c.n.goalTerms() == nil {
 			t.Fatalf("%s: the free-space gate is closed", c.tag)
 		}
-		c.n.growBall(ball, c.dst, c.srcs)
+		(&Overlay{net: c.n}).growBall(ball, c.dst, c.srcs)
 		st.directByBall(ball)
 		dist, _ := naiveDijkstra(c.n, c.dst, nil, nil, false, nil)
 		reachable := true
@@ -165,7 +174,7 @@ func TestBallBound(t *testing.T) {
 			}
 		}
 	}
-	for _, kind := range []string{"relay", "masked relay", "lattice"} {
+	for _, kind := range []string{"relay", "masked relay", "overlay", "masked overlay", "lattice"} {
 		if capped[kind] == 0 {
 			t.Fatalf("no ball on a %s network left a reachable node past its radius", kind)
 		}
@@ -173,13 +182,58 @@ func TestBallBound(t *testing.T) {
 	t.Logf("balls that left a reachable node past their radius: %v", capped)
 }
 
+// TestOverlayBall holds every ball the relay overlay grows on ballCases — a
+// destination's source list of satellites and cities — to the CSR kernel's
+// ball: the same radius, and at every satellite and city the same label bits
+// and the same settled set, so the bound min(D(v), R) it gives a peel is the
+// CSR ball's at every node an overlay peel reads. A one-source ball stays
+// plain there too, never goal-directed.
+func TestOverlayBall(t *testing.T) {
+	ball, ref := AcquireSearch(), AcquireSearch()
+	defer ball.Release()
+	defer ref.Release()
+	grown := map[string]int{}
+	for _, c := range ballCases() {
+		ov := NewOverlay(c.n, overlayMinSearches)
+		if !ov.admits(SearchSpec{Src: c.dst, Target: NoTarget, Targets: c.srcs}) {
+			continue
+		}
+		ov.growBall(ball, c.dst, c.srcs)
+		(&Overlay{net: c.n}).growBall(ref, c.dst, c.srcs)
+		if ball.split != ov.n || ball.goal != NoTarget {
+			t.Fatalf("%s: the ball ran on the CSR (split %d) or was goal-directed (goal %d)", c.tag, ball.split, ball.goal)
+		}
+		grown[c.kind]++
+		if ball.stop != ref.stop {
+			t.Fatalf("%s: the ball stopped at %d, the CSR's at %d", c.tag, ball.stop, ref.stop)
+		}
+		for v := range ov.n {
+			if math.Float64bits(ball.Dist(v)) != math.Float64bits(ref.Dist(v)) || ball.Settled(v) != ref.Settled(v) {
+				t.Fatalf("%s: node %d: overlay ball (%v, settled %v), CSR ball (%v, settled %v)",
+					c.tag, v, ball.Dist(v), ball.Settled(v), ref.Dist(v), ref.Settled(v))
+			}
+		}
+	}
+	if grown["overlay"] == 0 || grown["masked overlay"] == 0 {
+		t.Fatalf("balls grown on the overlay: %v", grown)
+	}
+	t.Logf("balls grown on the overlay: %v", grown)
+}
+
 // TestDifferentialBallPeels holds every entry of KDisjointPathsTo on
 // ballCases, for k = 1, 4 and 6, to naiveDijkstra peeling — search, ban the
-// found path's links, search again — path for path and bit for bit.
+// found path's links, search again — path for path and bit for bit. It runs
+// through the relay overlay's entry: where the overlay admits a network and
+// the case's nodes, the ball and every banned peel run on it.
 func TestDifferentialBallPeels(t *testing.T) {
+	onOverlay := map[string]int{}
 	for _, c := range ballCases() {
+		ov := NewOverlay(c.n, overlayMinSearches)
+		if ov.admits(SearchSpec{Src: c.dst, Target: NoTarget, Targets: c.srcs}) {
+			onOverlay[c.kind]++
+		}
 		for _, k := range []int{1, 4, 6} {
-			got := c.n.KDisjointPathsTo(c.dst, c.srcs, k)
+			got := ov.KDisjointPathsTo(c.dst, c.srcs, k)
 			if len(got) != len(c.srcs) {
 				t.Fatalf("%s, k=%d: %d entries for %d sources", c.tag, k, len(got), len(c.srcs))
 			}
@@ -189,4 +243,8 @@ func TestDifferentialBallPeels(t *testing.T) {
 			}
 		}
 	}
+	if onOverlay["overlay"] == 0 || onOverlay["masked overlay"] == 0 {
+		t.Fatalf("cases run on the overlay: %v", onOverlay)
+	}
+	t.Logf("cases run on the overlay: %v", onOverlay)
 }

@@ -172,10 +172,11 @@ func BenchmarkSearchTargets(b *testing.B) {
 var kDisjointSink [][]Path
 
 // BenchmarkKDisjointTo measures one destination's pair group at k = 4 on the
-// reduced-scale bent-pipe snapshot, three source cities peeled three ways:
+// reduced-scale bent-pipe snapshot, three source cities peeled four ways:
 // each search under the free-space bound alone, three KDisjointPaths calls
-// (each grows its own ball), and one KDisjointPathsTo, whose one ball
-// directs all twelve searches. Destinations cycle through the cities.
+// (each grows its own ball), one KDisjointPathsTo on the CSR, whose one ball
+// directs all twelve searches, and the same on the relay overlay.
+// Destinations cycle through the cities.
 func BenchmarkKDisjointTo(b *testing.B) {
 	telemetry.Disable()
 	n := reducedBPSnapshot(b)
@@ -220,13 +221,19 @@ func BenchmarkKDisjointTo(b *testing.B) {
 			}
 		}
 	})
-	b.Run("ball", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst := i % n.NumCity
-			kDisjointSink = n.KDisjointPathsTo(n.CityNode(dst), srcs[dst], 4)
+	for _, ov := range []*Overlay{{net: n}, NewOverlay(n, n.NumCity)} {
+		name := "ball"
+		if ov.n > 0 {
+			name = "overlay"
 		}
-	})
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst := i % n.NumCity
+				kDisjointSink = ov.KDisjointPathsTo(n.CityNode(dst), srcs[dst], 4)
+			}
+		})
+	}
 }
 
 // BenchmarkSearchTelemetryEnabled is the same kernel loop with the metrics

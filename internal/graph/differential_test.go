@@ -550,7 +550,7 @@ func TestDifferentialKDisjoint(t *testing.T) {
 		}
 		for _, k := range []int{1, 4, 9} {
 			before := searches()
-			got := c.n.KDisjointPathsTo(c.dst, c.srcs, k)
+			got := NewOverlay(c.n, overlayMinSearches).KDisjointPathsTo(c.dst, c.srcs, k)
 			ran := searches() - before
 			if len(got) != len(c.srcs) {
 				t.Fatalf("%s, k=%d: %d entries for %d sources", c.name, k, len(got), len(c.srcs))

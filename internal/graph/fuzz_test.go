@@ -54,8 +54,8 @@ func fuzzNet(data []byte) *Network {
 // node (checkSearch); a view — the network searched with a cut banned — to
 // the network of its other links searched whole (checkView); and the k = 3
 // disjoint-path sets from the target list to the drawn destination
-// (KDisjointPathsTo) to each source's own KDisjointPaths and the naive
-// peeling. The grid seeds tie every shortest path many ways; of the last
+// (KDisjointPathsTo, through the relay overlay's entry) to each source's own
+// KDisjointPaths and the naive peeling. The grid seeds tie every shortest path many ways; of the last
 // three, one lists the source and a duplicate on a grid with nothing banned,
 // the next's six extra nodes are isolated, so its list holds unreachable
 // targets, and the last lists the destination and a duplicate.
@@ -139,7 +139,7 @@ func FuzzSearch(f *testing.F) {
 
 		// The disjoint-path sets from the drawn target list, each what its
 		// one-source call and the naive peeling find.
-		sets := n.KDisjointPathsTo(dst, targets, 3)
+		sets := NewOverlay(n, overlayMinSearches).KDisjointPathsTo(dst, targets, 3)
 		for i, v := range targets {
 			tag := fmt.Sprintf("%d→%d disjoint paths", v, dst)
 			requireSamePaths(t, tag, sets[i], n.KDisjointPaths(v, dst, 3))
@@ -525,14 +525,16 @@ func equatorialGridBytes() []byte {
 // and the label of every node on that path, are the reference's — labels off
 // the path are not compared, since the bound settles fewer nodes — and so are
 // the k = 3 disjoint-path sets from every node to the drawn destination
-// (KDisjointPathsTo), whose searches its tree directs. The bound must be in use on these networks, and not on
+// (KDisjointPathsTo, through the relay overlay's entry), whose searches its
+// ball directs. The bound must be in use on these networks, and not on
 // the zero-position fuzzNet decoded from the same bytes, not even given a
 // tree. Its tree-directed arm is a what-if in miniature: the drawn bans are
 // the cut, each search is directed by the uncut network's full tree rooted at
 // its target, and the reference is naiveDijkstra with the cut's links absent
 // — the filtered network. Its overlay arm counts the terminals right after
 // the satellites as cities and, where the overlay admits the network, holds
-// its searches to the CSR kernel's on every node (checkGeometricOverlay).
+// its searches, with nothing and with every third link banned, to the CSR
+// kernel's on every node (checkGeometricOverlay).
 // The seeds are mirror-symmetric, so twin routes tie exactly. In the relay
 // seeds, terminals on the equator relay between satellites to either side of
 // it, laid out satellites first, so a satellite and its twin offer each relay
@@ -582,7 +584,7 @@ func FuzzSearchGeometric(f *testing.F) {
 		for v := range every {
 			every[v] = int32(v)
 		}
-		for v, set := range n.KDisjointPathsTo(dst, every, 3) {
+		for v, set := range NewOverlay(n, overlayMinSearches).KDisjointPathsTo(dst, every, 3) {
 			requireSamePaths(t, fmt.Sprintf("%d→%d disjoint paths", v, dst), set, naiveKDisjoint(n, int32(v), dst, 3))
 		}
 

@@ -348,9 +348,10 @@ func (n *Network) ShortestPath(src, dst int32) (Path, bool) {
 // KDisjointPaths returns up to k edge-disjoint minimum-delay paths from src
 // to dst, computed by successively removing the links of each found path (the
 // scheme §5 routes traffic over); fewer when the graph runs out of disjoint
-// routes. It is KDisjointPathsTo's one-source case.
+// routes. It is KDisjointPathsTo's one-source case on an empty overlay, so
+// every search is the CSR kernel's.
 func (n *Network) KDisjointPaths(src, dst int32, k int) []Path {
-	return n.KDisjointPathsTo(dst, []int32{src}, k)[0]
+	return (&Overlay{net: n}).KDisjointPathsTo(dst, []int32{src}, k)[0]
 }
 
 // KDisjointPathsTo returns as entry i the up to k edge-disjoint paths from
@@ -361,21 +362,23 @@ func (n *Network) KDisjointPaths(src, dst int32, k int) []Path {
 // banned peel, each reading v's bound off the ball's own label capped at its
 // radius. Where the gate is closed the kernel would ignore the ball, so none
 // is grown. A source the ball does not reach has no path and is not searched.
-func (n *Network) KDisjointPathsTo(dst int32, srcs []int32, k int) [][]Path {
-	return n.kDisjointPathsTo(dst, srcs, k, nil)
+// The ball and the peels run on the overlay where it admits them (Search),
+// with the peels' bans; on an empty overlay every one is the CSR kernel's.
+func (ov *Overlay) KDisjointPathsTo(dst int32, srcs []int32, k int) [][]Path {
+	return ov.kDisjointPathsTo(dst, srcs, k, nil)
 }
 
 // KDisjointPathsToSettled is KDisjointPathsTo that also counts the nodes its
 // searches settle: ball the destination's ball, peels every search it directs.
-func (n *Network) KDisjointPathsToSettled(dst int32, srcs []int32, k int) (paths [][]Path, ball, peels int) {
+func (ov *Overlay) KDisjointPathsToSettled(dst int32, srcs []int32, k int) (paths [][]Path, ball, peels int) {
 	var settled [2]int
-	paths = n.kDisjointPathsTo(dst, srcs, k, &settled)
+	paths = ov.kDisjointPathsTo(dst, srcs, k, &settled)
 	return paths, settled[0], settled[1]
 }
 
 // kDisjointPathsTo is KDisjointPathsTo; where settled is set it adds to it the
 // nodes the ball ([0]) and the peels ([1]) settle.
-func (n *Network) kDisjointPathsTo(dst int32, srcs []int32, k int, settled *[2]int) [][]Path {
+func (ov *Overlay) kDisjointPathsTo(dst int32, srcs []int32, k int, settled *[2]int) [][]Path {
 	sp := telemetry.StartStageSpan(telemetry.StageKDisjoint)
 	defer sp.End()
 	out := make([][]Path, len(srcs))
@@ -385,10 +388,10 @@ func (n *Network) kDisjointPathsTo(dst int32, srcs []int32, k int, settled *[2]i
 	st := AcquireSearch()
 	defer st.Release()
 	var ball *SearchState
-	if n.goalTerms() != nil {
+	if ov.net.goalTerms() != nil {
 		ball = AcquireSearch()
 		defer ball.Release()
-		n.growBall(ball, dst, srcs)
+		ov.growBall(ball, dst, srcs)
 		if settled != nil {
 			settled[0] += ball.settled()
 		}
@@ -399,7 +402,7 @@ func (n *Network) kDisjointPathsTo(dst int32, srcs []int32, k int, settled *[2]i
 		}
 		st.ClearBans()
 		for len(out[i]) < k {
-			n.Search(st, SearchSpec{Src: src, Target: dst, ball: ball})
+			ov.Search(st, SearchSpec{Src: src, Target: dst, ball: ball})
 			if settled != nil {
 				settled[1] += st.settled()
 			}
@@ -419,6 +422,6 @@ func (n *Network) kDisjointPathsTo(dst int32, srcs []int32, k int, settled *[2]i
 // growBall grows dst's ball for srcs into ball: a plain search from dst, never
 // goal-directed even for one source, stopped once its last source settles, or
 // run to exhaustion where one is unreachable.
-func (n *Network) growBall(ball *SearchState, dst int32, srcs []int32) {
-	n.Search(ball, SearchSpec{Src: dst, Target: NoTarget, Targets: srcs, plain: true})
+func (ov *Overlay) growBall(ball *SearchState, dst int32, srcs []int32) {
+	ov.Search(ball, SearchSpec{Src: dst, Target: NoTarget, Targets: srcs, plain: true})
 }

@@ -57,9 +57,12 @@ type Overlay struct {
 	// not admit an overlay and Search is the CSR kernel's.
 	n int32
 	// Node u's arcs are arcs[start[u]:start[u+1]]: its direct links in CSR
-	// order, arcs[start[u]:direct[u]], then a satellite's candidates.
+	// order, arcs[start[u]:direct[u]], then a satellite's candidates. via[i]
+	// is arcs[i]'s u–r link, the one link of a candidate that the arc does
+	// not name (a direct link's own): only a banned search reads it.
 	start, direct []int32
 	arcs          []overlayArc
+	via           []int32
 	// parts holds, while a build runs, the candidates of its ranges of
 	// satellites (gather), under mu. The build drops them: an overlay keeps
 	// only what its searches read.
@@ -162,11 +165,13 @@ func (ov *Overlay) build() {
 		count[u] += count[u-1]
 	}
 	arcs := make([]overlayArc, count[on+1])
+	via := make([]int32, len(arcs))
 	next := count[1:]
 	for u := int32(0); u < on; u++ {
 		for k := adjStart[u]; k < adjStart[u+1]; k++ {
 			if e := adjEdges[k]; e.To < on {
 				arcs[next[u]] = overlayArc{ms: adjMs[k], to: e.To, link: e.Link}
+				via[next[u]] = e.Link
 				next[u]++
 			}
 		}
@@ -177,12 +182,14 @@ func (ov *Overlay) build() {
 			eu, et := adjEdges[c.k], adjEdges[c.j]
 			wu, wt := adjMs[c.k], adjMs[c.j]
 			arcs[next[c.u]] = overlayArc{pre: wu, ms: wt, to: et.To, link: et.Link}
+			via[next[c.u]] = eu.Link
 			next[c.u]++
 			arcs[next[et.To]] = overlayArc{pre: wt, ms: wu, to: c.u, link: eu.Link}
+			via[next[et.To]] = et.Link
 			next[et.To]++
 		}
 	}
-	ov.start, ov.direct, ov.arcs, ov.parts = count[:on+1], direct, arcs, nil
+	ov.start, ov.direct, ov.arcs, ov.via, ov.parts = count[:on+1], direct, arcs, via, nil
 }
 
 // gather adds to the build's parts the candidates of satellites [lo, hi).
@@ -237,25 +244,34 @@ func (ov *Overlay) gather(lo, hi int32, ascending bool) {
 // network's CSR, and with the same answers for every node: the satellites' and
 // cities' labels are the search's own, and a relay's or aircraft's Dist,
 // Reached, PrevLink and Path are derived from its satellites
-// (SearchState.forwarder). Only a search of an overlay node — no link ban, no
-// Cost, Tree or Stop, every wanted node a satellite or city — runs on the
-// overlay, SatTransit or not; any other, and any on an empty overlay, is
-// Network.Search's. Like Network.Search it is goal-directed where spec wants
-// one node and the free-space gate is open.
+// (SearchState.forwarder). Only a search of an overlay node — no Cost, Tree or
+// Stop, every wanted node a satellite or city — runs on the overlay,
+// SatTransit or not, and st's link bans or not; any other, and any on an
+// empty overlay, is Network.Search's. Like Network.Search it is goal-directed
+// where spec wants one node and is not plain: by spec.ball where it is given
+// its target's ball, by the free-space bound otherwise, where that gate is
+// open.
 func (ov *Overlay) Search(st *SearchState, spec SearchSpec) bool {
-	n := ov.net
-	if !ov.admits(st, spec) {
-		return n.Search(st, spec)
+	if ov.admits(spec) {
+		sp := telemetry.StartStageSpan(telemetry.StageSearch)
+		done := ov.search(st, spec)
+		sp.End()
+		if done {
+			return true
+		}
 	}
-	sp := telemetry.StartStageSpan(telemetry.StageSearch)
-	done := ov.search(st, spec)
-	sp.End()
-	return done || n.Search(st, spec) // a label past overlayLabelCap: the CSR's
+	// The CSR's search (a label past overlayLabelCap, or a search the overlay
+	// refuses): a ball grown on the overlay labelled no forwarder, so its
+	// radius bounds none of them, and it directs no CSR search.
+	if b := spec.ball; b != nil && b.split > 0 {
+		spec.ball = nil
+	}
+	return ov.net.Search(st, spec)
 }
 
-// admits reports whether spec on st may run on the overlay.
-func (ov *Overlay) admits(st *SearchState, spec SearchSpec) bool {
-	if ov.n == 0 || st.anyLinkBan || spec.Cost != nil || spec.Tree != nil || spec.Stop != nil {
+// admits reports whether spec may run on the overlay.
+func (ov *Overlay) admits(spec SearchSpec) bool {
+	if ov.n == 0 || spec.Cost != nil || spec.Tree != nil || spec.Stop != nil {
 		return false
 	}
 	in := func(v int32) bool { return v >= 0 && v < ov.n }
@@ -287,8 +303,15 @@ func overlayTakes(links []Link, v int32, mid float64, li int32, held float64, pr
 // over the overlay's arcs: a popped node relaxes its direct links and its
 // candidates, and a city that is not wanted is relaxed through. Under
 // SatTransit no forwarder forwards, so a satellite relaxes its direct links
-// only and a city but the source relaxes nothing. It returns false, with st
-// unusable, at the first pop past overlayLabelCap.
+// only and a city but the source relaxes nothing. A ball-directed search keys
+// by the ball's bound (treeBound) and queues its cities, as the CSR kernel's
+// does: passed, a city would relax all its links however far its key lies
+// past the target's. Under link bans an arc is skipped when either of its
+// links is banned (link, and via for a candidate), and each pair of a popped
+// satellite whose kept candidate a ban cut is repaired: after the satellite's
+// row the loop relaxes the arcs repair derives for it (DESIGN.md §7, "A
+// banned search on the overlay"). It returns false, with st unusable, at the
+// first pop past overlayLabelCap.
 func (ov *Overlay) search(st *SearchState, spec SearchSpec) bool {
 	n := ov.net
 	wantLeft, only := st.begin(n, spec)
@@ -296,25 +319,36 @@ func (ov *Overlay) search(st *SearchState, spec SearchSpec) bool {
 	if len(st.held) < int(ov.n) {
 		st.held = append(st.held, make([]float64, int(ov.n)-len(st.held))...)
 	}
-	st.goal, st.tree = NoTarget, nil
-	if wantLeft == 1 {
+	st.goal, st.tree, st.ball = NoTarget, nil, nil
+	if wantLeft == 1 && !spec.plain {
 		if terms := n.goalTerms(); terms != nil {
 			st.goal = only
-			st.toGoal = goalBound(n.Pos, terms, only)
+			if b := spec.ball; b != nil && b.net == n && b.src == only {
+				st.directByBall(b)
+			} else {
+				st.toGoal = goalBound(n.Pos, terms, only)
+			}
 		}
 	}
-	goal := st.goal != NoTarget
+	goal, byBall := st.goal != NoTarget, st.ball != nil
 	node, cur, want := st.node, st.searchStamp, st.want
 	prevLink, held := st.prevLink, st.held
 	start, direct, arcs, links := ov.start, ov.direct, ov.arcs, n.Links
 	ground := int32(n.NumSat)
 	transit := spec.SatTransit
+	bans, ban, stamp := st.anyLinkBan, st.linkBan, st.banStamp
+	bound := func(v int32) float64 { // v's bound to the goal
+		if byBall {
+			return st.treeBound(v)
+		}
+		return st.toGoal.at(v)
+	}
 
 	node[spec.Src] = nodeState{stamp: cur}
 	prevLink[spec.Src] = -1
 	var key float64
 	if goal {
-		key = st.toGoal.at(spec.Src)
+		key = bound(spec.Src)
 	}
 	st.bound[spec.Src] = key
 	h := append(st.heap, heapEntry{node: spec.Src, key: key})
@@ -346,94 +380,191 @@ func (ov *Overlay) search(st *SearchState, spec SearchSpec) bool {
 			}
 			end = direct[u]
 		}
+		relaxed += int(end - start[u])
 		row := arcs[start[u]:end]
-		relaxed += len(row)
-		for _, a := range row {
-			mid := g + a.pre
-			nd := mid + a.ms
-			v := a.to
-			to := &node[v]
-			queued := false
-			if to.stamp == cur {
-				if nd > to.dist || to.pos == posPopped {
-					continue
-				}
-				if nd == to.dist {
-					if overlayTakes(links, v, mid, a.link, held[v], prevLink[v]) {
-						prevLink[v], held[v] = a.link, mid
+		if bans {
+			row = ov.unbanned(st, u, end)
+		}
+		for {
+			for _, a := range row {
+				mid := g + a.pre
+				nd := mid + a.ms
+				v := a.to
+				to := &node[v]
+				queued := false
+				if to.stamp == cur {
+					if nd > to.dist || to.pos == posPopped {
+						continue
 					}
-					continue
+					if nd == to.dist {
+						if overlayTakes(links, v, mid, a.link, held[v], prevLink[v]) {
+							prevLink[v], held[v] = a.link, mid
+						}
+						continue
+					}
+					queued = to.pos >= 0
+				} else {
+					to.stamp = cur
 				}
-				queued = to.pos >= 0
-			} else {
-				to.stamp = cur
-			}
-			to.dist = nd
-			prevLink[v], held[v] = a.link, mid
-			if !queued && v >= ground && want[v] != cur {
-				// Relax city v through. Its arcs are all direct links
-				// (pre 0): the build refuses a city joined to a forwarder.
-				to.pos = posPassed
-				if transit {
-					continue
-				}
-				vrow := arcs[start[v]:start[v+1]]
-				relaxed += len(vrow)
-				for _, f := range vrow {
-					nx := nd + f.ms
-					y := f.to
-					ty := &node[y]
-					yQueued := false
-					if ty.stamp == cur {
-						if nx > ty.dist || ty.pos == posPopped {
+				to.dist = nd
+				prevLink[v], held[v] = a.link, mid
+				if !queued && !byBall && v >= ground && want[v] != cur {
+					// Relax city v through. Its arcs are all direct links
+					// (pre 0): the build refuses a city joined to a forwarder.
+					to.pos = posPassed
+					if transit {
+						continue
+					}
+					vrow := arcs[start[v]:start[v+1]]
+					relaxed += len(vrow)
+					for _, f := range vrow {
+						if bans && ban[f.link] == stamp {
 							continue
 						}
-						if nx == ty.dist {
-							if overlayTakes(links, y, nd, f.link, held[y], prevLink[y]) {
-								prevLink[y], held[y] = f.link, nd
+						nx := nd + f.ms
+						y := f.to
+						ty := &node[y]
+						yQueued := false
+						if ty.stamp == cur {
+							if nx > ty.dist || ty.pos == posPopped {
+								continue
 							}
-							continue
+							if nx == ty.dist {
+								if overlayTakes(links, y, nd, f.link, held[y], prevLink[y]) {
+									prevLink[y], held[y] = f.link, nd
+								}
+								continue
+							}
+							yQueued = ty.pos >= 0
+						} else {
+							ty.stamp = cur
 						}
-						yQueued = ty.pos >= 0
-					} else {
-						ty.stamp = cur
-					}
-					ty.dist = nx
-					prevLink[y], held[y] = f.link, nd
-					at := int(ty.pos)
-					if !yQueued {
-						at = len(h)
-						h = append(h, heapEntry{})
+						ty.dist = nx
+						prevLink[y], held[y] = f.link, nd
+						at := int(ty.pos)
+						if !yQueued {
+							at = len(h)
+							h = append(h, heapEntry{})
+							if goal {
+								st.bound[y] = bound(y)
+							}
+						}
+						key = nx
 						if goal {
-							st.bound[y] = st.toGoal.at(y)
+							key += st.bound[y]
 						}
+						siftUp(h, node, at, heapEntry{node: y, key: key})
 					}
-					key = nx
+					continue
+				}
+				pos := int(to.pos)
+				if !queued {
+					pos = len(h)
+					h = append(h, heapEntry{})
 					if goal {
-						key += st.bound[y]
+						st.bound[v] = bound(v)
 					}
-					siftUp(h, node, at, heapEntry{node: y, key: key})
 				}
-				continue
-			}
-			at := int(to.pos)
-			if !queued {
-				at = len(h)
-				h = append(h, heapEntry{})
+				key = nd
 				if goal {
-					st.bound[v] = st.toGoal.at(v)
+					key += st.bound[v]
 				}
+				siftUp(h, node, pos, heapEntry{node: v, key: key})
 			}
-			key = nd
-			if goal {
-				key += st.bound[v]
+			if len(st.cutTo) == 0 {
+				break
 			}
-			siftUp(h, node, at, heapEntry{node: v, key: key})
+			row = ov.repair(st, u)
+			relaxed += len(row)
 		}
 	}
 	st.heap = h
 	st.relaxed = relaxed
 	return true
+}
+
+// unbanned returns the arcs of u's row, arcs[start[u]:end], that st's bans
+// leave: the row itself where none of them is banned, else a copy in
+// st.arcBuf without the banned ones. The far end of each candidate a ban cut
+// goes on st.cutTo, for repair.
+func (ov *Overlay) unbanned(st *SearchState, u, end int32) []overlayArc {
+	ban, stamp, arcs, via := st.linkBan, st.banStamp, ov.arcs, ov.via
+	from, cut := ov.start[u], false
+	for i := from; i < end; i++ {
+		a := arcs[i]
+		if ban[a.link] != stamp && ban[via[i]] != stamp {
+			if cut {
+				st.arcBuf = append(st.arcBuf, a)
+			}
+			continue
+		}
+		if !cut {
+			st.arcBuf, cut = append(st.arcBuf[:0], arcs[from:i]...), true
+		}
+		if i >= ov.direct[u] {
+			st.cutTo = append(st.cutTo, a.to)
+		}
+	}
+	if !cut {
+		return arcs[from:end]
+	}
+	return st.arcBuf
+}
+
+// repair returns in st.arcBuf, for satellite u just popped, the arcs that
+// repair each pair {u, t} whose kept candidate a ban cut (t in st.cutTo), and
+// empties the list: one arc through every forwarder r the two share over
+// unbanned links, as the CSR kernel relaxes r from u and r through to t — the
+// pair's kept candidates and those the build dropped, of which one may now be
+// t's best. Of parallel u–r links only the lightest unbanned one gives r a
+// label, so it alone is read. It walks u's row once and each t's row once; a
+// t already settled is skipped.
+func (ov *Overlay) repair(st *SearchState, u int32) []overlayArc {
+	n := ov.net
+	adjStart, adjEdges, adjMs := n.adjStart, n.adjEdges, n.adjMs
+	ban, stamp := st.linkBan, st.banStamp
+	if len(st.mark) < n.N() {
+		st.mark = append(st.mark, make([]repairMark, n.N()-len(st.mark))...)
+	}
+	st.markStamp++
+	if st.markStamp == 0 { // wrapped: stale stamps could collide
+		clear(st.mark)
+		st.markStamp = 1
+	}
+	mark, cur := st.mark, st.markStamp
+	for k := adjStart[u]; k < adjStart[u+1]; k++ {
+		r := adjEdges[k].To
+		if r < ov.n || ban[adjEdges[k].Link] == stamp {
+			continue
+		}
+		if m := &mark[r]; m.stamp != cur || adjMs[k] < adjMs[m.k] {
+			*m = repairMark{stamp: cur, k: k}
+		}
+	}
+	st.arcBuf = st.arcBuf[:0]
+	for _, t := range st.cutTo {
+		if mark[t].stamp == cur || st.Settled(t) { // listed twice, or final
+			continue
+		}
+		mark[t].stamp = cur
+		for j := adjStart[t]; j < adjStart[t+1]; j++ {
+			e := adjEdges[j]
+			if e.To < ov.n || mark[e.To].stamp != cur || ban[e.Link] == stamp {
+				continue
+			}
+			st.arcBuf = append(st.arcBuf, overlayArc{pre: adjMs[mark[e.To].k], ms: adjMs[j], to: t, link: e.Link})
+		}
+	}
+	st.cutTo = st.cutTo[:0]
+	return st.arcBuf
+}
+
+// repairMark marks, for one repair, a forwarder r of the popped satellite
+// with k, the index of its lightest unbanned link to r on the satellite's
+// CSR row, or a partner satellite already repaired.
+type repairMark struct {
+	stamp uint32
+	k     int32
 }
 
 // forwarder derives the labels of node v, a relay or aircraft the last search
@@ -442,7 +573,7 @@ func (ov *Overlay) search(st *SearchState, spec SearchSpec) bool {
 // and from nothing else, keeping the least sum and, among equal sums, the
 // (dist, node, link)-least satellite. So v is reached iff a satellite of v
 // popped and relaxed, at the least fl(d(s) + w) over those, through that
-// satellite's link.
+// satellite's link — a link st does not ban.
 func (st *SearchState) forwarder(v int32) (dist float64, link int32) {
 	n := st.net
 	node, cur := st.node, st.searchStamp
@@ -452,7 +583,8 @@ func (st *SearchState) forwarder(v int32) (dist float64, link int32) {
 	for k := n.adjStart[v]; k < n.adjStart[v+1]; k++ {
 		e := n.adjEdges[k]
 		s := node[e.To]
-		if s.stamp != cur || s.pos != posPopped || e.To == st.stop {
+		if s.stamp != cur || s.pos != posPopped || e.To == st.stop ||
+			(st.anyLinkBan && st.linkBan[e.Link] == st.banStamp) {
 			continue
 		}
 		if d := s.dist + n.adjMs[k]; link < 0 || d < dist ||

@@ -12,9 +12,9 @@ import (
 )
 
 // The differential battery for the relay overlay (overlay.go): every search
-// it runs is held to the CSR kernel's on every node — satellite, city, relay
-// and aircraft, Dist under math.Float64bits, PrevLink, Reached, Settled and
-// Path — and every full tree to naiveDijkstra.
+// it runs, with links banned or not, is held to the CSR kernel's on every
+// node — satellite, city, relay and aircraft, Dist under math.Float64bits,
+// PrevLink, Reached, Settled and Path — and every full tree to naiveDijkstra.
 
 // overlayNet builds a random network laid out as the Builder lays one out:
 // sats satellites, cities cities, relays relays and aircraft aircraft, in that
@@ -96,22 +96,26 @@ func requireSameSearch(t *testing.T, tag string, n *Network, st, ref *SearchStat
 	}
 }
 
-// checkOverlay runs spec on the overlay and on the CSR and holds the two to
-// each other on every node; a full tree is held to naiveDijkstra too, and a
-// stopped search's wanted nodes to the reference's full tree, each under
-// spec's transit rule.
-func checkOverlay(t *testing.T, tag string, n *Network, ov *Overlay, spec SearchSpec, naive bool) {
+// checkOverlay runs spec on the overlay and on the CSR, both with the links
+// of banned banned, and holds the two to each other on every node; a full
+// tree is held to naiveDijkstra too, and a stopped search's wanted nodes to
+// the reference's full tree, each under spec's transit rule and the bans.
+func checkOverlay(t *testing.T, tag string, n *Network, ov *Overlay, spec SearchSpec, naive bool, banned map[int32]bool) {
 	t.Helper()
 	st, ref := AcquireSearch(), AcquireSearch()
 	defer st.Release()
 	defer ref.Release()
+	for li := range banned {
+		st.BanLink(li)
+		ref.BanLink(li)
+	}
 	overlaySearch(t, tag, ov, st, spec)
 	n.Search(ref, spec)
 	requireSameSearch(t, tag, n, st, ref, false)
 	if !naive {
 		return
 	}
-	wantDist, wantPrev := naiveDijkstra(n, spec.Src, nil, nil, spec.SatTransit, nil)
+	wantDist, wantPrev := naiveDijkstra(n, spec.Src, nil, banned, spec.SatTransit, nil)
 	wanted := spec.Targets
 	if spec.Target != NoTarget {
 		wanted = append(wanted, spec.Target)
@@ -132,7 +136,9 @@ func checkOverlay(t *testing.T, tag string, n *Network, ov *Overlay, spec Search
 // naiveDijkstra on random networks of satellites, cities (with fiber),
 // relays and aircraft: full trees from cities and satellites, searches
 // stopped at target lists, and single-target searches, each plain and under
-// satellites-only transit.
+// satellites-only transit, with nothing banned and with a random tenth or
+// third of the links banned (so a kept candidate loses a link and its pair is
+// repaired from the CSR rows).
 func TestOverlayDifferential(t *testing.T) {
 	for seed := int64(900); seed < 960; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -143,17 +149,21 @@ func TestOverlayDifferential(t *testing.T) {
 			t.Fatalf("%s: the overlay was refused", tag)
 		}
 		on := int(ov.n)
-		for i := 0; i < 8; i++ {
+		for i := 0; i < 24; i++ {
 			transit := i%2 == 1
-			tag := fmt.Sprintf("%s (transit %v)", tag, transit)
+			var banned map[int32]bool
+			if i >= 8 {
+				banned = randomBans(r, n, []float64{0.1, 0.33}[i%4/2])
+			}
+			tag := fmt.Sprintf("%s (transit %v, %d links banned)", tag, transit, len(banned))
 			src := int32(r.Intn(on))
-			checkOverlay(t, tag+" full tree", n, ov, SearchSpec{Src: src, Target: NoTarget, SatTransit: transit}, true)
+			checkOverlay(t, tag+" full tree", n, ov, SearchSpec{Src: src, Target: NoTarget, SatTransit: transit}, true, banned)
 			var targets []int32
 			for k := 1 + r.Intn(3); k > 0; k-- {
 				targets = append(targets, int32(n.NumSat+r.Intn(n.NumCity)))
 			}
-			checkOverlay(t, tag+" targets", n, ov, SearchSpec{Src: src, Target: NoTarget, Targets: targets, SatTransit: transit}, true)
-			checkOverlay(t, tag+" target", n, ov, SearchSpec{Src: src, Target: int32(r.Intn(on)), SatTransit: transit}, true)
+			checkOverlay(t, tag+" targets", n, ov, SearchSpec{Src: src, Target: NoTarget, Targets: targets, SatTransit: transit}, true, banned)
+			checkOverlay(t, tag+" target", n, ov, SearchSpec{Src: src, Target: int32(r.Intn(on)), SatTransit: transit}, true, banned)
 		}
 	}
 }
@@ -161,10 +171,11 @@ func TestOverlayDifferential(t *testing.T) {
 // checkGeometricOverlay counts the terminals right after n's satellites, up
 // to two, as cities, and where the overlay admits that network holds every
 // full tree, every search stopped at its cities and every search for one node
-// from each of its nodes, plain and under satellites-only transit, to the CSR
-// kernel's on every node, and to naiveDijkstra; on these networks the free-
-// space bound directs the searches for one node. It returns the overlay's
-// node and candidate counts, 0 where it was refused.
+// from each of its nodes, plain and under satellites-only transit, with
+// nothing banned and with every third link banned (from the second), to the
+// CSR kernel's on every node, and to naiveDijkstra; on these networks the
+// free-space bound directs the searches for one node. It returns the
+// overlay's node and candidate counts, 0 where it was refused.
 func checkGeometricOverlay(t *testing.T, n *Network) (nodes, cands int) {
 	t.Helper()
 	c := n.sharing(n.Links)
@@ -176,13 +187,19 @@ func checkGeometricOverlay(t *testing.T, n *Network) (nodes, cands int) {
 	for v := int32(c.NumSat); v < ov.n; v++ {
 		cities = append(cities, v)
 	}
+	thirds := map[int32]bool{}
+	for li := 1; li < len(c.Links); li += 3 {
+		thirds[int32(li)] = true
+	}
 	for src := int32(0); src < ov.n; src++ {
 		for _, transit := range []bool{false, true} {
-			tag := fmt.Sprintf("geometric overlay (transit %v)", transit)
-			checkOverlay(t, tag, c, ov, SearchSpec{Src: src, Target: NoTarget, SatTransit: transit}, true)
-			checkOverlay(t, tag+" cities", c, ov, SearchSpec{Src: src, Target: NoTarget, Targets: cities, SatTransit: transit}, true)
-			for dst := int32(0); dst < ov.n; dst++ {
-				checkOverlay(t, tag, c, ov, SearchSpec{Src: src, Target: dst, SatTransit: transit}, true)
+			for _, banned := range []map[int32]bool{nil, thirds} {
+				tag := fmt.Sprintf("geometric overlay (transit %v, %d links banned)", transit, len(banned))
+				checkOverlay(t, tag, c, ov, SearchSpec{Src: src, Target: NoTarget, SatTransit: transit}, true, banned)
+				checkOverlay(t, tag+" cities", c, ov, SearchSpec{Src: src, Target: NoTarget, Targets: cities, SatTransit: transit}, true, banned)
+				for dst := int32(0); dst < ov.n; dst++ {
+					checkOverlay(t, tag, c, ov, SearchSpec{Src: src, Target: dst, SatTransit: transit}, true, banned)
+				}
 			}
 		}
 	}
@@ -241,7 +258,7 @@ func TestOverlayReducedDay(t *testing.T) {
 				}
 			}
 			if !testing.Short() {
-				checkOverlay(t, tag+", naive", n, ov, SearchSpec{Src: n.CityNode(h * 11 % n.NumCity), Target: NoTarget}, true)
+				checkOverlay(t, tag+", naive", n, ov, SearchSpec{Src: n.CityNode(h * 11 % n.NumCity), Target: NoTarget}, true, nil)
 			}
 		}
 	}
@@ -281,7 +298,7 @@ func TestOverlayRoundingTies(t *testing.T) {
 		if candidates(ov) != 4 {
 			t.Fatalf("%s: %d candidates, want both relays both ways", tc.name, candidates(ov))
 		}
-		checkOverlay(t, tc.name, n, ov, SearchSpec{Src: c, Target: NoTarget}, true)
+		checkOverlay(t, tc.name, n, ov, SearchSpec{Src: c, Target: NoTarget}, true, nil)
 		st := AcquireSearch()
 		overlaySearch(t, tc.name, ov, st, SearchSpec{Src: c, Target: NoTarget})
 		if st.Dist(x) != 2.5 || st.PrevLink(x) != viaR2 {
@@ -289,6 +306,157 @@ func TestOverlayRoundingTies(t *testing.T) {
 		}
 		st.Release()
 	}
+}
+
+// TestOverlayBannedRepair plants a pair whose least candidate a ban removes
+// and whose dropped candidate then wins. From city c (c–a = 19), satellite a
+// reaches satellite x through three relays, each a–r = 1: r1 (r1–x = 1 − 2⁻³²,
+// sum 2 − 2⁻³²), r2 (r2–x = 1, sum 2, within the 2⁻³² tolerance: kept) and r3
+// (r3–x = 1 + 2⁻⁵¹, sum 2 + 2⁻⁵¹: dropped). Unbanned, r1 gives x 21 − 2⁻³².
+// With a–r1 banned (or r1–x), r2 and r3 both offer x fl(20 + w) = 21 from one
+// relay label, 20, and the tie rule gives x to r3, the lower node, as plain
+// Dijkstra does: a search that skipped the repair would keep x at r2, and
+// one that read only the r–x link of a candidate would keep r1 under the a–r1
+// ban. A second network plants the repair's parallel-link case: a joins r1
+// twice, at 1 and 1 + 2⁻³¹, and r2 at 1 + 2⁻³¹ + 2⁻⁴⁰, each relay 1 from x, so
+// only the light a–r1 candidate is kept. With that link banned the CSR gives
+// x 21 + 2⁻³¹ through the heavy a–r1 link and r1–x: a repair that marked the
+// lightest a–r1 link whether banned or not would give x 21 through it, and
+// one that dropped r1 with it would hand x to r2.
+func TestOverlayBannedRepair(t *testing.T) {
+	const a, x, c, r3, r2, r1 = 0, 1, 2, 3, 4, 5
+	n := &Network{NumSat: 2, NumCity: 1, NumRelay: 3}
+	for _, k := range []NodeKind{NodeSatellite, NodeSatellite, NodeCity, NodeRelay, NodeRelay, NodeRelay} {
+		n.AddNode(k, geo.Vec3{}, "")
+	}
+	n.link(c, a, 19)
+	toX, fromA := map[int32]int32{}, map[int32]int32{}
+	for _, r := range []int32{r1, r2, r3} {
+		fromA[r] = n.link(a, r, 1)
+		toX[r] = n.link(r, x, map[int32]float64{r1: 1 - 0x1p-32, r2: 1, r3: 1 + 0x1p-51}[r])
+	}
+	ov := NewOverlay(n, overlayMinSearches)
+	if candidates(ov) != 4 {
+		t.Fatalf("%d candidates, want r1 and r2 both ways", candidates(ov))
+	}
+	spec := SearchSpec{Src: c, Target: NoTarget}
+	for _, tc := range []struct {
+		name string
+		ban  int32
+		via  int32
+		dist float64
+	}{{"nothing banned", -1, toX[r1], 21 - 0x1p-32}, {"a–r1 banned", fromA[r1], toX[r3], 21}, {"r1–x banned", toX[r1], toX[r3], 21}} {
+		var banned map[int32]bool
+		if tc.ban >= 0 {
+			banned = map[int32]bool{tc.ban: true}
+		}
+		checkOverlay(t, tc.name, n, ov, spec, true, banned)
+		st := AcquireSearch()
+		for li := range banned {
+			st.BanLink(li)
+		}
+		overlaySearch(t, tc.name, ov, st, spec)
+		if st.Dist(x) != tc.dist || st.PrevLink(x) != tc.via {
+			t.Fatalf("%s: x at (%v, %d), want (%v, %d)", tc.name, st.Dist(x), st.PrevLink(x), tc.dist, tc.via)
+		}
+		st.Release()
+	}
+
+	const p1, p2 = 3, 4 // the second network's relays
+	n = &Network{NumSat: 2, NumCity: 1, NumRelay: 2}
+	for _, k := range []NodeKind{NodeSatellite, NodeSatellite, NodeCity, NodeRelay, NodeRelay} {
+		n.AddNode(k, geo.Vec3{}, "")
+	}
+	n.link(c, a, 19)
+	light := n.link(a, p1, 1)
+	n.link(a, p1, 1+0x1p-31)
+	n.link(a, p2, 1+0x1p-31+0x1p-40)
+	p1x := n.link(p1, x, 1)
+	n.link(p2, x, 1)
+	ov = NewOverlay(n, overlayMinSearches)
+	if candidates(ov) != 2 {
+		t.Fatalf("parallel links: %d candidates, want the light a–r1 one both ways", candidates(ov))
+	}
+	banned := map[int32]bool{light: true}
+	checkOverlay(t, "parallel links", n, ov, spec, true, banned)
+	st := AcquireSearch()
+	defer st.Release()
+	st.BanLink(light)
+	overlaySearch(t, "parallel links", ov, st, spec)
+	if st.Dist(x) != 21+0x1p-31 || st.PrevLink(x) != p1x {
+		t.Fatalf("parallel links: x at (%v, %d), want (%v, %d)", st.Dist(x), st.PrevLink(x), 21+0x1p-31, p1x)
+	}
+}
+
+// TestOverlayBallFallback plants a peel that leaves the overlay past
+// overlayLabelCap while its destination's ball was grown on the overlay. All
+// nodes sit at one point 550 km up, so the free-space gate is open and its
+// bound is 0. From city s to city d the first path is s–a–r1–b–d (4 ms: the
+// ball's radius R); with it banned, the only way out of s is a chain of
+// satellite hops of 16,000 ms to z, 64,000 ms from s, and past it two ways to
+// d: z–f–r3–c–d (16,000 + 0.5 + 0.5 + 1 ms) and z–g–d (16,001 + 2 ms), one
+// millisecond longer. The second peel pops past the cap and runs on the CSR,
+// where relay r3 (1.5 ms from d) is a node the overlay ball never labelled: a
+// ball bound there would read R = 4 at r3 and hand d the longer way first.
+// So the CSR search must not be ball-directed, and both peels must be
+// naiveDijkstra's.
+func TestOverlayBallFallback(t *testing.T) {
+	const W = 16000
+	// Satellites, cities, relays, in the Builder's order.
+	const a, b, c, f, g, x1, x2, x3, z, s, d, r1, r3 = 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12
+	n := &Network{NumSat: 9, NumCity: 2, NumRelay: 2}
+	at := geo.LatLon{Alt: 550}.ToECEF()
+	for v := 0; v < 13; v++ {
+		kind := NodeSatellite
+		if v == s || v == d {
+			kind = NodeCity
+		} else if v >= r1 {
+			kind = NodeRelay
+		}
+		n.AddNode(kind, at, "")
+	}
+	for _, l := range []struct {
+		a, b int32
+		ms   float64
+	}{
+		{s, a, 1}, {a, r1, 1}, {r1, b, 1}, {b, d, 1},
+		{s, x1, W}, {x1, x2, W}, {x2, x3, W}, {x3, z, W},
+		{z, f, W}, {f, r3, 0.5}, {r3, c, 0.5}, {c, d, 1},
+		{z, g, W + 1}, {g, d, 2},
+	} {
+		n.link(l.a, l.b, l.ms)
+	}
+	if n.goalTerms() == nil {
+		t.Fatal("the free-space gate is closed")
+	}
+	ov := NewOverlay(n, overlayMinSearches)
+	if ov.n != 11 {
+		t.Fatalf("an overlay of %d nodes, want 11", ov.n)
+	}
+	ball, st := AcquireSearch(), AcquireSearch()
+	defer ball.Release()
+	defer st.Release()
+	ov.growBall(ball, d, []int32{s})
+	if ball.split != ov.n || ball.Dist(s) != 4 {
+		t.Fatalf("the ball ran on the CSR (split %d) or has radius %v, want 4", ball.split, ball.Dist(s))
+	}
+	want := naiveKDisjoint(n, s, d, 2)
+	for i, p := range want {
+		spec := SearchSpec{Src: s, Target: d, ball: ball}
+		ov.Search(st, spec)
+		if onOverlay := st.split > 0; onOverlay != (i == 0) {
+			t.Fatalf("peel %d ran on the overlay: %v", i, onOverlay)
+		}
+		got, ok := st.Path(d)
+		if !ok {
+			t.Fatalf("peel %d found no path", i)
+		}
+		requireSamePaths(t, fmt.Sprintf("peel %d", i), []Path{got}, []Path{p})
+		for _, li := range got.Links {
+			st.BanLink(li)
+		}
+	}
+	requireSamePaths(t, "KDisjointPathsTo", ov.KDisjointPathsTo(d, []int32{s}, 4)[0], naiveKDisjoint(n, s, d, 4))
 }
 
 // candidates counts the overlay's relay candidates (arcs through a
@@ -353,10 +521,10 @@ func TestOverlayRefused(t *testing.T) {
 	}
 }
 
-// TestOverlayCSRKept: searches the overlay admits no change to — a ban, a
-// Cost hook, a tree, a Stop hook, a relay wanted or searched from — run on
-// the CSR kernel through it; a satellites-only transit search runs on the
-// overlay.
+// TestOverlayCSRKept: searches the overlay admits no change to — a Cost
+// hook, a tree, a Stop hook, a relay wanted or searched from — run on the CSR
+// kernel through it; a satellites-only transit search and a search with a
+// banned link run on the overlay.
 func TestOverlayCSRKept(t *testing.T) {
 	n := overlayNet(rand.New(rand.NewSource(77)), 12, 4, 20, 4, 6, 2)
 	ov := NewOverlay(n, overlayMinSearches)
@@ -381,10 +549,7 @@ func TestOverlayCSRKept(t *testing.T) {
 	defer st.Release()
 	overlaySearch(t, "satellite transit", ov, st, SearchSpec{Src: 0, Target: NoTarget, SatTransit: true})
 	st.BanLink(0)
-	ov.Search(st, SearchSpec{Src: 0, Target: NoTarget})
-	if st.split != 0 {
-		t.Fatal("a search with a banned link ran on the overlay")
-	}
+	overlaySearch(t, "a banned link", ov, st, SearchSpec{Src: 0, Target: NoTarget})
 }
 
 // TestOverlayLabelCap: a search that pops a label past overlayLabelCap

@@ -81,6 +81,16 @@ type SearchState struct {
 	// relaxed counts the arcs the last overlay search relaxed, its pops' and
 	// its passes' rows.
 	relaxed int
+
+	// cutTo lists the satellites whose pair with the node a banned overlay
+	// search just popped lost a kept candidate to a ban, and mark, valid
+	// where its stamp is markStamp, is the scratch that repairs them
+	// (Overlay.repair). arcBuf holds the arcs such a search relaxes in place
+	// of a row: its unbanned ones (Overlay.unbanned), then repair's.
+	cutTo     []int32
+	mark      []repairMark
+	markStamp uint32
+	arcBuf    []overlayArc
 }
 
 // nodeState packs what relaxing an arc into node v reads — is v reached this
@@ -396,7 +406,9 @@ type SearchSpec struct {
 	// D being the ball's label and R its radius, the label of its last pop
 	// (DESIGN.md §7, "A disjoint-path set is directed by its destination's
 	// ball"). A ball on another network, or not grown from the target, is
-	// ignored.
+	// ignored. A ball grown on the relay overlay labels no relay or aircraft,
+	// so it directs overlay searches only (Overlay.Search drops it from a
+	// search the CSR runs).
 	ball *SearchState
 }
 

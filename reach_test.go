@@ -27,7 +27,7 @@ import (
 var reachExempt = map[string]string{
 	"internal/telemetry.Disable":                     "test hook: turns process telemetry off",
 	"internal/telemetry.Tracer.Dropped":              "observer: tests read the ring's overflow count",
-	"internal/graph.Network.KDisjointPathsToSettled": "observer: tests count the pops of a destination's ball and of the peels it directs",
+	"internal/graph.Overlay.KDisjointPathsToSettled": "observer: tests count the pops of a destination's ball and of the peels it directs",
 	"internal/fault.Chaos.Draws":                     "observer: chaos tests count draws",
 	"internal/fault.Chaos.Fails":                     "observer: chaos tests count injected failures",
 	"internal/fault.Chaos.Panics":                    "observer: chaos tests count injected panics",

@@ -8,7 +8,7 @@
 # `leosim -scale full -snapshots 1 -json <experiment>` and compares the first
 # 16 hex digits of the sha256 of the envelope's `data`, serialised with sorted
 # keys, with the recorded digest. It fails on the first mismatch or failed
-# run. fig2a, fig4 and fig6 take about 40 s on 2 cores.
+# run. fig2a, fig4, fig5 and fig6 take about 40 s on 2 cores.
 set -euo pipefail
 
 digests="${1:-testdata/full_digests.txt}"
