@@ -173,10 +173,10 @@ var kDisjointSink [][]Path
 
 // BenchmarkKDisjointTo measures one destination's pair group at k = 4 on the
 // reduced-scale bent-pipe snapshot, three source cities peeled four ways:
-// each search under the free-space bound alone, three KDisjointPaths calls
-// (each grows its own ball), one KDisjointPathsTo on the CSR, whose one ball
-// directs all twelve searches, and the same on the relay overlay.
-// Destinations cycle through the cities.
+// each search under the free-space bound, written out; three KDisjointPaths
+// calls; one KDisjointPathsTo on the CSR, which grows no ball, so its searches
+// are the free-space ones; and one on the relay overlay, whose one ball
+// directs all twelve searches. Destinations cycle through the cities.
 func BenchmarkKDisjointTo(b *testing.B) {
 	telemetry.Disable()
 	n := reducedBPSnapshot(b)
@@ -222,7 +222,7 @@ func BenchmarkKDisjointTo(b *testing.B) {
 		}
 	})
 	for _, ov := range []*Overlay{{net: n}, NewOverlay(n, n.NumCity)} {
-		name := "ball"
+		name := "csr"
 		if ov.n > 0 {
 			name = "overlay"
 		}

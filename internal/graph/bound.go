@@ -199,9 +199,9 @@ func (st *SearchState) directByTree(tree []int32) {
 }
 
 // directByBall makes ball, a plain search from st.goal, the bound of the
-// search begun on st.net (DESIGN.md §7, "A disjoint-path set is directed by
-// its destination's ball"): its radius is the label of the pop that stopped
-// it, +Inf if it ran to exhaustion.
+// overlay search begun on st.net (DESIGN.md §7, "A disjoint-path set is
+// directed by its destination's ball"): its radius is the label of the pop
+// that stopped it, +Inf if it ran to exhaustion.
 func (st *SearchState) directByBall(ball *SearchState) {
 	st.ball = ball
 	st.radius = math.Inf(1)
@@ -225,33 +225,17 @@ func (st *SearchState) treeBound(v int32) float64 {
 	return st.treeDist(v) * treeScale
 }
 
-// treeDist returns v's distance to the root of st.tree, a tree row, +Inf
-// where the tree does not reach v. At a node of the row it is summed lazily:
-// walk the row up from v to the first node memoised this search, then add the
-// link delays back down in the tree's own order — d ⊕ w per link, and
+// treeDist returns the distance from v, a node of the tree row st.tree, to
+// its root, +Inf where the tree does not reach v. It is summed lazily: walk
+// the row up from v to the first node memoised this search, then add the link
+// delays back down in the tree's own order — d ⊕ w per link, and
 // fl(fl(d + w₁) + w₂) over the two links of a tagged entry — which is the
 // order Dijkstra summed them in when it grew the tree, and memoise every node
-// passed. So each node of the row is measured at most once per search, and
-// what it is measured at is the tree's own float distance. A forwarder past
-// the row is at the least fl(D(s) + w) over its satellites s: the label the
-// tree's search gave it, which relaxed it from each of them.
+// passed. So each node is measured at most once per search, and what it is
+// measured at is the tree's own float distance. A forwarder past the row is
+// never asked for: a tree-directed search relaxes it through.
 func (st *SearchState) treeDist(v int32) float64 {
 	n, tree, memo, cur := st.net, st.tree, st.treeMemo, st.searchStamp
-	if int(v) >= len(tree) {
-		d := math.Inf(1)
-		lo, hi := n.adjStart[v], n.adjStart[v+1]
-		arcMs := n.adjMs[lo:hi]
-		for k, e := range n.adjEdges[lo:hi] {
-			ds := memo[e.To].dist
-			if memo[e.To].stamp != cur {
-				ds = st.treeDist(e.To)
-			}
-			if x := ds + arcMs[k]; x < d {
-				d = x
-			}
-		}
-		return d
-	}
 	links := n.Links
 	walk := st.treeWalk[:0]
 	at := v

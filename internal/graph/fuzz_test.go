@@ -554,6 +554,11 @@ func FuzzSearchGeometric(f *testing.F) {
 	f.Add(relayChainBytes(), uint8(9), uint8(10), uint8(5))
 	f.Add(relayDenseBytes(true), uint8(8), uint8(9), uint8(0))
 	f.Add(relayDenseBytes(false), uint8(9), uint8(8), uint8(4))
+	// One satellite among fourteen terminals, link 0 banned: a search
+	// directed by the uncut tree relaxes terminals through, and must key each
+	// node such a pass lowers by its tree bound, or it pops the target ahead
+	// of a shorter route.
+	f.Add([]byte("+\x8590000000000000007000708020000001008871bZb7Z71000000809000"), uint8(8), uint8(9), uint8(58))
 	f.Fuzz(func(t *testing.T, data []byte, srcB, dstB, banB uint8) {
 		n := geoNet(data)
 		if n == nil || len(n.Links) == 0 {

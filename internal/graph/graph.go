@@ -356,14 +356,15 @@ func (n *Network) KDisjointPaths(src, dst int32, k int) []Path {
 
 // KDisjointPathsTo returns as entry i the up to k edge-disjoint paths from
 // srcs[i] to dst that KDisjointPaths peels, each plain Dijkstra's path bit for
-// bit (DESIGN.md §7). Where the free-space gate is open, one plain search from
-// dst, stopped once its last source settles, is the destination's ball: it
-// directs every search of every set, a source's unbanned first path and each
-// banned peel, each reading v's bound off the ball's own label capped at its
-// radius. Where the gate is closed the kernel would ignore the ball, so none
-// is grown. A source the ball does not reach has no path and is not searched.
-// The ball and the peels run on the overlay where it admits them (Search),
-// with the peels' bans; on an empty overlay every one is the CSR kernel's.
+// bit (DESIGN.md §7). On a built overlay where the free-space gate is open,
+// one plain search from dst, stopped once its last source settles, is the
+// destination's ball: it directs every search of every set, a source's
+// unbanned first path and each banned peel, each reading v's bound off the
+// ball's own label capped at its radius, and a source it does not reach has
+// no path and is not searched. The ball and the peels run on the overlay
+// where it admits them (Search), with the peels' bans. On an empty overlay no
+// ball is grown: every search is the CSR kernel's, directed by the free-space
+// bound where the gate is open.
 func (ov *Overlay) KDisjointPathsTo(dst int32, srcs []int32, k int) [][]Path {
 	return ov.kDisjointPathsTo(dst, srcs, k, nil)
 }
@@ -388,7 +389,7 @@ func (ov *Overlay) kDisjointPathsTo(dst int32, srcs []int32, k int, settled *[2]
 	st := AcquireSearch()
 	defer st.Release()
 	var ball *SearchState
-	if ov.net.goalTerms() != nil {
+	if ov.n > 0 && ov.net.goalTerms() != nil {
 		ball = AcquireSearch()
 		defer ball.Release()
 		ov.growBall(ball, dst, srcs)

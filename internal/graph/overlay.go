@@ -250,7 +250,8 @@ func (ov *Overlay) gather(lo, hi int32, ascending bool) {
 // empty overlay, is Network.Search's. Like Network.Search it is goal-directed
 // where spec wants one node and is not plain: by spec.ball where it is given
 // its target's ball, by the free-space bound otherwise, where that gate is
-// open.
+// open. A search the CSR runs instead (a label past overlayLabelCap) reads no
+// ball: the free-space bound directs it.
 func (ov *Overlay) Search(st *SearchState, spec SearchSpec) bool {
 	if ov.admits(spec) {
 		sp := telemetry.StartStageSpan(telemetry.StageSearch)
@@ -259,12 +260,6 @@ func (ov *Overlay) Search(st *SearchState, spec SearchSpec) bool {
 		if done {
 			return true
 		}
-	}
-	// The CSR's search (a label past overlayLabelCap, or a search the overlay
-	// refuses): a ball grown on the overlay labelled no forwarder, so its
-	// radius bounds none of them, and it directs no CSR search.
-	if b := spec.ball; b != nil && b.split > 0 {
-		spec.ball = nil
 	}
 	return ov.net.Search(st, spec)
 }
@@ -304,13 +299,12 @@ func overlayTakes(links []Link, v int32, mid float64, li int32, held float64, pr
 // candidates, and a city that is not wanted is relaxed through. Under
 // SatTransit no forwarder forwards, so a satellite relaxes its direct links
 // only and a city but the source relaxes nothing. A ball-directed search keys
-// by the ball's bound (treeBound) and queues its cities, as the CSR kernel's
-// does: passed, a city would relax all its links however far its key lies
-// past the target's. Under link bans an arc is skipped when either of its
-// links is banned (link, and via for a candidate), and each pair of a popped
-// satellite whose kept candidate a ban cut is repaired: after the satellite's
-// row the loop relaxes the arcs repair derives for it (DESIGN.md §7, "A
-// banned search on the overlay"). It returns false, with st unusable, at the
+// by the ball's bound (treeBound) and queues its cities: passed, a city would
+// relax all its links however far its key lies past the target's. Under link
+// bans an arc is skipped when either of its links is banned (link, and via
+// for a candidate), and each pair of a popped satellite whose kept candidate
+// a ban cut is repaired: after the satellite's row the loop relaxes the arcs
+// repair derives for it (DESIGN.md §7, "A banned search on the overlay"). It returns false, with st unusable, at the
 // first pop past overlayLabelCap.
 func (ov *Overlay) search(st *SearchState, spec SearchSpec) bool {
 	n := ov.net

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"leosim/internal/geo"
@@ -287,7 +288,8 @@ func TestRelayChains(t *testing.T) {
 // to naiveDijkstra: full trees from two cities on every label, and searches
 // for one city — goal-directed by the free-space bound, their relays relaxed
 // through — on the target's label, path and every label along it. Given the
-// target's tree instead, the search queues its relays.
+// target's tree instead, the search relaxes its relays and aircraft through
+// as well, and queues none of them.
 func TestRelayThroughOnSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("naive trees over a snapshot")
@@ -308,10 +310,57 @@ func TestRelayThroughOnSnapshot(t *testing.T) {
 		requireNaivePath(t, "snapshot", n, st, src, dst, nil, nil, true)
 		_, row := searchTree(n, dst, nil, false)
 		requireNaivePath(t, "snapshot, directed by the tree", n, st, src, dst, nil, row, true)
-		for v := int32(0); v < int32(n.N()); v++ {
-			if st.Reached(v) && st.node[v].pos == posPassed {
-				t.Fatalf("a tree-directed search relaxed node %d through", v)
+		passed := 0
+		for v := int32(n.NumSat + n.NumCity); v < int32(n.N()); v++ {
+			if !st.Reached(v) {
+				continue
 			}
+			if st.node[v].pos != posPassed {
+				t.Fatalf("a tree-directed search queued %v %d", n.Kind[v], v)
+			}
+			passed++
 		}
+		if passed == 0 {
+			t.Fatal("a tree-directed search reached no relay or aircraft")
+		}
+	}
+}
+
+// TestTreeDirectedRerun plants a tree-directed search that takes the
+// zero-increment rerun: all nodes sit at one point 550 km up, so the
+// free-space gate is open, and relay r joins satellites a and b, a by a link
+// of 1e-20 ms, far below the last bit of a's 1,000 ms label. Relaxing r from
+// a leaves the label where it was, so Search runs the search again queuing
+// every node, r too, which the tree row over the satellites and cities does
+// not reach: the rerun must be directed by the free-space bound, and its
+// target's path must be naiveDijkstra's.
+func TestTreeDirectedRerun(t *testing.T) {
+	const a, b, s, d, r = 0, 1, 2, 3, 4
+	n := &Network{NumSat: 2, NumCity: 2, NumRelay: 1}
+	at := geo.LatLon{Alt: 550}.ToECEF()
+	for _, kind := range []NodeKind{NodeSatellite, NodeSatellite, NodeCity, NodeCity, NodeRelay} {
+		n.AddNode(kind, at, "")
+	}
+	n.link(s, a, 1000)
+	n.link(a, r, 1e-20)
+	n.link(r, b, 1)
+	n.link(b, d, 1)
+	if n.goalTerms() == nil || n.RowNodes() != 4 {
+		t.Fatalf("gate open = %v, rows of %d nodes: want open and 4", n.goalTerms() != nil, n.RowNodes())
+	}
+	st := AcquireSearch()
+	defer st.Release()
+	n.Search(st, SearchSpec{Src: d, Target: NoTarget})
+	row := make([]int32, n.RowNodes())
+	st.TreeRow(row)
+	n.Search(st, SearchSpec{Src: s, Target: d, Tree: row})
+	if st.goal != d || st.tree != nil {
+		t.Fatalf("the rerun's goal %d, directed by the tree = %v: want %d and false", st.goal, st.tree != nil, d)
+	}
+	wd, wp := naiveDijkstra(n, s, []int32{d}, nil, false, nil)
+	p, ok := st.Path(d)
+	q, _ := n.extractPath(s, d, wd, wp)
+	if !ok || st.Dist(d) != wd[d] || !slices.Equal(p.Links, q.Links) {
+		t.Fatalf("%v over %v (%v ms, ok=%v), reference %v over %v (%v ms)", p.Nodes, p.Links, st.Dist(d), ok, q.Nodes, q.Links, wd[d])
 	}
 }

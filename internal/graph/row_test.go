@@ -14,9 +14,11 @@ import (
 // only — to the CSR kernel's full tree from that city, on every node of the
 // tiny and reduced presets' snapshot 0, bent-pipe and hybrid: the distance
 // the row directs a search by (treeDist) is the kernel's Dist under
-// math.Float64bits at every satellite, city, relay and aircraft, and the tree
-// bound is that distance scaled by the slack; walking the row to every node
-// of it gives the kernel's Path, weighing the kernel's Dist bit for bit.
+// math.Float64bits at every satellite and city — the nodes of the row, the
+// only ones a tree-directed search queues — and the tree bound is that
+// distance scaled by the slack; walking the row to every node of it gives the
+// kernel's Path, weighing the kernel's Dist bit for bit, and the walks pass
+// through relays and aircraft.
 func TestTreeRowBound(t *testing.T) {
 	presets := []struct {
 		name  string
@@ -47,17 +49,14 @@ func TestTreeRowBound(t *testing.T) {
 				dir.begin(n, SearchSpec{Src: root, Target: root})
 				dir.goal = root
 				dir.directByTree(row)
-				for v := range int32(n.N()) {
-					want := ref.Dist(v)
-					if got := dir.treeDist(v); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s, city %d: %v node %d at tree distance %v, kernel %v", tag, c, n.Kind[v], v, got, want)
-					}
-					if got := dir.treeBound(v); math.Float64bits(got) != math.Float64bits(want*treeScale) {
-						t.Fatalf("%s, city %d: node %d's bound %v, want %v", tag, c, v, got, want*treeScale)
-					}
-					kinds[n.Kind[v]]++
-				}
 				for v := range int32(rn) {
+					d := ref.Dist(v)
+					if got := dir.treeDist(v); math.Float64bits(got) != math.Float64bits(d) {
+						t.Fatalf("%s, city %d: %v node %d at tree distance %v, kernel %v", tag, c, n.Kind[v], v, got, d)
+					}
+					if got := dir.treeBound(v); math.Float64bits(got) != math.Float64bits(d*treeScale) {
+						t.Fatalf("%s, city %d: node %d's bound %v, want %v", tag, c, v, got, d*treeScale)
+					}
 					if row[v] < -1 {
 						tagged++
 					}
@@ -67,10 +66,13 @@ func TestTreeRowBound(t *testing.T) {
 						t.Fatalf("%s, city %d: walked %v over %v (ok=%v), kernel %v over %v (ok=%v)",
 							tag, c, got.Nodes, got.Links, ok, want.Nodes, want.Links, wantOK)
 					}
-					if ok && math.Float64bits(got.OneWayMs) != math.Float64bits(ref.Dist(v)) {
-						t.Fatalf("%s, city %d: the walk to %d weighs %v ms, the kernel's label is %v", tag, c, v, got.OneWayMs, ref.Dist(v))
+					if ok && math.Float64bits(got.OneWayMs) != math.Float64bits(d) {
+						t.Fatalf("%s, city %d: the walk to %d weighs %v ms, the kernel's label is %v", tag, c, v, got.OneWayMs, d)
 					}
 					requirePathWeighs(t, tag, ref, v, false)
+					for _, x := range got.Nodes {
+						kinds[n.Kind[x]]++
+					}
 				}
 			}
 			st.Release()

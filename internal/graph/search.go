@@ -52,7 +52,7 @@ type SearchState struct {
 	// the free-space bound does); treeMemo[v] memoises v's distance to the
 	// goal in it, valid iff its stamp is searchStamp, and treeWalk is the
 	// scratch of the walk that fills it. ball is the stopped plain search
-	// from the goal that directs the search in place of either
+	// from the goal that directs an overlay search in place of either
 	// (KDisjointPathsTo), and radius the label of its last pop (+Inf: it ran
 	// to exhaustion).
 	goal     int32
@@ -371,7 +371,8 @@ type SearchSpec struct {
 	// oracle's row, and settles a small fraction of the nodes. A row of
 	// another length, or not rooted at the target, is ignored, and so is
 	// any row where the free-space gate is closed. (KDisjointPathsTo builds
-	// no row: its searches read their bound off their destination's ball.)
+	// no row: its overlay searches read their bound off their destination's
+	// ball.)
 	Tree []int32
 	// SatTransit is §6's "pure ISL path" model: only satellites (Kind
 	// NodeSatellite) and the source forward, so a city, relay or aircraft
@@ -401,14 +402,12 @@ type SearchSpec struct {
 	// nothing.
 	plain bool
 	// ball, a plain search from the target stopped once its last wanted
-	// node settled, directs a goal-directed search in place of Tree or the
+	// node settled, directs a goal-directed overlay search in place of the
 	// free-space bound: v's bound is min(D(v), R) scaled by the tree slack,
 	// D being the ball's label and R its radius, the label of its last pop
 	// (DESIGN.md §7, "A disjoint-path set is directed by its destination's
 	// ball"). A ball on another network, or not grown from the target, is
-	// ignored. A ball grown on the relay overlay labels no relay or aircraft,
-	// so it directs overlay searches only (Overlay.Search drops it from a
-	// search the CSR runs).
+	// ignored, and the CSR kernel reads none.
 	ball *SearchState
 }
 
@@ -423,18 +422,16 @@ const NoTarget int32 = -1
 
 // Search runs Dijkstra from spec.Src over the network's CSR adjacency into
 // st, honouring st's link bans — goal-directed by the free-space bound, or by
-// spec.Tree or a destination's ball, when spec wants one node
-// (SearchSpec.Target). It is the single kernel behind every routing entry
-// point: plain and transit-restricted shortest paths, k edge-disjoint paths,
-// and the congestion-aware router.
+// spec.Tree, when spec wants one node (SearchSpec.Target). It is the single
+// kernel behind every routing entry point: plain and transit-restricted
+// shortest paths, k edge-disjoint paths, and the congestion-aware router.
 // The inner loop performs no allocation and no hashing.
 //
 // A node at or above NumSat (the ground side of a built network: cities,
-// relays, aircraft) that is not wanted is relaxed through instead of queued
-// in every search a tree does not direct: when a popped node lowers its
-// label it keeps that label and predecessor and relaxes its own arcs from it
-// at once (DESIGN.md §7). Labels and predecessors are still plain
-// Dijkstra's, bit for bit.
+// relays, aircraft) that is not wanted is relaxed through instead of queued:
+// when a popped node lowers its label it keeps that label and predecessor and
+// relaxes its own arcs from it at once (DESIGN.md §7). Labels and
+// predecessors are still plain Dijkstra's, bit for bit.
 //
 // Search reports whether it ran to completion: false means spec.Stop
 // abandoned it and st holds partial, unusable results.
@@ -448,31 +445,33 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 	done, strict := n.search(st, spec, true)
 	if !strict {
 		// An arc lowered a label without adding to it (a Cost hook that
-		// prices a link at 0): the tie rule is plain Dijkstra's only where
-		// labels strictly increase along arcs, so run the search again the
-		// way plain Dijkstra runs it, queuing every node.
+		// prices a link at 0, or a weight below a label's last bit): the tie
+		// rule is plain Dijkstra's only where labels strictly increase along
+		// arcs, so run the search again the way plain Dijkstra runs it,
+		// queuing every node. A tree bounds only the nodes of its row, and a
+		// queued forwarder may lie past it, so the free-space bound directs
+		// the rerun.
+		spec.Tree = nil
 		done, _ = n.search(st, spec, false)
 	}
 	return done
 }
 
-// search is one run of the kernel. With through set, a search that no tree
-// directs relaxes ground nodes through, breaks every exact tie by the
-// (dist, node, link) rule, and gives up, reporting strict false, at the
-// first relaxation that lowers a label to the label it came from.
+// search is one run of the kernel. With through set, it relaxes ground nodes
+// through, breaks every exact tie by the (dist, node, link) rule, and gives
+// up, reporting strict false, at the first relaxation that lowers a label to
+// the label it came from.
 func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, strict bool) {
 	wantLeft, only := st.begin(n, spec) // wanted nodes not yet popped; 0: settle all
 	// A search for one node, with no Cost hook, is goal-directed wherever
 	// the free-space bound is consistent (SatTransit only drops arcs): the
-	// heap orders by (dist + bound, node), the bound being the ball's or
-	// spec.Tree's where the search is given one grown from its target.
+	// heap orders by (dist + bound, node), the bound being spec.Tree's
+	// where the search is given one rooted at its target.
 	st.goal, st.tree, st.ball = NoTarget, nil, nil
 	if wantLeft == 1 && !spec.plain && spec.Cost == nil {
 		if terms := n.goalTerms(); terms != nil {
 			st.goal = only
-			if b := spec.ball; b != nil && b.net == n && b.src == only {
-				st.directByBall(b)
-			} else if n.rowOf(spec.Tree) && int(only) < len(spec.Tree) && spec.Tree[only] == -1 {
+			if n.rowOf(spec.Tree) && int(only) < len(spec.Tree) && spec.Tree[only] == -1 {
 				st.directByTree(spec.Tree)
 			} else {
 				st.toGoal = goalBound(n.Pos, terms, only)
@@ -480,13 +479,9 @@ func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, 
 		}
 	}
 	// The bound is read through st, off the registers the relax loop needs;
-	// freeSpace says it is the free-space bound, not the tree's or the
-	// ball's. A search either directs queues its ground nodes: relaxed
-	// through, each would hand satellites A* never pops a bound apiece.
+	// freeSpace says it is the free-space bound, not the tree's.
 	goal := st.goal != NoTarget
-	byTree := st.tree != nil || st.ball != nil
-	freeSpace := goal && !byTree
-	through = through && !byTree
+	freeSpace := goal && st.tree == nil
 	tieRule := goal || through
 	// Loop locals: the scratch arrays and CSR stay in registers instead of
 	// being re-loaded through st and n on every arc.
@@ -643,15 +638,17 @@ func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, 
 					ty.dist = nx
 					prevLink[y] = f.Link
 					at := int(ty.pos)
-					if !yQueued { // a tree never directs a search that relaxes through
+					if !yQueued {
 						at = len(h)
 						h = append(h, heapEntry{})
 						if freeSpace {
 							st.bound[y] = st.toGoal.at(y)
+						} else if goal {
+							st.bound[y] = st.treeBound(y)
 						}
 					}
 					key = nx
-					if freeSpace {
+					if goal {
 						key += st.bound[y]
 					}
 					siftUp(h, node, at, heapEntry{node: y, key: key})

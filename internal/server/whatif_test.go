@@ -339,8 +339,7 @@ func TestSurvivingRouteMatchesKernel(t *testing.T) {
 // and as served, directed by the healthy tree's row for the destination — on
 // reduced seed 1 at snapshot 0, both modes, three 5 % satellite masks, four
 // sources to every destination. Satellites, because both searches queue
-// every satellite they reach, where the free-space search relaxes ground
-// nodes through and the tree-directed one queues them. The two searches
+// every satellite they reach and relax ground nodes through. The two searches
 // settle the target at the same distance (float bits) along the same path;
 // the tree settles under a quarter of the satellites.
 func TestWhatIfSearchSettlesFewer(t *testing.T) {
