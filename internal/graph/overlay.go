@@ -304,8 +304,8 @@ func overlayTakes(links []Link, v int32, mid float64, li int32, held float64, pr
 // bans an arc is skipped when either of its links is banned (link, and via
 // for a candidate), and each pair of a popped satellite whose kept candidate
 // a ban cut is repaired: after the satellite's row the loop relaxes the arcs
-// repair derives for it (DESIGN.md §7, "A banned search on the overlay"). It returns false, with st unusable, at the
-// first pop past overlayLabelCap.
+// repair derives for it (DESIGN.md §7, "A banned search on the overlay"). It
+// returns false, with st unusable, at the first pop past overlayLabelCap.
 func (ov *Overlay) search(st *SearchState, spec SearchSpec) bool {
 	n := ov.net
 	wantLeft, only := st.begin(n, spec)
@@ -405,6 +405,9 @@ func (ov *Overlay) search(st *SearchState, spec SearchSpec) bool {
 				if !queued && !byBall && v >= ground && want[v] != cur {
 					// Relax city v through. Its arcs are all direct links
 					// (pre 0): the build refuses a city joined to a forwarder.
+					// This is the loop above without the pass, written out
+					// again: resuming u's row instead, as Network.search
+					// does, made sweep-fig4 13–18 % slower (DESIGN.md §7).
 					to.pos = posPassed
 					if transit {
 						continue

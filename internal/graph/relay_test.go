@@ -289,7 +289,10 @@ func TestRelayChains(t *testing.T) {
 // for one city — goal-directed by the free-space bound, their relays relaxed
 // through — on the target's label, path and every label along it. Given the
 // target's tree instead, the search relaxes its relays and aircraft through
-// as well, and queues none of them.
+// as well, and queues none of them. Each search's work is pinned: the nodes
+// it settled and relaxed through, and for the full trees the order their
+// arcs are relaxed in. A kernel that ran a pass after the rest of its
+// popper's row gives the same counts here and another order.
 func TestRelayThroughOnSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("naive trees over a snapshot")
@@ -298,18 +301,51 @@ func TestRelayThroughOnSnapshot(t *testing.T) {
 	bp := b.At(geo.Epoch)
 	st := AcquireSearch()
 	defer st.Release()
-	for _, n := range []*Network{bp, b.Hybrid(bp, geo.Epoch)} {
-		for _, city := range []int{0, n.NumCity - 1} {
+	// Per network, bent-pipe then hybrid: {settled, passed} of the two full
+	// trees, the free-space-directed pair and the tree-directed pair, and
+	// the FNV-1a digest of the links each full tree relaxes, in order.
+	want := [2][4][2]int{
+		{{287, 129}, {287, 129}, {60, 19}, {60, 19}},
+		{{1585, 184}, {1585, 184}, {451, 123}, {29, 43}},
+	}
+	wantOrder := [2][2]uint64{
+		{0x7fdb7b321e0bdd47, 0xaf50fb63d1644860},
+		{0xdb18fbff7797efdd, 0xb11a978be9adfaa2},
+	}
+	var got [2][4][2]int
+	var gotOrder [2][2]uint64
+	for i, n := range []*Network{bp, b.Hybrid(bp, geo.Epoch)} {
+		work := func() [2]int {
+			passed := 0
+			for v := int32(0); v < int32(n.N()); v++ {
+				if st.Reached(v) && st.node[v].pos == posPassed {
+					passed++
+				}
+			}
+			return [2]int{st.settled(), passed}
+		}
+		for j, city := range []int{0, n.NumCity - 1} {
 			src := n.CityNode(city)
 			n.Search(st, SearchSpec{Src: src, Target: NoTarget})
 			if passed := requireNaiveTree(t, "snapshot", n, st, src, nil, false, nil); passed < n.NumRelay/2 {
 				t.Fatalf("a full tree relaxed %d nodes through, of %d relays", passed, n.NumRelay)
 			}
+			got[i][j] = work()
+			// A Cost hook pricing each link at its delay leaves the tree
+			// as it was and is asked about each arc as it is relaxed.
+			order := uint64(14695981039346656037)
+			n.Search(st, SearchSpec{Src: src, Target: NoTarget, Cost: func(li int32) float64 {
+				order = (order ^ uint64(li)) * 1099511628211
+				return n.Links[li].OneWayMs
+			}})
+			gotOrder[i][j] = order
 		}
 		src, dst := n.CityNode(3), n.CityNode(n.NumCity-4)
 		requireNaivePath(t, "snapshot", n, st, src, dst, nil, nil, true)
+		got[i][2] = work()
 		_, row := searchTree(n, dst, nil, false)
 		requireNaivePath(t, "snapshot, directed by the tree", n, st, src, dst, nil, row, true)
+		got[i][3] = work()
 		passed := 0
 		for v := int32(n.NumSat + n.NumCity); v < int32(n.N()); v++ {
 			if !st.Reached(v) {
@@ -323,6 +359,9 @@ func TestRelayThroughOnSnapshot(t *testing.T) {
 		if passed == 0 {
 			t.Fatal("a tree-directed search reached no relay or aircraft")
 		}
+	}
+	if got != want || gotOrder != wantOrder {
+		t.Fatalf("{settled, passed} per search: %v, want %v; relax orders %x, want %x", got, want, gotOrder, wantOrder)
 	}
 }
 

@@ -422,16 +422,17 @@ const NoTarget int32 = -1
 
 // Search runs Dijkstra from spec.Src over the network's CSR adjacency into
 // st, honouring st's link bans — goal-directed by the free-space bound, or by
-// spec.Tree, when spec wants one node (SearchSpec.Target). It is the single
-// kernel behind every routing entry point: plain and transit-restricted
-// shortest paths, k edge-disjoint paths, and the congestion-aware router.
-// The inner loop performs no allocation and no hashing.
+// spec.Tree, when spec wants one node (SearchSpec.Target). The relay overlay
+// (Overlay.Search) runs the sweeps' fan-outs and disjoint paths; this kernel
+// runs tree-directed what-ifs, fan-outs under a cut, one-off searches, Cost
+// hooks, networks the overlay refuses and the overlay's searches past
+// overlayLabelCap. The inner loop performs no allocation and no hashing.
 //
 // A node at or above NumSat (the ground side of a built network: cities,
 // relays, aircraft) that is not wanted is relaxed through instead of queued:
-// when a popped node lowers its label it keeps that label and predecessor and
-// relaxes its own arcs from it at once (DESIGN.md §7). Labels and
-// predecessors are still plain Dijkstra's, bit for bit.
+// when a popped node lowers its label it keeps that label and predecessor,
+// and the popped node's loop runs its row at once, then resumes its own
+// (DESIGN.md §7). Labels and predecessors are still plain Dijkstra's.
 //
 // Search reports whether it ran to completion: false means spec.Stop
 // abandoned it and st holds partial, unusable results.
@@ -531,145 +532,100 @@ func (n *Network) search(st *SearchState, spec SearchSpec, through bool) (done, 
 		if transit && u != spec.Src && kind[u] != NodeSatellite {
 			continue
 		}
-		lo, hi := adjStart[u], adjStart[u+1]
-		edges, arcMs := adjEdges[lo:hi], adjMs[lo:hi]
-		for k, e := range edges {
-			if linkBans && st.linkBan[e.Link] == st.banStamp {
-				continue
-			}
-			w := arcMs[k]
-			if spec.Cost != nil {
-				w = spec.Cost(e.Link)
-				if math.IsInf(w, 1) {
+		// The loop walks the row of node x, at label gx, from arc at to hi:
+		// u's row, and on the spot the row of each node u relaxes through,
+		// after which u's row resumes at resume, the arc past that node's.
+		x, gx := u, g
+		at, hi := adjStart[u], adjStart[u+1]
+		var resume int32
+	rows:
+		for {
+			arcMs := adjMs[at:hi]
+			for k, e := range adjEdges[at:hi] {
+				w := arcMs[k]
+				if linkBans && st.linkBan[e.Link] == st.banStamp {
 					continue
 				}
-			}
-			nd := g + w
-			v := e.To
-			to := &node[v]
-			queued := false // v holds an entry in h
-			if to.stamp == cur {
-				// With non-negative weights nd >= dist holds for every
-				// popped node, so the posPopped test only ever fires for
-				// a Cost hook that breaks its contract.
-				if nd > to.dist || to.pos == posPopped {
-					continue
-				}
-				if nd == to.dist {
-					// The tie rule. Plain Dijkstra pops the tied
-					// predecessors in (dist, node) order and keeps the
-					// first, and its first arc of them; a goal-directed
-					// search pops them in its own order, and a node
-					// relaxed through relaxes before its turn, so the
-					// (dist, node, link)-least one takes over.
-					if tieRule {
-						l := n.Links[prevLink[v]]
-						p := l.A + l.B - v
-						if dp := node[p].dist; g < dp || (g == dp && (u < p || (u == p && e.Link < prevLink[v]))) {
-							prevLink[v] = e.Link
-						}
-					}
-					continue
-				}
-				queued = to.pos >= 0
-			} else {
-				to.stamp = cur
-			}
-			if through && nd == g { // a label that did not grow: see Search
-				st.heap = h
-				return false, false
-			}
-			to.dist = nd
-			prevLink[v] = e.Link
-			if through && !queued && v >= ground && want[v] != cur {
-				// Relax v through: it keeps its label and predecessor and
-				// relaxes its arcs from them now (unless SatTransit holds
-				// it back), which a later pop that lowers the label repeats.
-				// The loop below is the one above without this branch, so
-				// a node it lowers is queued and nothing recurses; it is
-				// written out again because a shared body costs the outer
-				// loop its registers.
-				to.pos = posPassed
-				if transit && kind[v] != NodeSatellite {
-					continue
-				}
-				if spec.Stop != nil && expanded%stopPollInterval == 0 && spec.Stop() {
-					st.heap = h
-					return false, true
-				}
-				expanded++
-				vlo, vhi := adjStart[v], adjStart[v+1]
-				vMs := adjMs[vlo:vhi]
-				for j, f := range adjEdges[vlo:vhi] {
-					if linkBans && st.linkBan[f.Link] == st.banStamp {
+				if spec.Cost != nil {
+					w = spec.Cost(e.Link)
+					if math.IsInf(w, 1) {
 						continue
 					}
-					w := vMs[j]
-					if spec.Cost != nil {
-						w = spec.Cost(f.Link)
-						if math.IsInf(w, 1) {
-							continue
-						}
+				}
+				nd := gx + w
+				v := e.To
+				to := &node[v]
+				queued := false // v holds an entry in h
+				if to.stamp == cur {
+					// With non-negative weights nd >= dist holds for every
+					// popped node, so the posPopped test only ever fires for
+					// a Cost hook that breaks its contract.
+					if nd > to.dist || to.pos == posPopped {
+						continue
 					}
-					nx := nd + w
-					y := f.To
-					ty := &node[y]
-					yQueued := false
-					if ty.stamp == cur {
-						if nx > ty.dist || ty.pos == posPopped {
-							continue
-						}
-						if nx == ty.dist {
-							l := n.Links[prevLink[y]]
-							p := l.A + l.B - y
-							if dp := node[p].dist; nd < dp || (nd == dp && (v < p || (v == p && f.Link < prevLink[y]))) {
-								prevLink[y] = f.Link
+					if nd == to.dist {
+						// The tie rule. Plain Dijkstra pops the tied
+						// predecessors in (dist, node) order and keeps the
+						// first, and its first arc of them; a goal-directed
+						// search pops them in its own order, and a node
+						// relaxed through relaxes before its turn, so the
+						// (dist, node, link)-least one takes over.
+						if tieRule {
+							l := n.Links[prevLink[v]]
+							p := l.A + l.B - v
+							if dp := node[p].dist; gx < dp || (gx == dp && (x < p || (x == p && e.Link < prevLink[v]))) {
+								prevLink[v] = e.Link
 							}
-							continue
 						}
-						yQueued = ty.pos >= 0
-					} else {
-						ty.stamp = cur
+						continue
 					}
-					if nx == nd {
+					queued = to.pos >= 0
+				} else {
+					to.stamp = cur
+				}
+				if through && nd == gx { // a label that did not grow: see Search
+					st.heap = h
+					return false, false
+				}
+				to.dist = nd
+				prevLink[v] = e.Link
+				if through && x == u && !queued && v >= ground && want[v] != cur {
+					// Relax v through: it keeps its label and predecessor, and
+					// its row runs now (unless SatTransit holds it back), as a
+					// later pop that lowers the label runs it again. A node it
+					// lowers is queued (x is not u), so nothing recurses.
+					to.pos = posPassed
+					if transit && kind[v] != NodeSatellite {
+						continue
+					}
+					if spec.Stop != nil && expanded%stopPollInterval == 0 && spec.Stop() {
 						st.heap = h
-						return false, false
+						return false, true
 					}
-					ty.dist = nx
-					prevLink[y] = f.Link
-					at := int(ty.pos)
-					if !yQueued {
-						at = len(h)
-						h = append(h, heapEntry{})
-						if freeSpace {
-							st.bound[y] = st.toGoal.at(y)
-						} else if goal {
-							st.bound[y] = st.treeBound(y)
-						}
-					}
-					key = nx
-					if goal {
-						key += st.bound[y]
-					}
-					siftUp(h, node, at, heapEntry{node: y, key: key})
+					expanded++
+					resume, x, gx, at, hi = at+int32(k)+1, v, nd, adjStart[v], adjStart[v+1]
+					continue rows
 				}
-				continue
-			}
-			at := int(to.pos)
-			if !queued { // a node new to the frontier enters at the bottom
-				at = len(h)
-				h = append(h, heapEntry{})
-				if freeSpace {
-					st.bound[v] = st.toGoal.at(v)
-				} else if goal {
-					st.bound[v] = st.treeBound(v)
+				pos := int(to.pos)
+				if !queued { // a node new to the frontier enters at the bottom
+					pos = len(h)
+					h = append(h, heapEntry{})
+					if freeSpace {
+						st.bound[v] = st.toGoal.at(v)
+					} else if goal {
+						st.bound[v] = st.treeBound(v)
+					}
 				}
+				key = nd
+				if goal {
+					key += st.bound[v]
+				}
+				siftUp(h, node, pos, heapEntry{node: v, key: key})
 			}
-			key = nd
-			if goal {
-				key += st.bound[v]
+			if x == u {
+				break
 			}
-			siftUp(h, node, at, heapEntry{node: v, key: key})
+			x, gx, at, hi = u, g, resume, adjStart[u+1]
 		}
 	}
 	st.heap = h // keep the grown backing array
